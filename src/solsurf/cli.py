@@ -164,9 +164,8 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     write_field_json(os.path.join(outdir, "wave.json"), wave.field(), lam=wave.lam)
     from .immersion import linear_independence_report
 
-    inv_phi = wave.inverse()
-    t1 = MatrixField(cfg.grid, inv_phi @ a.values @ wave.phi, max(a.margin, wave.margin))
-    t2 = MatrixField(cfg.grid, inv_phi @ b.values @ wave.phi, max(b.margin, wave.margin))
+    t1 = MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin))
+    t2 = MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin))
     report: dict = {
         "basepoint": list(res.basepoint),
         "compat_defect": res.compat_defect,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid2, MatrixField, diff1, diff2, write_scalar_csv
-from .matlie import inner
+from .matlie import det, inner
 
 __all__ = [
     "EmbeddedSurface",
@@ -138,7 +138,7 @@ def gauss_curvature(
     det_g = e * gg - fm * fm
     ok = np.isfinite(m1).all(axis=(-1, -2)) & np.isfinite(m2).all(axis=(-1, -2))
     num = np.full(e.shape, np.nan)
-    num[ok] = np.linalg.det(m1[ok]) - np.linalg.det(m2[ok])
+    num[ok] = det(m1[ok]) - det(m2[ok])
     with np.errstate(invalid="ignore", divide="ignore"):
         k = np.where(det_g > tol_metric, num / det_g**2, np.nan)
     # the mixed derivative of the metric costs two stencil layers

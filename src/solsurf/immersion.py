@@ -30,7 +30,7 @@ from .fields import (
     interior_max,
     same_grid,
 )
-from .matlie import commutator, fro, inner, project_su
+from .matlie import commutator, fro, inner, mm, project_su
 from .sigma import JetField, check_lambda, u_pair
 from .spectral import WaveField
 from .symmetry import FrechetPolicy, SymmetryCharacteristic, frechet_apply, u_functional
@@ -149,10 +149,6 @@ def compatibility_defect(
     return interior_max(fro(res), margin)
 
 
-def _conjugate(w: WaveField, m: MatrixField) -> np.ndarray:
-    return w.inverse() @ m.values @ w.phi
-
-
 def _axis_integrands(
     grid: Grid2, at: np.ndarray, bt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +205,8 @@ def integrate_surface(
     if not (m <= i1c < n1 - m and m <= i2c < n2 - m):
         raise ValueError("basepoint outside the trusted interior")
 
-    at = _conjugate(w, a)
-    bt = _conjugate(w, b)
+    at = w.conjugate(a.values)
+    bt = w.conjugate(b.values)
     gx, gy = _axis_integrands(grid, at, bt)
     sl = (slice(m, n2 - m) if m else slice(None), slice(m, n1 - m) if m else slice(None))
     gx_v = gx[sl]
@@ -249,8 +245,8 @@ def tangent_check(
 ) -> tuple[float, float]:
     """Stencil derivatives of F against the conjugated tangents."""
     d1f, d2f, dmargin = chart_first_derivatives(f)
-    at = _conjugate(w, a)
-    bt = _conjugate(w, b)
+    at = w.conjugate(a.values)
+    bt = w.conjugate(b.values)
     margin = max(dmargin, a.margin, b.margin, w.margin)
     return (
         interior_max(fro(d1f - at), margin),
@@ -281,14 +277,14 @@ def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> tuple[Matrix
     lies in the algebra exactly on the unitarity domain of the wave
     function.
     """
-    raw = a_value * (w.inverse() @ dphi.values)
+    raw = a_value * mm(w.inverse(), dphi.values)
     out = MatrixField(w.grid, raw, max(w.margin, dphi.margin))
     return out, su_distance(out)
 
 
 def gauge_immersion(s: MatrixField, w: WaveField) -> tuple[MatrixField, float]:
     """Gauge immersion F = Phi^{-1} S Phi with its su(N) distance."""
-    raw = w.inverse() @ s.values @ w.phi
+    raw = w.conjugate(s.values)
     out = MatrixField(w.grid, raw, max(w.margin, s.margin))
     return out, su_distance(out)
 
@@ -304,7 +300,7 @@ def conformal_immersion_closed(
         spec.f(grid)[..., None, None] * u1.values
         + spec.g(grid)[..., None, None] * u2.values
     )
-    raw = w.inverse() @ core @ w.phi
+    raw = w.conjugate(core)
     out = MatrixField(grid, raw, max(w.margin, u1.margin))
     return out, su_distance(out)
 
@@ -323,7 +319,7 @@ def prolong_immersion(
         return MatrixField(jd.grid, wd.phi, wd.margin)
 
     prw_phi = frechet_apply(phi_values, j, q, policy)
-    raw = wave0.inverse() @ prw_phi.values
+    raw = mm(wave0.inverse(), prw_phi.values)
     out = MatrixField(j.grid, raw, max(wave0.margin, prw_phi.margin))
     return out, su_distance(out)
 
@@ -342,7 +338,7 @@ def constant_difference_check(
 
 def psi_of(f: MatrixField, w: WaveField) -> MatrixField:
     """Deformation direction of the wave function: Psi = Phi F."""
-    vals = w.phi @ f.values
+    vals = mm(w.phi, f.values)
     return MatrixField(f.grid, vals, max(f.margin, w.margin))
 
 
@@ -356,8 +352,8 @@ def psi_residual(
 ) -> float:
     """Interior max of || D_alpha Psi - u^alpha Psi - A_alpha Phi ||_F."""
     d1psi, d2psi, dmargin = chart_first_derivatives(psi)
-    r1 = d1psi - u1.values @ psi.values - a.values @ w.phi
-    r2 = d2psi - u2.values @ psi.values - b.values @ w.phi
+    r1 = d1psi - mm(u1.values, psi.values) - mm(a.values, w.phi)
+    r2 = d2psi - mm(u2.values, psi.values) - mm(b.values, w.phi)
     margin = max(dmargin, u1.margin, a.margin, b.margin, w.margin)
     return max(interior_max(fro(r1), margin), interior_max(fro(r2), margin))
 

@@ -9,7 +9,6 @@ the metric used for all geometry downstream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,14 +21,17 @@ __all__ = [
     "central_unit",
     "commutator",
     "dagger",
+    "det",
     "expm",
     "fro",
     "inner",
+    "inv",
     "matrix_from_json",
     "matrix_to_json",
+    "mm",
     "project_su",
+    "solve",
     "su_basis",
-    "su_defect",
     "trace",
 ]
 
@@ -66,12 +68,149 @@ def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
         )
 
 
+# --- small-matrix kernels --------------------------------------------------------
+
+# Largest matrix dimension the unrolled and closed-form kernels handle.
+SMALL_N = 3
+
+
+def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix product (numpy ``matmul``), broadcast over the leading axes.
+
+    For dimensions up to ``SMALL_N`` every output entry is written as the
+    sum over the inner index, ``x[..., i, j] * y[..., j, l]`` for j = 0, 1,
+    ..., each term a whole-field array operation.  numpy's ``@`` on a
+    (n2, n1, n, n) stack spends nearly all its time dispatching one tiny
+    product per node.  Timings on 101^2 complex128 stacks (2-vCPU Xeon,
+    numpy 2.4, one BLAS thread; range of the medians of five runs):
+
+    ====  ===============  ================
+    n     ``@``            unrolled sum
+    ====  ===============  ================
+    2     2.9 - 4.4 ms     0.4 - 0.6 ms
+    3     3.8 - 5.1 ms     2.2 - 2.7 ms
+    4     4.8 - 5.3 ms     8.1 - 9.8 ms
+    ====  ===============  ================
+
+    At n = 4 the 64 terms cost more than the dispatch, hence the cutoff:
+    larger matrices use ``@``.  The summation order differs from BLAS, so
+    results agree with ``@`` to rounding only.
+
+    Storing fields with the matrix axes first, (n, n, n2, n1), makes each
+    term contiguous, and a 2x2 product then takes 0.26 - 0.33 ms.  Every
+    caller holds (n2, n1, n, n) fields, though, and converting the layout
+    on each call brings it to 0.56 - 0.68 ms, slower than the unrolled sum
+    in place, so the field layout is kept.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    n, k = x.shape[-2:]
+    if y.shape[-2] != k:
+        raise ValueError(f"inner dimensions differ: {x.shape[-2:]} times {y.shape[-2:]}")
+    m = y.shape[-1]
+    if max(n, k, m) > SMALL_N:
+        return x @ y
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    out = np.empty(lead + (n, m), dtype=np.result_type(x, y))
+    for i in range(n):
+        for l in range(m):
+            acc = x[..., i, 0] * y[..., 0, l]
+            for j in range(1, k):
+                acc += x[..., i, j] * y[..., j, l]
+            out[..., i, l] = acc
+    return out
+
+
+def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Signed cofactor C_ij of a 2x2 or 3x3 matrix."""
+    if a.shape[-1] == 2:
+        c = a[..., 1 - i, 1 - j]
+        return c if i == j else -c
+    # cyclic index order carries the sign (-1)^(i+j)
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+
+
+def _det_small(a: np.ndarray) -> np.ndarray:
+    d = a[..., 0, 0] * _cofactor(a, 0, 0)
+    for j in range(1, a.shape[-1]):
+        d = d + a[..., 0, j] * _cofactor(a, 0, j)
+    return d
+
+
+def _inv_small(a: np.ndarray) -> np.ndarray:
+    """adj(A) / det(A) for 2x2 and 3x3 stacks.
+
+    Nodes with a non-finite determinant (NaN margin nodes) come out NaN;
+    an exactly singular finite node raises, as the LAPACK inverse does.
+    """
+    d = _det_small(a)
+    if np.any(d == 0):
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(invalid="ignore"):
+        r = np.where(np.isfinite(d), 1.0 / d, np.nan)
+    n = a.shape[-1]
+    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+    for i in range(n):
+        for j in range(n):
+            out[..., j, i] = _cofactor(a, i, j) * r
+    return out
+
+
+def _on_finite_nodes(fn, a: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
+    """A numpy.linalg routine on the finite nodes of ``a``; the rest come out NaN."""
+    if rhs:
+        lead = np.broadcast_shapes(a.shape[:-2], rhs[0].shape[:-2])
+        a = np.broadcast_to(a, lead + a.shape[-2:])
+        rhs = (np.broadcast_to(rhs[0], lead + rhs[0].shape[-2:]),)
+    ok = np.isfinite(a).all(axis=(-1, -2))
+    if ok.all():
+        return fn(a, *rhs)
+    res = fn(a[ok], *(b[ok] for b in rhs))
+    out = np.full(a.shape[:-2] + res.shape[1:], np.nan, dtype=res.dtype)
+    out[ok] = res
+    return out
+
+
+def det(a: np.ndarray) -> np.ndarray:
+    """Determinant per node: cofactor expansion for n <= SMALL_N."""
+    a = np.asarray(a)
+    if not 2 <= a.shape[-1] <= SMALL_N:
+        return _on_finite_nodes(np.linalg.det, a)
+    return _det_small(a)
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    """Inverse per node: adjugate over determinant for n <= SMALL_N.
+
+    NaN nodes come out NaN; an exactly singular finite node raises
+    ``np.linalg.LinAlgError``.
+    """
+    a = np.asarray(a)
+    if not 2 <= a.shape[-1] <= SMALL_N:
+        return _on_finite_nodes(np.linalg.inv, a)
+    return _inv_small(a)
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with A X = B per node, for matrix right-hand sides (..., n, k).
+
+    Cramer's rule, X = adj(A) B / det(A), for n <= SMALL_N; NaN nodes and
+    singular nodes behave as in :func:`inv`.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if not 2 <= a.shape[-1] <= SMALL_N:
+        return _on_finite_nodes(np.linalg.solve, a, b)
+    return mm(_inv_small(a), b)
+
+
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[X, Y] = XY - YX."""
     x = np.asarray(x)
     y = np.asarray(y)
     _check_same_dim(x, y)
-    return x @ y - y @ x
+    return mm(x, y) - mm(y, x)
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -79,7 +218,7 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     y = np.asarray(y)
     _check_same_dim(x, y)
-    return -0.5 * np.real(trace(x @ y))
+    return -0.5 * np.real(trace(mm(x, y)))
 
 
 def central_unit(n: int) -> np.ndarray:
@@ -101,11 +240,6 @@ def project_su(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     anti = 0.5 * (a - dagger(a))
     s = anti - (trace(anti) / n)[..., None, None] * np.eye(n)
     return s, fro(a - s)
-
-
-def su_defect(m: np.ndarray) -> np.ndarray:
-    """How far a matrix is from anti-Hermitian traceless (Frobenius)."""
-    return project_su(m)[1]
 
 
 # Padé(13) numerator coefficients for the matrix exponential.
@@ -154,26 +288,27 @@ def expm(m: np.ndarray) -> np.ndarray:
 
     b = _PADE13
     ident = np.broadcast_to(np.eye(n, dtype=complex), a.shape)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+    a2 = mm(a, a)
+    a4 = mm(a2, a2)
+    a6 = mm(a2, a4)
+    u = mm(
+        a,
+        mm(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
         + b[7] * a6
         + b[5] * a4
         + b[3] * a2
-        + b[1] * ident
+        + b[1] * ident,
     )
     v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        mm(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
         + b[6] * a6
         + b[4] * a4
         + b[2] * a2
         + b[0] * ident
     )
-    r = np.linalg.solve(v - u, v + u)
+    r = solve(v - u, v + u)
     for _ in range(s):
-        r = r @ r
+        r = mm(r, r)
     return r
 
 
@@ -263,7 +398,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     re = np.array([num(v) for v in obj["re"]], dtype=float).reshape(n, n)
     im = np.array([num(v) for v in obj["im"]], dtype=float).reshape(n, n)
     return re + 1j * im
-
-
-def matrix_json_dumps(m: np.ndarray) -> str:
-    return json.dumps(matrix_to_json(m), sort_keys=True)

@@ -31,7 +31,7 @@ from .fields import (
     chart_jets,
     interior_max,
 )
-from .matlie import central_unit, commutator, dagger, fro, trace
+from .matlie import central_unit, commutator, dagger, fro, mm, trace
 
 __all__ = [
     "JetField",
@@ -97,7 +97,7 @@ def projector_invariants(values: np.ndarray) -> dict[str, np.ndarray]:
     """Pointwise defects of Hermiticity, idempotency and unit trace."""
     return {
         "hermiticity": fro(values - dagger(values)),
-        "idempotency": fro(values @ values - values),
+        "idempotency": fro(mm(values, values) - values),
         "trace": np.abs(trace(values) - 1.0),
     }
 
@@ -247,7 +247,7 @@ def theta_square_residual(j: JetField) -> tuple[np.ndarray, int]:
     n = j.n
     e = np.eye(n) / n
     res = (
-        j.theta @ j.theta
+        mm(j.theta, j.theta)
         + 1j * (2 - n) / n * j.theta
         - (1 - n) / n * np.broadcast_to(e, j.theta.shape)
     )
@@ -258,14 +258,14 @@ def theta_comm_identity_residual(j: JetField) -> tuple[np.ndarray, int]:
     """Defect of [theta_1, theta](2i theta - (2-N) I/N) = -i theta_1."""
     n = j.n
     m = 2j * j.theta - (2 - n) * np.broadcast_to(np.eye(n) / n, j.theta.shape)
-    res = commutator(j.d1, j.theta) @ m + 1j * j.d1
+    res = mm(commutator(j.d1, j.theta), m) + 1j * j.d1
     return fro(res), j.margin1
 
 
 def theta_triple_residual(j: JetField) -> tuple[np.ndarray, int]:
     """Defect of theta theta_1 theta = (N-1)/N^2 theta_1."""
     n = j.n
-    res = j.theta @ j.d1 @ j.theta - (n - 1) / n**2 * j.d1
+    res = mm(mm(j.theta, j.d1), j.theta) - (n - 1) / n**2 * j.d1
     return fro(res), j.margin1
 
 
@@ -273,7 +273,7 @@ def action_density(j: JetField) -> tuple[np.ndarray, int]:
     """tr(P_1 P_2) pointwise; real and nonnegative on the Euclidean chart."""
     p1 = -1j * j.d1
     p2 = -1j * j.d2
-    return trace(p1 @ p2), j.margin1
+    return trace(mm(p1, p2)), j.margin1
 
 
 # --- Veronese ladder: analytic route -----------------------------------------
@@ -392,7 +392,7 @@ class SolutionLadder:
             for b in range(a + 1, len(self.rungs)):
                 worst = max(
                     worst,
-                    interior_max(fro(self.rungs[a].values @ self.rungs[b].values), m),
+                    interior_max(fro(mm(self.rungs[a].values, self.rungs[b].values)), m),
                 )
         return worst
 
@@ -434,9 +434,9 @@ def _ladder_step(
     else:
         d1p, d2p, margin = chart_first_derivatives(p.field)
     if up:
-        num = d1p @ p.values @ d2p
+        num = mm(mm(d1p, p.values), d2p)
     else:
-        num = d2p @ p.values @ d1p
+        num = mm(mm(d2p, p.values), d1p)
     den = trace(num)
     scale = interior_max(fro(d1p) * fro(d2p), margin)
     tol = tol_contract_rel * max(scale, 1e-300)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DeformationOutOfDomain
 from .fields import Grid2, MatrixField, chart_first_derivatives, interior_max
-from .matlie import commutator, dagger, expm, fro, trace
+from .matlie import commutator, dagger, det, expm, fro, inv, mm, trace
 from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, theta_of
 
 __all__ = [
@@ -63,23 +63,23 @@ class WaveField:
         return MatrixField(self.grid, self.phi, self.margin)
 
     def inverse(self) -> np.ndarray:
-        """Per-node inverse (LU with partial pivoting); NaN nodes stay NaN."""
-        out = np.full_like(self.phi, np.nan, dtype=complex)
-        ok = np.isfinite(self.phi).all(axis=(-1, -2))
-        if np.any(ok):
-            out[ok] = np.linalg.inv(self.phi[ok])
-        return out
+        """Per-node inverse; NaN nodes stay NaN."""
+        return inv(self.phi)
+
+    def conjugate(self, x: np.ndarray) -> np.ndarray:
+        """Phi^{-1} X Phi per node."""
+        return mm(mm(self.inverse(), x), self.phi)
 
 
 def wave_diagnostics(w: WaveField) -> dict[str, float]:
     """Invertibility and unitarity report over the trusted interior."""
     phi = w.phi
     ok = np.isfinite(phi).all(axis=(-1, -2))
-    det = np.where(ok, np.linalg.det(np.where(ok[..., None, None], phi, 0.0)), np.nan)
+    det_phi = np.where(ok, det(np.where(ok[..., None, None], phi, 0.0)), np.nan)
     ident = np.eye(w.n)
     unit = np.where(
         ok,
-        fro(np.where(ok[..., None, None], dagger(phi) @ phi, 0.0) - ident),
+        fro(np.where(ok[..., None, None], mm(dagger(phi), phi), 0.0) - ident),
         np.nan,
     )
     cond = np.full(phi.shape[:2], np.nan)
@@ -87,7 +87,7 @@ def wave_diagnostics(w: WaveField) -> dict[str, float]:
         cond[ok] = np.linalg.cond(phi[ok])
     m = w.margin
     return {
-        "min_abs_det": float(np.nanmin(np.abs(det[m:-m, m:-m] if m else det))),
+        "min_abs_det": float(np.nanmin(np.abs(det_phi[m:-m, m:-m] if m else det_phi))),
         "max_condition": float(np.nanmax(cond[m:-m, m:-m] if m else cond)),
         "max_unitarity_defect": interior_max(unit, m),
     }
@@ -102,6 +102,16 @@ def euclidean_wave_coefficients(lam: complex, k: int) -> tuple[complex, complex]
     return 4 * lam / (1 - lam) ** 2, -2 / (1 - lam)
 
 
+def _guarded_reciprocal(den: np.ndarray, message: str) -> np.ndarray:
+    """1/den, NaN where den vanishes; raises when it vanishes everywhere."""
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(den) > 1e-300)
+    if bad.all():
+        raise DeformationOutOfDomain(message)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(bad, np.nan, 1.0 / np.where(bad, 1.0, den))
+
+
 def lowered_rung_with_jets(
     p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray, j: JetField
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,19 +121,14 @@ def lowered_rung_with_jets(
     input, so the output is again differentiable data; one extra jet order
     of the input is consumed per application.
     """
-    num = d2p @ p @ d1p
-    den = trace(num)
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(den) > 1e-300)
-    if bad.all():
-        raise DeformationOutOfDomain("lowering denominator vanished everywhere")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        deninv = np.where(bad, np.nan, 1.0 / np.where(bad, 1.0, den))
+    d2p_p = mm(d2p, p)
+    num = mm(d2p_p, d1p)
+    deninv = _guarded_reciprocal(trace(num), "lowering denominator vanished everywhere")
     r = num * deninv[..., None, None]
     # the input is P = I/N - i theta, so second derivatives are -i theta_ab
     d11p, d12p, d22p = -1j * j.d11, -1j * j.d12, -1j * j.d22
-    d1num = d12p @ p @ d1p + d2p @ d1p @ d1p + d2p @ p @ d11p
-    d2num = d22p @ p @ d1p + d2p @ d2p @ d1p + d2p @ p @ d12p
+    d1num = mm(mm(d12p, p) + mm(d2p, d1p), d1p) + mm(d2p_p, d11p)
+    d2num = mm(mm(d22p, p) + mm(d2p, d2p), d1p) + mm(d2p_p, d12p)
     d1den = trace(d1num)
     d2den = trace(d2num)
     d1r = d1num * deninv[..., None, None] - num * (d1den * deninv**2)[..., None, None]
@@ -148,14 +153,10 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
     r1, d1r1, d2r1 = lowered_rung_with_jets(p, d1p, d2p, j)
     if k == 1:
         return [r1]
-    num = d2r1 @ r1 @ d1r1
-    den = trace(num)
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(den) > 1e-300)
-    if bad.all():
-        raise DeformationOutOfDomain("second lowering denominator vanished everywhere")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        deninv = np.where(bad, np.nan, 1.0 / np.where(bad, 1.0, den))
+    num = mm(mm(d2r1, r1), d1r1)
+    deninv = _guarded_reciprocal(
+        trace(num), "second lowering denominator vanished everywhere"
+    )
     r2 = num * deninv[..., None, None]
     return [r1, r2]
 
@@ -230,7 +231,7 @@ def traveling_phi_values(wave: TravelingWave, j: JetField, lam: complex) -> np.n
     chi = wave.chi(lam)
     komm = commutator(j.d1, j.theta)
     tail = 2j * j.theta - (2 - n) * np.broadcast_to(np.eye(n) / n, j.theta.shape)
-    return expm(2.0 * chi[..., None, None] * komm) @ tail
+    return mm(expm(2.0 * chi[..., None, None] * komm), tail)
 
 
 def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
@@ -251,7 +252,7 @@ def traveling_wave_dlambda(wave: TravelingWave, j: JetField, lam: complex) -> Ma
     """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi."""
     phi = traveling_phi_values(wave, j, lam)
     komm = commutator(j.d1, j.theta)
-    out = 2.0 * wave.dlambda_chi(lam)[..., None, None] * (komm @ phi)
+    out = 2.0 * wave.dlambda_chi(lam)[..., None, None] * mm(komm, phi)
     return MatrixField(wave.grid, out, j.margin0)
 
 
@@ -280,6 +281,6 @@ def lsp_residual(
         raise ValueError("wave field and connection live on different grids")
     d1phi, d2phi, dmargin = chart_first_derivatives(w.field())
     margin = max(dmargin, u1.margin, u2.margin)
-    r1 = fro(d1phi - u1.values @ w.phi)
-    r2 = fro(d2phi - u2.values @ w.phi)
+    r1 = fro(d1phi - mm(u1.values, w.phi))
+    r2 = fro(d2phi - mm(u2.values, w.phi))
     return r1, r2, margin

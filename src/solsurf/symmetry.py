@@ -31,7 +31,7 @@ from .fields import (
     chart_jets,
     interior_max,
 )
-from .matlie import commutator, fro
+from .matlie import commutator, fro, mm
 from .sigma import JetField, TravelingWave, check_lambda, u_pair
 
 __all__ = [
@@ -374,9 +374,9 @@ def lsp_symmetry_defect(
             d1phi, d2phi, dmargin = chart_first_derivatives(wave.field())
             u1, u2 = u_pair(jd, lam)
             if alpha == 1:
-                vals = d1phi - u1.values @ wave.phi
+                vals = d1phi - mm(u1.values, wave.phi)
             else:
-                vals = d2phi - u2.values @ wave.phi
+                vals = d2phi - mm(u2.values, wave.phi)
             return MatrixField(jd.grid, vals, max(dmargin, u1.margin))
 
         return g

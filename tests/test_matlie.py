@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,16 @@ from solsurf.matlie import (
     central_unit,
     commutator,
     dagger,
+    det,
     expm,
     fro,
     inner,
+    inv,
     matrix_from_json,
     matrix_to_json,
+    mm,
     project_su,
+    solve,
     su_basis,
 )
 
@@ -168,6 +174,15 @@ def test_expm_against_scipy():
         ours = expm(m)
         ref = scipy_linalg.expm(m)
         assert fro(ours - ref) / fro(ref) < 1e-12
+    # batched 2x2 and 3x3 fields run the unrolled products and closed-form solve
+    for n in (2, 3):
+        for scale in (0.5, 5.0, 40.0):
+            m = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+            m *= scale / np.max(fro(m))
+            ours = expm(m)
+            for idx in np.ndindex(3, 4):
+                ref = scipy_linalg.expm(m[idx])
+                assert fro(ours[idx] - ref) / fro(ref) < 1e-12
 
 
 def test_expm_additivity_only_when_commuting():
@@ -198,3 +213,111 @@ def test_matrix_json_roundtrip():
     again = matrix_from_json(matrix_to_json(m))
     assert np.isnan(again[0, 1].real)
     assert np.array_equal(again[1:], m[1:])
+
+
+# --- small-matrix kernels against numpy ---------------------------------------
+#
+# Tolerances follow from the dtype alone: a product entry sums n terms, each
+# rounded once, so |mm(x, y) - x @ y| <= 8 n eps max|x| max|y|.  Inverses and
+# solutions carry the conditioning of the matrix: per node,
+# |ours - ref| <= 8 n eps cond(A) max|ref|.
+
+EPS = np.finfo(np.complex128).eps
+FIELD = (5, 4)
+
+
+def random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def product_tol(n, x, y):
+    return 8 * n * EPS * np.max(np.abs(x)) * np.max(np.abs(y))
+
+
+def operand_shapes(n):
+    """Single matrices, fields, and a constant matrix against a field (both sides)."""
+    m, f = (n, n), FIELD + (n, n)
+    return [(m, m), (f, f), (m, f), (f, m)]
+
+
+def assert_close_per_node(ours, ref, a, n):
+    a = np.broadcast_to(a, ref.shape[:-2] + a.shape[-2:])
+    scale = 8 * n * EPS * np.linalg.cond(a) * np.max(np.abs(ref), axis=(-1, -2))
+    assert ours.shape == ref.shape
+    assert np.all(np.max(np.abs(ours - ref), axis=(-1, -2)) <= scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mm_matches_matmul(n):
+    rng = np.random.default_rng(10 + n)
+    for sx, sy in operand_shapes(n):
+        x, y = random_stack(rng, sx), random_stack(rng, sy)
+        ours, ref = mm(x, y), x @ y
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= product_tol(n, x, y)
+    # real operands and mixed dtypes
+    xr = rng.standard_normal(FIELD + (n, n))
+    y = random_stack(rng, (n, n))
+    assert np.max(np.abs(mm(xr, y) - xr @ y)) <= product_tol(n, xr, y)
+    assert np.max(np.abs(mm(xr, xr) - xr @ xr)) <= product_tol(n, xr, xr)
+    with pytest.raises(ValueError):
+        mm(x, random_stack(rng, (n + 1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_det_matches_numpy(n):
+    rng = np.random.default_rng(20 + n)
+    for shape in ((n, n), FIELD + (n, n)):
+        a = random_stack(rng, shape)
+        tol = 8 * n * EPS * np.max(np.abs(a)) ** n * np.prod(np.arange(1, n + 1))
+        assert np.max(np.abs(det(a) - np.linalg.det(a))) <= tol
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_inv_matches_numpy(n):
+    rng = np.random.default_rng(30 + n)
+    for shape in ((n, n), FIELD + (n, n)):
+        a = random_stack(rng, shape)
+        assert_close_per_node(inv(a), np.linalg.inv(a), a, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solve_matches_numpy(n):
+    rng = np.random.default_rng(40 + n)
+    for sa, sb in operand_shapes(n):
+        a, b = random_stack(rng, sa), random_stack(rng, sb)
+        assert_close_per_node(solve(a, b), np.linalg.solve(a, b), a, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernels_keep_nan_nodes(n):
+    rng = np.random.default_rng(50 + n)
+    a = random_stack(rng, FIELD + (n, n))
+    b = random_stack(rng, FIELD + (n, n))
+    a[1, 2, 0, 1] = np.nan
+    ok = np.ones(FIELD, dtype=bool)
+    ok[1, 2] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, i, d, s = mm(a, b), inv(a), det(a), solve(a, b)
+    assert np.isnan(p[1, 2]).any() and np.isfinite(p[ok]).all()
+    assert np.isnan(i[1, 2]).all() and np.isnan(d[1, 2]) and np.isnan(s[1, 2]).all()
+    assert_close_per_node(i[ok], np.linalg.inv(a[ok]), a[ok], n)
+    assert_close_per_node(s[ok], np.linalg.solve(a[ok], b[ok]), a[ok], n)
+    assert np.isfinite(d[ok]).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exactly_singular_node_raises(n):
+    rng = np.random.default_rng(60 + n)
+    a = random_stack(rng, FIELD + (n, n))
+    # a zero row, and an integer rank-one matrix: in both the determinant
+    # and the LU pivot vanish exactly
+    a[3, 1, -1, :] = 0
+    a[0, 2] = np.outer(np.arange(1, n + 1), np.arange(2, n + 2))
+    assert det(a)[3, 1] == 0 and det(a)[0, 2] == 0
+    for bad in (a, a[3, 1], a[0, 2]):
+        with pytest.raises(np.linalg.LinAlgError):
+            inv(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(bad, np.eye(n))
