@@ -180,7 +180,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         if meta["kind"] == "veronese":
             dphi = euclidean_wave_dlambda(j, meta["k"], cfg.lam)
         else:
-            dphi = traveling_wave_dlambda(carrier, j, cfg.lam)
+            dphi = traveling_wave_dlambda(carrier, j, wave)
         fst, sud = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
         write_field_json(os.path.join(outdir, "sym_tafel.json"), fst)
         report["sym_tafel_su_distance"] = sud

@@ -18,12 +18,12 @@ plain axis derivatives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .matlie import fro, matrix_from_json, matrix_to_json
+from .matlie import matrix_from_json, matrix_to_json
 
 __all__ = [
     "CHART_EUCLIDEAN",
@@ -113,15 +113,6 @@ class Grid2:
             return np.conj(self.xi())
         return self.mesh()[1].astype(complex)
 
-    def refined(self, factor: int = 2) -> "Grid2":
-        """Same extent, spacing divided by ``factor``."""
-        return Grid2(
-            chart=self.chart,
-            origin=self.origin,
-            spacing=(self.h1 / factor, self.h2 / factor),
-            dims=((self.n1 - 1) * factor + 1, (self.n2 - 1) * factor + 1),
-        )
-
     def to_json(self) -> dict:
         return {
             "chart": self.chart,
@@ -159,9 +150,6 @@ class MatrixField:
 
     def with_values(self, values: np.ndarray, margin: int | None = None) -> "MatrixField":
         return MatrixField(self.grid, values, self.margin if margin is None else margin)
-
-    def widen(self, extra: int) -> "MatrixField":
-        return replace(self, margin=self.margin + extra)
 
     def interior(self, margin: int | None = None) -> np.ndarray:
         m = self.margin if margin is None else margin
@@ -300,11 +288,6 @@ def chart_jets(f: MatrixField) -> Jets:
         margin1=f.margin + 2,
         margin2=f.margin + 4,
     )
-
-
-def field_norm(values: np.ndarray) -> np.ndarray:
-    """Pointwise Frobenius norm, shape (n2, n1)."""
-    return fro(values)
 
 
 # --- cumulative line integration -------------------------------------------

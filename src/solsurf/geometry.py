@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid2, MatrixField, diff1, diff2, write_scalar_csv
+from .fields import Grid2, MatrixField, diff1, diff2
 from .matlie import det, inner
 
 __all__ = [
     "EmbeddedSurface",
     "embed_su2",
     "export_obj",
-    "export_surface_csv",
     "first_fundamental_form",
     "gauss_curvature",
     "unembed_su2",
@@ -164,7 +163,3 @@ def export_obj(path: str, surface: EmbeddedSurface) -> None:
             lines.append(f"f {a} {c} {d}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def export_surface_csv(path: str, grid: Grid2, scalar: np.ndarray, margin: int) -> None:
-    write_scalar_csv(path, grid, scalar, margin)

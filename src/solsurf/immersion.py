@@ -33,7 +33,13 @@ from .fields import (
 from .matlie import commutator, fro, inner, mm, project_su
 from .sigma import JetField, check_lambda, u_pair
 from .spectral import WaveField
-from .symmetry import FrechetPolicy, SymmetryCharacteristic, frechet_apply, u_functional
+from .symmetry import (
+    FrechetPolicy,
+    SymmetryCharacteristic,
+    compatibility_defect,
+    frechet_apply,
+    u_functional,
+)
 
 __all__ = [
     "ImmersionInputs",
@@ -42,10 +48,12 @@ __all__ = [
     "compatibility_defect",
     "conformal_immersion_closed",
     "constant_difference_check",
+    "explicit_immersion",
     "gauge_immersion",
     "integrate_surface",
     "linear_independence_report",
     "prolong_immersion",
+    "prolonged_wave",
     "psi_of",
     "psi_residual",
     "sym_tafel",
@@ -137,18 +145,6 @@ def assemble_tangents(
     return MatrixField(grid, a_vals, margin), MatrixField(grid, b_vals, margin)
 
 
-def compatibility_defect(
-    a: MatrixField, b: MatrixField, u1: MatrixField, u2: MatrixField
-) -> float:
-    """Interior max of || D_2 A - D_1 B + [A, u2] + [u1, B] ||_F."""
-    same_grid(a, b, u1, u2)
-    da = chart_first_derivatives(a)
-    db = chart_first_derivatives(b)
-    res = da[1] - db[0] + commutator(a.values, u2.values) + commutator(u1.values, b.values)
-    margin = max(da[2], db[2], u1.margin, u2.margin)
-    return interior_max(fro(res), margin)
-
-
 def _axis_integrands(
     grid: Grid2, at: np.ndarray, bt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,13 +222,12 @@ def integrate_surface(
 
     f_full = np.full_like(at, np.nan)
     f_full[sl] = f_12
-    su_part, defect = project_su(np.where(np.isfinite(f_full), f_full, 0.0))
-    su_correction = float(np.nanmax(np.where(np.isfinite(fro(f_full)), defect, np.nan)))
-    f_vals = np.where(np.isfinite(f_full)[..., :, :], su_part, np.nan + 0j)
+    raw = MatrixField(grid, f_full, m)
+    field, su_correction = su_projected(raw)
 
     return ImmersionResult(
-        field=MatrixField(grid, f_vals, m),
-        raw=MatrixField(grid, f_full, m),
+        field=field,
+        raw=raw,
         basepoint=basepoint,
         compat_defect=compat,
         path_defect=path_defect,
@@ -254,20 +249,22 @@ def tangent_check(
     )
 
 
-def su_distance(f: MatrixField) -> float:
-    """Worst interior distance of a field from anti-Hermitian traceless."""
-    _, defect = project_su(np.where(np.isfinite(f.values), f.values, 0.0))
-    return interior_max(
-        np.where(np.isfinite(fro(f.values)), defect, np.nan), f.margin
-    )
-
-
 def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
-    """Pointwise su(N) projection of a field, with the correction logged."""
-    su_part, defect = project_su(np.where(np.isfinite(f.values), f.values, 0.0))
-    vals = np.where(np.isfinite(f.values), su_part, np.nan + 0j)
+    """Pointwise su(N) projection of a field, with the correction logged.
+
+    NaN nodes stay NaN; the correction is the worst interior distance of
+    the field from anti-Hermitian traceless.
+    """
+    finite = np.isfinite(f.values)
+    su_part, defect = project_su(np.where(finite, f.values, 0.0))
+    vals = np.where(finite, su_part, np.nan + 0j)
     corr = interior_max(np.where(np.isfinite(fro(f.values)), defect, np.nan), f.margin)
     return MatrixField(f.grid, vals, f.margin), corr
+
+
+def su_distance(f: MatrixField) -> float:
+    """Worst interior distance of a field from anti-Hermitian traceless."""
+    return su_projected(f)[1]
 
 
 def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> tuple[MatrixField, float]:
@@ -305,23 +302,36 @@ def conformal_immersion_closed(
     return out, su_distance(out)
 
 
+def prolonged_wave(
+    q: MatrixField,
+    j: JetField,
+    phi_builder: Callable[[JetField], WaveField],
+    policy: FrechetPolicy,
+) -> MatrixField:
+    """pr w_Q Phi: the wave function rebuilt on the deformed jets and differenced."""
+
+    def phi_values(jd: JetField) -> MatrixField:
+        wd = phi_builder(jd)
+        return MatrixField(jd.grid, wd.phi, wd.margin)
+
+    return frechet_apply(phi_values, j, q, policy)
+
+
+def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> tuple[MatrixField, float]:
+    """Explicitly integrated immersion F = Phi^{-1} (pr w_Q Phi) with its su(N) distance."""
+    raw = mm(w.inverse(), prw_phi.values)
+    out = MatrixField(w.grid, raw, max(w.margin, prw_phi.margin))
+    return out, su_distance(out)
+
+
 def prolong_immersion(
     q: MatrixField,
     j: JetField,
     phi_builder: Callable[[JetField], WaveField],
     policy: FrechetPolicy = FrechetPolicy(),
 ) -> tuple[MatrixField, float]:
-    """Explicitly integrated immersion F = Phi^{-1} (pr w_Q Phi)."""
-    wave0 = phi_builder(j)
-
-    def phi_values(jd: JetField) -> MatrixField:
-        wd = phi_builder(jd)
-        return MatrixField(jd.grid, wd.phi, wd.margin)
-
-    prw_phi = frechet_apply(phi_values, j, q, policy)
-    raw = mm(wave0.inverse(), prw_phi.values)
-    out = MatrixField(j.grid, raw, max(wave0.margin, prw_phi.margin))
-    return out, su_distance(out)
+    """Explicitly integrated immersion of ``q``, with Phi from ``phi_builder``."""
+    return explicit_immersion(phi_builder(j), prolonged_wave(q, j, phi_builder, policy))
 
 
 def constant_difference_check(

@@ -397,26 +397,34 @@ class SolutionLadder:
         return worst
 
 
-def veronese_field(n: int, grid: Grid2, k: int = 0) -> ProjectorField:
-    """Rung ``k`` of the Veronese ladder with exact values and exact jets."""
+def _veronese_rungs(n: int, grid: Grid2, kmax: int) -> list[ProjectorField]:
+    """Rungs 0..kmax of the Veronese ladder from one frame build."""
     if grid.chart != CHART_EUCLIDEAN:
         raise ChartMismatch("Veronese fields live on the euclidean-complex chart")
     if n < 2:
         raise ValueError("need N >= 2")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"rung index {k} outside 0..{n - 1}")
-    r = _veronese_jets(n, grid.xi(), k)[k]
-    jets = Jets(
-        d1=r["d1"], d2=r["d2"], d11=r["d11"], d12=r["d12"], d22=r["d22"],
-        margin1=0, margin2=0,
-    )
-    return ProjectorField(MatrixField(grid, r["p"], 0), jets=jets)
+    if not 0 <= kmax <= n - 1:
+        raise ValueError(f"rung index {kmax} outside 0..{n - 1}")
+    return [
+        ProjectorField(
+            MatrixField(grid, r["p"], 0),
+            jets=Jets(
+                d1=r["d1"], d2=r["d2"], d11=r["d11"], d12=r["d12"], d22=r["d22"],
+                margin1=0, margin2=0,
+            ),
+        )
+        for r in _veronese_jets(n, grid.xi(), kmax)
+    ]
+
+
+def veronese_field(n: int, grid: Grid2, k: int = 0) -> ProjectorField:
+    """Rung ``k`` of the Veronese ladder with exact values and exact jets."""
+    return _veronese_rungs(n, grid, k)[k]
 
 
 def veronese_ladder(n: int, grid: Grid2) -> SolutionLadder:
     """The full analytic ladder of the Veronese field (length N)."""
-    rungs = [veronese_field(n, grid, k) for k in range(n)]
-    ladder = SolutionLadder(n=n, rungs=rungs, active=0)
+    ladder = SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, n - 1), active=0)
     ladder.diagnostics["construction"] = "analytic-frame"
     return ladder
 
@@ -510,10 +518,6 @@ class TravelingWave:
     def s_field(self) -> np.ndarray:
         x1, x2 = self.grid.mesh()
         return x1 + self.kappa * x2
-
-    def commutator_matrix(self) -> np.ndarray:
-        """The constant matrix [theta_1, theta] = omega [[0, 1], [-1, 0]]."""
-        return self.omega * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
     def chi(self, lam: complex) -> np.ndarray:
         lam = check_lambda(lam)

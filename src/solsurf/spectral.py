@@ -17,6 +17,7 @@ Both are certified against 4th-order stencil derivatives by
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,9 +63,15 @@ class WaveField:
     def field(self) -> MatrixField:
         return MatrixField(self.grid, self.phi, self.margin)
 
+    @cached_property
+    def _phi_inv(self) -> np.ndarray:
+        phi_inv = inv(self.phi)
+        phi_inv.flags.writeable = False
+        return phi_inv
+
     def inverse(self) -> np.ndarray:
-        """Per-node inverse; NaN nodes stay NaN."""
-        return inv(self.phi)
+        """Per-node inverse, computed once and read-only; NaN nodes stay NaN."""
+        return self._phi_inv
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
         """Phi^{-1} X Phi per node."""
@@ -224,35 +231,29 @@ def euclidean_wave_dlambda(j: JetField, k: int, lam: complex) -> MatrixField:
 # --- Minkowski builder ---------------------------------------------------------
 
 
-def traveling_phi_values(wave: TravelingWave, j: JetField, lam: complex) -> np.ndarray:
-    """(travel-wave closed form) exp(2 chi [theta_1, theta]) (2i theta - (2-N)I/N)."""
-    lam = check_lambda(lam)
-    n = j.n
-    chi = wave.chi(lam)
-    komm = commutator(j.d1, j.theta)
-    tail = 2j * j.theta - (2 - n) * np.broadcast_to(np.eye(n) / n, j.theta.shape)
-    return mm(expm(2.0 * chi[..., None, None] * komm), tail)
-
-
 def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
-    """Traveling-wave wave function (exact jets make this margin-free)."""
+    """Traveling-wave wave function exp(2 chi [theta_1, theta]) (2i theta - (2-N)I/N).
+
+    Exact jets make it margin-free.
+    """
     if j.n != 2:
         raise ValueError("traveling-wave wave functions are implemented for N = 2")
-    phi = traveling_phi_values(wave, j, lam)
+    lam = check_lambda(lam)
+    komm = commutator(j.d1, j.theta)
+    tail = 2j * j.theta - (2 - j.n) * np.broadcast_to(np.eye(j.n) / j.n, j.theta.shape)
     return WaveField(
         grid=wave.grid,
         lam=complex(lam),
-        phi=phi,
+        phi=mm(expm(2.0 * wave.chi(lam)[..., None, None] * komm), tail),
         margin=j.margin0,
         builder="traveling",
     )
 
 
-def traveling_wave_dlambda(wave: TravelingWave, j: JetField, lam: complex) -> MatrixField:
-    """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi."""
-    phi = traveling_phi_values(wave, j, lam)
+def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> MatrixField:
+    """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi, for the built Phi ``w``."""
     komm = commutator(j.d1, j.theta)
-    out = 2.0 * wave.dlambda_chi(lam)[..., None, None] * mm(komm, phi)
+    out = 2.0 * wave.dlambda_chi(w.lam)[..., None, None] * mm(komm, w.phi)
     return MatrixField(wave.grid, out, j.margin0)
 
 

@@ -30,6 +30,7 @@ from .fields import (
     chart_first_derivatives,
     chart_jets,
     interior_max,
+    same_grid,
 )
 from .matlie import commutator, fro, mm
 from .sigma import JetField, TravelingWave, check_lambda, u_pair
@@ -39,6 +40,7 @@ __all__ = [
     "FrechetPolicy",
     "SymmetryCharacteristic",
     "commutation_defect",
+    "compatibility_defect",
     "conformal_characteristic",
     "el_symmetry_defect",
     "frechet_apply",
@@ -324,32 +326,34 @@ def prolong_u(
     )
 
 
+def compatibility_defect(
+    a: MatrixField, b: MatrixField, u1: MatrixField, u2: MatrixField
+) -> float:
+    """Interior max of || D_2 A - D_1 B + [A, u2] + [u1, B] ||_F."""
+    same_grid(a, b, u1, u2)
+    da = chart_first_derivatives(a)
+    db = chart_first_derivatives(b)
+    res = da[1] - db[0] + commutator(a.values, u2.values) + commutator(u1.values, b.values)
+    margin = max(da[2], db[2], u1.margin, u2.margin)
+    return interior_max(fro(res), margin)
+
+
 def el_symmetry_defect(
     q: MatrixField,
     j: JetField,
     lam: complex,
     policy: FrechetPolicy = FrechetPolicy(),
 ) -> float:
-    """Interior max of D_2 Q_1 - D_1 Q_2 + [Q_1, u2] + [u1, Q_2].
+    """Zero-curvature defect of the connection pair prolonged along ``q``.
 
-    Q_alpha is the prolongation of the connection pair along ``q``; the
-    result vanishes exactly when ``q`` generates a symmetry of the
+    With Q_alpha = pr w_Q u_alpha this is the compatibility defect of
+    (Q_1, Q_2); it vanishes exactly when ``q`` generates a symmetry of the
     equations of motion.
     """
     q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
     q1 = frechet_apply(u_functional(lam, 1), j, q, policy, q_jets)
     q2 = frechet_apply(u_functional(lam, 2), j, q, policy, q_jets)
-    u1, u2 = u_pair(j, lam)
-    d1q2 = chart_first_derivatives(q2)
-    d2q1 = chart_first_derivatives(q1)
-    res = (
-        d2q1[1]
-        - d1q2[0]
-        + commutator(q1.values, u2.values)
-        + commutator(u1.values, q2.values)
-    )
-    margin = max(d2q1[2], d1q2[2], u1.margin)
-    return interior_max(fro(res), margin)
+    return compatibility_defect(q1, q2, *u_pair(j, lam))
 
 
 def lsp_symmetry_defect(
@@ -366,40 +370,36 @@ def lsp_symmetry_defect(
     Both returned matrix fields vanish exactly when the characteristic is
     also a symmetry of the linear problem.
     """
-    q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
+    n = j.n
 
-    def residual_functional(alpha: int) -> Functional:
-        def g(jd: JetField) -> MatrixField:
-            wave = phi_builder(jd)
-            d1phi, d2phi, dmargin = chart_first_derivatives(wave.field())
-            u1, u2 = u_pair(jd, lam)
-            if alpha == 1:
-                vals = d1phi - mm(u1.values, wave.phi)
-            else:
-                vals = d2phi - mm(u2.values, wave.phi)
-            return MatrixField(jd.grid, vals, max(dmargin, u1.margin))
+    def residuals(jd: JetField) -> MatrixField:
+        # both residuals side by side, so each deformation builds one wave function
+        wave = phi_builder(jd)
+        d1phi, d2phi, dmargin = chart_first_derivatives(wave.field())
+        u1, u2 = u_pair(jd, lam)
+        vals = np.concatenate(
+            (d1phi - mm(u1.values, wave.phi), d2phi - mm(u2.values, wave.phi)), axis=-1
+        )
+        return MatrixField(jd.grid, vals, max(dmargin, u1.margin))
 
-        return g
-
-    r1 = frechet_apply(residual_functional(1), j, q, policy, q_jets)
-    r2 = frechet_apply(residual_functional(2), j, q, policy, q_jets)
-    return r1, r2
+    r = frechet_apply(residuals, j, q, policy)
+    return r.with_values(r.values[..., :n]), r.with_values(r.values[..., n:])
 
 
 def commutation_defect(
     q: MatrixField,
-    g: Functional,
+    prw_g: MatrixField,
     dg: tuple[Functional, Functional],
     j: JetField,
     policy: FrechetPolicy = FrechetPolicy(),
 ) -> float:
     """Max over both directions of || D_alpha(pr w_Q G) - pr w_Q(D_alpha G) ||.
 
-    ``dg`` supplies the jet-expressed derivative functionals of ``g``; the
-    first term differentiates the prolonged field with stencils.
+    ``prw_g`` is the prolongation pr w_Q G, differentiated here with
+    stencils; ``dg`` supplies the jet-expressed derivative functionals of G,
+    which are prolonged along ``q`` under ``policy``.
     """
     q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
-    prw_g = frechet_apply(g, j, q, policy, q_jets)
     d1_prw, d2_prw, dmargin = chart_first_derivatives(prw_g)
     worst = 0.0
     for alpha, side1 in ((1, d1_prw), (2, d2_prw)):

@@ -15,9 +15,7 @@ reported, never assumed).
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,12 +31,14 @@ from .fields import (
     interior_max,
 )
 from .immersion import (
-    compatibility_defect,
+    ImmersionResult,
     conformal_immersion_closed,
     constant_difference_check,
+    explicit_immersion,
     integrate_surface,
     linear_independence_report,
     prolong_immersion,
+    prolonged_wave,
     psi_of,
     psi_residual,
     tangent_check,
@@ -46,25 +46,26 @@ from .immersion import (
 from .matlie import commutator, det, fro, su_basis
 from .sigma import (
     JetField,
-    SolutionLadder,
     theta_comm_identity_residual,
     theta_of,
     theta_square_residual,
     theta_triple_residual,
     traveling_solution,
     u_pair,
+    veronese_field,
     veronese_ladder,
 )
 from .spectral import (
+    WaveField,
     euclidean_wave,
     lsp_residual,
-    phi_euclidean,
     phi_traveling,
 )
 from .symmetry import (
     ConformalSpec,
     FrechetPolicy,
     commutation_defect,
+    compatibility_defect,
     conformal_characteristic,
     el_symmetry_defect,
     frechet_apply,
@@ -172,23 +173,23 @@ class VerificationReport:
 
 
 class Fixtures:
-    """Lazily built, cached standard fixtures shared by the suites."""
+    """Lazily built standard fixtures shared by the suites.
+
+    Every quantity that more than one check derives from the same inputs
+    is built here once, under a key naming those inputs.
+    """
 
     def __init__(self, tolerances: dict[str, float] | None = None):
-        import threading
-
         self._cache: dict = {}
-        self._lock = threading.RLock()
         self.tol = dict(tolerances or {})
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tol.get(name, default))
 
     def _get(self, key: str, builder: Callable[[], object]):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = builder()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
 
     def euclid_grid(self, h: float = EUCLID_H) -> Grid2:
         return self._get(
@@ -200,19 +201,19 @@ class Fixtures:
             f"gm-{h}", lambda: Grid2(CHART_MINKOWSKI, (0.0, 0.0), (h, h), (GRID_N, GRID_N))
         )
 
-    def ladder(self, n: int, h: float = EUCLID_H) -> SolutionLadder:
-        return self._get(f"lad-{n}-{h}", lambda: veronese_ladder(n, self.euclid_grid(h)))
+    # Only the jets are kept, each built from its own rung: holding every
+    # Veronese ladder as well would raise the run's peak memory.
 
     def jets_analytic(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
         return self._get(
             f"ja-{n}-{k}-{h}",
-            lambda: theta_of(self.ladder(n, h).rungs[k], "analytic"),
+            lambda: theta_of(veronese_field(n, self.euclid_grid(h), k), "analytic"),
         )
 
     def jets_numeric(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
         return self._get(
             f"jn-{n}-{k}-{h}",
-            lambda: theta_of(self.ladder(n, h).rungs[k], "numeric-stencil"),
+            lambda: theta_of(veronese_field(n, self.euclid_grid(h), k), "numeric-stencil"),
         )
 
     def traveling(self, h: float = MINK_H):
@@ -232,22 +233,111 @@ class Fixtures:
         # f = (x1)^2, g = 0: the non-integrable control
         return ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
 
+    # The standard Euclidean pair: rung (2, 0) at LAM_EUCLID under the
+    # f = xi^2 symmetry.
+
+    def euclid_q(self) -> MatrixField:
+        j = self.jets_analytic(2)
+        return self._get("eq-2-0", lambda: conformal_characteristic(self.euclid_spec(), j))
+
+    def euclid_wave(self) -> WaveField:
+        return self._get("ew-2-0", lambda: euclidean_wave(self.jets_analytic(2), 0, LAM_EUCLID))
+
+    def euclid_u(self) -> tuple[MatrixField, MatrixField]:
+        return self._get("eu-2-0", lambda: u_pair(self.jets_analytic(2), LAM_EUCLID))
+
+    def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
+        """The prolonged connection (pr w u1, pr w u2)."""
+        j, q = self.jets_analytic(2), self.euclid_q()
+        return self._get("et-2-0", lambda: _prolonged_pair(j, q, LAM_EUCLID))
+
+    def euclid_compatibility(self) -> float:
+        a_b_u1_u2 = self.euclid_tangents() + self.euclid_u()
+        return self._get("ecd-2-0", lambda: compatibility_defect(*a_b_u1_u2))
+
+    def euclid_prolonged_wave(self) -> MatrixField:
+        """pr w Phi."""
+        j, q = self.jets_analytic(2), self.euclid_q()
+        return self._get(
+            "epw-2-0", lambda: prolonged_wave(q, j, _euclid_builder(0), FrechetPolicy())
+        )
+
+    def euclid_explicit(self) -> MatrixField:
+        """Phi^-1 pr w Phi."""
+        w, prw_phi = self.euclid_wave(), self.euclid_prolonged_wave()
+        return self._get("ecalf-2-0", lambda: explicit_immersion(w, prw_phi)[0])
+
+    def euclid_closed(self) -> MatrixField:
+        """F = Phi^-1 (f u1 + g u2) Phi."""
+        j, w = self.jets_analytic(2), self.euclid_wave()
+        return self._get(
+            "ef-2-0", lambda: conformal_immersion_closed(self.euclid_spec(), j, w, LAM_EUCLID)[0]
+        )
+
+    def euclid_surface(self) -> ImmersionResult:
+        a, b = self.euclid_tangents()
+        return self._get("es-2-0", lambda: integrate_surface(a, b, self.euclid_wave()))
+
+    # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
+
+    def mink_wave(self, h: float) -> WaveField:
+        return self._get(f"mw-{h}", lambda: phi_traveling(*self.traveling(h), LAM_MINK))
+
+    def mink_u(self) -> tuple[MatrixField, MatrixField]:
+        return self._get(f"mu-{MINK_H}", lambda: u_pair(self.traveling()[1], LAM_MINK))
+
+    def mink_k(self) -> np.ndarray:
+        """K = [theta_1, theta]."""
+        jt = self.traveling()[1]
+        return self._get(f"mk-{MINK_H}", lambda: commutator(jt.d1, jt.theta))
+
+    def mink_q(self, h: float) -> MatrixField:
+        jt = self.traveling(h)[1]
+        spec = self.mink_spec_quadratic()
+        return self._get(f"mq-{h}", lambda: conformal_characteristic(spec, jt))
+
+    def mink_lsp_defect(self) -> tuple[MatrixField, MatrixField]:
+        (tw, jt), q = self.traveling(), self.mink_q(MINK_H)
+        return self._get(
+            f"mlsp-{MINK_H}", lambda: lsp_symmetry_defect(q, jt, LAM_MINK, _mink_builder(tw))
+        )
+
+    def mink_explicit(self, h: float) -> MatrixField:
+        """Phi^-1 pr w Phi."""
+        (tw, jt), q = self.traveling(h), self.mink_q(h)
+        return self._get(f"mcalf-{h}", lambda: prolong_immersion(q, jt, _mink_builder(tw))[0])
+
+
+def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
+    return lambda jd: euclidean_wave(jd, k, LAM_EUCLID)
+
+
+def _mink_builder(tw) -> Callable[[JetField], WaveField]:
+    return lambda jd: phi_traveling(tw, jd, LAM_MINK)
+
+
+def _prolonged_pair(
+    j: JetField, q: MatrixField, lam: complex
+) -> tuple[MatrixField, MatrixField]:
+    """(pr w_Q u1, pr w_Q u2)."""
+    return frechet_apply(u_functional(lam, 1), j, q), frechet_apply(u_functional(lam, 2), j, q)
+
 
 def _check(
     name: str,
-    target: str,
     description: str,
     measure: Callable[[], float],
     tolerance: float,
     comparison: str = "below",
 ) -> CheckResult:
+    """Measure one check; its target is the suite named by the prefix of ``name``."""
     t0 = time.perf_counter()
     value = float(measure())
     dt = time.perf_counter() - t0
     ok = value < tolerance if comparison == "below" else value > tolerance
     return CheckResult(
         name=name,
-        target=target,
+        target=name.split(".", 1)[0],
         description=description,
         measured=value,
         tolerance=tolerance,
@@ -265,7 +355,6 @@ def suite_identities(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "identities.su-basis-closure",
-            "identities",
             "structure constants reproduce su(3) commutators",
             lambda: su_basis(3).closure_residual(),
             fx.tolerance("identities.su-basis-closure", 1e-12),
@@ -277,7 +366,6 @@ def suite_identities(fx: Fixtures) -> list[CheckResult]:
         out.append(
             _check(
                 f"identities.theta-square-cp{n - 1}",
-                "identities",
                 "theta^2 = -i(2-N)/N theta + (1-N)/N E pointwise",
                 lambda sq=sq, m0=m0: interior_max(sq, m0),
                 fx.tolerance("identities.theta-square", 1e-10),
@@ -287,7 +375,6 @@ def suite_identities(fx: Fixtures) -> list[CheckResult]:
         out.append(
             _check(
                 f"identities.theta-commutator-cp{n - 1}",
-                "identities",
                 "[theta_1,theta](2i theta-(2-N)E) = -i theta_1",
                 lambda ci=ci, m1=m1: interior_max(ci, m1),
                 fx.tolerance("identities.theta-commutator", 1e-10),
@@ -297,7 +384,6 @@ def suite_identities(fx: Fixtures) -> list[CheckResult]:
         out.append(
             _check(
                 f"identities.theta-triple-cp{n - 1}",
-                "identities",
                 "theta theta_1 theta = (N-1)/N^2 theta_1",
                 lambda tri=tri, mt=mt: interior_max(tri, mt),
                 fx.tolerance("identities.theta-triple", 1e-10),
@@ -308,7 +394,6 @@ def suite_identities(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "identities.theta-square-traveling",
-            "identities",
             "algebra identity on the traveling wave (exact jets)",
             lambda: interior_max(sq, m0),
             fx.tolerance("identities.theta-square", 1e-10),
@@ -322,9 +407,7 @@ def suite_identities(fx: Fixtures) -> list[CheckResult]:
 
 def suite_prop1(fx: Fixtures) -> list[CheckResult]:
     out = []
-    lam = LAM_EUCLID
-    j = fx.jets_analytic(2)
-    u1, u2 = u_pair(j, lam)
+    u1, u2 = fx.euclid_u()
 
     def zero_curvature() -> float:
         d1u2 = chart_first_derivatives(u2)
@@ -335,24 +418,18 @@ def suite_prop1(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop1.zero-curvature-on-solution",
-            "prop1",
             "D2 u1 - D1 u2 + [u1,u2] vanishes on a solution field",
             zero_curvature,
             fx.tolerance("prop1.zero-curvature", 1e-7),
         )
     )
 
-    spec = fx.euclid_spec()
-    q = conformal_characteristic(spec, j)
-    w = euclidean_wave(j, 0, lam)
-    a = frechet_apply(u_functional(lam, 1), j, q)
-    b = frechet_apply(u_functional(lam, 2), j, q)
-    f_closed, _ = conformal_immersion_closed(spec, j, w, lam)
-    psi = psi_of(f_closed, w)
+    w = fx.euclid_wave()
+    a, b = fx.euclid_tangents()
+    psi = psi_of(fx.euclid_closed(), w)
     out.append(
         _check(
             "prop1.deformed-wave-function",
-            "prop1",
             "Psi = Phi F satisfies D Psi = u Psi + Q Phi",
             lambda: psi_residual(psi, w, u1, u2, a, b),
             fx.tolerance("prop1.deformed-wave-function", 1e-6),
@@ -368,35 +445,32 @@ def suite_prop2(fx: Fixtures) -> list[CheckResult]:
     out = []
     lam = LAM_EUCLID
     j = fx.jets_analytic(2)
-    u1, u2 = u_pair(j, lam)
-    w = euclidean_wave(j, 0, lam)
-    spec = fx.euclid_spec()
-    q = conformal_characteristic(spec, j)
-    a = frechet_apply(u_functional(lam, 1), j, q)
-    b = frechet_apply(u_functional(lam, 2), j, q)
+    u1, u2 = fx.euclid_u()
+    w = fx.euclid_wave()
+    a, b = fx.euclid_tangents()
+    # Q is a symmetry of the field equations iff its prolonged connection
+    # (pr w u1, pr w u2) has zero curvature; that pair is also the tangent
+    # pair of the surface, so both positive criteria read one defect.
     out.append(
         _check(
             "prop2.el-symmetry-positive",
-            "prop2",
             "conformal characteristic is a symmetry of the field equations",
-            lambda: el_symmetry_defect(q, j, lam),
+            fx.euclid_compatibility,
             fx.tolerance("prop2.el-symmetry-positive", 1e-6),
         )
     )
     out.append(
         _check(
             "prop2.compatibility-positive",
-            "prop2",
             "its tangent pair satisfies the integrability condition",
-            lambda: compatibility_defect(a, b, u1, u2),
+            fx.euclid_compatibility,
             fx.tolerance("prop2.compatibility-positive", 1e-6),
         )
     )
-    res = integrate_surface(a, b, w)
+    res = fx.euclid_surface()
     out.append(
         _check(
             "prop2.path-independence-positive",
-            "prop2",
             "the integrated surface is path independent",
             lambda: res.path_defect,
             fx.tolerance("prop2.path-independence-positive", 1e-6),
@@ -405,32 +479,28 @@ def suite_prop2(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop2.integrated-tangents",
-            "prop2",
             "stencil derivatives of the integrated surface match the tangents",
             lambda: max(tangent_check(res.raw, w, a, b)),
             fx.tolerance("prop2.integrated-tangents", 1e-6),
         )
     )
 
-    # negative control: Q = theta is not a symmetry
+    # negative control: Q = theta is not a symmetry; its criterion is
+    # measured by el_symmetry_defect, which prolongs the pair itself
     qneg = MatrixField(j.grid, j.theta.copy(), j.margin0)
-    aneg = frechet_apply(u_functional(lam, 1), j, qneg)
-    bneg = frechet_apply(u_functional(lam, 2), j, qneg)
     out.append(
         _check(
             "prop2.el-symmetry-negative",
-            "prop2",
             "non-symmetry characteristic fails the symmetry criterion",
             lambda: el_symmetry_defect(qneg, j, lam),
             fx.tolerance("prop2.el-symmetry-negative", 1e-3),
             comparison="above",
         )
     )
-    resneg = integrate_surface(aneg, bneg, w)
+    resneg = integrate_surface(*_prolonged_pair(j, qneg, lam), w)
     out.append(
         _check(
             "prop2.path-independence-negative",
-            "prop2",
             "and its line integral is path dependent",
             lambda: resneg.path_defect,
             fx.tolerance("prop2.path-independence-negative", 1e-6),
@@ -440,7 +510,6 @@ def suite_prop2(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop2.compatibility-negative",
-            "prop2",
             "as is the naive pair A = u1, B = 0",
             lambda: compatibility_defect(
                 u1, MatrixField(j.grid, np.zeros_like(u1.values), u1.margin), u1, u2
@@ -457,16 +526,11 @@ def suite_prop2(fx: Fixtures) -> list[CheckResult]:
 
 def suite_prop3(fx: Fixtures) -> list[CheckResult]:
     out = []
-    lam = LAM_EUCLID
     j = fx.jets_analytic(2)
-    spec = fx.euclid_spec()
-    q = conformal_characteristic(spec, j)
-    builder = lambda jd: euclidean_wave(jd, 0, lam)  # noqa: E731
-    r1, r2 = lsp_symmetry_defect(q, j, lam, builder)
+    r1, r2 = lsp_symmetry_defect(fx.euclid_q(), j, LAM_EUCLID, _euclid_builder(0))
     out.append(
         _check(
             "prop3.euclid-lsp-symmetry",
-            "prop3",
             "conformal characteristic is a symmetry of the linear problem",
             lambda: max(
                 interior_max(fro(r1.values), r1.margin),
@@ -475,44 +539,35 @@ def suite_prop3(fx: Fixtures) -> list[CheckResult]:
             fx.tolerance("prop3.euclid-lsp-symmetry", 1e-6),
         )
     )
-    calf, _ = prolong_immersion(q, j, builder)
-    w = builder(j)
-    a = frechet_apply(u_functional(lam, 1), j, q)
-    b = frechet_apply(u_functional(lam, 2), j, q)
+    calf = fx.euclid_explicit()
+    w = fx.euclid_wave()
+    a, b = fx.euclid_tangents()
     out.append(
         _check(
             "prop3.euclid-explicit-integration",
-            "prop3",
             "so Phi^-1 (pr w Phi) has the prolonged tangents",
             lambda: max(tangent_check(calf, w, a, b)),
             fx.tolerance("prop3.euclid-explicit-integration", 1e-6),
         )
     )
 
-    lamm = LAM_MINK
-    tw, jt = fx.traveling()
-    specq = fx.mink_spec_quadratic()
-    qq = conformal_characteristic(specq, jt)
-    builderm = lambda jd: phi_traveling(tw, jd, lamm)  # noqa: E731
-    rr1, rr2 = lsp_symmetry_defect(qq, jt, lamm, builderm)
+    _, jt = fx.traveling()
+    rr1, _ = fx.mink_lsp_defect()
     out.append(
         _check(
             "prop3.mink-lsp-symmetry-negative",
-            "prop3",
             "quadratic traveling-wave characteristic breaks the linear-problem symmetry",
             lambda: interior_max(fro(rr1.values), rr1.margin),
             fx.tolerance("prop3.mink-lsp-symmetry-negative", 0.1),
             comparison="above",
         )
     )
-    calfm, _ = prolong_immersion(qq, jt, builderm)
-    wm = builderm(jt)
-    am = frechet_apply(u_functional(lamm, 1), jt, qq)
-    bm = frechet_apply(u_functional(lamm, 2), jt, qq)
+    calfm = fx.mink_explicit(MINK_H)
+    wm = fx.mink_wave(MINK_H)
+    am, bm = _prolonged_pair(jt, fx.mink_q(MINK_H), LAM_MINK)
     out.append(
         _check(
             "prop3.mink-explicit-integration-negative",
-            "prop3",
             "and Phi^-1 (pr w Phi) fails the prolonged-tangent identity",
             lambda: max(tangent_check(calfm, wm, am, bm)),
             fx.tolerance("prop3.mink-explicit-integration-negative", 0.1),
@@ -527,29 +582,22 @@ def suite_prop3(fx: Fixtures) -> list[CheckResult]:
 
 def suite_prop4(fx: Fixtures) -> list[CheckResult]:
     out = []
-    lam = LAM_EUCLID
     j = fx.jets_analytic(2)
-    spec = fx.euclid_spec()
-    q = conformal_characteristic(spec, j)
-    u1, u2 = u_pair(j, lam)
-    w = euclidean_wave(j, 0, lam)
-    a = frechet_apply(u_functional(lam, 1), j, q)
-    b = frechet_apply(u_functional(lam, 2), j, q)
-    f_closed, _ = conformal_immersion_closed(spec, j, w, lam)
+    w = fx.euclid_wave()
+    a, b = fx.euclid_tangents()
+    f_closed = fx.euclid_closed()
     out.append(
         _check(
             "prop4.euclid-closed-form-tangents",
-            "prop4",
             "F = Phi^-1(f u1 + g u2) Phi has the prolonged tangents (f=xi^2)",
             lambda: max(tangent_check(f_closed, w, a, b)),
             fx.tolerance("prop4.euclid-closed-form-tangents", 1e-6),
         )
     )
-    pw1, pw2 = prolong_u(spec, j, lam)
+    pw1, pw2 = prolong_u(fx.euclid_spec(), j, LAM_EUCLID)
     out.append(
         _check(
             "prop4.euclid-prolonged-connection",
-            "prop4",
             "field deformation matches the closed prolongation of the connection",
             lambda: max(
                 interior_max(fro(a.values - pw1.values), max(a.margin, pw1.margin)),
@@ -561,17 +609,15 @@ def suite_prop4(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop4.euclid-compatibility",
-            "prop4",
             "prolonged tangent pair is integrable",
-            lambda: compatibility_defect(a, b, u1, u2),
+            fx.euclid_compatibility,
             fx.tolerance("prop4.euclid-compatibility", 1e-6),
         )
     )
-    res = integrate_surface(a, b, w)
+    res = fx.euclid_surface()
     out.append(
         _check(
             "prop4.euclid-path-defect",
-            "prop4",
             "line integration is path independent",
             lambda: res.path_defect,
             fx.tolerance("prop4.euclid-path-defect", 1e-6),
@@ -579,18 +625,15 @@ def suite_prop4(fx: Fixtures) -> list[CheckResult]:
     )
 
     lamm = LAM_MINK
-    tw, jt = fx.traveling()
+    _, jt = fx.traveling()
     specl = fx.mink_spec_linear()
-    ql = conformal_characteristic(specl, jt)
-    u1m, u2m = u_pair(jt, lamm)
-    wm = phi_traveling(tw, jt, lamm)
-    al = frechet_apply(u_functional(lamm, 1), jt, ql)
-    bl = frechet_apply(u_functional(lamm, 2), jt, ql)
+    u1m, u2m = fx.mink_u()
+    wm = fx.mink_wave(MINK_H)
+    al, bl = _prolonged_pair(jt, conformal_characteristic(specl, jt), lamm)
     fm, _ = conformal_immersion_closed(specl, jt, wm, lamm)
     out.append(
         _check(
             "prop4.mink-closed-form-tangents",
-            "prop4",
             "same identity on the Minkowski chart (f=x1, g=x2)",
             lambda: max(tangent_check(fm, wm, al, bl)),
             fx.tolerance("prop4.mink-closed-form-tangents", 1e-6),
@@ -599,7 +642,6 @@ def suite_prop4(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop4.mink-compatibility",
-            "prop4",
             "Minkowski prolonged tangent pair is integrable",
             lambda: compatibility_defect(al, bl, u1m, u2m),
             fx.tolerance("prop4.mink-compatibility", 1e-6),
@@ -609,7 +651,6 @@ def suite_prop4(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop4.mink-path-defect",
-            "prop4",
             "Minkowski line integration is path independent",
             lambda: resm.path_defect,
             fx.tolerance("prop4.mink-path-defect", 1e-6),
@@ -625,13 +666,12 @@ def suite_prop5(fx: Fixtures) -> list[CheckResult]:
     out = []
     lamm = LAM_MINK
     tw, jt = fx.traveling()
-    wm = phi_traveling(tw, jt, lamm)
-    u1m, u2m = u_pair(jt, lamm)
+    wm = fx.mink_wave(MINK_H)
+    u1m, u2m = fx.mink_u()
     r1, r2, m = lsp_residual(wm, u1m, u2m)
     out.append(
         _check(
             "prop5.traveling-lsp",
-            "prop5",
             "exponential wave function solves the linear problem",
             lambda: max(interior_max(r1, m), interior_max(r2, m)),
             fx.tolerance("prop5.traveling-lsp", 1e-8),
@@ -640,27 +680,22 @@ def suite_prop5(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop5.det-constant",
-            "prop5",
             "det Phi is constant on the grid",
             lambda: _det_variation(wm),
             fx.tolerance("prop5.det-constant", 1e-10),
         )
     )
     specq = fx.mink_spec_quadratic()
-    qq = conformal_characteristic(specq, jt)
-    builderm = lambda jd: phi_traveling(tw, jd, lamm)  # noqa: E731
-    calf, _ = prolong_immersion(qq, jt, builderm)
-    komm = commutator(jt.d1, jt.theta)
+    calf = fx.mink_explicit(MINK_H)
     chi = tw.chi(lamm)
     grid = tw.grid
     coeff = (
         -2 * specq.f(grid) - 2 * tw.kappa * specq.g(grid) + 2 * specq.f1(grid) * chi
     )
-    pred = coeff[..., None, None] * wm.conjugate(komm)
+    pred = coeff[..., None, None] * wm.conjugate(fx.mink_k())
     out.append(
         _check(
             "prop5.prolonged-surface-closed-form",
-            "prop5",
             "Phi^-1 pr w Phi = (-2f - 2 kappa g + 2 f_1 chi) Phi^-1 [theta_1,theta] Phi",
             lambda: interior_max(fro(calf.values - pred), calf.margin),
             fx.tolerance("prop5.prolonged-surface-closed-form", 1e-6),
@@ -670,7 +705,6 @@ def suite_prop5(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop5.tangent-coefficients",
-            "prop5",
             "its stencil tangents match the closed tangent coefficients",
             lambda: max(tangent_check(calf, wm, rr1, rr2)),
             fx.tolerance("prop5.tangent-coefficients", 1e-6),
@@ -681,7 +715,6 @@ def suite_prop5(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop5.degenerate-rank",
-            "prop5",
             "pure conformal tangents span a curve (Gram matrix is singular)",
             lambda: linear_independence_report(t1, t2)["max_min_eigenvalue"],
             fx.tolerance("prop5.degenerate-rank", 1e-10),
@@ -705,7 +738,6 @@ def suite_prop5(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop5.gauge-restores-rank",
-            "prop5",
             "adding a constant gauge term makes the Gram matrix nondegenerate",
             lambda: linear_independence_report(tg1, tg2)["max_min_eigenvalue"],
             fx.tolerance("prop5.gauge-restores-rank", 1e-3),
@@ -732,19 +764,17 @@ def suite_prop6(fx: Fixtures) -> list[CheckResult]:
     lamm = LAM_MINK
     tw, jt = fx.traveling()
     grid = tw.grid
-    wm = phi_traveling(tw, jt, lamm)
-    builderm = lambda jd: phi_traveling(tw, jd, lamm)  # noqa: E731
+    wm = fx.mink_wave(MINK_H)
+    builderm = _mink_builder(tw)
 
     # quadratic f: symmetry of the linear problem fails, with the predicted defect
     specq = fx.mink_spec_quadratic()
-    qq = conformal_characteristic(specq, jt)
-    r1, r2 = lsp_symmetry_defect(qq, jt, lamm, builderm)
+    r1, _ = fx.mink_lsp_defect()
     d1phi, _, dm = chart_first_derivatives(wm.field())
     pred1 = (-(specq.f11(grid)) * tw.chi(lamm) * (1 + lamm))[..., None, None] * d1phi
     out.append(
         _check(
             "prop6.curvature-criterion-defect-form",
-            "prop6",
             "quadratic-f defect equals -f_11 chi (1+lam) D1 Phi",
             lambda: interior_max(fro(r1.values - pred1), max(r1.margin, dm)),
             fx.tolerance("prop6.curvature-criterion-defect-form", 1e-6),
@@ -753,7 +783,6 @@ def suite_prop6(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop6.curvature-criterion-negative",
-            "prop6",
             "and it is large: f must be affine for integrability",
             lambda: interior_max(fro(r1.values), r1.margin),
             fx.tolerance("prop6.curvature-criterion-negative", 0.1),
@@ -768,7 +797,6 @@ def suite_prop6(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop6.slope-criterion-negative",
-            "prop6",
             "f_1 != g_2 breaks the second linear-problem equation",
             lambda: interior_max(fro(rn2.values), rn2.margin),
             fx.tolerance("prop6.slope-criterion-negative", 1e-2),
@@ -781,7 +809,6 @@ def suite_prop6(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop6.affine-positive",
-            "prop6",
             "affine f, g with equal slopes pass both equations",
             lambda: max(
                 interior_max(fro(rl1.values), rl1.margin),
@@ -801,21 +828,18 @@ def suite_prop6(fx: Fixtures) -> list[CheckResult]:
     out.append(
         _check(
             "prop6.constant-difference-variation",
-            "prop6",
             "F - Phi^-1 pr w Phi is constant for affine data",
             lambda: variation,
             fx.tolerance("prop6.constant-difference-variation", 1e-8),
         )
     )
-    komm = commutator(jt.d1, jt.theta)
-    ktil = wm.conjugate(komm)[grid.n2 // 2, grid.n1 // 2]
+    ktil = wm.conjugate(fx.mink_k())[grid.n2 // 2, grid.n1 // 2]
     pred_mean = (
         2 * b_ * lamm / (1 + lamm) - 2 * c_ * tw.kappa * lamm / (1 - lamm)
     ) * ktil
     out.append(
         _check(
             "prop6.constant-difference-value",
-            "prop6",
             "and equals (2b lam/(1+lam) - 2c kappa lam/(1-lam)) Phi^-1 [theta_1,theta] Phi",
             lambda: float(np.max(np.abs(mean - pred_mean))),
             fx.tolerance("prop6.constant-difference-value", 1e-8),
@@ -823,15 +847,12 @@ def suite_prop6(fx: Fixtures) -> list[CheckResult]:
     )
     # the non-constancy of the difference needs an O(1)-size window to show;
     # the surfaces involved are closed forms, so no stencil accuracy is at stake
-    tww, jtw = fx.traveling(h=0.04)
-    wmw = phi_traveling(tww, jtw, lamm)
-    qqw = conformal_characteristic(fx.mink_spec_quadratic(), jtw)
-    calfq, _ = prolong_immersion(qqw, jtw, lambda jd: phi_traveling(tww, jd, lamm))
-    fq, _ = conformal_immersion_closed(fx.mink_spec_quadratic(), jtw, wmw, lamm)
+    h_wide = 0.04
+    calfq = fx.mink_explicit(h_wide)
+    fq, _ = conformal_immersion_closed(specq, fx.traveling(h_wide)[1], fx.mink_wave(h_wide), lamm)
     out.append(
         _check(
             "prop6.constant-difference-negative",
-            "prop6",
             "for quadratic f the difference is not constant",
             lambda: constant_difference_check(fq, calfq)[1],
             fx.tolerance("prop6.constant-difference-negative", 0.1),
@@ -849,18 +870,15 @@ def suite_prop7(fx: Fixtures) -> list[CheckResult]:
     spec = fx.euclid_spec()
     for n, k in ((2, 1), (3, 1), (3, 2)):
         j = fx.jets_analytic(n, k)
-        q = conformal_characteristic(spec, j)
-        g = lowering_functional()
-        dg1, dg2 = lowering_derivative_functionals()
-        prw = frechet_apply(g, j, q)
+        prw = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j))
+        dl1, dl2 = (dg(j) for dg in lowering_derivative_functionals())
         fv = spec.f(j.grid)[..., None, None]
         gv = spec.g(j.grid)[..., None, None]
-        ref = fv * dg1(j).values + gv * dg2(j).values
-        margin = max(prw.margin, dg1(j).margin)
+        ref = fv * dl1.values + gv * dl2.values
+        margin = max(prw.margin, dl1.margin)
         out.append(
             _check(
                 f"prop7.lowered-rung-cp{n - 1}-level{k}",
-                "prop7",
                 "pr w (lowered rung) = f D1 + g D2 of the rung",
                 lambda prw=prw, ref=ref, margin=margin: interior_max(
                     fro(prw.values - ref), margin
@@ -876,56 +894,48 @@ def suite_prop7(fx: Fixtures) -> list[CheckResult]:
 
 def suite_prop8(fx: Fixtures) -> list[CheckResult]:
     out = []
-    lam = LAM_EUCLID
-    spec = fx.euclid_spec()
     for n in (2, 3):
-        ladder = fx.ladder(n)
         for k in range(n):
-            j = fx.jets_analytic(n, k)
-            q = conformal_characteristic(spec, j)
-            builder = lambda jd, k=k: euclidean_wave(jd, k, lam)  # noqa: E731
-            w = builder(j)
-
-            def cor2_defect(j=j, q=q, builder=builder, w=w) -> float:
-                def phi_values(jd: JetField) -> MatrixField:
-                    wd = builder(jd)
-                    return MatrixField(jd.grid, wd.phi, wd.margin)
-
-                prw_phi = frechet_apply(phi_values, j, q)
-                d1phi, d2phi, dm = chart_first_derivatives(w.field())
-                fv = spec.f(j.grid)[..., None, None]
-                gv = spec.g(j.grid)[..., None, None]
-                ref = fv * d1phi + gv * d2phi
-                return interior_max(
-                    fro(prw_phi.values - ref), max(prw_phi.margin, dm)
-                )
-
-            out.append(
-                _check(
-                    f"prop8.conformal-wave-cp{n - 1}-level{k}",
-                    "prop8",
-                    "pr w Phi = f D1 Phi + g D2 Phi per ladder level",
-                    cor2_defect,
-                    fx.tolerance("prop8.conformal-wave", 1e-6),
-                )
-            )
-
-            def calf_tangents(j=j, q=q, builder=builder, w=w) -> float:
-                calf, _ = prolong_immersion(q, j, builder)
-                a = frechet_apply(u_functional(lam, 1), j, q)
-                b = frechet_apply(u_functional(lam, 2), j, q)
-                return max(tangent_check(calf, w, a, b))
-
-            out.append(
-                _check(
-                    f"prop8.explicit-integration-cp{n - 1}-level{k}",
-                    "prop8",
-                    "Phi^-1 pr w Phi carries the prolonged tangents",
-                    calf_tangents,
-                    fx.tolerance("prop8.explicit-integration", 1e-6),
-                )
-            )
+            out.extend(_prop8_rung(fx, n, k))
     return out
+
+
+def _prop8_rung(fx: Fixtures, n: int, k: int) -> list[CheckResult]:
+    spec = fx.euclid_spec()
+    j = fx.jets_analytic(n, k)
+    # only the standard pair is shared with other suites; the other rungs
+    # are built here and dropped on return, which keeps peak memory down
+    if (n, k) == (2, 0):
+        w, prw_phi, calf = fx.euclid_wave(), fx.euclid_prolonged_wave(), fx.euclid_explicit()
+        a, b = fx.euclid_tangents()
+    else:
+        q = conformal_characteristic(spec, j)
+        w = euclidean_wave(j, k, LAM_EUCLID)
+        prw_phi = prolonged_wave(q, j, _euclid_builder(k), FrechetPolicy())
+        calf, _ = explicit_immersion(w, prw_phi)
+        a, b = _prolonged_pair(j, q, LAM_EUCLID)
+
+    def cor2_defect() -> float:
+        d1phi, d2phi, dm = chart_first_derivatives(w.field())
+        fv = spec.f(j.grid)[..., None, None]
+        gv = spec.g(j.grid)[..., None, None]
+        ref = fv * d1phi + gv * d2phi
+        return interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
+
+    return [
+        _check(
+            f"prop8.conformal-wave-cp{n - 1}-level{k}",
+            "pr w Phi = f D1 Phi + g D2 Phi per ladder level",
+            cor2_defect,
+            fx.tolerance("prop8.conformal-wave", 1e-6),
+        ),
+        _check(
+            f"prop8.explicit-integration-cp{n - 1}-level{k}",
+            "Phi^-1 pr w Phi carries the prolonged tangents",
+            lambda: max(tangent_check(calf, w, a, b)),
+            fx.tolerance("prop8.explicit-integration", 1e-6),
+        ),
+    ]
 
 
 # --- appendix: prolongation commutes with total derivatives --------------------
@@ -935,25 +945,24 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
     out = []
     lam_e = LAM_EUCLID
     j = fx.jets_analytic(2)
-    spec = fx.euclid_spec()
-    q = conformal_characteristic(spec, j)
-    for name, g, dg in (
-        ("theta", theta_functional(), theta_derivative_functionals()),
-        ("u1", u_functional(lam_e, 1), u_derivative_functionals(lam_e, 1)),
-        ("u2", u_functional(lam_e, 2), u_derivative_functionals(lam_e, 2)),
+    q = fx.euclid_q()
+    a, b = fx.euclid_tangents()
+    for name, prw_g, dg in (
+        ("theta", frechet_apply(theta_functional(), j, q), theta_derivative_functionals()),
+        ("u1", a, u_derivative_functionals(lam_e, 1)),
+        ("u2", b, u_derivative_functionals(lam_e, 2)),
     ):
         out.append(
             _check(
                 f"appendix.commutation-euclid-{name}",
-                "appendix",
                 "D_alpha(pr w G) = pr w(D_alpha G) on the Euclidean chart",
-                lambda g=g, dg=dg: commutation_defect(q, g, dg, j),
+                lambda prw_g=prw_g, dg=dg: commutation_defect(q, prw_g, dg, j),
                 fx.tolerance("appendix.commutation", 1e-6),
             )
         )
     lam_m = LAM_MINK
-    tw, jt = fx.traveling()
-    qm = conformal_characteristic(fx.mink_spec_quadratic(), jt)
+    _, jt = fx.traveling()
+    qm = fx.mink_q(MINK_H)
     pol = FrechetPolicy(eps_base=1e-4)
     for name, g, dg in (
         ("theta", theta_functional(), theta_derivative_functionals()),
@@ -963,9 +972,10 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
         out.append(
             _check(
                 f"appendix.commutation-mink-{name}",
-                "appendix",
                 "same on the Minkowski chart",
-                lambda g=g, dg=dg: commutation_defect(qm, g, dg, jt, pol),
+                lambda g=g, dg=dg: commutation_defect(
+                    qm, frechet_apply(g, jt, qm, pol), dg, jt, pol
+                ),
                 fx.tolerance("appendix.commutation", 1e-6),
             )
         )
@@ -977,21 +987,19 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
         trans = ConformalSpec.euclidean((1.0,))
         q1 = conformal_characteristic(trans, j1)
         g = lowering_functional()
-        dg1, dg2 = lowering_derivative_functionals()
+        dl1, dl2 = (dg(j1) for dg in lowering_derivative_functionals())
         fv = trans.f(j1.grid)[..., None, None]
         gv = trans.g(j1.grid)[..., None, None]
-        ref = fv * dg1(j1).values + gv * dg2(j1).values
-        margin = dg1(j1).margin
+        ref = fv * dl1.values + gv * dl2.values
         ds = []
         for eps in (0.04, 0.02, 0.01):
             pw = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
-            ds.append(interior_max(fro(pw.values - ref), max(pw.margin, margin)))
+            ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
         return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
     out.append(
         _check(
             "appendix.step-order",
-            "appendix",
             "deformation-step error decays at second order",
             eps_order,
             fx.tolerance("appendix.step-order", 1.9),
@@ -1007,21 +1015,16 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
             ladh = veronese_ladder(2, gh)
             jh = theta_of(ladh.rungs[1], "analytic")
             qh = conformal_characteristic(trans, jh)
+            pol_h = FrechetPolicy(eps_base=1e-3)
+            prw_g = frechet_apply(lowering_functional(), jh, qh, pol_h)
             ds.append(
-                commutation_defect(
-                    qh,
-                    lowering_functional(),
-                    lowering_derivative_functionals(),
-                    jh,
-                    FrechetPolicy(eps_base=1e-3),
-                )
+                commutation_defect(qh, prw_g, lowering_derivative_functionals(), jh, pol_h)
             )
         return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
     out.append(
         _check(
             "appendix.grid-order",
-            "appendix",
             "commutation defect decays at least at third order in h",
             h_order,
             fx.tolerance("appendix.grid-order", 3.0),
@@ -1062,20 +1065,7 @@ def run_suites(
     ordered = [nm for nm in wanted if not (nm in seen or seen.add(nm))]
 
     fx = Fixtures(tolerances)
-    workers = 1
-    env = os.environ.get("SOLSURF_THREADS")
-    if env:
-        workers = max(1, min(int(env), 8))
     results: list[CheckResult] = []
-    if workers == 1:
-        for nm in ordered:
-            results.extend(_SUITES[nm](fx))
-    else:
-        # fixtures are built once up front so threads only read shared state
-        for nm in ordered:
-            _SUITES[nm]  # noqa: B018
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_SUITES[nm], fx) for nm in ordered]
-            for fut in futures:
-                results.extend(fut.result())
+    for nm in ordered:
+        results.extend(_SUITES[nm](fx))
     return VerificationReport(suites=tuple(ordered), results=results)

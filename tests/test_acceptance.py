@@ -280,7 +280,7 @@ def test_criterion_7_commutation(ladders, traveling):
         ("u1", u_functional(LAM_E, 1), u_derivative_functionals(LAM_E, 1)),
         ("u2", u_functional(LAM_E, 2), u_derivative_functionals(LAM_E, 2)),
     ):
-        d = commutation_defect(q, g, dg, j)
+        d = commutation_defect(q, frechet_apply(g, j, q), dg, j)
         entries.append((f"euclid-{name}", d < 1e-6, d))
     wave, jets = traveling
     qm = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), jets)
@@ -290,7 +290,7 @@ def test_criterion_7_commutation(ladders, traveling):
         ("u1", u_functional(LAM_M, 1), u_derivative_functionals(LAM_M, 1)),
         ("u2", u_functional(LAM_M, 2), u_derivative_functionals(LAM_M, 2)),
     ):
-        d = commutation_defect(qm, g, dg, jets, pol)
+        d = commutation_defect(qm, frechet_apply(g, jets, qm, pol), dg, jets, pol)
         entries.append((f"mink-{name}", d < 1e-6, d))
 
     # step-size order, probed on the lowering operator (the jet-quadratic
@@ -315,10 +315,11 @@ def test_criterion_7_commutation(ladders, traveling):
         gh = euclid_grid(h)
         jh = theta_of(veronese_ladder(2, gh).rungs[1], "analytic")
         qh = conformal_characteristic(spec, jh)
+        pol_h = FrechetPolicy(eps_base=1e-3)
         hs.append(
             commutation_defect(
-                qh, lowering_functional(), lowering_derivative_functionals(), jh,
-                FrechetPolicy(eps_base=1e-3),
+                qh, frechet_apply(lowering_functional(), jh, qh, pol_h),
+                lowering_derivative_functionals(), jh, pol_h,
             )
         )
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
@@ -389,9 +390,10 @@ def _refinement_table():
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         jh = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[1], "analytic")
         qh = conformal_characteristic(spec, jh)
+        pol_h = FrechetPolicy(eps_base=1e-3)
         return commutation_defect(
-            qh, lowering_functional(), lowering_derivative_functionals(), jh,
-            FrechetPolicy(eps_base=1e-3),
+            qh, frechet_apply(lowering_functional(), jh, qh, pol_h),
+            lowering_derivative_functionals(), jh, pol_h,
         )
 
     return [

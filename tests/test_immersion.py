@@ -160,7 +160,7 @@ def test_sym_tafel_euclid():
 def test_sym_tafel_traveling_closed_form():
     # F^ST = a * 2 (d chi/d lam) Phi^-1 [theta_1, theta] Phi
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
-    dphi = traveling_wave_dlambda(WAVE_M, JET_M, LAM_M)
+    dphi = traveling_wave_dlambda(WAVE_M, JET_M, w)
     fst, _ = sym_tafel(w, dphi, 1.5)
     komm = commutator(JET_M.d1, JET_M.theta)
     expected = (

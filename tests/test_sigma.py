@@ -62,6 +62,20 @@ def test_veronese_values():
     assert np.allclose(p1.values[5, 5], 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_veronese_ladder_rungs_match_single_fields(n):
+    # one frame build for the ladder gives every rung bit for bit
+    g = Grid2(CHART_EUCLIDEAN, (0.1, -0.2), (0.01, 0.01), (21, 21))
+    ladder = veronese_ladder(n, g)
+    for k in range(n):
+        single = veronese_field(n, g, k)
+        rung = ladder.rungs[k]
+        assert np.array_equal(rung.values, single.values)
+        for name in ("d1", "d2", "d11", "d12", "d22"):
+            assert np.array_equal(getattr(rung.jets, name), getattr(single.jets, name))
+        assert (rung.jets.margin1, rung.jets.margin2) == (single.jets.margin1, single.jets.margin2)
+
+
 def test_veronese_invariants_and_chart():
     for n in (2, 3):
         p0 = veronese_field(n, GRID)

@@ -126,6 +126,14 @@ def test_traveling_wave_lsp_and_det():
     assert np.max(np.abs(det - det[50, 50])) < 1e-10
 
 
+def test_wave_inverse_computed_once():
+    w = phi_traveling(WAVE_M, JET_M, 0.5)
+    inv_phi = w.inverse()
+    assert w.inverse() is inv_phi
+    assert not inv_phi.flags.writeable
+    assert interior_max(fro(inv_phi @ w.phi - np.eye(2)), w.margin) < 1e-12
+
+
 def test_traveling_wave_chi_zero_axis():
     # chi vanishes on x1/(1+lam) = kappa x2/(1-lam); at the origin Phi = 2i theta
     lam = 0.5
@@ -185,7 +193,7 @@ def test_dlambda_base_level_value():
 
 def test_dlambda_traveling_analytic_vs_fd():
     lam = 0.5
-    analytic = traveling_wave_dlambda(WAVE_M, JET_M, lam)
+    analytic = traveling_wave_dlambda(WAVE_M, JET_M, phi_traveling(WAVE_M, JET_M, lam))
     fd = dlambda_fd(lambda l: phi_traveling(WAVE_M, JET_M, l), lam)
     m = max(analytic.margin, fd.margin)
     assert interior_max(fro(analytic.values - fd.values), m) < 1e-7

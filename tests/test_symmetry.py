@@ -11,12 +11,13 @@ from solsurf.fields import (
     interior_max,
 )
 from solsurf.matlie import commutator, dagger, fro
-from solsurf.sigma import theta_of, traveling_solution, veronese_ladder
+from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
     FrechetPolicy,
     commutation_defect,
+    compatibility_defect,
     conformal_characteristic,
     el_symmetry_defect,
     frechet_apply,
@@ -138,6 +139,26 @@ def test_prolong_u_zero():
     assert interior_max(fro(pw2.values), pw2.margin) == 0
 
 
+@pytest.mark.parametrize("control", ["positive", "negative"])
+def test_el_symmetry_defect_is_compatibility_of_prolonged_pair(control):
+    j = theta_of(LADDER2.rungs[0], "analytic")
+    if control == "positive":
+        q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    else:
+        q = MatrixField(j.grid, j.theta.copy(), j.margin0)
+    a = frechet_apply(u_functional(LAM_E, 1), j, q)
+    b = frechet_apply(u_functional(LAM_E, 2), j, q)
+    u1, u2 = u_pair(j, LAM_E)
+    assert el_symmetry_defect(q, j, LAM_E) == compatibility_defect(a, b, u1, u2)
+
+
+def test_compatibility_defect_reexported_by_immersion():
+    from solsurf import immersion
+
+    assert immersion.compatibility_defect is compatibility_defect
+    assert "compatibility_defect" in immersion.__all__
+
+
 def test_el_symmetry_defect_positive_negative():
     j = theta_of(LADDER2.rungs[0], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
@@ -206,11 +227,10 @@ def test_traveling_R_fields():
 def test_commutation_defect_small():
     j = theta_of(LADDER2.rungs[0], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    assert commutation_defect(q, theta_functional(), theta_derivative_functionals(), j) < 1e-8
-    assert (
-        commutation_defect(q, u_functional(LAM_E, 1), u_derivative_functionals(LAM_E, 1), j)
-        < 1e-6
-    )
+    prw_theta = frechet_apply(theta_functional(), j, q)
+    assert commutation_defect(q, prw_theta, theta_derivative_functionals(), j) < 1e-8
+    prw_u1 = frechet_apply(u_functional(LAM_E, 1), j, q)
+    assert commutation_defect(q, prw_u1, u_derivative_functionals(LAM_E, 1), j) < 1e-6
 
 
 def test_commutation_orders():
@@ -232,13 +252,14 @@ def test_commutation_orders():
         gh = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (101, 101))
         jh = theta_of(veronese_ladder(2, gh).rungs[1], "analytic")
         qh = conformal_characteristic(spec, jh)
+        pol = FrechetPolicy(eps_base=1e-3)
         hs.append(
             commutation_defect(
                 qh,
-                lowering_functional(),
+                frechet_apply(lowering_functional(), jh, qh, pol),
                 lowering_derivative_functionals(),
                 jh,
-                FrechetPolicy(eps_base=1e-3),
+                pol,
             )
         )
     assert np.log2(hs[0] / hs[1]) > 3.0
