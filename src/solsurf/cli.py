@@ -20,13 +20,14 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .errors import LambdaSingular
+from .errors import FieldFileError, LambdaSingular
 from .fields import (
     Grid2,
     MatrixField,
     interior_max,
-    read_field_json,
+    read_field,
     trim_margin,
+    write_field,
     write_field_json,
     write_scalar_csv,
 )
@@ -35,8 +36,9 @@ from .immersion import (
     ImmersionInputs,
     assemble_tangents,
     conformal_immersion_closed,
+    explicit_immersion,
     integrate_surface,
-    prolong_immersion,
+    prolonged_wave,
     sym_tafel,
     tangent_check,
 )
@@ -58,13 +60,21 @@ from .spectral import (
     traveling_wave_dlambda,
     wave_diagnostics,
 )
-from .symmetry import conformal_characteristic
+from .symmetry import FrechetPolicy, conformal_characteristic
 from .verify import SUITE_NAMES, run_suites
 
 
 def _dump_json(path: str, obj: dict) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+
+
+def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
+    """A field file named by config key ``key``; any failure is a ConfigError."""
+    try:
+        return read_field(path)
+    except (OSError, FieldFileError) as exc:
+        raise ConfigError(f"key {key!r}: cannot read field file {path!r}: {exc}") from exc
 
 
 def _build_solution(cfg: RunConfig):
@@ -101,9 +111,11 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
             raise ConfigError(f"key 'gauge.preset': unknown preset {name!r}")
         vals = np.broadcast_to(mat, j.theta.shape).copy()
         return MatrixField(j.grid, vals, 0)
-    field, _ = read_field_json(cfg.gauge["file"])
-    if field.grid != j.grid:
-        raise ConfigError("key 'gauge.file': gauge field grid does not match the run grid")
+    field, _ = _read_input(cfg.gauge["file"], "gauge.file")
+    if field.grid != j.grid or field.n != cfg.n:
+        raise ConfigError(
+            "key 'gauge.file': gauge field grid or matrix size does not match the run"
+        )
     return field
 
 
@@ -111,7 +123,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     j, carrier, meta = _build_solution(cfg)
     theta_field = MatrixField(cfg.grid, j.theta, j.margin0)
-    write_field_json(os.path.join(outdir, "theta.json"), theta_field)
+    write_field(os.path.join(outdir, "theta.npz"), theta_field)
 
     summary: dict = {"solution": meta, "grid": cfg.grid.to_json(), "n": cfg.n}
     if meta["kind"] == "veronese":
@@ -119,10 +131,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
         el, em = el_residual(jn)
         summary["el_residual_max"] = interior_max(el, em)
         for m in range(len(carrier)):
-            write_field_json(
-                os.path.join(outdir, f"ladder_{m}.json"),
-                carrier.rungs[m].field,
-            )
+            write_field(os.path.join(outdir, f"ladder_{m}.npz"), carrier.rungs[m].field)
         summary["ladder_length"] = len(carrier)
         summary["orthogonality_defect"] = carrier.orthogonality_defect()
         summary["completeness_residual"] = carrier.completeness_residual()
@@ -160,8 +169,8 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         )
     a, b = assemble_tangents(inputs, j, cfg.lam)
     res = integrate_surface(a, b, wave, u1=u1, u2=u2)
-    write_field_json(os.path.join(outdir, "immersion.json"), res.field)
-    write_field_json(os.path.join(outdir, "wave.json"), wave.field(), lam=wave.lam)
+    write_field(os.path.join(outdir, "immersion.npz"), res.field)
+    write_field(os.path.join(outdir, "wave.npz"), wave.field(), lam=wave.lam)
     from .immersion import linear_independence_report
 
     t1 = MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin))
@@ -182,27 +191,25 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         else:
             dphi = traveling_wave_dlambda(carrier, j, wave)
         fst, sud = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
-        write_field_json(os.path.join(outdir, "sym_tafel.json"), fst)
+        write_field(os.path.join(outdir, "sym_tafel.npz"), fst)
         report["sym_tafel_su_distance"] = sud
 
     if char is not None and not cfg.a_coeffs and gauge is None:
         f_closed, sud = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
-        write_field_json(os.path.join(outdir, "conformal_closed.json"), f_closed)
+        write_field(os.path.join(outdir, "conformal_closed.npz"), f_closed)
         report["conformal_closed_su_distance"] = sud
         q = conformal_characteristic(cfg.symmetry, j)
         if meta["kind"] == "veronese":
             builder = lambda jd: euclidean_wave(jd, meta["k"], cfg.lam)  # noqa: E731
         else:
             builder = lambda jd: phi_traveling(carrier, jd, cfg.lam)  # noqa: E731
-        calf, sud2 = prolong_immersion(q, j, builder)
-        write_field_json(os.path.join(outdir, "prolonged.json"), calf)
+        calf, sud2 = explicit_immersion(wave, prolonged_wave(q, j, builder, FrechetPolicy()))
+        write_field(os.path.join(outdir, "prolonged.npz"), calf)
         report["prolonged_su_distance"] = sud2
         from .immersion import constant_difference_check
-        from .symmetry import frechet_apply, u_functional
 
-        pa = frechet_apply(u_functional(cfg.lam, 1), j, q)
-        pb = frechet_apply(u_functional(cfg.lam, 2), j, q)
-        defect = max(tangent_check(calf, wave, pa, pb))
+        # only the symmetry is active, so (a, b) is the prolonged pair
+        defect = max(tangent_check(calf, wave, a, b))
         report["prolonged_tangent_defect"] = defect
         report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
         report["closed_vs_prolonged_variation"] = constant_difference_check(
@@ -230,10 +237,7 @@ def cmd_export(cfg: RunConfig, outdir: str) -> int:
     if not cfg.outputs:
         raise ConfigError("key 'outputs' is empty; nothing to export")
     for i, entry in enumerate(cfg.outputs):
-        src = entry["input"]
-        if not os.path.exists(src):
-            raise ConfigError(f"key 'outputs[{i}].input': missing input file {src!r}")
-        field, lam = read_field_json(src)
+        field, lam = _read_input(entry["input"], f"outputs[{i}].input")
         dst = os.path.join(outdir, entry["path"])
         os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
         if entry["format"] == "json":

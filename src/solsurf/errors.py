@@ -17,3 +17,7 @@ class DeformationOutOfDomain(RuntimeError):
 
 class ChartMismatch(ValueError):
     """Operation applied on the wrong chart."""
+
+
+class FieldFileError(ValueError):
+    """A file is not a solsurf field file of a format that can be read."""

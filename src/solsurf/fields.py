@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .matlie import matrix_from_json, matrix_to_json
+from .errors import FieldFileError
 
 __all__ = [
     "CHART_EUCLIDEAN",
     "CHART_MINKOWSKI",
+    "FIELD_FORMAT",
     "Grid2",
     "GridMismatch",
     "Jets",
@@ -36,7 +36,8 @@ __all__ = [
     "diff1",
     "diff2",
     "interior_max",
-    "read_field_json",
+    "read_field",
+    "write_field",
     "write_field_json",
     "write_scalar_csv",
 ]
@@ -322,46 +323,108 @@ def cumulative_line_integral(values: np.ndarray, h: float, axis: int) -> np.ndar
     return np.moveaxis(res, 0, axis)
 
 
-# --- (de)serialization ------------------------------------------------------
+# --- field files ---------------------------------------------------------------
+#
+# The native format is an uncompressed ``.npz`` holding the values, the
+# margin, the grid and (when set) the spectral parameter, so a field reads
+# back bit-exactly with the margin it was written with.  JSON is an export
+# format of the same content, with the values as flat row-major re/im lists.
+
+FIELD_FORMAT = "solsurf-field/1"
+
+
+def write_field(path: str, f: MatrixField, lam: complex | None = None) -> None:
+    """Native field file: ``values``, ``margin``, ``grid`` (JSON text),
+    ``format`` and, when given, ``lambda``."""
+    arrays = {
+        "format": np.array(FIELD_FORMAT),
+        "grid": np.array(json.dumps(f.grid.to_json(), sort_keys=True)),
+        "margin": np.array(f.margin),
+        "values": np.asarray(f.values, dtype=complex),
+    }
+    if lam is not None:
+        arrays["lambda"] = np.array(complex(lam))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def read_field(path: str) -> tuple[MatrixField, complex | None]:
+    """Read a native ``.npz`` field or a ``.json`` export of one.
+
+    Raises `FieldFileError` for content that is not such a file (including
+    the old one-object-per-node JSON layout) and `OSError` when the file
+    cannot be opened.
+    """
+    import zipfile
+
+    if path.endswith(".json"):
+        return _read_field_export(path)
+    if not path.endswith(".npz"):
+        raise FieldFileError(f"{path!r}: field files end in .npz (native) or .json (export)")
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            stored = {key: z[key] for key in z.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise FieldFileError(f"{path!r}: not an .npz file: {exc}") from exc
+    if str(stored.get("format")) != FIELD_FORMAT:
+        raise FieldFileError(f"{path!r}: not a {FIELD_FORMAT} file")
+    try:
+        grid = Grid2.from_json(json.loads(str(stored["grid"])))
+        field = MatrixField(grid, stored["values"], int(stored["margin"]))
+        lam = complex(stored["lambda"]) if "lambda" in stored else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FieldFileError(f"{path!r}: malformed field file: {exc}") from exc
+    return field, lam
 
 
 def write_field_json(path: str, f: MatrixField, lam: complex | None = None) -> None:
+    """JSON export: the grid, ``n``, ``margin`` and the values as flat
+    row-major ``re``/``im`` lists, non-finite entries as null."""
+    values = np.asarray(f.values, dtype=complex)
     obj: dict = {
+        "format": FIELD_FORMAT,
         "grid": f.grid.to_json(),
         "n": f.n,
-        "values": [
-            matrix_to_json(f.values[i2, i1])
-            for i2 in range(f.grid.n2)
-            for i1 in range(f.grid.n1)
-        ],
+        "margin": f.margin,
+        "re": _finite_list(values.real),
+        "im": _finite_list(values.imag),
     }
     if lam is not None:
         obj["lambda"] = [float(np.real(lam)), float(np.imag(lam))]
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def read_field_json(path: str) -> tuple[MatrixField, complex | None]:
+def _finite_list(a: np.ndarray) -> list:
+    out = a.reshape(-1).tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = None
+    return out
+
+
+def _read_field_export(path: str) -> tuple[MatrixField, complex | None]:
     with open(path) as fh:
-        obj = json.load(fh)
-    grid = Grid2.from_json(obj["grid"])
-    n = int(obj["n"])
-    values = np.empty((grid.n2, grid.n1, n, n), dtype=complex)
-    it: Iterator[dict] = iter(obj["values"])
-    for i2 in range(grid.n2):
-        for i1 in range(grid.n1):
-            values[i2, i1] = matrix_from_json(next(it))
-    lam = None
-    if "lambda" in obj:
-        lam = complex(obj["lambda"][0], obj["lambda"][1])
-    nan_rows = np.isnan(values).any(axis=(-1, -2))
-    margin = 0
-    while margin * 2 + 1 < min(grid.n1, grid.n2):
-        inner = nan_rows[margin:-margin, margin:-margin] if margin else nan_rows
-        if not inner.any():
-            break
-        margin += 1
-    return MatrixField(grid, values, margin), lam
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise FieldFileError(f"{path!r}: not JSON: {exc}") from exc
+    if not isinstance(obj, dict) or obj.get("format") != FIELD_FORMAT:
+        raise FieldFileError(
+            f"{path!r}: not a {FIELD_FORMAT} JSON export "
+            "(the old one-object-per-node layout is not read)"
+        )
+    try:
+        grid = Grid2.from_json(obj["grid"])
+        n = int(obj["n"])
+        values = np.empty((grid.n2, grid.n1, n, n), dtype=complex)
+        # null entries become NaN
+        values.real = np.array(obj["re"], dtype=float).reshape(values.shape)
+        values.imag = np.array(obj["im"], dtype=float).reshape(values.shape)
+        field = MatrixField(grid, values, int(obj["margin"]))
+        lam = complex(*obj["lambda"]) if "lambda" in obj else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FieldFileError(f"{path!r}: malformed field export: {exc}") from exc
+    return field, lam
 
 
 def write_scalar_csv(path: str, grid: Grid2, scalar: np.ndarray, margin: int = 0) -> None:

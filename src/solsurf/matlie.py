@@ -26,8 +26,6 @@ __all__ = [
     "fro",
     "inner",
     "inv",
-    "matrix_from_json",
-    "matrix_to_json",
     "mm",
     "project_su",
     "solve",
@@ -370,31 +368,3 @@ def su_basis(n: int) -> SuBasis:
     structure = np.real(np.einsum("jab,klba->klj", e, comm)) * (-0.5)
     return SuBasis(dim=n, elements=e, structure=structure)
 
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Serialize one matrix as {"n": N, "re": [...], "im": [...]}, row-major.
-
-    Non-finite entries map to null so margin nodes survive a round trip.
-    """
-    a = np.asarray(m, dtype=complex)
-    n = a.shape[-1]
-
-    def num(x: float):
-        return float(x) if math.isfinite(x) else None
-
-    return {
-        "n": n,
-        "re": [num(v) for v in a.real.reshape(-1)],
-        "im": [num(v) for v in a.imag.reshape(-1)],
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["n"])
-
-    def num(x) -> float:
-        return float("nan") if x is None else float(x)
-
-    re = np.array([num(v) for v in obj["re"]], dtype=float).reshape(n, n)
-    im = np.array([num(v) for v in obj["im"]], dtype=float).reshape(n, n)
-    return re + 1j * im

@@ -78,6 +78,25 @@ class WaveField:
         return mm(mm(self.inverse(), x), self.phi)
 
 
+def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
+    """2-norm condition number of 2x2 matrices, sigma_1 / sigma_2, in closed form.
+
+    With Phi^H Phi = [[p, r], [conj(r), s]], sigma_1^2 + sigma_2^2 = p + s,
+    sigma_1^2 - sigma_2^2 = sqrt((p - s)^2 + 4|r|^2) and sigma_1 sigma_2 =
+    |det Phi|, so sigma_1 / sigma_2 = (p + s + sqrt(...)) / (2 |det Phi|).
+    Unlike sqrt((p + s)^2 - 4|det|^2), the root has no cancellation near
+    cond = 1.  NaN where ``det_phi`` is NaN, inf where it vanishes.
+    """
+    a, b = phi[..., 0, 0], phi[..., 0, 1]
+    c, d = phi[..., 1, 0], phi[..., 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = a.real**2 + a.imag**2 + c.real**2 + c.imag**2
+        s = b.real**2 + b.imag**2 + d.real**2 + d.imag**2
+        r = np.conj(a) * b + np.conj(c) * d
+        root = np.sqrt((p - s) ** 2 + 4 * (r.real**2 + r.imag**2))
+        return (p + s + root) / (2 * np.abs(det_phi))
+
+
 def wave_diagnostics(w: WaveField) -> dict[str, float]:
     """Invertibility and unitarity report over the trusted interior."""
     phi = w.phi
@@ -89,9 +108,12 @@ def wave_diagnostics(w: WaveField) -> dict[str, float]:
         fro(np.where(ok[..., None, None], mm(dagger(phi), phi), 0.0) - ident),
         np.nan,
     )
-    cond = np.full(phi.shape[:2], np.nan)
-    if np.any(ok):
-        cond[ok] = np.linalg.cond(phi[ok])
+    if w.n == 2:
+        cond = _cond2(phi, det_phi)
+    else:
+        cond = np.full(phi.shape[:2], np.nan)
+        if np.any(ok):
+            cond[ok] = np.linalg.cond(phi[ok])
     m = w.margin
     return {
         "min_abs_det": float(np.nanmin(np.abs(det_phi[m:-m, m:-m] if m else det_phi))),

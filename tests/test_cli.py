@@ -6,7 +6,7 @@ import pytest
 
 from solsurf.cli import main
 from solsurf.config import ConfigError, parse_config
-from solsurf.fields import read_field_json
+from solsurf.fields import MatrixField, read_field, write_field
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -76,8 +76,10 @@ def test_cli_solve_and_outputs(tmp_path):
     summary = json.loads(open(os.path.join(out, "solve-summary.json")).read())
     assert summary["el_residual_max"] < 1e-6
     assert summary["ladder_length"] == 2
-    field, _ = read_field_json(os.path.join(out, "theta.json"))
+    field, _ = read_field(os.path.join(out, "theta.npz"))
     assert field.grid.dims == (61, 61)
+    rung, _ = read_field(os.path.join(out, "ladder_1.npz"))
+    assert rung.values.shape == (61, 61, 2, 2)
 
 
 def test_cli_solve_traveling(tmp_path):
@@ -104,13 +106,18 @@ def test_cli_immerse_and_export_roundtrip(tmp_path):
             "outputs": [
                 {
                     "format": "obj",
-                    "input": os.path.join(out, "immersion.json"),
+                    "input": os.path.join(out, "immersion.npz"),
                     "path": "surface.obj",
                 },
                 {
                     "format": "json",
-                    "input": os.path.join(out, "immersion.json"),
+                    "input": os.path.join(out, "immersion.npz"),
                     "path": "copy.json",
+                },
+                {
+                    "format": "json",
+                    "input": os.path.join(out, "wave.npz"),
+                    "path": "wave.json",
                 },
             ],
         },
@@ -118,10 +125,12 @@ def test_cli_immerse_and_export_roundtrip(tmp_path):
     )
     out2 = str(tmp_path / "exp")
     assert main(["export", "--config", exp_cfg, "--out", out2]) == 0
-    first, _ = read_field_json(os.path.join(out, "immersion.json"))
-    again, _ = read_field_json(os.path.join(out2, "copy.json"))
-    ok = np.isfinite(first.values)
-    assert np.array_equal(first.values[ok], again.values[ok])
+    first, _ = read_field(os.path.join(out, "immersion.npz"))
+    again, _ = read_field(os.path.join(out2, "copy.json"))
+    assert np.array_equal(first.values, again.values, equal_nan=True)
+    assert (again.grid, again.margin) == (first.grid, first.margin)
+    _, lam = read_field(os.path.join(out2, "wave.json"))
+    assert lam == 0.5
     obj_text = open(os.path.join(out2, "surface.obj")).read()
     assert "nan" not in obj_text
 
@@ -137,6 +146,31 @@ def test_cli_export_missing_input(tmp_path):
         },
     )
     assert main(["export", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_cli_bad_gauge_file(tmp_path, capsys, n):
+    # a missing file, or a field of the wrong matrix size
+    path = str(tmp_path / "g.npz")
+    if n is not None:
+        grid = parse_config(BASE_TRAVELING).grid
+        write_field(path, MatrixField(grid, np.zeros((61, 61, n, n), dtype=complex)))
+    cfg = write_cfg(tmp_path, {**BASE_TRAVELING, "gauge": {"file": path}})
+    assert main(["immerse", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "key 'gauge.file'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["old.json", "old.dat"])
+def test_cli_export_unreadable_input(tmp_path, capsys, name):
+    # the one-object-per-node JSON layout is not read, nor an unknown extension
+    old = tmp_path / name
+    old.write_text(json.dumps({"grid": {}, "n": 2, "values": []}))
+    cfg = write_cfg(
+        tmp_path,
+        {**BASE_TRAVELING, "outputs": [{"format": "csv", "input": str(old), "path": "x.csv"}]},
+    )
+    assert main(["export", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "key 'outputs[0].input'" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_code(tmp_path):

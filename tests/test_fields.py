@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from solsurf.errors import FieldFileError
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
+    FIELD_FORMAT,
     Grid2,
     MatrixField,
     chart_jets,
@@ -11,8 +15,9 @@ from solsurf.fields import (
     diff1,
     diff2,
     interior_max,
-    read_field_json,
+    read_field,
     trim_margin,
+    write_field,
     write_field_json,
     write_scalar_csv,
 )
@@ -107,33 +112,88 @@ def test_cumulative_integral_on_axis():
     assert np.max(np.abs(out - exact)) < 1e-12
 
 
-def test_field_json_roundtrip_bit_exact(tmp_path):
-    g = Grid2(CHART_EUCLIDEAN, spacing=(0.1, 0.1), dims=(9, 9))
+def _field_with_nan_nodes(margin=0):
+    g = Grid2(CHART_MINKOWSKI, origin=(0.25, -1.5), spacing=(0.1, 0.05), dims=(11, 9))
     rng = np.random.default_rng(0)
-    vals = rng.standard_normal((9, 9, 2, 2)) + 1j * rng.standard_normal((9, 9, 2, 2))
+    vals = rng.standard_normal((9, 11, 2, 2)) + 1j * rng.standard_normal((9, 11, 2, 2))
+    vals[0] = np.nan
+    vals[4, 5, 1, 0] = complex(np.nan, 0.0)
+    vals[3, 3, 0, 1] = complex(-0.0, 0.0)
+    return MatrixField(g, vals, margin)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lam", [None, 0.5 - 0.25j])
+def test_field_npz_roundtrip_bit_exact(tmp_path, lam):
+    f = _field_with_nan_nodes(margin=3)
+    path = str(tmp_path / "field.npz")
+    write_field(path, f, lam=lam)
+    back, lam_back = read_field(path)
+    assert _same_bits(back.values, f.values)
+    assert back.grid == f.grid
+    assert back.margin == 3
+    assert lam_back == lam
+    with np.load(path, allow_pickle=False) as z:
+        keys = set(z.files)
+        assert str(z["format"]) == FIELD_FORMAT
+        assert all(z[k].dtype != object for k in keys)
+    assert keys == {"values", "margin", "grid", "format"} | ({"lambda"} if lam else set())
+
+
+def test_field_json_roundtrip_bit_exact(tmp_path):
+    f = _field_with_nan_nodes(margin=1)
     path = str(tmp_path / "field.json")
-    write_field_json(path, MatrixField(g, vals, 0), lam=0.5 - 0.25j)
-    back, lam = read_field_json(path)
+    write_field_json(path, f, lam=0.5 - 0.25j)
+    obj = json.loads(open(path).read())
+    assert set(obj) == {"format", "grid", "n", "margin", "lambda", "re", "im"}
+    assert len(obj["re"]) == len(obj["im"]) == f.values.size
+    assert obj["re"][:4] == [None] * 4  # non-finite entries are null
+    back, lam = read_field(path)
     assert lam == 0.5 - 0.25j
-    assert np.array_equal(back.values, vals)
-    assert back.grid == g
+    assert _same_bits(back.values, f.values)
+    assert back.grid == f.grid
+    assert back.margin == 1
     # rewriting the reimported field is byte-identical
     path2 = str(tmp_path / "field2.json")
     write_field_json(path2, back, lam=lam)
-    assert open(path).read() == open(path2).read()
+    assert open(path, "rb").read() == open(path2, "rb").read()
 
 
-def test_field_json_margin_detection(tmp_path):
+@pytest.mark.parametrize("name", ["field.npz", "field.json"])
+def test_field_margin_stored_not_guessed(tmp_path, name):
+    # an interior NaN (a singular node) must not widen the margin
     g = Grid2(CHART_EUCLIDEAN, spacing=(0.1, 0.1), dims=(11, 11))
     vals = np.ones((11, 11, 2, 2), dtype=complex)
-    vals[:2] = np.nan
-    vals[-2:] = np.nan
-    vals[:, :2] = np.nan
-    vals[:, -2:] = np.nan
-    path = str(tmp_path / "field.json")
-    write_field_json(path, MatrixField(g, vals, 2))
-    back, _ = read_field_json(path)
+    vals[:2] = vals[-2:] = vals[:, :2] = vals[:, -2:] = np.nan
+    vals[5, 5] = np.nan
+    path = str(tmp_path / name)
+    (write_field if name.endswith(".npz") else write_field_json)(path, MatrixField(g, vals, 2))
+    back, _ = read_field(path)
     assert back.margin == 2
+
+
+def test_read_field_rejects_other_files(tmp_path):
+    f = _field_with_nan_nodes()
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"grid": f.grid.to_json(), "n": 2,
+                               "values": [{"n": 2, "re": [0] * 4, "im": [0] * 4}] * 99}))
+    with pytest.raises(FieldFileError, match="old one-object-per-node layout"):
+        read_field(str(old))
+    write_field(str(tmp_path / "f.npz"), f)
+    (tmp_path / "f.txt").write_bytes((tmp_path / "f.npz").read_bytes())
+    with pytest.raises(FieldFileError, match=".npz"):
+        read_field(str(tmp_path / "f.txt"))
+    (tmp_path / "cut.npz").write_bytes((tmp_path / "f.npz").read_bytes()[:100])
+    (tmp_path / "junk.npz").write_bytes(b"not a zip")
+    np.savez(str(tmp_path / "plain.npz"), values=f.values)
+    for bad in ("cut.npz", "junk.npz", "plain.npz"):
+        with pytest.raises(FieldFileError):
+            read_field(str(tmp_path / bad))
+    with pytest.raises(OSError):
+        read_field(str(tmp_path / "missing.npz"))
 
 
 def test_scalar_csv_rows(tmp_path):

@@ -15,8 +15,6 @@ from solsurf.matlie import (
     fro,
     inner,
     inv,
-    matrix_from_json,
-    matrix_to_json,
     mm,
     project_su,
     solve,
@@ -202,17 +200,6 @@ def test_expm_batched_matches_loop():
     for i in range(4):
         for j in range(3):
             assert fro(out[i, j] - expm(batch[i, j])) < 1e-12
-
-
-def test_matrix_json_roundtrip():
-    rng = np.random.default_rng(6)
-    m = random_complex(rng, 3)
-    again = matrix_from_json(matrix_to_json(m))
-    assert np.array_equal(again, m)
-    m[0, 1] = np.nan
-    again = matrix_from_json(matrix_to_json(m))
-    assert np.isnan(again[0, 1].real)
-    assert np.array_equal(again[1:], m[1:])
 
 
 # --- small-matrix kernels against numpy ---------------------------------------

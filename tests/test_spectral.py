@@ -6,6 +6,8 @@ from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, interior_max
 from solsurf.matlie import fro
 from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import (
+    WaveField,
+    _cond2,
     dlambda_fd,
     euclidean_wave,
     euclidean_wave_coefficients,
@@ -113,6 +115,27 @@ def test_wave_invertibility_diagnostics():
     # at imaginary lambda the wave function is unitary
     wi = phi_euclidean(LADDER2.with_active(0), 0.6j)
     assert wave_diagnostics(wi)["max_unitarity_defect"] < 1e-12
+
+
+def test_closed_form_condition_number_matches_svd():
+    rng = np.random.default_rng(7)
+    shape = (40, 50, 2, 2)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rank1 = (rng.standard_normal((40, 50, 2, 1)) + 1j) @ (rng.standard_normal((40, 50, 1, 2)) - 1j)
+    unitary, _ = np.linalg.qr(x)
+    eps = np.finfo(float).eps
+    for phi in (x, rank1 + 1e-7 * x, unitary):
+        ref = np.linalg.cond(phi)
+        got = _cond2(phi, np.linalg.det(phi))
+        # sigma_2 carries an absolute error of order eps * sigma_1
+        assert np.all(np.abs(got / ref - 1) <= 8 * eps * ref)
+    # NaN where the determinant is undefined, inf where it vanishes
+    assert np.isnan(_cond2(np.full((2, 2), np.nan), np.nan))
+    assert _cond2(np.ones((2, 2), dtype=complex), 0.0) == np.inf
+    g = Grid2(CHART_MINKOWSKI, dims=(50, 40))
+    diag = wave_diagnostics(WaveField(g, 0.5, rank1 + 1e-7 * x))
+    ref = np.linalg.cond(rank1 + 1e-7 * x).max()
+    assert abs(diag["max_condition"] / ref - 1) <= 8 * eps * ref
 
 
 def test_traveling_wave_lsp_and_det():
