@@ -60,7 +60,7 @@ from .spectral import (
     traveling_wave_dlambda,
     wave_diagnostics,
 )
-from .symmetry import FrechetPolicy, conformal_characteristic
+from .symmetry import conformal_characteristic
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -157,12 +157,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     u1, u2 = u_pair(j, cfg.lam)
 
     gauge = _gauge_field(cfg, j)
-    char = None
-    if cfg.symmetry is not None:
-        from .symmetry import make_characteristic
-
-        char = make_characteristic(cfg.symmetry)
-    inputs = ImmersionInputs(a_coeffs=cfg.a_coeffs, gauge=gauge, characteristic=char)
+    inputs = ImmersionInputs(a_coeffs=cfg.a_coeffs, gauge=gauge, symmetry=cfg.symmetry)
     if not inputs.active():
         raise ConfigError(
             "immersion requires at least one of: a_coeffs, gauge, symmetry"
@@ -185,7 +180,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         "tangent_gram": linear_independence_report(t1, t2),
     }
 
-    if cfg.a_coeffs and gauge is None and char is None:
+    if cfg.a_coeffs and gauge is None and cfg.symmetry is None:
         if meta["kind"] == "veronese":
             dphi = euclidean_wave_dlambda(j, meta["k"], cfg.lam)
         else:
@@ -194,7 +189,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         write_field(os.path.join(outdir, "sym_tafel.npz"), fst)
         report["sym_tafel_su_distance"] = sud
 
-    if char is not None and not cfg.a_coeffs and gauge is None:
+    if cfg.symmetry is not None and not cfg.a_coeffs and gauge is None:
         f_closed, sud = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
         write_field(os.path.join(outdir, "conformal_closed.npz"), f_closed)
         report["conformal_closed_su_distance"] = sud
@@ -203,7 +198,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             builder = lambda jd: euclidean_wave(jd, meta["k"], cfg.lam)  # noqa: E731
         else:
             builder = lambda jd: phi_traveling(carrier, jd, cfg.lam)  # noqa: E731
-        calf, sud2 = explicit_immersion(wave, prolonged_wave(q, j, builder, FrechetPolicy()))
+        calf, sud2 = explicit_immersion(wave, prolonged_wave(q, j, builder))
         write_field(os.path.join(outdir, "prolonged.npz"), calf)
         report["prolonged_su_distance"] = sud2
         from .immersion import constant_difference_check

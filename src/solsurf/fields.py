@@ -149,9 +149,6 @@ class MatrixField:
     def n(self) -> int:
         return self.values.shape[-1]
 
-    def with_values(self, values: np.ndarray, margin: int | None = None) -> "MatrixField":
-        return MatrixField(self.grid, values, self.margin if margin is None else margin)
-
     def interior(self, margin: int | None = None) -> np.ndarray:
         m = self.margin if margin is None else margin
         if m == 0:

@@ -34,9 +34,10 @@ from .matlie import commutator, fro, inner, mm, project_su
 from .sigma import JetField, check_lambda, u_pair
 from .spectral import WaveField
 from .symmetry import (
+    ConformalSpec,
     FrechetPolicy,
-    SymmetryCharacteristic,
     compatibility_defect,
+    conformal_characteristic,
     frechet_apply,
     u_functional,
 )
@@ -52,7 +53,6 @@ __all__ = [
     "gauge_immersion",
     "integrate_surface",
     "linear_independence_report",
-    "prolong_immersion",
     "prolonged_wave",
     "psi_of",
     "psi_residual",
@@ -68,7 +68,7 @@ class ImmersionInputs:
 
     a_coeffs: tuple[float, ...] = ()
     gauge: MatrixField | None = None
-    characteristic: SymmetryCharacteristic | None = None
+    symmetry: ConformalSpec | None = None
 
     def a_value(self, lam: complex) -> complex:
         out = 0.0 + 0.0j
@@ -77,7 +77,7 @@ class ImmersionInputs:
         return out
 
     def active(self) -> bool:
-        return bool(self.a_coeffs) or self.gauge is not None or self.characteristic is not None
+        return bool(self.a_coeffs) or self.gauge is not None or self.symmetry is not None
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,9 @@ def assemble_tangents(
         a_vals = a_vals + d1s + commutator(s.values, u1.values)
         b_vals = b_vals + d2s + commutator(s.values, u2.values)
         margin = max(margin, smargin)
-    if inp.characteristic is not None:
-        q = inp.characteristic(j)
-        pw1 = frechet_apply(u_functional(lam, 1), j, q, policy)
-        pw2 = frechet_apply(u_functional(lam, 2), j, q, policy)
+    if inp.symmetry is not None:
+        q = conformal_characteristic(inp.symmetry, j)
+        pw1, pw2 = frechet_apply(u_functional(lam), j, q, policy)
         a_vals = a_vals + pw1.values
         b_vals = b_vals + pw2.values
         margin = max(margin, pw1.margin, pw2.margin)
@@ -306,15 +305,15 @@ def prolonged_wave(
     q: MatrixField,
     j: JetField,
     phi_builder: Callable[[JetField], WaveField],
-    policy: FrechetPolicy,
+    policy: FrechetPolicy = FrechetPolicy(),
 ) -> MatrixField:
     """pr w_Q Phi: the wave function rebuilt on the deformed jets and differenced."""
 
-    def phi_values(jd: JetField) -> MatrixField:
+    def phi_values(jd: JetField) -> tuple[MatrixField]:
         wd = phi_builder(jd)
-        return MatrixField(jd.grid, wd.phi, wd.margin)
+        return (MatrixField(jd.grid, wd.phi, wd.margin),)
 
-    return frechet_apply(phi_values, j, q, policy)
+    return frechet_apply(phi_values, j, q, policy)[0]
 
 
 def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> tuple[MatrixField, float]:
@@ -322,16 +321,6 @@ def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> tuple[MatrixField,
     raw = mm(w.inverse(), prw_phi.values)
     out = MatrixField(w.grid, raw, max(w.margin, prw_phi.margin))
     return out, su_distance(out)
-
-
-def prolong_immersion(
-    q: MatrixField,
-    j: JetField,
-    phi_builder: Callable[[JetField], WaveField],
-    policy: FrechetPolicy = FrechetPolicy(),
-) -> tuple[MatrixField, float]:
-    """Explicitly integrated immersion of ``q``, with Phi from ``phi_builder``."""
-    return explicit_immersion(phi_builder(j), prolonged_wave(q, j, phi_builder, policy))
 
 
 def constant_difference_check(

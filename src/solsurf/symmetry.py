@@ -1,7 +1,7 @@
 """Generalized symmetries in evolutionary form, realized numerically.
 
 A symmetry characteristic is a matrix field Q built from the jets of a
-solution.  Its prolongation acting on any field functional G is realized
+solution.  Its prolongation acting on a field functional G is realized
 by deforming the whole solution, theta -> theta +/- eps*Q, recomputing
 the jet fields (linearity: jets of the deformation are eps times the jets
 of Q, computed once and shared by every evaluation), and differencing:
@@ -11,6 +11,11 @@ of Q, computed once and shared by every evaluation), and differencing:
 with an optional Richardson step combining eps and eps/2.  Because the
 deformed jets are exact linear shifts, the difference quotient is free of
 the cancellation noise a naive re-evaluation would produce.
+
+A functional returns a tuple of matrix fields, and every component is
+differenced from the same deformed jet fields.  The connection pair
+(u1, u2) is one functional, so its prolongation (pr w_Q u1, pr w_Q u2),
+whose zero curvature is the symmetry criterion, is one evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
-    Jets,
     MatrixField,
     chart_first_derivatives,
     chart_jets,
@@ -38,25 +42,23 @@ from .sigma import JetField, TravelingWave, check_lambda, u_pair
 __all__ = [
     "ConformalSpec",
     "FrechetPolicy",
-    "SymmetryCharacteristic",
     "commutation_defect",
     "compatibility_defect",
     "conformal_characteristic",
     "el_symmetry_defect",
     "frechet_apply",
     "lowering_functional",
-    "lowering_derivative_functionals",
+    "lowering_derivatives_functional",
     "lsp_symmetry_defect",
-    "make_characteristic",
     "prolong_u",
     "theta_functional",
-    "theta_derivative_functionals",
+    "theta_derivatives_functional",
     "traveling_R_fields",
     "u_functional",
-    "u_derivative_functionals",
+    "u_derivatives_functional",
 ]
 
-Functional = Callable[[JetField], MatrixField]
+Functional = Callable[[JetField], tuple[MatrixField, ...]]
 
 
 # --- conformal data -----------------------------------------------------------
@@ -151,17 +153,6 @@ class ConformalSpec:
         return ConformalSpec(f, g, chart)
 
 
-@dataclass(frozen=True)
-class SymmetryCharacteristic:
-    """Named map from a jet field to a matrix characteristic field."""
-
-    kind: str
-    evaluator: Callable[[JetField], MatrixField]
-
-    def __call__(self, j: JetField) -> MatrixField:
-        return self.evaluator(j)
-
-
 def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
     """Q = f(x1) theta_1 + g(x2) theta_2."""
     if spec.chart != j.grid.chart:
@@ -173,12 +164,6 @@ def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
         + spec.g(j.grid)[..., None, None] * j.d2
     )
     return MatrixField(j.grid, q, j.margin1)
-
-
-def make_characteristic(spec: ConformalSpec) -> SymmetryCharacteristic:
-    return SymmetryCharacteristic(
-        kind="conformal", evaluator=lambda j: conformal_characteristic(spec, j)
-    )
 
 
 # --- prolongation by whole-field deformation -----------------------------------
@@ -205,98 +190,89 @@ def frechet_apply(
     j: JetField,
     q: MatrixField,
     policy: FrechetPolicy = FrechetPolicy(),
-    q_jets: Jets | None = None,
-) -> MatrixField:
-    """Directional derivative of the functional ``g`` along ``q`` at ``j``.
+) -> tuple[MatrixField, ...]:
+    """Directional derivative along ``q`` at ``j`` of every component of ``g``.
 
-    ``q_jets`` may be supplied to reuse one stencil evaluation of the
-    characteristic's derivatives across many calls.
+    The jets of ``q`` are computed once, and each central difference
+    deforms ``j`` twice and evaluates ``g`` once per deformation, so a
+    pair of fields costs the same two deformations (four with Richardson)
+    as a single one.  Each component keeps the larger margin of its two
+    evaluations.
     """
-    if q_jets is None:
-        q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
+    q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
     eps = policy.step(j)
 
-    def central(e: float) -> tuple[np.ndarray, int]:
+    def central(e: float) -> list[tuple[np.ndarray, int]]:
         plus = g(j.deformed(+e, q.values, q_jets))
         minus = g(j.deformed(-e, q.values, q_jets))
-        return (plus.values - minus.values) / (2 * e), max(plus.margin, minus.margin)
+        return [
+            ((p.values - m.values) / (2 * e), max(p.margin, m.margin))
+            for p, m in zip(plus, minus)
+        ]
 
-    val, margin = central(eps)
+    out = central(eps)
     if policy.richardson:
-        val_half, margin_half = central(eps / 2)
-        val = (4.0 * val_half - val) / 3.0
-        margin = max(margin, margin_half)
-    return MatrixField(j.grid, val, margin)
+        out = [
+            ((4.0 * val_half - val) / 3.0, max(margin, margin_half))
+            for (val, margin), (val_half, margin_half) in zip(out, central(eps / 2))
+        ]
+    return tuple(MatrixField(j.grid, val, margin) for val, margin in out)
 
 
 # --- functionals used throughout -----------------------------------------------
 
 
 def theta_functional() -> Functional:
-    return lambda j: MatrixField(j.grid, j.theta, j.margin0)
+    return lambda j: (MatrixField(j.grid, j.theta, j.margin0),)
 
 
-def theta_derivative_functionals() -> tuple[Functional, Functional]:
-    return (
-        lambda j: MatrixField(j.grid, j.d1, j.margin1),
-        lambda j: MatrixField(j.grid, j.d2, j.margin1),
+def theta_derivatives_functional() -> Functional:
+    """(D_1 theta, D_2 theta)."""
+    return lambda j: (
+        MatrixField(j.grid, j.d1, j.margin1),
+        MatrixField(j.grid, j.d2, j.margin1),
     )
 
 
-def u_functional(lam: complex, index: int) -> Functional:
-    def g(j: JetField) -> MatrixField:
-        return u_pair(j, lam)[index - 1]
-
-    return g
+def u_functional(lam: complex) -> Functional:
+    """The connection pair (u1, u2)."""
+    return lambda j: u_pair(j, lam)
 
 
-def u_derivative_functionals(lam: complex, index: int) -> tuple[Functional, Functional]:
-    """Jet-expressed D_1 and D_2 of the connection component."""
+def u_derivatives_functional(lam: complex, index: int) -> Functional:
+    """Jet-expressed (D_1 u_index, D_2 u_index) of one connection component."""
     lam = check_lambda(lam)
 
-    def d1(j: JetField) -> MatrixField:
+    def g(j: JetField) -> tuple[MatrixField, MatrixField]:
         if index == 1:
-            v = (-2 / (1 + lam)) * commutator(j.d11, j.theta)
+            c = -2 / (1 + lam)
+            v1 = c * commutator(j.d11, j.theta)
+            v2 = c * (commutator(j.d12, j.theta) + commutator(j.d1, j.d2))
         else:
-            v = (-2 / (1 - lam)) * (
-                commutator(j.d12, j.theta) + commutator(j.d2, j.d1)
-            )
-        return MatrixField(j.grid, v, j.margin2)
+            c = -2 / (1 - lam)
+            v1 = c * (commutator(j.d12, j.theta) + commutator(j.d2, j.d1))
+            v2 = c * commutator(j.d22, j.theta)
+        return MatrixField(j.grid, v1, j.margin2), MatrixField(j.grid, v2, j.margin2)
 
-    def d2(j: JetField) -> MatrixField:
-        if index == 1:
-            v = (-2 / (1 + lam)) * (
-                commutator(j.d12, j.theta) + commutator(j.d1, j.d2)
-            )
-        else:
-            v = (-2 / (1 - lam)) * commutator(j.d22, j.theta)
-        return MatrixField(j.grid, v, j.margin2)
-
-    return d1, d2
+    return g
 
 
 def lowering_functional() -> Functional:
     """Value of the lowering operator applied once; rational in the jets."""
     from .spectral import lowered_rungs_from_jets
 
-    def g(j: JetField) -> MatrixField:
-        return MatrixField(j.grid, lowered_rungs_from_jets(j, 1)[0], j.margin1)
-
-    return g
+    return lambda j: (MatrixField(j.grid, lowered_rungs_from_jets(j, 1)[0], j.margin1),)
 
 
-def lowering_derivative_functionals() -> tuple[Functional, Functional]:
+def lowering_derivatives_functional() -> Functional:
+    """(D_1, D_2) of the once-lowered rung, from one lowering pass."""
     from .spectral import lowered_rung_with_jets
 
-    def make(which: int) -> Functional:
-        def g(j: JetField) -> MatrixField:
-            p = j.projector()
-            _, d1r, d2r = lowered_rung_with_jets(p, -1j * j.d1, -1j * j.d2, j)
-            return MatrixField(j.grid, d1r if which == 1 else d2r, j.margin2)
+    def g(j: JetField) -> tuple[MatrixField, MatrixField]:
+        _, d1r, d2r = lowered_rung_with_jets(j.projector(), -1j * j.d1, -1j * j.d2, j)
+        return MatrixField(j.grid, d1r, j.margin2), MatrixField(j.grid, d2r, j.margin2)
 
-        return g
-
-    return make(1), make(2)
+    return g
 
 
 # --- closed-form prolongations and defects --------------------------------------
@@ -311,8 +287,8 @@ def prolong_u(
     """
     lam = check_lambda(lam)
     u1, u2 = u_pair(j, lam)
-    du1_1, du1_2 = (f(j) for f in u_derivative_functionals(lam, 1))
-    du2_1, du2_2 = (f(j) for f in u_derivative_functionals(lam, 2))
+    du1_1, du1_2 = u_derivatives_functional(lam, 1)(j)
+    du2_1, du2_2 = u_derivatives_functional(lam, 2)(j)
     grid = j.grid
     f = spec.f(grid)[..., None, None]
     f1 = spec.f1(grid)[..., None, None]
@@ -350,10 +326,7 @@ def el_symmetry_defect(
     (Q_1, Q_2); it vanishes exactly when ``q`` generates a symmetry of the
     equations of motion.
     """
-    q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
-    q1 = frechet_apply(u_functional(lam, 1), j, q, policy, q_jets)
-    q2 = frechet_apply(u_functional(lam, 2), j, q, policy, q_jets)
-    return compatibility_defect(q1, q2, *u_pair(j, lam))
+    return compatibility_defect(*frechet_apply(u_functional(lam), j, q, policy), *u_pair(j, lam))
 
 
 def lsp_symmetry_defect(
@@ -370,40 +343,37 @@ def lsp_symmetry_defect(
     Both returned matrix fields vanish exactly when the characteristic is
     also a symmetry of the linear problem.
     """
-    n = j.n
 
-    def residuals(jd: JetField) -> MatrixField:
-        # both residuals side by side, so each deformation builds one wave function
+    def residuals(jd: JetField) -> tuple[MatrixField, MatrixField]:
         wave = phi_builder(jd)
         d1phi, d2phi, dmargin = chart_first_derivatives(wave.field())
         u1, u2 = u_pair(jd, lam)
-        vals = np.concatenate(
-            (d1phi - mm(u1.values, wave.phi), d2phi - mm(u2.values, wave.phi)), axis=-1
+        margin = max(dmargin, u1.margin)
+        return (
+            MatrixField(jd.grid, d1phi - mm(u1.values, wave.phi), margin),
+            MatrixField(jd.grid, d2phi - mm(u2.values, wave.phi), margin),
         )
-        return MatrixField(jd.grid, vals, max(dmargin, u1.margin))
 
-    r = frechet_apply(residuals, j, q, policy)
-    return r.with_values(r.values[..., :n]), r.with_values(r.values[..., n:])
+    return frechet_apply(residuals, j, q, policy)
 
 
 def commutation_defect(
     q: MatrixField,
     prw_g: MatrixField,
-    dg: tuple[Functional, Functional],
+    dg: Functional,
     j: JetField,
     policy: FrechetPolicy = FrechetPolicy(),
 ) -> float:
     """Max over both directions of || D_alpha(pr w_Q G) - pr w_Q(D_alpha G) ||.
 
     ``prw_g`` is the prolongation pr w_Q G, differentiated here with
-    stencils; ``dg`` supplies the jet-expressed derivative functionals of G,
-    which are prolonged along ``q`` under ``policy``.
+    stencils; ``dg`` is the jet-expressed functional (D_1 G, D_2 G), whose
+    two components are prolonged along ``q`` under ``policy`` in one
+    evaluation.
     """
-    q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
     d1_prw, d2_prw, dmargin = chart_first_derivatives(prw_g)
     worst = 0.0
-    for alpha, side1 in ((1, d1_prw), (2, d2_prw)):
-        side2 = frechet_apply(dg[alpha - 1], j, q, policy, q_jets)
+    for side1, side2 in zip((d1_prw, d2_prw), frechet_apply(dg, j, q, policy)):
         margin = max(dmargin, side2.margin)
         worst = max(worst, interior_max(fro(side1 - side2.values), margin))
     return worst

@@ -37,7 +37,6 @@ from .immersion import (
     explicit_immersion,
     integrate_surface,
     linear_independence_report,
-    prolong_immersion,
     prolonged_wave,
     psi_of,
     psi_residual,
@@ -69,14 +68,14 @@ from .symmetry import (
     conformal_characteristic,
     el_symmetry_defect,
     frechet_apply,
-    lowering_derivative_functionals,
+    lowering_derivatives_functional,
     lowering_functional,
     lsp_symmetry_defect,
     prolong_u,
-    theta_derivative_functionals,
+    theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
-    u_derivative_functionals,
+    u_derivatives_functional,
     u_functional,
 )
 
@@ -249,7 +248,7 @@ class Fixtures:
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
         """The prolonged connection (pr w u1, pr w u2)."""
         j, q = self.jets_analytic(2), self.euclid_q()
-        return self._get("et-2-0", lambda: _prolonged_pair(j, q, LAM_EUCLID))
+        return self._get("et-2-0", lambda: frechet_apply(u_functional(LAM_EUCLID), j, q))
 
     def euclid_compatibility(self) -> float:
         a_b_u1_u2 = self.euclid_tangents() + self.euclid_u()
@@ -258,9 +257,7 @@ class Fixtures:
     def euclid_prolonged_wave(self) -> MatrixField:
         """pr w Phi."""
         j, q = self.jets_analytic(2), self.euclid_q()
-        return self._get(
-            "epw-2-0", lambda: prolonged_wave(q, j, _euclid_builder(0), FrechetPolicy())
-        )
+        return self._get("epw-2-0", lambda: prolonged_wave(q, j, _euclid_builder(0)))
 
     def euclid_explicit(self) -> MatrixField:
         """Phi^-1 pr w Phi."""
@@ -304,8 +301,11 @@ class Fixtures:
 
     def mink_explicit(self, h: float) -> MatrixField:
         """Phi^-1 pr w Phi."""
-        (tw, jt), q = self.traveling(h), self.mink_q(h)
-        return self._get(f"mcalf-{h}", lambda: prolong_immersion(q, jt, _mink_builder(tw))[0])
+        (tw, jt), q, w = self.traveling(h), self.mink_q(h), self.mink_wave(h)
+        return self._get(
+            f"mcalf-{h}",
+            lambda: explicit_immersion(w, prolonged_wave(q, jt, _mink_builder(tw)))[0],
+        )
 
 
 def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
@@ -314,13 +314,6 @@ def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
 
 def _mink_builder(tw) -> Callable[[JetField], WaveField]:
     return lambda jd: phi_traveling(tw, jd, LAM_MINK)
-
-
-def _prolonged_pair(
-    j: JetField, q: MatrixField, lam: complex
-) -> tuple[MatrixField, MatrixField]:
-    """(pr w_Q u1, pr w_Q u2)."""
-    return frechet_apply(u_functional(lam, 1), j, q), frechet_apply(u_functional(lam, 2), j, q)
 
 
 def _check(
@@ -497,7 +490,7 @@ def suite_prop2(fx: Fixtures) -> list[CheckResult]:
             comparison="above",
         )
     )
-    resneg = integrate_surface(*_prolonged_pair(j, qneg, lam), w)
+    resneg = integrate_surface(*frechet_apply(u_functional(lam), j, qneg), w)
     out.append(
         _check(
             "prop2.path-independence-negative",
@@ -564,7 +557,7 @@ def suite_prop3(fx: Fixtures) -> list[CheckResult]:
     )
     calfm = fx.mink_explicit(MINK_H)
     wm = fx.mink_wave(MINK_H)
-    am, bm = _prolonged_pair(jt, fx.mink_q(MINK_H), LAM_MINK)
+    am, bm = frechet_apply(u_functional(LAM_MINK), jt, fx.mink_q(MINK_H))
     out.append(
         _check(
             "prop3.mink-explicit-integration-negative",
@@ -629,7 +622,7 @@ def suite_prop4(fx: Fixtures) -> list[CheckResult]:
     specl = fx.mink_spec_linear()
     u1m, u2m = fx.mink_u()
     wm = fx.mink_wave(MINK_H)
-    al, bl = _prolonged_pair(jt, conformal_characteristic(specl, jt), lamm)
+    al, bl = frechet_apply(u_functional(lamm), jt, conformal_characteristic(specl, jt))
     fm, _ = conformal_immersion_closed(specl, jt, wm, lamm)
     out.append(
         _check(
@@ -822,7 +815,7 @@ def suite_prop6(fx: Fixtures) -> list[CheckResult]:
     a_, b_, c_ = 0.7, 0.4, -0.3
     spec_ab = ConformalSpec.minkowski((b_, a_), (c_, a_))
     q_ab = conformal_characteristic(spec_ab, jt)
-    calf, _ = prolong_immersion(q_ab, jt, builderm)
+    calf, _ = explicit_immersion(wm, prolonged_wave(q_ab, jt, builderm))
     f_closed, _ = conformal_immersion_closed(spec_ab, jt, wm, lamm)
     mean, variation = constant_difference_check(f_closed, calf)
     out.append(
@@ -870,8 +863,8 @@ def suite_prop7(fx: Fixtures) -> list[CheckResult]:
     spec = fx.euclid_spec()
     for n, k in ((2, 1), (3, 1), (3, 2)):
         j = fx.jets_analytic(n, k)
-        prw = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j))
-        dl1, dl2 = (dg(j) for dg in lowering_derivative_functionals())
+        (prw,) = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j))
+        dl1, dl2 = lowering_derivatives_functional()(j)
         fv = spec.f(j.grid)[..., None, None]
         gv = spec.g(j.grid)[..., None, None]
         ref = fv * dl1.values + gv * dl2.values
@@ -911,9 +904,9 @@ def _prop8_rung(fx: Fixtures, n: int, k: int) -> list[CheckResult]:
     else:
         q = conformal_characteristic(spec, j)
         w = euclidean_wave(j, k, LAM_EUCLID)
-        prw_phi = prolonged_wave(q, j, _euclid_builder(k), FrechetPolicy())
+        prw_phi = prolonged_wave(q, j, _euclid_builder(k))
         calf, _ = explicit_immersion(w, prw_phi)
-        a, b = _prolonged_pair(j, q, LAM_EUCLID)
+        a, b = frechet_apply(u_functional(LAM_EUCLID), j, q)
 
     def cor2_defect() -> float:
         d1phi, d2phi, dm = chart_first_derivatives(w.field())
@@ -947,10 +940,11 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
     j = fx.jets_analytic(2)
     q = fx.euclid_q()
     a, b = fx.euclid_tangents()
+    (prw_theta,) = frechet_apply(theta_functional(), j, q)
     for name, prw_g, dg in (
-        ("theta", frechet_apply(theta_functional(), j, q), theta_derivative_functionals()),
-        ("u1", a, u_derivative_functionals(lam_e, 1)),
-        ("u2", b, u_derivative_functionals(lam_e, 2)),
+        ("theta", prw_theta, theta_derivatives_functional()),
+        ("u1", a, u_derivatives_functional(lam_e, 1)),
+        ("u2", b, u_derivatives_functional(lam_e, 2)),
     ):
         out.append(
             _check(
@@ -964,18 +958,18 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
     _, jt = fx.traveling()
     qm = fx.mink_q(MINK_H)
     pol = FrechetPolicy(eps_base=1e-4)
-    for name, g, dg in (
-        ("theta", theta_functional(), theta_derivative_functionals()),
-        ("u1", u_functional(lam_m, 1), u_derivative_functionals(lam_m, 1)),
-        ("u2", u_functional(lam_m, 2), u_derivative_functionals(lam_m, 2)),
+    (prw_theta_m,) = frechet_apply(theta_functional(), jt, qm, pol)
+    am, bm = frechet_apply(u_functional(lam_m), jt, qm, pol)
+    for name, prw_g, dg in (
+        ("theta", prw_theta_m, theta_derivatives_functional()),
+        ("u1", am, u_derivatives_functional(lam_m, 1)),
+        ("u2", bm, u_derivatives_functional(lam_m, 2)),
     ):
         out.append(
             _check(
                 f"appendix.commutation-mink-{name}",
                 "same on the Minkowski chart",
-                lambda g=g, dg=dg: commutation_defect(
-                    qm, frechet_apply(g, jt, qm, pol), dg, jt, pol
-                ),
+                lambda prw_g=prw_g, dg=dg: commutation_defect(qm, prw_g, dg, jt, pol),
                 fx.tolerance("appendix.commutation", 1e-6),
             )
         )
@@ -987,13 +981,13 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
         trans = ConformalSpec.euclidean((1.0,))
         q1 = conformal_characteristic(trans, j1)
         g = lowering_functional()
-        dl1, dl2 = (dg(j1) for dg in lowering_derivative_functionals())
+        dl1, dl2 = lowering_derivatives_functional()(j1)
         fv = trans.f(j1.grid)[..., None, None]
         gv = trans.g(j1.grid)[..., None, None]
         ref = fv * dl1.values + gv * dl2.values
         ds = []
         for eps in (0.04, 0.02, 0.01):
-            pw = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
+            (pw,) = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
             ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
         return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
@@ -1016,9 +1010,9 @@ def suite_appendix(fx: Fixtures) -> list[CheckResult]:
             jh = theta_of(ladh.rungs[1], "analytic")
             qh = conformal_characteristic(trans, jh)
             pol_h = FrechetPolicy(eps_base=1e-3)
-            prw_g = frechet_apply(lowering_functional(), jh, qh, pol_h)
+            (prw_g,) = frechet_apply(lowering_functional(), jh, qh, pol_h)
             ds.append(
-                commutation_defect(qh, prw_g, lowering_derivative_functionals(), jh, pol_h)
+                commutation_defect(qh, prw_g, lowering_derivatives_functional(), jh, pol_h)
             )
         return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 

@@ -27,8 +27,9 @@ from solsurf.immersion import (
     compatibility_defect,
     conformal_immersion_closed,
     constant_difference_check,
+    explicit_immersion,
     integrate_surface,
-    prolong_immersion,
+    prolonged_wave,
     tangent_check,
 )
 from solsurf.matlie import commutator, fro
@@ -48,13 +49,13 @@ from solsurf.symmetry import (
     commutation_defect,
     conformal_characteristic,
     frechet_apply,
-    lowering_derivative_functionals,
+    lowering_derivatives_functional,
     lowering_functional,
     prolong_u,
-    theta_derivative_functionals,
+    theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
-    u_derivative_functionals,
+    u_derivatives_functional,
     u_functional,
 )
 
@@ -153,8 +154,7 @@ def test_criterion_4_tangent_theorem(ladders, traveling):
     q = conformal_characteristic(spec, j)
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
-    a = frechet_apply(u_functional(LAM_E, 1), j, q)
-    b = frechet_apply(u_functional(LAM_E, 2), j, q)
+    a, b = frechet_apply(u_functional(LAM_E), j, q)
     f_closed, _ = conformal_immersion_closed(spec, j, w, LAM_E)
     d = max(tangent_check(f_closed, w, a, b))
     entries.append(("euclid-tangents", d < 1e-6, d))
@@ -168,8 +168,7 @@ def test_criterion_4_tangent_theorem(ladders, traveling):
     qm = conformal_characteristic(specm, jets)
     wm = phi_traveling(wave, jets, LAM_M)
     u1m, u2m = u_pair(jets, LAM_M)
-    am = frechet_apply(u_functional(LAM_M, 1), jets, qm)
-    bm = frechet_apply(u_functional(LAM_M, 2), jets, qm)
+    am, bm = frechet_apply(u_functional(LAM_M), jets, qm)
     fm, _ = conformal_immersion_closed(specm, jets, wm, LAM_M)
     d = max(tangent_check(fm, wm, am, bm))
     entries.append(("mink-tangents", d < 1e-6, d))
@@ -194,9 +193,9 @@ def test_criterion_5_euclidean_positive(ladders):
 
             def phi_values(jd):
                 wd = builder(jd)
-                return MatrixField(jd.grid, wd.phi, wd.margin)
+                return (MatrixField(jd.grid, wd.phi, wd.margin),)
 
-            prw_phi = frechet_apply(phi_values, j, q)
+            (prw_phi,) = frechet_apply(phi_values, j, q)
             d1phi, d2phi, dm = chart_first_derivatives(w.field())
             fv = spec.f(j.grid)[..., None, None]
             gv = spec.g(j.grid)[..., None, None]
@@ -206,9 +205,8 @@ def test_criterion_5_euclidean_positive(ladders):
             )
             entries.append((f"cp{n - 1}-k{k}-conformal-wave", d < 1e-6, d))
 
-            calf, _ = prolong_immersion(q, j, builder)
-            a = frechet_apply(u_functional(LAM_E, 1), j, q)
-            b = frechet_apply(u_functional(LAM_E, 2), j, q)
+            calf, _ = explicit_immersion(w, prw_phi)
+            a, b = frechet_apply(u_functional(LAM_E), j, q)
             d = max(tangent_check(calf, w, a, b))
             entries.append((f"cp{n - 1}-k{k}-explicit-integration", d < 1e-6, d))
     report("criterion-5 euclidean positive", entries, 30, time.perf_counter() - t0)
@@ -228,15 +226,14 @@ def test_criterion_6_traveling_wave(traveling):
     # (a) closed expression for the prolonged surface
     specq = ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
     qq = conformal_characteristic(specq, jets)
-    calf, _ = prolong_immersion(qq, jets, builder)
+    calf, _ = explicit_immersion(wm, prolonged_wave(qq, jets, builder))
     coeff = -2 * specq.f(grid) - 2 * KAPPA * specq.g(grid) + 2 * specq.f1(grid) * chi
     pred = coeff[..., None, None] * ktil
     d = interior_max(fro(calf.values - pred), calf.margin)
     entries.append(("closed-form", d < 1e-6, d))
 
     # (b) the tangent identity fails for quadratic f, the R pair does not
-    am = frechet_apply(u_functional(LAM_M, 1), jets, qq)
-    bm = frechet_apply(u_functional(LAM_M, 2), jets, qq)
+    am, bm = frechet_apply(u_functional(LAM_M), jets, qq)
     d_fail = max(tangent_check(calf, wm, am, bm))
     entries.append(("identity-fails", d_fail > 0.1, d_fail))
     r1, r2 = traveling_R_fields(specq, wave, jets, LAM_M)
@@ -252,9 +249,8 @@ def test_criterion_6_traveling_wave(traveling):
     a_, b_, c_ = 0.7, 0.4, -0.3
     spec_ab = ConformalSpec.minkowski((b_, a_), (c_, a_))
     q_ab = conformal_characteristic(spec_ab, jets)
-    calf_ab, _ = prolong_immersion(q_ab, jets, builder)
-    a2 = frechet_apply(u_functional(LAM_M, 1), jets, q_ab)
-    b2 = frechet_apply(u_functional(LAM_M, 2), jets, q_ab)
+    calf_ab, _ = explicit_immersion(wm, prolonged_wave(q_ab, jets, builder))
+    a2, b2 = frechet_apply(u_functional(LAM_M), jets, q_ab)
     d_ok = max(tangent_check(calf_ab, wm, a2, b2))
     entries.append(("affine-identity", d_ok < 1e-6, d_ok))
     f_ab, _ = conformal_immersion_closed(spec_ab, jets, wm, LAM_M)
@@ -275,22 +271,26 @@ def test_criterion_7_commutation(ladders, traveling):
     j = theta_of(ladders[2].rungs[0], "analytic")
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    for name, g, dg in (
-        ("theta", theta_functional(), theta_derivative_functionals()),
-        ("u1", u_functional(LAM_E, 1), u_derivative_functionals(LAM_E, 1)),
-        ("u2", u_functional(LAM_E, 2), u_derivative_functionals(LAM_E, 2)),
+    (prw_theta,) = frechet_apply(theta_functional(), j, q)
+    a, b = frechet_apply(u_functional(LAM_E), j, q)
+    for name, prw_g, dg in (
+        ("theta", prw_theta, theta_derivatives_functional()),
+        ("u1", a, u_derivatives_functional(LAM_E, 1)),
+        ("u2", b, u_derivatives_functional(LAM_E, 2)),
     ):
-        d = commutation_defect(q, frechet_apply(g, j, q), dg, j)
+        d = commutation_defect(q, prw_g, dg, j)
         entries.append((f"euclid-{name}", d < 1e-6, d))
     wave, jets = traveling
     qm = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), jets)
     pol = FrechetPolicy(eps_base=1e-4)
-    for name, g, dg in (
-        ("theta", theta_functional(), theta_derivative_functionals()),
-        ("u1", u_functional(LAM_M, 1), u_derivative_functionals(LAM_M, 1)),
-        ("u2", u_functional(LAM_M, 2), u_derivative_functionals(LAM_M, 2)),
+    (prw_theta_m,) = frechet_apply(theta_functional(), jets, qm, pol)
+    am, bm = frechet_apply(u_functional(LAM_M), jets, qm, pol)
+    for name, prw_g, dg in (
+        ("theta", prw_theta_m, theta_derivatives_functional()),
+        ("u1", am, u_derivatives_functional(LAM_M, 1)),
+        ("u2", bm, u_derivatives_functional(LAM_M, 2)),
     ):
-        d = commutation_defect(qm, frechet_apply(g, jets, qm, pol), dg, jets, pol)
+        d = commutation_defect(qm, prw_g, dg, jets, pol)
         entries.append((f"mink-{name}", d < 1e-6, d))
 
     # step-size order, probed on the lowering operator (the jet-quadratic
@@ -300,12 +300,12 @@ def test_criterion_7_commutation(ladders, traveling):
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
     g = lowering_functional()
-    dg1, dg2 = lowering_derivative_functionals()
-    ref = dg1(j1).values + dg2(j1).values
-    margin = dg1(j1).margin
+    dl1, dl2 = lowering_derivatives_functional()(j1)
+    ref = dl1.values + dl2.values
+    margin = dl1.margin
     ds = []
     for eps in (0.04, 0.02, 0.01):
-        pw = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
+        (pw,) = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, margin)))
     eps_order = float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
     entries.append(("eps-order>=2", eps_order > 1.9, eps_order))
@@ -318,8 +318,8 @@ def test_criterion_7_commutation(ladders, traveling):
         pol_h = FrechetPolicy(eps_base=1e-3)
         hs.append(
             commutation_defect(
-                qh, frechet_apply(lowering_functional(), jh, qh, pol_h),
-                lowering_derivative_functionals(), jh, pol_h,
+                qh, frechet_apply(lowering_functional(), jh, qh, pol_h)[0],
+                lowering_derivatives_functional(), jh, pol_h,
             )
         )
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
@@ -392,8 +392,8 @@ def _refinement_table():
         qh = conformal_characteristic(spec, jh)
         pol_h = FrechetPolicy(eps_base=1e-3)
         return commutation_defect(
-            qh, frechet_apply(lowering_functional(), jh, qh, pol_h),
-            lowering_derivative_functionals(), jh, pol_h,
+            qh, frechet_apply(lowering_functional(), jh, qh, pol_h)[0],
+            lowering_derivatives_functional(), jh, pol_h,
         )
 
     return [

@@ -101,13 +101,14 @@ def test_degenerate_rank_from_traveling_surface():
     from solsurf.sigma import traveling_solution
     from solsurf.spectral import phi_traveling
     from solsurf.symmetry import ConformalSpec, conformal_characteristic
-    from solsurf.immersion import prolong_immersion
+    from solsurf.immersion import explicit_immersion, prolonged_wave
 
     gm = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.002, 0.002), (61, 61))
     wave, jets = traveling_solution(2.0, 1.0, gm)
     spec = ConformalSpec.minkowski((0.0, 1.0), (0.0, 1.0))
     q = conformal_characteristic(spec, jets)
-    calf, _ = prolong_immersion(q, jets, lambda jd: phi_traveling(wave, jd, 0.5))
+    builder = lambda jd: phi_traveling(wave, jd, 0.5)  # noqa: E731
+    calf, _ = explicit_immersion(builder(jets), prolonged_wave(q, jets, builder))
     metric, m = first_fundamental_form(calf)
     det = metric[..., 0, 0] * metric[..., 1, 1] - metric[..., 0, 1] ** 2
     assert interior_max(det, m) < 1e-12

@@ -22,7 +22,6 @@ from solsurf.symmetry import (
     ConformalSpec,
     conformal_characteristic,
     frechet_apply,
-    make_characteristic,
     traveling_R_fields,
     u_functional,
 )
@@ -32,10 +31,11 @@ from solsurf.immersion import (
     compatibility_defect,
     conformal_immersion_closed,
     constant_difference_check,
+    explicit_immersion,
     gauge_immersion,
     integrate_surface,
     linear_independence_report,
-    prolong_immersion,
+    prolonged_wave,
     psi_of,
     psi_residual,
     sym_tafel,
@@ -103,8 +103,7 @@ def test_integrate_basepoint_and_validation():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    a = frechet_apply(u_functional(LAM_E, 1), j, q)
-    b = frechet_apply(u_functional(LAM_E, 2), j, q)
+    a, b = frechet_apply(u_functional(LAM_E), j, q)
     res = integrate_surface(a, b, w, basepoint=(50, 50))
     assert fro(res.field.values[50, 50]) < 1e-14
     with pytest.raises(ValueError):
@@ -117,8 +116,7 @@ def test_integrated_matches_closed_form_conformal():
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
-    a = frechet_apply(u_functional(LAM_E, 1), j, q)
-    b = frechet_apply(u_functional(LAM_E, 2), j, q)
+    a, b = frechet_apply(u_functional(LAM_E), j, q)
     assert compatibility_defect(a, b, u1, u2) < 1e-6
     res = integrate_surface(a, b, w, u1=u1, u2=u2)
     assert res.path_defect < 1e-6
@@ -217,14 +215,13 @@ def test_gauge_term_cancels_for_commuting_constant():
 def test_assemble_additivity():
     j = theta_of(LADDER2.rungs[0], "analytic")
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
-    char = make_characteristic(spec)
     s = constant_field(GRID, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
     a_all, b_all = assemble_tangents(
-        ImmersionInputs(a_coeffs=(1.0,), gauge=s, characteristic=char), j, LAM_E
+        ImmersionInputs(a_coeffs=(1.0,), gauge=s, symmetry=spec), j, LAM_E
     )
     a1, b1 = assemble_tangents(ImmersionInputs(a_coeffs=(1.0,)), j, LAM_E)
     a2, b2 = assemble_tangents(ImmersionInputs(gauge=s), j, LAM_E)
-    a3, b3 = assemble_tangents(ImmersionInputs(characteristic=char), j, LAM_E)
+    a3, b3 = assemble_tangents(ImmersionInputs(symmetry=spec), j, LAM_E)
     m = a_all.margin
     assert interior_max(fro(a_all.values - a1.values - a2.values - a3.values), m) < 1e-10
     assert interior_max(fro(b_all.values - b1.values - b2.values - b3.values), m) < 1e-10
@@ -254,7 +251,9 @@ def test_prolong_immersion_trivial_and_psi():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
     zero_q = MatrixField(GRID, np.zeros_like(j.theta), 0)
-    calf, _ = prolong_immersion(zero_q, j, lambda jd: euclidean_wave(jd, 0, LAM_E))
+    calf, _ = explicit_immersion(
+        w, prolonged_wave(zero_q, j, lambda jd: euclidean_wave(jd, 0, LAM_E))
+    )
     assert interior_max(fro(calf.values), calf.margin) < 1e-12
 
     # Psi = Phi F trivia and the deformed linear system
@@ -263,8 +262,7 @@ def test_prolong_immersion_trivial_and_psi():
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
-    a = frechet_apply(u_functional(LAM_E, 1), j, q)
-    b = frechet_apply(u_functional(LAM_E, 2), j, q)
+    a, b = frechet_apply(u_functional(LAM_E), j, q)
     f_closed, _ = conformal_immersion_closed(spec, j, w, LAM_E)
     psi = psi_of(f_closed, w)
     assert psi_residual(psi, w, u1, u2, a, b) < 1e-6

@@ -11,7 +11,7 @@ from solsurf.fields import (
     interior_max,
 )
 from solsurf.matlie import commutator, dagger, fro
-from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
+from solsurf.sigma import JetField, theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
@@ -21,14 +21,14 @@ from solsurf.symmetry import (
     conformal_characteristic,
     el_symmetry_defect,
     frechet_apply,
-    lowering_derivative_functionals,
+    lowering_derivatives_functional,
     lowering_functional,
     lsp_symmetry_defect,
     prolong_u,
-    theta_derivative_functionals,
+    theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
-    u_derivative_functionals,
+    u_derivatives_functional,
     u_functional,
 )
 
@@ -88,10 +88,9 @@ def test_frechet_identity_and_first_jet():
     j = theta_of(LADDER2.rungs[0], "analytic")
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    ident = frechet_apply(theta_functional(), j, q)
+    (ident,) = frechet_apply(theta_functional(), j, q)
     assert interior_max(fro(ident.values - q.values), ident.margin) < 1e-10
-    d1_functional = theta_derivative_functionals()[0]
-    prw_d1 = frechet_apply(d1_functional, j, q)
+    prw_d1, _ = frechet_apply(theta_derivatives_functional(), j, q)
     from solsurf.fields import chart_jets
 
     qj = chart_jets(MatrixField(j.grid, q.values, q.margin))
@@ -103,12 +102,11 @@ def test_frechet_linearity_in_q():
     q1 = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
     q2 = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     qsum = MatrixField(j.grid, q1.values + q2.values, max(q1.margin, q2.margin))
-    g = u_functional(LAM_E, 1)
-    a = frechet_apply(g, j, q1)
-    b = frechet_apply(g, j, q2)
-    c = frechet_apply(g, j, qsum)
-    m = max(a.margin, b.margin, c.margin)
-    assert interior_max(fro(c.values - a.values - b.values), m) < 1e-9
+    g = u_functional(LAM_E)
+    pairs = (frechet_apply(g, j, q1), frechet_apply(g, j, q2), frechet_apply(g, j, qsum))
+    for a, b, c in zip(*pairs):
+        m = max(a.margin, b.margin, c.margin)
+        assert interior_max(fro(c.values - a.values - b.values), m) < 1e-9
 
 
 def test_prolong_u_closed_vs_deformation():
@@ -116,8 +114,7 @@ def test_prolong_u_closed_vs_deformation():
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     pw1, pw2 = prolong_u(spec, j, LAM_E)
-    f1 = frechet_apply(u_functional(LAM_E, 1), j, q)
-    f2 = frechet_apply(u_functional(LAM_E, 2), j, q)
+    f1, f2 = frechet_apply(u_functional(LAM_E), j, q)
     assert interior_max(fro(pw1.values - f1.values), max(pw1.margin, f1.margin)) < 1e-6
     assert interior_max(fro(pw2.values - f2.values), max(pw2.margin, f2.margin)) < 1e-6
 
@@ -127,7 +124,7 @@ def test_prolong_u_translation():
     j = theta_of(LADDER2.rungs[0], "analytic")
     spec = ConformalSpec.euclidean((2.0,))
     pw1, _ = prolong_u(spec, j, LAM_E)
-    du1_1, du1_2 = (f(j) for f in u_derivative_functionals(LAM_E, 1))
+    du1_1, du1_2 = u_derivatives_functional(LAM_E, 1)(j)
     expected = 2.0 * du1_1.values + 2.0 * du1_2.values
     assert interior_max(fro(pw1.values - expected), pw1.margin) < 1e-13
 
@@ -146,10 +143,35 @@ def test_el_symmetry_defect_is_compatibility_of_prolonged_pair(control):
         q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     else:
         q = MatrixField(j.grid, j.theta.copy(), j.margin0)
-    a = frechet_apply(u_functional(LAM_E, 1), j, q)
-    b = frechet_apply(u_functional(LAM_E, 2), j, q)
+    a, b = frechet_apply(u_functional(LAM_E), j, q)
     u1, u2 = u_pair(j, LAM_E)
     assert el_symmetry_defect(q, j, LAM_E) == compatibility_defect(a, b, u1, u2)
+
+
+@pytest.mark.parametrize("richardson, deformations", [(True, 4), (False, 2)])
+def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(
+    monkeypatch, richardson, deformations
+):
+    # the pair shares its deformations, and each component is the same
+    # difference quotient as when it is prolonged on its own
+    j = theta_of(LADDER2.rungs[0], "analytic")
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    pol = FrechetPolicy(richardson=richardson)
+    steps = []
+    deformed = JetField.deformed
+
+    def counting(self, eps, *args):
+        steps.append(eps)
+        return deformed(self, eps, *args)
+
+    monkeypatch.setattr(JetField, "deformed", counting)
+    pair = frechet_apply(u_functional(LAM_E), j, q, pol)
+    assert len(pair) == 2
+    assert len(steps) == deformations
+    for index, whole in enumerate(pair):
+        (alone,) = frechet_apply(lambda jd, i=index: (u_pair(jd, LAM_E)[i],), j, q, pol)
+        assert np.array_equal(whole.values, alone.values, equal_nan=True)
+        assert whole.margin == alone.margin
 
 
 def test_compatibility_defect_reexported_by_immersion():
@@ -218,8 +240,7 @@ def test_traveling_R_fields():
     assert interior_max(fro(r2.values - c2 * komm), r2.margin) < 1e-13
     # for a symmetry of the wave equations the R pair is the prolonged pair
     q = conformal_characteristic(spec_d, JET_M)
-    pw1 = frechet_apply(u_functional(lam, 1), JET_M, q)
-    pw2 = frechet_apply(u_functional(lam, 2), JET_M, q)
+    pw1, pw2 = frechet_apply(u_functional(lam), JET_M, q)
     assert interior_max(fro(r1.values - pw1.values), pw1.margin) < 1e-8
     assert interior_max(fro(r2.values - pw2.values), pw2.margin) < 1e-8
 
@@ -227,10 +248,10 @@ def test_traveling_R_fields():
 def test_commutation_defect_small():
     j = theta_of(LADDER2.rungs[0], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    prw_theta = frechet_apply(theta_functional(), j, q)
-    assert commutation_defect(q, prw_theta, theta_derivative_functionals(), j) < 1e-8
-    prw_u1 = frechet_apply(u_functional(LAM_E, 1), j, q)
-    assert commutation_defect(q, prw_u1, u_derivative_functionals(LAM_E, 1), j) < 1e-6
+    (prw_theta,) = frechet_apply(theta_functional(), j, q)
+    assert commutation_defect(q, prw_theta, theta_derivatives_functional(), j) < 1e-8
+    prw_u1, _ = frechet_apply(u_functional(LAM_E), j, q)
+    assert commutation_defect(q, prw_u1, u_derivatives_functional(LAM_E, 1), j) < 1e-6
 
 
 def test_commutation_orders():
@@ -238,12 +259,12 @@ def test_commutation_orders():
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
     g = lowering_functional()
-    dg1, dg2 = lowering_derivative_functionals()
-    ref = dg1(j1).values + dg2(j1).values  # f = g = 1
+    dl1, dl2 = lowering_derivatives_functional()(j1)
+    ref = dl1.values + dl2.values  # f = g = 1
     ds = []
     for eps in (0.04, 0.02):
-        pw = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
-        ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dg1(j1).margin)))
+        (pw,) = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
+        ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
     assert np.log2(ds[0] / ds[1]) > 1.9
 
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
@@ -256,8 +277,8 @@ def test_commutation_orders():
         hs.append(
             commutation_defect(
                 qh,
-                frechet_apply(lowering_functional(), jh, qh, pol),
-                lowering_derivative_functionals(),
+                frechet_apply(lowering_functional(), jh, qh, pol)[0],
+                lowering_derivatives_functional(),
                 jh,
                 pol,
             )
