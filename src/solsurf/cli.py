@@ -162,7 +162,8 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         raise ConfigError(
             "immersion requires at least one of: a_coeffs, gauge, symmetry"
         )
-    a, b = assemble_tangents(inputs, j, cfg.lam)
+    q = conformal_characteristic(cfg.symmetry, j) if cfg.symmetry is not None else None
+    a, b = assemble_tangents(inputs, j, cfg.lam, q=q)
     res = integrate_surface(a, b, wave, u1=u1, u2=u2)
     write_field(os.path.join(outdir, "immersion.npz"), res.field)
     write_field(os.path.join(outdir, "wave.npz"), wave.field(), lam=wave.lam)
@@ -193,7 +194,6 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         f_closed, sud = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
         write_field(os.path.join(outdir, "conformal_closed.npz"), f_closed)
         report["conformal_closed_su_distance"] = sud
-        q = conformal_characteristic(cfg.symmetry, j)
         if meta["kind"] == "veronese":
             builder = lambda jd: euclidean_wave(jd, meta["k"], cfg.lam)  # noqa: E731
         else:

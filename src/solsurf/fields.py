@@ -427,12 +427,8 @@ def _read_field_export(path: str) -> tuple[MatrixField, complex | None]:
 def write_scalar_csv(path: str, grid: Grid2, scalar: np.ndarray, margin: int = 0) -> None:
     """Interior nodes as rows ``x1,x2,value`` (17 significant digits)."""
     x1, x2 = grid.mesh()
-    lines = ["x1,x2,value"]
-    for i2 in range(margin, grid.n2 - margin):
-        for i1 in range(margin, grid.n1 - margin):
-            v = scalar[i2, i1]
-            lines.append(
-                f"{x1[i2, i1]:.17g},{x2[i2, i1]:.17g},{float(np.real(v)):.17g}"
-            )
+    inner = (slice(margin, grid.n2 - margin), slice(margin, grid.n1 - margin))
+    rows = np.stack([x1[inner], x2[inner], np.real(scalar[inner])], axis=-1)
+    body = ("%.17g,%.17g,%.17g\n" * (rows.size // 3)) % tuple(rows.reshape(-1).tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x1,x2,value\n" + body)

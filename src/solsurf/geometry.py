@@ -148,18 +148,10 @@ def export_obj(path: str, surface: EmbeddedSurface) -> None:
     """Triangulated grid as ASCII OBJ: row-major vertices, 1-based indices."""
     pts = surface.points
     n2, n1 = pts.shape[:2]
-    lines: list[str] = []
-    for i2 in range(n2):
-        for i1 in range(n1):
-            x, y, z = pts[i2, i1]
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for i2 in range(n2 - 1):
-        for i1 in range(n1 - 1):
-            a = i2 * n1 + i1 + 1
-            b = a + 1
-            c = a + n1 + 1
-            d = a + n1
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+    verts = ("v %.17g %.17g %.17g\n" * (n2 * n1)) % tuple(pts.reshape(-1).tolist())
+    # quad (a, b, c, d) with a its lower-left vertex splits into (a, b, c), (a, c, d)
+    a = (np.arange(n2 - 1)[:, None] * n1 + np.arange(n1 - 1)[None, :] + 1).reshape(-1)
+    quads = np.stack([a, a + 1, a + n1 + 1, a, a + n1 + 1, a + n1], axis=-1)
+    faces = ("f %d %d %d\nf %d %d %d\n" * a.size) % tuple(quads.reshape(-1).tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(verts + faces)

@@ -111,8 +111,13 @@ def assemble_tangents(
     j: JetField,
     lam: complex,
     policy: FrechetPolicy = FrechetPolicy(),
+    q: MatrixField | None = None,
 ) -> tuple[MatrixField, MatrixField]:
-    """Tangent pair (A, B) from the three symmetry ingredients."""
+    """Tangent pair (A, B) from the three symmetry ingredients.
+
+    ``q`` is the characteristic of ``inp.symmetry`` on ``j`` when the caller
+    has already built it; otherwise it is built here.
+    """
     if not inp.active():
         raise ValueError("at least one immersion ingredient must be provided")
     lam = check_lambda(lam)
@@ -136,7 +141,8 @@ def assemble_tangents(
         b_vals = b_vals + d2s + commutator(s.values, u2.values)
         margin = max(margin, smargin)
     if inp.symmetry is not None:
-        q = conformal_characteristic(inp.symmetry, j)
+        if q is None:
+            q = conformal_characteristic(inp.symmetry, j)
         pw1, pw2 = frechet_apply(u_functional(lam), j, q, policy)
         a_vals = a_vals + pw1.values
         b_vals = b_vals + pw2.values

@@ -28,7 +28,6 @@ __all__ = [
     "inv",
     "mm",
     "project_su",
-    "solve",
     "su_basis",
     "trace",
 ]
@@ -190,7 +189,7 @@ def inv(a: np.ndarray) -> np.ndarray:
     return _inv_small(a)
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """X with A X = B per node, for matrix right-hand sides (..., n, k).
 
     Cramer's rule, X = adj(A) B / det(A), for n <= SMALL_N; NaN nodes and
@@ -258,13 +257,45 @@ _PADE13 = (
     1.0,
 )
 _PADE13_THETA = 4.25
+# below this |s|, sinh(s)/s is summed as 1 + s^2/6 + s^4/120 (next term < 2e-22)
+_SINHC_SERIES = 1e-3
+
+
+def _expm2(a: np.ndarray) -> np.ndarray:
+    """Closed-form exponential of finite 2x2 matrices, batched.
+
+    With m = tr X / 2 and B = X - m I, Cayley-Hamilton gives B^2 = s^2 I
+    for s^2 = -det B, so exp X = e^m (cosh s I + sinh(s)/s B) (Bernstein &
+    So, IEEE TAC 38 (1993) 1228).  Both coefficients are even in s, so the
+    branch of the square root does not matter.
+    """
+    a00, a01 = a[..., 0, 0], a[..., 0, 1]
+    a10, a11 = a[..., 1, 0], a[..., 1, 1]
+    h = 0.5 * (a00 - a11)
+    s2 = h * h + a01 * a10
+    s = np.sqrt(s2)
+    small = np.abs(s) < _SINHC_SERIES
+    safe = np.where(small, 1.0, s)
+    sinhc = np.where(small, 1.0 + s2 / 6.0 * (1.0 + s2 / 20.0), np.sinh(safe) / safe)
+    em = np.exp(0.5 * (a00 + a11))
+    c = em * np.cosh(s)
+    f = em * sinhc
+    out = np.empty_like(a)
+    out[..., 0, 0] = c + f * h
+    out[..., 0, 1] = f * a01
+    out[..., 1, 0] = f * a10
+    out[..., 1, 1] = c - f * h
+    return out
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Padé(13) kernel.
+    """Matrix exponential, batched over (..., n, n).
 
-    Accepts batches (..., n, n); the squaring count is shared across the
-    batch, taken from the largest 1-norm.
+    2x2 input takes the closed form e^m (cosh s I + sinh(s)/s (X - m I)),
+    m = tr X / 2, s^2 = -det(X - m I), with a series for sinh(s)/s at small
+    |s|.  Larger input uses scaling-and-squaring with a Padé(13) kernel;
+    the squaring count is shared across the batch, taken from the largest
+    1-norm.  Nodes with a non-finite entry stay NaN.
     """
     a = np.asarray(m, dtype=complex)
     if not np.isfinite(a).all():
@@ -278,6 +309,8 @@ def expm(m: np.ndarray) -> np.ndarray:
         out[ok] = expm(a[ok])
         return out
     n = a.shape[-1]
+    if n == 2:
+        return _expm2(a)
     norm1 = float(np.max(np.sum(np.abs(a), axis=-2), initial=0.0))
     s = 0
     if norm1 > _PADE13_THETA:
@@ -304,7 +337,7 @@ def expm(m: np.ndarray) -> np.ndarray:
         + b[2] * a2
         + b[0] * ident
     )
-    r = solve(v - u, v + u)
+    r = _solve(v - u, v + u)
     for _ in range(s):
         r = mm(r, r)
     return r

@@ -141,6 +141,19 @@ def _guarded_reciprocal(den: np.ndarray, message: str) -> np.ndarray:
         return np.where(bad, np.nan, 1.0 / np.where(bad, 1.0, den))
 
 
+def _lowered_value(
+    p: np.ndarray,
+    d1p: np.ndarray,
+    d2p: np.ndarray,
+    message: str = "lowering denominator vanished everywhere",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """L(P) = D2P P D1P / tr(...) with its parts (D2P P, numerator, 1/denominator)."""
+    d2p_p = mm(d2p, p)
+    num = mm(d2p_p, d1p)
+    deninv = _guarded_reciprocal(trace(num), message)
+    return num * deninv[..., None, None], d2p_p, num, deninv
+
+
 def lowered_rung_with_jets(
     p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray, j: JetField
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,10 +163,7 @@ def lowered_rung_with_jets(
     input, so the output is again differentiable data; one extra jet order
     of the input is consumed per application.
     """
-    d2p_p = mm(d2p, p)
-    num = mm(d2p_p, d1p)
-    deninv = _guarded_reciprocal(trace(num), "lowering denominator vanished everywhere")
-    r = num * deninv[..., None, None]
+    r, d2p_p, num, deninv = _lowered_value(p, d1p, d2p)
     # the input is P = I/N - i theta, so second derivatives are -i theta_ab
     d11p, d12p, d22p = -1j * j.d11, -1j * j.d12, -1j * j.d22
     d1num = mm(mm(d12p, p) + mm(d2p, d1p), d1p) + mm(d2p_p, d11p)
@@ -170,6 +180,8 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
 
     Supports k <= 2: the first lowering consumes the cached second jets,
     the second consumes the first derivatives produced alongside rung one.
+    For k = 1 only the value of rung one is formed; its derivatives are
+    built only when a second rung reads them.
     """
     if k == 0:
         return []
@@ -179,14 +191,12 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
         )
     p = j.projector()
     d1p, d2p = -1j * j.d1, -1j * j.d2
-    r1, d1r1, d2r1 = lowered_rung_with_jets(p, d1p, d2p, j)
     if k == 1:
-        return [r1]
-    num = mm(mm(d2r1, r1), d1r1)
-    deninv = _guarded_reciprocal(
-        trace(num), "second lowering denominator vanished everywhere"
-    )
-    r2 = num * deninv[..., None, None]
+        return [_lowered_value(p, d1p, d2p)[0]]
+    r1, d1r1, d2r1 = lowered_rung_with_jets(p, d1p, d2p, j)
+    r2 = _lowered_value(
+        r1, d1r1, d2r1, "second lowering denominator vanished everywhere"
+    )[0]
     return [r1, r2]
 
 

@@ -204,6 +204,17 @@ def test_scalar_csv_rows(tmp_path):
     lines = open(path).read().strip().split("\n")
     assert lines[0] == "x1,x2,value"
     assert len(lines) - 1 == (11 - 4) * (9 - 4)
+    # the whole-block writer matches the per-node one, non-finite values included
+    scalar = scalar / 7.0
+    scalar[3, 4], scalar[5, 5], scalar[4, 6] = np.nan, -np.inf, -0.0
+    write_scalar_csv(path, g, scalar, margin=2)
+    x1, x2 = g.mesh()
+    by_loop = ["x1,x2,value"] + [
+        f"{x1[i2, i1]:.17g},{x2[i2, i1]:.17g},{scalar[i2, i1]:.17g}"
+        for i2 in range(2, 9 - 2)
+        for i1 in range(2, 11 - 2)
+    ]
+    assert open(path).read() == "\n".join(by_loop) + "\n"
 
 
 def test_trim_margin():

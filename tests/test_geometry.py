@@ -114,6 +114,18 @@ def test_degenerate_rank_from_traveling_surface():
     assert interior_max(det, m) < 1e-12
 
 
+def _obj_by_loop(pts):
+    """Per-node reference for export_obj: one formatted line per vertex and face."""
+    n2, n1 = pts.shape[:2]
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts.reshape(-1, 3)]
+    for i2 in range(n2 - 1):
+        for i1 in range(n1 - 1):
+            a = i2 * n1 + i1 + 1
+            lines.append(f"f {a} {a + 1} {a + n1 + 1}")
+            lines.append(f"f {a} {a + n1 + 1} {a + n1}")
+    return "\n".join(lines) + "\n"
+
+
 def test_obj_export_counts(tmp_path):
     g = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.1, 0.1), (9, 9))
     pts = np.zeros((9, 9, 3))
@@ -137,6 +149,14 @@ def test_obj_export_counts(tmp_path):
     lines2 = open(path2).read().strip().split("\n")
     assert sum(ln.startswith("v ") for ln in lines2) == 4
     assert sum(ln.startswith("f ") for ln in lines2) == 2
+    # the whole-block writer matches the per-node one, non-finite vertices included
+    rng = np.random.default_rng(2)
+    odd = rng.standard_normal((7, 5, 3)) * 10.0 ** rng.integers(-20, 20, (7, 5, 3))
+    odd[1, 2] = np.nan
+    odd[3, 0, 1], odd[4, 4, 2] = -0.0, -np.inf
+    path3 = str(tmp_path / "odd.obj")
+    export_obj(path3, EmbeddedSurface(grid=g, points=odd, normals=np.zeros_like(odd)))
+    assert open(path3).read() == _obj_by_loop(odd)
 
 
 def test_obj_float_fidelity(tmp_path):

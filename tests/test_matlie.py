@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from solsurf.matlie import (
     DimensionMismatch,
+    NonFiniteMatrix,
     central_unit,
     commutator,
     dagger,
@@ -17,9 +18,9 @@ from solsurf.matlie import (
     inv,
     mm,
     project_su,
-    solve,
     su_basis,
 )
+from solsurf.matlie import _solve as solve
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -165,22 +166,65 @@ def test_expm_inverse_identity(seed):
 
 def test_expm_against_scipy():
     scipy_linalg = pytest.importorskip("scipy.linalg")
+    from solsurf.matlie import _SINHC_SERIES
+
     rng = np.random.default_rng(3)
-    for scale in (0.5, 5.0, 40.0):
-        m = random_complex(rng, 4)
-        m *= scale / fro(m)
+    eps = np.finfo(complex).eps
+    ident = np.eye(2, dtype=complex)
+
+    def batch(n, shape=(3, 4)):
+        return rng.standard_normal((*shape, n, n)) + 1j * rng.standard_normal((*shape, n, n))
+
+    def scaled(m, norm):
+        return m * (norm / np.max(fro(m)))
+
+    def assert_matches_scipy(x, ours):
+        # the forward error of a backward-stable exponential grows with the norm
+        ref = scipy_linalg.expm(x)
+        assert fro(ours - ref) / fro(ref) < 16 * eps * (1.0 + fro(x))
+
+    cases = []
+    # dense complex input up to norm 40: Padé for n = 3, 4, closed form for n = 2
+    for n in (2, 3, 4):
+        for norm in (0.5, 5.0, 20.0, 40.0):
+            cases.append(scaled(batch(n), norm))
+    # anti-Hermitian traceless 2x2 (traveling-wave regime, s imaginary)
+    for norm in (1e-6, 0.5, 5.0, 20.0):
+        m = batch(2)
+        m = m - dagger(m)
+        m = m - 0.5 * np.trace(m, axis1=-2, axis2=-1)[..., None, None] * ident
+        cases.append(scaled(m, norm))
+    # nonzero trace, with either sign of the real part
+    for shift in (2.0 + 1.0j, -3.0, 0.5j):
+        cases.append(scaled(batch(2), 3.0) + shift * ident)
+    # nilpotent part, s = 0 exactly, with and without trace
+    nil = np.array([[[0.0, 3.0], [0.0, 0.0]], [[1.0, 1.0], [-1.0, -1.0]]], dtype=complex)
+    cases.append(nil)
+    cases.append(nil + (0.7 - 0.2j) * ident)
+    # |s| on both sides of the sinh(s)/s series cutoff, in three directions
+    for factor in (1e-3, 0.5, 0.999, 1.001, 2.0):
+        for phase in (1.0, 1.0j, np.exp(0.25j * np.pi)):
+            s = factor * _SINHC_SERIES * phase
+            cases.append(np.array([[s, 0.3], [0.0, -s]]) + 0.1 * ident)
+
+    for m in cases:
         ours = expm(m)
-        ref = scipy_linalg.expm(m)
-        assert fro(ours - ref) / fro(ref) < 1e-12
-    # batched 2x2 and 3x3 fields run the unrolled products and closed-form solve
-    for n in (2, 3):
-        for scale in (0.5, 5.0, 40.0):
-            m = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
-            m *= scale / np.max(fro(m))
-            ours = expm(m)
-            for idx in np.ndindex(3, 4):
-                ref = scipy_linalg.expm(m[idx])
-                assert fro(ours[idx] - ref) / fro(ref) < 1e-12
+        for idx in np.ndindex(m.shape[:-2]):
+            assert_matches_scipy(m[idx], ours[idx])
+
+    # a batched field with NaN nodes: those stay NaN, the rest match scipy
+    m = scaled(batch(2, (5, 6)), 20.0)
+    m[0, :] = np.nan
+    m[3, 2, 1, 0] = np.nan
+    ours = expm(m)
+    bad = ~np.isfinite(m).all(axis=(-1, -2))
+    assert np.isnan(ours[bad]).all()
+    for idx in zip(*np.nonzero(~bad)):
+        assert_matches_scipy(m[idx], ours[idx])
+    # a lone non-finite matrix, or a field without a finite node, is refused
+    for bad_input in (m[0, 0], m[0]):
+        with pytest.raises(NonFiniteMatrix):
+            expm(bad_input)
 
 
 def test_expm_additivity_only_when_commuting():

@@ -78,6 +78,31 @@ def test_jet_lowering_matches_stored_rungs():
     assert interior_max(fro(r2 - LADDER3.rungs[0].values), 0) < 1e-12
 
 
+@pytest.mark.parametrize("ladder", [LADDER2, LADDER3], ids=["n2", "n3"])
+def test_value_only_lowering_is_bit_exact_and_skips_derivatives(ladder, monkeypatch):
+    import solsurf.spectral as spectral
+    from solsurf.matlie import mm, trace
+
+    j = theta_of(ladder.rungs[1], "analytic")
+    p, d1p, d2p = j.projector(), -1j * j.d1, -1j * j.d2
+    full = spectral.lowered_rung_with_jets(p, d1p, d2p, j)[0]
+    num = mm(mm(d2p, p), d1p)
+    by_hand = num * (1.0 / trace(num))[..., None, None]
+
+    calls = []
+    real = spectral.lowered_rung_with_jets
+    monkeypatch.setattr(
+        spectral, "lowered_rung_with_jets", lambda *a: calls.append(1) or real(*a)
+    )
+    (value,) = spectral.lowered_rungs_from_jets(j, 1)
+    assert calls == []
+    assert np.array_equal(value, full, equal_nan=True)
+    assert np.array_equal(value, by_hand, equal_nan=True)
+    if ladder is LADDER3:
+        spectral.lowered_rungs_from_jets(theta_of(ladder.rungs[2], "analytic"), 2)
+        assert calls == [1]
+
+
 def test_deep_ladder_stored_rung_wave():
     # N = 4, level 3: the builder falls back to the stored rungs
     g = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
