@@ -157,13 +157,13 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     u1, u2 = u_pair(j, cfg.lam)
 
     gauge = _gauge_field(cfg, j)
-    inputs = ImmersionInputs(a_coeffs=cfg.a_coeffs, gauge=gauge, symmetry=cfg.symmetry)
+    q = conformal_characteristic(cfg.symmetry, j) if cfg.symmetry is not None else None
+    inputs = ImmersionInputs(a_coeffs=cfg.a_coeffs, gauge=gauge, q=q)
     if not inputs.active():
         raise ConfigError(
             "immersion requires at least one of: a_coeffs, gauge, symmetry"
         )
-    q = conformal_characteristic(cfg.symmetry, j) if cfg.symmetry is not None else None
-    a, b = assemble_tangents(inputs, j, cfg.lam, q=q)
+    a, b = assemble_tangents(inputs, j, cfg.lam)
     res = integrate_surface(a, b, wave, u1=u1, u2=u2)
     write_field(os.path.join(outdir, "immersion.npz"), res.field)
     write_field(os.path.join(outdir, "wave.npz"), wave.field(), lam=wave.lam)

@@ -34,10 +34,8 @@ from .matlie import commutator, fro, inner, mm, project_su
 from .sigma import JetField, check_lambda, u_pair
 from .spectral import WaveField
 from .symmetry import (
-    ConformalSpec,
     FrechetPolicy,
     compatibility_defect,
-    conformal_characteristic,
     frechet_apply,
     u_functional,
 )
@@ -64,11 +62,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ImmersionInputs:
-    """Ingredients of the tangent pair; any subset may be active."""
+    """Ingredients of the tangent pair; any subset may be active.
+
+    ``q`` is the characteristic of the conformal symmetry, built by
+    ``conformal_characteristic`` on the jets the pair is assembled from.
+    """
 
     a_coeffs: tuple[float, ...] = ()
     gauge: MatrixField | None = None
-    symmetry: ConformalSpec | None = None
+    q: MatrixField | None = None
 
     def a_value(self, lam: complex) -> complex:
         out = 0.0 + 0.0j
@@ -77,7 +79,7 @@ class ImmersionInputs:
         return out
 
     def active(self) -> bool:
-        return bool(self.a_coeffs) or self.gauge is not None or self.symmetry is not None
+        return bool(self.a_coeffs) or self.gauge is not None or self.q is not None
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,8 @@ def assemble_tangents(
     j: JetField,
     lam: complex,
     policy: FrechetPolicy = FrechetPolicy(),
-    q: MatrixField | None = None,
 ) -> tuple[MatrixField, MatrixField]:
-    """Tangent pair (A, B) from the three symmetry ingredients.
-
-    ``q`` is the characteristic of ``inp.symmetry`` on ``j`` when the caller
-    has already built it; otherwise it is built here.
-    """
+    """Tangent pair (A, B) from the three symmetry ingredients."""
     if not inp.active():
         raise ValueError("at least one immersion ingredient must be provided")
     lam = check_lambda(lam)
@@ -140,10 +137,10 @@ def assemble_tangents(
         a_vals = a_vals + d1s + commutator(s.values, u1.values)
         b_vals = b_vals + d2s + commutator(s.values, u2.values)
         margin = max(margin, smargin)
-    if inp.symmetry is not None:
-        if q is None:
-            q = conformal_characteristic(inp.symmetry, j)
-        pw1, pw2 = frechet_apply(u_functional(lam), j, q, policy)
+    if inp.q is not None:
+        if inp.q.grid != grid:
+            raise ValueError("characteristic field grid mismatch")
+        pw1, pw2 = frechet_apply(u_functional(lam), j, inp.q, policy)
         a_vals = a_vals + pw1.values
         b_vals = b_vals + pw2.values
         margin = max(margin, pw1.margin, pw2.margin)

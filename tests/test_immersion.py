@@ -216,12 +216,13 @@ def test_assemble_additivity():
     j = theta_of(LADDER2.rungs[0], "analytic")
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     s = constant_field(GRID, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    q = conformal_characteristic(spec, j)
     a_all, b_all = assemble_tangents(
-        ImmersionInputs(a_coeffs=(1.0,), gauge=s, symmetry=spec), j, LAM_E
+        ImmersionInputs(a_coeffs=(1.0,), gauge=s, q=q), j, LAM_E
     )
     a1, b1 = assemble_tangents(ImmersionInputs(a_coeffs=(1.0,)), j, LAM_E)
     a2, b2 = assemble_tangents(ImmersionInputs(gauge=s), j, LAM_E)
-    a3, b3 = assemble_tangents(ImmersionInputs(symmetry=spec), j, LAM_E)
+    a3, b3 = assemble_tangents(ImmersionInputs(q=q), j, LAM_E)
     m = a_all.margin
     assert interior_max(fro(a_all.values - a1.values - a2.values - a3.values), m) < 1e-10
     assert interior_max(fro(b_all.values - b1.values - b2.values - b3.values), m) < 1e-10
