@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "GridMismatch",
     "Jets",
     "MatrixField",
+    "SecondJets",
     "cumulative_line_integral",
     "diff1",
     "diff2",
@@ -232,20 +235,46 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
+class SecondJets:
+    """Second-order jets ``d11``, ``d12``, ``d22`` built on first read.
+
+    A subclass stores ``second``, a zero-argument callable returning the
+    triple; it runs at most once per instance, so a consumer that reads
+    only the first-order jets never pays for the second-order stencils.
+    """
+
+    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @cached_property
+    def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.second()
+
+    @property
+    def d11(self) -> np.ndarray:
+        return self._second_jets[0]
+
+    @property
+    def d12(self) -> np.ndarray:
+        return self._second_jets[1]
+
+    @property
+    def d22(self) -> np.ndarray:
+        return self._second_jets[2]
+
+
 @dataclass(frozen=True)
-class Jets:
+class Jets(SecondJets):
     """Chart derivatives of a field up to second order.
 
     ``margin1`` bounds the trusted region of d1/d2, ``margin2`` that of the
     second-order set (the mixed real-axis stencil is a composition, hence
-    the doubled margin).
+    the doubled margin).  d1 and d2 are stored; d11, d12 and d22 come from
+    ``second`` on first read.
     """
 
     d1: np.ndarray
     d2: np.ndarray
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
+    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
     margin1: int
     margin2: int
 
@@ -260,32 +289,35 @@ def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int
 
 
 def chart_jets(f: MatrixField) -> Jets:
-    """All derivatives up to second order by 4th-order stencils."""
-    g = f.grid
-    dx = diff1(f.values, g.h1, axis=1)
-    dy = diff1(f.values, g.h2, axis=0)
-    dxx = diff2(f.values, g.h1, axis=1)
-    dyy = diff2(f.values, g.h2, axis=0)
-    dxy = diff1(dx, g.h2, axis=0)
-    if g.chart == CHART_EUCLIDEAN:
-        d1 = 0.5 * (dx - 1j * dy)
-        d2 = 0.5 * (dx + 1j * dy)
-        d11 = 0.25 * (dxx - dyy - 2j * dxy)
-        d22 = 0.25 * (dxx - dyy + 2j * dxy)
-        d12 = 0.25 * (dxx + dyy)
-    else:
-        d1, d2 = dx, dy
-        d11, d22 = dxx, dyy
-        d12 = dxy
+    """All derivatives up to second order by 4th-order stencils.
+
+    The first-order pair is computed here; the second-order set runs its
+    stencils when first read.
+    """
+    d1, d2, margin1 = chart_first_derivatives(f)
     return Jets(
         d1=d1,
         d2=d2,
-        d11=d11,
-        d12=d12,
-        d22=d22,
-        margin1=f.margin + 2,
+        second=lambda: _chart_second_derivatives(f),
+        margin1=margin1,
         margin2=f.margin + 4,
     )
+
+
+def _chart_second_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g = f.grid
+    dxx = diff2(f.values, g.h1, axis=1)
+    dyy = diff2(f.values, g.h2, axis=0)
+    # the x-derivative is recomputed rather than kept from the first-order
+    # pass, so no stencil temporary outlives the call that made it
+    dxy = diff1(diff1(f.values, g.h1, axis=1), g.h2, axis=0)
+    if g.chart == CHART_EUCLIDEAN:
+        return (
+            0.25 * (dxx - dyy - 2j * dxy),
+            0.25 * (dxx + dyy),
+            0.25 * (dxx - dyy + 2j * dxy),
+        )
+    return dxx, dxy, dyy
 
 
 # --- cumulative line integration -------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .fields import (
     Grid2,
     Jets,
     MatrixField,
+    SecondJets,
     chart_first_derivatives,
     chart_jets,
     interior_max,
@@ -131,17 +133,19 @@ class ProjectorField:
 
 
 @dataclass(frozen=True)
-class JetField:
-    """theta = i(P - I/N) together with its derivative fields up to order 2."""
+class JetField(SecondJets):
+    """theta = i(P - I/N) together with its derivative fields up to order 2.
+
+    theta, d1 and d2 are stored; d11, d12 and d22 come from ``second``
+    when first read (see `SecondJets`).
+    """
 
     grid: Grid2
     n: int
     theta: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
+    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
     provenance: str = "numeric-stencil"
     margin0: int = 0
     margin1: int = 2
@@ -159,7 +163,8 @@ class JetField:
         Derivatives are linear, so the jets of the deformed field are the
         jets of theta plus eps times the jets of q; sharing one jet set of
         q across all evaluations keeps difference quotients cancellation
-        free.
+        free.  The second-order shifts are formed only if the deformed
+        field's second jets are read.
         """
         return JetField(
             grid=self.grid,
@@ -167,9 +172,11 @@ class JetField:
             theta=self.theta + eps * q,
             d1=self.d1 + eps * q_jets.d1,
             d2=self.d2 + eps * q_jets.d2,
-            d11=self.d11 + eps * q_jets.d11,
-            d12=self.d12 + eps * q_jets.d12,
-            d22=self.d22 + eps * q_jets.d22,
+            second=lambda: (
+                self.d11 + eps * q_jets.d11,
+                self.d12 + eps * q_jets.d12,
+                self.d22 + eps * q_jets.d22,
+            ),
             provenance="deformed",
             margin0=max(self.margin0, q_jets.margin1 - 2),
             margin1=max(self.margin1, q_jets.margin1),
@@ -189,15 +196,16 @@ def theta_of(p: ProjectorField, provenance: str = "numeric-stencil") -> JetField
         if p.jets is None:
             raise ValueError("projector field carries no analytic jets")
         j = p.jets
+        # exact second jets are at hand: scaling them now keeps the
+        # projector's jets from being held alive by the returned field
+        second = (1j * j.d11, 1j * j.d12, 1j * j.d22)
         return JetField(
             grid=p.grid,
             n=n,
             theta=theta,
             d1=1j * j.d1,
             d2=1j * j.d2,
-            d11=1j * j.d11,
-            d12=1j * j.d12,
-            d22=1j * j.d22,
+            second=lambda: second,
             provenance="analytic",
             margin0=p.margin,
             margin1=max(p.margin, j.margin1),
@@ -213,9 +221,7 @@ def theta_of(p: ProjectorField, provenance: str = "numeric-stencil") -> JetField
         theta=theta,
         d1=j.d1,
         d2=j.d2,
-        d11=j.d11,
-        d12=j.d12,
-        d22=j.d22,
+        second=lambda: (j.d11, j.d12, j.d22),
         provenance="numeric-stencil",
         margin0=p.margin,
         margin1=j.margin1,
@@ -409,7 +415,8 @@ def _veronese_rungs(n: int, grid: Grid2, kmax: int) -> list[ProjectorField]:
         ProjectorField(
             MatrixField(grid, r["p"], 0),
             jets=Jets(
-                d1=r["d1"], d2=r["d2"], d11=r["d11"], d12=r["d12"], d22=r["d22"],
+                d1=r["d1"], d2=r["d2"],
+                second=lambda r=r: (r["d11"], r["d12"], r["d22"]),
                 margin1=0, margin2=0,
             ),
         )
@@ -563,9 +570,7 @@ def traveling_solution(
         theta=theta,
         d1=dtheta,
         d2=k * dtheta,
-        d11=ddtheta,
-        d12=k * ddtheta,
-        d22=k * k * ddtheta,
+        second=lambda: (ddtheta, k * ddtheta, k * k * ddtheta),
         provenance="analytic",
         margin0=0,
         margin1=0,

@@ -237,7 +237,7 @@ def test_action_density_constant_field():
     zero = np.zeros_like(theta)
     j = JetField(
         grid=GRID, n=2, theta=theta.copy(), d1=zero.copy(), d2=zero.copy(),
-        d11=zero.copy(), d12=zero.copy(), d22=zero.copy(),
+        second=lambda: (zero, zero, zero),
         provenance="analytic", margin0=0, margin1=0, margin2=0,
     )
     dens, m = action_density(j)
