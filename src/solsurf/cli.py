@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, finite_number, load_config, parse_lambda
 from .errors import FieldFileError, LambdaSingular
 from .fields import (
     Grid2,
@@ -246,6 +246,16 @@ def cmd_export(cfg: RunConfig, outdir: str) -> int:
     return 0
 
 
+def _lambda_flag(text: str) -> complex:
+    """``--lambda`` as a number or a JSON ``[re, im]`` pair, checked like
+    the config key."""
+    try:
+        raw = json.loads(text) if text.startswith("[") else float(text)
+    except ValueError as exc:
+        raise ConfigError(f"--lambda must be a number or a [re, im] pair, got {text!r}") from exc
+    return parse_lambda(raw, "--lambda")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="solsurf",
@@ -271,15 +281,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             cfg = load_config(args.config)
         if cfg is not None and args.lam is not None:
-            raw = json.loads(args.lam) if args.lam.startswith("[") else float(args.lam)
-            cfg.lam = complex(raw) if not isinstance(raw, list) else complex(raw[0], raw[1])
+            cfg.lam = _lambda_flag(args.lam)
         if cfg is not None and args.grid_h is not None:
-            cfg.grid = Grid2(
-                chart=cfg.grid.chart,
-                origin=cfg.grid.origin,
-                spacing=(args.grid_h, args.grid_h),
-                dims=cfg.grid.dims,
-            )
+            h = finite_number(args.grid_h, "--grid-h")
+            try:
+                cfg.grid = Grid2(cfg.grid.chart, cfg.grid.origin, (h, h), cfg.grid.dims)
+            except ValueError as exc:
+                raise ConfigError(f"--grid-h: {exc}") from exc
 
         if args.command == "verify":
             suite = args.suite or (cfg.suite if cfg is not None else "all")

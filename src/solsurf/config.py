@@ -3,17 +3,21 @@
 Unknown keys are errors (reproducibility beats convenience), and
 cross-field consistency is checked before any computation starts: the
 chart fixes which solution generators and symmetry data are admissible.
+Every number must be a finite JSON number (NaN, Infinity, strings and
+booleans are rejected), and every failure is a `ConfigError` that names
+the key, or the flag for ``--lambda`` and ``--grid-h``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2
 from .symmetry import ConformalSpec
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "finite_number", "load_config", "parse_lambda"]
 
 
 class ConfigError(ValueError):
@@ -66,12 +70,53 @@ class RunConfig:
         return CHART_EUCLIDEAN if self.space == "euclidean" else CHART_MINKOWSKI
 
 
-def _parse_lambda(raw) -> complex:
-    if isinstance(raw, (int, float)):
-        return complex(raw)
+def _where(key: str) -> str:
+    return key if key.startswith("--") else f"key {key!r}"
+
+
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def finite_number(raw, key: str) -> float:
+    """``raw`` as a float if it is a finite number, else a `ConfigError`
+    naming ``key``."""
+    if _is_number(raw):
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{_where(key)} must be a finite number, got {raw!r}")
+
+
+def _integer(raw, key: str) -> int:
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise ConfigError(f"{_where(key)} must be an integer, got {raw!r}")
+
+
+def _numbers(raw, key: str, length: int | None = None) -> tuple[float, ...]:
+    if not isinstance(raw, list) or (length is not None and len(raw) != length):
+        size = f"{length} " if length is not None else ""
+        raise ConfigError(f"{_where(key)} must be a list of {size}numbers")
+    return tuple(finite_number(v, f"{key}[{i}]") for i, v in enumerate(raw))
+
+
+def parse_lambda(raw, key: str = "lambda") -> complex:
+    """A finite number or ``[re, im]`` pair away from the poles at +1 and -1."""
     if isinstance(raw, list) and len(raw) == 2:
-        return complex(float(raw[0]), float(raw[1]))
-    raise ConfigError("key 'lambda' must be a number or a [re, im] pair")
+        lam = complex(*_numbers(raw, key))
+    elif _is_number(raw):
+        lam = complex(finite_number(raw, key))
+    else:
+        raise ConfigError(f"{_where(key)} must be a number or a [re, im] pair, got {raw!r}")
+    if abs(1 - lam) < 1e-6 or abs(1 + lam) < 1e-6:
+        raise ConfigError(f"{_where(key)} is singular (too close to +1 or -1)")
+    return lam
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -87,7 +132,7 @@ def parse_config(obj: dict) -> RunConfig:
     if space not in ("euclidean", "minkowski"):
         raise ConfigError("key 'space' must be 'euclidean' or 'minkowski'")
 
-    n = int(obj.get("n", 2))
+    n = _integer(obj.get("n", 2), "n")
     if n < 2:
         raise ConfigError("key 'n' must be at least 2")
 
@@ -99,7 +144,7 @@ def parse_config(obj: dict) -> RunConfig:
         _reject_unknown(sol, {"kind", "k"}, "solution")
         if space != "euclidean":
             raise ConfigError("key 'solution': veronese requires space = euclidean")
-        k = int(sol.get("k", 0))
+        k = _integer(sol.get("k", 0), "solution.k")
         if not 0 <= k <= n - 1:
             raise ConfigError(f"key 'solution.k' must lie in 0..{n - 1}")
         solution = {"kind": "veronese", "k": k}
@@ -111,8 +156,8 @@ def parse_config(obj: dict) -> RunConfig:
             raise ConfigError("key 'n': traveling-wave solutions are implemented for n = 2")
         solution = {
             "kind": "traveling",
-            "kappa": float(sol.get("kappa", 2.0)),
-            "omega": float(sol.get("omega", 1.0)),
+            "kappa": finite_number(sol.get("kappa", 2.0), "solution.kappa"),
+            "omega": finite_number(sol.get("omega", 1.0), "solution.omega"),
         }
         if solution["kappa"] == 0.0:
             raise ConfigError("key 'solution.kappa' must be nonzero")
@@ -121,22 +166,23 @@ def parse_config(obj: dict) -> RunConfig:
 
     chart = CHART_EUCLIDEAN if space == "euclidean" else CHART_MINKOWSKI
     graw = obj.get("grid", _DEFAULT_GRIDS[space])
+    if not isinstance(graw, dict):
+        raise ConfigError("key 'grid' must be an object")
     _reject_unknown(graw, {"origin", "spacing", "dims"}, "grid")
+    origin = _numbers(graw.get("origin", [0.0, 0.0]), "grid.origin", 2)
+    spacing = _numbers(graw.get("spacing", _DEFAULT_GRIDS[space]["spacing"]), "grid.spacing", 2)
+    dims = graw.get("dims", [101, 101])
+    if not isinstance(dims, list) or len(dims) != 2:
+        raise ConfigError("key 'grid.dims' must be a list of 2 integers")
+    dims = tuple(_integer(v, f"grid.dims[{i}]") for i, v in enumerate(dims))
     try:
-        grid = Grid2(
-            chart=chart,
-            origin=tuple(float(v) for v in graw.get("origin", [0.0, 0.0])),
-            spacing=tuple(float(v) for v in graw.get("spacing", _DEFAULT_GRIDS[space]["spacing"])),
-            dims=tuple(int(v) for v in graw.get("dims", [101, 101])),
-        )
+        grid = Grid2(chart=chart, origin=origin, spacing=spacing, dims=dims)
     except ValueError as exc:
         raise ConfigError(f"key 'grid': {exc}") from exc
 
-    lam = _parse_lambda(obj.get("lambda", [0.5, 0.0]))
-    if abs(1 - lam) < 1e-6 or abs(1 + lam) < 1e-6:
-        raise ConfigError("key 'lambda' is singular (too close to +1 or -1)")
+    lam = parse_lambda(obj.get("lambda", [0.5, 0.0]))
 
-    a_coeffs = tuple(float(c) for c in obj.get("a_coeffs", []))
+    a_coeffs = _numbers(obj.get("a_coeffs", []), "a_coeffs")
 
     gauge = obj.get("gauge", "none")
     if gauge != "none":
@@ -147,10 +193,14 @@ def parse_config(obj: dict) -> RunConfig:
     symmetry = None
     sraw = obj.get("symmetry")
     if sraw is not None:
+        if not isinstance(sraw, dict):
+            raise ConfigError("key 'symmetry' must be an object")
         _reject_unknown(sraw, {"f", "g"}, "symmetry")
         try:
             symmetry = ConformalSpec.from_json(sraw, chart)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ConfigError:
+            raise
+        except ValueError as exc:
             raise ConfigError(f"key 'symmetry': {exc}") from exc
 
     outputs = obj.get("outputs", [])
@@ -169,7 +219,7 @@ def parse_config(obj: dict) -> RunConfig:
     tolerances = obj.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("key 'tolerances' must be an object")
-    tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    tolerances = {str(k): finite_number(v, f"tolerances.{k}") for k, v in tolerances.items()}
 
     suite = obj.get("suite", "all")
 

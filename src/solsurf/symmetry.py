@@ -12,6 +12,16 @@ with an optional Richardson step combining eps and eps/2.  Because the
 deformed jets are exact linear shifts, the difference quotient is free of
 the cancellation noise a naive re-evaluation would produce.
 
+Functionals that are polynomials of degree at most 2 in (theta, jets) --
+theta, its first derivatives and the connection pair with its
+derivatives -- are marked where they are defined.  Their central
+difference is exact, so the Richardson half step is skipped for them: it
+would only multiply the rounding error by about 3.  Every other
+functional takes the half step whenever the policy asks for it.  The
+deformed jet fields build their second-order jets on first read, so a
+functional that reads only theta, D_1 theta and D_2 theta runs no
+second-order stencil.
+
 A functional returns a tuple of matrix fields, and every component is
 differenced from the same deformed jet fields.  The connection pair
 (u1, u2) is one functional, so its prolongation (pr w_Q u1, pr w_Q u2),
@@ -59,6 +69,16 @@ __all__ = [
 ]
 
 Functional = Callable[[JetField], tuple[MatrixField, ...]]
+
+
+def _quadratic(g: Functional) -> Functional:
+    """Mark ``g`` as a polynomial of degree <= 2 in (theta, jets).
+
+    Its central difference is exact, so `frechet_apply` takes only the
+    +/- eps pair for it.
+    """
+    g.quadratic = True
+    return g
 
 
 # --- conformal data -----------------------------------------------------------
@@ -148,9 +168,26 @@ class ConformalSpec:
 
     @staticmethod
     def from_json(obj: dict, chart: str) -> "ConformalSpec":
-        f = tuple(complex(c[0], c[1]) for c in obj["f"])
-        g = tuple(complex(c[0], c[1]) for c in obj["g"])
-        return ConformalSpec(f, g, chart)
+        """Coefficients from ``{"f": [[re, im], ...], "g": [[re, im], ...]}``.
+
+        A missing list or an entry that is not a pair of finite numbers
+        raises `ConfigError` naming it, e.g. ``symmetry.f[0]``.
+        """
+        from .config import ConfigError, finite_number
+
+        def coeffs(key: str) -> tuple[complex, ...]:
+            raw = obj.get(key)
+            if not isinstance(raw, list):
+                raise ConfigError(f"key 'symmetry.{key}' must be a list of [re, im] pairs")
+            out = []
+            for i, c in enumerate(raw):
+                where = f"symmetry.{key}[{i}]"
+                if not (isinstance(c, list) and len(c) == 2):
+                    raise ConfigError(f"key {where!r} must be a [re, im] pair, got {c!r}")
+                out.append(complex(finite_number(c[0], where), finite_number(c[1], where)))
+            return tuple(out)
+
+        return ConformalSpec(coeffs("f"), coeffs("g"), chart)
 
 
 def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
@@ -195,8 +232,11 @@ def frechet_apply(
 
     The jets of ``q`` are computed once, and each central difference
     deforms ``j`` twice and evaluates ``g`` once per deformation, so a
-    pair of fields costs the same two deformations (four with Richardson)
-    as a single one.  Each component keeps the larger margin of its two
+    pair of fields costs the same two deformations as a single one.  The
+    Richardson half step, two more deformations, runs when
+    ``policy.richardson`` is set and ``g`` is not marked quadratic.  The
+    second-order jets of ``q`` and of each deformation are built only if
+    ``g`` reads them.  Each component keeps the larger margin of its
     evaluations.
     """
     q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
@@ -211,7 +251,7 @@ def frechet_apply(
         ]
 
     out = central(eps)
-    if policy.richardson:
+    if policy.richardson and not getattr(g, "quadratic", False):
         out = [
             ((4.0 * val_half - val) / 3.0, max(margin, margin_half))
             for (val, margin), (val_half, margin_half) in zip(out, central(eps / 2))
@@ -223,24 +263,26 @@ def frechet_apply(
 
 
 def theta_functional() -> Functional:
-    return lambda j: (MatrixField(j.grid, j.theta, j.margin0),)
+    return _quadratic(lambda j: (MatrixField(j.grid, j.theta, j.margin0),))
 
 
 def theta_derivatives_functional() -> Functional:
     """(D_1 theta, D_2 theta)."""
-    return lambda j: (
-        MatrixField(j.grid, j.d1, j.margin1),
-        MatrixField(j.grid, j.d2, j.margin1),
-    )
+
+    def g(j: JetField) -> tuple[MatrixField, MatrixField]:
+        return MatrixField(j.grid, j.d1, j.margin1), MatrixField(j.grid, j.d2, j.margin1)
+
+    return _quadratic(g)
 
 
 def u_functional(lam: complex) -> Functional:
-    """The connection pair (u1, u2)."""
-    return lambda j: u_pair(j, lam)
+    """The connection pair (u1, u2), quadratic in (theta, D theta)."""
+    return _quadratic(lambda j: u_pair(j, lam))
 
 
 def u_derivatives_functional(lam: complex, index: int) -> Functional:
-    """Jet-expressed (D_1 u_index, D_2 u_index) of one connection component."""
+    """Jet-expressed (D_1 u_index, D_2 u_index) of one connection component,
+    quadratic in (theta, jets)."""
     lam = check_lambda(lam)
 
     def g(j: JetField) -> tuple[MatrixField, MatrixField]:
@@ -254,7 +296,7 @@ def u_derivatives_functional(lam: complex, index: int) -> Functional:
             v2 = c * commutator(j.d22, j.theta)
         return MatrixField(j.grid, v1, j.margin2), MatrixField(j.grid, v2, j.margin2)
 
-    return g
+    return _quadratic(g)
 
 
 def lowering_functional() -> Functional:

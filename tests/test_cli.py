@@ -224,3 +224,72 @@ def test_shared_fixtures_do_not_depend_on_suite_order():
     alone = run_suites(["prop4"]).to_json()["checks"]
     after_prop2 = run_suites(["prop2", "prop4"]).to_json()["checks"]
     assert after_prop2[-len(alone):] == alone
+
+
+README_EUCLID = {
+    "model": "cp",
+    "space": "euclidean",
+    "n": 2,
+    "solution": {"kind": "veronese", "k": 0},
+    "grid": {"origin": [0.0, 0.0], "spacing": [0.0015, 0.0015], "dims": [21, 21]},
+    "lambda": [0.0, 0.6],
+    "symmetry": {"f": [[0, 0], [0, 0], [1, 0]], "g": [[0, 0], [0, 0], [1, 0]]},
+}
+
+README_MINK = {
+    "model": "cp",
+    "space": "minkowski",
+    "n": 2,
+    "solution": {"kind": "traveling", "kappa": 2.0, "omega": 1.0},
+    "grid": {"origin": [0.0, 0.0], "spacing": [0.001, 0.001], "dims": [21, 21]},
+    "lambda": 0.5,
+    "a_coeffs": [1.0],
+}
+
+
+@pytest.mark.parametrize(
+    "base, change, flags, named",
+    [
+        (README_EUCLID, {"n": "x"}, [], "key 'n'"),
+        (README_MINK, {"a_coeffs": ["x"]}, [], "key 'a_coeffs[0]'"),
+        (README_EUCLID, {"tolerances": {"prop2.integrated-tangents": "abc"}}, [],
+         "key 'tolerances.prop2.integrated-tangents'"),
+        (README_EUCLID, {}, ["--lambda", "abc"], "--lambda"),
+        (README_MINK, {}, ["--lambda", "nan"], "--lambda"),
+        (README_EUCLID, {"lambda": [float("nan"), 0.6]}, [], "key 'lambda[0]'"),
+        (README_MINK, {"lambda": float("nan")}, [], "key 'lambda'"),
+        (README_MINK, {"grid": {"spacing": [float("inf"), 0.001], "dims": [21, 21]}}, [],
+         "key 'grid.spacing[0]'"),
+        (README_EUCLID, {"grid": {"origin": [0.0, float("nan")], "dims": [21, 21]}}, [],
+         "key 'grid.origin[1]'"),
+        (README_EUCLID, {}, ["--grid-h", "nan"], "--grid-h"),
+        (README_EUCLID, {}, ["--grid-h", "-1"], "--grid-h"),
+        (README_MINK, {"symmetry": {"f": [0, 1], "g": [[0, 0], [1, 0]]}}, [], "key 'symmetry.f[0]'"),
+    ],
+    ids=[
+        "n-string", "a_coeffs-string", "tolerance-string", "lambda-flag-string",
+        "lambda-flag-nan", "lambda-pair-nan", "lambda-nan", "spacing-inf", "origin-nan",
+        "grid-h-nan", "grid-h-negative", "symmetry-bare-number",
+    ],
+)
+def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, flags, named):
+    cfg = write_cfg(tmp_path, {**base, **change})
+    out = str(tmp_path / "out")
+    assert main(["immerse", "--config", cfg, "--out", out, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not os.path.exists(out)
+
+
+def test_symmetry_coefficients_must_be_pairs():
+    from solsurf.fields import CHART_MINKOWSKI
+    from solsurf.symmetry import ConformalSpec
+
+    with pytest.raises(ConfigError, match=r"symmetry\.f\[0\]' must be a \[re, im\] pair"):
+        ConformalSpec.from_json({"f": [0, 1], "g": [[0, 0]]}, CHART_MINKOWSKI)
+    with pytest.raises(ConfigError, match=r"symmetry\.g\[1\]' must be a finite number"):
+        ConformalSpec.from_json({"f": [[0, 0]], "g": [[0, 0], [float("inf"), 0]]}, CHART_MINKOWSKI)
+    with pytest.raises(ConfigError, match=r"symmetry\.g' must be a list"):
+        ConformalSpec.from_json({"f": [[0, 0]]}, CHART_MINKOWSKI)
+    spec = ConformalSpec.from_json({"f": [[0, 0], [1, 0]], "g": [[0.5, 0]]}, CHART_MINKOWSKI)
+    assert spec.f_coeffs == (0j, 1 + 0j) and spec.g_coeffs == (0.5 + 0j,)

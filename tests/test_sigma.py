@@ -276,3 +276,46 @@ def test_traveling_u_antihermitian_for_real_lambda():
 def test_traveling_requires_minkowski():
     with pytest.raises(ChartMismatch):
         traveling_solution(2.0, 1.0, GRID)
+
+
+def _eager_second_jets(values, grid):
+    # the second-order stencils as chart_jets formed them when it built
+    # every order at once
+    from solsurf.fields import diff1, diff2
+
+    dx = diff1(values, grid.h1, axis=1)
+    dxx = diff2(values, grid.h1, axis=1)
+    dyy = diff2(values, grid.h2, axis=0)
+    dxy = diff1(dx, grid.h2, axis=0)
+    if grid.chart == CHART_EUCLIDEAN:
+        return (
+            0.25 * (dxx - dyy - 2j * dxy),
+            0.25 * (dxx + dyy),
+            0.25 * (dxx - dyy + 2j * dxy),
+        )
+    return dxx, dxy, dyy
+
+
+@pytest.mark.parametrize("chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI])
+@pytest.mark.parametrize("n", [2, 3])
+def test_second_jets_on_first_read_match_eager_stencils(chart, n):
+    from solsurf.fields import chart_jets
+
+    grid = Grid2(chart, (0.1, -0.2), (0.02, 0.03), (23, 19))
+    x1, x2 = grid.mesh()
+    rng = np.random.default_rng(n)
+    coeffs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    v = coeffs[0] + np.sin(x1)[..., None] * coeffs[1] + (x1 * x2)[..., None] * coeffs[2]
+    j = theta_of(ProjectorField(MatrixField(grid, projector_from_vector(v), 1)))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q = np.cos(x2 - x1)[..., None, None] * (a - dagger(a))
+    q_jets = chart_jets(MatrixField(grid, q, 1))
+    eps = 1e-3
+    jd = j.deformed(eps, q, q_jets)
+    theta_ref = _eager_second_jets(j.theta, grid)
+    q_ref = _eager_second_jets(q, grid)
+    deformed_ref = tuple(t + eps * s for t, s in zip(theta_ref, q_ref))
+    for lazy, ref in ((j, theta_ref), (q_jets, q_ref), (jd, deformed_ref)):
+        for got, want in zip((lazy.d11, lazy.d12, lazy.d22), ref):
+            assert np.array_equal(got, want, equal_nan=True)
+    assert (jd.margin1, jd.margin2) == (3, 5)

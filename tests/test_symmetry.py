@@ -148,15 +148,7 @@ def test_el_symmetry_defect_is_compatibility_of_prolonged_pair(control):
     assert el_symmetry_defect(q, j, LAM_E) == compatibility_defect(a, b, u1, u2)
 
 
-@pytest.mark.parametrize("richardson, deformations", [(True, 4), (False, 2)])
-def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(
-    monkeypatch, richardson, deformations
-):
-    # the pair shares its deformations, and each component is the same
-    # difference quotient as when it is prolonged on its own
-    j = theta_of(LADDER2.rungs[0], "analytic")
-    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    pol = FrechetPolicy(richardson=richardson)
+def _count_deformations(monkeypatch) -> list[float]:
     steps = []
     deformed = JetField.deformed
 
@@ -165,13 +157,137 @@ def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(
         return deformed(self, eps, *args)
 
     monkeypatch.setattr(JetField, "deformed", counting)
-    pair = frechet_apply(u_functional(LAM_E), j, q, pol)
+    return steps
+
+
+@pytest.mark.parametrize("richardson, deformations", [(True, 4), (False, 2)])
+def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(
+    monkeypatch, richardson, deformations
+):
+    # the pair shares its deformations, and each component is the same
+    # difference quotient as when it is prolonged on its own; the lowered
+    # rung is rational in the jets, so Richardson doubles the cost
+    j = theta_of(LADDER2.rungs[1], "analytic")
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    pol = FrechetPolicy(richardson=richardson)
+    g = lowering_derivatives_functional()
+    steps = _count_deformations(monkeypatch)
+    pair = frechet_apply(g, j, q, pol)
     assert len(pair) == 2
     assert len(steps) == deformations
     for index, whole in enumerate(pair):
-        (alone,) = frechet_apply(lambda jd, i=index: (u_pair(jd, LAM_E)[i],), j, q, pol)
+        (alone,) = frechet_apply(lambda jd, i=index: (g(jd)[i],), j, q, pol)
         assert np.array_equal(whole.values, alone.values, equal_nan=True)
         assert whole.margin == alone.margin
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_quadratic_pair_costs_one_central_pair(monkeypatch, richardson):
+    # the connection pair is quadratic in the jets: under either policy it
+    # takes only the +/- eps pair, and each component is bit-exactly the
+    # plain central difference of that component alone
+    j = theta_of(LADDER2.rungs[0], "analytic")
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    steps = _count_deformations(monkeypatch)
+    pair = frechet_apply(u_functional(LAM_E), j, q, FrechetPolicy(richardson=richardson))
+    assert len(pair) == 2
+    assert len(steps) == 2
+    plain = FrechetPolicy(richardson=False)
+    for index, whole in enumerate(pair):
+        (alone,) = frechet_apply(lambda jd, i=index: (u_pair(jd, LAM_E)[i],), j, q, plain)
+        assert np.array_equal(whole.values, alone.values, equal_nan=True)
+        assert whole.margin == alone.margin
+
+
+@pytest.mark.parametrize(
+    "functional, axes",
+    [(u_functional(LAM_E), []), (u_derivatives_functional(LAM_E, 1), [0, 1])],
+    ids=["u", "du1"],
+)
+def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
+    # the pair reads theta, D_1 theta and D_2 theta only, so no
+    # second-order stencil of Q runs; D u reads them, one set for all four
+    # deformations (d/dx^2 and d/dy^2)
+    from solsurf import fields
+
+    calls = []
+    diff2 = fields.diff2
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return diff2(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "diff2", counting)
+    j = theta_of(LADDER2.rungs[0], "analytic")
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    frechet_apply(functional, j, q)
+    assert sorted(calls) == axes
+
+
+def _symmetry_functionals() -> dict:
+    from solsurf import symmetry
+
+    built = {
+        "theta_functional": theta_functional(),
+        "theta_derivatives_functional": theta_derivatives_functional(),
+        "u_functional": u_functional(LAM_E),
+        "u_derivatives_functional": u_derivatives_functional(LAM_E, 2),
+        "lowering_functional": lowering_functional(),
+        "lowering_derivatives_functional": lowering_derivatives_functional(),
+    }
+    # a new functional must be added here, marked or not
+    assert set(built) == {name for name in symmetry.__all__ if name.endswith("_functional")}
+    return built
+
+
+def test_quadratic_marks():
+    marked = {name for name, g in _symmetry_functionals().items() if getattr(g, "quadratic", False)}
+    assert marked == {
+        "theta_functional",
+        "theta_derivatives_functional",
+        "u_functional",
+        "u_derivatives_functional",
+    }
+
+
+def _half_step_gap(g, j, q, eps_base: float) -> float:
+    """Largest gap between the eps and eps/2 central differences, relative
+    to the size of the prolongation."""
+    whole = frechet_apply(g, j, q, FrechetPolicy(eps_base=eps_base, richardson=False))
+    half = frechet_apply(g, j, q, FrechetPolicy(eps_base=eps_base / 2, richardson=False))
+    gap = 0.0
+    for a, b in zip(whole, half):
+        m = max(a.margin, b.margin)
+        gap = max(gap, interior_max(fro(a.values - b.values), m) / interior_max(fro(a.values), m))
+    return gap
+
+
+@pytest.mark.parametrize("name", sorted(_symmetry_functionals()))
+def test_quadratic_functionals_have_exact_central_differences(name):
+    # for a functional of degree <= 2 in the jets the eps and eps/2 central
+    # differences agree to rounding even at a large step; a rational one
+    # (the lowered rung) differs at O(eps^2), which is what the Richardson
+    # half step removes
+    g = _symmetry_functionals()[name]
+    j = theta_of(LADDER2.rungs[1], "analytic")
+    q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
+    gap = _half_step_gap(g, j, q, eps_base=1e-2)
+    if getattr(g, "quadratic", False):
+        assert gap < 1e-11
+    else:
+        assert gap > 1e-6
+
+
+def test_quadratic_pair_matches_closed_form_on_both_charts():
+    j = theta_of(LADDER2.rungs[0], "analytic")
+    spec = ConformalSpec.euclidean((0.3, 0.0, 1.0))
+    spec_m = ConformalSpec.minkowski((0.0, 1.0), (0.5, 1.0))
+    for spec, j, lam in ((spec, j, LAM_E), (spec_m, JET_M, LAM_M)):
+        q = conformal_characteristic(spec, j)
+        for got, want in zip(frechet_apply(u_functional(lam), j, q), prolong_u(spec, j, lam)):
+            m = max(got.margin, want.margin)
+            scale = interior_max(fro(want.values), m)
+            assert interior_max(fro(got.values - want.values), m) < 1e-8 * scale
 
 
 def test_compatibility_defect_reexported_by_immersion():
