@@ -117,6 +117,15 @@ def test_prolong_u_closed_vs_deformation():
     f1, f2 = frechet_apply(u_functional(LAM_E), j, q)
     assert interior_max(fro(pw1.values - f1.values), max(pw1.margin, f1.margin)) < 1e-6
     assert interior_max(fro(pw2.values - f2.values), max(pw2.margin, f2.margin)) < 1e-6
+    # the pair is quadratic, so its one central difference matches the
+    # closed form to rounding on both charts
+    spec_m = ConformalSpec.minkowski((0.0, 1.0), (0.5, 1.0))
+    for spec, j, lam in ((ConformalSpec.euclidean((0.3, 0.0, 1.0)), j, LAM_E), (spec_m, JET_M, LAM_M)):
+        q = conformal_characteristic(spec, j)
+        for got, want in zip(frechet_apply(u_functional(lam), j, q), prolong_u(spec, j, lam)):
+            m = max(got.margin, want.margin)
+            scale = interior_max(fro(want.values), m)
+            assert interior_max(fro(got.values - want.values), m) < 1e-8 * scale
 
 
 def test_prolong_u_translation():
@@ -224,24 +233,22 @@ def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
     assert sorted(calls) == axes
 
 
-def _symmetry_functionals() -> dict:
-    from solsurf import symmetry
-
-    built = {
-        "theta_functional": theta_functional(),
-        "theta_derivatives_functional": theta_derivatives_functional(),
-        "u_functional": u_functional(LAM_E),
-        "u_derivatives_functional": u_derivatives_functional(LAM_E, 2),
-        "lowering_functional": lowering_functional(),
-        "lowering_derivatives_functional": lowering_derivatives_functional(),
-    }
-    # a new functional must be added here, marked or not
-    assert set(built) == {name for name in symmetry.__all__ if name.endswith("_functional")}
-    return built
+FUNCTIONALS = {
+    "theta_functional": theta_functional(),
+    "theta_derivatives_functional": theta_derivatives_functional(),
+    "u_functional": u_functional(LAM_E),
+    "u_derivatives_functional": u_derivatives_functional(LAM_E, 2),
+    "lowering_functional": lowering_functional(),
+    "lowering_derivatives_functional": lowering_derivatives_functional(),
+}
 
 
 def test_quadratic_marks():
-    marked = {name for name, g in _symmetry_functionals().items() if getattr(g, "quadratic", False)}
+    from solsurf import symmetry
+
+    # a new functional must be added to FUNCTIONALS, marked or not
+    assert set(FUNCTIONALS) == {name for name in symmetry.__all__ if name.endswith("_functional")}
+    marked = {name for name, g in FUNCTIONALS.items() if getattr(g, "quadratic", False)}
     assert marked == {
         "theta_functional",
         "theta_derivatives_functional",
@@ -250,44 +257,27 @@ def test_quadratic_marks():
     }
 
 
-def _half_step_gap(g, j, q, eps_base: float) -> float:
-    """Largest gap between the eps and eps/2 central differences, relative
-    to the size of the prolongation."""
-    whole = frechet_apply(g, j, q, FrechetPolicy(eps_base=eps_base, richardson=False))
-    half = frechet_apply(g, j, q, FrechetPolicy(eps_base=eps_base / 2, richardson=False))
-    gap = 0.0
-    for a, b in zip(whole, half):
-        m = max(a.margin, b.margin)
-        gap = max(gap, interior_max(fro(a.values - b.values), m) / interior_max(fro(a.values), m))
-    return gap
-
-
-@pytest.mark.parametrize("name", sorted(_symmetry_functionals()))
+@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
 def test_quadratic_functionals_have_exact_central_differences(name):
     # for a functional of degree <= 2 in the jets the eps and eps/2 central
     # differences agree to rounding even at a large step; a rational one
     # (the lowered rung) differs at O(eps^2), which is what the Richardson
     # half step removes
-    g = _symmetry_functionals()[name]
+    g = FUNCTIONALS[name]
     j = theta_of(LADDER2.rungs[1], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
-    gap = _half_step_gap(g, j, q, eps_base=1e-2)
+    whole, half = (
+        frechet_apply(g, j, q, FrechetPolicy(eps_base=eps, richardson=False))
+        for eps in (1e-2, 5e-3)
+    )
+    gap = 0.0
+    for a, b in zip(whole, half):
+        m = max(a.margin, b.margin)
+        gap = max(gap, interior_max(fro(a.values - b.values), m) / interior_max(fro(a.values), m))
     if getattr(g, "quadratic", False):
         assert gap < 1e-11
     else:
         assert gap > 1e-6
-
-
-def test_quadratic_pair_matches_closed_form_on_both_charts():
-    j = theta_of(LADDER2.rungs[0], "analytic")
-    spec = ConformalSpec.euclidean((0.3, 0.0, 1.0))
-    spec_m = ConformalSpec.minkowski((0.0, 1.0), (0.5, 1.0))
-    for spec, j, lam in ((spec, j, LAM_E), (spec_m, JET_M, LAM_M)):
-        q = conformal_characteristic(spec, j)
-        for got, want in zip(frechet_apply(u_functional(lam), j, q), prolong_u(spec, j, lam)):
-            m = max(got.margin, want.margin)
-            scale = interior_max(fro(want.values), m)
-            assert interior_max(fro(got.values - want.values), m) < 1e-8 * scale
 
 
 def test_compatibility_defect_reexported_by_immersion():
