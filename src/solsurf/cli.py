@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +38,10 @@ from .immersion import (
     ImmersionInputs,
     assemble_tangents,
     conformal_immersion_closed,
+    constant_difference_check,
     explicit_immersion,
     integrate_surface,
+    linear_independence_report,
     prolonged_wave,
     sym_tafel,
     tangent_check,
@@ -54,8 +58,10 @@ from .sigma import (
     veronese_ladder,
 )
 from .spectral import (
+    WaveField,
     euclidean_wave,
     euclidean_wave_dlambda,
+    phi_euclidean,
     phi_traveling,
     traveling_wave_dlambda,
     wave_diagnostics,
@@ -64,9 +70,24 @@ from .symmetry import conformal_characteristic
 from .verify import SUITE_NAMES, run_suites
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None, so it is JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _dump_json(path: str, obj: dict) -> None:
+    """Write ``obj`` compactly to ``path`` and echo it indented to stdout,
+    with non-finite floats as null."""
+    obj = _finite(obj)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        json.dump(obj, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
@@ -91,10 +112,19 @@ def _build_solution(cfg: RunConfig):
     }
 
 
-def _wave_function(cfg: RunConfig, j: JetField, carrier):
-    if cfg.solution["kind"] == "veronese":
-        return euclidean_wave(j, cfg.solution["k"], cfg.lam)
-    return phi_traveling(carrier, j, cfg.lam)
+def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
+    """The jet -> Phi builder of the run's solution.
+
+    Veronese levels above 2 sum the stored ladder rungs, so their Phi does
+    not follow a deformation of the jets; `parse_config` admits no
+    symmetry there, and the builder is only applied to the undeformed jets.
+    """
+    if cfg.solution["kind"] == "traveling":
+        return lambda jd: phi_traveling(carrier, jd, cfg.lam)
+    k = cfg.solution["k"]
+    if k > 2:
+        return lambda jd: phi_euclidean(carrier, cfg.lam)
+    return lambda jd: euclidean_wave(jd, k, cfg.lam)
 
 
 def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
@@ -146,14 +176,14 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     summary["theta_square_residual_max"] = interior_max(sq, m0)
     summary["theta_commutator_identity_max"] = interior_max(ci, m1)
     _dump_json(os.path.join(outdir, "solve-summary.json"), summary)
-    print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     j, carrier, meta = _build_solution(cfg)
-    wave = _wave_function(cfg, j, carrier)
+    builder = _wave_builder(cfg, carrier)
+    wave = builder(j)
     u1, u2 = u_pair(j, cfg.lam)
 
     gauge = _gauge_field(cfg, j)
@@ -167,8 +197,6 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     res = integrate_surface(a, b, wave, u1=u1, u2=u2)
     write_field(os.path.join(outdir, "immersion.npz"), res.field)
     write_field(os.path.join(outdir, "wave.npz"), wave.field(), lam=wave.lam)
-    from .immersion import linear_independence_report
-
     t1 = MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin))
     t2 = MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin))
     report: dict = {
@@ -183,7 +211,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
 
     if cfg.a_coeffs and gauge is None and cfg.symmetry is None:
         if meta["kind"] == "veronese":
-            dphi = euclidean_wave_dlambda(j, meta["k"], cfg.lam)
+            dphi = euclidean_wave_dlambda(carrier, cfg.lam)
         else:
             dphi = traveling_wave_dlambda(carrier, j, wave)
         fst, sud = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
@@ -194,15 +222,9 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         f_closed, sud = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
         write_field(os.path.join(outdir, "conformal_closed.npz"), f_closed)
         report["conformal_closed_su_distance"] = sud
-        if meta["kind"] == "veronese":
-            builder = lambda jd: euclidean_wave(jd, meta["k"], cfg.lam)  # noqa: E731
-        else:
-            builder = lambda jd: phi_traveling(carrier, jd, cfg.lam)  # noqa: E731
         calf, sud2 = explicit_immersion(wave, prolonged_wave(q, j, builder))
         write_field(os.path.join(outdir, "prolonged.npz"), calf)
         report["prolonged_su_distance"] = sud2
-        from .immersion import constant_difference_check
-
         # only the symmetry is active, so (a, b) is the prolonged pair
         defect = max(tangent_check(calf, wave, a, b))
         report["prolonged_tangent_defect"] = defect
@@ -211,7 +233,6 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             f_closed, calf
         )[1]
     _dump_json(os.path.join(outdir, "immersion-report.json"), report)
-    print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 

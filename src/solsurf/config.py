@@ -39,6 +39,17 @@ _TOP_KEYS = {
     "suite",
 }
 
+# Largest matrix size.  A Veronese ladder holds n rungs of n x n fields
+# with their jets, so memory grows as n^3 per node: n = 8 on a 61^2 grid
+# peaks near 265 MB in `solve`, and its binomial weights overflow a float
+# from n of about 1030.
+MAX_N = 8
+
+# Largest part of the spectral parameter: the wave-function coefficients
+# take (1 - lambda)^3, whose complex power raises OverflowError from about
+# 1e102 on.
+MAX_LAMBDA = 1e100
+
 _DEFAULT_GRIDS = {
     "euclidean": {"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "dims": [101, 101]},
     "minkowski": {"origin": [0.0, 0.0], "spacing": [0.04, 0.04], "dims": [101, 101]},
@@ -107,13 +118,16 @@ def _numbers(raw, key: str, length: int | None = None) -> tuple[float, ...]:
 
 
 def parse_lambda(raw, key: str = "lambda") -> complex:
-    """A finite number or ``[re, im]`` pair away from the poles at +1 and -1."""
+    """A finite number or ``[re, im]`` pair, with parts up to `MAX_LAMBDA` in
+    magnitude, away from the poles at +1 and -1."""
     if isinstance(raw, list) and len(raw) == 2:
         lam = complex(*_numbers(raw, key))
     elif _is_number(raw):
         lam = complex(finite_number(raw, key))
     else:
         raise ConfigError(f"{_where(key)} must be a number or a [re, im] pair, got {raw!r}")
+    if max(abs(lam.real), abs(lam.imag)) > MAX_LAMBDA:
+        raise ConfigError(f"{_where(key)} has a part beyond {MAX_LAMBDA:g} in magnitude")
     if abs(1 - lam) < 1e-6 or abs(1 + lam) < 1e-6:
         raise ConfigError(f"{_where(key)} is singular (too close to +1 or -1)")
     return lam
@@ -133,8 +147,8 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError("key 'space' must be 'euclidean' or 'minkowski'")
 
     n = _integer(obj.get("n", 2), "n")
-    if n < 2:
-        raise ConfigError("key 'n' must be at least 2")
+    if not 2 <= n <= MAX_N:
+        raise ConfigError(f"key 'n' must lie in 2..{MAX_N}")
 
     sol = obj.get("solution")
     if not isinstance(sol, dict) or "kind" not in sol:
@@ -189,6 +203,8 @@ def parse_config(obj: dict) -> RunConfig:
         if not isinstance(gauge, dict) or not ({"preset", "file"} & set(gauge)):
             raise ConfigError("key 'gauge' must be 'none', {'preset': ...} or {'file': ...}")
         _reject_unknown(gauge, {"preset", "file"}, "gauge")
+        if not all(isinstance(value, str) for value in gauge.values()):
+            raise ConfigError("key 'gauge' must name its preset or file by a string")
 
     symmetry = None
     sraw = obj.get("symmetry")
@@ -202,6 +218,11 @@ def parse_config(obj: dict) -> RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"key 'symmetry': {exc}") from exc
+        if solution.get("k", 0) > 2:
+            raise ConfigError(
+                "key 'solution.k' must be at most 2 with a symmetry: deeper wave "
+                "functions sum the stored ladder rungs, which no deformation follows"
+            )
 
     outputs = obj.get("outputs", [])
     if not isinstance(outputs, list):
@@ -213,8 +234,8 @@ def parse_config(obj: dict) -> RunConfig:
         if entry.get("format") not in ("obj", "csv", "json"):
             raise ConfigError(f"key 'outputs[{i}].format' must be obj, csv or json")
         for req in ("input", "path"):
-            if req not in entry:
-                raise ConfigError(f"key 'outputs[{i}].{req}' is required")
+            if not isinstance(entry.get(req), str):
+                raise ConfigError(f"key 'outputs[{i}].{req}' must be a string")
 
     tolerances = obj.get("tolerances", {})
     if not isinstance(tolerances, dict):

@@ -7,10 +7,6 @@ class LambdaSingular(ValueError):
     """Spectral parameter too close to one of the poles at +1 or -1."""
 
 
-class ContractedToZero(RuntimeError):
-    """Raising/lowering denominator vanished everywhere: the ladder ends here."""
-
-
 class DeformationOutOfDomain(RuntimeError):
     """A deformed field left the domain on which the functional is defined."""
 

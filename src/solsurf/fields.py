@@ -18,6 +18,7 @@ plain axis derivatives.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -69,6 +70,9 @@ class Grid2:
             raise ValueError("grid needs at least 9 nodes per axis")
         if self.spacing[0] <= 0 or self.spacing[1] <= 0:
             raise ValueError("grid spacing must be positive")
+        half = ((self.n1 - 1) / 2 * self.h1, (self.n2 - 1) / 2 * self.h2)
+        if not all(math.isfinite(abs(c) + w) for c, w in zip(self.origin, half)):
+            raise ValueError("grid extends beyond the float range")
 
     @property
     def n1(self) -> int:
@@ -152,12 +156,6 @@ class MatrixField:
     def n(self) -> int:
         return self.values.shape[-1]
 
-    def interior(self, margin: int | None = None) -> np.ndarray:
-        m = self.margin if margin is None else margin
-        if m == 0:
-            return self.values
-        return self.values[m:-m, m:-m]
-
 
 def trim_margin(f: MatrixField) -> MatrixField:
     """Drop the untrusted boundary layers, shrinking the grid symmetrically."""
@@ -181,13 +179,6 @@ def same_grid(*fields: MatrixField) -> Grid2:
         if f.grid != g:
             raise GridMismatch("fields on different grids")
     return g
-
-
-def constant_field(grid: Grid2, mat: np.ndarray, margin: int = 0) -> MatrixField:
-    values = np.broadcast_to(
-        np.asarray(mat, dtype=complex), (grid.n2, grid.n1) + np.asarray(mat).shape
-    ).copy()
-    return MatrixField(grid, values, margin)
 
 
 def interior_max(scalar: np.ndarray, margin: int) -> float:

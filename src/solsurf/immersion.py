@@ -8,10 +8,10 @@ The tangent pair (A, B) is assembled as
 and the surface F is recovered from D_alpha F = Phi^{-1} A_alpha Phi by
 line integration along grid lines, using both integration orders; their
 mismatch is the path-independence certificate.  Closed forms are provided
-for the spectral-parameter term (Sym-Tafel), the gauge term, the conformal
-symmetry term, and the explicitly integrated prolongation of the wave
-function; each closed form is paired with a finite-difference tangent
-check in the verification suite.
+for the spectral-parameter term (Sym-Tafel), the conformal symmetry term,
+and the explicitly integrated prolongation of the wave function; each
+closed form is paired with a finite-difference tangent check in the
+verification suite.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "conformal_immersion_closed",
     "constant_difference_check",
     "explicit_immersion",
-    "gauge_immersion",
     "integrate_surface",
     "linear_independence_report",
     "prolonged_wave",
@@ -278,13 +277,6 @@ def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> tuple[Matrix
     """
     raw = a_value * mm(w.inverse(), dphi.values)
     out = MatrixField(w.grid, raw, max(w.margin, dphi.margin))
-    return out, su_distance(out)
-
-
-def gauge_immersion(s: MatrixField, w: WaveField) -> tuple[MatrixField, float]:
-    """Gauge immersion F = Phi^{-1} S Phi with its su(N) distance."""
-    raw = w.conjugate(s.values)
-    out = MatrixField(w.grid, raw, max(w.margin, s.margin))
     return out, su_distance(out)
 
 

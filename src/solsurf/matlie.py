@@ -18,7 +18,6 @@ __all__ = [
     "DimensionMismatch",
     "NonFiniteMatrix",
     "SuBasis",
-    "central_unit",
     "commutator",
     "dagger",
     "det",
@@ -218,13 +217,6 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -0.5 * np.real(trace(mm(x, y)))
 
 
-def central_unit(n: int) -> np.ndarray:
-    """Identity divided by the dimension: the trace-part unit of u(N)."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    return np.eye(n, dtype=complex) / n
-
-
 def project_su(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projection onto su(N).
 
@@ -348,20 +340,12 @@ class SuBasis:
     """Orthonormal anti-Hermitian traceless basis with structure constants.
 
     ``elements`` has shape (s, n, n) with s = n^2 - 1; the basis is
-    orthonormal for :func:`inner`, so decomposition is a plain projection.
-    ``structure`` holds real c[k, l, j] with [e_k, e_l] = sum_j c[k,l,j] e_j.
+    orthonormal for :func:`inner`.  ``structure`` holds real c[k, l, j]
+    with [e_k, e_l] = sum_j c[k,l,j] e_j.
     """
 
-    dim: int
     elements: np.ndarray
     structure: np.ndarray
-
-    def decompose(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of x in the basis (real for su(N) inputs)."""
-        return np.einsum("sab,...ba->...s", self.elements, np.asarray(x)) * (-0.5)
-
-    def recompose(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("...s,sab->...ab", np.real(np.asarray(coeffs)), self.elements)
 
     def closure_residual(self) -> float:
         """max_{k,l} || [e_k, e_l] - c[k,l,j] e_j ||_F."""
@@ -399,5 +383,5 @@ def su_basis(n: int) -> SuBasis:
     e = np.array(elems)
     comm = np.einsum("kab,lbc->klac", e, e) - np.einsum("lab,kbc->klac", e, e)
     structure = np.real(np.einsum("jab,klba->klj", e, comm)) * (-0.5)
-    return SuBasis(dim=n, elements=e, structure=structure)
+    return SuBasis(elements=e, structure=structure)
 

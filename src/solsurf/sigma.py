@@ -4,10 +4,8 @@ The model lives in rank-one Hermitian projector fields P; the equivalent
 algebra-valued variable is theta = i(P - I/N).  Solution generators:
 
 * Veronese-type holomorphic fields on the Euclidean chart, together with
-  the full raising ladder.  The ladder can be built two independent ways:
-  numerically (raising operator on stencil derivatives, re-projected) or
-  analytically (orthogonalized frame of the holomorphic curve, giving
-  exact values and exact jets).  The two routes cross-check each other.
+  the full raising ladder, built from the orthogonalized frame of the
+  holomorphic curve, which gives exact values and exact jets.
 * A rotating traveling wave on the Minkowski chart with exact jets.
 
 Derivative conventions follow :mod:`solsurf.fields`.
@@ -16,12 +14,12 @@ Derivative conventions follow :mod:`solsurf.fields`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ChartMismatch, ContractedToZero, LambdaSingular
+from .errors import ChartMismatch, LambdaSingular
 from .fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
@@ -29,26 +27,18 @@ from .fields import (
     Jets,
     MatrixField,
     SecondJets,
-    chart_first_derivatives,
     chart_jets,
     interior_max,
 )
-from .matlie import central_unit, commutator, dagger, fro, mm, trace
+from .matlie import commutator, dagger, fro, mm
 
 __all__ = [
     "JetField",
     "ProjectorField",
     "SolutionLadder",
     "TravelingWave",
-    "action_density",
-    "build_ladder",
     "check_lambda",
     "el_residual",
-    "lower_projector",
-    "projector_from_vector",
-    "projector_invariants",
-    "raise_projector",
-    "reproject_rank1",
     "theta_comm_identity_residual",
     "theta_of",
     "theta_square_residual",
@@ -59,49 +49,17 @@ __all__ = [
     "veronese_ladder",
 ]
 
-TOL_PROJ = 1e-10
-TOL_CONTRACT_REL = 1e-10
 TOL_LAMBDA = 1e-6
 
 
-def check_lambda(lam: complex, tol: float = TOL_LAMBDA) -> complex:
+def check_lambda(lam: complex) -> complex:
     lam = complex(lam)
-    if abs(1 + lam) < tol or abs(1 - lam) < tol:
-        raise LambdaSingular(f"lambda={lam} is within {tol} of a pole at -1 or +1")
+    if abs(1 + lam) < TOL_LAMBDA or abs(1 - lam) < TOL_LAMBDA:
+        raise LambdaSingular(f"lambda={lam} is within {TOL_LAMBDA} of a pole at -1 or +1")
     return lam
 
 
 # --- projectors --------------------------------------------------------------
-
-
-def projector_from_vector(v: np.ndarray) -> np.ndarray:
-    """Rank-one Hermitian projector v v† / v†v."""
-    v = np.asarray(v, dtype=complex)
-    w = np.einsum("...k,...k->...", v.conj(), v).real
-    if np.any(w <= 0):
-        raise ValueError("projector needs a nonzero vector")
-    return v[..., :, None] * v.conj()[..., None, :] / w[..., None, None]
-
-
-def reproject_rank1(values: np.ndarray) -> np.ndarray:
-    """Nearest rank-one Hermitian projector, per node (NaN nodes stay NaN)."""
-    h = 0.5 * (values + dagger(values))
-    out = np.full_like(values, np.nan, dtype=complex)
-    ok = np.isfinite(h).all(axis=(-1, -2))
-    if np.any(ok):
-        _, vecs = np.linalg.eigh(h[ok])
-        top = vecs[..., :, -1]
-        out[ok] = top[..., :, None] * top.conj()[..., None, :]
-    return out
-
-
-def projector_invariants(values: np.ndarray) -> dict[str, np.ndarray]:
-    """Pointwise defects of Hermiticity, idempotency and unit trace."""
-    return {
-        "hermiticity": fro(values - dagger(values)),
-        "idempotency": fro(mm(values, values) - values),
-        "trace": np.abs(trace(values) - 1.0),
-    }
 
 
 @dataclass(frozen=True)
@@ -110,7 +68,6 @@ class ProjectorField:
 
     field: MatrixField
     jets: Jets | None = None
-    reprojection_correction: float = 0.0
 
     @property
     def grid(self) -> Grid2:
@@ -146,13 +103,9 @@ class JetField(SecondJets):
     d1: np.ndarray
     d2: np.ndarray
     second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    provenance: str = "numeric-stencil"
     margin0: int = 0
     margin1: int = 2
     margin2: int = 4
-
-    def unit(self) -> np.ndarray:
-        return central_unit(self.n)
 
     def projector(self) -> np.ndarray:
         return np.broadcast_to(np.eye(self.n) / self.n, self.theta.shape) - 1j * self.theta
@@ -177,7 +130,6 @@ class JetField(SecondJets):
                 self.d12 + eps * q_jets.d12,
                 self.d22 + eps * q_jets.d22,
             ),
-            provenance="deformed",
             margin0=max(self.margin0, q_jets.margin1 - 2),
             margin1=max(self.margin1, q_jets.margin1),
             margin2=max(self.margin2, q_jets.margin2),
@@ -206,7 +158,6 @@ def theta_of(p: ProjectorField, provenance: str = "numeric-stencil") -> JetField
             d1=1j * j.d1,
             d2=1j * j.d2,
             second=lambda: second,
-            provenance="analytic",
             margin0=p.margin,
             margin1=max(p.margin, j.margin1),
             margin2=max(p.margin, j.margin2),
@@ -222,7 +173,6 @@ def theta_of(p: ProjectorField, provenance: str = "numeric-stencil") -> JetField
         d1=j.d1,
         d2=j.d2,
         second=lambda: (j.d11, j.d12, j.d22),
-        provenance="numeric-stencil",
         margin0=p.margin,
         margin1=j.margin1,
         margin2=j.margin2,
@@ -232,9 +182,9 @@ def theta_of(p: ProjectorField, provenance: str = "numeric-stencil") -> JetField
 # --- model operators and residuals -------------------------------------------
 
 
-def u_pair(j: JetField, lam: complex, tol_lambda: float = TOL_LAMBDA) -> tuple[MatrixField, MatrixField]:
+def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
     """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta]."""
-    lam = check_lambda(lam, tol_lambda)
+    lam = check_lambda(lam)
     u1 = (-2.0 / (1.0 + lam)) * commutator(j.d1, j.theta)
     u2 = (-2.0 / (1.0 - lam)) * commutator(j.d2, j.theta)
     return (
@@ -273,13 +223,6 @@ def theta_triple_residual(j: JetField) -> tuple[np.ndarray, int]:
     n = j.n
     res = mm(mm(j.theta, j.d1), j.theta) - (n - 1) / n**2 * j.d1
     return fro(res), j.margin1
-
-
-def action_density(j: JetField) -> tuple[np.ndarray, int]:
-    """tr(P_1 P_2) pointwise; real and nonnegative on the Euclidean chart."""
-    p1 = -1j * j.d1
-    p2 = -1j * j.d2
-    return trace(mm(p1, p2)), j.margin1
 
 
 # --- Veronese ladder: analytic route -----------------------------------------
@@ -371,7 +314,6 @@ class SolutionLadder:
     n: int
     rungs: list[ProjectorField]
     active: int = 0
-    diagnostics: dict = dc_field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.rungs)
@@ -383,7 +325,7 @@ class SolutionLadder:
     def with_active(self, k: int) -> "SolutionLadder":
         if not 0 <= k < len(self.rungs):
             raise IndexError(f"ladder has {len(self.rungs)} rungs, no index {k}")
-        return SolutionLadder(self.n, self.rungs, k, self.diagnostics)
+        return SolutionLadder(self.n, self.rungs, k)
 
     def completeness_residual(self) -> float:
         total = sum(r.values for r in self.rungs)
@@ -431,76 +373,7 @@ def veronese_field(n: int, grid: Grid2, k: int = 0) -> ProjectorField:
 
 def veronese_ladder(n: int, grid: Grid2) -> SolutionLadder:
     """The full analytic ladder of the Veronese field (length N)."""
-    ladder = SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, n - 1), active=0)
-    ladder.diagnostics["construction"] = "analytic-frame"
-    return ladder
-
-
-# --- raising / lowering: numeric route ----------------------------------------
-
-
-def _ladder_step(
-    p: ProjectorField, up: bool, tol_contract_rel: float
-) -> ProjectorField:
-    if p.grid.chart != CHART_EUCLIDEAN:
-        raise ChartMismatch("raising/lowering is defined on the euclidean-complex chart")
-    if p.jets is not None:
-        d1p, d2p, margin = p.jets.d1, p.jets.d2, max(p.margin, p.jets.margin1)
-    else:
-        d1p, d2p, margin = chart_first_derivatives(p.field)
-    if up:
-        num = mm(mm(d1p, p.values), d2p)
-    else:
-        num = mm(mm(d2p, p.values), d1p)
-    den = trace(num)
-    scale = interior_max(fro(d1p) * fro(d2p), margin)
-    tol = tol_contract_rel * max(scale, 1e-300)
-    if interior_max(np.abs(den), margin) < tol:
-        raise ContractedToZero(
-            "ladder denominator below the contraction tolerance everywhere"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = num / den[..., None, None]
-    raw = np.where(
-        (np.abs(den) < tol)[..., None, None], np.nan + 0j, raw
-    )
-    snapped = reproject_rank1(raw)
-    diff = snapped - raw
-    correction = interior_max(fro(np.where(np.isfinite(diff), diff, 0.0)), margin)
-    return ProjectorField(
-        MatrixField(p.grid, snapped, margin), jets=None, reprojection_correction=correction
-    )
-
-
-def raise_projector(p: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL) -> ProjectorField:
-    """One raising step, re-projected to the nearest rank-one projector."""
-    return _ladder_step(p, up=True, tol_contract_rel=tol_contract_rel)
-
-
-def lower_projector(p: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL) -> ProjectorField:
-    """One lowering step, re-projected to the nearest rank-one projector."""
-    return _ladder_step(p, up=False, tol_contract_rel=tol_contract_rel)
-
-
-def build_ladder(
-    p0: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL, max_rungs: int = 8
-) -> SolutionLadder:
-    """Raise until contraction; records re-projection and orthogonality data."""
-    rungs = [p0]
-    corrections = [p0.reprojection_correction]
-    while len(rungs) < max_rungs:
-        try:
-            nxt = raise_projector(rungs[-1], tol_contract_rel)
-        except ContractedToZero:
-            break
-        rungs.append(nxt)
-        corrections.append(nxt.reprojection_correction)
-    ladder = SolutionLadder(n=p0.n, rungs=rungs, active=0)
-    ladder.diagnostics["construction"] = "numeric-raising"
-    ladder.diagnostics["reprojection_corrections"] = corrections
-    ladder.diagnostics["orthogonality_defect"] = ladder.orthogonality_defect()
-    ladder.diagnostics["completeness_residual"] = ladder.completeness_residual()
-    return ladder
+    return SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, n - 1), active=0)
 
 
 # --- traveling wave ------------------------------------------------------------
@@ -562,7 +435,7 @@ def traveling_solution(
     wave = TravelingWave(kappa=kappa, omega=omega, grid=grid)
     s = wave.s_field()
     theta, dtheta = _rotating_theta(s, omega)
-    ddtheta = -4.0 * omega**2 * theta
+    ddtheta = -4.0 * omega * omega * theta  # a float power would raise on overflow
     k = kappa
     jets = JetField(
         grid=grid,
@@ -571,7 +444,6 @@ def traveling_solution(
         d1=dtheta,
         d2=k * dtheta,
         second=lambda: (ddtheta, k * ddtheta, k * k * ddtheta),
-        provenance="analytic",
         margin0=0,
         margin1=0,
         margin2=0,

@@ -4,9 +4,10 @@ Two closed-form builders are provided:
 
 * Euclidean chart: Phi = I + c(lam) * sum_{m=1..k} L^m(P) + beta(lam) * P
   for a ladder solution at level k, where L is the lowering operator and
-  c = 4 lam / (1 - lam)^2, beta = -2/(1 - lam).  The lowered rungs are
-  evaluated directly from the jet fields of the active solution, so the
-  builder is a smooth function of the jets and can be deformed.
+  c = 4 lam / (1 - lam)^2, beta = -2/(1 - lam).  Up to k = 2 the lowered
+  rungs are evaluated directly from the jet fields of the active
+  solution, so the builder is a smooth function of the jets and can be
+  deformed; deeper levels sum the stored rungs of the ladder.
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
 
@@ -16,9 +17,8 @@ Both are certified against 4th-order stencil derivatives by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class WaveField:
     lam: complex
     phi: np.ndarray
     margin: int = 0
-    builder: str = ""
-    ladder_coefficients: tuple[complex, complex, int] | None = None
-    diagnostics: dict = dc_field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -125,7 +122,7 @@ def wave_diagnostics(w: WaveField) -> dict[str, float]:
 # --- Euclidean builder ---------------------------------------------------------
 
 
-def euclidean_wave_coefficients(lam: complex, k: int) -> tuple[complex, complex]:
+def euclidean_wave_coefficients(lam: complex) -> tuple[complex, complex]:
     """(c, beta) with Phi = I + c * sum of lowered rungs + beta * P."""
     lam = check_lambda(lam)
     return 4 * lam / (1 - lam) ** 2, -2 / (1 - lam)
@@ -200,64 +197,62 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
     return [r1, r2]
 
 
-def euclidean_wave(j: JetField, k: int, lam: complex) -> WaveField:
-    """Wave function for a level-k ladder solution, from its jet field."""
-    c, beta = euclidean_wave_coefficients(lam, k)
-    p = j.projector()
-    phi = np.broadcast_to(np.eye(j.n, dtype=complex), p.shape) + beta * p
+def _jet_terms(j: JetField, k: int) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """P, its lowered rungs L(P) .. L^k(P) from the jets (k <= 2), and their margin."""
     margin = j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin0)
-    for rung in lowered_rungs_from_jets(j, k):
-        phi = phi + c * rung
-    return WaveField(
-        grid=j.grid,
-        lam=complex(lam),
-        phi=phi,
-        margin=margin,
-        builder="euclidean-ladder",
-        ladder_coefficients=(c, beta, k),
-    )
+    return j.projector(), lowered_rungs_from_jets(j, k), margin
 
 
-def phi_euclidean(ladder: SolutionLadder, lam: complex, provenance: str = "analytic") -> WaveField:
-    """Wave function at the ladder's active level.
+def _ladder_terms(ladder: SolutionLadder) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """The terms of `_jet_terms` at the ladder's active level k.
 
-    The lowered rungs are recomputed from the active solution's jets for
-    levels up to 2; deeper levels sum the stored ladder rungs instead
-    (those are the same projectors, but carry no deformation support).
+    Up to k = 2 the rungs are lowered from the active rung's jets, as
+    `euclidean_wave` lowers them; deeper levels take the stored rungs
+    below the active one instead (the same projectors, but they carry no
+    deformation support).
     """
     k = ladder.active
     rung = ladder.active_rung
-    prov = provenance if rung.jets is not None else "numeric-stencil"
-    j = theta_of(rung, prov)
     if k <= 2:
-        return euclidean_wave(j, k, lam)
-    c, beta = euclidean_wave_coefficients(lam, k)
-    phi = np.broadcast_to(np.eye(ladder.n, dtype=complex), rung.values.shape).copy()
-    phi = phi + beta * rung.values
-    for m in range(k):
-        phi = phi + c * ladder.rungs[m].values
-    margin = max(r.margin for r in ladder.rungs)
-    return WaveField(
-        grid=rung.grid,
-        lam=complex(lam),
-        phi=phi,
-        margin=margin,
-        builder="euclidean-ladder-stored",
-        ladder_coefficients=(c, beta, k),
-    )
+        j = theta_of(rung, "analytic" if rung.jets is not None else "numeric-stencil")
+        return _jet_terms(j, k)
+    return rung.values, [r.values for r in ladder.rungs[:k]], max(r.margin for r in ladder.rungs)
 
 
-def euclidean_wave_dlambda(j: JetField, k: int, lam: complex) -> MatrixField:
-    """Analytic d(Phi)/d(lambda) for the Euclidean builder."""
+def _wave(grid: Grid2, lam: complex, terms: tuple[np.ndarray, list[np.ndarray], int]) -> WaveField:
+    """Phi = I + beta P + c (L(P) + ... + L^k(P)) from the terms P, L^m(P) and their margin."""
+    c, beta = euclidean_wave_coefficients(lam)
+    p, rungs, margin = terms
+    phi = np.broadcast_to(np.eye(p.shape[-1], dtype=complex), p.shape) + beta * p
+    for rung in rungs:
+        phi = phi + c * rung
+    return WaveField(grid=grid, lam=complex(lam), phi=phi, margin=margin)
+
+
+def euclidean_wave(j: JetField, k: int, lam: complex) -> WaveField:
+    """Wave function for a level-k ladder solution (k <= 2), from its jet field."""
+    return _wave(j.grid, lam, _jet_terms(j, k))
+
+
+def phi_euclidean(ladder: SolutionLadder, lam: complex) -> WaveField:
+    """Wave function at the ladder's active level k.
+
+    Up to k = 2 it equals `euclidean_wave` on the active rung's jets;
+    deeper levels sum the stored rungs below the active one.
+    """
+    return _wave(ladder.active_rung.grid, lam, _ladder_terms(ladder))
+
+
+def euclidean_wave_dlambda(ladder: SolutionLadder, lam: complex) -> MatrixField:
+    """Analytic d(Phi)/d(lambda) of `phi_euclidean`."""
     lam = check_lambda(lam)
     cprime = 4 * (1 + lam) / (1 - lam) ** 3
     bprime = -2 / (1 - lam) ** 2
-    p = j.projector()
+    p, rungs, margin = _ladder_terms(ladder)
     out = bprime * p
-    margin = j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin0)
-    for rung in lowered_rungs_from_jets(j, k):
+    for rung in rungs:
         out = out + cprime * rung
-    return MatrixField(j.grid, out, margin)
+    return MatrixField(ladder.active_rung.grid, out, margin)
 
 
 # --- Minkowski builder ---------------------------------------------------------
@@ -278,7 +273,6 @@ def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
         lam=complex(lam),
         phi=mm(expm(2.0 * wave.chi(lam)[..., None, None] * komm), tail),
         margin=j.margin0,
-        builder="traveling",
     )
 
 
@@ -287,20 +281,6 @@ def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> Ma
     komm = commutator(j.d1, j.theta)
     out = 2.0 * wave.dlambda_chi(w.lam)[..., None, None] * mm(komm, w.phi)
     return MatrixField(wave.grid, out, j.margin0)
-
-
-def dlambda_fd(
-    builder: "Callable[[complex], WaveField]", lam: complex, step: float = 1e-5
-) -> MatrixField:
-    """Central difference of a wave-function builder in the spectral parameter.
-
-    Independent cross-check for the analytic lambda-derivatives; the
-    difference is taken along the real lambda direction.
-    """
-    plus = builder(lam + step)
-    minus = builder(lam - step)
-    vals = (plus.phi - minus.phi) / (2 * step)
-    return MatrixField(plus.grid, vals, max(plus.margin, minus.margin))
 
 
 # --- residual --------------------------------------------------------------------

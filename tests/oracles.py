@@ -1,0 +1,126 @@
+"""Independent routes that the tests compare the package against.
+
+None of these is reached by a command or a verification check; each one
+rebuilds by another method something the package computes, so a test can
+cross-check the two:
+
+* the numeric ladder: raising and lowering by the stencil derivatives of
+  the projector, re-projected onto rank one per node, against the
+  analytic Veronese frame;
+* a central difference in the spectral parameter, against the analytic
+  lambda-derivatives of the wave functions;
+* the inverse of the su(2) -> R^3 embedding, and constant fields, to build
+  surfaces and tangents with known values.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from solsurf.errors import ChartMismatch
+from solsurf.fields import CHART_EUCLIDEAN, Grid2, MatrixField, chart_first_derivatives, interior_max
+from solsurf.matlie import dagger, fro, mm, trace
+from solsurf.sigma import ProjectorField, SolutionLadder
+from solsurf.spectral import WaveField
+
+TOL_CONTRACT_REL = 1e-10
+
+
+class ContractedToZero(RuntimeError):
+    """Raising/lowering denominator vanished everywhere: the ladder ends here."""
+
+
+# --- numeric ladder ----------------------------------------------------------------
+
+
+def reproject_rank1(values: np.ndarray) -> np.ndarray:
+    """Nearest rank-one Hermitian projector, per node (NaN nodes stay NaN)."""
+    h = 0.5 * (values + dagger(values))
+    out = np.full_like(values, np.nan, dtype=complex)
+    ok = np.isfinite(h).all(axis=(-1, -2))
+    if np.any(ok):
+        _, vecs = np.linalg.eigh(h[ok])
+        top = vecs[..., :, -1]
+        out[ok] = top[..., :, None] * top.conj()[..., None, :]
+    return out
+
+
+def _ladder_step(p: ProjectorField, up: bool, tol_contract_rel: float) -> ProjectorField:
+    if p.grid.chart != CHART_EUCLIDEAN:
+        raise ChartMismatch("raising/lowering is defined on the euclidean-complex chart")
+    if p.jets is not None:
+        d1p, d2p, margin = p.jets.d1, p.jets.d2, max(p.margin, p.jets.margin1)
+    else:
+        d1p, d2p, margin = chart_first_derivatives(p.field)
+    if up:
+        num = mm(mm(d1p, p.values), d2p)
+    else:
+        num = mm(mm(d2p, p.values), d1p)
+    den = trace(num)
+    scale = interior_max(fro(d1p) * fro(d2p), margin)
+    tol = tol_contract_rel * max(scale, 1e-300)
+    if interior_max(np.abs(den), margin) < tol:
+        raise ContractedToZero("ladder denominator below the contraction tolerance everywhere")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = num / den[..., None, None]
+    raw = np.where((np.abs(den) < tol)[..., None, None], np.nan + 0j, raw)
+    return ProjectorField(MatrixField(p.grid, reproject_rank1(raw), margin))
+
+
+def raise_projector(p: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL) -> ProjectorField:
+    """One raising step, re-projected to the nearest rank-one projector."""
+    return _ladder_step(p, up=True, tol_contract_rel=tol_contract_rel)
+
+
+def lower_projector(p: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL) -> ProjectorField:
+    """One lowering step, re-projected to the nearest rank-one projector."""
+    return _ladder_step(p, up=False, tol_contract_rel=tol_contract_rel)
+
+
+def build_ladder(
+    p0: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL, max_rungs: int = 8
+) -> SolutionLadder:
+    """Raise until contraction."""
+    rungs = [p0]
+    while len(rungs) < max_rungs:
+        try:
+            rungs.append(raise_projector(rungs[-1], tol_contract_rel))
+        except ContractedToZero:
+            break
+    return SolutionLadder(n=p0.n, rungs=rungs, active=0)
+
+
+# --- spectral parameter ------------------------------------------------------------
+
+
+def dlambda_fd(
+    builder: Callable[[complex], WaveField], lam: complex, step: float = 1e-5
+) -> MatrixField:
+    """Central difference of a wave-function builder along real lambda."""
+    plus = builder(lam + step)
+    minus = builder(lam - step)
+    vals = (plus.phi - minus.phi) / (2 * step)
+    return MatrixField(plus.grid, vals, max(plus.margin, minus.margin))
+
+
+# --- fields with known values ------------------------------------------------------
+
+
+def unembed_su2(grid: Grid2, points: np.ndarray, margin: int = 0) -> MatrixField:
+    """Inverse of `solsurf.geometry.embed_su2`."""
+    a, b, c = points[..., 0], points[..., 1], points[..., 2]
+    vals = np.empty(points.shape[:-1] + (2, 2), dtype=complex)
+    vals[..., 0, 0] = 1j * c
+    vals[..., 0, 1] = 1j * a + b
+    vals[..., 1, 0] = 1j * a - b
+    vals[..., 1, 1] = -1j * c
+    return MatrixField(grid, vals, margin)
+
+
+def constant_field(grid: Grid2, mat: np.ndarray, margin: int = 0) -> MatrixField:
+    values = np.broadcast_to(
+        np.asarray(mat, dtype=complex), (grid.n2, grid.n1) + np.asarray(mat).shape
+    ).copy()
+    return MatrixField(grid, values, margin)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solsurf.cli import main
 from solsurf.config import ConfigError, parse_config
@@ -265,11 +270,21 @@ README_MINK = {
         (README_EUCLID, {}, ["--grid-h", "nan"], "--grid-h"),
         (README_EUCLID, {}, ["--grid-h", "-1"], "--grid-h"),
         (README_MINK, {"symmetry": {"f": [0, 1], "g": [[0, 0], [1, 0]]}}, [], "key 'symmetry.f[0]'"),
+        (README_EUCLID, {"n": 4, "solution": {"kind": "veronese", "k": 3}}, [],
+         "key 'solution.k'"),
+        (README_EUCLID, {"n": 2000}, [], "key 'n'"),
+        (README_MINK, {"lambda": 1e200}, [], "key 'lambda'"),
+        (README_MINK, {"grid": {"spacing": [1e308, 0.001], "dims": [21, 21]}}, [], "key 'grid'"),
+        (README_MINK, {"gauge": {"file": 5}}, [], "key 'gauge'"),
+        (README_MINK, {"outputs": [{"format": "obj", "input": 5, "path": "x.obj"}]}, [],
+         "key 'outputs[0].input'"),
     ],
     ids=[
         "n-string", "a_coeffs-string", "tolerance-string", "lambda-flag-string",
         "lambda-flag-nan", "lambda-pair-nan", "lambda-nan", "spacing-inf", "origin-nan",
-        "grid-h-nan", "grid-h-negative", "symmetry-bare-number",
+        "grid-h-nan", "grid-h-negative", "symmetry-bare-number", "symmetry-deep-rung",
+        "n-huge", "lambda-huge", "grid-extent-overflow", "gauge-file-number",
+        "outputs-input-number",
     ],
 )
 def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, flags, named):
@@ -293,3 +308,120 @@ def test_symmetry_coefficients_must_be_pairs():
         ConformalSpec.from_json({"f": [[0, 0]]}, CHART_MINKOWSKI)
     spec = ConformalSpec.from_json({"f": [[0, 0], [1, 0]], "g": [[0.5, 0]]}, CHART_MINKOWSKI)
     assert spec.f_coeffs == (0j, 1 + 0j) and spec.g_coeffs == (0.5 + 0j,)
+
+
+def test_cli_immerse_deep_rung_sums_stored_rungs(tmp_path):
+    # level 3 lies beyond the jets' second order: Phi and dPhi/dlambda
+    # sum the stored ladder rungs
+    from solsurf.fields import CHART_EUCLIDEAN, Grid2, interior_max
+    from solsurf.sigma import theta_of, u_pair, veronese_ladder
+    from solsurf.spectral import WaveField, lsp_residual
+
+    cfg = {**README_EUCLID, "n": 4, "solution": {"kind": "veronese", "k": 3}, "a_coeffs": [1.0]}
+    del cfg["symmetry"]
+    out = str(tmp_path / "out")
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    with open(os.path.join(out, "immersion-report.json")) as fh:
+        report = json.load(fh, parse_constant=lambda name: pytest.fail(f"bare {name}"))
+    values = [report[k] for k in ("compat_defect", "path_defect", "sym_tafel_su_distance")]
+    values += list(report["wave"].values()) + list(report["tangent_gram"].values())
+    assert all(isinstance(v, float) and np.isfinite(v) for v in values)
+    assert report["compat_defect"] < 1e-6 and report["integrated_tangent_defect"] < 1e-6
+
+    wave, lam = read_field(os.path.join(out, "wave.npz"))
+    grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (21, 21))
+    j = theta_of(veronese_ladder(4, grid).rungs[3], "analytic")
+    r1, r2, m = lsp_residual(WaveField(grid, lam, wave.values, wave.margin), *u_pair(j, lam))
+    assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
+
+
+def test_reports_write_non_finite_values_as_null(tmp_path, capsys):
+    from solsurf.cli import _dump_json
+
+    path = str(tmp_path / "report.json")
+    _dump_json(path, {"a": float("nan"), "b": [1.5, float("inf")], "c": {"d": -float("inf")}})
+    with open(path) as fh:
+        assert fh.read() == '{"a":null,"b":[1.5,null],"c":{"d":null}}'
+    assert json.loads(capsys.readouterr().out) == {"a": None, "b": [1.5, None], "c": {"d": None}}
+
+
+# --- every JSON object parses or is rejected, and every parsed config solves ---
+
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _mutated(draw, obj: dict, mutate: bool) -> dict:
+    """``obj`` with each key kept, dropped or replaced by any JSON value."""
+    if not mutate:
+        return obj
+    out = {}
+    for key, value in obj.items():
+        action = draw(st.sampled_from(("keep",) * 8 + ("drop", "replace")))
+        if action != "drop":
+            out[key] = value if action == "keep" else draw(_ANY)
+    if draw(st.integers(0, 9)) == 0:
+        out[draw(st.text(max_size=6))] = draw(_ANY)
+    return out
+
+
+@st.composite
+def _configs(draw) -> dict:
+    """A well-formed configuration, half of the time mutated key by key."""
+    mutate = draw(st.booleans())
+    space = draw(st.sampled_from(["euclidean", "minkowski"]))
+    if space == "euclidean":
+        n = draw(st.integers(2, 5))
+        solution = {"kind": "veronese", "k": draw(st.integers(0, n - 1))}
+        f = draw(st.lists(st.tuples(_FINITE, _FINITE), max_size=3))
+        symmetry = {"f": [[re, im] for re, im in f], "g": [[re, -im] for re, im in f]}
+    else:
+        n = 2
+        solution = {"kind": "traveling", "kappa": draw(_FINITE), "omega": draw(_FINITE)}
+        symmetry = {key: [[c, 0.0] for c in draw(st.lists(_FINITE, max_size=3))] for key in "fg"}
+    grid = {"origin": draw(st.lists(_FINITE, min_size=2, max_size=2)),
+            "spacing": draw(st.lists(_POSITIVE, min_size=2, max_size=2))}
+    obj = {
+        "model": "cp",
+        "space": space,
+        "n": n,
+        "solution": _mutated(draw, solution, mutate),
+        "grid": _mutated(draw, grid, mutate),
+        "lambda": draw(_FINITE | st.lists(_FINITE, min_size=2, max_size=2)),
+        "a_coeffs": draw(st.lists(_FINITE, max_size=2)),
+        "gauge": draw(st.sampled_from(["none", {"preset": "diag"}, {"file": "s.npz"}])),
+        "symmetry": _mutated(draw, symmetry, mutate),
+        "outputs": [{"format": "obj", "input": "f.npz", "path": "f.obj"}],
+        "tolerances": draw(st.dictionaries(st.text(max_size=6), _FINITE, max_size=2)),
+        "suite": "all",
+    }
+    return _mutated(draw, obj, mutate)
+
+
+@given(obj=_configs() | _ANY)
+@example(obj={"space": "minkowski", "solution": {"kind": "traveling", "omega": 1.4e154}})
+@example(obj={"space": "euclidean", "solution": {"kind": "veronese"}, "lambda": [1.3e308, 1.3e308]})
+@settings(max_examples=150, deadline=None)
+def test_every_config_parses_or_is_rejected_and_solves(obj):
+    try:
+        parse_config(obj)
+    except ConfigError:
+        return
+    grid = obj.get("grid", {})
+    run = {**obj, "grid": {**grid, "dims": [9, 9]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(run, fh)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", "--config", path, "--out", out])
+        assert code in (0, 2)
+        if code == 0:
+            with open(os.path.join(out, "solve-summary.json")) as fh:
+                json.load(fh, parse_constant=lambda name: pytest.fail(f"bare {name} in the summary"))

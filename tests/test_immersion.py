@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import constant_field
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
     MatrixField,
-    constant_field,
     interior_max,
 )
 from solsurf.matlie import commutator, fro, su_basis
@@ -32,7 +32,6 @@ from solsurf.immersion import (
     conformal_immersion_closed,
     constant_difference_check,
     explicit_immersion,
-    gauge_immersion,
     integrate_surface,
     linear_independence_report,
     prolonged_wave,
@@ -53,7 +52,7 @@ LAM_M = 0.5
 
 def identity_wave(grid, n, lam=0.0):
     vals = np.broadcast_to(np.eye(n), (grid.n2, grid.n1, n, n)).astype(complex).copy()
-    return WaveField(grid=grid, lam=lam, phi=vals, margin=0, builder="identity")
+    return WaveField(grid=grid, lam=lam, phi=vals, margin=0)
 
 
 def test_assemble_requires_ingredient():
@@ -142,7 +141,7 @@ def test_sym_tafel_euclid():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
-    dphi = euclidean_wave_dlambda(j, 0, LAM_E)
+    dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
     zero_f, _ = sym_tafel(w, dphi, 0.0)
     assert interior_max(fro(zero_f.values), zero_f.margin) == 0
     fst, _ = sym_tafel(w, dphi, 1.0)
@@ -175,11 +174,12 @@ def test_gauge_immersion():
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(j.theta), 0)
-    f0, _ = gauge_immersion(zero, w)
+    # the gauge immersion is F = Phi^-1 S Phi
+    f0 = MatrixField(GRID, w.conjugate(zero.values), max(w.margin, zero.margin))
     assert interior_max(fro(f0.values), f0.margin) == 0
     # constant S: tangents are Phi^-1 [S, u^alpha] Phi
     s = constant_field(GRID, 1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
-    fs, _ = gauge_immersion(s, w)
+    fs = MatrixField(GRID, w.conjugate(s.values), max(w.margin, s.margin))
     t1 = MatrixField(GRID, commutator(s.values, u1.values), u1.margin)
     t2 = MatrixField(GRID, commutator(s.values, u2.values), u2.margin)
     assert max(tangent_check(fs, w, t1, t2)) < 1e-6
@@ -193,7 +193,7 @@ def test_gauge_immersion():
         poly = (c[0] + c[1] * x + c[2] * y + c[3] * x * y)[..., None, None]
         s2_vals = s2_vals + poly * e
     s2 = MatrixField(GRID, s2_vals, 0)
-    fs2, _ = gauge_immersion(s2, w)
+    fs2 = MatrixField(GRID, w.conjugate(s2.values), max(w.margin, s2.margin))
     from solsurf.fields import chart_first_derivatives
 
     d1s, d2s, sm = chart_first_derivatives(s2)
@@ -272,7 +272,7 @@ def test_prolong_immersion_trivial_and_psi():
 def test_psi_sym_tafel_is_dlambda_phi():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
-    dphi = euclidean_wave_dlambda(j, 0, LAM_E)
+    dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
     fst, _ = sym_tafel(w, dphi, 1.0)
     psi = psi_of(fst, w)
     assert interior_max(fro(psi.values - dphi.values), psi.margin) < 1e-7

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from solsurf.matlie import (
     DimensionMismatch,
     NonFiniteMatrix,
-    central_unit,
     commutator,
     dagger,
     det,
@@ -99,18 +98,6 @@ def test_su_basis_requires_n2():
         su_basis(1)
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_basis_decompose_recompose(seed):
-    rng = np.random.default_rng(seed)
-    basis = su_basis(3)
-    m = random_complex(rng, 3)
-    x, _ = project_su(m)
-    coeffs = basis.decompose(x)
-    assert np.max(np.abs(coeffs.imag)) < 1e-12
-    assert fro(basis.recompose(coeffs) - x) < 1e-12
-
-
 def test_project_su_cases():
     rng = np.random.default_rng(1)
     # anti-Hermitian traceless passes through
@@ -127,13 +114,6 @@ def test_project_su_cases():
     # trace shifts are removed
     shifted, _ = project_su(x + 2.7 * np.eye(3))
     assert fro(shifted - x) < 1e-13
-
-
-def test_central_unit():
-    assert np.allclose(central_unit(2), np.diag([0.5, 0.5]))
-    for n in (2, 3, 5):
-        assert abs(np.trace(central_unit(n)) - 1) < 1e-15
-        assert np.allclose(n * central_unit(n), np.eye(n))
 
 
 def test_inner_su2_dot_product():

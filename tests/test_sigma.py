@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from solsurf.errors import ChartMismatch, ContractedToZero, LambdaSingular
+from oracles import ContractedToZero, build_ladder, lower_projector, raise_projector
+from solsurf.errors import ChartMismatch, LambdaSingular
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
@@ -9,16 +10,10 @@ from solsurf.fields import (
     MatrixField,
     interior_max,
 )
-from solsurf.matlie import commutator, dagger, fro
+from solsurf.matlie import commutator, dagger, fro, mm, trace
 from solsurf.sigma import (
     ProjectorField,
-    action_density,
-    build_ladder,
     el_residual,
-    lower_projector,
-    projector_from_vector,
-    projector_invariants,
-    raise_projector,
     theta_comm_identity_residual,
     theta_of,
     theta_square_residual,
@@ -34,17 +29,13 @@ GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (H_FINE, H_FINE), (101, 101))
 GRID_M = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.001, 0.001), (101, 101))
 
 
-def test_projector_from_vector():
-    p = projector_from_vector(np.array([1.0, 0.0]))
-    assert np.allclose(p, np.diag([1.0, 0.0]))
-    p = projector_from_vector(np.array([1.0, 1.0]))
-    assert np.allclose(p, 0.5 * np.ones((2, 2)))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    p = projector_from_vector(v)
-    assert np.allclose(p @ v, v)
-    with pytest.raises(ValueError):
-        projector_from_vector(np.zeros(3))
+def projector_defects(values):
+    """Pointwise defects of Hermiticity, idempotency and unit trace."""
+    return {
+        "hermiticity": fro(values - dagger(values)),
+        "idempotency": fro(mm(values, values) - values),
+        "trace": np.abs(trace(values) - 1.0),
+    }
 
 
 def test_veronese_values():
@@ -79,7 +70,7 @@ def test_veronese_ladder_rungs_match_single_fields(n):
 def test_veronese_invariants_and_chart():
     for n in (2, 3):
         p0 = veronese_field(n, GRID)
-        inv = projector_invariants(p0.values)
+        inv = projector_defects(p0.values)
         assert inv["hermiticity"].max() < 1e-13
         assert inv["idempotency"].max() < 1e-13
         assert inv["trace"].max() < 1e-13
@@ -182,7 +173,7 @@ def test_build_ladder_cp2():
     assert ladder.completeness_residual() < 1e-9
     # rung invariants hold after every re-projected step
     for rung in ladder.rungs:
-        inv = projector_invariants(rung.values)
+        inv = projector_defects(rung.values)
         m = max(rung.margin, 2)
         assert interior_max(inv["hermiticity"], m) < 1e-10
         assert interior_max(inv["idempotency"], m) < 1e-10
@@ -218,30 +209,6 @@ def test_u_pair_values_and_errors():
     for lam in (1.0, -1.0, 1.0 + 1e-9j):
         with pytest.raises(LambdaSingular):
             u_pair(j, lam)
-
-
-def test_action_density():
-    j = theta_of(veronese_field(2, GRID), "analytic")
-    dens, m = action_density(j)
-    i2, i1 = GRID.n2 // 2, GRID.n1 // 2
-    # hand value at xi = 0 from v = (1, xi): tr(P_1 P_2) = 1
-    assert abs(dens[i2, i1] - 1.0) < 1e-12
-    assert interior_max(np.abs(dens.imag), m) < 1e-12
-    assert np.nanmin(dens.real) > -1e-12
-
-
-def test_action_density_constant_field():
-    from solsurf.sigma import JetField
-
-    theta = np.broadcast_to(1j * (np.diag([1.0, 0.0]) - np.eye(2) / 2), (101, 101, 2, 2))
-    zero = np.zeros_like(theta)
-    j = JetField(
-        grid=GRID, n=2, theta=theta.copy(), d1=zero.copy(), d2=zero.copy(),
-        second=lambda: (zero, zero, zero),
-        provenance="analytic", margin0=0, margin1=0, margin2=0,
-    )
-    dens, m = action_density(j)
-    assert interior_max(np.abs(dens), m) == 0
 
 
 def test_traveling_wave_structure():
@@ -306,7 +273,8 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
     rng = np.random.default_rng(n)
     coeffs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     v = coeffs[0] + np.sin(x1)[..., None] * coeffs[1] + (x1 * x2)[..., None] * coeffs[2]
-    j = theta_of(ProjectorField(MatrixField(grid, projector_from_vector(v), 1)))
+    p = v[..., :, None] * v.conj()[..., None, :] / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
+    j = theta_of(ProjectorField(MatrixField(grid, p, 1)))
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q = np.cos(x2 - x1)[..., None, None] * (a - dagger(a))
     q_jets = chart_jets(MatrixField(grid, q, 1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import dlambda_fd
 from solsurf.errors import LambdaSingular
 from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, interior_max
 from solsurf.matlie import fro
@@ -8,7 +9,6 @@ from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import (
     WaveField,
     _cond2,
-    dlambda_fd,
     euclidean_wave,
     euclidean_wave_coefficients,
     euclidean_wave_dlambda,
@@ -31,7 +31,7 @@ def test_wave_base_level_formula():
     lam = 0.5
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, lam)
-    _, beta = euclidean_wave_coefficients(lam, 0)
+    _, beta = euclidean_wave_coefficients(lam)
     expected = np.eye(2) + beta * LADDER2.rungs[0].values
     assert interior_max(fro(w.phi - expected), w.margin) < 1e-14
 
@@ -111,7 +111,9 @@ def test_deep_ladder_stored_rung_wave():
     lvl = ladder.with_active(3)
     lam = 0.5
     w = phi_euclidean(lvl, lam)
-    assert w.builder == "euclidean-ladder-stored"
+    c, beta = euclidean_wave_coefficients(lam)
+    stored = np.eye(4) + beta * ladder.rungs[3].values + c * sum(r.values for r in ladder.rungs[:3])
+    assert interior_max(fro(w.phi - stored), w.margin) < 1e-14
     j = theta_of(lvl.active_rung, "analytic")
     u1, u2 = u_pair(j, lam)
     r1, r2, m = lsp_residual(w, u1, u2)
@@ -119,11 +121,12 @@ def test_deep_ladder_stored_rung_wave():
 
 
 def test_wave_linearity_reconstruction():
-    # coefficients stored on the wave field rebuild it from the ladder rungs
+    # the builder's coefficients rebuild the wave field from the ladder rungs
     lam = -0.3
     lvl = LADDER3.with_active(2)
     w = phi_euclidean(lvl, lam)
-    c, beta, k = w.ladder_coefficients
+    c, beta = euclidean_wave_coefficients(lam)
+    k = 2
     recon = np.broadcast_to(np.eye(3), w.phi.shape).astype(complex).copy()
     recon = recon + beta * LADDER3.rungs[2].values
     for m in range(k):
@@ -200,7 +203,6 @@ def test_lsp_residual_trivial_phi():
         lam=lam,
         phi=np.broadcast_to(np.eye(2), JET_M.theta.shape).astype(complex).copy(),
         margin=0,
-        builder="identity",
     )
     r1, r2, m = lsp_residual(ident, u1, u2)
     assert interior_max(np.abs(r1 - fro(u1.values)), m) < 1e-12
@@ -224,17 +226,27 @@ def test_dlambda_euclid_analytic_vs_fd():
     lam = 0.5
     for k, ladder in ((0, LADDER2), (2, LADDER3)):
         j = theta_of(ladder.rungs[k], "analytic")
-        analytic = euclidean_wave_dlambda(j, k, lam)
+        analytic = euclidean_wave_dlambda(ladder.with_active(k), lam)
         fd = dlambda_fd(lambda l, j=j, k=k: euclidean_wave(j, k, l), lam)
         m = max(analytic.margin, fd.margin)
         assert interior_max(fro(analytic.values - fd.values), m) < 1e-7
 
 
+def test_dlambda_deep_level_analytic_vs_fd():
+    # level 3 sums the stored rungs, in Phi and in dPhi/dlambda alike
+    g = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (41, 41))
+    ladder = veronese_ladder(4, g).with_active(3)
+    lam = 0.5
+    analytic = euclidean_wave_dlambda(ladder, lam)
+    fd = dlambda_fd(lambda l: phi_euclidean(ladder, l), lam)
+    m = max(analytic.margin, fd.margin)
+    assert interior_max(fro(analytic.values - fd.values), m) < 1e-7
+
+
 def test_dlambda_base_level_value():
     # at the bottom of the ladder: dPhi/dlam = -2/(1-lam)^2 P
     lam = 0.5
-    j = theta_of(LADDER2.rungs[0], "analytic")
-    analytic = euclidean_wave_dlambda(j, 0, lam)
+    analytic = euclidean_wave_dlambda(LADDER2.with_active(0), lam)
     expected = -2 / (1 - lam) ** 2 * LADDER2.rungs[0].values
     assert interior_max(fro(analytic.values - expected), analytic.margin) < 1e-14
 
