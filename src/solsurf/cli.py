@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError, RunConfig, finite_number, load_config, parse_lambda
-from .errors import FieldFileError, LambdaSingular
+from .errors import DeformationOutOfDomain, FieldFileError, LambdaSingular
 from .fields import (
     Grid2,
     MatrixField,
@@ -237,9 +237,9 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig | None, suite: str, outdir: str) -> int:
-    os.makedirs(outdir, exist_ok=True)
     tolerances = cfg.tolerances if cfg is not None else {}
     report = run_suites([suite], tolerances)
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.json_text())
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
@@ -261,8 +261,7 @@ def cmd_export(cfg: RunConfig, outdir: str) -> int:
         elif entry["format"] == "csv":
             write_scalar_csv(dst, field.grid, fro(field.values), field.margin)
         else:
-            surface = embed_su2(trim_margin(field))
-            export_obj(dst, surface)
+            export_obj(dst, embed_su2(trim_margin(field)))
         print(f"wrote {dst}")
     return 0
 
@@ -330,6 +329,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except LambdaSingular as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except DeformationOutOfDomain as exc:
+        # the wave function of the solution, or of its deformation along
+        # the symmetry, cannot be built: on a vanishing grid spacing, say,
+        # every stencil derivative is degenerate
+        print(f"configuration error: keys 'grid' and 'symmetry': {exc}", file=sys.stderr)
         return 2
 
 

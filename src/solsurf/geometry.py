@@ -7,29 +7,19 @@ written as a triangulated OBJ mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import Grid2, MatrixField
+from .fields import MatrixField
 
 __all__ = [
-    "EmbeddedSurface",
     "embed_su2",
     "export_obj",
 ]
 
 
-@dataclass(frozen=True)
-class EmbeddedSurface:
-    """R^3 point field over the grid."""
-
-    grid: Grid2
-    points: np.ndarray
-
-
-def embed_su2(f: MatrixField) -> EmbeddedSurface:
-    """Coordinates of F = i(a s1 + b s2 + c s3) in the Pauli-type basis.
+def embed_su2(f: MatrixField) -> np.ndarray:
+    """Coordinates of F = i(a s1 + b s2 + c s3) in the Pauli-type basis,
+    as an (n2, n1, 3) point array over the grid.
 
     The map is a linear isometry: inner(X, Y) equals the Euclidean dot
     product of the embedded coordinates.
@@ -40,14 +30,14 @@ def embed_su2(f: MatrixField) -> EmbeddedSurface:
     a = 0.5 * np.imag(v[..., 0, 1] + v[..., 1, 0])
     b = 0.5 * np.real(v[..., 0, 1] - v[..., 1, 0])
     c = np.imag(v[..., 0, 0])
-    return EmbeddedSurface(grid=f.grid, points=np.stack([a, b, c], axis=-1))
+    return np.stack([a, b, c], axis=-1)
 
 
-def export_obj(path: str, surface: EmbeddedSurface) -> None:
-    """Triangulated grid as ASCII OBJ: row-major vertices, 1-based indices."""
-    pts = surface.points
-    n2, n1 = pts.shape[:2]
-    verts = ("v %.17g %.17g %.17g\n" * (n2 * n1)) % tuple(pts.reshape(-1).tolist())
+def export_obj(path: str, points: np.ndarray) -> None:
+    """Triangulated (n2, n1, 3) point grid as ASCII OBJ: row-major
+    vertices, 1-based indices."""
+    n2, n1 = points.shape[:2]
+    verts = ("v %.17g %.17g %.17g\n" * (n2 * n1)) % tuple(points.reshape(-1).tolist())
     # quad (a, b, c, d) with a its lower-left vertex splits into (a, b, c), (a, c, d)
     a = (np.arange(n2 - 1)[:, None] * n1 + np.arange(n1 - 1)[None, :] + 1).reshape(-1)
     quads = np.stack([a, a + 1, a + n1 + 1, a, a + n1 + 1, a + n1], axis=-1)

@@ -153,16 +153,12 @@ def _inv_small(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _on_finite_nodes(fn, a: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
+def _on_finite_nodes(fn, a: np.ndarray) -> np.ndarray:
     """A numpy.linalg routine on the finite nodes of ``a``; the rest come out NaN."""
-    if rhs:
-        lead = np.broadcast_shapes(a.shape[:-2], rhs[0].shape[:-2])
-        a = np.broadcast_to(a, lead + a.shape[-2:])
-        rhs = (np.broadcast_to(rhs[0], lead + rhs[0].shape[-2:]),)
     ok = np.isfinite(a).all(axis=(-1, -2))
     if ok.all():
-        return fn(a, *rhs)
-    res = fn(a[ok], *(b[ok] for b in rhs))
+        return fn(a)
+    res = fn(a[ok])
     out = np.full(a.shape[:-2] + res.shape[1:], np.nan, dtype=res.dtype)
     out[ok] = res
     return out
@@ -186,19 +182,6 @@ def inv(a: np.ndarray) -> np.ndarray:
     if not 2 <= a.shape[-1] <= SMALL_N:
         return _on_finite_nodes(np.linalg.inv, a)
     return _inv_small(a)
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X with A X = B per node, for matrix right-hand sides (..., n, k).
-
-    Cramer's rule, X = adj(A) B / det(A), for n <= SMALL_N; NaN nodes and
-    singular nodes behave as in :func:`inv`.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if not 2 <= a.shape[-1] <= SMALL_N:
-        return _on_finite_nodes(np.linalg.solve, a, b)
-    return mm(_inv_small(a), b)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -231,24 +214,6 @@ def project_su(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, fro(a - s)
 
 
-# Padé(13) numerator coefficients for the matrix exponential.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_PADE13_THETA = 4.25
 # below this |s|, sinh(s)/s is summed as 1 + s^2/6 + s^4/120 (next term < 2e-22)
 _SINHC_SERIES = 1e-3
 
@@ -281,58 +246,24 @@ def _expm2(a: np.ndarray) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential, batched over (..., n, n).
+    """Matrix exponential of 2x2 matrices, batched over (..., 2, 2).
 
-    2x2 input takes the closed form e^m (cosh s I + sinh(s)/s (X - m I)),
-    m = tr X / 2, s^2 = -det(X - m I), with a series for sinh(s)/s at small
-    |s|.  Larger input uses scaling-and-squaring with a Padé(13) kernel;
-    the squaring count is shared across the batch, taken from the largest
-    1-norm.  Nodes with a non-finite entry stay NaN.
+    Takes the closed form of `_expm2`.  Its one caller, the traveling-wave
+    wave function, is N = 2; other sizes raise ``ValueError``.  Nodes with
+    a non-finite entry stay NaN.
     """
     a = np.asarray(m, dtype=complex)
-    if not np.isfinite(a).all():
-        if a.ndim == 2:
-            raise NonFiniteMatrix("expm requires finite entries")
-        # batched fields: margin nodes carry NaN and stay NaN
-        ok = np.isfinite(a).all(axis=(-1, -2))
-        if not ok.any():
-            raise NonFiniteMatrix("expm requires finite entries")
-        out = np.full_like(a, np.nan)
-        out[ok] = expm(a[ok])
-        return out
-    n = a.shape[-1]
-    if n == 2:
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"expm takes 2x2 matrices, got shape {a.shape}")
+    if np.isfinite(a).all():
         return _expm2(a)
-    norm1 = float(np.max(np.sum(np.abs(a), axis=-2), initial=0.0))
-    s = 0
-    if norm1 > _PADE13_THETA:
-        s = max(0, int(math.ceil(math.log2(norm1 / _PADE13_THETA))))
-    a = a / (2.0**s)
-
-    b = _PADE13
-    ident = np.broadcast_to(np.eye(n, dtype=complex), a.shape)
-    a2 = mm(a, a)
-    a4 = mm(a2, a2)
-    a6 = mm(a2, a4)
-    u = mm(
-        a,
-        mm(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * ident,
-    )
-    v = (
-        mm(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * ident
-    )
-    r = _solve(v - u, v + u)
-    for _ in range(s):
-        r = mm(r, r)
-    return r
+    # batched fields: margin nodes carry NaN and stay NaN
+    ok = np.isfinite(a).all(axis=(-1, -2))
+    if a.ndim == 2 or not ok.any():
+        raise NonFiniteMatrix("expm requires finite entries")
+    out = np.full_like(a, np.nan)
+    out[ok] = _expm2(a[ok])
+    return out
 
 
 @dataclass(frozen=True)

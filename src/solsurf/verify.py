@@ -1,9 +1,24 @@
-"""Named verification suites with machine-readable reports.
+"""Named verification checks with machine-readable reports.
 
-Each check measures one residual or defect on a standard fixture and
-compares it against a tolerance (some checks are negative controls and
-must exceed a floor instead).  Suites are named ``identities``,
-``prop1`` .. ``prop8`` and ``appendix``; ``all`` runs everything.
+The checks form one ordered table, ``_CHECKS``.  A row holds a check's
+name, description, default tolerance and comparison, and ``measure(fx)``,
+which requests every input it reads from a :class:`Fixtures` and returns
+one residual or defect.  Most checks pass below their tolerance; negative
+controls must exceed a floor instead.  A row's suite is the prefix of
+its name: ``identities``, ``prop1`` .. ``prop8`` and ``appendix``; ``all``
+runs every row in table order.
+
+A tolerance override is keyed by the row's name, except where rows share
+one key: ``identities.theta-square``, ``identities.theta-commutator``,
+``identities.theta-triple``, ``prop7.lowered-rung``,
+``prop8.conformal-wave``, ``prop8.explicit-integration`` and
+``appendix.commutation``.  A key that names no row is a configuration
+error.
+
+Fixtures are memoized on the method name and its arguments, so a
+quantity that several rows read is built once per run, by the first row
+that asks.  A row's runtime in ``report.txt`` therefore includes the
+fixtures it built first.
 
 Fixture grids are chosen so that 4th-order stencil truncation dominates
 rounding noise at every measured quantity; Euclidean immersion checks run
@@ -14,14 +29,17 @@ reported, never assumed).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .config import ConfigError
 from .fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
@@ -66,7 +84,6 @@ from .symmetry import (
     commutation_defect,
     compatibility_defect,
     conformal_characteristic,
-    el_symmetry_defect,
     frechet_apply,
     lowering_derivatives_functional,
     lowering_functional,
@@ -81,19 +98,6 @@ from .symmetry import (
 
 __all__ = ["CheckResult", "VerificationReport", "SUITE_NAMES", "run_suites"]
 
-SUITE_NAMES = (
-    "identities",
-    "prop1",
-    "prop2",
-    "prop3",
-    "prop4",
-    "prop5",
-    "prop6",
-    "prop7",
-    "prop8",
-    "appendix",
-)
-
 # Standard fixture parameters.  Euclidean grids are small enough that the
 # tightest identity tolerances hold, and large enough that second-derivative
 # rounding noise stays below every truncation signal.
@@ -103,7 +107,13 @@ GRID_N = 101
 KAPPA, OMEGA = 2.0, 1.0
 LAM_EUCLID = 0.6j
 LAM_MINK = 0.5
-LSP_LAMBDAS = (0.5, -0.3, 2.0)
+# prop6's affine symmetry coefficients
+AFFINE_A, AFFINE_B, AFFINE_C = 0.7, 0.4, -0.3
+# the non-constancy of prop6's quadratic difference needs an O(1)-size
+# window to show; the surfaces involved are closed forms, so no stencil
+# accuracy is at stake
+WIDE_H = 0.04
+MINK_POLICY = FrechetPolicy(eps_base=1e-4)
 
 
 @dataclass(frozen=True)
@@ -171,140 +181,255 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class Fixtures:
-    """Lazily built standard fixtures shared by the suites.
+def _fixture(method):
+    """Memoize a `Fixtures` method on its name and bound arguments, defaults applied."""
+    signature = inspect.signature(method)
 
-    Every quantity that more than one check derives from the same inputs
-    is built here once, under a key naming those inputs.
+    @functools.wraps(method)
+    def memoized(self, *args, **kwargs):
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        return self._get((method.__name__, *bound.args[1:]), lambda: method(self, *args, **kwargs))
+
+    return memoized
+
+
+class Fixtures:
+    """The inputs of the checks, each built once per run on first request.
+
+    Fields are held for the standard Euclidean pair, the traveling wave
+    and the grids and jets they derive from.  Where several rows read
+    fields that nothing else needs, the fixture returns those rows'
+    values, so the fields do not outlive it.
     """
 
-    def __init__(self, tolerances: dict[str, float] | None = None):
+    def __init__(self):
         self._cache: dict = {}
-        self.tol = dict(tolerances or {})
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tol.get(name, default))
-
-    def _get(self, key: str, builder: Callable[[], object]):
+    def _get(self, key, builder: Callable[[], object]):
         if key not in self._cache:
             self._cache[key] = builder()
         return self._cache[key]
 
+    @_fixture
     def euclid_grid(self, h: float = EUCLID_H) -> Grid2:
-        return self._get(
-            f"ge-{h}", lambda: Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (GRID_N, GRID_N))
-        )
+        return Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (GRID_N, GRID_N))
 
+    @_fixture
     def mink_grid(self, h: float = MINK_H) -> Grid2:
-        return self._get(
-            f"gm-{h}", lambda: Grid2(CHART_MINKOWSKI, (0.0, 0.0), (h, h), (GRID_N, GRID_N))
-        )
+        return Grid2(CHART_MINKOWSKI, (0.0, 0.0), (h, h), (GRID_N, GRID_N))
 
     # Only the jets are kept, each built from its own rung: holding every
     # Veronese ladder as well would raise the run's peak memory.
 
+    @_fixture
     def jets_analytic(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
-        return self._get(
-            f"ja-{n}-{k}-{h}",
-            lambda: theta_of(veronese_field(n, self.euclid_grid(h), k), "analytic"),
-        )
+        return theta_of(veronese_field(n, self.euclid_grid(h), k), "analytic")
 
+    @_fixture
     def jets_numeric(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
-        return self._get(
-            f"jn-{n}-{k}-{h}",
-            lambda: theta_of(veronese_field(n, self.euclid_grid(h), k), "numeric-stencil"),
-        )
+        return theta_of(veronese_field(n, self.euclid_grid(h), k), "numeric-stencil")
 
+    @_fixture
     def traveling(self, h: float = MINK_H):
-        return self._get(
-            f"tw-{h}", lambda: traveling_solution(KAPPA, OMEGA, self.mink_grid(h))
-        )
+        return traveling_solution(KAPPA, OMEGA, self.mink_grid(h))
 
+    @_fixture
     def euclid_spec(self) -> ConformalSpec:
         # f = xi^2, g the conjugate mirror
         return ConformalSpec.euclidean((0.0, 0.0, 1.0))
 
+    @_fixture
     def mink_spec_linear(self) -> ConformalSpec:
         # f = x1, g = x2 (dilation)
         return ConformalSpec.minkowski((0.0, 1.0), (0.0, 1.0))
 
+    @_fixture
     def mink_spec_quadratic(self) -> ConformalSpec:
         # f = (x1)^2, g = 0: the non-integrable control
         return ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
 
+    @_fixture
+    def mink_spec_affine(self) -> ConformalSpec:
+        # f = b + a x1, g = c + a x2: equal slopes, so integrable
+        return ConformalSpec.minkowski((AFFINE_B, AFFINE_A), (AFFINE_C, AFFINE_A))
+
     # The standard Euclidean pair: rung (2, 0) at LAM_EUCLID under the
     # f = xi^2 symmetry.
 
+    @_fixture
     def euclid_q(self) -> MatrixField:
-        j = self.jets_analytic(2)
-        return self._get("eq-2-0", lambda: conformal_characteristic(self.euclid_spec(), j))
+        return conformal_characteristic(self.euclid_spec(), self.jets_analytic(2))
 
+    @_fixture
     def euclid_wave(self) -> WaveField:
-        return self._get("ew-2-0", lambda: euclidean_wave(self.jets_analytic(2), 0, LAM_EUCLID))
+        return euclidean_wave(self.jets_analytic(2), 0, LAM_EUCLID)
 
+    @_fixture
     def euclid_u(self) -> tuple[MatrixField, MatrixField]:
-        return self._get("eu-2-0", lambda: u_pair(self.jets_analytic(2), LAM_EUCLID))
+        return u_pair(self.jets_analytic(2), LAM_EUCLID)
 
+    @_fixture
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
         """The prolonged connection (pr w u1, pr w u2)."""
-        j, q = self.jets_analytic(2), self.euclid_q()
-        return self._get("et-2-0", lambda: frechet_apply(u_functional(LAM_EUCLID), j, q))
+        return frechet_apply(u_functional(LAM_EUCLID), self.jets_analytic(2), self.euclid_q())
 
+    @_fixture
     def euclid_compatibility(self) -> float:
-        a_b_u1_u2 = self.euclid_tangents() + self.euclid_u()
-        return self._get("ecd-2-0", lambda: compatibility_defect(*a_b_u1_u2))
+        return compatibility_defect(*self.euclid_tangents(), *self.euclid_u())
 
+    @_fixture
     def euclid_prolonged_wave(self) -> MatrixField:
         """pr w Phi."""
-        j, q = self.jets_analytic(2), self.euclid_q()
-        return self._get("epw-2-0", lambda: prolonged_wave(q, j, _euclid_builder(0)))
+        return prolonged_wave(self.euclid_q(), self.jets_analytic(2), _euclid_builder(0))
 
+    @_fixture
     def euclid_explicit(self) -> MatrixField:
         """Phi^-1 pr w Phi."""
-        w, prw_phi = self.euclid_wave(), self.euclid_prolonged_wave()
-        return self._get("ecalf-2-0", lambda: explicit_immersion(w, prw_phi)[0])
+        return explicit_immersion(self.euclid_wave(), self.euclid_prolonged_wave())[0]
 
+    @_fixture
     def euclid_closed(self) -> MatrixField:
         """F = Phi^-1 (f u1 + g u2) Phi."""
-        j, w = self.jets_analytic(2), self.euclid_wave()
-        return self._get(
-            "ef-2-0", lambda: conformal_immersion_closed(self.euclid_spec(), j, w, LAM_EUCLID)[0]
-        )
+        spec, j, w = self.euclid_spec(), self.jets_analytic(2), self.euclid_wave()
+        return conformal_immersion_closed(spec, j, w, LAM_EUCLID)[0]
 
+    @_fixture
     def euclid_surface(self) -> ImmersionResult:
-        a, b = self.euclid_tangents()
-        return self._get("es-2-0", lambda: integrate_surface(a, b, self.euclid_wave()))
+        return integrate_surface(*self.euclid_tangents(), self.euclid_wave())
+
+    @_fixture
+    def euclid_theta_defects(self) -> dict[str, float]:
+        """Q = theta, not a symmetry: the zero-curvature defect of its
+        prolonged connection, and the path defect of its line integral."""
+        j = self.jets_analytic(2)
+        q = MatrixField(j.grid, j.theta.copy(), j.margin0)
+        a, b = frechet_apply(u_functional(LAM_EUCLID), j, q)
+        return {
+            "el-symmetry": compatibility_defect(a, b, *self.euclid_u()),
+            "path-independence": integrate_surface(a, b, self.euclid_wave()).path_defect,
+        }
+
+    @_fixture
+    def lowering_derivatives(self) -> tuple[MatrixField, MatrixField]:
+        """D1 and D2 of the lowered (2, 1) rung, read by prop7 and the
+        step-order probe."""
+        return lowering_derivatives_functional()(self.jets_analytic(2, 1))
+
+    @_fixture
+    def rung_defects(self, n: int, k: int) -> dict[str, float]:
+        """prop8 on rung (n, k) under f = xi^2: pr w Phi against
+        f D1 Phi + g D2 Phi, and the tangents of Phi^-1 pr w Phi against
+        the prolonged connection.
+
+        Only the standard pair's fields are shared; another rung's fields
+        are dropped on return, which keeps peak memory down.
+        """
+        spec, j = self.euclid_spec(), self.jets_analytic(n, k)
+        if (n, k) == (2, 0):
+            w, prw_phi = self.euclid_wave(), self.euclid_prolonged_wave()
+            calf, (a, b) = self.euclid_explicit(), self.euclid_tangents()
+        else:
+            q = conformal_characteristic(spec, j)
+            w = euclidean_wave(j, k, LAM_EUCLID)
+            prw_phi = prolonged_wave(q, j, _euclid_builder(k))
+            calf, _ = explicit_immersion(w, prw_phi)
+            a, b = frechet_apply(u_functional(LAM_EUCLID), j, q)
+        d1phi, d2phi, dm = chart_first_derivatives(w.field())
+        ref = _along(spec, j.grid, d1phi, d2phi)
+        return {
+            "conformal-wave": interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm)),
+            "explicit-integration": max(tangent_check(calf, w, a, b)),
+        }
 
     # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
 
-    def mink_wave(self, h: float) -> WaveField:
-        return self._get(f"mw-{h}", lambda: phi_traveling(*self.traveling(h), LAM_MINK))
+    @_fixture
+    def mink_wave(self, h: float = MINK_H) -> WaveField:
+        return phi_traveling(*self.traveling(h), LAM_MINK)
 
+    @_fixture
     def mink_u(self) -> tuple[MatrixField, MatrixField]:
-        return self._get(f"mu-{MINK_H}", lambda: u_pair(self.traveling()[1], LAM_MINK))
+        return u_pair(self.traveling()[1], LAM_MINK)
 
+    @_fixture
     def mink_k(self) -> np.ndarray:
         """K = [theta_1, theta]."""
         jt = self.traveling()[1]
-        return self._get(f"mk-{MINK_H}", lambda: commutator(jt.d1, jt.theta))
+        return commutator(jt.d1, jt.theta)
 
-    def mink_q(self, h: float) -> MatrixField:
-        jt = self.traveling(h)[1]
-        spec = self.mink_spec_quadratic()
-        return self._get(f"mq-{h}", lambda: conformal_characteristic(spec, jt))
+    @_fixture
+    def mink_q(self, h: float = MINK_H) -> MatrixField:
+        return conformal_characteristic(self.mink_spec_quadratic(), self.traveling(h)[1])
 
+    @_fixture
     def mink_lsp_defect(self) -> tuple[MatrixField, MatrixField]:
-        (tw, jt), q = self.traveling(), self.mink_q(MINK_H)
-        return self._get(
-            f"mlsp-{MINK_H}", lambda: lsp_symmetry_defect(q, jt, LAM_MINK, _mink_builder(tw))
-        )
+        tw, jt = self.traveling()
+        return lsp_symmetry_defect(self.mink_q(), jt, LAM_MINK, _mink_builder(tw))
 
-    def mink_explicit(self, h: float) -> MatrixField:
+    @_fixture
+    def mink_explicit(self, h: float = MINK_H) -> MatrixField:
         """Phi^-1 pr w Phi."""
-        (tw, jt), q, w = self.traveling(h), self.mink_q(h), self.mink_wave(h)
-        return self._get(
-            f"mcalf-{h}",
-            lambda: explicit_immersion(w, prolonged_wave(q, jt, _mink_builder(tw)))[0],
+        tw, jt = self.traveling(h)
+        prw_phi = prolonged_wave(self.mink_q(h), jt, _mink_builder(tw))
+        return explicit_immersion(self.mink_wave(h), prw_phi)[0]
+
+    @_fixture
+    def mink_linear_defects(self) -> dict[str, float]:
+        """The dilation f = x1, g = x2: the closed form's tangents against
+        the prolonged connection, and that connection's compatibility and
+        path defects."""
+        spec, jt, w = self.mink_spec_linear(), self.traveling()[1], self.mink_wave()
+        a, b = frechet_apply(u_functional(LAM_MINK), jt, conformal_characteristic(spec, jt))
+        f_closed, _ = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+        return {
+            "closed-form-tangents": max(tangent_check(f_closed, w, a, b)),
+            "compatibility": compatibility_defect(a, b, *self.mink_u()),
+            "path-defect": integrate_surface(a, b, w).path_defect,
+        }
+
+    @_fixture
+    def traveling_tangent_defects(self) -> dict[str, float]:
+        """The closed tangent coefficients R of the quadratic symmetry: their
+        match with the stencil tangents of Phi^-1 pr w Phi, and the smallest
+        Gram eigenvalue of the tangents without and with a constant gauge
+        term."""
+        tw, jt = self.traveling()
+        w, (u1, u2) = self.mink_wave(), self.mink_u()
+        r1, r2 = traveling_R_fields(self.mink_spec_quadratic(), tw, jt, LAM_MINK)
+        s = np.broadcast_to(1j * np.array([[1.0, 0.0], [0.0, -1.0]]), jt.theta.shape).copy()
+
+        def gram_min(x1: np.ndarray, x2: np.ndarray) -> float:
+            t1 = MatrixField(tw.grid, w.conjugate(x1), r1.margin)
+            t2 = MatrixField(tw.grid, w.conjugate(x2), r2.margin)
+            return linear_independence_report(t1, t2)["max_min_eigenvalue"]
+
+        return {
+            "tangent-coefficients": max(tangent_check(self.mink_explicit(), w, r1, r2)),
+            "degenerate-rank": gram_min(r1.values, r2.values),
+            "gauge-restores-rank": gram_min(
+                r1.values + commutator(s, u1.values), r2.values + commutator(s, u2.values)
+            ),
+        }
+
+    @_fixture
+    def mink_affine_difference(self) -> tuple[np.ndarray, float]:
+        """Mean and variation of F - Phi^-1 pr w Phi for prop6's affine symmetry."""
+        (tw, jt), w, spec = self.traveling(), self.mink_wave(), self.mink_spec_affine()
+        q = conformal_characteristic(spec, jt)
+        calf, _ = explicit_immersion(w, prolonged_wave(q, jt, _mink_builder(tw)))
+        f_closed, _ = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+        return constant_difference_check(f_closed, calf)
+
+    @_fixture
+    def mink_commutation_defects(self) -> tuple[float, float]:
+        """Commutation defects of pr w u1 and pr w u2 on the traveling wave,
+        from one prolonged connection."""
+        jt, q = self.traveling()[1], self.mink_q()
+        pair = frechet_apply(u_functional(LAM_MINK), jt, q, MINK_POLICY)
+        return tuple(
+            commutation_defect(q, prw_u, u_derivatives_functional(LAM_MINK, i), jt, MINK_POLICY)
+            for i, prw_u in zip((1, 2), pair)
         )
 
 
@@ -316,428 +441,13 @@ def _mink_builder(tw) -> Callable[[JetField], WaveField]:
     return lambda jd: phi_traveling(tw, jd, LAM_MINK)
 
 
-def _check(
-    name: str,
-    description: str,
-    measure: Callable[[], float],
-    tolerance: float,
-    comparison: str = "below",
-) -> CheckResult:
-    """Measure one check; its target is the suite named by the prefix of ``name``."""
-    t0 = time.perf_counter()
-    value = float(measure())
-    dt = time.perf_counter() - t0
-    ok = value < tolerance if comparison == "below" else value > tolerance
-    return CheckResult(
-        name=name,
-        target=name.split(".", 1)[0],
-        description=description,
-        measured=value,
-        tolerance=tolerance,
-        comparison=comparison,
-        passed=bool(ok),
-        runtime_s=dt,
-    )
+def _field_max(r: MatrixField) -> float:
+    return interior_max(fro(r.values), r.margin)
 
 
-# --- identities -------------------------------------------------------------
-
-
-def suite_identities(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    out.append(
-        _check(
-            "identities.su-basis-closure",
-            "structure constants reproduce su(3) commutators",
-            lambda: su_basis(3).closure_residual(),
-            fx.tolerance("identities.su-basis-closure", 1e-12),
-        )
-    )
-    for n in (2, 3):
-        jn = fx.jets_numeric(n)
-        sq, m0 = theta_square_residual(jn)
-        out.append(
-            _check(
-                f"identities.theta-square-cp{n - 1}",
-                "theta^2 = -i(2-N)/N theta + (1-N)/N E pointwise",
-                lambda sq=sq, m0=m0: interior_max(sq, m0),
-                fx.tolerance("identities.theta-square", 1e-10),
-            )
-        )
-        ci, m1 = theta_comm_identity_residual(jn)
-        out.append(
-            _check(
-                f"identities.theta-commutator-cp{n - 1}",
-                "[theta_1,theta](2i theta-(2-N)E) = -i theta_1",
-                lambda ci=ci, m1=m1: interior_max(ci, m1),
-                fx.tolerance("identities.theta-commutator", 1e-10),
-            )
-        )
-        tri, mt = theta_triple_residual(jn)
-        out.append(
-            _check(
-                f"identities.theta-triple-cp{n - 1}",
-                "theta theta_1 theta = (N-1)/N^2 theta_1",
-                lambda tri=tri, mt=mt: interior_max(tri, mt),
-                fx.tolerance("identities.theta-triple", 1e-10),
-            )
-        )
-    _, jt = fx.traveling()
-    sq, m0 = theta_square_residual(jt)
-    out.append(
-        _check(
-            "identities.theta-square-traveling",
-            "algebra identity on the traveling wave (exact jets)",
-            lambda: interior_max(sq, m0),
-            fx.tolerance("identities.theta-square", 1e-10),
-        )
-    )
-    return out
-
-
-# --- prop1: generic tangents <-> symmetry, wave-function deformation ---------
-
-
-def suite_prop1(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    u1, u2 = fx.euclid_u()
-
-    def zero_curvature() -> float:
-        d1u2 = chart_first_derivatives(u2)
-        d2u1 = chart_first_derivatives(u1)
-        res = d2u1[1] - d1u2[0] + commutator(u1.values, u2.values)
-        return interior_max(fro(res), max(d2u1[2], d1u2[2]))
-
-    out.append(
-        _check(
-            "prop1.zero-curvature-on-solution",
-            "D2 u1 - D1 u2 + [u1,u2] vanishes on a solution field",
-            zero_curvature,
-            fx.tolerance("prop1.zero-curvature", 1e-7),
-        )
-    )
-
-    w = fx.euclid_wave()
-    a, b = fx.euclid_tangents()
-    psi = psi_of(fx.euclid_closed(), w)
-    out.append(
-        _check(
-            "prop1.deformed-wave-function",
-            "Psi = Phi F satisfies D Psi = u Psi + Q Phi",
-            lambda: psi_residual(psi, w, u1, u2, a, b),
-            fx.tolerance("prop1.deformed-wave-function", 1e-6),
-        )
-    )
-    return out
-
-
-# --- prop2: symmetry <=> integrable tangents ----------------------------------
-
-
-def suite_prop2(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    lam = LAM_EUCLID
-    j = fx.jets_analytic(2)
-    u1, u2 = fx.euclid_u()
-    w = fx.euclid_wave()
-    a, b = fx.euclid_tangents()
-    # Q is a symmetry of the field equations iff its prolonged connection
-    # (pr w u1, pr w u2) has zero curvature; that pair is also the tangent
-    # pair of the surface, so both positive criteria read one defect.
-    out.append(
-        _check(
-            "prop2.el-symmetry-positive",
-            "conformal characteristic is a symmetry of the field equations",
-            fx.euclid_compatibility,
-            fx.tolerance("prop2.el-symmetry-positive", 1e-6),
-        )
-    )
-    out.append(
-        _check(
-            "prop2.compatibility-positive",
-            "its tangent pair satisfies the integrability condition",
-            fx.euclid_compatibility,
-            fx.tolerance("prop2.compatibility-positive", 1e-6),
-        )
-    )
-    res = fx.euclid_surface()
-    out.append(
-        _check(
-            "prop2.path-independence-positive",
-            "the integrated surface is path independent",
-            lambda: res.path_defect,
-            fx.tolerance("prop2.path-independence-positive", 1e-6),
-        )
-    )
-    out.append(
-        _check(
-            "prop2.integrated-tangents",
-            "stencil derivatives of the integrated surface match the tangents",
-            lambda: max(tangent_check(res.raw, w, a, b)),
-            fx.tolerance("prop2.integrated-tangents", 1e-6),
-        )
-    )
-
-    # negative control: Q = theta is not a symmetry; its criterion is
-    # measured by el_symmetry_defect, which prolongs the pair itself
-    qneg = MatrixField(j.grid, j.theta.copy(), j.margin0)
-    out.append(
-        _check(
-            "prop2.el-symmetry-negative",
-            "non-symmetry characteristic fails the symmetry criterion",
-            lambda: el_symmetry_defect(qneg, j, lam),
-            fx.tolerance("prop2.el-symmetry-negative", 1e-3),
-            comparison="above",
-        )
-    )
-    resneg = integrate_surface(*frechet_apply(u_functional(lam), j, qneg), w)
-    out.append(
-        _check(
-            "prop2.path-independence-negative",
-            "and its line integral is path dependent",
-            lambda: resneg.path_defect,
-            fx.tolerance("prop2.path-independence-negative", 1e-6),
-            comparison="above",
-        )
-    )
-    out.append(
-        _check(
-            "prop2.compatibility-negative",
-            "as is the naive pair A = u1, B = 0",
-            lambda: compatibility_defect(
-                u1, MatrixField(j.grid, np.zeros_like(u1.values), u1.margin), u1, u2
-            ),
-            fx.tolerance("prop2.compatibility-negative", 1e-3),
-            comparison="above",
-        )
-    )
-    return out
-
-
-# --- prop3: explicit integration <=> symmetry of the linear problem -----------
-
-
-def suite_prop3(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    j = fx.jets_analytic(2)
-    r1, r2 = lsp_symmetry_defect(fx.euclid_q(), j, LAM_EUCLID, _euclid_builder(0))
-    out.append(
-        _check(
-            "prop3.euclid-lsp-symmetry",
-            "conformal characteristic is a symmetry of the linear problem",
-            lambda: max(
-                interior_max(fro(r1.values), r1.margin),
-                interior_max(fro(r2.values), r2.margin),
-            ),
-            fx.tolerance("prop3.euclid-lsp-symmetry", 1e-6),
-        )
-    )
-    calf = fx.euclid_explicit()
-    w = fx.euclid_wave()
-    a, b = fx.euclid_tangents()
-    out.append(
-        _check(
-            "prop3.euclid-explicit-integration",
-            "so Phi^-1 (pr w Phi) has the prolonged tangents",
-            lambda: max(tangent_check(calf, w, a, b)),
-            fx.tolerance("prop3.euclid-explicit-integration", 1e-6),
-        )
-    )
-
-    _, jt = fx.traveling()
-    rr1, _ = fx.mink_lsp_defect()
-    out.append(
-        _check(
-            "prop3.mink-lsp-symmetry-negative",
-            "quadratic traveling-wave characteristic breaks the linear-problem symmetry",
-            lambda: interior_max(fro(rr1.values), rr1.margin),
-            fx.tolerance("prop3.mink-lsp-symmetry-negative", 0.1),
-            comparison="above",
-        )
-    )
-    calfm = fx.mink_explicit(MINK_H)
-    wm = fx.mink_wave(MINK_H)
-    am, bm = frechet_apply(u_functional(LAM_MINK), jt, fx.mink_q(MINK_H))
-    out.append(
-        _check(
-            "prop3.mink-explicit-integration-negative",
-            "and Phi^-1 (pr w Phi) fails the prolonged-tangent identity",
-            lambda: max(tangent_check(calfm, wm, am, bm)),
-            fx.tolerance("prop3.mink-explicit-integration-negative", 0.1),
-            comparison="above",
-        )
-    )
-    return out
-
-
-# --- prop4: conformal closed form --------------------------------------------
-
-
-def suite_prop4(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    j = fx.jets_analytic(2)
-    w = fx.euclid_wave()
-    a, b = fx.euclid_tangents()
-    f_closed = fx.euclid_closed()
-    out.append(
-        _check(
-            "prop4.euclid-closed-form-tangents",
-            "F = Phi^-1(f u1 + g u2) Phi has the prolonged tangents (f=xi^2)",
-            lambda: max(tangent_check(f_closed, w, a, b)),
-            fx.tolerance("prop4.euclid-closed-form-tangents", 1e-6),
-        )
-    )
-    pw1, pw2 = prolong_u(fx.euclid_spec(), j, LAM_EUCLID)
-    out.append(
-        _check(
-            "prop4.euclid-prolonged-connection",
-            "field deformation matches the closed prolongation of the connection",
-            lambda: max(
-                interior_max(fro(a.values - pw1.values), max(a.margin, pw1.margin)),
-                interior_max(fro(b.values - pw2.values), max(b.margin, pw2.margin)),
-            ),
-            fx.tolerance("prop4.euclid-prolonged-connection", 1e-6),
-        )
-    )
-    out.append(
-        _check(
-            "prop4.euclid-compatibility",
-            "prolonged tangent pair is integrable",
-            fx.euclid_compatibility,
-            fx.tolerance("prop4.euclid-compatibility", 1e-6),
-        )
-    )
-    res = fx.euclid_surface()
-    out.append(
-        _check(
-            "prop4.euclid-path-defect",
-            "line integration is path independent",
-            lambda: res.path_defect,
-            fx.tolerance("prop4.euclid-path-defect", 1e-6),
-        )
-    )
-
-    lamm = LAM_MINK
-    _, jt = fx.traveling()
-    specl = fx.mink_spec_linear()
-    u1m, u2m = fx.mink_u()
-    wm = fx.mink_wave(MINK_H)
-    al, bl = frechet_apply(u_functional(lamm), jt, conformal_characteristic(specl, jt))
-    fm, _ = conformal_immersion_closed(specl, jt, wm, lamm)
-    out.append(
-        _check(
-            "prop4.mink-closed-form-tangents",
-            "same identity on the Minkowski chart (f=x1, g=x2)",
-            lambda: max(tangent_check(fm, wm, al, bl)),
-            fx.tolerance("prop4.mink-closed-form-tangents", 1e-6),
-        )
-    )
-    out.append(
-        _check(
-            "prop4.mink-compatibility",
-            "Minkowski prolonged tangent pair is integrable",
-            lambda: compatibility_defect(al, bl, u1m, u2m),
-            fx.tolerance("prop4.mink-compatibility", 1e-6),
-        )
-    )
-    resm = integrate_surface(al, bl, wm)
-    out.append(
-        _check(
-            "prop4.mink-path-defect",
-            "Minkowski line integration is path independent",
-            lambda: resm.path_defect,
-            fx.tolerance("prop4.mink-path-defect", 1e-6),
-        )
-    )
-    return out
-
-
-# --- prop5: traveling-wave wave function and its prolonged surface -------------
-
-
-def suite_prop5(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    lamm = LAM_MINK
-    tw, jt = fx.traveling()
-    wm = fx.mink_wave(MINK_H)
-    u1m, u2m = fx.mink_u()
-    r1, r2, m = lsp_residual(wm, u1m, u2m)
-    out.append(
-        _check(
-            "prop5.traveling-lsp",
-            "exponential wave function solves the linear problem",
-            lambda: max(interior_max(r1, m), interior_max(r2, m)),
-            fx.tolerance("prop5.traveling-lsp", 1e-8),
-        )
-    )
-    out.append(
-        _check(
-            "prop5.det-constant",
-            "det Phi is constant on the grid",
-            lambda: _det_variation(wm),
-            fx.tolerance("prop5.det-constant", 1e-10),
-        )
-    )
-    specq = fx.mink_spec_quadratic()
-    calf = fx.mink_explicit(MINK_H)
-    chi = tw.chi(lamm)
-    grid = tw.grid
-    coeff = (
-        -2 * specq.f(grid) - 2 * tw.kappa * specq.g(grid) + 2 * specq.f1(grid) * chi
-    )
-    pred = coeff[..., None, None] * wm.conjugate(fx.mink_k())
-    out.append(
-        _check(
-            "prop5.prolonged-surface-closed-form",
-            "Phi^-1 pr w Phi = (-2f - 2 kappa g + 2 f_1 chi) Phi^-1 [theta_1,theta] Phi",
-            lambda: interior_max(fro(calf.values - pred), calf.margin),
-            fx.tolerance("prop5.prolonged-surface-closed-form", 1e-6),
-        )
-    )
-    rr1, rr2 = traveling_R_fields(specq, tw, jt, lamm)
-    out.append(
-        _check(
-            "prop5.tangent-coefficients",
-            "its stencil tangents match the closed tangent coefficients",
-            lambda: max(tangent_check(calf, wm, rr1, rr2)),
-            fx.tolerance("prop5.tangent-coefficients", 1e-6),
-        )
-    )
-    t1 = MatrixField(grid, wm.conjugate(rr1.values), rr1.margin)
-    t2 = MatrixField(grid, wm.conjugate(rr2.values), rr2.margin)
-    out.append(
-        _check(
-            "prop5.degenerate-rank",
-            "pure conformal tangents span a curve (Gram matrix is singular)",
-            lambda: linear_independence_report(t1, t2)["max_min_eigenvalue"],
-            fx.tolerance("prop5.degenerate-rank", 1e-10),
-        )
-    )
-    s_const = MatrixField(
-        grid,
-        np.broadcast_to(1j * np.array([[1.0, 0.0], [0.0, -1.0]]), jt.theta.shape).copy(),
-        0,
-    )
-    tg1 = MatrixField(
-        grid,
-        wm.conjugate(rr1.values + commutator(s_const.values, u1m.values)),
-        rr1.margin,
-    )
-    tg2 = MatrixField(
-        grid,
-        wm.conjugate(rr2.values + commutator(s_const.values, u2m.values)),
-        rr2.margin,
-    )
-    out.append(
-        _check(
-            "prop5.gauge-restores-rank",
-            "adding a constant gauge term makes the Gram matrix nondegenerate",
-            lambda: linear_independence_report(tg1, tg2)["max_min_eigenvalue"],
-            fx.tolerance("prop5.gauge-restores-rank", 1e-3),
-            comparison="above",
-        )
-    )
-    return out
+def _along(spec: ConformalSpec, grid: Grid2, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """f D1 + g D2: a derivative pair combined along the symmetry's vector field."""
+    return spec.f(grid)[..., None, None] * d1 + spec.g(grid)[..., None, None] * d2
 
 
 def _det_variation(w) -> float:
@@ -749,296 +459,538 @@ def _det_variation(w) -> float:
     return float(np.nanmax(np.abs(d - ref)))
 
 
-# --- prop6: integrability criteria on the Minkowski chart ----------------------
+# --- measures that take more than one expression ------------------------------
 
 
-def suite_prop6(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    lamm = LAM_MINK
-    tw, jt = fx.traveling()
+def _zero_curvature(fx: Fixtures) -> float:
+    u1, u2 = fx.euclid_u()
+    d1u2 = chart_first_derivatives(u2)
+    d2u1 = chart_first_derivatives(u1)
+    res = d2u1[1] - d1u2[0] + commutator(u1.values, u2.values)
+    return interior_max(fro(res), max(d2u1[2], d1u2[2]))
+
+
+def _euclid_tangent_defect(fx: Fixtures, f: MatrixField) -> float:
+    """Stencil tangents of the surface ``f`` against the standard prolonged connection."""
+    return max(tangent_check(f, fx.euclid_wave(), *fx.euclid_tangents()))
+
+
+def _naive_pair_defect(fx: Fixtures) -> float:
+    u1, u2 = fx.euclid_u()
+    zero = MatrixField(u1.grid, np.zeros_like(u1.values), u1.margin)
+    return compatibility_defect(u1, zero, u1, u2)
+
+
+def _euclid_lsp_symmetry(fx: Fixtures) -> float:
+    j, q = fx.jets_analytic(2), fx.euclid_q()
+    return max(map(_field_max, lsp_symmetry_defect(q, j, LAM_EUCLID, _euclid_builder(0))))
+
+
+def _mink_explicit_negative(fx: Fixtures) -> float:
+    a, b = frechet_apply(u_functional(LAM_MINK), fx.traveling()[1], fx.mink_q())
+    return max(tangent_check(fx.mink_explicit(), fx.mink_wave(), a, b))
+
+
+def _euclid_prolonged_connection(fx: Fixtures) -> float:
+    a, b = fx.euclid_tangents()
+    pw1, pw2 = prolong_u(fx.euclid_spec(), fx.jets_analytic(2), LAM_EUCLID)
+    return max(
+        interior_max(fro(a.values - pw1.values), max(a.margin, pw1.margin)),
+        interior_max(fro(b.values - pw2.values), max(b.margin, pw2.margin)),
+    )
+
+
+def _traveling_lsp(fx: Fixtures) -> float:
+    r1, r2, m = lsp_residual(fx.mink_wave(), *fx.mink_u())
+    return max(interior_max(r1, m), interior_max(r2, m))
+
+
+def _prolonged_surface_closed_form(fx: Fixtures) -> float:
+    spec, tw, calf = fx.mink_spec_quadratic(), fx.traveling()[0], fx.mink_explicit()
     grid = tw.grid
-    wm = fx.mink_wave(MINK_H)
-    builderm = _mink_builder(tw)
-
-    # quadratic f: symmetry of the linear problem fails, with the predicted defect
-    specq = fx.mink_spec_quadratic()
-    r1, _ = fx.mink_lsp_defect()
-    d1phi, _, dm = chart_first_derivatives(wm.field())
-    pred1 = (-(specq.f11(grid)) * tw.chi(lamm) * (1 + lamm))[..., None, None] * d1phi
-    out.append(
-        _check(
-            "prop6.curvature-criterion-defect-form",
-            "quadratic-f defect equals -f_11 chi (1+lam) D1 Phi",
-            lambda: interior_max(fro(r1.values - pred1), max(r1.margin, dm)),
-            fx.tolerance("prop6.curvature-criterion-defect-form", 1e-6),
-        )
-    )
-    out.append(
-        _check(
-            "prop6.curvature-criterion-negative",
-            "and it is large: f must be affine for integrability",
-            lambda: interior_max(fro(r1.values), r1.margin),
-            fx.tolerance("prop6.curvature-criterion-negative", 0.1),
-            comparison="above",
-        )
-    )
-
-    # slope criterion: f_1 = g_2 required
-    specn = ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0))
-    qn = conformal_characteristic(specn, jt)
-    rn1, rn2 = lsp_symmetry_defect(qn, jt, lamm, builderm)
-    out.append(
-        _check(
-            "prop6.slope-criterion-negative",
-            "f_1 != g_2 breaks the second linear-problem equation",
-            lambda: interior_max(fro(rn2.values), rn2.margin),
-            fx.tolerance("prop6.slope-criterion-negative", 1e-2),
-            comparison="above",
-        )
-    )
-    specl = ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7))
-    ql = conformal_characteristic(specl, jt)
-    rl1, rl2 = lsp_symmetry_defect(ql, jt, lamm, builderm)
-    out.append(
-        _check(
-            "prop6.affine-positive",
-            "affine f, g with equal slopes pass both equations",
-            lambda: max(
-                interior_max(fro(rl1.values), rl1.margin),
-                interior_max(fro(rl2.values), rl2.margin),
-            ),
-            fx.tolerance("prop6.affine-positive", 1e-6),
-        )
-    )
-
-    # constant difference between the two surfaces for affine data
-    a_, b_, c_ = 0.7, 0.4, -0.3
-    spec_ab = ConformalSpec.minkowski((b_, a_), (c_, a_))
-    q_ab = conformal_characteristic(spec_ab, jt)
-    calf, _ = explicit_immersion(wm, prolonged_wave(q_ab, jt, builderm))
-    f_closed, _ = conformal_immersion_closed(spec_ab, jt, wm, lamm)
-    mean, variation = constant_difference_check(f_closed, calf)
-    out.append(
-        _check(
-            "prop6.constant-difference-variation",
-            "F - Phi^-1 pr w Phi is constant for affine data",
-            lambda: variation,
-            fx.tolerance("prop6.constant-difference-variation", 1e-8),
-        )
-    )
-    ktil = wm.conjugate(fx.mink_k())[grid.n2 // 2, grid.n1 // 2]
-    pred_mean = (
-        2 * b_ * lamm / (1 + lamm) - 2 * c_ * tw.kappa * lamm / (1 - lamm)
-    ) * ktil
-    out.append(
-        _check(
-            "prop6.constant-difference-value",
-            "and equals (2b lam/(1+lam) - 2c kappa lam/(1-lam)) Phi^-1 [theta_1,theta] Phi",
-            lambda: float(np.max(np.abs(mean - pred_mean))),
-            fx.tolerance("prop6.constant-difference-value", 1e-8),
-        )
-    )
-    # the non-constancy of the difference needs an O(1)-size window to show;
-    # the surfaces involved are closed forms, so no stencil accuracy is at stake
-    h_wide = 0.04
-    calfq = fx.mink_explicit(h_wide)
-    fq, _ = conformal_immersion_closed(specq, fx.traveling(h_wide)[1], fx.mink_wave(h_wide), lamm)
-    out.append(
-        _check(
-            "prop6.constant-difference-negative",
-            "for quadratic f the difference is not constant",
-            lambda: constant_difference_check(fq, calfq)[1],
-            fx.tolerance("prop6.constant-difference-negative", 0.1),
-            comparison="above",
-        )
-    )
-    return out
+    coeff = -2 * spec.f(grid) - 2 * tw.kappa * spec.g(grid) + 2 * spec.f1(grid) * tw.chi(LAM_MINK)
+    pred = coeff[..., None, None] * fx.mink_wave().conjugate(fx.mink_k())
+    return interior_max(fro(calf.values - pred), calf.margin)
 
 
-# --- prop7: conformal transformation of the ladder rungs -----------------------
+def _curvature_defect_form(fx: Fixtures) -> float:
+    spec, tw, r1 = fx.mink_spec_quadratic(), fx.traveling()[0], fx.mink_lsp_defect()[0]
+    d1phi, _, dm = chart_first_derivatives(fx.mink_wave().field())
+    pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK))[..., None, None] * d1phi
+    return interior_max(fro(r1.values - pred), max(r1.margin, dm))
 
 
-def suite_prop7(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    spec = fx.euclid_spec()
-    for n, k in ((2, 1), (3, 1), (3, 2)):
-        j = fx.jets_analytic(n, k)
-        (prw,) = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j))
-        dl1, dl2 = lowering_derivatives_functional()(j)
-        fv = spec.f(j.grid)[..., None, None]
-        gv = spec.g(j.grid)[..., None, None]
-        ref = fv * dl1.values + gv * dl2.values
-        margin = max(prw.margin, dl1.margin)
-        out.append(
-            _check(
-                f"prop7.lowered-rung-cp{n - 1}-level{k}",
-                "pr w (lowered rung) = f D1 + g D2 of the rung",
-                lambda prw=prw, ref=ref, margin=margin: interior_max(
-                    fro(prw.values - ref), margin
-                ),
-                fx.tolerance("prop7.lowered-rung", 1e-6),
-            )
-        )
-    return out
+def _mink_lsp_defect_of(fx: Fixtures, spec: ConformalSpec) -> tuple[MatrixField, MatrixField]:
+    tw, jt = fx.traveling()
+    q = conformal_characteristic(spec, jt)
+    return lsp_symmetry_defect(q, jt, LAM_MINK, _mink_builder(tw))
 
 
-# --- prop8: the Euclidean positive results -------------------------------------
+def _affine_difference_value(fx: Fixtures) -> float:
+    mean, _ = fx.mink_affine_difference()
+    tw = fx.traveling()[0]
+    ktil = fx.mink_wave().conjugate(fx.mink_k())[tw.grid.n2 // 2, tw.grid.n1 // 2]
+    lam = LAM_MINK
+    pred = (2 * AFFINE_B * lam / (1 + lam) - 2 * AFFINE_C * tw.kappa * lam / (1 - lam)) * ktil
+    return float(np.max(np.abs(mean - pred)))
 
 
-def suite_prop8(fx: Fixtures) -> list[CheckResult]:
-    out = []
-    for n in (2, 3):
-        for k in range(n):
-            out.extend(_prop8_rung(fx, n, k))
-    return out
+def _quadratic_difference_variation(fx: Fixtures) -> float:
+    spec, jt = fx.mink_spec_quadratic(), fx.traveling(WIDE_H)[1]
+    f_closed, _ = conformal_immersion_closed(spec, jt, fx.mink_wave(WIDE_H), LAM_MINK)
+    return constant_difference_check(f_closed, fx.mink_explicit(WIDE_H))[1]
 
 
-def _prop8_rung(fx: Fixtures, n: int, k: int) -> list[CheckResult]:
-    spec = fx.euclid_spec()
-    j = fx.jets_analytic(n, k)
-    # only the standard pair is shared with other suites; the other rungs
-    # are built here and dropped on return, which keeps peak memory down
-    if (n, k) == (2, 0):
-        w, prw_phi, calf = fx.euclid_wave(), fx.euclid_prolonged_wave(), fx.euclid_explicit()
-        a, b = fx.euclid_tangents()
+def _lowered_rung_defect(fx: Fixtures, n: int, k: int) -> float:
+    spec, j = fx.euclid_spec(), fx.jets_analytic(n, k)
+    (prw,) = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j))
+    # the CP^2 rungs' derivatives are read here only, so they are not kept
+    if (n, k) == (2, 1):
+        dl1, dl2 = fx.lowering_derivatives()
     else:
-        q = conformal_characteristic(spec, j)
-        w = euclidean_wave(j, k, LAM_EUCLID)
-        prw_phi = prolonged_wave(q, j, _euclid_builder(k))
-        calf, _ = explicit_immersion(w, prw_phi)
-        a, b = frechet_apply(u_functional(LAM_EUCLID), j, q)
+        dl1, dl2 = lowering_derivatives_functional()(j)
+    ref = _along(spec, j.grid, dl1.values, dl2.values)
+    return interior_max(fro(prw.values - ref), max(prw.margin, dl1.margin))
 
-    def cor2_defect() -> float:
-        d1phi, d2phi, dm = chart_first_derivatives(w.field())
-        fv = spec.f(j.grid)[..., None, None]
-        gv = spec.g(j.grid)[..., None, None]
-        ref = fv * d1phi + gv * d2phi
-        return interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
 
-    return [
-        _check(
+def _theta_commutation(j: JetField, q: MatrixField, policy=FrechetPolicy()) -> float:
+    (prw_theta,) = frechet_apply(theta_functional(), j, q, policy)
+    return commutation_defect(q, prw_theta, theta_derivatives_functional(), j, policy)
+
+
+def _euclid_u_commutation(fx: Fixtures, index: int) -> float:
+    j, q, prw_u = fx.jets_analytic(2), fx.euclid_q(), fx.euclid_tangents()[index - 1]
+    return commutation_defect(q, prw_u, u_derivatives_functional(LAM_EUCLID, index), j)
+
+
+# Convergence orders of the deformation apparatus, probed on the lowering
+# operator (genuinely nonlinear in the jets).
+
+
+def _step_order(fx: Fixtures) -> float:
+    j = fx.jets_analytic(2, 1)
+    trans = ConformalSpec.euclidean((1.0,))
+    q = conformal_characteristic(trans, j)
+    g = lowering_functional()
+    dl1, dl2 = fx.lowering_derivatives()
+    ref = _along(trans, j.grid, dl1.values, dl2.values)
+    ds = []
+    for eps in (0.04, 0.02, 0.01):
+        (pw,) = frechet_apply(g, j, q, FrechetPolicy(eps_base=eps, richardson=False))
+        ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
+    return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
+
+
+def _grid_order(fx: Fixtures) -> float:
+    spec = fx.euclid_spec()
+    ds = []
+    for h in (0.012, 0.006, 0.003):
+        jh = theta_of(veronese_ladder(2, fx.euclid_grid(h)).rungs[1], "analytic")
+        qh = conformal_characteristic(spec, jh)
+        pol_h = FrechetPolicy(eps_base=1e-3)
+        (prw_g,) = frechet_apply(lowering_functional(), jh, qh, pol_h)
+        ds.append(commutation_defect(qh, prw_g, lowering_derivatives_functional(), jh, pol_h))
+    return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
+
+
+# --- the check table -----------------------------------------------------------
+
+
+class _Check(NamedTuple):
+    name: str
+    description: str
+    tolerance: float
+    measure: Callable[[Fixtures], float]
+    comparison: str = "below"
+    key: str | None = None  # the tolerance key, where rows share one
+
+    @property
+    def suite(self) -> str:
+        return self.name.split(".", 1)[0]
+
+
+def _theta_identity_checks(n: int) -> tuple[_Check, ...]:
+    return (
+        _Check(
+            f"identities.theta-square-cp{n - 1}",
+            "theta^2 = -i(2-N)/N theta + (1-N)/N E pointwise",
+            1e-10,
+            lambda fx: interior_max(*theta_square_residual(fx.jets_numeric(n))),
+            key="identities.theta-square",
+        ),
+        _Check(
+            f"identities.theta-commutator-cp{n - 1}",
+            "[theta_1,theta](2i theta-(2-N)E) = -i theta_1",
+            1e-10,
+            lambda fx: interior_max(*theta_comm_identity_residual(fx.jets_numeric(n))),
+            key="identities.theta-commutator",
+        ),
+        _Check(
+            f"identities.theta-triple-cp{n - 1}",
+            "theta theta_1 theta = (N-1)/N^2 theta_1",
+            1e-10,
+            lambda fx: interior_max(*theta_triple_residual(fx.jets_numeric(n))),
+            key="identities.theta-triple",
+        ),
+    )
+
+
+def _rung_checks(n: int, k: int) -> tuple[_Check, ...]:
+    return (
+        _Check(
             f"prop8.conformal-wave-cp{n - 1}-level{k}",
             "pr w Phi = f D1 Phi + g D2 Phi per ladder level",
-            cor2_defect,
-            fx.tolerance("prop8.conformal-wave", 1e-6),
+            1e-6,
+            lambda fx: fx.rung_defects(n, k)["conformal-wave"],
+            key="prop8.conformal-wave",
         ),
-        _check(
+        _Check(
             f"prop8.explicit-integration-cp{n - 1}-level{k}",
             "Phi^-1 pr w Phi carries the prolonged tangents",
-            lambda: max(tangent_check(calf, w, a, b)),
-            fx.tolerance("prop8.explicit-integration", 1e-6),
+            1e-6,
+            lambda fx: fx.rung_defects(n, k)["explicit-integration"],
+            key="prop8.explicit-integration",
         ),
-    ]
+    )
 
 
-# --- appendix: prolongation commutes with total derivatives --------------------
+_CHECKS: tuple[_Check, ...] = (
+    # --- identities
+    _Check(
+        "identities.su-basis-closure",
+        "structure constants reproduce su(3) commutators",
+        1e-12,
+        lambda fx: su_basis(3).closure_residual(),
+    ),
+    *_theta_identity_checks(2),
+    *_theta_identity_checks(3),
+    _Check(
+        "identities.theta-square-traveling",
+        "algebra identity on the traveling wave (exact jets)",
+        1e-10,
+        lambda fx: interior_max(*theta_square_residual(fx.traveling()[1])),
+        key="identities.theta-square",
+    ),
+    # --- prop1: generic tangents <-> symmetry, wave-function deformation
+    _Check(
+        "prop1.zero-curvature-on-solution",
+        "D2 u1 - D1 u2 + [u1,u2] vanishes on a solution field",
+        1e-7,
+        _zero_curvature,
+    ),
+    _Check(
+        "prop1.deformed-wave-function",
+        "Psi = Phi F satisfies D Psi = u Psi + Q Phi",
+        1e-6,
+        lambda fx: psi_residual(
+            psi_of(fx.euclid_closed(), fx.euclid_wave()),
+            fx.euclid_wave(),
+            *fx.euclid_u(),
+            *fx.euclid_tangents(),
+        ),
+    ),
+    # --- prop2: symmetry <=> integrable tangents.  Q is a symmetry of the
+    # field equations iff its prolonged connection (pr w u1, pr w u2) has
+    # zero curvature; that pair is also the tangent pair of the surface, so
+    # both positive criteria read one defect.
+    _Check(
+        "prop2.el-symmetry-positive",
+        "conformal characteristic is a symmetry of the field equations",
+        1e-6,
+        lambda fx: fx.euclid_compatibility(),
+    ),
+    _Check(
+        "prop2.compatibility-positive",
+        "its tangent pair satisfies the integrability condition",
+        1e-6,
+        lambda fx: fx.euclid_compatibility(),
+    ),
+    _Check(
+        "prop2.path-independence-positive",
+        "the integrated surface is path independent",
+        1e-6,
+        lambda fx: fx.euclid_surface().path_defect,
+    ),
+    _Check(
+        "prop2.integrated-tangents",
+        "stencil derivatives of the integrated surface match the tangents",
+        1e-6,
+        lambda fx: _euclid_tangent_defect(fx, fx.euclid_surface().raw),
+    ),
+    _Check(
+        "prop2.el-symmetry-negative",
+        "non-symmetry characteristic fails the symmetry criterion",
+        1e-3,
+        lambda fx: fx.euclid_theta_defects()["el-symmetry"],
+        "above",
+    ),
+    _Check(
+        "prop2.path-independence-negative",
+        "and its line integral is path dependent",
+        1e-6,
+        lambda fx: fx.euclid_theta_defects()["path-independence"],
+        "above",
+    ),
+    _Check(
+        "prop2.compatibility-negative",
+        "as is the naive pair A = u1, B = 0",
+        1e-3,
+        _naive_pair_defect,
+        "above",
+    ),
+    # --- prop3: explicit integration <=> symmetry of the linear problem
+    _Check(
+        "prop3.euclid-lsp-symmetry",
+        "conformal characteristic is a symmetry of the linear problem",
+        1e-6,
+        _euclid_lsp_symmetry,
+    ),
+    _Check(
+        "prop3.euclid-explicit-integration",
+        "so Phi^-1 (pr w Phi) has the prolonged tangents",
+        1e-6,
+        lambda fx: _euclid_tangent_defect(fx, fx.euclid_explicit()),
+    ),
+    _Check(
+        "prop3.mink-lsp-symmetry-negative",
+        "quadratic traveling-wave characteristic breaks the linear-problem symmetry",
+        0.1,
+        lambda fx: _field_max(fx.mink_lsp_defect()[0]),
+        "above",
+    ),
+    _Check(
+        "prop3.mink-explicit-integration-negative",
+        "and Phi^-1 (pr w Phi) fails the prolonged-tangent identity",
+        0.1,
+        _mink_explicit_negative,
+        "above",
+    ),
+    # --- prop4: conformal closed form
+    _Check(
+        "prop4.euclid-closed-form-tangents",
+        "F = Phi^-1(f u1 + g u2) Phi has the prolonged tangents (f=xi^2)",
+        1e-6,
+        lambda fx: _euclid_tangent_defect(fx, fx.euclid_closed()),
+    ),
+    _Check(
+        "prop4.euclid-prolonged-connection",
+        "field deformation matches the closed prolongation of the connection",
+        1e-6,
+        _euclid_prolonged_connection,
+    ),
+    _Check(
+        "prop4.euclid-compatibility",
+        "prolonged tangent pair is integrable",
+        1e-6,
+        lambda fx: fx.euclid_compatibility(),
+    ),
+    _Check(
+        "prop4.euclid-path-defect",
+        "line integration is path independent",
+        1e-6,
+        lambda fx: fx.euclid_surface().path_defect,
+    ),
+    _Check(
+        "prop4.mink-closed-form-tangents",
+        "same identity on the Minkowski chart (f=x1, g=x2)",
+        1e-6,
+        lambda fx: fx.mink_linear_defects()["closed-form-tangents"],
+    ),
+    _Check(
+        "prop4.mink-compatibility",
+        "Minkowski prolonged tangent pair is integrable",
+        1e-6,
+        lambda fx: fx.mink_linear_defects()["compatibility"],
+    ),
+    _Check(
+        "prop4.mink-path-defect",
+        "Minkowski line integration is path independent",
+        1e-6,
+        lambda fx: fx.mink_linear_defects()["path-defect"],
+    ),
+    # --- prop5: traveling-wave wave function and its prolonged surface
+    _Check(
+        "prop5.traveling-lsp",
+        "exponential wave function solves the linear problem",
+        1e-8,
+        _traveling_lsp,
+    ),
+    _Check(
+        "prop5.det-constant",
+        "det Phi is constant on the grid",
+        1e-10,
+        lambda fx: _det_variation(fx.mink_wave()),
+    ),
+    _Check(
+        "prop5.prolonged-surface-closed-form",
+        "Phi^-1 pr w Phi = (-2f - 2 kappa g + 2 f_1 chi) Phi^-1 [theta_1,theta] Phi",
+        1e-6,
+        _prolonged_surface_closed_form,
+    ),
+    _Check(
+        "prop5.tangent-coefficients",
+        "its stencil tangents match the closed tangent coefficients",
+        1e-6,
+        lambda fx: fx.traveling_tangent_defects()["tangent-coefficients"],
+    ),
+    _Check(
+        "prop5.degenerate-rank",
+        "pure conformal tangents span a curve (Gram matrix is singular)",
+        1e-10,
+        lambda fx: fx.traveling_tangent_defects()["degenerate-rank"],
+    ),
+    _Check(
+        "prop5.gauge-restores-rank",
+        "adding a constant gauge term makes the Gram matrix nondegenerate",
+        1e-3,
+        lambda fx: fx.traveling_tangent_defects()["gauge-restores-rank"],
+        "above",
+    ),
+    # --- prop6: integrability criteria on the Minkowski chart
+    _Check(
+        "prop6.curvature-criterion-defect-form",
+        "quadratic-f defect equals -f_11 chi (1+lam) D1 Phi",
+        1e-6,
+        _curvature_defect_form,
+    ),
+    _Check(
+        "prop6.curvature-criterion-negative",
+        "and it is large: f must be affine for integrability",
+        0.1,
+        lambda fx: _field_max(fx.mink_lsp_defect()[0]),
+        "above",
+    ),
+    _Check(
+        "prop6.slope-criterion-negative",
+        "f_1 != g_2 breaks the second linear-problem equation",
+        1e-2,
+        lambda fx: _field_max(
+            _mink_lsp_defect_of(fx, ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0)))[1]
+        ),
+        "above",
+    ),
+    _Check(
+        "prop6.affine-positive",
+        "affine f, g with equal slopes pass both equations",
+        1e-6,
+        lambda fx: max(map(_field_max, _mink_lsp_defect_of(fx, fx.mink_spec_affine()))),
+    ),
+    _Check(
+        "prop6.constant-difference-variation",
+        "F - Phi^-1 pr w Phi is constant for affine data",
+        1e-8,
+        lambda fx: fx.mink_affine_difference()[1],
+    ),
+    _Check(
+        "prop6.constant-difference-value",
+        "and equals (2b lam/(1+lam) - 2c kappa lam/(1-lam)) Phi^-1 [theta_1,theta] Phi",
+        1e-8,
+        _affine_difference_value,
+    ),
+    _Check(
+        "prop6.constant-difference-negative",
+        "for quadratic f the difference is not constant",
+        0.1,
+        _quadratic_difference_variation,
+        "above",
+    ),
+    # --- prop7: conformal transformation of the ladder rungs
+    *(
+        _Check(
+            f"prop7.lowered-rung-cp{n - 1}-level{k}",
+            "pr w (lowered rung) = f D1 + g D2 of the rung",
+            1e-6,
+            functools.partial(_lowered_rung_defect, n=n, k=k),
+            key="prop7.lowered-rung",
+        )
+        for n, k in ((2, 1), (3, 1), (3, 2))
+    ),
+    # --- prop8: the Euclidean positive results, per ladder rung
+    *(row for n in (2, 3) for k in range(n) for row in _rung_checks(n, k)),
+    # --- appendix: prolongation commutes with total derivatives
+    _Check(
+        "appendix.commutation-euclid-theta",
+        "D_alpha(pr w G) = pr w(D_alpha G) on the Euclidean chart",
+        1e-6,
+        lambda fx: _theta_commutation(fx.jets_analytic(2), fx.euclid_q()),
+        key="appendix.commutation",
+    ),
+    *(
+        _Check(
+            f"appendix.commutation-euclid-u{i}",
+            "D_alpha(pr w G) = pr w(D_alpha G) on the Euclidean chart",
+            1e-6,
+            functools.partial(_euclid_u_commutation, index=i),
+            key="appendix.commutation",
+        )
+        for i in (1, 2)
+    ),
+    _Check(
+        "appendix.commutation-mink-theta",
+        "same on the Minkowski chart",
+        1e-6,
+        lambda fx: _theta_commutation(fx.traveling()[1], fx.mink_q(), MINK_POLICY),
+        key="appendix.commutation",
+    ),
+    *(
+        _Check(
+            f"appendix.commutation-mink-u{i}",
+            "same on the Minkowski chart",
+            1e-6,
+            lambda fx, i=i: fx.mink_commutation_defects()[i - 1],
+            key="appendix.commutation",
+        )
+        for i in (1, 2)
+    ),
+    _Check(
+        "appendix.step-order",
+        "deformation-step error decays at second order",
+        1.9,
+        _step_order,
+        "above",
+    ),
+    _Check(
+        "appendix.grid-order",
+        "commutation defect decays at least at third order in h",
+        3.0,
+        _grid_order,
+        "above",
+    ),
+)
+
+SUITE_NAMES = tuple(dict.fromkeys(c.suite for c in _CHECKS))
+_TOLERANCE_KEYS = frozenset(c.key or c.name for c in _CHECKS)
 
 
-def suite_appendix(fx: Fixtures) -> list[CheckResult]:
+def _run_checks(
+    checks: tuple[_Check, ...], fx: Fixtures, tolerances: dict[str, float]
+) -> list[CheckResult]:
+    """Measure each check; its runtime includes the fixtures it builds first."""
     out = []
-    lam_e = LAM_EUCLID
-    j = fx.jets_analytic(2)
-    q = fx.euclid_q()
-    a, b = fx.euclid_tangents()
-    (prw_theta,) = frechet_apply(theta_functional(), j, q)
-    for name, prw_g, dg in (
-        ("theta", prw_theta, theta_derivatives_functional()),
-        ("u1", a, u_derivatives_functional(lam_e, 1)),
-        ("u2", b, u_derivatives_functional(lam_e, 2)),
-    ):
+    for c in checks:
+        tolerance = float(tolerances.get(c.key or c.name, c.tolerance))
+        t0 = time.perf_counter()
+        value = float(c.measure(fx))
+        dt = time.perf_counter() - t0
+        ok = value < tolerance if c.comparison == "below" else value > tolerance
         out.append(
-            _check(
-                f"appendix.commutation-euclid-{name}",
-                "D_alpha(pr w G) = pr w(D_alpha G) on the Euclidean chart",
-                lambda prw_g=prw_g, dg=dg: commutation_defect(q, prw_g, dg, j),
-                fx.tolerance("appendix.commutation", 1e-6),
+            CheckResult(
+                name=c.name,
+                target=c.suite,
+                description=c.description,
+                measured=value,
+                tolerance=tolerance,
+                comparison=c.comparison,
+                passed=bool(ok),
+                runtime_s=dt,
             )
         )
-    lam_m = LAM_MINK
-    _, jt = fx.traveling()
-    qm = fx.mink_q(MINK_H)
-    pol = FrechetPolicy(eps_base=1e-4)
-    (prw_theta_m,) = frechet_apply(theta_functional(), jt, qm, pol)
-    am, bm = frechet_apply(u_functional(lam_m), jt, qm, pol)
-    for name, prw_g, dg in (
-        ("theta", prw_theta_m, theta_derivatives_functional()),
-        ("u1", am, u_derivatives_functional(lam_m, 1)),
-        ("u2", bm, u_derivatives_functional(lam_m, 2)),
-    ):
-        out.append(
-            _check(
-                f"appendix.commutation-mink-{name}",
-                "same on the Minkowski chart",
-                lambda prw_g=prw_g, dg=dg: commutation_defect(qm, prw_g, dg, jt, pol),
-                fx.tolerance("appendix.commutation", 1e-6),
-            )
-        )
-
-    # convergence orders of the deformation apparatus, probed on the
-    # lowering operator (genuinely nonlinear in the jets)
-    def eps_order() -> float:
-        j1 = fx.jets_analytic(2, 1)
-        trans = ConformalSpec.euclidean((1.0,))
-        q1 = conformal_characteristic(trans, j1)
-        g = lowering_functional()
-        dl1, dl2 = lowering_derivatives_functional()(j1)
-        fv = trans.f(j1.grid)[..., None, None]
-        gv = trans.g(j1.grid)[..., None, None]
-        ref = fv * dl1.values + gv * dl2.values
-        ds = []
-        for eps in (0.04, 0.02, 0.01):
-            (pw,) = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
-            ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
-        return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
-
-    out.append(
-        _check(
-            "appendix.step-order",
-            "deformation-step error decays at second order",
-            eps_order,
-            fx.tolerance("appendix.step-order", 1.9),
-            comparison="above",
-        )
-    )
-
-    def h_order() -> float:
-        trans = fx.euclid_spec()
-        ds = []
-        for h in (0.012, 0.006, 0.003):
-            gh = fx.euclid_grid(h)
-            ladh = veronese_ladder(2, gh)
-            jh = theta_of(ladh.rungs[1], "analytic")
-            qh = conformal_characteristic(trans, jh)
-            pol_h = FrechetPolicy(eps_base=1e-3)
-            (prw_g,) = frechet_apply(lowering_functional(), jh, qh, pol_h)
-            ds.append(
-                commutation_defect(qh, prw_g, lowering_derivatives_functional(), jh, pol_h)
-            )
-        return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
-
-    out.append(
-        _check(
-            "appendix.grid-order",
-            "commutation defect decays at least at third order in h",
-            h_order,
-            fx.tolerance("appendix.grid-order", 3.0),
-            comparison="above",
-        )
-    )
     return out
 
 
-_SUITES: dict[str, Callable[[Fixtures], list[CheckResult]]] = {
-    "identities": suite_identities,
-    "prop1": suite_prop1,
-    "prop2": suite_prop2,
-    "prop3": suite_prop3,
-    "prop4": suite_prop4,
-    "prop5": suite_prop5,
-    "prop6": suite_prop6,
-    "prop7": suite_prop7,
-    "prop8": suite_prop8,
-    "appendix": suite_appendix,
+_SUITES: dict[str, Callable[[Fixtures, dict[str, float]], list[CheckResult]]] = {
+    suite: functools.partial(_run_checks, tuple(c for c in _CHECKS if c.suite == suite))
+    for suite in SUITE_NAMES
 }
 
 
@@ -1047,6 +999,10 @@ def run_suites(
     tolerances: dict[str, float] | None = None,
 ) -> VerificationReport:
     """Run the named suites (or ``all``) and assemble the ordered report."""
+    tolerances = dict(tolerances or {})
+    for key in tolerances:
+        if key not in _TOLERANCE_KEYS:
+            raise ConfigError(f"key 'tolerances.{key}' names no check")
     wanted: list[str] = []
     for nm in names:
         if nm == "all":
@@ -1058,8 +1014,8 @@ def run_suites(
     seen: set[str] = set()
     ordered = [nm for nm in wanted if not (nm in seen or seen.add(nm))]
 
-    fx = Fixtures(tolerances)
+    fx = Fixtures()
     results: list[CheckResult] = []
     for nm in ordered:
-        results.extend(_SUITES[nm](fx))
+        results.extend(_SUITES[nm](fx, tolerances))
     return VerificationReport(suites=tuple(ordered), results=results)

@@ -223,12 +223,37 @@ def test_cli_verify_unknown_suite(tmp_path):
     assert main(["verify", "--suite", "prop99", "--out", str(tmp_path / "v")]) == 2
 
 
-def test_shared_fixtures_do_not_depend_on_suite_order():
+def test_cli_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
+    typo = {"identities.su-basis-closur": 1e-30}
+    cfg = write_cfg(tmp_path, {**BASE_VERONESE, "tolerances": typo})
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--suite", "identities", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "key 'tolerances.identities.su-basis-closur'" in err
+    assert not os.path.exists(out)
+
+
+def test_shared_tolerance_key_reaches_every_row():
     from solsurf.verify import run_suites
 
-    alone = run_suites(["prop4"]).to_json()["checks"]
-    after_prop2 = run_suites(["prop2", "prop4"]).to_json()["checks"]
-    assert after_prop2[-len(alone):] == alone
+    checks = run_suites(["identities"], {"identities.theta-square": 1e-300}).results
+    overridden = [c.name for c in checks if c.tolerance == 1e-300 and not c.passed]
+    assert overridden == [
+        "identities.theta-square-cp1",
+        "identities.theta-square-cp2",
+        "identities.theta-square-traveling",
+    ]
+    assert all(c.passed for c in checks if c.name not in overridden)
+
+
+def test_shared_fixtures_do_not_depend_on_suite_order():
+    from solsurf.verify import SUITE_NAMES, run_suites
+
+    together = run_suites(["all"]).to_json()["checks"]
+    for suite in SUITE_NAMES:
+        alone = run_suites([suite]).to_json()["checks"]
+        assert alone == [c for c in together if c["target"] == suite], suite
 
 
 README_EUCLID = {
@@ -294,6 +319,19 @@ def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, f
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and named in err
     assert not os.path.exists(out)
+
+
+def test_cli_immerse_degenerate_spacing_is_a_config_error(tmp_path, capsys):
+    # the config parses, but on the vanishing spacing the deformed wave
+    # function has no lowering denominator anywhere
+    cfg = {**README_EUCLID, "solution": {"kind": "veronese", "k": 1},
+           "grid": {"origin": [0.0, 0.0], "spacing": [1.0, 5e-324], "dims": [9, 9]},
+           "symmetry": {"f": [], "g": []}}
+    out = str(tmp_path / "out")
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: keys 'grid' and 'symmetry': ")
+    assert "lowering denominator vanished everywhere" in err
 
 
 def test_symmetry_coefficients_must_be_pairs():

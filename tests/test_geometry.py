@@ -16,15 +16,14 @@ def flat_grid(h=0.05, n=41):
 def test_embed_zero_and_axis():
     g = flat_grid()
     zero = MatrixField(g, np.zeros((g.n2, g.n1, 2, 2), dtype=complex), 0)
-    surf = embed_su2(zero)
-    assert np.max(np.abs(surf.points)) == 0
+    assert np.max(np.abs(embed_su2(zero))) == 0
     # F = i t sigma_3 along x1 -> straight segment on the third axis
     x1, _ = g.mesh()
     f = MatrixField(g, (1j * x1)[..., None, None] * SIGMA3, 0)
-    surf = embed_su2(f)
-    assert np.max(np.abs(surf.points[..., 0])) < 1e-15
-    assert np.max(np.abs(surf.points[..., 1])) < 1e-15
-    assert np.max(np.abs(surf.points[..., 2] - x1)) < 1e-15
+    points = embed_su2(f)
+    assert np.max(np.abs(points[..., 0])) < 1e-15
+    assert np.max(np.abs(points[..., 1])) < 1e-15
+    assert np.max(np.abs(points[..., 2] - x1)) < 1e-15
 
 
 def test_embed_requires_su2():
@@ -39,8 +38,7 @@ def test_embed_roundtrip_and_isometry():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((g.n2, g.n1, 3))
     f = unembed_su2(g, a)
-    surf = embed_su2(f)
-    assert np.max(np.abs(surf.points - a)) < 1e-14
+    assert np.max(np.abs(embed_su2(f) - a)) < 1e-14
     # linear isometry: inner(X, Y) = dot(embed X, embed Y)
     b = rng.standard_normal((g.n2, g.n1, 3))
     f2 = unembed_su2(g, b)
@@ -83,22 +81,16 @@ def test_obj_export_counts(tmp_path):
     g = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.1, 0.1), (9, 9))
     pts = np.zeros((9, 9, 3))
     pts[..., 0], pts[..., 1] = g.mesh()
-    f = unembed_su2(g, pts)
-    surf = embed_su2(f)
     path = str(tmp_path / "surf.obj")
-    export_obj(path, surf)
+    export_obj(path, embed_su2(unembed_su2(g, pts)))
     lines = open(path).read().strip().split("\n")
     v_lines = [ln for ln in lines if ln.startswith("v ")]
     f_lines = [ln for ln in lines if ln.startswith("f ")]
     assert len(v_lines) == 81
     assert len(f_lines) == 2 * 8 * 8
     # a 2x2 sub-grid gives 4 vertices, 2 triangles
-    sub = np.zeros((2, 2, 3))
-    from solsurf.geometry import EmbeddedSurface
-
-    small = EmbeddedSurface(grid=g, points=sub)
     path2 = str(tmp_path / "small.obj")
-    export_obj(path2, small)
+    export_obj(path2, np.zeros((2, 2, 3)))
     lines2 = open(path2).read().strip().split("\n")
     assert sum(ln.startswith("v ") for ln in lines2) == 4
     assert sum(ln.startswith("f ") for ln in lines2) == 2
@@ -108,7 +100,7 @@ def test_obj_export_counts(tmp_path):
     odd[1, 2] = np.nan
     odd[3, 0, 1], odd[4, 4, 2] = -0.0, -np.inf
     path3 = str(tmp_path / "odd.obj")
-    export_obj(path3, EmbeddedSurface(grid=g, points=odd))
+    export_obj(path3, odd)
     assert open(path3).read() == _obj_by_loop(odd)
 
 
@@ -116,9 +108,8 @@ def test_obj_float_fidelity(tmp_path):
     g = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.1, 0.1), (9, 9))
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((9, 9, 3))
-    surf = embed_su2(unembed_su2(g, pts))
     path = str(tmp_path / "surf.obj")
-    export_obj(path, surf)
+    export_obj(path, embed_su2(unembed_su2(g, pts)))
     vs = []
     for ln in open(path):
         if ln.startswith("v "):
