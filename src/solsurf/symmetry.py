@@ -55,7 +55,6 @@ __all__ = [
     "commutation_defect",
     "compatibility_defect",
     "conformal_characteristic",
-    "el_symmetry_defect",
     "frechet_apply",
     "lowering_functional",
     "lowering_derivatives_functional",
@@ -354,21 +353,6 @@ def compatibility_defect(
     res = da[1] - db[0] + commutator(a.values, u2.values) + commutator(u1.values, b.values)
     margin = max(da[2], db[2], u1.margin, u2.margin)
     return interior_max(fro(res), margin)
-
-
-def el_symmetry_defect(
-    q: MatrixField,
-    j: JetField,
-    lam: complex,
-    policy: FrechetPolicy = FrechetPolicy(),
-) -> float:
-    """Zero-curvature defect of the connection pair prolonged along ``q``.
-
-    With Q_alpha = pr w_Q u_alpha this is the compatibility defect of
-    (Q_1, Q_2); it vanishes exactly when ``q`` generates a symmetry of the
-    equations of motion.
-    """
-    return compatibility_defect(*frechet_apply(u_functional(lam), j, q, policy), *u_pair(j, lam))
 
 
 def lsp_symmetry_defect(

@@ -311,10 +311,20 @@ class Fixtures:
         }
 
     @_fixture
-    def lowering_derivatives(self) -> tuple[MatrixField, MatrixField]:
-        """D1 and D2 of the lowered (2, 1) rung, read by prop7 and the
-        step-order probe."""
-        return lowering_derivatives_functional()(self.jets_analytic(2, 1))
+    def lowering_defects(self) -> dict[str, object]:
+        """Defects of pr w (lowered (2, 1) rung) against f D1 + g D2 of it,
+        from one set of D1 and D2: prop7's under f = xi^2, and the
+        step-order probe's under a translation at three deformation steps
+        without the Richardson step.  Holding D1 and D2 instead would raise
+        the run's peak memory."""
+        j = self.jets_analytic(2, 1)
+        dl = lowering_derivatives_functional()(j)
+        trans = ConformalSpec.euclidean((1.0,))
+        steps = [FrechetPolicy(eps_base=eps, richardson=False) for eps in (0.04, 0.02, 0.01)]
+        return {
+            "prop7": _lowering_defect(j, self.euclid_spec(), dl),
+            "step-order": [_lowering_defect(j, trans, dl, policy) for policy in steps],
+        }
 
     @_fixture
     def rung_defects(self, n: int, k: int) -> dict[str, float]:
@@ -541,16 +551,21 @@ def _quadratic_difference_variation(fx: Fixtures) -> float:
     return constant_difference_check(f_closed, fx.mink_explicit(WIDE_H))[1]
 
 
-def _lowered_rung_defect(fx: Fixtures, n: int, k: int) -> float:
-    spec, j = fx.euclid_spec(), fx.jets_analytic(n, k)
-    (prw,) = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j))
-    # the CP^2 rungs' derivatives are read here only, so they are not kept
-    if (n, k) == (2, 1):
-        dl1, dl2 = fx.lowering_derivatives()
-    else:
-        dl1, dl2 = lowering_derivatives_functional()(j)
+def _lowering_defect(
+    j: JetField, spec: ConformalSpec, dl: tuple[MatrixField, MatrixField], policy=FrechetPolicy()
+) -> float:
+    """pr w of the lowered rung against f D1 + g D2 of it, given (D1, D2) as ``dl``."""
+    dl1, dl2 = dl
+    (prw,) = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j), policy)
     ref = _along(spec, j.grid, dl1.values, dl2.values)
     return interior_max(fro(prw.values - ref), max(prw.margin, dl1.margin))
+
+
+def _lowered_rung_defect(fx: Fixtures, n: int, k: int) -> float:
+    if (n, k) == (2, 1):
+        return fx.lowering_defects()["prop7"]
+    j = fx.jets_analytic(n, k)
+    return _lowering_defect(j, fx.euclid_spec(), lowering_derivatives_functional()(j))
 
 
 def _theta_commutation(j: JetField, q: MatrixField, policy=FrechetPolicy()) -> float:
@@ -568,16 +583,7 @@ def _euclid_u_commutation(fx: Fixtures, index: int) -> float:
 
 
 def _step_order(fx: Fixtures) -> float:
-    j = fx.jets_analytic(2, 1)
-    trans = ConformalSpec.euclidean((1.0,))
-    q = conformal_characteristic(trans, j)
-    g = lowering_functional()
-    dl1, dl2 = fx.lowering_derivatives()
-    ref = _along(trans, j.grid, dl1.values, dl2.values)
-    ds = []
-    for eps in (0.04, 0.02, 0.01):
-        (pw,) = frechet_apply(g, j, q, FrechetPolicy(eps_base=eps, richardson=False))
-        ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
+    ds = fx.lowering_defects()["step-order"]
     return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
 

@@ -10,7 +10,9 @@ cross-check the two:
 * a central difference in the spectral parameter, against the analytic
   lambda-derivatives of the wave functions;
 * the inverse of the su(2) -> R^3 embedding, and constant fields, to build
-  surfaces and tangents with known values.
+  surfaces and tangents with known values;
+* the symmetry criterion in one call, prolonging the connection itself
+  (`verify` reads it from a prolonged pair that other checks share).
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import numpy as np
 from solsurf.errors import ChartMismatch
 from solsurf.fields import CHART_EUCLIDEAN, Grid2, MatrixField, chart_first_derivatives, interior_max
 from solsurf.matlie import dagger, fro, mm, trace
-from solsurf.sigma import ProjectorField, SolutionLadder
+from solsurf.sigma import JetField, ProjectorField, SolutionLadder, u_pair
 from solsurf.spectral import WaveField
+from solsurf.symmetry import FrechetPolicy, compatibility_defect, frechet_apply, u_functional
 
 TOL_CONTRACT_REL = 1e-10
 
@@ -124,3 +127,21 @@ def constant_field(grid: Grid2, mat: np.ndarray, margin: int = 0) -> MatrixField
         np.asarray(mat, dtype=complex), (grid.n2, grid.n1) + np.asarray(mat).shape
     ).copy()
     return MatrixField(grid, values, margin)
+
+
+# --- the symmetry criterion ----------------------------------------------------------
+
+
+def el_symmetry_defect(
+    q: MatrixField,
+    j: JetField,
+    lam: complex,
+    policy: FrechetPolicy = FrechetPolicy(),
+) -> float:
+    """Zero-curvature defect of the connection pair prolonged along ``q``.
+
+    With Q_alpha = pr w_Q u_alpha this is the compatibility defect of
+    (Q_1, Q_2); it vanishes exactly when ``q`` generates a symmetry of the
+    equations of motion.
+    """
+    return compatibility_defect(*frechet_apply(u_functional(lam), j, q, policy), *u_pair(j, lam))

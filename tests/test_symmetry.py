@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import el_symmetry_defect
 from solsurf.errors import ChartMismatch
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -19,7 +20,6 @@ from solsurf.symmetry import (
     commutation_defect,
     compatibility_defect,
     conformal_characteristic,
-    el_symmetry_defect,
     frechet_apply,
     lowering_derivatives_functional,
     lowering_functional,
