@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError, RunConfig, finite_number, load_config, parse_lambda
-from .errors import DeformationOutOfDomain, FieldFileError, LambdaSingular
+from .errors import DeformationOutOfDomain, FieldFileError, LambdaSingular, MarginExhausted
 from .fields import (
     Grid2,
     MatrixField,
@@ -42,11 +42,11 @@ from .immersion import (
     explicit_immersion,
     integrate_surface,
     linear_independence_report,
-    prolonged_wave,
+    su_distance,
     sym_tafel,
     tangent_check,
 )
-from .matlie import fro, su_basis
+from .matlie import NonFiniteMatrix, fro, su_basis
 from .sigma import (
     JetField,
     el_residual,
@@ -66,7 +66,7 @@ from .spectral import (
     traveling_wave_dlambda,
     wave_diagnostics,
 )
-from .symmetry import conformal_characteristic
+from .symmetry import conformal_characteristic, frechet_apply, u_functional, wave_functional
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -180,23 +180,29 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
 
 
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
-    os.makedirs(outdir, exist_ok=True)
+    """Every field and the report are computed before the first file is
+    written, so a run that fails leaves no output behind."""
     j, carrier, meta = _build_solution(cfg)
     builder = _wave_builder(cfg, carrier)
     wave = builder(j)
     u1, u2 = u_pair(j, cfg.lam)
 
     gauge = _gauge_field(cfg, j)
-    q = conformal_characteristic(cfg.symmetry, j) if cfg.symmetry is not None else None
-    inputs = ImmersionInputs(a_coeffs=cfg.a_coeffs, gauge=gauge, q=q)
+    symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and gauge is None
+    prolonged = [None]
+    if cfg.symmetry is not None:
+        # one prolongation along Q: the connection pair, and Phi when the
+        # closed forms are compared
+        gs = (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only]
+        prolonged = frechet_apply(gs, j, conformal_characteristic(cfg.symmetry, j))
+    inputs = ImmersionInputs(a_coeffs=cfg.a_coeffs, gauge=gauge, prw_u=prolonged[0])
     if not inputs.active():
         raise ConfigError(
             "immersion requires at least one of: a_coeffs, gauge, symmetry"
         )
     a, b = assemble_tangents(inputs, j, cfg.lam)
     res = integrate_surface(a, b, wave, u1=u1, u2=u2)
-    write_field(os.path.join(outdir, "immersion.npz"), res.field)
-    write_field(os.path.join(outdir, "wave.npz"), wave.field(), lam=wave.lam)
+    outputs = {"immersion": (res.field, None), "wave": (wave.field(), wave.lam)}
     t1 = MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin))
     t2 = MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin))
     report: dict = {
@@ -214,17 +220,17 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             dphi = euclidean_wave_dlambda(carrier, cfg.lam)
         else:
             dphi = traveling_wave_dlambda(carrier, j, wave)
-        fst, sud = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
-        write_field(os.path.join(outdir, "sym_tafel.npz"), fst)
-        report["sym_tafel_su_distance"] = sud
+        fst = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
+        outputs["sym_tafel"] = (fst, None)
+        report["sym_tafel_su_distance"] = su_distance(fst)
 
-    if cfg.symmetry is not None and not cfg.a_coeffs and gauge is None:
-        f_closed, sud = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
-        write_field(os.path.join(outdir, "conformal_closed.npz"), f_closed)
-        report["conformal_closed_su_distance"] = sud
-        calf, sud2 = explicit_immersion(wave, prolonged_wave(q, j, builder))
-        write_field(os.path.join(outdir, "prolonged.npz"), calf)
-        report["prolonged_su_distance"] = sud2
+    if symmetry_only:
+        f_closed = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
+        outputs["conformal_closed"] = (f_closed, None)
+        report["conformal_closed_su_distance"] = su_distance(f_closed)
+        calf = explicit_immersion(wave, prolonged[1][0])
+        outputs["prolonged"] = (calf, None)
+        report["prolonged_su_distance"] = su_distance(calf)
         # only the symmetry is active, so (a, b) is the prolonged pair
         defect = max(tangent_check(calf, wave, a, b))
         report["prolonged_tangent_defect"] = defect
@@ -232,6 +238,10 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         report["closed_vs_prolonged_variation"] = constant_difference_check(
             f_closed, calf
         )[1]
+
+    os.makedirs(outdir, exist_ok=True)
+    for stem, (field, lam) in outputs.items():
+        write_field(os.path.join(outdir, f"{stem}.npz"), field, lam=lam)
     _dump_json(os.path.join(outdir, "immersion-report.json"), report)
     return 0
 
@@ -274,6 +284,17 @@ def _lambda_flag(text: str) -> complex:
     except ValueError as exc:
         raise ConfigError(f"--lambda must be a number or a [re, im] pair, got {text!r}") from exc
     return parse_lambda(raw, "--lambda")
+
+
+# Errors of a config that parses but cannot be computed, and the keys that cause them
+_UNCOMPUTABLE = {
+    # no wave function of the solution or of its deformation: on a vanishing spacing, say
+    DeformationOutOfDomain: "keys 'grid' and 'symmetry'",
+    # the phase chi [theta_1, theta] of a traveling wave, or of its deformation, is not finite
+    NonFiniteMatrix: "keys 'solution', 'grid', 'lambda' and 'symmetry'",
+    # the stencil margins of the run cover the grid
+    MarginExhausted: "key 'grid'",
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -324,19 +345,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "immerse":
             return cmd_immerse(cfg, args.out)
         return cmd_export(cfg, args.out)
-    except ConfigError as exc:
+    except (ConfigError, LambdaSingular) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except LambdaSingular as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except tuple(_UNCOMPUTABLE) as exc:
+        print(f"configuration error: {_UNCOMPUTABLE[type(exc)]}: {exc}", file=sys.stderr)
         return 2
-    except DeformationOutOfDomain as exc:
-        # the wave function of the solution, or of its deformation along
-        # the symmetry, cannot be built: on a vanishing grid spacing, say,
-        # every stencil derivative is degenerate
-        print(f"configuration error: keys 'grid' and 'symmetry': {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -17,3 +17,7 @@ class ChartMismatch(ValueError):
 
 class FieldFileError(ValueError):
     """A file is not a solsurf field file of a format that can be read."""
+
+
+class MarginExhausted(ValueError):
+    """The trust margin of a field leaves no interior grid node."""

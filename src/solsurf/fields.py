@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FieldFileError
+from .errors import FieldFileError, MarginExhausted
 
 __all__ = [
     "CHART_EUCLIDEAN",
@@ -39,6 +39,7 @@ __all__ = [
     "cumulative_line_integral",
     "diff1",
     "diff2",
+    "interior",
     "interior_max",
     "read_field",
     "write_field",
@@ -170,7 +171,7 @@ def trim_margin(f: MatrixField) -> MatrixField:
         spacing=f.grid.spacing,
         dims=(f.grid.n1 - 2 * m, f.grid.n2 - 2 * m),
     )
-    return MatrixField(grid, f.values[m:-m, m:-m], 0)
+    return MatrixField(grid, interior(f.values, m), 0)
 
 
 def same_grid(*fields: MatrixField) -> Grid2:
@@ -181,14 +182,18 @@ def same_grid(*fields: MatrixField) -> Grid2:
     return g
 
 
+def interior(x: np.ndarray, margin: int) -> np.ndarray:
+    """The nodes of ``x`` inside ``margin`` boundary layers on both grid
+    axes, as a view; raises `MarginExhausted` when none is left."""
+    inner = x[margin:-margin, margin:-margin] if margin else x
+    if inner.size == 0:
+        raise MarginExhausted("the stencil margins leave no interior node")
+    return inner
+
+
 def interior_max(scalar: np.ndarray, margin: int) -> float:
-    """Max of |scalar| over the interior; NaN-nodes outside are ignored."""
-    s = np.abs(np.asarray(scalar))
-    if margin > 0:
-        s = s[margin:-margin, margin:-margin]
-    if s.size == 0:
-        raise ValueError("margin leaves no interior nodes")
-    return float(np.nanmax(s))
+    """Max of |scalar| over the interior; NaN-nodes are ignored."""
+    return float(np.nanmax(np.abs(interior(np.asarray(scalar), margin))))
 
 
 def _shift_slices(ndim: int, axis: int, k: int) -> tuple[slice, ...]:

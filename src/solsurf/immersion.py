@@ -17,7 +17,6 @@ verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,18 +26,14 @@ from .fields import (
     MatrixField,
     chart_first_derivatives,
     cumulative_line_integral,
+    interior,
     interior_max,
     same_grid,
 )
 from .matlie import commutator, fro, inner, mm, project_su
 from .sigma import JetField, check_lambda, u_pair
 from .spectral import WaveField
-from .symmetry import (
-    FrechetPolicy,
-    compatibility_defect,
-    frechet_apply,
-    u_functional,
-)
+from .symmetry import compatibility_defect
 
 __all__ = [
     "ImmersionInputs",
@@ -50,9 +45,9 @@ __all__ = [
     "explicit_immersion",
     "integrate_surface",
     "linear_independence_report",
-    "prolonged_wave",
     "psi_of",
     "psi_residual",
+    "su_distance",
     "sym_tafel",
     "tangent_check",
     "u_dlambda",
@@ -63,13 +58,14 @@ __all__ = [
 class ImmersionInputs:
     """Ingredients of the tangent pair; any subset may be active.
 
-    ``q`` is the characteristic of the conformal symmetry, built by
-    ``conformal_characteristic`` on the jets the pair is assembled from.
+    ``prw_u`` is the prolonged connection (pr w_Q u1, pr w_Q u2) of the
+    conformal symmetry: `frechet_apply` with `u_functional` along its
+    characteristic, on the jets the pair is assembled from.
     """
 
     a_coeffs: tuple[float, ...] = ()
     gauge: MatrixField | None = None
-    q: MatrixField | None = None
+    prw_u: tuple[MatrixField, MatrixField] | None = None
 
     def a_value(self, lam: complex) -> complex:
         out = 0.0 + 0.0j
@@ -78,7 +74,7 @@ class ImmersionInputs:
         return out
 
     def active(self) -> bool:
-        return bool(self.a_coeffs) or self.gauge is not None or self.q is not None
+        return bool(self.a_coeffs) or self.gauge is not None or self.prw_u is not None
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,7 @@ def u_dlambda(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
 
 
 def assemble_tangents(
-    inp: ImmersionInputs,
-    j: JetField,
-    lam: complex,
-    policy: FrechetPolicy = FrechetPolicy(),
+    inp: ImmersionInputs, j: JetField, lam: complex
 ) -> tuple[MatrixField, MatrixField]:
     """Tangent pair (A, B) from the three symmetry ingredients."""
     if not inp.active():
@@ -136,10 +129,10 @@ def assemble_tangents(
         a_vals = a_vals + d1s + commutator(s.values, u1.values)
         b_vals = b_vals + d2s + commutator(s.values, u2.values)
         margin = max(margin, smargin)
-    if inp.q is not None:
-        if inp.q.grid != grid:
-            raise ValueError("characteristic field grid mismatch")
-        pw1, pw2 = frechet_apply(u_functional(lam), j, inp.q, policy)
+    if inp.prw_u is not None:
+        pw1, pw2 = inp.prw_u
+        if pw1.grid != grid or pw2.grid != grid:
+            raise ValueError("prolonged connection grid mismatch")
         a_vals = a_vals + pw1.values
         b_vals = b_vals + pw2.values
         margin = max(margin, pw1.margin, pw2.margin)
@@ -205,14 +198,11 @@ def integrate_surface(
     at = w.conjugate(a.values)
     bt = w.conjugate(b.values)
     gx, gy = _axis_integrands(grid, at, bt)
-    sl = (slice(m, n2 - m) if m else slice(None), slice(m, n1 - m) if m else slice(None))
-    gx_v = gx[sl]
-    gy_v = gy[sl]
     j1c, j2c = i1c - m, i2c - m
 
-    ia = cumulative_line_integral(gx_v, grid.h1, axis=1)
+    ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=1)
     ia = ia - ia[:, j1c : j1c + 1]
-    ib = cumulative_line_integral(gy_v, grid.h2, axis=0)
+    ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=0)
     ib = ib - ib[j2c : j2c + 1, :]
 
     # x1 first: run along the basepoint row, then up each column.
@@ -222,7 +212,7 @@ def integrate_surface(
     path_defect = float(np.nanmax(fro(f_12 - f_21)))
 
     f_full = np.full_like(at, np.nan)
-    f_full[sl] = f_12
+    interior(f_full, m)[...] = f_12
     raw = MatrixField(grid, f_full, m)
     field, su_correction = su_projected(raw)
 
@@ -268,21 +258,17 @@ def su_distance(f: MatrixField) -> float:
     return su_projected(f)[1]
 
 
-def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> tuple[MatrixField, float]:
+def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> MatrixField:
     """Spectral-parameter immersion F = a(lam) Phi^{-1} dPhi/dlam.
 
-    Returned raw, with the distance from su(N) as a diagnostic; the field
-    lies in the algebra exactly on the unitarity domain of the wave
-    function.
+    Returned raw; it lies in su(N) exactly on the unitarity domain of the
+    wave function, which `su_distance` measures.
     """
     raw = a_value * mm(w.inverse(), dphi.values)
-    out = MatrixField(w.grid, raw, max(w.margin, dphi.margin))
-    return out, su_distance(out)
+    return MatrixField(w.grid, raw, max(w.margin, dphi.margin))
 
 
-def conformal_immersion_closed(
-    spec, j: JetField, w: WaveField, lam: complex
-) -> tuple[MatrixField, float]:
+def conformal_immersion_closed(spec, j: JetField, w: WaveField, lam: complex) -> MatrixField:
     """Closed-form conformal immersion F = Phi^{-1} (f u1 + g u2) Phi."""
     lam = check_lambda(lam)
     u1, u2 = u_pair(j, lam)
@@ -291,31 +277,13 @@ def conformal_immersion_closed(
         spec.f(grid)[..., None, None] * u1.values
         + spec.g(grid)[..., None, None] * u2.values
     )
-    raw = w.conjugate(core)
-    out = MatrixField(grid, raw, max(w.margin, u1.margin))
-    return out, su_distance(out)
+    return MatrixField(grid, w.conjugate(core), max(w.margin, u1.margin))
 
 
-def prolonged_wave(
-    q: MatrixField,
-    j: JetField,
-    phi_builder: Callable[[JetField], WaveField],
-    policy: FrechetPolicy = FrechetPolicy(),
-) -> MatrixField:
-    """pr w_Q Phi: the wave function rebuilt on the deformed jets and differenced."""
-
-    def phi_values(jd: JetField) -> tuple[MatrixField]:
-        wd = phi_builder(jd)
-        return (MatrixField(jd.grid, wd.phi, wd.margin),)
-
-    return frechet_apply(phi_values, j, q, policy)[0]
-
-
-def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> tuple[MatrixField, float]:
-    """Explicitly integrated immersion F = Phi^{-1} (pr w_Q Phi) with its su(N) distance."""
+def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> MatrixField:
+    """Explicitly integrated immersion F = Phi^{-1} (pr w_Q Phi)."""
     raw = mm(w.inverse(), prw_phi.values)
-    out = MatrixField(w.grid, raw, max(w.margin, prw_phi.margin))
-    return out, su_distance(out)
+    return MatrixField(w.grid, raw, max(w.margin, prw_phi.margin))
 
 
 def constant_difference_check(
@@ -324,7 +292,7 @@ def constant_difference_check(
     """Grid mean of F - calF and the worst deviation from that mean."""
     same_grid(f, calf)
     m = max(f.margin, calf.margin)
-    diff = (f.values - calf.values)[m:-m, m:-m] if m else f.values - calf.values
+    diff = interior(f.values - calf.values, m)
     mean = np.nanmean(diff.reshape(-1, diff.shape[-2], diff.shape[-1]), axis=0)
     variation = float(np.nanmax(fro(diff - mean)))
     return mean, variation
@@ -368,9 +336,9 @@ def linear_independence_report(
     tr_half = 0.5 * (g11 + g22)
     disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12**2, 0.0))
     lo, hi = tr_half - disc, tr_half + disc
-    sl = (slice(m, -m), slice(m, -m)) if m else (slice(None), slice(None))
+    lo, hi = interior(lo, m), interior(hi, m)
     return {
-        "min_eigenvalue": float(np.nanmin(lo[sl])),
-        "max_min_eigenvalue": float(np.nanmax(lo[sl])),
-        "max_eigenvalue": float(np.nanmax(hi[sl])),
+        "min_eigenvalue": float(np.nanmin(lo)),
+        "max_min_eigenvalue": float(np.nanmax(lo)),
+        "max_eigenvalue": float(np.nanmax(hi)),
     }

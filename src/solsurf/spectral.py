@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DeformationOutOfDomain
-from .fields import Grid2, MatrixField, chart_first_derivatives, interior_max
+from .fields import Grid2, MatrixField, chart_first_derivatives, interior, interior_max
 from .matlie import commutator, dagger, det, expm, fro, inv, mm, trace
 from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, theta_of
 
@@ -113,8 +113,8 @@ def wave_diagnostics(w: WaveField) -> dict[str, float]:
             cond[ok] = np.linalg.cond(phi[ok])
     m = w.margin
     return {
-        "min_abs_det": float(np.nanmin(np.abs(det_phi[m:-m, m:-m] if m else det_phi))),
-        "max_condition": float(np.nanmax(cond[m:-m, m:-m] if m else cond)),
+        "min_abs_det": float(np.nanmin(np.abs(interior(det_phi, m)))),
+        "max_condition": float(np.nanmax(interior(cond, m))),
         "max_unitarity_defect": interior_max(unit, m),
     }
 

@@ -1,10 +1,11 @@
 """Generalized symmetries in evolutionary form, realized numerically.
 
 A symmetry characteristic is a matrix field Q built from the jets of a
-solution.  Its prolongation acting on a field functional G is realized
-by deforming the whole solution, theta -> theta +/- eps*Q, recomputing
-the jet fields (linearity: jets of the deformation are eps times the jets
-of Q, computed once and shared by every evaluation), and differencing:
+solution.  Its prolongation pr w_Q is one derivation acting on every
+functional G of the solution.  It is realized by deforming the whole
+solution, theta -> theta +/- eps*Q, recomputing the jet fields
+(linearity: jets of the deformation are eps times the jets of Q), and
+differencing:
 
     pr w_Q G = [G(theta + eps Q) - G(theta - eps Q)] / (2 eps)
 
@@ -12,26 +13,30 @@ with an optional Richardson step combining eps and eps/2.  Because the
 deformed jets are exact linear shifts, the difference quotient is free of
 the cancellation noise a naive re-evaluation would produce.
 
+One prolongation feeds many functionals: `frechet_apply` takes a
+sequence of them, computes the jets of Q once, builds each deformation
+once and evaluates every functional on it.  A caller asks once per
+(jets, Q, policy) for all it reads: pr w u for the symmetry criterion,
+pr w Phi for explicit integration, pr w of the linear-problem residual,
+and pr w G beside pr w (D_alpha G) for the commutation checks.  A
+functional returns a tuple of matrix fields, all differenced from the
+same deformations, so the connection pair (u1, u2) is one functional.
+
 Functionals that are polynomials of degree at most 2 in (theta, jets) --
 theta, its first derivatives and the connection pair with its
 derivatives -- are marked where they are defined.  Their central
 difference is exact, so the Richardson half step is skipped for them: it
-would only multiply the rounding error by about 3.  Every other
-functional takes the half step whenever the policy asks for it.  The
-deformed jet fields build their second-order jets on first read, so a
-functional that reads only theta, D_1 theta and D_2 theta runs no
+would only multiply the rounding error by about 3.  The half step
+evaluates only the unmarked functionals, and is not built when there is
+none.  The deformed jet fields build their second-order jets on first
+read, so functionals that read only theta, D_1 theta and D_2 theta run no
 second-order stencil.
-
-A functional returns a tuple of matrix fields, and every component is
-differenced from the same deformed jet fields.  The connection pair
-(u1, u2) is one functional, so its prolongation (pr w_Q u1, pr w_Q u2),
-whose zero curvature is the symmetry criterion, is one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,13 +63,13 @@ __all__ = [
     "frechet_apply",
     "lowering_functional",
     "lowering_derivatives_functional",
-    "lsp_symmetry_defect",
     "prolong_u",
     "theta_functional",
     "theta_derivatives_functional",
     "traveling_R_fields",
     "u_functional",
     "u_derivatives_functional",
+    "wave_functional",
 ]
 
 Functional = Callable[[JetField], tuple[MatrixField, ...]]
@@ -222,40 +227,42 @@ class FrechetPolicy:
 
 
 def frechet_apply(
-    g: Functional,
+    gs: Sequence[Functional],
     j: JetField,
     q: MatrixField,
     policy: FrechetPolicy = FrechetPolicy(),
-) -> tuple[MatrixField, ...]:
-    """Directional derivative along ``q`` at ``j`` of every component of ``g``.
+) -> tuple[tuple[MatrixField, ...], ...]:
+    """Directional derivatives along ``q`` at ``j`` of every functional in ``gs``.
 
-    The jets of ``q`` are computed once, and each central difference
-    deforms ``j`` twice and evaluates ``g`` once per deformation, so a
-    pair of fields costs the same two deformations as a single one.  The
-    Richardson half step, two more deformations, runs when
-    ``policy.richardson`` is set and ``g`` is not marked quadratic.  The
-    second-order jets of ``q`` and of each deformation are built only if
-    ``g`` reads them.  Each component keeps the larger margin of its
-    evaluations.
+    Returns one tuple per functional, one field per component.  The jets
+    of ``q`` are computed once; each deformation of ``j`` is built once
+    and every functional is evaluated on it in turn.  The Richardson half
+    step, two more deformations, runs when ``policy.richardson`` is set,
+    for the functionals not marked quadratic.  Second-order jets are built
+    only if a functional reads them.  Each component keeps the larger
+    margin of its evaluations.
     """
     q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
     eps = policy.step(j)
 
-    def central(e: float) -> list[tuple[np.ndarray, int]]:
-        plus = g(j.deformed(+e, q.values, q_jets))
-        minus = g(j.deformed(-e, q.values, q_jets))
+    def central(e: float, fs: Sequence[Functional]) -> list[list[tuple[np.ndarray, int]]]:
+        jd = j.deformed(+e, q.values, q_jets)
+        plus = [g(jd) for g in fs]
+        jd = j.deformed(-e, q.values, q_jets)
         return [
-            ((p.values - m.values) / (2 * e), max(p.margin, m.margin))
-            for p, m in zip(plus, minus)
+            [((a.values - b.values) / (2 * e), max(a.margin, b.margin)) for a, b in zip(p, g(jd))]
+            for p, g in zip(plus, fs)
         ]
 
-    out = central(eps)
-    if policy.richardson and not getattr(g, "quadratic", False):
-        out = [
-            ((4.0 * val_half - val) / 3.0, max(margin, margin_half))
-            for (val, margin), (val_half, margin_half) in zip(out, central(eps / 2))
-        ]
-    return tuple(MatrixField(j.grid, val, margin) for val, margin in out)
+    out = central(eps, gs)
+    stepped = [i for i, g in enumerate(gs) if not getattr(g, "quadratic", False)]
+    if policy.richardson and stepped:
+        for i, half in zip(stepped, central(eps / 2, [gs[i] for i in stepped])):
+            out[i] = [
+                ((4.0 * val_half - val) / 3.0, max(margin, margin_half))
+                for (val, margin), (val_half, margin_half) in zip(out[i], half)
+            ]
+    return tuple(tuple(MatrixField(j.grid, val, margin) for val, margin in comps) for comps in out)
 
 
 # --- functionals used throughout -----------------------------------------------
@@ -316,6 +323,33 @@ def lowering_derivatives_functional() -> Functional:
     return g
 
 
+def wave_functional(
+    phi_builder: Callable[[JetField], "object"], lam: complex | None = None
+) -> Functional:
+    """The wave function Phi that ``phi_builder`` builds on the jets.
+
+    Given ``lam``, the linear-problem residuals D_alpha Phi - u^alpha Phi
+    follow Phi as two more components, so one build of Phi per
+    deformation serves both.  Their prolongations vanish exactly when the
+    characteristic is also a symmetry of the linear problem.
+    """
+
+    def g(jd: JetField) -> tuple[MatrixField, ...]:
+        phi = phi_builder(jd).field()
+        if lam is None:
+            return (phi,)
+        d1phi, d2phi, dmargin = chart_first_derivatives(phi)
+        u1, u2 = u_pair(jd, lam)
+        margin = max(dmargin, u1.margin)
+        return (
+            phi,
+            MatrixField(jd.grid, d1phi - mm(u1.values, phi.values), margin),
+            MatrixField(jd.grid, d2phi - mm(u2.values, phi.values), margin),
+        )
+
+    return g
+
+
 # --- closed-form prolongations and defects --------------------------------------
 
 
@@ -355,54 +389,20 @@ def compatibility_defect(
     return interior_max(fro(res), margin)
 
 
-def lsp_symmetry_defect(
-    q: MatrixField,
-    j: JetField,
-    lam: complex,
-    phi_builder: Callable[[JetField], "object"],
-    policy: FrechetPolicy = FrechetPolicy(),
-) -> tuple[MatrixField, MatrixField]:
-    """Prolongation of the linear-problem residual D_alpha Phi - u^alpha Phi.
-
-    The whole pipeline is rebuilt on the deformed jets: the wave function
-    from ``phi_builder``, its stencil derivatives, and the connection.
-    Both returned matrix fields vanish exactly when the characteristic is
-    also a symmetry of the linear problem.
-    """
-
-    def residuals(jd: JetField) -> tuple[MatrixField, MatrixField]:
-        wave = phi_builder(jd)
-        d1phi, d2phi, dmargin = chart_first_derivatives(wave.field())
-        u1, u2 = u_pair(jd, lam)
-        margin = max(dmargin, u1.margin)
-        return (
-            MatrixField(jd.grid, d1phi - mm(u1.values, wave.phi), margin),
-            MatrixField(jd.grid, d2phi - mm(u2.values, wave.phi), margin),
-        )
-
-    return frechet_apply(residuals, j, q, policy)
-
-
 def commutation_defect(
-    q: MatrixField,
-    prw_g: MatrixField,
-    dg: Functional,
-    j: JetField,
-    policy: FrechetPolicy = FrechetPolicy(),
+    prw_g: MatrixField, prw_dg: tuple[MatrixField, MatrixField]
 ) -> float:
     """Max over both directions of || D_alpha(pr w_Q G) - pr w_Q(D_alpha G) ||.
 
     ``prw_g`` is the prolongation pr w_Q G, differentiated here with
-    stencils; ``dg`` is the jet-expressed functional (D_1 G, D_2 G), whose
-    two components are prolonged along ``q`` under ``policy`` in one
-    evaluation.
+    stencils; ``prw_dg`` is the prolongation of the jet-expressed pair
+    (D_1 G, D_2 G) along the same Q.
     """
     d1_prw, d2_prw, dmargin = chart_first_derivatives(prw_g)
-    worst = 0.0
-    for side1, side2 in zip((d1_prw, d2_prw), frechet_apply(dg, j, q, policy)):
-        margin = max(dmargin, side2.margin)
-        worst = max(worst, interior_max(fro(side1 - side2.values), margin))
-    return worst
+    return max(
+        interior_max(fro(side1 - side2.values), max(dmargin, side2.margin))
+        for side1, side2 in zip((d1_prw, d2_prw), prw_dg)
+    )
 
 
 # --- traveling-wave tangent fields ----------------------------------------------

@@ -46,6 +46,7 @@ from .fields import (
     Grid2,
     MatrixField,
     chart_first_derivatives,
+    interior,
     interior_max,
 )
 from .immersion import (
@@ -55,7 +56,6 @@ from .immersion import (
     explicit_immersion,
     integrate_surface,
     linear_independence_report,
-    prolonged_wave,
     psi_of,
     psi_residual,
     tangent_check,
@@ -87,13 +87,13 @@ from .symmetry import (
     frechet_apply,
     lowering_derivatives_functional,
     lowering_functional,
-    lsp_symmetry_defect,
     prolong_u,
     theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
     u_derivatives_functional,
     u_functional,
+    wave_functional,
 )
 
 __all__ = ["CheckResult", "VerificationReport", "SUITE_NAMES", "run_suites"]
@@ -198,9 +198,9 @@ class Fixtures:
     """The inputs of the checks, each built once per run on first request.
 
     Fields are held for the standard Euclidean pair, the traveling wave
-    and the grids and jets they derive from.  Where several rows read
-    fields that nothing else needs, the fixture returns those rows'
-    values, so the fields do not outlive it.
+    and the grids and jets they derive from.  Each (jets, Q, policy) is
+    prolonged once, by the one fixture that returns all the rows read of
+    it; fields that nothing else needs are reduced to the rows' values.
     """
 
     def __init__(self):
@@ -270,29 +270,39 @@ class Fixtures:
         return u_pair(self.jets_analytic(2), LAM_EUCLID)
 
     @_fixture
+    def euclid_prolonged(self) -> dict[str, object]:
+        """The one prolongation along the pair's Q and what the checks read
+        of it: the prolonged connection (pr w u1, pr w u2), which is the
+        tangent pair, and pr w Phi as fields; the linear-problem defect and
+        the three commutation defects as values."""
+        wave = wave_functional(_euclid_builder(0), LAM_EUCLID)
+        gs = (*_commutation_functionals(LAM_EUCLID), wave)
+        *commuting, (prw_phi, *lsp) = frechet_apply(gs, self.jets_analytic(2), self.euclid_q())
+        return {
+            "tangents": commuting[2],
+            "wave": prw_phi,
+            "lsp-symmetry": max(map(_field_max, lsp)),
+            "commutation": _commutation_defects(commuting),
+        }
+
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
         """The prolonged connection (pr w u1, pr w u2)."""
-        return frechet_apply(u_functional(LAM_EUCLID), self.jets_analytic(2), self.euclid_q())
+        return self.euclid_prolonged()["tangents"]
 
     @_fixture
     def euclid_compatibility(self) -> float:
         return compatibility_defect(*self.euclid_tangents(), *self.euclid_u())
 
     @_fixture
-    def euclid_prolonged_wave(self) -> MatrixField:
-        """pr w Phi."""
-        return prolonged_wave(self.euclid_q(), self.jets_analytic(2), _euclid_builder(0))
-
-    @_fixture
     def euclid_explicit(self) -> MatrixField:
         """Phi^-1 pr w Phi."""
-        return explicit_immersion(self.euclid_wave(), self.euclid_prolonged_wave())[0]
+        return explicit_immersion(self.euclid_wave(), self.euclid_prolonged()["wave"])
 
     @_fixture
     def euclid_closed(self) -> MatrixField:
         """F = Phi^-1 (f u1 + g u2) Phi."""
         spec, j, w = self.euclid_spec(), self.jets_analytic(2), self.euclid_wave()
-        return conformal_immersion_closed(spec, j, w, LAM_EUCLID)[0]
+        return conformal_immersion_closed(spec, j, w, LAM_EUCLID)
 
     @_fixture
     def euclid_surface(self) -> ImmersionResult:
@@ -304,53 +314,45 @@ class Fixtures:
         prolonged connection, and the path defect of its line integral."""
         j = self.jets_analytic(2)
         q = MatrixField(j.grid, j.theta.copy(), j.margin0)
-        a, b = frechet_apply(u_functional(LAM_EUCLID), j, q)
+        ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
         return {
             "el-symmetry": compatibility_defect(a, b, *self.euclid_u()),
             "path-independence": integrate_surface(a, b, self.euclid_wave()).path_defect,
         }
 
     @_fixture
-    def lowering_defects(self) -> dict[str, object]:
-        """Defects of pr w (lowered (2, 1) rung) against f D1 + g D2 of it,
-        from one set of D1 and D2: prop7's under f = xi^2, and the
-        step-order probe's under a translation at three deformation steps
-        without the Richardson step.  Holding D1 and D2 instead would raise
-        the run's peak memory."""
-        j = self.jets_analytic(2, 1)
-        dl = lowering_derivatives_functional()(j)
-        trans = ConformalSpec.euclidean((1.0,))
-        steps = [FrechetPolicy(eps_base=eps, richardson=False) for eps in (0.04, 0.02, 0.01)]
-        return {
-            "prop7": _lowering_defect(j, self.euclid_spec(), dl),
-            "step-order": [_lowering_defect(j, trans, dl, policy) for policy in steps],
-        }
-
-    @_fixture
-    def rung_defects(self, n: int, k: int) -> dict[str, float]:
-        """prop8 on rung (n, k) under f = xi^2: pr w Phi against
-        f D1 Phi + g D2 Phi, and the tangents of Phi^-1 pr w Phi against
-        the prolonged connection.
+    def rung_defects(self, n: int, k: int) -> dict[str, object]:
+        """prop7 and prop8 on rung (n, k) under f = xi^2, from one
+        prolongation along its Q: pr w Phi against f D1 Phi + g D2 Phi, the
+        tangents of Phi^-1 pr w Phi against the prolonged connection and,
+        above level 0, pr w of the lowered rung against f D1 + g D2 of it,
+        whose D1 and D2 the step-order probe reuses on rung (2, 1).
 
         Only the standard pair's fields are shared; another rung's fields
         are dropped on return, which keeps peak memory down.
         """
         spec, j = self.euclid_spec(), self.jets_analytic(n, k)
+        out: dict[str, object] = {}
         if (n, k) == (2, 0):
-            w, prw_phi = self.euclid_wave(), self.euclid_prolonged_wave()
+            w, prw_phi = self.euclid_wave(), self.euclid_prolonged()["wave"]
             calf, (a, b) = self.euclid_explicit(), self.euclid_tangents()
         else:
-            q = conformal_characteristic(spec, j)
+            gs = [wave_functional(_euclid_builder(k)), u_functional(LAM_EUCLID)]
+            if k:
+                gs.append(lowering_functional())
+            (prw_phi,), (a, b), *lowered = frechet_apply(gs, j, conformal_characteristic(spec, j))
+            if lowered:
+                dl = lowering_derivatives_functional()(j)
+                out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], dl)
+                if (n, k) == (2, 1):
+                    out["step-order"] = _step_defects(j, dl)
             w = euclidean_wave(j, k, LAM_EUCLID)
-            prw_phi = prolonged_wave(q, j, _euclid_builder(k))
-            calf, _ = explicit_immersion(w, prw_phi)
-            a, b = frechet_apply(u_functional(LAM_EUCLID), j, q)
+            calf = explicit_immersion(w, prw_phi)
         d1phi, d2phi, dm = chart_first_derivatives(w.field())
         ref = _along(spec, j.grid, d1phi, d2phi)
-        return {
-            "conformal-wave": interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm)),
-            "explicit-integration": max(tangent_check(calf, w, a, b)),
-        }
+        out["conformal-wave"] = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
+        out["explicit-integration"] = max(tangent_check(calf, w, a, b))
+        return out
 
     # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
 
@@ -373,16 +375,23 @@ class Fixtures:
         return conformal_characteristic(self.mink_spec_quadratic(), self.traveling(h)[1])
 
     @_fixture
-    def mink_lsp_defect(self) -> tuple[MatrixField, MatrixField]:
-        tw, jt = self.traveling()
-        return lsp_symmetry_defect(self.mink_q(), jt, LAM_MINK, _mink_builder(tw))
-
-    @_fixture
-    def mink_explicit(self, h: float = MINK_H) -> MatrixField:
-        """Phi^-1 pr w Phi."""
-        tw, jt = self.traveling(h)
-        prw_phi = prolonged_wave(self.mink_q(h), jt, _mink_builder(tw))
-        return explicit_immersion(self.mink_wave(h), prw_phi)[0]
+    def mink_prolonged(self) -> dict[str, object]:
+        """The one prolongation along the quadratic Q: Phi^-1 pr w Phi; the
+        size of the linear-problem residual r1 and its match with
+        -f_11 chi (1+lam) D1 Phi; the tangents of Phi^-1 pr w Phi against
+        the prolonged connection."""
+        (tw, jt), w, spec = self.traveling(), self.mink_wave(), self.mink_spec_quadratic()
+        gs = (u_functional(LAM_MINK), wave_functional(_mink_builder(tw), LAM_MINK))
+        (a, b), (prw_phi, r1, _) = frechet_apply(gs, jt, self.mink_q())
+        calf = explicit_immersion(w, prw_phi)
+        d1phi, _, dm = chart_first_derivatives(w.field())
+        pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK))[..., None, None] * d1phi
+        return {
+            "explicit": calf,
+            "lsp": _field_max(r1),
+            "curvature-defect-form": interior_max(fro(r1.values - pred), max(r1.margin, dm)),
+            "explicit-tangents": max(tangent_check(calf, w, a, b)),
+        }
 
     @_fixture
     def mink_linear_defects(self) -> dict[str, float]:
@@ -390,8 +399,8 @@ class Fixtures:
         the prolonged connection, and that connection's compatibility and
         path defects."""
         spec, jt, w = self.mink_spec_linear(), self.traveling()[1], self.mink_wave()
-        a, b = frechet_apply(u_functional(LAM_MINK), jt, conformal_characteristic(spec, jt))
-        f_closed, _ = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+        ((a, b),) = frechet_apply((u_functional(LAM_MINK),), jt, conformal_characteristic(spec, jt))
+        f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
         return {
             "closed-form-tangents": max(tangent_check(f_closed, w, a, b)),
             "compatibility": compatibility_defect(a, b, *self.mink_u()),
@@ -405,7 +414,7 @@ class Fixtures:
         Gram eigenvalue of the tangents without and with a constant gauge
         term."""
         tw, jt = self.traveling()
-        w, (u1, u2) = self.mink_wave(), self.mink_u()
+        w, (u1, u2), calf = self.mink_wave(), self.mink_u(), self.mink_prolonged()["explicit"]
         r1, r2 = traveling_R_fields(self.mink_spec_quadratic(), tw, jt, LAM_MINK)
         s = np.broadcast_to(1j * np.array([[1.0, 0.0], [0.0, -1.0]]), jt.theta.shape).copy()
 
@@ -415,7 +424,7 @@ class Fixtures:
             return linear_independence_report(t1, t2)["max_min_eigenvalue"]
 
         return {
-            "tangent-coefficients": max(tangent_check(self.mink_explicit(), w, r1, r2)),
+            "tangent-coefficients": max(tangent_check(calf, w, r1, r2)),
             "degenerate-rank": gram_min(r1.values, r2.values),
             "gauge-restores-rank": gram_min(
                 r1.values + commutator(s, u1.values), r2.values + commutator(s, u2.values)
@@ -423,23 +432,23 @@ class Fixtures:
         }
 
     @_fixture
-    def mink_affine_difference(self) -> tuple[np.ndarray, float]:
-        """Mean and variation of F - Phi^-1 pr w Phi for prop6's affine symmetry."""
+    def mink_affine_defects(self) -> dict[str, object]:
+        """prop6's affine symmetry, from one prolongation: its linear-problem
+        defect, and the mean and variation of F - Phi^-1 pr w Phi."""
         (tw, jt), w, spec = self.traveling(), self.mink_wave(), self.mink_spec_affine()
-        q = conformal_characteristic(spec, jt)
-        calf, _ = explicit_immersion(w, prolonged_wave(q, jt, _mink_builder(tw)))
-        f_closed, _ = conformal_immersion_closed(spec, jt, w, LAM_MINK)
-        return constant_difference_check(f_closed, calf)
+        gs = (wave_functional(_mink_builder(tw), LAM_MINK),)
+        ((prw_phi, *lsp),) = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
+        f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+        mean, variation = constant_difference_check(f_closed, explicit_immersion(w, prw_phi))
+        return {"lsp": max(map(_field_max, lsp)), "mean": mean, "variation": variation}
 
     @_fixture
-    def mink_commutation_defects(self) -> tuple[float, float]:
-        """Commutation defects of pr w u1 and pr w u2 on the traveling wave,
-        from one prolonged connection."""
+    def mink_commutation_defects(self) -> dict[str, float]:
+        """Commutation defects of theta, u1 and u2 on the traveling wave,
+        from one prolongation under MINK_POLICY."""
         jt, q = self.traveling()[1], self.mink_q()
-        pair = frechet_apply(u_functional(LAM_MINK), jt, q, MINK_POLICY)
-        return tuple(
-            commutation_defect(q, prw_u, u_derivatives_functional(LAM_MINK, i), jt, MINK_POLICY)
-            for i, prw_u in zip((1, 2), pair)
+        return _commutation_defects(
+            frechet_apply(_commutation_functionals(LAM_MINK), jt, q, MINK_POLICY)
         )
 
 
@@ -449,6 +458,23 @@ def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
 
 def _mink_builder(tw) -> Callable[[JetField], WaveField]:
     return lambda jd: phi_traveling(tw, jd, LAM_MINK)
+
+
+def _commutation_functionals(lam: complex) -> tuple:
+    """theta, (D1 theta, D2 theta), (u1, u2), (D1 u1, D2 u1), (D1 u2, D2 u2)."""
+    dus = (u_derivatives_functional(lam, 1), u_derivatives_functional(lam, 2))
+    return theta_functional(), theta_derivatives_functional(), u_functional(lam), *dus
+
+
+def _commutation_defects(prolonged) -> dict[str, float]:
+    """The appendix's defects of theta, u1 and u2 from the prolongations
+    of `_commutation_functionals`, in that order."""
+    (prw_theta,), prw_dtheta, (prw_u1, prw_u2), prw_du1, prw_du2 = prolonged
+    return {
+        "theta": commutation_defect(prw_theta, prw_dtheta),
+        "u1": commutation_defect(prw_u1, prw_du1),
+        "u2": commutation_defect(prw_u2, prw_du2),
+    }
 
 
 def _field_max(r: MatrixField) -> float:
@@ -463,8 +489,7 @@ def _along(spec: ConformalSpec, grid: Grid2, d1: np.ndarray, d2: np.ndarray) -> 
 def _det_variation(w) -> float:
     ok = np.isfinite(w.phi).all(axis=(-1, -2))
     det_phi = np.where(ok, det(np.where(ok[..., None, None], w.phi, 0.0)), np.nan)
-    m = w.margin
-    d = det_phi[m:-m, m:-m] if m else det_phi
+    d = interior(det_phi, w.margin)
     ref = d[d.shape[0] // 2, d.shape[1] // 2]
     return float(np.nanmax(np.abs(d - ref)))
 
@@ -491,16 +516,6 @@ def _naive_pair_defect(fx: Fixtures) -> float:
     return compatibility_defect(u1, zero, u1, u2)
 
 
-def _euclid_lsp_symmetry(fx: Fixtures) -> float:
-    j, q = fx.jets_analytic(2), fx.euclid_q()
-    return max(map(_field_max, lsp_symmetry_defect(q, j, LAM_EUCLID, _euclid_builder(0))))
-
-
-def _mink_explicit_negative(fx: Fixtures) -> float:
-    a, b = frechet_apply(u_functional(LAM_MINK), fx.traveling()[1], fx.mink_q())
-    return max(tangent_check(fx.mink_explicit(), fx.mink_wave(), a, b))
-
-
 def _euclid_prolonged_connection(fx: Fixtures) -> float:
     a, b = fx.euclid_tangents()
     pw1, pw2 = prolong_u(fx.euclid_spec(), fx.jets_analytic(2), LAM_EUCLID)
@@ -516,28 +531,24 @@ def _traveling_lsp(fx: Fixtures) -> float:
 
 
 def _prolonged_surface_closed_form(fx: Fixtures) -> float:
-    spec, tw, calf = fx.mink_spec_quadratic(), fx.traveling()[0], fx.mink_explicit()
+    spec, tw = fx.mink_spec_quadratic(), fx.traveling()[0]
+    calf = fx.mink_prolonged()["explicit"]
     grid = tw.grid
     coeff = -2 * spec.f(grid) - 2 * tw.kappa * spec.g(grid) + 2 * spec.f1(grid) * tw.chi(LAM_MINK)
     pred = coeff[..., None, None] * fx.mink_wave().conjugate(fx.mink_k())
     return interior_max(fro(calf.values - pred), calf.margin)
 
 
-def _curvature_defect_form(fx: Fixtures) -> float:
-    spec, tw, r1 = fx.mink_spec_quadratic(), fx.traveling()[0], fx.mink_lsp_defect()[0]
-    d1phi, _, dm = chart_first_derivatives(fx.mink_wave().field())
-    pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK))[..., None, None] * d1phi
-    return interior_max(fro(r1.values - pred), max(r1.margin, dm))
-
-
-def _mink_lsp_defect_of(fx: Fixtures, spec: ConformalSpec) -> tuple[MatrixField, MatrixField]:
+def _slope_criterion(fx: Fixtures) -> float:
+    """The second linear-problem residual under f = x1, g = 2 x2."""
     tw, jt = fx.traveling()
-    q = conformal_characteristic(spec, jt)
-    return lsp_symmetry_defect(q, jt, LAM_MINK, _mink_builder(tw))
+    q = conformal_characteristic(ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0)), jt)
+    ((_, _, r2),) = frechet_apply((wave_functional(_mink_builder(tw), LAM_MINK),), jt, q)
+    return _field_max(r2)
 
 
 def _affine_difference_value(fx: Fixtures) -> float:
-    mean, _ = fx.mink_affine_difference()
+    mean = fx.mink_affine_defects()["mean"]
     tw = fx.traveling()[0]
     ktil = fx.mink_wave().conjugate(fx.mink_k())[tw.grid.n2 // 2, tw.grid.n1 // 2]
     lam = LAM_MINK
@@ -546,56 +557,53 @@ def _affine_difference_value(fx: Fixtures) -> float:
 
 
 def _quadratic_difference_variation(fx: Fixtures) -> float:
-    spec, jt = fx.mink_spec_quadratic(), fx.traveling(WIDE_H)[1]
-    f_closed, _ = conformal_immersion_closed(spec, jt, fx.mink_wave(WIDE_H), LAM_MINK)
-    return constant_difference_check(f_closed, fx.mink_explicit(WIDE_H))[1]
+    spec, (tw, jt), w = fx.mink_spec_quadratic(), fx.traveling(WIDE_H), fx.mink_wave(WIDE_H)
+    ((prw_phi,),) = frechet_apply((wave_functional(_mink_builder(tw)),), jt, fx.mink_q(WIDE_H))
+    f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+    return constant_difference_check(f_closed, explicit_immersion(w, prw_phi))[1]
 
 
 def _lowering_defect(
-    j: JetField, spec: ConformalSpec, dl: tuple[MatrixField, MatrixField], policy=FrechetPolicy()
+    spec: ConformalSpec, prw: MatrixField, dl: tuple[MatrixField, MatrixField]
 ) -> float:
-    """pr w of the lowered rung against f D1 + g D2 of it, given (D1, D2) as ``dl``."""
+    """pr w of the lowered rung, ``prw``, against f D1 + g D2 of it, given
+    (D1, D2) as ``dl``."""
     dl1, dl2 = dl
-    (prw,) = frechet_apply(lowering_functional(), j, conformal_characteristic(spec, j), policy)
-    ref = _along(spec, j.grid, dl1.values, dl2.values)
+    ref = _along(spec, prw.grid, dl1.values, dl2.values)
     return interior_max(fro(prw.values - ref), max(prw.margin, dl1.margin))
-
-
-def _lowered_rung_defect(fx: Fixtures, n: int, k: int) -> float:
-    if (n, k) == (2, 1):
-        return fx.lowering_defects()["prop7"]
-    j = fx.jets_analytic(n, k)
-    return _lowering_defect(j, fx.euclid_spec(), lowering_derivatives_functional()(j))
-
-
-def _theta_commutation(j: JetField, q: MatrixField, policy=FrechetPolicy()) -> float:
-    (prw_theta,) = frechet_apply(theta_functional(), j, q, policy)
-    return commutation_defect(q, prw_theta, theta_derivatives_functional(), j, policy)
-
-
-def _euclid_u_commutation(fx: Fixtures, index: int) -> float:
-    j, q, prw_u = fx.jets_analytic(2), fx.euclid_q(), fx.euclid_tangents()[index - 1]
-    return commutation_defect(q, prw_u, u_derivatives_functional(LAM_EUCLID, index), j)
 
 
 # Convergence orders of the deformation apparatus, probed on the lowering
 # operator (genuinely nonlinear in the jets).
 
 
+def _step_defects(j: JetField, dl: tuple[MatrixField, MatrixField]) -> list[float]:
+    """Lowering defects under a translation at steps 0.04, 0.02 and 0.01
+    without the Richardson step, given (D1, D2) of the lowered rung."""
+    trans = ConformalSpec.euclidean((1.0,))
+    q = conformal_characteristic(trans, j)
+    out = []
+    for eps in (0.04, 0.02, 0.01):
+        policy = FrechetPolicy(eps_base=eps, richardson=False)
+        ((prw,),) = frechet_apply((lowering_functional(),), j, q, policy)
+        out.append(_lowering_defect(trans, prw, dl))
+    return out
+
+
 def _step_order(fx: Fixtures) -> float:
-    ds = fx.lowering_defects()["step-order"]
+    ds = fx.rung_defects(2, 1)["step-order"]
     return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
 
 def _grid_order(fx: Fixtures) -> float:
     spec = fx.euclid_spec()
+    gs = (lowering_functional(), lowering_derivatives_functional())
     ds = []
     for h in (0.012, 0.006, 0.003):
         jh = theta_of(veronese_ladder(2, fx.euclid_grid(h)).rungs[1], "analytic")
         qh = conformal_characteristic(spec, jh)
-        pol_h = FrechetPolicy(eps_base=1e-3)
-        (prw_g,) = frechet_apply(lowering_functional(), jh, qh, pol_h)
-        ds.append(commutation_defect(qh, prw_g, lowering_derivatives_functional(), jh, pol_h))
+        (prw_g,), prw_dg = frechet_apply(gs, jh, qh, FrechetPolicy(eps_base=1e-3))
+        ds.append(commutation_defect(prw_g, prw_dg))
     return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
 
@@ -749,7 +757,7 @@ _CHECKS: tuple[_Check, ...] = (
         "prop3.euclid-lsp-symmetry",
         "conformal characteristic is a symmetry of the linear problem",
         1e-6,
-        _euclid_lsp_symmetry,
+        lambda fx: fx.euclid_prolonged()["lsp-symmetry"],
     ),
     _Check(
         "prop3.euclid-explicit-integration",
@@ -761,14 +769,14 @@ _CHECKS: tuple[_Check, ...] = (
         "prop3.mink-lsp-symmetry-negative",
         "quadratic traveling-wave characteristic breaks the linear-problem symmetry",
         0.1,
-        lambda fx: _field_max(fx.mink_lsp_defect()[0]),
+        lambda fx: fx.mink_prolonged()["lsp"],
         "above",
     ),
     _Check(
         "prop3.mink-explicit-integration-negative",
         "and Phi^-1 (pr w Phi) fails the prolonged-tangent identity",
         0.1,
-        _mink_explicit_negative,
+        lambda fx: fx.mink_prolonged()["explicit-tangents"],
         "above",
     ),
     # --- prop4: conformal closed form
@@ -857,35 +865,33 @@ _CHECKS: tuple[_Check, ...] = (
         "prop6.curvature-criterion-defect-form",
         "quadratic-f defect equals -f_11 chi (1+lam) D1 Phi",
         1e-6,
-        _curvature_defect_form,
+        lambda fx: fx.mink_prolonged()["curvature-defect-form"],
     ),
     _Check(
         "prop6.curvature-criterion-negative",
         "and it is large: f must be affine for integrability",
         0.1,
-        lambda fx: _field_max(fx.mink_lsp_defect()[0]),
+        lambda fx: fx.mink_prolonged()["lsp"],
         "above",
     ),
     _Check(
         "prop6.slope-criterion-negative",
         "f_1 != g_2 breaks the second linear-problem equation",
         1e-2,
-        lambda fx: _field_max(
-            _mink_lsp_defect_of(fx, ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0)))[1]
-        ),
+        _slope_criterion,
         "above",
     ),
     _Check(
         "prop6.affine-positive",
         "affine f, g with equal slopes pass both equations",
         1e-6,
-        lambda fx: max(map(_field_max, _mink_lsp_defect_of(fx, fx.mink_spec_affine()))),
+        lambda fx: fx.mink_affine_defects()["lsp"],
     ),
     _Check(
         "prop6.constant-difference-variation",
         "F - Phi^-1 pr w Phi is constant for affine data",
         1e-8,
-        lambda fx: fx.mink_affine_difference()[1],
+        lambda fx: fx.mink_affine_defects()["variation"],
     ),
     _Check(
         "prop6.constant-difference-value",
@@ -906,7 +912,7 @@ _CHECKS: tuple[_Check, ...] = (
             f"prop7.lowered-rung-cp{n - 1}-level{k}",
             "pr w (lowered rung) = f D1 + g D2 of the rung",
             1e-6,
-            functools.partial(_lowered_rung_defect, n=n, k=k),
+            lambda fx, n=n, k=k: fx.rung_defects(n, k)["lowered-rung"],
             key="prop7.lowered-rung",
         )
         for n, k in ((2, 1), (3, 1), (3, 2))
@@ -918,7 +924,7 @@ _CHECKS: tuple[_Check, ...] = (
         "appendix.commutation-euclid-theta",
         "D_alpha(pr w G) = pr w(D_alpha G) on the Euclidean chart",
         1e-6,
-        lambda fx: _theta_commutation(fx.jets_analytic(2), fx.euclid_q()),
+        lambda fx: fx.euclid_prolonged()["commutation"]["theta"],
         key="appendix.commutation",
     ),
     *(
@@ -926,7 +932,7 @@ _CHECKS: tuple[_Check, ...] = (
             f"appendix.commutation-euclid-u{i}",
             "D_alpha(pr w G) = pr w(D_alpha G) on the Euclidean chart",
             1e-6,
-            functools.partial(_euclid_u_commutation, index=i),
+            lambda fx, i=i: fx.euclid_prolonged()["commutation"][f"u{i}"],
             key="appendix.commutation",
         )
         for i in (1, 2)
@@ -935,7 +941,7 @@ _CHECKS: tuple[_Check, ...] = (
         "appendix.commutation-mink-theta",
         "same on the Minkowski chart",
         1e-6,
-        lambda fx: _theta_commutation(fx.traveling()[1], fx.mink_q(), MINK_POLICY),
+        lambda fx: fx.mink_commutation_defects()["theta"],
         key="appendix.commutation",
     ),
     *(
@@ -943,7 +949,7 @@ _CHECKS: tuple[_Check, ...] = (
             f"appendix.commutation-mink-u{i}",
             "same on the Minkowski chart",
             1e-6,
-            lambda fx, i=i: fx.mink_commutation_defects()[i - 1],
+            lambda fx, i=i: fx.mink_commutation_defects()[f"u{i}"],
             key="appendix.commutation",
         )
         for i in (1, 2)

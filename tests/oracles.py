@@ -144,4 +144,5 @@ def el_symmetry_defect(
     (Q_1, Q_2); it vanishes exactly when ``q`` generates a symmetry of the
     equations of motion.
     """
-    return compatibility_defect(*frechet_apply(u_functional(lam), j, q, policy), *u_pair(j, lam))
+    ((pw1, pw2),) = frechet_apply([u_functional(lam)], j, q, policy)
+    return compatibility_defect(pw1, pw2, *u_pair(j, lam))

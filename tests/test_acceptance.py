@@ -29,7 +29,6 @@ from solsurf.immersion import (
     constant_difference_check,
     explicit_immersion,
     integrate_surface,
-    prolonged_wave,
     tangent_check,
 )
 from solsurf.matlie import commutator, fro
@@ -57,6 +56,7 @@ from solsurf.symmetry import (
     traveling_R_fields,
     u_derivatives_functional,
     u_functional,
+    wave_functional,
 )
 
 H_E = 0.0015
@@ -154,8 +154,8 @@ def test_criterion_4_tangent_theorem(ladders, traveling):
     q = conformal_characteristic(spec, j)
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
-    a, b = frechet_apply(u_functional(LAM_E), j, q)
-    f_closed, _ = conformal_immersion_closed(spec, j, w, LAM_E)
+    ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
+    f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
     d = max(tangent_check(f_closed, w, a, b))
     entries.append(("euclid-tangents", d < 1e-6, d))
     cd = compatibility_defect(a, b, u1, u2)
@@ -168,8 +168,8 @@ def test_criterion_4_tangent_theorem(ladders, traveling):
     qm = conformal_characteristic(specm, jets)
     wm = phi_traveling(wave, jets, LAM_M)
     u1m, u2m = u_pair(jets, LAM_M)
-    am, bm = frechet_apply(u_functional(LAM_M), jets, qm)
-    fm, _ = conformal_immersion_closed(specm, jets, wm, LAM_M)
+    ((am, bm),) = frechet_apply([u_functional(LAM_M)], jets, qm)
+    fm = conformal_immersion_closed(specm, jets, wm, LAM_M)
     d = max(tangent_check(fm, wm, am, bm))
     entries.append(("mink-tangents", d < 1e-6, d))
     cd = compatibility_defect(am, bm, u1m, u2m)
@@ -190,12 +190,7 @@ def test_criterion_5_euclidean_positive(ladders):
             q = conformal_characteristic(spec, j)
             builder = lambda jd, k=k: euclidean_wave(jd, k, LAM_E)  # noqa: E731
             w = builder(j)
-
-            def phi_values(jd):
-                wd = builder(jd)
-                return (MatrixField(jd.grid, wd.phi, wd.margin),)
-
-            (prw_phi,) = frechet_apply(phi_values, j, q)
+            (prw_phi,), (a, b) = frechet_apply([wave_functional(builder), u_functional(LAM_E)], j, q)
             d1phi, d2phi, dm = chart_first_derivatives(w.field())
             fv = spec.f(j.grid)[..., None, None]
             gv = spec.g(j.grid)[..., None, None]
@@ -205,8 +200,7 @@ def test_criterion_5_euclidean_positive(ladders):
             )
             entries.append((f"cp{n - 1}-k{k}-conformal-wave", d < 1e-6, d))
 
-            calf, _ = explicit_immersion(w, prw_phi)
-            a, b = frechet_apply(u_functional(LAM_E), j, q)
+            calf = explicit_immersion(w, prw_phi)
             d = max(tangent_check(calf, w, a, b))
             entries.append((f"cp{n - 1}-k{k}-explicit-integration", d < 1e-6, d))
     report("criterion-5 euclidean positive", entries, 30, time.perf_counter() - t0)
@@ -226,14 +220,14 @@ def test_criterion_6_traveling_wave(traveling):
     # (a) closed expression for the prolonged surface
     specq = ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
     qq = conformal_characteristic(specq, jets)
-    calf, _ = explicit_immersion(wm, prolonged_wave(qq, jets, builder))
+    (prw_phi,), (am, bm) = frechet_apply([wave_functional(builder), u_functional(LAM_M)], jets, qq)
+    calf = explicit_immersion(wm, prw_phi)
     coeff = -2 * specq.f(grid) - 2 * KAPPA * specq.g(grid) + 2 * specq.f1(grid) * chi
     pred = coeff[..., None, None] * ktil
     d = interior_max(fro(calf.values - pred), calf.margin)
     entries.append(("closed-form", d < 1e-6, d))
 
     # (b) the tangent identity fails for quadratic f, the R pair does not
-    am, bm = frechet_apply(u_functional(LAM_M), jets, qq)
     d_fail = max(tangent_check(calf, wm, am, bm))
     entries.append(("identity-fails", d_fail > 0.1, d_fail))
     r1, r2 = traveling_R_fields(specq, wave, jets, LAM_M)
@@ -249,11 +243,11 @@ def test_criterion_6_traveling_wave(traveling):
     a_, b_, c_ = 0.7, 0.4, -0.3
     spec_ab = ConformalSpec.minkowski((b_, a_), (c_, a_))
     q_ab = conformal_characteristic(spec_ab, jets)
-    calf_ab, _ = explicit_immersion(wm, prolonged_wave(q_ab, jets, builder))
-    a2, b2 = frechet_apply(u_functional(LAM_M), jets, q_ab)
+    (prw_phi_ab,), (a2, b2) = frechet_apply([wave_functional(builder), u_functional(LAM_M)], jets, q_ab)
+    calf_ab = explicit_immersion(wm, prw_phi_ab)
     d_ok = max(tangent_check(calf_ab, wm, a2, b2))
     entries.append(("affine-identity", d_ok < 1e-6, d_ok))
-    f_ab, _ = conformal_immersion_closed(spec_ab, jets, wm, LAM_M)
+    f_ab = conformal_immersion_closed(spec_ab, jets, wm, LAM_M)
     mean, variation = constant_difference_check(f_ab, calf_ab)
     entries.append(("difference-constant", variation < 1e-8, variation))
     pred_mean = (
@@ -271,26 +265,24 @@ def test_criterion_7_commutation(ladders, traveling):
     j = theta_of(ladders[2].rungs[0], "analytic")
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    (prw_theta,) = frechet_apply(theta_functional(), j, q)
-    a, b = frechet_apply(u_functional(LAM_E), j, q)
-    for name, prw_g, dg in (
-        ("theta", prw_theta, theta_derivatives_functional()),
-        ("u1", a, u_derivatives_functional(LAM_E, 1)),
-        ("u2", b, u_derivatives_functional(LAM_E, 2)),
-    ):
-        d = commutation_defect(q, prw_g, dg, j)
+    gs = [
+        theta_functional(),
+        theta_derivatives_functional(),
+        u_functional(LAM_E),
+        u_derivatives_functional(LAM_E, 1),
+        u_derivatives_functional(LAM_E, 2),
+    ]
+    (prw_theta,), dtheta, (a, b), du1, du2 = frechet_apply(gs, j, q)
+    for name, prw_g, prw_dg in (("theta", prw_theta, dtheta), ("u1", a, du1), ("u2", b, du2)):
+        d = commutation_defect(prw_g, prw_dg)
         entries.append((f"euclid-{name}", d < 1e-6, d))
     wave, jets = traveling
     qm = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), jets)
     pol = FrechetPolicy(eps_base=1e-4)
-    (prw_theta_m,) = frechet_apply(theta_functional(), jets, qm, pol)
-    am, bm = frechet_apply(u_functional(LAM_M), jets, qm, pol)
-    for name, prw_g, dg in (
-        ("theta", prw_theta_m, theta_derivatives_functional()),
-        ("u1", am, u_derivatives_functional(LAM_M, 1)),
-        ("u2", bm, u_derivatives_functional(LAM_M, 2)),
-    ):
-        d = commutation_defect(qm, prw_g, dg, jets, pol)
+    gs[2:] = [u_functional(LAM_M), u_derivatives_functional(LAM_M, 1), u_derivatives_functional(LAM_M, 2)]
+    (prw_theta_m,), dtheta_m, (am, bm), du1m, du2m = frechet_apply(gs, jets, qm, pol)
+    for name, prw_g, prw_dg in (("theta", prw_theta_m, dtheta_m), ("u1", am, du1m), ("u2", bm, du2m)):
+        d = commutation_defect(prw_g, prw_dg)
         entries.append((f"mink-{name}", d < 1e-6, d))
 
     # step-size order, probed on the lowering operator (the jet-quadratic
@@ -305,7 +297,7 @@ def test_criterion_7_commutation(ladders, traveling):
     margin = dl1.margin
     ds = []
     for eps in (0.04, 0.02, 0.01):
-        (pw,) = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
+        ((pw,),) = frechet_apply([g], j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, margin)))
     eps_order = float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
     entries.append(("eps-order>=2", eps_order > 1.9, eps_order))
@@ -316,12 +308,10 @@ def test_criterion_7_commutation(ladders, traveling):
         jh = theta_of(veronese_ladder(2, gh).rungs[1], "analytic")
         qh = conformal_characteristic(spec, jh)
         pol_h = FrechetPolicy(eps_base=1e-3)
-        hs.append(
-            commutation_defect(
-                qh, frechet_apply(lowering_functional(), jh, qh, pol_h)[0],
-                lowering_derivatives_functional(), jh, pol_h,
-            )
+        (prw_g,), prw_dg = frechet_apply(
+            [lowering_functional(), lowering_derivatives_functional()], jh, qh, pol_h
         )
+        hs.append(commutation_defect(prw_g, prw_dg))
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
     entries.append(("h-order>=3", h_order > 3.0, h_order))
 
@@ -366,7 +356,7 @@ def _refinement_table():
         j = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[0], "analytic")
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         w = euclidean_wave(j, 0, LAM_E)
-        f_closed, _ = conformal_immersion_closed(spec, j, w, LAM_E)
+        f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
         pw1, pw2 = prolong_u(spec, j, LAM_E)
         return max(tangent_check(f_closed, w, pw1, pw2))
 
@@ -391,10 +381,10 @@ def _refinement_table():
         jh = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[1], "analytic")
         qh = conformal_characteristic(spec, jh)
         pol_h = FrechetPolicy(eps_base=1e-3)
-        return commutation_defect(
-            qh, frechet_apply(lowering_functional(), jh, qh, pol_h)[0],
-            lowering_derivatives_functional(), jh, pol_h,
+        (prw_g,), prw_dg = frechet_apply(
+            [lowering_functional(), lowering_derivatives_functional()], jh, qh, pol_h
         )
+        return commutation_defect(prw_g, prw_dg)
 
     return [
         ("c1-el-residual", 0.012, el_defect),

@@ -327,11 +327,58 @@ def test_cli_immerse_degenerate_spacing_is_a_config_error(tmp_path, capsys):
     cfg = {**README_EUCLID, "solution": {"kind": "veronese", "k": 1},
            "grid": {"origin": [0.0, 0.0], "spacing": [1.0, 5e-324], "dims": [9, 9]},
            "symmetry": {"f": [], "g": []}}
-    out = str(tmp_path / "out")
-    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 2
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: keys 'grid' and 'symmetry': ")
     assert "lowering denominator vanished everywhere" in err
+    # every field is computed before the first is written
+    assert os.listdir(out) == []
+
+
+def test_cli_immerse_builds_the_jets_of_q_once(tmp_path, monkeypatch):
+    # with only a symmetry, the tangents and pr w Phi come from one
+    # prolongation along Q
+    from solsurf import symmetry
+
+    calls = []
+    chart_jets = symmetry.chart_jets
+    monkeypatch.setattr(symmetry, "chart_jets", lambda f: calls.append(f) or chart_jets(f))
+    out = str(tmp_path / "out")
+    assert main(["immerse", "--config", write_cfg(tmp_path, README_EUCLID), "--out", out]) == 0
+    assert len(calls) == 1
+    assert os.path.exists(os.path.join(out, "prolonged.npz"))
+
+
+@pytest.mark.parametrize("side, code", [(9, 2), (11, 2), (13, 0)])
+def test_cli_immerse_grid_too_small_for_the_margins_is_a_config_error(tmp_path, capsys, side, code):
+    # n = 3, k = 2 with a symmetry stacks stencil margins that cover a 9^2
+    # or 11^2 grid; 13^2 leaves interior nodes
+    cfg = {**README_EUCLID, "n": 3, "solution": {"kind": "veronese", "k": 2},
+           "grid": {"origin": [0.0, 0.0], "spacing": [0.02, 0.02], "dims": [side, side]}}
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("configuration error: key 'grid': ")
+        assert os.listdir(out) == []
+    else:
+        assert "immersion-report.json" in os.listdir(out)
+
+
+def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, capsys):
+    # the config parses, but the phase chi [theta_1, theta] of the wave
+    # function overflows
+    cfg = {**README_MINK, "solution": {"kind": "traveling", "kappa": -2.07e250, "omega": 6.15e-263},
+           "grid": {"origin": [-1.44e16, 6e-8], "spacing": [2.96e212, 1.78e179], "dims": [9, 9]},
+           "lambda": 7.62e82, "a_coeffs": [1.7e308, 7e7]}
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: keys 'solution', 'grid', 'lambda' and 'symmetry': ")
+    assert os.listdir(out) == []
 
 
 def test_symmetry_coefficients_must_be_pairs():
@@ -446,20 +493,25 @@ def _configs(draw) -> dict:
 @example(obj={"space": "euclidean", "solution": {"kind": "veronese"}, "lambda": [1.3e308, 1.3e308]})
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_every_config_parses_or_is_rejected_and_solves(obj):
+    # every parsed config solves, and immerses when it has an ingredient
     try:
-        parse_config(obj)
+        cfg = parse_config(obj)
     except ConfigError:
         return
     grid = obj.get("grid", {})
     run = {**obj, "grid": {**grid, "dims": [9, 9]}}
+    commands = {"solve": "solve-summary.json"}
+    if cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None:
+        commands["immerse"] = "immersion-report.json"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(run, fh)
-        out = os.path.join(tmp, "out")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["solve", "--config", path, "--out", out])
-        assert code in (0, 2)
-        if code == 0:
-            with open(os.path.join(out, "solve-summary.json")) as fh:
-                json.load(fh, parse_constant=lambda name: pytest.fail(f"bare {name} in the summary"))
+        for command, report in commands.items():
+            out = os.path.join(tmp, command)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--config", path, "--out", out])
+            assert code in (0, 2), command
+            if code == 0:
+                with open(os.path.join(out, report)) as fh:
+                    json.load(fh, parse_constant=lambda name: pytest.fail(f"bare {name} in {report}"))

@@ -49,15 +49,21 @@ def test_embed_roundtrip_and_isometry():
 def test_degenerate_rank_from_traveling_surface():
     from solsurf.sigma import traveling_solution
     from solsurf.spectral import phi_traveling
-    from solsurf.symmetry import ConformalSpec, conformal_characteristic
-    from solsurf.immersion import explicit_immersion, prolonged_wave
+    from solsurf.symmetry import (
+        ConformalSpec,
+        conformal_characteristic,
+        frechet_apply,
+        wave_functional,
+    )
+    from solsurf.immersion import explicit_immersion
 
     gm = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.002, 0.002), (61, 61))
     wave, jets = traveling_solution(2.0, 1.0, gm)
     spec = ConformalSpec.minkowski((0.0, 1.0), (0.0, 1.0))
     q = conformal_characteristic(spec, jets)
     builder = lambda jd: phi_traveling(wave, jd, 0.5)  # noqa: E731
-    calf, _ = explicit_immersion(builder(jets), prolonged_wave(q, jets, builder))
+    ((prw_phi,),) = frechet_apply([wave_functional(builder)], jets, q)
+    calf = explicit_immersion(builder(jets), prw_phi)
     # Gram determinant of the grid-axis tangents under inner()
     t1 = diff1(calf.values, gm.h1, axis=1)
     t2 = diff1(calf.values, gm.h2, axis=0)

@@ -24,6 +24,7 @@ from solsurf.symmetry import (
     frechet_apply,
     traveling_R_fields,
     u_functional,
+    wave_functional,
 )
 from solsurf.immersion import (
     ImmersionInputs,
@@ -34,9 +35,9 @@ from solsurf.immersion import (
     explicit_immersion,
     integrate_surface,
     linear_independence_report,
-    prolonged_wave,
     psi_of,
     psi_residual,
+    su_distance,
     sym_tafel,
     tangent_check,
     u_dlambda,
@@ -102,7 +103,7 @@ def test_integrate_basepoint_and_validation():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    a, b = frechet_apply(u_functional(LAM_E), j, q)
+    ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     res = integrate_surface(a, b, w, basepoint=(50, 50))
     assert fro(res.field.values[50, 50]) < 1e-14
     with pytest.raises(ValueError):
@@ -115,12 +116,12 @@ def test_integrated_matches_closed_form_conformal():
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
-    a, b = frechet_apply(u_functional(LAM_E), j, q)
+    ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     assert compatibility_defect(a, b, u1, u2) < 1e-6
     res = integrate_surface(a, b, w, u1=u1, u2=u2)
     assert res.path_defect < 1e-6
-    f_closed, su_dist = conformal_immersion_closed(spec, j, w, LAM_E)
-    assert su_dist < 1e-10  # admissible spectral parameter: F lies in su(2)
+    f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
+    assert su_distance(f_closed) < 1e-10  # admissible spectral parameter: F lies in su(2)
     _, variation = constant_difference_check(res.raw, f_closed)
     assert variation < 1e-7
     assert max(tangent_check(f_closed, w, a, b)) < 1e-6
@@ -142,9 +143,9 @@ def test_sym_tafel_euclid():
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
-    zero_f, _ = sym_tafel(w, dphi, 0.0)
+    zero_f = sym_tafel(w, dphi, 0.0)
     assert interior_max(fro(zero_f.values), zero_f.margin) == 0
-    fst, _ = sym_tafel(w, dphi, 1.0)
+    fst = sym_tafel(w, dphi, 1.0)
     du1, du2 = u_dlambda(j, LAM_E)
     assert max(tangent_check(fst, w, du1, du2)) < 1e-6
     inp = ImmersionInputs(a_coeffs=(1.0,))
@@ -158,7 +159,7 @@ def test_sym_tafel_traveling_closed_form():
     # F^ST = a * 2 (d chi/d lam) Phi^-1 [theta_1, theta] Phi
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     dphi = traveling_wave_dlambda(WAVE_M, JET_M, w)
-    fst, _ = sym_tafel(w, dphi, 1.5)
+    fst = sym_tafel(w, dphi, 1.5)
     komm = commutator(JET_M.d1, JET_M.theta)
     expected = (
         1.5
@@ -216,13 +217,14 @@ def test_assemble_additivity():
     j = theta_of(LADDER2.rungs[0], "analytic")
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     s = constant_field(GRID, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    q = conformal_characteristic(spec, j)
+    ((pw1, pw2),) = frechet_apply([u_functional(LAM_E)], j, conformal_characteristic(spec, j))
     a_all, b_all = assemble_tangents(
-        ImmersionInputs(a_coeffs=(1.0,), gauge=s, q=q), j, LAM_E
+        ImmersionInputs(a_coeffs=(1.0,), gauge=s, prw_u=(pw1, pw2)), j, LAM_E
     )
     a1, b1 = assemble_tangents(ImmersionInputs(a_coeffs=(1.0,)), j, LAM_E)
     a2, b2 = assemble_tangents(ImmersionInputs(gauge=s), j, LAM_E)
-    a3, b3 = assemble_tangents(ImmersionInputs(q=q), j, LAM_E)
+    a3, b3 = assemble_tangents(ImmersionInputs(prw_u=(pw1, pw2)), j, LAM_E)
+    assert np.array_equal(a3.values, pw1.values, equal_nan=True)
     m = a_all.margin
     assert interior_max(fro(a_all.values - a1.values - a2.values - a3.values), m) < 1e-10
     assert interior_max(fro(b_all.values - b1.values - b2.values - b3.values), m) < 1e-10
@@ -231,7 +233,7 @@ def test_assemble_additivity():
 def test_conformal_zero_spec():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
-    f, _ = conformal_immersion_closed(ConformalSpec.euclidean((0.0,)), j, w, LAM_E)
+    f = conformal_immersion_closed(ConformalSpec.euclidean((0.0,)), j, w, LAM_E)
     assert interior_max(fro(f.values), f.margin) == 0
 
 
@@ -239,7 +241,7 @@ def test_traveling_conformal_closed_form_reduction():
     # with theta_2 = kappa theta_1 the closed form collapses onto one direction
     spec = ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7))
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
-    f, _ = conformal_immersion_closed(spec, JET_M, w, LAM_M)
+    f = conformal_immersion_closed(spec, JET_M, w, LAM_M)
     komm = commutator(JET_M.d1, JET_M.theta)
     coeff = -2 * (
         spec.f(GRID_M) / (1 + LAM_M) + WAVE_M.kappa * spec.g(GRID_M) / (1 - LAM_M)
@@ -252,9 +254,8 @@ def test_prolong_immersion_trivial_and_psi():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
     zero_q = MatrixField(GRID, np.zeros_like(j.theta), 0)
-    calf, _ = explicit_immersion(
-        w, prolonged_wave(zero_q, j, lambda jd: euclidean_wave(jd, 0, LAM_E))
-    )
+    ((prw_phi,),) = frechet_apply([wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E))], j, zero_q)
+    calf = explicit_immersion(w, prw_phi)
     assert interior_max(fro(calf.values), calf.margin) < 1e-12
 
     # Psi = Phi F trivia and the deformed linear system
@@ -263,8 +264,8 @@ def test_prolong_immersion_trivial_and_psi():
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
-    a, b = frechet_apply(u_functional(LAM_E), j, q)
-    f_closed, _ = conformal_immersion_closed(spec, j, w, LAM_E)
+    ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
+    f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
     psi = psi_of(f_closed, w)
     assert psi_residual(psi, w, u1, u2, a, b) < 1e-6
 
@@ -273,7 +274,7 @@ def test_psi_sym_tafel_is_dlambda_phi():
     j = theta_of(LADDER2.rungs[0], "analytic")
     w = euclidean_wave(j, 0, LAM_E)
     dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
-    fst, _ = sym_tafel(w, dphi, 1.0)
+    fst = sym_tafel(w, dphi, 1.0)
     psi = psi_of(fst, w)
     assert interior_max(fro(psi.values - dphi.values), psi.margin) < 1e-7
 

@@ -23,13 +23,13 @@ from solsurf.symmetry import (
     frechet_apply,
     lowering_derivatives_functional,
     lowering_functional,
-    lsp_symmetry_defect,
     prolong_u,
     theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
     u_derivatives_functional,
     u_functional,
+    wave_functional,
 )
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
@@ -88,9 +88,8 @@ def test_frechet_identity_and_first_jet():
     j = theta_of(LADDER2.rungs[0], "analytic")
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    (ident,) = frechet_apply(theta_functional(), j, q)
+    (ident,), (prw_d1, _) = frechet_apply([theta_functional(), theta_derivatives_functional()], j, q)
     assert interior_max(fro(ident.values - q.values), ident.margin) < 1e-10
-    prw_d1, _ = frechet_apply(theta_derivatives_functional(), j, q)
     from solsurf.fields import chart_jets
 
     qj = chart_jets(MatrixField(j.grid, q.values, q.margin))
@@ -103,7 +102,7 @@ def test_frechet_linearity_in_q():
     q2 = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     qsum = MatrixField(j.grid, q1.values + q2.values, max(q1.margin, q2.margin))
     g = u_functional(LAM_E)
-    pairs = (frechet_apply(g, j, q1), frechet_apply(g, j, q2), frechet_apply(g, j, qsum))
+    pairs = (frechet_apply([g], j, q)[0] for q in (q1, q2, qsum))
     for a, b, c in zip(*pairs):
         m = max(a.margin, b.margin, c.margin)
         assert interior_max(fro(c.values - a.values - b.values), m) < 1e-9
@@ -114,7 +113,7 @@ def test_prolong_u_closed_vs_deformation():
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     pw1, pw2 = prolong_u(spec, j, LAM_E)
-    f1, f2 = frechet_apply(u_functional(LAM_E), j, q)
+    ((f1, f2),) = frechet_apply([u_functional(LAM_E)], j, q)
     assert interior_max(fro(pw1.values - f1.values), max(pw1.margin, f1.margin)) < 1e-6
     assert interior_max(fro(pw2.values - f2.values), max(pw2.margin, f2.margin)) < 1e-6
     # the pair is quadratic, so its one central difference matches the
@@ -122,7 +121,7 @@ def test_prolong_u_closed_vs_deformation():
     spec_m = ConformalSpec.minkowski((0.0, 1.0), (0.5, 1.0))
     for spec, j, lam in ((ConformalSpec.euclidean((0.3, 0.0, 1.0)), j, LAM_E), (spec_m, JET_M, LAM_M)):
         q = conformal_characteristic(spec, j)
-        for got, want in zip(frechet_apply(u_functional(lam), j, q), prolong_u(spec, j, lam)):
+        for got, want in zip(frechet_apply([u_functional(lam)], j, q)[0], prolong_u(spec, j, lam)):
             m = max(got.margin, want.margin)
             scale = interior_max(fro(want.values), m)
             assert interior_max(fro(got.values - want.values), m) < 1e-8 * scale
@@ -152,7 +151,7 @@ def test_el_symmetry_defect_is_compatibility_of_prolonged_pair(control):
         q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     else:
         q = MatrixField(j.grid, j.theta.copy(), j.margin0)
-    a, b = frechet_apply(u_functional(LAM_E), j, q)
+    ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     u1, u2 = u_pair(j, LAM_E)
     assert el_symmetry_defect(q, j, LAM_E) == compatibility_defect(a, b, u1, u2)
 
@@ -181,11 +180,11 @@ def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(
     pol = FrechetPolicy(richardson=richardson)
     g = lowering_derivatives_functional()
     steps = _count_deformations(monkeypatch)
-    pair = frechet_apply(g, j, q, pol)
+    (pair,) = frechet_apply([g], j, q, pol)
     assert len(pair) == 2
     assert len(steps) == deformations
     for index, whole in enumerate(pair):
-        (alone,) = frechet_apply(lambda jd, i=index: (g(jd)[i],), j, q, pol)
+        ((alone,),) = frechet_apply([lambda jd, i=index: (g(jd)[i],)], j, q, pol)
         assert np.array_equal(whole.values, alone.values, equal_nan=True)
         assert whole.margin == alone.margin
 
@@ -198,14 +197,55 @@ def test_quadratic_pair_costs_one_central_pair(monkeypatch, richardson):
     j = theta_of(LADDER2.rungs[0], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     steps = _count_deformations(monkeypatch)
-    pair = frechet_apply(u_functional(LAM_E), j, q, FrechetPolicy(richardson=richardson))
+    (pair,) = frechet_apply([u_functional(LAM_E)], j, q, FrechetPolicy(richardson=richardson))
     assert len(pair) == 2
     assert len(steps) == 2
     plain = FrechetPolicy(richardson=False)
     for index, whole in enumerate(pair):
-        (alone,) = frechet_apply(lambda jd, i=index: (u_pair(jd, LAM_E)[i],), j, q, plain)
+        ((alone,),) = frechet_apply([lambda jd, i=index: (u_pair(jd, LAM_E)[i],)], j, q, plain)
         assert np.array_equal(whole.values, alone.values, equal_nan=True)
         assert whole.margin == alone.margin
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_shared_prolongation_is_bit_exact_and_steps_only_non_quadratic(monkeypatch, richardson):
+    # one call prolongs several functionals: each result equals that of
+    # the functional's own call bit for bit, each deformation is built
+    # once, and the half step evaluates only the functionals not marked
+    # quadratic
+    j = theta_of(LADDER2.rungs[1], "analytic")
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    pol = FrechetPolicy(richardson=richardson)
+    gs = [
+        theta_functional(),
+        u_functional(LAM_E),
+        lowering_functional(),
+        wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
+    ]
+    separate = [frechet_apply([g], j, q, pol)[0] for g in gs]
+    evaluations = [0] * len(gs)
+
+    def counted(i, g):
+        def h(jd):
+            evaluations[i] += 1
+            return g(jd)
+
+        h.quadratic = getattr(g, "quadratic", False)
+        return h
+
+    steps = _count_deformations(monkeypatch)
+    shared = frechet_apply([counted(i, g) for i, g in enumerate(gs)], j, q, pol)
+    assert len(steps) == (4 if richardson else 2)
+    assert evaluations == ([2, 2, 4, 4] if richardson else [2, 2, 2, 2])
+    for alone, together in zip(separate, shared, strict=True):
+        assert len(alone) == len(together)
+        for a, b in zip(alone, together):
+            assert np.array_equal(a.values, b.values, equal_nan=True)
+            assert a.margin == b.margin
+    # quadratic functionals alone build no half step
+    steps.clear()
+    frechet_apply(gs[:2], j, q, pol)
+    assert len(steps) == 2
 
 
 @pytest.mark.parametrize(
@@ -229,7 +269,7 @@ def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
     monkeypatch.setattr(fields, "diff2", counting)
     j = theta_of(LADDER2.rungs[0], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    frechet_apply(functional, j, q)
+    frechet_apply([functional], j, q)
     assert sorted(calls) == axes
 
 
@@ -240,6 +280,8 @@ FUNCTIONALS = {
     "u_derivatives_functional": u_derivatives_functional(LAM_E, 2),
     "lowering_functional": lowering_functional(),
     "lowering_derivatives_functional": lowering_derivatives_functional(),
+    # Phi on rung 1, where it is rational in the jets
+    "wave_functional": wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
 }
 
 
@@ -267,7 +309,7 @@ def test_quadratic_functionals_have_exact_central_differences(name):
     j = theta_of(LADDER2.rungs[1], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
     whole, half = (
-        frechet_apply(g, j, q, FrechetPolicy(eps_base=eps, richardson=False))
+        frechet_apply([g], j, q, FrechetPolicy(eps_base=eps, richardson=False))[0]
         for eps in (1e-2, 5e-3)
     )
     gap = 0.0
@@ -300,7 +342,8 @@ def test_el_symmetry_defect_positive_negative():
 def test_lsp_symmetry_defect_euclid():
     j = theta_of(LADDER2.rungs[0], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    r1, r2 = lsp_symmetry_defect(q, j, LAM_E, lambda jd: euclidean_wave(jd, 0, LAM_E))
+    g = wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E), LAM_E)
+    ((_, r1, r2),) = frechet_apply([g], j, q)
     assert interior_max(fro(r1.values), r1.margin) < 1e-6
     assert interior_max(fro(r2.values), r2.margin) < 1e-6
 
@@ -308,10 +351,11 @@ def test_lsp_symmetry_defect_euclid():
 def test_lsp_symmetry_defect_traveling_criteria():
     builder = lambda jd: phi_traveling(WAVE_M, jd, LAM_M)  # noqa: E731
     w = builder(JET_M)
+    g = wave_functional(builder, LAM_M)
     # quadratic f: fails with the predicted defect field
     spec_q = ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
     qq = conformal_characteristic(spec_q, JET_M)
-    r1, r2 = lsp_symmetry_defect(qq, JET_M, LAM_M, builder)
+    ((_, r1, r2),) = frechet_apply([g], JET_M, qq)
     d1phi, _, dm = chart_first_derivatives(w.field())
     pred = (-(spec_q.f11(GRID_M)) * WAVE_M.chi(LAM_M) * (1 + LAM_M))[..., None, None] * d1phi
     assert interior_max(fro(r1.values - pred), max(r1.margin, dm)) < 1e-6
@@ -319,13 +363,13 @@ def test_lsp_symmetry_defect_traveling_criteria():
     # affine with equal slopes: both vanish
     spec_l = ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7))
     ql = conformal_characteristic(spec_l, JET_M)
-    rl1, rl2 = lsp_symmetry_defect(ql, JET_M, LAM_M, builder)
+    ((_, rl1, rl2),) = frechet_apply([g], JET_M, ql)
     assert interior_max(fro(rl1.values), rl1.margin) < 1e-6
     assert interior_max(fro(rl2.values), rl2.margin) < 1e-6
     # unequal slopes break the second equation only
     spec_n = ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0))
     qn = conformal_characteristic(spec_n, JET_M)
-    rn1, rn2 = lsp_symmetry_defect(qn, JET_M, LAM_M, builder)
+    ((_, rn1, rn2),) = frechet_apply([g], JET_M, qn)
     assert interior_max(fro(rn1.values), rn1.margin) < 1e-6
     assert interior_max(fro(rn2.values), rn2.margin) > 1e-2
 
@@ -346,7 +390,7 @@ def test_traveling_R_fields():
     assert interior_max(fro(r2.values - c2 * komm), r2.margin) < 1e-13
     # for a symmetry of the wave equations the R pair is the prolonged pair
     q = conformal_characteristic(spec_d, JET_M)
-    pw1, pw2 = frechet_apply(u_functional(lam), JET_M, q)
+    ((pw1, pw2),) = frechet_apply([u_functional(lam)], JET_M, q)
     assert interior_max(fro(r1.values - pw1.values), pw1.margin) < 1e-8
     assert interior_max(fro(r2.values - pw2.values), pw2.margin) < 1e-8
 
@@ -354,10 +398,15 @@ def test_traveling_R_fields():
 def test_commutation_defect_small():
     j = theta_of(LADDER2.rungs[0], "analytic")
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    (prw_theta,) = frechet_apply(theta_functional(), j, q)
-    assert commutation_defect(q, prw_theta, theta_derivatives_functional(), j) < 1e-8
-    prw_u1, _ = frechet_apply(u_functional(LAM_E), j, q)
-    assert commutation_defect(q, prw_u1, u_derivatives_functional(LAM_E, 1), j) < 1e-6
+    gs = [
+        theta_functional(),
+        theta_derivatives_functional(),
+        u_functional(LAM_E),
+        u_derivatives_functional(LAM_E, 1),
+    ]
+    (prw_theta,), prw_dtheta, (prw_u1, _), prw_du1 = frechet_apply(gs, j, q)
+    assert commutation_defect(prw_theta, prw_dtheta) < 1e-8
+    assert commutation_defect(prw_u1, prw_du1) < 1e-6
 
 
 def test_commutation_orders():
@@ -369,7 +418,7 @@ def test_commutation_orders():
     ref = dl1.values + dl2.values  # f = g = 1
     ds = []
     for eps in (0.04, 0.02):
-        (pw,) = frechet_apply(g, j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
+        ((pw,),) = frechet_apply([g], j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
     assert np.log2(ds[0] / ds[1]) > 1.9
 
@@ -380,13 +429,8 @@ def test_commutation_orders():
         jh = theta_of(veronese_ladder(2, gh).rungs[1], "analytic")
         qh = conformal_characteristic(spec, jh)
         pol = FrechetPolicy(eps_base=1e-3)
-        hs.append(
-            commutation_defect(
-                qh,
-                frechet_apply(lowering_functional(), jh, qh, pol)[0],
-                lowering_derivatives_functional(),
-                jh,
-                pol,
-            )
+        (prw_g,), prw_dg = frechet_apply(
+            [lowering_functional(), lowering_derivatives_functional()], jh, qh, pol
         )
+        hs.append(commutation_defect(prw_g, prw_dg))
     assert np.log2(hs[0] / hs[1]) > 3.0
