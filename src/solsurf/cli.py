@@ -102,7 +102,7 @@ def _build_solution(cfg: RunConfig):
     """Returns (jet_field, ladder_or_wave, extras dict)."""
     if cfg.solution["kind"] == "veronese":
         ladder = veronese_ladder(cfg.n, cfg.grid).with_active(cfg.solution["k"])
-        j = theta_of(ladder.active_rung, "analytic")
+        j = theta_of(ladder.active_rung)
         return j, ladder, {"kind": "veronese", "k": cfg.solution["k"]}
     wave, j = traveling_solution(cfg.solution["kappa"], cfg.solution["omega"], cfg.grid)
     return j, wave, {
@@ -139,7 +139,7 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
             mat = basis.elements[0]
         else:
             raise ConfigError(f"key 'gauge.preset': unknown preset {name!r}")
-        vals = np.broadcast_to(mat, j.theta.shape).copy()
+        vals = np.broadcast_to(mat, j.values.shape).copy()
         return MatrixField(j.grid, vals, 0)
     field, _ = _read_input(cfg.gauge["file"], "gauge.file")
     if field.grid != j.grid or field.n != cfg.n:
@@ -152,16 +152,17 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
 def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     j, carrier, meta = _build_solution(cfg)
-    theta_field = MatrixField(cfg.grid, j.theta, j.margin0)
-    write_field(os.path.join(outdir, "theta.npz"), theta_field)
+    write_field(os.path.join(outdir, "theta.npz"), j)
 
     summary: dict = {"solution": meta, "grid": cfg.grid.to_json(), "n": cfg.n}
     if meta["kind"] == "veronese":
-        jn = theta_of(carrier.active_rung, "numeric-stencil")
-        el, em = el_residual(jn)
+        # a bare field takes the stencil route, so the residual does not
+        # rest on the exact jets it certifies
+        rung = carrier.active_rung
+        el, em = el_residual(theta_of(MatrixField(rung.grid, rung.values, rung.margin)))
         summary["el_residual_max"] = interior_max(el, em)
         for m in range(len(carrier)):
-            write_field(os.path.join(outdir, f"ladder_{m}.npz"), carrier.rungs[m].field)
+            write_field(os.path.join(outdir, f"ladder_{m}.npz"), carrier.rungs[m])
         summary["ladder_length"] = len(carrier)
         summary["orthogonality_defect"] = carrier.orthogonality_defect()
         summary["completeness_residual"] = carrier.completeness_residual()
@@ -202,7 +203,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         )
     a, b = assemble_tangents(inputs, j, cfg.lam)
     res = integrate_surface(a, b, wave, u1=u1, u2=u2)
-    outputs = {"immersion": (res.field, None), "wave": (wave.field(), wave.lam)}
+    outputs = {"immersion": (res.field, None), "wave": (wave, wave.lam)}
     t1 = MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin))
     t2 = MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin))
     report: dict = {
@@ -259,19 +260,29 @@ def cmd_verify(cfg: RunConfig | None, suite: str, outdir: str) -> int:
 
 
 def cmd_export(cfg: RunConfig, outdir: str) -> int:
+    """Each entry is converted before its file is opened, so an entry that
+    cannot be exported exits 2 without leaving a partial file."""
     os.makedirs(outdir, exist_ok=True)
     if not cfg.outputs:
         raise ConfigError("key 'outputs' is empty; nothing to export")
     for i, entry in enumerate(cfg.outputs):
         field, lam = _read_input(entry["input"], f"outputs[{i}].input")
         dst = os.path.join(outdir, entry["path"])
+        if entry["format"] == "obj":
+            # su(2) only, and the trimmed grid must keep the minimum node count
+            try:
+                points = embed_su2(trim_margin(field))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"key 'outputs[{i}]': cannot export {entry['input']!r} as obj: {exc}"
+                ) from exc
         os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
         if entry["format"] == "json":
             write_field_json(dst, field, lam)
         elif entry["format"] == "csv":
             write_scalar_csv(dst, field.grid, fro(field.values), field.margin)
         else:
-            export_obj(dst, embed_su2(trim_margin(field)))
+            export_obj(dst, points)
         print(f"wrote {dst}")
     return 0
 
@@ -294,6 +305,8 @@ _UNCOMPUTABLE = {
     NonFiniteMatrix: "keys 'solution', 'grid', 'lambda' and 'symmetry'",
     # the stencil margins of the run cover the grid
     MarginExhausted: "key 'grid'",
+    # the wave function is exactly singular at a node, so no surface can be integrated
+    np.linalg.LinAlgError: "keys 'solution', 'grid' and 'lambda'",
 }
 
 

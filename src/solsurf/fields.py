@@ -6,6 +6,13 @@ not fit are never evaluated one-sidedly; those nodes hold NaN).  Every
 derivative widens the margin, every residual is reduced over the interior
 that its margin defines.
 
+A field together with its chart derivatives is a `JetField`: a
+`MatrixField` that also carries D_1, D_2 and, built on first read, the
+three second derivatives, each order with its own margin.  theta, a
+symmetry characteristic Q, a Veronese projector rung, the traveling wave
+and every deformation theta + eps Q are all `JetField`s; `chart_jets`
+makes one from any field by stencils.
+
 Axis convention: arrays are indexed [i2, i1, ...] (row-major by (i2, i1)),
 so axis 1 runs along the first grid coordinate and axis 0 along the
 second.  On the Euclidean chart the grid axes are the real and imaginary
@@ -33,9 +40,8 @@ __all__ = [
     "FIELD_FORMAT",
     "Grid2",
     "GridMismatch",
-    "Jets",
+    "JetField",
     "MatrixField",
-    "SecondJets",
     "cumulative_line_integral",
     "diff1",
     "diff2",
@@ -231,15 +237,24 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-class SecondJets:
-    """Second-order jets ``d11``, ``d12``, ``d22`` built on first read.
+@dataclass(frozen=True, kw_only=True)
+class JetField(MatrixField):
+    """A field with its chart derivatives up to second order.
 
-    A subclass stores ``second``, a zero-argument callable returning the
-    triple; it runs at most once per instance, so a consumer that reads
-    only the first-order jets never pays for the second-order stencils.
+    The values and ``margin`` are those of the field itself; ``margin1``
+    bounds the trusted region of d1/d2, ``margin2`` that of the
+    second-order set (the mixed real-axis stencil is a composition, hence
+    the doubled margin).  d1 and d2 are stored; d11, d12 and d22 come from
+    ``second``, a zero-argument callable that runs at most once, on first
+    read, so a consumer that reads only the first-order jets never pays
+    for the second-order stencils.
     """
 
+    d1: np.ndarray
+    d2: np.ndarray
     second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    margin1: int
+    margin2: int
 
     @cached_property
     def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,22 +272,29 @@ class SecondJets:
     def d22(self) -> np.ndarray:
         return self._second_jets[2]
 
+    def deformed(self, eps: float, q_jets: "JetField") -> "JetField":
+        """The field + eps*q with its jets shifted by eps times the jets of q.
 
-@dataclass(frozen=True)
-class Jets(SecondJets):
-    """Chart derivatives of a field up to second order.
-
-    ``margin1`` bounds the trusted region of d1/d2, ``margin2`` that of the
-    second-order set (the mixed real-axis stencil is a composition, hence
-    the doubled margin).  d1 and d2 are stored; d11, d12 and d22 come from
-    ``second`` on first read.
-    """
-
-    d1: np.ndarray
-    d2: np.ndarray
-    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    margin1: int
-    margin2: int
+        Derivatives are linear, so the jets of the deformed field are the
+        jets of this field plus eps times those of q; sharing one jet set
+        of q across all evaluations keeps difference quotients
+        cancellation free.  The second-order shifts are formed only if the
+        deformed field's second jets are read.
+        """
+        return JetField(
+            grid=self.grid,
+            values=self.values + eps * q_jets.values,
+            margin=max(self.margin, q_jets.margin),
+            d1=self.d1 + eps * q_jets.d1,
+            d2=self.d2 + eps * q_jets.d2,
+            second=lambda: (
+                self.d11 + eps * q_jets.d11,
+                self.d12 + eps * q_jets.d12,
+                self.d22 + eps * q_jets.d22,
+            ),
+            margin1=max(self.margin1, q_jets.margin1),
+            margin2=max(self.margin2, q_jets.margin2),
+        )
 
 
 def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int]:
@@ -284,14 +306,17 @@ def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int
     return dx, dy, f.margin + 2
 
 
-def chart_jets(f: MatrixField) -> Jets:
-    """All derivatives up to second order by 4th-order stencils.
+def chart_jets(f: MatrixField) -> JetField:
+    """``f`` with all its derivatives up to second order by 4th-order stencils.
 
     The first-order pair is computed here; the second-order set runs its
     stencils when first read.
     """
     d1, d2, margin1 = chart_first_derivatives(f)
-    return Jets(
+    return JetField(
+        grid=f.grid,
+        values=f.values,
+        margin=f.margin,
         d1=d1,
         d2=d2,
         second=lambda: _chart_second_derivatives(f),

@@ -33,7 +33,7 @@ from .fields import (
 from .matlie import commutator, fro, inner, mm, project_su
 from .sigma import JetField, check_lambda, u_pair
 from .spectral import WaveField
-from .symmetry import compatibility_defect
+from .symmetry import ConformalSpec, compatibility_defect
 
 __all__ = [
     "ImmersionInputs",
@@ -98,8 +98,8 @@ class ImmersionResult:
 def u_dlambda(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
     """Spectral-parameter derivative of the connection pair (closed form)."""
     lam = check_lambda(lam)
-    v1 = (2.0 / (1 + lam) ** 2) * commutator(j.d1, j.theta)
-    v2 = (-2.0 / (1 - lam) ** 2) * commutator(j.d2, j.theta)
+    v1 = (2.0 / (1 + lam) ** 2) * commutator(j.d1, j.values)
+    v2 = (-2.0 / (1 - lam) ** 2) * commutator(j.d2, j.values)
     return MatrixField(j.grid, v1, j.margin1), MatrixField(j.grid, v2, j.margin1)
 
 
@@ -111,7 +111,7 @@ def assemble_tangents(
         raise ValueError("at least one immersion ingredient must be provided")
     lam = check_lambda(lam)
     grid = j.grid
-    shape = j.theta.shape
+    shape = j.values.shape
     a_vals = np.zeros(shape, dtype=complex)
     b_vals = np.zeros(shape, dtype=complex)
     margin = j.margin1
@@ -268,16 +268,14 @@ def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> MatrixField:
     return MatrixField(w.grid, raw, max(w.margin, dphi.margin))
 
 
-def conformal_immersion_closed(spec, j: JetField, w: WaveField, lam: complex) -> MatrixField:
+def conformal_immersion_closed(
+    spec: ConformalSpec, j: JetField, w: WaveField, lam: complex
+) -> MatrixField:
     """Closed-form conformal immersion F = Phi^{-1} (f u1 + g u2) Phi."""
     lam = check_lambda(lam)
     u1, u2 = u_pair(j, lam)
-    grid = j.grid
-    core = (
-        spec.f(grid)[..., None, None] * u1.values
-        + spec.g(grid)[..., None, None] * u2.values
-    )
-    return MatrixField(grid, w.conjugate(core), max(w.margin, u1.margin))
+    core = spec.along(j.grid, u1.values, u2.values)
+    return MatrixField(j.grid, w.conjugate(core), max(w.margin, u1.margin))
 
 
 def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> MatrixField:
@@ -300,7 +298,7 @@ def constant_difference_check(
 
 def psi_of(f: MatrixField, w: WaveField) -> MatrixField:
     """Deformation direction of the wave function: Psi = Phi F."""
-    vals = mm(w.phi, f.values)
+    vals = mm(w.values, f.values)
     return MatrixField(f.grid, vals, max(f.margin, w.margin))
 
 
@@ -314,8 +312,8 @@ def psi_residual(
 ) -> float:
     """Interior max of || D_alpha Psi - u^alpha Psi - A_alpha Phi ||_F."""
     d1psi, d2psi, dmargin = chart_first_derivatives(psi)
-    r1 = d1psi - mm(u1.values, psi.values) - mm(a.values, w.phi)
-    r2 = d2psi - mm(u2.values, psi.values) - mm(b.values, w.phi)
+    r1 = d1psi - mm(u1.values, psi.values) - mm(a.values, w.values)
+    r2 = d2psi - mm(u2.values, psi.values) - mm(b.values, w.values)
     margin = max(dmargin, u1.margin, a.margin, b.margin, w.margin)
     return max(interior_max(fro(r1), margin), interior_max(fro(r2), margin))
 

@@ -8,14 +8,18 @@ algebra-valued variable is theta = i(P - I/N).  Solution generators:
   holomorphic curve, which gives exact values and exact jets.
 * A rotating traveling wave on the Minkowski chart with exact jets.
 
-Derivative conventions follow :mod:`solsurf.fields`.
+Exact jets travel as a `JetField` (see :mod:`solsurf.fields`): each
+Veronese rung is a `JetField` of P, and the traveling wave one of theta.
+`theta_of` turns a projector into the jets of theta and picks the route
+from its input: a `JetField` passes its exact jets on, a bare
+`MatrixField` is differentiated with 4th-order stencils.  Derivative
+conventions follow :mod:`solsurf.fields`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,9 +28,8 @@ from .fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
-    Jets,
+    JetField,
     MatrixField,
-    SecondJets,
     chart_jets,
     interior_max,
 )
@@ -34,11 +37,11 @@ from .matlie import commutator, dagger, fro, mm
 
 __all__ = [
     "JetField",
-    "ProjectorField",
     "SolutionLadder",
     "TravelingWave",
     "check_lambda",
     "el_residual",
+    "projector",
     "theta_comm_identity_residual",
     "theta_of",
     "theta_square_residual",
@@ -59,123 +62,33 @@ def check_lambda(lam: complex) -> complex:
     return lam
 
 
-# --- projectors --------------------------------------------------------------
+def projector(j: JetField) -> np.ndarray:
+    """P = I/N - i theta from the jets ``j`` of theta."""
+    return np.broadcast_to(np.eye(j.n) / j.n, j.values.shape) - 1j * j.values
 
 
-@dataclass(frozen=True)
-class ProjectorField:
-    """Rank-one projector field, optionally carrying exact jets of P."""
+def theta_of(p: MatrixField) -> JetField:
+    """Jets of the algebra-valued variable theta = i(P - I/N).
 
-    field: MatrixField
-    jets: Jets | None = None
-
-    @property
-    def grid(self) -> Grid2:
-        return self.field.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-    @property
-    def margin(self) -> int:
-        return self.field.margin
-
-    @property
-    def n(self) -> int:
-        return self.field.n
-
-
-# --- jets of theta ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JetField(SecondJets):
-    """theta = i(P - I/N) together with its derivative fields up to order 2.
-
-    theta, d1 and d2 are stored; d11, d12 and d22 come from ``second``
-    when first read (see `SecondJets`).
-    """
-
-    grid: Grid2
-    n: int
-    theta: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    margin0: int = 0
-    margin1: int = 2
-    margin2: int = 4
-
-    def projector(self) -> np.ndarray:
-        return np.broadcast_to(np.eye(self.n) / self.n, self.theta.shape) - 1j * self.theta
-
-    def deformed(self, eps: float, q: np.ndarray, q_jets: Jets) -> "JetField":
-        """theta -> theta + eps*q with jets shifted by the jets of q.
-
-        Derivatives are linear, so the jets of the deformed field are the
-        jets of theta plus eps times the jets of q; sharing one jet set of
-        q across all evaluations keeps difference quotients cancellation
-        free.  The second-order shifts are formed only if the deformed
-        field's second jets are read.
-        """
-        return JetField(
-            grid=self.grid,
-            n=self.n,
-            theta=self.theta + eps * q,
-            d1=self.d1 + eps * q_jets.d1,
-            d2=self.d2 + eps * q_jets.d2,
-            second=lambda: (
-                self.d11 + eps * q_jets.d11,
-                self.d12 + eps * q_jets.d12,
-                self.d22 + eps * q_jets.d22,
-            ),
-            margin0=max(self.margin0, q_jets.margin1 - 2),
-            margin1=max(self.margin1, q_jets.margin1),
-            margin2=max(self.margin2, q_jets.margin2),
-        )
-
-
-def theta_of(p: ProjectorField, provenance: str = "numeric-stencil") -> JetField:
-    """Algebra-valued variable theta = i(P - I/N) with derivative fields.
-
-    ``numeric-stencil`` differentiates theta with 4th-order stencils;
-    ``analytic`` reuses exact jets carried by the projector field.
+    A projector that is a `JetField` passes its jets on, scaled by i; a
+    bare field is differentiated with 4th-order stencils.
     """
     n = p.n
     theta = 1j * (p.values - np.eye(n) / n)
-    if provenance == "analytic":
-        if p.jets is None:
-            raise ValueError("projector field carries no analytic jets")
-        j = p.jets
-        # exact second jets are at hand: scaling them now keeps the
-        # projector's jets from being held alive by the returned field
-        second = (1j * j.d11, 1j * j.d12, 1j * j.d22)
-        return JetField(
-            grid=p.grid,
-            n=n,
-            theta=theta,
-            d1=1j * j.d1,
-            d2=1j * j.d2,
-            second=lambda: second,
-            margin0=p.margin,
-            margin1=max(p.margin, j.margin1),
-            margin2=max(p.margin, j.margin2),
-        )
-    if provenance != "numeric-stencil":
-        raise ValueError(f"unknown provenance {provenance!r}")
-    mf = MatrixField(p.grid, theta, p.margin)
-    j = chart_jets(mf)
+    if not isinstance(p, JetField):
+        return chart_jets(MatrixField(p.grid, theta, p.margin))
+    # the second jets are at hand: scaling them now keeps the projector's
+    # jets from being held alive by the returned field
+    second = (1j * p.d11, 1j * p.d12, 1j * p.d22)
     return JetField(
         grid=p.grid,
-        n=n,
-        theta=theta,
-        d1=j.d1,
-        d2=j.d2,
-        second=lambda: (j.d11, j.d12, j.d22),
-        margin0=p.margin,
-        margin1=j.margin1,
-        margin2=j.margin2,
+        values=theta,
+        margin=p.margin,
+        d1=1j * p.d1,
+        d2=1j * p.d2,
+        second=lambda: second,
+        margin1=p.margin1,
+        margin2=p.margin2,
     )
 
 
@@ -185,8 +98,8 @@ def theta_of(p: ProjectorField, provenance: str = "numeric-stencil") -> JetField
 def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
     """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta]."""
     lam = check_lambda(lam)
-    u1 = (-2.0 / (1.0 + lam)) * commutator(j.d1, j.theta)
-    u2 = (-2.0 / (1.0 - lam)) * commutator(j.d2, j.theta)
+    u1 = (-2.0 / (1.0 + lam)) * commutator(j.d1, j.values)
+    u2 = (-2.0 / (1.0 - lam)) * commutator(j.d2, j.values)
     return (
         MatrixField(j.grid, u1, j.margin1),
         MatrixField(j.grid, u2, j.margin1),
@@ -195,7 +108,7 @@ def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
 
 def el_residual(j: JetField) -> tuple[np.ndarray, int]:
     """Pointwise ||[theta_12, theta]||_F: the equation-of-motion residual."""
-    return fro(commutator(j.d12, j.theta)), j.margin2
+    return fro(commutator(j.d12, j.values)), j.margin2
 
 
 def theta_square_residual(j: JetField) -> tuple[np.ndarray, int]:
@@ -203,25 +116,25 @@ def theta_square_residual(j: JetField) -> tuple[np.ndarray, int]:
     n = j.n
     e = np.eye(n) / n
     res = (
-        mm(j.theta, j.theta)
-        + 1j * (2 - n) / n * j.theta
-        - (1 - n) / n * np.broadcast_to(e, j.theta.shape)
+        mm(j.values, j.values)
+        + 1j * (2 - n) / n * j.values
+        - (1 - n) / n * np.broadcast_to(e, j.values.shape)
     )
-    return fro(res), j.margin0
+    return fro(res), j.margin
 
 
 def theta_comm_identity_residual(j: JetField) -> tuple[np.ndarray, int]:
     """Defect of [theta_1, theta](2i theta - (2-N) I/N) = -i theta_1."""
     n = j.n
-    m = 2j * j.theta - (2 - n) * np.broadcast_to(np.eye(n) / n, j.theta.shape)
-    res = mm(commutator(j.d1, j.theta), m) + 1j * j.d1
+    m = 2j * j.values - (2 - n) * np.broadcast_to(np.eye(n) / n, j.values.shape)
+    res = mm(commutator(j.d1, j.values), m) + 1j * j.d1
     return fro(res), j.margin1
 
 
 def theta_triple_residual(j: JetField) -> tuple[np.ndarray, int]:
     """Defect of theta theta_1 theta = (N-1)/N^2 theta_1."""
     n = j.n
-    res = mm(mm(j.theta, j.d1), j.theta) - (n - 1) / n**2 * j.d1
+    res = mm(mm(j.values, j.d1), j.values) - (n - 1) / n**2 * j.d1
     return fro(res), j.margin1
 
 
@@ -309,17 +222,20 @@ def _veronese_jets(n: int, xi: np.ndarray, kmax: int) -> list[dict[str, np.ndarr
 
 @dataclass
 class SolutionLadder:
-    """Mutually orthogonal projector rungs reached by repeated raising."""
+    """Mutually orthogonal projector rungs reached by repeated raising.
+
+    A rung is a `JetField` when its jets are exact, a bare `MatrixField`
+    otherwise."""
 
     n: int
-    rungs: list[ProjectorField]
+    rungs: list[MatrixField]
     active: int = 0
 
     def __len__(self) -> int:
         return len(self.rungs)
 
     @property
-    def active_rung(self) -> ProjectorField:
+    def active_rung(self) -> MatrixField:
         return self.rungs[self.active]
 
     def with_active(self, k: int) -> "SolutionLadder":
@@ -345,7 +261,7 @@ class SolutionLadder:
         return worst
 
 
-def _veronese_rungs(n: int, grid: Grid2, kmax: int) -> list[ProjectorField]:
+def _veronese_rungs(n: int, grid: Grid2, kmax: int) -> list[JetField]:
     """Rungs 0..kmax of the Veronese ladder from one frame build."""
     if grid.chart != CHART_EUCLIDEAN:
         raise ChartMismatch("Veronese fields live on the euclidean-complex chart")
@@ -354,19 +270,16 @@ def _veronese_rungs(n: int, grid: Grid2, kmax: int) -> list[ProjectorField]:
     if not 0 <= kmax <= n - 1:
         raise ValueError(f"rung index {kmax} outside 0..{n - 1}")
     return [
-        ProjectorField(
-            MatrixField(grid, r["p"], 0),
-            jets=Jets(
-                d1=r["d1"], d2=r["d2"],
-                second=lambda r=r: (r["d11"], r["d12"], r["d22"]),
-                margin1=0, margin2=0,
-            ),
+        JetField(
+            grid=grid, values=r["p"], d1=r["d1"], d2=r["d2"],
+            second=lambda r=r: (r["d11"], r["d12"], r["d22"]),
+            margin1=0, margin2=0,
         )
         for r in _veronese_jets(n, grid.xi(), kmax)
     ]
 
 
-def veronese_field(n: int, grid: Grid2, k: int = 0) -> ProjectorField:
+def veronese_field(n: int, grid: Grid2, k: int = 0) -> JetField:
     """Rung ``k`` of the Veronese ladder with exact values and exact jets."""
     return _veronese_rungs(n, grid, k)[k]
 
@@ -439,12 +352,10 @@ def traveling_solution(
     k = kappa
     jets = JetField(
         grid=grid,
-        n=2,
-        theta=theta,
+        values=theta,
         d1=dtheta,
         d2=k * dtheta,
         second=lambda: (ddtheta, k * ddtheta, k * k * ddtheta),
-        margin0=0,
         margin1=0,
         margin2=0,
     )

@@ -11,7 +11,9 @@ Two closed-form builders are provided:
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
 
-Both are certified against 4th-order stencil derivatives by
+A wave function is a `WaveField`: a `MatrixField` of Phi that also
+carries its spectral parameter and computes its per-node inverse once.
+Both builders are certified against 4th-order stencil derivatives by
 :func:`lsp_residual`; unitarity is reported as a diagnostic only.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import DeformationOutOfDomain
 from .fields import Grid2, MatrixField, chart_first_derivatives, interior, interior_max
 from .matlie import commutator, dagger, det, expm, fro, inv, mm, trace
-from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, theta_of
+from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, projector, theta_of
 
 __all__ = [
     "WaveField",
@@ -44,25 +46,15 @@ __all__ = [
 DET_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class WaveField:
-    """Invertible matrix solution of the linear problem at fixed lambda."""
+@dataclass(frozen=True, kw_only=True)
+class WaveField(MatrixField):
+    """Invertible matrix solution Phi of the linear problem at fixed ``lam``."""
 
-    grid: Grid2
     lam: complex
-    phi: np.ndarray
-    margin: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[-1]
-
-    def field(self) -> MatrixField:
-        return MatrixField(self.grid, self.phi, self.margin)
 
     @cached_property
     def _phi_inv(self) -> np.ndarray:
-        phi_inv = inv(self.phi)
+        phi_inv = inv(self.values)
         phi_inv.flags.writeable = False
         return phi_inv
 
@@ -72,7 +64,7 @@ class WaveField:
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
         """Phi^{-1} X Phi per node."""
-        return mm(mm(self.inverse(), x), self.phi)
+        return mm(mm(self.inverse(), x), self.values)
 
 
 def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
@@ -96,7 +88,7 @@ def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
 
 def wave_diagnostics(w: WaveField) -> dict[str, float]:
     """Invertibility and unitarity report over the trusted interior."""
-    phi = w.phi
+    phi = w.values
     ok = np.isfinite(phi).all(axis=(-1, -2))
     det_phi = np.where(ok, det(np.where(ok[..., None, None], phi, 0.0)), np.nan)
     ident = np.eye(w.n)
@@ -186,7 +178,7 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
         raise DeformationOutOfDomain(
             "jet-based lowering supports at most two steps (jets are cached to order 2)"
         )
-    p = j.projector()
+    p = projector(j)
     d1p, d2p = -1j * j.d1, -1j * j.d2
     if k == 1:
         return [_lowered_value(p, d1p, d2p)[0]]
@@ -199,8 +191,8 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
 
 def _jet_terms(j: JetField, k: int) -> tuple[np.ndarray, list[np.ndarray], int]:
     """P, its lowered rungs L(P) .. L^k(P) from the jets (k <= 2), and their margin."""
-    margin = j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin0)
-    return j.projector(), lowered_rungs_from_jets(j, k), margin
+    margin = j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin)
+    return projector(j), lowered_rungs_from_jets(j, k), margin
 
 
 def _ladder_terms(ladder: SolutionLadder) -> tuple[np.ndarray, list[np.ndarray], int]:
@@ -214,8 +206,7 @@ def _ladder_terms(ladder: SolutionLadder) -> tuple[np.ndarray, list[np.ndarray],
     k = ladder.active
     rung = ladder.active_rung
     if k <= 2:
-        j = theta_of(rung, "analytic" if rung.jets is not None else "numeric-stencil")
-        return _jet_terms(j, k)
+        return _jet_terms(theta_of(rung), k)
     return rung.values, [r.values for r in ladder.rungs[:k]], max(r.margin for r in ladder.rungs)
 
 
@@ -226,7 +217,7 @@ def _wave(grid: Grid2, lam: complex, terms: tuple[np.ndarray, list[np.ndarray], 
     phi = np.broadcast_to(np.eye(p.shape[-1], dtype=complex), p.shape) + beta * p
     for rung in rungs:
         phi = phi + c * rung
-    return WaveField(grid=grid, lam=complex(lam), phi=phi, margin=margin)
+    return WaveField(grid, phi, margin, lam=complex(lam))
 
 
 def euclidean_wave(j: JetField, k: int, lam: complex) -> WaveField:
@@ -266,21 +257,17 @@ def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
     if j.n != 2:
         raise ValueError("traveling-wave wave functions are implemented for N = 2")
     lam = check_lambda(lam)
-    komm = commutator(j.d1, j.theta)
-    tail = 2j * j.theta - (2 - j.n) * np.broadcast_to(np.eye(j.n) / j.n, j.theta.shape)
-    return WaveField(
-        grid=wave.grid,
-        lam=complex(lam),
-        phi=mm(expm(2.0 * wave.chi(lam)[..., None, None] * komm), tail),
-        margin=j.margin0,
-    )
+    komm = commutator(j.d1, j.values)
+    tail = 2j * j.values - (2 - j.n) * np.broadcast_to(np.eye(j.n) / j.n, j.values.shape)
+    phi = mm(expm(2.0 * wave.chi(lam)[..., None, None] * komm), tail)
+    return WaveField(wave.grid, phi, j.margin, lam=complex(lam))
 
 
 def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> MatrixField:
     """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi, for the built Phi ``w``."""
-    komm = commutator(j.d1, j.theta)
-    out = 2.0 * wave.dlambda_chi(w.lam)[..., None, None] * mm(komm, w.phi)
-    return MatrixField(wave.grid, out, j.margin0)
+    komm = commutator(j.d1, j.values)
+    out = 2.0 * wave.dlambda_chi(w.lam)[..., None, None] * mm(komm, w.values)
+    return MatrixField(wave.grid, out, j.margin)
 
 
 # --- residual --------------------------------------------------------------------
@@ -292,8 +279,8 @@ def lsp_residual(
     """Pointwise ||D_alpha(Phi) - u^alpha Phi||_F with stencil derivatives of Phi."""
     if u1.grid != w.grid or u2.grid != w.grid:
         raise ValueError("wave field and connection live on different grids")
-    d1phi, d2phi, dmargin = chart_first_derivatives(w.field())
+    d1phi, d2phi, dmargin = chart_first_derivatives(w)
     margin = max(dmargin, u1.margin, u2.margin)
-    r1 = fro(d1phi - mm(u1.values, w.phi))
-    r2 = fro(d2phi - mm(u2.values, w.phi))
+    r1 = fro(d1phi - mm(u1.values, w.values))
+    r2 = fro(d2phi - mm(u2.values, w.values))
     return r1, r2, margin

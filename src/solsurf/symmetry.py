@@ -52,7 +52,7 @@ from .fields import (
     same_grid,
 )
 from .matlie import commutator, fro, mm
-from .sigma import JetField, TravelingWave, check_lambda, u_pair
+from .sigma import JetField, TravelingWave, check_lambda, projector, u_pair
 
 __all__ = [
     "ConformalSpec",
@@ -164,11 +164,10 @@ class ConformalSpec:
     def g2(self, grid: Grid2) -> np.ndarray:
         return _polyval(_polyder(np.asarray(self.g_coeffs, dtype=complex)), grid.coord2())
 
-    def to_json(self) -> dict:
-        return {
-            "f": [[float(c.real), float(c.imag)] for c in self.f_coeffs],
-            "g": [[float(c.real), float(c.imag)] for c in self.g_coeffs],
-        }
+    def along(self, grid: Grid2, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """f(x1) X1 + g(x2) X2: a pair of matrix fields combined along the
+        symmetry's vector field."""
+        return self.f(grid)[..., None, None] * x1 + self.g(grid)[..., None, None] * x2
 
     @staticmethod
     def from_json(obj: dict, chart: str) -> "ConformalSpec":
@@ -200,11 +199,7 @@ def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
         raise ChartMismatch(
             f"conformal data is for {spec.chart}, jet field lives on {j.grid.chart}"
         )
-    q = (
-        spec.f(j.grid)[..., None, None] * j.d1
-        + spec.g(j.grid)[..., None, None] * j.d2
-    )
-    return MatrixField(j.grid, q, j.margin1)
+    return MatrixField(j.grid, spec.along(j.grid, j.d1, j.d2), j.margin1)
 
 
 # --- prolongation by whole-field deformation -----------------------------------
@@ -222,7 +217,7 @@ class FrechetPolicy:
             raise ValueError("eps_base must be positive")
 
     def step(self, j: JetField) -> float:
-        scale = 1.0 + interior_max(fro(j.theta), j.margin0)
+        scale = 1.0 + interior_max(fro(j.values), j.margin)
         return self.eps_base * scale
 
 
@@ -242,13 +237,13 @@ def frechet_apply(
     only if a functional reads them.  Each component keeps the larger
     margin of its evaluations.
     """
-    q_jets = chart_jets(MatrixField(j.grid, q.values, q.margin))
+    q_jets = chart_jets(q)
     eps = policy.step(j)
 
     def central(e: float, fs: Sequence[Functional]) -> list[list[tuple[np.ndarray, int]]]:
-        jd = j.deformed(+e, q.values, q_jets)
+        jd = j.deformed(+e, q_jets)
         plus = [g(jd) for g in fs]
-        jd = j.deformed(-e, q.values, q_jets)
+        jd = j.deformed(-e, q_jets)
         return [
             [((a.values - b.values) / (2 * e), max(a.margin, b.margin)) for a, b in zip(p, g(jd))]
             for p, g in zip(plus, fs)
@@ -269,7 +264,7 @@ def frechet_apply(
 
 
 def theta_functional() -> Functional:
-    return _quadratic(lambda j: (MatrixField(j.grid, j.theta, j.margin0),))
+    return _quadratic(lambda j: (MatrixField(j.grid, j.values, j.margin),))
 
 
 def theta_derivatives_functional() -> Functional:
@@ -294,12 +289,12 @@ def u_derivatives_functional(lam: complex, index: int) -> Functional:
     def g(j: JetField) -> tuple[MatrixField, MatrixField]:
         if index == 1:
             c = -2 / (1 + lam)
-            v1 = c * commutator(j.d11, j.theta)
-            v2 = c * (commutator(j.d12, j.theta) + commutator(j.d1, j.d2))
+            v1 = c * commutator(j.d11, j.values)
+            v2 = c * (commutator(j.d12, j.values) + commutator(j.d1, j.d2))
         else:
             c = -2 / (1 - lam)
-            v1 = c * (commutator(j.d12, j.theta) + commutator(j.d2, j.d1))
-            v2 = c * commutator(j.d22, j.theta)
+            v1 = c * (commutator(j.d12, j.values) + commutator(j.d2, j.d1))
+            v2 = c * commutator(j.d22, j.values)
         return MatrixField(j.grid, v1, j.margin2), MatrixField(j.grid, v2, j.margin2)
 
     return _quadratic(g)
@@ -317,14 +312,14 @@ def lowering_derivatives_functional() -> Functional:
     from .spectral import lowered_rung_with_jets
 
     def g(j: JetField) -> tuple[MatrixField, MatrixField]:
-        _, d1r, d2r = lowered_rung_with_jets(j.projector(), -1j * j.d1, -1j * j.d2, j)
+        _, d1r, d2r = lowered_rung_with_jets(projector(j), -1j * j.d1, -1j * j.d2, j)
         return MatrixField(j.grid, d1r, j.margin2), MatrixField(j.grid, d2r, j.margin2)
 
     return g
 
 
 def wave_functional(
-    phi_builder: Callable[[JetField], "object"], lam: complex | None = None
+    phi_builder: Callable[[JetField], MatrixField], lam: complex | None = None
 ) -> Functional:
     """The wave function Phi that ``phi_builder`` builds on the jets.
 
@@ -335,7 +330,7 @@ def wave_functional(
     """
 
     def g(jd: JetField) -> tuple[MatrixField, ...]:
-        phi = phi_builder(jd).field()
+        phi = phi_builder(jd)
         if lam is None:
             return (phi,)
         d1phi, d2phi, dmargin = chart_first_derivatives(phi)
@@ -428,7 +423,7 @@ def traveling_R_fields(
     grid = wave.grid
     chi = wave.chi(lam)
     k = wave.kappa
-    komm = commutator(j.d1, j.theta)
+    komm = commutator(j.d1, j.values)
     f1 = spec.f1(grid)
     f11 = spec.f11(grid)
     g2 = spec.g2(grid)

@@ -224,11 +224,12 @@ class Fixtures:
 
     @_fixture
     def jets_analytic(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
-        return theta_of(veronese_field(n, self.euclid_grid(h), k), "analytic")
+        return theta_of(veronese_field(n, self.euclid_grid(h), k))
 
     @_fixture
     def jets_numeric(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
-        return theta_of(veronese_field(n, self.euclid_grid(h), k), "numeric-stencil")
+        p = veronese_field(n, self.euclid_grid(h), k)
+        return theta_of(MatrixField(p.grid, p.values, p.margin))
 
     @_fixture
     def traveling(self, h: float = MINK_H):
@@ -313,7 +314,7 @@ class Fixtures:
         """Q = theta, not a symmetry: the zero-curvature defect of its
         prolonged connection, and the path defect of its line integral."""
         j = self.jets_analytic(2)
-        q = MatrixField(j.grid, j.theta.copy(), j.margin0)
+        q = MatrixField(j.grid, j.values.copy(), j.margin)
         ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
         return {
             "el-symmetry": compatibility_defect(a, b, *self.euclid_u()),
@@ -348,8 +349,8 @@ class Fixtures:
                     out["step-order"] = _step_defects(j, dl)
             w = euclidean_wave(j, k, LAM_EUCLID)
             calf = explicit_immersion(w, prw_phi)
-        d1phi, d2phi, dm = chart_first_derivatives(w.field())
-        ref = _along(spec, j.grid, d1phi, d2phi)
+        d1phi, d2phi, dm = chart_first_derivatives(w)
+        ref = spec.along(j.grid, d1phi, d2phi)
         out["conformal-wave"] = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
         out["explicit-integration"] = max(tangent_check(calf, w, a, b))
         return out
@@ -368,7 +369,7 @@ class Fixtures:
     def mink_k(self) -> np.ndarray:
         """K = [theta_1, theta]."""
         jt = self.traveling()[1]
-        return commutator(jt.d1, jt.theta)
+        return commutator(jt.d1, jt.values)
 
     @_fixture
     def mink_q(self, h: float = MINK_H) -> MatrixField:
@@ -384,7 +385,7 @@ class Fixtures:
         gs = (u_functional(LAM_MINK), wave_functional(_mink_builder(tw), LAM_MINK))
         (a, b), (prw_phi, r1, _) = frechet_apply(gs, jt, self.mink_q())
         calf = explicit_immersion(w, prw_phi)
-        d1phi, _, dm = chart_first_derivatives(w.field())
+        d1phi, _, dm = chart_first_derivatives(w)
         pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK))[..., None, None] * d1phi
         return {
             "explicit": calf,
@@ -416,7 +417,7 @@ class Fixtures:
         tw, jt = self.traveling()
         w, (u1, u2), calf = self.mink_wave(), self.mink_u(), self.mink_prolonged()["explicit"]
         r1, r2 = traveling_R_fields(self.mink_spec_quadratic(), tw, jt, LAM_MINK)
-        s = np.broadcast_to(1j * np.array([[1.0, 0.0], [0.0, -1.0]]), jt.theta.shape).copy()
+        s = np.broadcast_to(1j * np.array([[1.0, 0.0], [0.0, -1.0]]), jt.values.shape).copy()
 
         def gram_min(x1: np.ndarray, x2: np.ndarray) -> float:
             t1 = MatrixField(tw.grid, w.conjugate(x1), r1.margin)
@@ -481,14 +482,9 @@ def _field_max(r: MatrixField) -> float:
     return interior_max(fro(r.values), r.margin)
 
 
-def _along(spec: ConformalSpec, grid: Grid2, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """f D1 + g D2: a derivative pair combined along the symmetry's vector field."""
-    return spec.f(grid)[..., None, None] * d1 + spec.g(grid)[..., None, None] * d2
-
-
-def _det_variation(w) -> float:
-    ok = np.isfinite(w.phi).all(axis=(-1, -2))
-    det_phi = np.where(ok, det(np.where(ok[..., None, None], w.phi, 0.0)), np.nan)
+def _det_variation(w: WaveField) -> float:
+    ok = np.isfinite(w.values).all(axis=(-1, -2))
+    det_phi = np.where(ok, det(np.where(ok[..., None, None], w.values, 0.0)), np.nan)
     d = interior(det_phi, w.margin)
     ref = d[d.shape[0] // 2, d.shape[1] // 2]
     return float(np.nanmax(np.abs(d - ref)))
@@ -569,7 +565,7 @@ def _lowering_defect(
     """pr w of the lowered rung, ``prw``, against f D1 + g D2 of it, given
     (D1, D2) as ``dl``."""
     dl1, dl2 = dl
-    ref = _along(spec, prw.grid, dl1.values, dl2.values)
+    ref = spec.along(prw.grid, dl1.values, dl2.values)
     return interior_max(fro(prw.values - ref), max(prw.margin, dl1.margin))
 
 
@@ -600,7 +596,7 @@ def _grid_order(fx: Fixtures) -> float:
     gs = (lowering_functional(), lowering_derivatives_functional())
     ds = []
     for h in (0.012, 0.006, 0.003):
-        jh = theta_of(veronese_ladder(2, fx.euclid_grid(h)).rungs[1], "analytic")
+        jh = theta_of(veronese_ladder(2, fx.euclid_grid(h)).rungs[1])
         qh = conformal_characteristic(spec, jh)
         (prw_g,), prw_dg = frechet_apply(gs, jh, qh, FrechetPolicy(eps_base=1e-3))
         ds.append(commutation_defect(prw_g, prw_dg))

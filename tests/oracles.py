@@ -24,7 +24,7 @@ import numpy as np
 from solsurf.errors import ChartMismatch
 from solsurf.fields import CHART_EUCLIDEAN, Grid2, MatrixField, chart_first_derivatives, interior_max
 from solsurf.matlie import dagger, fro, mm, trace
-from solsurf.sigma import JetField, ProjectorField, SolutionLadder, u_pair
+from solsurf.sigma import JetField, SolutionLadder, u_pair
 from solsurf.spectral import WaveField
 from solsurf.symmetry import FrechetPolicy, compatibility_defect, frechet_apply, u_functional
 
@@ -50,13 +50,19 @@ def reproject_rank1(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ladder_step(p: ProjectorField, up: bool, tol_contract_rel: float) -> ProjectorField:
+def bare(f: MatrixField) -> MatrixField:
+    """``f`` without the jets it may carry, so `theta_of` differentiates it
+    with stencils."""
+    return MatrixField(f.grid, f.values, f.margin)
+
+
+def _ladder_step(p: MatrixField, up: bool, tol_contract_rel: float) -> MatrixField:
     if p.grid.chart != CHART_EUCLIDEAN:
         raise ChartMismatch("raising/lowering is defined on the euclidean-complex chart")
-    if p.jets is not None:
-        d1p, d2p, margin = p.jets.d1, p.jets.d2, max(p.margin, p.jets.margin1)
+    if isinstance(p, JetField):
+        d1p, d2p, margin = p.d1, p.d2, max(p.margin, p.margin1)
     else:
-        d1p, d2p, margin = chart_first_derivatives(p.field)
+        d1p, d2p, margin = chart_first_derivatives(p)
     if up:
         num = mm(mm(d1p, p.values), d2p)
     else:
@@ -69,21 +75,21 @@ def _ladder_step(p: ProjectorField, up: bool, tol_contract_rel: float) -> Projec
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = num / den[..., None, None]
     raw = np.where((np.abs(den) < tol)[..., None, None], np.nan + 0j, raw)
-    return ProjectorField(MatrixField(p.grid, reproject_rank1(raw), margin))
+    return MatrixField(p.grid, reproject_rank1(raw), margin)
 
 
-def raise_projector(p: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL) -> ProjectorField:
+def raise_projector(p: MatrixField, tol_contract_rel: float = TOL_CONTRACT_REL) -> MatrixField:
     """One raising step, re-projected to the nearest rank-one projector."""
     return _ladder_step(p, up=True, tol_contract_rel=tol_contract_rel)
 
 
-def lower_projector(p: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL) -> ProjectorField:
+def lower_projector(p: MatrixField, tol_contract_rel: float = TOL_CONTRACT_REL) -> MatrixField:
     """One lowering step, re-projected to the nearest rank-one projector."""
     return _ladder_step(p, up=False, tol_contract_rel=tol_contract_rel)
 
 
 def build_ladder(
-    p0: ProjectorField, tol_contract_rel: float = TOL_CONTRACT_REL, max_rungs: int = 8
+    p0: MatrixField, tol_contract_rel: float = TOL_CONTRACT_REL, max_rungs: int = 8
 ) -> SolutionLadder:
     """Raise until contraction."""
     rungs = [p0]
@@ -104,7 +110,7 @@ def dlambda_fd(
     """Central difference of a wave-function builder along real lambda."""
     plus = builder(lam + step)
     minus = builder(lam - step)
-    vals = (plus.phi - minus.phi) / (2 * step)
+    vals = (plus.values - minus.values) / (2 * step)
     return MatrixField(plus.grid, vals, max(plus.margin, minus.margin))
 
 

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import bare
 from solsurf.cli import main as cli_main
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -100,7 +101,7 @@ def test_criterion_1_solution_validity(ladders):
     t0 = time.perf_counter()
     entries = []
     for n in (2, 3):
-        jn = theta_of(ladders[n].rungs[0], "numeric-stencil")
+        jn = theta_of(bare(ladders[n].rungs[0]))
         el, em = el_residual(jn)
         entries.append((f"cp{n - 1}-el", interior_max(el, em) < 1e-8, interior_max(el, em)))
         sq, m0 = theta_square_residual(jn)
@@ -122,7 +123,7 @@ def test_criterion_2_lsp_euclidean(ladders):
             for k in range(n):
                 lvl = ladders[n].with_active(k)
                 w = phi_euclidean(lvl, lam)
-                j = theta_of(lvl.active_rung, "analytic")
+                j = theta_of(lvl.active_rung)
                 u1, u2 = u_pair(j, lam)
                 r1, r2, m = lsp_residual(w, u1, u2)
                 worst = max(interior_max(r1, m), interior_max(r2, m))
@@ -149,7 +150,7 @@ def test_criterion_4_tangent_theorem(ladders, traveling):
     t0 = time.perf_counter()
     entries = []
 
-    j = theta_of(ladders[2].rungs[0], "analytic")
+    j = theta_of(ladders[2].rungs[0])
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     w = euclidean_wave(j, 0, LAM_E)
@@ -186,12 +187,12 @@ def test_criterion_5_euclidean_positive(ladders):
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     for n in (2, 3):
         for k in range(n):
-            j = theta_of(ladders[n].rungs[k], "analytic")
+            j = theta_of(ladders[n].rungs[k])
             q = conformal_characteristic(spec, j)
             builder = lambda jd, k=k: euclidean_wave(jd, k, LAM_E)  # noqa: E731
             w = builder(j)
             (prw_phi,), (a, b) = frechet_apply([wave_functional(builder), u_functional(LAM_E)], j, q)
-            d1phi, d2phi, dm = chart_first_derivatives(w.field())
+            d1phi, d2phi, dm = chart_first_derivatives(w)
             fv = spec.f(j.grid)[..., None, None]
             gv = spec.g(j.grid)[..., None, None]
             d = interior_max(
@@ -213,8 +214,8 @@ def test_criterion_6_traveling_wave(traveling):
     grid = wave.grid
     wm = phi_traveling(wave, jets, LAM_M)
     builder = lambda jd: phi_traveling(wave, jd, LAM_M)  # noqa: E731
-    komm = commutator(jets.d1, jets.theta)
-    ktil = wm.inverse() @ komm @ wm.phi
+    komm = commutator(jets.d1, jets.values)
+    ktil = wm.inverse() @ komm @ wm.values
     chi = wave.chi(LAM_M)
 
     # (a) closed expression for the prolonged surface
@@ -262,7 +263,7 @@ def test_criterion_6_traveling_wave(traveling):
 def test_criterion_7_commutation(ladders, traveling):
     t0 = time.perf_counter()
     entries = []
-    j = theta_of(ladders[2].rungs[0], "analytic")
+    j = theta_of(ladders[2].rungs[0])
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     gs = [
@@ -288,7 +289,7 @@ def test_criterion_7_commutation(ladders, traveling):
     # step-size order, probed on the lowering operator (the jet-quadratic
     # functionals above have exact difference quotients, so they carry no
     # step truncation to measure)
-    j1 = theta_of(ladders[2].rungs[1], "analytic")
+    j1 = theta_of(ladders[2].rungs[1])
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
     g = lowering_functional()
@@ -305,7 +306,7 @@ def test_criterion_7_commutation(ladders, traveling):
     hs = []
     for h in (0.012, 0.006, 0.003):
         gh = euclid_grid(h)
-        jh = theta_of(veronese_ladder(2, gh).rungs[1], "analytic")
+        jh = theta_of(veronese_ladder(2, gh).rungs[1])
         qh = conformal_characteristic(spec, jh)
         pol_h = FrechetPolicy(eps_base=1e-3)
         (prw_g,), prw_dg = frechet_apply(
@@ -328,19 +329,19 @@ def _refinement_table():
     """
 
     def el_defect(h):
-        jn = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[0], "numeric-stencil")
+        jn = theta_of(bare(veronese_ladder(2, euclid_grid(h)).rungs[0]))
         el, m = el_residual(jn)
         return interior_max(el, m)
 
     def comm_identity_defect(h):
-        jn = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[0], "numeric-stencil")
+        jn = theta_of(bare(veronese_ladder(2, euclid_grid(h)).rungs[0]))
         ci, m = theta_comm_identity_residual(jn)
         return interior_max(ci, m)
 
     def lsp_euclid_defect(h):
         lvl = veronese_ladder(3, euclid_grid(h)).with_active(2)
         w = phi_euclidean(lvl, 0.5)
-        j = theta_of(lvl.active_rung, "analytic")
+        j = theta_of(lvl.active_rung)
         u1, u2 = u_pair(j, 0.5)
         r1, r2, m = lsp_residual(w, u1, u2)
         return max(interior_max(r1, m), interior_max(r2, m))
@@ -353,7 +354,7 @@ def _refinement_table():
         return max(interior_max(r1, m), interior_max(r2, m))
 
     def euclid_tangent_defect(h):
-        j = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[0], "analytic")
+        j = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[0])
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         w = euclidean_wave(j, 0, LAM_E)
         f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
@@ -364,21 +365,21 @@ def _refinement_table():
         wave, jets = traveling_solution(KAPPA, OMEGA, mink_grid(h))
         wm = phi_traveling(wave, jets, LAM_M)
         specq = ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
-        komm = commutator(jets.d1, jets.theta)
+        komm = commutator(jets.d1, jets.values)
         coeff = (
             -2 * specq.f(wave.grid)
             - 2 * KAPPA * specq.g(wave.grid)
             + 2 * specq.f1(wave.grid) * wave.chi(LAM_M)
         )
         calf_closed = MatrixField(
-            wave.grid, coeff[..., None, None] * (wm.inverse() @ komm @ wm.phi), 0
+            wave.grid, coeff[..., None, None] * (wm.inverse() @ komm @ wm.values), 0
         )
         r1, r2 = traveling_R_fields(specq, wave, jets, LAM_M)
         return max(tangent_check(calf_closed, wm, r1, r2))
 
     def commutation_defect_h(h):
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
-        jh = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[1], "analytic")
+        jh = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[1])
         qh = conformal_characteristic(spec, jh)
         pol_h = FrechetPolicy(eps_base=1e-3)
         (prw_g,), prw_dg = frechet_apply(

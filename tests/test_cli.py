@@ -367,6 +367,37 @@ def test_cli_immerse_grid_too_small_for_the_margins_is_a_config_error(tmp_path, 
         assert "immersion-report.json" in os.listdir(out)
 
 
+@pytest.mark.parametrize(
+    "n, k, side, stem, reason",
+    [
+        (3, 2, 13, "immersion", "requires su(2) fields"),
+        (2, 1, 11, "prolonged", "margin too large to trim"),
+    ],
+    ids=["not-su2", "margin-covers-grid"],
+)
+def test_cli_export_obj_that_cannot_be_embedded_is_a_config_error(
+    tmp_path, capsys, n, k, side, stem, reason
+):
+    # immerse exits 0 on both, but an su(3) surface has no R^3 embedding,
+    # and trimming the margin 2 of an 11^2 field leaves fewer than 9 nodes
+    cfg = {**README_EUCLID, "n": n, "solution": {"kind": "veronese", "k": k},
+           "grid": {"origin": [0.0, 0.0], "spacing": [0.02, 0.02], "dims": [side, side]}}
+    imm = str(tmp_path / "imm")
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", imm]) == 0
+    src = os.path.join(imm, f"{stem}.npz")
+    field, _ = read_field(src)
+    assert (field.n, field.margin) == (n, 2)
+    outputs = [{"format": "csv", "input": src, "path": "ok.csv"},
+               {"format": "obj", "input": src, "path": "surface.obj"}]
+    exp = write_cfg(tmp_path, {**cfg, "outputs": outputs}, name="exp.json")
+    out = tmp_path / "exp"
+    capsys.readouterr()
+    assert main(["export", "--config", exp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: key 'outputs[1]': ") and reason in err
+    assert "surface.obj" not in os.listdir(out)
+
+
 def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, capsys):
     # the config parses, but the phase chi [theta_1, theta] of the wave
     # function overflows
@@ -378,6 +409,21 @@ def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, caps
     assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: keys 'solution', 'grid', 'lambda' and 'symmetry': ")
+    assert os.listdir(out) == []
+
+
+def test_cli_immerse_singular_wave_function_is_a_config_error(tmp_path, capsys):
+    # the config parses, but the traveling-wave Phi at lambda = 11i is
+    # exactly singular at a node in floating point, so it has no inverse
+    cfg = {**README_MINK, "solution": {"kind": "traveling", "kappa": 1673.0, "omega": 1.0},
+           "grid": {"origin": [0.0, 0.0], "spacing": [1.0, 1.0], "dims": [9, 9]},
+           "lambda": [0.0, 11.0], "symmetry": {"f": [], "g": []}}
+    del cfg["a_coeffs"]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: keys 'solution', 'grid' and 'lambda': ")
     assert os.listdir(out) == []
 
 
@@ -415,8 +461,8 @@ def test_cli_immerse_deep_rung_sums_stored_rungs(tmp_path):
 
     wave, lam = read_field(os.path.join(out, "wave.npz"))
     grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (21, 21))
-    j = theta_of(veronese_ladder(4, grid).rungs[3], "analytic")
-    r1, r2, m = lsp_residual(WaveField(grid, lam, wave.values, wave.margin), *u_pair(j, lam))
+    j = theta_of(veronese_ladder(4, grid).rungs[3])
+    r1, r2, m = lsp_residual(WaveField(grid, wave.values, wave.margin, lam=lam), *u_pair(j, lam))
     assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
 
 
@@ -488,12 +534,18 @@ def _configs(draw) -> dict:
     return _mutated(draw, obj, mutate)
 
 
+def _quiet_main(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
 @given(obj=_configs() | _ANY)
 @example(obj={"space": "minkowski", "solution": {"kind": "traveling", "omega": 1.4e154}})
 @example(obj={"space": "euclidean", "solution": {"kind": "veronese"}, "lambda": [1.3e308, 1.3e308]})
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_every_config_parses_or_is_rejected_and_solves(obj):
-    # every parsed config solves, and immerses when it has an ingredient
+    # every parsed config solves, and immerses when it has an ingredient;
+    # every surface that immerse writes exports to each format or exits 2
     try:
         cfg = parse_config(obj)
     except ConfigError:
@@ -509,9 +561,17 @@ def test_every_config_parses_or_is_rejected_and_solves(obj):
             json.dump(run, fh)
         for command, report in commands.items():
             out = os.path.join(tmp, command)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, "--config", path, "--out", out])
+            code = _quiet_main([command, "--config", path, "--out", out])
             assert code in (0, 2), command
             if code == 0:
                 with open(os.path.join(out, report)) as fh:
                     json.load(fh, parse_constant=lambda name: pytest.fail(f"bare {name} in {report}"))
+            if command == "immerse" and code == 0:
+                surface = os.path.join(out, "immersion.npz")
+                for fmt in ("obj", "csv", "json"):
+                    outputs = [{"format": fmt, "input": surface, "path": f"f.{fmt}"}]
+                    exp = os.path.join(tmp, f"export-{fmt}.json")
+                    with open(exp, "w") as fh:
+                        json.dump({**run, "outputs": outputs}, fh)
+                    argv = ["export", "--config", exp, "--out", os.path.join(tmp, "export")]
+                    assert _quiet_main(argv) in (0, 2), fmt

@@ -53,28 +53,28 @@ LAM_M = 0.5
 
 def identity_wave(grid, n, lam=0.0):
     vals = np.broadcast_to(np.eye(n), (grid.n2, grid.n1, n, n)).astype(complex).copy()
-    return WaveField(grid=grid, lam=lam, phi=vals, margin=0)
+    return WaveField(grid, vals, 0, lam=lam)
 
 
 def test_assemble_requires_ingredient():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     with pytest.raises(ValueError):
         assemble_tangents(ImmersionInputs(), j, LAM_E)
 
 
 def test_u_dlambda_coefficients():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     du1, du2 = u_dlambda(j, LAM_E)
-    k1 = commutator(j.d1, j.theta)
-    k2 = commutator(j.d2, j.theta)
+    k1 = commutator(j.d1, j.values)
+    k2 = commutator(j.d2, j.values)
     assert interior_max(fro(du1.values - 2 / (1 + LAM_E) ** 2 * k1), du1.margin) < 1e-14
     assert interior_max(fro(du2.values + 2 / (1 - LAM_E) ** 2 * k2), du2.margin) < 1e-14
 
 
 def test_integrate_zero_tangents():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
-    zero = MatrixField(GRID, np.zeros_like(j.theta), 0)
+    zero = MatrixField(GRID, np.zeros_like(j.values), 0)
     res = integrate_surface(zero, zero, w)
     assert interior_max(fro(res.field.values), res.field.margin) < 1e-15
     assert res.path_defect < 1e-15
@@ -100,7 +100,7 @@ def test_integrate_constant_commuting_tangents():
 
 
 def test_integrate_basepoint_and_validation():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
@@ -112,7 +112,7 @@ def test_integrate_basepoint_and_validation():
 
 def test_integrated_matches_closed_form_conformal():
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
@@ -128,7 +128,7 @@ def test_integrated_matches_closed_form_conformal():
 
 
 def test_incompatible_pair_warns():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(u1.values), u1.margin)
@@ -139,7 +139,7 @@ def test_incompatible_pair_warns():
 
 
 def test_sym_tafel_euclid():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
@@ -160,21 +160,21 @@ def test_sym_tafel_traveling_closed_form():
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     dphi = traveling_wave_dlambda(WAVE_M, JET_M, w)
     fst = sym_tafel(w, dphi, 1.5)
-    komm = commutator(JET_M.d1, JET_M.theta)
+    komm = commutator(JET_M.d1, JET_M.values)
     expected = (
         1.5
         * 2.0
         * WAVE_M.dlambda_chi(LAM_M)[..., None, None]
-        * (w.inverse() @ komm @ w.phi)
+        * (w.inverse() @ komm @ w.values)
     )
     assert interior_max(fro(fst.values - expected), fst.margin) < 1e-12
 
 
 def test_gauge_immersion():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
-    zero = MatrixField(GRID, np.zeros_like(j.theta), 0)
+    zero = MatrixField(GRID, np.zeros_like(j.values), 0)
     # the gauge immersion is F = Phi^-1 S Phi
     f0 = MatrixField(GRID, w.conjugate(zero.values), max(w.margin, zero.margin))
     assert interior_max(fro(f0.values), f0.margin) == 0
@@ -188,7 +188,7 @@ def test_gauge_immersion():
     basis = su_basis(2)
     x, y = GRID.mesh()
     rng = np.random.default_rng(7)
-    s2_vals = np.zeros_like(j.theta)
+    s2_vals = np.zeros_like(j.values)
     for e in basis.elements:
         c = rng.standard_normal(4)
         poly = (c[0] + c[1] * x + c[2] * y + c[3] * x * y)[..., None, None]
@@ -206,7 +206,7 @@ def test_gauge_immersion():
 def test_gauge_term_cancels_for_commuting_constant():
     # constant S commuting with both connection components: A = B = 0
     inp = ImmersionInputs(
-        gauge=constant_field(GRID_M, commutator(JET_M.d1, JET_M.theta)[50, 50])
+        gauge=constant_field(GRID_M, commutator(JET_M.d1, JET_M.values)[50, 50])
     )
     a, b = assemble_tangents(inp, JET_M, LAM_M)
     assert interior_max(fro(a.values), a.margin) < 1e-13
@@ -214,7 +214,7 @@ def test_gauge_term_cancels_for_commuting_constant():
 
 
 def test_assemble_additivity():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     s = constant_field(GRID, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
     ((pw1, pw2),) = frechet_apply([u_functional(LAM_E)], j, conformal_characteristic(spec, j))
@@ -231,7 +231,7 @@ def test_assemble_additivity():
 
 
 def test_conformal_zero_spec():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     f = conformal_immersion_closed(ConformalSpec.euclidean((0.0,)), j, w, LAM_E)
     assert interior_max(fro(f.values), f.margin) == 0
@@ -242,24 +242,24 @@ def test_traveling_conformal_closed_form_reduction():
     spec = ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7))
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     f = conformal_immersion_closed(spec, JET_M, w, LAM_M)
-    komm = commutator(JET_M.d1, JET_M.theta)
+    komm = commutator(JET_M.d1, JET_M.values)
     coeff = -2 * (
         spec.f(GRID_M) / (1 + LAM_M) + WAVE_M.kappa * spec.g(GRID_M) / (1 - LAM_M)
     )
-    expected = coeff[..., None, None] * (w.inverse() @ komm @ w.phi)
+    expected = coeff[..., None, None] * (w.inverse() @ komm @ w.values)
     assert interior_max(fro(f.values - expected), f.margin) < 1e-12
 
 
 def test_prolong_immersion_trivial_and_psi():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
-    zero_q = MatrixField(GRID, np.zeros_like(j.theta), 0)
+    zero_q = MatrixField(GRID, np.zeros_like(j.values), 0)
     ((prw_phi,),) = frechet_apply([wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E))], j, zero_q)
     calf = explicit_immersion(w, prw_phi)
     assert interior_max(fro(calf.values), calf.margin) < 1e-12
 
     # Psi = Phi F trivia and the deformed linear system
-    zero_f = MatrixField(GRID, np.zeros_like(j.theta), 0)
+    zero_f = MatrixField(GRID, np.zeros_like(j.values), 0)
     assert interior_max(fro(psi_of(zero_f, w).values), 0) == 0
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
@@ -271,7 +271,7 @@ def test_prolong_immersion_trivial_and_psi():
 
 
 def test_psi_sym_tafel_is_dlambda_phi():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
     fst = sym_tafel(w, dphi, 1.0)
@@ -284,16 +284,16 @@ def test_rank_degeneracy_and_gauge_restoration():
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     u1, u2 = u_pair(JET_M, LAM_M)
     r1, r2 = traveling_R_fields(spec, WAVE_M, JET_M, LAM_M)
-    t1 = MatrixField(GRID_M, w.inverse() @ r1.values @ w.phi, r1.margin)
-    t2 = MatrixField(GRID_M, w.inverse() @ r2.values @ w.phi, r2.margin)
+    t1 = MatrixField(GRID_M, w.inverse() @ r1.values @ w.values, r1.margin)
+    t2 = MatrixField(GRID_M, w.inverse() @ r2.values @ w.values, r2.margin)
     rep = linear_independence_report(t1, t2)
     assert rep["max_min_eigenvalue"] < 1e-10  # a curve, not a surface
     s = constant_field(GRID_M, 1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
     tg1 = MatrixField(
-        GRID_M, w.inverse() @ (r1.values + commutator(s.values, u1.values)) @ w.phi, r1.margin
+        GRID_M, w.inverse() @ (r1.values + commutator(s.values, u1.values)) @ w.values, r1.margin
     )
     tg2 = MatrixField(
-        GRID_M, w.inverse() @ (r2.values + commutator(s.values, u2.values)) @ w.phi, r2.margin
+        GRID_M, w.inverse() @ (r2.values + commutator(s.values, u2.values)) @ w.values, r2.margin
     )
     rep2 = linear_independence_report(tg1, tg2)
     assert rep2["max_min_eigenvalue"] > 1e-3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ContractedToZero, build_ladder, lower_projector, raise_projector
+from oracles import ContractedToZero, bare, build_ladder, lower_projector, raise_projector
 from solsurf.errors import ChartMismatch, LambdaSingular
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -12,7 +12,6 @@ from solsurf.fields import (
 )
 from solsurf.matlie import commutator, dagger, fro, mm, trace
 from solsurf.sigma import (
-    ProjectorField,
     el_residual,
     theta_comm_identity_residual,
     theta_of,
@@ -63,8 +62,8 @@ def test_veronese_ladder_rungs_match_single_fields(n):
         rung = ladder.rungs[k]
         assert np.array_equal(rung.values, single.values)
         for name in ("d1", "d2", "d11", "d12", "d22"):
-            assert np.array_equal(getattr(rung.jets, name), getattr(single.jets, name))
-        assert (rung.jets.margin1, rung.jets.margin2) == (single.jets.margin1, single.jets.margin2)
+            assert np.array_equal(getattr(rung, name), getattr(single, name))
+        assert (rung.margin1, rung.margin2) == (single.margin1, single.margin2)
 
 
 def test_veronese_invariants_and_chart():
@@ -80,7 +79,7 @@ def test_veronese_invariants_and_chart():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_veronese_el_residual(n):
-    jn = theta_of(veronese_field(n, GRID), "numeric-stencil")
+    jn = theta_of(bare(veronese_field(n, GRID)))
     el, m = el_residual(jn)
     assert interior_max(el, m) < 1e-8
 
@@ -101,7 +100,7 @@ def test_zero_curvature_tracks_el_residual():
         el, em = el_residual(j)
         return interior_max(fro(zc), m), interior_max(el, em)
 
-    j = theta_of(veronese_field(2, GRID), "numeric-stencil")
+    j = theta_of(bare(veronese_field(2, GRID)))
     zc0, el0 = zc_and_el(j)
     assert zc0 < 1e-7 and el0 < 1e-8
 
@@ -109,14 +108,12 @@ def test_zero_curvature_tracks_el_residual():
     scale = (GRID.n1 - 1) * GRID.h1 / 2
     bump = 0.01 * np.exp(-((x / scale) ** 2 + (y / scale) ** 2) * 8)
     direction = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
-    perturbed = ProjectorField(
-        MatrixField(
-            GRID,
-            np.eye(2) / 2 - 1j * (j.theta + bump[..., None, None] * direction),
-            0,
-        )
+    perturbed = MatrixField(
+        GRID,
+        np.eye(2) / 2 - 1j * (j.values + bump[..., None, None] * direction),
+        0,
     )
-    jp = theta_of(perturbed, "numeric-stencil")
+    jp = theta_of(perturbed)
     zc1, el1 = zc_and_el(jp)
     assert el1 > 1e-4
     assert zc1 < 50 * el1  # grid-dependent constant, order one here
@@ -124,28 +121,26 @@ def test_zero_curvature_tracks_el_residual():
 
 def test_el_residual_sensitivity():
     # a smooth non-solution bump must be detected
-    j = theta_of(veronese_field(2, GRID), "numeric-stencil")
+    j = theta_of(bare(veronese_field(2, GRID)))
     x, y = GRID.mesh()
     scale = (GRID.n1 - 1) * GRID.h1 / 2
     bump = 0.01 * np.exp(-((x / scale) ** 2 + (y / scale) ** 2) * 8)
     direction = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
-    perturbed = MatrixField(GRID, j.theta + bump[..., None, None] * direction, 0)
-    jp = theta_of(
-        ProjectorField(MatrixField(GRID, np.eye(2) / 2 - 1j * perturbed.values, 0)),
-        "numeric-stencil",
-    )
+    perturbed = MatrixField(GRID, j.values + bump[..., None, None] * direction, 0)
+    jp = theta_of(MatrixField(GRID, np.eye(2) / 2 - 1j * perturbed.values, 0))
     el, m = el_residual(jp)
     assert interior_max(el, m) > 1e-4
 
 
 def test_theta_identities():
-    for provenance in ("numeric-stencil", "analytic"):
-        j = theta_of(veronese_field(2, GRID), provenance)
+    # the stencil route from a bare field, the exact one from a JetField
+    for p in (bare(veronese_field(2, GRID)), veronese_field(2, GRID)):
+        j = theta_of(p)
         i2, i1 = GRID.n2 // 2, GRID.n1 // 2
-        assert np.allclose(j.theta[i2, i1], np.diag([0.5j, -0.5j]))
+        assert np.allclose(j.values[i2, i1], np.diag([0.5j, -0.5j]))
         # N=2 forces theta^2 = -I/4
-        sq = j.theta @ j.theta
-        assert interior_max(fro(sq + np.eye(2) / 4), j.margin0) < 1e-13
+        sq = j.values @ j.values
+        assert interior_max(fro(sq + np.eye(2) / 4), j.margin) < 1e-13
         res, m = theta_square_residual(j)
         assert interior_max(res, m) < 1e-10
         res, m = theta_comm_identity_residual(j)
@@ -154,8 +149,25 @@ def test_theta_identities():
         assert interior_max(res, m) < 1e-10
 
 
+def test_theta_of_takes_exact_jets_from_a_jet_field_and_stencils_from_a_bare_one():
+    from solsurf.fields import chart_jets
+
+    p = veronese_field(2, GRID)
+    exact = theta_of(p)
+    for name in ("d1", "d2", "d11", "d12", "d22"):
+        assert np.array_equal(getattr(exact, name), 1j * getattr(p, name))
+    assert (exact.margin, exact.margin1, exact.margin2) == (0, 0, 0)
+    stencil = theta_of(bare(p))
+    ref = chart_jets(MatrixField(GRID, exact.values, 0))
+    for name in ("d1", "d2", "d11", "d12", "d22"):
+        assert np.array_equal(getattr(stencil, name), getattr(ref, name), equal_nan=True)
+    assert (stencil.margin, stencil.margin1, stencil.margin2) == (0, 2, 4)
+    assert np.array_equal(stencil.values, exact.values)
+    assert interior_max(fro(stencil.d12 - exact.d12), stencil.margin2) < 1e-6
+
+
 def test_raise_lower_ladder_cp1():
-    p0 = ProjectorField(veronese_field(2, GRID).field)  # stencil route
+    p0 = bare(veronese_field(2, GRID))  # stencil route
     p1 = raise_projector(p0)
     # complement structure for N = 2
     assert interior_max(fro(p1.values + p0.values - np.eye(2)), p1.margin) < 1e-9
@@ -166,7 +178,7 @@ def test_raise_lower_ladder_cp1():
 
 
 def test_build_ladder_cp2():
-    p0 = ProjectorField(veronese_field(3, GRID).field)
+    p0 = bare(veronese_field(3, GRID))
     ladder = build_ladder(p0)
     assert len(ladder) == 3
     assert ladder.orthogonality_defect() < 1e-9
@@ -182,7 +194,7 @@ def test_build_ladder_cp2():
 
 def test_numeric_ladder_matches_analytic():
     analytic = veronese_ladder(3, GRID)
-    p0 = ProjectorField(analytic.rungs[0].field)
+    p0 = bare(analytic.rungs[0])
     numeric = build_ladder(p0)
     for k in range(3):
         m = max(numeric.rungs[k].margin, 4)
@@ -196,16 +208,16 @@ def test_analytic_ladder_exactness():
     assert ladder.completeness_residual() < 1e-13
     # exact jets satisfy the equation of motion identically
     for k in range(3):
-        j = theta_of(ladder.rungs[k], "analytic")
+        j = theta_of(ladder.rungs[k])
         el, m = el_residual(j)
         assert interior_max(el, m) < 1e-14
 
 
 def test_u_pair_values_and_errors():
-    j = theta_of(veronese_field(2, GRID), "analytic")
+    j = theta_of(veronese_field(2, GRID))
     u1, u2 = u_pair(j, 0.0)
-    assert interior_max(fro(u1.values + 2 * commutator(j.d1, j.theta)), u1.margin) < 1e-14
-    assert interior_max(fro(u2.values + 2 * commutator(j.d2, j.theta)), u2.margin) < 1e-14
+    assert interior_max(fro(u1.values + 2 * commutator(j.d1, j.values)), u1.margin) < 1e-14
+    assert interior_max(fro(u2.values + 2 * commutator(j.d2, j.values)), u2.margin) < 1e-14
     for lam in (1.0, -1.0, 1.0 + 1e-9j):
         with pytest.raises(LambdaSingular):
             u_pair(j, lam)
@@ -214,7 +226,7 @@ def test_u_pair_values_and_errors():
 def test_traveling_wave_structure():
     wave, j = traveling_solution(2.0, 1.0, GRID_M)
     # frozen oracle from the 2x2 multiplication: [theta_1, theta] = omega [[0,1],[-1,0]]
-    komm = commutator(j.d1, j.theta)
+    komm = commutator(j.d1, j.values)
     expected = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     assert np.max(fro(komm - expected)) < 1e-12
     # traveling constraint is exact
@@ -223,7 +235,7 @@ def test_traveling_wave_structure():
     from solsurf.fields import chart_first_derivatives
 
     for beta_jet in (j.d1, j.d2):
-        cf = MatrixField(GRID_M, commutator(beta_jet, j.theta), 0)
+        cf = MatrixField(GRID_M, commutator(beta_jet, j.values), 0)
         d1c, d2c, m = chart_first_derivatives(cf)
         assert interior_max(fro(d1c), m) < 1e-12
         assert interior_max(fro(d2c), m) < 1e-12
@@ -274,16 +286,16 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
     coeffs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     v = coeffs[0] + np.sin(x1)[..., None] * coeffs[1] + (x1 * x2)[..., None] * coeffs[2]
     p = v[..., :, None] * v.conj()[..., None, :] / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
-    j = theta_of(ProjectorField(MatrixField(grid, p, 1)))
+    j = theta_of(MatrixField(grid, p, 1))
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q = np.cos(x2 - x1)[..., None, None] * (a - dagger(a))
     q_jets = chart_jets(MatrixField(grid, q, 1))
     eps = 1e-3
-    jd = j.deformed(eps, q, q_jets)
-    theta_ref = _eager_second_jets(j.theta, grid)
+    jd = j.deformed(eps, q_jets)
+    theta_ref = _eager_second_jets(j.values, grid)
     q_ref = _eager_second_jets(q, grid)
     deformed_ref = tuple(t + eps * s for t, s in zip(theta_ref, q_ref))
     for lazy, ref in ((j, theta_ref), (q_jets, q_ref), (jd, deformed_ref)):
         for got, want in zip((lazy.d11, lazy.d12, lazy.d22), ref):
             assert np.array_equal(got, want, equal_nan=True)
-    assert (jd.margin1, jd.margin2) == (3, 5)
+    assert (jd.margin, jd.margin1, jd.margin2) == (1, 3, 5)

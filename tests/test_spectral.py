@@ -5,7 +5,7 @@ from oracles import dlambda_fd
 from solsurf.errors import LambdaSingular
 from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, interior_max
 from solsurf.matlie import fro
-from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
+from solsurf.sigma import projector, theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import (
     WaveField,
     _cond2,
@@ -29,11 +29,11 @@ WAVE_M, JET_M = traveling_solution(2.0, 1.0, GRID_M)
 def test_wave_base_level_formula():
     # the sum over lowered rungs is empty at the bottom of the ladder
     lam = 0.5
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, lam)
     _, beta = euclidean_wave_coefficients(lam)
     expected = np.eye(2) + beta * LADDER2.rungs[0].values
-    assert interior_max(fro(w.phi - expected), w.margin) < 1e-14
+    assert interior_max(fro(w.values - expected), w.margin) < 1e-14
 
 
 @pytest.mark.parametrize("n,ladder", [(2, LADDER2), (3, LADDER3)])
@@ -42,7 +42,7 @@ def test_lsp_residual_all_levels(n, ladder, lam):
     for k in range(n):
         lvl = ladder.with_active(k)
         w = phi_euclidean(lvl, lam)
-        j = theta_of(lvl.active_rung, "analytic")
+        j = theta_of(lvl.active_rung)
         u1, u2 = u_pair(j, lam)
         r1, r2, m = lsp_residual(w, u1, u2)
         assert interior_max(r1, m) < 1e-7
@@ -50,7 +50,7 @@ def test_lsp_residual_all_levels(n, ladder, lam):
 
 
 def test_lambda_singular():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     with pytest.raises(LambdaSingular):
         euclidean_wave(j, 0, 1.0)
     with pytest.raises(LambdaSingular):
@@ -61,7 +61,7 @@ def test_jet_lowering_depth_limit():
     from solsurf.errors import DeformationOutOfDomain
     from solsurf.spectral import lowered_rungs_from_jets
 
-    j = theta_of(LADDER3.rungs[2], "analytic")
+    j = theta_of(LADDER3.rungs[2])
     assert len(lowered_rungs_from_jets(j, 2)) == 2
     with pytest.raises(DeformationOutOfDomain):
         lowered_rungs_from_jets(j, 3)
@@ -72,7 +72,7 @@ def test_jet_lowering_matches_stored_rungs():
     # solution these are the stored ladder rungs
     from solsurf.spectral import lowered_rungs_from_jets
 
-    j = theta_of(LADDER3.rungs[2], "analytic")
+    j = theta_of(LADDER3.rungs[2])
     r1, r2 = lowered_rungs_from_jets(j, 2)
     assert interior_max(fro(r1 - LADDER3.rungs[1].values), 0) < 1e-12
     assert interior_max(fro(r2 - LADDER3.rungs[0].values), 0) < 1e-12
@@ -83,8 +83,8 @@ def test_value_only_lowering_is_bit_exact_and_skips_derivatives(ladder, monkeypa
     import solsurf.spectral as spectral
     from solsurf.matlie import mm, trace
 
-    j = theta_of(ladder.rungs[1], "analytic")
-    p, d1p, d2p = j.projector(), -1j * j.d1, -1j * j.d2
+    j = theta_of(ladder.rungs[1])
+    p, d1p, d2p = projector(j), -1j * j.d1, -1j * j.d2
     full = spectral.lowered_rung_with_jets(p, d1p, d2p, j)[0]
     num = mm(mm(d2p, p), d1p)
     by_hand = num * (1.0 / trace(num))[..., None, None]
@@ -99,7 +99,7 @@ def test_value_only_lowering_is_bit_exact_and_skips_derivatives(ladder, monkeypa
     assert np.array_equal(value, full, equal_nan=True)
     assert np.array_equal(value, by_hand, equal_nan=True)
     if ladder is LADDER3:
-        spectral.lowered_rungs_from_jets(theta_of(ladder.rungs[2], "analytic"), 2)
+        spectral.lowered_rungs_from_jets(theta_of(ladder.rungs[2]), 2)
         assert calls == [1]
 
 
@@ -113,8 +113,8 @@ def test_deep_ladder_stored_rung_wave():
     w = phi_euclidean(lvl, lam)
     c, beta = euclidean_wave_coefficients(lam)
     stored = np.eye(4) + beta * ladder.rungs[3].values + c * sum(r.values for r in ladder.rungs[:3])
-    assert interior_max(fro(w.phi - stored), w.margin) < 1e-14
-    j = theta_of(lvl.active_rung, "analytic")
+    assert interior_max(fro(w.values - stored), w.margin) < 1e-14
+    j = theta_of(lvl.active_rung)
     u1, u2 = u_pair(j, lam)
     r1, r2, m = lsp_residual(w, u1, u2)
     assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
@@ -127,11 +127,11 @@ def test_wave_linearity_reconstruction():
     w = phi_euclidean(lvl, lam)
     c, beta = euclidean_wave_coefficients(lam)
     k = 2
-    recon = np.broadcast_to(np.eye(3), w.phi.shape).astype(complex).copy()
+    recon = np.broadcast_to(np.eye(3), w.values.shape).astype(complex).copy()
     recon = recon + beta * LADDER3.rungs[2].values
     for m in range(k):
         recon = recon + c * LADDER3.rungs[m].values
-    assert interior_max(fro(w.phi - recon), w.margin) < 1e-14
+    assert interior_max(fro(w.values - recon), w.margin) < 1e-14
 
 
 def test_wave_invertibility_diagnostics():
@@ -161,7 +161,7 @@ def test_closed_form_condition_number_matches_svd():
     assert np.isnan(_cond2(np.full((2, 2), np.nan), np.nan))
     assert _cond2(np.ones((2, 2), dtype=complex), 0.0) == np.inf
     g = Grid2(CHART_MINKOWSKI, dims=(50, 40))
-    diag = wave_diagnostics(WaveField(g, 0.5, rank1 + 1e-7 * x))
+    diag = wave_diagnostics(WaveField(g, rank1 + 1e-7 * x, lam=0.5))
     ref = np.linalg.cond(rank1 + 1e-7 * x).max()
     assert abs(diag["max_condition"] / ref - 1) <= 8 * eps * ref
 
@@ -173,7 +173,7 @@ def test_traveling_wave_lsp_and_det():
     r1, r2, m = lsp_residual(w, u1, u2)
     assert interior_max(r1, m) < 1e-8
     assert interior_max(r2, m) < 1e-8
-    det = np.linalg.det(w.phi)
+    det = np.linalg.det(w.values)
     assert np.max(np.abs(det - det[50, 50])) < 1e-10
 
 
@@ -182,7 +182,7 @@ def test_wave_inverse_computed_once():
     inv_phi = w.inverse()
     assert w.inverse() is inv_phi
     assert not inv_phi.flags.writeable
-    assert interior_max(fro(inv_phi @ w.phi - np.eye(2)), w.margin) < 1e-12
+    assert interior_max(fro(inv_phi @ w.values - np.eye(2)), w.margin) < 1e-12
 
 
 def test_traveling_wave_chi_zero_axis():
@@ -190,7 +190,7 @@ def test_traveling_wave_chi_zero_axis():
     lam = 0.5
     w = phi_traveling(WAVE_M, JET_M, lam)
     i2, i1 = GRID_M.n2 // 2, GRID_M.n1 // 2
-    assert fro(w.phi[i2, i1] - 2j * JET_M.theta[i2, i1]) < 1e-14
+    assert fro(w.values[i2, i1] - 2j * JET_M.values[i2, i1]) < 1e-14
 
 
 def test_lsp_residual_trivial_phi():
@@ -199,10 +199,7 @@ def test_lsp_residual_trivial_phi():
     from solsurf.spectral import WaveField
 
     ident = WaveField(
-        grid=GRID_M,
-        lam=lam,
-        phi=np.broadcast_to(np.eye(2), JET_M.theta.shape).astype(complex).copy(),
-        margin=0,
+        GRID_M, np.broadcast_to(np.eye(2), JET_M.values.shape).astype(complex).copy(), lam=lam
     )
     r1, r2, m = lsp_residual(ident, u1, u2)
     assert interior_max(np.abs(r1 - fro(u1.values)), m) < 1e-12
@@ -225,7 +222,7 @@ def test_traveling_lsp_fourth_order_refinement():
 def test_dlambda_euclid_analytic_vs_fd():
     lam = 0.5
     for k, ladder in ((0, LADDER2), (2, LADDER3)):
-        j = theta_of(ladder.rungs[k], "analytic")
+        j = theta_of(ladder.rungs[k])
         analytic = euclidean_wave_dlambda(ladder.with_active(k), lam)
         fd = dlambda_fd(lambda l, j=j, k=k: euclidean_wave(j, k, l), lam)
         m = max(analytic.margin, fd.margin)

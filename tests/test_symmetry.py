@@ -51,7 +51,7 @@ complex_coeff = st.tuples(
 @given(st.lists(complex_coeff, min_size=1, max_size=4))
 @settings(max_examples=15, deadline=None)
 def test_conformal_characteristic_stays_in_algebra(coeffs):
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     spec = ConformalSpec.euclidean(tuple(coeffs))
     q = conformal_characteristic(spec, j)
     assert interior_max(fro(q.values + dagger(q.values)), q.margin) < 1e-12
@@ -71,7 +71,7 @@ def test_conformal_spec_validation():
 
 
 def test_characteristic_values():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     zero = conformal_characteristic(ConformalSpec.euclidean((0.0,)), j)
     assert interior_max(fro(zero.values), zero.margin) == 0
     trans = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
@@ -85,19 +85,19 @@ def test_characteristic_values():
 
 
 def test_frechet_identity_and_first_jet():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     (ident,), (prw_d1, _) = frechet_apply([theta_functional(), theta_derivatives_functional()], j, q)
     assert interior_max(fro(ident.values - q.values), ident.margin) < 1e-10
     from solsurf.fields import chart_jets
 
-    qj = chart_jets(MatrixField(j.grid, q.values, q.margin))
+    qj = chart_jets(q)
     assert interior_max(fro(prw_d1.values - qj.d1), max(prw_d1.margin, qj.margin1)) < 1e-8
 
 
 def test_frechet_linearity_in_q():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     q1 = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
     q2 = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     qsum = MatrixField(j.grid, q1.values + q2.values, max(q1.margin, q2.margin))
@@ -109,7 +109,7 @@ def test_frechet_linearity_in_q():
 
 
 def test_prolong_u_closed_vs_deformation():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     pw1, pw2 = prolong_u(spec, j, LAM_E)
@@ -129,7 +129,7 @@ def test_prolong_u_closed_vs_deformation():
 
 def test_prolong_u_translation():
     # constant coefficients: pr w u1 = c1 D1 u1 + c2 D2 u1
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     spec = ConformalSpec.euclidean((2.0,))
     pw1, _ = prolong_u(spec, j, LAM_E)
     du1_1, du1_2 = u_derivatives_functional(LAM_E, 1)(j)
@@ -138,7 +138,7 @@ def test_prolong_u_translation():
 
 
 def test_prolong_u_zero():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     pw1, pw2 = prolong_u(ConformalSpec.euclidean((0.0,)), j, LAM_E)
     assert interior_max(fro(pw1.values), pw1.margin) == 0
     assert interior_max(fro(pw2.values), pw2.margin) == 0
@@ -146,11 +146,11 @@ def test_prolong_u_zero():
 
 @pytest.mark.parametrize("control", ["positive", "negative"])
 def test_el_symmetry_defect_is_compatibility_of_prolonged_pair(control):
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     if control == "positive":
         q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     else:
-        q = MatrixField(j.grid, j.theta.copy(), j.margin0)
+        q = MatrixField(j.grid, j.values.copy(), j.margin)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     u1, u2 = u_pair(j, LAM_E)
     assert el_symmetry_defect(q, j, LAM_E) == compatibility_defect(a, b, u1, u2)
@@ -175,7 +175,7 @@ def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(
     # the pair shares its deformations, and each component is the same
     # difference quotient as when it is prolonged on its own; the lowered
     # rung is rational in the jets, so Richardson doubles the cost
-    j = theta_of(LADDER2.rungs[1], "analytic")
+    j = theta_of(LADDER2.rungs[1])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     pol = FrechetPolicy(richardson=richardson)
     g = lowering_derivatives_functional()
@@ -194,7 +194,7 @@ def test_quadratic_pair_costs_one_central_pair(monkeypatch, richardson):
     # the connection pair is quadratic in the jets: under either policy it
     # takes only the +/- eps pair, and each component is bit-exactly the
     # plain central difference of that component alone
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     steps = _count_deformations(monkeypatch)
     (pair,) = frechet_apply([u_functional(LAM_E)], j, q, FrechetPolicy(richardson=richardson))
@@ -213,7 +213,7 @@ def test_shared_prolongation_is_bit_exact_and_steps_only_non_quadratic(monkeypat
     # the functional's own call bit for bit, each deformation is built
     # once, and the half step evaluates only the functionals not marked
     # quadratic
-    j = theta_of(LADDER2.rungs[1], "analytic")
+    j = theta_of(LADDER2.rungs[1])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     pol = FrechetPolicy(richardson=richardson)
     gs = [
@@ -267,7 +267,7 @@ def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
         return diff2(*args, **kwargs)
 
     monkeypatch.setattr(fields, "diff2", counting)
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     frechet_apply([functional], j, q)
     assert sorted(calls) == axes
@@ -306,7 +306,7 @@ def test_quadratic_functionals_have_exact_central_differences(name):
     # (the lowered rung) differs at O(eps^2), which is what the Richardson
     # half step removes
     g = FUNCTIONALS[name]
-    j = theta_of(LADDER2.rungs[1], "analytic")
+    j = theta_of(LADDER2.rungs[1])
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
     whole, half = (
         frechet_apply([g], j, q, FrechetPolicy(eps_base=eps, richardson=False))[0]
@@ -330,17 +330,17 @@ def test_compatibility_defect_reexported_by_immersion():
 
 
 def test_el_symmetry_defect_positive_negative():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     assert el_symmetry_defect(q, j, LAM_E) < 1e-6
-    qneg = MatrixField(j.grid, j.theta.copy(), j.margin0)
+    qneg = MatrixField(j.grid, j.values.copy(), j.margin)
     assert el_symmetry_defect(qneg, j, LAM_E) > 1e-3
-    zero = MatrixField(j.grid, np.zeros_like(j.theta), 0)
+    zero = MatrixField(j.grid, np.zeros_like(j.values), 0)
     assert el_symmetry_defect(zero, j, LAM_E) < 1e-15
 
 
 def test_lsp_symmetry_defect_euclid():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     g = wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E), LAM_E)
     ((_, r1, r2),) = frechet_apply([g], j, q)
@@ -356,7 +356,7 @@ def test_lsp_symmetry_defect_traveling_criteria():
     spec_q = ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
     qq = conformal_characteristic(spec_q, JET_M)
     ((_, r1, r2),) = frechet_apply([g], JET_M, qq)
-    d1phi, _, dm = chart_first_derivatives(w.field())
+    d1phi, _, dm = chart_first_derivatives(w)
     pred = (-(spec_q.f11(GRID_M)) * WAVE_M.chi(LAM_M) * (1 + LAM_M))[..., None, None] * d1phi
     assert interior_max(fro(r1.values - pred), max(r1.margin, dm)) < 1e-6
     assert interior_max(fro(r1.values), r1.margin) > 0.1
@@ -376,7 +376,7 @@ def test_lsp_symmetry_defect_traveling_criteria():
 
 def test_traveling_R_fields():
     kappa, lam = WAVE_M.kappa, LAM_M
-    komm = commutator(JET_M.d1, JET_M.theta)
+    komm = commutator(JET_M.d1, JET_M.values)
     # constants: both vanish
     spec_c = ConformalSpec.minkowski((0.4,), (-0.2,))
     r1, r2 = traveling_R_fields(spec_c, WAVE_M, JET_M, lam)
@@ -396,7 +396,7 @@ def test_traveling_R_fields():
 
 
 def test_commutation_defect_small():
-    j = theta_of(LADDER2.rungs[0], "analytic")
+    j = theta_of(LADDER2.rungs[0])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = [
         theta_functional(),
@@ -410,7 +410,7 @@ def test_commutation_defect_small():
 
 
 def test_commutation_orders():
-    j1 = theta_of(LADDER2.rungs[1], "analytic")
+    j1 = theta_of(LADDER2.rungs[1])
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
     g = lowering_functional()
@@ -426,7 +426,7 @@ def test_commutation_orders():
     hs = []
     for h in (0.012, 0.006):
         gh = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (101, 101))
-        jh = theta_of(veronese_ladder(2, gh).rungs[1], "analytic")
+        jh = theta_of(veronese_ladder(2, gh).rungs[1])
         qh = conformal_characteristic(spec, jh)
         pol = FrechetPolicy(eps_base=1e-3)
         (prw_g,), prw_dg = frechet_apply(
