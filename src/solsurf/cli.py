@@ -46,7 +46,7 @@ from .immersion import (
     sym_tafel,
     tangent_check,
 )
-from .matlie import NonFiniteMatrix, fro, su_basis
+from .matlie import NonFiniteMatrix, constant, fro, su_basis
 from .sigma import (
     JetField,
     el_residual,
@@ -134,12 +134,12 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
         name = cfg.gauge["preset"]
         basis = su_basis(cfg.n)
         if name == "diag":
-            mat = basis.elements[-1]
+            mat = basis.elements[..., -1]
         elif name == "offdiag":
-            mat = basis.elements[0]
+            mat = basis.elements[..., 0]
         else:
             raise ConfigError(f"key 'gauge.preset': unknown preset {name!r}")
-        vals = np.broadcast_to(mat, j.values.shape).copy()
+        vals = np.broadcast_to(constant(mat), j.values.shape).copy()
         return MatrixField(j.grid, vals, 0)
     field, _ = _read_input(cfg.gauge["file"], "gauge.file")
     if field.grid != j.grid or field.n != cfg.n:
@@ -260,30 +260,40 @@ def cmd_verify(cfg: RunConfig | None, suite: str, outdir: str) -> int:
 
 
 def cmd_export(cfg: RunConfig, outdir: str) -> int:
-    """Each entry is converted before its file is opened, so an entry that
-    cannot be exported exits 2 without leaving a partial file."""
-    os.makedirs(outdir, exist_ok=True)
+    """Each entry is converted and written to a temporary file beside its
+    target, one at a time, and renamed into place once the last entry has
+    succeeded, so an export that exits 2 leaves no file behind."""
     if not cfg.outputs:
         raise ConfigError("key 'outputs' is empty; nothing to export")
-    for i, entry in enumerate(cfg.outputs):
-        field, lam = _read_input(entry["input"], f"outputs[{i}].input")
-        dst = os.path.join(outdir, entry["path"])
-        if entry["format"] == "obj":
-            # su(2) only, and the trimmed grid must keep the minimum node count
-            try:
-                points = embed_su2(trim_margin(field))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"key 'outputs[{i}]': cannot export {entry['input']!r} as obj: {exc}"
-                ) from exc
-        os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
-        if entry["format"] == "json":
-            write_field_json(dst, field, lam)
-        elif entry["format"] == "csv":
-            write_scalar_csv(dst, field.grid, fro(field.values), field.margin)
-        else:
-            export_obj(dst, points)
-        print(f"wrote {dst}")
+    staged: list[tuple[str, str]] = []
+    try:
+        for i, entry in enumerate(cfg.outputs):
+            field, lam = _read_input(entry["input"], f"outputs[{i}].input")
+            if entry["format"] == "obj":
+                # su(2) only, and the trimmed grid must keep the minimum node count
+                try:
+                    points = embed_su2(trim_margin(field))
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"key 'outputs[{i}]': cannot export {entry['input']!r} as obj: {exc}"
+                    ) from exc
+            dst = os.path.join(outdir, entry["path"])
+            os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
+            tmp = f"{dst}.{os.getpid()}.{i}.tmp"
+            staged.append((tmp, dst))
+            if entry["format"] == "json":
+                write_field_json(tmp, field, lam)
+            elif entry["format"] == "csv":
+                write_scalar_csv(tmp, field.grid, fro(field.values), field.margin)
+            else:
+                export_obj(tmp, points)
+        for tmp, dst in staged:
+            os.replace(tmp, dst)
+            print(f"wrote {dst}")
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return 0
 
 

@@ -13,13 +13,14 @@ symmetry characteristic Q, a Veronese projector rung, the traveling wave
 and every deformation theta + eps Q are all `JetField`s; `chart_jets`
 makes one from any field by stencils.
 
-Axis convention: arrays are indexed [i2, i1, ...] (row-major by (i2, i1)),
-so axis 1 runs along the first grid coordinate and axis 0 along the
-second.  On the Euclidean chart the grid axes are the real and imaginary
-parts of a complex coordinate xi, and the abstract derivative pair is
-D1 = (d/dx - i d/dy)/2, D2 = (d/dx + i d/dy)/2.  On the Minkowski chart
-the axes are the two lightcone coordinates themselves and D1, D2 are the
-plain axis derivatives.
+Axis convention: a matrix field is a (n, n, n2, n1) array, matrix axes
+first (see :mod:`solsurf.matlie`), and a scalar field a (n2, n1) array, so
+axis -1 runs along the first grid coordinate and axis -2 along the second.
+Field files keep the node-major (n2, n1, n, n) order.  On the Euclidean
+chart the grid axes are the real and imaginary parts of a complex
+coordinate xi, and the abstract derivative pair is D1 = (d/dx - i d/dy)/2,
+D2 = (d/dx + i d/dy)/2.  On the Minkowski chart the axes are the two
+lightcone coordinates themselves and D1, D2 are the plain axis derivatives.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class Grid2:
 
 @dataclass(frozen=True)
 class MatrixField:
-    """Matrix-valued field: values (n2, n1, n, n) plus a trust margin."""
+    """Matrix-valued field: values (n, n, n2, n1) plus a trust margin."""
 
     grid: Grid2
     values: np.ndarray
@@ -156,12 +157,12 @@ class MatrixField:
 
     def __post_init__(self) -> None:
         v = self.values
-        if v.ndim != 4 or v.shape[:2] != (self.grid.n2, self.grid.n1):
+        if v.ndim != 4 or v.shape[2:] != (self.grid.n2, self.grid.n1):
             raise ValueError(f"field shape {v.shape} does not match grid {self.grid.dims}")
 
     @property
     def n(self) -> int:
-        return self.values.shape[-1]
+        return self.values.shape[0]
 
 
 def trim_margin(f: MatrixField) -> MatrixField:
@@ -190,8 +191,8 @@ def same_grid(*fields: MatrixField) -> Grid2:
 
 def interior(x: np.ndarray, margin: int) -> np.ndarray:
     """The nodes of ``x`` inside ``margin`` boundary layers on both grid
-    axes, as a view; raises `MarginExhausted` when none is left."""
-    inner = x[margin:-margin, margin:-margin] if margin else x
+    axes (its last two), as a view; raises `MarginExhausted` if none is left."""
+    inner = x[..., margin:-margin, margin:-margin] if margin else x
     if inner.size == 0:
         raise MarginExhausted("the stencil margins leave no interior node")
     return inner
@@ -299,8 +300,8 @@ class JetField(MatrixField):
 
 def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int]:
     g = f.grid
-    dx = diff1(f.values, g.h1, axis=1)
-    dy = diff1(f.values, g.h2, axis=0)
+    dx = diff1(f.values, g.h1, axis=-1)
+    dy = diff1(f.values, g.h2, axis=-2)
     if g.chart == CHART_EUCLIDEAN:
         return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy), f.margin + 2
     return dx, dy, f.margin + 2
@@ -327,11 +328,11 @@ def chart_jets(f: MatrixField) -> JetField:
 
 def _chart_second_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g = f.grid
-    dxx = diff2(f.values, g.h1, axis=1)
-    dyy = diff2(f.values, g.h2, axis=0)
+    dxx = diff2(f.values, g.h1, axis=-1)
+    dyy = diff2(f.values, g.h2, axis=-2)
     # the x-derivative is recomputed rather than kept from the first-order
     # pass, so no stencil temporary outlives the call that made it
-    dxy = diff1(diff1(f.values, g.h1, axis=1), g.h2, axis=0)
+    dxy = diff1(diff1(f.values, g.h1, axis=-1), g.h2, axis=-2)
     if g.chart == CHART_EUCLIDEAN:
         return (
             0.25 * (dxx - dyy - 2j * dxy),
@@ -390,7 +391,8 @@ def write_field(path: str, f: MatrixField, lam: complex | None = None) -> None:
         "format": np.array(FIELD_FORMAT),
         "grid": np.array(json.dumps(f.grid.to_json(), sort_keys=True)),
         "margin": np.array(f.margin),
-        "values": np.asarray(f.values, dtype=complex),
+        # np.savez streams the transposed view without a full copy
+        "values": _file_order(np.asarray(f.values, dtype=complex)),
     }
     if lam is not None:
         arrays["lambda"] = np.array(complex(lam))
@@ -420,7 +422,8 @@ def read_field(path: str) -> tuple[MatrixField, complex | None]:
         raise FieldFileError(f"{path!r}: not a {FIELD_FORMAT} file")
     try:
         grid = Grid2.from_json(json.loads(str(stored["grid"])))
-        field = MatrixField(grid, stored["values"], int(stored["margin"]))
+        values = np.ascontiguousarray(_file_order(stored.pop("values")))
+        field = MatrixField(grid, values, int(stored["margin"]))
         lam = complex(stored["lambda"]) if "lambda" in stored else None
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldFileError(f"{path!r}: malformed field file: {exc}") from exc
@@ -430,7 +433,7 @@ def read_field(path: str) -> tuple[MatrixField, complex | None]:
 def write_field_json(path: str, f: MatrixField, lam: complex | None = None) -> None:
     """JSON export: the grid, ``n``, ``margin`` and the values as flat
     row-major ``re``/``im`` lists, non-finite entries as null."""
-    values = np.asarray(f.values, dtype=complex)
+    values = _file_order(np.asarray(f.values, dtype=complex))
     obj: dict = {
         "format": FIELD_FORMAT,
         "grid": f.grid.to_json(),
@@ -443,6 +446,12 @@ def write_field_json(path: str, f: MatrixField, lam: complex | None = None) -> N
         obj["lambda"] = [float(np.real(lam)), float(np.imag(lam))]
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
+def _file_order(values: np.ndarray) -> np.ndarray:
+    """In-memory (n, n, n2, n1) values as the files' node-major (n2, n1, n, n)
+    view, and back: the only place the matrix axes change places."""
+    return values.transpose(2, 3, 0, 1)
 
 
 def _finite_list(a: np.ndarray) -> list:
@@ -466,10 +475,11 @@ def _read_field_export(path: str) -> tuple[MatrixField, complex | None]:
     try:
         grid = Grid2.from_json(obj["grid"])
         n = int(obj["n"])
-        values = np.empty((grid.n2, grid.n1, n, n), dtype=complex)
+        values = np.empty((n, n, grid.n2, grid.n1), dtype=complex)
+        stored = _file_order(values)
         # null entries become NaN
-        values.real = np.array(obj["re"], dtype=float).reshape(values.shape)
-        values.imag = np.array(obj["im"], dtype=float).reshape(values.shape)
+        stored.real = np.array(obj["re"], dtype=float).reshape(stored.shape)
+        stored.imag = np.array(obj["im"], dtype=float).reshape(stored.shape)
         field = MatrixField(grid, values, int(obj["margin"]))
         lam = complex(*obj["lambda"]) if "lambda" in obj else None
     except (KeyError, TypeError, ValueError) as exc:

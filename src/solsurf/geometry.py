@@ -27,9 +27,9 @@ def embed_su2(f: MatrixField) -> np.ndarray:
     if f.n != 2:
         raise ValueError("embedding into R^3 requires su(2) fields")
     v = f.values
-    a = 0.5 * np.imag(v[..., 0, 1] + v[..., 1, 0])
-    b = 0.5 * np.real(v[..., 0, 1] - v[..., 1, 0])
-    c = np.imag(v[..., 0, 0])
+    a = 0.5 * np.imag(v[0, 1] + v[1, 0])
+    b = 0.5 * np.real(v[0, 1] - v[1, 0])
+    c = np.imag(v[0, 0])
     return np.stack([a, b, c], axis=-1)
 
 

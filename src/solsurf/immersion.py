@@ -30,7 +30,7 @@ from .fields import (
     interior_max,
     same_grid,
 )
-from .matlie import commutator, fro, inner, mm, project_su
+from .matlie import commutator, constant, fro, inner, mm, project_su
 from .sigma import JetField, check_lambda, u_pair
 from .spectral import WaveField
 from .symmetry import ConformalSpec, compatibility_defect
@@ -200,15 +200,15 @@ def integrate_surface(
     gx, gy = _axis_integrands(grid, at, bt)
     j1c, j2c = i1c - m, i2c - m
 
-    ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=1)
-    ia = ia - ia[:, j1c : j1c + 1]
-    ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=0)
-    ib = ib - ib[j2c : j2c + 1, :]
+    ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=-1)
+    ia = ia - ia[..., j1c : j1c + 1]
+    ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=-2)
+    ib = ib - ib[..., j2c : j2c + 1, :]
 
     # x1 first: run along the basepoint row, then up each column.
-    f_12 = ia[j2c : j2c + 1, :] + ib
+    f_12 = ia[..., j2c : j2c + 1, :] + ib
     # x2 first: run along the basepoint column, then across each row.
-    f_21 = ib[:, j1c : j1c + 1] + ia
+    f_21 = ib[..., j1c : j1c + 1] + ia
     path_defect = float(np.nanmax(fro(f_12 - f_21)))
 
     f_full = np.full_like(at, np.nan)
@@ -287,12 +287,15 @@ def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> MatrixField:
 def constant_difference_check(
     f: MatrixField, calf: MatrixField
 ) -> tuple[np.ndarray, float]:
-    """Grid mean of F - calF and the worst deviation from that mean."""
+    """Grid mean of F - calF and the worst deviation from that mean.  The mean
+    leaves NaN nodes out and sums the rest in row-major order, one by one."""
     same_grid(f, calf)
     m = max(f.margin, calf.margin)
     diff = interior(f.values - calf.values, m)
-    mean = np.nanmean(diff.reshape(-1, diff.shape[-2], diff.shape[-1]), axis=0)
-    variation = float(np.nanmax(fro(diff - mean)))
+    nodes = diff.reshape(diff.shape[:2] + (-1,))
+    finite = ~np.isnan(nodes)
+    mean = np.cumsum(np.where(finite, nodes, 0), axis=-1)[..., -1] / finite.sum(axis=-1)
+    variation = float(np.nanmax(fro(diff - constant(mean))))
     return mean, variation
 
 

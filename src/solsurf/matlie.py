@@ -1,10 +1,12 @@
 """Dense complex matrices and the su(N) layer.
 
-Matrices are numpy complex arrays of shape (..., n, n); every operation
-broadcasts over the leading axes, so a "matrix field" on a grid is just a
-(n2, n1, n, n) array.  su(N) elements are anti-Hermitian traceless
-matrices; the pairing -1/2 Re tr(XY) is positive definite on them and is
-the metric used for all geometry downstream.
+Matrices are numpy complex arrays with the matrix axes first, (n, n, ...),
+and every operation broadcasts over the trailing axes: a "matrix field" is
+a (n, n, n2, n1) array, each entry [i, j] one contiguous (n2, n1) plane.
+A scalar field of shape (n2, n1) broadcasts against it as it stands; a
+constant matrix takes trailing unit axes from `constant`.  su(N) elements
+are anti-Hermitian traceless matrices; the pairing -1/2 Re tr(XY) is
+positive definite on them and is the metric used for all geometry downstream.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ __all__ = [
     "NonFiniteMatrix",
     "SuBasis",
     "commutator",
+    "constant",
     "dagger",
     "det",
     "expm",
     "fro",
+    "identity",
     "inner",
     "inv",
     "mm",
@@ -30,9 +34,6 @@ __all__ = [
     "su_basis",
     "trace",
 ]
-
-TOL_ALG = 1e-12
-
 
 class DimensionMismatch(ValueError):
     """Operands act on different matrix dimensions."""
@@ -42,95 +43,106 @@ class NonFiniteMatrix(ValueError):
     """Matrix contains NaN or Inf entries where finite values are required."""
 
 
+def constant(m: np.ndarray, ndim: int = 4) -> np.ndarray:
+    """The (n, n) matrix ``m`` with trailing unit axes up to ``ndim``, so it
+    broadcasts against a matrix field on any grid."""
+    m = np.asarray(m)
+    return m.reshape(m.shape + (1,) * (ndim - m.ndim))
+
+
+def identity(n: int, ndim: int = 4) -> np.ndarray:
+    """The n x n identity as a `constant`."""
+    return constant(np.eye(n), ndim)
+
+
+# `@` and numpy.linalg take the matrix axes last; only their fallbacks move them
+def _matrix_last(a: np.ndarray) -> np.ndarray:
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def _matrix_first(a: np.ndarray) -> np.ndarray:
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose, broadcasting over leading axes."""
-    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
+    """Conjugate transpose, broadcasting over trailing axes."""
+    return np.conj(np.swapaxes(np.asarray(m), 0, 1))
 
 
 def trace(m: np.ndarray) -> np.ndarray:
-    return np.einsum("...ii->...", np.asarray(m))
+    m = np.asarray(m)
+    return sum(m[i, i] for i in range(m.shape[0]))
 
 
 def fro(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the trailing matrix axes."""
+    """Frobenius norm over the leading matrix axes."""
     a = np.asarray(m)
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-1, -2)))
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(0, 1)))
 
 
 def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[-1] != y.shape[-1] or x.shape[-2] != y.shape[-2]:
-        raise DimensionMismatch(
-            f"matrix dims differ: {x.shape[-2:]} vs {y.shape[-2:]}"
-        )
+    if x.shape[:2] != y.shape[:2]:
+        raise DimensionMismatch(f"matrix dims differ: {x.shape[:2]} vs {y.shape[:2]}")
 
 
 # --- small-matrix kernels --------------------------------------------------------
 
-# Largest matrix dimension the unrolled and closed-form kernels handle.
+# Largest matrix dimension the closed-form determinant and inverse handle.
 SMALL_N = 3
+# Largest matrix dimension `mm` sums unrolled.
+MM_MAX_N = 5
 
 
 def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix product (numpy ``matmul``), broadcast over the leading axes.
+    """Matrix product, broadcast over the trailing axes.
 
-    For dimensions up to ``SMALL_N`` every output entry is written as the
-    sum over the inner index, ``x[..., i, j] * y[..., j, l]`` for j = 0, 1,
-    ..., each term a whole-field array operation.  numpy's ``@`` on a
-    (n2, n1, n, n) stack spends nearly all its time dispatching one tiny
-    product per node.  Timings on 101^2 complex128 stacks (2-vCPU Xeon,
-    numpy 2.4, one BLAS thread; range of the medians of five runs):
-
-    ====  ===============  ================
-    n     ``@``            unrolled sum
-    ====  ===============  ================
-    2     2.9 - 4.4 ms     0.4 - 0.6 ms
-    3     3.8 - 5.1 ms     2.2 - 2.7 ms
-    4     4.8 - 5.3 ms     8.1 - 9.8 ms
-    ====  ===============  ================
-
-    At n = 4 the 64 terms cost more than the dispatch, hence the cutoff:
-    larger matrices use ``@``.  The summation order differs from BLAS, so
-    results agree with ``@`` to rounding only.
-
-    Storing fields with the matrix axes first, (n, n, n2, n1), makes each
-    term contiguous, and a 2x2 product then takes 0.26 - 0.33 ms.  Every
-    caller holds (n2, n1, n, n) fields, though, and converting the layout
-    on each call brings it to 0.56 - 0.68 ms, slower than the unrolled sum
-    in place, so the field layout is kept.
+    For dimensions up to ``MM_MAX_N`` every output entry is written as the
+    sum over the inner index, ``x[i, j] * y[j, l]`` for j = 0, 1, ...,
+    each term one operation on contiguous whole-field planes; numpy's
+    ``@`` spends nearly all its time dispatching one tiny product per node.
+    Medians of 21 runs on complex128 fields (2-vCPU Xeon, numpy 2.4, one
+    BLAS thread): on 101^2 nodes the sum takes 0.17, 0.79, 1.9, 4.2 and
+    8.0 ms for n = 2 .. 6, against 7.3, 7.2 and 17 ms for ``@`` (matrix
+    axes moved last) at n = 4, 5 and 6, and 0.57 and 3.6 ms for the same
+    sum over the node-major (n2, n1, n, n) layout at n = 2 and 3.  On
+    201^2 nodes it still beats ``@`` at n = 5, 34 against 58 ms, but at
+    n = 6 the best runs of ``@`` win on 301^2 nodes, 121 against 139 ms,
+    hence the cutoff.  The summation order differs from BLAS, so results
+    agree with ``@`` to rounding only.
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    n, k = x.shape[-2:]
-    if y.shape[-2] != k:
-        raise ValueError(f"inner dimensions differ: {x.shape[-2:]} times {y.shape[-2:]}")
-    m = y.shape[-1]
-    if max(n, k, m) > SMALL_N:
-        return x @ y
-    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    out = np.empty(lead + (n, m), dtype=np.result_type(x, y))
+    n, k = x.shape[:2]
+    if y.shape[0] != k:
+        raise ValueError(f"inner dimensions differ: {x.shape[:2]} times {y.shape[:2]}")
+    m = y.shape[1]
+    if max(n, k, m) > MM_MAX_N:
+        return _matrix_first(_matrix_last(x) @ _matrix_last(y))
+    lead = np.broadcast_shapes(x.shape[2:], y.shape[2:])
+    out = np.empty((n, m) + lead, dtype=np.result_type(x, y))
     for i in range(n):
         for l in range(m):
-            acc = x[..., i, 0] * y[..., 0, l]
+            acc = out[i, l, ...]
+            np.multiply(x[i, 0], y[0, l], out=acc)
             for j in range(1, k):
-                acc += x[..., i, j] * y[..., j, l]
-            out[..., i, l] = acc
+                acc += x[i, j] * y[j, l]
     return out
 
 
 def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
     """Signed cofactor C_ij of a 2x2 or 3x3 matrix."""
-    if a.shape[-1] == 2:
-        c = a[..., 1 - i, 1 - j]
+    if a.shape[0] == 2:
+        c = a[1 - i, 1 - j]
         return c if i == j else -c
     # cyclic index order carries the sign (-1)^(i+j)
     i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+    return a[i1, j1] * a[i2, j2] - a[i1, j2] * a[i2, j1]
 
 
 def _det_small(a: np.ndarray) -> np.ndarray:
-    d = a[..., 0, 0] * _cofactor(a, 0, 0)
-    for j in range(1, a.shape[-1]):
-        d = d + a[..., 0, j] * _cofactor(a, 0, j)
+    d = a[0, 0] * _cofactor(a, 0, 0)
+    for j in range(1, a.shape[0]):
+        d = d + a[0, j] * _cofactor(a, 0, j)
     return d
 
 
@@ -145,30 +157,31 @@ def _inv_small(a: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("Singular matrix")
     with np.errstate(invalid="ignore"):
         r = np.where(np.isfinite(d), 1.0 / d, np.nan)
-    n = a.shape[-1]
+    n = a.shape[0]
     out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
     for i in range(n):
         for j in range(n):
-            out[..., j, i] = _cofactor(a, i, j) * r
+            out[j, i] = _cofactor(a, i, j) * r
     return out
 
 
 def _on_finite_nodes(fn, a: np.ndarray) -> np.ndarray:
-    """A numpy.linalg routine on the finite nodes of ``a``; the rest come out NaN."""
-    ok = np.isfinite(a).all(axis=(-1, -2))
+    """``fn``, which maps a (n, n, k) stack to (..., k), on the finite nodes
+    of ``a``; the rest come out NaN."""
+    ok = np.isfinite(a).all(axis=(0, 1))
     if ok.all():
         return fn(a)
-    res = fn(a[ok])
-    out = np.full(a.shape[:-2] + res.shape[1:], np.nan, dtype=res.dtype)
-    out[ok] = res
+    res = fn(a[..., ok])
+    out = np.full(res.shape[:-1] + ok.shape, np.nan, dtype=res.dtype)
+    out[..., ok] = res
     return out
 
 
 def det(a: np.ndarray) -> np.ndarray:
     """Determinant per node: cofactor expansion for n <= SMALL_N."""
     a = np.asarray(a)
-    if not 2 <= a.shape[-1] <= SMALL_N:
-        return _on_finite_nodes(np.linalg.det, a)
+    if not 2 <= a.shape[0] <= SMALL_N:
+        return _on_finite_nodes(lambda b: np.linalg.det(_matrix_last(b)), a)
     return _det_small(a)
 
 
@@ -179,8 +192,8 @@ def inv(a: np.ndarray) -> np.ndarray:
     ``np.linalg.LinAlgError``.
     """
     a = np.asarray(a)
-    if not 2 <= a.shape[-1] <= SMALL_N:
-        return _on_finite_nodes(np.linalg.inv, a)
+    if not 2 <= a.shape[0] <= SMALL_N:
+        return _on_finite_nodes(lambda b: _matrix_first(np.linalg.inv(_matrix_last(b))), a)
     return _inv_small(a)
 
 
@@ -205,12 +218,12 @@ def project_su(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(s, defect)`` where ``s = (M - M†)/2 - tr((M - M†)/2)/N * I``
     and ``defect`` is the Frobenius norm of the discarded part.  Broadcasts;
-    ``defect`` has the leading shape.
+    ``defect`` has the trailing shape.
     """
     a = np.asarray(m, dtype=complex)
-    n = a.shape[-1]
+    n = a.shape[0]
     anti = 0.5 * (a - dagger(a))
-    s = anti - (trace(anti) / n)[..., None, None] * np.eye(n)
+    s = anti - trace(anti) / n * identity(n, a.ndim)
     return s, fro(a - s)
 
 
@@ -226,8 +239,8 @@ def _expm2(a: np.ndarray) -> np.ndarray:
     So, IEEE TAC 38 (1993) 1228).  Both coefficients are even in s, so the
     branch of the square root does not matter.
     """
-    a00, a01 = a[..., 0, 0], a[..., 0, 1]
-    a10, a11 = a[..., 1, 0], a[..., 1, 1]
+    a00, a01 = a[0, 0], a[0, 1]
+    a10, a11 = a[1, 0], a[1, 1]
     h = 0.5 * (a00 - a11)
     s2 = h * h + a01 * a10
     s = np.sqrt(s2)
@@ -238,41 +251,36 @@ def _expm2(a: np.ndarray) -> np.ndarray:
     c = em * np.cosh(s)
     f = em * sinhc
     out = np.empty_like(a)
-    out[..., 0, 0] = c + f * h
-    out[..., 0, 1] = f * a01
-    out[..., 1, 0] = f * a10
-    out[..., 1, 1] = c - f * h
+    out[0, 0] = c + f * h
+    out[0, 1] = f * a01
+    out[1, 0] = f * a10
+    out[1, 1] = c - f * h
     return out
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of 2x2 matrices, batched over (..., 2, 2).
+    """Matrix exponential of 2x2 matrices, batched over (2, 2, ...).
 
     Takes the closed form of `_expm2`.  Its one caller, the traveling-wave
     wave function, is N = 2; other sizes raise ``ValueError``.  Nodes with
     a non-finite entry stay NaN.
     """
     a = np.asarray(m, dtype=complex)
-    if a.shape[-2:] != (2, 2):
+    if a.shape[:2] != (2, 2):
         raise ValueError(f"expm takes 2x2 matrices, got shape {a.shape}")
-    if np.isfinite(a).all():
-        return _expm2(a)
-    # batched fields: margin nodes carry NaN and stay NaN
-    ok = np.isfinite(a).all(axis=(-1, -2))
-    if a.ndim == 2 or not ok.any():
+    # a lone matrix must be finite, a field needs one finite node
+    if not np.isfinite(a).all(axis=(0, 1)).any():
         raise NonFiniteMatrix("expm requires finite entries")
-    out = np.full_like(a, np.nan)
-    out[ok] = _expm2(a[ok])
-    return out
+    return _on_finite_nodes(_expm2, a)
 
 
 @dataclass(frozen=True)
 class SuBasis:
     """Orthonormal anti-Hermitian traceless basis with structure constants.
 
-    ``elements`` has shape (s, n, n) with s = n^2 - 1; the basis is
-    orthonormal for :func:`inner`.  ``structure`` holds real c[k, l, j]
-    with [e_k, e_l] = sum_j c[k,l,j] e_j.
+    ``elements`` has shape (n, n, s) with s = n^2 - 1, element a being
+    ``elements[..., a]``; the basis is orthonormal for :func:`inner`.
+    ``structure`` holds real c[k, l, j] with [e_k, e_l] = sum_j c[k,l,j] e_j.
     """
 
     elements: np.ndarray
@@ -281,8 +289,8 @@ class SuBasis:
     def closure_residual(self) -> float:
         """max_{k,l} || [e_k, e_l] - c[k,l,j] e_j ||_F."""
         e = self.elements
-        comm = np.einsum("kab,lbc->klac", e, e) - np.einsum("lab,kbc->klac", e, e)
-        recon = np.einsum("klj,jab->klab", self.structure, e)
+        comm = np.einsum("abk,bcl->ackl", e, e) - np.einsum("abl,bck->ackl", e, e)
+        recon = np.einsum("klj,abj->abkl", self.structure, e)
         return float(np.max(fro(comm - recon)))
 
 
@@ -311,8 +319,8 @@ def su_basis(n: int) -> SuBasis:
         d[:l, :l] = np.eye(l)
         d[l, l] = -l
         elems.append(1j * math.sqrt(2.0 / (l * (l + 1))) * d)
-    e = np.array(elems)
-    comm = np.einsum("kab,lbc->klac", e, e) - np.einsum("lab,kbc->klac", e, e)
-    structure = np.real(np.einsum("jab,klba->klj", e, comm)) * (-0.5)
+    e = np.stack(elems, axis=-1)
+    comm = np.einsum("abk,bcl->ackl", e, e) - np.einsum("abl,bck->ackl", e, e)
+    structure = np.real(np.einsum("abj,bakl->klj", e, comm)) * (-0.5)
     return SuBasis(elements=e, structure=structure)
 

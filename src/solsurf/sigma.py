@@ -33,7 +33,7 @@ from .fields import (
     chart_jets,
     interior_max,
 )
-from .matlie import commutator, dagger, fro, mm
+from .matlie import commutator, dagger, fro, identity, mm
 
 __all__ = [
     "JetField",
@@ -64,7 +64,7 @@ def check_lambda(lam: complex) -> complex:
 
 def projector(j: JetField) -> np.ndarray:
     """P = I/N - i theta from the jets ``j`` of theta."""
-    return np.broadcast_to(np.eye(j.n) / j.n, j.values.shape) - 1j * j.values
+    return identity(j.n) / j.n - 1j * j.values
 
 
 def theta_of(p: MatrixField) -> JetField:
@@ -74,7 +74,7 @@ def theta_of(p: MatrixField) -> JetField:
     bare field is differentiated with 4th-order stencils.
     """
     n = p.n
-    theta = 1j * (p.values - np.eye(n) / n)
+    theta = 1j * (p.values - identity(n) / n)
     if not isinstance(p, JetField):
         return chart_jets(MatrixField(p.grid, theta, p.margin))
     # the second jets are at hand: scaling them now keeps the projector's
@@ -114,19 +114,14 @@ def el_residual(j: JetField) -> tuple[np.ndarray, int]:
 def theta_square_residual(j: JetField) -> tuple[np.ndarray, int]:
     """Defect of theta^2 = -i(2-N)/N theta + (1-N)/N I/N (rank-one algebra)."""
     n = j.n
-    e = np.eye(n) / n
-    res = (
-        mm(j.values, j.values)
-        + 1j * (2 - n) / n * j.values
-        - (1 - n) / n * np.broadcast_to(e, j.values.shape)
-    )
+    res = mm(j.values, j.values) + 1j * (2 - n) / n * j.values - (1 - n) / n * (identity(n) / n)
     return fro(res), j.margin
 
 
 def theta_comm_identity_residual(j: JetField) -> tuple[np.ndarray, int]:
     """Defect of [theta_1, theta](2i theta - (2-N) I/N) = -i theta_1."""
     n = j.n
-    m = 2j * j.values - (2 - n) * np.broadcast_to(np.eye(n) / n, j.values.shape)
+    m = 2j * j.values - (2 - n) * (identity(n) / n)
     res = mm(commutator(j.d1, j.values), m) + 1j * j.d1
     return fro(res), j.margin1
 
@@ -153,28 +148,24 @@ def _veronese_jets(n: int, xi: np.ndarray, kmax: int) -> list[dict[str, np.ndarr
     weights = [math.sqrt(math.comb(n - 1, k)) for k in range(n)]
     derivs: list[np.ndarray] = []
     for d in range(n):
-        comp = []
-        for k in range(n):
-            if k >= d:
-                fac = math.prod(range(k - d + 1, k + 1))
-                comp.append(weights[k] * fac * xi ** (k - d))
-            else:
-                comp.append(np.zeros(shape, dtype=complex))
-        derivs.append(np.stack(comp, axis=-1))
+        v = np.zeros((n,) + shape, dtype=complex)
+        for k in range(d, n):
+            v[k] = weights[k] * math.prod(range(k - d + 1, k + 1)) * xi ** (k - d)
+        derivs.append(v)
 
     frame: list[np.ndarray] = []
     for v in derivs:
         u = v.copy()
         for q in frame:
-            qq = np.einsum("...k,...k->...", q.conj(), q)
-            u = u - (np.einsum("...k,...k->...", q.conj(), v) / qq)[..., None] * q
+            qq = np.einsum("k...,k...->...", q.conj(), q)
+            u = u - np.einsum("k...,k...->...", q.conj(), v) / qq * q
         frame.append(u)
 
-    w = [np.einsum("...k,...k->...", u.conj(), u).real for u in frame]
-    zero = np.zeros(shape + (n, n), dtype=complex)
+    w = [np.einsum("k...,k...->...", u.conj(), u).real for u in frame]
+    zero = np.zeros((n, n) + shape, dtype=complex)
 
     def outer(a: np.ndarray, b: np.ndarray, wj: np.ndarray) -> np.ndarray:
-        return a[..., :, None] * b.conj()[..., None, :] / wj[..., None, None]
+        return a[:, None] * b.conj()[None, :] / wj
 
     proj = [outer(frame[k], frame[k], w[k]) for k in range(n)]
     hop = [outer(frame[k + 1], frame[k], w[k]) for k in range(n - 1)]
@@ -197,14 +188,14 @@ def _veronese_jets(n: int, xi: np.ndarray, kmax: int) -> list[dict[str, np.ndarr
             return zero
         two_up = outer(frame[k + 2], frame[k], w[k]) if k + 2 < n else zero
         skip = outer(frame[k + 1], frame[k - 1], w[k - 1]) if k >= 1 else zero
-        return two_up + (log_slope[k + 1] - log_slope[k])[..., None, None] * hop[k] - skip
+        return two_up + (log_slope[k + 1] - log_slope[k]) * hop[k] - skip
 
     rungs = []
     for k in range(kmax + 1):
         d1p = hop_at(k) - hop_at(k - 1)
         d12p = (
-            ratio_at(k)[..., None, None] * (proj_at(k + 1) - proj_at(k))
-            - ratio_at(k - 1)[..., None, None] * (proj_at(k) - proj_at(k - 1))
+            ratio_at(k) * (proj_at(k + 1) - proj_at(k))
+            - ratio_at(k - 1) * (proj_at(k) - proj_at(k - 1))
         )
         d11p = dhop(k) - dhop(k - 1)
         rungs.append(
@@ -245,9 +236,8 @@ class SolutionLadder:
 
     def completeness_residual(self) -> float:
         total = sum(r.values for r in self.rungs)
-        ident = np.broadcast_to(np.eye(self.n), total.shape)
         m = max(r.margin for r in self.rungs)
-        return interior_max(fro(total - ident), m)
+        return interior_max(fro(total - identity(self.n)), m)
 
     def orthogonality_defect(self) -> float:
         m = max(r.margin for r in self.rungs)
@@ -323,19 +313,6 @@ class TravelingWave:
         return x1 / (1 + lam) ** 2 - self.kappa * x2 / (1 - lam) ** 2
 
 
-def _rotating_theta(s: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """theta(s) and theta'(s) for the rotating rank-one solution."""
-    c = np.cos(2 * omega * s)
-    sn = np.sin(2 * omega * s)
-    theta = 0.5j * np.stack(
-        [np.stack([c, sn], axis=-1), np.stack([sn, -c], axis=-1)], axis=-2
-    )
-    dtheta = 1j * omega * np.stack(
-        [np.stack([-sn, c], axis=-1), np.stack([c, sn], axis=-1)], axis=-2
-    )
-    return theta, dtheta
-
-
 def traveling_solution(
     kappa: float, omega: float, grid: Grid2
 ) -> tuple[TravelingWave, JetField]:
@@ -346,8 +323,10 @@ def traveling_solution(
     [theta_1, theta] is the same constant matrix at every node.
     """
     wave = TravelingWave(kappa=kappa, omega=omega, grid=grid)
-    s = wave.s_field()
-    theta, dtheta = _rotating_theta(s, omega)
+    phase = 2 * omega * wave.s_field()
+    c, sn = np.cos(phase), np.sin(phase)
+    theta = 0.5j * np.array([[c, sn], [sn, -c]])
+    dtheta = 1j * omega * np.array([[-sn, c], [c, sn]])
     ddtheta = -4.0 * omega * omega * theta  # a float power would raise on overflow
     k = kappa
     jets = JetField(

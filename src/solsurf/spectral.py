@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeformationOutOfDomain
 from .fields import Grid2, MatrixField, chart_first_derivatives, interior, interior_max
-from .matlie import commutator, dagger, det, expm, fro, inv, mm, trace
+from .matlie import commutator, dagger, det, expm, fro, identity, inv, mm, trace
 from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, projector, theta_of
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "traveling_wave_dlambda",
     "wave_diagnostics",
 ]
-
-DET_FLOOR = 1e-10
-
 
 @dataclass(frozen=True, kw_only=True)
 class WaveField(MatrixField):
@@ -76,8 +73,8 @@ def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
     Unlike sqrt((p + s)^2 - 4|det|^2), the root has no cancellation near
     cond = 1.  NaN where ``det_phi`` is NaN, inf where it vanishes.
     """
-    a, b = phi[..., 0, 0], phi[..., 0, 1]
-    c, d = phi[..., 1, 0], phi[..., 1, 1]
+    a, b = phi[0, 0], phi[0, 1]
+    c, d = phi[1, 0], phi[1, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         p = a.real**2 + a.imag**2 + c.real**2 + c.imag**2
         s = b.real**2 + b.imag**2 + d.real**2 + d.imag**2
@@ -89,20 +86,16 @@ def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
 def wave_diagnostics(w: WaveField) -> dict[str, float]:
     """Invertibility and unitarity report over the trusted interior."""
     phi = w.values
-    ok = np.isfinite(phi).all(axis=(-1, -2))
-    det_phi = np.where(ok, det(np.where(ok[..., None, None], phi, 0.0)), np.nan)
-    ident = np.eye(w.n)
-    unit = np.where(
-        ok,
-        fro(np.where(ok[..., None, None], mm(dagger(phi), phi), 0.0) - ident),
-        np.nan,
-    )
+    ok = np.isfinite(phi).all(axis=(0, 1))
+    det_phi = np.where(ok, det(np.where(ok, phi, 0.0)), np.nan)
+    unit = np.where(ok, fro(np.where(ok, mm(dagger(phi), phi), 0.0) - identity(w.n)), np.nan)
     if w.n == 2:
         cond = _cond2(phi, det_phi)
     else:
-        cond = np.full(phi.shape[:2], np.nan)
+        cond = np.full(ok.shape, np.nan)
         if np.any(ok):
-            cond[ok] = np.linalg.cond(phi[ok])
+            # numpy.linalg takes the matrix axes last
+            cond[ok] = np.linalg.cond(np.moveaxis(phi[:, :, ok], -1, 0))
     m = w.margin
     return {
         "min_abs_det": float(np.nanmin(np.abs(interior(det_phi, m)))),
@@ -140,7 +133,7 @@ def _lowered_value(
     d2p_p = mm(d2p, p)
     num = mm(d2p_p, d1p)
     deninv = _guarded_reciprocal(trace(num), message)
-    return num * deninv[..., None, None], d2p_p, num, deninv
+    return num * deninv, d2p_p, num, deninv
 
 
 def lowered_rung_with_jets(
@@ -159,8 +152,8 @@ def lowered_rung_with_jets(
     d2num = mm(mm(d22p, p) + mm(d2p, d2p), d1p) + mm(d2p_p, d12p)
     d1den = trace(d1num)
     d2den = trace(d2num)
-    d1r = d1num * deninv[..., None, None] - num * (d1den * deninv**2)[..., None, None]
-    d2r = d2num * deninv[..., None, None] - num * (d2den * deninv**2)[..., None, None]
+    d1r = d1num * deninv - num * (d1den * deninv**2)
+    d2r = d2num * deninv - num * (d2den * deninv**2)
     return r, d1r, d2r
 
 
@@ -214,7 +207,7 @@ def _wave(grid: Grid2, lam: complex, terms: tuple[np.ndarray, list[np.ndarray], 
     """Phi = I + beta P + c (L(P) + ... + L^k(P)) from the terms P, L^m(P) and their margin."""
     c, beta = euclidean_wave_coefficients(lam)
     p, rungs, margin = terms
-    phi = np.broadcast_to(np.eye(p.shape[-1], dtype=complex), p.shape) + beta * p
+    phi = identity(p.shape[0]) + beta * p
     for rung in rungs:
         phi = phi + c * rung
     return WaveField(grid, phi, margin, lam=complex(lam))
@@ -258,15 +251,15 @@ def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
         raise ValueError("traveling-wave wave functions are implemented for N = 2")
     lam = check_lambda(lam)
     komm = commutator(j.d1, j.values)
-    tail = 2j * j.values - (2 - j.n) * np.broadcast_to(np.eye(j.n) / j.n, j.values.shape)
-    phi = mm(expm(2.0 * wave.chi(lam)[..., None, None] * komm), tail)
+    tail = 2j * j.values - (2 - j.n) * (identity(j.n) / j.n)
+    phi = mm(expm(2.0 * wave.chi(lam) * komm), tail)
     return WaveField(wave.grid, phi, j.margin, lam=complex(lam))
 
 
 def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> MatrixField:
     """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi, for the built Phi ``w``."""
     komm = commutator(j.d1, j.values)
-    out = 2.0 * wave.dlambda_chi(w.lam)[..., None, None] * mm(komm, w.values)
+    out = 2.0 * wave.dlambda_chi(w.lam) * mm(komm, w.values)
     return MatrixField(wave.grid, out, j.margin)
 
 

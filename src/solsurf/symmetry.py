@@ -167,7 +167,7 @@ class ConformalSpec:
     def along(self, grid: Grid2, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """f(x1) X1 + g(x2) X2: a pair of matrix fields combined along the
         symmetry's vector field."""
-        return self.f(grid)[..., None, None] * x1 + self.g(grid)[..., None, None] * x2
+        return self.f(grid) * x1 + self.g(grid) * x2
 
     @staticmethod
     def from_json(obj: dict, chart: str) -> "ConformalSpec":
@@ -360,10 +360,7 @@ def prolong_u(
     du1_1, du1_2 = u_derivatives_functional(lam, 1)(j)
     du2_1, du2_2 = u_derivatives_functional(lam, 2)(j)
     grid = j.grid
-    f = spec.f(grid)[..., None, None]
-    f1 = spec.f1(grid)[..., None, None]
-    g = spec.g(grid)[..., None, None]
-    g2 = spec.g2(grid)[..., None, None]
+    f, f1, g, g2 = spec.f(grid), spec.f1(grid), spec.g(grid), spec.g2(grid)
     pw1 = f1 * u1.values + f * du1_1.values + g * du1_2.values
     pw2 = f * du2_1.values + g2 * u2.values + g * du2_2.values
     return (
@@ -430,6 +427,6 @@ def traveling_R_fields(
     c1 = -2.0 * f1 / (1 + lam) + 2.0 * f11 * chi
     c2 = -2.0 * k * g2 - 2.0 * k * lam * f1 / (1 - lam)
     return (
-        MatrixField(grid, c1[..., None, None] * komm, j.margin1),
-        MatrixField(grid, c2[..., None, None] * komm, j.margin1),
+        MatrixField(grid, c1 * komm, j.margin1),
+        MatrixField(grid, c2 * komm, j.margin1),
     )

@@ -60,7 +60,7 @@ from .immersion import (
     psi_residual,
     tangent_check,
 )
-from .matlie import commutator, det, fro, su_basis
+from .matlie import commutator, constant, det, fro, su_basis
 from .sigma import (
     JetField,
     theta_comm_identity_residual,
@@ -386,7 +386,7 @@ class Fixtures:
         (a, b), (prw_phi, r1, _) = frechet_apply(gs, jt, self.mink_q())
         calf = explicit_immersion(w, prw_phi)
         d1phi, _, dm = chart_first_derivatives(w)
-        pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK))[..., None, None] * d1phi
+        pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK)) * d1phi
         return {
             "explicit": calf,
             "lsp": _field_max(r1),
@@ -417,7 +417,7 @@ class Fixtures:
         tw, jt = self.traveling()
         w, (u1, u2), calf = self.mink_wave(), self.mink_u(), self.mink_prolonged()["explicit"]
         r1, r2 = traveling_R_fields(self.mink_spec_quadratic(), tw, jt, LAM_MINK)
-        s = np.broadcast_to(1j * np.array([[1.0, 0.0], [0.0, -1.0]]), jt.values.shape).copy()
+        s = constant(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
 
         def gram_min(x1: np.ndarray, x2: np.ndarray) -> float:
             t1 = MatrixField(tw.grid, w.conjugate(x1), r1.margin)
@@ -483,8 +483,8 @@ def _field_max(r: MatrixField) -> float:
 
 
 def _det_variation(w: WaveField) -> float:
-    ok = np.isfinite(w.values).all(axis=(-1, -2))
-    det_phi = np.where(ok, det(np.where(ok[..., None, None], w.values, 0.0)), np.nan)
+    ok = np.isfinite(w.values).all(axis=(0, 1))
+    det_phi = np.where(ok, det(np.where(ok, w.values, 0.0)), np.nan)
     d = interior(det_phi, w.margin)
     ref = d[d.shape[0] // 2, d.shape[1] // 2]
     return float(np.nanmax(np.abs(d - ref)))
@@ -531,7 +531,7 @@ def _prolonged_surface_closed_form(fx: Fixtures) -> float:
     calf = fx.mink_prolonged()["explicit"]
     grid = tw.grid
     coeff = -2 * spec.f(grid) - 2 * tw.kappa * spec.g(grid) + 2 * spec.f1(grid) * tw.chi(LAM_MINK)
-    pred = coeff[..., None, None] * fx.mink_wave().conjugate(fx.mink_k())
+    pred = coeff * fx.mink_wave().conjugate(fx.mink_k())
     return interior_max(fro(calf.values - pred), calf.margin)
 
 
@@ -546,7 +546,7 @@ def _slope_criterion(fx: Fixtures) -> float:
 def _affine_difference_value(fx: Fixtures) -> float:
     mean = fx.mink_affine_defects()["mean"]
     tw = fx.traveling()[0]
-    ktil = fx.mink_wave().conjugate(fx.mink_k())[tw.grid.n2 // 2, tw.grid.n1 // 2]
+    ktil = fx.mink_wave().conjugate(fx.mink_k())[..., tw.grid.n2 // 2, tw.grid.n1 // 2]
     lam = LAM_MINK
     pred = (2 * AFFINE_B * lam / (1 + lam) - 2 * AFFINE_C * tw.kappa * lam / (1 - lam)) * ktil
     return float(np.max(np.abs(mean - pred)))

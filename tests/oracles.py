@@ -23,7 +23,7 @@ import numpy as np
 
 from solsurf.errors import ChartMismatch
 from solsurf.fields import CHART_EUCLIDEAN, Grid2, MatrixField, chart_first_derivatives, interior_max
-from solsurf.matlie import dagger, fro, mm, trace
+from solsurf.matlie import constant, dagger, fro, mm, trace
 from solsurf.sigma import JetField, SolutionLadder, u_pair
 from solsurf.spectral import WaveField
 from solsurf.symmetry import FrechetPolicy, compatibility_defect, frechet_apply, u_functional
@@ -42,11 +42,12 @@ def reproject_rank1(values: np.ndarray) -> np.ndarray:
     """Nearest rank-one Hermitian projector, per node (NaN nodes stay NaN)."""
     h = 0.5 * (values + dagger(values))
     out = np.full_like(values, np.nan, dtype=complex)
-    ok = np.isfinite(h).all(axis=(-1, -2))
+    ok = np.isfinite(h).all(axis=(0, 1))
     if np.any(ok):
-        _, vecs = np.linalg.eigh(h[ok])
-        top = vecs[..., :, -1]
-        out[ok] = top[..., :, None] * top.conj()[..., None, :]
+        # numpy.linalg takes the matrix axes last
+        _, vecs = np.linalg.eigh(np.moveaxis(h[:, :, ok], -1, 0))
+        top = vecs[:, :, -1].T
+        out[:, :, ok] = top[:, None] * top.conj()[None, :]
     return out
 
 
@@ -73,8 +74,8 @@ def _ladder_step(p: MatrixField, up: bool, tol_contract_rel: float) -> MatrixFie
     if interior_max(np.abs(den), margin) < tol:
         raise ContractedToZero("ladder denominator below the contraction tolerance everywhere")
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = num / den[..., None, None]
-    raw = np.where((np.abs(den) < tol)[..., None, None], np.nan + 0j, raw)
+        raw = num / den
+    raw = np.where(np.abs(den) < tol, np.nan + 0j, raw)
     return MatrixField(p.grid, reproject_rank1(raw), margin)
 
 
@@ -120,18 +121,17 @@ def dlambda_fd(
 def unembed_su2(grid: Grid2, points: np.ndarray, margin: int = 0) -> MatrixField:
     """Inverse of `solsurf.geometry.embed_su2`."""
     a, b, c = points[..., 0], points[..., 1], points[..., 2]
-    vals = np.empty(points.shape[:-1] + (2, 2), dtype=complex)
-    vals[..., 0, 0] = 1j * c
-    vals[..., 0, 1] = 1j * a + b
-    vals[..., 1, 0] = 1j * a - b
-    vals[..., 1, 1] = -1j * c
+    vals = np.empty((2, 2) + points.shape[:-1], dtype=complex)
+    vals[0, 0] = 1j * c
+    vals[0, 1] = 1j * a + b
+    vals[1, 0] = 1j * a - b
+    vals[1, 1] = -1j * c
     return MatrixField(grid, vals, margin)
 
 
 def constant_field(grid: Grid2, mat: np.ndarray, margin: int = 0) -> MatrixField:
-    values = np.broadcast_to(
-        np.asarray(mat, dtype=complex), (grid.n2, grid.n1) + np.asarray(mat).shape
-    ).copy()
+    mat = np.asarray(mat, dtype=complex)
+    values = np.broadcast_to(constant(mat), mat.shape + (grid.n2, grid.n1)).copy()
     return MatrixField(grid, values, margin)
 
 

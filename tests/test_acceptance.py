@@ -32,7 +32,7 @@ from solsurf.immersion import (
     integrate_surface,
     tangent_check,
 )
-from solsurf.matlie import commutator, fro
+from solsurf.matlie import commutator, fro, mm
 from solsurf.sigma import (
     el_residual,
     theta_comm_identity_residual,
@@ -193,8 +193,8 @@ def test_criterion_5_euclidean_positive(ladders):
             w = builder(j)
             (prw_phi,), (a, b) = frechet_apply([wave_functional(builder), u_functional(LAM_E)], j, q)
             d1phi, d2phi, dm = chart_first_derivatives(w)
-            fv = spec.f(j.grid)[..., None, None]
-            gv = spec.g(j.grid)[..., None, None]
+            fv = spec.f(j.grid)
+            gv = spec.g(j.grid)
             d = interior_max(
                 fro(prw_phi.values - fv * d1phi - gv * d2phi),
                 max(prw_phi.margin, dm),
@@ -215,7 +215,7 @@ def test_criterion_6_traveling_wave(traveling):
     wm = phi_traveling(wave, jets, LAM_M)
     builder = lambda jd: phi_traveling(wave, jd, LAM_M)  # noqa: E731
     komm = commutator(jets.d1, jets.values)
-    ktil = wm.inverse() @ komm @ wm.values
+    ktil = mm(mm(wm.inverse(), komm), wm.values)
     chi = wave.chi(LAM_M)
 
     # (a) closed expression for the prolonged surface
@@ -224,7 +224,7 @@ def test_criterion_6_traveling_wave(traveling):
     (prw_phi,), (am, bm) = frechet_apply([wave_functional(builder), u_functional(LAM_M)], jets, qq)
     calf = explicit_immersion(wm, prw_phi)
     coeff = -2 * specq.f(grid) - 2 * KAPPA * specq.g(grid) + 2 * specq.f1(grid) * chi
-    pred = coeff[..., None, None] * ktil
+    pred = coeff * ktil
     d = interior_max(fro(calf.values - pred), calf.margin)
     entries.append(("closed-form", d < 1e-6, d))
 
@@ -253,7 +253,7 @@ def test_criterion_6_traveling_wave(traveling):
     entries.append(("difference-constant", variation < 1e-8, variation))
     pred_mean = (
         2 * b_ * LAM_M / (1 + LAM_M) - 2 * c_ * KAPPA * LAM_M / (1 - LAM_M)
-    ) * ktil[grid.n2 // 2, grid.n1 // 2]
+    ) * ktil[..., grid.n2 // 2, grid.n1 // 2]
     d_mean = float(np.max(np.abs(mean - pred_mean)))
     entries.append(("difference-value", d_mean < 1e-8, d_mean))
 
@@ -371,9 +371,7 @@ def _refinement_table():
             - 2 * KAPPA * specq.g(wave.grid)
             + 2 * specq.f1(wave.grid) * wave.chi(LAM_M)
         )
-        calf_closed = MatrixField(
-            wave.grid, coeff[..., None, None] * (wm.inverse() @ komm @ wm.values), 0
-        )
+        calf_closed = MatrixField(wave.grid, coeff * mm(mm(wm.inverse(), komm), wm.values), 0)
         r1, r2 = traveling_R_fields(specq, wave, jets, LAM_M)
         return max(tangent_check(calf_closed, wm, r1, r2))
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from solsurf.cli import main
 from solsurf.config import ConfigError, parse_config
-from solsurf.fields import MatrixField, read_field, write_field
+from solsurf.fields import MatrixField, read_field, trim_margin, write_field
+from solsurf.geometry import embed_su2
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -84,7 +85,7 @@ def test_cli_solve_and_outputs(tmp_path):
     field, _ = read_field(os.path.join(out, "theta.npz"))
     assert field.grid.dims == (61, 61)
     rung, _ = read_field(os.path.join(out, "ladder_1.npz"))
-    assert rung.values.shape == (61, 61, 2, 2)
+    assert rung.values.shape == (2, 2, 61, 61)
 
 
 def test_cli_solve_traveling(tmp_path):
@@ -159,7 +160,7 @@ def test_cli_bad_gauge_file(tmp_path, capsys, n):
     path = str(tmp_path / "g.npz")
     if n is not None:
         grid = parse_config(BASE_TRAVELING).grid
-        write_field(path, MatrixField(grid, np.zeros((61, 61, n, n), dtype=complex)))
+        write_field(path, MatrixField(grid, np.zeros((n, n, 61, 61), dtype=complex)))
     cfg = write_cfg(tmp_path, {**BASE_TRAVELING, "gauge": {"file": path}})
     assert main(["immerse", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "key 'gauge.file'" in capsys.readouterr().err
@@ -395,7 +396,33 @@ def test_cli_export_obj_that_cannot_be_embedded_is_a_config_error(
     assert main(["export", "--config", exp, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: key 'outputs[1]': ") and reason in err
-    assert "surface.obj" not in os.listdir(out)
+    # the csv entry before the failing one is not left behind either
+    assert "ok.csv" not in os.listdir(out)
+    assert os.listdir(out) == []
+
+
+def test_cli_export_obj_of_an_immersed_surface(tmp_path):
+    # the README Euclidean config with its symmetry, on a grid that keeps
+    # 9 nodes per axis once the surface's margin is trimmed; a non-square
+    # grid tells the two grid axes apart
+    cfg = {**README_EUCLID, "grid": {"origin": [0.0, 0.0], "spacing": [0.0015, 0.0015],
+                                     "dims": [17, 15]}}
+    imm = str(tmp_path / "imm")
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", imm]) == 0
+    src = os.path.join(imm, "immersion.npz")
+    outputs = [{"format": "obj", "input": src, "path": "s.obj"}]
+    exp = write_cfg(tmp_path, {**cfg, "outputs": outputs}, name="exp.json")
+    out = tmp_path / "exp"
+    assert main(["export", "--config", exp, "--out", str(out)]) == 0
+    assert os.listdir(out) == ["s.obj"]
+    field, _ = read_field(src)
+    m = field.margin
+    assert m > 0
+    with open(out / "s.obj") as fh:
+        verts = [[float(t) for t in line.split()[1:]] for line in fh if line.startswith("v ")]
+    assert len(verts) == (17 - 2 * m) * (15 - 2 * m)
+    # 17 significant digits read back every vertex exactly
+    assert np.array_equal(np.array(verts), embed_su2(trim_margin(field)).reshape(-1, 3))
 
 
 def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, capsys):

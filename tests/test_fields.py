@@ -44,11 +44,6 @@ def test_grid_axes_and_xi():
         gm.xi()
 
 
-def _scalar_field(grid, fn):
-    x, y = grid.mesh()
-    return fn(x, y)[..., None, None] * np.ones((1, 1))
-
-
 def test_stencil_fourth_order():
     # measured order of the first-derivative stencil on sin(x)cos(y)
     errs = []
@@ -76,11 +71,11 @@ def test_chart_jets_euclidean_holomorphic():
     # for a holomorphic function, d2 must vanish and d1 is the derivative
     g = Grid2(CHART_EUCLIDEAN, spacing=(0.01, 0.01), dims=(41, 41))
     xi = g.xi()
-    f = (xi**3)[..., None, None] * np.ones((1, 1))
+    f = xi**3 * np.ones((1, 1, 1, 1))
     jets = chart_jets(MatrixField(g, f.astype(complex), 0))
     assert interior_max(jets.d2, jets.margin1) < 1e-11
-    assert interior_max(jets.d1 - (3 * xi**2)[..., None, None], jets.margin1) < 1e-11
-    assert interior_max(jets.d11 - (6 * xi)[..., None, None], jets.margin2) < 1e-10
+    assert interior_max(jets.d1 - 3 * xi**2, jets.margin1) < 1e-11
+    assert interior_max(jets.d11 - 6 * xi, jets.margin2) < 1e-10
     assert interior_max(jets.d12, jets.margin2) < 1e-10
 
 
@@ -106,19 +101,19 @@ def test_cumulative_integral_on_axis():
     h = 0.05
     g = Grid2(CHART_MINKOWSKI, spacing=(h, h), dims=(21, 9))
     x, y = g.mesh()
-    f = (x * y)[..., None, None] * np.ones((2, 2))
-    out = cumulative_line_integral(f, h, axis=1)
-    exact = ((x**2 - x[0, 0] ** 2) / 2 * y)[..., None, None] * np.ones((2, 2))
+    f = x * y * np.ones((2, 2, 1, 1))
+    out = cumulative_line_integral(f, h, axis=-1)
+    exact = (x**2 - x[0, 0] ** 2) / 2 * y * np.ones((2, 2, 1, 1))
     assert np.max(np.abs(out - exact)) < 1e-12
 
 
 def _field_with_nan_nodes(margin=0):
     g = Grid2(CHART_MINKOWSKI, origin=(0.25, -1.5), spacing=(0.1, 0.05), dims=(11, 9))
     rng = np.random.default_rng(0)
-    vals = rng.standard_normal((9, 11, 2, 2)) + 1j * rng.standard_normal((9, 11, 2, 2))
-    vals[0] = np.nan
-    vals[4, 5, 1, 0] = complex(np.nan, 0.0)
-    vals[3, 3, 0, 1] = complex(-0.0, 0.0)
+    vals = rng.standard_normal((2, 2, 9, 11)) + 1j * rng.standard_normal((2, 2, 9, 11))
+    vals[..., 0, :] = np.nan
+    vals[1, 0, 4, 5] = complex(np.nan, 0.0)
+    vals[0, 1, 3, 3] = complex(-0.0, 0.0)
     return MatrixField(g, vals, margin)
 
 
@@ -162,13 +157,38 @@ def test_field_json_roundtrip_bit_exact(tmp_path):
     assert open(path, "rb").read() == open(path2, "rb").read()
 
 
+def test_field_files_store_values_node_major(tmp_path):
+    # in memory a field is (n, n, n2, n1); both file formats hold it
+    # node-major, (n2, n1, n, n).  Small integer parts are exact, so the
+    # comparisons are bit for bit on any platform.
+    g = Grid2(CHART_MINKOWSKI, spacing=(0.1, 0.1), dims=(11, 9))
+    i, j, i2, i1 = np.indices((3, 3, 9, 11))
+    f = MatrixField(g, (100 * i2 + 10 * i1 + 3 * i + j) + 1j * (i2 - i1 + 2 * i - j), 1)
+    npz, js = str(tmp_path / "f.npz"), str(tmp_path / "f.json")
+    write_field(npz, f)
+    write_field_json(js, f)
+    with np.load(npz, allow_pickle=False) as z:
+        stored = z["values"]
+    assert stored.shape == (9, 11, 3, 3)
+    for node in np.ndindex(9, 11):
+        assert _same_bits(stored[node], np.ascontiguousarray(f.values[(..., *node)]))
+    obj = json.loads(open(js).read())
+    assert obj["re"] == stored.real.reshape(-1).tolist()
+    assert obj["im"] == stored.imag.reshape(-1).tolist()
+    assert obj["re"][:3] == [0.0, 1.0, 2.0] and obj["re"][9] == 10.0 and obj["re"][99] == 100.0
+    for path in (npz, js):
+        back, _ = read_field(path)
+        assert back.values.flags.c_contiguous
+        assert _same_bits(back.values, f.values)
+
+
 @pytest.mark.parametrize("name", ["field.npz", "field.json"])
 def test_field_margin_stored_not_guessed(tmp_path, name):
     # an interior NaN (a singular node) must not widen the margin
     g = Grid2(CHART_EUCLIDEAN, spacing=(0.1, 0.1), dims=(11, 11))
-    vals = np.ones((11, 11, 2, 2), dtype=complex)
-    vals[:2] = vals[-2:] = vals[:, :2] = vals[:, -2:] = np.nan
-    vals[5, 5] = np.nan
+    vals = np.ones((2, 2, 11, 11), dtype=complex)
+    vals[..., :2, :] = vals[..., -2:, :] = vals[..., :2] = vals[..., -2:] = np.nan
+    vals[..., 5, 5] = np.nan
     path = str(tmp_path / name)
     (write_field if name.endswith(".npz") else write_field_json)(path, MatrixField(g, vals, 2))
     back, _ = read_field(path)
@@ -219,7 +239,7 @@ def test_scalar_csv_rows(tmp_path):
 
 def test_trim_margin():
     g = Grid2(CHART_EUCLIDEAN, spacing=(0.1, 0.1), dims=(21, 21))
-    vals = np.ones((21, 21, 2, 2), dtype=complex)
+    vals = np.ones((2, 2, 21, 21), dtype=complex)
     out = trim_margin(MatrixField(g, vals, 3))
     assert out.grid.dims == (15, 15)
     assert out.margin == 0

@@ -4,7 +4,7 @@ import pytest
 from oracles import unembed_su2
 from solsurf.fields import CHART_MINKOWSKI, Grid2, MatrixField, diff1, interior_max
 from solsurf.geometry import embed_su2, export_obj
-from solsurf.matlie import inner
+from solsurf.matlie import constant, inner
 
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -15,11 +15,11 @@ def flat_grid(h=0.05, n=41):
 
 def test_embed_zero_and_axis():
     g = flat_grid()
-    zero = MatrixField(g, np.zeros((g.n2, g.n1, 2, 2), dtype=complex), 0)
+    zero = MatrixField(g, np.zeros((2, 2, g.n2, g.n1), dtype=complex), 0)
     assert np.max(np.abs(embed_su2(zero))) == 0
     # F = i t sigma_3 along x1 -> straight segment on the third axis
     x1, _ = g.mesh()
-    f = MatrixField(g, (1j * x1)[..., None, None] * SIGMA3, 0)
+    f = MatrixField(g, 1j * x1 * constant(SIGMA3), 0)
     points = embed_su2(f)
     assert np.max(np.abs(points[..., 0])) < 1e-15
     assert np.max(np.abs(points[..., 1])) < 1e-15
@@ -28,7 +28,7 @@ def test_embed_zero_and_axis():
 
 def test_embed_requires_su2():
     g = flat_grid()
-    f3 = MatrixField(g, np.zeros((g.n2, g.n1, 3, 3), dtype=complex), 0)
+    f3 = MatrixField(g, np.zeros((3, 3, g.n2, g.n1), dtype=complex), 0)
     with pytest.raises(ValueError):
         embed_su2(f3)
 
@@ -65,8 +65,8 @@ def test_degenerate_rank_from_traveling_surface():
     ((prw_phi,),) = frechet_apply([wave_functional(builder)], jets, q)
     calf = explicit_immersion(builder(jets), prw_phi)
     # Gram determinant of the grid-axis tangents under inner()
-    t1 = diff1(calf.values, gm.h1, axis=1)
-    t2 = diff1(calf.values, gm.h2, axis=0)
+    t1 = diff1(calf.values, gm.h1, axis=-1)
+    t2 = diff1(calf.values, gm.h2, axis=-2)
     det = inner(t1, t1) * inner(t2, t2) - inner(t1, t2) ** 2
     assert interior_max(det, calf.margin + 2) < 1e-12
 

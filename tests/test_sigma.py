@@ -10,7 +10,7 @@ from solsurf.fields import (
     MatrixField,
     interior_max,
 )
-from solsurf.matlie import commutator, dagger, fro, mm, trace
+from solsurf.matlie import commutator, constant, dagger, fro, identity, mm, trace
 from solsurf.sigma import (
     el_residual,
     theta_comm_identity_residual,
@@ -40,16 +40,16 @@ def projector_defects(values):
 def test_veronese_values():
     p0 = veronese_field(2, GRID)
     i2, i1 = GRID.n2 // 2, GRID.n1 // 2  # xi = 0
-    assert np.allclose(p0.values[i2, i1], np.diag([1.0, 0.0]))
+    assert np.allclose(p0.values[..., i2, i1], np.diag([1.0, 0.0]))
     # off-center value against the rank-one formula
     xi = GRID.xi()[10, 20]
     v = np.array([1.0, xi])
     expected = np.outer(v, v.conj()) / (np.vdot(v, v).real)
-    assert np.allclose(p0.values[10, 20], expected, atol=1e-14)
+    assert np.allclose(p0.values[..., 10, 20], expected, atol=1e-14)
     # grid containing xi = 1 at its center node
     g1 = Grid2(CHART_EUCLIDEAN, (1.0, 0.0), (0.01, 0.01), (11, 11))
     p1 = veronese_field(2, g1)
-    assert np.allclose(p1.values[5, 5], 0.5 * np.ones((2, 2)), atol=1e-15)
+    assert np.allclose(p1.values[..., 5, 5], 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -110,7 +110,7 @@ def test_zero_curvature_tracks_el_residual():
     direction = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
     perturbed = MatrixField(
         GRID,
-        np.eye(2) / 2 - 1j * (j.values + bump[..., None, None] * direction),
+        identity(2) / 2 - 1j * (j.values + bump * constant(direction)),
         0,
     )
     jp = theta_of(perturbed)
@@ -126,8 +126,8 @@ def test_el_residual_sensitivity():
     scale = (GRID.n1 - 1) * GRID.h1 / 2
     bump = 0.01 * np.exp(-((x / scale) ** 2 + (y / scale) ** 2) * 8)
     direction = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
-    perturbed = MatrixField(GRID, j.values + bump[..., None, None] * direction, 0)
-    jp = theta_of(MatrixField(GRID, np.eye(2) / 2 - 1j * perturbed.values, 0))
+    perturbed = MatrixField(GRID, j.values + bump * constant(direction), 0)
+    jp = theta_of(MatrixField(GRID, identity(2) / 2 - 1j * perturbed.values, 0))
     el, m = el_residual(jp)
     assert interior_max(el, m) > 1e-4
 
@@ -137,10 +137,10 @@ def test_theta_identities():
     for p in (bare(veronese_field(2, GRID)), veronese_field(2, GRID)):
         j = theta_of(p)
         i2, i1 = GRID.n2 // 2, GRID.n1 // 2
-        assert np.allclose(j.values[i2, i1], np.diag([0.5j, -0.5j]))
+        assert np.allclose(j.values[..., i2, i1], np.diag([0.5j, -0.5j]))
         # N=2 forces theta^2 = -I/4
-        sq = j.values @ j.values
-        assert interior_max(fro(sq + np.eye(2) / 4), j.margin) < 1e-13
+        sq = mm(j.values, j.values)
+        assert interior_max(fro(sq + identity(2) / 4), j.margin) < 1e-13
         res, m = theta_square_residual(j)
         assert interior_max(res, m) < 1e-10
         res, m = theta_comm_identity_residual(j)
@@ -170,7 +170,7 @@ def test_raise_lower_ladder_cp1():
     p0 = bare(veronese_field(2, GRID))  # stencil route
     p1 = raise_projector(p0)
     # complement structure for N = 2
-    assert interior_max(fro(p1.values + p0.values - np.eye(2)), p1.margin) < 1e-9
+    assert interior_max(fro(p1.values + p0.values - identity(2)), p1.margin) < 1e-9
     with pytest.raises(ContractedToZero):
         raise_projector(p1)
     back = lower_projector(p1)
@@ -228,7 +228,7 @@ def test_traveling_wave_structure():
     # frozen oracle from the 2x2 multiplication: [theta_1, theta] = omega [[0,1],[-1,0]]
     komm = commutator(j.d1, j.values)
     expected = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    assert np.max(fro(komm - expected)) < 1e-12
+    assert np.max(fro(komm - constant(expected))) < 1e-12
     # traveling constraint is exact
     assert interior_max(fro(2.0 * j.d1 - j.d2), j.margin1) < 1e-14
     # differential consequences: D_alpha [theta_beta, theta] = 0
@@ -249,7 +249,7 @@ def test_traveling_u_antihermitian_for_real_lambda():
     u1, u2 = u_pair(j, 0.7)
     assert interior_max(fro(u1.values + dagger(u1.values)), u1.margin) < 1e-13
     assert interior_max(fro(u2.values + dagger(u2.values)), u2.margin) < 1e-13
-    assert interior_max(np.abs(np.einsum("...ii->...", u1.values)), u1.margin) < 1e-13
+    assert interior_max(np.abs(trace(u1.values)), u1.margin) < 1e-13
 
 
 def test_traveling_requires_minkowski():
@@ -262,10 +262,10 @@ def _eager_second_jets(values, grid):
     # every order at once
     from solsurf.fields import diff1, diff2
 
-    dx = diff1(values, grid.h1, axis=1)
-    dxx = diff2(values, grid.h1, axis=1)
-    dyy = diff2(values, grid.h2, axis=0)
-    dxy = diff1(dx, grid.h2, axis=0)
+    dx = diff1(values, grid.h1, axis=-1)
+    dxx = diff2(values, grid.h1, axis=-1)
+    dyy = diff2(values, grid.h2, axis=-2)
+    dxy = diff1(dx, grid.h2, axis=-2)
     if grid.chart == CHART_EUCLIDEAN:
         return (
             0.25 * (dxx - dyy - 2j * dxy),
@@ -284,11 +284,12 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
     x1, x2 = grid.mesh()
     rng = np.random.default_rng(n)
     coeffs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-    v = coeffs[0] + np.sin(x1)[..., None] * coeffs[1] + (x1 * x2)[..., None] * coeffs[2]
-    p = v[..., :, None] * v.conj()[..., None, :] / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
+    c = coeffs[:, :, None, None]  # each row a vector with trailing grid axes
+    v = c[0] + np.sin(x1) * c[1] + x1 * x2 * c[2]
+    p = v[:, None] * v.conj()[None, :] / np.sum(np.abs(v) ** 2, axis=0)
     j = theta_of(MatrixField(grid, p, 1))
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q = np.cos(x2 - x1)[..., None, None] * (a - dagger(a))
+    q = np.cos(x2 - x1) * constant(a - dagger(a))
     q_jets = chart_jets(MatrixField(grid, q, 1))
     eps = 1e-3
     jd = j.deformed(eps, q_jets)

@@ -4,7 +4,7 @@ import pytest
 from oracles import dlambda_fd
 from solsurf.errors import LambdaSingular
 from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, interior_max
-from solsurf.matlie import fro
+from solsurf.matlie import fro, identity, mm
 from solsurf.sigma import projector, theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import (
     WaveField,
@@ -32,7 +32,7 @@ def test_wave_base_level_formula():
     j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, lam)
     _, beta = euclidean_wave_coefficients(lam)
-    expected = np.eye(2) + beta * LADDER2.rungs[0].values
+    expected = identity(2) + beta * LADDER2.rungs[0].values
     assert interior_max(fro(w.values - expected), w.margin) < 1e-14
 
 
@@ -87,7 +87,7 @@ def test_value_only_lowering_is_bit_exact_and_skips_derivatives(ladder, monkeypa
     p, d1p, d2p = projector(j), -1j * j.d1, -1j * j.d2
     full = spectral.lowered_rung_with_jets(p, d1p, d2p, j)[0]
     num = mm(mm(d2p, p), d1p)
-    by_hand = num * (1.0 / trace(num))[..., None, None]
+    by_hand = num * (1.0 / trace(num))
 
     calls = []
     real = spectral.lowered_rung_with_jets
@@ -112,7 +112,8 @@ def test_deep_ladder_stored_rung_wave():
     lam = 0.5
     w = phi_euclidean(lvl, lam)
     c, beta = euclidean_wave_coefficients(lam)
-    stored = np.eye(4) + beta * ladder.rungs[3].values + c * sum(r.values for r in ladder.rungs[:3])
+    lowered = sum(r.values for r in ladder.rungs[:3])
+    stored = identity(4) + beta * ladder.rungs[3].values + c * lowered
     assert interior_max(fro(w.values - stored), w.margin) < 1e-14
     j = theta_of(lvl.active_rung)
     u1, u2 = u_pair(j, lam)
@@ -127,7 +128,7 @@ def test_wave_linearity_reconstruction():
     w = phi_euclidean(lvl, lam)
     c, beta = euclidean_wave_coefficients(lam)
     k = 2
-    recon = np.broadcast_to(np.eye(3), w.values.shape).astype(complex).copy()
+    recon = np.broadcast_to(identity(3), w.values.shape).astype(complex).copy()
     recon = recon + beta * LADDER3.rungs[2].values
     for m in range(k):
         recon = recon + c * LADDER3.rungs[m].values
@@ -152,16 +153,20 @@ def test_closed_form_condition_number_matches_svd():
     rank1 = (rng.standard_normal((40, 50, 2, 1)) + 1j) @ (rng.standard_normal((40, 50, 1, 2)) - 1j)
     unitary, _ = np.linalg.qr(x)
     eps = np.finfo(float).eps
+
+    def first(a):  # the node-major stacks in the kernels' matrix-first layout
+        return np.moveaxis(a, (-2, -1), (0, 1))
+
     for phi in (x, rank1 + 1e-7 * x, unitary):
         ref = np.linalg.cond(phi)
-        got = _cond2(phi, np.linalg.det(phi))
+        got = _cond2(first(phi), np.linalg.det(phi))
         # sigma_2 carries an absolute error of order eps * sigma_1
         assert np.all(np.abs(got / ref - 1) <= 8 * eps * ref)
     # NaN where the determinant is undefined, inf where it vanishes
     assert np.isnan(_cond2(np.full((2, 2), np.nan), np.nan))
     assert _cond2(np.ones((2, 2), dtype=complex), 0.0) == np.inf
     g = Grid2(CHART_MINKOWSKI, dims=(50, 40))
-    diag = wave_diagnostics(WaveField(g, rank1 + 1e-7 * x, lam=0.5))
+    diag = wave_diagnostics(WaveField(g, first(rank1 + 1e-7 * x), lam=0.5))
     ref = np.linalg.cond(rank1 + 1e-7 * x).max()
     assert abs(diag["max_condition"] / ref - 1) <= 8 * eps * ref
 
@@ -173,7 +178,8 @@ def test_traveling_wave_lsp_and_det():
     r1, r2, m = lsp_residual(w, u1, u2)
     assert interior_max(r1, m) < 1e-8
     assert interior_max(r2, m) < 1e-8
-    det = np.linalg.det(w.values)
+    # numpy.linalg takes the matrix axes last
+    det = np.linalg.det(np.moveaxis(w.values, (0, 1), (-2, -1)))
     assert np.max(np.abs(det - det[50, 50])) < 1e-10
 
 
@@ -182,7 +188,7 @@ def test_wave_inverse_computed_once():
     inv_phi = w.inverse()
     assert w.inverse() is inv_phi
     assert not inv_phi.flags.writeable
-    assert interior_max(fro(inv_phi @ w.values - np.eye(2)), w.margin) < 1e-12
+    assert interior_max(fro(mm(inv_phi, w.values) - identity(2)), w.margin) < 1e-12
 
 
 def test_traveling_wave_chi_zero_axis():
@@ -190,7 +196,7 @@ def test_traveling_wave_chi_zero_axis():
     lam = 0.5
     w = phi_traveling(WAVE_M, JET_M, lam)
     i2, i1 = GRID_M.n2 // 2, GRID_M.n1 // 2
-    assert fro(w.values[i2, i1] - 2j * JET_M.values[i2, i1]) < 1e-14
+    assert fro(w.values[..., i2, i1] - 2j * JET_M.values[..., i2, i1]) < 1e-14
 
 
 def test_lsp_residual_trivial_phi():
@@ -199,7 +205,7 @@ def test_lsp_residual_trivial_phi():
     from solsurf.spectral import WaveField
 
     ident = WaveField(
-        GRID_M, np.broadcast_to(np.eye(2), JET_M.values.shape).astype(complex).copy(), lam=lam
+        GRID_M, np.broadcast_to(identity(2), JET_M.values.shape).astype(complex).copy(), lam=lam
     )
     r1, r2, m = lsp_residual(ident, u1, u2)
     assert interior_max(np.abs(r1 - fro(u1.values)), m) < 1e-12
@@ -256,4 +262,4 @@ def test_dlambda_traveling_analytic_vs_fd():
     assert interior_max(fro(analytic.values - fd.values), m) < 1e-7
     # at the origin both chi and its lambda derivative vanish
     i2, i1 = GRID_M.n2 // 2, GRID_M.n1 // 2
-    assert fro(analytic.values[i2, i1]) < 1e-13
+    assert fro(analytic.values[..., i2, i1]) < 1e-13

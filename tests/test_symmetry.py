@@ -11,7 +11,7 @@ from solsurf.fields import (
     chart_first_derivatives,
     interior_max,
 )
-from solsurf.matlie import commutator, dagger, fro
+from solsurf.matlie import commutator, dagger, fro, trace
 from solsurf.sigma import JetField, theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
@@ -55,7 +55,7 @@ def test_conformal_characteristic_stays_in_algebra(coeffs):
     spec = ConformalSpec.euclidean(tuple(coeffs))
     q = conformal_characteristic(spec, j)
     assert interior_max(fro(q.values + dagger(q.values)), q.margin) < 1e-12
-    tr = np.einsum("...ii->...", q.values)
+    tr = trace(q.values)
     assert interior_max(np.abs(tr), q.margin) < 1e-12
 
 
@@ -250,13 +250,13 @@ def test_shared_prolongation_is_bit_exact_and_steps_only_non_quadratic(monkeypat
 
 @pytest.mark.parametrize(
     "functional, axes",
-    [(u_functional(LAM_E), []), (u_derivatives_functional(LAM_E, 1), [0, 1])],
+    [(u_functional(LAM_E), []), (u_derivatives_functional(LAM_E, 1), [-2, -1])],
     ids=["u", "du1"],
 )
 def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
     # the pair reads theta, D_1 theta and D_2 theta only, so no
     # second-order stencil of Q runs; D u reads them, one set for all four
-    # deformations (d/dx^2 and d/dy^2)
+    # deformations (d/dy^2 and d/dx^2, along grid axes -2 and -1)
     from solsurf import fields
 
     calls = []
@@ -357,7 +357,7 @@ def test_lsp_symmetry_defect_traveling_criteria():
     qq = conformal_characteristic(spec_q, JET_M)
     ((_, r1, r2),) = frechet_apply([g], JET_M, qq)
     d1phi, _, dm = chart_first_derivatives(w)
-    pred = (-(spec_q.f11(GRID_M)) * WAVE_M.chi(LAM_M) * (1 + LAM_M))[..., None, None] * d1phi
+    pred = (-(spec_q.f11(GRID_M)) * WAVE_M.chi(LAM_M) * (1 + LAM_M)) * d1phi
     assert interior_max(fro(r1.values - pred), max(r1.margin, dm)) < 1e-6
     assert interior_max(fro(r1.values), r1.margin) > 0.1
     # affine with equal slopes: both vanish
