@@ -53,6 +53,9 @@ __all__ = [
     "u_dlambda",
 ]
 
+# `integrate_surface` warns above this compatibility defect of the tangent pair
+COMPAT_WARN = 1e-6
+
 
 @dataclass(frozen=True)
 class ImmersionInputs:
@@ -161,7 +164,6 @@ def integrate_surface(
     basepoint: tuple[int, int] | None = None,
     u1: MatrixField | None = None,
     u2: MatrixField | None = None,
-    compat_warn: float = 1e-6,
 ) -> ImmersionResult:
     """Integrate D_1 F = Phi^{-1} A Phi, D_2 F = Phi^{-1} B Phi from a basepoint.
 
@@ -171,7 +173,7 @@ def integrate_surface(
     F(basepoint) = 0, then F is projected onto su(N) with the correction
     norm logged.  When the connection pair is supplied, the compatibility
     defect is measured first and a warning is emitted if it exceeds
-    ``compat_warn`` (integration proceeds regardless).
+    ``COMPAT_WARN`` (integration proceeds regardless).
     """
     grid = same_grid(a, b)
     if w.grid != grid:
@@ -179,7 +181,7 @@ def integrate_surface(
     compat = float("nan")
     if u1 is not None and u2 is not None:
         compat = compatibility_defect(a, b, u1, u2)
-        if compat > compat_warn:
+        if compat > COMPAT_WARN:
             import warnings
 
             warnings.warn(

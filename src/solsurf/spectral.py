@@ -86,12 +86,12 @@ def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
 def wave_diagnostics(w: WaveField) -> dict[str, float]:
     """Invertibility and unitarity report over the trusted interior."""
     phi = w.values
-    ok = np.isfinite(phi).all(axis=(0, 1))
-    det_phi = np.where(ok, det(np.where(ok, phi, 0.0)), np.nan)
-    unit = np.where(ok, fro(np.where(ok, mm(dagger(phi), phi), 0.0) - identity(w.n)), np.nan)
+    det_phi = det(phi)
+    unit = fro(mm(dagger(phi), phi) - identity(w.n))
     if w.n == 2:
         cond = _cond2(phi, det_phi)
     else:
+        ok = np.isfinite(phi).all(axis=(0, 1))
         cond = np.full(ok.shape, np.nan)
         if np.any(ok):
             # numpy.linalg takes the matrix axes last

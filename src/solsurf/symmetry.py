@@ -2,34 +2,29 @@
 
 A symmetry characteristic is a matrix field Q built from the jets of a
 solution.  Its prolongation pr w_Q is one derivation acting on every
-functional G of the solution.  It is realized by deforming the whole
-solution, theta -> theta +/- eps*Q, recomputing the jet fields
-(linearity: jets of the deformation are eps times the jets of Q), and
-differencing:
+functional G of the solution: the Frechet derivative G'(theta)[Q].  It
+is realized by deforming the whole solution, theta -> theta +/- eps*Q,
+recomputing the jet fields (linearity: jets of the deformation are eps
+times the jets of Q), and taking one central difference:
 
     pr w_Q G = [G(theta + eps Q) - G(theta - eps Q)] / (2 eps)
 
-with an optional Richardson step combining eps and eps/2.  Because the
-deformed jets are exact linear shifts, the difference quotient is free of
-the cancellation noise a naive re-evaluation would produce.
+Because the deformed jets are exact linear shifts, the difference
+quotient is free of the cancellation noise a naive re-evaluation would
+produce.  It is exact for functionals of degree at most 2 in (theta,
+jets); for the others its O(eps^2) truncation error is at the level of
+the rounding error at the default step, so no extrapolation is taken.
 
 One prolongation feeds many functionals: `frechet_apply` takes a
-sequence of them, computes the jets of Q once, builds each deformation
-once and evaluates every functional on it.  A caller asks once per
-(jets, Q, policy) for all it reads: pr w u for the symmetry criterion,
-pr w Phi for explicit integration, pr w of the linear-problem residual,
-and pr w G beside pr w (D_alpha G) for the commutation checks.  A
-functional returns a tuple of matrix fields, all differenced from the
+sequence of them, computes the jets of Q once, builds the two
+deformations once and evaluates every functional on each.  A caller asks
+once per (jets, Q, step) for all it reads: pr w u for the symmetry
+criterion, pr w Phi for explicit integration, pr w of the linear-problem
+residual, and pr w G beside pr w (D_alpha G) for the commutation checks.
+A functional returns a tuple of matrix fields, all differenced from the
 same deformations, so the connection pair (u1, u2) is one functional.
-
-Functionals that are polynomials of degree at most 2 in (theta, jets) --
-theta, its first derivatives and the connection pair with its
-derivatives -- are marked where they are defined.  Their central
-difference is exact, so the Richardson half step is skipped for them: it
-would only multiply the rounding error by about 3.  The half step
-evaluates only the unmarked functionals, and is not built when there is
-none.  The deformed jet fields build their second-order jets on first
-read, so functionals that read only theta, D_1 theta and D_2 theta run no
+The deformed jet fields build their second-order jets on first read, so
+functionals that read only theta, D_1 theta and D_2 theta run no
 second-order stencil.
 """
 
@@ -56,7 +51,6 @@ from .sigma import JetField, TravelingWave, check_lambda, projector, u_pair
 
 __all__ = [
     "ConformalSpec",
-    "FrechetPolicy",
     "commutation_defect",
     "compatibility_defect",
     "conformal_characteristic",
@@ -73,16 +67,6 @@ __all__ = [
 ]
 
 Functional = Callable[[JetField], tuple[MatrixField, ...]]
-
-
-def _quadratic(g: Functional) -> Functional:
-    """Mark ``g`` as a polynomial of degree <= 2 in (theta, jets).
-
-    Its central difference is exact, so `frechet_apply` takes only the
-    +/- eps pair for it.
-    """
-    g.quadratic = True
-    return g
 
 
 # --- conformal data -----------------------------------------------------------
@@ -205,66 +189,40 @@ def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
 # --- prolongation by whole-field deformation -----------------------------------
 
 
-@dataclass(frozen=True)
-class FrechetPolicy:
-    """Step control for directional difference quotients."""
-
-    eps_base: float = 1e-5
-    richardson: bool = True
-
-    def __post_init__(self) -> None:
-        if self.eps_base <= 0:
-            raise ValueError("eps_base must be positive")
-
-    def step(self, j: JetField) -> float:
-        scale = 1.0 + interior_max(fro(j.values), j.margin)
-        return self.eps_base * scale
-
-
 def frechet_apply(
-    gs: Sequence[Functional],
-    j: JetField,
-    q: MatrixField,
-    policy: FrechetPolicy = FrechetPolicy(),
+    gs: Sequence[Functional], j: JetField, q: MatrixField, eps_base: float = 1e-5
 ) -> tuple[tuple[MatrixField, ...], ...]:
     """Directional derivatives along ``q`` at ``j`` of every functional in ``gs``.
 
-    Returns one tuple per functional, one field per component.  The jets
-    of ``q`` are computed once; each deformation of ``j`` is built once
-    and every functional is evaluated on it in turn.  The Richardson half
-    step, two more deformations, runs when ``policy.richardson`` is set,
-    for the functionals not marked quadratic.  Second-order jets are built
-    only if a functional reads them.  Each component keeps the larger
-    margin of its evaluations.
+    Returns one tuple per functional, one field per component: the
+    central difference over theta +/- eps Q, with eps = ``eps_base``
+    times (1 + the interior max of ||theta||_F).  The jets of ``q`` are
+    computed once; each of the two deformations of ``j`` is built once
+    and every functional is evaluated on it in turn.  Second-order jets
+    are built only if a functional reads them.  Each component keeps the
+    larger margin of its two evaluations.
     """
+    if eps_base <= 0:
+        raise ValueError("eps_base must be positive")
     q_jets = chart_jets(q)
-    eps = policy.step(j)
-
-    def central(e: float, fs: Sequence[Functional]) -> list[list[tuple[np.ndarray, int]]]:
-        jd = j.deformed(+e, q_jets)
-        plus = [g(jd) for g in fs]
-        jd = j.deformed(-e, q_jets)
-        return [
-            [((a.values - b.values) / (2 * e), max(a.margin, b.margin)) for a, b in zip(p, g(jd))]
-            for p, g in zip(plus, fs)
-        ]
-
-    out = central(eps, gs)
-    stepped = [i for i, g in enumerate(gs) if not getattr(g, "quadratic", False)]
-    if policy.richardson and stepped:
-        for i, half in zip(stepped, central(eps / 2, [gs[i] for i in stepped])):
-            out[i] = [
-                ((4.0 * val_half - val) / 3.0, max(margin, margin_half))
-                for (val, margin), (val_half, margin_half) in zip(out[i], half)
-            ]
-    return tuple(tuple(MatrixField(j.grid, val, margin) for val, margin in comps) for comps in out)
+    eps = eps_base * (1.0 + interior_max(fro(j.values), j.margin))
+    jd = j.deformed(+eps, q_jets)
+    plus = [g(jd) for g in gs]
+    jd = j.deformed(-eps, q_jets)
+    return tuple(
+        tuple(
+            MatrixField(j.grid, (a.values - b.values) / (2 * eps), max(a.margin, b.margin))
+            for a, b in zip(p, g(jd))
+        )
+        for p, g in zip(plus, gs)
+    )
 
 
 # --- functionals used throughout -----------------------------------------------
 
 
 def theta_functional() -> Functional:
-    return _quadratic(lambda j: (MatrixField(j.grid, j.values, j.margin),))
+    return lambda j: (MatrixField(j.grid, j.values, j.margin),)
 
 
 def theta_derivatives_functional() -> Functional:
@@ -273,12 +231,12 @@ def theta_derivatives_functional() -> Functional:
     def g(j: JetField) -> tuple[MatrixField, MatrixField]:
         return MatrixField(j.grid, j.d1, j.margin1), MatrixField(j.grid, j.d2, j.margin1)
 
-    return _quadratic(g)
+    return g
 
 
 def u_functional(lam: complex) -> Functional:
     """The connection pair (u1, u2), quadratic in (theta, D theta)."""
-    return _quadratic(lambda j: u_pair(j, lam))
+    return lambda j: u_pair(j, lam)
 
 
 def u_derivatives_functional(lam: complex, index: int) -> Functional:
@@ -297,7 +255,7 @@ def u_derivatives_functional(lam: complex, index: int) -> Functional:
             v2 = c * commutator(j.d22, j.values)
         return MatrixField(j.grid, v1, j.margin2), MatrixField(j.grid, v2, j.margin2)
 
-    return _quadratic(g)
+    return g
 
 
 def lowering_functional() -> Functional:

@@ -26,7 +26,7 @@ from solsurf.fields import CHART_EUCLIDEAN, Grid2, MatrixField, chart_first_deri
 from solsurf.matlie import constant, dagger, fro, mm, trace
 from solsurf.sigma import JetField, SolutionLadder, u_pair
 from solsurf.spectral import WaveField
-from solsurf.symmetry import FrechetPolicy, compatibility_defect, frechet_apply, u_functional
+from solsurf.symmetry import compatibility_defect, frechet_apply, u_functional
 
 TOL_CONTRACT_REL = 1e-10
 
@@ -142,7 +142,7 @@ def el_symmetry_defect(
     q: MatrixField,
     j: JetField,
     lam: complex,
-    policy: FrechetPolicy = FrechetPolicy(),
+    eps_base: float = 1e-5,
 ) -> float:
     """Zero-curvature defect of the connection pair prolonged along ``q``.
 
@@ -150,5 +150,5 @@ def el_symmetry_defect(
     (Q_1, Q_2); it vanishes exactly when ``q`` generates a symmetry of the
     equations of motion.
     """
-    ((pw1, pw2),) = frechet_apply([u_functional(lam)], j, q, policy)
+    ((pw1, pw2),) = frechet_apply([u_functional(lam)], j, q, eps_base)
     return compatibility_defect(pw1, pw2, *u_pair(j, lam))

@@ -45,7 +45,6 @@ from solsurf.sigma import (
 from solsurf.spectral import euclidean_wave, lsp_residual, phi_euclidean, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
-    FrechetPolicy,
     commutation_defect,
     conformal_characteristic,
     frechet_apply,
@@ -279,9 +278,8 @@ def test_criterion_7_commutation(ladders, traveling):
         entries.append((f"euclid-{name}", d < 1e-6, d))
     wave, jets = traveling
     qm = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), jets)
-    pol = FrechetPolicy(eps_base=1e-4)
     gs[2:] = [u_functional(LAM_M), u_derivatives_functional(LAM_M, 1), u_derivatives_functional(LAM_M, 2)]
-    (prw_theta_m,), dtheta_m, (am, bm), du1m, du2m = frechet_apply(gs, jets, qm, pol)
+    (prw_theta_m,), dtheta_m, (am, bm), du1m, du2m = frechet_apply(gs, jets, qm, 1e-4)
     for name, prw_g, prw_dg in (("theta", prw_theta_m, dtheta_m), ("u1", am, du1m), ("u2", bm, du2m)):
         d = commutation_defect(prw_g, prw_dg)
         entries.append((f"mink-{name}", d < 1e-6, d))
@@ -298,7 +296,7 @@ def test_criterion_7_commutation(ladders, traveling):
     margin = dl1.margin
     ds = []
     for eps in (0.04, 0.02, 0.01):
-        ((pw,),) = frechet_apply([g], j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
+        ((pw,),) = frechet_apply([g], j1, q1, eps)
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, margin)))
     eps_order = float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
     entries.append(("eps-order>=2", eps_order > 1.9, eps_order))
@@ -308,9 +306,8 @@ def test_criterion_7_commutation(ladders, traveling):
         gh = euclid_grid(h)
         jh = theta_of(veronese_ladder(2, gh).rungs[1])
         qh = conformal_characteristic(spec, jh)
-        pol_h = FrechetPolicy(eps_base=1e-3)
         (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional(), lowering_derivatives_functional()], jh, qh, pol_h
+            [lowering_functional(), lowering_derivatives_functional()], jh, qh, 1e-3
         )
         hs.append(commutation_defect(prw_g, prw_dg))
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
@@ -379,9 +376,8 @@ def _refinement_table():
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         jh = theta_of(veronese_ladder(2, euclid_grid(h)).rungs[1])
         qh = conformal_characteristic(spec, jh)
-        pol_h = FrechetPolicy(eps_base=1e-3)
         (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional(), lowering_derivatives_functional()], jh, qh, pol_h
+            [lowering_functional(), lowering_derivatives_functional()], jh, qh, 1e-3
         )
         return commutation_defect(prw_g, prw_dg)
 

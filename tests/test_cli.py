@@ -322,6 +322,7 @@ def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, f
     assert not os.path.exists(out)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_immerse_degenerate_spacing_is_a_config_error(tmp_path, capsys):
     # the config parses, but on the vanishing spacing the deformed wave
     # function has no lowering denominator anywhere
@@ -425,6 +426,7 @@ def test_cli_export_obj_of_an_immersed_surface(tmp_path):
     assert np.array_equal(np.array(verts), embed_su2(trim_margin(field)).reshape(-1, 3))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, capsys):
     # the config parses, but the phase chi [theta_1, theta] of the wave
     # function overflows
@@ -439,6 +441,7 @@ def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, caps
     assert os.listdir(out) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_immerse_singular_wave_function_is_a_config_error(tmp_path, capsys):
     # the config parses, but the traveling-wave Phi at lambda = 11i is
     # exactly singular at a node in floating point, so it has no inverse
@@ -566,6 +569,7 @@ def _quiet_main(argv: list[str]) -> int:
         return main(argv)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(obj=_configs() | _ANY)
 @example(obj={"space": "minkowski", "solution": {"kind": "traveling", "omega": 1.4e154}})
 @example(obj={"space": "euclidean", "solution": {"kind": "veronese"}, "lambda": [1.3e308, 1.3e308]})

@@ -16,7 +16,6 @@ from solsurf.sigma import JetField, theta_of, traveling_solution, u_pair, verone
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
-    FrechetPolicy,
     commutation_defect,
     compatibility_defect,
     conformal_characteristic,
@@ -168,84 +167,76 @@ def _count_deformations(monkeypatch) -> list[float]:
     return steps
 
 
-@pytest.mark.parametrize("richardson, deformations", [(True, 4), (False, 2)])
-def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(
-    monkeypatch, richardson, deformations
-):
-    # the pair shares its deformations, and each component is the same
-    # difference quotient as when it is prolonged on its own; the lowered
-    # rung is rational in the jets, so Richardson doubles the cost
+def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(monkeypatch):
+    # the pair shares its two deformations, and each component is the
+    # same difference quotient as when it is prolonged on its own
     j = theta_of(LADDER2.rungs[1])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    pol = FrechetPolicy(richardson=richardson)
     g = lowering_derivatives_functional()
     steps = _count_deformations(monkeypatch)
-    (pair,) = frechet_apply([g], j, q, pol)
+    (pair,) = frechet_apply([g], j, q)
     assert len(pair) == 2
-    assert len(steps) == deformations
+    assert len(steps) == 2
     for index, whole in enumerate(pair):
-        ((alone,),) = frechet_apply([lambda jd, i=index: (g(jd)[i],)], j, q, pol)
+        ((alone,),) = frechet_apply([lambda jd, i=index: (g(jd)[i],)], j, q)
         assert np.array_equal(whole.values, alone.values, equal_nan=True)
         assert whole.margin == alone.margin
 
 
-@pytest.mark.parametrize("richardson", [True, False])
-def test_quadratic_pair_costs_one_central_pair(monkeypatch, richardson):
-    # the connection pair is quadratic in the jets: under either policy it
-    # takes only the +/- eps pair, and each component is bit-exactly the
-    # plain central difference of that component alone
+def test_quadratic_pair_costs_one_central_pair(monkeypatch):
+    # the connection pair takes the +/- eps pair, and each component is
+    # bit-exactly the central difference of that component alone
     j = theta_of(LADDER2.rungs[0])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     steps = _count_deformations(monkeypatch)
-    (pair,) = frechet_apply([u_functional(LAM_E)], j, q, FrechetPolicy(richardson=richardson))
+    (pair,) = frechet_apply([u_functional(LAM_E)], j, q)
     assert len(pair) == 2
     assert len(steps) == 2
-    plain = FrechetPolicy(richardson=False)
     for index, whole in enumerate(pair):
-        ((alone,),) = frechet_apply([lambda jd, i=index: (u_pair(jd, LAM_E)[i],)], j, q, plain)
+        ((alone,),) = frechet_apply([lambda jd, i=index: (u_pair(jd, LAM_E)[i],)], j, q)
         assert np.array_equal(whole.values, alone.values, equal_nan=True)
         assert whole.margin == alone.margin
 
 
-@pytest.mark.parametrize("richardson", [True, False])
-def test_shared_prolongation_is_bit_exact_and_steps_only_non_quadratic(monkeypatch, richardson):
+def _counted(evaluations: list[int], i: int, g):
+    def h(jd):
+        evaluations[i] += 1
+        return g(jd)
+
+    return h
+
+
+def test_shared_prolongation_is_bit_exact_and_costs_one_central_pair(monkeypatch):
     # one call prolongs several functionals: each result equals that of
-    # the functional's own call bit for bit, each deformation is built
-    # once, and the half step evaluates only the functionals not marked
-    # quadratic
+    # the functional's own call bit for bit, and the two deformations are
+    # built once, each functional evaluated on both
     j = theta_of(LADDER2.rungs[1])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    pol = FrechetPolicy(richardson=richardson)
     gs = [
         theta_functional(),
         u_functional(LAM_E),
         lowering_functional(),
         wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
     ]
-    separate = [frechet_apply([g], j, q, pol)[0] for g in gs]
+    separate = [frechet_apply([g], j, q)[0] for g in gs]
     evaluations = [0] * len(gs)
-
-    def counted(i, g):
-        def h(jd):
-            evaluations[i] += 1
-            return g(jd)
-
-        h.quadratic = getattr(g, "quadratic", False)
-        return h
-
     steps = _count_deformations(monkeypatch)
-    shared = frechet_apply([counted(i, g) for i, g in enumerate(gs)], j, q, pol)
-    assert len(steps) == (4 if richardson else 2)
-    assert evaluations == ([2, 2, 4, 4] if richardson else [2, 2, 2, 2])
+    shared = frechet_apply([_counted(evaluations, i, g) for i, g in enumerate(gs)], j, q)
+    assert len(steps) == 2
+    assert evaluations == [2, 2, 2, 2]
     for alone, together in zip(separate, shared, strict=True):
         assert len(alone) == len(together)
         for a, b in zip(alone, together):
             assert np.array_equal(a.values, b.values, equal_nan=True)
             assert a.margin == b.margin
-    # quadratic functionals alone build no half step
-    steps.clear()
-    frechet_apply(gs[:2], j, q, pol)
-    assert len(steps) == 2
+
+
+def test_frechet_apply_rejects_a_non_positive_step():
+    j = theta_of(LADDER2.rungs[0])
+    q = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
+    for eps_base in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="eps_base"):
+            frechet_apply([theta_functional()], j, q, eps_base)
 
 
 @pytest.mark.parametrize(
@@ -285,38 +276,46 @@ FUNCTIONALS = {
 }
 
 
-def test_quadratic_marks():
+def test_functionals_cover_the_module():
     from solsurf import symmetry
 
-    # a new functional must be added to FUNCTIONALS, marked or not
+    # a new functional must be added to FUNCTIONALS
     assert set(FUNCTIONALS) == {name for name in symmetry.__all__ if name.endswith("_functional")}
-    marked = {name for name, g in FUNCTIONALS.items() if getattr(g, "quadratic", False)}
-    assert marked == {
-        "theta_functional",
-        "theta_derivatives_functional",
-        "u_functional",
-        "u_derivatives_functional",
-    }
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+def test_every_functional_costs_one_central_pair(monkeypatch, name):
+    # rational functionals too: the +/- eps pair is the only prolongation
+    # rule, so each functional is evaluated once on each deformation
+    j = theta_of(LADDER2.rungs[1])
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    evaluations = [0]
+    steps = _count_deformations(monkeypatch)
+    frechet_apply([_counted(evaluations, 0, FUNCTIONALS[name])], j, q)
+    assert len(steps) == 2
+    assert evaluations == [2]
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
 def test_quadratic_functionals_have_exact_central_differences(name):
     # for a functional of degree <= 2 in the jets the eps and eps/2 central
     # differences agree to rounding even at a large step; a rational one
-    # (the lowered rung) differs at O(eps^2), which is what the Richardson
-    # half step removes
+    # (the lowered rung, Phi on rung 1) differs at O(eps^2)
+    quadratic = {
+        "theta_functional",
+        "theta_derivatives_functional",
+        "u_functional",
+        "u_derivatives_functional",
+    }
     g = FUNCTIONALS[name]
     j = theta_of(LADDER2.rungs[1])
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
-    whole, half = (
-        frechet_apply([g], j, q, FrechetPolicy(eps_base=eps, richardson=False))[0]
-        for eps in (1e-2, 5e-3)
-    )
+    whole, half = (frechet_apply([g], j, q, eps)[0] for eps in (1e-2, 5e-3))
     gap = 0.0
     for a, b in zip(whole, half):
         m = max(a.margin, b.margin)
         gap = max(gap, interior_max(fro(a.values - b.values), m) / interior_max(fro(a.values), m))
-    if getattr(g, "quadratic", False):
+    if name in quadratic:
         assert gap < 1e-11
     else:
         assert gap > 1e-6
@@ -418,7 +417,7 @@ def test_commutation_orders():
     ref = dl1.values + dl2.values  # f = g = 1
     ds = []
     for eps in (0.04, 0.02):
-        ((pw,),) = frechet_apply([g], j1, q1, FrechetPolicy(eps_base=eps, richardson=False))
+        ((pw,),) = frechet_apply([g], j1, q1, eps)
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
     assert np.log2(ds[0] / ds[1]) > 1.9
 
@@ -428,9 +427,8 @@ def test_commutation_orders():
         gh = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (101, 101))
         jh = theta_of(veronese_ladder(2, gh).rungs[1])
         qh = conformal_characteristic(spec, jh)
-        pol = FrechetPolicy(eps_base=1e-3)
         (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional(), lowering_derivatives_functional()], jh, qh, pol
+            [lowering_functional(), lowering_derivatives_functional()], jh, qh, 1e-3
         )
         hs.append(commutation_defect(prw_g, prw_dg))
     assert np.log2(hs[0] / hs[1]) > 3.0
