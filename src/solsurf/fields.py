@@ -210,8 +210,9 @@ def _shift_slices(ndim: int, axis: int, k: int) -> tuple[slice, ...]:
     return tuple(sl)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def diff1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Fourth-order central first derivative; outermost 2 layers become NaN."""
+    """Fourth-order central first derivative; NaN on the outer 2 layers, non-finite on overflow."""
     out = np.full_like(values, np.nan, dtype=complex)
     core = [slice(None)] * values.ndim
     core[axis] = slice(2, -2)

@@ -139,6 +139,8 @@ def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
     return a[i1, j1] * a[i2, j2] - a[i1, j2] * a[i2, j1]
 
 
+# a determinant beyond the float range comes out non-finite, as `_inv_small` expects
+@np.errstate(over="ignore", invalid="ignore")
 def _det_small(a: np.ndarray) -> np.ndarray:
     d = a[0, 0] * _cofactor(a, 0, 0)
     for j in range(1, a.shape[0]):
@@ -231,8 +233,9 @@ def project_su(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SINHC_SERIES = 1e-3
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _expm2(a: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of finite 2x2 matrices, batched.
+    """Closed-form exponential of finite 2x2 matrices, batched; non-finite on overflow.
 
     With m = tr X / 2 and B = X - m I, Cayley-Hamilton gives B^2 = s^2 I
     for s^2 = -det B, so exp X = e^m (cosh s I + sinh(s)/s B) (Bernstein &

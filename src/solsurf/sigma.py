@@ -302,6 +302,8 @@ class TravelingWave:
         x1, x2 = self.grid.mesh()
         return x1 + self.kappa * x2
 
+    # a phase beyond the float range comes out non-finite; `expm` reports it
+    @np.errstate(over="ignore", invalid="ignore")
     def chi(self, lam: complex) -> np.ndarray:
         lam = check_lambda(lam)
         x1, x2 = self.grid.mesh()
@@ -313,10 +315,11 @@ class TravelingWave:
         return x1 / (1 + lam) ** 2 - self.kappa * x2 / (1 - lam) ** 2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def traveling_solution(
     kappa: float, omega: float, grid: Grid2
 ) -> tuple[TravelingWave, JetField]:
-    """Rotating traveling wave with exact jets.
+    """Rotating traveling wave with exact jets, non-finite where the phase overflows.
 
     theta(s) = i(R(omega s) diag(1,0) R(omega s)^T - I/2) along
     s = x1 + kappa*x2; all derivative fields follow by the chain rule, and

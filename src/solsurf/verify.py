@@ -15,10 +15,10 @@ one key: ``identities.theta-square``, ``identities.theta-commutator``,
 ``appendix.commutation``.  A key that names no row is a configuration
 error.
 
-Fixtures are memoized on the method name and its arguments, so a
-quantity that several rows read is built once per run, by the first row
-that asks.  A row's runtime in ``report.txt`` therefore includes the
-fixtures it built first.
+A field that two or more rows or fixtures read is memoized on the method
+name and its arguments, so it is built once per run, by the first row
+that asks; a field with one reader is built inside that reader and freed
+on return.  A row's runtime in ``report.txt`` includes the fixtures it built.
 
 Fixture grids are chosen so that 4th-order stencil truncation dominates
 rounding noise at every measured quantity; Euclidean immersion checks run
@@ -196,10 +196,10 @@ def _fixture(method):
 class Fixtures:
     """The inputs of the checks, each built once per run on first request.
 
-    Fields are held for the standard Euclidean pair, the traveling wave
-    and the grids and jets they derive from.  Each (jets, Q, step) is
-    prolonged once, by the one fixture that returns all the rows read of
-    it; fields that nothing else needs are reduced to the rows' values.
+    A field is memoized only when two or more rows or fixtures read it; a
+    field with one reader is built inside that reader, which returns only
+    the values its rows read.  Each (jets, Q, step) is prolonged once, by
+    the one fixture that returns all the rows read of it.
     """
 
     def __init__(self):
@@ -218,21 +218,20 @@ class Fixtures:
     def mink_grid(self, h: float = MINK_H) -> Grid2:
         return Grid2(CHART_MINKOWSKI, (0.0, 0.0), (h, h), (GRID_N, GRID_N))
 
-    # Only the jets are kept, each built from its own rung: holding every
-    # Veronese ladder as well would raise the run's peak memory.
+    @_fixture
+    def theta_identity_defects(self, n: int) -> dict[str, float]:
+        """The theta identities on rung (n, 0), on stencil jets of its projector."""
+        p = veronese_field(n, self.euclid_grid())
+        j = theta_of(MatrixField(p.grid, p.values, p.margin))
+        return {
+            "square": interior_max(*theta_square_residual(j)),
+            "commutator": interior_max(*theta_comm_identity_residual(j)),
+            "triple": interior_max(*theta_triple_residual(j)),
+        }
 
     @_fixture
-    def jets_analytic(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
-        return theta_of(veronese_field(n, self.euclid_grid(h), k))
-
-    @_fixture
-    def jets_numeric(self, n: int, k: int = 0, h: float = EUCLID_H) -> JetField:
-        p = veronese_field(n, self.euclid_grid(h), k)
-        return theta_of(MatrixField(p.grid, p.values, p.margin))
-
-    @_fixture
-    def traveling(self, h: float = MINK_H):
-        return traveling_solution(KAPPA, OMEGA, self.mink_grid(h))
+    def traveling(self):
+        return traveling_solution(KAPPA, OMEGA, self.mink_grid())
 
     @_fixture
     def euclid_spec(self) -> ConformalSpec:
@@ -258,16 +257,16 @@ class Fixtures:
     # f = xi^2 symmetry.
 
     @_fixture
-    def euclid_q(self) -> MatrixField:
-        return conformal_characteristic(self.euclid_spec(), self.jets_analytic(2))
+    def jets_analytic(self) -> JetField:
+        return theta_of(veronese_field(2, self.euclid_grid()))
 
     @_fixture
     def euclid_wave(self) -> WaveField:
-        return euclidean_wave(self.jets_analytic(2), 0, LAM_EUCLID)
+        return euclidean_wave(self.jets_analytic(), 0, LAM_EUCLID)
 
     @_fixture
     def euclid_u(self) -> tuple[MatrixField, MatrixField]:
-        return u_pair(self.jets_analytic(2), LAM_EUCLID)
+        return u_pair(self.jets_analytic(), LAM_EUCLID)
 
     @_fixture
     def euclid_prolonged(self) -> dict[str, object]:
@@ -277,7 +276,8 @@ class Fixtures:
         the three commutation defects as values."""
         wave = wave_functional(_euclid_builder(0), LAM_EUCLID)
         gs = (*_commutation_functionals(LAM_EUCLID), wave)
-        *commuting, (prw_phi, *lsp) = frechet_apply(gs, self.jets_analytic(2), self.euclid_q())
+        spec, j = self.euclid_spec(), self.jets_analytic()
+        *commuting, (prw_phi, *lsp) = frechet_apply(gs, j, conformal_characteristic(spec, j))
         return {
             "tangents": commuting[2],
             "wave": prw_phi,
@@ -301,7 +301,7 @@ class Fixtures:
     @_fixture
     def euclid_closed(self) -> MatrixField:
         """F = Phi^-1 (f u1 + g u2) Phi."""
-        spec, j, w = self.euclid_spec(), self.jets_analytic(2), self.euclid_wave()
+        spec, j, w = self.euclid_spec(), self.jets_analytic(), self.euclid_wave()
         return conformal_immersion_closed(spec, j, w, LAM_EUCLID)
 
     @_fixture
@@ -312,7 +312,7 @@ class Fixtures:
     def euclid_theta_defects(self) -> dict[str, float]:
         """Q = theta, not a symmetry: the zero-curvature defect of its
         prolonged connection, and the path defect of its line integral."""
-        j = self.jets_analytic(2)
+        j = self.jets_analytic()
         q = MatrixField(j.grid, j.values.copy(), j.margin)
         ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
         return {
@@ -328,15 +328,16 @@ class Fixtures:
         above level 0, pr w of the lowered rung against f D1 + g D2 of it,
         whose D1 and D2 the step-order probe reuses on rung (2, 1).
 
-        Only the standard pair's fields are shared; another rung's fields
-        are dropped on return, which keeps peak memory down.
+        Only the standard pair's fields are shared; another rung's jets and
+        fields are built here and dropped on return.
         """
-        spec, j = self.euclid_spec(), self.jets_analytic(n, k)
+        spec = self.euclid_spec()
         out: dict[str, object] = {}
         if (n, k) == (2, 0):
             w, prw_phi = self.euclid_wave(), self.euclid_prolonged()["wave"]
             calf, (a, b) = self.euclid_explicit(), self.euclid_tangents()
         else:
+            j = theta_of(veronese_field(n, self.euclid_grid(), k))
             gs = [wave_functional(_euclid_builder(k)), u_functional(LAM_EUCLID)]
             if k:
                 gs.append(lowering_functional())
@@ -349,7 +350,7 @@ class Fixtures:
             w = euclidean_wave(j, k, LAM_EUCLID)
             calf = explicit_immersion(w, prw_phi)
         d1phi, d2phi, dm = chart_first_derivatives(w)
-        ref = spec.along(j.grid, d1phi, d2phi)
+        ref = spec.along(w.grid, d1phi, d2phi)
         out["conformal-wave"] = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
         out["explicit-integration"] = max(tangent_check(calf, w, a, b))
         return out
@@ -357,8 +358,8 @@ class Fixtures:
     # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
 
     @_fixture
-    def mink_wave(self, h: float = MINK_H) -> WaveField:
-        return phi_traveling(*self.traveling(h), LAM_MINK)
+    def mink_wave(self) -> WaveField:
+        return phi_traveling(*self.traveling(), LAM_MINK)
 
     @_fixture
     def mink_u(self) -> tuple[MatrixField, MatrixField]:
@@ -371,8 +372,8 @@ class Fixtures:
         return commutator(jt.d1, jt.values)
 
     @_fixture
-    def mink_q(self, h: float = MINK_H) -> MatrixField:
-        return conformal_characteristic(self.mink_spec_quadratic(), self.traveling(h)[1])
+    def mink_q(self) -> MatrixField:
+        return conformal_characteristic(self.mink_spec_quadratic(), self.traveling()[1])
 
     @_fixture
     def mink_prolonged(self) -> dict[str, object]:
@@ -511,7 +512,7 @@ def _naive_pair_defect(fx: Fixtures) -> float:
 
 def _euclid_prolonged_connection(fx: Fixtures) -> float:
     a, b = fx.euclid_tangents()
-    pw1, pw2 = prolong_u(fx.euclid_spec(), fx.jets_analytic(2), LAM_EUCLID)
+    pw1, pw2 = prolong_u(fx.euclid_spec(), fx.jets_analytic(), LAM_EUCLID)
     return max(
         interior_max(fro(a.values - pw1.values), max(a.margin, pw1.margin)),
         interior_max(fro(b.values - pw2.values), max(b.margin, pw2.margin)),
@@ -550,8 +551,10 @@ def _affine_difference_value(fx: Fixtures) -> float:
 
 
 def _quadratic_difference_variation(fx: Fixtures) -> float:
-    spec, (tw, jt), w = fx.mink_spec_quadratic(), fx.traveling(WIDE_H), fx.mink_wave(WIDE_H)
-    ((prw_phi,),) = frechet_apply((wave_functional(_mink_builder(tw)),), jt, fx.mink_q(WIDE_H))
+    tw, jt = traveling_solution(KAPPA, OMEGA, fx.mink_grid(WIDE_H))
+    spec, w = fx.mink_spec_quadratic(), phi_traveling(tw, jt, LAM_MINK)
+    q = conformal_characteristic(spec, jt)
+    ((prw_phi,),) = frechet_apply((wave_functional(_mink_builder(tw)),), jt, q)
     f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
     return constant_difference_check(f_closed, explicit_immersion(w, prw_phi))[1]
 
@@ -621,21 +624,21 @@ def _theta_identity_checks(n: int) -> tuple[_Check, ...]:
             f"identities.theta-square-cp{n - 1}",
             "theta^2 = -i(2-N)/N theta + (1-N)/N E pointwise",
             1e-10,
-            lambda fx: interior_max(*theta_square_residual(fx.jets_numeric(n))),
+            lambda fx: fx.theta_identity_defects(n)["square"],
             key="identities.theta-square",
         ),
         _Check(
             f"identities.theta-commutator-cp{n - 1}",
             "[theta_1,theta](2i theta-(2-N)E) = -i theta_1",
             1e-10,
-            lambda fx: interior_max(*theta_comm_identity_residual(fx.jets_numeric(n))),
+            lambda fx: fx.theta_identity_defects(n)["commutator"],
             key="identities.theta-commutator",
         ),
         _Check(
             f"identities.theta-triple-cp{n - 1}",
             "theta theta_1 theta = (N-1)/N^2 theta_1",
             1e-10,
-            lambda fx: interior_max(*theta_triple_residual(fx.jets_numeric(n))),
+            lambda fx: fx.theta_identity_defects(n)["triple"],
             key="identities.theta-triple",
         ),
     )

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -257,6 +258,52 @@ def test_shared_fixtures_do_not_depend_on_suite_order():
         assert alone == [c for c in together if c["target"] == suite], suite
 
 
+def _held_array_bytes(root) -> int:
+    """Bytes of the distinct arrays reachable from ``root``, a view's base counted once."""
+    bases, seen, todo = {}, set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            # a lazily built jet holds its arrays in a closure
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return sum(bases.values())
+
+
+def test_fixtures_hold_no_single_reader_field(monkeypatch):
+    # a field that one row or fixture reads is built inside it and freed
+    # on return, so the memoized fields stay small; and none of them is
+    # rebuilt: each rung's projector is built once, each appendix ladder once
+    from solsurf import verify
+
+    calls = {"veronese_field": 0, "veronese_ladder": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    fx = verify.Fixtures()
+    held = []
+    for check in verify._CHECKS:
+        check.measure(fx)
+        held.append(_held_array_bytes(fx._cache))
+    assert max(held) <= 25e6, max(held)
+    assert calls == {"veronese_field": 7, "veronese_ladder": 3}
+
+
 README_EUCLID = {
     "model": "cp",
     "space": "euclidean",
@@ -322,7 +369,6 @@ def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, f
     assert not os.path.exists(out)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_immerse_degenerate_spacing_is_a_config_error(tmp_path, capsys):
     # the config parses, but on the vanishing spacing the deformed wave
     # function has no lowering denominator anywhere
@@ -333,6 +379,8 @@ def test_cli_immerse_degenerate_spacing_is_a_config_error(tmp_path, capsys):
     out.mkdir()
     assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
+    # the one line, with no numpy warning ahead of it
+    assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: keys 'grid' and 'symmetry': ")
     assert "lowering denominator vanished everywhere" in err
     # every field is computed before the first is written
@@ -426,7 +474,6 @@ def test_cli_export_obj_of_an_immersed_surface(tmp_path):
     assert np.array_equal(np.array(verts), embed_su2(trim_margin(field)).reshape(-1, 3))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, capsys):
     # the config parses, but the phase chi [theta_1, theta] of the wave
     # function overflows
@@ -437,11 +484,11 @@ def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, caps
     out.mkdir()
     assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: keys 'solution', 'grid', 'lambda' and 'symmetry': ")
     assert os.listdir(out) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_immerse_singular_wave_function_is_a_config_error(tmp_path, capsys):
     # the config parses, but the traveling-wave Phi at lambda = 11i is
     # exactly singular at a node in floating point, so it has no inverse
@@ -453,6 +500,7 @@ def test_cli_immerse_singular_wave_function_is_a_config_error(tmp_path, capsys):
     out.mkdir()
     assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: keys 'solution', 'grid' and 'lambda': ")
     assert os.listdir(out) == []
 
