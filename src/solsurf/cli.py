@@ -13,11 +13,12 @@ the same configuration (timings appear only in the human-readable text).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import DeformationOutOfDomain, FieldFileError, LambdaSingular, Marg
 from .fields import (
     Grid2,
     MatrixField,
+    interior,
     interior_max,
     read_field,
     trim_margin,
@@ -90,6 +92,29 @@ def _dump_json(path: str, obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
 
 
+@contextlib.contextmanager
+def _staged(outdir: str) -> Iterator[Callable[[str], str]]:
+    """Yield ``stage(name)``, the temporary path ``<target>.<pid>.<i>.tmp`` to
+    write the target ``outdir/name`` to.  The staged files are renamed onto
+    their targets in order once the block ends, and removed if it raises."""
+    staged: list[tuple[str, str]] = []
+
+    def stage(name: str) -> str:
+        dst = os.path.join(outdir, name)
+        os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
+        staged.append((f"{dst}.{os.getpid()}.{len(staged)}.tmp", dst))
+        return staged[-1][0]
+
+    try:
+        yield stage
+        for tmp, dst in staged:
+            os.replace(tmp, dst)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
 def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
     """A field file named by config key ``key``; any failure is a ConfigError."""
     try:
@@ -150,39 +175,39 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
 
 
 def cmd_solve(cfg: RunConfig, outdir: str) -> int:
-    os.makedirs(outdir, exist_ok=True)
     j, carrier, meta = _build_solution(cfg)
-    write_field(os.path.join(outdir, "theta.npz"), j)
-
     summary: dict = {"solution": meta, "grid": cfg.grid.to_json(), "n": cfg.n}
-    if meta["kind"] == "veronese":
-        # a bare field takes the stencil route, so the residual does not
-        # rest on the exact jets it certifies
-        rung = carrier.active_rung
-        el, em = el_residual(theta_of(MatrixField(rung.grid, rung.values, rung.margin)))
-        summary["el_residual_max"] = interior_max(el, em)
-        for m in range(len(carrier)):
-            write_field(os.path.join(outdir, f"ladder_{m}.npz"), carrier.rungs[m])
-        summary["ladder_length"] = len(carrier)
-        summary["orthogonality_defect"] = carrier.orthogonality_defect()
-        summary["completeness_residual"] = carrier.completeness_residual()
-        write_scalar_csv(os.path.join(outdir, "el_residual.csv"), cfg.grid, el, em)
-    else:
-        tvdefect = interior_max(fro(carrier.kappa * j.d1 - j.d2), j.margin1)
-        summary["traveling_constraint_defect"] = tvdefect
-        el, em = el_residual(j)
-        summary["el_residual_max"] = interior_max(el, em)
-    sq, m0 = theta_square_residual(j)
-    ci, m1 = theta_comm_identity_residual(j)
-    summary["theta_square_residual_max"] = interior_max(sq, m0)
-    summary["theta_commutator_identity_max"] = interior_max(ci, m1)
-    _dump_json(os.path.join(outdir, "solve-summary.json"), summary)
+    with _staged(outdir) as stage:
+        write_field(stage("theta.npz"), j)
+        if meta["kind"] == "veronese":
+            # a bare field takes the stencil route, so the residual does not
+            # rest on the exact jets it certifies
+            rung = carrier.active_rung
+            el, em = el_residual(theta_of(MatrixField(rung.grid, rung.values, rung.margin)))
+            summary["el_residual_max"] = interior_max(el, em)
+            for m in range(len(carrier)):
+                write_field(stage(f"ladder_{m}.npz"), carrier.rungs[m])
+            summary["ladder_length"] = len(carrier)
+            summary["orthogonality_defect"] = carrier.orthogonality_defect()
+            summary["completeness_residual"] = carrier.completeness_residual()
+            write_scalar_csv(stage("el_residual.csv"), cfg.grid, el, em)
+        else:
+            tvdefect = interior_max(fro(carrier.kappa * j.d1 - j.d2), j.margin1)
+            summary["traveling_constraint_defect"] = tvdefect
+            el, em = el_residual(j)
+            summary["el_residual_max"] = interior_max(el, em)
+        sq, m0 = theta_square_residual(j)
+        ci, m1 = theta_comm_identity_residual(j)
+        summary["theta_square_residual_max"] = interior_max(sq, m0)
+        summary["theta_commutator_identity_max"] = interior_max(ci, m1)
+        _dump_json(stage("solve-summary.json"), summary)
     return 0
 
 
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
-    """Every field and the report are computed before the first file is
-    written, so a run that fails leaves no output behind."""
+    """Each field is staged as soon as it is final and then freed, the report
+    last; the files are renamed into place once it is written, so a run that
+    exits 2 leaves no file behind."""
     j, carrier, meta = _build_solution(cfg)
     builder = _wave_builder(cfg, carrier)
     wave = builder(j)
@@ -202,48 +227,55 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             "immersion requires at least one of: a_coeffs, gauge, symmetry"
         )
     a, b = assemble_tangents(inputs, j, cfg.lam)
-    res = integrate_surface(a, b, wave, u1=u1, u2=u2)
-    outputs = {"immersion": (res.field, None), "wave": (wave, wave.lam)}
-    t1 = MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin))
-    t2 = MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin))
-    report: dict = {
-        "basepoint": list(res.basepoint),
-        "compat_defect": res.compat_defect,
-        "path_defect": res.path_defect,
-        "su_correction": res.su_correction,
-        "wave": wave_diagnostics(wave),
-        "integrated_tangent_defect": max(tangent_check(res.raw, wave, a, b)),
-        "tangent_gram": linear_independence_report(t1, t2),
-    }
+    # a grid that the deepest tangent check covers fails before the compatibility check warns
+    deepest = max(a.margin, b.margin, wave.margin, prolonged[1][0].margin if symmetry_only else 0)
+    interior(np.empty(wave.values.shape[2:]), deepest + 2)
 
-    if cfg.a_coeffs and gauge is None and cfg.symmetry is None:
-        if meta["kind"] == "veronese":
-            dphi = euclidean_wave_dlambda(carrier, cfg.lam)
-        else:
-            dphi = traveling_wave_dlambda(carrier, j, wave)
-        fst = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
-        outputs["sym_tafel"] = (fst, None)
-        report["sym_tafel_su_distance"] = su_distance(fst)
+    with _staged(outdir) as stage:
+        res = integrate_surface(a, b, wave, u1=u1, u2=u2)
+        write_field(stage("immersion.npz"), res.field)
+        write_field(stage("wave.npz"), wave, lam=wave.lam)
+        raw = res.raw
+        report: dict = {
+            "basepoint": list(res.basepoint),
+            "compat_defect": res.compat_defect,
+            "path_defect": res.path_defect,
+            "su_correction": res.su_correction,
+            "wave": wave_diagnostics(wave),
+        }
+        del res  # frees the projected surface, which is staged
+        report["integrated_tangent_defect"] = max(tangent_check(raw, wave, a, b))
+        del raw
+        report["tangent_gram"] = linear_independence_report(
+            MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin)),
+            MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin)),
+        )
 
-    if symmetry_only:
-        f_closed = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
-        outputs["conformal_closed"] = (f_closed, None)
-        report["conformal_closed_su_distance"] = su_distance(f_closed)
-        calf = explicit_immersion(wave, prolonged[1][0])
-        outputs["prolonged"] = (calf, None)
-        report["prolonged_su_distance"] = su_distance(calf)
-        # only the symmetry is active, so (a, b) is the prolonged pair
-        defect = max(tangent_check(calf, wave, a, b))
-        report["prolonged_tangent_defect"] = defect
-        report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
-        report["closed_vs_prolonged_variation"] = constant_difference_check(
-            f_closed, calf
-        )[1]
+        if cfg.a_coeffs and gauge is None and cfg.symmetry is None:
+            if meta["kind"] == "veronese":
+                dphi = euclidean_wave_dlambda(carrier, cfg.lam)
+            else:
+                dphi = traveling_wave_dlambda(carrier, j, wave)
+            fst = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
+            write_field(stage("sym_tafel.npz"), fst)
+            report["sym_tafel_su_distance"] = su_distance(fst)
 
-    os.makedirs(outdir, exist_ok=True)
-    for stem, (field, lam) in outputs.items():
-        write_field(os.path.join(outdir, f"{stem}.npz"), field, lam=lam)
-    _dump_json(os.path.join(outdir, "immersion-report.json"), report)
+        if symmetry_only:
+            f_closed = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
+            write_field(stage("conformal_closed.npz"), f_closed)
+            report["conformal_closed_su_distance"] = su_distance(f_closed)
+            calf = explicit_immersion(wave, prolonged[1][0])
+            write_field(stage("prolonged.npz"), calf)
+            report["prolonged_su_distance"] = su_distance(calf)
+            # only the symmetry is active, so (a, b) is the prolonged pair
+            defect = max(tangent_check(calf, wave, a, b))
+            report["prolonged_tangent_defect"] = defect
+            report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
+            report["closed_vs_prolonged_variation"] = constant_difference_check(
+                f_closed, calf
+            )[1]
+
+        _dump_json(stage("immersion-report.json"), report)
     return 0
 
 
@@ -260,13 +292,12 @@ def cmd_verify(cfg: RunConfig | None, suite: str, outdir: str) -> int:
 
 
 def cmd_export(cfg: RunConfig, outdir: str) -> int:
-    """Each entry is converted and written to a temporary file beside its
-    target, one at a time, and renamed into place once the last entry has
-    succeeded, so an export that exits 2 leaves no file behind."""
+    """Each entry is converted and staged beside its target, one at a time,
+    and the files are renamed into place once the last entry has succeeded,
+    so an export that exits 2 leaves no file behind."""
     if not cfg.outputs:
         raise ConfigError("key 'outputs' is empty; nothing to export")
-    staged: list[tuple[str, str]] = []
-    try:
+    with _staged(outdir) as stage:
         for i, entry in enumerate(cfg.outputs):
             field, lam = _read_input(entry["input"], f"outputs[{i}].input")
             if entry["format"] == "obj":
@@ -277,23 +308,15 @@ def cmd_export(cfg: RunConfig, outdir: str) -> int:
                     raise ConfigError(
                         f"key 'outputs[{i}]': cannot export {entry['input']!r} as obj: {exc}"
                     ) from exc
-            dst = os.path.join(outdir, entry["path"])
-            os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
-            tmp = f"{dst}.{os.getpid()}.{i}.tmp"
-            staged.append((tmp, dst))
+            tmp = stage(entry["path"])
             if entry["format"] == "json":
                 write_field_json(tmp, field, lam)
             elif entry["format"] == "csv":
                 write_scalar_csv(tmp, field.grid, fro(field.values), field.margin)
             else:
                 export_obj(tmp, points)
-        for tmp, dst in staged:
-            os.replace(tmp, dst)
-            print(f"wrote {dst}")
-    finally:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+    for entry in cfg.outputs:
+        print(f"wrote {os.path.join(outdir, entry['path'])}")
     return 0
 
 
@@ -309,7 +332,7 @@ def _lambda_flag(text: str) -> complex:
 
 # Errors of a config that parses but cannot be computed, and the keys that cause them
 _UNCOMPUTABLE = {
-    # no wave function of the solution or of its deformation: on a vanishing spacing, say
+    # no wave function of the solution or of its deformation: far from the origin, say
     DeformationOutOfDomain: "keys 'grid' and 'symmetry'",
     # the phase chi [theta_1, theta] of a traveling wave, or of its deformation, is not finite
     NonFiniteMatrix: "keys 'solution', 'grid', 'lambda' and 'symmetry'",

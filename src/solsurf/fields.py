@@ -78,6 +78,9 @@ class Grid2:
             raise ValueError("grid needs at least 9 nodes per axis")
         if self.spacing[0] <= 0 or self.spacing[1] <= 0:
             raise ValueError("grid spacing must be positive")
+        # the second-derivative stencils divide by 12 h^2
+        if not all(12 * h * h > 0 and math.isfinite(1 / (12 * h * h)) for h in self.spacing):
+            raise ValueError(f"grid.spacing {list(self.spacing)} leaves 1/(12 h^2) non-finite")
         half = ((self.n1 - 1) / 2 * self.h1, (self.n2 - 1) / 2 * self.h2)
         if not all(math.isfinite(abs(c) + w) for c, w in zip(self.origin, half)):
             raise ValueError("grid extends beyond the float range")

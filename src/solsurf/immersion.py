@@ -56,6 +56,10 @@ __all__ = [
 # `integrate_surface` warns above this compatibility defect of the tangent pair
 COMPAT_WARN = 1e-6
 
+# Grid rows per strip of the reductions that would otherwise build
+# full-size matrix temporaries; they fill a scalar field strip by strip
+STRIP_ROWS = 16
+
 
 @dataclass(frozen=True)
 class ImmersionInputs:
@@ -197,24 +201,27 @@ def integrate_surface(
     if not (m <= i1c < n1 - m and m <= i2c < n2 - m):
         raise ValueError("basepoint outside the trusted interior")
 
-    at = w.conjugate(a.values)
-    bt = w.conjugate(b.values)
-    gx, gy = _axis_integrands(grid, at, bt)
+    # each conjugated tangent is freed once its line integral is taken
+    gx, gy = _axis_integrands(grid, w.conjugate(a.values), w.conjugate(b.values))
     j1c, j2c = i1c - m, i2c - m
-
     ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=-1)
-    ia = ia - ia[..., j1c : j1c + 1]
+    del gx
+    ia -= ia[..., j1c : j1c + 1].copy()
     ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=-2)
-    ib = ib - ib[..., j2c : j2c + 1, :]
+    del gy
+    ib -= ib[..., j2c : j2c + 1, :].copy()
 
     # x1 first: run along the basepoint row, then up each column.
-    f_12 = ia[..., j2c : j2c + 1, :] + ib
+    f_full = np.full(a.values.shape, np.nan + 0j)
+    f_12 = interior(f_full, m)
+    np.add(ia[..., j2c : j2c + 1, :], ib, out=f_12)
     # x2 first: run along the basepoint column, then across each row.
-    f_21 = ib[..., j1c : j1c + 1] + ia
-    path_defect = float(np.nanmax(fro(f_12 - f_21)))
+    gap = np.empty(f_12.shape[2:])
+    for r in range(0, gap.shape[0], STRIP_ROWS):
+        rows = slice(r, r + STRIP_ROWS)
+        gap[rows] = fro(f_12[..., rows, :] - (ib[..., rows, j1c : j1c + 1] + ia[..., rows, :]))
+    path_defect = float(np.nanmax(gap))
 
-    f_full = np.full_like(at, np.nan)
-    interior(f_full, m)[...] = f_12
     raw = MatrixField(grid, f_full, m)
     field, su_correction = su_projected(raw)
 
@@ -233,13 +240,10 @@ def tangent_check(
 ) -> tuple[float, float]:
     """Stencil derivatives of F against the conjugated tangents."""
     d1f, d2f, dmargin = chart_first_derivatives(f)
-    at = w.conjugate(a.values)
-    bt = w.conjugate(b.values)
     margin = max(dmargin, a.margin, b.margin, w.margin)
-    return (
-        interior_max(fro(d1f - at), margin),
-        interior_max(fro(d2f - bt), margin),
-    )
+    d1f -= w.conjugate(a.values)
+    d2f -= w.conjugate(b.values)
+    return interior_max(fro(d1f), margin), interior_max(fro(d2f), margin)
 
 
 def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
@@ -248,11 +252,16 @@ def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
     NaN nodes stay NaN; the correction is the worst interior distance of
     the field from anti-Hermitian traceless.
     """
-    finite = np.isfinite(f.values)
-    su_part, defect = project_su(np.where(finite, f.values, 0.0))
-    vals = np.where(finite, su_part, np.nan + 0j)
-    corr = interior_max(np.where(np.isfinite(fro(f.values)), defect, np.nan), f.margin)
-    return MatrixField(f.grid, vals, f.margin), corr
+    vals = np.empty(f.values.shape, dtype=complex)
+    defect = np.empty(f.values.shape[2:])
+    for r in range(0, f.grid.n2, STRIP_ROWS):
+        rows = slice(r, r + STRIP_ROWS)
+        x = f.values[..., rows, :]
+        finite = np.isfinite(x)
+        su_part, d = project_su(np.where(finite, x, 0.0))
+        vals[..., rows, :] = np.where(finite, su_part, np.nan + 0j)
+        defect[rows] = np.where(np.isfinite(fro(x)), d, np.nan)
+    return MatrixField(f.grid, vals, f.margin), interior_max(defect, f.margin)
 
 
 def su_distance(f: MatrixField) -> float:

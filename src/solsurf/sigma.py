@@ -330,14 +330,19 @@ def traveling_solution(
     c, sn = np.cos(phase), np.sin(phase)
     theta = 0.5j * np.array([[c, sn], [sn, -c]])
     dtheta = 1j * omega * np.array([[-sn, c], [c, sn]])
-    ddtheta = -4.0 * omega * omega * theta  # a float power would raise on overflow
     k = kappa
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def second() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ddtheta = -4.0 * omega * omega * theta  # a float power would raise on overflow
+        return ddtheta, k * ddtheta, k * k * ddtheta
+
     jets = JetField(
         grid=grid,
         values=theta,
         d1=dtheta,
         d2=k * dtheta,
-        second=lambda: (ddtheta, k * ddtheta, k * k * ddtheta),
+        second=second,
         margin1=0,
         margin2=0,
     )

@@ -12,7 +12,10 @@ cross-check the two:
 * the inverse of the su(2) -> R^3 embedding, and constant fields, to build
   surfaces and tangents with known values;
 * the symmetry criterion in one call, prolonging the connection itself
-  (`verify` reads it from a prolonged pair that other checks share).
+  (`verify` reads it from a prolonged pair that other checks share);
+* the su(N) projection and the integrated surface with its path defect,
+  each formed on the whole grid at once, against the row strips that
+  :mod:`solsurf.immersion` reduces.
 """
 
 from __future__ import annotations
@@ -22,8 +25,16 @@ from typing import Callable
 import numpy as np
 
 from solsurf.errors import ChartMismatch
-from solsurf.fields import CHART_EUCLIDEAN, Grid2, MatrixField, chart_first_derivatives, interior_max
-from solsurf.matlie import constant, dagger, fro, mm, trace
+from solsurf.fields import (
+    CHART_EUCLIDEAN,
+    Grid2,
+    MatrixField,
+    chart_first_derivatives,
+    cumulative_line_integral,
+    interior,
+    interior_max,
+)
+from solsurf.matlie import constant, dagger, fro, mm, project_su, trace
 from solsurf.sigma import JetField, SolutionLadder, u_pair
 from solsurf.spectral import WaveField
 from solsurf.symmetry import compatibility_defect, frechet_apply, u_functional
@@ -152,3 +163,35 @@ def el_symmetry_defect(
     """
     ((pw1, pw2),) = frechet_apply([u_functional(lam)], j, q, eps_base)
     return compatibility_defect(pw1, pw2, *u_pair(j, lam))
+
+
+# --- whole-grid immersion reductions ---------------------------------------------------
+
+
+def su_projected_whole(f: MatrixField) -> tuple[MatrixField, float]:
+    """`solsurf.immersion.su_projected` with every temporary at full size."""
+    finite = np.isfinite(f.values)
+    su_part, defect = project_su(np.where(finite, f.values, 0.0))
+    vals = np.where(finite, su_part, np.nan + 0j)
+    corr = interior_max(np.where(np.isfinite(fro(f.values)), defect, np.nan), f.margin)
+    return MatrixField(f.grid, vals, f.margin), corr
+
+
+def integrated_surface_whole(
+    a: MatrixField, b: MatrixField, w: WaveField
+) -> tuple[np.ndarray, float]:
+    """The unprojected surface and the path defect of
+    `solsurf.immersion.integrate_surface` from its default basepoint, with
+    both integration orders formed on the whole grid at once."""
+    m = max(a.margin, b.margin, w.margin)
+    at, bt = w.conjugate(a.values), w.conjugate(b.values)
+    gx, gy = (at + bt, 1j * (at - bt)) if a.grid.chart == CHART_EUCLIDEAN else (at, bt)
+    ia = cumulative_line_integral(interior(gx, m), a.grid.h1, axis=-1)
+    ia = ia - ia[..., :1]
+    ib = cumulative_line_integral(interior(gy, m), a.grid.h2, axis=-2)
+    ib = ib - ib[..., :1, :]
+    f_12 = ia[..., :1, :] + ib
+    f_21 = ib[..., :1] + ia
+    f_full = np.full_like(at, np.nan)
+    interior(f_full, m)[...] = f_12
+    return f_full, float(np.nanmax(fro(f_12 - f_21)))

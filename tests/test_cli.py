@@ -3,7 +3,9 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -370,10 +372,12 @@ def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, f
 
 
 def test_cli_immerse_degenerate_spacing_is_a_config_error(tmp_path, capsys):
-    # the config parses, but on the vanishing spacing the deformed wave
-    # function has no lowering denominator anywhere
+    # the config parses, but the spacing lies below the float resolution of
+    # the far origin, so every node coincides; out there the rung's
+    # derivatives underflow and the wave function has no lowering
+    # denominator anywhere
     cfg = {**README_EUCLID, "solution": {"kind": "veronese", "k": 1},
-           "grid": {"origin": [0.0, 0.0], "spacing": [1.0, 5e-324], "dims": [9, 9]},
+           "grid": {"origin": [1e100, 0.0], "spacing": [1e-100, 1e-100], "dims": [9, 9]},
            "symmetry": {"f": [], "g": []}}
     out = tmp_path / "out"
     out.mkdir()
@@ -383,7 +387,22 @@ def test_cli_immerse_degenerate_spacing_is_a_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: keys 'grid' and 'symmetry': ")
     assert "lowering denominator vanished everywhere" in err
-    # every field is computed before the first is written
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "immerse"])
+def test_cli_spacing_the_stencils_cannot_use_is_a_config_error(tmp_path, capsys, command):
+    # 1/(12 h^2) of the second-derivative stencils overflows on h = 5e-324
+    cfg = {**README_EUCLID, "grid": {"origin": [0.0, 0.0], "spacing": [1.0, 5e-324], "dims": [9, 9]}}
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: key 'grid': grid.spacing [1.0, 5e-324] ")
+    assert len(err.splitlines()) == 1
     assert os.listdir(out) == []
 
 
@@ -409,12 +428,58 @@ def test_cli_immerse_grid_too_small_for_the_margins_is_a_config_error(tmp_path, 
            "grid": {"origin": [0.0, 0.0], "spacing": [0.02, 0.02], "dims": [side, side]}}
     out = tmp_path / "out"
     out.mkdir()
-    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == code
+    argv = ["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
     if code == 2:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        # the margins are checked before the compatibility check can warn
+        assert caught == []
         assert capsys.readouterr().err.startswith("configuration error: key 'grid': ")
         assert os.listdir(out) == []
     else:
+        with pytest.warns(UserWarning, match="tangent pair is not compatible"):
+            assert main(argv) == 0
         assert "immersion-report.json" in os.listdir(out)
+
+
+def test_cli_immerse_heap_peak_stays_within_17_fields(tmp_path):
+    # the README Minkowski config at 201^2: each field is written once it is
+    # final and then freed, and the diagnostics reduce row strips, so the
+    # heap never holds more than 17 fields of 4 complex entries per node
+    cfg = {**README_MINK, "grid": {**README_MINK["grid"], "dims": [201, 201]}}
+    argv = ["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert _quiet_main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * (4 * 201**2 * 16)
+
+
+def test_cli_successful_runs_leave_no_temporary_file(tmp_path):
+    for command, base in (("solve", README_EUCLID), ("solve", README_MINK), ("immerse", README_MINK)):
+        out = str(tmp_path / "out" / f"{command}-{base['space']}")
+        assert _quiet_main([command, "--config", write_cfg(tmp_path, base), "--out", out]) == 0
+    surface = str(tmp_path / "out" / "immerse-minkowski" / "immersion.npz")
+    outputs = [{"format": fmt, "input": surface, "path": f"sub/f.{fmt}"} for fmt in ("obj", "csv", "json")]
+    exp = write_cfg(tmp_path, {**README_MINK, "outputs": outputs}, name="exp.json")
+    assert _quiet_main(["export", "--config", exp, "--out", str(tmp_path / "out" / "export")]) == 0
+    written = sorted(
+        os.path.relpath(os.path.join(base, name), tmp_path / "out")
+        for base, _, names in os.walk(tmp_path / "out")
+        for name in names
+    )
+    assert written == [
+        "export/sub/f.csv", "export/sub/f.json", "export/sub/f.obj",
+        "immerse-minkowski/immersion-report.json", "immerse-minkowski/immersion.npz",
+        "immerse-minkowski/sym_tafel.npz", "immerse-minkowski/wave.npz",
+        "solve-euclidean/el_residual.csv", "solve-euclidean/ladder_0.npz",
+        "solve-euclidean/ladder_1.npz", "solve-euclidean/solve-summary.json",
+        "solve-euclidean/theta.npz",
+        "solve-minkowski/solve-summary.json", "solve-minkowski/theta.npz",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -433,7 +498,8 @@ def test_cli_export_obj_that_cannot_be_embedded_is_a_config_error(
     cfg = {**README_EUCLID, "n": n, "solution": {"kind": "veronese", "k": k},
            "grid": {"origin": [0.0, 0.0], "spacing": [0.02, 0.02], "dims": [side, side]}}
     imm = str(tmp_path / "imm")
-    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", imm]) == 0
+    with pytest.warns(UserWarning, match="tangent pair is not compatible"):
+        assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", imm]) == 0
     src = os.path.join(imm, f"{stem}.npz")
     field, _ = read_field(src)
     assert (field.n, field.margin) == (n, 2)

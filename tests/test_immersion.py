@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import constant_field
+from oracles import constant_field, integrated_surface_whole, su_projected_whole
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
@@ -27,6 +27,7 @@ from solsurf.symmetry import (
     wave_functional,
 )
 from solsurf.immersion import (
+    STRIP_ROWS,
     ImmersionInputs,
     assemble_tangents,
     compatibility_defect,
@@ -38,6 +39,7 @@ from solsurf.immersion import (
     psi_of,
     psi_residual,
     su_distance,
+    su_projected,
     sym_tafel,
     tangent_check,
     u_dlambda,
@@ -134,6 +136,46 @@ def test_incompatible_pair_warns():
         res = integrate_surface(u1, zero, w, u1=u1, u2=u2)
     assert res.compat_defect > 1e-3
     assert res.path_defect > 1e-6
+
+
+def _with_nan_rows(shape, rows, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals[..., rows, :] = np.nan
+    return vals
+
+
+def test_su_projected_strips_match_the_whole_field():
+    # one strip all NaN, a NaN row in another, a NaN node in a third; the
+    # last strip is short
+    g = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.1, 0.1), (13, 3 * STRIP_ROWS + 5))
+    rows = list(range(STRIP_ROWS, 2 * STRIP_ROWS)) + [2 * STRIP_ROWS + 3]
+    vals = _with_nan_rows((3, 3, g.n2, g.n1), rows, 1)
+    vals[1, 2, 3, 4] = np.nan
+    f = MatrixField(g, vals, 2)
+    field, corr = su_projected(f)
+    whole, whole_corr = su_projected_whole(f)
+    assert np.array_equal(field.values, whole.values, equal_nan=True)
+    assert corr == whole_corr and np.isfinite(corr)
+    assert np.isnan(field.values[..., STRIP_ROWS : 2 * STRIP_ROWS, :]).all()
+
+
+@pytest.mark.parametrize("chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI])
+def test_integrate_surface_strips_match_the_whole_grid(chart):
+    # a NaN row of B leaves every later row of the x2 integral NaN, so the
+    # path defect meets a partly NaN strip and strips that are all NaN
+    g = Grid2(chart, (0.0, 0.0), (0.1, 0.1), (11, 4 * STRIP_ROWS + 3))
+    a = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [], 2), 1)
+    b = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [STRIP_ROWS + 5], 3), 1)
+    w = WaveField(g, identity(2) + 0.1 * _with_nan_rows((2, 2, g.n2, g.n1), [], 4), 0, lam=0.5)
+    res = integrate_surface(a, b, w)
+    raw, path_defect = integrated_surface_whole(a, b, w)
+    assert np.array_equal(res.raw.values, raw, equal_nan=True)
+    assert res.path_defect == path_defect and np.isfinite(path_defect)
+    assert np.isnan(raw[..., 2 * STRIP_ROWS :, :]).all()
+    field, corr = su_projected_whole(MatrixField(g, raw, 1))
+    assert np.array_equal(res.field.values, field.values, equal_nan=True)
+    assert res.su_correction == corr
 
 
 def test_sym_tafel_euclid():
