@@ -124,17 +124,19 @@ def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
 
 
 def _build_solution(cfg: RunConfig):
-    """Returns (jet_field, ladder_or_wave, extras dict)."""
+    """Returns (jet_field, ladder_or_wave, extras dict); a config error if
+    theta, D_1 theta and D_2 theta are finite together at no interior node."""
     if cfg.solution["kind"] == "veronese":
-        ladder = veronese_ladder(cfg.n, cfg.grid).with_active(cfg.solution["k"])
-        j = theta_of(ladder.active_rung)
-        return j, ladder, {"kind": "veronese", "k": cfg.solution["k"]}
-    wave, j = traveling_solution(cfg.solution["kappa"], cfg.solution["omega"], cfg.grid)
-    return j, wave, {
-        "kind": "traveling",
-        "kappa": cfg.solution["kappa"],
-        "omega": cfg.solution["omega"],
-    }
+        carrier = veronese_ladder(cfg.n, cfg.grid).with_active(cfg.solution["k"])
+        j = theta_of(carrier.active_rung)
+        meta = {"kind": "veronese", "k": cfg.solution["k"]}
+    else:
+        carrier, j = traveling_solution(cfg.solution["kappa"], cfg.solution["omega"], cfg.grid)
+        meta = {"kind": "traveling", "kappa": cfg.solution["kappa"], "omega": cfg.solution["omega"]}
+    finite = np.isfinite(j.values) & np.isfinite(j.d1) & np.isfinite(j.d2)
+    if not interior(finite.all(axis=(0, 1)), j.margin1).any():
+        raise ConfigError("keys 'solution' and 'grid': the solution is not finite on the grid")
+    return j, carrier, meta
 
 
 def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
@@ -174,6 +176,8 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
     return field
 
 
+# a summary value that overflows is rejected below, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     j, carrier, meta = _build_solution(cfg)
     summary: dict = {"solution": meta, "grid": cfg.grid.to_json(), "n": cfg.n}
@@ -200,6 +204,9 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
         ci, m1 = theta_comm_identity_residual(j)
         summary["theta_square_residual_max"] = interior_max(sq, m0)
         summary["theta_commutator_identity_max"] = interior_max(ci, m1)
+        for key, value in summary.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"keys 'solution' and 'grid': {key} is not finite on the grid")
         _dump_json(stage("solve-summary.json"), summary)
     return 0
 

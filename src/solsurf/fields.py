@@ -202,8 +202,9 @@ def interior(x: np.ndarray, margin: int) -> np.ndarray:
 
 
 def interior_max(scalar: np.ndarray, margin: int) -> float:
-    """Max of |scalar| over the interior; NaN-nodes are ignored."""
-    return float(np.nanmax(np.abs(interior(np.asarray(scalar), margin))))
+    """Max of |scalar| over the interior; NaN-nodes are ignored, and the max
+    is NaN, quietly, where every node is."""
+    return float(np.fmax.reduce(np.abs(interior(np.asarray(scalar), margin)), axis=None))
 
 
 def _shift_slices(ndim: int, axis: int, k: int) -> tuple[slice, ...]:

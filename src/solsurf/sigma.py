@@ -18,8 +18,10 @@ conventions follow :mod:`solsurf.fields`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -136,18 +138,21 @@ def theta_triple_residual(j: JetField) -> tuple[np.ndarray, int]:
 # --- Veronese ladder: analytic route -----------------------------------------
 
 
-def _veronese_jets(n: int, xi: np.ndarray, kmax: int) -> list[dict[str, np.ndarray]]:
-    """Exact rung fields of the Veronese ladder at every grid point.
+# far out the frame overflows to non-finite nodes; `_build_solution` rejects it if all are
+@np.errstate(over="ignore", invalid="ignore")
+def _veronese_jets(n: int, xi: np.ndarray, ks: Sequence[int]) -> list[dict[str, np.ndarray]]:
+    """Exact fields of the Veronese rungs ``ks`` at every grid point.
 
-    Orthogonalizes the holomorphic curve v, v', v'' ... at each point; the
-    rung projectors and all their first and second derivatives come out of
-    hop matrices between consecutive frame vectors, with no grid stencils
-    involved.
+    Orthogonalizes the holomorphic curve v, v', v'' ... at each point, up
+    to the last vector a requested rung reads; the rung projectors and all
+    their first and second derivatives come out of hop matrices between
+    consecutive frame vectors, with no grid stencils involved.  Each
+    projector and hop is built once, and only if a requested rung reads it.
     """
     shape = xi.shape
     weights = [math.sqrt(math.comb(n - 1, k)) for k in range(n)]
     derivs: list[np.ndarray] = []
-    for d in range(n):
+    for d in range(min(max(ks) + 2, n - 1) + 1):
         v = np.zeros((n,) + shape, dtype=complex)
         for k in range(d, n):
             v[k] = weights[k] * math.prod(range(k - d + 1, k + 1)) * xi ** (k - d)
@@ -163,24 +168,22 @@ def _veronese_jets(n: int, xi: np.ndarray, kmax: int) -> list[dict[str, np.ndarr
 
     w = [np.einsum("k...,k...->...", u.conj(), u).real for u in frame]
     zero = np.zeros((n, n) + shape, dtype=complex)
+    t = 1.0 + np.abs(xi) ** 2
+    log_slope = [(n - 1 - 2 * k) * xi.conj() / t for k in range(n + 1)]
 
     def outer(a: np.ndarray, b: np.ndarray, wj: np.ndarray) -> np.ndarray:
         return a[:, None] * b.conj()[None, :] / wj
 
-    proj = [outer(frame[k], frame[k], w[k]) for k in range(n)]
-    hop = [outer(frame[k + 1], frame[k], w[k]) for k in range(n - 1)]
-    ratio = [w[k + 1] / w[k] for k in range(n - 1)]
-    t = 1.0 + np.abs(xi) ** 2
-    log_slope = [(n - 1 - 2 * k) * xi.conj() / t for k in range(n + 1)]
-
+    @functools.cache
     def proj_at(k: int) -> np.ndarray:
-        return proj[k] if 0 <= k < n else zero
+        return outer(frame[k], frame[k], w[k]) if 0 <= k < n else zero
 
+    @functools.cache
     def hop_at(k: int) -> np.ndarray:
-        return hop[k] if 0 <= k < n - 1 else zero
+        return outer(frame[k + 1], frame[k], w[k]) if 0 <= k < n - 1 else zero
 
     def ratio_at(k: int) -> np.ndarray:
-        return ratio[k] if 0 <= k < n - 1 else np.zeros(shape)
+        return w[k + 1] / w[k] if 0 <= k < n - 1 else np.zeros(shape)
 
     def dhop(k: int) -> np.ndarray:
         # holomorphic derivative of the up-hop matrix
@@ -188,10 +191,10 @@ def _veronese_jets(n: int, xi: np.ndarray, kmax: int) -> list[dict[str, np.ndarr
             return zero
         two_up = outer(frame[k + 2], frame[k], w[k]) if k + 2 < n else zero
         skip = outer(frame[k + 1], frame[k - 1], w[k - 1]) if k >= 1 else zero
-        return two_up + (log_slope[k + 1] - log_slope[k]) * hop[k] - skip
+        return two_up + (log_slope[k + 1] - log_slope[k]) * hop_at(k) - skip
 
     rungs = []
-    for k in range(kmax + 1):
+    for k in ks:
         d1p = hop_at(k) - hop_at(k - 1)
         d12p = (
             ratio_at(k) * (proj_at(k + 1) - proj_at(k))
@@ -251,32 +254,32 @@ class SolutionLadder:
         return worst
 
 
-def _veronese_rungs(n: int, grid: Grid2, kmax: int) -> list[JetField]:
-    """Rungs 0..kmax of the Veronese ladder from one frame build."""
+def _veronese_rungs(n: int, grid: Grid2, ks: Sequence[int]) -> list[JetField]:
+    """Rungs ``ks`` of the Veronese ladder from one frame build."""
     if grid.chart != CHART_EUCLIDEAN:
         raise ChartMismatch("Veronese fields live on the euclidean-complex chart")
     if n < 2:
         raise ValueError("need N >= 2")
-    if not 0 <= kmax <= n - 1:
-        raise ValueError(f"rung index {kmax} outside 0..{n - 1}")
     return [
         JetField(
             grid=grid, values=r["p"], d1=r["d1"], d2=r["d2"],
             second=lambda r=r: (r["d11"], r["d12"], r["d22"]),
             margin1=0, margin2=0,
         )
-        for r in _veronese_jets(n, grid.xi(), kmax)
+        for r in _veronese_jets(n, grid.xi(), ks)
     ]
 
 
 def veronese_field(n: int, grid: Grid2, k: int = 0) -> JetField:
     """Rung ``k`` of the Veronese ladder with exact values and exact jets."""
-    return _veronese_rungs(n, grid, k)[k]
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"rung index {k} outside 0..{n - 1}")
+    return _veronese_rungs(n, grid, (k,))[0]
 
 
 def veronese_ladder(n: int, grid: Grid2) -> SolutionLadder:
     """The full analytic ladder of the Veronese field (length N)."""
-    return SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, n - 1), active=0)
+    return SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, range(n)), active=0)
 
 
 # --- traveling wave ------------------------------------------------------------

@@ -146,15 +146,22 @@ def lowered_rung_with_jets(
     of the input is consumed per application.
     """
     r, d2p_p, num, deninv = _lowered_value(p, d1p, d2p)
-    # the input is P = I/N - i theta, so second derivatives are -i theta_ab
-    d11p, d12p, d22p = -1j * j.d11, -1j * j.d12, -1j * j.d22
-    d1num = mm(mm(d12p, p) + mm(d2p, d1p), d1p) + mm(d2p_p, d11p)
-    d2num = mm(mm(d22p, p) + mm(d2p, d2p), d1p) + mm(d2p_p, d12p)
-    d1den = trace(d1num)
-    d2den = trace(d2num)
-    d1r = d1num * deninv - num * (d1den * deninv**2)
-    d2r = d2num * deninv - num * (d2den * deninv**2)
-    return r, d1r, d2r
+
+    def derivative(dp: np.ndarray, theta_a2: np.ndarray, theta_a1: np.ndarray) -> np.ndarray:
+        # D_a num = (D_a D2P P + D2P D_a P) D1P + D2P P D_a D1P; the input is
+        # P = I/N - i theta, so the -i of its second jets goes on the products
+        inner = mm(theta_a2, p)
+        inner *= -1j
+        inner += mm(d2p, dp)
+        dnum = mm(inner, d1p)
+        del inner
+        dnum += -1j * mm(d2p_p, theta_a1)
+        dden = trace(dnum) * deninv**2
+        dnum *= deninv
+        dnum -= num * dden
+        return dnum
+
+    return r, derivative(d1p, j.d12, j.d11), derivative(d2p, j.d22, j.d12)
 
 
 def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:

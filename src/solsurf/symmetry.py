@@ -16,8 +16,9 @@ jets); for the others its O(eps^2) truncation error is at the level of
 the rounding error at the default step, so no extrapolation is taken.
 
 One prolongation feeds many functionals: `frechet_apply` takes a
-sequence of them, computes the jets of Q once, builds the two
-deformations once and evaluates every functional on each.  A caller asks
+sequence of them, computes the jets of Q once and takes the central pair
+of each functional in turn, so that at most one deformation, and one
+functional's plus-side outputs, are alive at a time.  A caller asks
 once per (jets, Q, step) for all it reads: pr w u for the symmetry
 criterion, pr w Phi for explicit integration, pr w of the linear-problem
 residual, and pr w G beside pr w (D_alpha G) for the commutation checks.
@@ -197,25 +198,30 @@ def frechet_apply(
     Returns one tuple per functional, one field per component: the
     central difference over theta +/- eps Q, with eps = ``eps_base``
     times (1 + the interior max of ||theta||_F).  The jets of ``q`` are
-    computed once; each of the two deformations of ``j`` is built once
-    and every functional is evaluated on it in turn.  Second-order jets
-    are built only if a functional reads them.  Each component keeps the
-    larger margin of its two evaluations.
+    computed once; each functional is evaluated on theta + eps Q, which is
+    dropped before theta - eps Q is built, and both sides are dropped once
+    differenced, so no result depends on the other functionals of the call.
+    Second-order jets are built only if a functional reads them.  Each
+    component keeps the larger margin of its two evaluations.
     """
     if eps_base <= 0:
         raise ValueError("eps_base must be positive")
     q_jets = chart_jets(q)
     eps = eps_base * (1.0 + interior_max(fro(j.values), j.margin))
-    jd = j.deformed(+eps, q_jets)
-    plus = [g(jd) for g in gs]
-    jd = j.deformed(-eps, q_jets)
-    return tuple(
-        tuple(
-            MatrixField(j.grid, (a.values - b.values) / (2 * eps), max(a.margin, b.margin))
-            for a, b in zip(p, g(jd))
-        )
-        for p, g in zip(plus, gs)
-    )
+    return tuple(_central_pair(g, j, q_jets, eps) for g in gs)
+
+
+def _central_pair(g: Functional, j: JetField, q_jets: JetField, eps: float) -> tuple:
+    """[g(theta + eps Q) - g(theta - eps Q)] / (2 eps), component by component."""
+    plus = g(j.deformed(+eps, q_jets))
+    return tuple(_quotient(a, b, eps) for a, b in zip(plus, g(j.deformed(-eps, q_jets))))
+
+
+def _quotient(a: MatrixField, b: MatrixField, eps: float) -> MatrixField:
+    # a fresh array: a functional may hand both sides the same one
+    d = a.values - b.values
+    d /= 2 * eps
+    return MatrixField(a.grid, d, max(a.margin, b.margin))
 
 
 # --- functionals used throughout -----------------------------------------------

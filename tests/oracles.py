@@ -13,6 +13,9 @@ cross-check the two:
   surfaces and tangents with known values;
 * the symmetry criterion in one call, prolonging the connection itself
   (`verify` reads it from a prolonged pair that other checks share);
+* the prolongation of many functionals from two shared deformations,
+  each functional evaluated on both, against `frechet_apply`, which
+  deforms once per functional and side;
 * the su(N) projection and the integrated surface with its path defect,
   each formed on the whole grid at once, against the row strips that
   :mod:`solsurf.immersion` reduces.
@@ -30,6 +33,7 @@ from solsurf.fields import (
     Grid2,
     MatrixField,
     chart_first_derivatives,
+    chart_jets,
     cumulative_line_integral,
     interior,
     interior_max,
@@ -163,6 +167,25 @@ def el_symmetry_defect(
     """
     ((pw1, pw2),) = frechet_apply([u_functional(lam)], j, q, eps_base)
     return compatibility_defect(pw1, pw2, *u_pair(j, lam))
+
+
+def frechet_apply_shared(
+    gs, j: JetField, q: MatrixField, eps_base: float = 1e-5
+) -> tuple[tuple[MatrixField, ...], ...]:
+    """`solsurf.symmetry.frechet_apply` with the two deformations built once
+    and every plus-side output held while the minus side is evaluated."""
+    q_jets = chart_jets(q)
+    eps = eps_base * (1.0 + interior_max(fro(j.values), j.margin))
+    jd = j.deformed(+eps, q_jets)
+    plus = [g(jd) for g in gs]
+    jd = j.deformed(-eps, q_jets)
+    return tuple(
+        tuple(
+            MatrixField(j.grid, (a.values - b.values) / (2 * eps), max(a.margin, b.margin))
+            for a, b in zip(p, g(jd))
+        )
+        for p, g in zip(plus, gs)
+    )
 
 
 # --- whole-grid immersion reductions ---------------------------------------------------

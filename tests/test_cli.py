@@ -306,6 +306,22 @@ def test_fixtures_hold_no_single_reader_field(monkeypatch):
     assert calls == {"veronese_field": 7, "veronese_ladder": 3}
 
 
+def test_rung_prolongation_heap_peak_stays_within_32_fields():
+    # prop7's lowered rung on CP^2 sets the heap peak of verify: the
+    # prolongation holds one deformation, and one functional's plus side,
+    # at a time
+    from solsurf import verify
+
+    fx = verify.Fixtures()
+    tracemalloc.start()
+    try:
+        fx.rung_defects(3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * (9 * 101**2 * 16)
+
+
 README_EUCLID = {
     "model": "cp",
     "space": "euclidean",
@@ -403,6 +419,41 @@ def test_cli_spacing_the_stencils_cannot_use_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("configuration error: key 'grid': grid.spacing [1.0, 5e-324] ")
     assert len(err.splitlines()) == 1
+    assert os.listdir(out) == []
+
+
+_FAR_EUCLID = {"origin": [1e160, 0.0], "spacing": [1.0, 1.0], "dims": [9, 9]}
+
+
+@pytest.mark.parametrize(
+    "base, change, command, named",
+    [
+        (README_EUCLID, {"grid": _FAR_EUCLID}, "solve",
+         "keys 'solution' and 'grid': the solution is not finite on the grid"),
+        (README_EUCLID, {"grid": _FAR_EUCLID}, "immerse",
+         "keys 'solution' and 'grid': the solution is not finite on the grid"),
+        (README_EUCLID, {"grid": _FAR_EUCLID, "solution": {"kind": "veronese", "k": 1}}, "solve",
+         "keys 'solution' and 'grid': completeness_residual is not finite on the grid"),
+        (README_EUCLID, {"grid": _FAR_EUCLID, "solution": {"kind": "veronese", "k": 1}}, "immerse",
+         "keys 'grid' and 'symmetry': lowering denominator vanished everywhere"),
+        (README_MINK, {"solution": {"kind": "traveling", "kappa": 2.0, "omega": 1.4e154}}, "solve",
+         "keys 'solution' and 'grid': el_residual_max is not finite on the grid"),
+    ],
+    ids=["far-rung0-solve", "far-rung0-immerse", "far-rung1-solve", "far-rung1-immerse",
+         "traveling-omega-huge-solve"],
+)
+def test_cli_uncomputable_solution_exits_2_quietly(tmp_path, capsys, base, change, command, named):
+    # far from the origin the Veronese frame overflows, and omega^2 of a fast
+    # traveling wave does: the run names the keys in one line, with no numpy
+    # warning ahead of it and no file left behind
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", write_cfg(tmp_path, {**base, **change}), "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {named}\n"
     assert os.listdir(out) == []
 
 
@@ -683,10 +734,13 @@ def _quiet_main(argv: list[str]) -> int:
         return main(argv)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(obj=_configs() | _ANY)
 @example(obj={"space": "minkowski", "solution": {"kind": "traveling", "omega": 1.4e154}})
 @example(obj={"space": "euclidean", "solution": {"kind": "veronese"}, "lambda": [1.3e308, 1.3e308]})
+@example(obj={"space": "euclidean", "solution": {"kind": "veronese", "k": 0},
+              "grid": {"origin": [0.0, 0.0], "spacing": [1.0, 3.35e153]}})
+@example(obj={**README_EUCLID, "solution": {"kind": "veronese", "k": 1},
+              "grid": {"origin": [1e160, 0.0], "spacing": [1.0, 1.0]}})
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_every_config_parses_or_is_rejected_and_solves(obj):
     # every parsed config solves, and immerses when it has an ingredient;
@@ -710,7 +764,11 @@ def test_every_config_parses_or_is_rejected_and_solves(obj):
             assert code in (0, 2), command
             if code == 0:
                 with open(os.path.join(out, report)) as fh:
-                    json.load(fh, parse_constant=lambda name: pytest.fail(f"bare {name} in {report}"))
+                    written = json.load(
+                        fh, parse_constant=lambda name: pytest.fail(f"bare {name} in {report}")
+                    )
+                # a summary value that is not finite exits 2, never null
+                assert command != "solve" or None not in written.values()
             if command == "immerse" and code == 0:
                 surface = os.path.join(out, "immersion.npz")
                 for fmt in ("obj", "csv", "json"):

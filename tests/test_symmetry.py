@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from oracles import el_symmetry_defect
+from oracles import el_symmetry_defect, frechet_apply_shared
 from solsurf.errors import ChartMismatch
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -206,10 +208,27 @@ def _counted(evaluations: list[int], i: int, g):
     return h
 
 
+def _track_live_deformations(monkeypatch) -> list[int]:
+    """Records, at each deformation built, how many deformations are alive."""
+    refs: list[weakref.ref] = []
+    live: list[int] = []
+    deformed = JetField.deformed
+
+    def tracking(self, eps, *args):
+        jd = deformed(self, eps, *args)
+        refs.append(weakref.ref(jd))
+        live.append(sum(r() is not None for r in refs))
+        return jd
+
+    monkeypatch.setattr(JetField, "deformed", tracking)
+    return live
+
+
 def test_shared_prolongation_is_bit_exact_and_costs_one_central_pair(monkeypatch):
     # one call prolongs several functionals: each result equals that of
-    # the functional's own call bit for bit, and the two deformations are
-    # built once, each functional evaluated on both
+    # the functional's own call bit for bit, each functional is evaluated
+    # once on each side, and a deformation is dropped before the next one
+    # is built
     j = theta_of(LADDER2.rungs[1])
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = [
@@ -220,15 +239,36 @@ def test_shared_prolongation_is_bit_exact_and_costs_one_central_pair(monkeypatch
     ]
     separate = [frechet_apply([g], j, q)[0] for g in gs]
     evaluations = [0] * len(gs)
-    steps = _count_deformations(monkeypatch)
+    live = _track_live_deformations(monkeypatch)
     shared = frechet_apply([_counted(evaluations, i, g) for i, g in enumerate(gs)], j, q)
-    assert len(steps) == 2
+    assert live == [1] * 8
     assert evaluations == [2, 2, 2, 2]
     for alone, together in zip(separate, shared, strict=True):
         assert len(alone) == len(together)
         for a, b in zip(alone, together):
             assert np.array_equal(a.values, b.values, equal_nan=True)
             assert a.margin == b.margin
+
+
+@pytest.mark.parametrize("case", ["rung-2-1", "traveling"])
+def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(case):
+    # one deformation per functional and side sees the same deformed
+    # values as two deformations shared by all functionals; the
+    # commutation functionals read the second jets as well
+    from solsurf.verify import _commutation_functionals
+
+    if case == "traveling":
+        j, lam = JET_M, LAM_M
+        q = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), j)
+    else:
+        j, lam = theta_of(LADDER2.rungs[1]), LAM_E
+        q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    gs = _commutation_functionals(lam)
+    got, want = frechet_apply(gs, j, q), frechet_apply_shared(gs, j, q)
+    assert [len(c) for c in got] == [len(c) for c in want] == [1, 2, 2, 2, 2]
+    for a, b in zip((f for c in got for f in c), (f for c in want for f in c)):
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert a.margin == b.margin
 
 
 def test_frechet_apply_rejects_a_non_positive_step():
