@@ -123,9 +123,17 @@ def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
         raise ConfigError(f"key {key!r}: cannot read field file {path!r}: {exc}") from exc
 
 
+# A Veronese ladder whose rungs sum to the identity no closer than this has
+# lost its frame to cancellation, far from the origin or on a wide grid; the
+# README Euclidean config reads 2.5e-16 at 101^2 and 3.3e-16 at 401^2.
+COMPLETENESS_TOL = 1e-8
+
+
 def _build_solution(cfg: RunConfig):
     """Returns (jet_field, ladder_or_wave, extras dict); a config error if
-    theta, D_1 theta and D_2 theta are finite together at no interior node."""
+    theta, D_1 theta and D_2 theta are finite together at no interior node,
+    or if the rungs of a Veronese ladder sum to the identity no closer than
+    ``COMPLETENESS_TOL``."""
     if cfg.solution["kind"] == "veronese":
         carrier = veronese_ladder(cfg.n, cfg.grid).with_active(cfg.solution["k"])
         j = theta_of(carrier.active_rung)
@@ -136,6 +144,13 @@ def _build_solution(cfg: RunConfig):
     finite = np.isfinite(j.values) & np.isfinite(j.d1) & np.isfinite(j.d2)
     if not interior(finite.all(axis=(0, 1)), j.margin1).any():
         raise ConfigError("keys 'solution' and 'grid': the solution is not finite on the grid")
+    if meta["kind"] == "veronese":
+        residual = carrier.completeness_residual()
+        if residual > COMPLETENESS_TOL:
+            raise ConfigError(
+                "keys 'solution' and 'grid': the Veronese ladder is not complete on the grid "
+                f"(completeness residual {residual:.3g} > {COMPLETENESS_TOL:g})"
+            )
     return j, carrier, meta
 
 
@@ -176,6 +191,17 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
     return field
 
 
+def _non_finite(report: dict, prefix: str = "") -> list[str]:
+    """Dotted keys of the float values in ``report`` that are not finite."""
+    names = []
+    for key, value in report.items():
+        if isinstance(value, dict):
+            names += _non_finite(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            names.append(prefix + key)
+    return names
+
+
 # a summary value that overflows is rejected below, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(cfg: RunConfig, outdir: str) -> int:
@@ -204,23 +230,26 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
         ci, m1 = theta_comm_identity_residual(j)
         summary["theta_square_residual_max"] = interior_max(sq, m0)
         summary["theta_commutator_identity_max"] = interior_max(ci, m1)
-        for key, value in summary.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"keys 'solution' and 'grid': {key} is not finite on the grid")
+        bad = _non_finite(summary)
+        if bad:
+            raise ConfigError(f"keys 'solution' and 'grid': {bad[0]} is not finite on the grid")
         _dump_json(stage("solve-summary.json"), summary)
     return 0
 
 
+# a report value that overflows is rejected below, not warned about
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     """Each field is staged as soon as it is final and then freed, the report
     last; the files are renamed into place once it is written, so a run that
-    exits 2 leaves no file behind."""
+    exits 2 leaves no file behind.  The closed forms, which read the
+    solution, come first, so it is freed before the surface is integrated."""
     j, carrier, meta = _build_solution(cfg)
     builder = _wave_builder(cfg, carrier)
     wave = builder(j)
-    u1, u2 = u_pair(j, cfg.lam)
 
     gauge = _gauge_field(cfg, j)
+    spectral_only = bool(cfg.a_coeffs) and gauge is None and cfg.symmetry is None
     symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and gauge is None
     prolonged = [None]
     if cfg.symmetry is not None:
@@ -234,22 +263,59 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             "immersion requires at least one of: a_coeffs, gauge, symmetry"
         )
     a, b = assemble_tangents(inputs, j, cfg.lam)
+    a_value = inputs.a_value(cfg.lam)
+    prw_phi = prolonged[1][0] if symmetry_only else None
+    del inputs, gauge, prolonged
     # a grid that the deepest tangent check covers fails before the compatibility check warns
-    deepest = max(a.margin, b.margin, wave.margin, prolonged[1][0].margin if symmetry_only else 0)
+    deepest = max(a.margin, b.margin, wave.margin, prw_phi.margin if symmetry_only else 0)
     interior(np.empty(wave.values.shape[2:]), deepest + 2)
 
+    report: dict = {}
     with _staged(outdir) as stage:
+        if spectral_only:
+            if meta["kind"] == "veronese":
+                dphi = euclidean_wave_dlambda(carrier, cfg.lam)
+            else:
+                dphi = traveling_wave_dlambda(carrier, j, wave)
+            fst = sym_tafel(wave, dphi, a_value)
+            del dphi
+            write_field(stage("sym_tafel.npz"), fst)
+            report["sym_tafel_su_distance"] = su_distance(fst)
+            del fst
+
+        if symmetry_only:
+            f_closed = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
+            write_field(stage("conformal_closed.npz"), f_closed)
+            report["conformal_closed_su_distance"] = su_distance(f_closed)
+            calf = explicit_immersion(wave, prw_phi)
+            del prw_phi
+            write_field(stage("prolonged.npz"), calf)
+            report["prolonged_su_distance"] = su_distance(calf)
+            report["closed_vs_prolonged_variation"] = constant_difference_check(
+                f_closed, calf
+            )[1]
+            del f_closed
+            # only the symmetry is active, so (a, b) is the prolonged pair
+            defect = max(tangent_check(calf, wave, a, b))
+            del calf
+            report["prolonged_tangent_defect"] = defect
+            report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
+
+        # the connection pair is read only by the compatibility check
+        u1, u2 = u_pair(j, cfg.lam)
+        del j, carrier
         res = integrate_surface(a, b, wave, u1=u1, u2=u2)
+        del u1, u2
         write_field(stage("immersion.npz"), res.field)
         write_field(stage("wave.npz"), wave, lam=wave.lam)
         raw = res.raw
-        report: dict = {
-            "basepoint": list(res.basepoint),
-            "compat_defect": res.compat_defect,
-            "path_defect": res.path_defect,
-            "su_correction": res.su_correction,
-            "wave": wave_diagnostics(wave),
-        }
+        report.update(
+            basepoint=list(res.basepoint),
+            compat_defect=res.compat_defect,
+            path_defect=res.path_defect,
+            su_correction=res.su_correction,
+            wave=wave_diagnostics(wave),
+        )
         del res  # frees the projected surface, which is staged
         report["integrated_tangent_defect"] = max(tangent_check(raw, wave, a, b))
         del raw
@@ -257,31 +323,12 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin)),
             MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin)),
         )
-
-        if cfg.a_coeffs and gauge is None and cfg.symmetry is None:
-            if meta["kind"] == "veronese":
-                dphi = euclidean_wave_dlambda(carrier, cfg.lam)
-            else:
-                dphi = traveling_wave_dlambda(carrier, j, wave)
-            fst = sym_tafel(wave, dphi, inputs.a_value(cfg.lam))
-            write_field(stage("sym_tafel.npz"), fst)
-            report["sym_tafel_su_distance"] = su_distance(fst)
-
-        if symmetry_only:
-            f_closed = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
-            write_field(stage("conformal_closed.npz"), f_closed)
-            report["conformal_closed_su_distance"] = su_distance(f_closed)
-            calf = explicit_immersion(wave, prolonged[1][0])
-            write_field(stage("prolonged.npz"), calf)
-            report["prolonged_su_distance"] = su_distance(calf)
-            # only the symmetry is active, so (a, b) is the prolonged pair
-            defect = max(tangent_check(calf, wave, a, b))
-            report["prolonged_tangent_defect"] = defect
-            report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
-            report["closed_vs_prolonged_variation"] = constant_difference_check(
-                f_closed, calf
-            )[1]
-
+        bad = sorted(_non_finite(report))
+        if bad:
+            raise ConfigError(
+                f"keys 'solution', 'grid', 'lambda' and the tangent terms: "
+                f"{', '.join(bad)} {'is' if len(bad) == 1 else 'are'} not finite on the grid"
+            )
         _dump_json(stage("immersion-report.json"), report)
     return 0
 

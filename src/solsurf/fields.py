@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,12 +43,15 @@ __all__ = [
     "GridMismatch",
     "JetField",
     "MatrixField",
+    "STRIP_ROWS",
+    "chart_derivatives",
     "cumulative_line_integral",
     "diff1",
     "diff2",
     "interior",
     "interior_max",
     "read_field",
+    "row_strips",
     "write_field",
     "write_field_json",
     "write_scalar_csv",
@@ -207,6 +210,21 @@ def interior_max(scalar: np.ndarray, margin: int) -> float:
     return float(np.fmax.reduce(np.abs(interior(np.asarray(scalar), margin)), axis=None))
 
 
+# Grid rows per strip of the reductions and writers that would otherwise
+# build full-size temporaries; they fill a scalar field, or write a file,
+# strip by strip
+STRIP_ROWS = 16
+
+
+def row_strips(n_rows: int, halo: int = 0) -> Iterator[tuple[slice, slice]]:
+    """The rows 0..n_rows in consecutive strips of at most ``STRIP_ROWS``:
+    yields each strip's rows, and the rows that a stencil of half-width
+    ``halo`` reads for them, clipped to 0..n_rows."""
+    for start in range(0, n_rows, STRIP_ROWS):
+        stop = min(start + STRIP_ROWS, n_rows)
+        yield slice(start, stop), slice(max(start - halo, 0), min(stop + halo, n_rows))
+
+
 def _shift_slices(ndim: int, axis: int, k: int) -> tuple[slice, ...]:
     sl = [slice(None)] * ndim
     hi = None if k == 2 else k - 2
@@ -303,13 +321,21 @@ class JetField(MatrixField):
         )
 
 
+def chart_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
+    """(D_1, D_2) of ``values`` on the chart of ``grid`` by 4th-order stencils.
+
+    The last two axes of ``values`` are grid rows and columns, and may be
+    a strip of the grid's rows: the 2 outer rows of the strip come out NaN.
+    """
+    dx = diff1(values, grid.h1, axis=-1)
+    dy = diff1(values, grid.h2, axis=-2)
+    if grid.chart == CHART_EUCLIDEAN:
+        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+    return dx, dy
+
+
 def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int]:
-    g = f.grid
-    dx = diff1(f.values, g.h1, axis=-1)
-    dy = diff1(f.values, g.h2, axis=-2)
-    if g.chart == CHART_EUCLIDEAN:
-        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy), f.margin + 2
-    return dx, dy, f.margin + 2
+    return (*chart_derivatives(f.values, f.grid), f.margin + 2)
 
 
 def chart_jets(f: MatrixField) -> JetField:
@@ -437,20 +463,27 @@ def read_field(path: str) -> tuple[MatrixField, complex | None]:
 
 def write_field_json(path: str, f: MatrixField, lam: complex | None = None) -> None:
     """JSON export: the grid, ``n``, ``margin`` and the values as flat
-    row-major ``re``/``im`` lists, non-finite entries as null."""
+    row-major ``re``/``im`` lists, non-finite entries as null.
+
+    The keys are written in sorted order, and each list one strip of grid
+    rows at a time, so no list of the whole field is built.
+    """
     values = _file_order(np.asarray(f.values, dtype=complex))
-    obj: dict = {
-        "format": FIELD_FORMAT,
-        "grid": f.grid.to_json(),
-        "n": f.n,
-        "margin": f.margin,
-        "re": _finite_list(values.real),
-        "im": _finite_list(values.imag),
-    }
+    head: dict = {"format": FIELD_FORMAT, "grid": f.grid.to_json(), "n": f.n, "margin": f.margin}
     if lam is not None:
-        obj["lambda"] = [float(np.real(lam)), float(np.imag(lam))]
+        head["lambda"] = [float(np.real(lam)), float(np.imag(lam))]
+    parts = {"re": np.real, "im": np.imag}
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        for i, key in enumerate(sorted([*head, *parts])):
+            fh.write(("{" if i == 0 else ",") + json.dumps(key) + ":")
+            if key in head:
+                fh.write(json.dumps(head[key], sort_keys=True, separators=(",", ":")))
+                continue
+            for rows, _ in row_strips(values.shape[0]):
+                block = json.dumps(_finite_list(parts[key](values[rows])), separators=(",", ":"))
+                fh.write(("[" if rows.start == 0 else ",") + block[1:-1])
+            fh.write("]")
+        fh.write("}")
 
 
 def _file_order(values: np.ndarray) -> np.ndarray:
@@ -493,10 +526,19 @@ def _read_field_export(path: str) -> tuple[MatrixField, complex | None]:
 
 
 def write_scalar_csv(path: str, grid: Grid2, scalar: np.ndarray, margin: int = 0) -> None:
-    """Interior nodes as rows ``x1,x2,value`` (17 significant digits)."""
-    x1, x2 = grid.mesh()
-    inner = (slice(margin, grid.n2 - margin), slice(margin, grid.n1 - margin))
-    rows = np.stack([x1[inner], x2[inner], np.real(scalar[inner])], axis=-1)
-    body = ("%.17g,%.17g,%.17g\n" * (rows.size // 3)) % tuple(rows.reshape(-1).tolist())
+    """Interior nodes as rows ``x1,x2,value`` (17 significant digits),
+    written one strip of grid rows at a time.  Each coordinate value is
+    formatted once, and every row of nodes fills one line template."""
+    inner = slice(margin, grid.n2 - margin), slice(margin, grid.n1 - margin)
+    x1s = ["%.17g" % x for x in grid.axis1()[inner[1]].tolist()]
+    x2s = ["%.17g" % x for x in grid.axis2()[inner[0]].tolist()]
+    # the lines of one row of nodes; "{}" takes the row's x2
+    template = "".join(f"{x1},{{}},%.17g\n" for x1 in x1s)
+    values = np.real(scalar[inner])
     with open(path, "w") as fh:
-        fh.write("x1,x2,value\n" + body)
+        fh.write("x1,x2,value\n")
+        for rows, _ in row_strips(values.shape[0]):
+            fh.write("".join(
+                template.replace("{}", x2) % tuple(row)
+                for x2, row in zip(x2s[rows], values[rows].tolist())
+            ))

@@ -28,6 +28,7 @@ from .fields import (
     cumulative_line_integral,
     interior,
     interior_max,
+    row_strips,
     same_grid,
 )
 from .matlie import commutator, constant, fro, inner, mm, project_su
@@ -55,10 +56,6 @@ __all__ = [
 
 # `integrate_surface` warns above this compatibility defect of the tangent pair
 COMPAT_WARN = 1e-6
-
-# Grid rows per strip of the reductions that would otherwise build
-# full-size matrix temporaries; they fill a scalar field strip by strip
-STRIP_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -119,29 +116,33 @@ def assemble_tangents(
     lam = check_lambda(lam)
     grid = j.grid
     shape = j.values.shape
+    # each term is added in place to the zero pair, term by term
     a_vals = np.zeros(shape, dtype=complex)
     b_vals = np.zeros(shape, dtype=complex)
     margin = j.margin1
     if inp.a_coeffs:
         a = inp.a_value(lam)
         du1, du2 = u_dlambda(j, lam)
-        a_vals = a_vals + a * du1.values
-        b_vals = b_vals + a * du2.values
+        a_vals += a * du1.values
+        b_vals += a * du2.values
+        del du1, du2
     if inp.gauge is not None:
         s = inp.gauge
         if s.grid != grid:
             raise ValueError("gauge field grid mismatch")
         d1s, d2s, smargin = chart_first_derivatives(s)
         u1, u2 = u_pair(j, lam)
-        a_vals = a_vals + d1s + commutator(s.values, u1.values)
-        b_vals = b_vals + d2s + commutator(s.values, u2.values)
+        a_vals += d1s
+        a_vals += commutator(s.values, u1.values)
+        b_vals += d2s
+        b_vals += commutator(s.values, u2.values)
         margin = max(margin, smargin)
     if inp.prw_u is not None:
         pw1, pw2 = inp.prw_u
         if pw1.grid != grid or pw2.grid != grid:
             raise ValueError("prolonged connection grid mismatch")
-        a_vals = a_vals + pw1.values
-        b_vals = b_vals + pw2.values
+        a_vals += pw1.values
+        b_vals += pw2.values
         margin = max(margin, pw1.margin, pw2.margin)
     return MatrixField(grid, a_vals, margin), MatrixField(grid, b_vals, margin)
 
@@ -176,8 +177,8 @@ def integrate_surface(
     is reported as ``path_defect``.  The integration constant is fixed by
     F(basepoint) = 0, then F is projected onto su(N) with the correction
     norm logged.  When the connection pair is supplied, the compatibility
-    defect is measured first and a warning is emitted if it exceeds
-    ``COMPAT_WARN`` (integration proceeds regardless).
+    defect is measured first and a warning is emitted if it is finite and
+    exceeds ``COMPAT_WARN`` (integration proceeds regardless).
     """
     grid = same_grid(a, b)
     if w.grid != grid:
@@ -185,7 +186,7 @@ def integrate_surface(
     compat = float("nan")
     if u1 is not None and u2 is not None:
         compat = compatibility_defect(a, b, u1, u2)
-        if compat > COMPAT_WARN:
+        if COMPAT_WARN < compat < np.inf:
             import warnings
 
             warnings.warn(
@@ -217,10 +218,10 @@ def integrate_surface(
     np.add(ia[..., j2c : j2c + 1, :], ib, out=f_12)
     # x2 first: run along the basepoint column, then across each row.
     gap = np.empty(f_12.shape[2:])
-    for r in range(0, gap.shape[0], STRIP_ROWS):
-        rows = slice(r, r + STRIP_ROWS)
+    for rows, _ in row_strips(gap.shape[0]):
         gap[rows] = fro(f_12[..., rows, :] - (ib[..., rows, j1c : j1c + 1] + ia[..., rows, :]))
-    path_defect = float(np.nanmax(gap))
+    path_defect = float(np.fmax.reduce(gap, axis=None))
+    del ia, ib
 
     raw = MatrixField(grid, f_full, m)
     field, su_correction = su_projected(raw)
@@ -254,8 +255,7 @@ def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
     """
     vals = np.empty(f.values.shape, dtype=complex)
     defect = np.empty(f.values.shape[2:])
-    for r in range(0, f.grid.n2, STRIP_ROWS):
-        rows = slice(r, r + STRIP_ROWS)
+    for rows, _ in row_strips(f.grid.n2):
         x = f.values[..., rows, :]
         finite = np.isfinite(x)
         su_part, d = project_su(np.where(finite, x, 0.0))
@@ -306,7 +306,7 @@ def constant_difference_check(
     nodes = diff.reshape(diff.shape[:2] + (-1,))
     finite = ~np.isnan(nodes)
     mean = np.cumsum(np.where(finite, nodes, 0), axis=-1)[..., -1] / finite.sum(axis=-1)
-    variation = float(np.nanmax(fro(diff - constant(mean))))
+    variation = float(np.fmax.reduce(fro(diff - constant(mean)), axis=None))
     return mean, variation
 
 
@@ -338,7 +338,8 @@ def linear_independence_report(
     """Eigenvalue range of the 2x2 Gram matrix of the tangents under inner().
 
     The smallest eigenvalue measures linear independence pointwise; a
-    surface degenerates to a curve exactly where it vanishes.
+    surface degenerates to a curve exactly where it vanishes.  NaN nodes
+    are left out, and a value is NaN, quietly, where every node is.
     """
     same_grid(t1, t2)
     m = max(t1.margin, t2.margin)
@@ -350,7 +351,7 @@ def linear_independence_report(
     lo, hi = tr_half - disc, tr_half + disc
     lo, hi = interior(lo, m), interior(hi, m)
     return {
-        "min_eigenvalue": float(np.nanmin(lo)),
-        "max_min_eigenvalue": float(np.nanmax(lo)),
-        "max_eigenvalue": float(np.nanmax(hi)),
+        "min_eigenvalue": float(np.fmin.reduce(lo, axis=None)),
+        "max_min_eigenvalue": float(np.fmax.reduce(lo, axis=None)),
+        "max_eigenvalue": float(np.fmax.reduce(hi, axis=None)),
     }

@@ -42,9 +42,11 @@ from .fields import (
     CHART_MINKOWSKI,
     Grid2,
     MatrixField,
+    chart_derivatives,
     chart_first_derivatives,
     chart_jets,
     interior_max,
+    row_strips,
     same_grid,
 )
 from .matlie import commutator, fro, mm
@@ -336,13 +338,21 @@ def prolong_u(
 def compatibility_defect(
     a: MatrixField, b: MatrixField, u1: MatrixField, u2: MatrixField
 ) -> float:
-    """Interior max of || D_2 A - D_1 B + [A, u2] + [u1, B] ||_F."""
-    same_grid(a, b, u1, u2)
-    da = chart_first_derivatives(a)
-    db = chart_first_derivatives(b)
-    res = da[1] - db[0] + commutator(a.values, u2.values) + commutator(u1.values, b.values)
-    margin = max(da[2], db[2], u1.margin, u2.margin)
-    return interior_max(fro(res), margin)
+    """Interior max of || D_2 A - D_1 B + [A, u2] + [u1, B] ||_F.
+
+    The residual is formed one strip of grid rows at a time, with the two
+    rows on each side that the stencils read, so no full-size matrix
+    temporary is built.
+    """
+    grid = same_grid(a, b, u1, u2)
+    res = np.empty((grid.n2, grid.n1))
+    for rows, slab in row_strips(grid.n2, halo=2):
+        core = slice(rows.start - slab.start, rows.stop - slab.start)
+        d2a = chart_derivatives(a.values[..., slab, :], grid)[1][..., core, :]
+        d1b = chart_derivatives(b.values[..., slab, :], grid)[0][..., core, :]
+        at, bt, v1, v2 = (f.values[..., rows, :] for f in (a, b, u1, u2))
+        res[rows] = fro(d2a - d1b + commutator(at, v2) + commutator(v1, bt))
+    return interior_max(res, max(a.margin + 2, b.margin + 2, u1.margin, u2.margin))
 
 
 def commutation_defect(

@@ -16,13 +16,19 @@ cross-check the two:
 * the prolongation of many functionals from two shared deformations,
   each functional evaluated on both, against `frechet_apply`, which
   deforms once per functional and side;
-* the su(N) projection and the integrated surface with its path defect,
-  each formed on the whole grid at once, against the row strips that
-  :mod:`solsurf.immersion` reduces.
+* the su(N) projection, the integrated surface with its path defect and
+  the compatibility defect, each formed on the whole grid at once, against
+  the row strips that :mod:`solsurf.immersion` and
+  :mod:`solsurf.symmetry` reduce;
+* the JSON, CSV and OBJ exports, each formatted as one string of the
+  whole field, against the writers that stream them one strip of grid
+  rows at a time.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from typing import Callable
 
 import numpy as np
@@ -30,6 +36,7 @@ import numpy as np
 from solsurf.errors import ChartMismatch
 from solsurf.fields import (
     CHART_EUCLIDEAN,
+    FIELD_FORMAT,
     Grid2,
     MatrixField,
     chart_first_derivatives,
@@ -38,7 +45,7 @@ from solsurf.fields import (
     interior,
     interior_max,
 )
-from solsurf.matlie import constant, dagger, fro, mm, project_su, trace
+from solsurf.matlie import commutator, constant, dagger, fro, mm, project_su, trace
 from solsurf.sigma import JetField, SolutionLadder, u_pair
 from solsurf.spectral import WaveField
 from solsurf.symmetry import compatibility_defect, frechet_apply, u_functional
@@ -218,3 +225,58 @@ def integrated_surface_whole(
     f_full = np.full_like(at, np.nan)
     interior(f_full, m)[...] = f_12
     return f_full, float(np.nanmax(fro(f_12 - f_21)))
+
+
+def compatibility_defect_whole(
+    a: MatrixField, b: MatrixField, u1: MatrixField, u2: MatrixField
+) -> float:
+    """`solsurf.symmetry.compatibility_defect` with every temporary at full size."""
+    da = chart_first_derivatives(a)
+    db = chart_first_derivatives(b)
+    res = da[1] - db[0] + commutator(a.values, u2.values) + commutator(u1.values, b.values)
+    return interior_max(fro(res), max(da[2], db[2], u1.margin, u2.margin))
+
+
+# --- one-shot text exports ---------------------------------------------------------
+
+
+def _finite_or_none(a: np.ndarray) -> list:
+    return [x if math.isfinite(x) else None for x in a.reshape(-1).tolist()]
+
+
+def write_field_json_whole(path: str, f: MatrixField, lam: complex | None = None) -> None:
+    """`solsurf.fields.write_field_json` as one ``json.dumps`` of the whole field."""
+    values = f.values.transpose(2, 3, 0, 1)
+    obj: dict = {
+        "format": FIELD_FORMAT,
+        "grid": f.grid.to_json(),
+        "n": f.n,
+        "margin": f.margin,
+        "re": _finite_or_none(values.real),
+        "im": _finite_or_none(values.imag),
+    }
+    if lam is not None:
+        obj["lambda"] = [float(np.real(lam)), float(np.imag(lam))]
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
+def write_scalar_csv_whole(path: str, grid: Grid2, scalar: np.ndarray, margin: int = 0) -> None:
+    """`solsurf.fields.write_scalar_csv` as one ``%`` pass over every node."""
+    x1, x2 = grid.mesh()
+    inner = (slice(margin, grid.n2 - margin), slice(margin, grid.n1 - margin))
+    rows = np.stack([x1[inner], x2[inner], np.real(scalar[inner])], axis=-1)
+    body = ("%.17g,%.17g,%.17g\n" * (rows.size // 3)) % tuple(rows.reshape(-1).tolist())
+    with open(path, "w") as fh:
+        fh.write("x1,x2,value\n" + body)
+
+
+def export_obj_whole(path: str, points: np.ndarray) -> None:
+    """`solsurf.geometry.export_obj` as one ``%`` pass over every vertex and face."""
+    n2, n1 = points.shape[:2]
+    verts = ("v %.17g %.17g %.17g\n" * (n2 * n1)) % tuple(points.reshape(-1).tolist())
+    a = (np.arange(n2 - 1)[:, None] * n1 + np.arange(n1 - 1)[None, :] + 1).reshape(-1)
+    quads = np.stack([a, a + 1, a + n1 + 1, a, a + n1 + 1, a + n1], axis=-1)
+    faces = ("f %d %d %d\nf %d %d %d\n" * a.size) % tuple(quads.reshape(-1).tolist())
+    with open(path, "w") as fh:
+        fh.write(verts + faces)

@@ -423,6 +423,10 @@ def test_cli_spacing_the_stencils_cannot_use_is_a_config_error(tmp_path, capsys,
 
 
 _FAR_EUCLID = {"origin": [1e160, 0.0], "spacing": [1.0, 1.0], "dims": [9, 9]}
+# far from the origin, or on a very wide grid, the Veronese frame loses all
+# precision by cancellation while every value stays finite
+_INCOMPLETE = ("keys 'solution' and 'grid': the Veronese ladder is not complete on the grid "
+               "(completeness residual 1.41 > 1e-08)")
 
 
 @pytest.mark.parametrize(
@@ -438,14 +442,21 @@ _FAR_EUCLID = {"origin": [1e160, 0.0], "spacing": [1.0, 1.0], "dims": [9, 9]}
          "keys 'grid' and 'symmetry': lowering denominator vanished everywhere"),
         (README_MINK, {"solution": {"kind": "traveling", "kappa": 2.0, "omega": 1.4e154}}, "solve",
          "keys 'solution' and 'grid': el_residual_max is not finite on the grid"),
+        (README_EUCLID, {"n": 3, "grid": {"origin": [1e6, 0.0], "spacing": [1.0, 1.0], "dims": [9, 9]}},
+         "solve", _INCOMPLETE),
+        (README_EUCLID, {"n": 3, "grid": {"origin": [1e6, 0.0], "spacing": [1.0, 1.0], "dims": [9, 9]}},
+         "immerse", _INCOMPLETE),
+        (README_EUCLID, {"grid": {"origin": [0.0, 0.0], "spacing": [1.0, 3.35e153], "dims": [9, 9]}},
+         "solve", _INCOMPLETE),
     ],
     ids=["far-rung0-solve", "far-rung0-immerse", "far-rung1-solve", "far-rung1-immerse",
-         "traveling-omega-huge-solve"],
+         "traveling-omega-huge-solve", "far-cp2-solve", "far-cp2-immerse", "wide-spacing-solve"],
 )
 def test_cli_uncomputable_solution_exits_2_quietly(tmp_path, capsys, base, change, command, named):
-    # far from the origin the Veronese frame overflows, and omega^2 of a fast
-    # traveling wave does: the run names the keys in one line, with no numpy
-    # warning ahead of it and no file left behind
+    # far from the origin the Veronese frame overflows or cancels to a ladder
+    # that is not complete, and omega^2 of a fast traveling wave overflows:
+    # the run names the keys in one line, with no numpy warning ahead of it
+    # and no file left behind
     out = tmp_path / "out"
     out.mkdir()
     with warnings.catch_warnings(record=True) as caught:
@@ -454,6 +465,34 @@ def test_cli_uncomputable_solution_exits_2_quietly(tmp_path, capsys, base, chang
     assert caught == []
     err = capsys.readouterr().err
     assert err == f"configuration error: {named}\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "base, change, named",
+    [
+        (README_MINK, {"a_coeffs": [1.7e308]}, "compat_defect"),
+        (README_MINK, {"a_coeffs": [], "symmetry": {"f": [[0, 0], [1e200, 0]], "g": []}},
+         "prolonged_tangent_defect"),
+        (README_EUCLID, {"symmetry": {"f": [[1e300, 0]], "g": [[1e300, 0]]}},
+         "conformal_closed_su_distance"),
+    ],
+    ids=["spectral-huge", "traveling-symmetry-huge", "conformal-symmetry-huge"],
+)
+def test_cli_immerse_report_that_overflows_exits_2_quietly(tmp_path, capsys, base, change, named):
+    # the tangents overflow: the run computes without a numpy warning and
+    # names the report keys that are not finite, instead of writing null
+    cfg = {**base, **change, "grid": {"origin": [0.0, 0.0], "spacing": [0.001, 0.001], "dims": [9, 9]}}
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: keys 'solution', 'grid', 'lambda' and the tangent terms: ")
+    assert named in err and err.endswith(" are not finite on the grid\n")
     assert os.listdir(out) == []
 
 
@@ -494,10 +533,11 @@ def test_cli_immerse_grid_too_small_for_the_margins_is_a_config_error(tmp_path, 
         assert "immersion-report.json" in os.listdir(out)
 
 
-def test_cli_immerse_heap_peak_stays_within_17_fields(tmp_path):
+def test_cli_immerse_heap_peak_stays_within_11_fields(tmp_path):
     # the README Minkowski config at 201^2: each field is written once it is
-    # final and then freed, and the diagnostics reduce row strips, so the
-    # heap never holds more than 17 fields of 4 complex entries per node
+    # final and then freed, the solution is freed before the surface is
+    # integrated, and the defects reduce row strips, so the heap never holds
+    # more than 11 fields of 4 complex entries per node
     cfg = {**README_MINK, "grid": {**README_MINK["grid"], "dims": [201, 201]}}
     argv = ["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
     tracemalloc.start()
@@ -506,7 +546,26 @@ def test_cli_immerse_heap_peak_stays_within_17_fields(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * (4 * 201**2 * 16)
+    assert peak <= 11 * (4 * 201**2 * 16)
+
+
+def test_cli_export_heap_peak_stays_within_4_fields(tmp_path):
+    # the README Minkowski outputs at 201^2, exported to each text format:
+    # the writers format one strip of grid rows at a time, so the heap holds
+    # little more than the fields read
+    cfg = {**README_MINK, "grid": {**README_MINK["grid"], "dims": [201, 201]}}
+    imm = str(tmp_path / "imm")
+    assert _quiet_main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", imm]) == 0
+    outputs = [{"format": fmt, "input": os.path.join(imm, f"{stem}.npz"), "path": f"{stem}.{fmt}"}
+               for fmt, stem in (("obj", "sym_tafel"), ("csv", "immersion"), ("json", "wave"))]
+    exp = write_cfg(tmp_path, {**cfg, "outputs": outputs}, name="exp.json")
+    tracemalloc.start()
+    try:
+        assert _quiet_main(["export", "--config", exp, "--out", str(tmp_path / "exp")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (4 * 201**2 * 16)
 
 
 def test_cli_successful_runs_leave_no_temporary_file(tmp_path):
@@ -729,6 +788,15 @@ def _configs(draw) -> dict:
     return _mutated(draw, obj, mutate)
 
 
+def _leaves(obj) -> list:
+    """Every value of a JSON document that is neither an object nor a list."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [leaf for value in obj for leaf in _leaves(value)]
+    return [obj]
+
+
 def _quiet_main(argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -767,8 +835,8 @@ def test_every_config_parses_or_is_rejected_and_solves(obj):
                     written = json.load(
                         fh, parse_constant=lambda name: pytest.fail(f"bare {name} in {report}")
                     )
-                # a summary value that is not finite exits 2, never null
-                assert command != "solve" or None not in written.values()
+                # a summary or report value that is not finite exits 2, never null
+                assert None not in _leaves(written)
             if command == "immerse" and code == 0:
                 surface = os.path.join(out, "immersion.npz")
                 for fmt in ("obj", "csv", "json"):

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from oracles import write_field_json_whole, write_scalar_csv_whole
 from solsurf.errors import FieldFileError
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     FIELD_FORMAT,
+    STRIP_ROWS,
     Grid2,
     MatrixField,
     chart_jets,
@@ -235,6 +237,31 @@ def test_scalar_csv_rows(tmp_path):
         for i1 in range(2, 11 - 2)
     ]
     assert open(path).read() == "\n".join(by_loop) + "\n"
+
+
+@pytest.mark.parametrize("lam", [None, 0.5 - 0.25j])
+@pytest.mark.parametrize("n2", [9, 2 * STRIP_ROWS, 3 * STRIP_ROWS + 5])
+def test_streamed_exports_match_the_one_shot_oracle(tmp_path, lam, n2):
+    # values over many decades, signed zeros, and NaN and infinite entries,
+    # on grids one strip deep, a whole number of strips deep and not
+    g = Grid2(CHART_EUCLIDEAN, (0.3, -1e-3), (0.07, 1 / 3), (11, n2))
+    rng = np.random.default_rng(n2)
+    shape = (3, 3, n2, 11)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    vals = vals + 1j * rng.standard_normal(shape)
+    vals[..., 1, :] = np.nan
+    vals[0, 2, -1, 4] = complex(np.inf, -0.0)
+    vals[2, 1, n2 // 2, 7] = complex(-0.0, -np.inf)
+    f = MatrixField(g, vals, 2)
+    streamed, whole = str(tmp_path / "streamed"), str(tmp_path / "whole")
+    write_field_json(streamed, f, lam)
+    write_field_json_whole(whole, f, lam)
+    assert open(streamed, "rb").read() == open(whole, "rb").read()
+    scalar = vals[0, 2].real
+    for margin in (0, 1, 3):
+        write_scalar_csv(streamed, g, scalar, margin)
+        write_scalar_csv_whole(whole, g, scalar, margin)
+        assert open(streamed, "rb").read() == open(whole, "rb").read()
 
 
 def test_trim_margin():

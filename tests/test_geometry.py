@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import unembed_su2
-from solsurf.fields import CHART_MINKOWSKI, Grid2, MatrixField, diff1, interior_max
+from oracles import export_obj_whole, unembed_su2
+from solsurf.fields import CHART_MINKOWSKI, STRIP_ROWS, Grid2, MatrixField, diff1, interior_max
 from solsurf.geometry import embed_su2, export_obj
 from solsurf.matlie import constant, inner
 
@@ -122,3 +122,16 @@ def test_obj_float_fidelity(tmp_path):
             vs.append([float(t) for t in ln.split()[1:]])
     back = np.array(vs).reshape(9, 9, 3)
     assert np.array_equal(back, pts)  # 17 significant digits round-trip
+
+
+@pytest.mark.parametrize("n2", [9, 2 * STRIP_ROWS, 2 * STRIP_ROWS + 1, 3 * STRIP_ROWS + 5])
+def test_obj_export_matches_the_one_shot_oracle(tmp_path, n2):
+    # the vertex rows and the face rows, one fewer, each fill whole strips
+    # on some of these grids and not on others
+    rng = np.random.default_rng(n2)
+    points = rng.standard_normal((n2, 10, 3)) * 10.0 ** rng.integers(-20, 20, (n2, 10, 3))
+    points[3, 4] = (np.nan, -0.0, np.inf)
+    streamed, whole = str(tmp_path / "streamed.obj"), str(tmp_path / "whole.obj")
+    export_obj(streamed, points)
+    export_obj_whole(whole, points)
+    assert open(streamed, "rb").read() == open(whole, "rb").read()

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import constant_field, integrated_surface_whole, su_projected_whole
+from oracles import (
+    compatibility_defect_whole,
+    constant_field,
+    integrated_surface_whole,
+    su_projected_whole,
+)
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
+    STRIP_ROWS,
     Grid2,
     MatrixField,
     interior_max,
@@ -27,7 +33,6 @@ from solsurf.symmetry import (
     wave_functional,
 )
 from solsurf.immersion import (
-    STRIP_ROWS,
     ImmersionInputs,
     assemble_tangents,
     compatibility_defect,
@@ -176,6 +181,25 @@ def test_integrate_surface_strips_match_the_whole_grid(chart):
     field, corr = su_projected_whole(MatrixField(g, raw, 1))
     assert np.array_equal(res.field.values, field.values, equal_nan=True)
     assert res.su_correction == corr
+
+
+@pytest.mark.parametrize("chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI])
+@pytest.mark.parametrize("n", [2, 3])
+def test_compatibility_defect_strips_match_the_whole_field(chart, n):
+    # the stencils read two rows across each strip boundary: spikes on the
+    # first two rows of a strip put the largest residual on its first row,
+    # a NaN row near a boundary reaches into the next strip, and the last
+    # strip is short
+    g = Grid2(chart, (0.1, -0.2), (0.1, 0.05), (13, 3 * STRIP_ROWS + 5))
+    shape = (n, n, g.n2, g.n1)
+    a = MatrixField(g, _with_nan_rows(shape, [STRIP_ROWS - 1], 5), 1)
+    a.values[..., 2 * STRIP_ROWS, 6] += 1e3
+    a.values[..., 2 * STRIP_ROWS + 1, 6] += 2e3
+    b = MatrixField(g, _with_nan_rows(shape, [3 * STRIP_ROWS + 1], 6), 0)
+    u1 = MatrixField(g, _with_nan_rows(shape, [], 7), 2)
+    u2 = MatrixField(g, _with_nan_rows(shape, [], 8), 0)
+    defect = compatibility_defect(a, b, u1, u2)
+    assert defect == compatibility_defect_whole(a, b, u1, u2) and np.isfinite(defect)
 
 
 def test_sym_tafel_euclid():
