@@ -37,7 +37,7 @@ from .fields import (
 )
 from .geometry import embed_su2, export_obj
 from .immersion import (
-    ImmersionInputs,
+    a_value,
     assemble_tangents,
     conformal_immersion_closed,
     constant_difference_check,
@@ -61,32 +61,21 @@ from .sigma import (
 )
 from .spectral import (
     WaveField,
+    euclidean_terms,
     euclidean_wave,
     euclidean_wave_dlambda,
-    phi_euclidean,
     phi_traveling,
     traveling_wave_dlambda,
     wave_diagnostics,
+    wave_from_terms,
 )
 from .symmetry import conformal_characteristic, frechet_apply, u_functional, wave_functional
 from .verify import SUITE_NAMES, run_suites
 
 
-def _finite(obj):
-    """``obj`` with every non-finite float replaced by None, so it is JSON."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(value) for value in obj]
-    return obj
-
-
 def _dump_json(path: str, obj: dict) -> None:
-    """Write ``obj`` compactly to ``path`` and echo it indented to stdout,
-    with non-finite floats as null."""
-    obj = _finite(obj)
+    """Write ``obj`` compactly to ``path`` and echo it indented to stdout;
+    the callers have rejected every non-finite float."""
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
     print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
@@ -135,8 +124,8 @@ def _build_solution(cfg: RunConfig):
     or if the rungs of a Veronese ladder sum to the identity no closer than
     ``COMPLETENESS_TOL``."""
     if cfg.solution["kind"] == "veronese":
-        carrier = veronese_ladder(cfg.n, cfg.grid).with_active(cfg.solution["k"])
-        j = theta_of(carrier.active_rung)
+        carrier = veronese_ladder(cfg.n, cfg.grid)
+        j = theta_of(carrier.rungs[cfg.solution["k"]])
         meta = {"kind": "veronese", "k": cfg.solution["k"]}
     else:
         carrier, j = traveling_solution(cfg.solution["kappa"], cfg.solution["omega"], cfg.grid)
@@ -155,18 +144,15 @@ def _build_solution(cfg: RunConfig):
 
 
 def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
-    """The jet -> Phi builder of the run's solution.
+    """The jet -> Phi builder that a symmetry deforms.
 
-    Veronese levels above 2 sum the stored ladder rungs, so their Phi does
-    not follow a deformation of the jets; `parse_config` admits no
-    symmetry there, and the builder is only applied to the undeformed jets.
+    The Euclidean builder lowers the rungs from the jets, up to level 2;
+    `parse_config` admits no symmetry on the deeper levels, whose Phi
+    sums the stored ladder rungs (`euclidean_terms` with the ladder).
     """
     if cfg.solution["kind"] == "traveling":
         return lambda jd: phi_traveling(carrier, jd, cfg.lam)
-    k = cfg.solution["k"]
-    if k > 2:
-        return lambda jd: phi_euclidean(carrier, cfg.lam)
-    return lambda jd: euclidean_wave(jd, k, cfg.lam)
+    return lambda jd: euclidean_wave(jd, cfg.solution["k"], cfg.lam)
 
 
 def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
@@ -212,7 +198,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
         if meta["kind"] == "veronese":
             # a bare field takes the stencil route, so the residual does not
             # rest on the exact jets it certifies
-            rung = carrier.active_rung
+            rung = carrier.rungs[cfg.solution["k"]]
             el, em = el_residual(theta_of(MatrixField(rung.grid, rung.values, rung.margin)))
             summary["el_residual_max"] = interior_max(el, em)
             for m in range(len(carrier)):
@@ -245,27 +231,32 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     exits 2 leaves no file behind.  The closed forms, which read the
     solution, come first, so it is freed before the surface is integrated."""
     j, carrier, meta = _build_solution(cfg)
-    builder = _wave_builder(cfg, carrier)
-    wave = builder(j)
+    spectral_only = bool(cfg.a_coeffs) and cfg.gauge == "none" and cfg.symmetry is None
+    symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and cfg.gauge == "none"
+    if meta["kind"] == "veronese":
+        # Phi and the Sym-Tafel surface's d(Phi)/d(lambda) share these terms
+        terms = euclidean_terms(j, cfg.solution["k"], carrier)
+        wave = wave_from_terms(j.grid, terms, cfg.lam)
+        if not spectral_only:
+            del terms
+    else:
+        wave = phi_traveling(carrier, j, cfg.lam)
 
     gauge = _gauge_field(cfg, j)
-    spectral_only = bool(cfg.a_coeffs) and gauge is None and cfg.symmetry is None
-    symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and gauge is None
     prolonged = [None]
     if cfg.symmetry is not None:
         # one prolongation along Q: the connection pair, and Phi when the
         # closed forms are compared
+        builder = _wave_builder(cfg, carrier)
         gs = (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only]
         prolonged = frechet_apply(gs, j, conformal_characteristic(cfg.symmetry, j))
-    inputs = ImmersionInputs(a_coeffs=cfg.a_coeffs, gauge=gauge, prw_u=prolonged[0])
-    if not inputs.active():
+    if not (cfg.a_coeffs or gauge is not None or cfg.symmetry is not None):
         raise ConfigError(
             "immersion requires at least one of: a_coeffs, gauge, symmetry"
         )
-    a, b = assemble_tangents(inputs, j, cfg.lam)
-    a_value = inputs.a_value(cfg.lam)
+    a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, prw_u=prolonged[0])
     prw_phi = prolonged[1][0] if symmetry_only else None
-    del inputs, gauge, prolonged
+    del gauge, prolonged
     # a grid that the deepest tangent check covers fails before the compatibility check warns
     deepest = max(a.margin, b.margin, wave.margin, prw_phi.margin if symmetry_only else 0)
     interior(np.empty(wave.values.shape[2:]), deepest + 2)
@@ -274,10 +265,11 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     with _staged(outdir) as stage:
         if spectral_only:
             if meta["kind"] == "veronese":
-                dphi = euclidean_wave_dlambda(carrier, cfg.lam)
+                dphi = euclidean_wave_dlambda(j.grid, terms, cfg.lam)
+                del terms
             else:
                 dphi = traveling_wave_dlambda(carrier, j, wave)
-            fst = sym_tafel(wave, dphi, a_value)
+            fst = sym_tafel(wave, dphi, a_value(cfg.a_coeffs, cfg.lam))
             del dphi
             write_field(stage("sym_tafel.npz"), fst)
             report["sym_tafel_su_distance"] = su_distance(fst)

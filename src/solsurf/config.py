@@ -76,10 +76,6 @@ class RunConfig:
     tolerances: dict = dc_field(default_factory=dict)
     suite: str = "all"
 
-    @property
-    def chart(self) -> str:
-        return CHART_EUCLIDEAN if self.space == "euclidean" else CHART_MINKOWSKI
-
 
 def _where(key: str) -> str:
     return key if key.startswith("--") else f"key {key!r}"

@@ -37,8 +37,8 @@ from .spectral import WaveField
 from .symmetry import ConformalSpec, compatibility_defect
 
 __all__ = [
-    "ImmersionInputs",
     "ImmersionResult",
+    "a_value",
     "assemble_tangents",
     "compatibility_defect",
     "conformal_immersion_closed",
@@ -58,27 +58,12 @@ __all__ = [
 COMPAT_WARN = 1e-6
 
 
-@dataclass(frozen=True)
-class ImmersionInputs:
-    """Ingredients of the tangent pair; any subset may be active.
-
-    ``prw_u`` is the prolonged connection (pr w_Q u1, pr w_Q u2) of the
-    conformal symmetry: `frechet_apply` with `u_functional` along its
-    characteristic, on the jets the pair is assembled from.
-    """
-
-    a_coeffs: tuple[float, ...] = ()
-    gauge: MatrixField | None = None
-    prw_u: tuple[MatrixField, MatrixField] | None = None
-
-    def a_value(self, lam: complex) -> complex:
-        out = 0.0 + 0.0j
-        for c in self.a_coeffs[::-1]:
-            out = out * lam + c
-        return out
-
-    def active(self) -> bool:
-        return bool(self.a_coeffs) or self.gauge is not None or self.prw_u is not None
+def a_value(coeffs: tuple[float, ...], lam: complex) -> complex:
+    """The spectral coefficient a(lam) from its ascending coefficients."""
+    out = 0.0 + 0.0j
+    for c in coeffs[::-1]:
+        out = out * lam + c
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,10 +93,21 @@ def u_dlambda(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
 
 
 def assemble_tangents(
-    inp: ImmersionInputs, j: JetField, lam: complex
+    j: JetField,
+    lam: complex,
+    *,
+    a_coeffs: tuple[float, ...] = (),
+    gauge: MatrixField | None = None,
+    prw_u: tuple[MatrixField, MatrixField] | None = None,
 ) -> tuple[MatrixField, MatrixField]:
-    """Tangent pair (A, B) from the three symmetry ingredients."""
-    if not inp.active():
+    """Tangent pair (A, B) from the three symmetry ingredients; any subset
+    may be active.
+
+    ``prw_u`` is the prolonged connection (pr w_Q u1, pr w_Q u2) of the
+    conformal symmetry: `frechet_apply` with `u_functional` along its
+    characteristic, on the jets the pair is assembled from.
+    """
+    if not a_coeffs and gauge is None and prw_u is None:
         raise ValueError("at least one immersion ingredient must be provided")
     lam = check_lambda(lam)
     grid = j.grid
@@ -120,25 +116,24 @@ def assemble_tangents(
     a_vals = np.zeros(shape, dtype=complex)
     b_vals = np.zeros(shape, dtype=complex)
     margin = j.margin1
-    if inp.a_coeffs:
-        a = inp.a_value(lam)
+    if a_coeffs:
+        a = a_value(a_coeffs, lam)
         du1, du2 = u_dlambda(j, lam)
         a_vals += a * du1.values
         b_vals += a * du2.values
         del du1, du2
-    if inp.gauge is not None:
-        s = inp.gauge
-        if s.grid != grid:
+    if gauge is not None:
+        if gauge.grid != grid:
             raise ValueError("gauge field grid mismatch")
-        d1s, d2s, smargin = chart_first_derivatives(s)
+        d1s, d2s, smargin = chart_first_derivatives(gauge)
         u1, u2 = u_pair(j, lam)
         a_vals += d1s
-        a_vals += commutator(s.values, u1.values)
+        a_vals += commutator(gauge.values, u1.values)
         b_vals += d2s
-        b_vals += commutator(s.values, u2.values)
+        b_vals += commutator(gauge.values, u2.values)
         margin = max(margin, smargin)
-    if inp.prw_u is not None:
-        pw1, pw2 = inp.prw_u
+    if prw_u is not None:
+        pw1, pw2 = prw_u
         if pw1.grid != grid or pw2.grid != grid:
             raise ValueError("prolonged connection grid mismatch")
         a_vals += pw1.values
@@ -166,16 +161,16 @@ def integrate_surface(
     a: MatrixField,
     b: MatrixField,
     w: WaveField,
-    basepoint: tuple[int, int] | None = None,
     u1: MatrixField | None = None,
     u2: MatrixField | None = None,
 ) -> ImmersionResult:
-    """Integrate D_1 F = Phi^{-1} A Phi, D_2 F = Phi^{-1} B Phi from a basepoint.
+    """Integrate D_1 F = Phi^{-1} A Phi, D_2 F = Phi^{-1} B Phi from the
+    basepoint (m, m), the first node inside the margin m of the inputs.
 
     Composite-Simpson line integration along x1 then x2; the reversed
     order is always computed as well and the worst node-wise discrepancy
     is reported as ``path_defect``.  The integration constant is fixed by
-    F(basepoint) = 0, then F is projected onto su(N) with the correction
+    F(m, m) = 0, then F is projected onto su(N) with the correction
     norm logged.  When the connection pair is supplied, the compatibility
     defect is measured first and a warning is emitted if it is finite and
     exceeds ``COMPAT_WARN`` (integration proceeds regardless).
@@ -195,31 +190,23 @@ def integrate_surface(
                 stacklevel=2,
             )
     m = max(a.margin, b.margin, w.margin)
-    if basepoint is None:
-        basepoint = (m, m)
-    i1c, i2c = basepoint
-    n1, n2 = grid.n1, grid.n2
-    if not (m <= i1c < n1 - m and m <= i2c < n2 - m):
-        raise ValueError("basepoint outside the trusted interior")
 
-    # each conjugated tangent is freed once its line integral is taken
+    # each conjugated tangent is freed once its line integral is taken; the
+    # integrals start at zero on the basepoint, the first interior node
     gx, gy = _axis_integrands(grid, w.conjugate(a.values), w.conjugate(b.values))
-    j1c, j2c = i1c - m, i2c - m
     ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=-1)
     del gx
-    ia -= ia[..., j1c : j1c + 1].copy()
     ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=-2)
     del gy
-    ib -= ib[..., j2c : j2c + 1, :].copy()
 
     # x1 first: run along the basepoint row, then up each column.
     f_full = np.full(a.values.shape, np.nan + 0j)
     f_12 = interior(f_full, m)
-    np.add(ia[..., j2c : j2c + 1, :], ib, out=f_12)
+    np.add(ia[..., 0:1, :], ib, out=f_12)
     # x2 first: run along the basepoint column, then across each row.
     gap = np.empty(f_12.shape[2:])
     for rows, _ in row_strips(gap.shape[0]):
-        gap[rows] = fro(f_12[..., rows, :] - (ib[..., rows, j1c : j1c + 1] + ia[..., rows, :]))
+        gap[rows] = fro(f_12[..., rows, :] - (ib[..., rows, 0:1] + ia[..., rows, :]))
     path_defect = float(np.fmax.reduce(gap, axis=None))
     del ia, ib
 
@@ -229,7 +216,7 @@ def integrate_surface(
     return ImmersionResult(
         field=field,
         raw=raw,
-        basepoint=basepoint,
+        basepoint=(m, m),
         compat_defect=compat,
         path_defect=path_defect,
         su_correction=su_correction,

@@ -223,19 +223,9 @@ class SolutionLadder:
 
     n: int
     rungs: list[MatrixField]
-    active: int = 0
 
     def __len__(self) -> int:
         return len(self.rungs)
-
-    @property
-    def active_rung(self) -> MatrixField:
-        return self.rungs[self.active]
-
-    def with_active(self, k: int) -> "SolutionLadder":
-        if not 0 <= k < len(self.rungs):
-            raise IndexError(f"ladder has {len(self.rungs)} rungs, no index {k}")
-        return SolutionLadder(self.n, self.rungs, k)
 
     def completeness_residual(self) -> float:
         total = sum(r.values for r in self.rungs)
@@ -279,7 +269,7 @@ def veronese_field(n: int, grid: Grid2, k: int = 0) -> JetField:
 
 def veronese_ladder(n: int, grid: Grid2) -> SolutionLadder:
     """The full analytic ladder of the Veronese field (length N)."""
-    return SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, range(n)), active=0)
+    return SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, range(n)))
 
 
 # --- traveling wave ------------------------------------------------------------
@@ -296,10 +286,6 @@ class TravelingWave:
     def __post_init__(self) -> None:
         if self.grid.chart != CHART_MINKOWSKI:
             raise ChartMismatch("traveling waves live on the minkowski-lightcone chart")
-
-    @property
-    def n(self) -> int:
-        return 2
 
     def s_field(self) -> np.ndarray:
         x1, x2 = self.grid.mesh()

@@ -4,10 +4,12 @@ Two closed-form builders are provided:
 
 * Euclidean chart: Phi = I + c(lam) * sum_{m=1..k} L^m(P) + beta(lam) * P
   for a ladder solution at level k, where L is the lowering operator and
-  c = 4 lam / (1 - lam)^2, beta = -2/(1 - lam).  Up to k = 2 the lowered
-  rungs are evaluated directly from the jet fields of the active
-  solution, so the builder is a smooth function of the jets and can be
-  deformed; deeper levels sum the stored rungs of the ladder.
+  c = 4 lam / (1 - lam)^2, beta = -2/(1 - lam).  `euclidean_terms` forms
+  P and its lowered rungs once; Phi (`wave_from_terms`) and d(Phi)/d(lam)
+  (`euclidean_wave_dlambda`) are both derived from those terms.  Up to
+  k = 2 the rungs are lowered from the jets of the solution, so
+  `euclidean_wave` is a smooth function of the jets and can be deformed;
+  deeper levels sum the stored rungs of the ladder.
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
 
@@ -27,20 +29,21 @@ import numpy as np
 from .errors import DeformationOutOfDomain
 from .fields import Grid2, MatrixField, chart_first_derivatives, interior, interior_max
 from .matlie import commutator, dagger, det, expm, fro, identity, inv, mm, trace
-from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, projector, theta_of
+from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, projector
 
 __all__ = [
     "WaveField",
+    "euclidean_terms",
     "euclidean_wave",
     "euclidean_wave_coefficients",
     "euclidean_wave_dlambda",
     "lowered_rungs_from_jets",
     "lowered_rung_with_jets",
     "lsp_residual",
-    "phi_euclidean",
     "phi_traveling",
     "traveling_wave_dlambda",
     "wave_diagnostics",
+    "wave_from_terms",
 ]
 
 @dataclass(frozen=True, kw_only=True)
@@ -190,29 +193,27 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
     return [r1, r2]
 
 
-def _jet_terms(j: JetField, k: int) -> tuple[np.ndarray, list[np.ndarray], int]:
-    """P, its lowered rungs L(P) .. L^k(P) from the jets (k <= 2), and their margin."""
+# P, its lowered rungs L(P) .. L^k(P), and their margin
+WaveTerms = tuple[np.ndarray, list[np.ndarray], int]
+
+
+def euclidean_terms(j: JetField, k: int, ladder: SolutionLadder | None = None) -> WaveTerms:
+    """The `WaveTerms` of the level-k wave function.
+
+    Up to k = 2 the rungs are lowered from the jets ``j``, so the terms
+    follow a deformation of the jets; deeper levels take P and the rungs
+    below it from the stored ``ladder`` (the same projectors, but they
+    carry no deformation support), and without one the lowering raises.
+    """
+    if k > 2 and ladder is not None:
+        rungs = ladder.rungs
+        return rungs[k].values, [r.values for r in rungs[:k]], max(r.margin for r in rungs)
     margin = j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin)
     return projector(j), lowered_rungs_from_jets(j, k), margin
 
 
-def _ladder_terms(ladder: SolutionLadder) -> tuple[np.ndarray, list[np.ndarray], int]:
-    """The terms of `_jet_terms` at the ladder's active level k.
-
-    Up to k = 2 the rungs are lowered from the active rung's jets, as
-    `euclidean_wave` lowers them; deeper levels take the stored rungs
-    below the active one instead (the same projectors, but they carry no
-    deformation support).
-    """
-    k = ladder.active
-    rung = ladder.active_rung
-    if k <= 2:
-        return _jet_terms(theta_of(rung), k)
-    return rung.values, [r.values for r in ladder.rungs[:k]], max(r.margin for r in ladder.rungs)
-
-
-def _wave(grid: Grid2, lam: complex, terms: tuple[np.ndarray, list[np.ndarray], int]) -> WaveField:
-    """Phi = I + beta P + c (L(P) + ... + L^k(P)) from the terms P, L^m(P) and their margin."""
+def wave_from_terms(grid: Grid2, terms: WaveTerms, lam: complex) -> WaveField:
+    """Phi = I + beta P + c (L(P) + ... + L^k(P)) from `euclidean_terms`."""
     c, beta = euclidean_wave_coefficients(lam)
     p, rungs, margin = terms
     phi = identity(p.shape[0]) + beta * p
@@ -223,28 +224,19 @@ def _wave(grid: Grid2, lam: complex, terms: tuple[np.ndarray, list[np.ndarray], 
 
 def euclidean_wave(j: JetField, k: int, lam: complex) -> WaveField:
     """Wave function for a level-k ladder solution (k <= 2), from its jet field."""
-    return _wave(j.grid, lam, _jet_terms(j, k))
+    return wave_from_terms(j.grid, euclidean_terms(j, k), lam)
 
 
-def phi_euclidean(ladder: SolutionLadder, lam: complex) -> WaveField:
-    """Wave function at the ladder's active level k.
-
-    Up to k = 2 it equals `euclidean_wave` on the active rung's jets;
-    deeper levels sum the stored rungs below the active one.
-    """
-    return _wave(ladder.active_rung.grid, lam, _ladder_terms(ladder))
-
-
-def euclidean_wave_dlambda(ladder: SolutionLadder, lam: complex) -> MatrixField:
-    """Analytic d(Phi)/d(lambda) of `phi_euclidean`."""
+def euclidean_wave_dlambda(grid: Grid2, terms: WaveTerms, lam: complex) -> MatrixField:
+    """Analytic d(Phi)/d(lambda) of `wave_from_terms` on the same terms."""
     lam = check_lambda(lam)
     cprime = 4 * (1 + lam) / (1 - lam) ** 3
     bprime = -2 / (1 - lam) ** 2
-    p, rungs, margin = _ladder_terms(ladder)
+    p, rungs, margin = terms
     out = bprime * p
     for rung in rungs:
         out = out + cprime * rung
-    return MatrixField(ladder.active_rung.grid, out, margin)
+    return MatrixField(grid, out, margin)
 
 
 # --- Minkowski builder ---------------------------------------------------------

@@ -121,7 +121,7 @@ def build_ladder(
             rungs.append(raise_projector(rungs[-1], tol_contract_rel))
         except ContractedToZero:
             break
-    return SolutionLadder(n=p0.n, rungs=rungs, active=0)
+    return SolutionLadder(n=p0.n, rungs=rungs)
 
 
 # --- spectral parameter ------------------------------------------------------------
@@ -211,7 +211,7 @@ def integrated_surface_whole(
     a: MatrixField, b: MatrixField, w: WaveField
 ) -> tuple[np.ndarray, float]:
     """The unprojected surface and the path defect of
-    `solsurf.immersion.integrate_surface` from its default basepoint, with
+    `solsurf.immersion.integrate_surface` from its basepoint (m, m), with
     both integration orders formed on the whole grid at once."""
     m = max(a.margin, b.margin, w.margin)
     at, bt = w.conjugate(a.values), w.conjugate(b.values)

@@ -42,7 +42,13 @@ from solsurf.sigma import (
     u_pair,
     veronese_ladder,
 )
-from solsurf.spectral import euclidean_wave, lsp_residual, phi_euclidean, phi_traveling
+from solsurf.spectral import (
+    euclidean_terms,
+    euclidean_wave,
+    lsp_residual,
+    phi_traveling,
+    wave_from_terms,
+)
 from solsurf.symmetry import (
     ConformalSpec,
     commutation_defect,
@@ -120,9 +126,8 @@ def test_criterion_2_lsp_euclidean(ladders):
     for n in (2, 3):
         for lam in (0.5, -0.3, 2.0):
             for k in range(n):
-                lvl = ladders[n].with_active(k)
-                w = phi_euclidean(lvl, lam)
-                j = theta_of(lvl.active_rung)
+                j = theta_of(ladders[n].rungs[k])
+                w = wave_from_terms(j.grid, euclidean_terms(j, k, ladders[n]), lam)
                 u1, u2 = u_pair(j, lam)
                 r1, r2, m = lsp_residual(w, u1, u2)
                 worst = max(interior_max(r1, m), interior_max(r2, m))
@@ -336,9 +341,8 @@ def _refinement_table():
         return interior_max(ci, m)
 
     def lsp_euclid_defect(h):
-        lvl = veronese_ladder(3, euclid_grid(h)).with_active(2)
-        w = phi_euclidean(lvl, 0.5)
-        j = theta_of(lvl.active_rung)
+        j = theta_of(veronese_ladder(3, euclid_grid(h)).rungs[2])
+        w = euclidean_wave(j, 2, 0.5)
         u1, u2 = u_pair(j, 0.5)
         r1, r2, m = lsp_residual(w, u1, u2)
         return max(interior_max(r1, m), interior_max(r2, m))

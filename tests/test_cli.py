@@ -720,14 +720,14 @@ def test_cli_immerse_deep_rung_sums_stored_rungs(tmp_path):
     assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
 
 
-def test_reports_write_non_finite_values_as_null(tmp_path, capsys):
+def test_reports_refuse_non_finite_values(tmp_path):
+    # the commands exit 2 on a non-finite summary or report value before
+    # writing it, so the writer has no null to write and refuses one
     from solsurf.cli import _dump_json
 
-    path = str(tmp_path / "report.json")
-    _dump_json(path, {"a": float("nan"), "b": [1.5, float("inf")], "c": {"d": -float("inf")}})
-    with open(path) as fh:
-        assert fh.read() == '{"a":null,"b":[1.5,null],"c":{"d":null}}'
-    assert json.loads(capsys.readouterr().out) == {"a": None, "b": [1.5, None], "c": {"d": None}}
+    for value in (float("nan"), [1.5, float("inf")], {"d": -float("inf")}):
+        with pytest.raises(ValueError):
+            _dump_json(str(tmp_path / "report.json"), {"a": value})
 
 
 # --- every JSON object parses or is rejected, and every parsed config solves ---
@@ -809,7 +809,15 @@ def _quiet_main(argv: list[str]) -> int:
               "grid": {"origin": [0.0, 0.0], "spacing": [1.0, 3.35e153]}})
 @example(obj={**README_EUCLID, "solution": {"kind": "veronese", "k": 1},
               "grid": {"origin": [1e160, 0.0], "spacing": [1.0, 1.0]}})
+@example(obj={"model": "cp", "space": "euclidean", "n": 2,
+              "solution": {"kind": "veronese", "k": 0},
+              "grid": {"origin": [0.0, 1.0], "spacing": [1.0, 1.0]}, "lambda": 0.0,
+              "a_coeffs": [], "gauge": {"preset": "diag"}, "symmetry": {"f": [], "g": []},
+              "outputs": [{"format": "obj", "input": "f.npz", "path": "f.obj"}],
+              "tolerances": {}, "suite": "all"})
 @settings(max_examples=150, deadline=None, derandomize=True)
+# a coarse grid may leave the tangent pair incompatible; integrate_surface warns by design
+@pytest.mark.filterwarnings("ignore:tangent pair is not compatible:UserWarning")
 def test_every_config_parses_or_is_rejected_and_solves(obj):
     # every parsed config solves, and immerses when it has an ingredient;
     # every surface that immerse writes exports to each format or exits 2

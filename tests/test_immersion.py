@@ -19,6 +19,7 @@ from solsurf.matlie import commutator, constant, fro, identity, mm, su_basis
 from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import (
     WaveField,
+    euclidean_terms,
     euclidean_wave,
     euclidean_wave_dlambda,
     phi_traveling,
@@ -33,7 +34,6 @@ from solsurf.symmetry import (
     wave_functional,
 )
 from solsurf.immersion import (
-    ImmersionInputs,
     assemble_tangents,
     compatibility_defect,
     conformal_immersion_closed,
@@ -66,7 +66,7 @@ def identity_wave(grid, n, lam=0.0):
 def test_assemble_requires_ingredient():
     j = theta_of(LADDER2.rungs[0])
     with pytest.raises(ValueError):
-        assemble_tangents(ImmersionInputs(), j, LAM_E)
+        assemble_tangents(j, LAM_E)
 
 
 def test_u_dlambda_coefficients():
@@ -96,7 +96,7 @@ def test_integrate_constant_commuting_tangents():
     a = constant_field(g, m1)
     b = constant_field(g, m2)
     w = identity_wave(g, 2)
-    res = integrate_surface(a, b, w, basepoint=(0, 0))
+    res = integrate_surface(a, b, w)
     x1, x2 = g.mesh()
     expected = (x1 - x1[0, 0]) * constant(m1) + (x2 - x2[0, 0]) * constant(m2)
     assert interior_max(fro(res.field.values - expected), 0) < 1e-13
@@ -109,10 +109,10 @@ def test_integrate_basepoint_and_validation():
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
-    res = integrate_surface(a, b, w, basepoint=(50, 50))
-    assert fro(res.field.values[..., 50, 50]) < 1e-14
-    with pytest.raises(ValueError):
-        integrate_surface(a, b, w, basepoint=(0, 0))  # inside the margin
+    res = integrate_surface(a, b, w)
+    m = max(a.margin, b.margin, w.margin)
+    assert m > 0 and res.basepoint == (m, m)
+    assert fro(res.field.values[..., m, m]) < 1e-14
 
 
 def test_integrated_matches_closed_form_conformal():
@@ -206,14 +206,13 @@ def test_sym_tafel_euclid():
     j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
-    dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
+    dphi = euclidean_wave_dlambda(GRID, euclidean_terms(j, 0), LAM_E)
     zero_f = sym_tafel(w, dphi, 0.0)
     assert interior_max(fro(zero_f.values), zero_f.margin) == 0
     fst = sym_tafel(w, dphi, 1.0)
     du1, du2 = u_dlambda(j, LAM_E)
     assert max(tangent_check(fst, w, du1, du2)) < 1e-6
-    inp = ImmersionInputs(a_coeffs=(1.0,))
-    a, b = assemble_tangents(inp, j, LAM_E)
+    a, b = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
     res = integrate_surface(a, b, w, u1=u1, u2=u2)
     _, variation = constant_difference_check(res.raw, fst)
     assert variation < 1e-7
@@ -264,10 +263,8 @@ def test_gauge_immersion():
 
 def test_gauge_term_cancels_for_commuting_constant():
     # constant S commuting with both connection components: A = B = 0
-    inp = ImmersionInputs(
-        gauge=constant_field(GRID_M, commutator(JET_M.d1, JET_M.values)[..., 50, 50])
-    )
-    a, b = assemble_tangents(inp, JET_M, LAM_M)
+    s = constant_field(GRID_M, commutator(JET_M.d1, JET_M.values)[..., 50, 50])
+    a, b = assemble_tangents(JET_M, LAM_M, gauge=s)
     assert interior_max(fro(a.values), a.margin) < 1e-13
     assert interior_max(fro(b.values), b.margin) < 1e-13
 
@@ -277,12 +274,10 @@ def test_assemble_additivity():
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     s = constant_field(GRID, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
     ((pw1, pw2),) = frechet_apply([u_functional(LAM_E)], j, conformal_characteristic(spec, j))
-    a_all, b_all = assemble_tangents(
-        ImmersionInputs(a_coeffs=(1.0,), gauge=s, prw_u=(pw1, pw2)), j, LAM_E
-    )
-    a1, b1 = assemble_tangents(ImmersionInputs(a_coeffs=(1.0,)), j, LAM_E)
-    a2, b2 = assemble_tangents(ImmersionInputs(gauge=s), j, LAM_E)
-    a3, b3 = assemble_tangents(ImmersionInputs(prw_u=(pw1, pw2)), j, LAM_E)
+    a_all, b_all = assemble_tangents(j, LAM_E, a_coeffs=(1.0,), gauge=s, prw_u=(pw1, pw2))
+    a1, b1 = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
+    a2, b2 = assemble_tangents(j, LAM_E, gauge=s)
+    a3, b3 = assemble_tangents(j, LAM_E, prw_u=(pw1, pw2))
     assert np.array_equal(a3.values, pw1.values, equal_nan=True)
     m = a_all.margin
     assert interior_max(fro(a_all.values - a1.values - a2.values - a3.values), m) < 1e-10
@@ -332,7 +327,7 @@ def test_prolong_immersion_trivial_and_psi():
 def test_psi_sym_tafel_is_dlambda_phi():
     j = theta_of(LADDER2.rungs[0])
     w = euclidean_wave(j, 0, LAM_E)
-    dphi = euclidean_wave_dlambda(LADDER2.with_active(0), LAM_E)
+    dphi = euclidean_wave_dlambda(GRID, euclidean_terms(j, 0), LAM_E)
     fst = sym_tafel(w, dphi, 1.0)
     psi = psi_of(fst, w)
     assert interior_max(fro(psi.values - dphi.values), psi.margin) < 1e-7

@@ -9,14 +9,15 @@ from solsurf.sigma import projector, theta_of, traveling_solution, u_pair, veron
 from solsurf.spectral import (
     WaveField,
     _cond2,
+    euclidean_terms,
     euclidean_wave,
     euclidean_wave_coefficients,
     euclidean_wave_dlambda,
     lsp_residual,
-    phi_euclidean,
     phi_traveling,
     traveling_wave_dlambda,
     wave_diagnostics,
+    wave_from_terms,
 )
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
@@ -40,9 +41,8 @@ def test_wave_base_level_formula():
 @pytest.mark.parametrize("lam", [0.5, -0.3, 2.0])
 def test_lsp_residual_all_levels(n, ladder, lam):
     for k in range(n):
-        lvl = ladder.with_active(k)
-        w = phi_euclidean(lvl, lam)
-        j = theta_of(lvl.active_rung)
+        j = theta_of(ladder.rungs[k])
+        w = wave_from_terms(GRID, euclidean_terms(j, k, ladder), lam)
         u1, u2 = u_pair(j, lam)
         r1, r2, m = lsp_residual(w, u1, u2)
         assert interior_max(r1, m) < 1e-7
@@ -108,14 +108,13 @@ def test_deep_ladder_stored_rung_wave():
     g = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
     ladder = veronese_ladder(4, g)
     assert ladder.orthogonality_defect() < 1e-12
-    lvl = ladder.with_active(3)
+    j = theta_of(ladder.rungs[3])
     lam = 0.5
-    w = phi_euclidean(lvl, lam)
+    w = wave_from_terms(g, euclidean_terms(j, 3, ladder), lam)
     c, beta = euclidean_wave_coefficients(lam)
     lowered = sum(r.values for r in ladder.rungs[:3])
     stored = identity(4) + beta * ladder.rungs[3].values + c * lowered
     assert interior_max(fro(w.values - stored), w.margin) < 1e-14
-    j = theta_of(lvl.active_rung)
     u1, u2 = u_pair(j, lam)
     r1, r2, m = lsp_residual(w, u1, u2)
     assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
@@ -124,8 +123,7 @@ def test_deep_ladder_stored_rung_wave():
 def test_wave_linearity_reconstruction():
     # the builder's coefficients rebuild the wave field from the ladder rungs
     lam = -0.3
-    lvl = LADDER3.with_active(2)
-    w = phi_euclidean(lvl, lam)
+    w = euclidean_wave(theta_of(LADDER3.rungs[2]), 2, lam)
     c, beta = euclidean_wave_coefficients(lam)
     k = 2
     recon = np.broadcast_to(identity(3), w.values.shape).astype(complex).copy()
@@ -137,12 +135,13 @@ def test_wave_linearity_reconstruction():
 
 def test_wave_invertibility_diagnostics():
     lam = 0.5
-    w = phi_euclidean(LADDER2.with_active(0), lam)
+    j = theta_of(LADDER2.rungs[0])
+    w = euclidean_wave(j, 0, lam)
     diag = wave_diagnostics(w)
     assert diag["min_abs_det"] > 1e-10
     assert diag["max_condition"] < 1e4
     # at imaginary lambda the wave function is unitary
-    wi = phi_euclidean(LADDER2.with_active(0), 0.6j)
+    wi = euclidean_wave(j, 0, 0.6j)
     assert wave_diagnostics(wi)["max_unitarity_defect"] < 1e-12
 
 
@@ -229,7 +228,7 @@ def test_dlambda_euclid_analytic_vs_fd():
     lam = 0.5
     for k, ladder in ((0, LADDER2), (2, LADDER3)):
         j = theta_of(ladder.rungs[k])
-        analytic = euclidean_wave_dlambda(ladder.with_active(k), lam)
+        analytic = euclidean_wave_dlambda(GRID, euclidean_terms(j, k), lam)
         fd = dlambda_fd(lambda l, j=j, k=k: euclidean_wave(j, k, l), lam)
         m = max(analytic.margin, fd.margin)
         assert interior_max(fro(analytic.values - fd.values), m) < 1e-7
@@ -238,10 +237,11 @@ def test_dlambda_euclid_analytic_vs_fd():
 def test_dlambda_deep_level_analytic_vs_fd():
     # level 3 sums the stored rungs, in Phi and in dPhi/dlambda alike
     g = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (41, 41))
-    ladder = veronese_ladder(4, g).with_active(3)
+    ladder = veronese_ladder(4, g)
+    terms = euclidean_terms(theta_of(ladder.rungs[3]), 3, ladder)
     lam = 0.5
-    analytic = euclidean_wave_dlambda(ladder, lam)
-    fd = dlambda_fd(lambda l: phi_euclidean(ladder, l), lam)
+    analytic = euclidean_wave_dlambda(g, terms, lam)
+    fd = dlambda_fd(lambda l: wave_from_terms(g, terms, l), lam)
     m = max(analytic.margin, fd.margin)
     assert interior_max(fro(analytic.values - fd.values), m) < 1e-7
 
@@ -249,7 +249,7 @@ def test_dlambda_deep_level_analytic_vs_fd():
 def test_dlambda_base_level_value():
     # at the bottom of the ladder: dPhi/dlam = -2/(1-lam)^2 P
     lam = 0.5
-    analytic = euclidean_wave_dlambda(LADDER2.with_active(0), lam)
+    analytic = euclidean_wave_dlambda(GRID, euclidean_terms(theta_of(LADDER2.rungs[0]), 0), lam)
     expected = -2 / (1 - lam) ** 2 * LADDER2.rungs[0].values
     assert interior_max(fro(analytic.values - expected), analytic.margin) < 1e-14
 
