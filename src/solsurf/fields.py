@@ -13,6 +13,18 @@ symmetry characteristic Q, a Veronese projector rung, the traveling wave
 and every deformation theta + eps Q are all `JetField`s; `chart_jets`
 makes one from any field by stencils.
 
+Pointwise kernels of the jets (the connection, the lowering operator,
+the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:
+`JetField.map_rows` hands each strip's `JetRows` to the kernel and writes
+its outputs into full-size arrays, so no full-size temporary of the
+kernel is built.  A deformation theta + eps Q forms its second jets per
+strip, as the rows of theta's plus eps times the rows of Q's.  A scalar
+factor is applied in place (``t = commutator(...); t *= c``), never as
+``c * commutator(...)``: numpy turns ``c * tmp`` into ``tmp *= c`` for
+temporaries of 256 KiB or more, and its fused complex loops round c*a and
+a*c differently, so only the in-place form gives the same bits on a strip
+as on the whole field.
+
 Axis convention: a matrix field is a (n, n, n2, n1) array, matrix axes
 first (see :mod:`solsurf.matlie`), and a scalar field a (n2, n1) array, so
 axis -1 runs along the first grid coordinate and axis -2 along the second.
@@ -27,9 +39,10 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +55,7 @@ __all__ = [
     "Grid2",
     "GridMismatch",
     "JetField",
+    "JetRows",
     "MatrixField",
     "STRIP_ROWS",
     "chart_derivatives",
@@ -261,24 +275,11 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, kw_only=True)
-class JetField(MatrixField):
-    """A field with its chart derivatives up to second order.
+class _SecondJets:
+    """d11, d12 and d22 from the zero-argument callable ``second``, which
+    runs at most once, on first read."""
 
-    The values and ``margin`` are those of the field itself; ``margin1``
-    bounds the trusted region of d1/d2, ``margin2`` that of the
-    second-order set (the mixed real-axis stencil is a composition, hence
-    the doubled margin).  d1 and d2 are stored; d11, d12 and d22 come from
-    ``second``, a zero-argument callable that runs at most once, on first
-    read, so a consumer that reads only the first-order jets never pays
-    for the second-order stencils.
-    """
-
-    d1: np.ndarray
-    d2: np.ndarray
     second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    margin1: int
-    margin2: int
 
     @cached_property
     def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,14 +297,85 @@ class JetField(MatrixField):
     def d22(self) -> np.ndarray:
         return self._second_jets[2]
 
+
+@dataclass(frozen=True, eq=False)
+class JetRows(_SecondJets):
+    """The strip ``rows`` of grid rows of a `JetField`: the values and first
+    jets of those rows as views, and their second jets on first read."""
+
+    rows: slice
+    values: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+
+@dataclass(frozen=True, kw_only=True)
+class JetField(_SecondJets, MatrixField):
+    """A field with its chart derivatives up to second order.
+
+    The values and ``margin`` are those of the field itself; ``margin1``
+    bounds the trusted region of d1/d2, ``margin2`` that of the
+    second-order set (the mixed real-axis stencil is a composition, hence
+    the doubled margin).  d1 and d2 are stored; d11, d12 and d22 come from
+    ``second``, a zero-argument callable that runs at most once, on first
+    read, so a consumer that reads only the first-order jets never pays
+    for the second-order stencils.  A deformation (`deformed`) keeps its
+    base, step and direction in ``shift``, and forms its second jets from
+    theirs, on the rows read.
+    """
+
+    d1: np.ndarray
+    d2: np.ndarray
+    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    margin1: int
+    margin2: int
+    shift: tuple["JetField", float, "JetField"] | None = None
+
+    def rows(self, rows: slice) -> JetRows:
+        """The strip ``rows`` of grid rows; its second jets are formed for
+        these rows alone, on first read."""
+        return JetRows(
+            rows,
+            self.values[..., rows, :],
+            self.d1[..., rows, :],
+            self.d2[..., rows, :],
+            lambda: self._second_rows(rows),
+        )
+
+    def _second_rows(self, rows: slice) -> tuple[np.ndarray, ...]:
+        if self.shift is not None:
+            return _shifted_second(*self.shift, rows)
+        return tuple(x[..., rows, :] for x in self._second_jets)
+
+    def map_rows(self, kernel: Callable[[JetRows], Sequence[np.ndarray]]) -> list[np.ndarray]:
+        """``kernel`` evaluated on one strip of grid rows at a time.
+
+        Each array the kernel returns for a strip, with the strip's rows
+        and all columns as its last two axes, is written into a full-size
+        array of the same leading shape, allocated on the first strip.
+        """
+        outs: list[np.ndarray] = []
+        for rows, _ in row_strips(self.grid.n2):
+            parts = kernel(self.rows(rows))
+            if not outs:
+                outs = [np.empty(a.shape[:-2] + self.values.shape[2:], a.dtype) for a in parts]
+            for out, part in zip(outs, parts):
+                out[..., rows, :] = part
+        return outs
+
     def deformed(self, eps: float, q_jets: "JetField") -> "JetField":
         """The field + eps*q with its jets shifted by eps times the jets of q.
 
         Derivatives are linear, so the jets of the deformed field are the
         jets of this field plus eps times those of q; sharing one jet set
         of q across all evaluations keeps difference quotients
-        cancellation free.  The second-order shifts are formed only if the
-        deformed field's second jets are read.
+        cancellation free.  The second-order shifts are formed only on the
+        rows that are read, or in full if the whole field's are.
         """
         return JetField(
             grid=self.grid,
@@ -311,14 +383,20 @@ class JetField(MatrixField):
             margin=max(self.margin, q_jets.margin),
             d1=self.d1 + eps * q_jets.d1,
             d2=self.d2 + eps * q_jets.d2,
-            second=lambda: (
-                self.d11 + eps * q_jets.d11,
-                self.d12 + eps * q_jets.d12,
-                self.d22 + eps * q_jets.d22,
-            ),
+            second=lambda: _shifted_second(self, eps, q_jets, slice(None)),
             margin1=max(self.margin1, q_jets.margin1),
             margin2=max(self.margin2, q_jets.margin2),
+            shift=(self, eps, q_jets),
         )
+
+
+def _shifted_second(
+    base: JetField, eps: float, q_jets: JetField, rows: slice
+) -> tuple[np.ndarray, ...]:
+    """The second jets of base + eps*q on ``rows``."""
+    return tuple(
+        b + eps * d for b, d in zip(base._second_rows(rows), q_jets._second_rows(rows))
+    )
 
 
 def chart_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
@@ -417,18 +495,33 @@ FIELD_FORMAT = "solsurf-field/1"
 
 def write_field(path: str, f: MatrixField, lam: complex | None = None) -> None:
     """Native field file: ``values``, ``margin``, ``grid`` (JSON text),
-    ``format`` and, when given, ``lambda``."""
+    ``format`` and, when given, ``lambda``.
+
+    The archive is the one ``np.savez`` writes, member for member, but the
+    values go out one strip of grid rows at a time: their ``.npy`` header,
+    then each strip's rows in node-major order, so the only copy made is
+    that of one strip.
+    """
     arrays = {
         "format": np.array(FIELD_FORMAT),
         "grid": np.array(json.dumps(f.grid.to_json(), sort_keys=True)),
         "margin": np.array(f.margin),
-        # np.savez streams the transposed view without a full copy
         "values": _file_order(np.asarray(f.values, dtype=complex)),
     }
     if lam is not None:
         arrays["lambda"] = np.array(complex(lam))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    with open(path, "wb") as fh, zipfile.ZipFile(
+        fh, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+    ) as zf:
+        for key, array in arrays.items():
+            with zf.open(key + ".npy", "w", force_zip64=True) as member:
+                if key != "values":
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+                    continue
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(member, header)
+                for rows, _ in row_strips(array.shape[0]):
+                    member.write(np.ascontiguousarray(array[rows]))
 
 
 def read_field(path: str) -> tuple[MatrixField, complex | None]:
@@ -438,8 +531,6 @@ def read_field(path: str) -> tuple[MatrixField, complex | None]:
     the old one-object-per-node JSON layout) and `OSError` when the file
     cannot be opened.
     """
-    import zipfile
-
     if path.endswith(".json"):
         return _read_field_export(path)
     if not path.endswith(".npz"):

@@ -241,19 +241,26 @@ def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
     the field from anti-Hermitian traceless.
     """
     vals = np.empty(f.values.shape, dtype=complex)
+    return MatrixField(f.grid, vals, f.margin), _su_strips(f, vals)
+
+
+def su_distance(f: MatrixField) -> float:
+    """Worst interior distance of a field from anti-Hermitian traceless."""
+    return _su_strips(f)
+
+
+def _su_strips(f: MatrixField, out: np.ndarray | None = None) -> float:
+    """The su(N) correction of ``f`` reduced one strip of grid rows at a
+    time, writing the projection into ``out`` when one is given."""
     defect = np.empty(f.values.shape[2:])
     for rows, _ in row_strips(f.grid.n2):
         x = f.values[..., rows, :]
         finite = np.isfinite(x)
         su_part, d = project_su(np.where(finite, x, 0.0))
-        vals[..., rows, :] = np.where(finite, su_part, np.nan + 0j)
+        if out is not None:
+            out[..., rows, :] = np.where(finite, su_part, np.nan + 0j)
         defect[rows] = np.where(np.isfinite(fro(x)), d, np.nan)
-    return MatrixField(f.grid, vals, f.margin), interior_max(defect, f.margin)
-
-
-def su_distance(f: MatrixField) -> float:
-    """Worst interior distance of a field from anti-Hermitian traceless."""
-    return su_projected(f)[1]
+    return interior_max(defect, f.margin)
 
 
 def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> MatrixField:

@@ -31,6 +31,7 @@ from .fields import (
     CHART_MINKOWSKI,
     Grid2,
     JetField,
+    JetRows,
     MatrixField,
     chart_jets,
     interior_max,
@@ -64,8 +65,8 @@ def check_lambda(lam: complex) -> complex:
     return lam
 
 
-def projector(j: JetField) -> np.ndarray:
-    """P = I/N - i theta from the jets ``j`` of theta."""
+def projector(j: JetField | JetRows) -> np.ndarray:
+    """P = I/N - i theta from the jets ``j`` of theta, or from a strip of them."""
     return identity(j.n) / j.n - 1j * j.values
 
 
@@ -98,10 +99,19 @@ def theta_of(p: MatrixField) -> JetField:
 
 
 def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
-    """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta]."""
+    """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta],
+    one strip of grid rows at a time."""
     lam = check_lambda(lam)
-    u1 = (-2.0 / (1.0 + lam)) * commutator(j.d1, j.values)
-    u2 = (-2.0 / (1.0 - lam)) * commutator(j.d2, j.values)
+    c1, c2 = -2.0 / (1.0 + lam), -2.0 / (1.0 - lam)
+
+    def rows(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
+        u1 = commutator(jr.d1, jr.values)
+        u1 *= c1
+        u2 = commutator(jr.d2, jr.values)
+        u2 *= c2
+        return u1, u2
+
+    u1, u2 = j.map_rows(rows)
     return (
         MatrixField(j.grid, u1, j.margin1),
         MatrixField(j.grid, u2, j.margin1),

@@ -13,6 +13,15 @@ Two closed-form builders are provided:
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
 
+Every builder that reads the jets (the projector, the lowered rungs and
+their derivatives, Phi of both charts) is pointwise, and runs one strip of
+grid rows at a time through `JetField.map_rows` into one preallocated
+output, with scalar factors applied in place (see :mod:`solsurf.fields`).
+The lowering's guard stays global: where its denominator vanishes the
+rung is NaN, even on a whole strip, and `DeformationOutOfDomain` is raised
+only when it vanishes on every node of the field, naming the first
+lowering step that did.
+
 A wave function is a `WaveField`: a `MatrixField` of Phi that also
 carries its spectral parameter and computes its per-node inverse once.
 Both builders are certified against 4th-order stencil derivatives by
@@ -23,12 +32,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DeformationOutOfDomain
-from .fields import Grid2, MatrixField, chart_first_derivatives, interior, interior_max
-from .matlie import commutator, dagger, det, expm, fro, identity, inv, mm, trace
+from .fields import (
+    Grid2,
+    JetRows,
+    MatrixField,
+    chart_first_derivatives,
+    interior,
+    interior_max,
+    row_strips,
+)
+from .matlie import NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv, mm, trace
 from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, projector
 
 __all__ = [
@@ -37,6 +55,7 @@ __all__ = [
     "euclidean_wave",
     "euclidean_wave_coefficients",
     "euclidean_wave_dlambda",
+    "lowered_rung_derivatives",
     "lowered_rungs_from_jets",
     "lowered_rung_with_jets",
     "lsp_residual",
@@ -117,39 +136,53 @@ def euclidean_wave_coefficients(lam: complex) -> tuple[complex, complex]:
     return 4 * lam / (1 - lam) ** 2, -2 / (1 - lam)
 
 
-def _guarded_reciprocal(den: np.ndarray, message: str) -> np.ndarray:
-    """1/den, NaN where den vanishes; raises when it vanishes everywhere."""
+# what the lowering raises when its denominator vanishes on every node, per step
+_VANISHED = (
+    "lowering denominator vanished everywhere",
+    "second lowering denominator vanished everywhere",
+)
+
+
+def _guarded_reciprocal(den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1/den, NaN where den vanishes, and the mask of those nodes."""
     with np.errstate(invalid="ignore"):
         bad = ~(np.abs(den) > 1e-300)
-    if bad.all():
-        raise DeformationOutOfDomain(message)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(bad, np.nan, 1.0 / np.where(bad, 1.0, den))
+        return np.where(bad, np.nan, 1.0 / np.where(bad, 1.0, den)), bad
+
+
+def _check_denominators(bad: Sequence[np.ndarray]) -> None:
+    """Raise for the first lowering step whose denominator vanished on every
+    node of the whole field; where it vanished on some nodes only, even on
+    every node of a strip, those nodes are NaN and nothing is raised."""
+    for mask, message in zip(bad, _VANISHED):
+        if mask.all():
+            raise DeformationOutOfDomain(message)
 
 
 def _lowered_value(
-    p: np.ndarray,
-    d1p: np.ndarray,
-    d2p: np.ndarray,
-    message: str = "lowering denominator vanished everywhere",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """L(P) = D2P P D1P / tr(...) with its parts (D2P P, numerator, 1/denominator)."""
+    p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """L(P) = D2P P D1P / tr(...) with its parts (D2P P, numerator,
+    1/denominator) and the mask of nodes where the denominator vanished."""
     d2p_p = mm(d2p, p)
     num = mm(d2p_p, d1p)
-    deninv = _guarded_reciprocal(trace(num), message)
-    return num * deninv, d2p_p, num, deninv
+    deninv, bad = _guarded_reciprocal(trace(num))
+    return num * deninv, d2p_p, num, deninv, bad
 
 
 def lowered_rung_with_jets(
-    p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray, j: JetField
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowered projector L(P) = D2P P D1P / tr(...) and its first derivatives.
+    p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray, j: JetRows | JetField
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lowered projector L(P) = D2P P D1P / tr(...), its first derivatives,
+    and the mask of nodes where the denominator vanished (NaN there).
 
-    The derivatives come from the quotient rule through the jets of the
-    input, so the output is again differentiable data; one extra jet order
-    of the input is consumed per application.
+    ``j`` holds the jets of theta on the nodes of ``p``, a strip of rows
+    (`JetRows`) as a rule.  The derivatives come from the quotient rule
+    through the jets of the input, so the output is again differentiable
+    data; one extra jet order of the input is consumed per application.
     """
-    r, d2p_p, num, deninv = _lowered_value(p, d1p, d2p)
+    r, d2p_p, num, deninv, bad = _lowered_value(p, d1p, d2p)
 
     def derivative(dp: np.ndarray, theta_a2: np.ndarray, theta_a1: np.ndarray) -> np.ndarray:
         # D_a num = (D_a D2P P + D2P D_a P) D1P + D2P P D_a D1P; the input is
@@ -159,72 +192,119 @@ def lowered_rung_with_jets(
         inner += mm(d2p, dp)
         dnum = mm(inner, d1p)
         del inner
-        dnum += -1j * mm(d2p_p, theta_a1)
+        last = mm(d2p_p, theta_a1)
+        last *= -1j
+        dnum += last
+        del last
         dden = trace(dnum) * deninv**2
         dnum *= deninv
         dnum -= num * dden
         return dnum
 
-    return r, derivative(d1p, j.d12, j.d11), derivative(d2p, j.d22, j.d12)
+    return r, derivative(d1p, j.d12, j.d11), derivative(d2p, j.d22, j.d12), bad
 
 
-def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
-    """Values of L(P), L^2(P), ... L^k(P) for the solution carried by ``j``.
+def lowered_rung_derivatives(j: JetField) -> tuple[np.ndarray, np.ndarray]:
+    """(D_1 L(P), D_2 L(P)) of the once-lowered rung of the solution carried
+    by ``j``, one strip of grid rows at a time."""
 
-    Supports k <= 2: the first lowering consumes the cached second jets,
-    the second consumes the first derivatives produced alongside rung one.
-    For k = 1 only the value of rung one is formed; its derivatives are
-    built only when a second rung reads them.
+    def rows(jr: JetRows) -> tuple[np.ndarray, ...]:
+        return lowered_rung_with_jets(projector(jr), -1j * jr.d1, -1j * jr.d2, jr)[1:]
+
+    d1r, d2r, bad = j.map_rows(rows)
+    _check_denominators([bad])
+    return d1r, d2r
+
+
+def _lowered_strips(
+    j: JetField, k: int, kernel: Callable[[np.ndarray, list[np.ndarray]], list[np.ndarray]]
+) -> list[np.ndarray]:
+    """``kernel(P, [L(P), .. L^k(P)])`` (k <= 2) of the solution carried by
+    ``j``, one strip of grid rows at a time (`JetField.map_rows`).
+
+    The first lowering consumes the cached second jets, the second the
+    first derivatives produced alongside rung one.  For k = 1 only the
+    value of rung one is formed; its derivatives are built only when a
+    second rung reads them.
     """
-    if k == 0:
-        return []
     if k > 2:
         raise DeformationOutOfDomain(
             "jet-based lowering supports at most two steps (jets are cached to order 2)"
         )
-    p = projector(j)
-    d1p, d2p = -1j * j.d1, -1j * j.d2
-    if k == 1:
-        return [_lowered_value(p, d1p, d2p)[0]]
-    r1, d1r1, d2r1 = lowered_rung_with_jets(p, d1p, d2p, j)
-    r2 = _lowered_value(
-        r1, d1r1, d2r1, "second lowering denominator vanished everywhere"
-    )[0]
-    return [r1, r2]
+
+    def rows(jr: JetRows) -> list[np.ndarray]:
+        p = projector(jr)
+        if k == 0:
+            return kernel(p, [])
+        d1p, d2p = -1j * jr.d1, -1j * jr.d2
+        if k == 1:
+            r1, *_, bad1 = _lowered_value(p, d1p, d2p)
+            return [*kernel(p, [r1]), bad1]
+        r1, d1r1, d2r1, bad1 = lowered_rung_with_jets(p, d1p, d2p, jr)
+        r2, *_, bad2 = _lowered_value(r1, d1r1, d2r1)
+        return [*kernel(p, [r1, r2]), bad1, bad2]
+
+    out = j.map_rows(rows)
+    _check_denominators(out[len(out) - k:])
+    return out[: len(out) - k]
+
+
+def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
+    """Values of L(P), L^2(P), ... L^k(P) for the solution carried by ``j``
+    (k <= 2), one strip of grid rows at a time."""
+    return _lowered_strips(j, k, lambda p, rungs: rungs)
 
 
 # P, its lowered rungs L(P) .. L^k(P), and their margin
 WaveTerms = tuple[np.ndarray, list[np.ndarray], int]
 
 
+def _terms_margin(j: JetField, k: int) -> int:
+    return j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin)
+
+
 def euclidean_terms(j: JetField, k: int, ladder: SolutionLadder | None = None) -> WaveTerms:
     """The `WaveTerms` of the level-k wave function.
 
-    Up to k = 2 the rungs are lowered from the jets ``j``, so the terms
-    follow a deformation of the jets; deeper levels take P and the rungs
-    below it from the stored ``ladder`` (the same projectors, but they
-    carry no deformation support), and without one the lowering raises.
+    Up to k = 2 the rungs are lowered from the jets ``j``, one strip of
+    grid rows at a time, so the terms follow a deformation of the jets;
+    deeper levels take P and the rungs below it from the stored ``ladder``
+    (the same projectors, but they carry no deformation support), and
+    without one the lowering raises.
     """
     if k > 2 and ladder is not None:
         rungs = ladder.rungs
         return rungs[k].values, [r.values for r in rungs[:k]], max(r.margin for r in rungs)
-    margin = j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin)
-    return projector(j), lowered_rungs_from_jets(j, k), margin
+    p, *rungs = _lowered_strips(j, k, lambda p, rungs: [p, *rungs])
+    return p, rungs, _terms_margin(j, k)
+
+
+def _wave_rows(p: np.ndarray, rungs: Sequence[np.ndarray], c: complex, beta: complex) -> np.ndarray:
+    """Phi = I + beta P + c (L(P) + ... + L^k(P)) on the nodes given."""
+    phi = identity(p.shape[0]) + beta * p
+    for rung in rungs:
+        phi += c * rung
+    return phi
 
 
 def wave_from_terms(grid: Grid2, terms: WaveTerms, lam: complex) -> WaveField:
-    """Phi = I + beta P + c (L(P) + ... + L^k(P)) from `euclidean_terms`."""
+    """Phi = I + beta P + c (L(P) + ... + L^k(P)) from `euclidean_terms`,
+    one strip of grid rows at a time."""
     c, beta = euclidean_wave_coefficients(lam)
     p, rungs, margin = terms
-    phi = identity(p.shape[0]) + beta * p
-    for rung in rungs:
-        phi = phi + c * rung
+    phi = np.empty(p.shape, dtype=complex)
+    for rows, _ in row_strips(grid.n2):
+        phi[..., rows, :] = _wave_rows(p[..., rows, :], [r[..., rows, :] for r in rungs], c, beta)
     return WaveField(grid, phi, margin, lam=complex(lam))
 
 
 def euclidean_wave(j: JetField, k: int, lam: complex) -> WaveField:
-    """Wave function for a level-k ladder solution (k <= 2), from its jet field."""
-    return wave_from_terms(j.grid, euclidean_terms(j, k), lam)
+    """Wave function for a level-k ladder solution (k <= 2), from its jet
+    field, one strip of grid rows at a time: the terms of a strip are
+    formed and summed before the next strip's."""
+    c, beta = euclidean_wave_coefficients(lam)
+    (phi,) = _lowered_strips(j, k, lambda p, rungs: [_wave_rows(p, rungs, c, beta)])
+    return WaveField(j.grid, phi, _terms_margin(j, k), lam=complex(lam))
 
 
 def euclidean_wave_dlambda(grid: Grid2, terms: WaveTerms, lam: complex) -> MatrixField:
@@ -245,14 +325,27 @@ def euclidean_wave_dlambda(grid: Grid2, terms: WaveTerms, lam: complex) -> Matri
 def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
     """Traveling-wave wave function exp(2 chi [theta_1, theta]) (2i theta - (2-N)I/N).
 
-    Exact jets make it margin-free.
+    Exact jets make it margin-free.  It is formed one strip of grid rows
+    at a time; chi is formed once on the whole grid and sliced, so each
+    strip reads the grid's own coordinates.  Nodes where the exponent is
+    not finite are NaN, and if no node's is, `NonFiniteMatrix` is raised.
     """
     if j.n != 2:
         raise ValueError("traveling-wave wave functions are implemented for N = 2")
     lam = check_lambda(lam)
-    komm = commutator(j.d1, j.values)
-    tail = 2j * j.values - (2 - j.n) * (identity(j.n) / j.n)
-    phi = mm(expm(2.0 * wave.chi(lam) * komm), tail)
+    chi = wave.chi(lam)
+    shift = (2 - j.n) * (identity(j.n) / j.n)
+
+    def rows(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
+        komm = commutator(jr.d1, jr.values)
+        x = 2.0 * chi[jr.rows] * komm
+        live = np.isfinite(x).all(axis=(0, 1))
+        e = expm(x) if live.any() else np.full(x.shape, np.nan, dtype=complex)
+        return mm(e, 2j * jr.values - shift), live
+
+    phi, live = j.map_rows(rows)
+    if not live.any():
+        raise NonFiniteMatrix("expm requires finite entries")
     return WaveField(wave.grid, phi, j.margin, lam=complex(lam))
 
 

@@ -26,7 +26,12 @@ A functional returns a tuple of matrix fields, all differenced from the
 same deformations, so the connection pair (u1, u2) is one functional.
 The deformed jet fields build their second-order jets on first read, so
 functionals that read only theta, D_1 theta and D_2 theta run no
-second-order stencil.
+second-order stencil.  The connection and lowering functionals evaluate
+their pointwise kernels one strip of grid rows at a time
+(`JetField.map_rows`), with scalar factors applied in place so a strip
+rounds as the whole field does (see :mod:`solsurf.fields`), and a
+deformation forms the second jets of a strip as theta's rows plus eps
+times Q's, so the full deformed second jets are never built for them.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .fields import (
     same_grid,
 )
 from .matlie import commutator, fro, mm
-from .sigma import JetField, TravelingWave, check_lambda, projector, u_pair
+from .sigma import JetField, TravelingWave, check_lambda, u_pair
 
 __all__ = [
     "ConformalSpec",
@@ -275,10 +280,10 @@ def lowering_functional() -> Functional:
 
 def lowering_derivatives_functional() -> Functional:
     """(D_1, D_2) of the once-lowered rung, from one lowering pass."""
-    from .spectral import lowered_rung_with_jets
+    from .spectral import lowered_rung_derivatives
 
     def g(j: JetField) -> tuple[MatrixField, MatrixField]:
-        _, d1r, d2r = lowered_rung_with_jets(projector(j), -1j * j.d1, -1j * j.d2, j)
+        d1r, d2r = lowered_rung_derivatives(j)
         return MatrixField(j.grid, d1r, j.margin2), MatrixField(j.grid, d2r, j.margin2)
 
     return g

@@ -74,9 +74,11 @@ from .sigma import (
 )
 from .spectral import (
     WaveField,
+    euclidean_terms,
     euclidean_wave,
     lsp_residual,
     phi_traveling,
+    wave_from_terms,
 )
 from .symmetry import (
     ConformalSpec,
@@ -262,7 +264,10 @@ class Fixtures:
 
     @_fixture
     def euclid_wave(self) -> WaveField:
-        return euclidean_wave(self.jets_analytic(), 0, LAM_EUCLID)
+        """Phi of the pair from its terms, the route `immerse` takes; the
+        deformations build it with `euclidean_wave`, bit for bit the same."""
+        j = self.jets_analytic()
+        return wave_from_terms(j.grid, euclidean_terms(j, 0), LAM_EUCLID)
 
     @_fixture
     def euclid_u(self) -> tuple[MatrixField, MatrixField]:
@@ -329,7 +334,7 @@ class Fixtures:
         whose D1 and D2 the step-order probe reuses on rung (2, 1).
 
         Only the standard pair's fields are shared; another rung's jets and
-        fields are built here and dropped on return.
+        fields are built here, and each is dropped after its last reader.
         """
         spec = self.euclid_spec()
         out: dict[str, object] = {}
@@ -347,11 +352,15 @@ class Fixtures:
                 out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], dl)
                 if (n, k) == (2, 1):
                     out["step-order"] = _step_defects(j, dl)
+                del lowered, dl
             w = euclidean_wave(j, k, LAM_EUCLID)
+            del j
             calf = explicit_immersion(w, prw_phi)
         d1phi, d2phi, dm = chart_first_derivatives(w)
         ref = spec.along(w.grid, d1phi, d2phi)
+        del d1phi, d2phi
         out["conformal-wave"] = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
+        del ref, prw_phi
         out["explicit-integration"] = max(tangent_check(calf, w, a, b))
         return out
 

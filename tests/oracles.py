@@ -21,8 +21,12 @@ cross-check the two:
   the row strips that :mod:`solsurf.immersion` and
   :mod:`solsurf.symmetry` reduce;
 * the JSON, CSV and OBJ exports, each formatted as one string of the
-  whole field, against the writers that stream them one strip of grid
-  rows at a time.
+  whole field, and the native ``.npz`` as ``np.savez`` writes it, against
+  the writers that stream them one strip of grid rows at a time;
+* the pointwise jet kernels (the connection, the lowering operator and its
+  derivatives, the Euclidean wave terms and wave function, the traveling
+  wave function), each evaluated on the whole grid at once, against the
+  kernels that evaluate them one strip of grid rows at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from solsurf.errors import ChartMismatch
+from solsurf.errors import ChartMismatch, DeformationOutOfDomain
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     FIELD_FORMAT,
@@ -45,9 +49,26 @@ from solsurf.fields import (
     interior,
     interior_max,
 )
-from solsurf.matlie import commutator, constant, dagger, fro, mm, project_su, trace
-from solsurf.sigma import JetField, SolutionLadder, u_pair
-from solsurf.spectral import WaveField
+from solsurf.matlie import (
+    commutator,
+    constant,
+    dagger,
+    expm,
+    fro,
+    identity,
+    mm,
+    project_su,
+    trace,
+)
+from solsurf.sigma import (
+    JetField,
+    SolutionLadder,
+    TravelingWave,
+    check_lambda,
+    projector,
+    u_pair,
+)
+from solsurf.spectral import WaveField, euclidean_wave_coefficients
 from solsurf.symmetry import compatibility_defect, frechet_apply, u_functional
 
 TOL_CONTRACT_REL = 1e-10
@@ -280,3 +301,90 @@ def export_obj_whole(path: str, points: np.ndarray) -> None:
     faces = ("f %d %d %d\nf %d %d %d\n" * a.size) % tuple(quads.reshape(-1).tolist())
     with open(path, "w") as fh:
         fh.write(verts + faces)
+
+
+def write_field_savez(path: str, f: MatrixField, lam: complex | None = None) -> None:
+    """`solsurf.fields.write_field` as one ``np.savez`` of the node-major values."""
+    arrays = {
+        "format": np.array(FIELD_FORMAT),
+        "grid": np.array(json.dumps(f.grid.to_json(), sort_keys=True)),
+        "margin": np.array(f.margin),
+        "values": np.asarray(f.values, dtype=complex).transpose(2, 3, 0, 1),
+    }
+    if lam is not None:
+        arrays["lambda"] = np.array(complex(lam))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+# --- whole-grid jet kernels ------------------------------------------------------------
+#
+# Scalar factors are applied in place, as in the package: numpy evaluates
+# ``c * tmp`` as ``tmp *= c`` for temporaries of 256 KiB or more, and
+# complex products round c*a and a*c differently.
+
+
+def u_pair_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """`solsurf.sigma.u_pair` on the whole grid."""
+    lam = check_lambda(lam)
+    u1 = commutator(j.d1, j.values)
+    u1 *= -2.0 / (1.0 + lam)
+    u2 = commutator(j.d2, j.values)
+    u2 *= -2.0 / (1.0 - lam)
+    return u1, u2
+
+
+def _lowered_whole(p, d1p, d2p, message):
+    d2p_p = mm(d2p, p)
+    num = mm(d2p_p, d1p)
+    den = trace(num)
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(den) > 1e-300)
+    if bad.all():
+        raise DeformationOutOfDomain(message)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        deninv = np.where(bad, np.nan, 1.0 / np.where(bad, 1.0, den))
+    return num * deninv, d2p_p, num, deninv
+
+
+def lowered_rung_with_jets_whole(j: JetField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L(P) and (D_1 L(P), D_2 L(P)) by the quotient rule, on the whole grid."""
+    p, d1p, d2p = projector(j), -1j * j.d1, -1j * j.d2
+    r, d2p_p, num, deninv = _lowered_whole(p, d1p, d2p, "lowering denominator vanished everywhere")
+
+    def derivative(dp, theta_a2, theta_a1):
+        inner = -1j * mm(theta_a2, p) + mm(d2p, dp)
+        dnum = mm(inner, d1p) + -1j * mm(d2p_p, theta_a1)
+        dden = trace(dnum) * deninv**2
+        return dnum * deninv - num * dden
+
+    return r, derivative(d1p, j.d12, j.d11), derivative(d2p, j.d22, j.d12)
+
+
+def lowered_rungs_whole(j: JetField, k: int) -> list[np.ndarray]:
+    """L(P) .. L^k(P) (k <= 2) on the whole grid."""
+    if k == 0:
+        return []
+    if k == 1:
+        first = "lowering denominator vanished everywhere"
+        return [_lowered_whole(projector(j), -1j * j.d1, -1j * j.d2, first)[0]]
+    r1, d1r1, d2r1 = lowered_rung_with_jets_whole(j)
+    r2 = _lowered_whole(r1, d1r1, d2r1, "second lowering denominator vanished everywhere")[0]
+    return [r1, r2]
+
+
+def euclidean_wave_whole(j: JetField, k: int, lam: complex) -> np.ndarray:
+    """Phi = I + beta P + c (L(P) + ... + L^k(P)) on the whole grid."""
+    c, beta = euclidean_wave_coefficients(lam)
+    p = projector(j)
+    phi = identity(j.n) + beta * p
+    for rung in lowered_rungs_whole(j, k):
+        phi = phi + c * rung
+    return phi
+
+
+def phi_traveling_whole(wave: TravelingWave, j: JetField, lam: complex) -> np.ndarray:
+    """`solsurf.spectral.phi_traveling` on the whole grid."""
+    komm = commutator(j.d1, j.values)
+    tail = 2j * j.values - (2 - j.n) * (identity(j.n) / j.n)
+    return mm(expm(2.0 * wave.chi(check_lambda(lam)) * komm), tail)

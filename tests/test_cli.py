@@ -306,10 +306,10 @@ def test_fixtures_hold_no_single_reader_field(monkeypatch):
     assert calls == {"veronese_field": 7, "veronese_ladder": 3}
 
 
-def test_rung_prolongation_heap_peak_stays_within_32_fields():
+def test_rung_prolongation_heap_peak_stays_within_24_fields():
     # prop7's lowered rung on CP^2 sets the heap peak of verify: the
     # prolongation holds one deformation, and one functional's plus side,
-    # at a time
+    # at a time, and the functionals run one strip of grid rows at a time
     from solsurf import verify
 
     fx = verify.Fixtures()
@@ -319,7 +319,7 @@ def test_rung_prolongation_heap_peak_stays_within_32_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * (9 * 101**2 * 16)
+    assert peak <= 24 * (9 * 101**2 * 16)
 
 
 README_EUCLID = {

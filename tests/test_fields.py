@@ -1,9 +1,11 @@
 import json
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
-from oracles import write_field_json_whole, write_scalar_csv_whole
+from oracles import write_field_json_whole, write_field_savez, write_scalar_csv_whole
 from solsurf.errors import FieldFileError
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -138,6 +140,48 @@ def test_field_npz_roundtrip_bit_exact(tmp_path, lam):
         assert str(z["format"]) == FIELD_FORMAT
         assert all(z[k].dtype != object for k in keys)
     assert keys == {"values", "margin", "grid", "format"} | ({"lambda"} if lam else set())
+
+
+@pytest.mark.parametrize("n, rows", [(2, 9), (3, 41), (2, 2 * STRIP_ROWS)])
+@pytest.mark.parametrize("lam", [None, 0.5 - 0.25j])
+def test_field_npz_members_equal_numpy_savez(tmp_path, n, rows, lam):
+    # the streamed archive is np.savez's, member for member; only the zip
+    # timestamps may differ
+    g = Grid2(CHART_EUCLIDEAN, spacing=(0.1, 0.1), dims=(11, rows))
+    rng = np.random.default_rng(rows)
+    vals = rng.standard_normal((n, n, rows, 11)) + 1j * rng.standard_normal((n, n, rows, 11))
+    vals[..., 0, :] = np.nan
+    vals[0, 1, 3, 3] = complex(-0.0, np.inf)
+    f = MatrixField(g, vals, 2)
+    ours, numpys = str(tmp_path / "ours.npz"), str(tmp_path / "numpy.npz")
+    write_field(ours, f, lam)
+    write_field_savez(numpys, f, lam)
+    with zipfile.ZipFile(ours) as za, zipfile.ZipFile(numpys) as zb:
+        ia, ib = za.infolist(), zb.infolist()
+        assert [i.filename for i in ia] == [i.filename for i in ib]
+        for a, b in zip(ia, ib):
+            assert za.read(a) == zb.read(b)
+            for attr in ("compress_type", "external_attr", "file_size", "CRC", "header_offset",
+                         "extra", "flag_bits"):
+                assert getattr(a, attr) == getattr(b, attr), (a.filename, attr)
+    back, lam_back = read_field(ours)
+    assert _same_bits(back.values, f.values) and lam_back == lam
+
+
+def test_write_field_heap_peak_stays_within_a_quarter_field(tmp_path):
+    # the values go out one strip of grid rows at a time, so no copy of the
+    # whole field is made
+    g = Grid2(CHART_MINKOWSKI, spacing=(0.01, 0.01), dims=(201, 201))
+    f = MatrixField(g, np.full((2, 2, 201, 201), 1.0 + 2.0j), 0)
+    path = str(tmp_path / "field.npz")
+    tracemalloc.start()
+    try:
+        write_field(path, f, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * f.values.nbytes, peak / f.values.nbytes
+    assert _same_bits(read_field(path)[0].values, f.values)
 
 
 def test_field_json_roundtrip_bit_exact(tmp_path):
