@@ -61,13 +61,11 @@ from .sigma import (
 )
 from .spectral import (
     WaveField,
-    euclidean_terms,
     euclidean_wave,
     euclidean_wave_dlambda,
     phi_traveling,
     traveling_wave_dlambda,
     wave_diagnostics,
-    wave_from_terms,
 )
 from .symmetry import conformal_characteristic, frechet_apply, u_functional, wave_functional
 from .verify import SUITE_NAMES, run_suites
@@ -148,7 +146,7 @@ def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
 
     The Euclidean builder lowers the rungs from the jets, up to level 2;
     `parse_config` admits no symmetry on the deeper levels, whose Phi
-    sums the stored ladder rungs (`euclidean_terms` with the ladder).
+    sums the stored ladder rungs (`euclidean_wave` with the ladder).
     """
     if cfg.solution["kind"] == "traveling":
         return lambda jd: phi_traveling(carrier, jd, cfg.lam)
@@ -233,14 +231,13 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     j, carrier, meta = _build_solution(cfg)
     spectral_only = bool(cfg.a_coeffs) and cfg.gauge == "none" and cfg.symmetry is None
     symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and cfg.gauge == "none"
-    if meta["kind"] == "veronese":
-        # Phi and the Sym-Tafel surface's d(Phi)/d(lambda) share these terms
-        terms = euclidean_terms(j, cfg.solution["k"], carrier)
-        wave = wave_from_terms(j.grid, terms, cfg.lam)
-        if not spectral_only:
-            del terms
-    else:
+    if meta["kind"] != "veronese":
         wave = phi_traveling(carrier, j, cfg.lam)
+    elif spectral_only:
+        # the Sym-Tafel surface's d(Phi)/d(lambda) comes from Phi's own strip pass
+        wave, dphi = euclidean_wave_dlambda(j, cfg.solution["k"], cfg.lam, carrier)
+    else:
+        wave = euclidean_wave(j, cfg.solution["k"], cfg.lam, carrier)
 
     gauge = _gauge_field(cfg, j)
     prolonged = [None]
@@ -264,10 +261,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     report: dict = {}
     with _staged(outdir) as stage:
         if spectral_only:
-            if meta["kind"] == "veronese":
-                dphi = euclidean_wave_dlambda(j.grid, terms, cfg.lam)
-                del terms
-            else:
+            if meta["kind"] != "veronese":
                 dphi = traveling_wave_dlambda(carrier, j, wave)
             fst = sym_tafel(wave, dphi, a_value(cfg.a_coeffs, cfg.lam))
             del dphi

@@ -4,11 +4,10 @@ Two closed-form builders are provided:
 
 * Euclidean chart: Phi = I + c(lam) * sum_{m=1..k} L^m(P) + beta(lam) * P
   for a ladder solution at level k, where L is the lowering operator and
-  c = 4 lam / (1 - lam)^2, beta = -2/(1 - lam).  `euclidean_terms` forms
-  P and its lowered rungs once; Phi (`wave_from_terms`) and d(Phi)/d(lam)
-  (`euclidean_wave_dlambda`) are both derived from those terms.  Up to
-  k = 2 the rungs are lowered from the jets of the solution, so
-  `euclidean_wave` is a smooth function of the jets and can be deformed;
+  c = 4 lam / (1 - lam)^2, beta = -2/(1 - lam).  `euclidean_wave` builds
+  Phi, and `euclidean_wave_dlambda` builds Phi with d(Phi)/d(lam) in the
+  same strip pass.  Up to k = 2 the rungs are lowered from the jets of the
+  solution, so Phi is a smooth function of the jets and can be deformed;
   deeper levels sum the stored rungs of the ladder.
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
@@ -38,20 +37,17 @@ import numpy as np
 
 from .errors import DeformationOutOfDomain
 from .fields import (
-    Grid2,
     JetRows,
     MatrixField,
     chart_first_derivatives,
     interior,
     interior_max,
-    row_strips,
 )
 from .matlie import NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv, mm, trace
 from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, projector
 
 __all__ = [
     "WaveField",
-    "euclidean_terms",
     "euclidean_wave",
     "euclidean_wave_coefficients",
     "euclidean_wave_dlambda",
@@ -62,7 +58,6 @@ __all__ = [
     "phi_traveling",
     "traveling_wave_dlambda",
     "wave_diagnostics",
-    "wave_from_terms",
 ]
 
 @dataclass(frozen=True, kw_only=True)
@@ -255,68 +250,59 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
     return _lowered_strips(j, k, lambda p, rungs: rungs)
 
 
-# P, its lowered rungs L(P) .. L^k(P), and their margin
-WaveTerms = tuple[np.ndarray, list[np.ndarray], int]
+def _wave_strips(
+    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None, dlambda: bool
+) -> tuple[list[np.ndarray], int]:
+    """[Phi] of the level-k wave function, or [Phi, d(Phi)/d(lambda)] with
+    ``dlambda``, one strip of grid rows at a time, and their margin.
 
-
-def _terms_margin(j: JetField, k: int) -> int:
-    return j.margin1 if k == 1 else (j.margin2 if k >= 2 else j.margin)
-
-
-def euclidean_terms(j: JetField, k: int, ladder: SolutionLadder | None = None) -> WaveTerms:
-    """The `WaveTerms` of the level-k wave function.
-
-    Up to k = 2 the rungs are lowered from the jets ``j``, one strip of
-    grid rows at a time, so the terms follow a deformation of the jets;
-    deeper levels take P and the rungs below it from the stored ``ladder``
-    (the same projectors, but they carry no deformation support), and
-    without one the lowering raises.
+    Up to k = 2 a strip's rungs are lowered from the jets ``j``, so Phi
+    follows a deformation of the jets; deeper levels sum the strips of the
+    stored ``ladder`` rungs (the same projectors, but they carry no
+    deformation support), and without one the lowering raises.  A strip's
+    terms are summed before the next strip's are formed.
     """
-    if k > 2 and ladder is not None:
-        rungs = ladder.rungs
-        return rungs[k].values, [r.values for r in rungs[:k]], max(r.margin for r in rungs)
-    p, *rungs = _lowered_strips(j, k, lambda p, rungs: [p, *rungs])
-    return p, rungs, _terms_margin(j, k)
-
-
-def _wave_rows(p: np.ndarray, rungs: Sequence[np.ndarray], c: complex, beta: complex) -> np.ndarray:
-    """Phi = I + beta P + c (L(P) + ... + L^k(P)) on the nodes given."""
-    phi = identity(p.shape[0]) + beta * p
-    for rung in rungs:
-        phi += c * rung
-    return phi
-
-
-def wave_from_terms(grid: Grid2, terms: WaveTerms, lam: complex) -> WaveField:
-    """Phi = I + beta P + c (L(P) + ... + L^k(P)) from `euclidean_terms`,
-    one strip of grid rows at a time."""
-    c, beta = euclidean_wave_coefficients(lam)
-    p, rungs, margin = terms
-    phi = np.empty(p.shape, dtype=complex)
-    for rows, _ in row_strips(grid.n2):
-        phi[..., rows, :] = _wave_rows(p[..., rows, :], [r[..., rows, :] for r in rungs], c, beta)
-    return WaveField(grid, phi, margin, lam=complex(lam))
-
-
-def euclidean_wave(j: JetField, k: int, lam: complex) -> WaveField:
-    """Wave function for a level-k ladder solution (k <= 2), from its jet
-    field, one strip of grid rows at a time: the terms of a strip are
-    formed and summed before the next strip's."""
-    c, beta = euclidean_wave_coefficients(lam)
-    (phi,) = _lowered_strips(j, k, lambda p, rungs: [_wave_rows(p, rungs, c, beta)])
-    return WaveField(j.grid, phi, _terms_margin(j, k), lam=complex(lam))
-
-
-def euclidean_wave_dlambda(grid: Grid2, terms: WaveTerms, lam: complex) -> MatrixField:
-    """Analytic d(Phi)/d(lambda) of `wave_from_terms` on the same terms."""
     lam = check_lambda(lam)
-    cprime = 4 * (1 + lam) / (1 - lam) ** 3
-    bprime = -2 / (1 - lam) ** 2
-    p, rungs, margin = terms
-    out = bprime * p
-    for rung in rungs:
-        out = out + cprime * rung
-    return MatrixField(grid, out, margin)
+    c, beta = euclidean_wave_coefficients(lam)
+    cprime, bprime = 4 * (1 + lam) / (1 - lam) ** 3, -2 / (1 - lam) ** 2
+
+    def kernel(p: np.ndarray, rungs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        # Phi = I + beta P + c (L(P) + ... + L^k(P)) and its lambda-derivative
+        phi = identity(p.shape[0]) + beta * p
+        for rung in rungs:
+            phi += c * rung
+        if not dlambda:
+            return [phi]
+        dphi = bprime * p
+        for rung in rungs:
+            dphi += cprime * rung
+        return [phi, dphi]
+
+    if k > 2 and ladder is not None:
+        stored = [r.values for r in ladder.rungs]
+        margin = max(r.margin for r in ladder.rungs)
+        return j.map_rows(
+            lambda jr: kernel(stored[k][..., jr.rows, :], [r[..., jr.rows, :] for r in stored[:k]])
+        ), margin
+    margin = j.margin1 if k == 1 else (j.margin2 if k == 2 else j.margin)
+    return _lowered_strips(j, k, kernel), margin
+
+
+def euclidean_wave(
+    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+) -> WaveField:
+    """Wave function of the level-k ladder solution carried by ``j``; above
+    k = 2 it sums the stored rungs of ``ladder``."""
+    (phi,), margin = _wave_strips(j, k, lam, ladder, dlambda=False)
+    return WaveField(j.grid, phi, margin, lam=complex(lam))
+
+
+def euclidean_wave_dlambda(
+    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+) -> tuple[WaveField, MatrixField]:
+    """`euclidean_wave` and its analytic d(Phi)/d(lambda), from one strip pass."""
+    (phi, dphi), margin = _wave_strips(j, k, lam, ladder, dlambda=True)
+    return WaveField(j.grid, phi, margin, lam=complex(lam)), MatrixField(j.grid, dphi, margin)
 
 
 # --- Minkowski builder ---------------------------------------------------------

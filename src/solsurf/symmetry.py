@@ -26,12 +26,12 @@ A functional returns a tuple of matrix fields, all differenced from the
 same deformations, so the connection pair (u1, u2) is one functional.
 The deformed jet fields build their second-order jets on first read, so
 functionals that read only theta, D_1 theta and D_2 theta run no
-second-order stencil.  The connection and lowering functionals evaluate
-their pointwise kernels one strip of grid rows at a time
-(`JetField.map_rows`), with scalar factors applied in place so a strip
-rounds as the whole field does (see :mod:`solsurf.fields`), and a
+second-order stencil.  The connection, its derivatives and the lowering
+functionals evaluate their pointwise kernels one strip of grid rows at a
+time (`JetField.map_rows`), with scalar factors applied in place so a
+strip rounds as the whole field does (see :mod:`solsurf.fields`), and a
 deformation forms the second jets of a strip as theta's rows plus eps
-times Q's, so the full deformed second jets are never built for them.
+times Q's, so the full deformed second jets are never built.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
+    JetRows,
     MatrixField,
     chart_derivatives,
     chart_first_derivatives,
@@ -254,18 +255,25 @@ def u_functional(lam: complex) -> Functional:
 
 def u_derivatives_functional(lam: complex, index: int) -> Functional:
     """Jet-expressed (D_1 u_index, D_2 u_index) of one connection component,
-    quadratic in (theta, jets)."""
+    quadratic in (theta, jets), one strip of grid rows at a time."""
     lam = check_lambda(lam)
+    c = -2 / (1 + lam) if index == 1 else -2 / (1 - lam)
+
+    def rows(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
+        if index == 1:
+            v1 = commutator(jr.d11, jr.values)
+            v2 = commutator(jr.d12, jr.values)
+            v2 += commutator(jr.d1, jr.d2)
+        else:
+            v1 = commutator(jr.d12, jr.values)
+            v1 += commutator(jr.d2, jr.d1)
+            v2 = commutator(jr.d22, jr.values)
+        v1 *= c
+        v2 *= c
+        return v1, v2
 
     def g(j: JetField) -> tuple[MatrixField, MatrixField]:
-        if index == 1:
-            c = -2 / (1 + lam)
-            v1 = c * commutator(j.d11, j.values)
-            v2 = c * (commutator(j.d12, j.values) + commutator(j.d1, j.d2))
-        else:
-            c = -2 / (1 - lam)
-            v1 = c * (commutator(j.d12, j.values) + commutator(j.d2, j.d1))
-            v2 = c * commutator(j.d22, j.values)
+        v1, v2 = j.map_rows(rows)
         return MatrixField(j.grid, v1, j.margin2), MatrixField(j.grid, v2, j.margin2)
 
     return g

@@ -74,11 +74,9 @@ from .sigma import (
 )
 from .spectral import (
     WaveField,
-    euclidean_terms,
     euclidean_wave,
     lsp_residual,
     phi_traveling,
-    wave_from_terms,
 )
 from .symmetry import (
     ConformalSpec,
@@ -110,6 +108,15 @@ LAM_EUCLID = 0.6j
 LAM_MINK = 0.5
 # prop6's affine symmetry coefficients
 AFFINE_A, AFFINE_B, AFFINE_C = 0.7, 0.4, -0.3
+# the conformal symmetries of the checks:
+# f = xi^2, g the conjugate mirror
+EUCLID_SPEC = ConformalSpec.euclidean((0.0, 0.0, 1.0))
+# f = x1, g = x2 (dilation)
+MINK_SPEC_LINEAR = ConformalSpec.minkowski((0.0, 1.0), (0.0, 1.0))
+# f = (x1)^2, g = 0: the non-integrable control
+MINK_SPEC_QUADRATIC = ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
+# f = b + a x1, g = c + a x2: equal slopes, so integrable
+MINK_SPEC_AFFINE = ConformalSpec.minkowski((AFFINE_B, AFFINE_A), (AFFINE_C, AFFINE_A))
 # the non-constancy of prop6's quadratic difference needs an O(1)-size
 # window to show; the surfaces involved are closed forms, so no stencil
 # accuracy is at stake
@@ -235,26 +242,6 @@ class Fixtures:
     def traveling(self):
         return traveling_solution(KAPPA, OMEGA, self.mink_grid())
 
-    @_fixture
-    def euclid_spec(self) -> ConformalSpec:
-        # f = xi^2, g the conjugate mirror
-        return ConformalSpec.euclidean((0.0, 0.0, 1.0))
-
-    @_fixture
-    def mink_spec_linear(self) -> ConformalSpec:
-        # f = x1, g = x2 (dilation)
-        return ConformalSpec.minkowski((0.0, 1.0), (0.0, 1.0))
-
-    @_fixture
-    def mink_spec_quadratic(self) -> ConformalSpec:
-        # f = (x1)^2, g = 0: the non-integrable control
-        return ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
-
-    @_fixture
-    def mink_spec_affine(self) -> ConformalSpec:
-        # f = b + a x1, g = c + a x2: equal slopes, so integrable
-        return ConformalSpec.minkowski((AFFINE_B, AFFINE_A), (AFFINE_C, AFFINE_A))
-
     # The standard Euclidean pair: rung (2, 0) at LAM_EUCLID under the
     # f = xi^2 symmetry.
 
@@ -264,10 +251,7 @@ class Fixtures:
 
     @_fixture
     def euclid_wave(self) -> WaveField:
-        """Phi of the pair from its terms, the route `immerse` takes; the
-        deformations build it with `euclidean_wave`, bit for bit the same."""
-        j = self.jets_analytic()
-        return wave_from_terms(j.grid, euclidean_terms(j, 0), LAM_EUCLID)
+        return euclidean_wave(self.jets_analytic(), 0, LAM_EUCLID)
 
     @_fixture
     def euclid_u(self) -> tuple[MatrixField, MatrixField]:
@@ -281,7 +265,7 @@ class Fixtures:
         the three commutation defects as values."""
         wave = wave_functional(_euclid_builder(0), LAM_EUCLID)
         gs = (*_commutation_functionals(LAM_EUCLID), wave)
-        spec, j = self.euclid_spec(), self.jets_analytic()
+        spec, j = EUCLID_SPEC, self.jets_analytic()
         *commuting, (prw_phi, *lsp) = frechet_apply(gs, j, conformal_characteristic(spec, j))
         return {
             "tangents": commuting[2],
@@ -306,7 +290,7 @@ class Fixtures:
     @_fixture
     def euclid_closed(self) -> MatrixField:
         """F = Phi^-1 (f u1 + g u2) Phi."""
-        spec, j, w = self.euclid_spec(), self.jets_analytic(), self.euclid_wave()
+        spec, j, w = EUCLID_SPEC, self.jets_analytic(), self.euclid_wave()
         return conformal_immersion_closed(spec, j, w, LAM_EUCLID)
 
     @_fixture
@@ -336,7 +320,7 @@ class Fixtures:
         Only the standard pair's fields are shared; another rung's jets and
         fields are built here, and each is dropped after its last reader.
         """
-        spec = self.euclid_spec()
+        spec = EUCLID_SPEC
         out: dict[str, object] = {}
         if (n, k) == (2, 0):
             w, prw_phi = self.euclid_wave(), self.euclid_prolonged()["wave"]
@@ -382,7 +366,7 @@ class Fixtures:
 
     @_fixture
     def mink_q(self) -> MatrixField:
-        return conformal_characteristic(self.mink_spec_quadratic(), self.traveling()[1])
+        return conformal_characteristic(MINK_SPEC_QUADRATIC, self.traveling()[1])
 
     @_fixture
     def mink_prolonged(self) -> dict[str, object]:
@@ -390,7 +374,7 @@ class Fixtures:
         size of the linear-problem residual r1 and its match with
         -f_11 chi (1+lam) D1 Phi; the tangents of Phi^-1 pr w Phi against
         the prolonged connection."""
-        (tw, jt), w, spec = self.traveling(), self.mink_wave(), self.mink_spec_quadratic()
+        (tw, jt), w, spec = self.traveling(), self.mink_wave(), MINK_SPEC_QUADRATIC
         gs = (u_functional(LAM_MINK), wave_functional(_mink_builder(tw), LAM_MINK))
         (a, b), (prw_phi, r1, _) = frechet_apply(gs, jt, self.mink_q())
         calf = explicit_immersion(w, prw_phi)
@@ -408,7 +392,7 @@ class Fixtures:
         """The dilation f = x1, g = x2: the closed form's tangents against
         the prolonged connection, and that connection's compatibility and
         path defects."""
-        spec, jt, w = self.mink_spec_linear(), self.traveling()[1], self.mink_wave()
+        spec, jt, w = MINK_SPEC_LINEAR, self.traveling()[1], self.mink_wave()
         ((a, b),) = frechet_apply((u_functional(LAM_MINK),), jt, conformal_characteristic(spec, jt))
         f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
         return {
@@ -425,7 +409,7 @@ class Fixtures:
         term."""
         tw, jt = self.traveling()
         w, (u1, u2), calf = self.mink_wave(), self.mink_u(), self.mink_prolonged()["explicit"]
-        r1, r2 = traveling_R_fields(self.mink_spec_quadratic(), tw, jt, LAM_MINK)
+        r1, r2 = traveling_R_fields(MINK_SPEC_QUADRATIC, tw, jt, LAM_MINK)
         s = constant(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
 
         def gram_min(x1: np.ndarray, x2: np.ndarray) -> float:
@@ -445,7 +429,7 @@ class Fixtures:
     def mink_affine_defects(self) -> dict[str, object]:
         """prop6's affine symmetry, from one prolongation: its linear-problem
         defect, and the mean and variation of F - Phi^-1 pr w Phi."""
-        (tw, jt), w, spec = self.traveling(), self.mink_wave(), self.mink_spec_affine()
+        (tw, jt), w, spec = self.traveling(), self.mink_wave(), MINK_SPEC_AFFINE
         gs = (wave_functional(_mink_builder(tw), LAM_MINK),)
         ((prw_phi, *lsp),) = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
         f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
@@ -521,7 +505,7 @@ def _naive_pair_defect(fx: Fixtures) -> float:
 
 def _euclid_prolonged_connection(fx: Fixtures) -> float:
     a, b = fx.euclid_tangents()
-    pw1, pw2 = prolong_u(fx.euclid_spec(), fx.jets_analytic(), LAM_EUCLID)
+    pw1, pw2 = prolong_u(EUCLID_SPEC, fx.jets_analytic(), LAM_EUCLID)
     return max(
         interior_max(fro(a.values - pw1.values), max(a.margin, pw1.margin)),
         interior_max(fro(b.values - pw2.values), max(b.margin, pw2.margin)),
@@ -534,7 +518,7 @@ def _traveling_lsp(fx: Fixtures) -> float:
 
 
 def _prolonged_surface_closed_form(fx: Fixtures) -> float:
-    spec, tw = fx.mink_spec_quadratic(), fx.traveling()[0]
+    spec, tw = MINK_SPEC_QUADRATIC, fx.traveling()[0]
     calf = fx.mink_prolonged()["explicit"]
     grid = tw.grid
     coeff = -2 * spec.f(grid) - 2 * tw.kappa * spec.g(grid) + 2 * spec.f1(grid) * tw.chi(LAM_MINK)
@@ -561,7 +545,7 @@ def _affine_difference_value(fx: Fixtures) -> float:
 
 def _quadratic_difference_variation(fx: Fixtures) -> float:
     tw, jt = traveling_solution(KAPPA, OMEGA, fx.mink_grid(WIDE_H))
-    spec, w = fx.mink_spec_quadratic(), phi_traveling(tw, jt, LAM_MINK)
+    spec, w = MINK_SPEC_QUADRATIC, phi_traveling(tw, jt, LAM_MINK)
     q = conformal_characteristic(spec, jt)
     ((prw_phi,),) = frechet_apply((wave_functional(_mink_builder(tw)),), jt, q)
     f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
@@ -600,7 +584,7 @@ def _step_order(fx: Fixtures) -> float:
 
 
 def _grid_order(fx: Fixtures) -> float:
-    spec = fx.euclid_spec()
+    spec = EUCLID_SPEC
     gs = (lowering_functional(), lowering_derivatives_functional())
     ds = []
     for h in (0.012, 0.006, 0.003):

@@ -23,10 +23,11 @@ cross-check the two:
 * the JSON, CSV and OBJ exports, each formatted as one string of the
   whole field, and the native ``.npz`` as ``np.savez`` writes it, against
   the writers that stream them one strip of grid rows at a time;
-* the pointwise jet kernels (the connection, the lowering operator and its
-  derivatives, the Euclidean wave terms and wave function, the traveling
-  wave function), each evaluated on the whole grid at once, against the
-  kernels that evaluate them one strip of grid rows at a time.
+* the pointwise jet kernels (the connection and its derivatives, the
+  lowering operator and its derivatives, the Euclidean wave function and
+  its lambda-derivative, the traveling wave function), each evaluated on
+  the whole grid at once, against the kernels that evaluate them one strip
+  of grid rows at a time.
 """
 
 from __future__ import annotations
@@ -334,6 +335,21 @@ def u_pair_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
+def u_derivatives_whole(j: JetField, lam: complex, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """`solsurf.symmetry.u_derivatives_functional` on the whole grid."""
+    lam = check_lambda(lam)
+    c = -2 / (1 + lam) if index == 1 else -2 / (1 - lam)
+    if index == 1:
+        v1 = commutator(j.d11, j.values)
+        v2 = commutator(j.d12, j.values) + commutator(j.d1, j.d2)
+    else:
+        v1 = commutator(j.d12, j.values) + commutator(j.d2, j.d1)
+        v2 = commutator(j.d22, j.values)
+    v1 *= c
+    v2 *= c
+    return v1, v2
+
+
 def _lowered_whole(p, d1p, d2p, message):
     d2p_p = mm(d2p, p)
     num = mm(d2p_p, d1p)
@@ -373,14 +389,39 @@ def lowered_rungs_whole(j: JetField, k: int) -> list[np.ndarray]:
     return [r1, r2]
 
 
-def euclidean_wave_whole(j: JetField, k: int, lam: complex) -> np.ndarray:
+def _wave_terms_whole(
+    j: JetField, k: int, ladder: SolutionLadder | None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """P and L(P) .. L^k(P): lowered from the jets up to k = 2, the stored
+    ``ladder`` rungs above."""
+    if k > 2 and ladder is not None:
+        return ladder.rungs[k].values, [r.values for r in ladder.rungs[:k]]
+    return projector(j), lowered_rungs_whole(j, k)
+
+
+def euclidean_wave_whole(
+    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+) -> np.ndarray:
     """Phi = I + beta P + c (L(P) + ... + L^k(P)) on the whole grid."""
     c, beta = euclidean_wave_coefficients(lam)
-    p = projector(j)
+    p, rungs = _wave_terms_whole(j, k, ladder)
     phi = identity(j.n) + beta * p
-    for rung in lowered_rungs_whole(j, k):
+    for rung in rungs:
         phi = phi + c * rung
     return phi
+
+
+def euclidean_wave_dlambda_whole(
+    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+) -> np.ndarray:
+    """d(Phi)/d(lambda) = beta' P + c' (L(P) + ... + L^k(P)) on the whole grid."""
+    lam = check_lambda(lam)
+    cprime, bprime = 4 * (1 + lam) / (1 - lam) ** 3, -2 / (1 - lam) ** 2
+    p, rungs = _wave_terms_whole(j, k, ladder)
+    out = bprime * p
+    for rung in rungs:
+        out = out + cprime * rung
+    return out
 
 
 def phi_traveling_whole(wave: TravelingWave, j: JetField, lam: complex) -> np.ndarray:

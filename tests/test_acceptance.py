@@ -43,11 +43,9 @@ from solsurf.sigma import (
     veronese_ladder,
 )
 from solsurf.spectral import (
-    euclidean_terms,
     euclidean_wave,
     lsp_residual,
     phi_traveling,
-    wave_from_terms,
 )
 from solsurf.symmetry import (
     ConformalSpec,
@@ -127,7 +125,7 @@ def test_criterion_2_lsp_euclidean(ladders):
         for lam in (0.5, -0.3, 2.0):
             for k in range(n):
                 j = theta_of(ladders[n].rungs[k])
-                w = wave_from_terms(j.grid, euclidean_terms(j, k, ladders[n]), lam)
+                w = euclidean_wave(j, k, lam, ladders[n])
                 u1, u2 = u_pair(j, lam)
                 r1, r2, m = lsp_residual(w, u1, u2)
                 worst = max(interior_max(r1, m), interior_max(r2, m))

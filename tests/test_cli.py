@@ -510,6 +510,24 @@ def test_cli_immerse_builds_the_jets_of_q_once(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(out, "prolonged.npz"))
 
 
+def test_cli_spectral_immerse_lowers_once(tmp_path, monkeypatch):
+    # Phi and the Sym-Tafel surface's d(Phi)/d(lambda) come from one strip
+    # pass, so the rung derivatives are lowered once per strip of grid rows
+    from solsurf import spectral
+    from solsurf.fields import row_strips
+
+    calls = []
+    lowered = spectral.lowered_rung_with_jets
+    monkeypatch.setattr(
+        spectral, "lowered_rung_with_jets", lambda *a: calls.append(1) or lowered(*a)
+    )
+    cfg = {**BASE_VERONESE, "n": 3, "solution": {"kind": "veronese", "k": 2}, "a_coeffs": [1.0]}
+    out = str(tmp_path / "out")
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    assert len(calls) == len(list(row_strips(cfg["grid"]["dims"][1])))
+    assert os.path.exists(os.path.join(out, "sym_tafel.npz"))
+
+
 @pytest.mark.parametrize("side, code", [(9, 2), (11, 2), (13, 0)])
 def test_cli_immerse_grid_too_small_for_the_margins_is_a_config_error(tmp_path, capsys, side, code):
     # n = 3, k = 2 with a symmetry stacks stencil margins that cover a 9^2

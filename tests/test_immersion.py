@@ -19,7 +19,6 @@ from solsurf.matlie import commutator, constant, fro, identity, mm, su_basis
 from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
 from solsurf.spectral import (
     WaveField,
-    euclidean_terms,
     euclidean_wave,
     euclidean_wave_dlambda,
     phi_traveling,
@@ -204,9 +203,8 @@ def test_compatibility_defect_strips_match_the_whole_field(chart, n):
 
 def test_sym_tafel_euclid():
     j = theta_of(LADDER2.rungs[0])
-    w = euclidean_wave(j, 0, LAM_E)
+    w, dphi = euclidean_wave_dlambda(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
-    dphi = euclidean_wave_dlambda(GRID, euclidean_terms(j, 0), LAM_E)
     zero_f = sym_tafel(w, dphi, 0.0)
     assert interior_max(fro(zero_f.values), zero_f.margin) == 0
     fst = sym_tafel(w, dphi, 1.0)
@@ -326,8 +324,7 @@ def test_prolong_immersion_trivial_and_psi():
 
 def test_psi_sym_tafel_is_dlambda_phi():
     j = theta_of(LADDER2.rungs[0])
-    w = euclidean_wave(j, 0, LAM_E)
-    dphi = euclidean_wave_dlambda(GRID, euclidean_terms(j, 0), LAM_E)
+    w, dphi = euclidean_wave_dlambda(j, 0, LAM_E)
     fst = sym_tafel(w, dphi, 1.0)
     psi = psi_of(fst, w)
     assert interior_max(fro(psi.values - dphi.values), psi.margin) < 1e-7

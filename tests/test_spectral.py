@@ -9,7 +9,6 @@ from solsurf.sigma import projector, theta_of, traveling_solution, u_pair, veron
 from solsurf.spectral import (
     WaveField,
     _cond2,
-    euclidean_terms,
     euclidean_wave,
     euclidean_wave_coefficients,
     euclidean_wave_dlambda,
@@ -17,7 +16,6 @@ from solsurf.spectral import (
     phi_traveling,
     traveling_wave_dlambda,
     wave_diagnostics,
-    wave_from_terms,
 )
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
@@ -42,7 +40,7 @@ def test_wave_base_level_formula():
 def test_lsp_residual_all_levels(n, ladder, lam):
     for k in range(n):
         j = theta_of(ladder.rungs[k])
-        w = wave_from_terms(GRID, euclidean_terms(j, k, ladder), lam)
+        w = euclidean_wave(j, k, lam, ladder)
         u1, u2 = u_pair(j, lam)
         r1, r2, m = lsp_residual(w, u1, u2)
         assert interior_max(r1, m) < 1e-7
@@ -111,7 +109,7 @@ def test_deep_ladder_stored_rung_wave():
     assert ladder.orthogonality_defect() < 1e-12
     j = theta_of(ladder.rungs[3])
     lam = 0.5
-    w = wave_from_terms(g, euclidean_terms(j, 3, ladder), lam)
+    w = euclidean_wave(j, 3, lam, ladder)
     c, beta = euclidean_wave_coefficients(lam)
     lowered = sum(r.values for r in ladder.rungs[:3])
     stored = identity(4) + beta * ladder.rungs[3].values + c * lowered
@@ -229,7 +227,7 @@ def test_dlambda_euclid_analytic_vs_fd():
     lam = 0.5
     for k, ladder in ((0, LADDER2), (2, LADDER3)):
         j = theta_of(ladder.rungs[k])
-        analytic = euclidean_wave_dlambda(GRID, euclidean_terms(j, k), lam)
+        _, analytic = euclidean_wave_dlambda(j, k, lam)
         fd = dlambda_fd(lambda l, j=j, k=k: euclidean_wave(j, k, l), lam)
         m = max(analytic.margin, fd.margin)
         assert interior_max(fro(analytic.values - fd.values), m) < 1e-7
@@ -239,10 +237,10 @@ def test_dlambda_deep_level_analytic_vs_fd():
     # level 3 sums the stored rungs, in Phi and in dPhi/dlambda alike
     g = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (41, 41))
     ladder = veronese_ladder(4, g)
-    terms = euclidean_terms(theta_of(ladder.rungs[3]), 3, ladder)
+    j = theta_of(ladder.rungs[3])
     lam = 0.5
-    analytic = euclidean_wave_dlambda(g, terms, lam)
-    fd = dlambda_fd(lambda l: wave_from_terms(g, terms, l), lam)
+    _, analytic = euclidean_wave_dlambda(j, 3, lam, ladder)
+    fd = dlambda_fd(lambda l: euclidean_wave(j, 3, l, ladder), lam)
     m = max(analytic.margin, fd.margin)
     assert interior_max(fro(analytic.values - fd.values), m) < 1e-7
 
@@ -250,7 +248,7 @@ def test_dlambda_deep_level_analytic_vs_fd():
 def test_dlambda_base_level_value():
     # at the bottom of the ladder: dPhi/dlam = -2/(1-lam)^2 P
     lam = 0.5
-    analytic = euclidean_wave_dlambda(GRID, euclidean_terms(theta_of(LADDER2.rungs[0]), 0), lam)
+    _, analytic = euclidean_wave_dlambda(theta_of(LADDER2.rungs[0]), 0, lam)
     expected = -2 / (1 - lam) ** 2 * LADDER2.rungs[0].values
     assert interior_max(fro(analytic.values - expected), analytic.margin) < 1e-14
 

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    euclidean_wave_dlambda_whole,
     euclidean_wave_whole,
     lowered_rung_with_jets_whole,
     lowered_rungs_whole,
     phi_traveling_whole,
+    u_derivatives_whole,
     u_pair_whole,
 )
 from solsurf.errors import DeformationOutOfDomain
@@ -27,20 +29,20 @@ from solsurf.fields import (
     chart_jets,
 )
 from solsurf.matlie import constant
-from solsurf.sigma import projector, theta_of, traveling_solution, u_pair, veronese_field
+from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_field, veronese_ladder
 from solsurf.spectral import (
-    euclidean_terms,
     euclidean_wave,
+    euclidean_wave_dlambda,
     lowered_rung_derivatives,
     lowered_rungs_from_jets,
     phi_traveling,
-    wave_from_terms,
 )
 from solsurf.symmetry import (
     ConformalSpec,
     conformal_characteristic,
     lowering_derivatives_functional,
     lowering_functional,
+    u_derivatives_functional,
 )
 
 LAM_E = 0.6j
@@ -81,14 +83,30 @@ sizes = pytest.mark.parametrize("nodes", NODES)
 @both
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_euclidean_terms_and_wave_match_the_whole_grid(nodes, deformed, k):
+    # the wave's terms (the lowered rungs), Phi, and Phi with d(Phi)/d(lambda)
     j = _euclid_jets(nodes, deformed)
-    p, rungs, margin = euclidean_terms(j, k)
-    assert _same_bits(p, projector(j))
+    rungs = lowered_rungs_from_jets(j, k)
     assert len(rungs) == k
     assert all(_same_bits(a, b) for a, b in zip(rungs, lowered_rungs_whole(j, k)))
     w = euclidean_wave(j, k, LAM_E)
     assert _same_bits(w.values, euclidean_wave_whole(j, k, LAM_E))
-    assert _same_bits(wave_from_terms(j.grid, (p, rungs, margin), LAM_E).values, w.values)
+    wd, dphi = euclidean_wave_dlambda(j, k, LAM_E)
+    assert _same_bits(wd.values, w.values) and wd.margin == w.margin == dphi.margin
+    assert _same_bits(dphi.values, euclidean_wave_dlambda_whole(j, k, LAM_E))
+
+
+def test_stored_rung_wave_and_dlambda_match_the_whole_grid():
+    # level 3 sums the stored rungs of the ladder, strip by strip
+    grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (37, 37))
+    ladder = veronese_ladder(4, grid)
+    j = theta_of(ladder.rungs[3])
+    w = euclidean_wave(j, 3, LAM_E, ladder)
+    assert _same_bits(w.values, euclidean_wave_whole(j, 3, LAM_E, ladder))
+    wd, dphi = euclidean_wave_dlambda(j, 3, LAM_E, ladder)
+    assert _same_bits(wd.values, w.values)
+    assert _same_bits(dphi.values, euclidean_wave_dlambda_whole(j, 3, LAM_E, ladder))
+    margin = max(r.margin for r in ladder.rungs)
+    assert w.margin == wd.margin == dphi.margin == margin
 
 
 @sizes
@@ -112,6 +130,16 @@ def test_u_pair_matches_the_whole_grid(nodes, deformed, chart):
         j, lam = _mink_jets(nodes, deformed)[1], LAM_M
     for got, want in zip(u_pair(j, lam), u_pair_whole(j, lam)):
         assert _same_bits(got.values, want)
+
+
+@sizes
+@both
+@pytest.mark.parametrize("index", [1, 2])
+def test_u_derivatives_match_the_whole_grid(nodes, deformed, index):
+    j = _euclid_jets(nodes, deformed)
+    got = u_derivatives_functional(LAM_E, index)(j)
+    for g, want in zip(got, u_derivatives_whole(j, LAM_E, index)):
+        assert _same_bits(g.values, want) and g.margin == j.margin2
 
 
 @sizes
@@ -162,8 +190,8 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
         lambda: lowered_rungs_from_jets(flat, 1),
         lambda: lowered_rungs_from_jets(flat, 2),
         lambda: lowered_rung_derivatives(flat),
-        lambda: euclidean_terms(flat, 2),
         lambda: euclidean_wave(flat, 2, LAM_E),
+        lambda: euclidean_wave_dlambda(flat, 2, LAM_E),
     ):
         with pytest.raises(DeformationOutOfDomain, match=first):
             build()
@@ -188,15 +216,26 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
 # --- heap ---------------------------------------------------------------------------
 
 
+def _heap_peak_fields(build) -> float:
+    """tracemalloc's peak while ``build()`` runs, in fields of 3x3 at 101^2."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (9 * 101**2 * 16)
+
+
 def test_level_two_wave_heap_peak_stays_within_5_fields():
     # the terms of one strip are formed and summed before the next strip's,
     # so the heap holds the output and one strip's temporaries
     j = _euclid_jets(101, False)
-    tracemalloc.start()
-    try:
-        euclidean_wave(j, 2, LAM_E)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * (9 * 101**2 * 16), peak / (9 * 101**2 * 16)
+    assert _heap_peak_fields(lambda: euclidean_wave(j, 2, LAM_E)) <= 5
 
+
+def test_level_two_wave_dlambda_heap_peak_stays_within_5_fields():
+    # Phi and d(Phi)/d(lambda) come from one strip pass: the heap holds the
+    # two outputs and one strip's temporaries, never P or a whole rung
+    j = _euclid_jets(101, False)
+    assert _heap_peak_fields(lambda: euclidean_wave_dlambda(j, 2, LAM_E)) <= 5
