@@ -393,44 +393,41 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", default="solsurf-out", help="output directory")
-        p.add_argument("--lambda", dest="lam", help="override the spectral parameter")
-        p.add_argument("--grid-h", dest="grid_h", type=float, help="override grid spacing")
+        if name in ("solve", "immerse"):
+            p.add_argument("--lambda", dest="lam", help="override the spectral parameter")
+            p.add_argument("--grid-h", dest="grid_h", type=float, help="override grid spacing")
         if name == "verify":
-            p.add_argument(
-                "--suite",
-                default=None,
-                help=f"one of: all, {', '.join(SUITE_NAMES)}",
-            )
+            p.add_argument("--suite", help=f"one of: all, {', '.join(SUITE_NAMES)}")
     args = parser.parse_args(argv)
 
     try:
-        cfg = None
-        if args.config:
-            cfg = load_config(args.config)
-        if cfg is not None and args.lam is not None:
-            cfg.lam = _lambda_flag(args.lam)
-        if cfg is not None and args.grid_h is not None:
-            h = finite_number(args.grid_h, "--grid-h")
-            try:
-                cfg.grid = Grid2(cfg.grid.chart, cfg.grid.origin, (h, h), cfg.grid.dims)
-            except ValueError as exc:
-                raise ConfigError(f"--grid-h: {exc}") from exc
-
+        cfg = load_config(args.config) if args.config else None
         if args.command == "verify":
-            suite = args.suite or (cfg.suite if cfg is not None else "all")
+            if args.suite is not None:
+                suite, named = args.suite, "--suite"
+            else:
+                suite, named = (cfg.suite if cfg is not None else "all"), "key 'suite'"
             if suite != "all" and suite not in SUITE_NAMES:
                 raise ConfigError(
-                    f"key 'suite': unknown value {suite!r}; "
+                    f"{named}: unknown value {suite!r}; "
                     f"choose from all, {', '.join(SUITE_NAMES)}"
                 )
             return cmd_verify(cfg, suite, args.out)
         if cfg is None:
             raise ConfigError("--config is required for this command")
+        if args.command == "export":
+            return cmd_export(cfg, args.out)
+        if args.lam is not None:
+            cfg.lam = _lambda_flag(args.lam)
+        if args.grid_h is not None:
+            h = finite_number(args.grid_h, "--grid-h")
+            try:
+                cfg.grid = Grid2(cfg.grid.chart, cfg.grid.origin, (h, h), cfg.grid.dims)
+            except ValueError as exc:
+                raise ConfigError(f"--grid-h: {exc}") from exc
         if args.command == "solve":
             return cmd_solve(cfg, args.out)
-        if args.command == "immerse":
-            return cmd_immerse(cfg, args.out)
-        return cmd_export(cfg, args.out)
+        return cmd_immerse(cfg, args.out)
     except (ConfigError, LambdaSingular) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -7,23 +7,22 @@ derivative widens the margin, every residual is reduced over the interior
 that its margin defines.
 
 A field together with its chart derivatives is a `JetField`: a
-`MatrixField` that also carries D_1, D_2 and, built on first read, the
-three second derivatives, each order with its own margin.  theta, a
-symmetry characteristic Q, a Veronese projector rung, the traveling wave
-and every deformation theta + eps Q are all `JetField`s; `chart_jets`
-makes one from any field by stencils.
+`MatrixField` that also carries D_1, D_2 and ``second(rows)``, which
+forms the three second derivatives on the grid rows asked, each order
+with its own margin.  theta, a symmetry characteristic Q, a Veronese
+projector rung, the traveling wave and every deformation theta + eps Q
+are all `JetField`s; `chart_jets` makes one from any field by stencils.
 
 Pointwise kernels of the jets (the connection, the lowering operator,
 the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:
 `JetField.map_rows` hands each strip's `JetRows` to the kernel and writes
 its outputs into full-size arrays, so no full-size temporary of the
-kernel is built.  A deformation theta + eps Q forms its second jets per
-strip, as the rows of theta's plus eps times the rows of Q's.  A scalar
-factor is applied in place (``t = commutator(...); t *= c``), never as
-``c * commutator(...)``: numpy turns ``c * tmp`` into ``tmp *= c`` for
-temporaries of 256 KiB or more, and its fused complex loops round c*a and
-a*c differently, so only the in-place form gives the same bits on a strip
-as on the whole field.
+kernel is built.  A deformation theta + eps Q forms a strip's second
+jets as theta's rows plus eps times Q's.  A scalar factor is applied in
+place (``t = commutator(...); t *= c``), never as ``c * commutator(...)``:
+numpy turns ``c * tmp`` into ``tmp *= c`` for temporaries of 256 KiB or
+more, and its fused complex loops round c*a and a*c differently, so only
+the in-place form gives the same bits on a strip as on the whole field.
 
 Axis convention: a matrix field is a (n, n, n2, n1) array, matrix axes
 first (see :mod:`solsurf.matlie`), and a scalar field a (n2, n1) array, so
@@ -41,7 +40,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -275,66 +274,62 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-class _SecondJets:
-    """d11, d12 and d22 from the zero-argument callable ``second``, which
-    runs at most once, on first read."""
+# The second jets of a field on a strip of grid rows: (d11, d12, d22) on ``rows``
+SecondJets = Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    @cached_property
-    def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.second()
+class _SecondJetParts:
+    """d11, d12 and d22: the parts of ``_second_jets``."""
 
-    @property
-    def d11(self) -> np.ndarray:
-        return self._second_jets[0]
-
-    @property
-    def d12(self) -> np.ndarray:
-        return self._second_jets[1]
-
-    @property
-    def d22(self) -> np.ndarray:
-        return self._second_jets[2]
+    d11 = property(lambda self: self._second_jets[0])
+    d12 = property(lambda self: self._second_jets[1])
+    d22 = property(lambda self: self._second_jets[2])
 
 
 @dataclass(frozen=True, eq=False)
-class JetRows(_SecondJets):
+class JetRows(_SecondJetParts):
     """The strip ``rows`` of grid rows of a `JetField`: the values and first
-    jets of those rows as views, and their second jets on first read."""
+    jets of those rows as views, and their second jets, formed by
+    ``second(rows)`` on first read and kept for the strip."""
 
     rows: slice
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    second: SecondJets
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.second(self.rows)
+
 
 @dataclass(frozen=True, kw_only=True)
-class JetField(_SecondJets, MatrixField):
+class JetField(_SecondJetParts, MatrixField):
     """A field with its chart derivatives up to second order.
 
     The values and ``margin`` are those of the field itself; ``margin1``
     bounds the trusted region of d1/d2, ``margin2`` that of the
     second-order set (the mixed real-axis stencil is a composition, hence
-    the doubled margin).  d1 and d2 are stored; d11, d12 and d22 come from
-    ``second``, a zero-argument callable that runs at most once, on first
-    read, so a consumer that reads only the first-order jets never pays
-    for the second-order stencils.  A deformation (`deformed`) keeps its
-    base, step and direction in ``shift``, and forms its second jets from
-    theirs, on the rows read.
+    the doubled margin).  d1 and d2 are stored; the second jets come from
+    ``second``, a function of grid rows that returns (d11, d12, d22) on
+    the rows asked, so a consumer that reads only the first-order jets
+    never forms them.  The whole-field d11, d12 and d22 are
+    ``second(slice(None))``.
     """
 
     d1: np.ndarray
     d2: np.ndarray
-    second: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    second: SecondJets
     margin1: int
     margin2: int
-    shift: tuple["JetField", float, "JetField"] | None = None
+
+    @property
+    def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.second(slice(None))
 
     def rows(self, rows: slice) -> JetRows:
         """The strip ``rows`` of grid rows; its second jets are formed for
@@ -344,13 +339,8 @@ class JetField(_SecondJets, MatrixField):
             self.values[..., rows, :],
             self.d1[..., rows, :],
             self.d2[..., rows, :],
-            lambda: self._second_rows(rows),
+            self.second,
         )
-
-    def _second_rows(self, rows: slice) -> tuple[np.ndarray, ...]:
-        if self.shift is not None:
-            return _shifted_second(*self.shift, rows)
-        return tuple(x[..., rows, :] for x in self._second_jets)
 
     def map_rows(self, kernel: Callable[[JetRows], Sequence[np.ndarray]]) -> list[np.ndarray]:
         """``kernel`` evaluated on one strip of grid rows at a time.
@@ -374,29 +364,30 @@ class JetField(_SecondJets, MatrixField):
         Derivatives are linear, so the jets of the deformed field are the
         jets of this field plus eps times those of q; sharing one jet set
         of q across all evaluations keeps difference quotients
-        cancellation free.  The second-order shifts are formed only on the
-        rows that are read, or in full if the whole field's are.
+        cancellation free.  The second jets are formed on the rows asked,
+        from the rows of both.
         """
+
+        def second(rows: slice) -> tuple[np.ndarray, ...]:
+            return tuple(b + eps * d for b, d in zip(self.second(rows), q_jets.second(rows)))
+
         return JetField(
             grid=self.grid,
             values=self.values + eps * q_jets.values,
             margin=max(self.margin, q_jets.margin),
             d1=self.d1 + eps * q_jets.d1,
             d2=self.d2 + eps * q_jets.d2,
-            second=lambda: _shifted_second(self, eps, q_jets, slice(None)),
+            second=second,
             margin1=max(self.margin1, q_jets.margin1),
             margin2=max(self.margin2, q_jets.margin2),
-            shift=(self, eps, q_jets),
         )
 
 
-def _shifted_second(
-    base: JetField, eps: float, q_jets: JetField, rows: slice
-) -> tuple[np.ndarray, ...]:
-    """The second jets of base + eps*q on ``rows``."""
-    return tuple(
-        b + eps * d for b, d in zip(base._second_rows(rows), q_jets._second_rows(rows))
-    )
+def sliced_second(build: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]) -> SecondJets:
+    """``second`` of a field whose whole second jets ``build()`` returns:
+    ``build`` runs once, on the first call, and each call slices its rows."""
+    whole = cache(build)
+    return lambda rows: tuple(x[..., rows, :] for x in whole())
 
 
 def chart_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
@@ -429,7 +420,7 @@ def chart_jets(f: MatrixField) -> JetField:
         margin=f.margin,
         d1=d1,
         d2=d2,
-        second=lambda: _chart_second_derivatives(f),
+        second=sliced_second(lambda: _chart_second_derivatives(f)),
         margin1=margin1,
         margin2=f.margin + 4,
     )

@@ -35,6 +35,7 @@ from .fields import (
     MatrixField,
     chart_jets,
     interior_max,
+    sliced_second,
 )
 from .matlie import commutator, dagger, fro, identity, mm
 
@@ -82,14 +83,14 @@ def theta_of(p: MatrixField) -> JetField:
         return chart_jets(MatrixField(p.grid, theta, p.margin))
     # the second jets are at hand: scaling them now keeps the projector's
     # jets from being held alive by the returned field
-    second = (1j * p.d11, 1j * p.d12, 1j * p.d22)
+    second = tuple(1j * x for x in p.second(slice(None)))
     return JetField(
         grid=p.grid,
         values=theta,
         margin=p.margin,
         d1=1j * p.d1,
         d2=1j * p.d2,
-        second=lambda: second,
+        second=sliced_second(lambda: second),
         margin1=p.margin1,
         margin2=p.margin2,
     )
@@ -263,7 +264,7 @@ def _veronese_rungs(n: int, grid: Grid2, ks: Sequence[int]) -> list[JetField]:
     return [
         JetField(
             grid=grid, values=r["p"], d1=r["d1"], d2=r["d2"],
-            second=lambda r=r: (r["d11"], r["d12"], r["d22"]),
+            second=sliced_second(lambda r=r: (r["d11"], r["d12"], r["d22"])),
             margin1=0, margin2=0,
         )
         for r in _veronese_jets(n, grid.xi(), ks)
@@ -332,8 +333,9 @@ def traveling_solution(
     k = kappa
 
     @np.errstate(over="ignore", invalid="ignore")
-    def second() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ddtheta = -4.0 * omega * omega * theta  # a float power would raise on overflow
+    def second(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # -4 omega^2 theta on the rows: a float power would raise on overflow
+        ddtheta = -4.0 * omega * omega * theta[..., rows, :]
         return ddtheta, k * ddtheta, k * k * ddtheta
 
     jets = JetField(

@@ -24,14 +24,14 @@ criterion, pr w Phi for explicit integration, pr w of the linear-problem
 residual, and pr w G beside pr w (D_alpha G) for the commutation checks.
 A functional returns a tuple of matrix fields, all differenced from the
 same deformations, so the connection pair (u1, u2) is one functional.
-The deformed jet fields build their second-order jets on first read, so
-functionals that read only theta, D_1 theta and D_2 theta run no
-second-order stencil.  The connection, its derivatives and the lowering
-functionals evaluate their pointwise kernels one strip of grid rows at a
-time (`JetField.map_rows`), with scalar factors applied in place so a
-strip rounds as the whole field does (see :mod:`solsurf.fields`), and a
-deformation forms the second jets of a strip as theta's rows plus eps
-times Q's, so the full deformed second jets are never built.
+The connection, its derivatives and the lowering functionals evaluate
+their pointwise kernels one strip of grid rows at a time
+(`JetField.map_rows`), with scalar factors applied in place so a strip
+rounds as the whole field does (see :mod:`solsurf.fields`).  A deformed
+jet field's ``second(rows)`` adds theta's second jets on the strip to eps
+times Q's, so the full deformed second jets are never built, and a
+functional that reads only theta, D_1 theta and D_2 theta runs no
+second-order stencil.
 """
 
 from __future__ import annotations

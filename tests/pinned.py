@@ -1,0 +1,180 @@
+"""The reference outputs that tier-1 pins, and the rule that compares them.
+
+``tests/reference`` holds a copy of ``solsurf verify --suite all``'s
+``report.json``, and of ``solve-summary.json`` and
+``immersion-report.json`` for both README configs at 101^2 (the configs
+sit beside them).  A fresh run matches the copy when every string,
+integer, flag and tolerance is equal, in the same order, and every
+measured value m lies within ``|m - ref| <= a * |ref| + ABS_FLOOR`` of
+the reference, where ``a`` is the value's allowance in
+``allowances.json``.
+
+An allowance is sized from two perturbations that stand in for another
+machine's rounding: every matrix product routed through numpy ``@``
+(BLAS; ``matlie.MM_MAX_N = 0``), and every output of sin, cos, exp,
+cosh, sinh and einsum (the Veronese frame) moved by a random +-1 ulp, as
+another libm or SIMD path may.  ``a = max(MIN_ALLOWANCE, SAFETY * w)``,
+with ``w`` the value's largest relative move under the two.  A value
+that truncation error dominates barely moves under either, so it is
+pinned to about 1e-6 relative; a value at rounding level moves by up to
+20x, and gets a proportionally wide allowance.
+
+A change that moves a value past its allowance regenerates the copy and
+lists each moved value in CHANGES.md:
+
+    PYTHONPATH=src python tests/pinned.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import tempfile
+
+import numpy as np
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference")
+README_CONFIGS = ("euclidean", "minkowski")
+# the report that each command writes
+README_REPORTS = {"solve": "solve-summary.json", "immerse": "immersion-report.json"}
+SAFETY = 10.0
+MIN_ALLOWANCE = 1e-6
+ABS_FLOOR = 1e-15
+
+
+def run_readme_configs(out: str) -> dict[str, str]:
+    """``solve`` and ``immerse`` of both README configs into ``out``: the
+    path of each report they write, keyed ``<config>/<file>``."""
+    from solsurf.cli import main
+
+    paths = {}
+    for name in README_CONFIGS:
+        cfg = os.path.join(REFERENCE, name, "config.json")
+        for command, report in README_REPORTS.items():
+            dest = os.path.join(out, name, command)
+            code = main([command, "--config", cfg, "--out", dest])
+            assert code == 0, f"{command} {name} exited {code}"
+            paths[f"{name}/{report}"] = os.path.join(dest, report)
+    return paths
+
+
+def run_all(out: str) -> dict[str, str]:
+    """The paths of the pinned reports of a fresh run into ``out``:
+    ``report.json`` of ``verify --suite all`` and the README configs'."""
+    from solsurf.cli import main
+
+    assert main(["verify", "--suite", "all", "--out", out]) == 0
+    return {"report.json": os.path.join(out, "report.json"), **run_readme_configs(out)}
+
+
+def load(paths: dict[str, str]) -> dict[str, dict]:
+    out = {}
+    for key, path in paths.items():
+        with open(path) as fh:
+            out[key] = json.load(fh)
+    return out
+
+
+def reference() -> tuple[dict[str, dict], dict[str, float]]:
+    """The pinned reports, keyed as `run_all` keys them, and the allowances."""
+    keys = ["report.json"] + [f"{c}/{r}" for c in README_CONFIGS for r in README_REPORTS.values()]
+    with open(os.path.join(REFERENCE, "allowances.json")) as fh:
+        allow = json.load(fh)
+    return load({key: os.path.join(REFERENCE, key) for key in keys}), allow
+
+
+def leaves(obj, path: str) -> list[tuple[str, object]]:
+    """The leaves of a report as (path, value), in order; a check of
+    ``report.json`` is named by its ``name``, so that its measured value is
+    ``report.json:checks[<name>].measured``."""
+    if isinstance(obj, dict):
+        sep = "" if path.endswith(":") else "."
+        return [leaf for k, v in obj.items() for leaf in leaves(v, f"{path}{sep}{k}")]
+    if isinstance(obj, list) and obj and all(isinstance(v, dict) and "name" in v for v in obj):
+        return [leaf for v in obj for leaf in leaves(v, f"{path}[{v['name']}]")]
+    return [(path, obj)]
+
+
+def mismatches(ref: dict[str, dict], got: dict[str, dict], allow: dict[str, float]) -> list[str]:
+    """Every leaf of ``got`` that does not match ``ref`` under the rule of
+    this module, as one line each; an empty list when all match."""
+    bad = []
+    for key, r in ref.items():
+        want, have = leaves(r, key + ":"), leaves(got[key], key + ":")
+        if [p for p, _ in want] != [p for p, _ in have]:
+            bad.append(f"{key}: keys or check order differ from the reference")
+            continue
+        for (path, a), (_, b) in zip(want, have):
+            if path in allow:
+                ok = abs(b - a) <= allow[path] * abs(a) + ABS_FLOOR
+            else:
+                ok = type(a) is type(b) and a == b
+            if not ok:
+                bad.append(f"{path}: {b!r}, reference {a!r}")
+    return bad
+
+
+# --- regeneration ---------------------------------------------------------------
+
+
+_ULP_FUNCTIONS = ("sin", "cos", "exp", "cosh", "sinh", "einsum")
+
+
+def _ulp_noise(f, rng):
+    def g(x, *args, **kwargs):
+        r = f(x, *args, **kwargs)
+        if isinstance(r, np.ndarray) and r.dtype.kind in "fc":
+            r = r * (1 + np.finfo(float).eps * rng.choice([-1.0, 0.0, 1.0], size=r.shape))
+        return r
+
+    return g
+
+
+def _perturbed(out: str, how: str) -> dict[str, dict]:
+    from solsurf import matlie
+
+    mm_max_n, functions = matlie.MM_MAX_N, {name: getattr(np, name) for name in _ULP_FUNCTIONS}
+    try:
+        if how == "blas":
+            matlie.MM_MAX_N = 0
+        else:
+            rng = np.random.default_rng(0)
+            for name, f in functions.items():
+                setattr(np, name, _ulp_noise(f, rng))
+        return load(run_all(out))
+    finally:
+        matlie.MM_MAX_N = mm_max_n
+        for name, f in functions.items():
+            setattr(np, name, f)
+
+
+def _measured(path: str) -> bool:
+    # a check's tolerance and the echo of a config are compared exactly
+    return path.endswith(".measured") or not (
+        path.startswith("report.json:") or ":solution." in path
+    )
+
+
+def refresh() -> None:
+    """Rewrite the reference copies and ``allowances.json`` from this tree."""
+    with tempfile.TemporaryDirectory() as work:
+        paths = run_all(os.path.join(work, "plain"))
+        for key, path in paths.items():
+            shutil.copyfile(path, os.path.join(REFERENCE, key))
+        plain = load(paths)
+        moved = [_perturbed(os.path.join(work, how), how) for how in ("blas", "ulp")]
+    allow = {}
+    for key, report in plain.items():
+        others = [dict(leaves(run[key], key + ":")) for run in moved]
+        for path, a in leaves(report, key + ":"):
+            if isinstance(a, float) and _measured(path):
+                w = max(abs(other[path] - a) / abs(a) if a else 0.0 for other in others)
+                allow[path] = max(MIN_ALLOWANCE, SAFETY * w)
+    with open(os.path.join(REFERENCE, "allowances.json"), "w") as fh:
+        json.dump(allow, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    refresh()

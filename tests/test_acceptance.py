@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import pinned
 from oracles import bare
 from solsurf.cli import main as cli_main
 from solsurf.fields import (
@@ -425,4 +426,14 @@ def test_criterion_9_determinism(tmp_path):
     ]
     rep = json.loads(b1)
     entries.append(("all-checks-pass", rep["passed"], float(len(rep["checks"]))))
+    # the report and the README configs' summaries match the pinned copies
+    # within the allowances of tests/pinned.py
+    want, allow = pinned.reference()
+    got = pinned.load(
+        {"report.json": os.path.join(out1, "report.json"),
+         **pinned.run_readme_configs(str(tmp_path / "readme"))}
+    )
+    bad = pinned.mismatches(want, got, allow)
+    entries.append(("matches-pinned-reference", not bad, float(len(bad))))
+    entries += [(line, False, 0.0) for line in bad]
     report("criterion-9 determinism", entries, 300, time.perf_counter() - t0)

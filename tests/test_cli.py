@@ -223,8 +223,25 @@ def test_cli_verify_failure_exit(tmp_path):
     assert main(["verify", "--config", cfg, "--suite", "identities", "--out", out]) == 1
 
 
-def test_cli_verify_unknown_suite(tmp_path):
-    assert main(["verify", "--suite", "prop99", "--out", str(tmp_path / "v")]) == 2
+def test_cli_verify_unknown_suite(tmp_path, capsys):
+    out = str(tmp_path / "v")
+    for suite in ("prop99", ""):
+        assert main(["verify", "--suite", suite, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --suite: unknown value {suite!r}")
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("flag", [["--lambda", "abc"], ["--grid-h", "-5"]])
+def test_cli_override_flags_exist_only_on_solve_and_immerse(tmp_path, capsys, command, flag):
+    cfg = write_cfg(tmp_path, BASE_TRAVELING)
+    out = str(tmp_path / "o")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", out, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_verify_rejects_unknown_tolerance_key(tmp_path, capsys):

@@ -11,6 +11,7 @@ from solsurf.fields import (
     Grid2,
     MatrixField,
     interior_max,
+    row_strips,
 )
 from solsurf.matlie import commutator, constant, dagger, fro, identity, mm, trace
 from solsurf.sigma import (
@@ -315,3 +316,24 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
         for got, want in zip((lazy.d11, lazy.d12, lazy.d22), ref):
             assert np.array_equal(got, want, equal_nan=True)
     assert (jd.margin, jd.margin1, jd.margin2) == (1, 3, 5)
+
+    # every constructor serves the second jets of a strip of rows as the
+    # rows of the whole set, bit for bit, directly and through the strip
+    if chart == CHART_EUCLIDEAN:
+        rung = veronese_field(n, grid, n - 1)
+        exact = {"veronese": rung, "theta_of(veronese)": theta_of(rung)}
+    else:
+        exact = {"traveling": traveling_solution(2.0, 1.5, grid)[1]}
+    built = {"chart_jets": q_jets, "theta_of(stencil)": j, "deformed": jd, **exact}
+    first = next(iter(exact.values()))
+    m = first.n  # the traveling wave is 2x2
+    built["deformed(exact)"] = first.deformed(-eps, chart_jets(MatrixField(grid, q[:m, :m], 1)))
+    for name, field in built.items():
+        whole = field.second(slice(None))
+        for rows, _ in row_strips(grid.n2):
+            strip = field.rows(rows)
+            for got, via_strip, want in zip(field.second(rows), (strip.d11, strip.d12, strip.d22),
+                                            whole):
+                want = want[..., rows, :]
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape, name
+                assert via_strip.tobytes() == want.tobytes(), name

@@ -157,8 +157,7 @@ def _with_rows(j: JetField, rows: slice, **jets) -> JetField:
     arrays = {name: getattr(j, name).copy() for name in ("values", "d1", "d2")}
     for name, value in jets.items():
         arrays[name][..., rows, :] = value
-    second = (j.d11, j.d12, j.d22)
-    return JetField(grid=j.grid, margin=j.margin, second=lambda: second,
+    return JetField(grid=j.grid, margin=j.margin, second=j.second,
                     margin1=j.margin1, margin2=j.margin2, **arrays)
 
 
@@ -204,7 +203,8 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
     full = lambda m: np.broadcast_to(constant(m), (2, 2, grid.n2, grid.n1)).copy()  # noqa: E731
     zero = full(np.zeros((2, 2)))
     theta = JetField(grid=grid, values=full(1j * (p - np.eye(2) / 2)), d1=full(1j * d1p),
-                     d2=full(1j * d2p), second=lambda: (zero, zero, zero), margin1=0, margin2=0)
+                     d2=full(1j * d2p), second=lambda rows: (zero[..., rows, :],) * 3,
+                     margin1=0, margin2=0)
     (r1,) = lowered_rungs_from_jets(theta, 1)
     assert _same_bits(r1, full(np.diag([1.0 + 0j, 0.0])))
     for build in (lambda: lowered_rungs_from_jets(theta, 2),
