@@ -1,9 +1,14 @@
 """Command line entry points.
 
-    solsurf solve   --config cfg.json [--out DIR] [--lambda X] [--grid-h H]
+    solsurf solve   --config cfg.json [--out DIR] [--grid-h H]
     solsurf immerse --config cfg.json [--out DIR] [--lambda X] [--grid-h H]
     solsurf verify  [--suite NAME] [--config cfg.json] [--out DIR]
     solsurf export  --config cfg.json [--out DIR]
+
+Every command takes the same config key set and reads only its own keys
+(see :mod:`solsurf.config`): ``solve`` and ``immerse`` the run keys,
+``verify`` ``tolerances`` and ``suite``, ``export`` ``outputs``; a flag
+overrides the key it names.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 Reports written by ``verify`` are byte-identical across repeated runs of
@@ -22,10 +27,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, finite_number, load_config, parse_lambda
+from .config import (
+    GAUGE_PRESETS, ConfigError, RunConfig, load_config, parse_config, parse_outputs, parse_verify
+)
 from .errors import DeformationOutOfDomain, FieldFileError, LambdaSingular, MarginExhausted
 from .fields import (
-    Grid2,
     MatrixField,
     interior,
     interior_max,
@@ -142,29 +148,22 @@ def _build_solution(cfg: RunConfig):
 
 
 def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
-    """The jet -> Phi builder that a symmetry deforms.
+    """The jet -> Phi builder of the solution, which a symmetry deforms.
 
-    The Euclidean builder lowers the rungs from the jets, up to level 2;
-    `parse_config` admits no symmetry on the deeper levels, whose Phi
-    sums the stored ladder rungs (`euclidean_wave` with the ladder).
+    The Euclidean builder lowers the rungs from the jets up to level 2,
+    and ignores the ladder there; deeper levels sum the stored ladder
+    rungs, so `parse_config` admits no symmetry on them.
     """
     if cfg.solution["kind"] == "traveling":
         return lambda jd: phi_traveling(carrier, jd, cfg.lam)
-    return lambda jd: euclidean_wave(jd, cfg.solution["k"], cfg.lam)
+    return lambda jd: euclidean_wave(jd, cfg.solution["k"], cfg.lam, carrier)
 
 
 def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
     if cfg.gauge == "none":
         return None
     if "preset" in cfg.gauge:
-        name = cfg.gauge["preset"]
-        basis = su_basis(cfg.n)
-        if name == "diag":
-            mat = basis.elements[..., -1]
-        elif name == "offdiag":
-            mat = basis.elements[..., 0]
-        else:
-            raise ConfigError(f"key 'gauge.preset': unknown preset {name!r}")
+        mat = su_basis(cfg.n).elements[..., GAUGE_PRESETS[cfg.gauge["preset"]]]
         vals = np.broadcast_to(constant(mat), j.values.shape).copy()
         return MatrixField(j.grid, vals, 0)
     field, _ = _read_input(cfg.gauge["file"], "gauge.file")
@@ -228,28 +227,26 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     last; the files are renamed into place once it is written, so a run that
     exits 2 leaves no file behind.  The closed forms, which read the
     solution, come first, so it is freed before the surface is integrated."""
+    if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
+        raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier, meta = _build_solution(cfg)
     spectral_only = bool(cfg.a_coeffs) and cfg.gauge == "none" and cfg.symmetry is None
     symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and cfg.gauge == "none"
-    if meta["kind"] != "veronese":
-        wave = phi_traveling(carrier, j, cfg.lam)
-    elif spectral_only:
+    builder = _wave_builder(cfg, carrier)
+    if spectral_only and meta["kind"] == "veronese":
         # the Sym-Tafel surface's d(Phi)/d(lambda) comes from Phi's own strip pass
         wave, dphi = euclidean_wave_dlambda(j, cfg.solution["k"], cfg.lam, carrier)
     else:
-        wave = euclidean_wave(j, cfg.solution["k"], cfg.lam, carrier)
+        wave = builder(j)
 
     gauge = _gauge_field(cfg, j)
     prolonged = [None]
     if cfg.symmetry is not None:
         # one prolongation along Q: the connection pair, and Phi when the
         # closed forms are compared
-        builder = _wave_builder(cfg, carrier)
-        gs = (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only]
-        prolonged = frechet_apply(gs, j, conformal_characteristic(cfg.symmetry, j))
-    if not (cfg.a_coeffs or gauge is not None or cfg.symmetry is not None):
-        raise ConfigError(
-            "immersion requires at least one of: a_coeffs, gauge, symmetry"
+        prolonged = frechet_apply(
+            (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only],
+            j, conformal_characteristic(cfg.symmetry, j),
         )
     a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, prw_u=prolonged[0])
     prw_phi = prolonged[1][0] if symmetry_only else None
@@ -289,7 +286,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
 
         # the connection pair is read only by the compatibility check
         u1, u2 = u_pair(j, cfg.lam)
-        del j, carrier
+        del j, carrier, builder  # the Euclidean builder holds the ladder
         res = integrate_surface(a, b, wave, u1=u1, u2=u2)
         del u1, u2
         write_field(stage("immersion.npz"), res.field)
@@ -319,8 +316,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig | None, suite: str, outdir: str) -> int:
-    tolerances = cfg.tolerances if cfg is not None else {}
+def cmd_verify(tolerances: dict[str, float], suite: str, outdir: str) -> int:
     report = run_suites([suite], tolerances)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "report.json"), "w") as fh:
@@ -331,14 +327,12 @@ def cmd_verify(cfg: RunConfig | None, suite: str, outdir: str) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_export(cfg: RunConfig, outdir: str) -> int:
-    """Each entry is converted and staged beside its target, one at a time,
-    and the files are renamed into place once the last entry has succeeded,
-    so an export that exits 2 leaves no file behind."""
-    if not cfg.outputs:
-        raise ConfigError("key 'outputs' is empty; nothing to export")
+def cmd_export(outputs: list[dict], outdir: str) -> int:
+    """Each entry of ``outputs`` is converted and staged beside its target,
+    one at a time, and the files are renamed into place once the last entry
+    has succeeded, so an export that exits 2 leaves no file behind."""
     with _staged(outdir) as stage:
-        for i, entry in enumerate(cfg.outputs):
+        for i, entry in enumerate(outputs):
             field, lam = _read_input(entry["input"], f"outputs[{i}].input")
             if entry["format"] == "obj":
                 # su(2) only, and the trimmed grid must keep the minimum node count
@@ -355,19 +349,9 @@ def cmd_export(cfg: RunConfig, outdir: str) -> int:
                 write_scalar_csv(tmp, field.grid, fro(field.values), field.margin)
             else:
                 export_obj(tmp, points)
-    for entry in cfg.outputs:
+    for entry in outputs:
         print(f"wrote {os.path.join(outdir, entry['path'])}")
     return 0
-
-
-def _lambda_flag(text: str) -> complex:
-    """``--lambda`` as a number or a JSON ``[re, im]`` pair, checked like
-    the config key."""
-    try:
-        raw = json.loads(text) if text.startswith("[") else float(text)
-    except ValueError as exc:
-        raise ConfigError(f"--lambda must be a number or a [re, im] pair, got {text!r}") from exc
-    return parse_lambda(raw, "--lambda")
 
 
 # Errors of a config that parses but cannot be computed, and the keys that cause them
@@ -393,38 +377,33 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", default="solsurf-out", help="output directory")
-        if name in ("solve", "immerse"):
+        if name == "immerse":
             p.add_argument("--lambda", dest="lam", help="override the spectral parameter")
+        if name in ("solve", "immerse"):
             p.add_argument("--grid-h", dest="grid_h", type=float, help="override grid spacing")
         if name == "verify":
             p.add_argument("--suite", help=f"one of: all, {', '.join(SUITE_NAMES)}")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config) if args.config else None
+        obj = load_config(args.config) if args.config else {}
         if args.command == "verify":
+            tolerances, suite = parse_verify(obj)
+            named = "key 'suite'"
             if args.suite is not None:
                 suite, named = args.suite, "--suite"
-            else:
-                suite, named = (cfg.suite if cfg is not None else "all"), "key 'suite'"
             if suite != "all" and suite not in SUITE_NAMES:
                 raise ConfigError(
                     f"{named}: unknown value {suite!r}; "
                     f"choose from all, {', '.join(SUITE_NAMES)}"
                 )
-            return cmd_verify(cfg, suite, args.out)
-        if cfg is None:
+            return cmd_verify(tolerances, suite, args.out)
+        if not args.config:
             raise ConfigError("--config is required for this command")
         if args.command == "export":
-            return cmd_export(cfg, args.out)
-        if args.lam is not None:
-            cfg.lam = _lambda_flag(args.lam)
-        if args.grid_h is not None:
-            h = finite_number(args.grid_h, "--grid-h")
-            try:
-                cfg.grid = Grid2(cfg.grid.chart, cfg.grid.origin, (h, h), cfg.grid.dims)
-            except ValueError as exc:
-                raise ConfigError(f"--grid-h: {exc}") from exc
+            return cmd_export(parse_outputs(obj), args.out)
+        # solve takes no --lambda
+        cfg = parse_config(obj, vars(args).get("lam"), args.grid_h)
         if args.command == "solve":
             return cmd_solve(cfg, args.out)
         return cmd_immerse(cfg, args.out)

@@ -1,8 +1,14 @@
-"""Run configuration: a single JSON document, strictly validated.
+"""Configuration: a single JSON document, strictly validated, parsed per command.
 
-Unknown keys are errors (reproducibility beats convenience), and
-cross-field consistency is checked before any computation starts: the
-chart fixes which solution generators and symmetry data are admissible.
+All commands share one top-level key set, and `load_config` rejects an
+unknown key (reproducibility beats convenience).  Each command parses
+only the keys it reads and accepts the others unread: `parse_config` the
+run keys of ``solve`` and ``immerse``, whose cross-field consistency is
+checked before any computation starts (the chart fixes which solution
+generators and symmetry data are admissible), `parse_verify` the
+``tolerances`` and ``suite`` of ``verify``, and `parse_outputs` the
+``outputs`` of ``export``.
+
 Every number must be a finite JSON number (NaN, Infinity, strings and
 booleans are rejected), and every failure is a `ConfigError` that names
 the key, or the flag for ``--lambda`` and ``--grid-h``.
@@ -12,31 +18,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2
 from .symmetry import ConformalSpec
 
-__all__ = ["ConfigError", "RunConfig", "finite_number", "load_config", "parse_lambda"]
+__all__ = [
+    "ConfigError", "GAUGE_PRESETS", "RunConfig", "finite_number", "load_config",
+    "parse_config", "parse_lambda", "parse_outputs", "parse_verify",
+]
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration; message names the key."""
+    """Invalid or inconsistent configuration; message names the key."""
 
 
+# The keys of every command: the run keys of solve and immerse, then those
+# of verify and of export
 _TOP_KEYS = {
-    "model",
-    "space",
-    "n",
-    "solution",
-    "grid",
-    "lambda",
-    "a_coeffs",
-    "gauge",
-    "symmetry",
-    "outputs",
-    "tolerances",
-    "suite",
+    "model", "space", "n", "solution", "grid", "lambda", "a_coeffs", "gauge", "symmetry",
+    "tolerances", "suite", "outputs",
 }
 
 # Largest matrix size.  A Veronese ladder holds n rungs of n x n fields
@@ -50,10 +51,12 @@ MAX_N = 8
 # 1e102 on.
 MAX_LAMBDA = 1e100
 
-_DEFAULT_GRIDS = {
-    "euclidean": {"origin": [0.0, 0.0], "spacing": [0.05, 0.05], "dims": [101, 101]},
-    "minkowski": {"origin": [0.0, 0.0], "spacing": [0.04, 0.04], "dims": [101, 101]},
-}
+# Grid spacing by space when the config gives none; origin and dims default alike
+_DEFAULT_SPACING = {"euclidean": 0.05, "minkowski": 0.04}
+
+# Gauge presets: the su(N) basis element that the constant gauge field is
+# made of, by its index (the last one is diagonal, the first off-diagonal)
+GAUGE_PRESETS = {"diag": -1, "offdiag": 0}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -64,6 +67,8 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 @dataclass
 class RunConfig:
+    """The run keys, which ``solve`` and ``immerse`` read."""
+
     space: str
     n: int
     solution: dict
@@ -72,9 +77,6 @@ class RunConfig:
     a_coeffs: tuple[float, ...] = ()
     gauge: dict | str = "none"
     symmetry: ConformalSpec | None = None
-    outputs: list = dc_field(default_factory=list)
-    tolerances: dict = dc_field(default_factory=dict)
-    suite: str = "all"
 
 
 def _where(key: str) -> str:
@@ -129,11 +131,49 @@ def parse_lambda(raw, key: str = "lambda") -> complex:
     return lam
 
 
-def parse_config(obj: dict) -> RunConfig:
+def _checked(obj) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError("configuration must be a JSON object")
     _reject_unknown(obj, _TOP_KEYS, "configuration")
+    return obj
 
+
+def _symmetry(obj, chart: str) -> ConformalSpec:
+    """Coefficients from ``{"f": [[re, im], ...], "g": [[re, im], ...]}``.
+
+    A missing list or an entry that is not a pair of finite numbers is
+    named, e.g. ``symmetry.f[0]``.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError("key 'symmetry' must be an object")
+    _reject_unknown(obj, {"f", "g"}, "symmetry")
+
+    def coeffs(key: str) -> tuple[complex, ...]:
+        raw = obj.get(key)
+        if not isinstance(raw, list):
+            raise ConfigError(f"key 'symmetry.{key}' must be a list of [re, im] pairs")
+        out = []
+        for i, c in enumerate(raw):
+            where = f"symmetry.{key}[{i}]"
+            if not (isinstance(c, list) and len(c) == 2):
+                raise ConfigError(f"key {where!r} must be a [re, im] pair, got {c!r}")
+            out.append(complex(finite_number(c[0], where), finite_number(c[1], where)))
+        return tuple(out)
+
+    f, g = coeffs("f"), coeffs("g")
+    try:
+        return ConformalSpec(f, g, chart)
+    except ValueError as exc:
+        raise ConfigError(f"key 'symmetry': {exc}") from exc
+
+
+def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = None) -> RunConfig:
+    """The run keys of ``obj``, whose other keys are checked by name only.
+
+    ``lam_flag`` and ``grid_h``, the flags ``--lambda`` (its text) and
+    ``--grid-h``, override ``lambda`` and both grid spacings.
+    """
+    obj = _checked(obj)
     model = obj.get("model", "cp")
     if model != "cp":
         raise ConfigError(f"key 'model': unsupported value {model!r}")
@@ -175,12 +215,16 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError(f"key 'solution.kind': unknown value {kind!r}")
 
     chart = CHART_EUCLIDEAN if space == "euclidean" else CHART_MINKOWSKI
-    graw = obj.get("grid", _DEFAULT_GRIDS[space])
+    graw = obj.get("grid", {})
     if not isinstance(graw, dict):
         raise ConfigError("key 'grid' must be an object")
     _reject_unknown(graw, {"origin", "spacing", "dims"}, "grid")
     origin = _numbers(graw.get("origin", [0.0, 0.0]), "grid.origin", 2)
-    spacing = _numbers(graw.get("spacing", _DEFAULT_GRIDS[space]["spacing"]), "grid.spacing", 2)
+    h = _DEFAULT_SPACING[space]
+    spacing = _numbers(graw.get("spacing", [h, h]), "grid.spacing", 2)
+    where = "key 'grid'"
+    if grid_h is not None:
+        spacing, where = (finite_number(grid_h, "--grid-h"),) * 2, "--grid-h"
     dims = graw.get("dims", [101, 101])
     if not isinstance(dims, list) or len(dims) != 2:
         raise ConfigError("key 'grid.dims' must be a list of 2 integers")
@@ -188,41 +232,62 @@ def parse_config(obj: dict) -> RunConfig:
     try:
         grid = Grid2(chart=chart, origin=origin, spacing=spacing, dims=dims)
     except ValueError as exc:
-        raise ConfigError(f"key 'grid': {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
     lam = parse_lambda(obj.get("lambda", [0.5, 0.0]))
+    if lam_flag is not None:
+        try:
+            raw = json.loads(lam_flag) if lam_flag.startswith("[") else float(lam_flag)
+        except ValueError as exc:
+            raise ConfigError(
+                f"--lambda must be a number or a [re, im] pair, got {lam_flag!r}"
+            ) from exc
+        lam = parse_lambda(raw, "--lambda")
 
     a_coeffs = _numbers(obj.get("a_coeffs", []), "a_coeffs")
 
     gauge = obj.get("gauge", "none")
-    if gauge != "none":
-        if not isinstance(gauge, dict) or not ({"preset", "file"} & set(gauge)):
-            raise ConfigError("key 'gauge' must be 'none', {'preset': ...} or {'file': ...}")
-        _reject_unknown(gauge, {"preset", "file"}, "gauge")
-        if not all(isinstance(value, str) for value in gauge.values()):
-            raise ConfigError("key 'gauge' must name its preset or file by a string")
+    if gauge != "none" and not (
+        isinstance(gauge, dict)
+        and len(gauge) == 1
+        # a tuple of the names: the value may be unhashable
+        and (gauge.get("preset") in tuple(GAUGE_PRESETS) or isinstance(gauge.get("file"), str))
+    ):
+        raise ConfigError(
+            "key 'gauge' must be 'none', {'preset': 'diag' or 'offdiag'} or {'file': path}, "
+            f"got {gauge!r}"
+        )
 
     symmetry = None
-    sraw = obj.get("symmetry")
-    if sraw is not None:
-        if not isinstance(sraw, dict):
-            raise ConfigError("key 'symmetry' must be an object")
-        _reject_unknown(sraw, {"f", "g"}, "symmetry")
-        try:
-            symmetry = ConformalSpec.from_json(sraw, chart)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"key 'symmetry': {exc}") from exc
+    if obj.get("symmetry") is not None:
+        symmetry = _symmetry(obj["symmetry"], chart)
         if solution.get("k", 0) > 2:
             raise ConfigError(
                 "key 'solution.k' must be at most 2 with a symmetry: deeper wave "
                 "functions sum the stored ladder rungs, which no deformation follows"
             )
 
+    return RunConfig(space, n, solution, grid, lam, a_coeffs, gauge, symmetry)
+
+
+def parse_verify(obj: dict) -> tuple[dict[str, float], object]:
+    """(``tolerances``, ``suite``) of a document from `load_config`, ``{}``
+    when there is none; the caller checks the suite name."""
+    tolerances = obj.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError("key 'tolerances' must be an object")
+    tolerances = {str(k): finite_number(v, f"tolerances.{k}") for k, v in tolerances.items()}
+    return tolerances, obj.get("suite", "all")
+
+
+def parse_outputs(obj: dict) -> list[dict]:
+    """``outputs`` of a document from `load_config`: a nonempty list of
+    ``{"format", "input", "path"}`` entries."""
     outputs = obj.get("outputs", [])
     if not isinstance(outputs, list):
         raise ConfigError("key 'outputs' must be a list")
+    if not outputs:
+        raise ConfigError("key 'outputs' is empty; nothing to export")
     for i, entry in enumerate(outputs):
         if not isinstance(entry, dict):
             raise ConfigError(f"key 'outputs[{i}]' must be an object")
@@ -232,30 +297,11 @@ def parse_config(obj: dict) -> RunConfig:
         for req in ("input", "path"):
             if not isinstance(entry.get(req), str):
                 raise ConfigError(f"key 'outputs[{i}].{req}' must be a string")
-
-    tolerances = obj.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("key 'tolerances' must be an object")
-    tolerances = {str(k): finite_number(v, f"tolerances.{k}") for k, v in tolerances.items()}
-
-    suite = obj.get("suite", "all")
-
-    return RunConfig(
-        space=space,
-        n=n,
-        solution=solution,
-        grid=grid,
-        lam=lam,
-        a_coeffs=a_coeffs,
-        gauge=gauge,
-        symmetry=symmetry,
-        outputs=outputs,
-        tolerances=tolerances,
-        suite=suite,
-    )
+    return outputs
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> dict:
+    """The JSON object in ``path``, its top-level keys checked by name."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -263,4 +309,4 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return parse_config(obj)
+    return _checked(obj)

@@ -278,16 +278,8 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 SecondJets = Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-class _SecondJetParts:
-    """d11, d12 and d22: the parts of ``_second_jets``."""
-
-    d11 = property(lambda self: self._second_jets[0])
-    d12 = property(lambda self: self._second_jets[1])
-    d22 = property(lambda self: self._second_jets[2])
-
-
 @dataclass(frozen=True, eq=False)
-class JetRows(_SecondJetParts):
+class JetRows:
     """The strip ``rows`` of grid rows of a `JetField`: the values and first
     jets of those rows as views, and their second jets, formed by
     ``second(rows)`` on first read and kept for the strip."""
@@ -306,9 +298,13 @@ class JetRows(_SecondJetParts):
     def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.second(self.rows)
 
+    d11 = property(lambda self: self._second_jets[0])
+    d12 = property(lambda self: self._second_jets[1])
+    d22 = property(lambda self: self._second_jets[2])
+
 
 @dataclass(frozen=True, kw_only=True)
-class JetField(_SecondJetParts, MatrixField):
+class JetField(MatrixField):
     """A field with its chart derivatives up to second order.
 
     The values and ``margin`` are those of the field itself; ``margin1``
@@ -317,8 +313,8 @@ class JetField(_SecondJetParts, MatrixField):
     the doubled margin).  d1 and d2 are stored; the second jets come from
     ``second``, a function of grid rows that returns (d11, d12, d22) on
     the rows asked, so a consumer that reads only the first-order jets
-    never forms them.  The whole-field d11, d12 and d22 are
-    ``second(slice(None))``.
+    never forms them.  A reader of the whole-field second jets takes them
+    from ``rows(slice(None))``, which forms all three once.
     """
 
     d1: np.ndarray
@@ -326,10 +322,6 @@ class JetField(_SecondJetParts, MatrixField):
     second: SecondJets
     margin1: int
     margin2: int
-
-    @property
-    def _second_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.second(slice(None))
 
     def rows(self, rows: slice) -> JetRows:
         """The strip ``rows`` of grid rows; its second jets are formed for

@@ -120,8 +120,10 @@ def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
 
 
 def el_residual(j: JetField) -> tuple[np.ndarray, int]:
-    """Pointwise ||[theta_12, theta]||_F: the equation-of-motion residual."""
-    return fro(commutator(j.d12, j.values)), j.margin2
+    """Pointwise ||[theta_12, theta]||_F: the equation-of-motion residual,
+    one strip of grid rows at a time."""
+    (el,) = j.map_rows(lambda jr: (fro(commutator(jr.d12, jr.values)),))
+    return el, j.margin2
 
 
 def theta_square_residual(j: JetField) -> tuple[np.ndarray, int]:

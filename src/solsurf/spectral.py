@@ -167,15 +167,15 @@ def _lowered_value(
 
 
 def lowered_rung_with_jets(
-    p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray, j: JetRows | JetField
+    p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray, j: JetRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lowered projector L(P) = D2P P D1P / tr(...), its first derivatives,
     and the mask of nodes where the denominator vanished (NaN there).
 
-    ``j`` holds the jets of theta on the nodes of ``p``, a strip of rows
-    (`JetRows`) as a rule.  The derivatives come from the quotient rule
-    through the jets of the input, so the output is again differentiable
-    data; one extra jet order of the input is consumed per application.
+    ``j`` holds the jets of theta on the nodes of ``p``, a strip of rows.
+    The derivatives come from the quotient rule through the jets of the
+    input, so the output is again differentiable data; one extra jet
+    order of the input is consumed per application.
     """
     r, d2p_p, num, deninv, bad = _lowered_value(p, d1p, d2p)
 

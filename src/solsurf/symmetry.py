@@ -162,29 +162,6 @@ class ConformalSpec:
         symmetry's vector field."""
         return self.f(grid) * x1 + self.g(grid) * x2
 
-    @staticmethod
-    def from_json(obj: dict, chart: str) -> "ConformalSpec":
-        """Coefficients from ``{"f": [[re, im], ...], "g": [[re, im], ...]}``.
-
-        A missing list or an entry that is not a pair of finite numbers
-        raises `ConfigError` naming it, e.g. ``symmetry.f[0]``.
-        """
-        from .config import ConfigError, finite_number
-
-        def coeffs(key: str) -> tuple[complex, ...]:
-            raw = obj.get(key)
-            if not isinstance(raw, list):
-                raise ConfigError(f"key 'symmetry.{key}' must be a list of [re, im] pairs")
-            out = []
-            for i, c in enumerate(raw):
-                where = f"symmetry.{key}[{i}]"
-                if not (isinstance(c, list) and len(c) == 2):
-                    raise ConfigError(f"key {where!r} must be a [re, im] pair, got {c!r}")
-                out.append(complex(finite_number(c[0], where), finite_number(c[1], where)))
-            return tuple(out)
-
-        return ConformalSpec(coeffs("f"), coeffs("g"), chart)
-
 
 def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
     """Q = f(x1) theta_1 + g(x2) theta_2."""

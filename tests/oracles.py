@@ -339,12 +339,13 @@ def u_derivatives_whole(j: JetField, lam: complex, index: int) -> tuple[np.ndarr
     """`solsurf.symmetry.u_derivatives_functional` on the whole grid."""
     lam = check_lambda(lam)
     c = -2 / (1 + lam) if index == 1 else -2 / (1 - lam)
+    jr = j.rows(slice(None))  # forms the whole second jets once
     if index == 1:
-        v1 = commutator(j.d11, j.values)
-        v2 = commutator(j.d12, j.values) + commutator(j.d1, j.d2)
+        v1 = commutator(jr.d11, j.values)
+        v2 = commutator(jr.d12, j.values) + commutator(j.d1, j.d2)
     else:
-        v1 = commutator(j.d12, j.values) + commutator(j.d2, j.d1)
-        v2 = commutator(j.d22, j.values)
+        v1 = commutator(jr.d12, j.values) + commutator(j.d2, j.d1)
+        v2 = commutator(jr.d22, j.values)
     v1 *= c
     v2 *= c
     return v1, v2
@@ -374,7 +375,8 @@ def lowered_rung_with_jets_whole(j: JetField) -> tuple[np.ndarray, np.ndarray, n
         dden = trace(dnum) * deninv**2
         return dnum * deninv - num * dden
 
-    return r, derivative(d1p, j.d12, j.d11), derivative(d2p, j.d22, j.d12)
+    jr = j.rows(slice(None))
+    return r, derivative(d1p, jr.d12, jr.d11), derivative(d2p, jr.d22, jr.d12)
 
 
 def lowered_rungs_whole(j: JetField, k: int) -> list[np.ndarray]:

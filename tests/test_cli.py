@@ -232,8 +232,13 @@ def test_cli_verify_unknown_suite(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("command", ["verify", "export"])
-@pytest.mark.parametrize("flag", [["--lambda", "abc"], ["--grid-h", "-5"]])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for f in (["--lambda", "abc"], ["--grid-h", "-5"]) for c in ("verify", "export")]
+    # solve reads no lambda, so it takes no --lambda
+    + [("solve", ["--lambda", "abc"])],
+    ids=["flag0-verify", "flag0-export", "flag1-verify", "flag1-export", "flag0-solve"],
+)
 def test_cli_override_flags_exist_only_on_solve_and_immerse(tmp_path, capsys, command, flag):
     cfg = write_cfg(tmp_path, BASE_TRAVELING)
     out = str(tmp_path / "o")
@@ -252,6 +257,57 @@ def test_cli_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "key 'tolerances.identities.su-basis-closur'" in err
+    assert not os.path.exists(out)
+
+
+def test_cli_verify_and_export_read_only_their_own_keys(tmp_path, capsys):
+    # a verify config of tolerances alone and an export config of outputs
+    # alone run; run keys beside them are not read, so even invalid ones pass
+    from solsurf.fields import CHART_MINKOWSKI, Grid2
+
+    unread = {"space": "weird", "lambda": 1.0}
+    tolerances = {"tolerances": {"identities.su-basis-closure": 1e-11}}
+    for i, obj in enumerate((tolerances, {**tolerances, **unread})):
+        cfg = write_cfg(tmp_path, obj, f"verify{i}.json")
+        out = str(tmp_path / f"v{i}")
+        assert main(["verify", "--config", cfg, "--suite", "identities", "--out", out]) == 0
+        assert json.loads(open(os.path.join(out, "report.json")).read())["passed"] is True
+    field = str(tmp_path / "f.npz")
+    grid = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.01, 0.01), (13, 11))
+    write_field(field, MatrixField(grid, np.zeros((2, 2, 11, 13), dtype=complex)))
+    outputs = {"outputs": [{"format": "csv", "input": field, "path": "f.csv"},
+                           {"format": "json", "input": field, "path": "f.json"}]}
+    for i, obj in enumerate((outputs, {**outputs, **unread})):
+        out = str(tmp_path / f"e{i}")
+        assert main(["export", "--config", write_cfg(tmp_path, obj, f"export{i}.json"),
+                     "--out", out]) == 0
+        again, _ = read_field(os.path.join(out, "f.json"))
+        assert again.grid == grid and os.path.exists(os.path.join(out, "f.csv"))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "gauge", [{"preset": "diag", "file": "missing.npz"}, {"preset": "skew"}, {}],
+    ids=["preset-and-file", "unknown-preset", "neither"],
+)
+def test_cli_gauge_takes_one_known_preset_or_one_file(tmp_path, capsys, gauge):
+    cfg = write_cfg(tmp_path, {**BASE_TRAVELING, "gauge": gauge})
+    out = str(tmp_path / "o")
+    assert main(["immerse", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: key 'gauge' must be ")
+    assert not os.path.exists(out)
+
+
+def test_cli_immerse_without_a_tangent_term_builds_nothing(tmp_path, capsys, monkeypatch):
+    import solsurf.cli as cli
+
+    monkeypatch.setattr(cli, "_build_solution", lambda cfg: pytest.fail("built the solution"))
+    cfg = {k: v for k, v in README_EUCLID.items() if k != "symmetry"}
+    out = str(tmp_path / "o")
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: immersion requires at least one of: a_coeffs, gauge, symmetry\n"
+    )
     assert not os.path.exists(out)
 
 
@@ -365,6 +421,7 @@ README_MINK = {
     [
         (README_EUCLID, {"n": "x"}, [], "key 'n'"),
         (README_MINK, {"a_coeffs": ["x"]}, [], "key 'a_coeffs[0]'"),
+        # read by verify alone
         (README_EUCLID, {"tolerances": {"prop2.integrated-tangents": "abc"}}, [],
          "key 'tolerances.prop2.integrated-tangents'"),
         (README_EUCLID, {}, ["--lambda", "abc"], "--lambda"),
@@ -384,6 +441,7 @@ README_MINK = {
         (README_MINK, {"lambda": 1e200}, [], "key 'lambda'"),
         (README_MINK, {"grid": {"spacing": [1e308, 0.001], "dims": [21, 21]}}, [], "key 'grid'"),
         (README_MINK, {"gauge": {"file": 5}}, [], "key 'gauge'"),
+        # read by export alone
         (README_MINK, {"outputs": [{"format": "obj", "input": 5, "path": "x.obj"}]}, [],
          "key 'outputs[0].input'"),
     ],
@@ -396,9 +454,11 @@ README_MINK = {
     ],
 )
 def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, flags, named):
+    # each key is rejected by the command that reads it
+    command = "verify" if "tolerances" in change else "export" if "outputs" in change else "immerse"
     cfg = write_cfg(tmp_path, {**base, **change})
     out = str(tmp_path / "out")
-    assert main(["immerse", "--config", cfg, "--out", out, *flags]) == 2
+    assert main([command, "--config", cfg, "--out", out, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and named in err
     assert not os.path.exists(out)
@@ -717,16 +777,16 @@ def test_cli_immerse_singular_wave_function_is_a_config_error(tmp_path, capsys):
 
 
 def test_symmetry_coefficients_must_be_pairs():
-    from solsurf.fields import CHART_MINKOWSKI
-    from solsurf.symmetry import ConformalSpec
+    def parse(symmetry):
+        return parse_config({**BASE_TRAVELING, "symmetry": symmetry}).symmetry
 
     with pytest.raises(ConfigError, match=r"symmetry\.f\[0\]' must be a \[re, im\] pair"):
-        ConformalSpec.from_json({"f": [0, 1], "g": [[0, 0]]}, CHART_MINKOWSKI)
+        parse({"f": [0, 1], "g": [[0, 0]]})
     with pytest.raises(ConfigError, match=r"symmetry\.g\[1\]' must be a finite number"):
-        ConformalSpec.from_json({"f": [[0, 0]], "g": [[0, 0], [float("inf"), 0]]}, CHART_MINKOWSKI)
+        parse({"f": [[0, 0]], "g": [[0, 0], [float("inf"), 0]]})
     with pytest.raises(ConfigError, match=r"symmetry\.g' must be a list"):
-        ConformalSpec.from_json({"f": [[0, 0]]}, CHART_MINKOWSKI)
-    spec = ConformalSpec.from_json({"f": [[0, 0], [1, 0]], "g": [[0.5, 0]]}, CHART_MINKOWSKI)
+        parse({"f": [[0, 0]]})
+    spec = parse({"f": [[0, 0], [1, 0]], "g": [[0.5, 0]]})
     assert spec.f_coeffs == (0j, 1 + 0j) and spec.g_coeffs == (0.5 + 0j,)
 
 

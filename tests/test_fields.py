@@ -79,8 +79,9 @@ def test_chart_jets_euclidean_holomorphic():
     jets = chart_jets(MatrixField(g, f.astype(complex), 0))
     assert interior_max(jets.d2, jets.margin1) < 1e-11
     assert interior_max(jets.d1 - 3 * xi**2, jets.margin1) < 1e-11
-    assert interior_max(jets.d11 - 6 * xi, jets.margin2) < 1e-10
-    assert interior_max(jets.d12, jets.margin2) < 1e-10
+    whole = jets.rows(slice(None))
+    assert interior_max(whole.d11 - 6 * xi, jets.margin2) < 1e-10
+    assert interior_max(whole.d12, jets.margin2) < 1e-10
 
 
 def test_cumulative_integral_exact_on_cubics():
