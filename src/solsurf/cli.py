@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .config import (
-    GAUGE_PRESETS, ConfigError, RunConfig, load_config, parse_config, parse_outputs, parse_verify
+    GAUGE_PRESETS, ConfigError, RunConfig, SolveConfig, load_config, parse_config, parse_outputs,
+    parse_solve, parse_verify,
 )
 from .errors import DeformationOutOfDomain, FieldFileError, LambdaSingular, MarginExhausted
 from .fields import (
@@ -54,7 +56,7 @@ from .immersion import (
     sym_tafel,
     tangent_check,
 )
-from .matlie import NonFiniteMatrix, constant, fro, su_basis
+from .matlie import NonFiniteMatrix, constant, fro, identity, mm, su_basis
 from .sigma import (
     JetField,
     el_residual,
@@ -63,7 +65,7 @@ from .sigma import (
     theta_square_residual,
     traveling_solution,
     u_pair,
-    veronese_ladder,
+    veronese,
 )
 from .spectral import (
     WaveField,
@@ -122,14 +124,27 @@ def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
 COMPLETENESS_TOL = 1e-8
 
 
-def _build_solution(cfg: RunConfig):
-    """Returns (jet_field, ladder_or_wave, extras dict); a config error if
-    theta, D_1 theta and D_2 theta are finite together at no interior node,
-    or if the rungs of a Veronese ladder sum to the identity no closer than
-    ``COMPLETENESS_TOL``."""
+def _completeness_residual(rungs: list[MatrixField]) -> float:
+    """How far the rung projectors sum from the identity, over the interior."""
+    total = sum(r.values for r in rungs)
+    return interior_max(fro(total - identity(rungs[0].n)), max(r.margin for r in rungs))
+
+
+def _orthogonality_defect(rungs: list[MatrixField]) -> float:
+    """The largest product of two distinct rung projectors, over the interior."""
+    m = max(r.margin for r in rungs)
+    pairs = itertools.combinations(rungs, 2)
+    return max(0.0, *(interior_max(fro(mm(a.values, b.values)), m) for a, b in pairs))
+
+
+def _build_solution(cfg: SolveConfig):
+    """Returns (jet_field, rungs_or_wave, extras dict): the jets of theta,
+    and the projector of every ladder rung or the traveling wave; a config
+    error if theta, D_1 theta and D_2 theta are finite together at no
+    interior node, or if the rungs of a Veronese ladder sum to the identity
+    no closer than ``COMPLETENESS_TOL``."""
     if cfg.solution["kind"] == "veronese":
-        carrier = veronese_ladder(cfg.n, cfg.grid)
-        j = theta_of(carrier.rungs[cfg.solution["k"]])
+        carrier, j = veronese(cfg.n, cfg.grid, cfg.solution["k"])
         meta = {"kind": "veronese", "k": cfg.solution["k"]}
     else:
         carrier, j = traveling_solution(cfg.solution["kappa"], cfg.solution["omega"], cfg.grid)
@@ -138,7 +153,7 @@ def _build_solution(cfg: RunConfig):
     if not interior(finite.all(axis=(0, 1)), j.margin1).any():
         raise ConfigError("keys 'solution' and 'grid': the solution is not finite on the grid")
     if meta["kind"] == "veronese":
-        residual = carrier.completeness_residual()
+        residual = _completeness_residual(carrier)
         if residual > COMPLETENESS_TOL:
             raise ConfigError(
                 "keys 'solution' and 'grid': the Veronese ladder is not complete on the grid "
@@ -151,8 +166,8 @@ def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
     """The jet -> Phi builder of the solution, which a symmetry deforms.
 
     The Euclidean builder lowers the rungs from the jets up to level 2,
-    and ignores the ladder there; deeper levels sum the stored ladder
-    rungs, so `parse_config` admits no symmetry on them.
+    and ignores the ladder there; deeper levels sum the stored rung
+    projectors, so `parse_config` admits no symmetry on them.
     """
     if cfg.solution["kind"] == "traveling":
         return lambda jd: phi_traveling(carrier, jd, cfg.lam)
@@ -187,22 +202,21 @@ def _non_finite(report: dict, prefix: str = "") -> list[str]:
 
 # a summary value that overflows is rejected below, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_solve(cfg: RunConfig, outdir: str) -> int:
+def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
     j, carrier, meta = _build_solution(cfg)
     summary: dict = {"solution": meta, "grid": cfg.grid.to_json(), "n": cfg.n}
     with _staged(outdir) as stage:
         write_field(stage("theta.npz"), j)
         if meta["kind"] == "veronese":
-            # a bare field takes the stencil route, so the residual does not
-            # rest on the exact jets it certifies
-            rung = carrier.rungs[cfg.solution["k"]]
-            el, em = el_residual(theta_of(MatrixField(rung.grid, rung.values, rung.margin)))
+            # the stencil route, so the residual does not rest on the exact
+            # jets it certifies
+            el, em = el_residual(theta_of(carrier[cfg.solution["k"]]))
             summary["el_residual_max"] = interior_max(el, em)
-            for m in range(len(carrier)):
-                write_field(stage(f"ladder_{m}.npz"), carrier.rungs[m])
+            for m, rung in enumerate(carrier):
+                write_field(stage(f"ladder_{m}.npz"), rung)
             summary["ladder_length"] = len(carrier)
-            summary["orthogonality_defect"] = carrier.orthogonality_defect()
-            summary["completeness_residual"] = carrier.completeness_residual()
+            summary["orthogonality_defect"] = _orthogonality_defect(carrier)
+            summary["completeness_residual"] = _completeness_residual(carrier)
             write_scalar_csv(stage("el_residual.csv"), cfg.grid, el, em)
         else:
             tvdefect = interior_max(fro(carrier.kappa * j.d1 - j.d2), j.margin1)
@@ -286,7 +300,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
 
         # the connection pair is read only by the compatibility check
         u1, u2 = u_pair(j, cfg.lam)
-        del j, carrier, builder  # the Euclidean builder holds the ladder
+        del j, carrier, builder  # the Euclidean builder holds the rungs
         res = integrate_surface(a, b, wave, u1=u1, u2=u2)
         del u1, u2
         write_field(stage("immersion.npz"), res.field)
@@ -402,11 +416,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--config is required for this command")
         if args.command == "export":
             return cmd_export(parse_outputs(obj), args.out)
-        # solve takes no --lambda
-        cfg = parse_config(obj, vars(args).get("lam"), args.grid_h)
         if args.command == "solve":
-            return cmd_solve(cfg, args.out)
-        return cmd_immerse(cfg, args.out)
+            return cmd_solve(parse_solve(obj, args.grid_h), args.out)
+        return cmd_immerse(parse_config(obj, args.lam, args.grid_h), args.out)
     except (ConfigError, LambdaSingular) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -2,12 +2,13 @@
 
 All commands share one top-level key set, and `load_config` rejects an
 unknown key (reproducibility beats convenience).  Each command parses
-only the keys it reads and accepts the others unread: `parse_config` the
-run keys of ``solve`` and ``immerse``, whose cross-field consistency is
-checked before any computation starts (the chart fixes which solution
-generators and symmetry data are admissible), `parse_verify` the
-``tolerances`` and ``suite`` of ``verify``, and `parse_outputs` the
-``outputs`` of ``export``.
+only the keys it reads and accepts the others unread: `parse_solve` the
+solution and grid keys of ``solve``, `parse_config` those and the
+spectral parameter and tangent terms of ``immerse``, whose cross-field
+consistency is checked before any computation starts (the chart fixes
+which solution generators and symmetry data are admissible),
+`parse_verify` the ``tolerances`` and ``suite`` of ``verify``, and
+`parse_outputs` the ``outputs`` of ``export``.
 
 Every number must be a finite JSON number (NaN, Infinity, strings and
 booleans are rejected), and every failure is a `ConfigError` that names
@@ -24,8 +25,8 @@ from .fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2
 from .symmetry import ConformalSpec
 
 __all__ = [
-    "ConfigError", "GAUGE_PRESETS", "RunConfig", "finite_number", "load_config",
-    "parse_config", "parse_lambda", "parse_outputs", "parse_verify",
+    "ConfigError", "GAUGE_PRESETS", "RunConfig", "SolveConfig", "finite_number", "load_config",
+    "parse_config", "parse_lambda", "parse_outputs", "parse_solve", "parse_verify",
 ]
 
 
@@ -40,10 +41,10 @@ _TOP_KEYS = {
     "tolerances", "suite", "outputs",
 }
 
-# Largest matrix size.  A Veronese ladder holds n rungs of n x n fields
-# with their jets, so memory grows as n^3 per node: n = 8 on a 61^2 grid
-# peaks near 265 MB in `solve`, and its binomial weights overflow a float
-# from n of about 1030.
+# Largest matrix size.  A Veronese ladder holds n rungs of n x n fields,
+# so memory grows as n^3 per node: n = 8 on a 61^2 grid at spacing 0.01
+# peaks near 120 MB (ru_maxrss) in `solve`, and its binomial weights
+# overflow a float from n of about 1030.
 MAX_N = 8
 
 # Largest part of the spectral parameter: the wave-function coefficients
@@ -66,13 +67,20 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 
 @dataclass
-class RunConfig:
-    """The run keys, which ``solve`` and ``immerse`` read."""
+class SolveConfig:
+    """The keys that ``solve`` reads: the solution and its grid."""
 
     space: str
     n: int
     solution: dict
     grid: Grid2
+
+
+@dataclass
+class RunConfig(SolveConfig):
+    """The run keys, which ``immerse`` reads: the solution and its grid,
+    the spectral parameter and the tangent terms."""
+
     lam: complex
     a_coeffs: tuple[float, ...] = ()
     gauge: dict | str = "none"
@@ -167,12 +175,10 @@ def _symmetry(obj, chart: str) -> ConformalSpec:
         raise ConfigError(f"key 'symmetry': {exc}") from exc
 
 
-def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = None) -> RunConfig:
-    """The run keys of ``obj``, whose other keys are checked by name only.
-
-    ``lam_flag`` and ``grid_h``, the flags ``--lambda`` (its text) and
-    ``--grid-h``, override ``lambda`` and both grid spacings.
-    """
+def parse_solve(obj: dict, grid_h: float | None = None) -> SolveConfig:
+    """The keys of ``obj`` that ``solve`` reads, whose other keys are
+    checked by name only; ``grid_h``, the flag ``--grid-h``, overrides both
+    grid spacings."""
     obj = _checked(obj)
     model = obj.get("model", "cp")
     if model != "cp":
@@ -234,6 +240,16 @@ def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = 
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
+    return SolveConfig(space, n, solution, grid)
+
+
+def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = None) -> RunConfig:
+    """The run keys of ``obj``, whose other keys are checked by name only.
+
+    ``lam_flag`` and ``grid_h``, the flags ``--lambda`` (its text) and
+    ``--grid-h``, override ``lambda`` and both grid spacings.
+    """
+    sol = parse_solve(obj, grid_h)
     lam = parse_lambda(obj.get("lambda", [0.5, 0.0]))
     if lam_flag is not None:
         try:
@@ -260,14 +276,14 @@ def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = 
 
     symmetry = None
     if obj.get("symmetry") is not None:
-        symmetry = _symmetry(obj["symmetry"], chart)
-        if solution.get("k", 0) > 2:
+        symmetry = _symmetry(obj["symmetry"], sol.grid.chart)
+        if sol.solution.get("k", 0) > 2:
             raise ConfigError(
                 "key 'solution.k' must be at most 2 with a symmetry: deeper wave "
                 "functions sum the stored ladder rungs, which no deformation follows"
             )
 
-    return RunConfig(space, n, solution, grid, lam, a_coeffs, gauge, symmetry)
+    return RunConfig(sol.space, sol.n, sol.solution, sol.grid, lam, a_coeffs, gauge, symmetry)
 
 
 def parse_verify(obj: dict) -> tuple[dict[str, float], object]:

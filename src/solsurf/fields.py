@@ -9,9 +9,10 @@ that its margin defines.
 A field together with its chart derivatives is a `JetField`: a
 `MatrixField` that also carries D_1, D_2 and ``second(rows)``, which
 forms the three second derivatives on the grid rows asked, each order
-with its own margin.  theta, a symmetry characteristic Q, a Veronese
-projector rung, the traveling wave and every deformation theta + eps Q
-are all `JetField`s; `chart_jets` makes one from any field by stencils.
+with its own margin.  theta of the active Veronese rung or of the
+traveling wave, a symmetry characteristic Q and every deformation
+theta + eps Q are all `JetField`s; `chart_jets` makes one from any field
+by stencils.
 
 Pointwise kernels of the jets (the connection, the lowering operator,
 the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:

@@ -8,12 +8,12 @@ algebra-valued variable is theta = i(P - I/N).  Solution generators:
   holomorphic curve, which gives exact values and exact jets.
 * A rotating traveling wave on the Minkowski chart with exact jets.
 
-Exact jets travel as a `JetField` (see :mod:`solsurf.fields`): each
-Veronese rung is a `JetField` of P, and the traveling wave one of theta.
-`theta_of` turns a projector into the jets of theta and picks the route
-from its input: a `JetField` passes its exact jets on, a bare
-`MatrixField` is differentiated with 4th-order stencils.  Derivative
-conventions follow :mod:`solsurf.fields`.
+Exact jets travel as a `JetField` of theta (see :mod:`solsurf.fields`).
+`veronese` returns the projector of every rung of the ladder as a bare
+`MatrixField` and theta of the one rung asked for with exact jets;
+`traveling_solution` returns theta of the wave with exact jets.
+`theta_of` turns a bare projector field into the jets of theta by
+4th-order stencils.  Derivative conventions follow :mod:`solsurf.fields`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,14 +33,12 @@ from .fields import (
     JetRows,
     MatrixField,
     chart_jets,
-    interior_max,
     sliced_second,
 )
 from .matlie import commutator, dagger, fro, identity, mm
 
 __all__ = [
     "JetField",
-    "SolutionLadder",
     "TravelingWave",
     "check_lambda",
     "el_residual",
@@ -52,8 +49,7 @@ __all__ = [
     "theta_triple_residual",
     "traveling_solution",
     "u_pair",
-    "veronese_field",
-    "veronese_ladder",
+    "veronese",
 ]
 
 TOL_LAMBDA = 1e-6
@@ -72,28 +68,10 @@ def projector(j: JetField | JetRows) -> np.ndarray:
 
 
 def theta_of(p: MatrixField) -> JetField:
-    """Jets of the algebra-valued variable theta = i(P - I/N).
-
-    A projector that is a `JetField` passes its jets on, scaled by i; a
-    bare field is differentiated with 4th-order stencils.
-    """
-    n = p.n
-    theta = 1j * (p.values - identity(n) / n)
-    if not isinstance(p, JetField):
-        return chart_jets(MatrixField(p.grid, theta, p.margin))
-    # the second jets are at hand: scaling them now keeps the projector's
-    # jets from being held alive by the returned field
-    second = tuple(1j * x for x in p.second(slice(None)))
-    return JetField(
-        grid=p.grid,
-        values=theta,
-        margin=p.margin,
-        d1=1j * p.d1,
-        d2=1j * p.d2,
-        second=sliced_second(lambda: second),
-        margin1=p.margin1,
-        margin2=p.margin2,
-    )
+    """Jets of the algebra-valued variable theta = i(P - I/N) of the
+    projector field ``p``, by 4th-order stencils of its values."""
+    theta = 1j * (p.values - identity(p.n) / p.n)
+    return chart_jets(MatrixField(p.grid, theta, p.margin))
 
 
 # --- model operators and residuals -------------------------------------------
@@ -153,136 +131,89 @@ def theta_triple_residual(j: JetField) -> tuple[np.ndarray, int]:
 
 # far out the frame overflows to non-finite nodes; `_build_solution` rejects it if all are
 @np.errstate(over="ignore", invalid="ignore")
-def _veronese_jets(n: int, xi: np.ndarray, ks: Sequence[int]) -> list[dict[str, np.ndarray]]:
-    """Exact fields of the Veronese rungs ``ks`` at every grid point.
+def veronese(n: int, grid: Grid2, k: int = 0) -> tuple[list[MatrixField], JetField]:
+    """The Veronese ladder of CP^{N-1} from one frame build: the projector
+    P_0 .. P_{N-1} of every rung as values, and theta = i(P_k - I/N) of
+    rung ``k`` with exact jets.
 
-    Orthogonalizes the holomorphic curve v, v', v'' ... at each point, up
-    to the last vector a requested rung reads; the rung projectors and all
-    their first and second derivatives come out of hop matrices between
-    consecutive frame vectors, with no grid stencils involved.  Each
-    projector and hop is built once, and only if a requested rung reads it.
+    Orthogonalizes the holomorphic curve v, v', v'' ... at each point; rung
+    m's projector is the outer product of frame vector m with itself.  The
+    first and second jets of rung ``k`` come out of hop matrices between
+    consecutive frame vectors, with no grid stencils involved.
     """
-    shape = xi.shape
-    weights = [math.sqrt(math.comb(n - 1, k)) for k in range(n)]
-    derivs: list[np.ndarray] = []
-    for d in range(min(max(ks) + 2, n - 1) + 1):
-        v = np.zeros((n,) + shape, dtype=complex)
-        for k in range(d, n):
-            v[k] = weights[k] * math.prod(range(k - d + 1, k + 1)) * xi ** (k - d)
-        derivs.append(v)
-
-    frame: list[np.ndarray] = []
-    for v in derivs:
-        u = v.copy()
-        for q in frame:
-            qq = np.einsum("k...,k...->...", q.conj(), q)
-            u = u - np.einsum("k...,k...->...", q.conj(), v) / qq * q
-        frame.append(u)
-
-    w = [np.einsum("k...,k...->...", u.conj(), u).real for u in frame]
-    zero = np.zeros((n, n) + shape, dtype=complex)
-    t = 1.0 + np.abs(xi) ** 2
-    log_slope = [(n - 1 - 2 * k) * xi.conj() / t for k in range(n + 1)]
-
-    def outer(a: np.ndarray, b: np.ndarray, wj: np.ndarray) -> np.ndarray:
-        return a[:, None] * b.conj()[None, :] / wj
-
-    @functools.cache
-    def proj_at(k: int) -> np.ndarray:
-        return outer(frame[k], frame[k], w[k]) if 0 <= k < n else zero
-
-    @functools.cache
-    def hop_at(k: int) -> np.ndarray:
-        return outer(frame[k + 1], frame[k], w[k]) if 0 <= k < n - 1 else zero
-
-    def ratio_at(k: int) -> np.ndarray:
-        return w[k + 1] / w[k] if 0 <= k < n - 1 else np.zeros(shape)
-
-    def dhop(k: int) -> np.ndarray:
-        # holomorphic derivative of the up-hop matrix
-        if k < 0 or k >= n - 1:
-            return zero
-        two_up = outer(frame[k + 2], frame[k], w[k]) if k + 2 < n else zero
-        skip = outer(frame[k + 1], frame[k - 1], w[k - 1]) if k >= 1 else zero
-        return two_up + (log_slope[k + 1] - log_slope[k]) * hop_at(k) - skip
-
-    rungs = []
-    for k in ks:
-        d1p = hop_at(k) - hop_at(k - 1)
-        d12p = (
-            ratio_at(k) * (proj_at(k + 1) - proj_at(k))
-            - ratio_at(k - 1) * (proj_at(k) - proj_at(k - 1))
-        )
-        d11p = dhop(k) - dhop(k - 1)
-        rungs.append(
-            {
-                "p": proj_at(k),
-                "d1": d1p,
-                "d2": dagger(d1p),
-                "d11": d11p,
-                "d12": d12p,
-                "d22": dagger(d11p),
-            }
-        )
-    return rungs
-
-
-@dataclass
-class SolutionLadder:
-    """Mutually orthogonal projector rungs reached by repeated raising.
-
-    A rung is a `JetField` when its jets are exact, a bare `MatrixField`
-    otherwise."""
-
-    n: int
-    rungs: list[MatrixField]
-
-    def __len__(self) -> int:
-        return len(self.rungs)
-
-    def completeness_residual(self) -> float:
-        total = sum(r.values for r in self.rungs)
-        m = max(r.margin for r in self.rungs)
-        return interior_max(fro(total - identity(self.n)), m)
-
-    def orthogonality_defect(self) -> float:
-        m = max(r.margin for r in self.rungs)
-        worst = 0.0
-        for a in range(len(self.rungs)):
-            for b in range(a + 1, len(self.rungs)):
-                worst = max(
-                    worst,
-                    interior_max(fro(mm(self.rungs[a].values, self.rungs[b].values)), m),
-                )
-        return worst
-
-
-def _veronese_rungs(n: int, grid: Grid2, ks: Sequence[int]) -> list[JetField]:
-    """Rungs ``ks`` of the Veronese ladder from one frame build."""
     if grid.chart != CHART_EUCLIDEAN:
         raise ChartMismatch("Veronese fields live on the euclidean-complex chart")
     if n < 2:
         raise ValueError("need N >= 2")
-    return [
-        JetField(
-            grid=grid, values=r["p"], d1=r["d1"], d2=r["d2"],
-            second=sliced_second(lambda r=r: (r["d11"], r["d12"], r["d22"])),
-            margin1=0, margin2=0,
-        )
-        for r in _veronese_jets(n, grid.xi(), ks)
-    ]
-
-
-def veronese_field(n: int, grid: Grid2, k: int = 0) -> JetField:
-    """Rung ``k`` of the Veronese ladder with exact values and exact jets."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"rung index {k} outside 0..{n - 1}")
-    return _veronese_rungs(n, grid, (k,))[0]
+    xi = grid.xi()
+    weights = [math.sqrt(math.comb(n - 1, m)) for m in range(n)]
+    frame: list[np.ndarray] = []
+    for d in range(n):
+        # the d-th derivative of the curve, orthogonalized against the lower ones
+        v = np.zeros((n,) + xi.shape, dtype=complex)
+        for m in range(d, n):
+            v[m] = weights[m] * math.prod(range(m - d + 1, m + 1)) * xi ** (m - d)
+        u = v
+        for q in frame:
+            qq = np.einsum("k...,k...->...", q.conj(), q)
+            u = u - np.einsum("k...,k...->...", q.conj(), v) / qq * q
+        frame.append(u)
+    w = [np.einsum("k...,k...->...", u.conj(), u).real for u in frame]
 
+    # the zero matrix of the rungs beyond either end, as a view that holds no memory
+    zero = np.broadcast_to(np.zeros((1, 1, 1, 1), dtype=complex), (n, n) + xi.shape)
+    t = 1.0 + np.abs(xi) ** 2
 
-def veronese_ladder(n: int, grid: Grid2) -> SolutionLadder:
-    """The full analytic ladder of the Veronese field (length N)."""
-    return SolutionLadder(n=n, rungs=_veronese_rungs(n, grid, range(n)))
+    def outer(a: np.ndarray, b: np.ndarray, wj: np.ndarray) -> np.ndarray:
+        out = a[:, None] * b.conj()[None, :]
+        out /= wj
+        return out
+
+    @functools.cache
+    def proj(m: int) -> np.ndarray:
+        return outer(frame[m], frame[m], w[m]) if 0 <= m < n else zero
+
+    def hop(m: int) -> np.ndarray:
+        # from frame vector m up to m + 1
+        return outer(frame[m + 1], frame[m], w[m]) if 0 <= m < n - 1 else zero
+
+    def ratio(m: int) -> np.ndarray:
+        return w[m + 1] / w[m] if 0 <= m < n - 1 else np.zeros(xi.shape)
+
+    def log_slope(m: int) -> np.ndarray:
+        return (n - 1 - 2 * m) * xi.conj() / t
+
+    def dhop(m: int) -> np.ndarray:
+        # holomorphic derivative of the up-hop matrix
+        if m < 0 or m >= n - 1:
+            return zero
+        two_up = outer(frame[m + 2], frame[m], w[m]) if m + 2 < n else zero
+        skip = outer(frame[m + 1], frame[m - 1], w[m - 1]) if m >= 1 else zero
+        return two_up + (log_slope(m + 1) - log_slope(m)) * hop(m) - skip
+
+    # theta's jets are those of P_k times i, scaled in place (exactly: i
+    # swaps and negates the parts); they are formed before the rungs that
+    # they do not read, so their temporaries are freed by then
+    d1 = hop(k) - hop(k - 1)
+    d11 = dhop(k) - dhop(k - 1)
+    d12 = ratio(k) * (proj(k + 1) - proj(k)) - ratio(k - 1) * (proj(k) - proj(k - 1))
+    d2, d22 = dagger(d1), dagger(d11)
+    second = (d11, d12, d22)
+    for x in (d1, d2, *second):
+        x *= 1j
+    theta = JetField(
+        grid=grid,
+        values=1j * (proj(k) - identity(n) / n),
+        d1=d1,
+        d2=d2,
+        second=sliced_second(lambda: second),
+        margin1=0,
+        margin2=0,
+    )
+    rungs = [MatrixField(grid, proj(m)) for m in range(n)]
+    return rungs, theta
 
 
 # --- traveling wave ------------------------------------------------------------

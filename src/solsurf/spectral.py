@@ -44,7 +44,7 @@ from .fields import (
     interior_max,
 )
 from .matlie import NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv, mm, trace
-from .sigma import JetField, SolutionLadder, TravelingWave, check_lambda, projector
+from .sigma import JetField, TravelingWave, check_lambda, projector
 
 __all__ = [
     "WaveField",
@@ -251,7 +251,7 @@ def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
 
 
 def _wave_strips(
-    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None, dlambda: bool
+    j: JetField, k: int, lam: complex, ladder: Sequence[MatrixField] | None, dlambda: bool
 ) -> tuple[list[np.ndarray], int]:
     """[Phi] of the level-k wave function, or [Phi, d(Phi)/d(lambda)] with
     ``dlambda``, one strip of grid rows at a time, and their margin.
@@ -279,8 +279,8 @@ def _wave_strips(
         return [phi, dphi]
 
     if k > 2 and ladder is not None:
-        stored = [r.values for r in ladder.rungs]
-        margin = max(r.margin for r in ladder.rungs)
+        stored = [r.values for r in ladder]
+        margin = max(r.margin for r in ladder)
         return j.map_rows(
             lambda jr: kernel(stored[k][..., jr.rows, :], [r[..., jr.rows, :] for r in stored[:k]])
         ), margin
@@ -289,16 +289,16 @@ def _wave_strips(
 
 
 def euclidean_wave(
-    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+    j: JetField, k: int, lam: complex, ladder: Sequence[MatrixField] | None = None
 ) -> WaveField:
     """Wave function of the level-k ladder solution carried by ``j``; above
-    k = 2 it sums the stored rungs of ``ladder``."""
+    k = 2 it sums the rung projectors ``ladder``."""
     (phi,), margin = _wave_strips(j, k, lam, ladder, dlambda=False)
     return WaveField(j.grid, phi, margin, lam=complex(lam))
 
 
 def euclidean_wave_dlambda(
-    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+    j: JetField, k: int, lam: complex, ladder: Sequence[MatrixField] | None = None
 ) -> tuple[WaveField, MatrixField]:
     """`euclidean_wave` and its analytic d(Phi)/d(lambda), from one strip pass."""
     (phi, dphi), margin = _wave_strips(j, k, lam, ladder, dlambda=True)

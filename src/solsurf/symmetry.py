@@ -57,6 +57,7 @@ from .fields import (
 )
 from .matlie import commutator, fro, mm
 from .sigma import JetField, TravelingWave, check_lambda, u_pair
+from .spectral import lowered_rung_derivatives, lowered_rungs_from_jets
 
 __all__ = [
     "ConformalSpec",
@@ -258,14 +259,11 @@ def u_derivatives_functional(lam: complex, index: int) -> Functional:
 
 def lowering_functional() -> Functional:
     """Value of the lowering operator applied once; rational in the jets."""
-    from .spectral import lowered_rungs_from_jets
-
     return lambda j: (MatrixField(j.grid, lowered_rungs_from_jets(j, 1)[0], j.margin1),)
 
 
 def lowering_derivatives_functional() -> Functional:
     """(D_1, D_2) of the once-lowered rung, from one lowering pass."""
-    from .spectral import lowered_rung_derivatives
 
     def g(j: JetField) -> tuple[MatrixField, MatrixField]:
         d1r, d2r = lowered_rung_derivatives(j)

@@ -69,8 +69,7 @@ from .sigma import (
     theta_triple_residual,
     traveling_solution,
     u_pair,
-    veronese_field,
-    veronese_ladder,
+    veronese,
 )
 from .spectral import (
     WaveField,
@@ -230,8 +229,7 @@ class Fixtures:
     @_fixture
     def theta_identity_defects(self, n: int) -> dict[str, float]:
         """The theta identities on rung (n, 0), on stencil jets of its projector."""
-        p = veronese_field(n, self.euclid_grid())
-        j = theta_of(MatrixField(p.grid, p.values, p.margin))
+        j = theta_of(veronese(n, self.euclid_grid())[0][0])
         return {
             "square": interior_max(*theta_square_residual(j)),
             "commutator": interior_max(*theta_comm_identity_residual(j)),
@@ -247,7 +245,7 @@ class Fixtures:
 
     @_fixture
     def jets_analytic(self) -> JetField:
-        return theta_of(veronese_field(2, self.euclid_grid()))
+        return veronese(2, self.euclid_grid())[1]
 
     @_fixture
     def euclid_wave(self) -> WaveField:
@@ -326,7 +324,7 @@ class Fixtures:
             w, prw_phi = self.euclid_wave(), self.euclid_prolonged()["wave"]
             calf, (a, b) = self.euclid_explicit(), self.euclid_tangents()
         else:
-            j = theta_of(veronese_field(n, self.euclid_grid(), k))
+            j = veronese(n, self.euclid_grid(), k)[1]
             gs = [wave_functional(_euclid_builder(k)), u_functional(LAM_EUCLID)]
             if k:
                 gs.append(lowering_functional())
@@ -588,7 +586,7 @@ def _grid_order(fx: Fixtures) -> float:
     gs = (lowering_functional(), lowering_derivatives_functional())
     ds = []
     for h in (0.012, 0.006, 0.003):
-        jh = theta_of(veronese_ladder(2, fx.euclid_grid(h)).rungs[1])
+        jh = veronese(2, fx.euclid_grid(h), 1)[1]
         qh = conformal_characteristic(spec, jh)
         (prw_g,), prw_dg = frechet_apply(gs, jh, qh, 1e-3)
         ds.append(commutation_defect(prw_g, prw_dg))

@@ -63,7 +63,6 @@ from solsurf.matlie import (
 )
 from solsurf.sigma import (
     JetField,
-    SolutionLadder,
     TravelingWave,
     check_lambda,
     projector,
@@ -95,19 +94,10 @@ def reproject_rank1(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def bare(f: MatrixField) -> MatrixField:
-    """``f`` without the jets it may carry, so `theta_of` differentiates it
-    with stencils."""
-    return MatrixField(f.grid, f.values, f.margin)
-
-
 def _ladder_step(p: MatrixField, up: bool, tol_contract_rel: float) -> MatrixField:
     if p.grid.chart != CHART_EUCLIDEAN:
         raise ChartMismatch("raising/lowering is defined on the euclidean-complex chart")
-    if isinstance(p, JetField):
-        d1p, d2p, margin = p.d1, p.d2, max(p.margin, p.margin1)
-    else:
-        d1p, d2p, margin = chart_first_derivatives(p)
+    d1p, d2p, margin = chart_first_derivatives(p)
     if up:
         num = mm(mm(d1p, p.values), d2p)
     else:
@@ -135,15 +125,15 @@ def lower_projector(p: MatrixField, tol_contract_rel: float = TOL_CONTRACT_REL) 
 
 def build_ladder(
     p0: MatrixField, tol_contract_rel: float = TOL_CONTRACT_REL, max_rungs: int = 8
-) -> SolutionLadder:
-    """Raise until contraction."""
+) -> list[MatrixField]:
+    """The rungs from ``p0`` up, raised until contraction."""
     rungs = [p0]
     while len(rungs) < max_rungs:
         try:
             rungs.append(raise_projector(rungs[-1], tol_contract_rel))
         except ContractedToZero:
             break
-    return SolutionLadder(n=p0.n, rungs=rungs)
+    return rungs
 
 
 # --- spectral parameter ------------------------------------------------------------
@@ -392,17 +382,17 @@ def lowered_rungs_whole(j: JetField, k: int) -> list[np.ndarray]:
 
 
 def _wave_terms_whole(
-    j: JetField, k: int, ladder: SolutionLadder | None
+    j: JetField, k: int, ladder: list[MatrixField] | None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """P and L(P) .. L^k(P): lowered from the jets up to k = 2, the stored
-    ``ladder`` rungs above."""
+    """P and L(P) .. L^k(P): lowered from the jets up to k = 2, the
+    ``ladder`` rung projectors above."""
     if k > 2 and ladder is not None:
-        return ladder.rungs[k].values, [r.values for r in ladder.rungs[:k]]
+        return ladder[k].values, [r.values for r in ladder[:k]]
     return projector(j), lowered_rungs_whole(j, k)
 
 
 def euclidean_wave_whole(
-    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+    j: JetField, k: int, lam: complex, ladder: list[MatrixField] | None = None
 ) -> np.ndarray:
     """Phi = I + beta P + c (L(P) + ... + L^k(P)) on the whole grid."""
     c, beta = euclidean_wave_coefficients(lam)
@@ -414,7 +404,7 @@ def euclidean_wave_whole(
 
 
 def euclidean_wave_dlambda_whole(
-    j: JetField, k: int, lam: complex, ladder: SolutionLadder | None = None
+    j: JetField, k: int, lam: complex, ladder: list[MatrixField] | None = None
 ) -> np.ndarray:
     """d(Phi)/d(lambda) = beta' P + c' (L(P) + ... + L^k(P)) on the whole grid."""
     lam = check_lambda(lam)

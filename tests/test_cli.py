@@ -1,4 +1,5 @@
 import contextlib
+import filecmp
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solsurf.cli import main
-from solsurf.config import ConfigError, parse_config
+from solsurf.config import ConfigError, parse_config, parse_solve
 from solsurf.fields import MatrixField, read_field, trim_margin, write_field
 from solsurf.geometry import embed_su2
 
@@ -360,23 +361,62 @@ def _held_array_bytes(root) -> int:
 def test_fixtures_hold_no_single_reader_field(monkeypatch):
     # a field that one row or fixture reads is built inside it and freed
     # on return, so the memoized fields stay small; and none of them is
-    # rebuilt: each rung's projector is built once, each appendix ladder once
+    # rebuilt: each rung is built once, each appendix rung once per grid
     from solsurf import verify
 
-    calls = {"veronese_field": 0, "veronese_ladder": 0}
-    for name in calls:
-        def counted(*args, _build=getattr(verify, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _build(*args, **kwargs)
-
-        monkeypatch.setattr(verify, name, counted)
+    calls = []
+    build = verify.veronese
+    monkeypatch.setattr(verify, "veronese", lambda *a, **kw: calls.append(a) or build(*a, **kw))
     fx = verify.Fixtures()
     held = []
     for check in verify._CHECKS:
         check.measure(fx)
         held.append(_held_array_bytes(fx._cache))
     assert max(held) <= 25e6, max(held)
-    assert calls == {"veronese_field": 7, "veronese_ladder": 3}
+    assert len(calls) == 10
+
+
+def test_cli_solution_holds_the_jets_of_the_active_rung_only():
+    # a Euclidean n = 4, k = 1 run: every rung is a bare projector field
+    # and theta of rung 1 alone carries jets; the heap peaks at 12.6 fields
+    # of 4 x 4 (32.6 when every rung carried its jets)
+    from solsurf.cli import _build_solution
+    from solsurf.sigma import JetField
+
+    cfg = parse_solve({**BASE_VERONESE, "n": 4, "solution": {"kind": "veronese", "k": 1}})
+    tracemalloc.start()
+    try:
+        j, rungs, meta = _build_solution(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert meta == {"kind": "veronese", "k": 1}
+    assert len(rungs) == 4 and all(type(r) is MatrixField for r in rungs)
+    assert type(j) is JetField
+    assert peak <= 13 * (16 * 61**2 * 16)
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"lambda": 1.0}, "key 'lambda'"),
+        ({"symmetry": {"f": [[0, 0], [1, 0]], "g": [[0, 0], [2, 0]]}}, "key 'symmetry'"),
+    ],
+    ids=["singular-lambda", "unmirrored-symmetry"],
+)
+def test_cli_solve_accepts_the_keys_it_does_not_read(tmp_path, capsys, change, named):
+    # solve reads the solution and its grid alone, so a spectral parameter
+    # or symmetry that immerse rejects changes none of its files
+    plain, out = str(tmp_path / "plain"), str(tmp_path / "out")
+    assert main(["solve", "--config", write_cfg(tmp_path, BASE_VERONESE), "--out", plain]) == 0
+    cfg = write_cfg(tmp_path, {**BASE_VERONESE, **change}, name="changed.json")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    names = sorted(os.listdir(plain))
+    assert "solve-summary.json" in names and sorted(os.listdir(out)) == names
+    assert filecmp.cmpfiles(plain, out, names, shallow=False)[0] == names
+    capsys.readouterr()
+    assert main(["immerse", "--config", cfg, "--out", str(tmp_path / "imm")]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {named}")
 
 
 def test_rung_prolongation_heap_peak_stays_within_24_fields():
@@ -794,7 +834,7 @@ def test_cli_immerse_deep_rung_sums_stored_rungs(tmp_path):
     # level 3 lies beyond the jets' second order: Phi and dPhi/dlambda
     # sum the stored ladder rungs
     from solsurf.fields import CHART_EUCLIDEAN, Grid2, interior_max
-    from solsurf.sigma import theta_of, u_pair, veronese_ladder
+    from solsurf.sigma import u_pair, veronese
     from solsurf.spectral import WaveField, lsp_residual
 
     cfg = {**README_EUCLID, "n": 4, "solution": {"kind": "veronese", "k": 3}, "a_coeffs": [1.0]}
@@ -810,7 +850,7 @@ def test_cli_immerse_deep_rung_sums_stored_rungs(tmp_path):
 
     wave, lam = read_field(os.path.join(out, "wave.npz"))
     grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (21, 21))
-    j = theta_of(veronese_ladder(4, grid).rungs[3])
+    j = veronese(4, grid, 3)[1]
     r1, r2, m = lsp_residual(WaveField(grid, wave.values, wave.margin, lam=lam), *u_pair(j, lam))
     assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
 
@@ -914,16 +954,21 @@ def _quiet_main(argv: list[str]) -> int:
 # a coarse grid may leave the tangent pair incompatible; integrate_surface warns by design
 @pytest.mark.filterwarnings("ignore:tangent pair is not compatible:UserWarning")
 def test_every_config_parses_or_is_rejected_and_solves(obj):
-    # every parsed config solves, and immerses when it has an ingredient;
-    # every surface that immerse writes exports to each format or exits 2
+    # every config that solve parses solves, and every config that immerse
+    # parses immerses when it has an ingredient; every surface that immerse
+    # writes exports to each format or exits 2
     try:
-        cfg = parse_config(obj)
+        parse_solve(obj)
     except ConfigError:
         return
     grid = obj.get("grid", {})
     run = {**obj, "grid": {**grid, "dims": [9, 9]}}
     commands = {"solve": "solve-summary.json"}
-    if cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None:
+    try:
+        cfg = parse_config(obj)
+    except ConfigError:
+        cfg = None
+    if cfg is not None and (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         commands["immerse"] = "immersion-report.json"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

@@ -16,7 +16,7 @@ from solsurf.fields import (
     interior_max,
 )
 from solsurf.matlie import commutator, constant, fro, identity, mm, su_basis
-from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_ladder
+from solsurf.sigma import JetField, traveling_solution, u_pair, veronese
 from solsurf.spectral import (
     WaveField,
     euclidean_wave,
@@ -51,10 +51,14 @@ from solsurf.immersion import (
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
 GRID_M = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.001, 0.001), (101, 101))
-LADDER2 = veronese_ladder(2, GRID)
 WAVE_M, JET_M = traveling_solution(2.0, 1.0, GRID_M)
 LAM_E = 0.6j
 LAM_M = 0.5
+
+
+def jets(k: int) -> JetField:
+    """theta of rung k of the CP^1 ladder on GRID, with exact jets."""
+    return veronese(2, GRID, k)[1]
 
 
 def identity_wave(grid, n, lam=0.0):
@@ -63,13 +67,13 @@ def identity_wave(grid, n, lam=0.0):
 
 
 def test_assemble_requires_ingredient():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     with pytest.raises(ValueError):
         assemble_tangents(j, LAM_E)
 
 
 def test_u_dlambda_coefficients():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     du1, du2 = u_dlambda(j, LAM_E)
     k1 = commutator(j.d1, j.values)
     k2 = commutator(j.d2, j.values)
@@ -78,7 +82,7 @@ def test_u_dlambda_coefficients():
 
 
 def test_integrate_zero_tangents():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(j.values), 0)
     res = integrate_surface(zero, zero, w)
@@ -104,7 +108,7 @@ def test_integrate_constant_commuting_tangents():
 
 
 def test_integrate_basepoint_and_validation():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
@@ -116,7 +120,7 @@ def test_integrate_basepoint_and_validation():
 
 def test_integrated_matches_closed_form_conformal():
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
@@ -132,7 +136,7 @@ def test_integrated_matches_closed_form_conformal():
 
 
 def test_incompatible_pair_warns():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(u1.values), u1.margin)
@@ -202,7 +206,7 @@ def test_compatibility_defect_strips_match_the_whole_field(chart, n):
 
 
 def test_sym_tafel_euclid():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w, dphi = euclidean_wave_dlambda(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     zero_f = sym_tafel(w, dphi, 0.0)
@@ -227,7 +231,7 @@ def test_sym_tafel_traveling_closed_form():
 
 
 def test_gauge_immersion():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(j.values), 0)
@@ -268,7 +272,7 @@ def test_gauge_term_cancels_for_commuting_constant():
 
 
 def test_assemble_additivity():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     s = constant_field(GRID, 1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
     ((pw1, pw2),) = frechet_apply([u_functional(LAM_E)], j, conformal_characteristic(spec, j))
@@ -283,7 +287,7 @@ def test_assemble_additivity():
 
 
 def test_conformal_zero_spec():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     f = conformal_immersion_closed(ConformalSpec.euclidean((0.0,)), j, w, LAM_E)
     assert interior_max(fro(f.values), f.margin) == 0
@@ -303,7 +307,7 @@ def test_traveling_conformal_closed_form_reduction():
 
 
 def test_prolong_immersion_trivial_and_psi():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     zero_q = MatrixField(GRID, np.zeros_like(j.values), 0)
     ((prw_phi,),) = frechet_apply([wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E))], j, zero_q)
@@ -323,7 +327,7 @@ def test_prolong_immersion_trivial_and_psi():
 
 
 def test_psi_sym_tafel_is_dlambda_phi():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     w, dphi = euclidean_wave_dlambda(j, 0, LAM_E)
     fst = sym_tafel(w, dphi, 1.0)
     psi = psi_of(fst, w)

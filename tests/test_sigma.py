@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import ContractedToZero, bare, build_ladder, lower_projector, raise_projector
+from oracles import ContractedToZero, build_ladder, lower_projector, raise_projector
+from solsurf.cli import _completeness_residual, _orthogonality_defect
 from solsurf.errors import ChartMismatch, LambdaSingular
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -22,8 +23,7 @@ from solsurf.sigma import (
     theta_triple_residual,
     traveling_solution,
     u_pair,
-    veronese_field,
-    veronese_ladder,
+    veronese,
 )
 
 H_FINE = 0.0015
@@ -41,7 +41,7 @@ def projector_defects(values):
 
 
 def test_veronese_values():
-    p0 = veronese_field(2, GRID)
+    p0 = veronese(2, GRID)[0][0]
     i2, i1 = GRID.n2 // 2, GRID.n1 // 2  # xi = 0
     assert np.allclose(p0.values[..., i2, i1], np.diag([1.0, 0.0]))
     # off-center value against the rank-one formula
@@ -51,32 +51,33 @@ def test_veronese_values():
     assert np.allclose(p0.values[..., 10, 20], expected, atol=1e-14)
     # grid containing xi = 1 at its center node
     g1 = Grid2(CHART_EUCLIDEAN, (1.0, 0.0), (0.01, 0.01), (11, 11))
-    p1 = veronese_field(2, g1)
+    p1 = veronese(2, g1)[0][0]
     assert np.allclose(p1.values[..., 5, 5], 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_veronese_ladder_rungs_match_single_fields(n):
-    # one frame build for the ladder gives every rung bit for bit
+    # one frame build gives every rung bit for bit, whichever rung carries
+    # the jets, and the jets are those of that rung's projector
     g = Grid2(CHART_EUCLIDEAN, (0.1, -0.2), (0.01, 0.01), (21, 21))
-    ladder = veronese_ladder(n, g)
+    ladder, _ = veronese(n, g)
     for k in range(n):
-        single = veronese_field(n, g, k)
-        rung = ladder.rungs[k]
-        assert np.array_equal(rung.values, single.values)
-        whole, single_whole = rung.rows(slice(None)), single.rows(slice(None))
-        for name in ("d1", "d2", "d11", "d12", "d22"):
-            assert np.array_equal(getattr(whole, name), getattr(single_whole, name))
-        assert (rung.margin1, rung.margin2) == (single.margin1, single.margin2)
+        rungs, single = veronese(n, g, k)
+        assert len(rungs) == n
+        for rung, again in zip(ladder, rungs):
+            assert type(again) is MatrixField and again.margin == 0
+            assert np.array_equal(rung.values, again.values)
+        assert np.array_equal(single.values, 1j * (ladder[k].values - identity(n) / n))
+        assert (single.margin, single.margin1, single.margin2) == (0, 0, 0)
 
 
-def test_veronese_field_builds_no_higher_rung():
-    # rung 0 of CP^3 reads the frame up to v'' and the projectors and hops
-    # of rungs 0 and 1 only; building every projector and hop up to N
-    # peaked at 15.8 fields of 4 x 4
+def test_veronese_builds_no_jets_of_another_rung():
+    # the ladder of CP^3 with rung 0 active: every projector is built, but
+    # only rung 0's jets; this peaks at 11.9 fields of 4 x 4, and building
+    # every rung's jets peaked at 30.7
     tracemalloc.start()
     try:
-        veronese_field(4, GRID, 0)
+        veronese(4, GRID, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -85,18 +86,18 @@ def test_veronese_field_builds_no_higher_rung():
 
 def test_veronese_invariants_and_chart():
     for n in (2, 3):
-        p0 = veronese_field(n, GRID)
+        p0 = veronese(n, GRID)[0][0]
         inv = projector_defects(p0.values)
         assert inv["hermiticity"].max() < 1e-13
         assert inv["idempotency"].max() < 1e-13
         assert inv["trace"].max() < 1e-13
     with pytest.raises(ChartMismatch):
-        veronese_field(2, GRID_M)
+        veronese(2, GRID_M)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_veronese_el_residual(n):
-    jn = theta_of(bare(veronese_field(n, GRID)))
+    jn = theta_of(veronese(n, GRID)[0][0])
     el, m = el_residual(jn)
     assert interior_max(el, m) < 1e-8
 
@@ -117,7 +118,7 @@ def test_zero_curvature_tracks_el_residual():
         el, em = el_residual(j)
         return interior_max(fro(zc), m), interior_max(el, em)
 
-    j = theta_of(bare(veronese_field(2, GRID)))
+    j = theta_of(veronese(2, GRID)[0][0])
     zc0, el0 = zc_and_el(j)
     assert zc0 < 1e-7 and el0 < 1e-8
 
@@ -138,7 +139,7 @@ def test_zero_curvature_tracks_el_residual():
 
 def test_el_residual_sensitivity():
     # a smooth non-solution bump must be detected
-    j = theta_of(bare(veronese_field(2, GRID)))
+    j = theta_of(veronese(2, GRID)[0][0])
     x, y = GRID.mesh()
     scale = (GRID.n1 - 1) * GRID.h1 / 2
     bump = 0.01 * np.exp(-((x / scale) ** 2 + (y / scale) ** 2) * 8)
@@ -150,9 +151,9 @@ def test_el_residual_sensitivity():
 
 
 def test_theta_identities():
-    # the stencil route from a bare field, the exact one from a JetField
-    for p in (bare(veronese_field(2, GRID)), veronese_field(2, GRID)):
-        j = theta_of(p)
+    # the stencil route from the projector, and the exact jets
+    rungs, exact = veronese(2, GRID)
+    for j in (theta_of(rungs[0]), exact):
         i2, i1 = GRID.n2 // 2, GRID.n1 // 2
         assert np.allclose(j.values[..., i2, i1], np.diag([0.5j, -0.5j]))
         # N=2 forces theta^2 = -I/4
@@ -166,16 +167,26 @@ def test_theta_identities():
         assert interior_max(res, m) < 1e-10
 
 
-def test_theta_of_takes_exact_jets_from_a_jet_field_and_stencils_from_a_bare_one():
+def test_veronese_jets_are_exact_and_theta_of_takes_stencils():
     from solsurf.fields import chart_jets
 
-    p = veronese_field(2, GRID)
-    exact = theta_of(p)
-    exact_whole, p_whole = exact.rows(slice(None)), p.rows(slice(None))
-    for name in ("d1", "d2", "d11", "d12", "d22"):
-        assert np.array_equal(getattr(exact_whole, name), 1j * getattr(p_whole, name))
+    rungs, exact = veronese(2, GRID)
+    # rung 0 of CP^1 in closed form: P = [[1, xb], [xi, xi xb]] / t with
+    # xb = conj(xi) and t = 1 + xi xb, so D1 P = M / t^2 with
+    # M = [[-xb, -xb^2], [1, xb]], D1 D1 P = -2 xb M / t^3 and
+    # D2 D1 P = [[-1, -2 xb], [0, 1]] / t^2 - 2 xi M / t^3
+    xi = GRID.xi()
+    xb, t = xi.conj(), 1 + np.abs(xi) ** 2
+    one, nil = np.ones_like(xi), np.zeros_like(xi)
+    d1p = np.array([[-xb, -xb**2], [one, xb]]) / t**2
+    d11p = -2 * xb / t * d1p
+    d12p = np.array([[-one, -2 * xb], [nil, one]]) / t**2 - 2 * xi / t * d1p
+    exact_whole = exact.rows(slice(None))
+    closed = {"d1": d1p, "d2": dagger(d1p), "d11": d11p, "d12": d12p, "d22": dagger(d11p)}
+    for name, p_jet in closed.items():
+        assert np.max(fro(getattr(exact_whole, name) - 1j * p_jet)) < 1e-14, name
     assert (exact.margin, exact.margin1, exact.margin2) == (0, 0, 0)
-    stencil = theta_of(bare(p))
+    stencil = theta_of(rungs[0])
     ref = chart_jets(MatrixField(GRID, exact.values, 0))
     stencil_whole, ref_whole = stencil.rows(slice(None)), ref.rows(slice(None))
     for name in ("d1", "d2", "d11", "d12", "d22"):
@@ -186,7 +197,7 @@ def test_theta_of_takes_exact_jets_from_a_jet_field_and_stencils_from_a_bare_one
 
 
 def test_raise_lower_ladder_cp1():
-    p0 = bare(veronese_field(2, GRID))  # stencil route
+    p0 = veronese(2, GRID)[0][0]  # stencil route
     p1 = raise_projector(p0)
     # complement structure for N = 2
     assert interior_max(fro(p1.values + p0.values - identity(2)), p1.margin) < 1e-9
@@ -197,13 +208,13 @@ def test_raise_lower_ladder_cp1():
 
 
 def test_build_ladder_cp2():
-    p0 = bare(veronese_field(3, GRID))
+    p0 = veronese(3, GRID)[0][0]
     ladder = build_ladder(p0)
     assert len(ladder) == 3
-    assert ladder.orthogonality_defect() < 1e-9
-    assert ladder.completeness_residual() < 1e-9
+    assert _orthogonality_defect(ladder) < 1e-9
+    assert _completeness_residual(ladder) < 1e-9
     # rung invariants hold after every re-projected step
-    for rung in ladder.rungs:
+    for rung in ladder:
         inv = projector_defects(rung.values)
         m = max(rung.margin, 2)
         assert interior_max(inv["hermiticity"], m) < 1e-10
@@ -212,28 +223,27 @@ def test_build_ladder_cp2():
 
 
 def test_numeric_ladder_matches_analytic():
-    analytic = veronese_ladder(3, GRID)
-    p0 = bare(analytic.rungs[0])
-    numeric = build_ladder(p0)
+    analytic, _ = veronese(3, GRID)
+    numeric = build_ladder(analytic[0])
     for k in range(3):
-        m = max(numeric.rungs[k].margin, 4)
-        diff = fro(numeric.rungs[k].values - analytic.rungs[k].values)
+        m = max(numeric[k].margin, 4)
+        diff = fro(numeric[k].values - analytic[k].values)
         assert interior_max(diff, m) < 1e-7
 
 
 def test_analytic_ladder_exactness():
-    ladder = veronese_ladder(3, GRID)
-    assert ladder.orthogonality_defect() < 1e-13
-    assert ladder.completeness_residual() < 1e-13
+    ladder, _ = veronese(3, GRID)
+    assert _orthogonality_defect(ladder) < 1e-13
+    assert _completeness_residual(ladder) < 1e-13
     # exact jets satisfy the equation of motion identically
     for k in range(3):
-        j = theta_of(ladder.rungs[k])
+        j = veronese(3, GRID, k)[1]
         el, m = el_residual(j)
         assert interior_max(el, m) < 1e-14
 
 
 def test_u_pair_values_and_errors():
-    j = theta_of(veronese_field(2, GRID))
+    j = veronese(2, GRID)[1]
     u1, u2 = u_pair(j, 0.0)
     assert interior_max(fro(u1.values + 2 * commutator(j.d1, j.values)), u1.margin) < 1e-14
     assert interior_max(fro(u2.values + 2 * commutator(j.d2, j.values)), u2.margin) < 1e-14
@@ -324,8 +334,7 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
     # every constructor serves the second jets of a strip of rows as the
     # rows of the whole set, bit for bit, directly and through the strip
     if chart == CHART_EUCLIDEAN:
-        rung = veronese_field(n, grid, n - 1)
-        exact = {"veronese": rung, "theta_of(veronese)": theta_of(rung)}
+        exact = {"veronese": veronese(n, grid, n - 1)[1]}
     else:
         exact = {"traveling": traveling_solution(2.0, 1.5, grid)[1]}
     built = {"chart_jets": q_jets, "theta_of(stencil)": j, "deformed": jd, **exact}

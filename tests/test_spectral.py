@@ -5,7 +5,8 @@ from oracles import dlambda_fd
 from solsurf.errors import LambdaSingular
 from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, interior_max, row_strips
 from solsurf.matlie import fro, identity, mm
-from solsurf.sigma import projector, theta_of, traveling_solution, u_pair, veronese_ladder
+from solsurf.cli import _orthogonality_defect
+from solsurf.sigma import JetField, projector, traveling_solution, u_pair, veronese
 from solsurf.spectral import (
     WaveField,
     _cond2,
@@ -20,26 +21,31 @@ from solsurf.spectral import (
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
 GRID_M = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.001, 0.001), (101, 101))
-LADDER2 = veronese_ladder(2, GRID)
-LADDER3 = veronese_ladder(3, GRID)
+RUNGS2, _ = veronese(2, GRID)
+RUNGS3, _ = veronese(3, GRID)
 WAVE_M, JET_M = traveling_solution(2.0, 1.0, GRID_M)
+
+
+def jets(n: int, k: int) -> JetField:
+    """theta of rung k of the CP^{n-1} ladder on GRID, with exact jets."""
+    return veronese(n, GRID, k)[1]
 
 
 def test_wave_base_level_formula():
     # the sum over lowered rungs is empty at the bottom of the ladder
     lam = 0.5
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(2, 0)
     w = euclidean_wave(j, 0, lam)
     _, beta = euclidean_wave_coefficients(lam)
-    expected = identity(2) + beta * LADDER2.rungs[0].values
+    expected = identity(2) + beta * RUNGS2[0].values
     assert interior_max(fro(w.values - expected), w.margin) < 1e-14
 
 
-@pytest.mark.parametrize("n,ladder", [(2, LADDER2), (3, LADDER3)])
+@pytest.mark.parametrize("n,ladder", [(2, RUNGS2), (3, RUNGS3)])
 @pytest.mark.parametrize("lam", [0.5, -0.3, 2.0])
 def test_lsp_residual_all_levels(n, ladder, lam):
     for k in range(n):
-        j = theta_of(ladder.rungs[k])
+        j = jets(n, k)
         w = euclidean_wave(j, k, lam, ladder)
         u1, u2 = u_pair(j, lam)
         r1, r2, m = lsp_residual(w, u1, u2)
@@ -48,7 +54,7 @@ def test_lsp_residual_all_levels(n, ladder, lam):
 
 
 def test_lambda_singular():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(2, 0)
     with pytest.raises(LambdaSingular):
         euclidean_wave(j, 0, 1.0)
     with pytest.raises(LambdaSingular):
@@ -59,7 +65,7 @@ def test_jet_lowering_depth_limit():
     from solsurf.errors import DeformationOutOfDomain
     from solsurf.spectral import lowered_rungs_from_jets
 
-    j = theta_of(LADDER3.rungs[2])
+    j = jets(3, 2)
     assert len(lowered_rungs_from_jets(j, 2)) == 2
     with pytest.raises(DeformationOutOfDomain):
         lowered_rungs_from_jets(j, 3)
@@ -70,18 +76,18 @@ def test_jet_lowering_matches_stored_rungs():
     # solution these are the stored ladder rungs
     from solsurf.spectral import lowered_rungs_from_jets
 
-    j = theta_of(LADDER3.rungs[2])
+    j = jets(3, 2)
     r1, r2 = lowered_rungs_from_jets(j, 2)
-    assert interior_max(fro(r1 - LADDER3.rungs[1].values), 0) < 1e-12
-    assert interior_max(fro(r2 - LADDER3.rungs[0].values), 0) < 1e-12
+    assert interior_max(fro(r1 - RUNGS3[1].values), 0) < 1e-12
+    assert interior_max(fro(r2 - RUNGS3[0].values), 0) < 1e-12
 
 
-@pytest.mark.parametrize("ladder", [LADDER2, LADDER3], ids=["n2", "n3"])
-def test_value_only_lowering_is_bit_exact_and_skips_derivatives(ladder, monkeypatch):
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_value_only_lowering_is_bit_exact_and_skips_derivatives(n, monkeypatch):
     import solsurf.spectral as spectral
     from solsurf.matlie import mm, trace
 
-    j = theta_of(ladder.rungs[1])
+    j = jets(n, 1)
     p, d1p, d2p = projector(j), -1j * j.d1, -1j * j.d2
     full = spectral.lowered_rung_with_jets(p, d1p, d2p, j.rows(slice(None)))[0]
     num = mm(mm(d2p, p), d1p)
@@ -96,8 +102,8 @@ def test_value_only_lowering_is_bit_exact_and_skips_derivatives(ladder, monkeypa
     assert calls == []
     assert np.array_equal(value, full, equal_nan=True)
     assert np.array_equal(value, by_hand, equal_nan=True)
-    if ladder is LADDER3:
-        spectral.lowered_rungs_from_jets(theta_of(ladder.rungs[2]), 2)
+    if n == 3:
+        spectral.lowered_rungs_from_jets(jets(3, 2), 2)
         # the derivatives are formed once per strip of grid rows
         assert calls == [1] * len(list(row_strips(GRID.n2)))
 
@@ -105,14 +111,13 @@ def test_value_only_lowering_is_bit_exact_and_skips_derivatives(ladder, monkeypa
 def test_deep_ladder_stored_rung_wave():
     # N = 4, level 3: the builder falls back to the stored rungs
     g = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
-    ladder = veronese_ladder(4, g)
-    assert ladder.orthogonality_defect() < 1e-12
-    j = theta_of(ladder.rungs[3])
+    ladder, j = veronese(4, g, 3)
+    assert _orthogonality_defect(ladder) < 1e-12
     lam = 0.5
     w = euclidean_wave(j, 3, lam, ladder)
     c, beta = euclidean_wave_coefficients(lam)
-    lowered = sum(r.values for r in ladder.rungs[:3])
-    stored = identity(4) + beta * ladder.rungs[3].values + c * lowered
+    lowered = sum(r.values for r in ladder[:3])
+    stored = identity(4) + beta * ladder[3].values + c * lowered
     assert interior_max(fro(w.values - stored), w.margin) < 1e-14
     u1, u2 = u_pair(j, lam)
     r1, r2, m = lsp_residual(w, u1, u2)
@@ -122,19 +127,19 @@ def test_deep_ladder_stored_rung_wave():
 def test_wave_linearity_reconstruction():
     # the builder's coefficients rebuild the wave field from the ladder rungs
     lam = -0.3
-    w = euclidean_wave(theta_of(LADDER3.rungs[2]), 2, lam)
+    w = euclidean_wave(jets(3, 2), 2, lam)
     c, beta = euclidean_wave_coefficients(lam)
     k = 2
     recon = np.broadcast_to(identity(3), w.values.shape).astype(complex).copy()
-    recon = recon + beta * LADDER3.rungs[2].values
+    recon = recon + beta * RUNGS3[2].values
     for m in range(k):
-        recon = recon + c * LADDER3.rungs[m].values
+        recon = recon + c * RUNGS3[m].values
     assert interior_max(fro(w.values - recon), w.margin) < 1e-14
 
 
 def test_wave_invertibility_diagnostics():
     lam = 0.5
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(2, 0)
     w = euclidean_wave(j, 0, lam)
     diag = wave_diagnostics(w)
     assert diag["min_abs_det"] > 1e-10
@@ -225,8 +230,8 @@ def test_traveling_lsp_fourth_order_refinement():
 
 def test_dlambda_euclid_analytic_vs_fd():
     lam = 0.5
-    for k, ladder in ((0, LADDER2), (2, LADDER3)):
-        j = theta_of(ladder.rungs[k])
+    for n, k in ((2, 0), (3, 2)):
+        j = jets(n, k)
         _, analytic = euclidean_wave_dlambda(j, k, lam)
         fd = dlambda_fd(lambda l, j=j, k=k: euclidean_wave(j, k, l), lam)
         m = max(analytic.margin, fd.margin)
@@ -236,8 +241,7 @@ def test_dlambda_euclid_analytic_vs_fd():
 def test_dlambda_deep_level_analytic_vs_fd():
     # level 3 sums the stored rungs, in Phi and in dPhi/dlambda alike
     g = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (41, 41))
-    ladder = veronese_ladder(4, g)
-    j = theta_of(ladder.rungs[3])
+    ladder, j = veronese(4, g, 3)
     lam = 0.5
     _, analytic = euclidean_wave_dlambda(j, 3, lam, ladder)
     fd = dlambda_fd(lambda l: euclidean_wave(j, 3, l, ladder), lam)
@@ -248,8 +252,8 @@ def test_dlambda_deep_level_analytic_vs_fd():
 def test_dlambda_base_level_value():
     # at the bottom of the ladder: dPhi/dlam = -2/(1-lam)^2 P
     lam = 0.5
-    _, analytic = euclidean_wave_dlambda(theta_of(LADDER2.rungs[0]), 0, lam)
-    expected = -2 / (1 - lam) ** 2 * LADDER2.rungs[0].values
+    _, analytic = euclidean_wave_dlambda(jets(2, 0), 0, lam)
+    expected = -2 / (1 - lam) ** 2 * RUNGS2[0].values
     assert interior_max(fro(analytic.values - expected), analytic.margin) < 1e-14
 
 

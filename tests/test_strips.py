@@ -29,7 +29,7 @@ from solsurf.fields import (
     chart_jets,
 )
 from solsurf.matlie import constant
-from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese_field, veronese_ladder
+from solsurf.sigma import traveling_solution, u_pair, veronese
 from solsurf.spectral import (
     euclidean_wave,
     euclidean_wave_dlambda,
@@ -63,7 +63,7 @@ def _deformed(j: JetField, spec: ConformalSpec) -> JetField:
 
 def _euclid_jets(nodes: int, deformed: bool) -> JetField:
     grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (nodes, nodes))
-    j = theta_of(veronese_field(3, grid, 2))
+    j = veronese(3, grid, 2)[1]
     return _deformed(j, ConformalSpec.euclidean((0.0, 0.0, 1.0))) if deformed else j
 
 
@@ -98,14 +98,13 @@ def test_euclidean_terms_and_wave_match_the_whole_grid(nodes, deformed, k):
 def test_stored_rung_wave_and_dlambda_match_the_whole_grid():
     # level 3 sums the stored rungs of the ladder, strip by strip
     grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (37, 37))
-    ladder = veronese_ladder(4, grid)
-    j = theta_of(ladder.rungs[3])
+    ladder, j = veronese(4, grid, 3)
     w = euclidean_wave(j, 3, LAM_E, ladder)
     assert _same_bits(w.values, euclidean_wave_whole(j, 3, LAM_E, ladder))
     wd, dphi = euclidean_wave_dlambda(j, 3, LAM_E, ladder)
     assert _same_bits(wd.values, w.values)
     assert _same_bits(dphi.values, euclidean_wave_dlambda_whole(j, 3, LAM_E, ladder))
-    margin = max(r.margin for r in ladder.rungs)
+    margin = max(r.margin for r in ladder)
     assert w.margin == wd.margin == dphi.margin == margin
 
 
@@ -231,6 +230,7 @@ def test_level_two_wave_heap_peak_stays_within_5_fields():
     # the terms of one strip are formed and summed before the next strip's,
     # so the heap holds the output and one strip's temporaries
     j = _euclid_jets(101, False)
+    j.second(slice(None))  # the exact second jets, formed on first read
     assert _heap_peak_fields(lambda: euclidean_wave(j, 2, LAM_E)) <= 5
 
 
@@ -238,4 +238,5 @@ def test_level_two_wave_dlambda_heap_peak_stays_within_5_fields():
     # Phi and d(Phi)/d(lambda) come from one strip pass: the heap holds the
     # two outputs and one strip's temporaries, never P or a whole rung
     j = _euclid_jets(101, False)
+    j.second(slice(None))  # the exact second jets, formed on first read
     assert _heap_peak_fields(lambda: euclidean_wave_dlambda(j, 2, LAM_E)) <= 5

@@ -14,7 +14,7 @@ from solsurf.fields import (
     interior_max,
 )
 from solsurf.matlie import commutator, dagger, fro, trace
-from solsurf.sigma import JetField, theta_of, traveling_solution, u_pair, veronese_ladder
+from solsurf.sigma import JetField, traveling_solution, u_pair, veronese
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
@@ -35,10 +35,14 @@ from solsurf.symmetry import (
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
 GRID_M = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.001, 0.001), (101, 101))
-LADDER2 = veronese_ladder(2, GRID)
 WAVE_M, JET_M = traveling_solution(2.0, 1.0, GRID_M)
 LAM_E = 0.6j
 LAM_M = 0.5
+
+
+def jets(k: int) -> JetField:
+    """theta of rung k of the CP^1 ladder on GRID, with exact jets."""
+    return veronese(2, GRID, k)[1]
 
 
 from hypothesis import given, settings
@@ -52,7 +56,7 @@ complex_coeff = st.tuples(
 @given(st.lists(complex_coeff, min_size=1, max_size=4))
 @settings(max_examples=15, deadline=None)
 def test_conformal_characteristic_stays_in_algebra(coeffs):
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     spec = ConformalSpec.euclidean(tuple(coeffs))
     q = conformal_characteristic(spec, j)
     assert interior_max(fro(q.values + dagger(q.values)), q.margin) < 1e-12
@@ -72,7 +76,7 @@ def test_conformal_spec_validation():
 
 
 def test_characteristic_values():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     zero = conformal_characteristic(ConformalSpec.euclidean((0.0,)), j)
     assert interior_max(fro(zero.values), zero.margin) == 0
     trans = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
@@ -86,7 +90,7 @@ def test_characteristic_values():
 
 
 def test_frechet_identity_and_first_jet():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     (ident,), (prw_d1, _) = frechet_apply([theta_functional(), theta_derivatives_functional()], j, q)
@@ -98,7 +102,7 @@ def test_frechet_identity_and_first_jet():
 
 
 def test_frechet_linearity_in_q():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     q1 = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
     q2 = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     qsum = MatrixField(j.grid, q1.values + q2.values, max(q1.margin, q2.margin))
@@ -110,7 +114,7 @@ def test_frechet_linearity_in_q():
 
 
 def test_prolong_u_closed_vs_deformation():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     pw1, pw2 = prolong_u(spec, j, LAM_E)
@@ -130,7 +134,7 @@ def test_prolong_u_closed_vs_deformation():
 
 def test_prolong_u_translation():
     # constant coefficients: pr w u1 = c1 D1 u1 + c2 D2 u1
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     spec = ConformalSpec.euclidean((2.0,))
     pw1, _ = prolong_u(spec, j, LAM_E)
     du1_1, du1_2 = u_derivatives_functional(LAM_E, 1)(j)
@@ -139,7 +143,7 @@ def test_prolong_u_translation():
 
 
 def test_prolong_u_zero():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     pw1, pw2 = prolong_u(ConformalSpec.euclidean((0.0,)), j, LAM_E)
     assert interior_max(fro(pw1.values), pw1.margin) == 0
     assert interior_max(fro(pw2.values), pw2.margin) == 0
@@ -147,7 +151,7 @@ def test_prolong_u_zero():
 
 @pytest.mark.parametrize("control", ["positive", "negative"])
 def test_el_symmetry_defect_is_compatibility_of_prolonged_pair(control):
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     if control == "positive":
         q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     else:
@@ -172,7 +176,7 @@ def _count_deformations(monkeypatch) -> list[float]:
 def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(monkeypatch):
     # the pair shares its two deformations, and each component is the
     # same difference quotient as when it is prolonged on its own
-    j = theta_of(LADDER2.rungs[1])
+    j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     g = lowering_derivatives_functional()
     steps = _count_deformations(monkeypatch)
@@ -188,7 +192,7 @@ def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(monkeypatch):
 def test_quadratic_pair_costs_one_central_pair(monkeypatch):
     # the connection pair takes the +/- eps pair, and each component is
     # bit-exactly the central difference of that component alone
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     steps = _count_deformations(monkeypatch)
     (pair,) = frechet_apply([u_functional(LAM_E)], j, q)
@@ -229,7 +233,7 @@ def test_shared_prolongation_is_bit_exact_and_costs_one_central_pair(monkeypatch
     # the functional's own call bit for bit, each functional is evaluated
     # once on each side, and a deformation is dropped before the next one
     # is built
-    j = theta_of(LADDER2.rungs[1])
+    j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = [
         theta_functional(),
@@ -261,7 +265,7 @@ def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(case):
         j, lam = JET_M, LAM_M
         q = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), j)
     else:
-        j, lam = theta_of(LADDER2.rungs[1]), LAM_E
+        j, lam = jets(1), LAM_E
         q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = _commutation_functionals(lam)
     got, want = frechet_apply(gs, j, q), frechet_apply_shared(gs, j, q)
@@ -272,7 +276,7 @@ def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(case):
 
 
 def test_frechet_apply_rejects_a_non_positive_step():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
     for eps_base in (0.0, -1e-5):
         with pytest.raises(ValueError, match="eps_base"):
@@ -298,7 +302,7 @@ def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
         return diff2(*args, **kwargs)
 
     monkeypatch.setattr(fields, "diff2", counting)
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     frechet_apply([functional], j, q)
     assert sorted(calls) == axes
@@ -327,7 +331,7 @@ def test_functionals_cover_the_module():
 def test_every_functional_costs_one_central_pair(monkeypatch, name):
     # rational functionals too: the +/- eps pair is the only prolongation
     # rule, so each functional is evaluated once on each deformation
-    j = theta_of(LADDER2.rungs[1])
+    j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     evaluations = [0]
     steps = _count_deformations(monkeypatch)
@@ -348,7 +352,7 @@ def test_quadratic_functionals_have_exact_central_differences(name):
         "u_derivatives_functional",
     }
     g = FUNCTIONALS[name]
-    j = theta_of(LADDER2.rungs[1])
+    j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
     whole, half = (frechet_apply([g], j, q, eps)[0] for eps in (1e-2, 5e-3))
     gap = 0.0
@@ -369,7 +373,7 @@ def test_compatibility_defect_reexported_by_immersion():
 
 
 def test_el_symmetry_defect_positive_negative():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     assert el_symmetry_defect(q, j, LAM_E) < 1e-6
     qneg = MatrixField(j.grid, j.values.copy(), j.margin)
@@ -379,7 +383,7 @@ def test_el_symmetry_defect_positive_negative():
 
 
 def test_lsp_symmetry_defect_euclid():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     g = wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E), LAM_E)
     ((_, r1, r2),) = frechet_apply([g], j, q)
@@ -435,7 +439,7 @@ def test_traveling_R_fields():
 
 
 def test_commutation_defect_small():
-    j = theta_of(LADDER2.rungs[0])
+    j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = [
         theta_functional(),
@@ -449,7 +453,7 @@ def test_commutation_defect_small():
 
 
 def test_commutation_orders():
-    j1 = theta_of(LADDER2.rungs[1])
+    j1 = jets(1)
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
     g = lowering_functional()
@@ -465,7 +469,7 @@ def test_commutation_orders():
     hs = []
     for h in (0.012, 0.006):
         gh = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (101, 101))
-        jh = theta_of(veronese_ladder(2, gh).rungs[1])
+        jh = veronese(2, gh, 1)[1]
         qh = conformal_characteristic(spec, jh)
         (prw_g,), prw_dg = frechet_apply(
             [lowering_functional(), lowering_derivatives_functional()], jh, qh, 1e-3
