@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Callable, Iterator
 
 import numpy as np
@@ -34,6 +35,7 @@ from .config import (
 )
 from .errors import DeformationOutOfDomain, FieldFileError, LambdaSingular, MarginExhausted
 from .fields import (
+    JetField,
     MatrixField,
     interior,
     interior_max,
@@ -58,7 +60,6 @@ from .immersion import (
 )
 from .matlie import NonFiniteMatrix, constant, fro, identity, mm, su_basis
 from .sigma import (
-    JetField,
     el_residual,
     theta_comm_identity_residual,
     theta_of,
@@ -75,7 +76,9 @@ from .spectral import (
     traveling_wave_dlambda,
     wave_diagnostics,
 )
-from .symmetry import conformal_characteristic, frechet_apply, u_functional, wave_functional
+from .symmetry import (
+    compatibility_defect, conformal_characteristic, frechet_apply, u_functional, wave_functional,
+)
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -123,6 +126,10 @@ def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
 # README Euclidean config reads 2.5e-16 at 101^2 and 3.3e-16 at 401^2.
 COMPLETENESS_TOL = 1e-8
 
+# `immerse` warns above this compatibility defect of the tangent pair, and
+# integrates the surface regardless
+COMPAT_WARN = 1e-6
+
 
 def _completeness_residual(rungs: list[MatrixField]) -> float:
     """How far the rung projectors sum from the identity, over the interior."""
@@ -138,28 +145,26 @@ def _orthogonality_defect(rungs: list[MatrixField]) -> float:
 
 
 def _build_solution(cfg: SolveConfig):
-    """Returns (jet_field, rungs_or_wave, extras dict): the jets of theta,
-    and the projector of every ladder rung or the traveling wave; a config
+    """Returns (jet_field, rungs_or_wave): the jets of theta, and the
+    projector of every ladder rung or the traveling wave; a config
     error if theta, D_1 theta and D_2 theta are finite together at no
     interior node, or if the rungs of a Veronese ladder sum to the identity
     no closer than ``COMPLETENESS_TOL``."""
     if cfg.solution["kind"] == "veronese":
         carrier, j = veronese(cfg.n, cfg.grid, cfg.solution["k"])
-        meta = {"kind": "veronese", "k": cfg.solution["k"]}
     else:
         carrier, j = traveling_solution(cfg.solution["kappa"], cfg.solution["omega"], cfg.grid)
-        meta = {"kind": "traveling", "kappa": cfg.solution["kappa"], "omega": cfg.solution["omega"]}
     finite = np.isfinite(j.values) & np.isfinite(j.d1) & np.isfinite(j.d2)
     if not interior(finite.all(axis=(0, 1)), j.margin1).any():
         raise ConfigError("keys 'solution' and 'grid': the solution is not finite on the grid")
-    if meta["kind"] == "veronese":
+    if cfg.solution["kind"] == "veronese":
         residual = _completeness_residual(carrier)
         if residual > COMPLETENESS_TOL:
             raise ConfigError(
                 "keys 'solution' and 'grid': the Veronese ladder is not complete on the grid "
                 f"(completeness residual {residual:.3g} > {COMPLETENESS_TOL:g})"
             )
-    return j, carrier, meta
+    return j, carrier
 
 
 def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
@@ -203,11 +208,11 @@ def _non_finite(report: dict, prefix: str = "") -> list[str]:
 # a summary value that overflows is rejected below, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
-    j, carrier, meta = _build_solution(cfg)
-    summary: dict = {"solution": meta, "grid": cfg.grid.to_json(), "n": cfg.n}
+    j, carrier = _build_solution(cfg)
+    summary: dict = {"solution": cfg.solution, "grid": cfg.grid.to_json(), "n": cfg.n}
     with _staged(outdir) as stage:
         write_field(stage("theta.npz"), j)
-        if meta["kind"] == "veronese":
+        if cfg.solution["kind"] == "veronese":
             # the stencil route, so the residual does not rest on the exact
             # jets it certifies
             el, em = el_residual(theta_of(carrier[cfg.solution["k"]]))
@@ -240,14 +245,16 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     """Each field is staged as soon as it is final and then freed, the report
     last; the files are renamed into place once it is written, so a run that
     exits 2 leaves no file behind.  The closed forms, which read the
-    solution, come first, so it is freed before the surface is integrated."""
+    solution, come first, so it is freed before the surface is integrated;
+    so is the connection pair, once the tangent pair's compatibility defect
+    is measured (a warning above ``COMPAT_WARN``)."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
-    j, carrier, meta = _build_solution(cfg)
+    j, carrier = _build_solution(cfg)
     spectral_only = bool(cfg.a_coeffs) and cfg.gauge == "none" and cfg.symmetry is None
     symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and cfg.gauge == "none"
     builder = _wave_builder(cfg, carrier)
-    if spectral_only and meta["kind"] == "veronese":
+    if spectral_only and cfg.solution["kind"] == "veronese":
         # the Sym-Tafel surface's d(Phi)/d(lambda) comes from Phi's own strip pass
         wave, dphi = euclidean_wave_dlambda(j, cfg.solution["k"], cfg.lam, carrier)
     else:
@@ -272,7 +279,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     report: dict = {}
     with _staged(outdir) as stage:
         if spectral_only:
-            if meta["kind"] != "veronese":
+            if cfg.solution["kind"] != "veronese":
                 dphi = traveling_wave_dlambda(carrier, j, wave)
             fst = sym_tafel(wave, dphi, a_value(cfg.a_coeffs, cfg.lam))
             del dphi
@@ -281,7 +288,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             del fst
 
         if symmetry_only:
-            f_closed = conformal_immersion_closed(cfg.symmetry, j, wave, cfg.lam)
+            f_closed = conformal_immersion_closed(cfg.symmetry, *u_pair(j, cfg.lam), wave)
             write_field(stage("conformal_closed.npz"), f_closed)
             report["conformal_closed_su_distance"] = su_distance(f_closed)
             calf = explicit_immersion(wave, prw_phi)
@@ -301,14 +308,20 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         # the connection pair is read only by the compatibility check
         u1, u2 = u_pair(j, cfg.lam)
         del j, carrier, builder  # the Euclidean builder holds the rungs
-        res = integrate_surface(a, b, wave, u1=u1, u2=u2)
+        compat = compatibility_defect(a, b, u1, u2)
         del u1, u2
+        if COMPAT_WARN < compat < np.inf:
+            warnings.warn(
+                f"tangent pair is not compatible (defect {compat:.3e}); "
+                "the integrated surface will be path dependent"
+            )
+        res = integrate_surface(a, b, wave)
         write_field(stage("immersion.npz"), res.field)
         write_field(stage("wave.npz"), wave, lam=wave.lam)
         raw = res.raw
         report.update(
             basepoint=list(res.basepoint),
-            compat_defect=res.compat_defect,
+            compat_defect=compat,
             path_defect=res.path_defect,
             su_correction=res.su_correction,
             wave=wave_diagnostics(wave),

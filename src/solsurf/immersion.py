@@ -5,13 +5,16 @@ The tangent pair (A, B) is assembled as
     A = a(lam) d(u1)/d(lam) + D_1 S + [S, u1] + pr w_Q u1
     B = a(lam) d(u2)/d(lam) + D_2 S + [S, u2] + pr w_Q u2
 
-and the surface F is recovered from D_alpha F = Phi^{-1} A_alpha Phi by
-line integration along grid lines, using both integration orders; their
-mismatch is the path-independence certificate.  Closed forms are provided
-for the spectral-parameter term (Sym-Tafel), the conformal symmetry term,
-and the explicitly integrated prolongation of the wave function; each
-closed form is paired with a finite-difference tangent check in the
-verification suite.
+with u1, u2 and d(u)/d(lam) from :mod:`solsurf.sigma`, and the surface F
+is recovered from D_alpha F = Phi^{-1} A_alpha Phi by line integration
+along grid lines, using both integration orders; their mismatch is the
+path-independence certificate.  `integrate_surface` only integrates: the
+pair's own integrability, `symmetry.compatibility_defect`, is measured by
+the caller.  Closed forms are provided for the spectral-parameter term
+(Sym-Tafel), the conformal symmetry term, which reads the connection pair
+its caller holds, and the explicitly integrated prolongation of the wave
+function; each closed form is paired with a finite-difference tangent
+check in the verification suite.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .fields import (
     CHART_EUCLIDEAN,
     Grid2,
+    JetField,
     MatrixField,
     chart_first_derivatives,
     cumulative_line_integral,
@@ -32,15 +36,14 @@ from .fields import (
     same_grid,
 )
 from .matlie import commutator, constant, fro, inner, mm, project_su
-from .sigma import JetField, check_lambda, u_pair
-from .spectral import WaveField
-from .symmetry import ConformalSpec, compatibility_defect
+from .sigma import check_lambda, u_dlambda, u_pair
+from .spectral import WaveField, lsp_residual
+from .symmetry import ConformalSpec
 
 __all__ = [
     "ImmersionResult",
     "a_value",
     "assemble_tangents",
-    "compatibility_defect",
     "conformal_immersion_closed",
     "constant_difference_check",
     "explicit_immersion",
@@ -51,11 +54,7 @@ __all__ = [
     "su_distance",
     "sym_tafel",
     "tangent_check",
-    "u_dlambda",
 ]
-
-# `integrate_surface` warns above this compatibility defect of the tangent pair
-COMPAT_WARN = 1e-6
 
 
 def a_value(coeffs: tuple[float, ...], lam: complex) -> complex:
@@ -79,17 +78,8 @@ class ImmersionResult:
     field: MatrixField
     raw: MatrixField
     basepoint: tuple[int, int]
-    compat_defect: float
     path_defect: float
     su_correction: float
-
-
-def u_dlambda(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
-    """Spectral-parameter derivative of the connection pair (closed form)."""
-    lam = check_lambda(lam)
-    v1 = (2.0 / (1 + lam) ** 2) * commutator(j.d1, j.values)
-    v2 = (-2.0 / (1 - lam) ** 2) * commutator(j.d2, j.values)
-    return MatrixField(j.grid, v1, j.margin1), MatrixField(j.grid, v2, j.margin1)
 
 
 def assemble_tangents(
@@ -157,13 +147,7 @@ def _axis_integrands(
     return at, bt
 
 
-def integrate_surface(
-    a: MatrixField,
-    b: MatrixField,
-    w: WaveField,
-    u1: MatrixField | None = None,
-    u2: MatrixField | None = None,
-) -> ImmersionResult:
+def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> ImmersionResult:
     """Integrate D_1 F = Phi^{-1} A Phi, D_2 F = Phi^{-1} B Phi from the
     basepoint (m, m), the first node inside the margin m of the inputs.
 
@@ -171,24 +155,11 @@ def integrate_surface(
     order is always computed as well and the worst node-wise discrepancy
     is reported as ``path_defect``.  The integration constant is fixed by
     F(m, m) = 0, then F is projected onto su(N) with the correction
-    norm logged.  When the connection pair is supplied, the compatibility
-    defect is measured first and a warning is emitted if it is finite and
-    exceeds ``COMPAT_WARN`` (integration proceeds regardless).
+    norm logged.
     """
     grid = same_grid(a, b)
     if w.grid != grid:
         raise ValueError("wave field grid mismatch")
-    compat = float("nan")
-    if u1 is not None and u2 is not None:
-        compat = compatibility_defect(a, b, u1, u2)
-        if COMPAT_WARN < compat < np.inf:
-            import warnings
-
-            warnings.warn(
-                f"tangent pair is not compatible (defect {compat:.3e}); "
-                "the integrated surface will be path dependent",
-                stacklevel=2,
-            )
     m = max(a.margin, b.margin, w.margin)
 
     # each conjugated tangent is freed once its line integral is taken; the
@@ -217,7 +188,6 @@ def integrate_surface(
         field=field,
         raw=raw,
         basepoint=(m, m),
-        compat_defect=compat,
         path_defect=path_defect,
         su_correction=su_correction,
     )
@@ -274,13 +244,13 @@ def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> MatrixField:
 
 
 def conformal_immersion_closed(
-    spec: ConformalSpec, j: JetField, w: WaveField, lam: complex
+    spec: ConformalSpec, u1: MatrixField, u2: MatrixField, w: WaveField
 ) -> MatrixField:
-    """Closed-form conformal immersion F = Phi^{-1} (f u1 + g u2) Phi."""
-    lam = check_lambda(lam)
-    u1, u2 = u_pair(j, lam)
-    core = spec.along(j.grid, u1.values, u2.values)
-    return MatrixField(j.grid, w.conjugate(core), max(w.margin, u1.margin))
+    """Closed-form conformal immersion F = Phi^{-1} (f u1 + g u2) Phi of the
+    connection pair (u1, u2)."""
+    grid = same_grid(u1, u2, w)
+    core = spec.along(grid, u1.values, u2.values)
+    return MatrixField(grid, w.conjugate(core), max(w.margin, u1.margin))
 
 
 def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> MatrixField:
@@ -319,11 +289,12 @@ def psi_residual(
     b: MatrixField,
 ) -> float:
     """Interior max of || D_alpha Psi - u^alpha Psi - A_alpha Phi ||_F."""
-    d1psi, d2psi, dmargin = chart_first_derivatives(psi)
-    r1 = d1psi - mm(u1.values, psi.values) - mm(a.values, w.values)
-    r2 = d2psi - mm(u2.values, psi.values) - mm(b.values, w.values)
-    margin = max(dmargin, u1.margin, a.margin, b.margin, w.margin)
-    return max(interior_max(fro(r1), margin), interior_max(fro(r2), margin))
+    r1, r2 = lsp_residual(psi, u1, u2)
+    margin = max(r1.margin, a.margin, b.margin, w.margin)
+    return max(
+        interior_max(fro(r.values - mm(t.values, w.values)), margin)
+        for r, t in ((r1, a), (r2, b))
+    )
 
 
 def linear_independence_report(

@@ -38,7 +38,6 @@ from .fields import (
 from .matlie import commutator, dagger, fro, identity, mm
 
 __all__ = [
-    "JetField",
     "TravelingWave",
     "check_lambda",
     "el_residual",
@@ -48,6 +47,7 @@ __all__ = [
     "theta_square_residual",
     "theta_triple_residual",
     "traveling_solution",
+    "u_dlambda",
     "u_pair",
     "veronese",
 ]
@@ -77,24 +77,31 @@ def theta_of(p: MatrixField) -> JetField:
 # --- model operators and residuals -------------------------------------------
 
 
-def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
-    """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta],
-    one strip of grid rows at a time."""
-    lam = check_lambda(lam)
-    c1, c2 = -2.0 / (1.0 + lam), -2.0 / (1.0 - lam)
+def _commutator_pair(j: JetField, c1: complex, c2: complex) -> tuple[MatrixField, MatrixField]:
+    """(c1 [theta_1, theta], c2 [theta_2, theta]), one strip of grid rows at a
+    time, with the scales applied in place."""
 
     def rows(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
-        u1 = commutator(jr.d1, jr.values)
-        u1 *= c1
-        u2 = commutator(jr.d2, jr.values)
-        u2 *= c2
-        return u1, u2
+        v1 = commutator(jr.d1, jr.values)
+        v1 *= c1
+        v2 = commutator(jr.d2, jr.values)
+        v2 *= c2
+        return v1, v2
 
-    u1, u2 = j.map_rows(rows)
-    return (
-        MatrixField(j.grid, u1, j.margin1),
-        MatrixField(j.grid, u2, j.margin1),
-    )
+    v1, v2 = j.map_rows(rows)
+    return MatrixField(j.grid, v1, j.margin1), MatrixField(j.grid, v2, j.margin1)
+
+
+def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
+    """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta]."""
+    lam = check_lambda(lam)
+    return _commutator_pair(j, -2.0 / (1.0 + lam), -2.0 / (1.0 - lam))
+
+
+def u_dlambda(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
+    """Spectral-parameter derivative of the connection pair (closed form)."""
+    lam = check_lambda(lam)
+    return _commutator_pair(j, 2.0 / (1 + lam) ** 2, -2.0 / (1 - lam) ** 2)
 
 
 def el_residual(j: JetField) -> tuple[np.ndarray, int]:

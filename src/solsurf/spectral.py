@@ -24,7 +24,8 @@ lowering step that did.
 A wave function is a `WaveField`: a `MatrixField` of Phi that also
 carries its spectral parameter and computes its per-node inverse once.
 Both builders are certified against 4th-order stencil derivatives by
-:func:`lsp_residual`; unitarity is reported as a diagnostic only.
+:func:`lsp_residual`, which forms the residual fields D_alpha Phi -
+u^alpha Phi for every caller; unitarity is reported as a diagnostic only.
 """
 
 from __future__ import annotations
@@ -37,14 +38,16 @@ import numpy as np
 
 from .errors import DeformationOutOfDomain
 from .fields import (
+    JetField,
     JetRows,
     MatrixField,
     chart_first_derivatives,
     interior,
     interior_max,
+    same_grid,
 )
 from .matlie import NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv, mm, trace
-from .sigma import JetField, TravelingWave, check_lambda, projector
+from .sigma import TravelingWave, check_lambda, projector
 
 __all__ = [
     "WaveField",
@@ -346,13 +349,13 @@ def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> Ma
 
 
 def lsp_residual(
-    w: WaveField, u1: MatrixField, u2: MatrixField
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pointwise ||D_alpha(Phi) - u^alpha Phi||_F with stencil derivatives of Phi."""
-    if u1.grid != w.grid or u2.grid != w.grid:
-        raise ValueError("wave field and connection live on different grids")
+    w: MatrixField, u1: MatrixField, u2: MatrixField
+) -> tuple[MatrixField, MatrixField]:
+    """The linear-problem residuals D_alpha(Phi) - u^alpha Phi of the field
+    ``w``, with stencil derivatives of Phi; both carry the same margin."""
+    grid = same_grid(w, u1, u2)
     d1phi, d2phi, dmargin = chart_first_derivatives(w)
     margin = max(dmargin, u1.margin, u2.margin)
-    r1 = fro(d1phi - mm(u1.values, w.values))
-    r2 = fro(d2phi - mm(u2.values, w.values))
-    return r1, r2, margin
+    d1phi -= mm(u1.values, w.values)
+    d2phi -= mm(u2.values, w.values)
+    return MatrixField(grid, d1phi, margin), MatrixField(grid, d2phi, margin)

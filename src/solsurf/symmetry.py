@@ -22,8 +22,13 @@ functional's plus-side outputs, are alive at a time.  A caller asks
 once per (jets, Q, step) for all it reads: pr w u for the symmetry
 criterion, pr w Phi for explicit integration, pr w of the linear-problem
 residual, and pr w G beside pr w (D_alpha G) for the commutation checks.
-A functional returns a tuple of matrix fields, all differenced from the
-same deformations, so the connection pair (u1, u2) is one functional.
+A functional maps jets to a tuple of matrix fields, all differenced from
+the same deformations, so the connection pair (u1, u2) is one functional.
+Functionals are plain functions (`theta_functional`,
+`lowering_functional`, ...); a factory returns one only where it binds a
+parameter: `u_functional(lam)`, `u_derivatives_functional(lam, index)`
+and `wave_functional(builder, lam)`, whose residual components are
+`spectral.lsp_residual` of the built Phi.
 The connection, its derivatives and the lowering functionals evaluate
 their pointwise kernels one strip of grid rows at a time
 (`JetField.map_rows`), with scalar factors applied in place so a strip
@@ -46,6 +51,7 @@ from .fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
+    JetField,
     JetRows,
     MatrixField,
     chart_derivatives,
@@ -55,9 +61,9 @@ from .fields import (
     row_strips,
     same_grid,
 )
-from .matlie import commutator, fro, mm
-from .sigma import JetField, TravelingWave, check_lambda, u_pair
-from .spectral import lowered_rung_derivatives, lowered_rungs_from_jets
+from .matlie import commutator, fro
+from .sigma import TravelingWave, check_lambda, u_pair
+from .spectral import lowered_rung_derivatives, lowered_rungs_from_jets, lsp_residual
 
 __all__ = [
     "ConformalSpec",
@@ -213,17 +219,13 @@ def _quotient(a: MatrixField, b: MatrixField, eps: float) -> MatrixField:
 # --- functionals used throughout -----------------------------------------------
 
 
-def theta_functional() -> Functional:
-    return lambda j: (MatrixField(j.grid, j.values, j.margin),)
+def theta_functional(j: JetField) -> tuple[MatrixField]:
+    return (MatrixField(j.grid, j.values, j.margin),)
 
 
-def theta_derivatives_functional() -> Functional:
+def theta_derivatives_functional(j: JetField) -> tuple[MatrixField, MatrixField]:
     """(D_1 theta, D_2 theta)."""
-
-    def g(j: JetField) -> tuple[MatrixField, MatrixField]:
-        return MatrixField(j.grid, j.d1, j.margin1), MatrixField(j.grid, j.d2, j.margin1)
-
-    return g
+    return MatrixField(j.grid, j.d1, j.margin1), MatrixField(j.grid, j.d2, j.margin1)
 
 
 def u_functional(lam: complex) -> Functional:
@@ -257,19 +259,15 @@ def u_derivatives_functional(lam: complex, index: int) -> Functional:
     return g
 
 
-def lowering_functional() -> Functional:
+def lowering_functional(j: JetField) -> tuple[MatrixField]:
     """Value of the lowering operator applied once; rational in the jets."""
-    return lambda j: (MatrixField(j.grid, lowered_rungs_from_jets(j, 1)[0], j.margin1),)
+    return (MatrixField(j.grid, lowered_rungs_from_jets(j, 1)[0], j.margin1),)
 
 
-def lowering_derivatives_functional() -> Functional:
+def lowering_derivatives_functional(j: JetField) -> tuple[MatrixField, MatrixField]:
     """(D_1, D_2) of the once-lowered rung, from one lowering pass."""
-
-    def g(j: JetField) -> tuple[MatrixField, MatrixField]:
-        d1r, d2r = lowered_rung_derivatives(j)
-        return MatrixField(j.grid, d1r, j.margin2), MatrixField(j.grid, d2r, j.margin2)
-
-    return g
+    d1r, d2r = lowered_rung_derivatives(j)
+    return MatrixField(j.grid, d1r, j.margin2), MatrixField(j.grid, d2r, j.margin2)
 
 
 def wave_functional(
@@ -278,23 +276,16 @@ def wave_functional(
     """The wave function Phi that ``phi_builder`` builds on the jets.
 
     Given ``lam``, the linear-problem residuals D_alpha Phi - u^alpha Phi
-    follow Phi as two more components, so one build of Phi per
-    deformation serves both.  Their prolongations vanish exactly when the
-    characteristic is also a symmetry of the linear problem.
+    (`lsp_residual`) follow Phi as two more components, so one build of
+    Phi per deformation serves both.  Their prolongations vanish exactly
+    when the characteristic is also a symmetry of the linear problem.
     """
 
     def g(jd: JetField) -> tuple[MatrixField, ...]:
         phi = phi_builder(jd)
         if lam is None:
             return (phi,)
-        d1phi, d2phi, dmargin = chart_first_derivatives(phi)
-        u1, u2 = u_pair(jd, lam)
-        margin = max(dmargin, u1.margin)
-        return (
-            phi,
-            MatrixField(jd.grid, d1phi - mm(u1.values, phi.values), margin),
-            MatrixField(jd.grid, d2phi - mm(u2.values, phi.values), margin),
-        )
+        return (phi, *lsp_residual(phi, *u_pair(jd, lam)))
 
     return g
 

@@ -44,6 +44,7 @@ from .fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
+    JetField,
     MatrixField,
     chart_first_derivatives,
     interior,
@@ -62,7 +63,6 @@ from .immersion import (
 )
 from .matlie import commutator, constant, det, fro, su_basis
 from .sigma import (
-    JetField,
     theta_comm_identity_residual,
     theta_of,
     theta_square_residual,
@@ -288,8 +288,7 @@ class Fixtures:
     @_fixture
     def euclid_closed(self) -> MatrixField:
         """F = Phi^-1 (f u1 + g u2) Phi."""
-        spec, j, w = EUCLID_SPEC, self.jets_analytic(), self.euclid_wave()
-        return conformal_immersion_closed(spec, j, w, LAM_EUCLID)
+        return conformal_immersion_closed(EUCLID_SPEC, *self.euclid_u(), self.euclid_wave())
 
     @_fixture
     def euclid_surface(self) -> ImmersionResult:
@@ -327,10 +326,10 @@ class Fixtures:
             j = veronese(n, self.euclid_grid(), k)[1]
             gs = [wave_functional(_euclid_builder(k)), u_functional(LAM_EUCLID)]
             if k:
-                gs.append(lowering_functional())
+                gs.append(lowering_functional)
             (prw_phi,), (a, b), *lowered = frechet_apply(gs, j, conformal_characteristic(spec, j))
             if lowered:
-                dl = lowering_derivatives_functional()(j)
+                dl = lowering_derivatives_functional(j)
                 out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], dl)
                 if (n, k) == (2, 1):
                     out["step-order"] = _step_defects(j, dl)
@@ -392,7 +391,7 @@ class Fixtures:
         path defects."""
         spec, jt, w = MINK_SPEC_LINEAR, self.traveling()[1], self.mink_wave()
         ((a, b),) = frechet_apply((u_functional(LAM_MINK),), jt, conformal_characteristic(spec, jt))
-        f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+        f_closed = conformal_immersion_closed(spec, *self.mink_u(), w)
         return {
             "closed-form-tangents": max(tangent_check(f_closed, w, a, b)),
             "compatibility": compatibility_defect(a, b, *self.mink_u()),
@@ -430,7 +429,7 @@ class Fixtures:
         (tw, jt), w, spec = self.traveling(), self.mink_wave(), MINK_SPEC_AFFINE
         gs = (wave_functional(_mink_builder(tw), LAM_MINK),)
         ((prw_phi, *lsp),) = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
-        f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+        f_closed = conformal_immersion_closed(spec, *self.mink_u(), w)
         mean, variation = constant_difference_check(f_closed, explicit_immersion(w, prw_phi))
         return {"lsp": max(map(_field_max, lsp)), "mean": mean, "variation": variation}
 
@@ -455,7 +454,7 @@ def _mink_builder(tw) -> Callable[[JetField], WaveField]:
 def _commutation_functionals(lam: complex) -> tuple:
     """theta, (D1 theta, D2 theta), (u1, u2), (D1 u1, D2 u1), (D1 u2, D2 u2)."""
     dus = (u_derivatives_functional(lam, 1), u_derivatives_functional(lam, 2))
-    return theta_functional(), theta_derivatives_functional(), u_functional(lam), *dus
+    return theta_functional, theta_derivatives_functional, u_functional(lam), *dus
 
 
 def _commutation_defects(prolonged) -> dict[str, float]:
@@ -511,8 +510,7 @@ def _euclid_prolonged_connection(fx: Fixtures) -> float:
 
 
 def _traveling_lsp(fx: Fixtures) -> float:
-    r1, r2, m = lsp_residual(fx.mink_wave(), *fx.mink_u())
-    return max(interior_max(r1, m), interior_max(r2, m))
+    return max(map(_field_max, lsp_residual(fx.mink_wave(), *fx.mink_u())))
 
 
 def _prolonged_surface_closed_form(fx: Fixtures) -> float:
@@ -546,7 +544,7 @@ def _quadratic_difference_variation(fx: Fixtures) -> float:
     spec, w = MINK_SPEC_QUADRATIC, phi_traveling(tw, jt, LAM_MINK)
     q = conformal_characteristic(spec, jt)
     ((prw_phi,),) = frechet_apply((wave_functional(_mink_builder(tw)),), jt, q)
-    f_closed = conformal_immersion_closed(spec, jt, w, LAM_MINK)
+    f_closed = conformal_immersion_closed(spec, *u_pair(jt, LAM_MINK), w)
     return constant_difference_check(f_closed, explicit_immersion(w, prw_phi))[1]
 
 
@@ -571,7 +569,7 @@ def _step_defects(j: JetField, dl: tuple[MatrixField, MatrixField]) -> list[floa
     q = conformal_characteristic(trans, j)
     out = []
     for eps in (0.04, 0.02, 0.01):
-        ((prw,),) = frechet_apply((lowering_functional(),), j, q, eps)
+        ((prw,),) = frechet_apply((lowering_functional,), j, q, eps)
         out.append(_lowering_defect(trans, prw, dl))
     return out
 
@@ -583,7 +581,7 @@ def _step_order(fx: Fixtures) -> float:
 
 def _grid_order(fx: Fixtures) -> float:
     spec = EUCLID_SPEC
-    gs = (lowering_functional(), lowering_derivatives_functional())
+    gs = (lowering_functional, lowering_derivatives_functional)
     ds = []
     for h in (0.012, 0.006, 0.003):
         jh = veronese(2, fx.euclid_grid(h), 1)[1]

@@ -23,7 +23,8 @@ cross-check the two:
 * the JSON, CSV and OBJ exports, each formatted as one string of the
   whole field, and the native ``.npz`` as ``np.savez`` writes it, against
   the writers that stream them one strip of grid rows at a time;
-* the pointwise jet kernels (the connection and its derivatives, the
+* the pointwise jet kernels (the connection, its lambda-derivative and
+  its derivatives, the
   lowering operator and its derivatives, the Euclidean wave function and
   its lambda-derivative, the traveling wave function), each evaluated on
   the whole grid at once, against the kernels that evaluate them one strip
@@ -43,6 +44,7 @@ from solsurf.fields import (
     CHART_EUCLIDEAN,
     FIELD_FORMAT,
     Grid2,
+    JetField,
     MatrixField,
     chart_first_derivatives,
     chart_jets,
@@ -62,7 +64,6 @@ from solsurf.matlie import (
     trace,
 )
 from solsurf.sigma import (
-    JetField,
     TravelingWave,
     check_lambda,
     projector,
@@ -323,6 +324,16 @@ def u_pair_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     u2 = commutator(j.d2, j.values)
     u2 *= -2.0 / (1.0 - lam)
     return u1, u2
+
+
+def u_dlambda_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """`solsurf.sigma.u_dlambda` on the whole grid."""
+    lam = check_lambda(lam)
+    v1 = commutator(j.d1, j.values)
+    v1 *= 2.0 / (1 + lam) ** 2
+    v2 = commutator(j.d2, j.values)
+    v2 *= -2.0 / (1 - lam) ** 2
+    return v1, v2
 
 
 def u_derivatives_whole(j: JetField, lam: complex, index: int) -> tuple[np.ndarray, np.ndarray]:

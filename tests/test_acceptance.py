@@ -25,7 +25,6 @@ from solsurf.fields import (
     interior_max,
 )
 from solsurf.immersion import (
-    compatibility_defect,
     conformal_immersion_closed,
     constant_difference_check,
     explicit_immersion,
@@ -50,6 +49,7 @@ from solsurf.spectral import (
 from solsurf.symmetry import (
     ConformalSpec,
     commutation_defect,
+    compatibility_defect,
     conformal_characteristic,
     frechet_apply,
     lowering_derivatives_functional,
@@ -132,8 +132,7 @@ def test_criterion_2_lsp_euclidean(ladders):
                 j = rung_jets(n, k)
                 w = euclidean_wave(j, k, lam, ladders[n])
                 u1, u2 = u_pair(j, lam)
-                r1, r2, m = lsp_residual(w, u1, u2)
-                worst = max(interior_max(r1, m), interior_max(r2, m))
+                worst = max(interior_max(fro(r.values), r.margin) for r in lsp_residual(w, u1, u2))
                 entries.append((f"cp{n - 1}-k{k}-lam{lam}", worst < 1e-7, worst))
     report("criterion-2 LSP euclidean", entries, 20, time.perf_counter() - t0)
 
@@ -143,8 +142,7 @@ def test_criterion_3_lsp_traveling(traveling):
     wave, jets = traveling
     w = phi_traveling(wave, jets, LAM_M)
     u1, u2 = u_pair(jets, LAM_M)
-    r1, r2, m = lsp_residual(w, u1, u2)
-    worst = max(interior_max(r1, m), interior_max(r2, m))
+    worst = max(interior_max(fro(r.values), r.margin) for r in lsp_residual(w, u1, u2))
     report(
         "criterion-3 LSP traveling",
         [("kappa2-omega1-lam0.5", worst < 1e-8, worst)],
@@ -163,7 +161,7 @@ def test_criterion_4_tangent_theorem(traveling):
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
-    f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
+    f_closed = conformal_immersion_closed(spec, u1, u2, w)
     d = max(tangent_check(f_closed, w, a, b))
     entries.append(("euclid-tangents", d < 1e-6, d))
     cd = compatibility_defect(a, b, u1, u2)
@@ -177,7 +175,7 @@ def test_criterion_4_tangent_theorem(traveling):
     wm = phi_traveling(wave, jets, LAM_M)
     u1m, u2m = u_pair(jets, LAM_M)
     ((am, bm),) = frechet_apply([u_functional(LAM_M)], jets, qm)
-    fm = conformal_immersion_closed(specm, jets, wm, LAM_M)
+    fm = conformal_immersion_closed(specm, u1m, u2m, wm)
     d = max(tangent_check(fm, wm, am, bm))
     entries.append(("mink-tangents", d < 1e-6, d))
     cd = compatibility_defect(am, bm, u1m, u2m)
@@ -255,7 +253,7 @@ def test_criterion_6_traveling_wave(traveling):
     calf_ab = explicit_immersion(wm, prw_phi_ab)
     d_ok = max(tangent_check(calf_ab, wm, a2, b2))
     entries.append(("affine-identity", d_ok < 1e-6, d_ok))
-    f_ab = conformal_immersion_closed(spec_ab, jets, wm, LAM_M)
+    f_ab = conformal_immersion_closed(spec_ab, *u_pair(jets, LAM_M), wm)
     mean, variation = constant_difference_check(f_ab, calf_ab)
     entries.append(("difference-constant", variation < 1e-8, variation))
     pred_mean = (
@@ -274,8 +272,8 @@ def test_criterion_7_commutation(traveling):
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
     gs = [
-        theta_functional(),
-        theta_derivatives_functional(),
+        theta_functional,
+        theta_derivatives_functional,
         u_functional(LAM_E),
         u_derivatives_functional(LAM_E, 1),
         u_derivatives_functional(LAM_E, 2),
@@ -298,13 +296,12 @@ def test_criterion_7_commutation(traveling):
     j1 = rung_jets(2, 1)
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
-    g = lowering_functional()
-    dl1, dl2 = lowering_derivatives_functional()(j1)
+    dl1, dl2 = lowering_derivatives_functional(j1)
     ref = dl1.values + dl2.values
     margin = dl1.margin
     ds = []
     for eps in (0.04, 0.02, 0.01):
-        ((pw,),) = frechet_apply([g], j1, q1, eps)
+        ((pw,),) = frechet_apply([lowering_functional], j1, q1, eps)
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, margin)))
     eps_order = float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
     entries.append(("eps-order>=2", eps_order > 1.9, eps_order))
@@ -314,7 +311,7 @@ def test_criterion_7_commutation(traveling):
         jh = rung_jets(2, 1, h)
         qh = conformal_characteristic(spec, jh)
         (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional(), lowering_derivatives_functional()], jh, qh, 1e-3
+            [lowering_functional, lowering_derivatives_functional], jh, qh, 1e-3
         )
         hs.append(commutation_defect(prw_g, prw_dg))
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
@@ -346,21 +343,19 @@ def _refinement_table():
         j = rung_jets(3, 2, h)
         w = euclidean_wave(j, 2, 0.5)
         u1, u2 = u_pair(j, 0.5)
-        r1, r2, m = lsp_residual(w, u1, u2)
-        return max(interior_max(r1, m), interior_max(r2, m))
+        return max(interior_max(fro(r.values), r.margin) for r in lsp_residual(w, u1, u2))
 
     def lsp_traveling_defect(h):
         wave, jets = traveling_solution(KAPPA, OMEGA, mink_grid(h))
         w = phi_traveling(wave, jets, LAM_M)
         u1, u2 = u_pair(jets, LAM_M)
-        r1, r2, m = lsp_residual(w, u1, u2)
-        return max(interior_max(r1, m), interior_max(r2, m))
+        return max(interior_max(fro(r.values), r.margin) for r in lsp_residual(w, u1, u2))
 
     def euclid_tangent_defect(h):
         j = rung_jets(2, 0, h)
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         w = euclidean_wave(j, 0, LAM_E)
-        f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
+        f_closed = conformal_immersion_closed(spec, *u_pair(j, LAM_E), w)
         pw1, pw2 = prolong_u(spec, j, LAM_E)
         return max(tangent_check(f_closed, w, pw1, pw2))
 
@@ -383,7 +378,7 @@ def _refinement_table():
         jh = rung_jets(2, 1, h)
         qh = conformal_characteristic(spec, jh)
         (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional(), lowering_derivatives_functional()], jh, qh, 1e-3
+            [lowering_functional, lowering_derivatives_functional], jh, qh, 1e-3
         )
         return commutation_defect(prw_g, prw_dg)
 

@@ -376,21 +376,54 @@ def test_fixtures_hold_no_single_reader_field(monkeypatch):
     assert len(calls) == 10
 
 
+def test_verify_builds_each_connection_pair_once(monkeypatch):
+    # the closed forms read the memoized pair of their solution: on the
+    # standard Euclidean jets `u_pair` runs for that pair and for the
+    # closed prolongation of the connection, on the traveling jets once
+    import sys
+    import weakref
+
+    from solsurf import sigma, verify
+
+    pairs = []
+    u_pair = sigma.u_pair
+
+    def counted(j, lam):
+        pairs.append(weakref.ref(j))
+        return u_pair(j, lam)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("solsurf") and getattr(module, "u_pair", None) is u_pair:
+            monkeypatch.setattr(module, "u_pair", counted)
+    built = []
+
+    class Recorded(verify.Fixtures):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(verify, "Fixtures", Recorded)
+    assert verify.run_suites(["all"]).passed
+    (fx,) = built
+    jets, traveling = fx.jets_analytic(), fx.traveling()[1]
+    on = [sum(ref() is j for ref in pairs) for j in (jets, traveling)]
+    assert (on, len(pairs)) == ([2, 1], 30)
+
+
 def test_cli_solution_holds_the_jets_of_the_active_rung_only():
     # a Euclidean n = 4, k = 1 run: every rung is a bare projector field
     # and theta of rung 1 alone carries jets; the heap peaks at 12.6 fields
     # of 4 x 4 (32.6 when every rung carried its jets)
     from solsurf.cli import _build_solution
-    from solsurf.sigma import JetField
+    from solsurf.fields import JetField
 
     cfg = parse_solve({**BASE_VERONESE, "n": 4, "solution": {"kind": "veronese", "k": 1}})
     tracemalloc.start()
     try:
-        j, rungs, meta = _build_solution(cfg)
+        j, rungs = _build_solution(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert meta == {"kind": "veronese", "k": 1}
     assert len(rungs) == 4 and all(type(r) is MatrixField for r in rungs)
     assert type(j) is JetField
     assert peak <= 13 * (16 * 61**2 * 16)
@@ -834,6 +867,7 @@ def test_cli_immerse_deep_rung_sums_stored_rungs(tmp_path):
     # level 3 lies beyond the jets' second order: Phi and dPhi/dlambda
     # sum the stored ladder rungs
     from solsurf.fields import CHART_EUCLIDEAN, Grid2, interior_max
+    from solsurf.matlie import fro
     from solsurf.sigma import u_pair, veronese
     from solsurf.spectral import WaveField, lsp_residual
 
@@ -851,8 +885,8 @@ def test_cli_immerse_deep_rung_sums_stored_rungs(tmp_path):
     wave, lam = read_field(os.path.join(out, "wave.npz"))
     grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (21, 21))
     j = veronese(4, grid, 3)[1]
-    r1, r2, m = lsp_residual(WaveField(grid, wave.values, wave.margin, lam=lam), *u_pair(j, lam))
-    assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
+    w = WaveField(grid, wave.values, wave.margin, lam=lam)
+    assert max(interior_max(fro(r.values), r.margin) for r in lsp_residual(w, *u_pair(j, lam))) < 1e-7
 
 
 def test_reports_refuse_non_finite_values(tmp_path):
@@ -951,7 +985,7 @@ def _quiet_main(argv: list[str]) -> int:
               "outputs": [{"format": "obj", "input": "f.npz", "path": "f.obj"}],
               "tolerances": {}, "suite": "all"})
 @settings(max_examples=150, deadline=None, derandomize=True)
-# a coarse grid may leave the tangent pair incompatible; integrate_surface warns by design
+# a coarse grid may leave the tangent pair incompatible; immerse warns by design
 @pytest.mark.filterwarnings("ignore:tangent pair is not compatible:UserWarning")
 def test_every_config_parses_or_is_rejected_and_solves(obj):
     # every config that solve parses solves, and every config that immerse

@@ -12,11 +12,12 @@ from solsurf.fields import (
     CHART_MINKOWSKI,
     STRIP_ROWS,
     Grid2,
+    JetField,
     MatrixField,
     interior_max,
 )
 from solsurf.matlie import commutator, constant, fro, identity, mm, su_basis
-from solsurf.sigma import JetField, traveling_solution, u_pair, veronese
+from solsurf.sigma import traveling_solution, u_dlambda, u_pair, veronese
 from solsurf.spectral import (
     WaveField,
     euclidean_wave,
@@ -26,6 +27,7 @@ from solsurf.spectral import (
 )
 from solsurf.symmetry import (
     ConformalSpec,
+    compatibility_defect,
     conformal_characteristic,
     frechet_apply,
     traveling_R_fields,
@@ -34,7 +36,6 @@ from solsurf.symmetry import (
 )
 from solsurf.immersion import (
     assemble_tangents,
-    compatibility_defect,
     conformal_immersion_closed,
     constant_difference_check,
     explicit_immersion,
@@ -46,7 +47,6 @@ from solsurf.immersion import (
     su_projected,
     sym_tafel,
     tangent_check,
-    u_dlambda,
 )
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
@@ -126,24 +126,22 @@ def test_integrated_matches_closed_form_conformal():
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     assert compatibility_defect(a, b, u1, u2) < 1e-6
-    res = integrate_surface(a, b, w, u1=u1, u2=u2)
+    res = integrate_surface(a, b, w)
     assert res.path_defect < 1e-6
-    f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
+    f_closed = conformal_immersion_closed(spec, u1, u2, w)
     assert su_distance(f_closed) < 1e-10  # admissible spectral parameter: F lies in su(2)
     _, variation = constant_difference_check(res.raw, f_closed)
     assert variation < 1e-7
     assert max(tangent_check(f_closed, w, a, b)) < 1e-6
 
 
-def test_incompatible_pair_warns():
+def test_incompatible_pair_is_path_dependent():
     j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(u1.values), u1.margin)
-    with pytest.warns(UserWarning, match="not compatible"):
-        res = integrate_surface(u1, zero, w, u1=u1, u2=u2)
-    assert res.compat_defect > 1e-3
-    assert res.path_defect > 1e-6
+    assert compatibility_defect(u1, zero, u1, u2) > 1e-3
+    assert integrate_surface(u1, zero, w).path_defect > 1e-6
 
 
 def _with_nan_rows(shape, rows, seed):
@@ -215,7 +213,8 @@ def test_sym_tafel_euclid():
     du1, du2 = u_dlambda(j, LAM_E)
     assert max(tangent_check(fst, w, du1, du2)) < 1e-6
     a, b = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
-    res = integrate_surface(a, b, w, u1=u1, u2=u2)
+    assert compatibility_defect(a, b, u1, u2) < 1e-6
+    res = integrate_surface(a, b, w)
     _, variation = constant_difference_check(res.raw, fst)
     assert variation < 1e-7
 
@@ -289,7 +288,7 @@ def test_assemble_additivity():
 def test_conformal_zero_spec():
     j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
-    f = conformal_immersion_closed(ConformalSpec.euclidean((0.0,)), j, w, LAM_E)
+    f = conformal_immersion_closed(ConformalSpec.euclidean((0.0,)), *u_pair(j, LAM_E), w)
     assert interior_max(fro(f.values), f.margin) == 0
 
 
@@ -297,7 +296,7 @@ def test_traveling_conformal_closed_form_reduction():
     # with theta_2 = kappa theta_1 the closed form collapses onto one direction
     spec = ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7))
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
-    f = conformal_immersion_closed(spec, JET_M, w, LAM_M)
+    f = conformal_immersion_closed(spec, *u_pair(JET_M, LAM_M), w)
     komm = commutator(JET_M.d1, JET_M.values)
     coeff = -2 * (
         spec.f(GRID_M) / (1 + LAM_M) + WAVE_M.kappa * spec.g(GRID_M) / (1 - LAM_M)
@@ -321,7 +320,7 @@ def test_prolong_immersion_trivial_and_psi():
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
-    f_closed = conformal_immersion_closed(spec, j, w, LAM_E)
+    f_closed = conformal_immersion_closed(spec, u1, u2, w)
     psi = psi_of(f_closed, w)
     assert psi_residual(psi, w, u1, u2, a, b) < 1e-6
 

@@ -3,10 +3,10 @@ import pytest
 
 from oracles import dlambda_fd
 from solsurf.errors import LambdaSingular
-from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, interior_max, row_strips
+from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, JetField, interior_max, row_strips
 from solsurf.matlie import fro, identity, mm
 from solsurf.cli import _orthogonality_defect
-from solsurf.sigma import JetField, projector, traveling_solution, u_pair, veronese
+from solsurf.sigma import projector, traveling_solution, u_pair, veronese
 from solsurf.spectral import (
     WaveField,
     _cond2,
@@ -48,9 +48,9 @@ def test_lsp_residual_all_levels(n, ladder, lam):
         j = jets(n, k)
         w = euclidean_wave(j, k, lam, ladder)
         u1, u2 = u_pair(j, lam)
-        r1, r2, m = lsp_residual(w, u1, u2)
-        assert interior_max(r1, m) < 1e-7
-        assert interior_max(r2, m) < 1e-7
+        r1, r2 = lsp_residual(w, u1, u2)
+        assert interior_max(fro(r1.values), r1.margin) < 1e-7
+        assert interior_max(fro(r2.values), r2.margin) < 1e-7
 
 
 def test_lambda_singular():
@@ -120,8 +120,7 @@ def test_deep_ladder_stored_rung_wave():
     stored = identity(4) + beta * ladder[3].values + c * lowered
     assert interior_max(fro(w.values - stored), w.margin) < 1e-14
     u1, u2 = u_pair(j, lam)
-    r1, r2, m = lsp_residual(w, u1, u2)
-    assert max(interior_max(r1, m), interior_max(r2, m)) < 1e-7
+    assert max(interior_max(fro(r.values), r.margin) for r in lsp_residual(w, u1, u2)) < 1e-7
 
 
 def test_wave_linearity_reconstruction():
@@ -178,9 +177,9 @@ def test_traveling_wave_lsp_and_det():
     lam = 0.5
     w = phi_traveling(WAVE_M, JET_M, lam)
     u1, u2 = u_pair(JET_M, lam)
-    r1, r2, m = lsp_residual(w, u1, u2)
-    assert interior_max(r1, m) < 1e-8
-    assert interior_max(r2, m) < 1e-8
+    r1, r2 = lsp_residual(w, u1, u2)
+    assert interior_max(fro(r1.values), r1.margin) < 1e-8
+    assert interior_max(fro(r2.values), r2.margin) < 1e-8
     # numpy.linalg takes the matrix axes last
     det = np.linalg.det(np.moveaxis(w.values, (0, 1), (-2, -1)))
     assert np.max(np.abs(det - det[50, 50])) < 1e-10
@@ -210,9 +209,11 @@ def test_lsp_residual_trivial_phi():
     ident = WaveField(
         GRID_M, np.broadcast_to(identity(2), JET_M.values.shape).astype(complex).copy(), lam=lam
     )
-    r1, r2, m = lsp_residual(ident, u1, u2)
-    assert interior_max(np.abs(r1 - fro(u1.values)), m) < 1e-12
-    assert interior_max(np.abs(r2 - fro(u2.values)), m) < 1e-12
+    r1, r2 = lsp_residual(ident, u1, u2)
+    # D Phi vanishes, so each residual is -u Phi = -u, with the stencil margin
+    assert r1.margin == r2.margin == 2
+    assert interior_max(np.abs(fro(r1.values) - fro(u1.values)), 2) < 1e-12
+    assert interior_max(np.abs(fro(r2.values) - fro(u2.values)), 2) < 1e-12
 
 
 def test_traveling_lsp_fourth_order_refinement():
@@ -223,8 +224,7 @@ def test_traveling_lsp_fourth_order_refinement():
         wave, jets = traveling_solution(2.0, 1.0, grid)
         w = phi_traveling(wave, jets, lam)
         u1, u2 = u_pair(jets, lam)
-        r1, r2, m = lsp_residual(w, u1, u2)
-        vals.append(max(interior_max(r1, m), interior_max(r2, m)))
+        vals.append(max(interior_max(fro(r.values), r.margin) for r in lsp_residual(w, u1, u2)))
     assert vals[0] / vals[1] > 8
 
 

@@ -17,6 +17,7 @@ from oracles import (
     lowered_rungs_whole,
     phi_traveling_whole,
     u_derivatives_whole,
+    u_dlambda_whole,
     u_pair_whole,
 )
 from solsurf.errors import DeformationOutOfDomain
@@ -29,7 +30,7 @@ from solsurf.fields import (
     chart_jets,
 )
 from solsurf.matlie import constant
-from solsurf.sigma import traveling_solution, u_pair, veronese
+from solsurf.sigma import traveling_solution, u_dlambda, u_pair, veronese
 from solsurf.spectral import (
     euclidean_wave,
     euclidean_wave_dlambda,
@@ -113,7 +114,7 @@ def test_stored_rung_wave_and_dlambda_match_the_whole_grid():
 def test_lowering_functionals_match_the_whole_grid(nodes, deformed):
     j = _euclid_jets(nodes, deformed)
     r, d1r, d2r = lowered_rung_with_jets_whole(j)
-    ((value,), (d1, d2)) = (lowering_functional()(j), lowering_derivatives_functional()(j))
+    ((value,), (d1, d2)) = (lowering_functional(j), lowering_derivatives_functional(j))
     assert _same_bits(value.values, lowered_rungs_whole(j, 1)[0])
     assert _same_bits(value.values, r)
     assert _same_bits(d1.values, d1r) and _same_bits(d2.values, d2r)
@@ -127,8 +128,10 @@ def test_u_pair_matches_the_whole_grid(nodes, deformed, chart):
         j, lam = _euclid_jets(nodes, deformed), LAM_E
     else:
         j, lam = _mink_jets(nodes, deformed)[1], LAM_M
-    for got, want in zip(u_pair(j, lam), u_pair_whole(j, lam)):
-        assert _same_bits(got.values, want)
+    # the pair's lambda-derivative runs through the same strip kernel
+    got = (*u_pair(j, lam), *u_dlambda(j, lam))
+    for g, want in zip(got, (*u_pair_whole(j, lam), *u_dlambda_whole(j, lam))):
+        assert _same_bits(g.values, want) and g.margin == j.margin1
 
 
 @sizes

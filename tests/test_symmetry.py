@@ -9,12 +9,13 @@ from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
+    JetField,
     MatrixField,
     chart_first_derivatives,
     interior_max,
 )
 from solsurf.matlie import commutator, dagger, fro, trace
-from solsurf.sigma import JetField, traveling_solution, u_pair, veronese
+from solsurf.sigma import traveling_solution, u_pair, veronese
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
@@ -93,7 +94,7 @@ def test_frechet_identity_and_first_jet():
     j = jets(0)
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    (ident,), (prw_d1, _) = frechet_apply([theta_functional(), theta_derivatives_functional()], j, q)
+    (ident,), (prw_d1, _) = frechet_apply([theta_functional, theta_derivatives_functional], j, q)
     assert interior_max(fro(ident.values - q.values), ident.margin) < 1e-10
     from solsurf.fields import chart_jets
 
@@ -178,7 +179,7 @@ def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(monkeypatch):
     # same difference quotient as when it is prolonged on its own
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    g = lowering_derivatives_functional()
+    g = lowering_derivatives_functional
     steps = _count_deformations(monkeypatch)
     (pair,) = frechet_apply([g], j, q)
     assert len(pair) == 2
@@ -236,9 +237,9 @@ def test_shared_prolongation_is_bit_exact_and_costs_one_central_pair(monkeypatch
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = [
-        theta_functional(),
+        theta_functional,
         u_functional(LAM_E),
-        lowering_functional(),
+        lowering_functional,
         wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
     ]
     separate = [frechet_apply([g], j, q)[0] for g in gs]
@@ -280,7 +281,7 @@ def test_frechet_apply_rejects_a_non_positive_step():
     q = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
     for eps_base in (0.0, -1e-5):
         with pytest.raises(ValueError, match="eps_base"):
-            frechet_apply([theta_functional()], j, q, eps_base)
+            frechet_apply([theta_functional], j, q, eps_base)
 
 
 @pytest.mark.parametrize(
@@ -309,12 +310,12 @@ def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
 
 
 FUNCTIONALS = {
-    "theta_functional": theta_functional(),
-    "theta_derivatives_functional": theta_derivatives_functional(),
+    "theta_functional": theta_functional,
+    "theta_derivatives_functional": theta_derivatives_functional,
     "u_functional": u_functional(LAM_E),
     "u_derivatives_functional": u_derivatives_functional(LAM_E, 2),
-    "lowering_functional": lowering_functional(),
-    "lowering_derivatives_functional": lowering_derivatives_functional(),
+    "lowering_functional": lowering_functional,
+    "lowering_derivatives_functional": lowering_derivatives_functional,
     # Phi on rung 1, where it is rational in the jets
     "wave_functional": wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
 }
@@ -363,13 +364,6 @@ def test_quadratic_functionals_have_exact_central_differences(name):
         assert gap < 1e-11
     else:
         assert gap > 1e-6
-
-
-def test_compatibility_defect_reexported_by_immersion():
-    from solsurf import immersion
-
-    assert immersion.compatibility_defect is compatibility_defect
-    assert "compatibility_defect" in immersion.__all__
 
 
 def test_el_symmetry_defect_positive_negative():
@@ -442,8 +436,8 @@ def test_commutation_defect_small():
     j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = [
-        theta_functional(),
-        theta_derivatives_functional(),
+        theta_functional,
+        theta_derivatives_functional,
         u_functional(LAM_E),
         u_derivatives_functional(LAM_E, 1),
     ]
@@ -456,8 +450,8 @@ def test_commutation_orders():
     j1 = jets(1)
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
-    g = lowering_functional()
-    dl1, dl2 = lowering_derivatives_functional()(j1)
+    g = lowering_functional
+    dl1, dl2 = lowering_derivatives_functional(j1)
     ref = dl1.values + dl2.values  # f = g = 1
     ds = []
     for eps in (0.04, 0.02):
@@ -472,7 +466,7 @@ def test_commutation_orders():
         jh = veronese(2, gh, 1)[1]
         qh = conformal_characteristic(spec, jh)
         (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional(), lowering_derivatives_functional()], jh, qh, 1e-3
+            [lowering_functional, lowering_derivatives_functional], jh, qh, 1e-3
         )
         hs.append(commutation_defect(prw_g, prw_dg))
     assert np.log2(hs[0] / hs[1]) > 3.0
