@@ -47,7 +47,6 @@ from .fields import (
 )
 from .geometry import embed_su2, export_obj
 from .immersion import (
-    a_value,
     assemble_tangents,
     conformal_immersion_closed,
     constant_difference_check,
@@ -77,7 +76,8 @@ from .spectral import (
     wave_diagnostics,
 )
 from .symmetry import (
-    compatibility_defect, conformal_characteristic, frechet_apply, u_functional, wave_functional,
+    compatibility_defect, conformal_characteristic, frechet_apply, polyval, u_functional,
+    wave_functional,
 )
 from .verify import SUITE_NAMES, run_suites
 
@@ -244,10 +244,11 @@ def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     """Each field is staged as soon as it is final and then freed, the report
     last; the files are renamed into place once it is written, so a run that
-    exits 2 leaves no file behind.  The closed forms, which read the
-    solution, come first, so it is freed before the surface is integrated;
-    so is the connection pair, once the tangent pair's compatibility defect
-    is measured (a warning above ``COMPAT_WARN``)."""
+    exits 2 leaves no file behind.  The Sym-Tafel surface comes first; then
+    the connection pair is built once and the solution freed.  The pair gives
+    the compatibility defect (a warning above ``COMPAT_WARN``) and, with the
+    symmetry alone, the closed conformal immersion, and is freed before the
+    closed forms are compared and the surface is integrated."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier = _build_solution(cfg)
@@ -281,14 +282,26 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         if spectral_only:
             if cfg.solution["kind"] != "veronese":
                 dphi = traveling_wave_dlambda(carrier, j, wave)
-            fst = sym_tafel(wave, dphi, a_value(cfg.a_coeffs, cfg.lam))
+            fst = sym_tafel(wave, dphi, polyval(cfg.a_coeffs, cfg.lam))
             del dphi
             write_field(stage("sym_tafel.npz"), fst)
             report["sym_tafel_su_distance"] = su_distance(fst)
             del fst
 
+        # one connection pair: the compatibility check's and the closed form's
+        u1, u2 = u_pair(j, cfg.lam)
+        del j, carrier, builder  # the Euclidean builder holds the rungs
+        compat = compatibility_defect(a, b, u1, u2)
         if symmetry_only:
-            f_closed = conformal_immersion_closed(cfg.symmetry, *u_pair(j, cfg.lam), wave)
+            f_closed = conformal_immersion_closed(cfg.symmetry, u1, u2, wave)
+        del u1, u2
+        if COMPAT_WARN < compat < np.inf:
+            warnings.warn(
+                f"tangent pair is not compatible (defect {compat:.3e}); "
+                "the integrated surface will be path dependent"
+            )
+
+        if symmetry_only:
             write_field(stage("conformal_closed.npz"), f_closed)
             report["conformal_closed_su_distance"] = su_distance(f_closed)
             calf = explicit_immersion(wave, prw_phi)
@@ -305,16 +318,6 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             report["prolonged_tangent_defect"] = defect
             report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
 
-        # the connection pair is read only by the compatibility check
-        u1, u2 = u_pair(j, cfg.lam)
-        del j, carrier, builder  # the Euclidean builder holds the rungs
-        compat = compatibility_defect(a, b, u1, u2)
-        del u1, u2
-        if COMPAT_WARN < compat < np.inf:
-            warnings.warn(
-                f"tangent pair is not compatible (defect {compat:.3e}); "
-                "the integrated surface will be path dependent"
-            )
         res = integrate_surface(a, b, wave)
         write_field(stage("immersion.npz"), res.field)
         write_field(stage("wave.npz"), wave, lam=wave.lam)

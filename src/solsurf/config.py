@@ -21,7 +21,9 @@ import json
 import math
 from dataclasses import dataclass
 
+from .errors import LambdaSingular
 from .fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2
+from .sigma import check_lambda
 from .symmetry import ConformalSpec
 
 __all__ = [
@@ -134,9 +136,10 @@ def parse_lambda(raw, key: str = "lambda") -> complex:
         raise ConfigError(f"{_where(key)} must be a number or a [re, im] pair, got {raw!r}")
     if max(abs(lam.real), abs(lam.imag)) > MAX_LAMBDA:
         raise ConfigError(f"{_where(key)} has a part beyond {MAX_LAMBDA:g} in magnitude")
-    if abs(1 - lam) < 1e-6 or abs(1 + lam) < 1e-6:
-        raise ConfigError(f"{_where(key)} is singular (too close to +1 or -1)")
-    return lam
+    try:
+        return check_lambda(lam)
+    except LambdaSingular as exc:
+        raise ConfigError(f"{_where(key)} is singular (too close to +1 or -1)") from exc
 
 
 def _checked(obj) -> dict:

@@ -38,11 +38,10 @@ from .fields import (
 from .matlie import commutator, constant, fro, inner, mm, project_su
 from .sigma import check_lambda, u_dlambda, u_pair
 from .spectral import WaveField, lsp_residual
-from .symmetry import ConformalSpec
+from .symmetry import ConformalSpec, polyval
 
 __all__ = [
     "ImmersionResult",
-    "a_value",
     "assemble_tangents",
     "conformal_immersion_closed",
     "constant_difference_check",
@@ -55,14 +54,6 @@ __all__ = [
     "sym_tafel",
     "tangent_check",
 ]
-
-
-def a_value(coeffs: tuple[float, ...], lam: complex) -> complex:
-    """The spectral coefficient a(lam) from its ascending coefficients."""
-    out = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        out = out * lam + c
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,7 +98,7 @@ def assemble_tangents(
     b_vals = np.zeros(shape, dtype=complex)
     margin = j.margin1
     if a_coeffs:
-        a = a_value(a_coeffs, lam)
+        a = polyval(a_coeffs, lam)
         du1, du2 = u_dlambda(j, lam)
         a_vals += a * du1.values
         b_vals += a * du2.values
@@ -239,7 +230,8 @@ def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> MatrixField:
     Returned raw; it lies in su(N) exactly on the unitarity domain of the
     wave function, which `su_distance` measures.
     """
-    raw = a_value * mm(w.inverse(), dphi.values)
+    raw = mm(w.inverse(), dphi.values)
+    raw *= a_value
     return MatrixField(w.grid, raw, max(w.margin, dphi.margin))
 
 

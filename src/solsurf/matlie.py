@@ -80,11 +80,6 @@ def fro(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=(0, 1)))
 
 
-def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[:2] != y.shape[:2]:
-        raise DimensionMismatch(f"matrix dims differ: {x.shape[:2]} vs {y.shape[:2]}")
-
-
 # --- small-matrix kernels --------------------------------------------------------
 
 # Largest matrix dimension the closed-form determinant and inverse handle.
@@ -114,7 +109,7 @@ def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     n, k = x.shape[:2]
     if y.shape[0] != k:
-        raise ValueError(f"inner dimensions differ: {x.shape[:2]} times {y.shape[:2]}")
+        raise DimensionMismatch(f"inner dimensions differ: {x.shape[:2]} times {y.shape[:2]}")
     m = y.shape[1]
     if max(n, k, m) > MM_MAX_N:
         return _matrix_first(_matrix_last(x) @ _matrix_last(y))
@@ -201,17 +196,11 @@ def inv(a: np.ndarray) -> np.ndarray:
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[X, Y] = XY - YX."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_same_dim(x, y)
     return mm(x, y) - mm(y, x)
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairing -1/2 Re tr(XY); positive definite on anti-Hermitian matrices."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_same_dim(x, y)
     return -0.5 * np.real(trace(mm(x, y)))
 
 

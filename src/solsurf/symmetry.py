@@ -37,6 +37,8 @@ jet field's ``second(rows)`` adds theta's second jets on the strip to eps
 times Q's, so the full deformed second jets are never built, and a
 functional that reads only theta, D_1 theta and D_2 theta runs no
 second-order stencil.
+`polyval` evaluates the polynomials: f(x1), g(x2) of `ConformalSpec`
+and the spectral coefficient a(lam) of :mod:`solsurf.immersion`.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ __all__ = [
     "frechet_apply",
     "lowering_functional",
     "lowering_derivatives_functional",
+    "polyval",
     "prolong_u",
     "theta_functional",
     "theta_derivatives_functional",
@@ -88,18 +91,19 @@ Functional = Callable[[JetField], tuple[MatrixField, ...]]
 # --- conformal data -----------------------------------------------------------
 
 
-def _polyval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def polyval(coeffs: Sequence[complex], x: np.ndarray | complex) -> np.ndarray | complex:
+    """Horner's rule for ascending ``coeffs`` at ``x``, a field or a number."""
     out = np.zeros_like(x, dtype=complex)
     for c in coeffs[::-1]:
         out = out * x + c
     return out
 
 
-def _polyder(coeffs: np.ndarray) -> np.ndarray:
-    if len(coeffs) <= 1:
+def _polyder(coeffs: Sequence[complex]) -> np.ndarray:
+    c = np.asarray(coeffs, dtype=complex)
+    if len(c) <= 1:
         return np.zeros(1, dtype=complex)
-    k = np.arange(1, len(coeffs))
-    return coeffs[1:] * k
+    return c[1:] * np.arange(1, len(c))
 
 
 @dataclass(frozen=True)
@@ -122,10 +126,8 @@ class ConformalSpec:
             if np.abs(f.imag).max(initial=0) > 1e-14 or np.abs(g.imag).max(initial=0) > 1e-14:
                 raise ValueError("Minkowski conformal coefficients must be real")
         elif self.chart == CHART_EUCLIDEAN:
-            fpad = np.zeros(max(len(f), len(g)), dtype=complex)
-            gpad = fpad.copy()
-            fpad[: len(f)] = f
-            gpad[: len(g)] = g
+            size = max(len(f), len(g))
+            fpad, gpad = (np.pad(c, (0, size - len(c))) for c in (f, g))
             if np.abs(gpad - np.conj(fpad)).max(initial=0) > 1e-14:
                 raise ValueError(
                     "Euclidean conformal data requires g to carry the conjugated "
@@ -148,21 +150,19 @@ class ConformalSpec:
         )
 
     def f(self, grid: Grid2) -> np.ndarray:
-        return _polyval(np.asarray(self.f_coeffs, dtype=complex), grid.coord1())
+        return polyval(self.f_coeffs, grid.coord1())
 
     def f1(self, grid: Grid2) -> np.ndarray:
-        return _polyval(_polyder(np.asarray(self.f_coeffs, dtype=complex)), grid.coord1())
+        return polyval(_polyder(self.f_coeffs), grid.coord1())
 
     def f11(self, grid: Grid2) -> np.ndarray:
-        return _polyval(
-            _polyder(_polyder(np.asarray(self.f_coeffs, dtype=complex))), grid.coord1()
-        )
+        return polyval(_polyder(_polyder(self.f_coeffs)), grid.coord1())
 
     def g(self, grid: Grid2) -> np.ndarray:
-        return _polyval(np.asarray(self.g_coeffs, dtype=complex), grid.coord2())
+        return polyval(self.g_coeffs, grid.coord2())
 
     def g2(self, grid: Grid2) -> np.ndarray:
-        return _polyval(_polyder(np.asarray(self.g_coeffs, dtype=complex)), grid.coord2())
+        return polyval(_polyder(self.g_coeffs), grid.coord2())
 
     def along(self, grid: Grid2, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """f(x1) X1 + g(x2) X2: a pair of matrix fields combined along the

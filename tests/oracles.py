@@ -20,6 +20,8 @@ cross-check the two:
   the compatibility defect, each formed on the whole grid at once, against
   the row strips that :mod:`solsurf.immersion` and
   :mod:`solsurf.symmetry` reduce;
+* a polynomial in a number summed by Python's own complex arithmetic,
+  against `symmetry.polyval`, which sums fields and numbers alike;
 * the JSON, CSV and OBJ exports, each formatted as one string of the
   whole field, and the native ``.npz`` as ``np.savez`` writes it, against
   the writers that stream them one strip of grid rows at a time;
@@ -171,6 +173,15 @@ def constant_field(grid: Grid2, mat: np.ndarray, margin: int = 0) -> MatrixField
 
 
 # --- the symmetry criterion ----------------------------------------------------------
+
+
+def polyval_number(coeffs: tuple[complex, ...], x: complex) -> complex:
+    """Horner's rule on Python numbers, the spectral coefficient a(lam)'s
+    own loop before it became `symmetry.polyval`."""
+    out = 0.0 + 0.0j
+    for c in coeffs[::-1]:
+        out = out * x + c
+    return out
 
 
 def el_symmetry_defect(

@@ -376,14 +376,13 @@ def test_fixtures_hold_no_single_reader_field(monkeypatch):
     assert len(calls) == 10
 
 
-def test_verify_builds_each_connection_pair_once(monkeypatch):
-    # the closed forms read the memoized pair of their solution: on the
-    # standard Euclidean jets `u_pair` runs for that pair and for the
-    # closed prolongation of the connection, on the traveling jets once
+def _counted_u_pair(monkeypatch) -> list:
+    """Weak references to the jets of every later `u_pair` call, wherever
+    a solsurf module binds it."""
     import sys
     import weakref
 
-    from solsurf import sigma, verify
+    from solsurf import sigma
 
     pairs = []
     u_pair = sigma.u_pair
@@ -395,6 +394,16 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("solsurf") and getattr(module, "u_pair", None) is u_pair:
             monkeypatch.setattr(module, "u_pair", counted)
+    return pairs
+
+
+def test_verify_builds_each_connection_pair_once(monkeypatch):
+    # the closed forms read the memoized pair of their solution: on the
+    # standard Euclidean jets `u_pair` runs for that pair and for the
+    # closed prolongation of the connection, on the traveling jets once
+    from solsurf import verify
+
+    pairs = _counted_u_pair(monkeypatch)
     built = []
 
     class Recorded(verify.Fixtures):
@@ -408,6 +417,22 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     jets, traveling = fx.jets_analytic(), fx.traveling()[1]
     on = [sum(ref() is j for ref in pairs) for j in (jets, traveling)]
     assert (on, len(pairs)) == ([2, 1], 30)
+
+
+def test_cli_immerse_builds_the_connection_pair_of_the_solution_once(tmp_path, monkeypatch):
+    # with only a symmetry, the compatibility check and the closed conformal
+    # immersion read one pair built on the solution's jets; the other calls
+    # run on the deformed jets of the prolongation
+    from solsurf import cli
+
+    pairs, solution = _counted_u_pair(monkeypatch), []
+    build = cli._build_solution
+    monkeypatch.setattr(cli, "_build_solution", lambda cfg: solution.extend(build(cfg)) or solution)
+    config = os.path.join(os.path.dirname(__file__), "reference", "euclidean", "config.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["immerse", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    j = solution[0]
+    assert sum(ref() is j for ref in pairs) == 1 and len(pairs) > 1
 
 
 def test_cli_solution_holds_the_jets_of_the_active_rung_only():

@@ -77,8 +77,10 @@ def test_commutator_pauli_structure():
 
 
 def test_commutator_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        commutator(np.eye(2), np.eye(3))
+    # `mm` checks the inner dimensions, for itself and both of its callers
+    for op in (commutator, mm, inner):
+        with pytest.raises(DimensionMismatch):
+            op(np.eye(2), np.eye(3))
 
 
 @given(st.integers(0, 2**32 - 1))

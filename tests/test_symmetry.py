@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import el_symmetry_defect, frechet_apply_shared
+from oracles import el_symmetry_defect, frechet_apply_shared, polyval_number
 from solsurf.errors import ChartMismatch
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -25,6 +25,7 @@ from solsurf.symmetry import (
     frechet_apply,
     lowering_derivatives_functional,
     lowering_functional,
+    polyval,
     prolong_u,
     theta_derivatives_functional,
     theta_functional,
@@ -74,6 +75,26 @@ def test_conformal_spec_validation():
     assert spec.g_coeffs == (-0.5j, 1.0)
     with pytest.raises(ChartMismatch):
         conformal_characteristic(spec, JET_M)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.5), (0.3, -1.7, 2.5e-3, 4.0), (1j, 0.5 - 2j)])
+@pytest.mark.parametrize("x", [0.5, 0.6j, -3.25 + 0.125j, 1e50 + 1e-50j])
+def test_polyval_of_a_number_keeps_the_bits_of_python_arithmetic(coeffs, x):
+    got, want = polyval(coeffs, x), polyval_number(coeffs, x)
+    assert np.isscalar(got)
+    assert [float(p).hex() for p in (got.real, got.imag)] == [
+        p.hex() for p in (want.real, want.imag)
+    ]
+
+
+def test_conformal_spec_without_coefficients_is_zero_on_both_charts():
+    # an empty list is the zero polynomial, as `"g": []` is in a config
+    cases = [(ConformalSpec.euclidean(()), GRID), (ConformalSpec.minkowski((), ()), GRID_M)]
+    for spec, grid in cases:
+        for values in (spec.f(grid), spec.f1(grid), spec.f11(grid), spec.g(grid), spec.g2(grid)):
+            assert values.shape == (grid.n2, grid.n1) and not values.any()
+    quadratic = ConformalSpec.minkowski((0.0, 0.0, 1.0), ())
+    assert not quadratic.g(GRID_M).any() and not quadratic.g2(GRID_M).any()
 
 
 def test_characteristic_values():
