@@ -40,6 +40,7 @@ from .matlie import commutator, dagger, fro, identity, mm
 __all__ = [
     "TravelingWave",
     "check_lambda",
+    "commutator_pair_rows",
     "el_residual",
     "projector",
     "theta_comm_identity_residual",
@@ -47,6 +48,7 @@ __all__ = [
     "theta_square_residual",
     "theta_triple_residual",
     "traveling_solution",
+    "u_coefficients",
     "u_dlambda",
     "u_pair",
     "veronese",
@@ -77,25 +79,31 @@ def theta_of(p: MatrixField) -> JetField:
 # --- model operators and residuals -------------------------------------------
 
 
+def commutator_pair_rows(jr: JetRows, c1: complex, c2: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(c1 [theta_1, theta], c2 [theta_2, theta]) on the strip ``jr`` of
+    grid rows, with the scales applied in place."""
+    v1 = commutator(jr.d1, jr.values)
+    v1 *= c1
+    v2 = commutator(jr.d2, jr.values)
+    v2 *= c2
+    return v1, v2
+
+
 def _commutator_pair(j: JetField, c1: complex, c2: complex) -> tuple[MatrixField, MatrixField]:
-    """(c1 [theta_1, theta], c2 [theta_2, theta]), one strip of grid rows at a
-    time, with the scales applied in place."""
-
-    def rows(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
-        v1 = commutator(jr.d1, jr.values)
-        v1 *= c1
-        v2 = commutator(jr.d2, jr.values)
-        v2 *= c2
-        return v1, v2
-
-    v1, v2 = j.map_rows(rows)
+    """`commutator_pair_rows` of ``j``, one strip of grid rows at a time."""
+    v1, v2 = j.map_rows(lambda jr: commutator_pair_rows(jr, c1, c2))
     return MatrixField(j.grid, v1, j.margin1), MatrixField(j.grid, v2, j.margin1)
+
+
+def u_coefficients(lam: complex) -> tuple[complex, complex]:
+    """(-2/(1+lam), -2/(1-lam)), the scales of the connection pair."""
+    lam = check_lambda(lam)
+    return -2.0 / (1.0 + lam), -2.0 / (1.0 - lam)
 
 
 def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
     """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta]."""
-    lam = check_lambda(lam)
-    return _commutator_pair(j, -2.0 / (1.0 + lam), -2.0 / (1.0 - lam))
+    return _commutator_pair(j, *u_coefficients(lam))
 
 
 def u_dlambda(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:

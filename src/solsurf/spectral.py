@@ -12,8 +12,9 @@ Two closed-form builders are provided:
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
 
-Every builder that reads the jets (the projector, the lowered rungs and
-their derivatives, Phi of both charts) is pointwise, and runs one strip of
+Every builder that reads the jets (the projector, the lowered rungs, the
+jets of the once-lowered rung from one lowering pass in
+`lowered_rung_jets`, Phi of both charts) is pointwise, and runs one strip of
 grid rows at a time through `JetField.map_rows` into one preallocated
 output, with scalar factors applied in place (see :mod:`solsurf.fields`).
 The lowering's guard stays global: where its denominator vanishes the
@@ -54,7 +55,7 @@ __all__ = [
     "euclidean_wave",
     "euclidean_wave_coefficients",
     "euclidean_wave_dlambda",
-    "lowered_rung_derivatives",
+    "lowered_rung_jets",
     "lowered_rungs_from_jets",
     "lowered_rung_with_jets",
     "lsp_residual",
@@ -202,16 +203,15 @@ def lowered_rung_with_jets(
     return r, derivative(d1p, j.d12, j.d11), derivative(d2p, j.d22, j.d12), bad
 
 
-def lowered_rung_derivatives(j: JetField) -> tuple[np.ndarray, np.ndarray]:
-    """(D_1 L(P), D_2 L(P)) of the once-lowered rung of the solution carried
-    by ``j``, one strip of grid rows at a time."""
-
-    def rows(jr: JetRows) -> tuple[np.ndarray, ...]:
-        return lowered_rung_with_jets(projector(jr), -1j * jr.d1, -1j * jr.d2, jr)[1:]
-
-    d1r, d2r, bad = j.map_rows(rows)
+def lowered_rung_jets(j: JetField) -> list[np.ndarray]:
+    """[L(P), D_1 L(P), D_2 L(P)] of the once-lowered rung of the solution
+    carried by ``j``, from one lowering pass, one strip of grid rows at a
+    time."""
+    *jets, bad = j.map_rows(
+        lambda jr: lowered_rung_with_jets(projector(jr), -1j * jr.d1, -1j * jr.d2, jr)
+    )
     _check_denominators([bad])
-    return d1r, d2r
+    return jets
 
 
 def _lowered_strips(

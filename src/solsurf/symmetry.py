@@ -23,13 +23,16 @@ once per (jets, Q, step) for all it reads: pr w u for the symmetry
 criterion, pr w Phi for explicit integration, pr w of the linear-problem
 residual, and pr w G beside pr w (D_alpha G) for the commutation checks.
 A functional maps jets to a tuple of matrix fields, all differenced from
-the same deformations, so the connection pair (u1, u2) is one functional.
-Functionals are plain functions (`theta_functional`,
-`lowering_functional`, ...); a factory returns one only where it binds a
-parameter: `u_functional(lam)`, `u_derivatives_functional(lam, index)`
-and `wave_functional(builder, lam)`, whose residual components are
-`spectral.lsp_residual` of the built Phi.
-The connection, its derivatives and the lowering functionals evaluate
+the same deformations, so each jet set is one functional:
+`theta_functional` (theta, D_1 theta, D_2 theta), `u_jets_functional(lam)`
+(u1 and u2, each followed by its D_1 and D_2) and
+`lowering_jets_functional` (L, D_1 L, D_2 L of the once-lowered rung);
+`commutation_defect` reads one prolonged jet set.  `u_functional(lam)`
+(u1, u2) and `lowering_functional` (L) serve callers that read no
+derivatives, and `wave_functional(builder, lam)` returns Phi with its
+`spectral.lsp_residual` components.  A factory returns a functional only
+where it binds a parameter.
+The connection, its jets and the lowering functionals evaluate
 their pointwise kernels one strip of grid rows at a time
 (`JetField.map_rows`), with scalar factors applied in place so a strip
 rounds as the whole field does (see :mod:`solsurf.fields`).  A deformed
@@ -64,8 +67,8 @@ from .fields import (
     same_grid,
 )
 from .matlie import commutator, fro
-from .sigma import TravelingWave, check_lambda, u_pair
-from .spectral import lowered_rung_derivatives, lowered_rungs_from_jets, lsp_residual
+from .sigma import TravelingWave, check_lambda, commutator_pair_rows, u_coefficients, u_pair
+from .spectral import lowered_rung_jets, lowered_rungs_from_jets, lsp_residual
 
 __all__ = [
     "ConformalSpec",
@@ -74,14 +77,13 @@ __all__ = [
     "conformal_characteristic",
     "frechet_apply",
     "lowering_functional",
-    "lowering_derivatives_functional",
+    "lowering_jets_functional",
     "polyval",
     "prolong_u",
     "theta_functional",
-    "theta_derivatives_functional",
     "traveling_R_fields",
     "u_functional",
-    "u_derivatives_functional",
+    "u_jets_functional",
     "wave_functional",
 ]
 
@@ -219,13 +221,13 @@ def _quotient(a: MatrixField, b: MatrixField, eps: float) -> MatrixField:
 # --- functionals used throughout -----------------------------------------------
 
 
-def theta_functional(j: JetField) -> tuple[MatrixField]:
-    return (MatrixField(j.grid, j.values, j.margin),)
+def _jet_set(j: JetField, values: Sequence[np.ndarray], margins: Sequence[int]) -> tuple:
+    return tuple(MatrixField(j.grid, v, m) for v, m in zip(values, margins, strict=True))
 
 
-def theta_derivatives_functional(j: JetField) -> tuple[MatrixField, MatrixField]:
-    """(D_1 theta, D_2 theta)."""
-    return MatrixField(j.grid, j.d1, j.margin1), MatrixField(j.grid, j.d2, j.margin1)
+def theta_functional(j: JetField) -> tuple[MatrixField, MatrixField, MatrixField]:
+    """(theta, D_1 theta, D_2 theta)."""
+    return _jet_set(j, (j.values, j.d1, j.d2), (j.margin, j.margin1, j.margin1))
 
 
 def u_functional(lam: complex) -> Functional:
@@ -233,30 +235,27 @@ def u_functional(lam: complex) -> Functional:
     return lambda j: u_pair(j, lam)
 
 
-def u_derivatives_functional(lam: complex, index: int) -> Functional:
-    """Jet-expressed (D_1 u_index, D_2 u_index) of one connection component,
-    quadratic in (theta, jets), one strip of grid rows at a time."""
-    lam = check_lambda(lam)
-    c = -2 / (1 + lam) if index == 1 else -2 / (1 - lam)
+def u_jets_functional(lam: complex) -> Functional:
+    """(u1, D_1 u1, D_2 u1, u2, D_1 u2, D_2 u2), the connection pair and
+    its jet-expressed derivatives, quadratic in (theta, jets), from one
+    strip kernel; u1 and u2 round as `u_pair` does."""
+    c1, c2 = u_coefficients(lam)
 
-    def rows(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
-        if index == 1:
-            v1 = commutator(jr.d11, jr.values)
-            v2 = commutator(jr.d12, jr.values)
-            v2 += commutator(jr.d1, jr.d2)
-        else:
-            v1 = commutator(jr.d12, jr.values)
-            v1 += commutator(jr.d2, jr.d1)
-            v2 = commutator(jr.d22, jr.values)
-        v1 *= c
-        v2 *= c
-        return v1, v2
+    def rows(jr: JetRows) -> tuple[np.ndarray, ...]:
+        u1, u2 = commutator_pair_rows(jr, c1, c2)
+        du1_1 = commutator(jr.d11, jr.values)
+        du2_2 = commutator(jr.d22, jr.values)
+        # D_2 u1 and D_1 u2 share [theta_12, theta] and add [theta_1, theta_2]
+        # with opposite signs ([theta_2, theta_1] is exactly its negation)
+        du1_2 = commutator(jr.d12, jr.values)
+        cross = commutator(jr.d1, jr.d2)
+        du2_1 = du1_2 - cross
+        du1_2 += cross
+        for x, c in ((du1_1, c1), (du1_2, c1), (du2_1, c2), (du2_2, c2)):
+            x *= c
+        return u1, du1_1, du1_2, u2, du2_1, du2_2
 
-    def g(j: JetField) -> tuple[MatrixField, MatrixField]:
-        v1, v2 = j.map_rows(rows)
-        return MatrixField(j.grid, v1, j.margin2), MatrixField(j.grid, v2, j.margin2)
-
-    return g
+    return lambda j: _jet_set(j, j.map_rows(rows), (j.margin1, j.margin2, j.margin2) * 2)
 
 
 def lowering_functional(j: JetField) -> tuple[MatrixField]:
@@ -264,10 +263,9 @@ def lowering_functional(j: JetField) -> tuple[MatrixField]:
     return (MatrixField(j.grid, lowered_rungs_from_jets(j, 1)[0], j.margin1),)
 
 
-def lowering_derivatives_functional(j: JetField) -> tuple[MatrixField, MatrixField]:
-    """(D_1, D_2) of the once-lowered rung, from one lowering pass."""
-    d1r, d2r = lowered_rung_derivatives(j)
-    return MatrixField(j.grid, d1r, j.margin2), MatrixField(j.grid, d2r, j.margin2)
+def lowering_jets_functional(j: JetField) -> tuple[MatrixField, MatrixField, MatrixField]:
+    """(L, D_1 L, D_2 L) of the once-lowered rung, from one lowering pass."""
+    return _jet_set(j, lowered_rung_jets(j), (j.margin1, j.margin2, j.margin2))
 
 
 def wave_functional(
@@ -300,10 +298,7 @@ def prolong_u(
 
     pr w u1 = D_1(f u1) + g D_2(u1),  pr w u2 = f D_1(u2) + D_2(g u2).
     """
-    lam = check_lambda(lam)
-    u1, u2 = u_pair(j, lam)
-    du1_1, du1_2 = u_derivatives_functional(lam, 1)(j)
-    du2_1, du2_2 = u_derivatives_functional(lam, 2)(j)
+    u1, du1_1, du1_2, u2, du2_1, du2_2 = u_jets_functional(lam)(j)
     grid = j.grid
     f, f1, g, g2 = spec.f(grid), spec.f1(grid), spec.g(grid), spec.g2(grid)
     pw1 = f1 * u1.values + f * du1_1.values + g * du1_2.values
@@ -334,15 +329,13 @@ def compatibility_defect(
     return interior_max(res, max(a.margin + 2, b.margin + 2, u1.margin, u2.margin))
 
 
-def commutation_defect(
-    prw_g: MatrixField, prw_dg: tuple[MatrixField, MatrixField]
-) -> float:
+def commutation_defect(prw: Sequence[MatrixField]) -> float:
     """Max over both directions of || D_alpha(pr w_Q G) - pr w_Q(D_alpha G) ||.
 
-    ``prw_g`` is the prolongation pr w_Q G, differentiated here with
-    stencils; ``prw_dg`` is the prolongation of the jet-expressed pair
-    (D_1 G, D_2 G) along the same Q.
+    ``prw`` is one prolonged jet set (pr w_Q G, pr w_Q(D_1 G), pr w_Q(D_2 G))
+    along one Q; its first field is differentiated here with stencils.
     """
+    prw_g, *prw_dg = prw
     d1_prw, d2_prw, dmargin = chart_first_derivatives(prw_g)
     return max(
         interior_max(fro(side1 - side2.values), max(dmargin, side2.margin))

@@ -83,14 +83,13 @@ from .symmetry import (
     compatibility_defect,
     conformal_characteristic,
     frechet_apply,
-    lowering_derivatives_functional,
     lowering_functional,
+    lowering_jets_functional,
     prolong_u,
-    theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
-    u_derivatives_functional,
     u_functional,
+    u_jets_functional,
     wave_functional,
 )
 
@@ -255,12 +254,12 @@ class Fixtures:
         wave = wave_functional(_euclid_builder(0), LAM_EUCLID)
         gs = (*_commutation_functionals(LAM_EUCLID), wave)
         spec, j = EUCLID_SPEC, self.jets_analytic()
-        *commuting, (prw_phi, *lsp) = frechet_apply(gs, j, conformal_characteristic(spec, j))
+        prw_theta, prw_u, (prw_phi, *lsp) = frechet_apply(gs, j, conformal_characteristic(spec, j))
         return {
-            "tangents": commuting[2],
+            "tangents": (prw_u[0], prw_u[3]),
             "wave": prw_phi,
             "lsp-symmetry": max(map(_field_max, lsp)),
-            "commutation": _commutation_defects(commuting),
+            "commutation": _commutation_defects((prw_theta, prw_u)),
         }
 
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
@@ -320,7 +319,7 @@ class Fixtures:
                 gs.append(lowering_functional)
             (prw_phi,), (a, b), *lowered = frechet_apply(gs, j, conformal_characteristic(spec, j))
             if lowered:
-                dl = lowering_derivatives_functional(j)
+                dl = lowering_jets_functional(j)[1:]
                 out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], dl)
                 if (n, k) == (2, 1):
                     out["step-order"] = _step_defects(j, dl)
@@ -443,19 +442,18 @@ def _mink_builder(tw) -> Callable[[JetField], WaveField]:
 
 
 def _commutation_functionals(lam: complex) -> tuple:
-    """theta, (D1 theta, D2 theta), (u1, u2), (D1 u1, D2 u1), (D1 u2, D2 u2)."""
-    dus = (u_derivatives_functional(lam, 1), u_derivatives_functional(lam, 2))
-    return theta_functional, theta_derivatives_functional, u_functional(lam), *dus
+    """The jet sets of theta and of the connection pair."""
+    return theta_functional, u_jets_functional(lam)
 
 
 def _commutation_defects(prolonged) -> dict[str, float]:
     """The appendix's defects of theta, u1 and u2 from the prolongations
-    of `_commutation_functionals`, in that order."""
-    (prw_theta,), prw_dtheta, (prw_u1, prw_u2), prw_du1, prw_du2 = prolonged
+    of `_commutation_functionals`."""
+    prw_theta, prw_u = prolonged
     return {
-        "theta": commutation_defect(prw_theta, prw_dtheta),
-        "u1": commutation_defect(prw_u1, prw_du1),
-        "u2": commutation_defect(prw_u2, prw_du2),
+        "theta": commutation_defect(prw_theta),
+        "u1": commutation_defect(prw_u[:3]),
+        "u2": commutation_defect(prw_u[3:]),
     }
 
 
@@ -571,14 +569,12 @@ def _step_order(fx: Fixtures) -> float:
 
 
 def _grid_order(fx: Fixtures) -> float:
-    spec = EUCLID_SPEC
-    gs = (lowering_functional, lowering_derivatives_functional)
     ds = []
     for h in (0.012, 0.006, 0.003):
         jh = veronese(2, fx.euclid_grid(h), 1)[1]
-        qh = conformal_characteristic(spec, jh)
-        (prw_g,), prw_dg = frechet_apply(gs, jh, qh, 1e-3)
-        ds.append(commutation_defect(prw_g, prw_dg))
+        qh = conformal_characteristic(EUCLID_SPEC, jh)
+        (prw,) = frechet_apply((lowering_jets_functional,), jh, qh, 1e-3)
+        ds.append(commutation_defect(prw))
     return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
 

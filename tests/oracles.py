@@ -348,7 +348,8 @@ def u_dlambda_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def u_derivatives_whole(j: JetField, lam: complex, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """`solsurf.symmetry.u_derivatives_functional` on the whole grid."""
+    """(D_1 u_index, D_2 u_index) of `solsurf.symmetry.u_jets_functional`
+    on the whole grid."""
     lam = check_lambda(lam)
     c = -2 / (1 + lam) if index == 1 else -2 / (1 - lam)
     jr = j.rows(slice(None))  # forms the whole second jets once

@@ -52,14 +52,13 @@ from solsurf.symmetry import (
     compatibility_defect,
     conformal_characteristic,
     frechet_apply,
-    lowering_derivatives_functional,
     lowering_functional,
+    lowering_jets_functional,
     prolong_u,
-    theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
-    u_derivatives_functional,
     u_functional,
+    u_jets_functional,
     wave_functional,
 )
 
@@ -271,23 +270,16 @@ def test_criterion_7_commutation(traveling):
     j = rung_jets(2, 0)
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    gs = [
-        theta_functional,
-        theta_derivatives_functional,
-        u_functional(LAM_E),
-        u_derivatives_functional(LAM_E, 1),
-        u_derivatives_functional(LAM_E, 2),
-    ]
-    (prw_theta,), dtheta, (a, b), du1, du2 = frechet_apply(gs, j, q)
-    for name, prw_g, prw_dg in (("theta", prw_theta, dtheta), ("u1", a, du1), ("u2", b, du2)):
-        d = commutation_defect(prw_g, prw_dg)
+    prw_theta, prw_u = frechet_apply([theta_functional, u_jets_functional(LAM_E)], j, q)
+    for name, prw in (("theta", prw_theta), ("u1", prw_u[:3]), ("u2", prw_u[3:])):
+        d = commutation_defect(prw)
         entries.append((f"euclid-{name}", d < 1e-6, d))
     wave, jets = traveling
     qm = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), jets)
-    gs[2:] = [u_functional(LAM_M), u_derivatives_functional(LAM_M, 1), u_derivatives_functional(LAM_M, 2)]
-    (prw_theta_m,), dtheta_m, (am, bm), du1m, du2m = frechet_apply(gs, jets, qm, 1e-4)
-    for name, prw_g, prw_dg in (("theta", prw_theta_m, dtheta_m), ("u1", am, du1m), ("u2", bm, du2m)):
-        d = commutation_defect(prw_g, prw_dg)
+    gs = [theta_functional, u_jets_functional(LAM_M)]
+    prw_theta_m, prw_um = frechet_apply(gs, jets, qm, 1e-4)
+    for name, prw in (("theta", prw_theta_m), ("u1", prw_um[:3]), ("u2", prw_um[3:])):
+        d = commutation_defect(prw)
         entries.append((f"mink-{name}", d < 1e-6, d))
 
     # step-size order, probed on the lowering operator (the jet-quadratic
@@ -296,7 +288,7 @@ def test_criterion_7_commutation(traveling):
     j1 = rung_jets(2, 1)
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
-    dl1, dl2 = lowering_derivatives_functional(j1)
+    _, dl1, dl2 = lowering_jets_functional(j1)
     ref = dl1.values + dl2.values
     margin = dl1.margin
     ds = []
@@ -310,10 +302,8 @@ def test_criterion_7_commutation(traveling):
     for h in (0.012, 0.006, 0.003):
         jh = rung_jets(2, 1, h)
         qh = conformal_characteristic(spec, jh)
-        (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional, lowering_derivatives_functional], jh, qh, 1e-3
-        )
-        hs.append(commutation_defect(prw_g, prw_dg))
+        (prw,) = frechet_apply([lowering_jets_functional], jh, qh, 1e-3)
+        hs.append(commutation_defect(prw))
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
     entries.append(("h-order>=3", h_order > 3.0, h_order))
 
@@ -377,10 +367,8 @@ def _refinement_table():
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         jh = rung_jets(2, 1, h)
         qh = conformal_characteristic(spec, jh)
-        (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional, lowering_derivatives_functional], jh, qh, 1e-3
-        )
-        return commutation_defect(prw_g, prw_dg)
+        (prw,) = frechet_apply([lowering_jets_functional], jh, qh, 1e-3)
+        return commutation_defect(prw)
 
     return [
         ("c1-el-residual", 0.012, el_defect),

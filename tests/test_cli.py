@@ -398,9 +398,9 @@ def _counted_u_pair(monkeypatch) -> list:
 
 
 def test_verify_builds_each_connection_pair_once(monkeypatch):
-    # the closed forms read the memoized pair of their solution: on the
-    # standard Euclidean jets `u_pair` runs for that pair and for the
-    # closed prolongation of the connection, on the traveling jets once
+    # the closed forms read the memoized pair of their solution: `u_pair`
+    # runs once on the standard Euclidean jets (the closed prolongation of
+    # the connection reads the u jets instead) and once on the traveling jets
     from solsurf import verify
 
     pairs = _counted_u_pair(monkeypatch)
@@ -416,7 +416,7 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     (fx,) = built
     jets, traveling = fx.jets_analytic(), fx.traveling()[1]
     on = [sum(ref() is j for ref in pairs) for j in (jets, traveling)]
-    assert (on, len(pairs)) == ([2, 1], 30)
+    assert (on, len(pairs)) == ([1, 1], 25)
 
 
 def test_cli_immerse_builds_the_connection_pair_of_the_solution_once(tmp_path, monkeypatch):

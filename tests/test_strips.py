@@ -34,16 +34,16 @@ from solsurf.sigma import traveling_solution, u_dlambda, u_pair, veronese
 from solsurf.spectral import (
     euclidean_wave,
     euclidean_wave_dlambda,
-    lowered_rung_derivatives,
+    lowered_rung_jets,
     lowered_rungs_from_jets,
     phi_traveling,
 )
 from solsurf.symmetry import (
     ConformalSpec,
     conformal_characteristic,
-    lowering_derivatives_functional,
     lowering_functional,
-    u_derivatives_functional,
+    lowering_jets_functional,
+    u_jets_functional,
 )
 
 LAM_E = 0.6j
@@ -114,10 +114,12 @@ def test_stored_rung_wave_and_dlambda_match_the_whole_grid():
 def test_lowering_functionals_match_the_whole_grid(nodes, deformed):
     j = _euclid_jets(nodes, deformed)
     r, d1r, d2r = lowered_rung_with_jets_whole(j)
-    ((value,), (d1, d2)) = (lowering_functional(j), lowering_derivatives_functional(j))
+    (value,), (jets_value, d1, d2) = lowering_functional(j), lowering_jets_functional(j)
     assert _same_bits(value.values, lowered_rungs_whole(j, 1)[0])
-    assert _same_bits(value.values, r)
+    assert _same_bits(value.values, r) and _same_bits(jets_value.values, r)
     assert _same_bits(d1.values, d1r) and _same_bits(d2.values, d2r)
+    assert (value.margin, jets_value.margin, d1.margin, d2.margin) == (j.margin1, j.margin1,
+                                                                      j.margin2, j.margin2)
 
 
 @sizes
@@ -138,9 +140,11 @@ def test_u_pair_matches_the_whole_grid(nodes, deformed, chart):
 @both
 @pytest.mark.parametrize("index", [1, 2])
 def test_u_derivatives_match_the_whole_grid(nodes, deformed, index):
+    # (u_index, D_1 u_index, D_2 u_index) of the u jets
     j = _euclid_jets(nodes, deformed)
-    got = u_derivatives_functional(LAM_E, index)(j)
-    for g, want in zip(got, u_derivatives_whole(j, LAM_E, index)):
+    u, *got = u_jets_functional(LAM_E)(j)[3 * index - 3: 3 * index]
+    assert _same_bits(u.values, u_pair_whole(j, LAM_E)[index - 1]) and u.margin == j.margin1
+    for g, want in zip(got, u_derivatives_whole(j, LAM_E, index), strict=True):
         assert _same_bits(g.values, want) and g.margin == j.margin2
 
 
@@ -174,7 +178,7 @@ def test_a_strip_where_the_lowering_vanishes_is_nan_not_an_error(kill):
     for got, want in zip(lowered_rungs_from_jets(jk, 2), lowered_rungs_from_jets(j, 2)):
         assert np.isnan(got[..., rows, :]).all()
         assert _same_bits(got[..., rest, :], want[..., rest, :])
-    for got, want in zip(lowered_rung_derivatives(jk), lowered_rung_derivatives(j)):
+    for got, want in zip(lowered_rung_jets(jk), lowered_rung_jets(j)):
         assert np.isnan(got[..., rows, :]).all()
         assert _same_bits(got[..., rest, :], want[..., rest, :])
     phi = euclidean_wave(jk, 2, LAM_E).values
@@ -190,7 +194,7 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
     for build in (
         lambda: lowered_rungs_from_jets(flat, 1),
         lambda: lowered_rungs_from_jets(flat, 2),
-        lambda: lowered_rung_derivatives(flat),
+        lambda: lowered_rung_jets(flat),
         lambda: euclidean_wave(flat, 2, LAM_E),
         lambda: euclidean_wave_dlambda(flat, 2, LAM_E),
     ):

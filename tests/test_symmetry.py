@@ -23,15 +23,14 @@ from solsurf.symmetry import (
     compatibility_defect,
     conformal_characteristic,
     frechet_apply,
-    lowering_derivatives_functional,
     lowering_functional,
+    lowering_jets_functional,
     polyval,
     prolong_u,
-    theta_derivatives_functional,
     theta_functional,
     traveling_R_fields,
-    u_derivatives_functional,
     u_functional,
+    u_jets_functional,
     wave_functional,
 )
 
@@ -115,7 +114,7 @@ def test_frechet_identity_and_first_jet():
     j = jets(0)
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    (ident,), (prw_d1, _) = frechet_apply([theta_functional, theta_derivatives_functional], j, q)
+    ((ident, prw_d1, _),) = frechet_apply([theta_functional], j, q)
     assert interior_max(fro(ident.values - q.values), ident.margin) < 1e-10
     from solsurf.fields import chart_jets
 
@@ -159,7 +158,7 @@ def test_prolong_u_translation():
     j = jets(0)
     spec = ConformalSpec.euclidean((2.0,))
     pw1, _ = prolong_u(spec, j, LAM_E)
-    du1_1, du1_2 = u_derivatives_functional(LAM_E, 1)(j)
+    _, du1_1, du1_2, *_ = u_jets_functional(LAM_E)(j)
     expected = 2.0 * du1_1.values + 2.0 * du1_2.values
     assert interior_max(fro(pw1.values - expected), pw1.margin) < 1e-13
 
@@ -196,14 +195,14 @@ def _count_deformations(monkeypatch) -> list[float]:
 
 
 def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(monkeypatch):
-    # the pair shares its two deformations, and each component is the
+    # the jet set shares its two deformations, and each component is the
     # same difference quotient as when it is prolonged on its own
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    g = lowering_derivatives_functional
+    g = lowering_jets_functional
     steps = _count_deformations(monkeypatch)
     (pair,) = frechet_apply([g], j, q)
-    assert len(pair) == 2
+    assert len(pair) == 3
     assert len(steps) == 2
     for index, whole in enumerate(pair):
         ((alone,),) = frechet_apply([lambda jd, i=index: (g(jd)[i],)], j, q)
@@ -291,7 +290,7 @@ def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(case):
         q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     gs = _commutation_functionals(lam)
     got, want = frechet_apply(gs, j, q), frechet_apply_shared(gs, j, q)
-    assert [len(c) for c in got] == [len(c) for c in want] == [1, 2, 2, 2, 2]
+    assert [len(c) for c in got] == [len(c) for c in want] == [3, 6]
     for a, b in zip((f for c in got for f in c), (f for c in want for f in c)):
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert a.margin == b.margin
@@ -307,12 +306,12 @@ def test_frechet_apply_rejects_a_non_positive_step():
 
 @pytest.mark.parametrize(
     "functional, axes",
-    [(u_functional(LAM_E), []), (u_derivatives_functional(LAM_E, 1), [-2, -1])],
-    ids=["u", "du1"],
+    [(u_functional(LAM_E), []), (u_jets_functional(LAM_E), [-2, -1])],
+    ids=["u", "u-jets"],
 )
 def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
     # the pair reads theta, D_1 theta and D_2 theta only, so no
-    # second-order stencil of Q runs; D u reads them, one set for all four
+    # second-order stencil of Q runs; its jets read them, one set for both
     # deformations (d/dy^2 and d/dx^2, along grid axes -2 and -1)
     from solsurf import fields
 
@@ -332,11 +331,10 @@ def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
 
 FUNCTIONALS = {
     "theta_functional": theta_functional,
-    "theta_derivatives_functional": theta_derivatives_functional,
     "u_functional": u_functional(LAM_E),
-    "u_derivatives_functional": u_derivatives_functional(LAM_E, 2),
+    "u_jets_functional": u_jets_functional(LAM_E),
     "lowering_functional": lowering_functional,
-    "lowering_derivatives_functional": lowering_derivatives_functional,
+    "lowering_jets_functional": lowering_jets_functional,
     # Phi on rung 1, where it is rational in the jets
     "wave_functional": wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
 }
@@ -367,12 +365,7 @@ def test_quadratic_functionals_have_exact_central_differences(name):
     # for a functional of degree <= 2 in the jets the eps and eps/2 central
     # differences agree to rounding even at a large step; a rational one
     # (the lowered rung, Phi on rung 1) differs at O(eps^2)
-    quadratic = {
-        "theta_functional",
-        "theta_derivatives_functional",
-        "u_functional",
-        "u_derivatives_functional",
-    }
+    quadratic = {"theta_functional", "u_functional", "u_jets_functional"}
     g = FUNCTIONALS[name]
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
@@ -456,15 +449,9 @@ def test_traveling_R_fields():
 def test_commutation_defect_small():
     j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    gs = [
-        theta_functional,
-        theta_derivatives_functional,
-        u_functional(LAM_E),
-        u_derivatives_functional(LAM_E, 1),
-    ]
-    (prw_theta,), prw_dtheta, (prw_u1, _), prw_du1 = frechet_apply(gs, j, q)
-    assert commutation_defect(prw_theta, prw_dtheta) < 1e-8
-    assert commutation_defect(prw_u1, prw_du1) < 1e-6
+    prw_theta, prw_u = frechet_apply([theta_functional, u_jets_functional(LAM_E)], j, q)
+    assert commutation_defect(prw_theta) < 1e-8
+    assert commutation_defect(prw_u[:3]) < 1e-6
 
 
 def test_commutation_orders():
@@ -472,7 +459,7 @@ def test_commutation_orders():
     trans = ConformalSpec.euclidean((1.0,))
     q1 = conformal_characteristic(trans, j1)
     g = lowering_functional
-    dl1, dl2 = lowering_derivatives_functional(j1)
+    _, dl1, dl2 = lowering_jets_functional(j1)
     ref = dl1.values + dl2.values  # f = g = 1
     ds = []
     for eps in (0.04, 0.02):
@@ -486,8 +473,6 @@ def test_commutation_orders():
         gh = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (101, 101))
         jh = veronese(2, gh, 1)[1]
         qh = conformal_characteristic(spec, jh)
-        (prw_g,), prw_dg = frechet_apply(
-            [lowering_functional, lowering_derivatives_functional], jh, qh, 1e-3
-        )
-        hs.append(commutation_defect(prw_g, prw_dg))
+        (prw,) = frechet_apply([lowering_jets_functional], jh, qh, 1e-3)
+        hs.append(commutation_defect(prw))
     assert np.log2(hs[0] / hs[1]) > 3.0
