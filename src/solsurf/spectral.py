@@ -314,10 +314,12 @@ def euclidean_wave_dlambda(
 def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
     """Traveling-wave wave function exp(2 chi [theta_1, theta]) (2i theta - (2-N)I/N).
 
-    Exact jets make it margin-free.  It is formed one strip of grid rows
-    at a time; chi is formed once on the whole grid and sliced, so each
-    strip reads the grid's own coordinates.  Nodes where the exponent is
-    not finite are NaN, and if no node's is, `NonFiniteMatrix` is raised.
+    It reads D_1 theta, so it carries the margin of D_1 theta: none on
+    exact jets, that of Q's stencils on a deformation along Q.  It is
+    formed one strip of grid rows at a time; chi is formed once on the
+    whole grid and sliced, so each strip reads the grid's own coordinates.
+    Nodes where the exponent is not finite are NaN, and if no node's is,
+    `NonFiniteMatrix` is raised.
     """
     if j.n != 2:
         raise ValueError("traveling-wave wave functions are implemented for N = 2")
@@ -335,14 +337,14 @@ def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
     phi, live = j.map_rows(rows)
     if not live.any():
         raise NonFiniteMatrix("expm requires finite entries")
-    return WaveField(wave.grid, phi, j.margin, lam=complex(lam))
+    return WaveField(wave.grid, phi, j.margin1, lam=complex(lam))
 
 
 def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> MatrixField:
     """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi, for the built Phi ``w``."""
     komm = commutator(j.d1, j.values)
     out = 2.0 * wave.dlambda_chi(w.lam) * mm(komm, w.values)
-    return MatrixField(wave.grid, out, j.margin)
+    return MatrixField(wave.grid, out, j.margin1)
 
 
 # --- residual --------------------------------------------------------------------

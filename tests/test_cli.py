@@ -843,6 +843,32 @@ def test_cli_export_obj_of_an_immersed_surface(tmp_path):
     assert np.array_equal(np.array(verts), embed_su2(trim_margin(field)).reshape(-1, 3))
 
 
+def test_cli_prolonged_traveling_wave_is_finite_inside_its_margin(tmp_path):
+    # pr w Phi of the traveling wave reads D_1 theta of the deformation, a
+    # stencil of Q there, so it carries that margin: every field that
+    # immerse writes is finite inside its margin, and so is every vertex
+    # of its OBJ export
+    cfg = {**{k: v for k, v in README_MINK.items() if k != "a_coeffs"},
+           "grid": {**README_MINK["grid"], "dims": [41, 41]},
+           "symmetry": {"f": [[0, 0], [1, 0]], "g": [[0, 0], [1, 0]]}}
+    imm = str(tmp_path / "imm")
+    assert main(["immerse", "--config", write_cfg(tmp_path, cfg), "--out", imm]) == 0
+    names = sorted(name[:-4] for name in os.listdir(imm) if name.endswith(".npz"))
+    assert "prolonged" in names
+    for name in names:
+        field, _ = read_field(os.path.join(imm, f"{name}.npz"))
+        assert np.isfinite(trim_margin(field).values).all(), name
+    outputs = [{"format": "obj", "input": os.path.join(imm, f"{name}.npz"), "path": f"{name}.obj"}
+               for name in names]
+    out = tmp_path / "exp"
+    assert main(["export", "--config", write_cfg(tmp_path, {"outputs": outputs}, name="exp.json"),
+                 "--out", str(out)]) == 0
+    for name in names:
+        with open(out / f"{name}.obj") as fh:
+            verts = [[float(t) for t in line.split()[1:]] for line in fh if line.startswith("v ")]
+        assert verts and np.isfinite(verts).all(), name
+
+
 def test_cli_immerse_overflowing_traveling_wave_is_a_config_error(tmp_path, capsys):
     # the config parses, but the phase chi [theta_1, theta] of the wave
     # function overflows
