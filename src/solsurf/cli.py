@@ -244,11 +244,12 @@ def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     """Each field is staged as soon as it is final and then freed, the report
     last; the files are renamed into place once it is written, so a run that
-    exits 2 leaves no file behind.  The Sym-Tafel surface comes first; then
-    the connection pair is built once and the solution freed.  The pair gives
-    the compatibility defect (a warning above ``COMPAT_WARN``) and, with the
-    symmetry alone, the closed conformal immersion, and is freed before the
-    closed forms are compared and the surface is integrated."""
+    exits 2 leaves no file behind.  The connection pair is built once, for
+    a gauge's tangent terms or else after the Sym-Tafel surface, and the
+    solution is then freed.  The pair gives the compatibility defect (a
+    warning above ``COMPAT_WARN``) and, with the symmetry alone, the closed
+    conformal immersion, and is freed before the closed forms are compared
+    and the surface is integrated."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier = _build_solution(cfg)
@@ -270,7 +271,10 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only],
             j, conformal_characteristic(cfg.symmetry, j),
         )
-    a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, prw_u=prolonged[0])
+    # the gauge terms and the compatibility check read one connection pair
+    u = u_pair(j, cfg.lam) if gauge is not None else None
+    a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, u=u,
+                             prw_u=prolonged[0])
     prw_phi = prolonged[1][0] if symmetry_only else None
     del gauge, prolonged
     # a grid that the deepest tangent check covers fails before the compatibility check warns
@@ -289,8 +293,8 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             del fst
 
         # one connection pair: the compatibility check's and the closed form's
-        u1, u2 = u_pair(j, cfg.lam)
-        del j, carrier, builder  # the Euclidean builder holds the rungs
+        u1, u2 = u if u is not None else u_pair(j, cfg.lam)
+        del j, carrier, builder, u  # the Euclidean builder holds the rungs
         compat = compatibility_defect(a, b, u1, u2)
         if symmetry_only:
             f_closed = conformal_immersion_closed(cfg.symmetry, u1, u2, wave)

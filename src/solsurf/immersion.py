@@ -79,11 +79,13 @@ def assemble_tangents(
     *,
     a_coeffs: tuple[float, ...] = (),
     gauge: MatrixField | None = None,
+    u: tuple[MatrixField, MatrixField] | None = None,
     prw_u: tuple[MatrixField, MatrixField] | None = None,
 ) -> tuple[MatrixField, MatrixField]:
     """Tangent pair (A, B) from the three symmetry ingredients; any subset
     may be active.
 
+    ``u`` is `u_pair` of ``j`` for the gauge terms, built here if not given.
     ``prw_u`` is the prolonged connection (pr w_Q u1, pr w_Q u2) of the
     conformal symmetry: `frechet_apply` with `u_functional` along its
     characteristic, on the jets the pair is assembled from.
@@ -107,7 +109,7 @@ def assemble_tangents(
         if gauge.grid != grid:
             raise ValueError("gauge field grid mismatch")
         d1s, d2s, smargin = chart_first_derivatives(gauge)
-        u1, u2 = u_pair(j, lam)
+        u1, u2 = u if u is not None else u_pair(j, lam)
         a_vals += d1s
         a_vals += commutator(gauge.values, u1.values)
         b_vals += d2s

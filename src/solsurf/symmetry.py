@@ -221,13 +221,14 @@ def _quotient(a: MatrixField, b: MatrixField, eps: float) -> MatrixField:
 # --- functionals used throughout -----------------------------------------------
 
 
-def _jet_set(j: JetField, values: Sequence[np.ndarray], margins: Sequence[int]) -> tuple:
+def _fields(j: JetField, values: Sequence[np.ndarray], margins: Sequence[int]) -> tuple:
+    """Each of ``values`` as a field on the grid of ``j``, with its margin."""
     return tuple(MatrixField(j.grid, v, m) for v, m in zip(values, margins, strict=True))
 
 
 def theta_functional(j: JetField) -> tuple[MatrixField, MatrixField, MatrixField]:
     """(theta, D_1 theta, D_2 theta)."""
-    return _jet_set(j, (j.values, j.d1, j.d2), (j.margin, j.margin1, j.margin1))
+    return _fields(j, (j.values, j.d1, j.d2), (j.margin, j.margin1, j.margin1))
 
 
 def u_functional(lam: complex) -> Functional:
@@ -255,7 +256,7 @@ def u_jets_functional(lam: complex) -> Functional:
             x *= c
         return u1, du1_1, du1_2, u2, du2_1, du2_2
 
-    return lambda j: _jet_set(j, j.map_rows(rows), (j.margin1, j.margin2, j.margin2) * 2)
+    return lambda j: _fields(j, j.map_rows(rows), (j.margin1, j.margin2, j.margin2) * 2)
 
 
 def lowering_functional(j: JetField) -> tuple[MatrixField]:
@@ -265,7 +266,7 @@ def lowering_functional(j: JetField) -> tuple[MatrixField]:
 
 def lowering_jets_functional(j: JetField) -> tuple[MatrixField, MatrixField, MatrixField]:
     """(L, D_1 L, D_2 L) of the once-lowered rung, from one lowering pass."""
-    return _jet_set(j, lowered_rung_jets(j), (j.margin1, j.margin2, j.margin2))
+    return _fields(j, lowered_rung_jets(j), (j.margin1, j.margin2, j.margin2))
 
 
 def wave_functional(
@@ -303,10 +304,7 @@ def prolong_u(
     f, f1, g, g2 = spec.f(grid), spec.f1(grid), spec.g(grid), spec.g2(grid)
     pw1 = f1 * u1.values + f * du1_1.values + g * du1_2.values
     pw2 = f * du2_1.values + g2 * u2.values + g * du2_2.values
-    return (
-        MatrixField(grid, pw1, j.margin2),
-        MatrixField(grid, pw2, j.margin2),
-    )
+    return _fields(j, (pw1, pw2), (j.margin2, j.margin2))
 
 
 def compatibility_defect(
@@ -367,12 +365,7 @@ def traveling_R_fields(
     chi = wave.chi(lam)
     k = wave.kappa
     komm = commutator(j.d1, j.values)
-    f1 = spec.f1(grid)
-    f11 = spec.f11(grid)
-    g2 = spec.g2(grid)
+    f1, f11, g2 = spec.f1(grid), spec.f11(grid), spec.g2(grid)
     c1 = -2.0 * f1 / (1 + lam) + 2.0 * f11 * chi
     c2 = -2.0 * k * g2 - 2.0 * k * lam * f1 / (1 - lam)
-    return (
-        MatrixField(grid, c1 * komm, j.margin1),
-        MatrixField(grid, c2 * komm, j.margin1),
-    )
+    return _fields(j, (c1 * komm, c2 * komm), (j.margin1, j.margin1))

@@ -419,20 +419,30 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     assert (on, len(pairs)) == ([1, 1], 25)
 
 
-def test_cli_immerse_builds_the_connection_pair_of_the_solution_once(tmp_path, monkeypatch):
+GAUGE_EUCLID = {**BASE_VERONESE, "n": 3, "solution": {"kind": "veronese", "k": 1},
+                "gauge": {"preset": "diag"}, "a_coeffs": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize("gauge", [False, True], ids=["symmetry", "gauge"])
+def test_cli_immerse_builds_the_connection_pair_of_the_solution_once(tmp_path, monkeypatch, gauge):
     # with only a symmetry, the compatibility check and the closed conformal
-    # immersion read one pair built on the solution's jets; the other calls
-    # run on the deformed jets of the prolongation
+    # immersion read one pair built on the solution's jets, and the other
+    # calls run on the deformed jets of the prolongation; with a gauge, its
+    # [S, u] terms and the compatibility check read one pair
     from solsurf import cli
 
     pairs, solution = _counted_u_pair(monkeypatch), []
     build = cli._build_solution
     monkeypatch.setattr(cli, "_build_solution", lambda cfg: solution.extend(build(cfg)) or solution)
-    config = os.path.join(os.path.dirname(__file__), "reference", "euclidean", "config.json")
+    if gauge:
+        config = write_cfg(tmp_path, GAUGE_EUCLID)
+    else:
+        config = os.path.join(os.path.dirname(__file__), "reference", "euclidean", "config.json")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["immerse", "--config", config, "--out", str(tmp_path / "out")]) == 0
     j = solution[0]
-    assert sum(ref() is j for ref in pairs) == 1 and len(pairs) > 1
+    assert sum(ref() is j for ref in pairs) == 1
+    assert len(pairs) == (1 if gauge else 3)
 
 
 def test_cli_solution_holds_the_jets_of_the_active_rung_only():

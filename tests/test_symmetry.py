@@ -182,6 +182,10 @@ def test_el_symmetry_defect_is_compatibility_of_prolonged_pair(control):
     assert el_symmetry_defect(q, j, LAM_E) == compatibility_defect(a, b, u1, u2)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _count_deformations(monkeypatch) -> list[float]:
     steps = []
     deformed = JetField.deformed
@@ -275,6 +279,16 @@ def test_shared_prolongation_is_bit_exact_and_costs_one_central_pair(monkeypatch
             assert a.margin == b.margin
 
 
+def _prolongation_case(case: str) -> tuple[JetField, MatrixField, complex]:
+    """(jets, Q, lam) of rung (2, 1) under f = xi^2, or of the traveling
+    wave under f = (x1)^2."""
+    if case == "traveling":
+        q = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), JET_M)
+        return JET_M, q, LAM_M
+    j = jets(1)
+    return j, conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j), LAM_E
+
+
 @pytest.mark.parametrize("case", ["rung-2-1", "traveling"])
 def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(case):
     # one deformation per functional and side sees the same deformed
@@ -282,18 +296,35 @@ def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(case):
     # commutation functionals read the second jets as well
     from solsurf.verify import _commutation_functionals
 
-    if case == "traveling":
-        j, lam = JET_M, LAM_M
-        q = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), j)
-    else:
-        j, lam = jets(1), LAM_E
-        q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    j, q, lam = _prolongation_case(case)
     gs = _commutation_functionals(lam)
     got, want = frechet_apply(gs, j, q), frechet_apply_shared(gs, j, q)
     assert [len(c) for c in got] == [len(c) for c in want] == [3, 6]
     for a, b in zip((f for c in got for f in c), (f for c in want for f in c)):
         assert np.array_equal(a.values, b.values, equal_nan=True)
         assert a.margin == b.margin
+
+
+@pytest.mark.parametrize("case", ["rung-2-1", "traveling"])
+def test_jet_sets_prolong_their_values_as_the_value_functionals_do(case):
+    # u1 and u2 of the u jets, and L of the lowering jets, are the
+    # prolongations of `u_functional` and `lowering_functional` bit for bit
+    j, q, lam = _prolongation_case(case)
+    gs = [u_jets_functional(lam), lowering_jets_functional, u_functional(lam), lowering_functional]
+    u_jets, lowering_jets, pair, (value,) = frechet_apply(gs, j, q)
+    for a, b in zip((u_jets[0], u_jets[3], lowering_jets[0]), (*pair, value), strict=True):
+        assert _same_bits(a.values, b.values) and a.margin == b.margin
+
+
+@pytest.mark.parametrize("case", ["rung-2-1", "traveling"])
+def test_commutation_functionals_build_one_central_pair_per_jet_set(monkeypatch, case):
+    # theta's and the connection's jet sets: 4 deformations in all
+    from solsurf.verify import _commutation_functionals
+
+    j, q, lam = _prolongation_case(case)
+    steps = _count_deformations(monkeypatch)
+    frechet_apply(_commutation_functionals(lam), j, q)
+    assert len(steps) == 4
 
 
 def test_frechet_apply_rejects_a_non_positive_step():
