@@ -271,7 +271,6 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only],
             j, conformal_characteristic(cfg.symmetry, j),
         )
-    # the gauge terms and the compatibility check read one connection pair
     u = u_pair(j, cfg.lam) if gauge is not None else None
     a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, u=u,
                              prw_u=prolonged[0])

@@ -12,8 +12,7 @@ Two closed-form builders are provided:
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
 
-Every builder that reads the jets (the projector, the lowered rungs, the
-jets of the once-lowered rung from one lowering pass in
+Every builder that reads the jets (the projector, the lowered rungs and
 `lowered_rung_jets`, Phi of both charts) is pointwise, and runs one strip of
 grid rows at a time through `JetField.map_rows` into one preallocated
 output, with scalar factors applied in place (see :mod:`solsurf.fields`).
@@ -205,8 +204,7 @@ def lowered_rung_with_jets(
 
 def lowered_rung_jets(j: JetField) -> list[np.ndarray]:
     """[L(P), D_1 L(P), D_2 L(P)] of the once-lowered rung of the solution
-    carried by ``j``, from one lowering pass, one strip of grid rows at a
-    time."""
+    carried by ``j``: one lowering pass, one strip of grid rows at a time."""
     *jets, bad = j.map_rows(
         lambda jr: lowered_rung_with_jets(projector(jr), -1j * jr.d1, -1j * jr.d2, jr)
     )
@@ -314,12 +312,11 @@ def euclidean_wave_dlambda(
 def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
     """Traveling-wave wave function exp(2 chi [theta_1, theta]) (2i theta - (2-N)I/N).
 
-    It reads D_1 theta, so it carries the margin of D_1 theta: none on
-    exact jets, that of Q's stencils on a deformation along Q.  It is
-    formed one strip of grid rows at a time; chi is formed once on the
-    whole grid and sliced, so each strip reads the grid's own coordinates.
-    Nodes where the exponent is not finite are NaN, and if no node's is,
-    `NonFiniteMatrix` is raised.
+    It carries the margin of the D_1 theta it reads: none on exact jets.
+    It is formed one strip of grid rows at a time; chi is formed once on
+    the whole grid and sliced, so each strip reads the grid's own
+    coordinates.  Nodes where the exponent is not finite are NaN, and if
+    no node's is, `NonFiniteMatrix` is raised.
     """
     if j.n != 2:
         raise ValueError("traveling-wave wave functions are implemented for N = 2")

@@ -23,15 +23,13 @@ once per (jets, Q, step) for all it reads: pr w u for the symmetry
 criterion, pr w Phi for explicit integration, pr w of the linear-problem
 residual, and pr w G beside pr w (D_alpha G) for the commutation checks.
 A functional maps jets to a tuple of matrix fields, all differenced from
-the same deformations, so each jet set is one functional:
-`theta_functional` (theta, D_1 theta, D_2 theta), `u_jets_functional(lam)`
-(u1 and u2, each followed by its D_1 and D_2) and
-`lowering_jets_functional` (L, D_1 L, D_2 L of the once-lowered rung);
-`commutation_defect` reads one prolonged jet set.  `u_functional(lam)`
-(u1, u2) and `lowering_functional` (L) serve callers that read no
-derivatives, and `wave_functional(builder, lam)` returns Phi with its
-`spectral.lsp_residual` components.  A factory returns a functional only
-where it binds a parameter.
+the same deformations, so each jet set is one functional, which
+`commutation_defect` reads: `theta_functional` (theta, D_1 theta,
+D_2 theta), `u_jets_functional(lam)` (u1, D_1 u1, D_2 u1, u2, D_1 u2,
+D_2 u2) and `lowering_jets_functional` (L, D_1 L, D_2 L of the lowered
+rung).  `u_functional(lam)` (u1, u2) and `lowering_functional` (L) serve
+callers that read no derivatives; `wave_functional(builder, lam)` adds
+the `spectral.lsp_residual` components to Phi.
 The connection, its jets and the lowering functionals evaluate
 their pointwise kernels one strip of grid rows at a time
 (`JetField.map_rows`), with scalar factors applied in place so a strip
@@ -206,9 +204,11 @@ def frechet_apply(
 
 
 def _central_pair(g: Functional, j: JetField, q_jets: JetField, eps: float) -> tuple:
-    """[g(theta + eps Q) - g(theta - eps Q)] / (2 eps), component by component."""
-    plus = g(j.deformed(+eps, q_jets))
-    return tuple(_quotient(a, b, eps) for a, b in zip(plus, g(j.deformed(-eps, q_jets))))
+    """[g(theta + eps Q) - g(theta - eps Q)] / (2 eps), component by component;
+    both sides of a component are dropped once it is differenced."""
+    plus = list(g(j.deformed(+eps, q_jets)))
+    minus = list(g(j.deformed(-eps, q_jets)))
+    return tuple(_quotient(plus.pop(0), minus.pop(0), eps) for _ in range(len(plus)))
 
 
 def _quotient(a: MatrixField, b: MatrixField, eps: float) -> MatrixField:
@@ -365,7 +365,9 @@ def traveling_R_fields(
     chi = wave.chi(lam)
     k = wave.kappa
     komm = commutator(j.d1, j.values)
-    f1, f11, g2 = spec.f1(grid), spec.f11(grid), spec.g2(grid)
+    f1 = spec.f1(grid)
+    f11 = spec.f11(grid)
+    g2 = spec.g2(grid)
     c1 = -2.0 * f1 / (1 + lam) + 2.0 * f11 * chi
     c2 = -2.0 * k * g2 - 2.0 * k * lam * f1 / (1 - lam)
     return _fields(j, (c1 * komm, c2 * komm), (j.margin1, j.margin1))
