@@ -286,15 +286,20 @@ def _prolongation_case(case: str) -> tuple[JetField, MatrixField, complex]:
 
 
 @pytest.mark.parametrize("case", ["rung-2-1", "traveling"])
-def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(case):
+def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(monkeypatch, case):
     # one deformation per functional and side sees the same deformed
     # values as two deformations shared by all functionals; the
-    # commutation functionals read the second jets as well
+    # commutation functionals, the jet sets of theta and of the
+    # connection, read the second jets as well and take one central pair
+    # each
     from solsurf.verify import _commutation_functionals
 
     j, q, lam = _prolongation_case(case)
     gs = _commutation_functionals(lam)
-    got, want = frechet_apply(gs, j, q), frechet_apply_shared(gs, j, q)
+    steps = _count_deformations(monkeypatch)
+    got = frechet_apply(gs, j, q)
+    assert len(steps) == 4
+    want = frechet_apply_shared(gs, j, q)
     assert [len(c) for c in got] == [len(c) for c in want] == [3, 6]
     for a, b in zip((f for c in got for f in c), (f for c in want for f in c)):
         assert np.array_equal(a.values, b.values, equal_nan=True)
@@ -310,17 +315,6 @@ def test_jet_sets_prolong_their_values_as_the_value_functionals_do(case):
     u_jets, lowering_jets, pair, (value,) = frechet_apply(gs, j, q)
     for a, b in zip((u_jets[0], u_jets[3], lowering_jets[0]), (*pair, value), strict=True):
         assert np.array_equal(a.values, b.values, equal_nan=True) and a.margin == b.margin
-
-
-@pytest.mark.parametrize("case", ["rung-2-1", "traveling"])
-def test_commutation_functionals_build_one_central_pair_per_jet_set(monkeypatch, case):
-    # theta's and the connection's jet sets: 4 deformations in all
-    from solsurf.verify import _commutation_functionals
-
-    j, q, lam = _prolongation_case(case)
-    steps = _count_deformations(monkeypatch)
-    frechet_apply(_commutation_functionals(lam), j, q)
-    assert len(steps) == 4
 
 
 def test_frechet_apply_rejects_a_non_positive_step():
