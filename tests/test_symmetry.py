@@ -360,6 +360,9 @@ FUNCTIONALS = {
     # Phi on rung 1, where it is rational in the jets
     "wave_functional": wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
 }
+# the module's functionals, and the first jets of theta prolonged on
+# their own, linear in the jets as theta's whole jet set is
+CASES = FUNCTIONALS | {"theta_derivatives_functional": lambda j: theta_functional(j)[1:]}
 
 
 def test_functionals_cover_the_module():
@@ -369,7 +372,7 @@ def test_functionals_cover_the_module():
     assert set(FUNCTIONALS) == {name for name in symmetry.__all__ if name.endswith("_functional")}
 
 
-@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_every_functional_costs_one_central_pair(monkeypatch, name):
     # rational functionals too: the +/- eps pair is the only prolongation
     # rule, so each functional is evaluated once on each deformation
@@ -377,18 +380,23 @@ def test_every_functional_costs_one_central_pair(monkeypatch, name):
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     evaluations = [0]
     steps = _count_deformations(monkeypatch)
-    frechet_apply([_counted(evaluations, 0, FUNCTIONALS[name])], j, q)
+    frechet_apply([_counted(evaluations, 0, CASES[name])], j, q)
     assert len(steps) == 2
     assert evaluations == [2]
 
 
-@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_quadratic_functionals_have_exact_central_differences(name):
     # for a functional of degree <= 2 in the jets the eps and eps/2 central
     # differences agree to rounding even at a large step; a rational one
     # (the lowered rung, Phi on rung 1) differs at O(eps^2)
-    quadratic = {"theta_functional", "u_functional", "u_jets_functional"}
-    g = FUNCTIONALS[name]
+    quadratic = {
+        "theta_functional",
+        "theta_derivatives_functional",
+        "u_functional",
+        "u_jets_functional",
+    }
+    g = CASES[name]
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
     whole, half = (frechet_apply([g], j, q, eps)[0] for eps in (1e-2, 5e-3))
