@@ -53,7 +53,7 @@ from .immersion import (
     explicit_immersion,
     integrate_surface,
     linear_independence_report,
-    su_distance,
+    su_measured,
     sym_tafel,
     tangent_check,
 )
@@ -65,6 +65,7 @@ from .sigma import (
     theta_square_residual,
     traveling_solution,
     u_pair,
+    u_pair_rows,
     veronese,
 )
 from .spectral import (
@@ -244,12 +245,15 @@ def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     """Each field is staged as soon as it is final and then freed, the report
     last; the files are renamed into place once it is written, so a run that
-    exits 2 leaves no file behind.  The connection pair is built once, for
-    a gauge's tangent terms or else after the Sym-Tafel surface, and the
-    solution is then freed.  The pair gives the compatibility defect (a
-    warning above ``COMPAT_WARN``) and, with the symmetry alone, the closed
-    conformal immersion, and is freed before the closed forms are compared
-    and the surface is integrated."""
+    exits 2 leaves no file behind.  The Sym-Tafel surface is never held
+    whole: it is written from a strip source, and measured as it is
+    written.  The connection pair is built once, for a gauge's tangent
+    terms, or else after the Sym-Tafel surface: as fields when the symmetry
+    alone is active, otherwise as rows formed from the jets.  The pair
+    gives the compatibility defect (a warning above ``COMPAT_WARN``) and,
+    with the symmetry alone, the closed conformal immersion; then the pair
+    and the solution are freed, before the closed forms are compared and
+    the surface is integrated."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier = _build_solution(cfg)
@@ -285,19 +289,18 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         if spectral_only:
             if cfg.solution["kind"] != "veronese":
                 dphi = traveling_wave_dlambda(carrier, j, wave)
-            fst = sym_tafel(wave, dphi, polyval(cfg.a_coeffs, cfg.lam))
-            del dphi
+            fst, su_distance = su_measured(sym_tafel(wave, dphi, polyval(cfg.a_coeffs, cfg.lam)))
             write_field(stage("sym_tafel.npz"), fst)
-            report["sym_tafel_su_distance"] = su_distance(fst)
-            del fst
+            report["sym_tafel_su_distance"] = su_distance()
+            del dphi, fst
 
         # one connection pair: the compatibility check's and the closed form's
-        u1, u2 = u if u is not None else u_pair(j, cfg.lam)
-        del j, carrier, builder, u  # the Euclidean builder holds the rungs
-        compat = compatibility_defect(a, b, u1, u2)
+        if u is None:
+            u = (u_pair if symmetry_only else u_pair_rows)(j, cfg.lam)
+        compat = compatibility_defect(a, b, *u)
         if symmetry_only:
-            f_closed = conformal_immersion_closed(cfg.symmetry, u1, u2, wave)
-        del u1, u2
+            f_closed = conformal_immersion_closed(cfg.symmetry, *u, wave)
+        del j, carrier, builder, u  # the Euclidean builder holds the rungs
         if COMPAT_WARN < compat < np.inf:
             warnings.warn(
                 f"tangent pair is not compatible (defect {compat:.3e}); "
@@ -305,12 +308,13 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             )
 
         if symmetry_only:
-            write_field(stage("conformal_closed.npz"), f_closed)
-            report["conformal_closed_su_distance"] = su_distance(f_closed)
             calf = explicit_immersion(wave, prw_phi)
             del prw_phi
-            write_field(stage("prolonged.npz"), calf)
-            report["prolonged_su_distance"] = su_distance(calf)
+            for name, f in (("conformal_closed", f_closed), ("prolonged", calf)):
+                measured, su_distance = su_measured(f)
+                write_field(stage(f"{name}.npz"), measured)
+                report[f"{name}_su_distance"] = su_distance()
+            del f, measured
             report["closed_vs_prolonged_variation"] = constant_difference_check(
                 f_closed, calf
             )[1]
@@ -335,10 +339,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         del res  # frees the projected surface, which is staged
         report["integrated_tangent_defect"] = max(tangent_check(raw, wave, a, b))
         del raw
-        report["tangent_gram"] = linear_independence_report(
-            MatrixField(cfg.grid, wave.conjugate(a.values), max(a.margin, wave.margin)),
-            MatrixField(cfg.grid, wave.conjugate(b.values), max(b.margin, wave.margin)),
-        )
+        report["tangent_gram"] = linear_independence_report(a, b, wave)
         bad = sorted(_non_finite(report))
         if bad:
             raise ConfigError(
@@ -360,13 +361,29 @@ def cmd_verify(tolerances: dict[str, float], suite: str, outdir: str) -> int:
     return 0 if report.passed else 1
 
 
+def _finite_inside(f: MatrixField) -> bool:
+    """Whether every node of ``f`` inside its margin is finite (so is an
+    empty interior)."""
+    m = f.margin
+    return bool(np.isfinite(f.values[..., m:f.grid.n2 - m, m:f.grid.n1 - m]).all())
+
+
 def cmd_export(outputs: list[dict], outdir: str) -> int:
     """Each entry of ``outputs`` is converted and staged beside its target,
     one at a time, and the files are renamed into place once the last entry
-    has succeeded, so an export that exits 2 leaves no file behind."""
+    has succeeded, so an export that exits 2 leaves no file behind.  OBJ
+    vertices and CSV values have no spelling for a non-finite node, so a
+    field with one inside its margin is rejected for them; JSON writes it
+    as null."""
     with _staged(outdir) as stage:
         for i, entry in enumerate(outputs):
-            field, lam = _read_input(entry["input"], f"outputs[{i}].input")
+            key = f"outputs[{i}].input"
+            field, lam = _read_input(entry["input"], key)
+            if entry["format"] != "json" and not _finite_inside(field):
+                raise ConfigError(
+                    f"key {key!r}: cannot export {entry['input']!r} as {entry['format']}: "
+                    "it has non-finite nodes inside its margin"
+                )
             if entry["format"] == "obj":
                 # su(2) only, and the trimmed grid must keep the minimum node count
                 try:

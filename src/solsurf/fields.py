@@ -24,6 +24,9 @@ place (``t = commutator(...); t *= c``), never as ``c * commutator(...)``:
 numpy turns ``c * tmp`` into ``tmp *= c`` for temporaries of 256 KiB or
 more, and its fused complex loops round c*a and a*c differently, so only
 the in-place form gives the same bits on a strip as on the whole field.
+A field that is only written or reduced need not be held whole: a
+`StripSource` forms it one strip at a time, and `write_field` and the
+strip-wise reductions read a `MatrixField` through the same ``strip``.
 
 Axis convention: a matrix field is a (n, n, n2, n1) array, matrix axes
 first (see :mod:`solsurf.matlie`), and a scalar field a (n2, n1) array, so
@@ -58,6 +61,7 @@ __all__ = [
     "JetRows",
     "MatrixField",
     "STRIP_ROWS",
+    "StripSource",
     "chart_derivatives",
     "cumulative_line_integral",
     "diff1",
@@ -66,6 +70,8 @@ __all__ = [
     "interior_max",
     "read_field",
     "row_strips",
+    "rows_filled",
+    "strip_derivatives",
     "write_field",
     "write_field_json",
     "write_scalar_csv",
@@ -184,6 +190,23 @@ class MatrixField:
     def n(self) -> int:
         return self.values.shape[0]
 
+    def strip(self, rows: slice) -> np.ndarray:
+        """The values on the grid rows ``rows``, as a view: a field is the
+        trivial `StripSource`."""
+        return self.values[..., rows, :]
+
+
+@dataclass(frozen=True)
+class StripSource:
+    """A matrix field that is formed one strip of grid rows at a time and
+    never held whole: ``strip(rows)`` forms its (n, n, rows, n1) values on
+    the grid rows ``rows``.  A `MatrixField` reads the same way."""
+
+    grid: Grid2
+    n: int
+    margin: int
+    strip: Callable[[slice], np.ndarray]
+
 
 def trim_margin(f: MatrixField) -> MatrixField:
     """Drop the untrusted boundary layers, shrinking the grid symmetrically."""
@@ -201,7 +224,7 @@ def trim_margin(f: MatrixField) -> MatrixField:
     return MatrixField(grid, interior(f.values, m), 0)
 
 
-def same_grid(*fields: MatrixField) -> Grid2:
+def same_grid(*fields: MatrixField | StripSource) -> Grid2:
     g = fields[0].grid
     for f in fields[1:]:
         if f.grid != g:
@@ -237,6 +260,32 @@ def row_strips(n_rows: int, halo: int = 0) -> Iterator[tuple[slice, slice]]:
     for start in range(0, n_rows, STRIP_ROWS):
         stop = min(start + STRIP_ROWS, n_rows)
         yield slice(start, stop), slice(max(start - halo, 0), min(stop + halo, n_rows))
+
+
+def rows_filled(grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]]) -> list[np.ndarray]:
+    """``kernel(rows)`` for one strip of grid rows at a time, each array it
+    returns (the strip's rows and all columns as its last two axes) written
+    into a full-size array of the same leading shape, allocated on the
+    first strip."""
+    outs: list[np.ndarray] = []
+    for rows, _ in row_strips(grid.n2):
+        parts = kernel(rows)
+        if not outs:
+            outs = [np.empty(a.shape[:-2] + (grid.n2, grid.n1), a.dtype) for a in parts]
+        for out, part in zip(outs, parts):
+            out[..., rows, :] = part
+    return outs
+
+
+def strip_derivatives(
+    values: np.ndarray, grid: Grid2, rows: slice, slab: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D_1, D_2) of the field ``values`` on the grid rows ``rows``, by
+    `chart_derivatives` of the rows ``slab`` that `row_strips` yields for
+    them with ``halo=2``: the bits of the whole-field stencils there."""
+    core = slice(rows.start - slab.start, rows.stop - slab.start)
+    d1, d2 = chart_derivatives(values[..., slab, :], grid)
+    return d1[..., core, :], d2[..., core, :]
 
 
 def _shift_slices(ndim: int, axis: int, k: int) -> tuple[slice, ...]:
@@ -336,20 +385,9 @@ class JetField(MatrixField):
         )
 
     def map_rows(self, kernel: Callable[[JetRows], Sequence[np.ndarray]]) -> list[np.ndarray]:
-        """``kernel`` evaluated on one strip of grid rows at a time.
-
-        Each array the kernel returns for a strip, with the strip's rows
-        and all columns as its last two axes, is written into a full-size
-        array of the same leading shape, allocated on the first strip.
-        """
-        outs: list[np.ndarray] = []
-        for rows, _ in row_strips(self.grid.n2):
-            parts = kernel(self.rows(rows))
-            if not outs:
-                outs = [np.empty(a.shape[:-2] + self.values.shape[2:], a.dtype) for a in parts]
-            for out, part in zip(outs, parts):
-                out[..., rows, :] = part
-        return outs
+        """``kernel`` evaluated on one strip of grid rows at a time, its
+        outputs filled into full-size arrays (`rows_filled`)."""
+        return rows_filled(self.grid, lambda rows: kernel(self.rows(rows)))
 
     def deformed(self, eps: float, q_jets: "JetField") -> "JetField":
         """The field + eps*q with its jets shifted by eps times the jets of q.
@@ -477,35 +515,44 @@ def cumulative_line_integral(values: np.ndarray, h: float, axis: int) -> np.ndar
 FIELD_FORMAT = "solsurf-field/1"
 
 
-def write_field(path: str, f: MatrixField, lam: complex | None = None) -> None:
+def write_field(
+    path: str, f: MatrixField | StripSource, lam: complex | None = None
+) -> None:
     """Native field file: ``values``, ``margin``, ``grid`` (JSON text),
     ``format`` and, when given, ``lambda``.
 
     The archive is the one ``np.savez`` writes, member for member, but the
-    values go out one strip of grid rows at a time: their ``.npy`` header,
-    then each strip's rows in node-major order, so the only copy made is
-    that of one strip.
+    values go out one strip of grid rows at a time, as ``f.strip`` forms
+    them: their ``.npy`` header, then each strip's rows in node-major
+    order, so the only copy made is that of one strip, and a `StripSource`
+    is never held whole.
     """
     arrays = {
         "format": np.array(FIELD_FORMAT),
         "grid": np.array(json.dumps(f.grid.to_json(), sort_keys=True)),
         "margin": np.array(f.margin),
-        "values": _file_order(np.asarray(f.values, dtype=complex)),
+        "values": None,
     }
     if lam is not None:
         arrays["lambda"] = np.array(complex(lam))
+    # the header np.save gives the node-major view of a whole complex field
+    header = {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
+        "fortran_order": False,
+        "shape": (f.grid.n2, f.grid.n1, f.n, f.n),
+    }
     with open(path, "wb") as fh, zipfile.ZipFile(
         fh, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
     ) as zf:
         for key, array in arrays.items():
             with zf.open(key + ".npy", "w", force_zip64=True) as member:
-                if key != "values":
+                if array is not None:
                     np.lib.format.write_array(member, array, allow_pickle=False)
                     continue
-                header = np.lib.format.header_data_from_array_1_0(array)
                 np.lib.format.write_array_header_1_0(member, header)
-                for rows, _ in row_strips(array.shape[0]):
-                    member.write(np.ascontiguousarray(array[rows]))
+                for rows, _ in row_strips(f.grid.n2):
+                    strip = np.asarray(f.strip(rows), dtype=complex)
+                    member.write(np.ascontiguousarray(_file_order(strip)))
 
 
 def read_field(path: str) -> tuple[MatrixField, complex | None]:

@@ -20,6 +20,7 @@ check in the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,15 +29,18 @@ from .fields import (
     Grid2,
     JetField,
     MatrixField,
+    StripSource,
     chart_first_derivatives,
     cumulative_line_integral,
     interior,
     interior_max,
     row_strips,
+    rows_filled,
     same_grid,
+    strip_derivatives,
 )
 from .matlie import commutator, constant, fro, inner, mm, project_su
-from .sigma import check_lambda, u_dlambda, u_pair
+from .sigma import check_lambda, commutator_pair_rows, u_dlambda_coefficients, u_pair
 from .spectral import WaveField, lsp_residual
 from .symmetry import ConformalSpec, polyval
 
@@ -50,7 +54,7 @@ __all__ = [
     "linear_independence_report",
     "psi_of",
     "psi_residual",
-    "su_distance",
+    "su_measured",
     "sym_tafel",
     "tangent_check",
 ]
@@ -85,9 +89,11 @@ def assemble_tangents(
     """Tangent pair (A, B) from the three symmetry ingredients; any subset
     may be active.
 
-    ``u`` is `u_pair` of ``j`` for the gauge terms, built here if not given.
-    ``prw_u`` is the prolonged connection (pr w_Q u1, pr w_Q u2) of the
-    conformal symmetry: `frechet_apply` with `u_functional` along its
+    The spectral term a(lam) d(u)/d(lam) is formed from the jets and
+    added one strip of grid rows at a time.  ``u`` is `u_pair` of ``j``
+    for the gauge terms, built here if not given.  ``prw_u`` is the
+    prolonged connection (pr w_Q u1, pr w_Q u2) of the conformal
+    symmetry: `frechet_apply` with `u_functional` along its
     characteristic, on the jets the pair is assembled from.
     """
     if not a_coeffs and gauge is None and prw_u is None:
@@ -101,10 +107,11 @@ def assemble_tangents(
     margin = j.margin1
     if a_coeffs:
         a = polyval(a_coeffs, lam)
-        du1, du2 = u_dlambda(j, lam)
-        a_vals += a * du1.values
-        b_vals += a * du2.values
-        del du1, du2
+        c1, c2 = u_dlambda_coefficients(lam)
+        for rows, _ in row_strips(grid.n2):
+            du1, du2 = commutator_pair_rows(j.rows(rows), c1, c2)
+            a_vals[..., rows, :] += a * du1
+            b_vals[..., rows, :] += a * du2
     if gauge is not None:
         if gauge.grid != grid:
             raise ValueError("gauge field grid mismatch")
@@ -156,7 +163,10 @@ def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> Immersion
     m = max(a.margin, b.margin, w.margin)
 
     # each conjugated tangent is freed once its line integral is taken; the
-    # integrals start at zero on the basepoint, the first interior node
+    # integrals start at zero on the basepoint, the first interior node.
+    # Both tangents from one strip pass would share each strip's inverse,
+    # but that fill order left verify-all's peak RSS 3.6 MB higher for the
+    # same tracemalloc peak
     gx, gy = _axis_integrands(grid, w.conjugate(a.values), w.conjugate(b.values))
     ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=-1)
     del gx
@@ -189,12 +199,22 @@ def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> Immersion
 def tangent_check(
     f: MatrixField, w: WaveField, a: MatrixField, b: MatrixField
 ) -> tuple[float, float]:
-    """Stencil derivatives of F against the conjugated tangents."""
-    d1f, d2f, dmargin = chart_first_derivatives(f)
-    margin = max(dmargin, a.margin, b.margin, w.margin)
-    d1f -= w.conjugate(a.values)
-    d2f -= w.conjugate(b.values)
-    return interior_max(fro(d1f), margin), interior_max(fro(d2f), margin)
+    """Stencil derivatives of F against the conjugated tangents.
+
+    Both residuals are formed one strip of grid rows at a time, the
+    stencils reading the two rows on each side of the strip, so no
+    full-size matrix temporary is built.
+    """
+    grid = same_grid(f, a, b, w)
+    margin = max(f.margin + 2, a.margin, b.margin, w.margin)
+    res1, res2 = np.empty((grid.n2, grid.n1)), np.empty((grid.n2, grid.n1))
+    for rows, slab in row_strips(grid.n2, halo=2):
+        d1f, d2f = strip_derivatives(f.values, grid, rows, slab)
+        ca, cb = w.conjugate_rows(rows, a.strip(rows), b.strip(rows))
+        d1f -= ca
+        d2f -= cb
+        res1[rows], res2[rows] = fro(d1f), fro(d2f)
+    return interior_max(res1, margin), interior_max(res2, margin)
 
 
 def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
@@ -204,37 +224,52 @@ def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
     the field from anti-Hermitian traceless.
     """
     vals = np.empty(f.values.shape, dtype=complex)
-    return MatrixField(f.grid, vals, f.margin), _su_strips(f, vals)
-
-
-def su_distance(f: MatrixField) -> float:
-    """Worst interior distance of a field from anti-Hermitian traceless."""
-    return _su_strips(f)
-
-
-def _su_strips(f: MatrixField, out: np.ndarray | None = None) -> float:
-    """The su(N) correction of ``f`` reduced one strip of grid rows at a
-    time, writing the projection into ``out`` when one is given."""
     defect = np.empty(f.values.shape[2:])
     for rows, _ in row_strips(f.grid.n2):
-        x = f.values[..., rows, :]
-        finite = np.isfinite(x)
-        su_part, d = project_su(np.where(finite, x, 0.0))
-        if out is not None:
-            out[..., rows, :] = np.where(finite, su_part, np.nan + 0j)
-        defect[rows] = np.where(np.isfinite(fro(x)), d, np.nan)
-    return interior_max(defect, f.margin)
+        finite, su_part, defect[rows] = _su_split(f.values[..., rows, :])
+        vals[..., rows, :] = np.where(finite, su_part, np.nan + 0j)
+    return MatrixField(f.grid, vals, f.margin), interior_max(defect, f.margin)
 
 
-def sym_tafel(w: WaveField, dphi: MatrixField, a_value: complex) -> MatrixField:
-    """Spectral-parameter immersion F = a(lam) Phi^{-1} dPhi/dlam.
+def _su_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The finite entries of the strip ``x``, its su(N) part (zero in place
+    of the others) and each node's distance from su(N), NaN at NaN nodes."""
+    finite = np.isfinite(x)
+    su_part, d = project_su(np.where(finite, x, 0.0))
+    return finite, su_part, np.where(np.isfinite(fro(x)), d, np.nan)
 
-    Returned raw; it lies in su(N) exactly on the unitarity domain of the
-    wave function, which `su_distance` measures.
+
+def su_measured(f: MatrixField | StripSource) -> tuple[StripSource, Callable[[], float]]:
+    """A strip source that hands out the strips of ``f``, measuring each
+    one's distance from anti-Hermitian traceless as it goes, and a callable
+    that returns the worst interior distance once every strip has been read
+    (by `write_field`, say): a field is measured in the pass that writes it."""
+    defect, margin = np.full((f.grid.n2, f.grid.n1), np.nan), f.margin
+
+    def strip(rows: slice) -> np.ndarray:
+        x = f.strip(rows)
+        defect[rows] = _su_split(x)[2]
+        return x
+
+    # the reduction holds the defects alone, not ``f``
+    return StripSource(f.grid, f.n, margin, strip), lambda: interior_max(defect, margin)
+
+
+def sym_tafel(w: WaveField, dphi: MatrixField | StripSource, a_value: complex) -> StripSource:
+    """Spectral-parameter immersion F = a(lam) Phi^{-1} dPhi/dlam, as a
+    strip source: each strip is formed from the rows of dPhi/dlam and of
+    Phi^{-1}.
+
+    Raw; it lies in su(N) exactly on the unitarity domain of the wave
+    function, which `su_measured` measures.
     """
-    raw = mm(w.inverse(), dphi.values)
-    raw *= a_value
-    return MatrixField(w.grid, raw, max(w.margin, dphi.margin))
+
+    def strip(rows: slice) -> np.ndarray:
+        raw = mm(w.inverse(rows), dphi.strip(rows))
+        raw *= a_value
+        return raw
+
+    return StripSource(w.grid, w.n, max(w.margin, dphi.margin), strip)
 
 
 def conformal_immersion_closed(
@@ -248,8 +283,9 @@ def conformal_immersion_closed(
 
 
 def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> MatrixField:
-    """Explicitly integrated immersion F = Phi^{-1} (pr w_Q Phi)."""
-    raw = mm(w.inverse(), prw_phi.values)
+    """Explicitly integrated immersion F = Phi^{-1} (pr w_Q Phi), one strip
+    of grid rows at a time."""
+    (raw,) = rows_filled(w.grid, lambda rows: (mm(w.inverse(rows), prw_phi.strip(rows)),))
     return MatrixField(w.grid, raw, max(w.margin, prw_phi.margin))
 
 
@@ -292,22 +328,26 @@ def psi_residual(
 
 
 def linear_independence_report(
-    t1: MatrixField, t2: MatrixField
+    a: MatrixField, b: MatrixField, w: WaveField
 ) -> dict[str, float]:
-    """Eigenvalue range of the 2x2 Gram matrix of the tangents under inner().
+    """Eigenvalue range of the 2x2 Gram matrix under inner() of the
+    surface tangents Phi^{-1} A Phi and Phi^{-1} B Phi.
 
     The smallest eigenvalue measures linear independence pointwise; a
-    surface degenerates to a curve exactly where it vanishes.  NaN nodes
-    are left out, and a value is NaN, quietly, where every node is.
+    surface degenerates to a curve exactly where it vanishes.  The
+    tangents are conjugated, and the eigenvalues formed, one strip of grid
+    rows at a time.  NaN nodes are left out, and a value is NaN, quietly,
+    where every node is.
     """
-    same_grid(t1, t2)
-    m = max(t1.margin, t2.margin)
-    g11 = inner(t1.values, t1.values)
-    g12 = inner(t1.values, t2.values)
-    g22 = inner(t2.values, t2.values)
-    tr_half = 0.5 * (g11 + g22)
-    disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12**2, 0.0))
-    lo, hi = tr_half - disc, tr_half + disc
+    grid = same_grid(a, b, w)
+    m = max(a.margin, b.margin, w.margin)
+    lo, hi = np.empty((grid.n2, grid.n1)), np.empty((grid.n2, grid.n1))
+    for rows, _ in row_strips(grid.n2):
+        t1, t2 = w.conjugate_rows(rows, a.strip(rows), b.strip(rows))
+        g11, g12, g22 = inner(t1, t1), inner(t1, t2), inner(t2, t2)
+        tr_half = 0.5 * (g11 + g22)
+        disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12**2, 0.0))
+        lo[rows], hi[rows] = tr_half - disc, tr_half + disc
     lo, hi = interior(lo, m), interior(hi, m)
     return {
         "min_eigenvalue": float(np.fmin.reduce(lo, axis=None)),

@@ -32,6 +32,7 @@ from .fields import (
     JetField,
     JetRows,
     MatrixField,
+    StripSource,
     chart_jets,
     sliced_second,
 )
@@ -49,8 +50,9 @@ __all__ = [
     "theta_triple_residual",
     "traveling_solution",
     "u_coefficients",
-    "u_dlambda",
+    "u_dlambda_coefficients",
     "u_pair",
+    "u_pair_rows",
     "veronese",
 ]
 
@@ -79,20 +81,17 @@ def theta_of(p: MatrixField) -> JetField:
 # --- model operators and residuals -------------------------------------------
 
 
+def _scaled_commutator(d: np.ndarray, values: np.ndarray, c: complex) -> np.ndarray:
+    """c [d, values], with the scale applied in place."""
+    v = commutator(d, values)
+    v *= c
+    return v
+
+
 def commutator_pair_rows(jr: JetRows, c1: complex, c2: complex) -> tuple[np.ndarray, np.ndarray]:
     """(c1 [theta_1, theta], c2 [theta_2, theta]) on the strip ``jr`` of
     grid rows, with the scales applied in place."""
-    v1 = commutator(jr.d1, jr.values)
-    v1 *= c1
-    v2 = commutator(jr.d2, jr.values)
-    v2 *= c2
-    return v1, v2
-
-
-def _commutator_pair(j: JetField, c1: complex, c2: complex) -> tuple[MatrixField, MatrixField]:
-    """`commutator_pair_rows` of ``j``, one strip of grid rows at a time."""
-    v1, v2 = j.map_rows(lambda jr: commutator_pair_rows(jr, c1, c2))
-    return MatrixField(j.grid, v1, j.margin1), MatrixField(j.grid, v2, j.margin1)
+    return _scaled_commutator(jr.d1, jr.values, c1), _scaled_commutator(jr.d2, jr.values, c2)
 
 
 def u_coefficients(lam: complex) -> tuple[complex, complex]:
@@ -101,15 +100,33 @@ def u_coefficients(lam: complex) -> tuple[complex, complex]:
     return -2.0 / (1.0 + lam), -2.0 / (1.0 - lam)
 
 
-def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
-    """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta]."""
-    return _commutator_pair(j, *u_coefficients(lam))
-
-
-def u_dlambda(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
-    """Spectral-parameter derivative of the connection pair (closed form)."""
+def u_dlambda_coefficients(lam: complex) -> tuple[complex, complex]:
+    """(2/(1+lam)^2, -2/(1-lam)^2), the scales of the spectral-parameter
+    derivative of the connection pair (closed form)."""
     lam = check_lambda(lam)
-    return _commutator_pair(j, 2.0 / (1 + lam) ** 2, -2.0 / (1 - lam) ** 2)
+    return 2.0 / (1 + lam) ** 2, -2.0 / (1 - lam) ** 2
+
+
+def u_pair(j: JetField, lam: complex) -> tuple[MatrixField, MatrixField]:
+    """Connection pair u1 = -2/(1+lam) [theta_1, theta], u2 = -2/(1-lam) [theta_2, theta],
+    one strip of grid rows at a time."""
+    c1, c2 = u_coefficients(lam)
+    v1, v2 = j.map_rows(lambda jr: commutator_pair_rows(jr, c1, c2))
+    return MatrixField(j.grid, v1, j.margin1), MatrixField(j.grid, v2, j.margin1)
+
+
+def u_pair_rows(j: JetField, lam: complex) -> tuple[StripSource, StripSource]:
+    """`u_pair` as two strip sources: each strip of u1 or u2 is formed from
+    the jets of its rows when it is read, with the same bits."""
+    scales = u_coefficients(lam)
+
+    def component(d: np.ndarray, c: complex) -> StripSource:
+        return StripSource(
+            j.grid, j.n, j.margin1,
+            lambda rows: _scaled_commutator(d[..., rows, :], j.values[..., rows, :], c),
+        )
+
+    return component(j.d1, scales[0]), component(j.d2, scales[1])
 
 
 def el_residual(j: JetField) -> tuple[np.ndarray, int]:

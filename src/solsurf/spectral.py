@@ -22,8 +22,11 @@ only when it vanishes on every node of the field, naming the first
 lowering step that did.
 
 A wave function is a `WaveField`: a `MatrixField` of Phi that also
-carries its spectral parameter and computes its per-node inverse once.
-Both builders are certified against 4th-order stencil derivatives by
+carries its spectral parameter.  It stores no inverse: `WaveField.inverse`
+forms the closed-form inverse of the grid rows asked for, so the readers
+of Phi^{-1} (conjugation, the Sym-Tafel and explicit immersions) form it
+one strip of grid rows at a time, with the same bits as on the whole
+field.  Both builders are certified against 4th-order stencil derivatives by
 :func:`lsp_residual`, which forms the residual fields D_alpha Phi -
 u^alpha Phi for every caller; unitarity is reported as a diagnostic only.
 """
@@ -31,7 +34,6 @@ u^alpha Phi for every caller; unitarity is reported as a diagnostic only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,9 +43,12 @@ from .fields import (
     JetField,
     JetRows,
     MatrixField,
+    StripSource,
     chart_first_derivatives,
     interior,
     interior_max,
+    row_strips,
+    rows_filled,
     same_grid,
 )
 from .matlie import NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv, mm, trace
@@ -69,19 +74,20 @@ class WaveField(MatrixField):
 
     lam: complex
 
-    @cached_property
-    def _phi_inv(self) -> np.ndarray:
-        phi_inv = inv(self.values)
-        phi_inv.flags.writeable = False
-        return phi_inv
+    def inverse(self, rows: slice) -> np.ndarray:
+        """Per-node inverse of the grid rows ``rows``, formed on each call;
+        NaN nodes stay NaN."""
+        return inv(self.values[..., rows, :])
 
-    def inverse(self) -> np.ndarray:
-        """Per-node inverse, computed once and read-only; NaN nodes stay NaN."""
-        return self._phi_inv
+    def conjugate_rows(self, rows: slice, *xs: np.ndarray) -> list[np.ndarray]:
+        """Phi^{-1} X Phi per node of the grid rows ``rows`` for each X of
+        ``xs``, given on those rows; the rows' inverse is formed once."""
+        phi_inv, phi = self.inverse(rows), self.values[..., rows, :]
+        return [mm(mm(phi_inv, x), phi) for x in xs]
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
-        """Phi^{-1} X Phi per node."""
-        return mm(mm(self.inverse(), x), self.values)
+        """Phi^{-1} X Phi per node of the field ``x``, one strip of grid rows at a time."""
+        return rows_filled(self.grid, lambda rows: self.conjugate_rows(rows, x[..., rows, :]))[0]
 
 
 def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
@@ -105,21 +111,27 @@ def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:
 
 def wave_diagnostics(w: WaveField) -> dict[str, float]:
     """Invertibility and unitarity report over the trusted interior; NaN
-    nodes are left out, and a value is NaN, quietly, where every node is."""
-    phi = w.values
-    det_phi = det(phi)
-    unit = fro(mm(dagger(phi), phi) - identity(w.n))
-    if w.n == 2:
-        cond = _cond2(phi, det_phi)
-    else:
+    nodes are left out, and a value is NaN, quietly, where every node is.
+    Each node's |det|, condition number and unitarity defect are formed
+    one strip of grid rows at a time."""
+    abs_det, cond, unit = (np.empty(w.values.shape[2:]) for _ in range(3))
+    for rows, _ in row_strips(w.grid.n2):
+        phi = w.values[..., rows, :]
+        det_phi = det(phi)
+        abs_det[rows] = np.abs(det_phi)
+        unit[rows] = fro(mm(dagger(phi), phi) - identity(w.n))
+        if w.n == 2:
+            cond[rows] = _cond2(phi, det_phi)
+            continue
         ok = np.isfinite(phi).all(axis=(0, 1))
-        cond = np.full(ok.shape, np.nan)
+        strip = np.full(ok.shape, np.nan)
         if np.any(ok):
             # numpy.linalg takes the matrix axes last
-            cond[ok] = np.linalg.cond(np.moveaxis(phi[:, :, ok], -1, 0))
+            strip[ok] = np.linalg.cond(np.moveaxis(phi[:, :, ok], -1, 0))
+        cond[rows] = strip
     m = w.margin
     return {
-        "min_abs_det": float(np.fmin.reduce(np.abs(interior(det_phi, m)), axis=None)),
+        "min_abs_det": float(np.fmin.reduce(interior(abs_det, m), axis=None)),
         "max_condition": float(np.fmax.reduce(interior(cond, m), axis=None)),
         "max_unitarity_defect": interior_max(unit, m),
     }
@@ -337,11 +349,18 @@ def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
     return WaveField(wave.grid, phi, j.margin1, lam=complex(lam))
 
 
-def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> MatrixField:
-    """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi, for the built Phi ``w``."""
-    komm = commutator(j.d1, j.values)
-    out = 2.0 * wave.dlambda_chi(w.lam) * mm(komm, w.values)
-    return MatrixField(wave.grid, out, j.margin1)
+def traveling_wave_dlambda(wave: TravelingWave, j: JetField, w: WaveField) -> StripSource:
+    """d(Phi)/d(lambda) = 2 (d chi/d lambda) [theta_1, theta] Phi, for the
+    built Phi ``w``, as a strip source: each strip is formed from the jets
+    and Phi of its rows; the scalar 2 d chi/d lambda is formed once on the
+    whole grid and sliced."""
+    coeff = 2.0 * wave.dlambda_chi(w.lam)
+
+    def strip(rows: slice) -> np.ndarray:
+        jr = j.rows(rows)
+        return coeff[rows] * mm(commutator(jr.d1, jr.values), w.values[..., rows, :])
+
+    return StripSource(wave.grid, j.n, j.margin1, strip)
 
 
 # --- residual --------------------------------------------------------------------

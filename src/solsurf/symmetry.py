@@ -57,12 +57,13 @@ from .fields import (
     JetField,
     JetRows,
     MatrixField,
-    chart_derivatives,
+    StripSource,
     chart_first_derivatives,
     chart_jets,
     interior_max,
     row_strips,
     same_grid,
+    strip_derivatives,
 )
 from .matlie import commutator, fro
 from .sigma import TravelingWave, check_lambda, commutator_pair_rows, u_coefficients, u_pair
@@ -308,21 +309,21 @@ def prolong_u(
 
 
 def compatibility_defect(
-    a: MatrixField, b: MatrixField, u1: MatrixField, u2: MatrixField
+    a: MatrixField, b: MatrixField, u1: MatrixField | StripSource, u2: MatrixField | StripSource
 ) -> float:
     """Interior max of || D_2 A - D_1 B + [A, u2] + [u1, B] ||_F.
 
     The residual is formed one strip of grid rows at a time, with the two
     rows on each side that the stencils read, so no full-size matrix
-    temporary is built.
+    temporary is built.  The connection pair is read as rows: fields, or
+    strip sources (`sigma.u_pair_rows`) that form each strip from the jets.
     """
     grid = same_grid(a, b, u1, u2)
     res = np.empty((grid.n2, grid.n1))
     for rows, slab in row_strips(grid.n2, halo=2):
-        core = slice(rows.start - slab.start, rows.stop - slab.start)
-        d2a = chart_derivatives(a.values[..., slab, :], grid)[1][..., core, :]
-        d1b = chart_derivatives(b.values[..., slab, :], grid)[0][..., core, :]
-        at, bt, v1, v2 = (f.values[..., rows, :] for f in (a, b, u1, u2))
+        d2a = strip_derivatives(a.values, grid, rows, slab)[1]
+        d1b = strip_derivatives(b.values, grid, rows, slab)[0]
+        at, bt, v1, v2 = (f.strip(rows) for f in (a, b, u1, u2))
         res[rows] = fro(d2a - d1b + commutator(at, v2) + commutator(v1, bt))
     return interior_max(res, max(a.margin + 2, b.margin + 2, u1.margin, u2.margin))
 

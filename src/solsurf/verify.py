@@ -400,9 +400,8 @@ class Fixtures:
         s = constant(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
 
         def gram_min(x1: np.ndarray, x2: np.ndarray) -> float:
-            t1 = MatrixField(tw.grid, w.conjugate(x1), r1.margin)
-            t2 = MatrixField(tw.grid, w.conjugate(x2), r2.margin)
-            return linear_independence_report(t1, t2)["max_min_eigenvalue"]
+            t1, t2 = MatrixField(tw.grid, x1, r1.margin), MatrixField(tw.grid, x2, r2.margin)
+            return linear_independence_report(t1, t2, w)["max_min_eigenvalue"]
 
         return {
             "tangent-coefficients": max(tangent_check(calf, w, r1, r2)),

@@ -16,10 +16,12 @@ cross-check the two:
 * the prolongation of many functionals from two shared deformations,
   each functional evaluated on both, against `frechet_apply`, which
   deforms once per functional and side;
-* the su(N) projection, the integrated surface with its path defect and
-  the compatibility defect, each formed on the whole grid at once, against
-  the row strips that :mod:`solsurf.immersion` and
-  :mod:`solsurf.symmetry` reduce;
+* the su(N) projection, the integrated surface with its path defect, the
+  compatibility defect, the tangent check, the tangent Gram report, the
+  wave diagnostics and the conjugation by Phi, each formed on the whole
+  grid at once with the whole inverse of Phi, against the row strips that
+  :mod:`solsurf.immersion`, :mod:`solsurf.symmetry` and
+  :mod:`solsurf.spectral` reduce;
 * a polynomial in a number summed by Python's own complex arithmetic,
   against `symmetry.polyval`, which sums fields and numbers alike;
 * the JSON, CSV and OBJ exports, each formatted as one string of the
@@ -28,9 +30,10 @@ cross-check the two:
 * the pointwise jet kernels (the connection, its lambda-derivative and
   its derivatives, the
   lowering operator and its derivatives, the Euclidean wave function and
-  its lambda-derivative, the traveling wave function), each evaluated on
-  the whole grid at once, against the kernels that evaluate them one strip
-  of grid rows at a time.
+  its lambda-derivative, the traveling wave function and the Sym-Tafel
+  surface of the traveling wave), each evaluated on the whole grid at
+  once, against the kernels that evaluate them one strip of grid rows at
+  a time.
 """
 
 from __future__ import annotations
@@ -48,19 +51,24 @@ from solsurf.fields import (
     Grid2,
     JetField,
     MatrixField,
+    StripSource,
     chart_first_derivatives,
     chart_jets,
     cumulative_line_integral,
     interior,
     interior_max,
+    rows_filled,
 )
 from solsurf.matlie import (
     commutator,
     constant,
     dagger,
+    det,
     expm,
     fro,
     identity,
+    inner,
+    inv,
     mm,
     project_su,
     trace,
@@ -71,7 +79,8 @@ from solsurf.sigma import (
     projector,
     u_pair,
 )
-from solsurf.spectral import WaveField, euclidean_wave_coefficients
+from solsurf.spectral import WaveField, _cond2, euclidean_wave_coefficients
+from solsurf.symmetry import polyval
 from solsurf.symmetry import compatibility_defect, frechet_apply, u_functional
 
 TOL_CONTRACT_REL = 1e-10
@@ -222,6 +231,87 @@ def frechet_apply_shared(
 # --- whole-grid immersion reductions ---------------------------------------------------
 
 
+def gathered(f: StripSource) -> MatrixField:
+    """The strips of ``f`` gathered into one field."""
+    (values,) = rows_filled(f.grid, lambda rows: (f.strip(rows),))
+    return MatrixField(f.grid, values, f.margin)
+
+
+def conjugate_whole(w: WaveField, x: np.ndarray) -> np.ndarray:
+    """Phi^{-1} X Phi with the inverse of the whole field."""
+    return mm(mm(inv(w.values), x), w.values)
+
+
+def tangent_check_whole(
+    f: MatrixField, w: WaveField, a: MatrixField, b: MatrixField
+) -> tuple[float, float]:
+    """`solsurf.immersion.tangent_check` with every temporary at full size."""
+    d1f, d2f, dmargin = chart_first_derivatives(f)
+    margin = max(dmargin, a.margin, b.margin, w.margin)
+    d1f -= conjugate_whole(w, a.values)
+    d2f -= conjugate_whole(w, b.values)
+    return interior_max(fro(d1f), margin), interior_max(fro(d2f), margin)
+
+
+def linear_independence_whole(a: MatrixField, b: MatrixField, w: WaveField) -> dict[str, float]:
+    """`solsurf.immersion.linear_independence_report` with every temporary at full size."""
+    m = max(a.margin, b.margin, w.margin)
+    t1, t2 = conjugate_whole(w, a.values), conjugate_whole(w, b.values)
+    g11, g12, g22 = inner(t1, t1), inner(t1, t2), inner(t2, t2)
+    tr_half = 0.5 * (g11 + g22)
+    disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12**2, 0.0))
+    lo, hi = interior(tr_half - disc, m), interior(tr_half + disc, m)
+    return {
+        "min_eigenvalue": float(np.fmin.reduce(lo, axis=None)),
+        "max_min_eigenvalue": float(np.fmax.reduce(lo, axis=None)),
+        "max_eigenvalue": float(np.fmax.reduce(hi, axis=None)),
+    }
+
+
+def wave_diagnostics_whole(w: WaveField) -> dict[str, float]:
+    """`solsurf.spectral.wave_diagnostics` with every temporary at full size."""
+    phi = w.values
+    det_phi = det(phi)
+    unit = fro(mm(dagger(phi), phi) - identity(w.n))
+    if w.n == 2:
+        cond = _cond2(phi, det_phi)
+    else:
+        ok = np.isfinite(phi).all(axis=(0, 1))
+        cond = np.full(ok.shape, np.nan)
+        if np.any(ok):
+            cond[ok] = np.linalg.cond(np.moveaxis(phi[:, :, ok], -1, 0))
+    m = w.margin
+    return {
+        "min_abs_det": float(np.fmin.reduce(np.abs(interior(det_phi, m)), axis=None)),
+        "max_condition": float(np.fmax.reduce(interior(cond, m), axis=None)),
+        "max_unitarity_defect": interior_max(unit, m),
+    }
+
+
+def spectral_tangents_whole(
+    j: JetField, lam: complex, a_coeffs: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral term a(lam) d(u)/d(lam) of `solsurf.immersion.assemble_tangents`,
+    added to the zero pair on the whole grid."""
+    a = polyval(a_coeffs, lam)
+    du1, du2 = u_dlambda_whole(j, lam)
+    a_vals, b_vals = np.zeros(j.values.shape, dtype=complex), np.zeros(j.values.shape, dtype=complex)
+    a_vals += a * du1
+    b_vals += a * du2
+    return a_vals, b_vals
+
+
+def sym_tafel_traveling_whole(
+    wave: TravelingWave, j: JetField, w: WaveField, a_value: complex
+) -> np.ndarray:
+    """F = a Phi^{-1} dPhi/dlam of the traveling wave, with
+    dPhi/dlam = 2 (d chi/d lambda) [theta_1, theta] Phi, on the whole grid."""
+    dphi = 2.0 * wave.dlambda_chi(w.lam) * mm(commutator(j.d1, j.values), w.values)
+    raw = mm(inv(w.values), dphi)
+    raw *= a_value
+    return raw
+
+
 def su_projected_whole(f: MatrixField) -> tuple[MatrixField, float]:
     """`solsurf.immersion.su_projected` with every temporary at full size."""
     finite = np.isfinite(f.values)
@@ -238,7 +328,7 @@ def integrated_surface_whole(
     `solsurf.immersion.integrate_surface` from its basepoint (m, m), with
     both integration orders formed on the whole grid at once."""
     m = max(a.margin, b.margin, w.margin)
-    at, bt = w.conjugate(a.values), w.conjugate(b.values)
+    at, bt = conjugate_whole(w, a.values), conjugate_whole(w, b.values)
     gx, gy = (at + bt, 1j * (at - bt)) if a.grid.chart == CHART_EUCLIDEAN else (at, bt)
     ia = cumulative_line_integral(interior(gx, m), a.grid.h1, axis=-1)
     ia = ia - ia[..., :1]
@@ -338,7 +428,9 @@ def u_pair_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def u_dlambda_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-    """`solsurf.sigma.u_dlambda` on the whole grid."""
+    """The spectral-parameter derivative of the connection pair, which
+    `solsurf.immersion.assemble_tangents` forms one strip at a time, on the
+    whole grid."""
     lam = check_lambda(lam)
     v1 = commutator(j.d1, j.values)
     v1 *= 2.0 / (1 + lam) ** 2

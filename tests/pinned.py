@@ -23,6 +23,9 @@ A change that moves a value past its allowance regenerates the copy and
 lists each moved value in CHANGES.md:
 
     PYTHONPATH=src python tests/pinned.py
+
+`heap_peak` measures the heap peaks that tier-1 bounds, each in units of
+the fields its test names.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +46,18 @@ README_REPORTS = {"solve": "solve-summary.json", "immerse": "immersion-report.js
 SAFETY = 10.0
 MIN_ALLOWANCE = 1e-6
 ABS_FLOOR = 1e-15
+
+
+def heap_peak(run: Callable[[], object]) -> int:
+    """The peak in bytes of the heap that tracemalloc traces while ``run()``
+    runs, counted from the moment it starts; what ``run`` returns is held
+    until the peak is read."""
+    tracemalloc.start()
+    try:
+        result = run()  # noqa: F841
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_readme_configs(out: str) -> dict[str, str]:

@@ -31,7 +31,7 @@ from solsurf.immersion import (
     integrate_surface,
     tangent_check,
 )
-from solsurf.matlie import commutator, fro, mm
+from solsurf.matlie import commutator, fro
 from solsurf.sigma import (
     el_residual,
     theta_comm_identity_residual,
@@ -219,7 +219,7 @@ def test_criterion_6_traveling_wave(traveling):
     wm = phi_traveling(wave, jets, LAM_M)
     builder = lambda jd: phi_traveling(wave, jd, LAM_M)  # noqa: E731
     komm = commutator(jets.d1, jets.values)
-    ktil = mm(mm(wm.inverse(), komm), wm.values)
+    ktil = wm.conjugate(komm)
     chi = wave.chi(LAM_M)
 
     # (a) closed expression for the prolonged surface
@@ -359,7 +359,7 @@ def _refinement_table():
             - 2 * KAPPA * specq.g(wave.grid)
             + 2 * specq.f1(wave.grid) * wave.chi(LAM_M)
         )
-        calf_closed = MatrixField(wave.grid, coeff * mm(mm(wm.inverse(), komm), wm.values), 0)
+        calf_closed = MatrixField(wave.grid, coeff * wm.conjugate(komm), 0)
         r1, r2 = traveling_R_fields(specq, wave, jets, LAM_M)
         return max(tangent_check(calf_closed, wm, r1, r2))
 

@@ -1,11 +1,11 @@
 import json
-import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
 from oracles import write_field_json_whole, write_field_savez, write_scalar_csv_whole
+from pinned import heap_peak
 from solsurf.errors import FieldFileError
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -14,6 +14,7 @@ from solsurf.fields import (
     STRIP_ROWS,
     Grid2,
     MatrixField,
+    StripSource,
     chart_jets,
     cumulative_line_integral,
     diff1,
@@ -175,14 +176,29 @@ def test_write_field_heap_peak_stays_within_a_quarter_field(tmp_path):
     g = Grid2(CHART_MINKOWSKI, spacing=(0.01, 0.01), dims=(201, 201))
     f = MatrixField(g, np.full((2, 2, 201, 201), 1.0 + 2.0j), 0)
     path = str(tmp_path / "field.npz")
-    tracemalloc.start()
-    try:
-        write_field(path, f, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = heap_peak(lambda: write_field(path, f, 0.5))
     assert peak <= 0.25 * f.values.nbytes, peak / f.values.nbytes
     assert _same_bits(read_field(path)[0].values, f.values)
+
+
+def test_write_field_of_a_strip_source_matches_the_field(tmp_path):
+    # a strip source is written strip by strip, as its strips are formed,
+    # into the same bytes as the field it forms; a field is read as strips
+    g = Grid2(CHART_MINKOWSKI, spacing=(0.01, 0.01), dims=(11, 2 * STRIP_ROWS + 3))
+    f = MatrixField(g, np.arange(4 * g.n2 * g.n1).reshape(2, 2, g.n2, g.n1) * (1 - 0.5j), 1)
+    read = []
+
+    def strip(rows):
+        read.append(rows)
+        return f.values[..., rows, :].copy()
+
+    ours, theirs = str(tmp_path / "strips.npz"), str(tmp_path / "field.npz")
+    write_field(ours, StripSource(g, 2, 1, strip), 0.5)
+    write_field(theirs, f, 0.5)
+    assert open(ours, "rb").read() == open(theirs, "rb").read()
+    assert [(r.start, r.stop) for r in read] == [(0, STRIP_ROWS), (STRIP_ROWS, 2 * STRIP_ROWS),
+                                                  (2 * STRIP_ROWS, g.n2)]
+    assert _same_bits(f.strip(slice(2, 5)), f.values[..., 2:5, :])
 
 
 def test_field_json_roundtrip_bit_exact(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     compatibility_defect_whole,
     constant_field,
+    gathered,
     integrated_surface_whole,
     su_projected_whole,
 )
@@ -16,8 +17,8 @@ from solsurf.fields import (
     MatrixField,
     interior_max,
 )
-from solsurf.matlie import commutator, constant, fro, identity, mm, su_basis
-from solsurf.sigma import traveling_solution, u_dlambda, u_pair, veronese
+from solsurf.matlie import commutator, constant, fro, identity, su_basis
+from solsurf.sigma import traveling_solution, u_pair, veronese
 from solsurf.spectral import (
     WaveField,
     euclidean_wave,
@@ -43,7 +44,6 @@ from solsurf.immersion import (
     linear_independence_report,
     psi_of,
     psi_residual,
-    su_distance,
     su_projected,
     sym_tafel,
     tangent_check,
@@ -73,10 +73,12 @@ def test_assemble_requires_ingredient():
 
 
 def test_u_dlambda_coefficients():
+    # the spectral term alone, at a = 1, is the lambda-derivative of the pair
     j = jets(0)
-    du1, du2 = u_dlambda(j, LAM_E)
+    du1, du2 = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
     k1 = commutator(j.d1, j.values)
     k2 = commutator(j.d2, j.values)
+    assert du1.margin == du2.margin == j.margin1
     assert interior_max(fro(du1.values - 2 / (1 + LAM_E) ** 2 * k1), du1.margin) < 1e-14
     assert interior_max(fro(du2.values + 2 / (1 - LAM_E) ** 2 * k2), du2.margin) < 1e-14
 
@@ -129,7 +131,7 @@ def test_integrated_matches_closed_form_conformal():
     res = integrate_surface(a, b, w)
     assert res.path_defect < 1e-6
     f_closed = conformal_immersion_closed(spec, u1, u2, w)
-    assert su_distance(f_closed) < 1e-10  # admissible spectral parameter: F lies in su(2)
+    assert su_projected(f_closed)[1] < 1e-10  # admissible spectral parameter: F lies in su(2)
     _, variation = constant_difference_check(res.raw, f_closed)
     assert variation < 1e-7
     assert max(tangent_check(f_closed, w, a, b)) < 1e-6
@@ -207,12 +209,11 @@ def test_sym_tafel_euclid():
     j = jets(0)
     w, dphi = euclidean_wave_dlambda(j, 0, LAM_E)
     u1, u2 = u_pair(j, LAM_E)
-    zero_f = sym_tafel(w, dphi, 0.0)
+    zero_f = gathered(sym_tafel(w, dphi, 0.0))
     assert interior_max(fro(zero_f.values), zero_f.margin) == 0
-    fst = sym_tafel(w, dphi, 1.0)
-    du1, du2 = u_dlambda(j, LAM_E)
-    assert max(tangent_check(fst, w, du1, du2)) < 1e-6
+    fst = gathered(sym_tafel(w, dphi, 1.0))
     a, b = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
+    assert max(tangent_check(fst, w, a, b)) < 1e-6
     assert compatibility_defect(a, b, u1, u2) < 1e-6
     res = integrate_surface(a, b, w)
     _, variation = constant_difference_check(res.raw, fst)
@@ -223,9 +224,9 @@ def test_sym_tafel_traveling_closed_form():
     # F^ST = a * 2 (d chi/d lam) Phi^-1 [theta_1, theta] Phi
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     dphi = traveling_wave_dlambda(WAVE_M, JET_M, w)
-    fst = sym_tafel(w, dphi, 1.5)
+    fst = gathered(sym_tafel(w, dphi, 1.5))
     komm = commutator(JET_M.d1, JET_M.values)
-    expected = 1.5 * 2.0 * WAVE_M.dlambda_chi(LAM_M) * mm(mm(w.inverse(), komm), w.values)
+    expected = 1.5 * 2.0 * WAVE_M.dlambda_chi(LAM_M) * w.conjugate(komm)
     assert interior_max(fro(fst.values - expected), fst.margin) < 1e-12
 
 
@@ -301,7 +302,7 @@ def test_traveling_conformal_closed_form_reduction():
     coeff = -2 * (
         spec.f(GRID_M) / (1 + LAM_M) + WAVE_M.kappa * spec.g(GRID_M) / (1 - LAM_M)
     )
-    expected = coeff * mm(mm(w.inverse(), komm), w.values)
+    expected = coeff * w.conjugate(komm)
     assert interior_max(fro(f.values - expected), f.margin) < 1e-12
 
 
@@ -328,7 +329,7 @@ def test_prolong_immersion_trivial_and_psi():
 def test_psi_sym_tafel_is_dlambda_phi():
     j = jets(0)
     w, dphi = euclidean_wave_dlambda(j, 0, LAM_E)
-    fst = sym_tafel(w, dphi, 1.0)
+    fst = gathered(sym_tafel(w, dphi, 1.0))
     psi = psi_of(fst, w)
     assert interior_max(fro(psi.values - dphi.values), psi.margin) < 1e-7
 
@@ -338,12 +339,10 @@ def test_rank_degeneracy_and_gauge_restoration():
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     u1, u2 = u_pair(JET_M, LAM_M)
     r1, r2 = traveling_R_fields(spec, WAVE_M, JET_M, LAM_M)
-    t1 = MatrixField(GRID_M, mm(mm(w.inverse(), r1.values), w.values), r1.margin)
-    t2 = MatrixField(GRID_M, mm(mm(w.inverse(), r2.values), w.values), r2.margin)
-    rep = linear_independence_report(t1, t2)
+    rep = linear_independence_report(r1, r2, w)
     assert rep["max_min_eigenvalue"] < 1e-10  # a curve, not a surface
     s = constant_field(GRID_M, 1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
-    tg1 = MatrixField(GRID_M, w.conjugate(r1.values + commutator(s.values, u1.values)), r1.margin)
-    tg2 = MatrixField(GRID_M, w.conjugate(r2.values + commutator(s.values, u2.values)), r2.margin)
-    rep2 = linear_independence_report(tg1, tg2)
+    tg1 = MatrixField(GRID_M, r1.values + commutator(s.values, u1.values), r1.margin)
+    tg2 = MatrixField(GRID_M, r2.values + commutator(s.values, u2.values), r2.margin)
+    rep2 = linear_independence_report(tg1, tg2, w)
     assert rep2["max_min_eigenvalue"] > 1e-3

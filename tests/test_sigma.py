@@ -1,9 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from oracles import ContractedToZero, build_ladder, lower_projector, raise_projector
+from pinned import heap_peak
 from solsurf.cli import _completeness_residual, _orthogonality_defect
 from solsurf.errors import ChartMismatch, LambdaSingular
 from solsurf.fields import (
@@ -75,13 +74,7 @@ def test_veronese_builds_no_jets_of_another_rung():
     # the ladder of CP^3 with rung 0 active: every projector is built, but
     # only rung 0's jets; this peaks at 11.9 fields of 4 x 4, and building
     # every rung's jets peaked at 30.7
-    tracemalloc.start()
-    try:
-        veronese(4, GRID, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * (16 * 101**2 * 16)
+    assert heap_peak(lambda: veronese(4, GRID, 0)) <= 12 * (16 * 101**2 * 16)
 
 
 def test_veronese_invariants_and_chart():

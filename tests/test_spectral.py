@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import dlambda_fd
+from oracles import dlambda_fd, gathered
 from solsurf.errors import LambdaSingular
-from solsurf.fields import CHART_EUCLIDEAN, CHART_MINKOWSKI, Grid2, JetField, interior_max, row_strips
-from solsurf.matlie import fro, identity, mm
+from solsurf.fields import (
+    CHART_EUCLIDEAN, CHART_MINKOWSKI, STRIP_ROWS, Grid2, JetField, interior_max, row_strips,
+)
+from solsurf.matlie import fro, identity, inv, mm
 from solsurf.cli import _orthogonality_defect
 from solsurf.sigma import projector, traveling_solution, u_pair, veronese
 from solsurf.spectral import (
@@ -185,12 +187,17 @@ def test_traveling_wave_lsp_and_det():
     assert np.max(np.abs(det - det[50, 50])) < 1e-10
 
 
-def test_wave_inverse_computed_once():
+def test_wave_inverse_is_formed_for_the_rows_asked():
+    # the closed-form inverse is pointwise: any rows, a strip boundary
+    # crossed or not, give the bits of the whole-field inverse there
     w = phi_traveling(WAVE_M, JET_M, 0.5)
-    inv_phi = w.inverse()
-    assert w.inverse() is inv_phi
-    assert not inv_phi.flags.writeable
-    assert interior_max(fro(mm(inv_phi, w.values) - identity(2)), w.margin) < 1e-12
+    whole = inv(w.values)
+    for rows in (slice(0, STRIP_ROWS), slice(STRIP_ROWS - 3, 2 * STRIP_ROWS + 5),
+                 slice(GRID_M.n2 - 7, None), slice(None)):
+        got = w.inverse(rows)
+        assert got.shape == whole[..., rows, :].shape
+        assert got.tobytes() == whole[..., rows, :].tobytes()
+    assert interior_max(fro(mm(w.inverse(slice(None)), w.values) - identity(2)), w.margin) < 1e-12
 
 
 def test_traveling_wave_chi_zero_axis():
@@ -259,7 +266,7 @@ def test_dlambda_base_level_value():
 
 def test_dlambda_traveling_analytic_vs_fd():
     lam = 0.5
-    analytic = traveling_wave_dlambda(WAVE_M, JET_M, phi_traveling(WAVE_M, JET_M, lam))
+    analytic = gathered(traveling_wave_dlambda(WAVE_M, JET_M, phi_traveling(WAVE_M, JET_M, lam)))
     fd = dlambda_fd(lambda l: phi_traveling(WAVE_M, JET_M, l), lam)
     m = max(analytic.margin, fd.margin)
     assert interior_max(fro(analytic.values - fd.values), m) < 1e-7

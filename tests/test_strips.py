@@ -1,25 +1,33 @@
-"""The pointwise jet kernels, evaluated one strip of grid rows at a time,
-against the same formulas on the whole grid (`oracles`), bit for bit.
+"""The pointwise jet kernels and the immersion diagnostics, evaluated one
+strip of grid rows at a time, against the same formulas on the whole grid
+(`oracles`), bit for bit.
 
 101^2 fields are above numpy's 256 KiB temporary-elision threshold and
 37^2 fields below it; 37 rows is not a multiple of `STRIP_ROWS`.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from oracles import (
+    compatibility_defect_whole,
+    conjugate_whole,
     euclidean_wave_dlambda_whole,
     euclidean_wave_whole,
+    gathered,
+    linear_independence_whole,
     lowered_rung_with_jets_whole,
     lowered_rungs_whole,
     phi_traveling_whole,
+    spectral_tangents_whole,
+    su_projected_whole,
+    sym_tafel_traveling_whole,
+    tangent_check_whole,
     u_derivatives_whole,
-    u_dlambda_whole,
     u_pair_whole,
+    wave_diagnostics_whole,
 )
+from pinned import heap_peak
 from solsurf.errors import DeformationOutOfDomain
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -27,17 +35,28 @@ from solsurf.fields import (
     STRIP_ROWS,
     Grid2,
     JetField,
+    MatrixField,
     chart_jets,
 )
+from solsurf.immersion import (
+    assemble_tangents,
+    linear_independence_report,
+    su_measured,
+    sym_tafel,
+    tangent_check,
+)
 from solsurf.matlie import constant
-from solsurf.sigma import traveling_solution, u_dlambda, u_pair, veronese
+from solsurf.sigma import traveling_solution, u_pair, u_pair_rows, veronese
 from solsurf.spectral import (
     euclidean_wave,
     euclidean_wave_dlambda,
     lowered_rung_jets,
     lowered_rungs_from_jets,
     phi_traveling,
+    traveling_wave_dlambda,
+    wave_diagnostics,
 )
+from solsurf.symmetry import compatibility_defect
 from solsurf.symmetry import (
     ConformalSpec,
     conformal_characteristic,
@@ -48,6 +67,7 @@ from solsurf.symmetry import (
 
 LAM_E = 0.6j
 LAM_M = 0.5
+A_COEFFS = (0.5, -1.25)
 NODES = [101, 37]
 
 
@@ -130,10 +150,13 @@ def test_u_pair_matches_the_whole_grid(nodes, deformed, chart):
         j, lam = _euclid_jets(nodes, deformed), LAM_E
     else:
         j, lam = _mink_jets(nodes, deformed)[1], LAM_M
-    # the pair's lambda-derivative runs through the same strip kernel
-    got = (*u_pair(j, lam), *u_dlambda(j, lam))
-    for g, want in zip(got, (*u_pair_whole(j, lam), *u_dlambda_whole(j, lam))):
-        assert _same_bits(g.values, want) and g.margin == j.margin1
+    # the pair as fields and as rows, and the spectral tangent term, whose
+    # lambda-derivative of the pair runs through the same strip kernel
+    got = (*u_pair(j, lam), *map(gathered, u_pair_rows(j, lam)),
+           *assemble_tangents(j, lam, a_coeffs=A_COEFFS))
+    want = (*u_pair_whole(j, lam),) * 2 + spectral_tangents_whole(j, lam, A_COEFFS)
+    for g, w in zip(got, want, strict=True):
+        assert _same_bits(g.values, w) and g.margin == j.margin1
 
 
 @sizes
@@ -219,18 +242,79 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
             build()
 
 
+# --- the immersion diagnostics ----------------------------------------------------
+
+
+def _surface(nodes: int, deformed: bool, chart: str):
+    """(w, a, b, f, j, lam): the wave function, the spectral tangent pair,
+    its Sym-Tafel surface gathered into a field, and the jets; NaN on the
+    outer rows and columns of the deformed jets."""
+    if chart == "euclidean":
+        j, lam = _euclid_jets(nodes, deformed), LAM_E
+        w, dphi = euclidean_wave_dlambda(j, 2, lam)
+    else:
+        (wave, j), lam = _mink_jets(nodes, deformed), LAM_M
+        w = phi_traveling(wave, j, lam)
+        dphi = traveling_wave_dlambda(wave, j, w)
+    a, b = assemble_tangents(j, lam, a_coeffs=A_COEFFS)
+    return w, a, b, gathered(sym_tafel(w, dphi, 1.5)), j, lam
+
+
+charts = pytest.mark.parametrize("chart", ["euclidean", "minkowski"])
+
+
+@sizes
+@both
+@charts
+def test_conjugation_and_tangent_check_match_the_whole_grid(nodes, deformed, chart):
+    # the tangent check's stencils read two rows across each strip boundary
+    w, a, b, f, _, _ = _surface(nodes, deformed, chart)
+    assert _same_bits(w.conjugate(a.values), conjugate_whole(w, a.values))
+    got, want = tangent_check(f, w, a, b), tangent_check_whole(f, w, a, b)
+    assert got == want and np.isfinite(got).all()
+
+
+@sizes
+@both
+@charts
+def test_wave_diagnostics_and_gram_report_match_the_whole_grid(nodes, deformed, chart):
+    # n = 3 on the Euclidean chart takes numpy's condition number per node
+    w, a, b, _, _, _ = _surface(nodes, deformed, chart)
+    got, want = wave_diagnostics(w), wave_diagnostics_whole(w)
+    assert got == want and all(np.isfinite(v) for v in got.values())
+    got, want = linear_independence_report(a, b, w), linear_independence_whole(a, b, w)
+    assert got == want and all(np.isfinite(v) for v in got.values())
+
+
+@sizes
+@both
+@charts
+def test_compatibility_defect_from_rows_matches_the_whole_grid(nodes, deformed, chart):
+    _, a, b, _, j, lam = _surface(nodes, deformed, chart)
+    u1, u2 = (MatrixField(j.grid, u, j.margin1) for u in u_pair_whole(j, lam))
+    got = compatibility_defect(a, b, *u_pair_rows(j, lam))
+    assert got == compatibility_defect_whole(a, b, u1, u2) and np.isfinite(got)
+
+
+@sizes
+@both
+def test_streamed_traveling_sym_tafel_matches_the_whole_grid(nodes, deformed):
+    # each strip is formed from the rows of Phi^{-1} and of d(Phi)/d(lambda);
+    # the su(N) distance is measured as the strips are read
+    wave, j = _mink_jets(nodes, deformed)
+    w = phi_traveling(wave, j, LAM_M)
+    source, su_distance = su_measured(sym_tafel(w, traveling_wave_dlambda(wave, j, w), 1.5))
+    f = gathered(source)
+    assert _same_bits(f.values, sym_tafel_traveling_whole(wave, j, w, 1.5))
+    assert f.margin == j.margin1
+    distance = su_distance()
+    assert distance == su_projected_whole(f)[1] and np.isfinite(distance)
+
+
 # --- heap ---------------------------------------------------------------------------
 
-
-def _heap_peak_fields(build) -> float:
-    """tracemalloc's peak while ``build()`` runs, in fields of 3x3 at 101^2."""
-    tracemalloc.start()
-    try:
-        build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / (9 * 101**2 * 16)
+# one field of 3x3 complex entries at 101^2
+FIELD_3X3 = 9 * 101**2 * 16
 
 
 def test_level_two_wave_heap_peak_stays_within_5_fields():
@@ -238,7 +322,7 @@ def test_level_two_wave_heap_peak_stays_within_5_fields():
     # so the heap holds the output and one strip's temporaries
     j = _euclid_jets(101, False)
     j.second(slice(None))  # the exact second jets, formed on first read
-    assert _heap_peak_fields(lambda: euclidean_wave(j, 2, LAM_E)) <= 5
+    assert heap_peak(lambda: euclidean_wave(j, 2, LAM_E)) <= 5 * FIELD_3X3
 
 
 def test_level_two_wave_dlambda_heap_peak_stays_within_5_fields():
@@ -246,4 +330,4 @@ def test_level_two_wave_dlambda_heap_peak_stays_within_5_fields():
     # two outputs and one strip's temporaries, never P or a whole rung
     j = _euclid_jets(101, False)
     j.second(slice(None))  # the exact second jets, formed on first read
-    assert _heap_peak_fields(lambda: euclidean_wave_dlambda(j, 2, LAM_E)) <= 5
+    assert heap_peak(lambda: euclidean_wave_dlambda(j, 2, LAM_E)) <= 5 * FIELD_3X3
