@@ -169,7 +169,7 @@ def _build_solution(cfg: SolveConfig):
 
 
 def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
-    """The jet -> Phi builder of the solution, which a symmetry deforms.
+    """The jet -> Phi builder of the solution, which a symmetry prolongs.
 
     The Euclidean builder lowers the rungs from the jets up to level 2,
     and ignores the ladder there; deeper levels sum the stored rung
@@ -406,9 +406,9 @@ def cmd_export(outputs: list[dict], outdir: str) -> int:
 
 # Errors of a config that parses but cannot be computed, and the keys that cause them
 _UNCOMPUTABLE = {
-    # no wave function of the solution or of its deformation: far from the origin, say
+    # no wave function of the solution or of its prolongation: far from the origin, say
     DeformationOutOfDomain: "keys 'grid' and 'symmetry'",
-    # the phase chi [theta_1, theta] of a traveling wave, or of its deformation, is not finite
+    # the phase chi [theta_1, theta] of a traveling wave, or of its prolongation, is not finite
     NonFiniteMatrix: "keys 'solution', 'grid', 'lambda' and 'symmetry'",
     # the stencil margins of the run cover the grid
     MarginExhausted: "key 'grid'",

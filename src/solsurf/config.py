@@ -283,7 +283,7 @@ def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = 
         if sol.solution.get("k", 0) > 2:
             raise ConfigError(
                 "key 'solution.k' must be at most 2 with a symmetry: deeper wave "
-                "functions sum the stored ladder rungs, which no deformation follows"
+                "functions sum the stored ladder rungs, which no prolongation follows"
             )
 
     return RunConfig(sol.space, sol.n, sol.solution, sol.grid, lam, a_coeffs, gauge, symmetry)

@@ -10,16 +10,16 @@ A field together with its chart derivatives is a `JetField`: a
 `MatrixField` that also carries D_1, D_2 and ``second(rows)``, which
 forms the three second derivatives on the grid rows asked, each order
 with its own margin.  theta of the active Veronese rung or of the
-traveling wave, a symmetry characteristic Q and every deformation
-theta + eps Q are all `JetField`s; `chart_jets` makes one from any field
-by stencils.
+traveling wave and a symmetry characteristic Q are `JetField`s, and so
+is theta paired with the jets of Q (`JetField.paired`), whose jets are
+`matlie.Dual`s; `chart_jets` makes one from any field by stencils.
 
 Pointwise kernels of the jets (the connection, the lowering operator,
 the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:
 `JetField.map_rows` hands each strip's `JetRows` to the kernel and writes
 its outputs into full-size arrays, so no full-size temporary of the
-kernel is built.  A deformation theta + eps Q forms a strip's second
-jets as theta's rows plus eps times Q's.  A scalar factor is applied in
+kernel is built.  A paired field pairs a strip's second jets of theta
+with Q's, formed for those rows.  A scalar factor is applied in
 place (``t = commutator(...); t *= c``), never as ``c * commutator(...)``:
 numpy turns ``c * tmp`` into ``tmp *= c`` for temporaries of 256 KiB or
 more, and its fused complex loops round c*a and a*c differently, so only
@@ -44,12 +44,13 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FieldFileError, MarginExhausted
+from .matlie import Dual, lift
 
 __all__ = [
     "CHART_EUCLIDEAN",
@@ -266,12 +267,13 @@ def rows_filled(grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]]) ->
     """``kernel(rows)`` for one strip of grid rows at a time, each array it
     returns (the strip's rows and all columns as its last two axes) written
     into a full-size array of the same leading shape, allocated on the
-    first strip."""
+    first strip; a `Dual` output fills a pair of them."""
     outs: list[np.ndarray] = []
     for rows, _ in row_strips(grid.n2):
         parts = kernel(rows)
         if not outs:
-            outs = [np.empty(a.shape[:-2] + (grid.n2, grid.n1), a.dtype) for a in parts]
+            outs = [lift(lambda x: np.empty(x.shape[:-2] + (grid.n2, grid.n1), x.dtype), a)
+                    for a in parts]
         for out, part in zip(outs, parts):
             out[..., rows, :] = part
     return outs
@@ -393,32 +395,40 @@ class JetField(MatrixField):
         """The field + eps*q with its jets shifted by eps times the jets of q.
 
         Derivatives are linear, so the jets of the deformed field are the
-        jets of this field plus eps times those of q; sharing one jet set
-        of q across all evaluations keeps difference quotients
-        cancellation free.  The second jets are formed on the rows asked,
-        from the rows of both.
+        jets of this field plus eps times those of q.  Only the central
+        difference probe (`symmetry.central_difference`) deforms: it forms
+        the values, D_1 and D_2 of the deformation in full, and its second
+        jets on the rows asked, from the rows of both.
         """
 
         def second(rows: slice) -> tuple[np.ndarray, ...]:
             return tuple(b + eps * d for b, d in zip(self.second(rows), q_jets.second(rows)))
 
+        return self._joined(q_jets, lambda a, b: a + eps * b, second)
+
+    def paired(self, q_jets: "JetField") -> "JetField":
+        """This field with the jets of q as the tangent of each jet: every
+        value, D_1, D_2 and second jet is a `Dual`, so a kernel of the jets
+        evaluates a functional and its derivative along q in one pass.
+        Neither field is copied."""
+
+        def second(rows: slice) -> tuple[Dual, ...]:
+            return tuple(map(Dual, self.second(rows), q_jets.second(rows)))
+
+        return self._joined(q_jets, Dual, second)
+
+    def _joined(self, q_jets: "JetField", join: Callable, second: SecondJets) -> "JetField":
+        """The jets ``join(mine, q's)``, each margin the larger of the two."""
         return JetField(
             grid=self.grid,
-            values=self.values + eps * q_jets.values,
+            values=join(self.values, q_jets.values),
             margin=max(self.margin, q_jets.margin),
-            d1=self.d1 + eps * q_jets.d1,
-            d2=self.d2 + eps * q_jets.d2,
+            d1=join(self.d1, q_jets.d1),
+            d2=join(self.d2, q_jets.d2),
             second=second,
             margin1=max(self.margin1, q_jets.margin1),
             margin2=max(self.margin2, q_jets.margin2),
         )
-
-
-def sliced_second(build: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]) -> SecondJets:
-    """``second`` of a field whose whole second jets ``build()`` returns:
-    ``build`` runs once, on the first call, and each call slices its rows."""
-    whole = cache(build)
-    return lambda rows: tuple(x[..., rows, :] for x in whole())
 
 
 def chart_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +436,11 @@ def chart_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.n
 
     The last two axes of ``values`` are grid rows and columns, and may be
     a strip of the grid's rows: the 2 outer rows of the strip come out NaN.
+    A stencil is linear, so of a `Dual` it runs on the tangent alone, and
+    the value is not formed.
     """
+    if isinstance(values, Dual):
+        return tuple(Dual(None, d) for d in chart_derivatives(values.tangent, grid))
     dx = diff1(values, grid.h1, axis=-1)
     dy = diff1(values, grid.h2, axis=-2)
     if grid.chart == CHART_EUCLIDEAN:
@@ -441,29 +455,41 @@ def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int
 def chart_jets(f: MatrixField) -> JetField:
     """``f`` with all its derivatives up to second order by 4th-order stencils.
 
-    The first-order pair is computed here; the second-order set runs its
-    stencils when first read.
+    The first-order pair is computed here.  ``second(rows)`` runs the
+    second-order stencils on the rows asked and the 2 rows on each side
+    that they read, and trims those: every stencil is local, so the rows
+    have the bits of the whole-field set, and no whole set is built.
     """
     d1, d2, margin1 = chart_first_derivatives(f)
+    n2 = f.grid.n2
+
+    def second(rows: slice) -> tuple[np.ndarray, ...]:
+        start, stop, _ = rows.indices(n2)
+        slab = slice(max(start - 2, 0), min(stop + 2, n2))
+        core = slice(start - slab.start, stop - slab.start)
+        jets = _chart_second_derivatives(f.values[..., slab, :], f.grid)
+        return tuple(x[..., core, :] for x in jets)
+
     return JetField(
         grid=f.grid,
         values=f.values,
         margin=f.margin,
         d1=d1,
         d2=d2,
-        second=sliced_second(lambda: _chart_second_derivatives(f)),
+        second=second,
         margin1=margin1,
         margin2=f.margin + 4,
     )
 
 
-def _chart_second_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g = f.grid
-    dxx = diff2(f.values, g.h1, axis=-1)
-    dyy = diff2(f.values, g.h2, axis=-2)
+def _chart_second_derivatives(
+    values: np.ndarray, g: Grid2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dxx = diff2(values, g.h1, axis=-1)
+    dyy = diff2(values, g.h2, axis=-2)
     # the x-derivative is recomputed rather than kept from the first-order
     # pass, so no stencil temporary outlives the call that made it
-    dxy = diff1(diff1(f.values, g.h1, axis=-1), g.h2, axis=-2)
+    dxy = diff1(diff1(values, g.h1, axis=-1), g.h2, axis=-2)
     if g.chart == CHART_EUCLIDEAN:
         return (
             0.25 * (dxx - dyy - 2j * dxy),

@@ -7,17 +7,26 @@ A scalar field of shape (n2, n1) broadcasts against it as it stands; a
 constant matrix takes trailing unit axes from `constant`.  su(N) elements
 are anti-Hermitian traceless matrices; the pairing -1/2 Re tr(XY) is
 positive definite on them and is the metric used for all geometry downstream.
+
+A `Dual` carries a value with its tangent along one direction, and
+`mm`, `commutator`, `trace` and `expm` take it in place of a matrix:
+forward-mode differentiation (Griewank and Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 3), which `symmetry.frechet_apply` runs
+through the pointwise kernels of the jets.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "DimensionMismatch",
+    "Dual",
     "NonFiniteMatrix",
     "SuBasis",
     "commutator",
@@ -29,7 +38,9 @@ __all__ = [
     "identity",
     "inner",
     "inv",
+    "lift",
     "mm",
+    "primal",
     "project_su",
     "su_basis",
     "trace",
@@ -41,6 +52,122 @@ class DimensionMismatch(ValueError):
 
 class NonFiniteMatrix(ValueError):
     """Matrix contains NaN or Inf entries where finite values are required."""
+
+
+class Dual:
+    """An array ``value`` with its ``tangent``, the derivative along one
+    direction; an array met in arithmetic is a constant (no tangent).
+
+    Each operation forms the value as the plain operation does, so the
+    value keeps its bits, and the tangent by the rules of the product;
+    scaling and the in-place forms act on both halves.  A value of None
+    is one that is not formed: only the tangent of a stencil of a pair is
+    read (see `fields.chart_derivatives`).
+    """
+
+    __slots__ = ("value", "tangent")
+    # numpy hands its binary operators on to the reflected ones of a pair
+    __array_ufunc__ = None
+
+    def __init__(self, value: np.ndarray | None, tangent: np.ndarray):
+        self.value, self.tangent = value, tangent
+
+    shape = property(lambda self: self.tangent.shape)
+    ndim = property(lambda self: self.tangent.ndim)
+    dtype = property(lambda self: self.tangent.dtype)
+
+    def __getitem__(self, index) -> "Dual":
+        return lift(lambda x: x[index], self)
+
+    def __setitem__(self, index, other) -> None:
+        value, tangent = _halves(other)
+        if self.value is not None:
+            self.value[index] = value
+        self.tangent[index] = 0 if tangent is None else tangent
+
+    def __add__(self, other):
+        return _linear(operator.add, self, other)
+
+    def __radd__(self, other):
+        return _linear(operator.add, other, self)
+
+    def __sub__(self, other):
+        return _linear(operator.sub, self, other)
+
+    def __rsub__(self, other):
+        return _linear(operator.sub, other, self)
+
+    def __mul__(self, other):
+        return _product(operator.mul, self, other)
+
+    def __rmul__(self, other):
+        return _product(operator.mul, other, self)
+
+    def __pow__(self, p: int) -> "Dual":
+        tangent = p * self.value ** (p - 1)
+        tangent *= self.tangent
+        return Dual(self.value**p, tangent)
+
+    def __iadd__(self, other):
+        return self._inplace(operator.iadd, other)
+
+    def __isub__(self, other):
+        return self._inplace(operator.isub, other)
+
+    def __imul__(self, other):
+        value, tangent = _halves(other)
+        if tangent is not None:
+            self.tangent *= value
+            self.tangent += self.value * tangent
+            self.value *= value
+            return self
+        for half in (self.value, self.tangent):
+            if half is not None:
+                half *= other
+        return self
+
+    def _inplace(self, op: Callable, other) -> "Dual":
+        value, tangent = _halves(other)
+        if self.value is not None:
+            op(self.value, value)
+        if tangent is not None:
+            op(self.tangent, tangent)
+        return self
+
+
+def _halves(x) -> tuple:
+    """(value, tangent) of a pair; (x, None) of a constant."""
+    return (x.value, x.tangent) if isinstance(x, Dual) else (x, None)
+
+
+def lift(fn: Callable[[np.ndarray], np.ndarray], x):
+    """``fn`` of an array, or of each half of a pair (a value not formed
+    stays so)."""
+    if not isinstance(x, Dual):
+        return fn(x)
+    return Dual(None if x.value is None else fn(x.value), fn(x.tangent))
+
+
+def primal(x):
+    """The value of a pair, or ``x`` itself."""
+    return x.value if isinstance(x, Dual) else x
+
+
+def _linear(op: Callable, x, y) -> Dual:
+    (xv, xt), (yv, yt) = _halves(x), _halves(y)
+    value = None if xv is None or yv is None else op(xv, yv)
+    return Dual(value, op(0 if xt is None else xt, 0 if yt is None else yt))
+
+
+def _product(op: Callable, x, y) -> Dual:
+    """``op`` bilinear, of two pairs or of a pair and a constant."""
+    (xv, xt), (yv, yt) = _halves(x), _halves(y)
+    value = None if xv is None or yv is None else op(xv, yv)
+    if xt is None or yt is None:
+        return Dual(value, op(xv, yt) if xt is None else op(xt, yv))
+    tangent = op(xt, yv)
+    tangent += op(xv, yt)
+    return Dual(value, tangent)
 
 
 def constant(m: np.ndarray, ndim: int = 4) -> np.ndarray:
@@ -70,7 +197,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def trace(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
+    m = m if isinstance(m, Dual) else np.asarray(m)
     return sum(m[i, i] for i in range(m.shape[0]))
 
 
@@ -103,8 +230,11 @@ def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     201^2 nodes it still beats ``@`` at n = 5, 34 against 58 ms, but at
     n = 6 the best runs of ``@`` win on 301^2 nodes, 121 against 139 ms,
     hence the cutoff.  The summation order differs from BLAS, so results
-    agree with ``@`` to rounding only.
+    agree with ``@`` to rounding only.  Of a pair, the tangent is
+    x' y + x y'.
     """
+    if isinstance(x, Dual) or isinstance(y, Dual):
+        return _product(mm, x, y)
     x = np.asarray(x)
     y = np.asarray(y)
     n, k = x.shape[:2]
@@ -163,13 +293,13 @@ def _inv_small(a: np.ndarray) -> np.ndarray:
 
 
 def _on_finite_nodes(fn, a: np.ndarray) -> np.ndarray:
-    """``fn``, which maps a (n, n, k) stack to (..., k), on the finite nodes
-    of ``a``; the rest come out NaN."""
-    ok = np.isfinite(a).all(axis=(0, 1))
+    """``fn``, which maps a (n, n, k) stack, or a pair of them, to (..., k),
+    on the nodes where the value of ``a`` is finite; the rest come out NaN."""
+    ok = np.isfinite(primal(a)).all(axis=(0, 1))
     if ok.all():
         return fn(a)
     res = fn(a[..., ok])
-    out = np.full(res.shape[:-1] + ok.shape, np.nan, dtype=res.dtype)
+    out = lift(lambda r: np.full(r.shape[:-1] + ok.shape, np.nan, dtype=r.dtype), res)
     out[..., ok] = res
     return out
 
@@ -230,9 +360,14 @@ def _expm2(a: np.ndarray) -> np.ndarray:
     for s^2 = -det B, so exp X = e^m (cosh s I + sinh(s)/s B) (Bernstein &
     So, IEEE TAC 38 (1993) 1228).  Both coefficients are even in s, so the
     branch of the square root does not matter.
+
+    Of a pair, the tangent differentiates that form in m, B and z = s^2:
+    d cosh s = sinhc(s) dz / 2 and d sinhc(s) = (cosh s - sinhc s) dz / (2z),
+    the latter summed as 1/6 + z/60 + z^2/1680 below the same cutoff.
     """
-    a00, a01 = a[0, 0], a[0, 1]
-    a10, a11 = a[1, 0], a[1, 1]
+    x = primal(a)
+    a00, a01 = x[0, 0], x[0, 1]
+    a10, a11 = x[1, 0], x[1, 1]
     h = 0.5 * (a00 - a11)
     s2 = h * h + a01 * a10
     s = np.sqrt(s2)
@@ -240,9 +375,19 @@ def _expm2(a: np.ndarray) -> np.ndarray:
     safe = np.where(small, 1.0, s)
     sinhc = np.where(small, 1.0 + s2 / 6.0 * (1.0 + s2 / 20.0), np.sinh(safe) / safe)
     em = np.exp(0.5 * (a00 + a11))
-    c = em * np.cosh(s)
+    cosh = np.cosh(s)
+    c = em * cosh
     f = em * sinhc
-    out = np.empty_like(a)
+    if isinstance(a, Dual):
+        t = a.tangent
+        dm, dh = 0.5 * (t[0, 0] + t[1, 1]), 0.5 * (t[0, 0] - t[1, 1])
+        dz = 2 * h * dh + t[0, 1] * a10 + a01 * t[1, 0]
+        dsinhc = np.where(
+            small, 1 / 6 + s2 * (1 / 60 + s2 / 1680), (cosh - sinhc) / np.where(small, 1.0, 2 * s2)
+        )
+        c, f = Dual(c, c * dm + 0.5 * f * dz), Dual(f, f * dm + em * dsinhc * dz)
+        h, a01, a10 = Dual(h, dh), a[0, 1], a[1, 0]
+    out = lift(np.empty_like, a)
     out[0, 0] = c + f * h
     out[0, 1] = f * a01
     out[1, 0] = f * a10
@@ -251,17 +396,18 @@ def _expm2(a: np.ndarray) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of 2x2 matrices, batched over (2, 2, ...).
+    """Matrix exponential of 2x2 matrices, batched over (2, 2, ...), or of
+    a pair of them.
 
     Takes the closed form of `_expm2`.  Its one caller, the traveling-wave
     wave function, is N = 2; other sizes raise ``ValueError``.  Nodes with
-    a non-finite entry stay NaN.
+    a non-finite entry in the value stay NaN.
     """
-    a = np.asarray(m, dtype=complex)
+    a = m if isinstance(m, Dual) else np.asarray(m, dtype=complex)
     if a.shape[:2] != (2, 2):
         raise ValueError(f"expm takes 2x2 matrices, got shape {a.shape}")
     # a lone matrix must be finite, a field needs one finite node
-    if not np.isfinite(a).all(axis=(0, 1)).any():
+    if not np.isfinite(primal(a)).all(axis=(0, 1)).any():
         raise NonFiniteMatrix("expm requires finite entries")
     return _on_finite_nodes(_expm2, a)
 

@@ -34,7 +34,6 @@ from .fields import (
     MatrixField,
     StripSource,
     chart_jets,
-    sliced_second,
 )
 from .matlie import commutator, dagger, fro, identity, mm
 
@@ -240,7 +239,7 @@ def veronese(n: int, grid: Grid2, k: int = 0) -> tuple[list[MatrixField], JetFie
         values=1j * (proj(k) - identity(n) / n),
         d1=d1,
         d2=d2,
-        second=sliced_second(lambda: second),
+        second=lambda rows: tuple(x[..., rows, :] for x in second),
         margin1=0,
         margin2=0,
     )

@@ -7,7 +7,7 @@ Two closed-form builders are provided:
   c = 4 lam / (1 - lam)^2, beta = -2/(1 - lam).  `euclidean_wave` builds
   Phi, and `euclidean_wave_dlambda` builds Phi with d(Phi)/d(lam) in the
   same strip pass.  Up to k = 2 the rungs are lowered from the jets of the
-  solution, so Phi is a smooth function of the jets and can be deformed;
+  solution, so Phi is a smooth function of the jets and can be prolonged;
   deeper levels sum the stored rungs of the ladder.
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
@@ -51,7 +51,8 @@ from .fields import (
     rows_filled,
     same_grid,
 )
-from .matlie import NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv, mm, trace
+from .matlie import (Dual, NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv,
+                     mm, primal, trace)
 from .sigma import TravelingWave, check_lambda, projector
 
 __all__ = [
@@ -154,7 +155,11 @@ _VANISHED = (
 
 
 def _guarded_reciprocal(den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1/den, NaN where den vanishes, and the mask of those nodes."""
+    """1/den, NaN where den vanishes, and the mask of those nodes; of a
+    pair, its tangent is -den'/den^2, and the mask is the value's."""
+    if isinstance(den, Dual):
+        r, bad = _guarded_reciprocal(den.value)
+        return Dual(r, -(r * r) * den.tangent), bad
     with np.errstate(invalid="ignore"):
         bad = ~(np.abs(den) > 1e-300)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -270,9 +275,9 @@ def _wave_strips(
     ``dlambda``, one strip of grid rows at a time, and their margin.
 
     Up to k = 2 a strip's rungs are lowered from the jets ``j``, so Phi
-    follows a deformation of the jets; deeper levels sum the strips of the
-    stored ``ladder`` rungs (the same projectors, but they carry no
-    deformation support), and without one the lowering raises.  A strip's
+    carries the tangent of paired jets; deeper levels sum the strips of the
+    stored ``ladder`` rungs (the same projectors, but no tangent reaches
+    them), and without one the lowering raises.  A strip's
     terms are summed before the next strip's are formed.
     """
     lam = check_lambda(lam)
@@ -339,7 +344,7 @@ def phi_traveling(wave: TravelingWave, j: JetField, lam: complex) -> WaveField:
     def rows(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
         komm = commutator(jr.d1, jr.values)
         x = 2.0 * chi[jr.rows] * komm
-        live = np.isfinite(x).all(axis=(0, 1))
+        live = np.isfinite(primal(x)).all(axis=(0, 1))
         e = expm(x) if live.any() else np.full(x.shape, np.nan, dtype=complex)
         return mm(e, 2j * jr.values - shift), live
 

@@ -2,42 +2,40 @@
 
 A symmetry characteristic is a matrix field Q built from the jets of a
 solution.  Its prolongation pr w_Q is one derivation acting on every
-functional G of the solution: the Frechet derivative G'(theta)[Q].  It
-is realized by deforming the whole solution, theta -> theta +/- eps*Q,
-recomputing the jet fields (linearity: jets of the deformation are eps
-times the jets of Q), and taking one central difference:
-
-    pr w_Q G = [G(theta + eps Q) - G(theta - eps Q)] / (2 eps)
-
-Because the deformed jets are exact linear shifts, the difference
-quotient is free of the cancellation noise a naive re-evaluation would
-produce.  It is exact for functionals of degree at most 2 in (theta,
-jets); for the others its O(eps^2) truncation error is at the level of
-the rounding error at the default step, so no extrapolation is taken.
+functional G of the solution: the Frechet derivative G'(theta)[Q], linear
+in the jets of Q.  `frechet_apply` evaluates it exactly, in one pass, in
+forward mode: theta is paired with the jets of Q (`JetField.paired`), each
+jet a `matlie.Dual`, and each functional runs once on the pair, carrying
+the tangent through every product, commutator, trace, reciprocal and
+exponential; its tangent is pr w_Q G.  A stencil is linear, so it runs on
+the tangent alone (pr w_Q D_alpha G = D_alpha pr w_Q G).
 
 One prolongation feeds many functionals: `frechet_apply` takes a
-sequence of them, computes the jets of Q once and takes the central pair
-of each functional in turn, so that at most one deformation, and one
-functional's plus-side outputs, are alive at a time.  A caller asks
-once per (jets, Q, step) for all it reads: pr w u for the symmetry
-criterion, pr w Phi for explicit integration, pr w of the linear-problem
-residual, and pr w G beside pr w (D_alpha G) for the commutation checks.
-A functional maps jets to a tuple of matrix fields, all differenced from
-the same deformations, so each jet set is one functional, which
-`commutation_defect` reads: `theta_functional` (theta, D_1 theta,
-D_2 theta), `u_jets_functional(lam)` (u1, D_1 u1, D_2 u1, u2, D_1 u2,
-D_2 u2) and `lowering_jets_functional` (L, D_1 L, D_2 L of the lowered
-rung).  `u_functional(lam)` (u1, u2) and `lowering_functional` (L) serve
-callers that read no derivatives; `wave_functional(builder, lam)` adds
-the `spectral.lsp_residual` components to Phi.
+sequence of them and computes the jets of Q once.  A caller asks once
+per (jets, Q) for all it reads: pr w u for the symmetry criterion, pr w
+Phi for explicit integration, pr w of the linear-problem residual, and
+pr w G beside pr w (D_alpha G) for the commutation checks.  A functional
+maps jets to a tuple of matrix fields, so each jet set is one
+functional, which `commutation_defect` reads: `theta_functional` (theta,
+D_1 theta, D_2 theta), `u_jets_functional(lam)` (u1, D_1 u1, D_2 u1, u2,
+D_1 u2, D_2 u2) and `lowering_jets_functional` (L, D_1 L, D_2 L of the
+lowered rung).  `u_functional(lam)` (u1, u2) and `lowering_functional`
+(L) serve callers that read no derivatives; `wave_functional(builder,
+lam)` adds the `spectral.lsp_residual` components to Phi.
 The connection, its jets and the lowering functionals evaluate
 their pointwise kernels one strip of grid rows at a time
 (`JetField.map_rows`), with scalar factors applied in place so a strip
-rounds as the whole field does (see :mod:`solsurf.fields`).  A deformed
-jet field's ``second(rows)`` adds theta's second jets on the strip to eps
-times Q's, so the full deformed second jets are never built, and a
-functional that reads only theta, D_1 theta and D_2 theta runs no
-second-order stencil.
+rounds as the whole field does (see :mod:`solsurf.fields`); a strip's
+second jets of Q are formed for its rows, so a functional that reads
+only theta, D_1 theta and D_2 theta runs no second-order stencil.
+
+`central_difference` takes
+
+    [G(theta + eps Q) - G(theta - eps Q)] / (2 eps)
+
+on deformed jets (`JetField.deformed`): it is the probe whose own step
+and grid convergence `verify`'s ``appendix.step-order`` and
+``appendix.grid-order`` measure, and no prolongation uses it.
 `polyval` evaluates the polynomials: f(x1), g(x2) of `ConformalSpec`
 and the spectral coefficient a(lam) of :mod:`solsurf.immersion`.
 """
@@ -71,6 +69,7 @@ from .spectral import lowered_rung_jets, lowered_rungs_from_jets, lsp_residual
 
 __all__ = [
     "ConformalSpec",
+    "central_difference",
     "commutation_defect",
     "compatibility_defect",
     "conformal_characteristic",
@@ -180,33 +179,44 @@ def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
     return MatrixField(j.grid, spec.along(j.grid, j.d1, j.d2), j.margin1)
 
 
-# --- prolongation by whole-field deformation -----------------------------------
+# --- prolongation -----------------------------------------------------------------
 
 
 def frechet_apply(
-    gs: Sequence[Functional], j: JetField, q: MatrixField, eps_base: float = 1e-5
+    gs: Sequence[Functional], j: JetField, q: MatrixField
 ) -> tuple[tuple[MatrixField, ...], ...]:
     """Directional derivatives along ``q`` at ``j`` of every functional in ``gs``.
 
     Returns one tuple per functional, one field per component: the
-    central difference over theta +/- eps Q, with eps = ``eps_base``
-    times (1 + the interior max of ||theta||_F).  The jets of ``q`` are
-    computed once; each functional is evaluated on theta + eps Q, which is
-    dropped before theta - eps Q is built, and both sides are dropped once
-    differenced, so no result depends on the other functionals of the call.
-    Second-order jets are built only if a functional reads them.  Each
-    component keeps the larger margin of its two evaluations.
+    tangent of the functional evaluated once on ``j`` paired with the
+    jets of ``q``, which are computed once.  Each component keeps the
+    margin of its evaluation: the larger of the margins of the jets of
+    theta and of Q that it reads.
+    """
+    jt = j.paired(chart_jets(q))
+    return tuple(tuple(MatrixField(f.grid, f.values.tangent, f.margin) for f in g(jt)) for g in gs)
+
+
+def central_difference(
+    gs: Sequence[Functional], j: JetField, q_jets: JetField, eps_base: float
+) -> tuple[tuple[MatrixField, ...], ...]:
+    """The central difference of every functional in ``gs`` along the jets
+    ``q_jets`` of Q at ``j``: [g(theta + eps Q) - g(theta - eps Q)] / (2 eps),
+    with eps = ``eps_base`` times (1 + the interior max of ||theta||_F).
+
+    The probe of the verification's step and grid orders: each
+    functional is evaluated on theta + eps Q, which is dropped before
+    theta - eps Q is built, and both sides of a component are dropped
+    once it is differenced.  Each component keeps the larger
+    margin of its two evaluations.
     """
     if eps_base <= 0:
         raise ValueError("eps_base must be positive")
-    q_jets = chart_jets(q)
     eps = eps_base * (1.0 + interior_max(fro(j.values), j.margin))
     return tuple(_central_pair(g, j, q_jets, eps) for g in gs)
 
 
 def _central_pair(g: Functional, j: JetField, q_jets: JetField, eps: float) -> tuple:
-    """[g(theta + eps Q) - g(theta - eps Q)] / (2 eps), component by component;
-    both sides of a component are dropped once it is differenced."""
     plus = list(g(j.deformed(+eps, q_jets)))
     minus = list(g(j.deformed(-eps, q_jets)))
     return tuple(_quotient(plus.pop(0), minus.pop(0), eps) for _ in range(len(plus)))
@@ -277,7 +287,7 @@ def wave_functional(
 
     Given ``lam``, the linear-problem residuals D_alpha Phi - u^alpha Phi
     (`lsp_residual`) follow Phi as two more components, so one build of
-    Phi per deformation serves both.  Their prolongations vanish exactly
+    Phi serves both.  Their prolongations vanish exactly
     when the characteristic is also a symmetry of the linear problem.
     """
 

@@ -47,6 +47,7 @@ from .fields import (
     JetField,
     MatrixField,
     chart_first_derivatives,
+    chart_jets,
     interior,
     interior_max,
 )
@@ -79,6 +80,7 @@ from .spectral import (
 )
 from .symmetry import (
     ConformalSpec,
+    central_difference,
     commutation_defect,
     compatibility_defect,
     conformal_characteristic,
@@ -119,7 +121,6 @@ MINK_SPEC_AFFINE = ConformalSpec.minkowski((AFFINE_B, AFFINE_A), (AFFINE_C, AFFI
 # window to show; the surfaces involved are closed forms, so no stencil
 # accuracy is at stake
 WIDE_H = 0.04
-MINK_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ class Fixtures:
 
     A field is memoized only when two or more rows or fixtures read it; a
     field with one reader is built inside that reader, which returns only
-    the values its rows read.  Each (jets, Q, step) is prolonged once, by
+    the values its rows read.  Each (jets, Q) is prolonged once, by
     the one fixture that returns all the rows read of it.
     """
 
@@ -352,18 +353,16 @@ class Fixtures:
         return commutator(jt.d1, jt.values)
 
     @_fixture
-    def mink_q(self) -> MatrixField:
-        return conformal_characteristic(MINK_SPEC_QUADRATIC, self.traveling()[1])
-
-    @_fixture
     def mink_prolonged(self) -> dict[str, object]:
         """The one prolongation along the quadratic Q: Phi^-1 pr w Phi; the
         size of the linear-problem residual r1 and its match with
         -f_11 chi (1+lam) D1 Phi; the tangents of Phi^-1 pr w Phi against
-        the prolonged connection."""
+        the prolonged connection; the three commutation defects."""
         (tw, jt), w, spec = self.traveling(), self.mink_wave(), MINK_SPEC_QUADRATIC
-        gs = (u_functional(LAM_MINK), wave_functional(_mink_builder(tw), LAM_MINK))
-        (a, b), (prw_phi, r1, _) = frechet_apply(gs, jt, self.mink_q())
+        gs = (*_commutation_functionals(LAM_MINK), wave_functional(_mink_builder(tw), LAM_MINK))
+        q = conformal_characteristic(spec, jt)
+        prw_theta, prw_u, (prw_phi, r1, _) = frechet_apply(gs, jt, q)
+        a, b = prw_u[0], prw_u[3]
         calf = explicit_immersion(w, prw_phi)
         d1phi, _, dm = chart_first_derivatives(w)
         pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK)) * d1phi
@@ -372,6 +371,7 @@ class Fixtures:
             "lsp": _field_max(r1),
             "curvature-defect-form": interior_max(fro(r1.values - pred), max(r1.margin, dm)),
             "explicit-tangents": max(tangent_check(calf, w, a, b)),
+            "commutation": _commutation_defects((prw_theta, prw_u)),
         }
 
     @_fixture
@@ -421,15 +421,6 @@ class Fixtures:
         f_closed = conformal_immersion_closed(spec, *self.mink_u(), w)
         mean, variation = constant_difference_check(f_closed, explicit_immersion(w, prw_phi))
         return {"lsp": max(map(_field_max, lsp)), "mean": mean, "variation": variation}
-
-    @_fixture
-    def mink_commutation_defects(self) -> dict[str, float]:
-        """Commutation defects of theta, u1 and u2 on the traveling wave,
-        from one prolongation at the step MINK_EPS."""
-        jt, q = self.traveling()[1], self.mink_q()
-        return _commutation_defects(
-            frechet_apply(_commutation_functionals(LAM_MINK), jt, q, MINK_EPS)
-        )
 
 
 def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
@@ -546,18 +537,18 @@ def _lowering_defect(
     return interior_max(fro(prw.values - ref), max(prw.margin, dl1.margin))
 
 
-# Convergence orders of the deformation apparatus, probed on the lowering
+# Convergence orders of the central difference probe, on the lowering
 # operator (genuinely nonlinear in the jets).
 
 
 def _step_defects(j: JetField, dl: tuple[MatrixField, MatrixField]) -> list[float]:
     """Lowering defects under a translation at steps 0.04, 0.02 and 0.01,
-    given (D1, D2) of the lowered rung."""
+    given (D1, D2) of the lowered rung; the jets of Q serve all three."""
     trans = ConformalSpec.euclidean((1.0,))
-    q = conformal_characteristic(trans, j)
+    q_jets = chart_jets(conformal_characteristic(trans, j))
     out = []
     for eps in (0.04, 0.02, 0.01):
-        ((prw,),) = frechet_apply((lowering_functional,), j, q, eps)
+        ((prw,),) = central_difference((lowering_functional,), j, q_jets, eps)
         out.append(_lowering_defect(trans, prw, dl))
     return out
 
@@ -571,8 +562,8 @@ def _grid_order(fx: Fixtures) -> float:
     ds = []
     for h in (0.012, 0.006, 0.003):
         jh = veronese(2, fx.euclid_grid(h), 1)[1]
-        qh = conformal_characteristic(EUCLID_SPEC, jh)
-        (prw,) = frechet_apply((lowering_jets_functional,), jh, qh, 1e-3)
+        qh = chart_jets(conformal_characteristic(EUCLID_SPEC, jh))
+        (prw,) = central_difference((lowering_jets_functional,), jh, qh, 1e-3)
         ds.append(commutation_defect(prw))
     return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
@@ -905,7 +896,7 @@ _CHECKS: tuple[_Check, ...] = (
             f"appendix.commutation-mink-{g}",
             "same on the Minkowski chart",
             1e-6,
-            lambda fx, g=g: fx.mink_commutation_defects()[g],
+            lambda fx, g=g: fx.mink_prolonged()["commutation"][g],
             key="appendix.commutation",
         )
         for g in ("theta", "u1", "u2")

@@ -13,9 +13,11 @@ cross-check the two:
   surfaces and tangents with known values;
 * the symmetry criterion in one call, prolonging the connection itself
   (`verify` reads it from a prolonged pair that other checks share);
-* the prolongation of many functionals from two shared deformations,
-  each functional evaluated on both, against `frechet_apply`, which
-  deforms once per functional and side;
+* the central difference of many functionals from two shared
+  deformations, each functional evaluated on both, against the forward
+  tangents of `frechet_apply` (to O(eps^2)), and against
+  `symmetry.central_difference`, which deforms once per functional and
+  side (bit for bit);
 * the su(N) projection, the integrated surface with its path defect, the
   compatibility defect, the tangent check, the tangent Gram report, the
   wave diagnostics and the conjugation by Phi, each formed on the whole
@@ -193,27 +195,24 @@ def polyval_number(coeffs: tuple[complex, ...], x: complex) -> complex:
     return out
 
 
-def el_symmetry_defect(
-    q: MatrixField,
-    j: JetField,
-    lam: complex,
-    eps_base: float = 1e-5,
-) -> float:
+def el_symmetry_defect(q: MatrixField, j: JetField, lam: complex) -> float:
     """Zero-curvature defect of the connection pair prolonged along ``q``.
 
     With Q_alpha = pr w_Q u_alpha this is the compatibility defect of
     (Q_1, Q_2); it vanishes exactly when ``q`` generates a symmetry of the
     equations of motion.
     """
-    ((pw1, pw2),) = frechet_apply([u_functional(lam)], j, q, eps_base)
+    ((pw1, pw2),) = frechet_apply([u_functional(lam)], j, q)
     return compatibility_defect(pw1, pw2, *u_pair(j, lam))
 
 
-def frechet_apply_shared(
+def central_pair(
     gs, j: JetField, q: MatrixField, eps_base: float = 1e-5
 ) -> tuple[tuple[MatrixField, ...], ...]:
-    """`solsurf.symmetry.frechet_apply` with the two deformations built once
-    and every plus-side output held while the minus side is evaluated."""
+    """[g(theta + eps Q) - g(theta - eps Q)] / (2 eps) of each g of ``gs``,
+    with eps as `symmetry.central_difference` takes it, from two
+    deformations built once, every plus-side output held while the minus
+    side is evaluated."""
     q_jets = chart_jets(q)
     eps = eps_base * (1.0 + interior_max(fro(j.values), j.margin))
     jd = j.deformed(+eps, q_jets)

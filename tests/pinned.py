@@ -24,6 +24,9 @@ lists each moved value in CHANGES.md:
 
     PYTHONPATH=src python tests/pinned.py
 
+which prints a line ``moved <path>: ...`` for each value that moved past
+its old allowance, with its old and new value and allowance.
+
 `heap_peak` measures the heap peaks that tier-1 bounds, each in units of
 the fields its test names.
 """
@@ -123,13 +126,17 @@ def mismatches(ref: dict[str, dict], got: dict[str, dict], allow: dict[str, floa
             bad.append(f"{key}: keys or check order differ from the reference")
             continue
         for (path, a), (_, b) in zip(want, have):
-            if path in allow:
-                ok = abs(b - a) <= allow[path] * abs(a) + ABS_FLOOR
-            else:
-                ok = type(a) is type(b) and a == b
-            if not ok:
+            if not _matches(a, b, allow.get(path)):
                 bad.append(f"{path}: {b!r}, reference {a!r}")
     return bad
+
+
+def _matches(a, b, allowance: float | None) -> bool:
+    """``b`` matches the reference value ``a``: within ``allowance``, or
+    equal where the value has none."""
+    if allowance is None:
+        return type(a) is type(b) and a == b
+    return abs(b - a) <= allowance * abs(a) + ABS_FLOOR
 
 
 # --- regeneration ---------------------------------------------------------------
@@ -174,7 +181,10 @@ def _measured(path: str) -> bool:
 
 
 def refresh() -> None:
-    """Rewrite the reference copies and ``allowances.json`` from this tree."""
+    """Rewrite the reference copies and ``allowances.json`` from this tree,
+    and print one line for each value that moved past its old allowance:
+    its path, the old and new value, and the old and new allowance."""
+    old, old_allow = reference()
     with tempfile.TemporaryDirectory() as work:
         paths = run_all(os.path.join(work, "plain"))
         for key, path in paths.items():
@@ -191,6 +201,13 @@ def refresh() -> None:
     with open(os.path.join(REFERENCE, "allowances.json"), "w") as fh:
         json.dump(allow, fh, indent=1)
         fh.write("\n")
+    for key, report in plain.items():
+        before = dict(leaves(old[key], key + ":"))
+        for path, b in leaves(report, key + ":"):
+            a = before.get(path)
+            if path not in before or not _matches(a, b, old_allow.get(path)):
+                print(f"moved {path}: {a!r} -> {b!r}, allowance {old_allow.get(path)!r} -> "
+                      f"{allow.get(path)!r}")
 
 
 if __name__ == "__main__":

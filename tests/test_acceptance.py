@@ -22,6 +22,7 @@ from solsurf.fields import (
     Grid2,
     MatrixField,
     chart_first_derivatives,
+    chart_jets,
     interior_max,
 )
 from solsurf.immersion import (
@@ -48,6 +49,7 @@ from solsurf.spectral import (
 )
 from solsurf.symmetry import (
     ConformalSpec,
+    central_difference,
     commutation_defect,
     compatibility_defect,
     conformal_characteristic,
@@ -277,23 +279,23 @@ def test_criterion_7_commutation(traveling):
     wave, jets = traveling
     qm = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), jets)
     gs = [theta_functional, u_jets_functional(LAM_M)]
-    prw_theta_m, prw_um = frechet_apply(gs, jets, qm, 1e-4)
+    prw_theta_m, prw_um = frechet_apply(gs, jets, qm)
     for name, prw in (("theta", prw_theta_m), ("u1", prw_um[:3]), ("u2", prw_um[3:])):
         d = commutation_defect(prw)
         entries.append((f"mink-{name}", d < 1e-6, d))
 
-    # step-size order, probed on the lowering operator (the jet-quadratic
-    # functionals above have exact difference quotients, so they carry no
-    # step truncation to measure)
+    # step-size order of the central difference probe, on the lowering
+    # operator (the jet-quadratic functionals have exact difference
+    # quotients, so they carry no step truncation to measure)
     j1 = rung_jets(2, 1)
     trans = ConformalSpec.euclidean((1.0,))
-    q1 = conformal_characteristic(trans, j1)
+    q1 = chart_jets(conformal_characteristic(trans, j1))
     _, dl1, dl2 = lowering_jets_functional(j1)
     ref = dl1.values + dl2.values
     margin = dl1.margin
     ds = []
     for eps in (0.04, 0.02, 0.01):
-        ((pw,),) = frechet_apply([lowering_functional], j1, q1, eps)
+        ((pw,),) = central_difference([lowering_functional], j1, q1, eps)
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, margin)))
     eps_order = float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
     entries.append(("eps-order>=2", eps_order > 1.9, eps_order))
@@ -301,8 +303,8 @@ def test_criterion_7_commutation(traveling):
     hs = []
     for h in (0.012, 0.006, 0.003):
         jh = rung_jets(2, 1, h)
-        qh = conformal_characteristic(spec, jh)
-        (prw,) = frechet_apply([lowering_jets_functional], jh, qh, 1e-3)
+        qh = chart_jets(conformal_characteristic(spec, jh))
+        (prw,) = central_difference([lowering_jets_functional], jh, qh, 1e-3)
         hs.append(commutation_defect(prw))
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
     entries.append(("h-order>=3", h_order > 3.0, h_order))
@@ -366,8 +368,8 @@ def _refinement_table():
     def commutation_defect_h(h):
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         jh = rung_jets(2, 1, h)
-        qh = conformal_characteristic(spec, jh)
-        (prw,) = frechet_apply([lowering_jets_functional], jh, qh, 1e-3)
+        qh = chart_jets(conformal_characteristic(spec, jh))
+        (prw,) = central_difference([lowering_jets_functional], jh, qh, 1e-3)
         return commutation_defect(prw)
 
     return [

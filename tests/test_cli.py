@@ -398,10 +398,20 @@ def _counted_u_pair(monkeypatch) -> list:
 def test_verify_builds_each_connection_pair_once(monkeypatch):
     # the closed forms read the memoized pair of their solution: `u_pair`
     # runs once on the standard Euclidean jets (the closed prolongation of
-    # the connection reads the u jets instead) and once on the traveling jets
+    # the connection reads the u jets instead) and once on the traveling
+    # jets; each prolongation that reads the pair runs it once more, on the
+    # jets paired with those of its Q.  Only the two order probes deform:
+    # three steps and three grids, one central pair each
     from solsurf import verify
+    from solsurf.fields import JetField
 
     pairs = _counted_u_pair(monkeypatch)
+    probes, deformations = [], []
+    probe, deformed = verify.central_difference, JetField.deformed
+    monkeypatch.setattr(verify, "central_difference",
+                        lambda *a: probes.append(len(deformations)) or probe(*a))
+    monkeypatch.setattr(JetField, "deformed",
+                        lambda *a: deformations.append(len(probes)) or deformed(*a))
     built = []
 
     class Recorded(verify.Fixtures):
@@ -414,7 +424,9 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     (fx,) = built
     jets, traveling = fx.jets_analytic(), fx.traveling()[1]
     on = [sum(ref() is j for ref in pairs) for j in (jets, traveling)]
-    assert (on, len(pairs)) == ([1, 1], 25)
+    assert (on, len(pairs)) == ([1, 1], 13)
+    # each deformation is built inside the probe call before it, two per call
+    assert len(probes) == 6 and deformations == [n for n in range(1, 7) for _ in (0, 1)]
 
 
 GAUGE_EUCLID = {**BASE_VERONESE, "n": 3, "solution": {"kind": "veronese", "k": 1},
@@ -425,10 +437,14 @@ GAUGE_EUCLID = {**BASE_VERONESE, "n": 3, "solution": {"kind": "veronese", "k": 1
 def test_cli_immerse_builds_the_connection_pair_of_the_solution_once(tmp_path, monkeypatch, gauge):
     # with only a symmetry, the compatibility check and the closed conformal
     # immersion read one pair built on the solution's jets, and the other
-    # calls run on the deformed jets of the prolongation; with a gauge, its
-    # [S, u] terms and the compatibility check read one pair
+    # call runs on the jets paired with those of Q, in the prolongation;
+    # with a gauge, its [S, u] terms and the compatibility check read one
+    # pair; neither run deforms the jets
     from solsurf import cli
+    from solsurf.fields import JetField
 
+    deformations = []
+    monkeypatch.setattr(JetField, "deformed", lambda *a: deformations.append(a))
     pairs, solution = _counted_u_pair(monkeypatch), []
     build = cli._build_solution
     monkeypatch.setattr(cli, "_build_solution", lambda cfg: solution.extend(build(cfg)) or solution)
@@ -440,7 +456,8 @@ def test_cli_immerse_builds_the_connection_pair_of_the_solution_once(tmp_path, m
         assert main(["immerse", "--config", config, "--out", str(tmp_path / "out")]) == 0
     j = solution[0]
     assert sum(ref() is j for ref in pairs) == 1
-    assert len(pairs) == (1 if gauge else 3)
+    assert len(pairs) == (1 if gauge else 2)
+    assert deformations == []
 
 
 def test_cli_solution_holds_the_jets_of_the_active_rung_only():
@@ -482,14 +499,25 @@ def test_cli_solve_accepts_the_keys_it_does_not_read(tmp_path, capsys, change, n
     assert capsys.readouterr().err.startswith(f"configuration error: {named}")
 
 
-def test_rung_prolongation_heap_peak_stays_within_24_fields():
-    # prop7's lowered rung on CP^2 sets the heap peak of verify: the
-    # prolongation holds one deformation, and one functional's plus side,
-    # at a time, and the functionals run one strip of grid rows at a time
+def test_rung_prolongation_heap_peak_stays_within_19_fields():
+    # prop7's lowered rung on CP^2 sets the heap peak of verify, 16.52
+    # fields: the prolongation pairs theta with the jets of Q and copies
+    # neither, the functionals run one strip of grid rows at a time, and
+    # Q's second jets are formed per strip
     from solsurf import verify
 
     fx = verify.Fixtures()
-    assert heap_peak(lambda: fx.rung_defects(3, 2)) <= 24 * (9 * 101**2 * 16)
+    assert heap_peak(lambda: fx.rung_defects(3, 2)) <= 19 * (9 * 101**2 * 16)
+
+
+def test_euclidean_prolongation_heap_peak_stays_within_30_fields():
+    # the standard pair's one prolongation, with the rung it builds,
+    # peaks at 26.27 fields, as the u jets' six pairs of value and tangent
+    # are filled
+    from solsurf import verify
+
+    fx = verify.Fixtures()
+    assert heap_peak(fx.euclid_prolonged) <= 30 * (4 * 101**2 * 16)
 
 
 README_EUCLID = {

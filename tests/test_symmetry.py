@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import el_symmetry_defect, frechet_apply_shared, polyval_number
+from oracles import central_pair, el_symmetry_defect, polyval_number
 from solsurf.errors import ChartMismatch
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -12,13 +12,16 @@ from solsurf.fields import (
     JetField,
     MatrixField,
     chart_first_derivatives,
+    chart_jets,
     interior_max,
+    row_strips,
 )
 from solsurf.matlie import commutator, dagger, fro, trace
 from solsurf.sigma import traveling_solution, u_pair, veronese
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
+    central_difference,
     commutation_defect,
     compatibility_defect,
     conformal_characteristic,
@@ -111,15 +114,15 @@ def test_characteristic_values():
 
 
 def test_frechet_identity_and_first_jet():
+    # the tangent of theta is Q, and those of its jets are the stencil jets of Q
     j = jets(0)
     spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
     q = conformal_characteristic(spec, j)
-    ((ident, prw_d1, _),) = frechet_apply([theta_functional], j, q)
-    assert interior_max(fro(ident.values - q.values), ident.margin) < 1e-10
-    from solsurf.fields import chart_jets
-
+    ((ident, prw_d1, prw_d2),) = frechet_apply([theta_functional], j, q)
     qj = chart_jets(q)
-    assert interior_max(fro(prw_d1.values - qj.d1), max(prw_d1.margin, qj.margin1)) < 1e-8
+    assert np.array_equal(ident.values, q.values) and ident.margin == q.margin
+    for got, want in ((prw_d1, qj.d1), (prw_d2, qj.d2)):
+        assert np.array_equal(got.values, want, equal_nan=True) and got.margin == qj.margin1
 
 
 def test_frechet_linearity_in_q():
@@ -194,33 +197,38 @@ def _count_deformations(monkeypatch) -> list[float]:
     return steps
 
 
+def _probe(gs, j: JetField, q: MatrixField, eps_base: float = 1e-5):
+    """The central difference probe along ``q``."""
+    return central_difference(gs, j, chart_jets(q), eps_base)
+
+
 def test_pair_prolongation_is_bit_exact_and_costs_one_evaluation(monkeypatch):
-    # the jet set shares its two deformations, and each component is the
-    # same difference quotient as when it is prolonged on its own
+    # the jet set is evaluated once, on the pair, with no deformation, and
+    # each component is the same tangent as when it is prolonged on its own
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    g = lowering_jets_functional
+    evaluations = [0]
     steps = _count_deformations(monkeypatch)
-    (pair,) = frechet_apply([g], j, q)
+    (pair,) = frechet_apply([_counted(evaluations, 0, lowering_jets_functional)], j, q)
     assert len(pair) == 3
-    assert len(steps) == 2
+    assert (evaluations, steps) == ([1], [])
     for index, whole in enumerate(pair):
-        ((alone,),) = frechet_apply([lambda jd, i=index: (g(jd)[i],)], j, q)
+        ((alone,),) = frechet_apply([lambda jt, i=index: (lowering_jets_functional(jt)[i],)], j, q)
         assert np.array_equal(whole.values, alone.values, equal_nan=True)
         assert whole.margin == alone.margin
 
 
 def test_quadratic_pair_costs_one_central_pair(monkeypatch):
-    # the connection pair takes the +/- eps pair, and each component is
-    # bit-exactly the central difference of that component alone
+    # the probe takes the connection pair's +/- eps pair, and each
+    # component is bit-exactly the central difference of that component alone
     j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     steps = _count_deformations(monkeypatch)
-    (pair,) = frechet_apply([u_functional(LAM_E)], j, q)
+    (pair,) = _probe([u_functional(LAM_E)], j, q)
     assert len(pair) == 2
     assert len(steps) == 2
     for index, whole in enumerate(pair):
-        ((alone,),) = frechet_apply([lambda jd, i=index: (u_pair(jd, LAM_E)[i],)], j, q)
+        ((alone,),) = _probe([lambda jd, i=index: (u_pair(jd, LAM_E)[i],)], j, q)
         assert np.array_equal(whole.values, alone.values, equal_nan=True)
         assert whole.margin == alone.margin
 
@@ -249,25 +257,45 @@ def _track_live_deformations(monkeypatch) -> list[int]:
     return live
 
 
+SHARED = [
+    theta_functional,
+    u_functional(LAM_E),
+    lowering_functional,
+    wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
+]
+
+
 def test_shared_prolongation_is_bit_exact_and_costs_one_central_pair(monkeypatch):
-    # one call prolongs several functionals: each result equals that of
-    # the functional's own call bit for bit, each functional is evaluated
-    # once on each side, and a deformation is dropped before the next one
-    # is built
+    # one probe call takes the central difference of several functionals:
+    # each result equals that of the functional's own call bit for bit,
+    # each functional is evaluated once on each side, and a deformation is
+    # dropped before the next one is built
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    gs = [
-        theta_functional,
-        u_functional(LAM_E),
-        lowering_functional,
-        wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
-    ]
-    separate = [frechet_apply([g], j, q)[0] for g in gs]
-    evaluations = [0] * len(gs)
+    separate = [_probe([g], j, q)[0] for g in SHARED]
+    evaluations = [0] * len(SHARED)
     live = _track_live_deformations(monkeypatch)
-    shared = frechet_apply([_counted(evaluations, i, g) for i, g in enumerate(gs)], j, q)
+    shared = _probe([_counted(evaluations, i, g) for i, g in enumerate(SHARED)], j, q)
     assert live == [1] * 8
     assert evaluations == [2, 2, 2, 2]
+    for alone, together in zip(separate, shared, strict=True):
+        assert len(alone) == len(together)
+        for a, b in zip(alone, together):
+            assert np.array_equal(a.values, b.values, equal_nan=True)
+            assert a.margin == b.margin
+
+
+def test_shared_prolongation_evaluates_each_functional_once(monkeypatch):
+    # one prolongation of several functionals: each is evaluated once, on
+    # the pair, no deformation is built, and each result equals that of
+    # the functional's own call bit for bit
+    j = jets(1)
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    separate = [frechet_apply([g], j, q)[0] for g in SHARED]
+    evaluations = [0] * len(SHARED)
+    steps = _count_deformations(monkeypatch)
+    shared = frechet_apply([_counted(evaluations, i, g) for i, g in enumerate(SHARED)], j, q)
+    assert (evaluations, steps) == ([1, 1, 1, 1], [])
     for alone, together in zip(separate, shared, strict=True):
         assert len(alone) == len(together)
         for a, b in zip(alone, together):
@@ -287,19 +315,19 @@ def _prolongation_case(case: str) -> tuple[JetField, MatrixField, complex]:
 
 @pytest.mark.parametrize("case", ["rung-2-1", "traveling"])
 def test_prolongation_matches_the_shared_deformation_route_bit_for_bit(monkeypatch, case):
-    # one deformation per functional and side sees the same deformed
-    # values as two deformations shared by all functionals; the
-    # commutation functionals, the jet sets of theta and of the
-    # connection, read the second jets as well and take one central pair
-    # each
+    # the probe's one deformation per functional and side sees the same
+    # deformed values as the oracle's two deformations shared by all
+    # functionals; the commutation functionals, the jet sets of theta and
+    # of the connection, read the second jets as well and take one central
+    # pair each
     from solsurf.verify import _commutation_functionals
 
     j, q, lam = _prolongation_case(case)
     gs = _commutation_functionals(lam)
     steps = _count_deformations(monkeypatch)
-    got = frechet_apply(gs, j, q)
+    got = _probe(gs, j, q)
     assert len(steps) == 4
-    want = frechet_apply_shared(gs, j, q)
+    want = central_pair(gs, j, q)
     assert [len(c) for c in got] == [len(c) for c in want] == [3, 6]
     for a, b in zip((f for c in got for f in c), (f for c in want for f in c)):
         assert np.array_equal(a.values, b.values, equal_nan=True)
@@ -317,12 +345,16 @@ def test_jet_sets_prolong_their_values_as_the_value_functionals_do(case):
         assert np.array_equal(a.values, b.values, equal_nan=True) and a.margin == b.margin
 
 
-def test_frechet_apply_rejects_a_non_positive_step():
+def test_central_difference_rejects_a_non_positive_step():
+    # the step belongs to the probe; the prolongation takes none
+    import inspect
+
     j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((1.0,)), j)
     for eps_base in (0.0, -1e-5):
         with pytest.raises(ValueError, match="eps_base"):
-            frechet_apply([theta_functional], j, q, eps_base)
+            _probe([theta_functional], j, q, eps_base)
+    assert list(inspect.signature(frechet_apply).parameters) == ["gs", "j", "q"]
 
 
 @pytest.mark.parametrize(
@@ -333,22 +365,24 @@ def test_frechet_apply_rejects_a_non_positive_step():
 def test_second_jets_are_built_only_when_read(monkeypatch, functional, axes):
     # the pair reads theta, D_1 theta and D_2 theta only, so no
     # second-order stencil of Q runs; D u1 and D u2 of its jets read them,
-    # one set for both deformations (d/dy^2 and d/dx^2, along grid axes -2
-    # and -1)
+    # formed once per strip of grid rows for the strip alone (d/dy^2 and
+    # d/dx^2, along grid axes -2 and -1)
     from solsurf import fields
 
     calls = []
     diff2 = fields.diff2
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("axis"))
+        calls.append((kwargs.get("axis"), args[0].shape[-2]))
         return diff2(*args, **kwargs)
 
     monkeypatch.setattr(fields, "diff2", counting)
     j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     frechet_apply([functional], j, q)
-    assert sorted(calls) == axes
+    # each strip's rows and the 2 rows on each side that its stencils read
+    slabs = [slab.stop - slab.start for _, slab in row_strips(GRID.n2, halo=2)]
+    assert sorted(calls) == sorted((axis, rows) for axis in axes for rows in slabs)
 
 
 FUNCTIONALS = {
@@ -374,22 +408,35 @@ def test_functionals_cover_the_module():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_every_functional_costs_one_central_pair(monkeypatch, name):
-    # rational functionals too: the +/- eps pair is the only prolongation
-    # rule, so each functional is evaluated once on each deformation
+    # rational functionals too: the probe's +/- eps pair is its only rule,
+    # so each functional is evaluated once on each deformation
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     evaluations = [0]
     steps = _count_deformations(monkeypatch)
-    frechet_apply([_counted(evaluations, 0, CASES[name])], j, q)
+    _probe([_counted(evaluations, 0, CASES[name])], j, q)
     assert len(steps) == 2
     assert evaluations == [2]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_every_functional_costs_one_tangent_evaluation(monkeypatch, name):
+    # rational functionals too: each is evaluated once, on the pair, and
+    # every component comes out as a plain field
+    j = jets(1)
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    evaluations = [0]
+    steps = _count_deformations(monkeypatch)
+    (out,) = frechet_apply([_counted(evaluations, 0, CASES[name])], j, q)
+    assert (evaluations, steps) == ([1], [])
+    assert all(type(f.values) is np.ndarray for f in out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_quadratic_functionals_have_exact_central_differences(name):
-    # for a functional of degree <= 2 in the jets the eps and eps/2 central
-    # differences agree to rounding even at a large step; a rational one
-    # (the lowered rung, Phi on rung 1) differs at O(eps^2)
+    # for a functional of degree <= 2 in the jets the probe's eps and eps/2
+    # central differences agree to rounding even at a large step; a
+    # rational one (the lowered rung, Phi on rung 1) differs at O(eps^2)
     quadratic = {
         "theta_functional",
         "theta_derivatives_functional",
@@ -399,7 +446,7 @@ def test_quadratic_functionals_have_exact_central_differences(name):
     g = CASES[name]
     j = jets(1)
     q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
-    whole, half = (frechet_apply([g], j, q, eps)[0] for eps in (1e-2, 5e-3))
+    whole, half = (_probe([g], j, q, eps)[0] for eps in (1e-2, 5e-3))
     gap = 0.0
     for a, b in zip(whole, half):
         m = max(a.margin, b.margin)
@@ -493,7 +540,7 @@ def test_commutation_orders():
     ref = dl1.values + dl2.values  # f = g = 1
     ds = []
     for eps in (0.04, 0.02):
-        ((pw,),) = frechet_apply([g], j1, q1, eps)
+        ((pw,),) = _probe([g], j1, q1, eps)
         ds.append(interior_max(fro(pw.values - ref), max(pw.margin, dl1.margin)))
     assert np.log2(ds[0] / ds[1]) > 1.9
 
@@ -503,6 +550,6 @@ def test_commutation_orders():
         gh = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (101, 101))
         jh = veronese(2, gh, 1)[1]
         qh = conformal_characteristic(spec, jh)
-        (prw,) = frechet_apply([lowering_jets_functional], jh, qh, 1e-3)
+        (prw,) = _probe([lowering_jets_functional], jh, qh, 1e-3)
         hs.append(commutation_defect(prw))
     assert np.log2(hs[0] / hs[1]) > 3.0

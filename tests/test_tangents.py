@@ -1,0 +1,171 @@
+"""The forward tangents of `frechet_apply` against the central-pair oracle,
+and the pair arithmetic of `matlie.Dual` that carries them."""
+
+import numpy as np
+import pytest
+
+from oracles import central_pair
+from solsurf.fields import (
+    CHART_EUCLIDEAN,
+    CHART_MINKOWSKI,
+    Grid2,
+    MatrixField,
+    chart_jets,
+    interior_max,
+)
+from solsurf.matlie import _SINHC_SERIES, Dual, _expm2, expm, fro
+from solsurf.sigma import theta_of, traveling_solution, veronese
+from solsurf.spectral import euclidean_wave, phi_traveling
+from solsurf.symmetry import (
+    ConformalSpec,
+    conformal_characteristic,
+    frechet_apply,
+    lowering_functional,
+    theta_functional,
+    u_functional,
+    u_jets_functional,
+    wave_functional,
+)
+
+GRID_E = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (41, 41))
+GRID_M = Grid2(CHART_MINKOWSKI, (0.1, -0.2), (0.02, 0.02), (41, 41))
+GRID_T = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.001, 0.001), (41, 41))
+LAM_E, LAM_M = 0.6j, 0.5
+SPEC_E = ConformalSpec.euclidean((0.3, 0.0, 1.0))
+SPEC_M = ConformalSpec.minkowski((0.2, 0.0, 1.0), (0.5, 0.3))
+
+
+def _smooth_jets(n: int):
+    """Stencil jets of theta of a smooth rank-one projector field on the
+    Minkowski grid, not a solution; its lowering denominator stays away
+    from zero."""
+    x1, x2 = GRID_M.mesh()
+    rng = np.random.default_rng(n)
+    c = (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))[:, :, None, None]
+    v = c[0] + np.sin(x1) * c[1] + (1 + x1) * x2 * c[2]
+    p = v[:, None] * v.conj()[None, :] / np.sum(np.abs(v) ** 2, axis=0)
+    return theta_of(MatrixField(GRID_M, p, 0))
+
+
+def _case(name: str):
+    """(jets, spec, functional, exact): ``exact`` where the functional has
+    degree at most 2 in the jets, so the central pair is exact too."""
+    chart, n, g = name.split("-", 2)
+    if chart == "wave":
+        lsp = g == "lsp"
+        if n == "traveling":
+            tw, jt = traveling_solution(2.0, 1.0, GRID_T)
+            builder = lambda jd: phi_traveling(tw, jd, LAM_M)  # noqa: E731
+            return jt, SPEC_M, wave_functional(builder, LAM_M if lsp else None), False
+        k = int(n[1:])
+        builder = lambda jd: euclidean_wave(jd, k, LAM_E)  # noqa: E731
+        g = wave_functional(builder, LAM_E if lsp else None)
+        # Phi of level 0 is linear in theta
+        return veronese(3, GRID_E, k)[1], SPEC_E, g, k == 0 and not lsp
+    n = int(n[1:])
+    if chart == "euclid":
+        j, spec, lam = veronese(n, GRID_E, 1)[1], SPEC_E, LAM_E
+    else:
+        j, spec, lam = _smooth_jets(n), SPEC_M, LAM_M
+    gs = {
+        "theta": theta_functional,
+        "u": u_functional(lam),
+        "u_jets": u_jets_functional(lam),
+        "lowering": lowering_functional,
+    }
+    return j, spec, gs[g], g != "lowering"
+
+
+CASES = [
+    f"{chart}-n{n}-{g}"
+    for chart in ("euclid", "mink")
+    for n in (2, 3)
+    for g in ("theta", "u", "u_jets", "lowering")
+] + [f"wave-{level}-{kind}" for level in ("k0", "k1", "k2", "traveling") for kind in ("phi", "lsp")]
+
+
+def _gap(tangent, central) -> float:
+    """Largest deviation of the central pair from the tangent over the
+    components, relative to the largest tangent."""
+    scale = max(interior_max(fro(t.values), t.margin) for t in tangent)
+    gaps = (fro(t.values - c.values) for t, c in zip(tangent, central))
+    return max(interior_max(gap, t.margin) for gap, t in zip(gaps, tangent)) / scale
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_tangent_agrees_with_the_central_pair_to_second_order(name):
+    # a functional of degree <= 2 has an exact central difference, which
+    # the tangent matches to rounding; for the others the central pair's
+    # error falls 4x when its step halves
+    j, spec, g, exact = _case(name)
+    q = conformal_characteristic(spec, j)
+    (tangent,) = frechet_apply([g], j, q)
+    gaps = [_gap(tangent, central_pair([g], j, q, eps)[0]) for eps in (1e-2, 5e-3)]
+    for t, c in zip(tangent, central_pair([g], j, q, 1e-2)[0]):
+        assert t.margin == c.margin
+    if exact:
+        assert max(gaps) < 1e-11, gaps
+    else:
+        assert 1e-9 < gaps[1] < 1e-2 and 3.5 < gaps[0] / gaps[1] < 4.5, gaps
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_value_half_keeps_the_bits_of_the_plain_evaluation(name):
+    # on the pair each component's value is formed as the plain evaluation
+    # forms it; the residuals' stencils run on the tangent alone
+    j, spec, g, _ = _case(name)
+    paired = g(j.paired(chart_jets(conformal_characteristic(spec, j))))
+    plain = g(j)
+    assert len(paired) == len(plain)
+    for index, (a, b) in enumerate(zip(paired, plain)):
+        if name.endswith("lsp") and index:
+            assert a.values.value is None
+            continue
+        assert isinstance(a.values, Dual)
+        assert np.array_equal(a.values.value, b.values, equal_nan=True)
+
+
+def _expm_tangent_reference(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The Frechet derivative of exp at each node, by scipy."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    out = np.empty_like(x)
+    for k in range(x.shape[-1]):
+        out[..., k] = scipy_linalg.expm_frechet(x[..., k], t[..., k], compute_expm=False)
+    return out
+
+
+@pytest.mark.parametrize("side", ["series", "closed"])
+def test_expm_tangent_on_both_sides_of_the_series_cutoff(side):
+    # X = m I + B with B^2 = s^2 I, |s| below or above the cutoff; the value
+    # keeps the bits of the plain exponential
+    rng = np.random.default_rng(7)
+    nodes = 40
+    low, high = (0.01, 0.9) if side == "series" else (1.1, 300)
+    s = _SINHC_SERIES * rng.uniform(low, high, nodes)
+    angle = rng.uniform(0, 2 * np.pi, nodes)
+    b = np.array([[np.cos(angle), np.sin(angle)], [np.sin(angle), -np.cos(angle)]]) * s
+    m = 0.3 * rng.normal(size=nodes) * np.eye(2)[..., None]
+    x = b * np.exp(1j * rng.uniform(0, 2 * np.pi, nodes)) + m
+    t = rng.normal(size=(2, 2, nodes)) + 1j * rng.normal(size=(2, 2, nodes))
+    got = expm(Dual(x, t))
+    small = np.abs(np.sqrt(0.25 * (x[0, 0] - x[1, 1]) ** 2 + x[0, 1] * x[1, 0])) < _SINHC_SERIES
+    assert small.all() if side == "series" else not small.any()
+    assert np.array_equal(got.value, _expm2(x))
+    want = _expm_tangent_reference(x, t)
+    assert np.max(fro(got.tangent - want) / fro(want)) < 1e-13
+
+
+def test_expm_tangent_is_nan_where_the_value_is_not_finite():
+    rng = np.random.default_rng(3)
+    x = 0.5 * (rng.normal(size=(2, 2, 3, 4)) + 1j * rng.normal(size=(2, 2, 3, 4)))
+    t = rng.normal(size=x.shape) + 0j
+    x[0, 1, 1, 2] = np.nan
+    t[1, 1, 0, 0] = np.nan
+    got = expm(Dual(x, t))
+    assert np.array_equal(got.value, expm(x), equal_nan=True)
+    dead = np.isnan(got.tangent).any(axis=(0, 1))
+    assert dead.sum() == 2 and dead[1, 2] and dead[0, 0]
+    assert np.isnan(got.value[..., 1, 2]).all() and np.isfinite(got.value[..., 0, 0]).all()
+    live = ~dead
+    want = _expm_tangent_reference(x[..., live], t[..., live])
+    assert np.max(fro(got.tangent[..., live] - want) / fro(want)) < 1e-13
