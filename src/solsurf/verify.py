@@ -19,7 +19,9 @@ A field that two or more rows or fixtures read is memoized on the method
 name and the positional arguments of the call (a default left out is not
 in the key), so it is built once per run, by the first row that asks; a
 field with one reader is built inside that reader and freed on return.
-A row's runtime in ``report.txt`` includes the fixtures it built.
+Once only ladder suites are left to run, the memoized arrays are dropped
+and their numbers kept.  A row's runtime in ``report.txt`` includes the
+fixtures it built.
 
 Fixture grids are chosen so that 4th-order stencil truncation dominates
 rounding noise at every measured quantity; Euclidean immersion checks run
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
@@ -143,11 +147,19 @@ class CheckResult:
         del out["runtime_s"]
         return out
 
+    @property
+    def headroom(self) -> float:
+        """tolerance/measured for a "below" check, measured/tolerance for "above"."""
+        if self.comparison == "below":
+            return self.tolerance / self.measured if self.measured > 0 else math.inf
+        return self.measured / self.tolerance
+
 
 @dataclass
 class VerificationReport:
     suites: tuple[str, ...]
     results: list[CheckResult]
+    fixtures: tuple[int, int, int]  # built, reused and retired; text only
 
     @property
     def passed(self) -> bool:
@@ -179,6 +191,12 @@ class VerificationReport:
             if n_fail
             else f"{len(self.results)} checks, all passed"
         )
+        tight = min(self.results, key=lambda r: r.headroom)
+        built, reused, retired = self.fixtures
+        lines.append(
+            f"nearest its tolerance: {tight.name}, headroom {tight.headroom:.4g}; "
+            f"fixtures: {built} built, {reused} reused, {retired} retired"
+        )
         return "\n".join(lines)
 
 
@@ -197,17 +215,41 @@ class Fixtures:
 
     A field is memoized only when two or more rows or fixtures read it; a
     field with one reader is built inside that reader, which returns only
-    the values its rows read.  Each (jets, Q) is prolonged once, by
-    the one fixture that returns all the rows read of it.
+    the values its rows read.  Each (jets, Q) is prolonged once, by the
+    one fixture that returns all the rows read of it; the standard pair's
+    prolongation also returns prop8's two defects on rung (2, 0).
+
+    The standard solutions' fields have no reader in the ladder suites,
+    which read only their numbers: `retire` drops every memoized array and
+    keeps the numbers.  ``built``, ``reused`` and ``retired`` count the
+    keys built, the requests served from the memo, and the entries
+    retired.
     """
 
     def __init__(self):
         self._cache: dict = {}
+        self.built = self.reused = self.retired = 0
 
     def _get(self, key, builder: Callable[[], object]):
-        if key not in self._cache:
+        if key in self._cache:
+            self.reused += 1
+        else:
+            self.built += 1
             self._cache[key] = builder()
         return self._cache[key]
+
+    def retire(self) -> None:
+        """Delete each memoized entry that holds an array; a dict entry
+        keeps its items that hold none, so a later read of a dropped item
+        raises KeyError."""
+        for key, value in list(self._cache.items()):
+            if _holds_no_array(value):
+                continue
+            self.retired += 1
+            if isinstance(value, dict):
+                self._cache[key] = {k: v for k, v in value.items() if _holds_no_array(v)}
+            else:
+                del self._cache[key]
 
     @_fixture
     def euclid_grid(self, h: float = EUCLID_H) -> Grid2:
@@ -250,18 +292,22 @@ class Fixtures:
     def euclid_prolonged(self) -> dict[str, object]:
         """The one prolongation along the pair's Q and what the checks read
         of it: the prolonged connection (pr w u1, pr w u2), which is the
-        tangent pair, and pr w Phi as fields; the linear-problem defect and
-        the three commutation defects as values."""
+        tangent pair, and Phi^-1 pr w Phi as fields; the linear-problem
+        defect, prop8's defects on rung (2, 0) and the three commutation
+        defects as values."""
         wave = wave_functional(_euclid_builder(0), LAM_EUCLID)
         gs = (*_commutation_functionals(LAM_EUCLID), wave)
         spec, j = EUCLID_SPEC, self.jets_analytic()
         prw_theta, prw_u, (prw_phi, *lsp) = frechet_apply(gs, j, conformal_characteristic(spec, j))
-        return {
-            "tangents": (prw_u[0], prw_u[3]),
-            "wave": prw_phi,
+        tangents = (prw_u[0], prw_u[3])
+        out = {
+            "tangents": tangents,
             "lsp-symmetry": max(map(_field_max, lsp)),
             "commutation": _commutation_defects((prw_theta, prw_u)),
         }
+        del prw_theta, prw_u, lsp
+        out["explicit"], prop8 = _prop8_defects(self.euclid_wave(), prw_phi, *tangents)
+        return {**out, **prop8}
 
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
         """The prolonged connection (pr w u1, pr w u2)."""
@@ -273,8 +319,8 @@ class Fixtures:
 
     @_fixture
     def euclid_explicit(self) -> MatrixField:
-        """Phi^-1 pr w Phi."""
-        return explicit_immersion(self.euclid_wave(), self.euclid_prolonged()["wave"])
+        """Phi^-1 pr w Phi, formed by the pair's prolongation."""
+        return self.euclid_prolonged()["explicit"]
 
     @_fixture
     def euclid_closed(self) -> MatrixField:
@@ -300,41 +346,33 @@ class Fixtures:
     @_fixture
     def rung_defects(self, n: int, k: int) -> dict[str, object]:
         """prop7 and prop8 on rung (n, k) under f = xi^2, from one
-        prolongation along its Q: pr w Phi against f D1 Phi + g D2 Phi, the
-        tangents of Phi^-1 pr w Phi against the prolonged connection and,
-        above level 0, pr w of the lowered rung against f D1 + g D2 of it,
-        whose D1 and D2 the step-order probe reuses on rung (2, 1).
+        prolongation along its Q: prop8's defects and, above level 0, pr w
+        of the lowered rung against f D1 + g D2 of it, whose D1 and D2 the
+        step-order probe reuses on rung (2, 1).
 
-        Only the standard pair's fields are shared; another rung's jets and
-        fields are built here, and each is dropped after its last reader.
+        Rung (2, 0) is the standard pair, whose prolongation holds its
+        defects; another rung's jets and fields are built here, and each
+        is dropped after its last reader.
         """
-        spec = EUCLID_SPEC
-        out: dict[str, object] = {}
         if (n, k) == (2, 0):
-            w, prw_phi = self.euclid_wave(), self.euclid_prolonged()["wave"]
-            calf, (a, b) = self.euclid_explicit(), self.euclid_tangents()
-        else:
-            j = veronese(n, self.euclid_grid(), k)[1]
-            gs = [wave_functional(_euclid_builder(k)), u_functional(LAM_EUCLID)]
-            if k:
-                gs.append(lowering_functional)
-            (prw_phi,), (a, b), *lowered = frechet_apply(gs, j, conformal_characteristic(spec, j))
-            if lowered:
-                dl = lowering_jets_functional(j)[1:]
-                out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], dl)
-                if (n, k) == (2, 1):
-                    out["step-order"] = _step_defects(j, dl)
-                del lowered, dl
-            w = euclidean_wave(j, k, LAM_EUCLID)
-            del j
-            calf = explicit_immersion(w, prw_phi)
-        d1phi, d2phi, dm = chart_first_derivatives(w)
-        ref = spec.along(w.grid, d1phi, d2phi)
-        del d1phi, d2phi
-        out["conformal-wave"] = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
-        del ref, prw_phi
-        out["explicit-integration"] = max(tangent_check(calf, w, a, b))
-        return out
+            prolonged = self.euclid_prolonged()
+            return {key: prolonged[key] for key in ("conformal-wave", "explicit-integration")}
+        j = veronese(n, self.euclid_grid(), k)[1]
+        gs = [wave_functional(_euclid_builder(k)), u_functional(LAM_EUCLID)]
+        if k:
+            gs.append(lowering_functional)
+        spec = EUCLID_SPEC
+        (prw_phi,), (a, b), *lowered = frechet_apply(gs, j, conformal_characteristic(spec, j))
+        out: dict[str, object] = {}
+        if lowered:
+            dl = lowering_jets_functional(j)[1:]
+            out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], dl)
+            if (n, k) == (2, 1):
+                out["step-order"] = _step_defects(j, dl)
+            del lowered, dl
+        w = euclidean_wave(j, k, LAM_EUCLID)
+        del j
+        return {**out, **_prop8_defects(w, prw_phi, a, b)[1]}
 
     # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
 
@@ -421,6 +459,31 @@ class Fixtures:
         f_closed = conformal_immersion_closed(spec, *self.mink_u(), w)
         mean, variation = constant_difference_check(f_closed, explicit_immersion(w, prw_phi))
         return {"lsp": max(map(_field_max, lsp)), "mean": mean, "variation": variation}
+
+
+def _holds_no_array(value) -> bool:
+    """Whether ``value`` is a number or a grid, or a container of those alone."""
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, (list, tuple)):
+        return all(map(_holds_no_array, value))
+    return isinstance(value, (numbers.Number, Grid2))
+
+
+def _prop8_defects(
+    w: WaveField, prw_phi: MatrixField, a: MatrixField, b: MatrixField
+) -> tuple[MatrixField, dict[str, float]]:
+    """Phi^-1 pr w Phi on a Euclidean rung under f = xi^2, with prop8's
+    defects: pr w Phi against f D1 Phi + g D2 Phi, and the tangents of
+    Phi^-1 pr w Phi against the prolonged connection (a, b)."""
+    d1phi, d2phi, dm = chart_first_derivatives(w)
+    ref = EUCLID_SPEC.along(w.grid, d1phi, d2phi)
+    del d1phi, d2phi
+    conformal = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
+    del ref
+    calf = explicit_immersion(w, prw_phi)
+    tangents = max(tangent_check(calf, w, a, b))
+    return calf, {"conformal-wave": conformal, "explicit-integration": tangents}
 
 
 def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
@@ -918,6 +981,7 @@ _CHECKS: tuple[_Check, ...] = (
 )
 
 SUITE_NAMES = tuple(dict.fromkeys(c.suite for c in _CHECKS))
+_LADDER_SUITES = frozenset({"prop7", "prop8", "appendix"})
 _TOLERANCE_KEYS = frozenset(c.key or c.name for c in _CHECKS)
 
 
@@ -973,8 +1037,17 @@ def run_suites(
     seen: set[str] = set()
     ordered = [nm for nm in wanted if not (nm in seen or seen.add(nm))]
 
+    # the ladder suites read no field of the standard solutions, so the
+    # fixtures retire theirs once only ladder suites are left
+    ladder_from = len(ordered)
+    while ladder_from and ordered[ladder_from - 1] in _LADDER_SUITES:
+        ladder_from -= 1
+
     fx = Fixtures()
     results: list[CheckResult] = []
-    for nm in ordered:
+    for i, nm in enumerate(ordered):
+        if i and i == ladder_from:
+            fx.retire()
         results.extend(_SUITES[nm](fx, tolerances))
-    return VerificationReport(suites=tuple(ordered), results=results)
+    counts = (fx.built, fx.reused, fx.retired)
+    return VerificationReport(suites=tuple(ordered), results=results, fixtures=counts)

@@ -28,7 +28,14 @@ which prints a line ``moved <path>: ...`` for each value that moved past
 its old allowance, with its old and new value and allowance.
 
 `heap_peak` measures the heap peaks that tier-1 bounds, each in units of
-the fields its test names.
+the fields its test names.  ``heap-peaks.json`` in ``tests/reference``
+holds the peak of each README command, in complex 2x2 fields at 101^2
+(`FIELD` bytes); a fresh peak passes up to ``(1 + HEAP_SLACK)`` times its
+entry.  The entries are the largest of repeated in-process readings, and
+``HEAP_SLACK`` covers their spread (about 2 %: the Euclidean ``solve``
+reads 13.31 fields as the first command of its process, 13.04-13.05
+after any other) while one more field still fails every entry.  A change
+that lowers a peak lowers its entry; one that raises it states why.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ README_REPORTS = {"solve": "solve-summary.json", "immerse": "immersion-report.js
 SAFETY = 10.0
 MIN_ALLOWANCE = 1e-6
 ABS_FLOOR = 1e-15
+FIELD = 4 * 101**2 * 16
+HEAP_SLACK = 0.05
 
 
 def heap_peak(run: Callable[[], object]) -> int:
@@ -63,9 +72,11 @@ def heap_peak(run: Callable[[], object]) -> int:
         tracemalloc.stop()
 
 
-def run_readme_configs(out: str) -> dict[str, str]:
+def run_readme_configs(out: str, peaks: dict[str, float] | None = None) -> dict[str, str]:
     """``solve`` and ``immerse`` of both README configs into ``out``: the
-    path of each report they write, keyed ``<config>/<file>``."""
+    path of each report they write, keyed ``<config>/<file>``.  Given
+    ``peaks``, each command runs under tracemalloc, and its heap peak in
+    fields goes into ``peaks`` under ``<config>/<command>``."""
     from solsurf.cli import main
 
     paths = {}
@@ -73,10 +84,20 @@ def run_readme_configs(out: str) -> dict[str, str]:
         cfg = os.path.join(REFERENCE, name, "config.json")
         for command, report in README_REPORTS.items():
             dest = os.path.join(out, name, command)
-            code = main([command, "--config", cfg, "--out", dest])
-            assert code == 0, f"{command} {name} exited {code}"
+            argv, codes = [command, "--config", cfg, "--out", dest], []
+            if peaks is None:
+                codes.append(main(argv))
+            else:
+                peaks[f"{name}/{command}"] = heap_peak(lambda: codes.append(main(argv))) / FIELD
+            assert codes == [0], f"{command} {name} exited {codes}"
             paths[f"{name}/{report}"] = os.path.join(dest, report)
     return paths
+
+
+def heap_table() -> dict[str, float]:
+    """The pinned heap peak of each README command, in fields."""
+    with open(os.path.join(REFERENCE, "heap-peaks.json")) as fh:
+        return json.load(fh)
 
 
 def run_all(out: str) -> dict[str, str]:

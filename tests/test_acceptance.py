@@ -415,13 +415,21 @@ def test_criterion_9_determinism(tmp_path):
     rep = json.loads(b1)
     entries.append(("all-checks-pass", rep["passed"], float(len(rep["checks"]))))
     # the report and the README configs' summaries match the pinned copies
-    # within the allowances of tests/pinned.py
+    # within the allowances of tests/pinned.py, and each README command's
+    # heap peak stays within its pinned entry
     want, allow = pinned.reference()
+    peaks = {}
     got = pinned.load(
         {"report.json": os.path.join(out1, "report.json"),
-         **pinned.run_readme_configs(str(tmp_path / "readme"))}
+         **pinned.run_readme_configs(str(tmp_path / "readme"), peaks)}
     )
     bad = pinned.mismatches(want, got, allow)
     entries.append(("matches-pinned-reference", not bad, float(len(bad))))
     entries += [(line, False, 0.0) for line in bad]
+    table = pinned.heap_table()
+    entries.append(("heap-peak-commands", sorted(peaks) == sorted(table), float(len(peaks))))
+    entries += [
+        (f"heap-peak {key} (fields)", peak <= table[key] * (1 + pinned.HEAP_SLACK), peak)
+        for key, peak in peaks.items() if key in table
+    ]
     report("criterion-9 determinism", entries, 300, time.perf_counter() - t0)

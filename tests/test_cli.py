@@ -332,6 +332,53 @@ def test_shared_fixtures_do_not_depend_on_suite_order():
         assert alone == [c for c in together if c["target"] == suite], suite
 
 
+@pytest.mark.parametrize(
+    "names, retired_before",
+    [
+        (["all"], "prop7"),
+        (["prop1", "appendix", "prop8"], "appendix"),
+        (["prop7"], None),
+        (["prop7", "prop8"], None),
+        (["prop8", "prop6"], None),
+    ],
+    ids=["all", "ladder-tail", "single", "ladder-only", "standard-tail"],
+)
+def test_fixtures_retire_once_when_only_ladder_suites_are_left(monkeypatch, names, retired_before):
+    # the ladder suites read only numbers of the standard solutions, so
+    # their fields are dropped before the first suite of a ladder-only
+    # tail; a run that starts with one has nothing to drop
+    from solsurf import verify
+
+    entered = []
+    for name in verify.SUITE_NAMES:
+        monkeypatch.setitem(verify._SUITES, name, lambda fx, tol, name=name: entered.append(name) or [])
+    monkeypatch.setattr(verify.Fixtures, "retire", lambda fx: entered.append("retire"))
+    verify.run_suites(names)
+    if retired_before is None:
+        assert "retire" not in entered
+    else:
+        assert entered.count("retire") == 1
+        assert entered[entered.index("retire") + 1] == retired_before
+
+
+def test_report_text_closes_with_the_tightest_check_and_the_fixture_counts():
+    from solsurf.verify import CheckResult, VerificationReport
+
+    def row(name, measured, tolerance, comparison):
+        return CheckResult(name, "t", "d", measured, tolerance, comparison, True, 0.0)
+
+    report = VerificationReport(
+        ("t",),
+        [row("t.zero", 0.0, 1e-6, "below"), row("t.order", 1.995, 1.9, "above"),
+         row("t.small", 1e-9, 1e-6, "below")],
+        fixtures=(3, 5, 2),
+    )
+    assert report.text().splitlines()[-1] == (
+        "nearest its tolerance: t.order, headroom 1.05; fixtures: 3 built, 5 reused, 2 retired"
+    )
+    assert "fixtures" not in report.json_text()
+
+
 def _held_array_bytes(root) -> int:
     """Bytes of the distinct arrays reachable from ``root``, a view's base counted once."""
     bases, seen, todo = {}, set(), [root]
@@ -401,7 +448,8 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     # the connection reads the u jets instead) and once on the traveling
     # jets; each prolongation that reads the pair runs it once more, on the
     # jets paired with those of its Q.  Only the two order probes deform:
-    # three steps and three grids, one central pair each
+    # three steps and three grids, one central pair each.  Every fixture is
+    # built once, and the ladder suites start with no array memoized
     from solsurf import verify
     from solsurf.fields import JetField
 
@@ -412,18 +460,39 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
                         lambda *a: probes.append(len(deformations)) or probe(*a))
     monkeypatch.setattr(JetField, "deformed",
                         lambda *a: deformations.append(len(probes)) or deformed(*a))
-    built = []
+    built, keys, jets = [], [], {}
 
     class Recorded(verify.Fixtures):
         def __init__(self):
             super().__init__()
             built.append(self)
 
+        def _get(self, key, builder):
+            if key not in self._cache:
+                keys.append(key)
+            value = super()._get(key, builder)
+            if key in (("jets_analytic",), ("traveling",)):
+                jets.setdefault(key, value)
+            return value
+
+    held = {}
+
+    def entered(name, run):
+        def suite(fx, tolerances):
+            held[name] = _held_array_bytes(fx._cache)
+            return run(fx, tolerances)
+
+        return suite
+
+    for name in ("prop7", "prop8", "appendix"):
+        monkeypatch.setitem(verify._SUITES, name, entered(name, verify._SUITES[name]))
     monkeypatch.setattr(verify, "Fixtures", Recorded)
     assert verify.run_suites(["all"]).passed
     (fx,) = built
-    jets, traveling = fx.jets_analytic(), fx.traveling()[1]
-    on = [sum(ref() is j for ref in pairs) for j in (jets, traveling)]
+    assert len(keys) == len(set(keys)) == fx.built
+    assert held == {"prop7": 0, "prop8": 0, "appendix": 0}
+    standard = (jets[("jets_analytic",)], jets[("traveling",)][1])
+    on = [sum(ref() is j for ref in pairs) for j in standard]
     assert (on, len(pairs)) == ([1, 1], 13)
     # each deformation is built inside the probe call before it, two per call
     assert len(probes) == 6 and deformations == [n for n in range(1, 7) for _ in (0, 1)]
