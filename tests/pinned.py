@@ -2,12 +2,14 @@
 
 ``tests/reference`` holds a copy of ``solsurf verify --suite all``'s
 ``report.json``, and of ``solve-summary.json`` and
-``immersion-report.json`` for both README configs at 101^2 (the configs
-sit beside them).  A fresh run matches the copy when every string,
-integer, flag and tolerance is equal, in the same order, and every
-measured value m lies within ``|m - ref| <= a * |ref| + ABS_FLOOR`` of
-the reference, where ``a`` is the value's allowance in
-``allowances.json``.
+``immersion-report.json`` for three configs at 101^2, each beside its
+copies: both README configs, and ``spectral-n3k2``, the README Euclidean
+config without its symmetry on rung 2 of CP^2 at lambda = 0.5, the one
+pinned run whose wave function lowers two rungs from the jets.  A fresh
+run matches the copy when every string, integer, flag and tolerance is
+equal, in the same order, and every measured value m lies within
+``|m - ref| <= a * |ref| + ABS_FLOOR`` of the reference, where ``a`` is
+the value's allowance in ``allowances.json``.
 
 An allowance is sized from two perturbations that stand in for another
 machine's rounding: every matrix product routed through numpy ``@``
@@ -29,12 +31,13 @@ its old allowance, with its old and new value and allowance.
 
 `heap_peak` measures the heap peaks that tier-1 bounds, each in units of
 the fields its test names.  ``heap-peaks.json`` in ``tests/reference``
-holds the peak of each README command, in complex 2x2 fields at 101^2
-(`FIELD` bytes); a fresh peak passes up to ``(1 + HEAP_SLACK)`` times its
-entry.  The entries are the largest of repeated in-process readings, and
-``HEAP_SLACK`` covers their spread (about 2 %: the Euclidean ``solve``
-reads 13.31 fields as the first command of its process, 13.04-13.05
-after any other) while one more field still fails every entry.  A change
+holds the peak of each command of those configs, in complex 2x2 fields
+at 101^2 (`FIELD` bytes); a fresh peak passes up to ``(1 + HEAP_SLACK)``
+times its entry.  The entries are the largest of repeated in-process
+readings, and ``HEAP_SLACK`` covers their spread (about 2 %: the
+Euclidean ``solve`` reads 13.31 fields as the first command of its
+process, 13.04-13.05 after any other) while one more field still fails
+every entry.  A change
 that lowers a peak lowers its entry; one that raises it states why.
 """
 
@@ -50,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference")
-README_CONFIGS = ("euclidean", "minkowski")
+README_CONFIGS = ("euclidean", "minkowski", "spectral-n3k2")
 # the report that each command writes
 README_REPORTS = {"solve": "solve-summary.json", "immerse": "immersion-report.json"}
 SAFETY = 10.0
@@ -73,7 +76,7 @@ def heap_peak(run: Callable[[], object]) -> int:
 
 
 def run_readme_configs(out: str, peaks: dict[str, float] | None = None) -> dict[str, str]:
-    """``solve`` and ``immerse`` of both README configs into ``out``: the
+    """``solve`` and ``immerse`` of each pinned config into ``out``: the
     path of each report they write, keyed ``<config>/<file>``.  Given
     ``peaks``, each command runs under tracemalloc, and its heap peak in
     fields goes into ``peaks`` under ``<config>/<command>``."""
@@ -95,14 +98,14 @@ def run_readme_configs(out: str, peaks: dict[str, float] | None = None) -> dict[
 
 
 def heap_table() -> dict[str, float]:
-    """The pinned heap peak of each README command, in fields."""
+    """The pinned heap peak of each command of the pinned configs, in fields."""
     with open(os.path.join(REFERENCE, "heap-peaks.json")) as fh:
         return json.load(fh)
 
 
 def run_all(out: str) -> dict[str, str]:
     """The paths of the pinned reports of a fresh run into ``out``:
-    ``report.json`` of ``verify --suite all`` and the README configs'."""
+    ``report.json`` of ``verify --suite all`` and the pinned configs'."""
     from solsurf.cli import main
 
     assert main(["verify", "--suite", "all", "--out", out]) == 0
@@ -117,12 +120,17 @@ def load(paths: dict[str, str]) -> dict[str, dict]:
     return out
 
 
-def reference() -> tuple[dict[str, dict], dict[str, float]]:
-    """The pinned reports, keyed as `run_all` keys them, and the allowances."""
+def reference(copied_only: bool = False) -> tuple[dict[str, dict], dict[str, float]]:
+    """The pinned reports, keyed as `run_all` keys them, and the allowances;
+    with ``copied_only``, a report that has no copy yet (its config was just
+    added) is left out instead of raising."""
     keys = ["report.json"] + [f"{c}/{r}" for c in README_CONFIGS for r in README_REPORTS.values()]
     with open(os.path.join(REFERENCE, "allowances.json")) as fh:
         allow = json.load(fh)
-    return load({key: os.path.join(REFERENCE, key) for key in keys}), allow
+    paths = {key: os.path.join(REFERENCE, key) for key in keys}
+    if copied_only:
+        paths = {key: path for key, path in paths.items() if os.path.exists(path)}
+    return load(paths), allow
 
 
 def leaves(obj, path: str) -> list[tuple[str, object]]:
@@ -205,7 +213,7 @@ def refresh() -> None:
     """Rewrite the reference copies and ``allowances.json`` from this tree,
     and print one line for each value that moved past its old allowance:
     its path, the old and new value, and the old and new allowance."""
-    old, old_allow = reference()
+    old, old_allow = reference(copied_only=True)
     with tempfile.TemporaryDirectory() as work:
         paths = run_all(os.path.join(work, "plain"))
         for key, path in paths.items():
@@ -223,7 +231,7 @@ def refresh() -> None:
         json.dump(allow, fh, indent=1)
         fh.write("\n")
     for key, report in plain.items():
-        before = dict(leaves(old[key], key + ":"))
+        before = dict(leaves(old[key], key + ":")) if key in old else {}
         for path, b in leaves(report, key + ":"):
             a = before.get(path)
             if path not in before or not _matches(a, b, old_allow.get(path)):
