@@ -19,11 +19,14 @@ the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:
 `JetField.map_rows` hands each strip's `JetRows` to the kernel and writes
 its outputs into full-size arrays, so no full-size temporary of the
 kernel is built.  A paired field pairs a strip's second jets of theta
-with Q's, formed for those rows.  A scalar factor is applied in
-place (``t = commutator(...); t *= c``), never as ``c * commutator(...)``:
-numpy turns ``c * tmp`` into ``tmp *= c`` for temporaries of 256 KiB or
-more, and its fused complex loops round c*a and a*c differently, so only
-the in-place form gives the same bits on a strip as on the whole field.
+with Q's, formed for those rows.  `JetRows.along` pairs a strip's values
+and first jets with their total derivative D_1 or D_2, so a kernel of
+first jets gives D_alpha of its outputs as tangents.  A scalar factor is
+applied in place (``t = commutator(...); t *= c``), never as
+``c * commutator(...)``: numpy turns ``c * tmp`` into ``tmp *= c`` for
+temporaries of 256 KiB or more, and its fused complex loops round c*a
+and a*c differently, so only the in-place form gives the same bits on a
+strip as on the whole field.
 A field that is only written or reduced need not be held whole: a
 `StripSource` forms it one strip at a time, and `write_field` and the
 strip-wise reductions read a `MatrixField` through the same ``strip``.
@@ -353,6 +356,21 @@ class JetRows:
     d11 = property(lambda self: self._second_jets[0])
     d12 = property(lambda self: self._second_jets[1])
     d22 = property(lambda self: self._second_jets[2])
+
+    def along(self, a: int) -> "JetRows":
+        """The strip with its values and first jets each paired, as a
+        `Dual`, with its total derivative D_a (a = 1, 2), read from the
+        first and second jets: a kernel that reads jets up to order 1
+        returns D_a of its outputs as their tangents.  Of a paired strip
+        the pairs nest.  It carries no second jets."""
+        d11, d12, d22 = self._second_jets
+        da, da1, da2 = (self.d1, d11, d12) if a == 1 else (self.d2, d12, d22)
+        return JetRows(self.rows, Dual(self.values, da), Dual(self.d1, da1),
+                       Dual(self.d2, da2), _no_second_jets)
+
+
+def _no_second_jets(rows: slice):
+    raise ValueError("a strip along D_a carries no second jets: their D_a would need third jets")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -103,10 +103,8 @@ class Dual:
     def __rmul__(self, other):
         return _product(operator.mul, other, self)
 
-    def __pow__(self, p: int) -> "Dual":
-        tangent = p * self.value ** (p - 1)
-        tangent *= self.tangent
-        return Dual(self.value**p, tangent)
+    def __neg__(self) -> "Dual":
+        return lift(operator.neg, self)
 
     def __iadd__(self, other):
         return self._inplace(operator.iadd, other)

@@ -19,7 +19,9 @@ output, with scalar factors applied in place (see :mod:`solsurf.fields`).
 The lowering's guard stays global: where its denominator vanishes the
 rung is NaN, even on a whole strip, and `DeformationOutOfDomain` is raised
 only when it vanishes on every node of the field, naming the first
-lowering step that did.
+lowering step that did.  D_1 and D_2 of a lowered rung, which the second
+lowering reads, are the tangents of the lowering run along D_1 and D_2
+(`fields.JetRows.along`), one direction at a time.
 
 A wave function is a `WaveField`: a `MatrixField` of Phi that also
 carries its spectral parameter.  It stores no inverse: `WaveField.inverse`
@@ -177,54 +179,40 @@ def _check_denominators(bad: Sequence[np.ndarray]) -> None:
 
 def _lowered_value(
     p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """L(P) = D2P P D1P / tr(...) with its parts (D2P P, numerator,
-    1/denominator) and the mask of nodes where the denominator vanished."""
-    d2p_p = mm(d2p, p)
-    num = mm(d2p_p, d1p)
+) -> tuple[np.ndarray, np.ndarray]:
+    """L(P) = D2P P D1P / tr(...) and the mask of nodes where the
+    denominator vanished (NaN there)."""
+    num = mm(mm(d2p, p), d1p)
     deninv, bad = _guarded_reciprocal(trace(num))
-    return num * deninv, d2p_p, num, deninv, bad
+    return num * deninv, bad
 
 
-def lowered_rung_with_jets(
-    p: np.ndarray, d1p: np.ndarray, d2p: np.ndarray, j: JetRows
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lowered projector L(P) = D2P P D1P / tr(...), its first derivatives,
-    and the mask of nodes where the denominator vanished (NaN there).
+def _lowered(jr: JetRows) -> tuple[np.ndarray, np.ndarray]:
+    """`_lowered_value` of the projector P = I/N - i theta of the strip
+    ``jr``, whose first jets are those of theta times -i."""
+    return _lowered_value(projector(jr), -1j * jr.d1, -1j * jr.d2)
 
-    ``j`` holds the jets of theta on the nodes of ``p``, a strip of rows.
-    The derivatives come from the quotient rule through the jets of the
-    input, so the output is again differentiable data; one extra jet
-    order of the input is consumed per application.
+
+def lowered_rung_with_jets(jr: JetRows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lowered projector L(P) = D2P P D1P / tr(...) of the strip ``jr`` of
+    theta's jets, its first derivatives, and the mask of nodes where the
+    denominator vanished (NaN there).
+
+    D_a L(P) is the tangent of the lowering run on ``jr.along(a)``: one
+    rule, the total derivative carried through every product, trace and
+    reciprocal, and one extra jet order of the input consumed.  The two
+    directions run one after the other, and the value is the first one's.
     """
-    r, d2p_p, num, deninv, bad = _lowered_value(p, d1p, d2p)
-
-    def derivative(dp: np.ndarray, theta_a2: np.ndarray, theta_a1: np.ndarray) -> np.ndarray:
-        # D_a num = (D_a D2P P + D2P D_a P) D1P + D2P P D_a D1P; the input is
-        # P = I/N - i theta, so the -i of its second jets goes on the products
-        inner = mm(theta_a2, p)
-        inner *= -1j
-        inner += mm(d2p, dp)
-        dnum = mm(inner, d1p)
-        del inner
-        last = mm(d2p_p, theta_a1)
-        last *= -1j
-        dnum += last
-        del last
-        dden = trace(dnum) * deninv**2
-        dnum *= deninv
-        dnum -= num * dden
-        return dnum
-
-    return r, derivative(d1p, j.d12, j.d11), derivative(d2p, j.d22, j.d12), bad
+    r, bad = _lowered(jr.along(1))
+    d2r = _lowered(jr.along(2))[0].tangent
+    return r.value, r.tangent, d2r, bad
 
 
 def lowered_rung_jets(j: JetField) -> list[np.ndarray]:
     """[L(P), D_1 L(P), D_2 L(P)] of the once-lowered rung of the solution
-    carried by ``j``: one lowering pass, one strip of grid rows at a time."""
-    *jets, bad = j.map_rows(
-        lambda jr: lowered_rung_with_jets(projector(jr), -1j * jr.d1, -1j * jr.d2, jr)
-    )
+    carried by ``j``, one strip of grid rows at a time: D_a L(P) is the
+    tangent of the lowering along D_a (`lowered_rung_with_jets`)."""
+    *jets, bad = j.map_rows(lowered_rung_with_jets)
     _check_denominators([bad])
     return jets
 
@@ -235,10 +223,10 @@ def _lowered_strips(
     """``kernel(P, [L(P), .. L^k(P)])`` (k <= 2) of the solution carried by
     ``j``, one strip of grid rows at a time (`JetField.map_rows`).
 
-    The first lowering consumes the cached second jets, the second the
-    first derivatives produced alongside rung one.  For k = 1 only the
-    value of rung one is formed; its derivatives are built only when a
-    second rung reads them.
+    The first lowering reads theta's first jets; for k = 1 only its value
+    is formed.  The second lowering reads rung one's first derivatives,
+    which are the tangents of the first lowering along D_1 and D_2
+    (`lowered_rung_with_jets`), so k = 2 consumes the second jets.
     """
     if k > 2:
         raise DeformationOutOfDomain(
@@ -249,12 +237,11 @@ def _lowered_strips(
         p = projector(jr)
         if k == 0:
             return kernel(p, [])
-        d1p, d2p = -1j * jr.d1, -1j * jr.d2
         if k == 1:
-            r1, *_, bad1 = _lowered_value(p, d1p, d2p)
+            r1, bad1 = _lowered(jr)
             return [*kernel(p, [r1]), bad1]
-        r1, d1r1, d2r1, bad1 = lowered_rung_with_jets(p, d1p, d2p, jr)
-        r2, *_, bad2 = _lowered_value(r1, d1r1, d2r1)
+        r1, d1r1, d2r1, bad1 = lowered_rung_with_jets(jr)
+        r2, bad2 = _lowered_value(r1, d1r1, d2r1)
         return [*kernel(p, [r1, r2]), bad1, bad2]
 
     out = j.map_rows(rows)

@@ -19,9 +19,14 @@ maps jets to a tuple of matrix fields, so each jet set is one
 functional, which `commutation_defect` reads: `theta_functional` (theta,
 D_1 theta, D_2 theta), `u_jets_functional(lam)` (u1, D_1 u1, D_2 u1, u2,
 D_1 u2, D_2 u2) and `lowering_jets_functional` (L, D_1 L, D_2 L of the
-lowered rung).  `u_functional(lam)` (u1, u2) and `lowering_functional`
-(L) serve callers that read no derivatives; `wave_functional(builder,
-lam)` adds the `spectral.lsp_residual` components to Phi.
+lowered rung).  Their total derivatives D_alpha are forward-mode tangents
+as well, by one rule: `JetRows.along(a)` pairs a strip's values and first
+jets with their D_a, so the kernel of u1 and u2, or of L, run on it
+returns D_a of its outputs as tangents; on paired jets the pairs nest,
+and pr w_Q D_a G is the inner tangent of the outer one.
+`u_functional(lam)` (u1, u2) and `lowering_functional` (L) serve callers
+that read no derivatives; `wave_functional(builder, lam)` adds the
+`spectral.lsp_residual` components to Phi.
 The connection, its jets and the lowering functionals evaluate
 their pointwise kernels one strip of grid rows at a time
 (`JetField.map_rows`), with scalar factors applied in place so a strip
@@ -250,22 +255,14 @@ def u_functional(lam: complex) -> Functional:
 def u_jets_functional(lam: complex) -> Functional:
     """(u1, D_1 u1, D_2 u1, u2, D_1 u2, D_2 u2), the connection pair and
     its jet-expressed derivatives, quadratic in (theta, jets), from one
-    strip kernel; u1 and u2 round as `u_pair` does."""
+    strip kernel: D_a u1 and D_a u2 are the tangents of `u_pair`'s kernel
+    along D_a (`JetRows.along`), and u1 and u2 round as `u_pair` does."""
     c1, c2 = u_coefficients(lam)
 
     def rows(jr: JetRows) -> tuple[np.ndarray, ...]:
-        u1, u2 = commutator_pair_rows(jr, c1, c2)
-        du1_1 = commutator(jr.d11, jr.values)
-        du2_2 = commutator(jr.d22, jr.values)
-        # D_2 u1 and D_1 u2 share [theta_12, theta] and add [theta_1, theta_2]
-        # with opposite signs ([theta_2, theta_1] is exactly its negation)
-        du1_2 = commutator(jr.d12, jr.values)
-        cross = commutator(jr.d1, jr.d2)
-        du2_1 = du1_2 - cross
-        du1_2 += cross
-        for x, c in ((du1_1, c1), (du1_2, c1), (du2_1, c2), (du2_2, c2)):
-            x *= c
-        return u1, du1_1, du1_2, u2, du2_1, du2_2
+        u1, u2 = commutator_pair_rows(jr.along(1), c1, c2)
+        v1, v2 = commutator_pair_rows(jr.along(2), c1, c2)
+        return u1.value, u1.tangent, v1.tangent, u2.value, u2.tangent, v2.tangent
 
     return lambda j: _fields(j, j.map_rows(rows), (j.margin1, j.margin2, j.margin2) * 2)
 

@@ -292,9 +292,9 @@ class Fixtures:
     def euclid_prolonged(self) -> dict[str, object]:
         """The one prolongation along the pair's Q and what the checks read
         of it: the prolonged connection (pr w u1, pr w u2), which is the
-        tangent pair, and Phi^-1 pr w Phi as fields; the linear-problem
-        defect, prop8's defects on rung (2, 0) and the three commutation
-        defects as values."""
+        tangent pair, as fields; the linear-problem defect, prop8's defects
+        on rung (2, 0), whose explicit-integration defect prop3 reads too,
+        and the three commutation defects as values."""
         wave = wave_functional(_euclid_builder(0), LAM_EUCLID)
         gs = (*_commutation_functionals(LAM_EUCLID), wave)
         spec, j = EUCLID_SPEC, self.jets_analytic()
@@ -306,8 +306,7 @@ class Fixtures:
             "commutation": _commutation_defects((prw_theta, prw_u)),
         }
         del prw_theta, prw_u, lsp
-        out["explicit"], prop8 = _prop8_defects(self.euclid_wave(), prw_phi, *tangents)
-        return {**out, **prop8}
+        return {**out, **_prop8_defects(self.euclid_wave(), prw_phi, *tangents)}
 
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
         """The prolonged connection (pr w u1, pr w u2)."""
@@ -316,11 +315,6 @@ class Fixtures:
     @_fixture
     def euclid_compatibility(self) -> float:
         return compatibility_defect(*self.euclid_tangents(), *self.euclid_u())
-
-    @_fixture
-    def euclid_explicit(self) -> MatrixField:
-        """Phi^-1 pr w Phi, formed by the pair's prolongation."""
-        return self.euclid_prolonged()["explicit"]
 
     @_fixture
     def euclid_closed(self) -> MatrixField:
@@ -372,7 +366,7 @@ class Fixtures:
             del lowered, dl
         w = euclidean_wave(j, k, LAM_EUCLID)
         del j
-        return {**out, **_prop8_defects(w, prw_phi, a, b)[1]}
+        return {**out, **_prop8_defects(w, prw_phi, a, b)}
 
     # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
 
@@ -472,18 +466,17 @@ def _holds_no_array(value) -> bool:
 
 def _prop8_defects(
     w: WaveField, prw_phi: MatrixField, a: MatrixField, b: MatrixField
-) -> tuple[MatrixField, dict[str, float]]:
-    """Phi^-1 pr w Phi on a Euclidean rung under f = xi^2, with prop8's
-    defects: pr w Phi against f D1 Phi + g D2 Phi, and the tangents of
-    Phi^-1 pr w Phi against the prolonged connection (a, b)."""
+) -> dict[str, float]:
+    """prop8's defects on a Euclidean rung under f = xi^2: pr w Phi against
+    f D1 Phi + g D2 Phi, and the tangents of Phi^-1 pr w Phi against the
+    prolonged connection (a, b)."""
     d1phi, d2phi, dm = chart_first_derivatives(w)
     ref = EUCLID_SPEC.along(w.grid, d1phi, d2phi)
     del d1phi, d2phi
     conformal = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
     del ref
-    calf = explicit_immersion(w, prw_phi)
-    tangents = max(tangent_check(calf, w, a, b))
-    return calf, {"conformal-wave": conformal, "explicit-integration": tangents}
+    tangents = max(tangent_check(explicit_immersion(w, prw_phi), w, a, b))
+    return {"conformal-wave": conformal, "explicit-integration": tangents}
 
 
 def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
@@ -787,7 +780,7 @@ _CHECKS: tuple[_Check, ...] = (
         "prop3.euclid-explicit-integration",
         "so Phi^-1 (pr w Phi) has the prolonged tangents",
         1e-6,
-        lambda fx: _euclid_tangent_defect(fx, fx.euclid_explicit()),
+        lambda fx: fx.euclid_prolonged()["explicit-integration"],
     ),
     _Check(
         "prop3.mink-lsp-symmetry-negative",

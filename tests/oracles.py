@@ -35,11 +35,18 @@ cross-check the two:
   its lambda-derivative, the traveling wave function and the Sym-Tafel
   surface of the traveling wave), each evaluated on the whole grid at
   once, against the kernels that evaluate them one strip of grid rows at
-  a time.
+  a time; the derivatives of the connection and of the lowered rung by
+  the hand-written rules (the commutators of the jets, the quotient
+  rule), against the total derivatives that the package carries in
+  forward mode (`solsurf.fields.JetRows.along`), to rounding;
+* the package's own kernels run once on the whole grid as one strip
+  (`whole_strip`), against the same kernels one strip at a time, bit for
+  bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Callable
@@ -438,9 +445,21 @@ def u_dlambda_whole(j: JetField, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
+class _WholeStrip(JetField):
+    def map_rows(self, kernel):
+        return list(kernel(self.rows(slice(None))))
+
+
+def whole_strip(j: JetField) -> JetField:
+    """The jets ``j`` with a `JetField.map_rows` that runs its kernel once,
+    on the whole grid as one strip (``j.rows(slice(None))``), and returns
+    the kernel's outputs: the package's own route with no strip boundary."""
+    return _WholeStrip(**{f.name: getattr(j, f.name) for f in dataclasses.fields(j)})
+
+
 def u_derivatives_whole(j: JetField, lam: complex, index: int) -> tuple[np.ndarray, np.ndarray]:
     """(D_1 u_index, D_2 u_index) of `solsurf.symmetry.u_jets_functional`
-    on the whole grid."""
+    on the whole grid, written out as commutators of the jets."""
     lam = check_lambda(lam)
     c = -2 / (1 + lam) if index == 1 else -2 / (1 - lam)
     jr = j.rows(slice(None))  # forms the whole second jets once

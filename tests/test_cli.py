@@ -489,7 +489,7 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     monkeypatch.setattr(verify, "Fixtures", Recorded)
     assert verify.run_suites(["all"]).passed
     (fx,) = built
-    assert len(keys) == len(set(keys)) == fx.built
+    assert len(keys) == len(set(keys)) == fx.built == 29
     assert held == {"prop7": 0, "prop8": 0, "appendix": 0}
     standard = (jets[("jets_analytic",)], jets[("traveling",)][1])
     on = [sum(ref() is j for ref in pairs) for j in standard]

@@ -1,5 +1,6 @@
 """The forward tangents of `frechet_apply` against the central-pair oracle,
-and the pair arithmetic of `matlie.Dual` that carries them."""
+the pair arithmetic of `matlie.Dual` that carries them, nested pairs, and
+the total derivatives of `fields.JetRows.along` against stencils."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,24 @@ from solsurf.fields import (
     CHART_MINKOWSKI,
     Grid2,
     MatrixField,
+    chart_derivatives,
     chart_jets,
     interior_max,
 )
-from solsurf.matlie import _SINHC_SERIES, Dual, _expm2, expm, fro
-from solsurf.sigma import theta_of, traveling_solution, veronese
-from solsurf.spectral import euclidean_wave, phi_traveling
+from solsurf.matlie import _SINHC_SERIES, Dual, _expm2, commutator, expm, fro, mm, trace
+from solsurf.sigma import (
+    commutator_pair_rows,
+    theta_of,
+    traveling_solution,
+    u_coefficients,
+    veronese,
+)
+from solsurf.spectral import (
+    _guarded_reciprocal,
+    euclidean_wave,
+    lowered_rung_with_jets,
+    phi_traveling,
+)
 from solsurf.symmetry import (
     ConformalSpec,
     conformal_characteristic,
@@ -169,3 +182,79 @@ def test_expm_tangent_is_nan_where_the_value_is_not_finite():
     live = ~dead
     want = _expm_tangent_reference(x[..., live], t[..., live])
     assert np.max(fro(got.tangent[..., live] - want) / fro(want)) < 1e-13
+
+
+# --- nested pairs --------------------------------------------------------------
+
+
+def _rational(x, m: np.ndarray):
+    """-[x, m] x / tr(x x): through mm, commutator, trace, negation and the
+    guarded reciprocal."""
+    r, bad = _guarded_reciprocal(trace(mm(x, x)))
+    assert not bad.any()
+    return -(mm(commutator(x, m), x) * r)
+
+
+def _same(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_nested_pairs_carry_the_mixed_second_derivative():
+    # x(s, t) = x0 + s a + t b + s t c: the outer pair differentiates in s,
+    # the inner one in t, so the inner tangent of the outer tangent is
+    # d^2/ds dt; each half of the nested pair is the first-order pair's
+    rng = np.random.default_rng(11)
+    x0, a, b, c, m = (rng.normal(size=(3, 3, 50)) + 1j * rng.normal(size=(3, 3, 50))
+                      for _ in range(5))
+    x0 += 3 * np.eye(3)[..., None]
+    got = _rational(Dual(Dual(x0, b), Dual(a, c)), m)
+    along_t, along_s = _rational(Dual(x0, b), m), _rational(Dual(x0, a), m)
+    assert _same(got.value.value, _rational(x0, m))
+    assert _same(got.value.tangent, along_t.tangent)
+    assert _same(got.tangent.value, along_s.tangent)
+    mixed = got.tangent.tangent
+
+    def gap(eps: float) -> float:
+        # d/dt of the first-order s-tangent, by a central difference in t
+        plus, minus = (_rational(Dual(x0 + t * b, a + t * c), m).tangent for t in (eps, -eps))
+        return float(np.max(fro((plus - minus) / (2 * eps) - mixed)) / np.max(fro(mixed)))
+
+    gaps = [gap(eps) for eps in (1e-2, 5e-3)]
+    assert 1e-9 < gaps[1] < 1e-4 and 3.5 < gaps[0] / gaps[1] < 4.5, gaps
+
+
+# --- total derivatives along D_a ----------------------------------------------
+
+
+def _along_gaps(h: float, a: int) -> list[float]:
+    """The tangents of the u pair and of L(P) along D_a on rung 1 of CP^2 at
+    101^2 nodes of spacing ``h``, against the 4th-order stencil D_a of their
+    values, relative to the largest tangent."""
+    grid = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (h, h), (101, 101))
+    jr = veronese(3, grid, 1)[1].rows(slice(None))
+    u1, u2 = commutator_pair_rows(jr.along(a), *u_coefficients(LAM_E))
+    # D_a L(P) is the lowering's tangent along D_a
+    lowered = lowered_rung_with_jets(jr)
+    gaps = []
+    for value, tangent in ((u1.value, u1.tangent), (u2.value, u2.tangent),
+                           (lowered[0], lowered[a])):
+        stencil = chart_derivatives(value, grid)[a - 1]
+        gaps.append(interior_max(fro(tangent - stencil), 2) / interior_max(fro(tangent), 2))
+    return gaps
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_along_tangents_match_the_stencil_total_derivative(a):
+    # truncation level: below 1e-9 at h = 0.0015, and falling at 4th order
+    coarse, fine = _along_gaps(0.0015, a), _along_gaps(0.00075, a)
+    assert max(coarse) < 1e-9, coarse
+    assert all(c / f > 8 for c, f in zip(coarse, fine)), (coarse, fine)
+
+
+def test_along_strip_reads_no_second_jets():
+    jr = veronese(3, GRID_E, 1)[1].rows(slice(None))
+    along = jr.along(2)
+    assert _same(along.values.tangent, jr.d2) and _same(along.d1.tangent, jr.d12)
+    for name in ("d11", "d12", "d22"):
+        with pytest.raises(ValueError, match="carries no second jets"):
+            getattr(along, name)
