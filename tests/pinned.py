@@ -37,8 +37,8 @@ times its entry.  The entries are the largest of repeated in-process
 readings, and ``HEAP_SLACK`` covers their spread (about 2 %: the
 Euclidean ``solve`` reads 13.31 fields as the first command of its
 process, 13.04-13.05 after any other) while one more field still fails
-every entry.  A change
-that lowers a peak lowers its entry; one that raises it states why.
+every entry.  A change that lowers a peak lowers its entry; one that
+raises it states why.
 """
 
 from __future__ import annotations
