@@ -146,8 +146,9 @@ def _orthogonality_defect(rungs: list[MatrixField]) -> float:
 
 
 def _build_solution(cfg: SolveConfig):
-    """Returns (jet_field, rungs_or_wave): the jets of theta, and the
-    projector of every ladder rung or the traveling wave; a config
+    """Returns (jet_field, rungs_or_wave, completeness): the jets of theta,
+    the projector of every ladder rung or the traveling wave, and the
+    ladder's completeness residual (None for a traveling wave); a config
     error if theta, D_1 theta and D_2 theta are finite together at no
     interior node, or if the rungs of a Veronese ladder sum to the identity
     no closer than ``COMPLETENESS_TOL``."""
@@ -158,6 +159,7 @@ def _build_solution(cfg: SolveConfig):
     finite = np.isfinite(j.values) & np.isfinite(j.d1) & np.isfinite(j.d2)
     if not interior(finite.all(axis=(0, 1)), j.margin1).any():
         raise ConfigError("keys 'solution' and 'grid': the solution is not finite on the grid")
+    residual = None
     if cfg.solution["kind"] == "veronese":
         residual = _completeness_residual(carrier)
         if residual > COMPLETENESS_TOL:
@@ -165,7 +167,7 @@ def _build_solution(cfg: SolveConfig):
                 "keys 'solution' and 'grid': the Veronese ladder is not complete on the grid "
                 f"(completeness residual {residual:.3g} > {COMPLETENESS_TOL:g})"
             )
-    return j, carrier
+    return j, carrier, residual
 
 
 def _wave_builder(cfg: RunConfig, carrier) -> Callable[[JetField], WaveField]:
@@ -209,7 +211,7 @@ def _non_finite(report: dict, prefix: str = "") -> list[str]:
 # a summary value that overflows is rejected below, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
-    j, carrier = _build_solution(cfg)
+    j, carrier, completeness = _build_solution(cfg)
     summary: dict = {"solution": cfg.solution, "grid": cfg.grid.to_json(), "n": cfg.n}
     with _staged(outdir) as stage:
         write_field(stage("theta.npz"), j)
@@ -222,7 +224,7 @@ def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
                 write_field(stage(f"ladder_{m}.npz"), rung)
             summary["ladder_length"] = len(carrier)
             summary["orthogonality_defect"] = _orthogonality_defect(carrier)
-            summary["completeness_residual"] = _completeness_residual(carrier)
+            summary["completeness_residual"] = completeness
             write_scalar_csv(stage("el_residual.csv"), cfg.grid, el, em)
         else:
             tvdefect = interior_max(fro(carrier.kappa * j.d1 - j.d2), j.margin1)
@@ -245,18 +247,18 @@ def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
 def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     """Each field is staged as soon as it is final and then freed, the report
     last; the files are renamed into place once it is written, so a run that
-    exits 2 leaves no file behind.  The Sym-Tafel surface is never held
-    whole: it is written from a strip source, and measured as it is
-    written.  The connection pair is built once, for a gauge's tangent
-    terms, or else after the Sym-Tafel surface: as fields when the symmetry
-    alone is active, otherwise as rows formed from the jets.  The pair
-    gives the compatibility defect (a warning above ``COMPAT_WARN``) and,
-    with the symmetry alone, the closed conformal immersion; then the pair
-    and the solution are freed, before the closed forms are compared and
-    the surface is integrated."""
+    exits 2 leaves no file behind.  Each surface is measured, and the
+    integrated one projected onto su(N), strip by strip as it is written;
+    the Sym-Tafel surface is never held whole.  The connection pair is built
+    once, for a gauge's tangent terms, or else after the Sym-Tafel surface:
+    as fields when the symmetry alone is active, otherwise as rows formed
+    from the jets.  The pair gives the compatibility defect (a warning above
+    ``COMPAT_WARN``) and, with the symmetry alone, the closed conformal
+    immersion; then the pair and the solution are freed, before the closed
+    forms are compared and the surface is integrated."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
-    j, carrier = _build_solution(cfg)
+    j, carrier, _ = _build_solution(cfg)
     spectral_only = bool(cfg.a_coeffs) and cfg.gauge == "none" and cfg.symmetry is None
     symmetry_only = cfg.symmetry is not None and not cfg.a_coeffs and cfg.gauge == "none"
     builder = _wave_builder(cfg, carrier)
@@ -325,18 +327,18 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             report["prolonged_tangent_defect"] = defect
             report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
 
-        res = integrate_surface(a, b, wave)
-        write_field(stage("immersion.npz"), res.field)
+        raw, path_defect = integrate_surface(a, b, wave)
+        surface, su_correction = su_measured(raw, project=True)
+        write_field(stage("immersion.npz"), surface)
         write_field(stage("wave.npz"), wave, lam=wave.lam)
-        raw = res.raw
         report.update(
-            basepoint=list(res.basepoint),
+            basepoint=[raw.margin, raw.margin],
             compat_defect=compat,
-            path_defect=res.path_defect,
-            su_correction=res.su_correction,
+            path_defect=path_defect,
+            su_correction=su_correction(),
             wave=wave_diagnostics(wave),
         )
-        del res  # frees the projected surface, which is staged
+        del surface
         report["integrated_tangent_defect"] = max(tangent_check(raw, wave, a, b))
         del raw
         report["tangent_gram"] = linear_independence_report(a, b, wave)

@@ -49,6 +49,11 @@ _TOP_KEYS = {
 # overflow a float from n of about 1030.
 MAX_N = 8
 
+# Largest grid, as nodes x n^2 (1024^2 nodes at n = 2).  At 401^2 a run
+# peaks near 250 bytes per unit in `solve` and 310 in `immerse` (README), so
+# a grid at the bound needs about 1.3 GB.
+MAX_GRID_LOAD = 2**22
+
 # Largest part of the spectral parameter: the wave-function coefficients
 # take (1 - lambda)^3, whose complex power raises OverflowError from about
 # 1e102 on.
@@ -238,6 +243,9 @@ def parse_solve(obj: dict, grid_h: float | None = None) -> SolveConfig:
     if not isinstance(dims, list) or len(dims) != 2:
         raise ConfigError("key 'grid.dims' must be a list of 2 integers")
     dims = tuple(_integer(v, f"grid.dims[{i}]") for i, v in enumerate(dims))
+    if min(dims) > 0 and dims[0] * dims[1] * n * n > MAX_GRID_LOAD:
+        raise ConfigError(f"key 'grid.dims': {dims[0]} x {dims[1]} nodes with n = {n} "
+                          f"exceed the bound nodes x n^2 <= {MAX_GRID_LOAD}")
     try:
         grid = Grid2(chart=chart, origin=origin, spacing=spacing, dims=dims)
     except ValueError as exc:

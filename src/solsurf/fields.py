@@ -257,13 +257,10 @@ def interior_max(scalar: np.ndarray, margin: int) -> float:
 STRIP_ROWS = 16
 
 
-def row_strips(n_rows: int, halo: int = 0) -> Iterator[tuple[slice, slice]]:
-    """The rows 0..n_rows in consecutive strips of at most ``STRIP_ROWS``:
-    yields each strip's rows, and the rows that a stencil of half-width
-    ``halo`` reads for them, clipped to 0..n_rows."""
+def row_strips(n_rows: int) -> Iterator[slice]:
+    """The rows 0..n_rows in consecutive strips of at most ``STRIP_ROWS``."""
     for start in range(0, n_rows, STRIP_ROWS):
-        stop = min(start + STRIP_ROWS, n_rows)
-        yield slice(start, stop), slice(max(start - halo, 0), min(stop + halo, n_rows))
+        yield slice(start, min(start + STRIP_ROWS, n_rows))
 
 
 def rows_filled(grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]]) -> list[np.ndarray]:
@@ -272,7 +269,7 @@ def rows_filled(grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]]) ->
     into a full-size array of the same leading shape, allocated on the
     first strip; a `Dual` output fills a pair of them."""
     outs: list[np.ndarray] = []
-    for rows, _ in row_strips(grid.n2):
+    for rows in row_strips(grid.n2):
         parts = kernel(rows)
         if not outs:
             outs = [lift(lambda x: np.empty(x.shape[:-2] + (grid.n2, grid.n1), x.dtype), a)
@@ -282,14 +279,21 @@ def rows_filled(grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]]) ->
     return outs
 
 
+def _stencil_slab(values: np.ndarray, rows: slice) -> tuple[np.ndarray, slice]:
+    """The grid rows ``rows`` of ``values`` and the 2 on each side that the
+    stencils read for them, clipped to the grid, and where ``rows`` lie in it."""
+    start, stop, _ = rows.indices(values.shape[-2])
+    lo, hi = max(start - 2, 0), min(stop + 2, values.shape[-2])
+    return values[..., lo:hi, :], slice(start - lo, stop - lo)
+
+
 def strip_derivatives(
-    values: np.ndarray, grid: Grid2, rows: slice, slab: slice
+    values: np.ndarray, grid: Grid2, rows: slice
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(D_1, D_2) of the field ``values`` on the grid rows ``rows``, by
-    `chart_derivatives` of the rows ``slab`` that `row_strips` yields for
-    them with ``halo=2``: the bits of the whole-field stencils there."""
-    core = slice(rows.start - slab.start, rows.stop - slab.start)
-    d1, d2 = chart_derivatives(values[..., slab, :], grid)
+    """(D_1, D_2) of the field ``values`` on the grid rows ``rows``: the bits
+    of the whole-field stencils there, every stencil being local."""
+    slab, core = _stencil_slab(values, rows)
+    d1, d2 = chart_derivatives(slab, grid)
     return d1[..., core, :], d2[..., core, :]
 
 
@@ -479,14 +483,10 @@ def chart_jets(f: MatrixField) -> JetField:
     have the bits of the whole-field set, and no whole set is built.
     """
     d1, d2, margin1 = chart_first_derivatives(f)
-    n2 = f.grid.n2
 
     def second(rows: slice) -> tuple[np.ndarray, ...]:
-        start, stop, _ = rows.indices(n2)
-        slab = slice(max(start - 2, 0), min(stop + 2, n2))
-        core = slice(start - slab.start, stop - slab.start)
-        jets = _chart_second_derivatives(f.values[..., slab, :], f.grid)
-        return tuple(x[..., core, :] for x in jets)
+        slab, core = _stencil_slab(f.values, rows)
+        return tuple(x[..., core, :] for x in _chart_second_derivatives(slab, f.grid))
 
     return JetField(
         grid=f.grid,
@@ -594,7 +594,7 @@ def write_field(
                     np.lib.format.write_array(member, array, allow_pickle=False)
                     continue
                 np.lib.format.write_array_header_1_0(member, header)
-                for rows, _ in row_strips(f.grid.n2):
+                for rows in row_strips(f.grid.n2):
                     strip = np.asarray(f.strip(rows), dtype=complex)
                     member.write(np.ascontiguousarray(_file_order(strip)))
 
@@ -645,7 +645,7 @@ def write_field_json(path: str, f: MatrixField, lam: complex | None = None) -> N
             if key in head:
                 fh.write(json.dumps(head[key], sort_keys=True, separators=(",", ":")))
                 continue
-            for rows, _ in row_strips(values.shape[0]):
+            for rows in row_strips(values.shape[0]):
                 block = json.dumps(_finite_list(parts[key](values[rows])), separators=(",", ":"))
                 fh.write(("[" if rows.start == 0 else ",") + block[1:-1])
             fh.write("]")
@@ -703,7 +703,7 @@ def write_scalar_csv(path: str, grid: Grid2, scalar: np.ndarray, margin: int = 0
     values = np.real(scalar[inner])
     with open(path, "w") as fh:
         fh.write("x1,x2,value\n")
-        for rows, _ in row_strips(values.shape[0]):
+        for rows in row_strips(values.shape[0]):
             fh.write("".join(
                 template.replace("{}", x2) % tuple(row)
                 for x2, row in zip(x2s[rows], values[rows].tolist())

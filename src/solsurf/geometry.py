@@ -38,11 +38,11 @@ def export_obj(path: str, points: np.ndarray) -> None:
     vertices, 1-based indices, written one strip of grid rows at a time."""
     n2, n1 = points.shape[:2]
     with open(path, "w") as fh:
-        for rows, _ in row_strips(n2):
+        for rows in row_strips(n2):
             block = points[rows].reshape(-1).tolist()
             fh.write(("v %.17g %.17g %.17g\n" * (len(block) // 3)) % tuple(block))
         # quad (a, b, c, d) with a its lower-left vertex splits into (a, b, c), (a, c, d)
-        for rows, _ in row_strips(n2 - 1):
+        for rows in row_strips(n2 - 1):
             a = (np.arange(n2 - 1)[rows, None] * n1 + np.arange(n1 - 1)[None, :] + 1).reshape(-1)
             quads = np.stack([a, a + 1, a + n1 + 1, a, a + n1 + 1, a + n1], axis=-1)
             fh.write(("f %d %d %d\nf %d %d %d\n" * a.size) % tuple(quads.reshape(-1).tolist()))

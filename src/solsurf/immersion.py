@@ -10,16 +10,16 @@ is recovered from D_alpha F = Phi^{-1} A_alpha Phi by line integration
 along grid lines, using both integration orders; their mismatch is the
 path-independence certificate.  `integrate_surface` only integrates: the
 pair's own integrability, `symmetry.compatibility_defect`, is measured by
-the caller.  Closed forms are provided for the spectral-parameter term
-(Sym-Tafel), the conformal symmetry term, which reads the connection pair
-its caller holds, and the explicitly integrated prolongation of the wave
-function; each closed form is paired with a finite-difference tangent
-check in the verification suite.
+the caller, and the surface's su(N) part is formed by `su_measured` strip
+by strip as it is written.  Closed forms are provided for the
+spectral-parameter term (Sym-Tafel), the conformal symmetry term, which
+reads the connection pair its caller holds, and the explicitly integrated
+prolongation of the wave function; each closed form is paired with a
+finite-difference tangent check in the verification suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,6 @@ from .spectral import WaveField, lsp_residual
 from .symmetry import ConformalSpec, polyval
 
 __all__ = [
-    "ImmersionResult",
     "assemble_tangents",
     "conformal_immersion_closed",
     "constant_difference_check",
@@ -58,23 +57,6 @@ __all__ = [
     "sym_tafel",
     "tangent_check",
 ]
-
-
-@dataclass(frozen=True)
-class ImmersionResult:
-    """Integrated surface plus its certification data.
-
-    ``field`` is the su(N)-projected surface (the deliverable); ``raw``
-    keeps the unprojected line integral, on which the tangent and
-    closed-form identities hold for every spectral parameter, admissible
-    or not.
-    """
-
-    field: MatrixField
-    raw: MatrixField
-    basepoint: tuple[int, int]
-    path_defect: float
-    su_correction: float
 
 
 def assemble_tangents(
@@ -108,7 +90,7 @@ def assemble_tangents(
     if a_coeffs:
         a = polyval(a_coeffs, lam)
         c1, c2 = u_dlambda_coefficients(lam)
-        for rows, _ in row_strips(grid.n2):
+        for rows in row_strips(grid.n2):
             du1, du2 = commutator_pair_rows(j.rows(rows), c1, c2)
             a_vals[..., rows, :] += a * du1
             b_vals[..., rows, :] += a * du2
@@ -147,15 +129,15 @@ def _axis_integrands(
     return at, bt
 
 
-def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> ImmersionResult:
+def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> tuple[MatrixField, float]:
     """Integrate D_1 F = Phi^{-1} A Phi, D_2 F = Phi^{-1} B Phi from the
     basepoint (m, m), the first node inside the margin m of the inputs.
 
     Composite-Simpson line integration along x1 then x2; the reversed
-    order is always computed as well and the worst node-wise discrepancy
-    is reported as ``path_defect``.  The integration constant is fixed by
-    F(m, m) = 0, then F is projected onto su(N) with the correction
-    norm logged.
+    order is always computed as well.  Returns the raw surface F, on which
+    the tangent and closed-form identities hold for every spectral
+    parameter, with margin m and F(m, m) = 0, and its path defect: the
+    worst node-wise discrepancy of the two orders.
     """
     grid = same_grid(a, b)
     if w.grid != grid:
@@ -179,21 +161,9 @@ def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> Immersion
     np.add(ia[..., 0:1, :], ib, out=f_12)
     # x2 first: run along the basepoint column, then across each row.
     gap = np.empty(f_12.shape[2:])
-    for rows, _ in row_strips(gap.shape[0]):
+    for rows in row_strips(gap.shape[0]):
         gap[rows] = fro(f_12[..., rows, :] - (ib[..., rows, 0:1] + ia[..., rows, :]))
-    path_defect = float(np.fmax.reduce(gap, axis=None))
-    del ia, ib
-
-    raw = MatrixField(grid, f_full, m)
-    field, su_correction = su_projected(raw)
-
-    return ImmersionResult(
-        field=field,
-        raw=raw,
-        basepoint=(m, m),
-        path_defect=path_defect,
-        su_correction=su_correction,
-    )
+    return MatrixField(grid, f_full, m), float(np.fmax.reduce(gap, axis=None))
 
 
 def tangent_check(
@@ -208,8 +178,8 @@ def tangent_check(
     grid = same_grid(f, a, b, w)
     margin = max(f.margin + 2, a.margin, b.margin, w.margin)
     res1, res2 = np.empty((grid.n2, grid.n1)), np.empty((grid.n2, grid.n1))
-    for rows, slab in row_strips(grid.n2, halo=2):
-        d1f, d2f = strip_derivatives(f.values, grid, rows, slab)
+    for rows in row_strips(grid.n2):
+        d1f, d2f = strip_derivatives(f.values, grid, rows)
         ca, cb = w.conjugate_rows(rows, a.strip(rows), b.strip(rows))
         d1f -= ca
         d2f -= cb
@@ -217,39 +187,24 @@ def tangent_check(
     return interior_max(res1, margin), interior_max(res2, margin)
 
 
-def su_projected(f: MatrixField) -> tuple[MatrixField, float]:
-    """Pointwise su(N) projection of a field, with the correction logged.
-
-    NaN nodes stay NaN; the correction is the worst interior distance of
-    the field from anti-Hermitian traceless.
-    """
-    vals = np.empty(f.values.shape, dtype=complex)
-    defect = np.empty(f.values.shape[2:])
-    for rows, _ in row_strips(f.grid.n2):
-        finite, su_part, defect[rows] = _su_split(f.values[..., rows, :])
-        vals[..., rows, :] = np.where(finite, su_part, np.nan + 0j)
-    return MatrixField(f.grid, vals, f.margin), interior_max(defect, f.margin)
-
-
-def _su_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The finite entries of the strip ``x``, its su(N) part (zero in place
-    of the others) and each node's distance from su(N), NaN at NaN nodes."""
-    finite = np.isfinite(x)
-    su_part, d = project_su(np.where(finite, x, 0.0))
-    return finite, su_part, np.where(np.isfinite(fro(x)), d, np.nan)
-
-
-def su_measured(f: MatrixField | StripSource) -> tuple[StripSource, Callable[[], float]]:
+def su_measured(
+    f: MatrixField | StripSource, project: bool = False
+) -> tuple[StripSource, Callable[[], float]]:
     """A strip source that hands out the strips of ``f``, measuring each
     one's distance from anti-Hermitian traceless as it goes, and a callable
     that returns the worst interior distance once every strip has been read
-    (by `write_field`, say): a field is measured in the pass that writes it."""
+    (by `write_field`, say): a field is measured in the pass that writes it.
+    With ``project``, each strip handed out is its su(N) part instead, NaN
+    at the entries of ``f`` that are not finite: the distance is then the
+    correction that the projection made."""
     defect, margin = np.full((f.grid.n2, f.grid.n1), np.nan), f.margin
 
     def strip(rows: slice) -> np.ndarray:
         x = f.strip(rows)
-        defect[rows] = _su_split(x)[2]
-        return x
+        finite = np.isfinite(x)
+        su_part, d = project_su(np.where(finite, x, 0.0))
+        defect[rows] = np.where(np.isfinite(fro(x)), d, np.nan)
+        return np.where(finite, su_part, np.nan + 0j) if project else x
 
     # the reduction holds the defects alone, not ``f``
     return StripSource(f.grid, f.n, margin, strip), lambda: interior_max(defect, margin)
@@ -342,7 +297,7 @@ def linear_independence_report(
     grid = same_grid(a, b, w)
     m = max(a.margin, b.margin, w.margin)
     lo, hi = np.empty((grid.n2, grid.n1)), np.empty((grid.n2, grid.n1))
-    for rows, _ in row_strips(grid.n2):
+    for rows in row_strips(grid.n2):
         t1, t2 = w.conjugate_rows(rows, a.strip(rows), b.strip(rows))
         g11, g12, g22 = inner(t1, t1), inner(t1, t2), inner(t2, t2)
         tr_half = 0.5 * (g11 + g22)

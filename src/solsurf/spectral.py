@@ -118,7 +118,7 @@ def wave_diagnostics(w: WaveField) -> dict[str, float]:
     Each node's |det|, condition number and unitarity defect are formed
     one strip of grid rows at a time."""
     abs_det, cond, unit = (np.empty(w.values.shape[2:]) for _ in range(3))
-    for rows, _ in row_strips(w.grid.n2):
+    for rows in row_strips(w.grid.n2):
         phi = w.values[..., rows, :]
         det_phi = det(phi)
         abs_det[rows] = np.abs(det_phi)

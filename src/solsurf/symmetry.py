@@ -327,9 +327,9 @@ def compatibility_defect(
     """
     grid = same_grid(a, b, u1, u2)
     res = np.empty((grid.n2, grid.n1))
-    for rows, slab in row_strips(grid.n2, halo=2):
-        d2a = strip_derivatives(a.values, grid, rows, slab)[1]
-        d1b = strip_derivatives(b.values, grid, rows, slab)[0]
+    for rows in row_strips(grid.n2):
+        d2a = strip_derivatives(a.values, grid, rows)[1]
+        d1b = strip_derivatives(b.values, grid, rows)[0]
         at, bt, v1, v2 = (f.strip(rows) for f in (a, b, u1, u2))
         res[rows] = fro(d2a - d1b + commutator(at, v2) + commutator(v1, bt))
     return interior_max(res, max(a.margin + 2, b.margin + 2, u1.margin, u2.margin))

@@ -56,7 +56,6 @@ from .fields import (
     interior_max,
 )
 from .immersion import (
-    ImmersionResult,
     conformal_immersion_closed,
     constant_difference_check,
     explicit_immersion,
@@ -322,7 +321,8 @@ class Fixtures:
         return conformal_immersion_closed(EUCLID_SPEC, *self.euclid_u(), self.euclid_wave())
 
     @_fixture
-    def euclid_surface(self) -> ImmersionResult:
+    def euclid_surface(self) -> tuple[MatrixField, float]:
+        """The raw integrated surface and its path defect."""
         return integrate_surface(*self.euclid_tangents(), self.euclid_wave())
 
     @_fixture
@@ -334,7 +334,7 @@ class Fixtures:
         ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
         return {
             "el-symmetry": compatibility_defect(a, b, *self.euclid_u()),
-            "path-independence": integrate_surface(a, b, self.euclid_wave()).path_defect,
+            "path-independence": integrate_surface(a, b, self.euclid_wave())[1],
         }
 
     @_fixture
@@ -417,7 +417,7 @@ class Fixtures:
         return {
             "closed-form-tangents": max(tangent_check(f_closed, w, a, b)),
             "compatibility": compatibility_defect(a, b, *self.mink_u()),
-            "path-defect": integrate_surface(a, b, w).path_defect,
+            "path-defect": integrate_surface(a, b, w)[1],
         }
 
     @_fixture
@@ -740,13 +740,13 @@ _CHECKS: tuple[_Check, ...] = (
         "prop2.path-independence-positive",
         "the integrated surface is path independent",
         1e-6,
-        lambda fx: fx.euclid_surface().path_defect,
+        lambda fx: fx.euclid_surface()[1],
     ),
     _Check(
         "prop2.integrated-tangents",
         "stencil derivatives of the integrated surface match the tangents",
         1e-6,
-        lambda fx: _euclid_tangent_defect(fx, fx.euclid_surface().raw),
+        lambda fx: _euclid_tangent_defect(fx, fx.euclid_surface()[0]),
     ),
     _Check(
         "prop2.el-symmetry-negative",
@@ -819,7 +819,7 @@ _CHECKS: tuple[_Check, ...] = (
         "prop4.euclid-path-defect",
         "line integration is path independent",
         1e-6,
-        lambda fx: fx.euclid_surface().path_defect,
+        lambda fx: fx.euclid_surface()[1],
     ),
     _Check(
         "prop4.mink-closed-form-tangents",

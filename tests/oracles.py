@@ -319,7 +319,8 @@ def sym_tafel_traveling_whole(
 
 
 def su_projected_whole(f: MatrixField) -> tuple[MatrixField, float]:
-    """`solsurf.immersion.su_projected` with every temporary at full size."""
+    """The strips of `solsurf.immersion.su_measured` with ``project`` and its
+    correction, with every temporary at full size."""
     finite = np.isfinite(f.values)
     su_part, defect = project_su(np.where(finite, f.values, 0.0))
     vals = np.where(finite, su_part, np.nan + 0j)
@@ -330,9 +331,9 @@ def su_projected_whole(f: MatrixField) -> tuple[MatrixField, float]:
 def integrated_surface_whole(
     a: MatrixField, b: MatrixField, w: WaveField
 ) -> tuple[np.ndarray, float]:
-    """The unprojected surface and the path defect of
-    `solsurf.immersion.integrate_surface` from its basepoint (m, m), with
-    both integration orders formed on the whole grid at once."""
+    """The raw surface and the path defect that
+    `solsurf.immersion.integrate_surface` returns, from its basepoint
+    (m, m), with both integration orders formed on the whole grid at once."""
     m = max(a.margin, b.margin, w.margin)
     at, bt = conjugate_whole(w, a.values), conjugate_whole(w, b.values)
     gx, gy = (at + bt, 1j * (at - bt)) if a.grid.chart == CHART_EUCLIDEAN else (at, bt)

@@ -2,6 +2,7 @@ import contextlib
 import filecmp
 import io
 import json
+import math
 import os
 import tempfile
 import types
@@ -207,6 +208,70 @@ def test_cli_verify_determinism(tmp_path):
     assert report["passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("name", ["euclidean", "minkowski"])
+def test_cli_immerse_determinism(tmp_path, name):
+    # the symmetry route and the spectral route: two runs in one process
+    # write the same bytes, every field and the report
+    config = os.path.join(os.path.dirname(__file__), "reference", name, "config.json")
+    outs = [str(tmp_path / f"i{i}") for i in (1, 2)]
+    for out in outs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["immerse", "--config", config, "--out", out]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert "immersion.npz" in names and sorted(os.listdir(outs[1])) == names
+    assert filecmp.cmpfiles(*outs, names, shallow=False)[0] == names
+
+
+def test_cli_solve_forms_the_completeness_residual_once(tmp_path, monkeypatch):
+    # the gate's residual is the one the summary reports
+    from solsurf import cli
+
+    residuals, residual = [], cli._completeness_residual
+
+    def counted(rungs):
+        residuals.append(residual(rungs))
+        return residuals[-1]
+
+    monkeypatch.setattr(cli, "_completeness_residual", counted)
+    out = str(tmp_path / "out")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--config", write_cfg(tmp_path, BASE_VERONESE), "--out", out]) == 0
+    with open(os.path.join(out, "solve-summary.json")) as fh:
+        summary = json.load(fh)
+    assert len(residuals) == 1 and summary["completeness_residual"] == residuals[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "immerse"])
+def test_cli_grid_above_the_bound_exits_2_before_it_allocates(
+    tmp_path, capsys, monkeypatch, command
+):
+    # nodes x n^2 may reach MAX_GRID_LOAD, a square grid at n = 2; one more
+    # column is refused by the parser, before any field exists.  Building
+    # the solution fails the test, so a parser that let the grid through
+    # never allocates it
+    from solsurf import cli
+    from solsurf.config import MAX_GRID_LOAD
+
+    monkeypatch.setattr(cli, "_build_solution", lambda cfg: pytest.fail("built the solution"))
+
+    side = math.isqrt(MAX_GRID_LOAD // 4)
+    assert side * side * 4 == MAX_GRID_LOAD
+    at_bound = {**BASE_VERONESE, "grid": {**BASE_VERONESE["grid"], "dims": [side, side]}}
+    assert parse_config(at_bound).grid.dims == (side, side)
+    over = {**at_bound, "grid": {**at_bound["grid"], "dims": [side + 1, side]}}
+    out = str(tmp_path / "o")
+    cfg = write_cfg(tmp_path, over)
+    codes = []
+    peak = heap_peak(lambda: codes.append(main([command, "--config", cfg, "--out", out])))
+    assert codes == [2] and peak < 2**20
+    assert capsys.readouterr().err.startswith("configuration error: key 'grid.dims': ")
+    assert not os.path.exists(out)
+    # a side beyond the float range is refused by the bound as well, not
+    # by an OverflowError in the grid's extent
+    with pytest.raises(ConfigError, match="key 'grid.dims'"):
+        parse_config({**at_bound, "grid": {**at_bound["grid"], "dims": [10**400, 9]}})
 
 
 def test_cli_verify_failure_exit(tmp_path):
@@ -539,7 +604,7 @@ def test_cli_solution_holds_the_jets_of_the_active_rung_only():
     cfg = parse_solve({**BASE_VERONESE, "n": 4, "solution": {"kind": "veronese", "k": 1}})
     built = []
     peak = heap_peak(lambda: built.extend(_build_solution(cfg)))
-    j, rungs = built
+    j, rungs, _ = built
     assert len(rungs) == 4 and all(type(r) is MatrixField for r in rungs)
     assert type(j) is JetField
     assert peak <= 13 * (16 * 61**2 * 16)

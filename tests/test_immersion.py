@@ -44,7 +44,7 @@ from solsurf.immersion import (
     linear_independence_report,
     psi_of,
     psi_residual,
-    su_projected,
+    su_measured,
     sym_tafel,
     tangent_check,
 )
@@ -87,9 +87,9 @@ def test_integrate_zero_tangents():
     j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(j.values), 0)
-    res = integrate_surface(zero, zero, w)
-    assert interior_max(fro(res.field.values), res.field.margin) < 1e-15
-    assert res.path_defect < 1e-15
+    raw, path_defect = integrate_surface(zero, zero, w)
+    assert interior_max(fro(raw.values), raw.margin) < 1e-15
+    assert path_defect < 1e-15
 
 
 def test_integrate_constant_commuting_tangents():
@@ -101,12 +101,13 @@ def test_integrate_constant_commuting_tangents():
     a = constant_field(g, m1)
     b = constant_field(g, m2)
     w = identity_wave(g, 2)
-    res = integrate_surface(a, b, w)
+    raw, path_defect = integrate_surface(a, b, w)
+    surface, su_correction = su_measured(raw, project=True)
     x1, x2 = g.mesh()
     expected = (x1 - x1[0, 0]) * constant(m1) + (x2 - x2[0, 0]) * constant(m2)
-    assert interior_max(fro(res.field.values - expected), 0) < 1e-13
-    assert res.path_defect < 1e-13
-    assert res.su_correction < 1e-13
+    assert interior_max(fro(gathered(surface).values - expected), 0) < 1e-13
+    assert path_defect < 1e-13
+    assert su_correction() < 1e-13
 
 
 def test_integrate_basepoint_and_validation():
@@ -114,10 +115,10 @@ def test_integrate_basepoint_and_validation():
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
-    res = integrate_surface(a, b, w)
+    raw, _ = integrate_surface(a, b, w)
     m = max(a.margin, b.margin, w.margin)
-    assert m > 0 and res.basepoint == (m, m)
-    assert fro(res.field.values[..., m, m]) < 1e-14
+    assert m > 0 and raw.margin == m
+    assert fro(raw.values[..., m, m]) < 1e-14
 
 
 def test_integrated_matches_closed_form_conformal():
@@ -128,11 +129,13 @@ def test_integrated_matches_closed_form_conformal():
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     assert compatibility_defect(a, b, u1, u2) < 1e-6
-    res = integrate_surface(a, b, w)
-    assert res.path_defect < 1e-6
+    raw, path_defect = integrate_surface(a, b, w)
+    assert path_defect < 1e-6
     f_closed = conformal_immersion_closed(spec, u1, u2, w)
-    assert su_projected(f_closed)[1] < 1e-10  # admissible spectral parameter: F lies in su(2)
-    _, variation = constant_difference_check(res.raw, f_closed)
+    source, su_distance = su_measured(f_closed)
+    gathered(source)
+    assert su_distance() < 1e-10  # admissible spectral parameter: F lies in su(2)
+    _, variation = constant_difference_check(raw, f_closed)
     assert variation < 1e-7
     assert max(tangent_check(f_closed, w, a, b)) < 1e-6
 
@@ -143,7 +146,7 @@ def test_incompatible_pair_is_path_dependent():
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(u1.values), u1.margin)
     assert compatibility_defect(u1, zero, u1, u2) > 1e-3
-    assert integrate_surface(u1, zero, w).path_defect > 1e-6
+    assert integrate_surface(u1, zero, w)[1] > 1e-6
 
 
 def _with_nan_rows(shape, rows, seed):
@@ -161,11 +164,16 @@ def test_su_projected_strips_match_the_whole_field():
     vals = _with_nan_rows((3, 3, g.n2, g.n1), rows, 1)
     vals[1, 2, 3, 4] = np.nan
     f = MatrixField(g, vals, 2)
-    field, corr = su_projected(f)
+    source, corr = su_measured(f, project=True)
+    field = gathered(source)
     whole, whole_corr = su_projected_whole(f)
     assert np.array_equal(field.values, whole.values, equal_nan=True)
-    assert corr == whole_corr and np.isfinite(corr)
+    assert corr() == whole_corr and np.isfinite(whole_corr)
     assert np.isnan(field.values[..., STRIP_ROWS : 2 * STRIP_ROWS, :]).all()
+    # without projecting, the strips are those of the field, measured alike
+    source, distance = su_measured(f)
+    assert np.array_equal(gathered(source).values, vals, equal_nan=True)
+    assert distance() == whole_corr
 
 
 @pytest.mark.parametrize("chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI])
@@ -176,14 +184,16 @@ def test_integrate_surface_strips_match_the_whole_grid(chart):
     a = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [], 2), 1)
     b = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [STRIP_ROWS + 5], 3), 1)
     w = WaveField(g, identity(2) + 0.1 * _with_nan_rows((2, 2, g.n2, g.n1), [], 4), 0, lam=0.5)
-    res = integrate_surface(a, b, w)
+    got, got_defect = integrate_surface(a, b, w)
     raw, path_defect = integrated_surface_whole(a, b, w)
-    assert np.array_equal(res.raw.values, raw, equal_nan=True)
-    assert res.path_defect == path_defect and np.isfinite(path_defect)
+    assert np.array_equal(got.values, raw, equal_nan=True) and got.margin == 1
+    assert got_defect == path_defect and np.isfinite(path_defect)
     assert np.isnan(raw[..., 2 * STRIP_ROWS :, :]).all()
+    source, su_correction = su_measured(got, project=True)
+    projected = gathered(source)
     field, corr = su_projected_whole(MatrixField(g, raw, 1))
-    assert np.array_equal(res.field.values, field.values, equal_nan=True)
-    assert res.su_correction == corr
+    assert np.array_equal(projected.values, field.values, equal_nan=True)
+    assert su_correction() == corr
 
 
 @pytest.mark.parametrize("chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI])
@@ -215,8 +225,8 @@ def test_sym_tafel_euclid():
     a, b = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
     assert max(tangent_check(fst, w, a, b)) < 1e-6
     assert compatibility_defect(a, b, u1, u2) < 1e-6
-    res = integrate_surface(a, b, w)
-    _, variation = constant_difference_check(res.raw, fst)
+    raw, _ = integrate_surface(a, b, w)
+    _, variation = constant_difference_check(raw, fst)
     assert variation < 1e-7
 
 

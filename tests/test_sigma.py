@@ -336,7 +336,7 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
     built["deformed(exact)"] = first.deformed(-eps, chart_jets(MatrixField(grid, q[:m, :m], 1)))
     for name, field in built.items():
         whole = field.second(slice(None))
-        for rows, _ in row_strips(grid.n2):
+        for rows in row_strips(grid.n2):
             strip = field.rows(rows)
             for got, via_strip, want in zip(field.second(rows), (strip.d11, strip.d12, strip.d22),
                                             whole):
