@@ -458,11 +458,7 @@ def chart_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.n
 
     The last two axes of ``values`` are grid rows and columns, and may be
     a strip of the grid's rows: the 2 outer rows of the strip come out NaN.
-    A stencil is linear, so of a `Dual` it runs on the tangent alone, and
-    the value is not formed.
     """
-    if isinstance(values, Dual):
-        return tuple(Dual(None, d) for d in chart_derivatives(values.tangent, grid))
     dx = diff1(values, grid.h1, axis=-1)
     dy = diff1(values, grid.h2, axis=-2)
     if grid.chart == CHART_EUCLIDEAN:

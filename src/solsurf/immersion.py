@@ -272,14 +272,18 @@ def psi_residual(
     u2: MatrixField,
     a: MatrixField,
     b: MatrixField,
-) -> float:
-    """Interior max of || D_alpha Psi - u^alpha Psi - A_alpha Phi ||_F."""
+) -> tuple[MatrixField, MatrixField]:
+    """The residuals D_alpha Psi - u^alpha Psi - A_alpha Phi, with one margin.
+
+    Read at Psi = Phi F with the tangents (A, B) of F, and at Psi = pr w Phi
+    with (A, B) = pr w (u1, u2), where they are pr w of D_alpha Phi -
+    u^alpha Phi: zero iff Q is also a symmetry of the linear problem.
+    """
     r1, r2 = lsp_residual(psi, u1, u2)
     margin = max(r1.margin, a.margin, b.margin, w.margin)
-    return max(
-        interior_max(fro(r.values - mm(t.values, w.values)), margin)
-        for r, t in ((r1, a), (r2, b))
-    )
+    for r, t in ((r1, a), (r2, b)):
+        np.subtract(r.values, mm(t.values, w.values), out=r.values)
+    return MatrixField(r1.grid, r1.values, margin), MatrixField(r2.grid, r2.values, margin)
 
 
 def linear_independence_report(

@@ -60,16 +60,14 @@ class Dual:
 
     Each operation forms the value as the plain operation does, so the
     value keeps its bits, and the tangent by the rules of the product;
-    scaling and the in-place forms act on both halves.  A value of None
-    is one that is not formed: only the tangent of a stencil of a pair is
-    read (see `fields.chart_derivatives`).
+    scaling and the in-place forms act on both halves.
     """
 
     __slots__ = ("value", "tangent")
     # numpy hands its binary operators on to the reflected ones of a pair
     __array_ufunc__ = None
 
-    def __init__(self, value: np.ndarray | None, tangent: np.ndarray):
+    def __init__(self, value: np.ndarray, tangent: np.ndarray):
         self.value, self.tangent = value, tangent
 
     shape = property(lambda self: self.tangent.shape)
@@ -81,8 +79,7 @@ class Dual:
 
     def __setitem__(self, index, other) -> None:
         value, tangent = _halves(other)
-        if self.value is not None:
-            self.value[index] = value
+        self.value[index] = value
         self.tangent[index] = 0 if tangent is None else tangent
 
     def __add__(self, other):
@@ -119,15 +116,13 @@ class Dual:
             self.tangent += self.value * tangent
             self.value *= value
             return self
-        for half in (self.value, self.tangent):
-            if half is not None:
-                half *= other
+        self.value *= other
+        self.tangent *= other
         return self
 
     def _inplace(self, op: Callable, other) -> "Dual":
         value, tangent = _halves(other)
-        if self.value is not None:
-            op(self.value, value)
+        op(self.value, value)
         if tangent is not None:
             op(self.tangent, tangent)
         return self
@@ -139,11 +134,10 @@ def _halves(x) -> tuple:
 
 
 def lift(fn: Callable[[np.ndarray], np.ndarray], x):
-    """``fn`` of an array, or of each half of a pair (a value not formed
-    stays so)."""
+    """``fn`` of an array, or of each half of a pair."""
     if not isinstance(x, Dual):
         return fn(x)
-    return Dual(None if x.value is None else fn(x.value), fn(x.tangent))
+    return Dual(fn(x.value), fn(x.tangent))
 
 
 def primal(x):
@@ -153,14 +147,13 @@ def primal(x):
 
 def _linear(op: Callable, x, y) -> Dual:
     (xv, xt), (yv, yt) = _halves(x), _halves(y)
-    value = None if xv is None or yv is None else op(xv, yv)
-    return Dual(value, op(0 if xt is None else xt, 0 if yt is None else yt))
+    return Dual(op(xv, yv), op(0 if xt is None else xt, 0 if yt is None else yt))
 
 
 def _product(op: Callable, x, y) -> Dual:
     """``op`` bilinear, of two pairs or of a pair and a constant."""
     (xv, xt), (yv, yt) = _halves(x), _halves(y)
-    value = None if xv is None or yv is None else op(xv, yv)
+    value = op(xv, yv)
     if xt is None or yt is None:
         return Dual(value, op(xv, yt) if xt is None else op(xt, yv))
     tangent = op(xt, yv)

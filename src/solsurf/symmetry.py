@@ -7,14 +7,14 @@ in the jets of Q.  `frechet_apply` evaluates it exactly, in one pass, in
 forward mode: theta is paired with the jets of Q (`JetField.paired`), each
 jet a `matlie.Dual`, and each functional runs once on the pair, carrying
 the tangent through every product, commutator, trace, reciprocal and
-exponential; its tangent is pr w_Q G.  A stencil is linear, so it runs on
-the tangent alone (pr w_Q D_alpha G = D_alpha pr w_Q G).
+exponential; its tangent is pr w_Q G.  No stencil runs on a pair.
 
 One prolongation feeds many functionals: `frechet_apply` takes a
 sequence of them and computes the jets of Q once.  A caller asks once
 per (jets, Q) for all it reads: pr w u for the symmetry criterion, pr w
-Phi for explicit integration, pr w of the linear-problem residual, and
-pr w G beside pr w (D_alpha G) for the commutation checks.  A functional
+Phi for explicit integration, both for the linear-problem criterion
+(`immersion.psi_residual` at Psi = pr w Phi, A = pr w u), and pr w G
+beside pr w (D_alpha G) for the commutation checks.  A functional
 maps jets to a tuple of matrix fields, so each jet set is one
 functional, which `commutation_defect` reads: `theta_functional` (theta,
 D_1 theta, D_2 theta), `u_jets_functional(lam)` (u1, D_1 u1, D_2 u1, u2,
@@ -24,9 +24,8 @@ as well, by one rule: `JetRows.along(a)` pairs a strip's values and first
 jets with their D_a, so the kernel of u1 and u2, or of L, run on it
 returns D_a of its outputs as tangents; on paired jets the pairs nest,
 and pr w_Q D_a G is the inner tangent of the outer one.
-`u_functional(lam)` (u1, u2) and `lowering_functional` (L) serve callers
-that read no derivatives; `wave_functional(builder, lam)` adds the
-`spectral.lsp_residual` components to Phi.
+`u_functional(lam)` (u1, u2), `lowering_functional` (L) and
+`wave_functional(builder)` (Phi) serve callers that read no derivatives.
 The connection, its jets and the lowering functionals evaluate
 their pointwise kernels one strip of grid rows at a time
 (`JetField.map_rows`), with scalar factors applied in place so a strip
@@ -70,7 +69,7 @@ from .fields import (
 )
 from .matlie import commutator, fro
 from .sigma import TravelingWave, check_lambda, commutator_pair_rows, u_coefficients, u_pair
-from .spectral import lowered_rung_jets, lowered_rungs_from_jets, lsp_residual
+from .spectral import lowered_rung_jets, lowered_rungs_from_jets
 
 __all__ = [
     "ConformalSpec",
@@ -277,24 +276,9 @@ def lowering_jets_functional(j: JetField) -> tuple[MatrixField, MatrixField, Mat
     return _fields(j, lowered_rung_jets(j), (j.margin1, j.margin2, j.margin2))
 
 
-def wave_functional(
-    phi_builder: Callable[[JetField], MatrixField], lam: complex | None = None
-) -> Functional:
-    """The wave function Phi that ``phi_builder`` builds on the jets.
-
-    Given ``lam``, the linear-problem residuals D_alpha Phi - u^alpha Phi
-    (`lsp_residual`) follow Phi as two more components, so one build of
-    Phi serves both.  Their prolongations vanish exactly
-    when the characteristic is also a symmetry of the linear problem.
-    """
-
-    def g(jd: JetField) -> tuple[MatrixField, ...]:
-        phi = phi_builder(jd)
-        if lam is None:
-            return (phi,)
-        return (phi, *lsp_residual(phi, *u_pair(jd, lam)))
-
-    return g
+def wave_functional(phi_builder: Callable[[JetField], MatrixField]) -> Functional:
+    """The wave function Phi that ``phi_builder`` builds on the jets."""
+    return lambda jd: (phi_builder(jd),)
 
 
 # --- closed-form prolongations and defects --------------------------------------

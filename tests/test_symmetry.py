@@ -16,6 +16,7 @@ from solsurf.fields import (
     interior_max,
     row_strips,
 )
+from solsurf.immersion import psi_residual
 from solsurf.matlie import commutator, dagger, fro, trace
 from solsurf.sigma import traveling_solution, u_pair, veronese
 from solsurf.spectral import euclidean_wave, phi_traveling
@@ -261,7 +262,7 @@ SHARED = [
     theta_functional,
     u_functional(LAM_E),
     lowering_functional,
-    wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
+    wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E)),
 ]
 
 
@@ -393,7 +394,7 @@ FUNCTIONALS = {
     "lowering_functional": lowering_functional,
     "lowering_jets_functional": lowering_jets_functional,
     # Phi on rung 1, where it is rational in the jets
-    "wave_functional": wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E), LAM_E),
+    "wave_functional": wave_functional(lambda jd: euclidean_wave(jd, 1, LAM_E)),
 }
 # the module's functionals, and the first jets of theta prolonged on
 # their own, linear in the jets as theta's whole jet set is
@@ -468,11 +469,18 @@ def test_el_symmetry_defect_positive_negative():
     assert el_symmetry_defect(zero, j, LAM_E) < 1e-15
 
 
+def _prolonged_lsp_residual(builder, j: JetField, q: MatrixField, lam: complex):
+    """pr w_Q of the linear-problem residuals D_alpha Phi - u^alpha Phi:
+    `psi_residual` at Psi = pr w Phi and (A, B) = pr w (u1, u2)."""
+    gs = [wave_functional(builder), u_functional(lam)]
+    (prw_phi,), prw_u = frechet_apply(gs, j, q)
+    return psi_residual(prw_phi, builder(j), *u_pair(j, lam), *prw_u)
+
+
 def test_lsp_symmetry_defect_euclid():
     j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
-    g = wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E), LAM_E)
-    ((_, r1, r2),) = frechet_apply([g], j, q)
+    r1, r2 = _prolonged_lsp_residual(lambda jd: euclidean_wave(jd, 0, LAM_E), j, q, LAM_E)
     assert interior_max(fro(r1.values), r1.margin) < 1e-6
     assert interior_max(fro(r2.values), r2.margin) < 1e-6
 
@@ -480,25 +488,23 @@ def test_lsp_symmetry_defect_euclid():
 def test_lsp_symmetry_defect_traveling_criteria():
     builder = lambda jd: phi_traveling(WAVE_M, jd, LAM_M)  # noqa: E731
     w = builder(JET_M)
-    g = wave_functional(builder, LAM_M)
+
+    def residuals(spec):
+        return _prolonged_lsp_residual(builder, JET_M, conformal_characteristic(spec, JET_M), LAM_M)
+
     # quadratic f: fails with the predicted defect field
     spec_q = ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,))
-    qq = conformal_characteristic(spec_q, JET_M)
-    ((_, r1, r2),) = frechet_apply([g], JET_M, qq)
+    r1, r2 = residuals(spec_q)
     d1phi, _, dm = chart_first_derivatives(w)
     pred = (-(spec_q.f11(GRID_M)) * WAVE_M.chi(LAM_M) * (1 + LAM_M)) * d1phi
     assert interior_max(fro(r1.values - pred), max(r1.margin, dm)) < 1e-6
     assert interior_max(fro(r1.values), r1.margin) > 0.1
     # affine with equal slopes: both vanish
-    spec_l = ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7))
-    ql = conformal_characteristic(spec_l, JET_M)
-    ((_, rl1, rl2),) = frechet_apply([g], JET_M, ql)
+    rl1, rl2 = residuals(ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7)))
     assert interior_max(fro(rl1.values), rl1.margin) < 1e-6
     assert interior_max(fro(rl2.values), rl2.margin) < 1e-6
     # unequal slopes break the second equation only
-    spec_n = ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0))
-    qn = conformal_characteristic(spec_n, JET_M)
-    ((_, rn1, rn2),) = frechet_apply([g], JET_M, qn)
+    rn1, rn2 = residuals(ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0)))
     assert interior_max(fro(rn1.values), rn1.margin) < 1e-6
     assert interior_max(fro(rn2.values), rn2.margin) > 1e-2
 

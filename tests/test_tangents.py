@@ -1,6 +1,8 @@
 """The forward tangents of `frechet_apply` against the central-pair oracle,
-the pair arithmetic of `matlie.Dual` that carries them, nested pairs, and
-the total derivatives of `fields.JetRows.along` against stencils."""
+the prolonged linear-problem residual that `immersion.psi_residual` forms
+from them, the pair arithmetic of `matlie.Dual` that carries them, nested
+pairs, and the total derivatives of `fields.JetRows.along` against
+stencils."""
 
 import numpy as np
 import pytest
@@ -15,18 +17,21 @@ from solsurf.fields import (
     chart_jets,
     interior_max,
 )
+from solsurf.immersion import psi_residual
 from solsurf.matlie import _SINHC_SERIES, Dual, _expm2, commutator, expm, fro, mm, trace
 from solsurf.sigma import (
     commutator_pair_rows,
     theta_of,
     traveling_solution,
     u_coefficients,
+    u_pair,
     veronese,
 )
 from solsurf.spectral import (
     _guarded_reciprocal,
     euclidean_wave,
     lowered_rung_with_jets,
+    lsp_residual,
     phi_traveling,
 )
 from solsurf.symmetry import (
@@ -62,19 +67,23 @@ def _smooth_jets(n: int):
 
 def _case(name: str):
     """(jets, spec, functional, exact): ``exact`` where the functional has
-    degree at most 2 in the jets, so the central pair is exact too."""
+    degree at most 2 in the jets, so the central pair is exact too.  A
+    ``wave-*-lsp`` functional gives the inputs (Phi, u1, u2) of the
+    linear-problem residual, which `lsp_residual` takes as they stand."""
     chart, n, g = name.split("-", 2)
     if chart == "wave":
-        lsp = g == "lsp"
         if n == "traveling":
             tw, jt = traveling_solution(2.0, 1.0, GRID_T)
+            j, spec, lam = jt, SPEC_M, LAM_M
             builder = lambda jd: phi_traveling(tw, jd, LAM_M)  # noqa: E731
-            return jt, SPEC_M, wave_functional(builder, LAM_M if lsp else None), False
-        k = int(n[1:])
-        builder = lambda jd: euclidean_wave(jd, k, LAM_E)  # noqa: E731
-        g = wave_functional(builder, LAM_E if lsp else None)
+        else:
+            k = int(n[1:])
+            j, spec, lam = veronese(3, GRID_E, k)[1], SPEC_E, LAM_E
+            builder = lambda jd: euclidean_wave(jd, k, LAM_E)  # noqa: E731
+        if g == "lsp":
+            return j, spec, lambda jd: (builder(jd), *u_pair(jd, lam)), False
         # Phi of level 0 is linear in theta
-        return veronese(3, GRID_E, k)[1], SPEC_E, g, k == 0 and not lsp
+        return j, spec, wave_functional(builder), n == "k0"
     n = int(n[1:])
     if chart == "euclid":
         j, spec, lam = veronese(n, GRID_E, 1)[1], SPEC_E, LAM_E
@@ -97,6 +106,19 @@ CASES = [
 ] + [f"wave-{level}-{kind}" for level in ("k0", "k1", "k2", "traveling") for kind in ("phi", "lsp")]
 
 
+def _with_residual(inputs):
+    """Phi and its plain linear-problem residuals D_alpha Phi - u^alpha Phi,
+    from the functional ``inputs`` of (Phi, u1, u2).  Phi's tangent sets the
+    scale of the gap: the residuals vanish where Q is a symmetry of the
+    linear problem."""
+
+    def g(jd):
+        phi, u1, u2 = inputs(jd)
+        return (phi, *lsp_residual(phi, u1, u2))
+
+    return g
+
+
 def _gap(tangent, central) -> float:
     """Largest deviation of the central pair from the tangent over the
     components, relative to the largest tangent."""
@@ -113,6 +135,12 @@ def test_tangent_agrees_with_the_central_pair_to_second_order(name):
     j, spec, g, exact = _case(name)
     q = conformal_characteristic(spec, j)
     (tangent,) = frechet_apply([g], j, q)
+    if name.endswith("lsp"):
+        # pr w of the linear-problem residual is `psi_residual` at
+        # Psi = pr w Phi and (A, B) = pr w (u1, u2); the central pair is
+        # that of the plain residual
+        tangent = (tangent[0], *psi_residual(tangent[0], *g(j), *tangent[1:]))
+        g = _with_residual(g)
     gaps = [_gap(tangent, central_pair([g], j, q, eps)[0]) for eps in (1e-2, 5e-3)]
     for t, c in zip(tangent, central_pair([g], j, q, 1e-2)[0]):
         assert t.margin == c.margin
@@ -125,15 +153,12 @@ def test_tangent_agrees_with_the_central_pair_to_second_order(name):
 @pytest.mark.parametrize("name", CASES)
 def test_value_half_keeps_the_bits_of_the_plain_evaluation(name):
     # on the pair each component's value is formed as the plain evaluation
-    # forms it; the residuals' stencils run on the tangent alone
+    # forms it
     j, spec, g, _ = _case(name)
     paired = g(j.paired(chart_jets(conformal_characteristic(spec, j))))
     plain = g(j)
     assert len(paired) == len(plain)
-    for index, (a, b) in enumerate(zip(paired, plain)):
-        if name.endswith("lsp") and index:
-            assert a.values.value is None
-            continue
+    for a, b in zip(paired, plain):
         assert isinstance(a.values, Dual)
         assert np.array_equal(a.values.value, b.values, equal_nan=True)
 
