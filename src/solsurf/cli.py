@@ -40,6 +40,7 @@ from .fields import (
     interior,
     interior_max,
     read_field,
+    tangent_defect,
     trim_margin,
     write_field,
     write_field_json,
@@ -54,8 +55,8 @@ from .immersion import (
     integrate_surface,
     linear_independence_report,
     su_measured,
+    surface_tangents,
     sym_tafel,
-    tangent_check,
 )
 from .matlie import NonFiniteMatrix, constant, fro, identity, mm, su_basis
 from .sigma import (
@@ -254,8 +255,9 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     as fields when the symmetry alone is active, otherwise as rows formed
     from the jets.  The pair gives the compatibility defect (a warning above
     ``COMPAT_WARN``) and, with the symmetry alone, the closed conformal
-    immersion; then the pair and the solution are freed, before the closed
-    forms are compared and the surface is integrated."""
+    immersion; then the pair and the solution are freed, and the tangent
+    pair, conjugated by Phi once, gives the surface's tangents to the
+    tangent checks, the integration and the Gram report."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier, _ = _build_solution(cfg)
@@ -303,6 +305,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         if symmetry_only:
             f_closed = conformal_immersion_closed(cfg.symmetry, *u, wave)
         del j, carrier, builder, u  # the Euclidean builder holds the rungs
+        a, b = surface_tangents(a, b, wave)
         if COMPAT_WARN < compat < np.inf:
             warnings.warn(
                 f"tangent pair is not compatible (defect {compat:.3e}); "
@@ -321,13 +324,13 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
                 f_closed, calf
             )[1]
             del f_closed
-            # only the symmetry is active, so (a, b) is the prolonged pair
-            defect = max(tangent_check(calf, wave, a, b))
+            # only the symmetry is active, so (A, B) is the prolonged pair
+            defect = tangent_defect(calf, a, b)
             del calf
             report["prolonged_tangent_defect"] = defect
             report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
 
-        raw, path_defect = integrate_surface(a, b, wave)
+        raw, path_defect = integrate_surface(a, b)
         surface, su_correction = su_measured(raw, project=True)
         write_field(stage("immersion.npz"), surface)
         write_field(stage("wave.npz"), wave, lam=wave.lam)
@@ -339,9 +342,9 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             wave=wave_diagnostics(wave),
         )
         del surface
-        report["integrated_tangent_defect"] = max(tangent_check(raw, wave, a, b))
+        report["integrated_tangent_defect"] = tangent_defect(raw, a, b)
         del raw
-        report["tangent_gram"] = linear_independence_report(a, b, wave)
+        report["tangent_gram"] = linear_independence_report(a, b)
         bad = sorted(_non_finite(report))
         if bad:
             raise ConfigError(

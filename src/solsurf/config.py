@@ -299,11 +299,15 @@ def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = 
 
 def parse_verify(obj: dict) -> tuple[dict[str, float], object]:
     """(``tolerances``, ``suite``) of a document from `load_config`, ``{}``
-    when there is none; the caller checks the suite name."""
+    when there is none; the caller checks the suite name.  A tolerance is
+    positive: a check that must exceed a negative one passes on any value."""
     tolerances = obj.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("key 'tolerances' must be an object")
     tolerances = {str(k): finite_number(v, f"tolerances.{k}") for k, v in tolerances.items()}
+    for k, v in tolerances.items():
+        if v <= 0:
+            raise ConfigError(f"key 'tolerances.{k}' must be positive, got {v!r}")
     return tolerances, obj.get("suite", "all")
 
 

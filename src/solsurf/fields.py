@@ -4,7 +4,8 @@ A field stores its values on the full grid together with a ``margin``: the
 number of boundary layers whose values are not trusted (stencils that do
 not fit are never evaluated one-sidedly; those nodes hold NaN).  Every
 derivative widens the margin, every residual is reduced over the interior
-that its margin defines.
+that its margin defines.  `tangent_defect` checks every D_alpha X = Y_alpha
+by strips: a surface against its tangents, pr w G against pr w D_alpha G.
 
 A field together with its chart derivatives is a `JetField`: a
 `MatrixField` that also carries D_1, D_2 and ``second(rows)``, which
@@ -53,7 +54,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import FieldFileError, MarginExhausted
-from .matlie import Dual, lift
+from .matlie import Dual, fro, lift
 
 __all__ = [
     "CHART_EUCLIDEAN",
@@ -76,6 +77,7 @@ __all__ = [
     "row_strips",
     "rows_filled",
     "strip_derivatives",
+    "tangent_defect",
     "write_field",
     "write_field_json",
     "write_scalar_csv",
@@ -295,6 +297,21 @@ def strip_derivatives(
     slab, core = _stencil_slab(values, rows)
     d1, d2 = chart_derivatives(slab, grid)
     return d1[..., core, :], d2[..., core, :]
+
+
+def tangent_defect(f: MatrixField, d1: MatrixField, d2: MatrixField) -> float:
+    """Max over alpha of || D_alpha F - Y_alpha ||, the stencil derivatives of
+    ``f`` against (Y_1, Y_2) = (``d1``, ``d2``), one strip of grid rows at a
+    time: the stencils read the two rows on each side of the strip."""
+    grid = same_grid(f, d1, d2)
+    margin = max(f.margin + 2, d1.margin, d2.margin)
+    res1, res2 = np.empty((grid.n2, grid.n1)), np.empty((grid.n2, grid.n1))
+    for rows in row_strips(grid.n2):
+        e1, e2 = strip_derivatives(f.values, grid, rows)
+        e1 -= d1.strip(rows)
+        e2 -= d2.strip(rows)
+        res1[rows], res2[rows] = fro(e1), fro(e2)
+    return max(interior_max(res1, margin), interior_max(res2, margin))
 
 
 def _shift_slices(ndim: int, axis: int, k: int) -> tuple[slice, ...]:
@@ -526,8 +543,7 @@ def _cum_1d(f: np.ndarray, h: float) -> np.ndarray:
         raise ValueError("cumulative integration needs at least 4 nodes")
     out = np.zeros_like(f)
     out[1] = h / 24.0 * (9 * f[0] + 19 * f[1] - 5 * f[2] + f[3])
-    if n > 2:
-        out[2] = h / 3.0 * (f[0] + 4 * f[1] + f[2])
+    out[2] = h / 3.0 * (f[0] + 4 * f[1] + f[2])
     for j in range(3, n):
         if j % 2 == 0:
             out[j] = out[j - 2] + h / 3.0 * (f[j - 2] + 4 * f[j - 1] + f[j])

@@ -5,17 +5,19 @@ The tangent pair (A, B) is assembled as
     A = a(lam) d(u1)/d(lam) + D_1 S + [S, u1] + pr w_Q u1
     B = a(lam) d(u2)/d(lam) + D_2 S + [S, u2] + pr w_Q u2
 
-with u1, u2 and d(u)/d(lam) from :mod:`solsurf.sigma`, and the surface F
-is recovered from D_alpha F = Phi^{-1} A_alpha Phi by line integration
-along grid lines, using both integration orders; their mismatch is the
-path-independence certificate.  `integrate_surface` only integrates: the
-pair's own integrability, `symmetry.compatibility_defect`, is measured by
-the caller, and the surface's su(N) part is formed by `su_measured` strip
-by strip as it is written.  Closed forms are provided for the
-spectral-parameter term (Sym-Tafel), the conformal symmetry term, which
-reads the connection pair its caller holds, and the explicitly integrated
-prolongation of the wave function; each closed form is paired with a
-finite-difference tangent check in the verification suite.
+with u1, u2 and d(u)/d(lam) from :mod:`solsurf.sigma`.  The surface's
+tangents D_alpha F = Phi^{-1} A_alpha Phi are formed once, by
+`surface_tangents`, and every surface reader takes them: the line
+integration along grid lines in both orders, whose mismatch is the
+path-independence certificate, the tangent check `fields.tangent_defect`
+and the Gram report.  The pair's own integrability,
+`symmetry.compatibility_defect`, is measured by the caller before the
+pair is conjugated, and the surface's su(N) part is formed by
+`su_measured` strip by strip as it is written.  Closed forms are provided
+for the spectral-parameter term (Sym-Tafel), the conformal symmetry term,
+which reads the connection pair its caller holds, and the explicitly
+integrated prolongation of the wave function; each closed form is paired
+with a finite-difference tangent check in the verification suite.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .fields import (
     row_strips,
     rows_filled,
     same_grid,
-    strip_derivatives,
 )
 from .matlie import commutator, constant, fro, inner, mm, project_su
 from .sigma import check_lambda, commutator_pair_rows, u_dlambda_coefficients, u_pair
@@ -54,8 +55,8 @@ __all__ = [
     "psi_of",
     "psi_residual",
     "su_measured",
+    "surface_tangents",
     "sym_tafel",
-    "tangent_check",
 ]
 
 
@@ -95,8 +96,7 @@ def assemble_tangents(
             a_vals[..., rows, :] += a * du1
             b_vals[..., rows, :] += a * du2
     if gauge is not None:
-        if gauge.grid != grid:
-            raise ValueError("gauge field grid mismatch")
+        same_grid(j, gauge)
         d1s, d2s, smargin = chart_first_derivatives(gauge)
         u1, u2 = u if u is not None else u_pair(j, lam)
         a_vals += d1s
@@ -106,8 +106,7 @@ def assemble_tangents(
         margin = max(margin, smargin)
     if prw_u is not None:
         pw1, pw2 = prw_u
-        if pw1.grid != grid or pw2.grid != grid:
-            raise ValueError("prolonged connection grid mismatch")
+        same_grid(j, pw1, pw2)
         a_vals += pw1.values
         b_vals += pw2.values
         margin = max(margin, pw1.margin, pw2.margin)
@@ -129,9 +128,20 @@ def _axis_integrands(
     return at, bt
 
 
-def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> tuple[MatrixField, float]:
-    """Integrate D_1 F = Phi^{-1} A Phi, D_2 F = Phi^{-1} B Phi from the
-    basepoint (m, m), the first node inside the margin m of the inputs.
+def surface_tangents(
+    a: MatrixField, b: MatrixField, w: WaveField
+) -> tuple[MatrixField, MatrixField]:
+    """The surface's tangents (D_1 F, D_2 F) = (Phi^{-1} A Phi, Phi^{-1} B Phi),
+    formed one strip of grid rows at a time, each strip's inverse once."""
+    grid = same_grid(a, b, w)
+    m = max(a.margin, b.margin, w.margin)
+    da, db = rows_filled(grid, lambda rows: w.conjugate_rows(rows, a.strip(rows), b.strip(rows)))
+    return MatrixField(grid, da, m), MatrixField(grid, db, m)
+
+
+def integrate_surface(da: MatrixField, db: MatrixField) -> tuple[MatrixField, float]:
+    """Integrate the surface tangents D_1 F, D_2 F (`surface_tangents`) from
+    the basepoint (m, m), the first node inside the margin m of the inputs.
 
     Composite-Simpson line integration along x1 then x2; the reversed
     order is always computed as well.  Returns the raw surface F, on which
@@ -139,24 +149,18 @@ def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> tuple[Mat
     parameter, with margin m and F(m, m) = 0, and its path defect: the
     worst node-wise discrepancy of the two orders.
     """
-    grid = same_grid(a, b)
-    if w.grid != grid:
-        raise ValueError("wave field grid mismatch")
-    m = max(a.margin, b.margin, w.margin)
+    grid = same_grid(da, db)
+    m = max(da.margin, db.margin)
 
-    # each conjugated tangent is freed once its line integral is taken; the
-    # integrals start at zero on the basepoint, the first interior node.
-    # Both tangents from one strip pass would share each strip's inverse,
-    # but that fill order left verify-all's peak RSS 3.6 MB higher for the
-    # same tracemalloc peak
-    gx, gy = _axis_integrands(grid, w.conjugate(a.values), w.conjugate(b.values))
+    # the integrals start at zero on the basepoint, the first interior node
+    gx, gy = _axis_integrands(grid, da.values, db.values)
     ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=-1)
     del gx
     ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=-2)
     del gy
 
     # x1 first: run along the basepoint row, then up each column.
-    f_full = np.full(a.values.shape, np.nan + 0j)
+    f_full = np.full(da.values.shape, np.nan + 0j)
     f_12 = interior(f_full, m)
     np.add(ia[..., 0:1, :], ib, out=f_12)
     # x2 first: run along the basepoint column, then across each row.
@@ -164,27 +168,6 @@ def integrate_surface(a: MatrixField, b: MatrixField, w: WaveField) -> tuple[Mat
     for rows in row_strips(gap.shape[0]):
         gap[rows] = fro(f_12[..., rows, :] - (ib[..., rows, 0:1] + ia[..., rows, :]))
     return MatrixField(grid, f_full, m), float(np.fmax.reduce(gap, axis=None))
-
-
-def tangent_check(
-    f: MatrixField, w: WaveField, a: MatrixField, b: MatrixField
-) -> tuple[float, float]:
-    """Stencil derivatives of F against the conjugated tangents.
-
-    Both residuals are formed one strip of grid rows at a time, the
-    stencils reading the two rows on each side of the strip, so no
-    full-size matrix temporary is built.
-    """
-    grid = same_grid(f, a, b, w)
-    margin = max(f.margin + 2, a.margin, b.margin, w.margin)
-    res1, res2 = np.empty((grid.n2, grid.n1)), np.empty((grid.n2, grid.n1))
-    for rows in row_strips(grid.n2):
-        d1f, d2f = strip_derivatives(f.values, grid, rows)
-        ca, cb = w.conjugate_rows(rows, a.strip(rows), b.strip(rows))
-        d1f -= ca
-        d2f -= cb
-        res1[rows], res2[rows] = fro(d1f), fro(d2f)
-    return interior_max(res1, margin), interior_max(res2, margin)
 
 
 def su_measured(
@@ -286,23 +269,20 @@ def psi_residual(
     return MatrixField(r1.grid, r1.values, margin), MatrixField(r2.grid, r2.values, margin)
 
 
-def linear_independence_report(
-    a: MatrixField, b: MatrixField, w: WaveField
-) -> dict[str, float]:
+def linear_independence_report(da: MatrixField, db: MatrixField) -> dict[str, float]:
     """Eigenvalue range of the 2x2 Gram matrix under inner() of the
-    surface tangents Phi^{-1} A Phi and Phi^{-1} B Phi.
+    surface tangents D_1 F and D_2 F (`surface_tangents`).
 
     The smallest eigenvalue measures linear independence pointwise; a
     surface degenerates to a curve exactly where it vanishes.  The
-    tangents are conjugated, and the eigenvalues formed, one strip of grid
-    rows at a time.  NaN nodes are left out, and a value is NaN, quietly,
-    where every node is.
+    eigenvalues are formed one strip of grid rows at a time.  NaN nodes are
+    left out, and a value is NaN, quietly, where every node is.
     """
-    grid = same_grid(a, b, w)
-    m = max(a.margin, b.margin, w.margin)
+    grid = same_grid(da, db)
+    m = max(da.margin, db.margin)
     lo, hi = np.empty((grid.n2, grid.n1)), np.empty((grid.n2, grid.n1))
     for rows in row_strips(grid.n2):
-        t1, t2 = w.conjugate_rows(rows, a.strip(rows), b.strip(rows))
+        t1, t2 = da.strip(rows), db.strip(rows)
         g11, g12, g22 = inner(t1, t1), inner(t1, t2), inner(t2, t2)
         tr_half = 0.5 * (g11 + g22)
         disc = np.sqrt(np.maximum(0.25 * (g11 - g22) ** 2 + g12**2, 0.0))

@@ -16,10 +16,11 @@ Phi for explicit integration, both for the linear-problem criterion
 (`immersion.psi_residual` at Psi = pr w Phi, A = pr w u), and pr w G
 beside pr w (D_alpha G) for the commutation checks.  A functional
 maps jets to a tuple of matrix fields, so each jet set is one
-functional, which `commutation_defect` reads: `theta_functional` (theta,
-D_1 theta, D_2 theta), `u_jets_functional(lam)` (u1, D_1 u1, D_2 u1, u2,
-D_1 u2, D_2 u2) and `lowering_jets_functional` (L, D_1 L, D_2 L of the
-lowered rung).  Their total derivatives D_alpha are forward-mode tangents
+functional, whose prolongation the surfaces' stencil residual checks,
+`fields.tangent_defect(*prw)`: `theta_functional` (theta, D_1 theta,
+D_2 theta), `u_jets_functional(lam)` (u1, D_1 u1, D_2 u1, u2, D_1 u2,
+D_2 u2) and `lowering_jets_functional` (L, D_1 L, D_2 L of the lowered
+rung).  Their total derivatives D_alpha are forward-mode tangents
 as well, by one rule: `JetRows.along(a)` pairs a strip's values and first
 jets with their D_a, so the kernel of u1 and u2, or of L, run on it
 returns D_a of its outputs as tangents; on paired jets the pairs nest,
@@ -60,7 +61,6 @@ from .fields import (
     JetRows,
     MatrixField,
     StripSource,
-    chart_first_derivatives,
     chart_jets,
     interior_max,
     row_strips,
@@ -74,7 +74,6 @@ from .spectral import lowered_rung_jets, lowered_rungs_from_jets
 __all__ = [
     "ConformalSpec",
     "central_difference",
-    "commutation_defect",
     "compatibility_defect",
     "conformal_characteristic",
     "frechet_apply",
@@ -317,20 +316,6 @@ def compatibility_defect(
         at, bt, v1, v2 = (f.strip(rows) for f in (a, b, u1, u2))
         res[rows] = fro(d2a - d1b + commutator(at, v2) + commutator(v1, bt))
     return interior_max(res, max(a.margin + 2, b.margin + 2, u1.margin, u2.margin))
-
-
-def commutation_defect(prw: Sequence[MatrixField]) -> float:
-    """Max over both directions of || D_alpha(pr w_Q G) - pr w_Q(D_alpha G) ||.
-
-    ``prw`` is one prolonged jet set (pr w_Q G, pr w_Q(D_1 G), pr w_Q(D_2 G))
-    along one Q; its first field is differentiated here with stencils.
-    """
-    prw_g, *prw_dg = prw
-    d1_prw, d2_prw, dmargin = chart_first_derivatives(prw_g)
-    return max(
-        interior_max(fro(side1 - side2.values), max(dmargin, side2.margin))
-        for side1, side2 in zip((d1_prw, d2_prw), prw_dg)
-    )
 
 
 # --- traveling-wave tangent fields ----------------------------------------------

@@ -54,6 +54,7 @@ from .fields import (
     chart_jets,
     interior,
     interior_max,
+    tangent_defect,
 )
 from .immersion import (
     conformal_immersion_closed,
@@ -63,7 +64,7 @@ from .immersion import (
     linear_independence_report,
     psi_of,
     psi_residual,
-    tangent_check,
+    surface_tangents,
 )
 from .matlie import commutator, constant, det, fro, su_basis
 from .sigma import (
@@ -84,7 +85,6 @@ from .spectral import (
 from .symmetry import (
     ConformalSpec,
     central_difference,
-    commutation_defect,
     compatibility_defect,
     conformal_characteristic,
     frechet_apply,
@@ -298,7 +298,7 @@ class Fixtures:
         spec, j = EUCLID_SPEC, self.jets_analytic()
         prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, j, conformal_characteristic(spec, j))
         tangents = (prw_u[0], prw_u[3])
-        commutation = _commutation_defects((prw_theta, prw_u))
+        commutation = _commutation_defects(prw_theta, prw_u)
         del prw_theta, prw_u
         w = self.euclid_wave()
         lsp = _field_max(*psi_residual(prw_phi, w, *self.euclid_u(), *tangents))
@@ -319,9 +319,16 @@ class Fixtures:
         return conformal_immersion_closed(EUCLID_SPEC, *self.euclid_u(), self.euclid_wave())
 
     @_fixture
-    def euclid_surface(self) -> tuple[MatrixField, float]:
-        """The raw integrated surface and its path defect."""
-        return integrate_surface(*self.euclid_tangents(), self.euclid_wave())
+    def euclid_surface(self) -> dict[str, float]:
+        """The path defect of the surface integrated from the prolonged
+        connection, and the tangents of that surface and of the closed form."""
+        da, db = surface_tangents(*self.euclid_tangents(), self.euclid_wave())
+        raw, path_defect = integrate_surface(da, db)
+        return {
+            "path-defect": path_defect,
+            "integrated-tangents": tangent_defect(raw, da, db),
+            "closed-form-tangents": tangent_defect(self.euclid_closed(), da, db),
+        }
 
     @_fixture
     def euclid_theta_defects(self) -> dict[str, float]:
@@ -332,7 +339,7 @@ class Fixtures:
         ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
         return {
             "el-symmetry": compatibility_defect(a, b, *self.euclid_u()),
-            "path-independence": integrate_surface(a, b, self.euclid_wave())[1],
+            "path-independence": integrate_surface(*surface_tangents(a, b, self.euclid_wave()))[1],
         }
 
     @_fixture
@@ -395,7 +402,7 @@ class Fixtures:
         a, b = prw_u[0], prw_u[3]
         # the jet sets go before the residual is formed: a verify run's
         # RSS peaks in this fixture
-        commutation = _commutation_defects((prw_theta, prw_u))
+        commutation = _commutation_defects(prw_theta, prw_u)
         del prw_theta, prw_u
         r1 = psi_residual(prw_phi, w, *self.mink_u(), a, b)[0]
         calf = explicit_immersion(w, prw_phi)
@@ -405,7 +412,7 @@ class Fixtures:
             "explicit": calf,
             "lsp": _field_max(r1),
             "curvature-defect-form": interior_max(fro(r1.values - pred), max(r1.margin, dm)),
-            "explicit-tangents": max(tangent_check(calf, w, a, b)),
+            "explicit-tangents": tangent_defect(calf, *surface_tangents(a, b, w)),
             "commutation": commutation,
         }
 
@@ -417,10 +424,11 @@ class Fixtures:
         spec, jt, w = MINK_SPEC_LINEAR, self.traveling()[1], self.mink_wave()
         ((a, b),) = frechet_apply((u_functional(LAM_MINK),), jt, conformal_characteristic(spec, jt))
         f_closed = conformal_immersion_closed(spec, *self.mink_u(), w)
+        da, db = surface_tangents(a, b, w)
         return {
-            "closed-form-tangents": max(tangent_check(f_closed, w, a, b)),
+            "closed-form-tangents": tangent_defect(f_closed, da, db),
             "compatibility": compatibility_defect(a, b, *self.mink_u()),
-            "path-defect": integrate_surface(a, b, w)[1],
+            "path-defect": integrate_surface(da, db)[1],
         }
 
     @_fixture
@@ -434,16 +442,16 @@ class Fixtures:
         r1, r2 = traveling_R_fields(MINK_SPEC_QUADRATIC, tw, jt, LAM_MINK)
         s = constant(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
 
-        def gram_min(x1: np.ndarray, x2: np.ndarray) -> float:
-            t1, t2 = MatrixField(tw.grid, x1, r1.margin), MatrixField(tw.grid, x2, r2.margin)
-            return linear_independence_report(t1, t2, w)["max_min_eigenvalue"]
-
+        dr = surface_tangents(r1, r2, w)
+        dg = surface_tangents(
+            MatrixField(tw.grid, r1.values + commutator(s, u1.values), r1.margin),
+            MatrixField(tw.grid, r2.values + commutator(s, u2.values), r2.margin),
+            w,
+        )
         return {
-            "tangent-coefficients": max(tangent_check(calf, w, r1, r2)),
-            "degenerate-rank": gram_min(r1.values, r2.values),
-            "gauge-restores-rank": gram_min(
-                r1.values + commutator(s, u1.values), r2.values + commutator(s, u2.values)
-            ),
+            "tangent-coefficients": tangent_defect(calf, *dr),
+            "degenerate-rank": linear_independence_report(*dr)["max_min_eigenvalue"],
+            "gauge-restores-rank": linear_independence_report(*dg)["max_min_eigenvalue"],
         }
 
     @_fixture
@@ -480,7 +488,7 @@ def _prop8_defects(
     del d1phi, d2phi
     conformal = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
     del ref
-    tangents = max(tangent_check(explicit_immersion(w, prw_phi), w, a, b))
+    tangents = tangent_defect(explicit_immersion(w, prw_phi), *surface_tangents(a, b, w))
     return {"conformal-wave": conformal, "explicit-integration": tangents}
 
 
@@ -497,14 +505,13 @@ def _commutation_functionals(lam: complex) -> tuple:
     return theta_functional, u_jets_functional(lam)
 
 
-def _commutation_defects(prolonged) -> dict[str, float]:
+def _commutation_defects(prw_theta, prw_u) -> dict[str, float]:
     """The appendix's defects of theta, u1 and u2 from the prolongations
     of `_commutation_functionals`."""
-    prw_theta, prw_u = prolonged
     return {
-        "theta": commutation_defect(prw_theta),
-        "u1": commutation_defect(prw_u[:3]),
-        "u2": commutation_defect(prw_u[3:]),
+        "theta": tangent_defect(*prw_theta),
+        "u1": tangent_defect(*prw_u[:3]),
+        "u2": tangent_defect(*prw_u[3:]),
     }
 
 
@@ -528,11 +535,6 @@ def _zero_curvature(fx: Fixtures) -> float:
     d2u1 = chart_first_derivatives(u1)
     res = d2u1[1] - d1u2[0] + commutator(u1.values, u2.values)
     return interior_max(fro(res), max(d2u1[2], d1u2[2]))
-
-
-def _euclid_tangent_defect(fx: Fixtures, f: MatrixField) -> float:
-    """Stencil tangents of the surface ``f`` against the standard prolonged connection."""
-    return max(tangent_check(f, fx.euclid_wave(), *fx.euclid_tangents()))
 
 
 def _naive_pair_defect(fx: Fixtures) -> float:
@@ -629,7 +631,7 @@ def _grid_order(fx: Fixtures) -> float:
         jh = veronese(2, fx.euclid_grid(h), 1)[1]
         qh = chart_jets(conformal_characteristic(EUCLID_SPEC, jh))
         (prw,) = central_difference((lowering_jets_functional,), jh, qh, 1e-3)
-        ds.append(commutation_defect(prw))
+        ds.append(tangent_defect(*prw))
     return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))
 
 
@@ -751,13 +753,13 @@ _CHECKS: tuple[_Check, ...] = (
         "prop2.path-independence-positive",
         "the integrated surface is path independent",
         1e-6,
-        lambda fx: fx.euclid_surface()[1],
+        lambda fx: fx.euclid_surface()["path-defect"],
     ),
     _Check(
         "prop2.integrated-tangents",
         "stencil derivatives of the integrated surface match the tangents",
         1e-6,
-        lambda fx: _euclid_tangent_defect(fx, fx.euclid_surface()[0]),
+        lambda fx: fx.euclid_surface()["integrated-tangents"],
     ),
     _Check(
         "prop2.el-symmetry-negative",
@@ -812,7 +814,7 @@ _CHECKS: tuple[_Check, ...] = (
         "prop4.euclid-closed-form-tangents",
         "F = Phi^-1(f u1 + g u2) Phi has the prolonged tangents (f=xi^2)",
         1e-6,
-        lambda fx: _euclid_tangent_defect(fx, fx.euclid_closed()),
+        lambda fx: fx.euclid_surface()["closed-form-tangents"],
     ),
     _Check(
         "prop4.euclid-prolonged-connection",
@@ -830,7 +832,7 @@ _CHECKS: tuple[_Check, ...] = (
         "prop4.euclid-path-defect",
         "line integration is path independent",
         1e-6,
-        lambda fx: fx.euclid_surface()[1],
+        lambda fx: fx.euclid_surface()["path-defect"],
     ),
     _Check(
         "prop4.mink-closed-form-tangents",

@@ -22,8 +22,10 @@ cross-check the two:
   compatibility defect, the tangent check, the tangent Gram report, the
   wave diagnostics and the conjugation by Phi, each formed on the whole
   grid at once with the whole inverse of Phi, against the row strips that
-  :mod:`solsurf.immersion`, :mod:`solsurf.symmetry` and
-  :mod:`solsurf.spectral` reduce;
+  :mod:`solsurf.immersion`, :mod:`solsurf.symmetry`,
+  :mod:`solsurf.spectral` and :mod:`solsurf.fields` reduce;
+* the appendix's commutation check by whole-field stencils, against the
+  strip-wise `solsurf.fields.tangent_defect` that `verify` reads it with;
 * a polynomial in a number summed by Python's own complex arithmetic,
   against `symmetry.polyval`, which sums fields and numbers alike;
 * the JSON, CSV and OBJ exports, each formatted as one string of the
@@ -49,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -248,15 +250,28 @@ def conjugate_whole(w: WaveField, x: np.ndarray) -> np.ndarray:
     return mm(mm(inv(w.values), x), w.values)
 
 
-def tangent_check_whole(
-    f: MatrixField, w: WaveField, a: MatrixField, b: MatrixField
-) -> tuple[float, float]:
-    """`solsurf.immersion.tangent_check` with every temporary at full size."""
+def tangent_check_whole(f: MatrixField, w: WaveField, a: MatrixField, b: MatrixField) -> float:
+    """`solsurf.fields.tangent_defect` of ``f`` against the surface tangents
+    of (a, b), `solsurf.immersion.surface_tangents`, with every temporary
+    at full size and the whole field's inverse."""
     d1f, d2f, dmargin = chart_first_derivatives(f)
     margin = max(dmargin, a.margin, b.margin, w.margin)
     d1f -= conjugate_whole(w, a.values)
     d2f -= conjugate_whole(w, b.values)
-    return interior_max(fro(d1f), margin), interior_max(fro(d2f), margin)
+    return max(interior_max(fro(d1f), margin), interior_max(fro(d2f), margin))
+
+
+def commutation_defect_whole(prw: Sequence[MatrixField]) -> float:
+    """Max over both directions of || D_alpha(pr w_Q G) - pr w_Q(D_alpha G) ||
+    of one prolonged jet set (pr w_Q G, pr w_Q(D_1 G), pr w_Q(D_2 G)), by
+    stencils on the whole field, each direction over its own margin: the
+    appendix's check as `solsurf.fields.tangent_defect` forms it by strips."""
+    prw_g, *prw_dg = prw
+    d1_prw, d2_prw, dmargin = chart_first_derivatives(prw_g)
+    return max(
+        interior_max(fro(side1 - side2.values), max(dmargin, side2.margin))
+        for side1, side2 in zip((d1_prw, d2_prw), prw_dg)
+    )
 
 
 def linear_independence_whole(a: MatrixField, b: MatrixField, w: WaveField) -> dict[str, float]:

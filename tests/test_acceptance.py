@@ -24,13 +24,14 @@ from solsurf.fields import (
     chart_first_derivatives,
     chart_jets,
     interior_max,
+    tangent_defect,
 )
 from solsurf.immersion import (
     conformal_immersion_closed,
     constant_difference_check,
     explicit_immersion,
     integrate_surface,
-    tangent_check,
+    surface_tangents,
 )
 from solsurf.matlie import commutator, fro
 from solsurf.sigma import (
@@ -50,7 +51,6 @@ from solsurf.spectral import (
 from solsurf.symmetry import (
     ConformalSpec,
     central_difference,
-    commutation_defect,
     compatibility_defect,
     conformal_characteristic,
     frechet_apply,
@@ -163,11 +163,12 @@ def test_criterion_4_tangent_theorem(traveling):
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     f_closed = conformal_immersion_closed(spec, u1, u2, w)
-    d = max(tangent_check(f_closed, w, a, b))
+    da, db = surface_tangents(a, b, w)
+    d = tangent_defect(f_closed, da, db)
     entries.append(("euclid-tangents", d < 1e-6, d))
     cd = compatibility_defect(a, b, u1, u2)
     entries.append(("euclid-compatibility", cd < 1e-6, cd))
-    _, path_defect = integrate_surface(a, b, w)
+    _, path_defect = integrate_surface(da, db)
     entries.append(("euclid-path", path_defect < 1e-6, path_defect))
 
     wave, jets = traveling
@@ -177,11 +178,12 @@ def test_criterion_4_tangent_theorem(traveling):
     u1m, u2m = u_pair(jets, LAM_M)
     ((am, bm),) = frechet_apply([u_functional(LAM_M)], jets, qm)
     fm = conformal_immersion_closed(specm, u1m, u2m, wm)
-    d = max(tangent_check(fm, wm, am, bm))
+    dam, dbm = surface_tangents(am, bm, wm)
+    d = tangent_defect(fm, dam, dbm)
     entries.append(("mink-tangents", d < 1e-6, d))
     cd = compatibility_defect(am, bm, u1m, u2m)
     entries.append(("mink-compatibility", cd < 1e-6, cd))
-    _, path_defect = integrate_surface(am, bm, wm)
+    _, path_defect = integrate_surface(dam, dbm)
     entries.append(("mink-path", path_defect < 1e-6, path_defect))
 
     report("criterion-4 tangent theorem", entries, 30, time.perf_counter() - t0)
@@ -208,7 +210,7 @@ def test_criterion_5_euclidean_positive():
             entries.append((f"cp{n - 1}-k{k}-conformal-wave", d < 1e-6, d))
 
             calf = explicit_immersion(w, prw_phi)
-            d = max(tangent_check(calf, w, a, b))
+            d = tangent_defect(calf, *surface_tangents(a, b, w))
             entries.append((f"cp{n - 1}-k{k}-explicit-integration", d < 1e-6, d))
     report("criterion-5 euclidean positive", entries, 30, time.perf_counter() - t0)
 
@@ -235,15 +237,16 @@ def test_criterion_6_traveling_wave(traveling):
     entries.append(("closed-form", d < 1e-6, d))
 
     # (b) the tangent identity fails for quadratic f, the R pair does not
-    d_fail = max(tangent_check(calf, wm, am, bm))
+    d_fail = tangent_defect(calf, *surface_tangents(am, bm, wm))
     entries.append(("identity-fails", d_fail > 0.1, d_fail))
     r1, r2 = traveling_R_fields(specq, wave, jets, LAM_M)
     # the closed-form surface is polynomial in the coordinates, so its
     # stencil derivatives are exact and the comparison is noise-free
     calf_closed = MatrixField(grid, pred, calf.margin)
-    d_r = max(tangent_check(calf_closed, wm, r1, r2))
+    dr = surface_tangents(r1, r2, wm)
+    d_r = tangent_defect(calf_closed, *dr)
     entries.append(("R-tangents", d_r < 1e-6, d_r))
-    d_fre = max(tangent_check(calf, wm, r1, r2))
+    d_fre = tangent_defect(calf, *dr)
     entries.append(("R-tangents-deformed", d_fre < 1e-6, d_fre))
 
     # (c) affine data: identity holds and the difference matrix is constant
@@ -252,7 +255,7 @@ def test_criterion_6_traveling_wave(traveling):
     q_ab = conformal_characteristic(spec_ab, jets)
     (prw_phi_ab,), (a2, b2) = frechet_apply([wave_functional(builder), u_functional(LAM_M)], jets, q_ab)
     calf_ab = explicit_immersion(wm, prw_phi_ab)
-    d_ok = max(tangent_check(calf_ab, wm, a2, b2))
+    d_ok = tangent_defect(calf_ab, *surface_tangents(a2, b2, wm))
     entries.append(("affine-identity", d_ok < 1e-6, d_ok))
     f_ab = conformal_immersion_closed(spec_ab, *u_pair(jets, LAM_M), wm)
     mean, variation = constant_difference_check(f_ab, calf_ab)
@@ -274,14 +277,14 @@ def test_criterion_7_commutation(traveling):
     q = conformal_characteristic(spec, j)
     prw_theta, prw_u = frechet_apply([theta_functional, u_jets_functional(LAM_E)], j, q)
     for name, prw in (("theta", prw_theta), ("u1", prw_u[:3]), ("u2", prw_u[3:])):
-        d = commutation_defect(prw)
+        d = tangent_defect(*prw)
         entries.append((f"euclid-{name}", d < 1e-6, d))
     wave, jets = traveling
     qm = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), jets)
     gs = [theta_functional, u_jets_functional(LAM_M)]
     prw_theta_m, prw_um = frechet_apply(gs, jets, qm)
     for name, prw in (("theta", prw_theta_m), ("u1", prw_um[:3]), ("u2", prw_um[3:])):
-        d = commutation_defect(prw)
+        d = tangent_defect(*prw)
         entries.append((f"mink-{name}", d < 1e-6, d))
 
     # step-size order of the central difference probe, on the lowering
@@ -305,7 +308,7 @@ def test_criterion_7_commutation(traveling):
         jh = rung_jets(2, 1, h)
         qh = chart_jets(conformal_characteristic(spec, jh))
         (prw,) = central_difference([lowering_jets_functional], jh, qh, 1e-3)
-        hs.append(commutation_defect(prw))
+        hs.append(tangent_defect(*prw))
     h_order = float(min(np.log2(hs[i] / hs[i + 1]) for i in range(2)))
     entries.append(("h-order>=3", h_order > 3.0, h_order))
 
@@ -349,7 +352,7 @@ def _refinement_table():
         w = euclidean_wave(j, 0, LAM_E)
         f_closed = conformal_immersion_closed(spec, *u_pair(j, LAM_E), w)
         pw1, pw2 = prolong_u(spec, j, LAM_E)
-        return max(tangent_check(f_closed, w, pw1, pw2))
+        return tangent_defect(f_closed, *surface_tangents(pw1, pw2, w))
 
     def traveling_R_defect(h):
         wave, jets = traveling_solution(KAPPA, OMEGA, mink_grid(h))
@@ -363,14 +366,14 @@ def _refinement_table():
         )
         calf_closed = MatrixField(wave.grid, coeff * wm.conjugate(komm), 0)
         r1, r2 = traveling_R_fields(specq, wave, jets, LAM_M)
-        return max(tangent_check(calf_closed, wm, r1, r2))
+        return tangent_defect(calf_closed, *surface_tangents(r1, r2, wm))
 
     def commutation_defect_h(h):
         spec = ConformalSpec.euclidean((0.0, 0.0, 1.0))
         jh = rung_jets(2, 1, h)
         qh = chart_jets(conformal_characteristic(spec, jh))
         (prw,) = central_difference([lowering_jets_functional], jh, qh, 1e-3)
-        return commutation_defect(prw)
+        return tangent_defect(*prw)
 
     return [
         ("c1-el-residual", 0.012, el_defect),

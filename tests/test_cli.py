@@ -315,6 +315,19 @@ def test_cli_override_flags_exist_only_on_solve_and_immerse(tmp_path, capsys, co
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("tolerance", [0, -1e-3], ids=["zero", "negative"])
+def test_cli_verify_rejects_a_tolerance_that_is_not_positive(tmp_path, capsys, tolerance):
+    # on a row that must exceed its tolerance, 0 divides its headroom by
+    # zero and a negative value passes on any measurement
+    cfg = write_cfg(tmp_path, {"tolerances": {"prop2.el-symmetry-negative": tolerance}})
+    out = str(tmp_path / "v")
+    assert main(["verify", "--config", cfg, "--suite", "prop2", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert "key 'tolerances.prop2.el-symmetry-negative' must be positive" in err
+    assert not os.path.exists(out)
+
+
 def test_cli_verify_rejects_unknown_tolerance_key(tmp_path, capsys):
     typo = {"identities.su-basis-closur": 1e-30}
     cfg = write_cfg(tmp_path, {**BASE_VERONESE, "tolerances": typo})
@@ -565,6 +578,27 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
 
 GAUGE_EUCLID = {**BASE_VERONESE, "n": 3, "solution": {"kind": "veronese", "k": 1},
                 "gauge": {"preset": "diag"}, "a_coeffs": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize("run, inverses", [("minkowski", 14), ("euclidean", 21), ("verify", 169)])
+def test_surface_readers_share_one_conjugation(tmp_path, monkeypatch, run, inverses):
+    # each (tangent pair, wave) is conjugated once, and every surface reader
+    # takes those tangents: a 101^2 field's inverses are 7 strips of rows.
+    # The spectral run conjugates once beside its Sym-Tafel surface, the
+    # symmetry run beside its two closed forms
+    from solsurf.spectral import WaveField
+
+    calls, inverse = [], WaveField.inverse
+    monkeypatch.setattr(WaveField, "inverse", lambda w, rows: calls.append(1) or inverse(w, rows))
+    if run == "verify":
+        from solsurf import verify
+
+        assert verify.run_suites(["all"]).passed
+    else:
+        config = os.path.join(os.path.dirname(__file__), "reference", run, "config.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["immerse", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == inverses
 
 
 @pytest.mark.parametrize("gauge", [False, True], ids=["symmetry", "gauge"])

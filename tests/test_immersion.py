@@ -13,9 +13,11 @@ from solsurf.fields import (
     CHART_MINKOWSKI,
     STRIP_ROWS,
     Grid2,
+    GridMismatch,
     JetField,
     MatrixField,
     interior_max,
+    tangent_defect,
 )
 from solsurf.matlie import commutator, constant, fro, identity, su_basis
 from solsurf.sigma import traveling_solution, u_pair, veronese
@@ -45,8 +47,8 @@ from solsurf.immersion import (
     psi_of,
     psi_residual,
     su_measured,
+    surface_tangents,
     sym_tafel,
-    tangent_check,
 )
 
 GRID = Grid2(CHART_EUCLIDEAN, (0.0, 0.0), (0.0015, 0.0015), (101, 101))
@@ -87,7 +89,7 @@ def test_integrate_zero_tangents():
     j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(j.values), 0)
-    raw, path_defect = integrate_surface(zero, zero, w)
+    raw, path_defect = integrate_surface(*surface_tangents(zero, zero, w))
     assert interior_max(fro(raw.values), raw.margin) < 1e-15
     assert path_defect < 1e-15
 
@@ -101,7 +103,7 @@ def test_integrate_constant_commuting_tangents():
     a = constant_field(g, m1)
     b = constant_field(g, m2)
     w = identity_wave(g, 2)
-    raw, path_defect = integrate_surface(a, b, w)
+    raw, path_defect = integrate_surface(*surface_tangents(a, b, w))
     surface, su_correction = su_measured(raw, project=True)
     x1, x2 = g.mesh()
     expected = (x1 - x1[0, 0]) * constant(m1) + (x2 - x2[0, 0]) * constant(m2)
@@ -115,9 +117,10 @@ def test_integrate_basepoint_and_validation():
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
-    raw, _ = integrate_surface(a, b, w)
+    da, db = surface_tangents(a, b, w)
+    raw, _ = integrate_surface(da, db)
     m = max(a.margin, b.margin, w.margin)
-    assert m > 0 and raw.margin == m
+    assert m > 0 and da.margin == db.margin == raw.margin == m
     assert fro(raw.values[..., m, m]) < 1e-14
 
 
@@ -129,7 +132,8 @@ def test_integrated_matches_closed_form_conformal():
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     assert compatibility_defect(a, b, u1, u2) < 1e-6
-    raw, path_defect = integrate_surface(a, b, w)
+    da, db = surface_tangents(a, b, w)
+    raw, path_defect = integrate_surface(da, db)
     assert path_defect < 1e-6
     f_closed = conformal_immersion_closed(spec, u1, u2, w)
     source, su_distance = su_measured(f_closed)
@@ -137,7 +141,7 @@ def test_integrated_matches_closed_form_conformal():
     assert su_distance() < 1e-10  # admissible spectral parameter: F lies in su(2)
     _, variation = constant_difference_check(raw, f_closed)
     assert variation < 1e-7
-    assert max(tangent_check(f_closed, w, a, b)) < 1e-6
+    assert tangent_defect(f_closed, da, db) < 1e-6
 
 
 def test_incompatible_pair_is_path_dependent():
@@ -146,7 +150,7 @@ def test_incompatible_pair_is_path_dependent():
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(u1.values), u1.margin)
     assert compatibility_defect(u1, zero, u1, u2) > 1e-3
-    assert integrate_surface(u1, zero, w)[1] > 1e-6
+    assert integrate_surface(*surface_tangents(u1, zero, w))[1] > 1e-6
 
 
 def _with_nan_rows(shape, rows, seed):
@@ -184,7 +188,7 @@ def test_integrate_surface_strips_match_the_whole_grid(chart):
     a = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [], 2), 1)
     b = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [STRIP_ROWS + 5], 3), 1)
     w = WaveField(g, identity(2) + 0.1 * _with_nan_rows((2, 2, g.n2, g.n1), [], 4), 0, lam=0.5)
-    got, got_defect = integrate_surface(a, b, w)
+    got, got_defect = integrate_surface(*surface_tangents(a, b, w))
     raw, path_defect = integrated_surface_whole(a, b, w)
     assert np.array_equal(got.values, raw, equal_nan=True) and got.margin == 1
     assert got_defect == path_defect and np.isfinite(path_defect)
@@ -223,9 +227,10 @@ def test_sym_tafel_euclid():
     assert interior_max(fro(zero_f.values), zero_f.margin) == 0
     fst = gathered(sym_tafel(w, dphi, 1.0))
     a, b = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
-    assert max(tangent_check(fst, w, a, b)) < 1e-6
+    da, db = surface_tangents(a, b, w)
+    assert tangent_defect(fst, da, db) < 1e-6
     assert compatibility_defect(a, b, u1, u2) < 1e-6
-    raw, _ = integrate_surface(a, b, w)
+    raw, _ = integrate_surface(da, db)
     _, variation = constant_difference_check(raw, fst)
     assert variation < 1e-7
 
@@ -253,7 +258,7 @@ def test_gauge_immersion():
     fs = MatrixField(GRID, w.conjugate(s.values), max(w.margin, s.margin))
     t1 = MatrixField(GRID, commutator(s.values, u1.values), u1.margin)
     t2 = MatrixField(GRID, commutator(s.values, u2.values), u2.margin)
-    assert max(tangent_check(fs, w, t1, t2)) < 1e-6
+    assert tangent_defect(fs, *surface_tangents(t1, t2, w)) < 1e-6
     # random smooth S: tangents Phi^-1 (D_alpha S + [S, u^alpha]) Phi
     basis = su_basis(2)
     x, y = GRID.mesh()
@@ -270,7 +275,7 @@ def test_gauge_immersion():
     d1s, d2s, sm = chart_first_derivatives(s2)
     t1 = MatrixField(GRID, d1s + commutator(s2.values, u1.values), sm)
     t2 = MatrixField(GRID, d2s + commutator(s2.values, u2.values), sm)
-    assert max(tangent_check(fs2, w, t1, t2)) < 1e-6
+    assert tangent_defect(fs2, *surface_tangents(t1, t2, w)) < 1e-6
 
 
 def test_gauge_term_cancels_for_commuting_constant():
@@ -279,6 +284,15 @@ def test_gauge_term_cancels_for_commuting_constant():
     a, b = assemble_tangents(JET_M, LAM_M, gauge=s)
     assert interior_max(fro(a.values), a.margin) < 1e-13
     assert interior_max(fro(b.values), b.margin) < 1e-13
+
+
+def test_assemble_rejects_terms_on_another_grid():
+    # a gauge field or prolonged connection on another grid is the readers' GridMismatch
+    other = constant_field(GRID, np.zeros((2, 2), dtype=complex))
+    with pytest.raises(GridMismatch):
+        assemble_tangents(JET_M, LAM_M, gauge=other)
+    with pytest.raises(GridMismatch):
+        assemble_tangents(JET_M, LAM_M, prw_u=(other, other))
 
 
 def test_assemble_additivity():
@@ -351,10 +365,10 @@ def test_rank_degeneracy_and_gauge_restoration():
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     u1, u2 = u_pair(JET_M, LAM_M)
     r1, r2 = traveling_R_fields(spec, WAVE_M, JET_M, LAM_M)
-    rep = linear_independence_report(r1, r2, w)
+    rep = linear_independence_report(*surface_tangents(r1, r2, w))
     assert rep["max_min_eigenvalue"] < 1e-10  # a curve, not a surface
     s = constant_field(GRID_M, 1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
     tg1 = MatrixField(GRID_M, r1.values + commutator(s.values, u1.values), r1.margin)
     tg2 = MatrixField(GRID_M, r2.values + commutator(s.values, u2.values), r2.margin)
-    rep2 = linear_independence_report(tg1, tg2, w)
+    rep2 = linear_independence_report(*surface_tangents(tg1, tg2, w))
     assert rep2["max_min_eigenvalue"] > 1e-3

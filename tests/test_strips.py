@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    commutation_defect_whole,
     compatibility_defect_whole,
     conjugate_whole,
     euclidean_wave_dlambda_whole,
@@ -42,13 +43,14 @@ from solsurf.fields import (
     MatrixField,
     chart_jets,
     interior_max,
+    tangent_defect,
 )
 from solsurf.immersion import (
     assemble_tangents,
     linear_independence_report,
     su_measured,
+    surface_tangents,
     sym_tafel,
-    tangent_check,
 )
 from solsurf.matlie import constant, fro
 from solsurf.sigma import traveling_solution, u_pair, u_pair_rows, veronese
@@ -299,11 +301,20 @@ charts = pytest.mark.parametrize("chart", ["euclidean", "minkowski"])
 @both
 @charts
 def test_conjugation_and_tangent_check_match_the_whole_grid(nodes, deformed, chart):
-    # the tangent check's stencils read two rows across each strip boundary
+    # the surface tangents are the whole-field conjugation, NaN nodes of the
+    # deformed jets included; the tangent check's stencils read two rows
+    # across each strip boundary, and it has the bits of both whole-field
+    # routes: the conjugating tangent check and the commutation check
     w, a, b, f, _, _ = _surface(nodes, deformed, chart)
-    assert _same_bits(w.conjugate(a.values), conjugate_whole(w, a.values))
-    got, want = tangent_check(f, w, a, b), tangent_check_whole(f, w, a, b)
-    assert got == want and np.isfinite(got).all()
+    da, db = surface_tangents(a, b, w)
+    assert np.isnan(da.values).any() == deformed
+    assert _same_bits(da.values, conjugate_whole(w, a.values))
+    assert _same_bits(db.values, conjugate_whole(w, b.values))
+    assert _same_bits(w.conjugate(a.values), da.values)
+    assert da.margin == db.margin == max(a.margin, b.margin, w.margin)
+    got = tangent_defect(f, da, db)
+    assert got == tangent_check_whole(f, w, a, b) == commutation_defect_whole((f, da, db))
+    assert np.isfinite(got)
 
 
 @sizes
@@ -314,7 +325,8 @@ def test_wave_diagnostics_and_gram_report_match_the_whole_grid(nodes, deformed, 
     w, a, b, _, _, _ = _surface(nodes, deformed, chart)
     got, want = wave_diagnostics(w), wave_diagnostics_whole(w)
     assert got == want and all(np.isfinite(v) for v in got.values())
-    got, want = linear_independence_report(a, b, w), linear_independence_whole(a, b, w)
+    got = linear_independence_report(*surface_tangents(a, b, w))
+    want = linear_independence_whole(a, b, w)
     assert got == want and all(np.isfinite(v) for v in got.values())
 
 

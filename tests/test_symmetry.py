@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import central_pair, el_symmetry_defect, polyval_number
+from oracles import central_pair, commutation_defect_whole, el_symmetry_defect, polyval_number
 from solsurf.errors import ChartMismatch
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -15,6 +15,7 @@ from solsurf.fields import (
     chart_jets,
     interior_max,
     row_strips,
+    tangent_defect,
 )
 from solsurf.immersion import psi_residual
 from solsurf.matlie import commutator, dagger, fro, trace
@@ -23,7 +24,6 @@ from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
     central_difference,
-    commutation_defect,
     compatibility_defect,
     conformal_characteristic,
     frechet_apply,
@@ -531,11 +531,15 @@ def test_traveling_R_fields():
 
 
 def test_commutation_defect_small():
+    # the strip-wise tangent check of a prolonged jet set has the bits of
+    # the whole-field commutation route
     j = jets(0)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     prw_theta, prw_u = frechet_apply([theta_functional, u_jets_functional(LAM_E)], j, q)
-    assert commutation_defect(prw_theta) < 1e-8
-    assert commutation_defect(prw_u[:3]) < 1e-6
+    for prw in (prw_theta, prw_u[:3], prw_u[3:]):
+        assert tangent_defect(*prw) == commutation_defect_whole(prw)
+    assert tangent_defect(*prw_theta) < 1e-8
+    assert tangent_defect(*prw_u[:3]) < 1e-6
 
 
 def test_commutation_orders():
@@ -558,5 +562,5 @@ def test_commutation_orders():
         jh = veronese(2, gh, 1)[1]
         qh = conformal_characteristic(spec, jh)
         (prw,) = _probe([lowering_jets_functional], jh, qh, 1e-3)
-        hs.append(commutation_defect(prw))
+        hs.append(tangent_defect(*prw))
     assert np.log2(hs[0] / hs[1]) > 3.0
