@@ -65,7 +65,6 @@ from .sigma import (
     theta_of,
     theta_square_residual,
     traveling_solution,
-    u_pair,
     u_pair_rows,
     veronese,
 )
@@ -188,8 +187,7 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
         return None
     if "preset" in cfg.gauge:
         mat = su_basis(cfg.n).elements[..., GAUGE_PRESETS[cfg.gauge["preset"]]]
-        vals = np.broadcast_to(constant(mat), j.values.shape).copy()
-        return MatrixField(j.grid, vals, 0)
+        return MatrixField(j.grid, np.broadcast_to(constant(mat), j.values.shape), 0)
     field, _ = _read_input(cfg.gauge["file"], "gauge.file")
     if field.grid != j.grid or field.n != cfg.n:
         raise ConfigError(
@@ -250,14 +248,14 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     last; the files are renamed into place once it is written, so a run that
     exits 2 leaves no file behind.  Each surface is measured, and the
     integrated one projected onto su(N), strip by strip as it is written;
-    the Sym-Tafel surface is never held whole.  The connection pair is built
-    once, for a gauge's tangent terms, or else after the Sym-Tafel surface:
-    as fields when the symmetry alone is active, otherwise as rows formed
-    from the jets.  The pair gives the compatibility defect (a warning above
-    ``COMPAT_WARN``) and, with the symmetry alone, the closed conformal
-    immersion; then the pair and the solution are freed, and the tangent
-    pair, conjugated by Phi once, gives the surface's tangents to the
-    tangent checks, the integration and the Gram report."""
+    the Sym-Tafel surface is never held whole.  The tangent pair is
+    assembled strip by strip from the jets, and the connection pair is read
+    once after the Sym-Tafel surface, as rows formed from the jets: it
+    gives the compatibility defect (a warning above ``COMPAT_WARN``) and,
+    with the symmetry alone, the closed conformal immersion; then the
+    solution is freed, and the tangent pair, conjugated by Phi once, gives
+    the surface's tangents to the tangent checks, the integration and the
+    Gram report."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier, _ = _build_solution(cfg)
@@ -279,9 +277,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only],
             j, conformal_characteristic(cfg.symmetry, j),
         )
-    u = u_pair(j, cfg.lam) if gauge is not None else None
-    a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, u=u,
-                             prw_u=prolonged[0])
+    a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, prw_u=prolonged[0])
     prw_phi = prolonged[1][0] if symmetry_only else None
     del gauge, prolonged
     # a grid that the deepest tangent check covers fails before the compatibility check warns
@@ -299,8 +295,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             del dphi, fst
 
         # one connection pair: the compatibility check's and the closed form's
-        if u is None:
-            u = (u_pair if symmetry_only else u_pair_rows)(j, cfg.lam)
+        u = u_pair_rows(j, cfg.lam)
         compat = compatibility_defect(a, b, *u)
         if symmetry_only:
             f_closed = conformal_immersion_closed(cfg.symmetry, *u, wave)

@@ -615,8 +615,8 @@ def read_field(path: str) -> tuple[MatrixField, complex | None]:
     """Read a native ``.npz`` field or a ``.json`` export of one.
 
     Raises `FieldFileError` for content that is not such a file (including
-    the old one-object-per-node JSON layout) and `OSError` when the file
-    cannot be opened.
+    the old one-object-per-node JSON layout, and values that are not square
+    numeric matrices) and `OSError` when the file cannot be opened.
     """
     if path.endswith(".json"):
         return _read_field_export(path)
@@ -632,6 +632,8 @@ def read_field(path: str) -> tuple[MatrixField, complex | None]:
     try:
         grid = Grid2.from_json(json.loads(str(stored["grid"])))
         values = np.ascontiguousarray(_file_order(stored.pop("values")))
+        if values.shape[0] != values.shape[1] or not np.issubdtype(values.dtype, np.number):
+            raise ValueError(f"values {values.shape[:2]}: not square numeric matrices")
         field = MatrixField(grid, values, int(stored["margin"]))
         lam = complex(stored["lambda"]) if "lambda" in stored else None
     except (KeyError, TypeError, ValueError) as exc:

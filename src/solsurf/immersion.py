@@ -5,8 +5,9 @@ The tangent pair (A, B) is assembled as
     A = a(lam) d(u1)/d(lam) + D_1 S + [S, u1] + pr w_Q u1
     B = a(lam) d(u2)/d(lam) + D_2 S + [S, u2] + pr w_Q u2
 
-with u1, u2 and d(u)/d(lam) from :mod:`solsurf.sigma`.  The surface's
-tangents D_alpha F = Phi^{-1} A_alpha Phi are formed once, by
+with u1, u2 and d(u)/d(lam) from :mod:`solsurf.sigma`; every term is
+pointwise, and `assemble_tangents` adds them one strip at a time.  The
+surface's tangents D_alpha F = Phi^{-1} A_alpha Phi are formed once, by
 `surface_tangents`, and every surface reader takes them: the line
 integration along grid lines in both orders, whose mismatch is the
 path-independence certificate, the tangent check `fields.tangent_defect`
@@ -15,7 +16,7 @@ and the Gram report.  The pair's own integrability,
 pair is conjugated, and the surface's su(N) part is formed by
 `su_measured` strip by strip as it is written.  Closed forms are provided
 for the spectral-parameter term (Sym-Tafel), the conformal symmetry term,
-which reads the connection pair its caller holds, and the explicitly
+which reads the caller's connection pair per strip, and the explicitly
 integrated prolongation of the wave function; each closed form is paired
 with a finite-difference tangent check in the verification suite.
 """
@@ -32,16 +33,16 @@ from .fields import (
     JetField,
     MatrixField,
     StripSource,
-    chart_first_derivatives,
     cumulative_line_integral,
     interior,
     interior_max,
     row_strips,
     rows_filled,
     same_grid,
+    strip_derivatives,
 )
 from .matlie import commutator, constant, fro, inner, mm, project_su
-from .sigma import check_lambda, commutator_pair_rows, u_dlambda_coefficients, u_pair
+from .sigma import check_lambda, commutator_pair_rows, u_coefficients, u_dlambda_coefficients
 from .spectral import WaveField, lsp_residual
 from .symmetry import ConformalSpec, polyval
 
@@ -66,50 +67,49 @@ def assemble_tangents(
     *,
     a_coeffs: tuple[float, ...] = (),
     gauge: MatrixField | None = None,
-    u: tuple[MatrixField, MatrixField] | None = None,
     prw_u: tuple[MatrixField, MatrixField] | None = None,
 ) -> tuple[MatrixField, MatrixField]:
     """Tangent pair (A, B) from the three symmetry ingredients; any subset
     may be active.
 
-    The spectral term a(lam) d(u)/d(lam) is formed from the jets and
-    added one strip of grid rows at a time.  ``u`` is `u_pair` of ``j``
-    for the gauge terms, built here if not given.  ``prw_u`` is the
-    prolonged connection (pr w_Q u1, pr w_Q u2) of the conformal
-    symmetry: `frechet_apply` with `u_functional` along its
+    Each term is added in place to a strip of the zero pair, strip by
+    strip, in the order of the formula; d(u)/d(lam) and u come from the
+    strip's jets, and D S from the stencils on the strip's slab of S.
+    ``prw_u`` is the prolonged connection (pr w_Q u1, pr w_Q u2) of the
+    conformal symmetry: `frechet_apply` with `u_functional` along its
     characteristic, on the jets the pair is assembled from.
     """
     if not a_coeffs and gauge is None and prw_u is None:
         raise ValueError("at least one immersion ingredient must be provided")
     lam = check_lambda(lam)
     grid = j.grid
-    shape = j.values.shape
-    # each term is added in place to the zero pair, term by term
-    a_vals = np.zeros(shape, dtype=complex)
-    b_vals = np.zeros(shape, dtype=complex)
     margin = j.margin1
-    if a_coeffs:
-        a = polyval(a_coeffs, lam)
-        c1, c2 = u_dlambda_coefficients(lam)
-        for rows in row_strips(grid.n2):
-            du1, du2 = commutator_pair_rows(j.rows(rows), c1, c2)
-            a_vals[..., rows, :] += a * du1
-            b_vals[..., rows, :] += a * du2
     if gauge is not None:
         same_grid(j, gauge)
-        d1s, d2s, smargin = chart_first_derivatives(gauge)
-        u1, u2 = u if u is not None else u_pair(j, lam)
-        a_vals += d1s
-        a_vals += commutator(gauge.values, u1.values)
-        b_vals += d2s
-        b_vals += commutator(gauge.values, u2.values)
-        margin = max(margin, smargin)
+        margin = max(margin, gauge.margin + 2)
     if prw_u is not None:
-        pw1, pw2 = prw_u
-        same_grid(j, pw1, pw2)
-        a_vals += pw1.values
-        b_vals += pw2.values
-        margin = max(margin, pw1.margin, pw2.margin)
+        same_grid(j, *prw_u)
+        margin = max(margin, prw_u[0].margin, prw_u[1].margin)
+    a = polyval(a_coeffs, lam)
+    dlam, scales = u_dlambda_coefficients(lam), u_coefficients(lam)
+    a_vals, b_vals = (np.zeros(j.values.shape, dtype=complex) for _ in range(2))
+    for rows in row_strips(grid.n2):
+        at, bt, jr = a_vals[..., rows, :], b_vals[..., rows, :], j.rows(rows)
+        if a_coeffs:
+            du1, du2 = commutator_pair_rows(jr, *dlam)
+            at += a * du1
+            bt += a * du2
+        if gauge is not None:
+            d1s, d2s = strip_derivatives(gauge.values, grid, rows)
+            u1, u2 = commutator_pair_rows(jr, *scales)
+            s = gauge.strip(rows)
+            at += d1s
+            at += commutator(s, u1)
+            bt += d2s
+            bt += commutator(s, u2)
+        if prw_u is not None:
+            at += prw_u[0].strip(rows)
+            bt += prw_u[1].strip(rows)
     return MatrixField(grid, a_vals, margin), MatrixField(grid, b_vals, margin)
 
 
@@ -211,13 +211,16 @@ def sym_tafel(w: WaveField, dphi: MatrixField | StripSource, a_value: complex) -
 
 
 def conformal_immersion_closed(
-    spec: ConformalSpec, u1: MatrixField, u2: MatrixField, w: WaveField
+    spec: ConformalSpec, u1: MatrixField | StripSource, u2: MatrixField | StripSource, w: WaveField
 ) -> MatrixField:
     """Closed-form conformal immersion F = Phi^{-1} (f u1 + g u2) Phi of the
-    connection pair (u1, u2)."""
+    connection pair (u1, u2), fields or strip sources, one strip of grid
+    rows at a time; f and g are formed once on the whole grid and sliced."""
     grid = same_grid(u1, u2, w)
-    core = spec.along(grid, u1.values, u2.values)
-    return MatrixField(grid, w.conjugate(core), max(w.margin, u1.margin))
+    f, g = spec.f(grid), spec.g(grid)
+    (vals,) = rows_filled(grid, lambda rows: w.conjugate_rows(
+        rows, f[rows] * u1.strip(rows) + g[rows] * u2.strip(rows)))
+    return MatrixField(grid, vals, max(w.margin, u1.margin))
 
 
 def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> MatrixField:

@@ -12,8 +12,9 @@ Two closed-form builders are provided:
 * Minkowski chart: Phi = exp(2 chi [theta_1, theta]) (2i theta - (2-N) I/N)
   for traveling waves, with chi = lam x1/(1+lam) - kappa lam x2/(1-lam).
 
-Every builder that reads the jets (the projector, the lowered rungs and
-`lowered_rung_jets`, Phi of both charts) is pointwise, and runs one strip of
+Every builder that reads the jets (the projector, the once-lowered rung
+`lowered_rung` and its jets `lowered_rung_jets`, Phi of both charts, whose
+Euclidean strips lower their own rungs) is pointwise, and runs one strip of
 grid rows at a time through `JetField.map_rows` into one preallocated
 output, with scalar factors applied in place (see :mod:`solsurf.fields`).
 The lowering's guard stays global: where its denominator vanishes the
@@ -36,7 +37,7 @@ u^alpha Phi for every caller; unitarity is reported as a diagnostic only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,8 +63,8 @@ __all__ = [
     "euclidean_wave",
     "euclidean_wave_coefficients",
     "euclidean_wave_dlambda",
+    "lowered_rung",
     "lowered_rung_jets",
-    "lowered_rungs_from_jets",
     "lowered_rung_with_jets",
     "lsp_residual",
     "phi_traveling",
@@ -217,42 +218,12 @@ def lowered_rung_jets(j: JetField) -> list[np.ndarray]:
     return jets
 
 
-def _lowered_strips(
-    j: JetField, k: int, kernel: Callable[[np.ndarray, list[np.ndarray]], list[np.ndarray]]
-) -> list[np.ndarray]:
-    """``kernel(P, [L(P), .. L^k(P)])`` (k <= 2) of the solution carried by
-    ``j``, one strip of grid rows at a time (`JetField.map_rows`).
-
-    The first lowering reads theta's first jets; for k = 1 only its value
-    is formed.  The second lowering reads rung one's first derivatives,
-    which are the tangents of the first lowering along D_1 and D_2
-    (`lowered_rung_with_jets`), so k = 2 consumes the second jets.
-    """
-    if k > 2:
-        raise DeformationOutOfDomain(
-            "jet-based lowering supports at most two steps (jets are cached to order 2)"
-        )
-
-    def rows(jr: JetRows) -> list[np.ndarray]:
-        p = projector(jr)
-        if k == 0:
-            return kernel(p, [])
-        if k == 1:
-            r1, bad1 = _lowered(jr)
-            return [*kernel(p, [r1]), bad1]
-        r1, d1r1, d2r1, bad1 = lowered_rung_with_jets(jr)
-        r2, bad2 = _lowered_value(r1, d1r1, d2r1)
-        return [*kernel(p, [r1, r2]), bad1, bad2]
-
-    out = j.map_rows(rows)
-    _check_denominators(out[len(out) - k:])
-    return out[: len(out) - k]
-
-
-def lowered_rungs_from_jets(j: JetField, k: int) -> list[np.ndarray]:
-    """Values of L(P), L^2(P), ... L^k(P) for the solution carried by ``j``
-    (k <= 2), one strip of grid rows at a time."""
-    return _lowered_strips(j, k, lambda p, rungs: rungs)
+def lowered_rung(j: JetField) -> np.ndarray:
+    """L(P) of the solution carried by ``j``, one strip of grid rows at a
+    time, from theta's first jets alone."""
+    value, bad = j.map_rows(_lowered)
+    _check_denominators([bad])
+    return value
 
 
 def _wave_strips(
@@ -289,8 +260,28 @@ def _wave_strips(
         return j.map_rows(
             lambda jr: kernel(stored[k][..., jr.rows, :], [r[..., jr.rows, :] for r in stored[:k]])
         ), margin
+    if k > 2:
+        raise DeformationOutOfDomain(
+            "jet-based lowering supports at most two steps (jets are cached to order 2)"
+        )
+
+    def rows(jr: JetRows) -> list[np.ndarray]:
+        # the second lowering reads the first one's tangents along D_1 and
+        # D_2, so k = 2 consumes the second jets
+        p = projector(jr)
+        if k == 0:
+            return kernel(p, [])
+        if k == 1:
+            r1, bad1 = _lowered(jr)
+            return [*kernel(p, [r1]), bad1]
+        r1, d1r1, d2r1, bad1 = lowered_rung_with_jets(jr)
+        r2, bad2 = _lowered_value(r1, d1r1, d2r1)
+        return [*kernel(p, [r1, r2]), bad1, bad2]
+
+    out = j.map_rows(rows)
+    _check_denominators(out[len(out) - k:])
     margin = j.margin1 if k == 1 else (j.margin2 if k == 2 else j.margin)
-    return _lowered_strips(j, k, kernel), margin
+    return out[: len(out) - k], margin
 
 
 def euclidean_wave(

@@ -69,7 +69,7 @@ from .fields import (
 )
 from .matlie import commutator, fro
 from .sigma import TravelingWave, check_lambda, commutator_pair_rows, u_coefficients, u_pair
-from .spectral import lowered_rung_jets, lowered_rungs_from_jets
+from .spectral import lowered_rung, lowered_rung_jets
 
 __all__ = [
     "ConformalSpec",
@@ -267,7 +267,7 @@ def u_jets_functional(lam: complex) -> Functional:
 
 def lowering_functional(j: JetField) -> tuple[MatrixField]:
     """Value of the lowering operator applied once; rational in the jets."""
-    return (MatrixField(j.grid, lowered_rungs_from_jets(j, 1)[0], j.margin1),)
+    return (MatrixField(j.grid, lowered_rung(j), j.margin1),)
 
 
 def lowering_jets_functional(j: JetField) -> tuple[MatrixField, MatrixField, MatrixField]:

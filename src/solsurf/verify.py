@@ -216,7 +216,8 @@ class Fixtures:
     field with one reader is built inside that reader, which returns only
     the values its rows read.  Each (jets, Q) is prolonged once, by the
     one fixture that returns all the rows read of it; the standard pair's
-    prolongation also returns prop8's two defects on rung (2, 0).
+    prolongation also returns prop8's two defects on rung (2, 0) and the
+    numbers of its integrated surface, from one conjugation by Phi.
 
     The standard solutions' fields have no reader in the ladder suites,
     which read only their numbers: `retire` drops every memoized array and
@@ -291,9 +292,11 @@ class Fixtures:
     def euclid_prolonged(self) -> dict[str, object]:
         """The one prolongation along the pair's Q and what the checks read
         of it: the prolonged connection (pr w u1, pr w u2), which is the
-        tangent pair, as fields; the linear-problem defect, prop8's defects
-        on rung (2, 0), whose explicit-integration defect prop3 reads too,
-        and the three commutation defects as values."""
+        tangent pair, as fields; as values, the linear-problem and the three
+        commutation defects, and from its surface tangents, conjugated
+        once, prop8's defects on rung (2, 0), whose explicit-integration
+        defect prop3 reads too, the integrated surface's path defect and
+        the tangent checks of that surface and of the closed form."""
         gs = (*_commutation_functionals(LAM_EUCLID), wave_functional(_euclid_builder(0)))
         spec, j = EUCLID_SPEC, self.jets_analytic()
         prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, j, conformal_characteristic(spec, j))
@@ -302,8 +305,12 @@ class Fixtures:
         del prw_theta, prw_u
         w = self.euclid_wave()
         lsp = _field_max(*psi_residual(prw_phi, w, *self.euclid_u(), *tangents))
-        out = {"tangents": tangents, "lsp-symmetry": lsp, "commutation": commutation}
-        return {**out, **_prop8_defects(w, prw_phi, *tangents)}
+        da, db = surface_tangents(*tangents, w)
+        raw, path_defect = integrate_surface(da, db)
+        out = {"tangents": tangents, "lsp-symmetry": lsp, "commutation": commutation,
+               "path-defect": path_defect, "integrated-tangents": tangent_defect(raw, da, db),
+               "closed-form-tangents": tangent_defect(self.euclid_closed(), da, db)}
+        return {**out, **_prop8_defects(w, prw_phi, da, db)}
 
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
         """The prolonged connection (pr w u1, pr w u2)."""
@@ -317,18 +324,6 @@ class Fixtures:
     def euclid_closed(self) -> MatrixField:
         """F = Phi^-1 (f u1 + g u2) Phi."""
         return conformal_immersion_closed(EUCLID_SPEC, *self.euclid_u(), self.euclid_wave())
-
-    @_fixture
-    def euclid_surface(self) -> dict[str, float]:
-        """The path defect of the surface integrated from the prolonged
-        connection, and the tangents of that surface and of the closed form."""
-        da, db = surface_tangents(*self.euclid_tangents(), self.euclid_wave())
-        raw, path_defect = integrate_surface(da, db)
-        return {
-            "path-defect": path_defect,
-            "integrated-tangents": tangent_defect(raw, da, db),
-            "closed-form-tangents": tangent_defect(self.euclid_closed(), da, db),
-        }
 
     @_fixture
     def euclid_theta_defects(self) -> dict[str, float]:
@@ -371,7 +366,7 @@ class Fixtures:
             del lowered, dl
         w = euclidean_wave(j, k, LAM_EUCLID)
         del j
-        return {**out, **_prop8_defects(w, prw_phi, a, b)}
+        return {**out, **_prop8_defects(w, prw_phi, *surface_tangents(a, b, w))}
 
     # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
 
@@ -478,17 +473,17 @@ def _holds_no_array(value) -> bool:
 
 
 def _prop8_defects(
-    w: WaveField, prw_phi: MatrixField, a: MatrixField, b: MatrixField
+    w: WaveField, prw_phi: MatrixField, da: MatrixField, db: MatrixField
 ) -> dict[str, float]:
     """prop8's defects on a Euclidean rung under f = xi^2: pr w Phi against
     f D1 Phi + g D2 Phi, and the tangents of Phi^-1 pr w Phi against the
-    prolonged connection (a, b)."""
+    surface tangents (da, db) of the prolonged connection."""
     d1phi, d2phi, dm = chart_first_derivatives(w)
     ref = EUCLID_SPEC.along(w.grid, d1phi, d2phi)
     del d1phi, d2phi
     conformal = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
     del ref
-    tangents = tangent_defect(explicit_immersion(w, prw_phi), *surface_tangents(a, b, w))
+    tangents = tangent_defect(explicit_immersion(w, prw_phi), da, db)
     return {"conformal-wave": conformal, "explicit-integration": tangents}
 
 
@@ -753,13 +748,13 @@ _CHECKS: tuple[_Check, ...] = (
         "prop2.path-independence-positive",
         "the integrated surface is path independent",
         1e-6,
-        lambda fx: fx.euclid_surface()["path-defect"],
+        lambda fx: fx.euclid_prolonged()["path-defect"],
     ),
     _Check(
         "prop2.integrated-tangents",
         "stencil derivatives of the integrated surface match the tangents",
         1e-6,
-        lambda fx: fx.euclid_surface()["integrated-tangents"],
+        lambda fx: fx.euclid_prolonged()["integrated-tangents"],
     ),
     _Check(
         "prop2.el-symmetry-negative",
@@ -814,7 +809,7 @@ _CHECKS: tuple[_Check, ...] = (
         "prop4.euclid-closed-form-tangents",
         "F = Phi^-1(f u1 + g u2) Phi has the prolonged tangents (f=xi^2)",
         1e-6,
-        lambda fx: fx.euclid_surface()["closed-form-tangents"],
+        lambda fx: fx.euclid_prolonged()["closed-form-tangents"],
     ),
     _Check(
         "prop4.euclid-prolonged-connection",
@@ -832,7 +827,7 @@ _CHECKS: tuple[_Check, ...] = (
         "prop4.euclid-path-defect",
         "line integration is path independent",
         1e-6,
-        lambda fx: fx.euclid_surface()["path-defect"],
+        lambda fx: fx.euclid_prolonged()["path-defect"],
     ),
     _Check(
         "prop4.mink-closed-form-tangents",

@@ -32,7 +32,8 @@ cross-check the two:
   whole field, and the native ``.npz`` as ``np.savez`` writes it, against
   the writers that stream them one strip of grid rows at a time;
 * the pointwise jet kernels (the connection, its lambda-derivative and
-  its derivatives, the
+  its derivatives, the tangent pair with the stencil derivatives of its
+  gauge, the
   lowering operator and its derivatives, the Euclidean wave function and
   its lambda-derivative, the traveling wave function and the Sym-Tafel
   surface of the traveling wave), each evaluated on the whole grid at
@@ -320,6 +321,30 @@ def spectral_tangents_whole(
     a_vals += a * du1
     b_vals += a * du2
     return a_vals, b_vals
+
+
+def assemble_tangents_whole(
+    j: JetField,
+    lam: complex,
+    a_coeffs: tuple[float, ...],
+    gauge: MatrixField,
+    prw_u: tuple[MatrixField, MatrixField],
+) -> tuple[MatrixField, MatrixField]:
+    """`solsurf.immersion.assemble_tangents` with all three terms, each
+    added to the whole pair in turn: the spectral term, then D S by the
+    whole-field stencils and [S, u] of the whole connection pair, then
+    ``prw_u``."""
+    a_vals, b_vals = spectral_tangents_whole(j, lam, a_coeffs)
+    d1s, d2s, smargin = chart_first_derivatives(gauge)
+    u1, u2 = u_pair_whole(j, lam)
+    a_vals += d1s
+    a_vals += commutator(gauge.values, u1)
+    b_vals += d2s
+    b_vals += commutator(gauge.values, u2)
+    a_vals += prw_u[0].values
+    b_vals += prw_u[1].values
+    margin = max(j.margin1, smargin, prw_u[0].margin, prw_u[1].margin)
+    return MatrixField(j.grid, a_vals, margin), MatrixField(j.grid, b_vals, margin)
 
 
 def sym_tafel_traveling_whole(

@@ -275,6 +275,15 @@ def test_read_field_rejects_other_files(tmp_path):
     for bad in ("cut.npz", "junk.npz", "plain.npz"):
         with pytest.raises(FieldFileError):
             read_field(str(tmp_path / bad))
+    # a native file whose node matrices are not square, or not numbers
+    with np.load(str(tmp_path / "f.npz")) as z:
+        arrays = {key: z[key] for key in z.files}
+    nodes = arrays["values"].shape[:2]
+    for values in (np.zeros(nodes + (3, 2), dtype=complex), np.zeros(nodes + (2, 3)),
+                   np.full(nodes + (2, 2), "x"), np.full(nodes + (2, 2), True)):
+        np.savez(str(tmp_path / "odd.npz"), **{**arrays, "values": values})
+        with pytest.raises(FieldFileError, match="not square numeric matrices"):
+            read_field(str(tmp_path / "odd.npz"))
     with pytest.raises(OSError):
         read_field(str(tmp_path / "missing.npz"))
 

@@ -64,24 +64,25 @@ def test_lambda_singular():
 
 
 def test_jet_lowering_depth_limit():
+    # the wave lowers two rungs from the jets, and without a ladder no more
     from solsurf.errors import DeformationOutOfDomain
-    from solsurf.spectral import lowered_rungs_from_jets
 
     j = jets(3, 2)
-    assert len(lowered_rungs_from_jets(j, 2)) == 2
-    with pytest.raises(DeformationOutOfDomain):
-        lowered_rungs_from_jets(j, 3)
+    assert euclidean_wave(j, 2, 0.5).margin == j.margin2
+    with pytest.raises(DeformationOutOfDomain, match="at most two steps"):
+        euclidean_wave(j, 3, 0.5)
 
 
 def test_jet_lowering_matches_stored_rungs():
     # the wave builder lowers from the active rung's jets; on an exact
     # solution these are the stored ladder rungs
-    from solsurf.spectral import lowered_rungs_from_jets
+    from solsurf.spectral import lowered_rung
 
-    j = jets(3, 2)
-    r1, r2 = lowered_rungs_from_jets(j, 2)
-    assert interior_max(fro(r1 - RUNGS3[1].values), 0) < 1e-12
-    assert interior_max(fro(r2 - RUNGS3[0].values), 0) < 1e-12
+    j, lam = jets(3, 2), 0.5
+    assert interior_max(fro(lowered_rung(j) - RUNGS3[1].values), 0) < 1e-12
+    c, beta = euclidean_wave_coefficients(lam)
+    stored = identity(3) + beta * RUNGS3[2].values + c * (RUNGS3[1].values + RUNGS3[0].values)
+    assert interior_max(fro(euclidean_wave(j, 2, lam).values - stored), 0) < 1e-11
 
 
 @pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
@@ -100,12 +101,12 @@ def test_value_only_lowering_is_bit_exact_and_skips_derivatives(n, monkeypatch):
     monkeypatch.setattr(
         spectral, "lowered_rung_with_jets", lambda *a: calls.append(1) or real(*a)
     )
-    (value,) = spectral.lowered_rungs_from_jets(j, 1)
+    value = spectral.lowered_rung(j)
     assert calls == []
     assert np.array_equal(value, full, equal_nan=True)
     assert np.array_equal(value, by_hand, equal_nan=True)
     if n == 3:
-        spectral.lowered_rungs_from_jets(jets(3, 2), 2)
+        euclidean_wave(jets(3, 2), 2, 0.5)
         # the derivatives are formed once per strip of grid rows
         assert calls == [1] * len(list(row_strips(GRID.n2)))
 

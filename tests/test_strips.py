@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    assemble_tangents_whole,
     commutation_defect_whole,
     compatibility_defect_whole,
     conjugate_whole,
@@ -57,8 +58,8 @@ from solsurf.sigma import traveling_solution, u_pair, u_pair_rows, veronese
 from solsurf.spectral import (
     euclidean_wave,
     euclidean_wave_dlambda,
+    lowered_rung,
     lowered_rung_jets,
-    lowered_rungs_from_jets,
     phi_traveling,
     traveling_wave_dlambda,
     wave_diagnostics,
@@ -118,21 +119,19 @@ sizes = pytest.mark.parametrize("nodes", NODES)
 @both
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_euclidean_terms_and_wave_match_the_whole_grid(nodes, deformed, k):
-    # the wave's terms (the lowered rungs), Phi, and Phi with d(Phi)/d(lambda)
-    # match one whole-grid strip bit for bit; the hand-written formulas give
-    # the same bits below level 2, and at level 2, whose second rung reads
-    # D_a of the first, agree to HAND_RULE_REL
+    # the first lowered rung, Phi, and Phi with d(Phi)/d(lambda) match one
+    # whole-grid strip bit for bit; the hand-written formulas give the same
+    # bits below level 2, and at level 2, whose second rung reads D_a of
+    # the first, agree to HAND_RULE_REL
     j = _euclid_jets(nodes, deformed)
     one = whole_strip(j)
-    rungs = lowered_rungs_from_jets(j, k)
-    assert len(rungs) == k
     w = euclidean_wave(j, k, LAM_E)
     wd, dphi = euclidean_wave_dlambda(j, k, LAM_E)
     assert _same_bits(wd.values, w.values) and wd.margin == w.margin == dphi.margin
-    got = (*rungs, w.values, dphi.values)
-    strip = (*lowered_rungs_from_jets(one, k), euclidean_wave(one, k, LAM_E).values,
+    got = (*([lowered_rung(j)] if k else []), w.values, dphi.values)
+    strip = (*([lowered_rung(one)] if k else []), euclidean_wave(one, k, LAM_E).values,
              euclidean_wave_dlambda(one, k, LAM_E)[1].values)
-    hand = (*lowered_rungs_whole(j, k), euclidean_wave_whole(j, k, LAM_E),
+    hand = (*lowered_rungs_whole(j, k)[:1], euclidean_wave_whole(j, k, LAM_E),
             euclidean_wave_dlambda_whole(j, k, LAM_E))
     for g, o, h in zip(got, strip, hand, strict=True):
         assert _same_bits(g, o)
@@ -190,6 +189,31 @@ def test_u_pair_matches_the_whole_grid(nodes, deformed, chart):
 
 @sizes
 @both
+@pytest.mark.parametrize("chart", ["euclidean", "minkowski"])
+def test_tangent_pair_matches_the_whole_grid_gauge_route(nodes, deformed, chart):
+    # the spectral, gauge and symmetry terms, added strip by strip, have the
+    # bits of the whole-field route; both sizes end in a short strip.  D_2 S
+    # reads two rows across each strip boundary, so a NaN node of S on the
+    # last row of a strip reaches two rows into the next
+    if chart == "euclidean":
+        j, lam = _euclid_jets(nodes, deformed), LAM_E
+    else:
+        j, lam = _mink_jets(nodes, deformed)[1], LAM_M
+    rng = np.random.default_rng(nodes)
+    shape = j.values.shape
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s[..., STRIP_ROWS - 1, 3] = s[..., 2 * STRIP_ROWS, -3] = np.nan
+    gauge = MatrixField(j.grid, s, 2)
+    prw_u = tuple(MatrixField(j.grid, rng.standard_normal(shape) + 0j, m) for m in (1, 6))
+    got = assemble_tangents(j, lam, a_coeffs=A_COEFFS, gauge=gauge, prw_u=prw_u)
+    want = assemble_tangents_whole(j, lam, A_COEFFS, gauge, prw_u)
+    for g, w in zip(got, want, strict=True):
+        assert _same_bits(g.values, w.values) and g.margin == w.margin == max(j.margin1, 6)
+    assert np.isnan(got[1].values[..., STRIP_ROWS + 1, 3]).all()
+
+
+@sizes
+@both
 @pytest.mark.parametrize("index", [1, 2])
 def test_u_derivatives_match_the_whole_grid(nodes, deformed, index):
     # (u_index, D_1 u_index, D_2 u_index) of the u jets match one whole-grid
@@ -232,10 +256,8 @@ def test_a_strip_where_the_lowering_vanishes_is_nan_not_an_error(kill):
     jk = _with_rows(j, rows, d1=0.0) if kill == "zero" else _with_rows(j, rows, values=np.nan)
     rest = np.ones(j.grid.n2, dtype=bool)
     rest[rows] = False
-    for got, want in zip(lowered_rungs_from_jets(jk, 2), lowered_rungs_from_jets(j, 2)):
-        assert np.isnan(got[..., rows, :]).all()
-        assert _same_bits(got[..., rest, :], want[..., rest, :])
-    for got, want in zip(lowered_rung_jets(jk), lowered_rung_jets(j)):
+    for got, want in zip((lowered_rung(jk), *lowered_rung_jets(jk)),
+                         (lowered_rung(j), *lowered_rung_jets(j))):
         assert np.isnan(got[..., rows, :]).all()
         assert _same_bits(got[..., rest, :], want[..., rest, :])
     phi = euclidean_wave(jk, 2, LAM_E).values
@@ -249,9 +271,9 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
     flat = _with_rows(j, slice(None), d1=0.0)
     first = "^lowering denominator vanished everywhere"
     for build in (
-        lambda: lowered_rungs_from_jets(flat, 1),
-        lambda: lowered_rungs_from_jets(flat, 2),
+        lambda: lowered_rung(flat),
         lambda: lowered_rung_jets(flat),
+        lambda: euclidean_wave(flat, 1, LAM_E),
         lambda: euclidean_wave(flat, 2, LAM_E),
         lambda: euclidean_wave_dlambda(flat, 2, LAM_E),
     ):
@@ -268,10 +290,9 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
     theta = JetField(grid=grid, values=full(1j * (p - np.eye(2) / 2)), d1=full(1j * d1p),
                      d2=full(1j * d2p), second=lambda rows: (zero[..., rows, :],) * 3,
                      margin1=0, margin2=0)
-    (r1,) = lowered_rungs_from_jets(theta, 1)
-    assert _same_bits(r1, full(np.diag([1.0 + 0j, 0.0])))
-    for build in (lambda: lowered_rungs_from_jets(theta, 2),
-                  lambda: euclidean_wave(theta, 2, LAM_E)):
+    assert _same_bits(lowered_rung(theta), full(np.diag([1.0 + 0j, 0.0])))
+    for build in (lambda: euclidean_wave(theta, 2, LAM_E),
+                  lambda: euclidean_wave_dlambda(theta, 2, LAM_E)):
         with pytest.raises(DeformationOutOfDomain, match="^second lowering denominator"):
             build()
 
