@@ -49,13 +49,12 @@ from .fields import (
 from .geometry import embed_su2, export_obj
 from .immersion import (
     assemble_tangents,
-    conformal_immersion_closed,
+    conformal_integrand,
     constant_difference_check,
-    explicit_immersion,
     integrate_surface,
     linear_independence_report,
+    pulled_back,
     su_measured,
-    surface_tangents,
     sym_tafel,
 )
 from .matlie import NonFiniteMatrix, constant, fro, identity, mm, su_basis
@@ -112,6 +111,18 @@ def _staged(outdir: str) -> Iterator[Callable[[str], str]]:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
+
+
+def _check_out_dir(path: str, named: str) -> None:
+    """A config error naming ``named`` if the directory ``path`` cannot be
+    made because it, or a path above it, exists and is not a directory;
+    nothing is made here."""
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        if os.path.lexists(head):
+            raise ConfigError(f"{named}: cannot make the directory {path!r}: "
+                              f"{head!r} exists and is not a directory")
+        head = os.path.dirname(head)
 
 
 def _read_input(path: str, key: str) -> tuple[MatrixField, complex | None]:
@@ -252,10 +263,11 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     assembled strip by strip from the jets, and the connection pair is read
     once after the Sym-Tafel surface, as rows formed from the jets: it
     gives the compatibility defect (a warning above ``COMPAT_WARN``) and,
-    with the symmetry alone, the closed conformal immersion; then the
-    solution is freed, and the tangent pair, conjugated by Phi once, gives
-    the surface's tangents to the tangent checks, the integration and the
-    Gram report."""
+    with the symmetry alone, the integrand of the closed conformal
+    immersion, the last reader of the jets.  The rest of the solution is
+    freed, and one pull-back by Phi gives the surface's tangents to the tangent checks, the integration and the Gram
+    report, and with the symmetry alone the closed conformal and the
+    explicit immersion."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier, _ = _build_solution(cfg)
@@ -297,10 +309,13 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         # one connection pair: the compatibility check's and the closed form's
         u = u_pair_rows(j, cfg.lam)
         compat = compatibility_defect(a, b, *u)
-        if symmetry_only:
-            f_closed = conformal_immersion_closed(cfg.symmetry, *u, wave)
+        # the integrand reads the pair, and so the jets, as its rows are pulled back
+        integrand = [conformal_integrand(cfg.symmetry, *u)] if symmetry_only else []
         del j, carrier, builder, u  # the Euclidean builder holds the rungs
-        a, b = surface_tangents(a, b, wave)
+        # one pass through Phi^-1: the surface's tangents and, with the
+        # symmetry alone, the closed conformal and the explicit immersion
+        a, b, *closed = pulled_back(wave, [a, b, *integrand], [prw_phi] if symmetry_only else [])
+        del integrand, prw_phi
         if COMPAT_WARN < compat < np.inf:
             warnings.warn(
                 f"tangent pair is not compatible (defect {compat:.3e}); "
@@ -308,20 +323,15 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             )
 
         if symmetry_only:
-            calf = explicit_immersion(wave, prw_phi)
-            del prw_phi
-            for name, f in (("conformal_closed", f_closed), ("prolonged", calf)):
+            for name, f in zip(("conformal_closed", "prolonged"), closed):
                 measured, su_distance = su_measured(f)
                 write_field(stage(f"{name}.npz"), measured)
                 report[f"{name}_su_distance"] = su_distance()
             del f, measured
-            report["closed_vs_prolonged_variation"] = constant_difference_check(
-                f_closed, calf
-            )[1]
-            del f_closed
+            report["closed_vs_prolonged_variation"] = constant_difference_check(*closed)[1]
             # only the symmetry is active, so (A, B) is the prolonged pair
-            defect = tangent_defect(calf, a, b)
-            del calf
+            defect = tangent_defect(closed[1], a, b)
+            del closed
             report["prolonged_tangent_defect"] = defect
             report["prolonged_is_fokas_gelfand"] = bool(defect < 1e-6)
 
@@ -375,6 +385,11 @@ def cmd_export(outputs: list[dict], outdir: str) -> int:
     vertices and CSV values have no spelling for a non-finite node, so a
     field with one inside its margin is rejected for them; JSON writes it
     as null."""
+    for i, entry in enumerate(outputs):
+        target = os.path.join(outdir, entry["path"])
+        _check_out_dir(os.path.dirname(target), f"key 'outputs[{i}].path'")
+        if os.path.isdir(target):
+            raise ConfigError(f"key 'outputs[{i}].path': {target!r} is a directory")
     with _staged(outdir) as stage:
         for i, entry in enumerate(outputs):
             key = f"outputs[{i}].input"
@@ -436,6 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # before any computation, so that a run cannot fail at its last write
+        _check_out_dir(args.out, "--out")
         obj = load_config(args.config) if args.config else {}
         if args.command == "verify":
             tolerances, suite = parse_verify(obj)

@@ -6,24 +6,24 @@ The tangent pair (A, B) is assembled as
     B = a(lam) d(u2)/d(lam) + D_2 S + [S, u2] + pr w_Q u2
 
 with u1, u2 and d(u)/d(lam) from :mod:`solsurf.sigma`; every term is
-pointwise, and `assemble_tangents` adds them one strip at a time.  The
-surface's tangents D_alpha F = Phi^{-1} A_alpha Phi are formed once, by
-`surface_tangents`, and every surface reader takes them: the line
-integration along grid lines in both orders, whose mismatch is the
-path-independence certificate, the tangent check `fields.tangent_defect`
-and the Gram report.  The pair's own integrability,
-`symmetry.compatibility_defect`, is measured by the caller before the
-pair is conjugated, and the surface's su(N) part is formed by
-`su_measured` strip by strip as it is written.  Closed forms are provided
-for the spectral-parameter term (Sym-Tafel), the conformal symmetry term,
-which reads the caller's connection pair per strip, and the explicitly
-integrated prolongation of the wave function; each closed form is paired
-with a finite-difference tangent check in the verification suite.
+pointwise, and `assemble_tangents` adds them one strip at a time.
+`pulled_back` is the one route through Phi^{-1}: one pass pulls back all
+a caller reads of one wave function.  That is the surface's tangents
+D_alpha F = Phi^{-1} A_alpha Phi, which every surface reader takes (the
+line integration in both orders, whose mismatch is the path-independence
+certificate, the tangent check `fields.tangent_defect` and the Gram
+report), and the closed forms Phi^{-1} (f u1 + g u2) Phi of the conformal
+symmetry (`conformal_integrand`) and Phi^{-1} (pr w_Q Phi) of the
+explicit integration; `sym_tafel` streams a(lam) Phi^{-1} dPhi/dlam
+through the same row kernel.  The caller measures the pair's own
+integrability, `symmetry.compatibility_defect`, before the pull-back, and
+`su_measured` forms the surface's su(N) part as it is written.  Each
+closed form is paired with a tangent check in the verification suite.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,21 +42,20 @@ from .fields import (
     strip_derivatives,
 )
 from .matlie import commutator, constant, fro, inner, mm, project_su
-from .sigma import check_lambda, commutator_pair_rows, u_coefficients, u_dlambda_coefficients
+from .sigma import check_lambda, u_coefficients, u_dlambda_coefficients
 from .spectral import WaveField, lsp_residual
 from .symmetry import ConformalSpec, polyval
 
 __all__ = [
     "assemble_tangents",
-    "conformal_immersion_closed",
+    "conformal_integrand",
     "constant_difference_check",
-    "explicit_immersion",
     "integrate_surface",
     "linear_independence_report",
     "psi_of",
     "psi_residual",
+    "pulled_back",
     "su_measured",
-    "surface_tangents",
     "sym_tafel",
 ]
 
@@ -73,8 +72,9 @@ def assemble_tangents(
     may be active.
 
     Each term is added in place to a strip of the zero pair, strip by
-    strip, in the order of the formula; d(u)/d(lam) and u come from the
-    strip's jets, and D S from the stencils on the strip's slab of S.
+    strip, in the order of the formula; d(u)/d(lam) and u scale the
+    strip's [theta_alpha, theta], formed once from its jets, and D S comes
+    from the stencils on the strip's slab of S.
     ``prw_u`` is the prolonged connection (pr w_Q u1, pr w_Q u2) of the
     conformal symmetry: `frechet_apply` with `u_functional` along its
     characteristic, on the jets the pair is assembled from.
@@ -95,18 +95,18 @@ def assemble_tangents(
     a_vals, b_vals = (np.zeros(j.values.shape, dtype=complex) for _ in range(2))
     for rows in row_strips(grid.n2):
         at, bt, jr = a_vals[..., rows, :], b_vals[..., rows, :], j.rows(rows)
+        if a_coeffs or gauge is not None:
+            k1, k2 = commutator(jr.d1, jr.values), commutator(jr.d2, jr.values)
         if a_coeffs:
-            du1, du2 = commutator_pair_rows(jr, *dlam)
-            at += a * du1
-            bt += a * du2
+            at += a * (k1 * dlam[0])
+            bt += a * (k2 * dlam[1])
         if gauge is not None:
             d1s, d2s = strip_derivatives(gauge.values, grid, rows)
-            u1, u2 = commutator_pair_rows(jr, *scales)
             s = gauge.strip(rows)
             at += d1s
-            at += commutator(s, u1)
+            at += commutator(s, k1 * scales[0])
             bt += d2s
-            bt += commutator(s, u2)
+            bt += commutator(s, k2 * scales[1])
         if prw_u is not None:
             at += prw_u[0].strip(rows)
             bt += prw_u[1].strip(rows)
@@ -128,19 +128,33 @@ def _axis_integrands(
     return at, bt
 
 
-def surface_tangents(
-    a: MatrixField, b: MatrixField, w: WaveField
-) -> tuple[MatrixField, MatrixField]:
-    """The surface's tangents (D_1 F, D_2 F) = (Phi^{-1} A Phi, Phi^{-1} B Phi),
-    formed one strip of grid rows at a time, each strip's inverse once."""
-    grid = same_grid(a, b, w)
-    m = max(a.margin, b.margin, w.margin)
-    da, db = rows_filled(grid, lambda rows: w.conjugate_rows(rows, a.strip(rows), b.strip(rows)))
-    return MatrixField(grid, da, m), MatrixField(grid, db, m)
+def _pull_back_rows(
+    w: WaveField, rows: slice, conj: Sequence[np.ndarray], left: Sequence[np.ndarray] = ()
+) -> list[np.ndarray]:
+    """Phi^{-1} X Phi for each X of ``conj`` and Phi^{-1} Y for each Y of
+    ``left``, given on the grid rows ``rows``; the rows' inverse is formed
+    once."""
+    phi_inv, phi = w.inverse(rows), w.values[..., rows, :]
+    return [*(mm(mm(phi_inv, x), phi) for x in conj), *(mm(phi_inv, y) for y in left)]
+
+
+def pulled_back(
+    w: WaveField,
+    conj: Sequence[MatrixField | StripSource],
+    left: Sequence[MatrixField | StripSource] = (),
+) -> list[MatrixField]:
+    """Phi^{-1} X Phi for each X of ``conj``, then Phi^{-1} Y for each Y of
+    ``left``, fields or strip sources, each with the margin max(w.margin,
+    X.margin), from one pass over the strips of grid rows that forms each
+    strip's inverse once for every output."""
+    grid = same_grid(w, *conj, *left)
+    vals = rows_filled(grid, lambda rows: _pull_back_rows(
+        w, rows, [x.strip(rows) for x in conj], [y.strip(rows) for y in left]))
+    return [MatrixField(grid, v, max(w.margin, x.margin)) for v, x in zip(vals, (*conj, *left))]
 
 
 def integrate_surface(da: MatrixField, db: MatrixField) -> tuple[MatrixField, float]:
-    """Integrate the surface tangents D_1 F, D_2 F (`surface_tangents`) from
+    """Integrate the surface tangents D_1 F, D_2 F (`pulled_back`) from
     the basepoint (m, m), the first node inside the margin m of the inputs.
 
     Composite-Simpson line integration along x1 then x2; the reversed
@@ -203,31 +217,23 @@ def sym_tafel(w: WaveField, dphi: MatrixField | StripSource, a_value: complex) -
     """
 
     def strip(rows: slice) -> np.ndarray:
-        raw = mm(w.inverse(rows), dphi.strip(rows))
+        (raw,) = _pull_back_rows(w, rows, (), (dphi.strip(rows),))
         raw *= a_value
         return raw
 
     return StripSource(w.grid, w.n, max(w.margin, dphi.margin), strip)
 
 
-def conformal_immersion_closed(
-    spec: ConformalSpec, u1: MatrixField | StripSource, u2: MatrixField | StripSource, w: WaveField
-) -> MatrixField:
-    """Closed-form conformal immersion F = Phi^{-1} (f u1 + g u2) Phi of the
-    connection pair (u1, u2), fields or strip sources, one strip of grid
-    rows at a time; f and g are formed once on the whole grid and sliced."""
-    grid = same_grid(u1, u2, w)
+def conformal_integrand(
+    spec: ConformalSpec, u1: MatrixField | StripSource, u2: MatrixField | StripSource
+) -> StripSource:
+    """f u1 + g u2 of the connection pair (u1, u2), fields or strip sources,
+    as a strip source: its pull-back is the closed conformal immersion; f
+    and g are formed once on the whole grid and sliced."""
+    grid = same_grid(u1, u2)
     f, g = spec.f(grid), spec.g(grid)
-    (vals,) = rows_filled(grid, lambda rows: w.conjugate_rows(
-        rows, f[rows] * u1.strip(rows) + g[rows] * u2.strip(rows)))
-    return MatrixField(grid, vals, max(w.margin, u1.margin))
-
-
-def explicit_immersion(w: WaveField, prw_phi: MatrixField) -> MatrixField:
-    """Explicitly integrated immersion F = Phi^{-1} (pr w_Q Phi), one strip
-    of grid rows at a time."""
-    (raw,) = rows_filled(w.grid, lambda rows: (mm(w.inverse(rows), prw_phi.strip(rows)),))
-    return MatrixField(w.grid, raw, max(w.margin, prw_phi.margin))
+    return StripSource(grid, u1.n, u1.margin,
+                       lambda rows: f[rows] * u1.strip(rows) + g[rows] * u2.strip(rows))
 
 
 def constant_difference_check(
@@ -274,7 +280,7 @@ def psi_residual(
 
 def linear_independence_report(da: MatrixField, db: MatrixField) -> dict[str, float]:
     """Eigenvalue range of the 2x2 Gram matrix under inner() of the
-    surface tangents D_1 F and D_2 F (`surface_tangents`).
+    surface tangents D_1 F and D_2 F (`pulled_back`).
 
     The smallest eigenvalue measures linear independence pointwise; a
     surface degenerates to a curve exactly where it vanishes.  The

@@ -26,10 +26,12 @@ lowering reads, are the tangents of the lowering run along D_1 and D_2
 
 A wave function is a `WaveField`: a `MatrixField` of Phi that also
 carries its spectral parameter.  It stores no inverse: `WaveField.inverse`
-forms the closed-form inverse of the grid rows asked for, so the readers
-of Phi^{-1} (conjugation, the Sym-Tafel and explicit immersions) form it
-one strip of grid rows at a time, with the same bits as on the whole
-field.  Both builders are certified against 4th-order stencil derivatives by
+forms the closed-form inverse of the grid rows asked for, with the same
+bits as on the whole field, and its one reader is the pull-back
+`immersion.pulled_back` (with `immersion.sym_tafel`, which streams its
+strips through the same row kernel): one pass over the strips of grid
+rows pulls back everything a caller reads of one wave function.  Both
+builders are certified against 4th-order stencil derivatives by
 :func:`lsp_residual`, which forms the residual fields D_alpha Phi -
 u^alpha Phi for every caller; unitarity is reported as a diagnostic only.
 """
@@ -51,7 +53,6 @@ from .fields import (
     interior,
     interior_max,
     row_strips,
-    rows_filled,
     same_grid,
 )
 from .matlie import (Dual, NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv,
@@ -82,16 +83,6 @@ class WaveField(MatrixField):
         """Per-node inverse of the grid rows ``rows``, formed on each call;
         NaN nodes stay NaN."""
         return inv(self.values[..., rows, :])
-
-    def conjugate_rows(self, rows: slice, *xs: np.ndarray) -> list[np.ndarray]:
-        """Phi^{-1} X Phi per node of the grid rows ``rows`` for each X of
-        ``xs``, given on those rows; the rows' inverse is formed once."""
-        phi_inv, phi = self.inverse(rows), self.values[..., rows, :]
-        return [mm(mm(phi_inv, x), phi) for x in xs]
-
-    def conjugate(self, x: np.ndarray) -> np.ndarray:
-        """Phi^{-1} X Phi per node of the field ``x``, one strip of grid rows at a time."""
-        return rows_filled(self.grid, lambda rows: self.conjugate_rows(rows, x[..., rows, :]))[0]
 
 
 def _cond2(phi: np.ndarray, det_phi: np.ndarray) -> np.ndarray:

@@ -57,14 +57,13 @@ from .fields import (
     tangent_defect,
 )
 from .immersion import (
-    conformal_immersion_closed,
+    conformal_integrand,
     constant_difference_check,
-    explicit_immersion,
     integrate_surface,
     linear_independence_report,
     psi_of,
     psi_residual,
-    surface_tangents,
+    pulled_back,
 )
 from .matlie import commutator, constant, det, fro, su_basis
 from .sigma import (
@@ -216,8 +215,10 @@ class Fixtures:
     field with one reader is built inside that reader, which returns only
     the values its rows read.  Each (jets, Q) is prolonged once, by the
     one fixture that returns all the rows read of it; the standard pair's
-    prolongation also returns prop8's two defects on rung (2, 0) and the
-    numbers of its integrated surface, from one conjugation by Phi.
+    prolongation also returns prop8's two defects on rung (2, 0), the
+    closed conformal immersion and the numbers of its integrated surface.
+    Each fixture pulls back everything it reads of one wave function in
+    one pass, `pulled_back`.
 
     The standard solutions' fields have no reader in the ladder suites,
     which read only their numbers: `retire` drops every memoized array and
@@ -292,38 +293,40 @@ class Fixtures:
     def euclid_prolonged(self) -> dict[str, object]:
         """The one prolongation along the pair's Q and what the checks read
         of it: the prolonged connection (pr w u1, pr w u2), which is the
-        tangent pair, as fields; as values, the linear-problem and the three
-        commutation defects, and from its surface tangents, conjugated
-        once, prop8's defects on rung (2, 0), whose explicit-integration
-        defect prop3 reads too, the integrated surface's path defect and
-        the tangent checks of that surface and of the closed form."""
+        tangent pair, and the closed conformal immersion, as fields; as
+        values, the linear-problem and the three commutation defects, and
+        from one pull-back by Phi, prop8's defects on rung (2, 0), whose
+        explicit-integration defect prop3 reads too, the integrated
+        surface's path defect and the tangent checks of that surface and
+        of the closed form."""
         gs = (*_commutation_functionals(LAM_EUCLID), wave_functional(_euclid_builder(0)))
         spec, j = EUCLID_SPEC, self.jets_analytic()
         prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, j, conformal_characteristic(spec, j))
         tangents = (prw_u[0], prw_u[3])
         commutation = _commutation_defects(prw_theta, prw_u)
         del prw_theta, prw_u
-        w = self.euclid_wave()
-        lsp = _field_max(*psi_residual(prw_phi, w, *self.euclid_u(), *tangents))
-        da, db = surface_tangents(*tangents, w)
+        w, u = self.euclid_wave(), self.euclid_u()
+        lsp = _field_max(*psi_residual(prw_phi, w, *u, *tangents))
+        integrand = conformal_integrand(spec, *u)
+        da, db, closed, calf = pulled_back(w, (*tangents, integrand), (prw_phi,))
         raw, path_defect = integrate_surface(da, db)
-        out = {"tangents": tangents, "lsp-symmetry": lsp, "commutation": commutation,
-               "path-defect": path_defect, "integrated-tangents": tangent_defect(raw, da, db),
-               "closed-form-tangents": tangent_defect(self.euclid_closed(), da, db)}
-        return {**out, **_prop8_defects(w, prw_phi, da, db)}
+        out = {"tangents": tangents, "closed": closed, "lsp-symmetry": lsp,
+               "commutation": commutation, "path-defect": path_defect,
+               "integrated-tangents": tangent_defect(raw, da, db),
+               "closed-form-tangents": tangent_defect(closed, da, db)}
+        return {**out, **_prop8_defects(w, prw_phi, calf, da, db)}
 
     def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
         """The prolonged connection (pr w u1, pr w u2)."""
         return self.euclid_prolonged()["tangents"]
 
+    def euclid_closed(self) -> MatrixField:
+        """F = Phi^-1 (f u1 + g u2) Phi."""
+        return self.euclid_prolonged()["closed"]
+
     @_fixture
     def euclid_compatibility(self) -> float:
         return compatibility_defect(*self.euclid_tangents(), *self.euclid_u())
-
-    @_fixture
-    def euclid_closed(self) -> MatrixField:
-        """F = Phi^-1 (f u1 + g u2) Phi."""
-        return conformal_immersion_closed(EUCLID_SPEC, *self.euclid_u(), self.euclid_wave())
 
     @_fixture
     def euclid_theta_defects(self) -> dict[str, float]:
@@ -334,7 +337,7 @@ class Fixtures:
         ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
         return {
             "el-symmetry": compatibility_defect(a, b, *self.euclid_u()),
-            "path-independence": integrate_surface(*surface_tangents(a, b, self.euclid_wave()))[1],
+            "path-independence": integrate_surface(*pulled_back(self.euclid_wave(), (a, b)))[1],
         }
 
     @_fixture
@@ -366,7 +369,9 @@ class Fixtures:
             del lowered, dl
         w = euclidean_wave(j, k, LAM_EUCLID)
         del j
-        return {**out, **_prop8_defects(w, prw_phi, *surface_tangents(a, b, w))}
+        da, db, calf = pulled_back(w, (a, b), (prw_phi,))
+        del a, b
+        return {**out, **_prop8_defects(w, prw_phi, calf, da, db)}
 
     # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
 
@@ -379,14 +384,10 @@ class Fixtures:
         return u_pair(self.traveling()[1], LAM_MINK)
 
     @_fixture
-    def mink_k(self) -> np.ndarray:
-        """K = [theta_1, theta]."""
-        jt = self.traveling()[1]
-        return commutator(jt.d1, jt.values)
-
-    @_fixture
     def mink_prolonged(self) -> dict[str, object]:
-        """The one prolongation along the quadratic Q: Phi^-1 pr w Phi; the
+        """The one prolongation along the quadratic Q: Phi^-1 pr w Phi, and
+        K~ = Phi^-1 K Phi of K = [theta_1, theta], from the pull-back that
+        also forms the surface tangents of the prolonged connection; the
         size of the linear-problem residual r1 and its match with
         -f_11 chi (1+lam) D1 Phi; the tangents of Phi^-1 pr w Phi against
         the prolonged connection; the three commutation defects."""
@@ -400,14 +401,17 @@ class Fixtures:
         commutation = _commutation_defects(prw_theta, prw_u)
         del prw_theta, prw_u
         r1 = psi_residual(prw_phi, w, *self.mink_u(), a, b)[0]
-        calf = explicit_immersion(w, prw_phi)
+        k = MatrixField(tw.grid, commutator(jt.d1, jt.values), jt.margin1)
+        da, db, ktilde, calf = pulled_back(w, (a, b, k), (prw_phi,))
+        del a, b, k, prw_phi
         d1phi, _, dm = chart_first_derivatives(w)
         pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK)) * d1phi
         return {
             "explicit": calf,
+            "ktilde": ktilde.values,
             "lsp": _field_max(r1),
             "curvature-defect-form": interior_max(fro(r1.values - pred), max(r1.margin, dm)),
-            "explicit-tangents": tangent_defect(calf, *surface_tangents(a, b, w)),
+            "explicit-tangents": tangent_defect(calf, da, db),
             "commutation": commutation,
         }
 
@@ -418,8 +422,7 @@ class Fixtures:
         path defects."""
         spec, jt, w = MINK_SPEC_LINEAR, self.traveling()[1], self.mink_wave()
         ((a, b),) = frechet_apply((u_functional(LAM_MINK),), jt, conformal_characteristic(spec, jt))
-        f_closed = conformal_immersion_closed(spec, *self.mink_u(), w)
-        da, db = surface_tangents(a, b, w)
+        da, db, f_closed = pulled_back(w, (a, b, conformal_integrand(spec, *self.mink_u())))
         return {
             "closed-form-tangents": tangent_defect(f_closed, da, db),
             "compatibility": compatibility_defect(a, b, *self.mink_u()),
@@ -437,16 +440,13 @@ class Fixtures:
         r1, r2 = traveling_R_fields(MINK_SPEC_QUADRATIC, tw, jt, LAM_MINK)
         s = constant(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
 
-        dr = surface_tangents(r1, r2, w)
-        dg = surface_tangents(
-            MatrixField(tw.grid, r1.values + commutator(s, u1.values), r1.margin),
-            MatrixField(tw.grid, r2.values + commutator(s, u2.values), r2.margin),
-            w,
-        )
+        g1 = MatrixField(tw.grid, r1.values + commutator(s, u1.values), r1.margin)
+        g2 = MatrixField(tw.grid, r2.values + commutator(s, u2.values), r2.margin)
+        dr1, dr2, dg1, dg2 = pulled_back(w, (r1, r2, g1, g2))
         return {
-            "tangent-coefficients": tangent_defect(calf, *dr),
-            "degenerate-rank": linear_independence_report(*dr)["max_min_eigenvalue"],
-            "gauge-restores-rank": linear_independence_report(*dg)["max_min_eigenvalue"],
+            "tangent-coefficients": tangent_defect(calf, dr1, dr2),
+            "degenerate-rank": linear_independence_report(dr1, dr2)["max_min_eigenvalue"],
+            "gauge-restores-rank": linear_independence_report(dg1, dg2)["max_min_eigenvalue"],
         }
 
     @_fixture
@@ -458,8 +458,8 @@ class Fixtures:
         (prw_phi,), prw_u = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
         lsp = _field_max(*psi_residual(prw_phi, w, *self.mink_u(), *prw_u))
         del prw_u
-        f_closed = conformal_immersion_closed(spec, *self.mink_u(), w)
-        mean, variation = constant_difference_check(f_closed, explicit_immersion(w, prw_phi))
+        closed = pulled_back(w, (conformal_integrand(spec, *self.mink_u()),), (prw_phi,))
+        mean, variation = constant_difference_check(*closed)
         return {"lsp": lsp, "mean": mean, "variation": variation}
 
 
@@ -473,18 +473,18 @@ def _holds_no_array(value) -> bool:
 
 
 def _prop8_defects(
-    w: WaveField, prw_phi: MatrixField, da: MatrixField, db: MatrixField
+    w: WaveField, prw_phi: MatrixField, calf: MatrixField, da: MatrixField, db: MatrixField
 ) -> dict[str, float]:
     """prop8's defects on a Euclidean rung under f = xi^2: pr w Phi against
-    f D1 Phi + g D2 Phi, and the tangents of Phi^-1 pr w Phi against the
-    surface tangents (da, db) of the prolonged connection."""
+    f D1 Phi + g D2 Phi, and the tangents of its pull-back ``calf`` =
+    Phi^-1 pr w Phi against the surface tangents (da, db) of the prolonged
+    connection."""
     d1phi, d2phi, dm = chart_first_derivatives(w)
     ref = EUCLID_SPEC.along(w.grid, d1phi, d2phi)
     del d1phi, d2phi
     conformal = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
     del ref
-    tangents = tangent_defect(explicit_immersion(w, prw_phi), da, db)
-    return {"conformal-wave": conformal, "explicit-integration": tangents}
+    return {"conformal-wave": conformal, "explicit-integration": tangent_defect(calf, da, db)}
 
 
 def _euclid_builder(k: int) -> Callable[[JetField], WaveField]:
@@ -556,7 +556,7 @@ def _prolonged_surface_closed_form(fx: Fixtures) -> float:
     calf = fx.mink_prolonged()["explicit"]
     grid = tw.grid
     coeff = -2 * spec.f(grid) - 2 * tw.kappa * spec.g(grid) + 2 * spec.f1(grid) * tw.chi(LAM_MINK)
-    pred = coeff * fx.mink_wave().conjugate(fx.mink_k())
+    pred = coeff * fx.mink_prolonged()["ktilde"]
     return interior_max(fro(calf.values - pred), calf.margin)
 
 
@@ -572,9 +572,7 @@ def _slope_criterion(fx: Fixtures) -> float:
 def _affine_difference_value(fx: Fixtures) -> float:
     mean = fx.mink_affine_defects()["mean"]
     tw = fx.traveling()[0]
-    centre = slice(tw.grid.n2 // 2, tw.grid.n2 // 2 + 1)
-    (krow,) = fx.mink_wave().conjugate_rows(centre, fx.mink_k()[..., centre, :])
-    ktil = krow[..., 0, tw.grid.n1 // 2]
+    ktil = fx.mink_prolonged()["ktilde"][..., tw.grid.n2 // 2, tw.grid.n1 // 2]
     lam = LAM_MINK
     pred = (2 * AFFINE_B * lam / (1 + lam) - 2 * AFFINE_C * tw.kappa * lam / (1 - lam)) * ktil
     return float(np.max(np.abs(mean - pred)))
@@ -585,8 +583,8 @@ def _quadratic_difference_variation(fx: Fixtures) -> float:
     spec, w = MINK_SPEC_QUADRATIC, phi_traveling(tw, jt, LAM_MINK)
     q = conformal_characteristic(spec, jt)
     ((prw_phi,),) = frechet_apply((wave_functional(_mink_builder(tw)),), jt, q)
-    f_closed = conformal_immersion_closed(spec, *u_pair(jt, LAM_MINK), w)
-    return constant_difference_check(f_closed, explicit_immersion(w, prw_phi))[1]
+    closed = pulled_back(w, (conformal_integrand(spec, *u_pair(jt, LAM_MINK)),), (prw_phi,))
+    return constant_difference_check(*closed)[1]
 
 
 def _lowering_defect(

@@ -253,7 +253,7 @@ def conjugate_whole(w: WaveField, x: np.ndarray) -> np.ndarray:
 
 def tangent_check_whole(f: MatrixField, w: WaveField, a: MatrixField, b: MatrixField) -> float:
     """`solsurf.fields.tangent_defect` of ``f`` against the surface tangents
-    of (a, b), `solsurf.immersion.surface_tangents`, with every temporary
+    of (a, b), `solsurf.immersion.pulled_back`, with every temporary
     at full size and the whole field's inverse."""
     d1f, d2f, dmargin = chart_first_derivatives(f)
     margin = max(dmargin, a.margin, b.margin, w.margin)

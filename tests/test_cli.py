@@ -302,6 +302,39 @@ def test_cli_grid_above_the_bound_exits_2_before_it_allocates(
         parse_config({**at_bound, "grid": {**at_bound["grid"], "dims": [10**400, 9]}})
 
 
+@pytest.mark.parametrize("command", ["solve", "immerse", "verify", "export"])
+def test_cli_out_that_cannot_be_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    # an --out that names an existing file, or a path under one, is refused
+    # naming --out before anything is computed, and so is an export entry
+    # whose path lies under a file or names a directory
+    from solsurf import cli
+
+    for name in ("_build_solution", "run_suites", "_read_input"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    entry = {"format": "csv", "input": str(tmp_path / "in.npz"), "path": "f.csv"}
+    cfg = write_cfg(tmp_path, {**README_EUCLID, "outputs": [entry]})
+    for out in (blocker, blocker / "sub"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --out: ") and len(err.splitlines()) == 1
+    assert blocker.read_text() == "kept"
+    if command == "export":
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "dir").mkdir()
+        (out / "file").write_text("")
+        for path in ("file/f.json", "dir"):
+            cfg = write_cfg(tmp_path, {"outputs": [entry, {**entry, "path": path}]})
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: key 'outputs[1].path': ")
+        assert sorted(os.listdir(out)) == ["dir", "file"] and os.listdir(out / "dir") == []
+
+
 def test_cli_verify_failure_exit(tmp_path):
     # force a failure through a tolerance override
     cfg = write_cfg(
@@ -595,7 +628,7 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     monkeypatch.setattr(verify, "Fixtures", Recorded)
     assert verify.run_suites(["all"]).passed
     (fx,) = built
-    assert len(keys) == len(set(keys)) == fx.built == 28
+    assert len(keys) == len(set(keys)) == fx.built == 26
     assert held == {"prop7": 0, "prop8": 0, "appendix": 0}
     standard = (jets[("jets_analytic",)], jets[("traveling",)][1])
     on = [sum(ref() is j for ref in pairs) for j in standard]
@@ -608,12 +641,13 @@ GAUGE_EUCLID = {**BASE_VERONESE, "n": 3, "solution": {"kind": "veronese", "k": 1
                 "gauge": {"preset": "diag"}, "a_coeffs": [1.0, 0.5]}
 
 
-@pytest.mark.parametrize("run, inverses", [("minkowski", 14), ("euclidean", 21), ("verify", 162)])
+@pytest.mark.parametrize("run, inverses", [("minkowski", 14), ("euclidean", 7), ("verify", 77)])
 def test_surface_readers_share_one_conjugation(tmp_path, monkeypatch, run, inverses):
-    # each (tangent pair, wave) is conjugated once, and every surface reader
-    # takes those tangents: a 101^2 field's inverses are 7 strips of rows.
-    # The spectral run conjugates once beside its Sym-Tafel surface, the
-    # symmetry run beside its two closed forms
+    # everything read of one wave is pulled back in one pass, and every
+    # surface reader takes the tangents: a 101^2 field's inverses are 7
+    # strips of rows.  The spectral run pulls back once beside its
+    # Sym-Tafel surface; the symmetry run pulls back its two closed forms
+    # with the tangents, and each verify fixture all it reads of its wave
     from solsurf.spectral import WaveField
 
     calls, inverse = [], WaveField.inverse
@@ -655,6 +689,31 @@ def test_cli_immerse_builds_the_connection_pair_of_the_solution_once(tmp_path, m
     assert [ref() is j for ref in rows] == [True]
     assert not any(ref() is j for ref in pairs) and len(pairs) == (0 if gauge else 1)
     assert deformations == []
+
+
+def test_cli_immerse_forms_each_theta_commutator_once_per_strip(tmp_path, monkeypatch):
+    # with the spectral and the gauge term active, the tangent pair scales
+    # one [theta_alpha, theta] per strip for both, and the compatibility
+    # check forms its own rows: 2 x 61 rows each, where forming it once per
+    # scale made 366
+    from solsurf import cli, immersion, matlie, sigma
+
+    solution, build = [], cli._build_solution
+    monkeypatch.setattr(cli, "_build_solution", lambda cfg: solution.extend(build(cfg)) or solution)
+    rows = []
+
+    def counted(x, y):
+        j = solution[0]
+        if np.shares_memory(y, j.values) and any(np.shares_memory(x, d) for d in (j.d1, j.d2)):
+            rows.append(y.shape[-2])
+        return matlie.commutator(x, y)
+
+    for module in (immersion, sigma):
+        monkeypatch.setattr(module, "commutator", counted)
+    config = write_cfg(tmp_path, GAUGE_EUCLID)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["immerse", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert sum(rows) == 244
 
 
 def test_cli_solution_holds_the_jets_of_the_active_rung_only():

@@ -55,7 +55,7 @@ def test_degenerate_rank_from_traveling_surface():
         frechet_apply,
         wave_functional,
     )
-    from solsurf.immersion import explicit_immersion
+    from solsurf.immersion import pulled_back
 
     gm = Grid2(CHART_MINKOWSKI, (0.0, 0.0), (0.002, 0.002), (61, 61))
     wave, jets = traveling_solution(2.0, 1.0, gm)
@@ -63,7 +63,7 @@ def test_degenerate_rank_from_traveling_surface():
     q = conformal_characteristic(spec, jets)
     builder = lambda jd: phi_traveling(wave, jd, 0.5)  # noqa: E731
     ((prw_phi,),) = frechet_apply([wave_functional(builder)], jets, q)
-    calf = explicit_immersion(builder(jets), prw_phi)
+    (calf,) = pulled_back(builder(jets), (), (prw_phi,))
     # Gram determinant of the grid-axis tangents under inner()
     t1 = diff1(calf.values, gm.h1, axis=-1)
     t2 = diff1(calf.values, gm.h2, axis=-2)

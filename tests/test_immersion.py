@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (
     compatibility_defect_whole,
+    conjugate_whole,
     constant_field,
     gathered,
     integrated_surface_whole,
@@ -39,15 +40,14 @@ from solsurf.symmetry import (
 )
 from solsurf.immersion import (
     assemble_tangents,
-    conformal_immersion_closed,
+    conformal_integrand,
     constant_difference_check,
-    explicit_immersion,
     integrate_surface,
     linear_independence_report,
     psi_of,
     psi_residual,
+    pulled_back,
     su_measured,
-    surface_tangents,
     sym_tafel,
 )
 
@@ -89,7 +89,7 @@ def test_integrate_zero_tangents():
     j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(j.values), 0)
-    raw, path_defect = integrate_surface(*surface_tangents(zero, zero, w))
+    raw, path_defect = integrate_surface(*pulled_back(w, (zero, zero)))
     assert interior_max(fro(raw.values), raw.margin) < 1e-15
     assert path_defect < 1e-15
 
@@ -103,7 +103,7 @@ def test_integrate_constant_commuting_tangents():
     a = constant_field(g, m1)
     b = constant_field(g, m2)
     w = identity_wave(g, 2)
-    raw, path_defect = integrate_surface(*surface_tangents(a, b, w))
+    raw, path_defect = integrate_surface(*pulled_back(w, (a, b)))
     surface, su_correction = su_measured(raw, project=True)
     x1, x2 = g.mesh()
     expected = (x1 - x1[0, 0]) * constant(m1) + (x2 - x2[0, 0]) * constant(m2)
@@ -117,7 +117,7 @@ def test_integrate_basepoint_and_validation():
     w = euclidean_wave(j, 0, LAM_E)
     q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
-    da, db = surface_tangents(a, b, w)
+    da, db = pulled_back(w, (a, b))
     raw, _ = integrate_surface(da, db)
     m = max(a.margin, b.margin, w.margin)
     assert m > 0 and da.margin == db.margin == raw.margin == m
@@ -132,10 +132,9 @@ def test_integrated_matches_closed_form_conformal():
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
     assert compatibility_defect(a, b, u1, u2) < 1e-6
-    da, db = surface_tangents(a, b, w)
+    da, db, f_closed = pulled_back(w, (a, b, conformal_integrand(spec, u1, u2)))
     raw, path_defect = integrate_surface(da, db)
     assert path_defect < 1e-6
-    f_closed = conformal_immersion_closed(spec, u1, u2, w)
     source, su_distance = su_measured(f_closed)
     gathered(source)
     assert su_distance() < 1e-10  # admissible spectral parameter: F lies in su(2)
@@ -150,7 +149,7 @@ def test_incompatible_pair_is_path_dependent():
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(u1.values), u1.margin)
     assert compatibility_defect(u1, zero, u1, u2) > 1e-3
-    assert integrate_surface(*surface_tangents(u1, zero, w))[1] > 1e-6
+    assert integrate_surface(*pulled_back(w, (u1, zero)))[1] > 1e-6
 
 
 def _with_nan_rows(shape, rows, seed):
@@ -188,7 +187,7 @@ def test_integrate_surface_strips_match_the_whole_grid(chart):
     a = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [], 2), 1)
     b = MatrixField(g, _with_nan_rows((2, 2, g.n2, g.n1), [STRIP_ROWS + 5], 3), 1)
     w = WaveField(g, identity(2) + 0.1 * _with_nan_rows((2, 2, g.n2, g.n1), [], 4), 0, lam=0.5)
-    got, got_defect = integrate_surface(*surface_tangents(a, b, w))
+    got, got_defect = integrate_surface(*pulled_back(w, (a, b)))
     raw, path_defect = integrated_surface_whole(a, b, w)
     assert np.array_equal(got.values, raw, equal_nan=True) and got.margin == 1
     assert got_defect == path_defect and np.isfinite(path_defect)
@@ -227,7 +226,7 @@ def test_sym_tafel_euclid():
     assert interior_max(fro(zero_f.values), zero_f.margin) == 0
     fst = gathered(sym_tafel(w, dphi, 1.0))
     a, b = assemble_tangents(j, LAM_E, a_coeffs=(1.0,))
-    da, db = surface_tangents(a, b, w)
+    da, db = pulled_back(w, (a, b))
     assert tangent_defect(fst, da, db) < 1e-6
     assert compatibility_defect(a, b, u1, u2) < 1e-6
     raw, _ = integrate_surface(da, db)
@@ -241,7 +240,7 @@ def test_sym_tafel_traveling_closed_form():
     dphi = traveling_wave_dlambda(WAVE_M, JET_M, w)
     fst = gathered(sym_tafel(w, dphi, 1.5))
     komm = commutator(JET_M.d1, JET_M.values)
-    expected = 1.5 * 2.0 * WAVE_M.dlambda_chi(LAM_M) * w.conjugate(komm)
+    expected = 1.5 * 2.0 * WAVE_M.dlambda_chi(LAM_M) * conjugate_whole(w, komm)
     assert interior_max(fro(fst.values - expected), fst.margin) < 1e-12
 
 
@@ -251,14 +250,14 @@ def test_gauge_immersion():
     u1, u2 = u_pair(j, LAM_E)
     zero = MatrixField(GRID, np.zeros_like(j.values), 0)
     # the gauge immersion is F = Phi^-1 S Phi
-    f0 = MatrixField(GRID, w.conjugate(zero.values), max(w.margin, zero.margin))
+    (f0,) = pulled_back(w, (zero,))
     assert interior_max(fro(f0.values), f0.margin) == 0
     # constant S: tangents are Phi^-1 [S, u^alpha] Phi
     s = constant_field(GRID, 1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
-    fs = MatrixField(GRID, w.conjugate(s.values), max(w.margin, s.margin))
     t1 = MatrixField(GRID, commutator(s.values, u1.values), u1.margin)
     t2 = MatrixField(GRID, commutator(s.values, u2.values), u2.margin)
-    assert tangent_defect(fs, *surface_tangents(t1, t2, w)) < 1e-6
+    fs, *dt = pulled_back(w, (s, t1, t2))
+    assert tangent_defect(fs, *dt) < 1e-6
     # random smooth S: tangents Phi^-1 (D_alpha S + [S, u^alpha]) Phi
     basis = su_basis(2)
     x, y = GRID.mesh()
@@ -269,13 +268,13 @@ def test_gauge_immersion():
         poly = c[0] + c[1] * x + c[2] * y + c[3] * x * y
         s2_vals = s2_vals + poly * constant(basis.elements[..., a])
     s2 = MatrixField(GRID, s2_vals, 0)
-    fs2 = MatrixField(GRID, w.conjugate(s2.values), max(w.margin, s2.margin))
     from solsurf.fields import chart_first_derivatives
 
     d1s, d2s, sm = chart_first_derivatives(s2)
     t1 = MatrixField(GRID, d1s + commutator(s2.values, u1.values), sm)
     t2 = MatrixField(GRID, d2s + commutator(s2.values, u2.values), sm)
-    assert tangent_defect(fs2, *surface_tangents(t1, t2, w)) < 1e-6
+    fs2, *dt = pulled_back(w, (s2, t1, t2))
+    assert tangent_defect(fs2, *dt) < 1e-6
 
 
 def test_gauge_term_cancels_for_commuting_constant():
@@ -313,7 +312,8 @@ def test_assemble_additivity():
 def test_conformal_zero_spec():
     j = jets(0)
     w = euclidean_wave(j, 0, LAM_E)
-    f = conformal_immersion_closed(ConformalSpec.euclidean((0.0,)), *u_pair(j, LAM_E), w)
+    spec = ConformalSpec.euclidean((0.0,))
+    (f,) = pulled_back(w, (conformal_integrand(spec, *u_pair(j, LAM_E)),))
     assert interior_max(fro(f.values), f.margin) == 0
 
 
@@ -321,12 +321,12 @@ def test_traveling_conformal_closed_form_reduction():
     # with theta_2 = kappa theta_1 the closed form collapses onto one direction
     spec = ConformalSpec.minkowski((0.4, 0.7), (-0.3, 0.7))
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
-    f = conformal_immersion_closed(spec, *u_pair(JET_M, LAM_M), w)
+    (f,) = pulled_back(w, (conformal_integrand(spec, *u_pair(JET_M, LAM_M)),))
     komm = commutator(JET_M.d1, JET_M.values)
     coeff = -2 * (
         spec.f(GRID_M) / (1 + LAM_M) + WAVE_M.kappa * spec.g(GRID_M) / (1 - LAM_M)
     )
-    expected = coeff * w.conjugate(komm)
+    expected = coeff * conjugate_whole(w, komm)
     assert interior_max(fro(f.values - expected), f.margin) < 1e-12
 
 
@@ -335,7 +335,7 @@ def test_prolong_immersion_trivial_and_psi():
     w = euclidean_wave(j, 0, LAM_E)
     zero_q = MatrixField(GRID, np.zeros_like(j.values), 0)
     ((prw_phi,),) = frechet_apply([wave_functional(lambda jd: euclidean_wave(jd, 0, LAM_E))], j, zero_q)
-    calf = explicit_immersion(w, prw_phi)
+    (calf,) = pulled_back(w, (), (prw_phi,))
     assert interior_max(fro(calf.values), calf.margin) < 1e-12
 
     # Psi = Phi F trivia and the deformed linear system
@@ -345,7 +345,7 @@ def test_prolong_immersion_trivial_and_psi():
     q = conformal_characteristic(spec, j)
     u1, u2 = u_pair(j, LAM_E)
     ((a, b),) = frechet_apply([u_functional(LAM_E)], j, q)
-    f_closed = conformal_immersion_closed(spec, u1, u2, w)
+    (f_closed,) = pulled_back(w, (conformal_integrand(spec, u1, u2),))
     psi = psi_of(f_closed, w)
     r1, r2 = psi_residual(psi, w, u1, u2, a, b)
     assert r1.margin == r2.margin
@@ -365,10 +365,10 @@ def test_rank_degeneracy_and_gauge_restoration():
     w = phi_traveling(WAVE_M, JET_M, LAM_M)
     u1, u2 = u_pair(JET_M, LAM_M)
     r1, r2 = traveling_R_fields(spec, WAVE_M, JET_M, LAM_M)
-    rep = linear_independence_report(*surface_tangents(r1, r2, w))
+    rep = linear_independence_report(*pulled_back(w, (r1, r2)))
     assert rep["max_min_eigenvalue"] < 1e-10  # a curve, not a surface
     s = constant_field(GRID_M, 1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
     tg1 = MatrixField(GRID_M, r1.values + commutator(s.values, u1.values), r1.margin)
     tg2 = MatrixField(GRID_M, r2.values + commutator(s.values, u2.values), r2.margin)
-    rep2 = linear_independence_report(*surface_tangents(tg1, tg2, w))
+    rep2 = linear_independence_report(*pulled_back(w, (tg1, tg2)))
     assert rep2["max_min_eigenvalue"] > 1e-3

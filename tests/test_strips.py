@@ -42,6 +42,7 @@ from solsurf.fields import (
     Grid2,
     JetField,
     MatrixField,
+    StripSource,
     chart_jets,
     interior_max,
     tangent_defect,
@@ -49,13 +50,14 @@ from solsurf.fields import (
 from solsurf.immersion import (
     assemble_tangents,
     linear_independence_report,
+    pulled_back,
     su_measured,
-    surface_tangents,
     sym_tafel,
 )
-from solsurf.matlie import constant, fro
+from solsurf.matlie import constant, fro, identity, inv, mm
 from solsurf.sigma import traveling_solution, u_pair, u_pair_rows, veronese
 from solsurf.spectral import (
+    WaveField,
     euclidean_wave,
     euclidean_wave_dlambda,
     lowered_rung,
@@ -327,15 +329,47 @@ def test_conjugation_and_tangent_check_match_the_whole_grid(nodes, deformed, cha
     # across each strip boundary, and it has the bits of both whole-field
     # routes: the conjugating tangent check and the commutation check
     w, a, b, f, _, _ = _surface(nodes, deformed, chart)
-    da, db = surface_tangents(a, b, w)
+    da, db = pulled_back(w, (a, b))
     assert np.isnan(da.values).any() == deformed
     assert _same_bits(da.values, conjugate_whole(w, a.values))
     assert _same_bits(db.values, conjugate_whole(w, b.values))
-    assert _same_bits(w.conjugate(a.values), da.values)
     assert da.margin == db.margin == max(a.margin, b.margin, w.margin)
     got = tangent_defect(f, da, db)
     assert got == tangent_check_whole(f, w, a, b) == commutation_defect_whole((f, da, db))
     assert np.isfinite(got)
+
+
+@pytest.mark.parametrize(
+    "chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI], ids=["euclidean", "minkowski"]
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_pull_back_matches_the_whole_field(chart, n):
+    # fields and strip sources, conjugated and multiplied from the left in
+    # one pass, have the bits of the whole-field inverse; the wave's NaN
+    # margin rows and an input's NaN margin node stay NaN, each output
+    # carries the larger of its input's margin and the wave's, and the
+    # last strip is short
+    grid = Grid2(chart, (0.1, -0.2), (0.1, 0.05), (13, 3 * STRIP_ROWS + 5))
+    rng = np.random.default_rng(n)
+
+    def field(margin):
+        shape = (n, n, grid.n2, grid.n1)
+        return MatrixField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           margin)
+
+    w = WaveField(grid, constant(identity(n)) + 0.2 * field(0).values, 2, lam=LAM_M)
+    w.values[..., :2, :] = np.nan
+    x, y, z = field(1), field(3), field(0)
+    x.values[0, 1, grid.n2 - 1, 4] = np.nan
+    source = StripSource(grid, n, 4, lambda rows: z.values[..., rows, :])
+    got = pulled_back(w, (x, source), (y, source))
+    want = (conjugate_whole(w, x.values), conjugate_whole(w, z.values),
+            mm(inv(w.values), y.values), mm(inv(w.values), z.values))
+    for g, v in zip(got, want, strict=True):
+        assert _same_bits(g.values, v)
+    assert [g.margin for g in got] == [2, 4, 3, 4]
+    assert np.isnan(got[0].values[..., :2, :]).all() and np.isnan(got[0].values[..., -1, 4]).all()
+    assert np.isfinite(got[1].values[..., 2:, :]).all()
 
 
 @sizes
@@ -346,7 +380,7 @@ def test_wave_diagnostics_and_gram_report_match_the_whole_grid(nodes, deformed, 
     w, a, b, _, _, _ = _surface(nodes, deformed, chart)
     got, want = wave_diagnostics(w), wave_diagnostics_whole(w)
     assert got == want and all(np.isfinite(v) for v in got.values())
-    got = linear_independence_report(*surface_tangents(a, b, w))
+    got = linear_independence_report(*pulled_back(w, (a, b)))
     want = linear_independence_whole(a, b, w)
     assert got == want and all(np.isfinite(v) for v in got.values())
 
