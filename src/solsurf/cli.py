@@ -160,15 +160,16 @@ def _build_solution(cfg: SolveConfig):
     """Returns (jet_field, rungs_or_wave, completeness): the jets of theta,
     the projector of every ladder rung or the traveling wave, and the
     ladder's completeness residual (None for a traveling wave); a config
-    error if theta, D_1 theta and D_2 theta are finite together at no
-    interior node, or if the rungs of a Veronese ladder sum to the identity
-    no closer than ``COMPLETENESS_TOL``."""
+    error if theta, D_1 theta and D_2 theta, read one strip of grid rows at
+    a time, are finite together at no interior node, or if the rungs of a
+    Veronese ladder sum to the identity no closer than ``COMPLETENESS_TOL``."""
     if cfg.solution["kind"] == "veronese":
         carrier, j = veronese(cfg.n, cfg.grid, cfg.solution["k"])
     else:
         carrier, j = traveling_solution(cfg.solution["kappa"], cfg.solution["omega"], cfg.grid)
-    finite = np.isfinite(j.values) & np.isfinite(j.d1) & np.isfinite(j.d2)
-    if not interior(finite.all(axis=(0, 1)), j.margin1).any():
+    (finite,) = j.map_rows(lambda jr: (
+        (np.isfinite(jr.values) & np.isfinite(jr.d1) & np.isfinite(jr.d2)).all(axis=(0, 1)),))
+    if not interior(finite, j.margin1).any():
         raise ConfigError("keys 'solution' and 'grid': the solution is not finite on the grid")
     residual = None
     if cfg.solution["kind"] == "veronese":
@@ -198,7 +199,8 @@ def _gauge_field(cfg: RunConfig, j: JetField) -> MatrixField | None:
         return None
     if "preset" in cfg.gauge:
         mat = su_basis(cfg.n).elements[..., GAUGE_PRESETS[cfg.gauge["preset"]]]
-        return MatrixField(j.grid, np.broadcast_to(constant(mat), j.values.shape), 0)
+        shape = (j.n, j.n, j.grid.n2, j.grid.n1)
+        return MatrixField(j.grid, np.broadcast_to(constant(mat), shape), 0)
     field, _ = _read_input(cfg.gauge["file"], "gauge.file")
     if field.grid != j.grid or field.n != cfg.n:
         raise ConfigError(
@@ -237,8 +239,8 @@ def cmd_solve(cfg: SolveConfig, outdir: str) -> int:
             summary["completeness_residual"] = completeness
             write_scalar_csv(stage("el_residual.csv"), cfg.grid, el, em)
         else:
-            tvdefect = interior_max(fro(carrier.kappa * j.d1 - j.d2), j.margin1)
-            summary["traveling_constraint_defect"] = tvdefect
+            (tv,) = j.map_rows(lambda jr: (fro(carrier.kappa * jr.d1 - jr.d2),))
+            summary["traveling_constraint_defect"] = interior_max(tv, j.margin1)
             el, em = el_residual(j)
             summary["el_residual_max"] = interior_max(el, em)
         sq, m0 = theta_square_residual(j)
@@ -265,9 +267,11 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     gives the compatibility defect (a warning above ``COMPAT_WARN``) and,
     with the symmetry alone, the integrand of the closed conformal
     immersion, the last reader of the jets.  The rest of the solution is
-    freed, and one pull-back by Phi gives the surface's tangents to the tangent checks, the integration and the Gram
-    report, and with the symmetry alone the closed conformal and the
-    explicit immersion."""
+    freed, and one pull-back by Phi writes the surface's tangents over the
+    tangent pair, for the tangent checks, the integration and the Gram
+    report, and with the symmetry alone forms the closed conformal and the
+    explicit immersion.  Phi is then written and freed, so the surface is
+    integrated beside the tangents alone."""
     if not (cfg.a_coeffs or cfg.gauge != "none" or cfg.symmetry is not None):
         raise ConfigError("immersion requires at least one of: a_coeffs, gauge, symmetry")
     j, carrier, _ = _build_solution(cfg)
@@ -304,7 +308,7 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
             fst, su_distance = su_measured(sym_tafel(wave, dphi, polyval(cfg.a_coeffs, cfg.lam)))
             write_field(stage("sym_tafel.npz"), fst)
             report["sym_tafel_su_distance"] = su_distance()
-            del dphi, fst
+            del dphi, fst, su_distance
 
         # one connection pair: the compatibility check's and the closed form's
         u = u_pair_rows(j, cfg.lam)
@@ -312,10 +316,15 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         # the integrand reads the pair, and so the jets, as its rows are pulled back
         integrand = [conformal_integrand(cfg.symmetry, *u)] if symmetry_only else []
         del j, carrier, builder, u  # the Euclidean builder holds the rungs
-        # one pass through Phi^-1: the surface's tangents and, with the
-        # symmetry alone, the closed conformal and the explicit immersion
-        a, b, *closed = pulled_back(wave, [a, b, *integrand], [prw_phi] if symmetry_only else [])
+        # one pass through Phi^-1: the surface's tangents, over the tangent
+        # pair that nothing reads again, and with the symmetry alone the
+        # closed conformal and the explicit immersion
+        a, b, *closed = pulled_back(wave, [a, b, *integrand], [prw_phi] if symmetry_only else [],
+                                    out=(a.values, b.values))
         del integrand, prw_phi
+        write_field(stage("wave.npz"), wave, lam=wave.lam)
+        report["wave"] = wave_diagnostics(wave)
+        del wave
         if COMPAT_WARN < compat < np.inf:
             warnings.warn(
                 f"tangent pair is not compatible (defect {compat:.3e}); "
@@ -338,13 +347,11 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
         raw, path_defect = integrate_surface(a, b)
         surface, su_correction = su_measured(raw, project=True)
         write_field(stage("immersion.npz"), surface)
-        write_field(stage("wave.npz"), wave, lam=wave.lam)
         report.update(
             basepoint=[raw.margin, raw.margin],
             compat_defect=compat,
             path_defect=path_defect,
             su_correction=su_correction(),
-            wave=wave_diagnostics(wave),
         )
         del surface
         report["integrated_tangent_defect"] = tangent_defect(raw, a, b)

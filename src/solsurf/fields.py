@@ -7,13 +7,15 @@ derivative widens the margin, every residual is reduced over the interior
 that its margin defines.  `tangent_defect` checks every D_alpha X = Y_alpha
 by strips: a surface against its tangents, pr w G against pr w D_alpha G.
 
-A field together with its chart derivatives is a `JetField`: a
-`MatrixField` that also carries D_1, D_2 and ``second(rows)``, which
-forms the three second derivatives on the grid rows asked, each order
-with its own margin.  theta of the active Veronese rung or of the
-traveling wave and a symmetry characteristic Q are `JetField`s, and so
-is theta paired with the jets of Q (`JetField.paired`), whose jets are
+A field together with its chart derivatives is a `JetField`: it forms
+its values, D_1 and D_2 (``first(rows)``) and its three second
+derivatives (``second(rows)``) on the grid rows asked, each order with
+its own margin.  theta of the active Veronese rung or of the traveling
+wave and a symmetry characteristic Q are `JetField`s, and so is theta
+paired with the jets of Q (`JetField.paired`), whose jets are
 `matlie.Dual`s; `chart_jets` makes one from any field by stencils.
+Stored jets hand out views of their rows, and the traveling wave forms
+its rows from closed forms, so a strip reader never holds its whole jets.
 
 Pointwise kernels of the jets (the connection, the lowering operator,
 the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:
@@ -265,19 +267,23 @@ def row_strips(n_rows: int) -> Iterator[slice]:
         yield slice(start, min(start + STRIP_ROWS, n_rows))
 
 
-def rows_filled(grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]]) -> list[np.ndarray]:
+def rows_filled(
+    grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]], out: Sequence[np.ndarray] = ()
+) -> list[np.ndarray]:
     """``kernel(rows)`` for one strip of grid rows at a time, each array it
     returns (the strip's rows and all columns as its last two axes) written
     into a full-size array of the same leading shape, allocated on the
-    first strip; a `Dual` output fills a pair of them."""
+    first strip; a `Dual` output fills a pair of them.  The first outputs
+    go into the arrays ``out`` instead: a kernel may overwrite a field that
+    it reads, since a strip's outputs are written once it has returned."""
     outs: list[np.ndarray] = []
     for rows in row_strips(grid.n2):
         parts = kernel(rows)
         if not outs:
-            outs = [lift(lambda x: np.empty(x.shape[:-2] + (grid.n2, grid.n1), x.dtype), a)
-                    for a in parts]
-        for out, part in zip(outs, parts):
-            out[..., rows, :] = part
+            outs = [*out, *(lift(lambda x: np.empty(x.shape[:-2] + (grid.n2, grid.n1), x.dtype), a)
+                            for a in parts[len(out):])]
+        for dest, part in zip(outs, parts):
+            dest[..., rows, :] = part
     return outs
 
 
@@ -394,36 +400,68 @@ def _no_second_jets(rows: slice):
     raise ValueError("a strip along D_a carries no second jets: their D_a would need third jets")
 
 
-@dataclass(frozen=True, kw_only=True)
-class JetField(MatrixField):
-    """A field with its chart derivatives up to second order.
+# The values and first jets of a field on a strip of grid rows: (values, d1, d2) on ``rows``
+FirstJets = Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    The values and ``margin`` are those of the field itself; ``margin1``
-    bounds the trusted region of d1/d2, ``margin2`` that of the
-    second-order set (the mixed real-axis stencil is a composition, hence
-    the doubled margin).  d1 and d2 are stored; the second jets come from
-    ``second``, a function of grid rows that returns (d11, d12, d22) on
-    the rows asked, so a consumer that reads only the first-order jets
-    never forms them.  A reader of the whole-field second jets takes them
-    from ``rows(slice(None))``, which forms all three once.
+
+@dataclass(frozen=True, kw_only=True, eq=False)
+class JetField:
+    """A matrix field with its chart derivatives up to second order, formed
+    on the grid rows asked.
+
+    ``first(rows)`` returns the values, D_1 and D_2 on the rows asked, and
+    ``second(rows)`` the second jets (d11, d12, d22).  ``margin`` bounds
+    the trusted region of the values, ``margin1`` that of d1/d2,
+    ``margin2`` that of the second-order set (the mixed real-axis stencil
+    is a composition, hence the doubled margin).  Stored jets
+    (`JetField.stored`) hand out views of their rows; the traveling wave
+    forms its rows from closed forms.  A strip reader (`rows`, `map_rows`,
+    `strip`) forms no whole field; a whole-field reader takes ``values``,
+    ``d1`` and ``d2``, formed by ``first(slice(None))`` on the first read
+    and kept, and the whole-field second jets from ``rows(slice(None))``,
+    which forms all three once.
     """
 
-    d1: np.ndarray
-    d2: np.ndarray
+    grid: Grid2
+    n: int
+    first: FirstJets
     second: SecondJets
+    margin: int = 0
     margin1: int
     margin2: int
+
+    @staticmethod
+    def stored(grid: Grid2, values: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+               second: SecondJets, *, margin: int = 0, margin1: int, margin2: int) -> "JetField":
+        """Jets whose values and first jets are the arrays ``values``, ``d1``
+        and ``d2``, each strip a view of their rows."""
+        return JetField(
+            grid=grid,
+            n=values.shape[0],
+            first=lambda rows: (values[..., rows, :], d1[..., rows, :], d2[..., rows, :]),
+            second=second,
+            margin=margin,
+            margin1=margin1,
+            margin2=margin2,
+        )
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.first(slice(None))
+
+    values = property(lambda self: self._whole[0])
+    d1 = property(lambda self: self._whole[1])
+    d2 = property(lambda self: self._whole[2])
+
+    def strip(self, rows: slice) -> np.ndarray:
+        """The values on the grid rows ``rows``: jets read as the
+        `StripSource` of their values."""
+        return self.first(rows)[0]
 
     def rows(self, rows: slice) -> JetRows:
         """The strip ``rows`` of grid rows; its second jets are formed for
         these rows alone, on first read."""
-        return JetRows(
-            rows,
-            self.values[..., rows, :],
-            self.d1[..., rows, :],
-            self.d2[..., rows, :],
-            self.second,
-        )
+        return JetRows(rows, *self.first(rows), self.second)
 
     def map_rows(self, kernel: Callable[[JetRows], Sequence[np.ndarray]]) -> list[np.ndarray]:
         """``kernel`` evaluated on one strip of grid rows at a time, its
@@ -458,13 +496,13 @@ class JetField(MatrixField):
 
     def _joined(self, q_jets: "JetField", join: Callable, second: SecondJets) -> "JetField":
         """The jets ``join(mine, q's)``, each margin the larger of the two."""
-        return JetField(
-            grid=self.grid,
-            values=join(self.values, q_jets.values),
+        return JetField.stored(
+            self.grid,
+            join(self.values, q_jets.values),
+            join(self.d1, q_jets.d1),
+            join(self.d2, q_jets.d2),
+            second,
             margin=max(self.margin, q_jets.margin),
-            d1=join(self.d1, q_jets.d1),
-            d2=join(self.d2, q_jets.d2),
-            second=second,
             margin1=max(self.margin1, q_jets.margin1),
             margin2=max(self.margin2, q_jets.margin2),
         )
@@ -501,16 +539,8 @@ def chart_jets(f: MatrixField) -> JetField:
         slab, core = _stencil_slab(f.values, rows)
         return tuple(x[..., core, :] for x in _chart_second_derivatives(slab, f.grid))
 
-    return JetField(
-        grid=f.grid,
-        values=f.values,
-        margin=f.margin,
-        d1=d1,
-        d2=d2,
-        second=second,
-        margin1=margin1,
-        margin2=f.margin + 4,
-    )
+    return JetField.stored(f.grid, f.values, d1, d2, second, margin=f.margin, margin1=margin1,
+                           margin2=f.margin + 4)
 
 
 def _chart_second_derivatives(
@@ -537,11 +567,11 @@ def _chart_second_derivatives(
 # accurate, which lets surfaces be integrated to every grid node.
 
 
-def _cum_1d(f: np.ndarray, h: float) -> np.ndarray:
+def _cum_1d(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     n = f.shape[0]
     if n < 4:
         raise ValueError("cumulative integration needs at least 4 nodes")
-    out = np.zeros_like(f)
+    out[0] = 0
     out[1] = h / 24.0 * (9 * f[0] + 19 * f[1] - 5 * f[2] + f[3])
     out[2] = h / 3.0 * (f[0] + 4 * f[1] + f[2])
     for j in range(3, n):
@@ -554,11 +584,15 @@ def _cum_1d(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def cumulative_line_integral(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Antiderivative along one grid axis, zero at index 0 of that axis."""
-    moved = np.moveaxis(values, axis, 0)
-    res = _cum_1d(moved, h)
-    return np.moveaxis(res, 0, axis)
+def cumulative_line_integral(
+    values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Antiderivative along one grid axis, zero at index 0 of that axis,
+    written into ``out`` (an array of the shape of ``values``, not
+    overlapping it) when given, or else into a new array."""
+    out = np.empty_like(values) if out is None else out
+    _cum_1d(np.moveaxis(values, axis, 0), h, np.moveaxis(out, axis, 0))
+    return out
 
 
 # --- field files ---------------------------------------------------------------

@@ -92,7 +92,7 @@ def assemble_tangents(
         margin = max(margin, prw_u[0].margin, prw_u[1].margin)
     a = polyval(a_coeffs, lam)
     dlam, scales = u_dlambda_coefficients(lam), u_coefficients(lam)
-    a_vals, b_vals = (np.zeros(j.values.shape, dtype=complex) for _ in range(2))
+    a_vals, b_vals = (np.zeros((j.n, j.n, grid.n2, grid.n1), dtype=complex) for _ in range(2))
     for rows in row_strips(grid.n2):
         at, bt, jr = a_vals[..., rows, :], b_vals[..., rows, :], j.rows(rows)
         if a_coeffs or gauge is not None:
@@ -113,10 +113,9 @@ def assemble_tangents(
     return MatrixField(grid, a_vals, margin), MatrixField(grid, b_vals, margin)
 
 
-def _axis_integrands(
-    grid: Grid2, at: np.ndarray, bt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid-axis tangents from the abstract pair (D_1 F, D_2 F).
+def _axis_integrand(grid: Grid2, at: np.ndarray, bt: np.ndarray, axis: int) -> np.ndarray:
+    """The surface's tangent along grid axis ``axis`` (1 or 2) from the
+    abstract pair (D_1 F, D_2 F).
 
     On the Euclidean chart the abstract derivatives are the complex pair
     (d/dx - i d/dy)/2 and (d/dx + i d/dy)/2, so the axis tangents are
@@ -124,8 +123,8 @@ def _axis_integrands(
     abstract coordinates directly.
     """
     if grid.chart == CHART_EUCLIDEAN:
-        return at + bt, 1j * (at - bt)
-    return at, bt
+        return at + bt if axis == 1 else 1j * (at - bt)
+    return at if axis == 1 else bt
 
 
 def _pull_back_rows(
@@ -142,14 +141,18 @@ def pulled_back(
     w: WaveField,
     conj: Sequence[MatrixField | StripSource],
     left: Sequence[MatrixField | StripSource] = (),
+    out: Sequence[np.ndarray] = (),
 ) -> list[MatrixField]:
     """Phi^{-1} X Phi for each X of ``conj``, then Phi^{-1} Y for each Y of
     ``left``, fields or strip sources, each with the margin max(w.margin,
     X.margin), from one pass over the strips of grid rows that forms each
-    strip's inverse once for every output."""
+    strip's inverse once for every output.  The first outputs are written
+    into the arrays ``out``, which may be the values of the fields they
+    pull back: a strip is overwritten once all its outputs are formed, so a
+    caller that no longer reads a field can pull it back over itself."""
     grid = same_grid(w, *conj, *left)
     vals = rows_filled(grid, lambda rows: _pull_back_rows(
-        w, rows, [x.strip(rows) for x in conj], [y.strip(rows) for y in left]))
+        w, rows, [x.strip(rows) for x in conj], [y.strip(rows) for y in left]), out)
     return [MatrixField(grid, v, max(w.margin, x.margin)) for v, x in zip(vals, (*conj, *left))]
 
 
@@ -161,26 +164,27 @@ def integrate_surface(da: MatrixField, db: MatrixField) -> tuple[MatrixField, fl
     order is always computed as well.  Returns the raw surface F, on which
     the tangent and closed-form identities hold for every spectral
     parameter, with margin m and F(m, m) = 0, and its path defect: the
-    worst node-wise discrepancy of the two orders.
+    worst node-wise discrepancy of the two orders.  The x2 integral is
+    formed in the output itself, and only its basepoint column is kept for
+    the reversed order, so the x1 integral is the one field held beside it.
     """
     grid = same_grid(da, db)
     m = max(da.margin, db.margin)
 
     # the integrals start at zero on the basepoint, the first interior node
-    gx, gy = _axis_integrands(grid, da.values, db.values)
-    ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=-1)
-    del gx
-    ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=-2)
-    del gy
-
-    # x1 first: run along the basepoint row, then up each column.
     f_full = np.full(da.values.shape, np.nan + 0j)
     f_12 = interior(f_full, m)
-    np.add(ia[..., 0:1, :], ib, out=f_12)
+    cumulative_line_integral(
+        interior(_axis_integrand(grid, da.values, db.values, 2), m), grid.h2, axis=-2, out=f_12)
+    ib_base = f_12[..., 0:1].copy()
+    ia = cumulative_line_integral(
+        interior(_axis_integrand(grid, da.values, db.values, 1), m), grid.h1, axis=-1)
+    # x1 first: run along the basepoint row, then up each column.
+    f_12 += ia[..., 0:1, :]
     # x2 first: run along the basepoint column, then across each row.
     gap = np.empty(f_12.shape[2:])
     for rows in row_strips(gap.shape[0]):
-        gap[rows] = fro(f_12[..., rows, :] - (ib[..., rows, 0:1] + ia[..., rows, :]))
+        gap[rows] = fro(f_12[..., rows, :] - (ib_base[..., rows, :] + ia[..., rows, :]))
     return MatrixField(grid, f_full, m), float(np.fmax.reduce(gap, axis=None))
 
 

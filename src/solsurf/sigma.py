@@ -10,8 +10,9 @@ algebra-valued variable is theta = i(P - I/N).  Solution generators:
 
 Exact jets travel as a `JetField` of theta (see :mod:`solsurf.fields`).
 `veronese` returns the projector of every rung of the ladder as a bare
-`MatrixField` and theta of the one rung asked for with exact jets;
-`traveling_solution` returns theta of the wave with exact jets.
+`MatrixField` and theta of the one rung asked for with exact jets, stored;
+`traveling_solution` returns theta of the wave with exact jets, formed
+from the held cos and sin of its phase on the grid rows asked.
 `theta_of` turns a bare projector field into the jets of theta by
 4th-order stencils.  Derivative conventions follow :mod:`solsurf.fields`.
 """
@@ -119,13 +120,14 @@ def u_pair_rows(j: JetField, lam: complex) -> tuple[StripSource, StripSource]:
     the jets of its rows when it is read, with the same bits."""
     scales = u_coefficients(lam)
 
-    def component(d: np.ndarray, c: complex) -> StripSource:
-        return StripSource(
-            j.grid, j.n, j.margin1,
-            lambda rows: _scaled_commutator(d[..., rows, :], j.values[..., rows, :], c),
-        )
+    def component(a: int, c: complex) -> StripSource:
+        def strip(rows: slice) -> np.ndarray:
+            jets = j.first(rows)
+            return _scaled_commutator(jets[a], jets[0], c)
 
-    return component(j.d1, scales[0]), component(j.d2, scales[1])
+        return StripSource(j.grid, j.n, j.margin1, strip)
+
+    return component(1, scales[0]), component(2, scales[1])
 
 
 def el_residual(j: JetField) -> tuple[np.ndarray, int]:
@@ -136,25 +138,29 @@ def el_residual(j: JetField) -> tuple[np.ndarray, int]:
 
 
 def theta_square_residual(j: JetField) -> tuple[np.ndarray, int]:
-    """Defect of theta^2 = -i(2-N)/N theta + (1-N)/N I/N (rank-one algebra)."""
-    n = j.n
-    res = mm(j.values, j.values) + 1j * (2 - n) / n * j.values - (1 - n) / n * (identity(n) / n)
-    return fro(res), j.margin
+    """Defect of theta^2 = -i(2-N)/N theta + (1-N)/N I/N (rank-one algebra),
+    one strip of grid rows at a time."""
+    n, shift = j.n, (1 - j.n) / j.n * (identity(j.n) / j.n)
+    (sq,) = j.map_rows(lambda jr: (
+        fro(mm(jr.values, jr.values) + 1j * (2 - n) / n * jr.values - shift),))
+    return sq, j.margin
 
 
 def theta_comm_identity_residual(j: JetField) -> tuple[np.ndarray, int]:
-    """Defect of [theta_1, theta](2i theta - (2-N) I/N) = -i theta_1."""
-    n = j.n
-    m = 2j * j.values - (2 - n) * (identity(n) / n)
-    res = mm(commutator(j.d1, j.values), m) + 1j * j.d1
-    return fro(res), j.margin1
+    """Defect of [theta_1, theta](2i theta - (2-N) I/N) = -i theta_1, one
+    strip of grid rows at a time."""
+    shift = (2 - j.n) * (identity(j.n) / j.n)
+    (ci,) = j.map_rows(lambda jr: (
+        fro(mm(commutator(jr.d1, jr.values), 2j * jr.values - shift) + 1j * jr.d1),))
+    return ci, j.margin1
 
 
 def theta_triple_residual(j: JetField) -> tuple[np.ndarray, int]:
-    """Defect of theta theta_1 theta = (N-1)/N^2 theta_1."""
-    n = j.n
-    res = mm(mm(j.values, j.d1), j.values) - (n - 1) / n**2 * j.d1
-    return fro(res), j.margin1
+    """Defect of theta theta_1 theta = (N-1)/N^2 theta_1, one strip of grid
+    rows at a time."""
+    c = (j.n - 1) / j.n**2
+    (tr,) = j.map_rows(lambda jr: (fro(mm(mm(jr.values, jr.d1), jr.values) - c * jr.d1),))
+    return tr, j.margin1
 
 
 # --- Veronese ladder: analytic route -----------------------------------------
@@ -234,12 +240,12 @@ def veronese(n: int, grid: Grid2, k: int = 0) -> tuple[list[MatrixField], JetFie
     second = (d11, d12, d22)
     for x in (d1, d2, *second):
         x *= 1j
-    theta = JetField(
-        grid=grid,
-        values=1j * (proj(k) - identity(n) / n),
-        d1=d1,
-        d2=d2,
-        second=lambda rows: tuple(x[..., rows, :] for x in second),
+    theta = JetField.stored(
+        grid,
+        1j * (proj(k) - identity(n) / n),
+        d1,
+        d2,
+        lambda rows: tuple(x[..., rows, :] for x in second),
         margin1=0,
         margin2=0,
     )
@@ -287,28 +293,35 @@ def traveling_solution(
 
     theta(s) = i(R(omega s) diag(1,0) R(omega s)^T - I/2) along
     s = x1 + kappa*x2; all derivative fields follow by the chain rule, and
-    [theta_1, theta] is the same constant matrix at every node.
+    [theta_1, theta] is the same constant matrix at every node.  Only
+    cos and sin of the phase 2 omega s are held, a quarter of a field:
+    theta, D_1 theta and D_2 theta, and the second jets, are formed from
+    them on the grid rows asked, and on the whole grid only for a
+    whole-field reader (`fields.JetField`).
     """
     wave = TravelingWave(kappa=kappa, omega=omega, grid=grid)
     phase = 2 * omega * wave.s_field()
     c, sn = np.cos(phase), np.sin(phase)
-    theta = 0.5j * np.array([[c, sn], [sn, -c]])
-    dtheta = 1j * omega * np.array([[-sn, c], [c, sn]])
     k = kappa
+
+    def theta(rows: slice) -> np.ndarray:
+        cr, sr = c[rows], sn[rows]
+        return 0.5j * np.array([[cr, sr], [sr, -cr]])
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def first(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cr, sr = c[rows], sn[rows]
+        dtheta = 1j * omega * np.array([[-sr, cr], [cr, sr]])
+        return theta(rows), dtheta, k * dtheta
 
     @np.errstate(over="ignore", invalid="ignore")
     def second(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # -4 omega^2 theta on the rows: a float power would raise on overflow
-        ddtheta = -4.0 * omega * omega * theta[..., rows, :]
+        # -4 omega^2 theta on the rows: a float power would raise on overflow;
+        # theta is named, as no scalar multiplies a bare temporary (see
+        # :mod:`solsurf.fields`)
+        t = theta(rows)
+        ddtheta = -4.0 * omega * omega * t
         return ddtheta, k * ddtheta, k * k * ddtheta
 
-    jets = JetField(
-        grid=grid,
-        values=theta,
-        d1=dtheta,
-        d2=k * dtheta,
-        second=second,
-        margin1=0,
-        margin2=0,
-    )
+    jets = JetField(grid=grid, n=2, first=first, second=second, margin1=0, margin2=0)
     return wave, jets

@@ -42,6 +42,11 @@ cross-check the two:
   the hand-written rules (the commutators of the jets, the quotient
   rule), against the total derivatives that the package carries in
   forward mode (`solsurf.fields.JetRows.along`), to rounding;
+* theta's jets of the traveling wave in closed form on the whole grid,
+  against the strips that `solsurf.sigma.traveling_solution` forms from
+  cos and sin of its phase, and the integrated surface with both line
+  integrals held whole, against the one that forms its x2 integral in the
+  output;
 * the package's own kernels run once on the whole grid as one strip
   (`whole_strip`), against the same kernels one strip at a time, bit for
   bit.
@@ -388,6 +393,23 @@ def integrated_surface_whole(
     return f_full, float(np.nanmax(fro(f_12 - f_21)))
 
 
+def integrate_surface_two_buffers(da: MatrixField, db: MatrixField) -> tuple[np.ndarray, float]:
+    """`solsurf.immersion.integrate_surface` as it held both line integrals
+    whole beside the output: the x1 and the x2 integral each in its own
+    array, the surface their sum."""
+    grid = da.grid
+    m = max(da.margin, db.margin)
+    at, bt = da.values, db.values
+    gx, gy = (at + bt, 1j * (at - bt)) if grid.chart == CHART_EUCLIDEAN else (at, bt)
+    ia = cumulative_line_integral(interior(gx, m), grid.h1, axis=-1)
+    ib = cumulative_line_integral(interior(gy, m), grid.h2, axis=-2)
+    f_full = np.full(at.shape, np.nan + 0j)
+    f_12 = interior(f_full, m)
+    np.add(ia[..., 0:1, :], ib, out=f_12)
+    gap = fro(f_12 - (ib[..., 0:1] + ia))
+    return f_full, float(np.fmax.reduce(gap, axis=None))
+
+
 def compatibility_defect_whole(
     a: MatrixField, b: MatrixField, u1: MatrixField, u2: MatrixField
 ) -> float:
@@ -595,3 +617,17 @@ def phi_traveling_whole(wave: TravelingWave, j: JetField, lam: complex) -> np.nd
     komm = commutator(j.d1, j.values)
     tail = 2j * j.values - (2 - j.n) * (identity(j.n) / j.n)
     return mm(expm(2.0 * wave.chi(check_lambda(lam)) * komm), tail)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def traveling_jets_whole(kappa: float, omega: float, grid: Grid2) -> tuple[np.ndarray, ...]:
+    """theta, D_1 theta, D_2 theta, D_11 theta, D_12 theta and D_22 theta of
+    `solsurf.sigma.traveling_solution`, each formed in closed form on the
+    whole grid at once."""
+    x1, x2 = grid.mesh()
+    phase = 2 * omega * (x1 + kappa * x2)
+    c, sn = np.cos(phase), np.sin(phase)
+    theta = 0.5j * np.array([[c, sn], [sn, -c]])
+    dtheta = 1j * omega * np.array([[-sn, c], [c, sn]])
+    ddtheta = -4.0 * omega * omega * theta
+    return theta, dtheta, kappa * dtheta, ddtheta, kappa * ddtheta, kappa * kappa * ddtheta

@@ -716,6 +716,38 @@ def test_cli_immerse_forms_each_theta_commutator_once_per_strip(tmp_path, monkey
     assert sum(rows) == 244
 
 
+@pytest.mark.parametrize("command", ["solve", "immerse"])
+def test_cli_minkowski_forms_theta_on_strips_only(tmp_path, monkeypatch, command):
+    # the traveling wave's jets are formed on strips of grid rows, never on
+    # the whole grid: solve writes theta and reduces its residuals strip by
+    # strip, and immerse builds Phi, the tangent pair, the Sym-Tafel surface
+    # and the connection rows from them
+    import dataclasses
+
+    from solsurf import cli
+    from solsurf.fields import STRIP_ROWS
+
+    asked, build = [], cli.traveling_solution
+
+    def recorded(*args):
+        wave, j = build(*args)
+
+        def rec(jets):
+            def formed(rows):
+                asked.append(rows)
+                return jets(rows)
+
+            return formed
+
+        return wave, dataclasses.replace(j, first=rec(j.first), second=rec(j.second))
+
+    monkeypatch.setattr(cli, "traveling_solution", recorded)
+    cfg = {**README_MINK, "grid": {**README_MINK["grid"], "dims": [41, 41]}}
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    assert _quiet_main(argv) == 0
+    assert asked and all(r.stop is not None and r.stop - r.start <= STRIP_ROWS for r in asked)
+
+
 def test_cli_solution_holds_the_jets_of_the_active_rung_only():
     # a Euclidean n = 4, k = 1 run: every rung is a bare projector field
     # and theta of rung 1 alone carries jets; the heap peaks at 12.6 fields
@@ -1020,19 +1052,21 @@ def test_cli_immerse_grid_too_small_for_the_margins_is_a_config_error(tmp_path, 
         assert "immersion-report.json" in os.listdir(out)
 
 
-def test_cli_immerse_heap_peak_stays_within_8_fields(tmp_path):
-    # the README Minkowski config at 201^2 needs the jets of theta, Phi and
-    # the tangent pair (6 fields of 4 complex entries per node); the
-    # Sym-Tafel surface is written from a strip source, Phi^{-1} is formed
-    # per strip, the connection pair is read as rows, the solution is freed
-    # before the surface is integrated and every diagnostic reduces row
-    # strips, so the heap peaks at 7.1 fields
+def test_cli_immerse_heap_peak_stays_within_5_fields(tmp_path):
+    # the README Minkowski config at 201^2 (fields of 4 complex entries per
+    # node): theta's jets are formed on the rows asked from cos and sin of
+    # the phase (a quarter field), the Sym-Tafel surface is written from a
+    # strip source, Phi^{-1} is formed per strip, the connection pair is
+    # read as rows, the pull-back overwrites the tangent pair, and Phi is
+    # written and freed before the surface is integrated.  The peak, 4.4
+    # fields, sits in the integration: the pulled-back pair, the surface
+    # with the x2 integral formed in it, and the x1 integral take 4 of them
     cfg = {**README_MINK, "grid": {**README_MINK["grid"], "dims": [201, 201]}}
     argv = ["immerse", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
     codes = []
     peak = heap_peak(lambda: codes.append(_quiet_main(argv)))
     assert codes == [0]
-    assert peak <= 8 * (4 * 201**2 * 16)
+    assert peak <= 5 * (4 * 201**2 * 16)
 
 
 def test_cli_gauge_immerse_heap_peak_stays_within_17_fields(tmp_path):

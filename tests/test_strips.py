@@ -20,6 +20,7 @@ from oracles import (
     euclidean_wave_dlambda_whole,
     euclidean_wave_whole,
     gathered,
+    integrate_surface_two_buffers,
     linear_independence_whole,
     lowered_rung_with_jets_whole,
     lowered_rungs_whole,
@@ -28,6 +29,7 @@ from oracles import (
     su_projected_whole,
     sym_tafel_traveling_whole,
     tangent_check_whole,
+    traveling_jets_whole,
     u_derivatives_whole,
     u_pair_whole,
     wave_diagnostics_whole,
@@ -45,10 +47,12 @@ from solsurf.fields import (
     StripSource,
     chart_jets,
     interior_max,
+    row_strips,
     tangent_defect,
 )
 from solsurf.immersion import (
     assemble_tangents,
+    integrate_surface,
     linear_independence_report,
     pulled_back,
     su_measured,
@@ -246,8 +250,8 @@ def _with_rows(j: JetField, rows: slice, **jets) -> JetField:
     arrays = {name: getattr(j, name).copy() for name in ("values", "d1", "d2")}
     for name, value in jets.items():
         arrays[name][..., rows, :] = value
-    return JetField(grid=j.grid, margin=j.margin, second=j.second,
-                    margin1=j.margin1, margin2=j.margin2, **arrays)
+    return JetField.stored(j.grid, **arrays, second=j.second, margin=j.margin,
+                           margin1=j.margin1, margin2=j.margin2)
 
 
 @pytest.mark.parametrize("kill", ["zero", "nan"])
@@ -289,9 +293,9 @@ def test_a_lowering_that_vanishes_everywhere_raises_its_own_message():
                                                         [[1, 0], [0, 0]]))
     full = lambda m: np.broadcast_to(constant(m), (2, 2, grid.n2, grid.n1)).copy()  # noqa: E731
     zero = full(np.zeros((2, 2)))
-    theta = JetField(grid=grid, values=full(1j * (p - np.eye(2) / 2)), d1=full(1j * d1p),
-                     d2=full(1j * d2p), second=lambda rows: (zero[..., rows, :],) * 3,
-                     margin1=0, margin2=0)
+    theta = JetField.stored(grid, values=full(1j * (p - np.eye(2) / 2)), d1=full(1j * d1p),
+                            d2=full(1j * d2p), second=lambda rows: (zero[..., rows, :],) * 3,
+                            margin1=0, margin2=0)
     assert _same_bits(lowered_rung(theta), full(np.diag([1.0 + 0j, 0.0])))
     for build in (lambda: euclidean_wave(theta, 2, LAM_E),
                   lambda: euclidean_wave_dlambda(theta, 2, LAM_E)):
@@ -370,6 +374,59 @@ def test_pull_back_matches_the_whole_field(chart, n):
     assert [g.margin for g in got] == [2, 4, 3, 4]
     assert np.isnan(got[0].values[..., :2, :]).all() and np.isnan(got[0].values[..., -1, 4]).all()
     assert np.isfinite(got[1].values[..., 2:, :]).all()
+
+
+@charts
+def test_pull_back_over_its_own_inputs_keeps_the_bits(chart):
+    # the tangent pair pulled back over its own buffers, in the pass that
+    # also pulls back a strip source and a field from the left, has the bits
+    # and margins of the outputs of a fresh pass
+    w, a, b, f, _, _ = _surface(101, True, chart)
+    source = StripSource(a.grid, a.n, 5, a.strip)
+    want = pulled_back(w, (a, b, source), (f,))
+    buffers = (a.values, b.values)
+    got = pulled_back(w, (a, b), (f,), out=buffers)
+    assert got[0].values is buffers[0] and got[1].values is buffers[1]
+    for g, v in zip(got, (*want[:2], want[3]), strict=True):
+        assert _same_bits(g.values, v.values) and g.margin == v.margin
+
+
+@sizes
+@both
+@charts
+def test_integrate_surface_matches_the_two_buffer_route(nodes, deformed, chart):
+    # the x2 integral formed in the output, with only its basepoint column
+    # kept for the reversed order, gives the raw surface and the path defect
+    # of the route that held both integrals whole, NaN nodes included
+    w, a, b, _, _, _ = _surface(nodes, deformed, chart)
+    da, db = pulled_back(w, (a, b))
+    raw, path_defect = integrate_surface(da, db)
+    want, want_defect = integrate_surface_two_buffers(da, db)
+    assert _same_bits(raw.values, want) and raw.margin == max(da.margin, db.margin)
+    assert path_defect == want_defect and np.isfinite(path_defect)
+    assert np.isnan(raw.values).any() == (deformed or raw.margin > 0)
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (8.9e307, 0.0)], ids=["near", "overflowing"])
+@pytest.mark.parametrize("nodes", NODES)
+def test_traveling_jets_formed_on_rows_match_the_closed_forms(origin, nodes):
+    # theta's jets, formed from cos and sin of the phase on the rows asked,
+    # have the bits of the closed forms on the whole grid: on every strip,
+    # as whole fields and as whole second jets; far out, where the phase
+    # overflows, the same nodes are NaN
+    far = origin[0] > 0
+    grid = Grid2(CHART_MINKOWSKI, origin, (1e306,) * 2 if far else (0.001,) * 2, (nodes, nodes))
+    want = traveling_jets_whole(2.0, 1.0, grid)
+    _, j = traveling_solution(2.0, 1.0, grid)
+    for rows in row_strips(grid.n2):
+        jr = j.rows(rows)
+        for got, w in zip((jr.values, jr.d1, jr.d2, jr.d11, jr.d12, jr.d22), want, strict=True):
+            assert _same_bits(got, w[..., rows, :])
+    whole = j.rows(slice(None))
+    for got, w in zip((j.values, j.d1, j.d2, whole.d11, whole.d12, whole.d22), want, strict=True):
+        assert _same_bits(got, w)
+    nan = np.isnan(want[0]).any(axis=(0, 1))
+    assert nan.any() == far and not nan.all()
 
 
 @sizes
