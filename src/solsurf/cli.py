@@ -463,15 +463,14 @@ def main(argv: list[str] | None = None) -> int:
         obj = load_config(args.config) if args.config else {}
         if args.command == "verify":
             tolerances, suite = parse_verify(obj)
-            named = "key 'suite'"
-            if args.suite is not None:
-                suite, named = args.suite, "--suite"
-            if suite != "all" and suite not in SUITE_NAMES:
-                raise ConfigError(
-                    f"{named}: unknown value {suite!r}; "
-                    f"choose from all, {', '.join(SUITE_NAMES)}"
-                )
-            return cmd_verify(tolerances, suite, args.out)
+            # the key is checked even when the flag overrides it
+            for value, named in ((suite, "key 'suite'"), (args.suite, "--suite")):
+                if value is not None and value != "all" and value not in SUITE_NAMES:
+                    raise ConfigError(
+                        f"{named}: unknown value {value!r}; "
+                        f"choose from all, {', '.join(SUITE_NAMES)}"
+                    )
+            return cmd_verify(tolerances, suite if args.suite is None else args.suite, args.out)
         if not args.config:
             raise ConfigError("--config is required for this command")
         if args.command == "export":

@@ -297,10 +297,11 @@ def parse_config(obj: dict, lam_flag: str | None = None, grid_h: float | None = 
     return RunConfig(sol.space, sol.n, sol.solution, sol.grid, lam, a_coeffs, gauge, symmetry)
 
 
-def parse_verify(obj: dict) -> tuple[dict[str, float], object]:
+def parse_verify(obj: dict) -> tuple[dict[str, float], str]:
     """(``tolerances``, ``suite``) of a document from `load_config`, ``{}``
-    when there is none; the caller checks the suite name.  A tolerance is
-    positive: a check that must exceed a negative one passes on any value."""
+    and ``"all"`` when there is none; the caller checks the suite name.  A
+    tolerance is positive: a check that must exceed a negative one passes
+    on any value."""
     tolerances = obj.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("key 'tolerances' must be an object")
@@ -308,7 +309,10 @@ def parse_verify(obj: dict) -> tuple[dict[str, float], object]:
     for k, v in tolerances.items():
         if v <= 0:
             raise ConfigError(f"key 'tolerances.{k}' must be positive, got {v!r}")
-    return tolerances, obj.get("suite", "all")
+    suite = obj.get("suite", "all")
+    if not isinstance(suite, str):
+        raise ConfigError("key 'suite' must be a string")
+    return tolerances, suite
 
 
 def parse_outputs(obj: dict) -> list[dict]:

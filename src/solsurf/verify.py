@@ -15,13 +15,14 @@ one key: ``identities.theta-square``, ``identities.theta-commutator``,
 ``appendix.commutation``.  A key that names no row is a configuration
 error.
 
-A field that two or more rows or fixtures read is memoized on the method
-name and the positional arguments of the call (a default left out is not
-in the key), so it is built once per run, by the first row that asks; a
-field with one reader is built inside that reader and freed on return.
-Once only ladder suites are left to run, the memoized arrays are dropped
-and their numbers kept.  A row's runtime in ``report.txt`` includes the
-fixtures it built.
+Fixtures hold numbers only.  A fixture is memoized on the method name and
+the positional arguments of the call (a default left out is not in the
+key), so it is built once per run, by the first row that asks.  It returns
+floats or a `Grid2`, never a field: every field is built inside the
+fixture that reads it and freed on return.  Each standard solution
+has one fixture, which builds the solution's fields once and returns
+every number that the rows read of them.  A row's runtime in
+``report.txt`` includes the fixtures it built.
 
 Fixture grids are chosen so that 4th-order stencil truncation dominates
 rounding noise at every measured quantity; Euclidean immersion checks run
@@ -35,7 +36,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
@@ -157,7 +157,7 @@ class CheckResult:
 class VerificationReport:
     suites: tuple[str, ...]
     results: list[CheckResult]
-    fixtures: tuple[int, int, int]  # built, reused and retired; text only
+    fixtures: tuple[int, int]  # built and reused; text only
 
     @property
     def passed(self) -> bool:
@@ -190,10 +190,10 @@ class VerificationReport:
             else f"{len(self.results)} checks, all passed"
         )
         tight = min(self.results, key=lambda r: r.headroom)
-        built, reused, retired = self.fixtures
+        built, reused = self.fixtures
         lines.append(
             f"nearest its tolerance: {tight.name}, headroom {tight.headroom:.4g}; "
-            f"fixtures: {built} built, {reused} reused, {retired} retired"
+            f"fixtures: {built} built, {reused} reused"
         )
         return "\n".join(lines)
 
@@ -211,25 +211,21 @@ def _fixture(method):
 class Fixtures:
     """The inputs of the checks, each built once per run on first request.
 
-    A field is memoized only when two or more rows or fixtures read it; a
-    field with one reader is built inside that reader, which returns only
-    the values its rows read.  Each (jets, Q) is prolonged once, by the
-    one fixture that returns all the rows read of it; the standard pair's
-    prolongation also returns prop8's two defects on rung (2, 0), the
-    closed conformal immersion and the numbers of its integrated surface.
-    Each fixture pulls back everything it reads of one wave function in
-    one pass, `pulled_back`.
-
-    The standard solutions' fields have no reader in the ladder suites,
-    which read only their numbers: `retire` drops every memoized array and
-    keeps the numbers.  ``built``, ``reused`` and ``retired`` count the
-    keys built, the requests served from the memo, and the entries
-    retired.
+    Every fixture returns numbers or a `Grid2`, never a field, so the memo
+    holds no array and a field lives only as long as the fixture that
+    builds it.  Each standard solution has one fixture, `euclid_defects`
+    and `traveling_defects`: it builds the solution's jets, Phi and
+    connection pair once, as locals, runs every computation that the rows
+    read of that solution, and returns the numbers.  Each (jets, Q) is
+    prolonged once, by the one fixture that returns all the rows read of
+    it, and each fixture pulls back everything it reads of one wave
+    function in one pass, `pulled_back`.  ``built`` and ``reused`` count
+    the keys built and the requests served from the memo.
     """
 
     def __init__(self):
         self._cache: dict = {}
-        self.built = self.reused = self.retired = 0
+        self.built = self.reused = 0
 
     def _get(self, key, builder: Callable[[], object]):
         if key in self._cache:
@@ -238,19 +234,6 @@ class Fixtures:
             self.built += 1
             self._cache[key] = builder()
         return self._cache[key]
-
-    def retire(self) -> None:
-        """Delete each memoized entry that holds an array; a dict entry
-        keeps its items that hold none, so a later read of a dropped item
-        raises KeyError."""
-        for key, value in list(self._cache.items()):
-            if _holds_no_array(value):
-                continue
-            self.retired += 1
-            if isinstance(value, dict):
-                self._cache[key] = {k: v for k, v in value.items() if _holds_no_array(v)}
-            else:
-                del self._cache[key]
 
     @_fixture
     def euclid_grid(self, h: float = EUCLID_H) -> Grid2:
@@ -271,74 +254,45 @@ class Fixtures:
         }
 
     @_fixture
-    def traveling(self):
-        return traveling_solution(KAPPA, OMEGA, self.mink_grid())
+    def euclid_defects(self) -> dict[str, object]:
+        """Every number read of the standard Euclidean pair, rung (2, 0) at
+        LAM_EUCLID under f = xi^2.
 
-    # The standard Euclidean pair: rung (2, 0) at LAM_EUCLID under the
-    # f = xi^2 symmetry.
-
-    @_fixture
-    def jets_analytic(self) -> JetField:
-        return veronese(2, self.euclid_grid())[1]
-
-    @_fixture
-    def euclid_wave(self) -> WaveField:
-        return euclidean_wave(self.jets_analytic(), 0, LAM_EUCLID)
-
-    @_fixture
-    def euclid_u(self) -> tuple[MatrixField, MatrixField]:
-        return u_pair(self.jets_analytic(), LAM_EUCLID)
-
-    @_fixture
-    def euclid_prolonged(self) -> dict[str, object]:
-        """The one prolongation along the pair's Q and what the checks read
-        of it: the prolonged connection (pr w u1, pr w u2), which is the
-        tangent pair, and the closed conformal immersion, as fields; as
-        values, the linear-problem and the three commutation defects, and
-        from one pull-back by Phi, prop8's defects on rung (2, 0), whose
-        explicit-integration defect prop3 reads too, the integrated
-        surface's path defect and the tangent checks of that surface and
-        of the closed form."""
+        The one prolongation along the pair's Q gives the prolonged
+        connection (pr w u1, pr w u2), which is the tangent pair, the three
+        commutation defects and pr w Phi.  One pull-back by Phi gives the
+        surface tangents, the closed conformal immersion F and prop8's
+        defects on rung (2, 0), whose explicit-integration defect prop3
+        reads too.  Then the rows that read the pair itself, and last
+        Q = theta, which is not a symmetry: the zero-curvature defect of
+        its prolonged connection and the path defect of its line integral.
+        """
+        spec, j = EUCLID_SPEC, veronese(2, self.euclid_grid())[1]
         gs = (*_commutation_functionals(LAM_EUCLID), wave_functional(_euclid_builder(0)))
-        spec, j = EUCLID_SPEC, self.jets_analytic()
         prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, j, conformal_characteristic(spec, j))
-        tangents = (prw_u[0], prw_u[3])
-        commutation = _commutation_defects(prw_theta, prw_u)
+        a, b = prw_u[0], prw_u[3]
+        out: dict[str, object] = {"commutation": _commutation_defects(prw_theta, prw_u)}
         del prw_theta, prw_u
-        w, u = self.euclid_wave(), self.euclid_u()
-        lsp = _field_max(*psi_residual(prw_phi, w, *u, *tangents))
-        integrand = conformal_integrand(spec, *u)
-        da, db, closed, calf = pulled_back(w, (*tangents, integrand), (prw_phi,))
-        raw, path_defect = integrate_surface(da, db)
-        out = {"tangents": tangents, "closed": closed, "lsp-symmetry": lsp,
-               "commutation": commutation, "path-defect": path_defect,
-               "integrated-tangents": tangent_defect(raw, da, db),
-               "closed-form-tangents": tangent_defect(closed, da, db)}
-        return {**out, **_prop8_defects(w, prw_phi, calf, da, db)}
-
-    def euclid_tangents(self) -> tuple[MatrixField, MatrixField]:
-        """The prolonged connection (pr w u1, pr w u2)."""
-        return self.euclid_prolonged()["tangents"]
-
-    def euclid_closed(self) -> MatrixField:
-        """F = Phi^-1 (f u1 + g u2) Phi."""
-        return self.euclid_prolonged()["closed"]
-
-    @_fixture
-    def euclid_compatibility(self) -> float:
-        return compatibility_defect(*self.euclid_tangents(), *self.euclid_u())
-
-    @_fixture
-    def euclid_theta_defects(self) -> dict[str, float]:
-        """Q = theta, not a symmetry: the zero-curvature defect of its
-        prolonged connection, and the path defect of its line integral."""
-        j = self.jets_analytic()
+        w, u = euclidean_wave(j, 0, LAM_EUCLID), u_pair(j, LAM_EUCLID)
+        out["lsp-symmetry"] = _field_max(*psi_residual(prw_phi, w, *u, a, b))
+        da, db, closed, calf = pulled_back(w, (a, b, conformal_integrand(spec, *u)), (prw_phi,))
+        raw, out["path-defect"] = integrate_surface(da, db)
+        out["integrated-tangents"] = tangent_defect(raw, da, db)
+        out["closed-form-tangents"] = tangent_defect(closed, da, db)
+        out.update(_prop8_defects(w, prw_phi, calf, da, db))
+        del raw, da, db, calf, prw_phi
+        # Psi = Phi F
+        out["deformed-wave"] = _field_max(*psi_residual(psi_of(closed, w), w, *u, a, b))
+        del closed
+        out["compatibility"] = compatibility_defect(a, b, *u)
+        out["prolonged-connection"] = _prolonged_connection_defect(j, a, b)
+        out["zero-curvature"] = _zero_curvature(*u)
+        out["naive-pair"] = _naive_pair_defect(*u)
         q = MatrixField(j.grid, j.values.copy(), j.margin)
         ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
-        return {
-            "el-symmetry": compatibility_defect(a, b, *self.euclid_u()),
-            "path-independence": integrate_surface(*pulled_back(self.euclid_wave(), (a, b)))[1],
-        }
+        out["theta-el-symmetry"] = compatibility_defect(a, b, *u)
+        out["theta-path-defect"] = integrate_surface(*pulled_back(w, (a, b)))[1]
+        return out
 
     @_fixture
     def rung_defects(self, n: int, k: int) -> dict[str, object]:
@@ -347,12 +301,12 @@ class Fixtures:
         of the lowered rung against f D1 + g D2 of it, whose D1 and D2 the
         step-order probe reuses on rung (2, 1).
 
-        Rung (2, 0) is the standard pair, whose prolongation holds its
-        defects; another rung's jets and fields are built here, and each
-        is dropped after its last reader.
+        Rung (2, 0) is the standard pair, whose fixture holds its defects;
+        another rung's jets and fields are built here, and each is dropped
+        after its last reader.
         """
         if (n, k) == (2, 0):
-            prolonged = self.euclid_prolonged()
+            prolonged = self.euclid_defects()
             return {key: prolonged[key] for key in ("conformal-wave", "explicit-integration")}
         j = veronese(n, self.euclid_grid(), k)[1]
         gs = [wave_functional(_euclid_builder(k)), u_functional(LAM_EUCLID)]
@@ -373,103 +327,53 @@ class Fixtures:
         del a, b
         return {**out, **_prop8_defects(w, prw_phi, calf, da, db)}
 
-    # Traveling wave at LAM_MINK, deformed by the quadratic f = (x1)^2.
-
     @_fixture
-    def mink_wave(self) -> WaveField:
-        return phi_traveling(*self.traveling(), LAM_MINK)
+    def traveling_defects(self) -> dict[str, object]:
+        """Every number read of the traveling wave at LAM_MINK.
 
-    @_fixture
-    def mink_u(self) -> tuple[MatrixField, MatrixField]:
-        return u_pair(self.traveling()[1], LAM_MINK)
-
-    @_fixture
-    def mink_prolonged(self) -> dict[str, object]:
-        """The one prolongation along the quadratic Q: Phi^-1 pr w Phi, and
-        K~ = Phi^-1 K Phi of K = [theta_1, theta], from the pull-back that
-        also forms the surface tangents of the prolonged connection; the
-        size of the linear-problem residual r1 and its match with
-        -f_11 chi (1+lam) D1 Phi; the tangents of Phi^-1 pr w Phi against
-        the prolonged connection; the three commutation defects."""
-        (tw, jt), w, spec = self.traveling(), self.mink_wave(), MINK_SPEC_QUADRATIC
+        The one prolongation along the quadratic f = (x1)^2 gives the three
+        commutation defects and pr w Phi; one pull-back by Phi gives
+        Phi^-1 pr w Phi, K~ = Phi^-1 K Phi of K = [theta_1, theta] and the
+        surface tangents of the prolonged connection.  They give the size
+        of the linear-problem residual r1 and its match with
+        -f_11 chi (1+lam) D1 Phi, the tangents of Phi^-1 pr w Phi against
+        the prolonged connection and against the closed tangent
+        coefficients, and its closed form in K~.  Then the rows that read
+        the wave itself, and the linear, affine and unequal-slope
+        symmetries.
+        """
+        spec = MINK_SPEC_QUADRATIC
+        tw, jt = traveling_solution(KAPPA, OMEGA, self.mink_grid())
+        w = phi_traveling(tw, jt, LAM_MINK)
         gs = (*_commutation_functionals(LAM_MINK), wave_functional(_mink_builder(tw)))
-        q = conformal_characteristic(spec, jt)
-        prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, jt, q)
+        prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
         a, b = prw_u[0], prw_u[3]
-        # the jet sets go before the residual is formed: a verify run's
-        # RSS peaks in this fixture
-        commutation = _commutation_defects(prw_theta, prw_u)
+        # the jet sets go before the residual is formed: this fixture's
+        # heap peaks in the prolongation
+        out: dict[str, object] = {"commutation": _commutation_defects(prw_theta, prw_u)}
         del prw_theta, prw_u
-        r1 = psi_residual(prw_phi, w, *self.mink_u(), a, b)[0]
+        u = u_pair(jt, LAM_MINK)
+        r1 = psi_residual(prw_phi, w, *u, a, b)[0]
         k = MatrixField(tw.grid, commutator(jt.d1, jt.values), jt.margin1)
         da, db, ktilde, calf = pulled_back(w, (a, b, k), (prw_phi,))
         del a, b, k, prw_phi
         d1phi, _, dm = chart_first_derivatives(w)
         pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK)) * d1phi
-        return {
-            "explicit": calf,
-            "ktilde": ktilde.values,
-            "lsp": _field_max(r1),
-            "curvature-defect-form": interior_max(fro(r1.values - pred), max(r1.margin, dm)),
-            "explicit-tangents": tangent_defect(calf, da, db),
-            "commutation": commutation,
-        }
-
-    @_fixture
-    def mink_linear_defects(self) -> dict[str, float]:
-        """The dilation f = x1, g = x2: the closed form's tangents against
-        the prolonged connection, and that connection's compatibility and
-        path defects."""
-        spec, jt, w = MINK_SPEC_LINEAR, self.traveling()[1], self.mink_wave()
-        ((a, b),) = frechet_apply((u_functional(LAM_MINK),), jt, conformal_characteristic(spec, jt))
-        da, db, f_closed = pulled_back(w, (a, b, conformal_integrand(spec, *self.mink_u())))
-        return {
-            "closed-form-tangents": tangent_defect(f_closed, da, db),
-            "compatibility": compatibility_defect(a, b, *self.mink_u()),
-            "path-defect": integrate_surface(da, db)[1],
-        }
-
-    @_fixture
-    def traveling_tangent_defects(self) -> dict[str, float]:
-        """The closed tangent coefficients R of the quadratic symmetry: their
-        match with the stencil tangents of Phi^-1 pr w Phi, and the smallest
-        Gram eigenvalue of the tangents without and with a constant gauge
-        term."""
-        tw, jt = self.traveling()
-        w, (u1, u2), calf = self.mink_wave(), self.mink_u(), self.mink_prolonged()["explicit"]
-        r1, r2 = traveling_R_fields(MINK_SPEC_QUADRATIC, tw, jt, LAM_MINK)
-        s = constant(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-        g1 = MatrixField(tw.grid, r1.values + commutator(s, u1.values), r1.margin)
-        g2 = MatrixField(tw.grid, r2.values + commutator(s, u2.values), r2.margin)
-        dr1, dr2, dg1, dg2 = pulled_back(w, (r1, r2, g1, g2))
-        return {
-            "tangent-coefficients": tangent_defect(calf, dr1, dr2),
-            "degenerate-rank": linear_independence_report(dr1, dr2)["max_min_eigenvalue"],
-            "gauge-restores-rank": linear_independence_report(dg1, dg2)["max_min_eigenvalue"],
-        }
-
-    @_fixture
-    def mink_affine_defects(self) -> dict[str, object]:
-        """prop6's affine symmetry, from one prolongation: its linear-problem
-        defect, and the mean and variation of F - Phi^-1 pr w Phi."""
-        (tw, jt), w, spec = self.traveling(), self.mink_wave(), MINK_SPEC_AFFINE
-        gs = (wave_functional(_mink_builder(tw)), u_functional(LAM_MINK))
-        (prw_phi,), prw_u = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
-        lsp = _field_max(*psi_residual(prw_phi, w, *self.mink_u(), *prw_u))
-        del prw_u
-        closed = pulled_back(w, (conformal_integrand(spec, *self.mink_u()),), (prw_phi,))
-        mean, variation = constant_difference_check(*closed)
-        return {"lsp": lsp, "mean": mean, "variation": variation}
-
-
-def _holds_no_array(value) -> bool:
-    """Whether ``value`` is a number or a grid, or a container of those alone."""
-    if isinstance(value, dict):
-        value = tuple(value.values())
-    if isinstance(value, (list, tuple)):
-        return all(map(_holds_no_array, value))
-    return isinstance(value, (numbers.Number, Grid2))
+        out["lsp"] = _field_max(r1)
+        out["curvature-defect-form"] = interior_max(fro(r1.values - pred), max(r1.margin, dm))
+        out["explicit-tangents"] = tangent_defect(calf, da, db)
+        del r1, d1phi, pred, da, db
+        out["prolonged-surface-closed-form"] = _prolonged_surface_closed_form(tw, calf, ktilde)
+        ktilde_mid = ktilde.values[..., tw.grid.n2 // 2, tw.grid.n1 // 2].copy()
+        del ktilde
+        out.update(_tangent_coefficient_defects(tw, jt, w, u, calf))
+        del calf
+        out["traveling-lsp"] = _field_max(*lsp_residual(w, *u))
+        out["det-variation"] = _det_variation(w)
+        out.update(_linear_defects(jt, w, u))
+        out.update(_affine_defects(tw, jt, w, u, ktilde_mid))
+        out["slope-criterion"] = _slope_criterion(tw, jt, w, u)
+        return out
 
 
 def _prop8_defects(
@@ -521,61 +425,96 @@ def _det_variation(w: WaveField) -> float:
     return float(np.nanmax(np.abs(d - ref)))
 
 
-# --- measures that take more than one expression ------------------------------
+# --- the defects of the standard solutions' fields -----------------------------
 
 
-def _zero_curvature(fx: Fixtures) -> float:
-    u1, u2 = fx.euclid_u()
+def _zero_curvature(u1: MatrixField, u2: MatrixField) -> float:
     d1u2 = chart_first_derivatives(u2)
     d2u1 = chart_first_derivatives(u1)
     res = d2u1[1] - d1u2[0] + commutator(u1.values, u2.values)
     return interior_max(fro(res), max(d2u1[2], d1u2[2]))
 
 
-def _naive_pair_defect(fx: Fixtures) -> float:
-    u1, u2 = fx.euclid_u()
+def _naive_pair_defect(u1: MatrixField, u2: MatrixField) -> float:
     zero = MatrixField(u1.grid, np.zeros_like(u1.values), u1.margin)
     return compatibility_defect(u1, zero, u1, u2)
 
 
-def _euclid_prolonged_connection(fx: Fixtures) -> float:
-    a, b = fx.euclid_tangents()
-    pw1, pw2 = prolong_u(EUCLID_SPEC, fx.jets_analytic(), LAM_EUCLID)
+def _prolonged_connection_defect(j: JetField, a: MatrixField, b: MatrixField) -> float:
+    """The tangent pair (a, b) against the closed prolongation of the connection."""
+    pw1, pw2 = prolong_u(EUCLID_SPEC, j, LAM_EUCLID)
     return max(
         interior_max(fro(a.values - pw1.values), max(a.margin, pw1.margin)),
         interior_max(fro(b.values - pw2.values), max(b.margin, pw2.margin)),
     )
 
 
-def _traveling_lsp(fx: Fixtures) -> float:
-    return _field_max(*lsp_residual(fx.mink_wave(), *fx.mink_u()))
-
-
-def _prolonged_surface_closed_form(fx: Fixtures) -> float:
-    spec, tw = MINK_SPEC_QUADRATIC, fx.traveling()[0]
-    calf = fx.mink_prolonged()["explicit"]
-    grid = tw.grid
+def _prolonged_surface_closed_form(tw, calf: MatrixField, ktilde: MatrixField) -> float:
+    """Phi^-1 pr w Phi of the quadratic symmetry against its closed form in K~."""
+    spec, grid = MINK_SPEC_QUADRATIC, tw.grid
     coeff = -2 * spec.f(grid) - 2 * tw.kappa * spec.g(grid) + 2 * spec.f1(grid) * tw.chi(LAM_MINK)
-    pred = coeff * fx.mink_prolonged()["ktilde"]
-    return interior_max(fro(calf.values - pred), calf.margin)
+    return interior_max(fro(calf.values - coeff * ktilde.values), calf.margin)
 
 
-def _slope_criterion(fx: Fixtures) -> float:
+def _tangent_coefficient_defects(tw, jt: JetField, w: WaveField, u, calf: MatrixField) -> dict:
+    """The closed tangent coefficients R of the quadratic symmetry: their
+    match with the stencil tangents of Phi^-1 pr w Phi, ``calf``, and the
+    smallest Gram eigenvalue of the tangents without and with a constant
+    gauge term."""
+    (u1, u2), (r1, r2) = u, traveling_R_fields(MINK_SPEC_QUADRATIC, tw, jt, LAM_MINK)
+    s = constant(1j * np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    g1 = MatrixField(tw.grid, r1.values + commutator(s, u1.values), r1.margin)
+    g2 = MatrixField(tw.grid, r2.values + commutator(s, u2.values), r2.margin)
+    dr1, dr2, dg1, dg2 = pulled_back(w, (r1, r2, g1, g2))
+    return {
+        "tangent-coefficients": tangent_defect(calf, dr1, dr2),
+        "degenerate-rank": linear_independence_report(dr1, dr2)["max_min_eigenvalue"],
+        "gauge-restores-rank": linear_independence_report(dg1, dg2)["max_min_eigenvalue"],
+    }
+
+
+def _linear_defects(jt: JetField, w: WaveField, u) -> dict[str, float]:
+    """The dilation f = x1, g = x2: the closed form's tangents against the
+    prolonged connection, and that connection's compatibility and path
+    defects."""
+    spec = MINK_SPEC_LINEAR
+    ((a, b),) = frechet_apply((u_functional(LAM_MINK),), jt, conformal_characteristic(spec, jt))
+    da, db, f_closed = pulled_back(w, (a, b, conformal_integrand(spec, *u)))
+    return {
+        "linear-closed-form-tangents": tangent_defect(f_closed, da, db),
+        "linear-compatibility": compatibility_defect(a, b, *u),
+        "linear-path-defect": integrate_surface(da, db)[1],
+    }
+
+
+def _affine_defects(tw, jt: JetField, w: WaveField, u, ktilde_mid: np.ndarray) -> dict[str, float]:
+    """prop6's affine symmetry, from one prolongation: its linear-problem
+    defect, and the variation of F - Phi^-1 pr w Phi and the distance of
+    its mean from the closed form, whose K~ at the grid's middle node is
+    ``ktilde_mid``."""
+    spec = MINK_SPEC_AFFINE
+    gs = (wave_functional(_mink_builder(tw)), u_functional(LAM_MINK))
+    (prw_phi,), prw_u = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
+    lsp = _field_max(*psi_residual(prw_phi, w, *u, *prw_u))
+    del prw_u
+    closed = pulled_back(w, (conformal_integrand(spec, *u),), (prw_phi,))
+    mean, variation = constant_difference_check(*closed)
+    lam = LAM_MINK
+    pred = (2 * AFFINE_B * lam / (1 + lam) - 2 * AFFINE_C * tw.kappa * lam / (1 - lam)) * ktilde_mid
+    value = float(np.max(np.abs(mean - pred)))
+    return {"affine-lsp": lsp, "affine-variation": variation, "affine-value": value}
+
+
+def _slope_criterion(tw, jt: JetField, w: WaveField, u) -> float:
     """The second linear-problem residual under f = x1, g = 2 x2."""
-    tw, jt = fx.traveling()
     q = conformal_characteristic(ConformalSpec.minkowski((0.0, 1.0), (0.0, 2.0)), jt)
     gs = (wave_functional(_mink_builder(tw)), u_functional(LAM_MINK))
     (prw_phi,), prw_u = frechet_apply(gs, jt, q)
-    return _field_max(psi_residual(prw_phi, fx.mink_wave(), *fx.mink_u(), *prw_u)[1])
+    return _field_max(psi_residual(prw_phi, w, *u, *prw_u)[1])
 
 
-def _affine_difference_value(fx: Fixtures) -> float:
-    mean = fx.mink_affine_defects()["mean"]
-    tw = fx.traveling()[0]
-    ktil = fx.mink_prolonged()["ktilde"][..., tw.grid.n2 // 2, tw.grid.n1 // 2]
-    lam = LAM_MINK
-    pred = (2 * AFFINE_B * lam / (1 + lam) - 2 * AFFINE_C * tw.kappa * lam / (1 - lam)) * ktil
-    return float(np.max(np.abs(mean - pred)))
+# --- measures that take more than one expression ------------------------------
 
 
 def _quadratic_difference_variation(fx: Fixtures) -> float:
@@ -644,6 +583,16 @@ class _Check(NamedTuple):
         return self.name.split(".", 1)[0]
 
 
+def _euclid(key: str) -> Callable[[Fixtures], float]:
+    """The measure that reads ``key`` of the standard Euclidean pair."""
+    return lambda fx: fx.euclid_defects()[key]
+
+
+def _traveling(key: str) -> Callable[[Fixtures], float]:
+    """The measure that reads ``key`` of the traveling wave."""
+    return lambda fx: fx.traveling_defects()[key]
+
+
 def _theta_identity_checks(n: int) -> tuple[_Check, ...]:
     return (
         _Check(
@@ -703,7 +652,9 @@ _CHECKS: tuple[_Check, ...] = (
         "identities.theta-square-traveling",
         "algebra identity on the traveling wave (exact jets)",
         1e-10,
-        lambda fx: interior_max(*theta_square_residual(fx.traveling()[1])),
+        lambda fx: interior_max(
+            *theta_square_residual(traveling_solution(KAPPA, OMEGA, fx.mink_grid())[1])
+        ),
         key="identities.theta-square",
     ),
     # --- prop1: generic tangents <-> symmetry, wave-function deformation
@@ -711,20 +662,13 @@ _CHECKS: tuple[_Check, ...] = (
         "prop1.zero-curvature-on-solution",
         "D2 u1 - D1 u2 + [u1,u2] vanishes on a solution field",
         1e-7,
-        _zero_curvature,
+        _euclid("zero-curvature"),
     ),
     _Check(
         "prop1.deformed-wave-function",
         "Psi = Phi F satisfies D Psi = u Psi + Q Phi",
         1e-6,
-        lambda fx: _field_max(
-            *psi_residual(
-                psi_of(fx.euclid_closed(), fx.euclid_wave()),
-                fx.euclid_wave(),
-                *fx.euclid_u(),
-                *fx.euclid_tangents(),
-            )
-        ),
+        _euclid("deformed-wave"),
     ),
     # --- prop2: symmetry <=> integrable tangents.  Q is a symmetry of the
     # field equations iff its prolonged connection (pr w u1, pr w u2) has
@@ -734,45 +678,45 @@ _CHECKS: tuple[_Check, ...] = (
         "prop2.el-symmetry-positive",
         "conformal characteristic is a symmetry of the field equations",
         1e-6,
-        lambda fx: fx.euclid_compatibility(),
+        _euclid("compatibility"),
     ),
     _Check(
         "prop2.compatibility-positive",
         "its tangent pair satisfies the integrability condition",
         1e-6,
-        lambda fx: fx.euclid_compatibility(),
+        _euclid("compatibility"),
     ),
     _Check(
         "prop2.path-independence-positive",
         "the integrated surface is path independent",
         1e-6,
-        lambda fx: fx.euclid_prolonged()["path-defect"],
+        _euclid("path-defect"),
     ),
     _Check(
         "prop2.integrated-tangents",
         "stencil derivatives of the integrated surface match the tangents",
         1e-6,
-        lambda fx: fx.euclid_prolonged()["integrated-tangents"],
+        _euclid("integrated-tangents"),
     ),
     _Check(
         "prop2.el-symmetry-negative",
         "non-symmetry characteristic fails the symmetry criterion",
         1e-3,
-        lambda fx: fx.euclid_theta_defects()["el-symmetry"],
+        _euclid("theta-el-symmetry"),
         "above",
     ),
     _Check(
         "prop2.path-independence-negative",
         "and its line integral is path dependent",
         1e-6,
-        lambda fx: fx.euclid_theta_defects()["path-independence"],
+        _euclid("theta-path-defect"),
         "above",
     ),
     _Check(
         "prop2.compatibility-negative",
         "as is the naive pair A = u1, B = 0",
         1e-3,
-        _naive_pair_defect,
+        _euclid("naive-pair"),
         "above",
     ),
     # --- prop3: explicit integration <=> symmetry of the linear problem
@@ -780,26 +724,26 @@ _CHECKS: tuple[_Check, ...] = (
         "prop3.euclid-lsp-symmetry",
         "conformal characteristic is a symmetry of the linear problem",
         1e-6,
-        lambda fx: fx.euclid_prolonged()["lsp-symmetry"],
+        _euclid("lsp-symmetry"),
     ),
     _Check(
         "prop3.euclid-explicit-integration",
         "so Phi^-1 (pr w Phi) has the prolonged tangents",
         1e-6,
-        lambda fx: fx.euclid_prolonged()["explicit-integration"],
+        _euclid("explicit-integration"),
     ),
     _Check(
         "prop3.mink-lsp-symmetry-negative",
         "quadratic traveling-wave characteristic breaks the linear-problem symmetry",
         0.1,
-        lambda fx: fx.mink_prolonged()["lsp"],
+        _traveling("lsp"),
         "above",
     ),
     _Check(
         "prop3.mink-explicit-integration-negative",
         "and Phi^-1 (pr w Phi) fails the prolonged-tangent identity",
         0.1,
-        lambda fx: fx.mink_prolonged()["explicit-tangents"],
+        _traveling("explicit-tangents"),
         "above",
     ),
     # --- prop4: conformal closed form
@@ -807,80 +751,80 @@ _CHECKS: tuple[_Check, ...] = (
         "prop4.euclid-closed-form-tangents",
         "F = Phi^-1(f u1 + g u2) Phi has the prolonged tangents (f=xi^2)",
         1e-6,
-        lambda fx: fx.euclid_prolonged()["closed-form-tangents"],
+        _euclid("closed-form-tangents"),
     ),
     _Check(
         "prop4.euclid-prolonged-connection",
         "field deformation matches the closed prolongation of the connection",
         1e-6,
-        _euclid_prolonged_connection,
+        _euclid("prolonged-connection"),
     ),
     _Check(
         "prop4.euclid-compatibility",
         "prolonged tangent pair is integrable",
         1e-6,
-        lambda fx: fx.euclid_compatibility(),
+        _euclid("compatibility"),
     ),
     _Check(
         "prop4.euclid-path-defect",
         "line integration is path independent",
         1e-6,
-        lambda fx: fx.euclid_prolonged()["path-defect"],
+        _euclid("path-defect"),
     ),
     _Check(
         "prop4.mink-closed-form-tangents",
         "same identity on the Minkowski chart (f=x1, g=x2)",
         1e-6,
-        lambda fx: fx.mink_linear_defects()["closed-form-tangents"],
+        _traveling("linear-closed-form-tangents"),
     ),
     _Check(
         "prop4.mink-compatibility",
         "Minkowski prolonged tangent pair is integrable",
         1e-6,
-        lambda fx: fx.mink_linear_defects()["compatibility"],
+        _traveling("linear-compatibility"),
     ),
     _Check(
         "prop4.mink-path-defect",
         "Minkowski line integration is path independent",
         1e-6,
-        lambda fx: fx.mink_linear_defects()["path-defect"],
+        _traveling("linear-path-defect"),
     ),
     # --- prop5: traveling-wave wave function and its prolonged surface
     _Check(
         "prop5.traveling-lsp",
         "exponential wave function solves the linear problem",
         1e-8,
-        _traveling_lsp,
+        _traveling("traveling-lsp"),
     ),
     _Check(
         "prop5.det-constant",
         "det Phi is constant on the grid",
         1e-10,
-        lambda fx: _det_variation(fx.mink_wave()),
+        _traveling("det-variation"),
     ),
     _Check(
         "prop5.prolonged-surface-closed-form",
         "Phi^-1 pr w Phi = (-2f - 2 kappa g + 2 f_1 chi) Phi^-1 [theta_1,theta] Phi",
         1e-6,
-        _prolonged_surface_closed_form,
+        _traveling("prolonged-surface-closed-form"),
     ),
     _Check(
         "prop5.tangent-coefficients",
         "its stencil tangents match the closed tangent coefficients",
         1e-6,
-        lambda fx: fx.traveling_tangent_defects()["tangent-coefficients"],
+        _traveling("tangent-coefficients"),
     ),
     _Check(
         "prop5.degenerate-rank",
         "pure conformal tangents span a curve (Gram matrix is singular)",
         1e-10,
-        lambda fx: fx.traveling_tangent_defects()["degenerate-rank"],
+        _traveling("degenerate-rank"),
     ),
     _Check(
         "prop5.gauge-restores-rank",
         "adding a constant gauge term makes the Gram matrix nondegenerate",
         1e-3,
-        lambda fx: fx.traveling_tangent_defects()["gauge-restores-rank"],
+        _traveling("gauge-restores-rank"),
         "above",
     ),
     # --- prop6: integrability criteria on the Minkowski chart
@@ -888,39 +832,39 @@ _CHECKS: tuple[_Check, ...] = (
         "prop6.curvature-criterion-defect-form",
         "quadratic-f defect equals -f_11 chi (1+lam) D1 Phi",
         1e-6,
-        lambda fx: fx.mink_prolonged()["curvature-defect-form"],
+        _traveling("curvature-defect-form"),
     ),
     _Check(
         "prop6.curvature-criterion-negative",
         "and it is large: f must be affine for integrability",
         0.1,
-        lambda fx: fx.mink_prolonged()["lsp"],
+        _traveling("lsp"),
         "above",
     ),
     _Check(
         "prop6.slope-criterion-negative",
         "f_1 != g_2 breaks the second linear-problem equation",
         1e-2,
-        _slope_criterion,
+        _traveling("slope-criterion"),
         "above",
     ),
     _Check(
         "prop6.affine-positive",
         "affine f, g with equal slopes pass both equations",
         1e-6,
-        lambda fx: fx.mink_affine_defects()["lsp"],
+        _traveling("affine-lsp"),
     ),
     _Check(
         "prop6.constant-difference-variation",
         "F - Phi^-1 pr w Phi is constant for affine data",
         1e-8,
-        lambda fx: fx.mink_affine_defects()["variation"],
+        _traveling("affine-variation"),
     ),
     _Check(
         "prop6.constant-difference-value",
         "and equals (2b lam/(1+lam) - 2c kappa lam/(1-lam)) Phi^-1 [theta_1,theta] Phi",
         1e-8,
-        _affine_difference_value,
+        _traveling("affine-value"),
     ),
     _Check(
         "prop6.constant-difference-negative",
@@ -948,7 +892,7 @@ _CHECKS: tuple[_Check, ...] = (
             f"appendix.commutation-euclid-{g}",
             "D_alpha(pr w G) = pr w(D_alpha G) on the Euclidean chart",
             1e-6,
-            lambda fx, g=g: fx.euclid_prolonged()["commutation"][g],
+            lambda fx, g=g: fx.euclid_defects()["commutation"][g],
             key="appendix.commutation",
         )
         for g in ("theta", "u1", "u2")
@@ -958,7 +902,7 @@ _CHECKS: tuple[_Check, ...] = (
             f"appendix.commutation-mink-{g}",
             "same on the Minkowski chart",
             1e-6,
-            lambda fx, g=g: fx.mink_prolonged()["commutation"][g],
+            lambda fx, g=g: fx.traveling_defects()["commutation"][g],
             key="appendix.commutation",
         )
         for g in ("theta", "u1", "u2")
@@ -980,7 +924,6 @@ _CHECKS: tuple[_Check, ...] = (
 )
 
 SUITE_NAMES = tuple(dict.fromkeys(c.suite for c in _CHECKS))
-_LADDER_SUITES = frozenset({"prop7", "prop8", "appendix"})
 _TOLERANCE_KEYS = frozenset(c.key or c.name for c in _CHECKS)
 
 
@@ -1036,17 +979,8 @@ def run_suites(
     seen: set[str] = set()
     ordered = [nm for nm in wanted if not (nm in seen or seen.add(nm))]
 
-    # the ladder suites read no field of the standard solutions, so the
-    # fixtures retire theirs once only ladder suites are left
-    ladder_from = len(ordered)
-    while ladder_from and ordered[ladder_from - 1] in _LADDER_SUITES:
-        ladder_from -= 1
-
     fx = Fixtures()
     results: list[CheckResult] = []
-    for i, nm in enumerate(ordered):
-        if i and i == ladder_from:
-            fx.retire()
+    for nm in ordered:
         results.extend(_SUITES[nm](fx, tolerances))
-    counts = (fx.built, fx.reused, fx.retired)
-    return VerificationReport(suites=tuple(ordered), results=results, fixtures=counts)
+    return VerificationReport(tuple(ordered), results, fixtures=(fx.built, fx.reused))

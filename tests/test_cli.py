@@ -1,5 +1,6 @@
 import contextlib
 import filecmp
+import functools
 import io
 import json
 import math
@@ -462,42 +463,27 @@ def test_shared_tolerance_key_reaches_every_row():
     assert all(c.passed for c in checks if c.name not in overridden)
 
 
-def test_shared_fixtures_do_not_depend_on_suite_order():
-    from solsurf.verify import SUITE_NAMES, run_suites
-
-    together = run_suites(["all"]).to_json()["checks"]
-    for suite in SUITE_NAMES:
-        alone = run_suites([suite]).to_json()["checks"]
-        assert alone == [c for c in together if c["target"] == suite], suite
-
-
-@pytest.mark.parametrize(
-    "names, retired_before",
-    [
-        (["all"], "prop7"),
-        (["prop1", "appendix", "prop8"], "appendix"),
-        (["prop7"], None),
-        (["prop7", "prop8"], None),
-        (["prop8", "prop6"], None),
-    ],
-    ids=["all", "ladder-tail", "single", "ladder-only", "standard-tail"],
-)
-def test_fixtures_retire_once_when_only_ladder_suites_are_left(monkeypatch, names, retired_before):
-    # the ladder suites read only numbers of the standard solutions, so
-    # their fields are dropped before the first suite of a ladder-only
-    # tail; a run that starts with one has nothing to drop
+def test_shared_fixtures_do_not_depend_on_suite_order(monkeypatch):
+    # a run of one suite measures what the whole run does, and its memo
+    # holds no array after any row either
     from solsurf import verify
 
-    entered = []
-    for name in verify.SUITE_NAMES:
-        monkeypatch.setitem(verify._SUITES, name, lambda fx, tol, name=name: entered.append(name) or [])
-    monkeypatch.setattr(verify.Fixtures, "retire", lambda fx: entered.append("retire"))
-    verify.run_suites(names)
-    if retired_before is None:
-        assert "retire" not in entered
-    else:
-        assert entered.count("retire") == 1
-        assert entered[entered.index("retire") + 1] == retired_before
+    together = verify.run_suites(["all"]).to_json()["checks"]
+    held, run_checks = {}, verify._run_checks
+
+    def watched(checks, fx, tolerances):
+        out = []
+        for check in checks:
+            out += run_checks((check,), fx, tolerances)
+            held[check.name] = _held_array_bytes(fx._cache)
+        return out
+
+    for suite in verify.SUITE_NAMES:
+        checks = tuple(c for c in verify._CHECKS if c.suite == suite)
+        monkeypatch.setitem(verify._SUITES, suite, functools.partial(watched, checks))
+        alone = verify.run_suites([suite]).to_json()["checks"]
+        assert alone == [c for c in together if c["target"] == suite], suite
+    assert held == dict.fromkeys((c["name"] for c in together), 0)
 
 
 def test_report_text_closes_with_the_tightest_check_and_the_fixture_counts():
@@ -510,10 +496,10 @@ def test_report_text_closes_with_the_tightest_check_and_the_fixture_counts():
         ("t",),
         [row("t.zero", 0.0, 1e-6, "below"), row("t.order", 1.995, 1.9, "above"),
          row("t.small", 1e-9, 1e-6, "below")],
-        fixtures=(3, 5, 2),
+        fixtures=(3, 5),
     )
     assert report.text().splitlines()[-1] == (
-        "nearest its tolerance: t.order, headroom 1.05; fixtures: 3 built, 5 reused, 2 retired"
+        "nearest its tolerance: t.order, headroom 1.05; fixtures: 3 built, 5 reused"
     )
     assert "fixtures" not in report.json_text()
 
@@ -543,8 +529,9 @@ def _held_array_bytes(root) -> int:
 
 
 def test_fixtures_hold_no_single_reader_field(monkeypatch):
-    # a field that one row or fixture reads is built inside it and freed
-    # on return, so the memoized fields stay small; and none of them is
+    # every fixture returns numbers, never a field, so the memo holds no
+    # array after any row (a run of one suite is watched by
+    # `test_shared_fixtures_do_not_depend_on_suite_order`); and no field is
     # rebuilt: each rung is built once, each appendix rung once per grid
     from solsurf import verify
 
@@ -552,11 +539,9 @@ def test_fixtures_hold_no_single_reader_field(monkeypatch):
     build = verify.veronese
     monkeypatch.setattr(verify, "veronese", lambda *a, **kw: calls.append(a) or build(*a, **kw))
     fx = verify.Fixtures()
-    held = []
     for check in verify._CHECKS:
         check.measure(fx)
-        held.append(_held_array_bytes(fx._cache))
-    assert max(held) <= 25e6, max(held)
+        assert _held_array_bytes(fx._cache) == 0, check.name
     assert len(calls) == 10
 
 
@@ -582,13 +567,13 @@ def _counted_u_pair(monkeypatch, name: str = "u_pair") -> list:
 
 
 def test_verify_builds_each_connection_pair_once(monkeypatch):
-    # the closed forms read the memoized pair of their solution: `u_pair`
-    # runs once on the standard Euclidean jets (the closed prolongation of
-    # the connection reads the u jets instead) and once on the traveling
-    # jets; each prolongation that reads the pair runs it once more, on the
-    # jets paired with those of its Q.  Only the two order probes deform:
-    # three steps and three grids, one central pair each.  Every fixture is
-    # built once, and the ladder suites start with no array memoized
+    # the closed forms read the pair that their solution's fixture builds:
+    # `u_pair` runs once on the standard Euclidean jets (the closed
+    # prolongation of the connection reads the u jets instead) and once on
+    # the traveling jets; each prolongation that reads the pair runs it
+    # once more, on the jets paired with those of its Q.  Only the two
+    # order probes deform: three steps and three grids, one central pair
+    # each.  Every fixture is built once
     from solsurf import verify
     from solsurf.fields import JetField
 
@@ -599,7 +584,7 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
                         lambda *a: probes.append(len(deformations)) or probe(*a))
     monkeypatch.setattr(JetField, "deformed",
                         lambda *a: deformations.append(len(probes)) or deformed(*a))
-    built, keys, jets = [], [], {}
+    built, keys, building, standard = [], [], [], {}
 
     class Recorded(verify.Fixtures):
         def __init__(self):
@@ -607,31 +592,36 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
             built.append(self)
 
         def _get(self, key, builder):
-            if key not in self._cache:
-                keys.append(key)
-            value = super()._get(key, builder)
-            if key in (("jets_analytic",), ("traveling",)):
-                jets.setdefault(key, value)
-            return value
+            if key in self._cache:
+                return super()._get(key, builder)
+            keys.append(key)
 
-    held = {}
+            def build():
+                building.append(key[0])
+                try:
+                    return builder()
+                finally:
+                    building.pop()
 
-    def entered(name, run):
-        def suite(fx, tolerances):
-            held[name] = _held_array_bytes(fx._cache)
-            return run(fx, tolerances)
+            return super()._get(key, build)
 
-        return suite
+    # the jets of each standard solution, kept past its fixture's return
+    for name in ("veronese", "traveling_solution"):
 
-    for name in ("prop7", "prop8", "appendix"):
-        monkeypatch.setitem(verify._SUITES, name, entered(name, verify._SUITES[name]))
+        def solved(*a, solve=getattr(verify, name)):
+            out = solve(*a)
+            if building and building[-1] in ("euclid_defects", "traveling_defects"):
+                assert building[-1] not in standard
+                standard[building[-1]] = out[1]
+            return out
+
+        monkeypatch.setattr(verify, name, solved)
     monkeypatch.setattr(verify, "Fixtures", Recorded)
     assert verify.run_suites(["all"]).passed
     (fx,) = built
-    assert len(keys) == len(set(keys)) == fx.built == 26
-    assert held == {"prop7": 0, "prop8": 0, "appendix": 0}
-    standard = (jets[("jets_analytic",)], jets[("traveling",)][1])
-    on = [sum(ref() is j for ref in pairs) for j in standard]
+    assert len(keys) == len(set(keys)) == fx.built == 15
+    assert list(standard) == ["euclid_defects", "traveling_defects"]
+    on = [sum(ref() is j for ref in pairs) for j in standard.values()]
     assert (on, len(pairs)) == ([1, 1], 11)
     # each deformation is built inside the probe call before it, two per call
     assert len(probes) == 6 and deformations == [n for n in range(1, 7) for _ in (0, 1)]
@@ -799,24 +789,23 @@ def test_rung_prolongation_heap_peak_stays_within_19_fields():
 
 
 def test_euclidean_prolongation_heap_peak_stays_within_30_fields():
-    # the standard pair's one prolongation, with the rung it builds,
-    # peaks at 27.34 fields, as the u jets' six pairs of value and tangent
-    # are filled
+    # the standard pair's fixture, with the rung it builds, peaks at 27.33
+    # fields in its one prolongation, as the u jets' six pairs of value
+    # and tangent are filled; every later reader runs below that
     from solsurf import verify
 
     fx = verify.Fixtures()
-    assert heap_peak(fx.euclid_prolonged) <= 30 * (4 * 101**2 * 16)
+    assert heap_peak(fx.euclid_defects) <= 30 * (4 * 101**2 * 16)
 
 
 def test_minkowski_prolongation_heap_peak_stays_within_28_fields():
-    # the quadratic symmetry's one prolongation sets the heap peak of a
-    # whole verify run, 25.81 fields with the traveling wave it builds:
-    # the commutation defects are reduced and the jet sets dropped before
-    # the linear-problem residual is formed
+    # the traveling wave's fixture peaks at 26.06 fields with the wave it
+    # builds: the commutation defects are reduced and the jet sets dropped
+    # before the linear-problem residual is formed
     from solsurf import verify
 
     fx = verify.Fixtures()
-    assert heap_peak(fx.mink_prolonged) <= 28 * (4 * 101**2 * 16)
+    assert heap_peak(fx.traveling_defects) <= 28 * (4 * 101**2 * 16)
 
 
 README_EUCLID = {
@@ -848,6 +837,9 @@ README_MINK = {
         # read by verify alone
         (README_EUCLID, {"tolerances": {"prop2.integrated-tangents": "abc"}}, [],
          "key 'tolerances.prop2.integrated-tangents'"),
+        # the key is read even when the flag overrides it
+        (README_EUCLID, {"suite": 3}, ["--suite", "identities"], "key 'suite'"),
+        (README_EUCLID, {"suite": "prop99"}, ["--suite", "identities"], "key 'suite'"),
         (README_EUCLID, {}, ["--lambda", "abc"], "--lambda"),
         (README_MINK, {}, ["--lambda", "nan"], "--lambda"),
         (README_EUCLID, {"lambda": [float("nan"), 0.6]}, [], "key 'lambda[0]'"),
@@ -870,7 +862,8 @@ README_MINK = {
          "key 'outputs[0].input'"),
     ],
     ids=[
-        "n-string", "a_coeffs-string", "tolerance-string", "lambda-flag-string",
+        "n-string", "a_coeffs-string", "tolerance-string", "suite-number-beside-flag",
+        "suite-unknown-beside-flag", "lambda-flag-string",
         "lambda-flag-nan", "lambda-pair-nan", "lambda-nan", "spacing-inf", "origin-nan",
         "grid-h-nan", "grid-h-negative", "symmetry-bare-number", "symmetry-deep-rung",
         "n-huge", "lambda-huge", "grid-extent-overflow", "gauge-file-number",
@@ -879,7 +872,8 @@ README_MINK = {
 )
 def test_cli_rejects_bad_values_naming_the_key(tmp_path, capsys, base, change, flags, named):
     # each key is rejected by the command that reads it
-    command = "verify" if "tolerances" in change else "export" if "outputs" in change else "immerse"
+    verify = {"tolerances", "suite"} & change.keys()
+    command = "verify" if verify else "export" if "outputs" in change else "immerse"
     cfg = write_cfg(tmp_path, {**base, **change})
     out = str(tmp_path / "out")
     assert main([command, "--config", cfg, "--out", out, *flags]) == 2
