@@ -281,20 +281,22 @@ def cmd_immerse(cfg: RunConfig, outdir: str) -> int:
     if spectral_only and cfg.solution["kind"] == "veronese":
         # the Sym-Tafel surface's d(Phi)/d(lambda) comes from Phi's own strip pass
         wave, dphi = euclidean_wave_dlambda(j, cfg.solution["k"], cfg.lam, carrier)
-    else:
+    elif not symmetry_only:
         wave = builder(j)
 
     gauge = _gauge_field(cfg, j)
     prolonged = [None]
     if cfg.symmetry is not None:
-        # one prolongation along Q: the connection pair, and Phi when the
-        # closed forms are compared
+        # one prolongation along Q: the connection pair, and with the
+        # symmetry alone Phi and pr w Phi, for the closed forms
         prolonged = frechet_apply(
             (u_functional(cfg.lam), wave_functional(builder))[: 1 + symmetry_only],
-            j, conformal_characteristic(cfg.symmetry, j),
+            j, conformal_characteristic(cfg.symmetry, j), values=((1, 0),),
         )
     a, b = assemble_tangents(j, cfg.lam, a_coeffs=cfg.a_coeffs, gauge=gauge, prw_u=prolonged[0])
-    prw_phi = prolonged[1][0] if symmetry_only else None
+    prw_phi = None
+    if symmetry_only:
+        ((wave, prw_phi),) = prolonged[1]
     del gauge, prolonged
     # a grid that the deepest tangent check covers fails before the compatibility check warns
     deepest = max(a.margin, b.margin, wave.margin, prw_phi.margin if symmetry_only else 0)

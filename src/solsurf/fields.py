@@ -13,23 +13,26 @@ derivatives (``second(rows)``) on the grid rows asked, each order with
 its own margin.  theta of the active Veronese rung or of the traveling
 wave and a symmetry characteristic Q are `JetField`s, and so is theta
 paired with the jets of Q (`JetField.paired`), whose jets are
-`matlie.Dual`s; `chart_jets` makes one from any field by stencils.
-Stored jets hand out views of their rows, and the traveling wave forms
-its rows from closed forms, so a strip reader never holds its whole jets.
+`matlie.Dual`s; `chart_jets` makes one from any field by stencils, its
+first jets stored, and `strip_jets` one whose every order is formed by
+stencils on the rows asked.  Stored jets hand out views of their rows,
+and the traveling wave forms its rows from closed forms, so a strip
+reader never holds its whole jets.
 
 Pointwise kernels of the jets (the connection, the lowering operator,
 the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:
 `JetField.map_rows` hands each strip's `JetRows` to the kernel and writes
 its outputs into full-size arrays, so no full-size temporary of the
-kernel is built.  A paired field pairs a strip's second jets of theta
-with Q's, formed for those rows.  `JetRows.along` pairs a strip's values
-and first jets with their total derivative D_1 or D_2, so a kernel of
-first jets gives D_alpha of its outputs as tangents.  A scalar factor is
-applied in place (``t = commutator(...); t *= c``), never as
-``c * commutator(...)``: numpy turns ``c * tmp`` into ``tmp *= c`` for
-temporaries of 256 KiB or more, and its fused complex loops round c*a
-and a*c differently, so only the in-place form gives the same bits on a
-strip as on the whole field.
+kernel is built.  A paired field pairs a strip's jets of theta with
+Q's, formed for those rows, and its `map_rows` fills the value half of
+an output only where ``values_filled`` asks for it.  `JetRows.along`
+pairs a strip's values and first jets with their total derivative D_1
+or D_2, so a kernel of first jets gives D_alpha of its outputs as
+tangents.  A scalar factor is applied in place (``t = commutator(...);
+t *= c``), never as ``c * commutator(...)``: numpy turns ``c * tmp``
+into ``tmp *= c`` for temporaries of 256 KiB or more, and its fused
+complex loops round c*a and a*c differently, so only the in-place form
+gives the same bits on a strip as on the whole field.
 A field that is only written or reduced need not be held whole: a
 `StripSource` forms it one strip at a time, and `write_field` and the
 strip-wise reductions read a `MatrixField` through the same ``strip``.
@@ -51,7 +54,7 @@ import math
 import zipfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -268,23 +271,39 @@ def row_strips(n_rows: int) -> Iterator[slice]:
 
 
 def rows_filled(
-    grid: Grid2, kernel: Callable[[slice], Sequence[np.ndarray]], out: Sequence[np.ndarray] = ()
+    grid: Grid2,
+    kernel: Callable[[slice], Sequence[np.ndarray]],
+    out: Sequence[np.ndarray] = (),
+    values: Collection[int] | None = None,
 ) -> list[np.ndarray]:
     """``kernel(rows)`` for one strip of grid rows at a time, each array it
     returns (the strip's rows and all columns as its last two axes) written
     into a full-size array of the same leading shape, allocated on the
-    first strip; a `Dual` output fills a pair of them.  The first outputs
-    go into the arrays ``out`` instead: a kernel may overwrite a field that
-    it reads, since a strip's outputs are written once it has returned."""
+    first strip; a `Dual` output fills a pair of them, or, where ``values``
+    is given and does not hold its position, its tangent alone (the pair's
+    value is None).  The first outputs go into the arrays ``out`` instead:
+    a kernel may overwrite a field that it reads, since a strip's outputs
+    are written once it has returned."""
     outs: list[np.ndarray] = []
     for rows in row_strips(grid.n2):
         parts = kernel(rows)
         if not outs:
-            outs = [*out, *(lift(lambda x: np.empty(x.shape[:-2] + (grid.n2, grid.n1), x.dtype), a)
-                            for a in parts[len(out):])]
+            outs = [*out, *(_whole_like(a, grid, values is None or i in values)
+                            for i, a in enumerate(parts[len(out):], len(out)))]
         for dest, part in zip(outs, parts):
+            if isinstance(dest, Dual) and dest.value is None:
+                dest, part = dest.tangent, part.tangent
             dest[..., rows, :] = part
     return outs
+
+
+def _whole_like(part, grid: Grid2, keep_value: bool):
+    """An empty full-size array for the strip ``part``, or a pair of them,
+    whose value is None unless ``keep_value``."""
+    whole = lambda x: np.empty(x.shape[:-2] + (grid.n2, grid.n1), x.dtype)  # noqa: E731
+    if isinstance(part, Dual) and not keep_value:
+        return Dual(None, whole(part.tangent))
+    return lift(whole, part)
 
 
 def _stencil_slab(values: np.ndarray, rows: slice) -> tuple[np.ndarray, slice]:
@@ -301,8 +320,7 @@ def strip_derivatives(
     """(D_1, D_2) of the field ``values`` on the grid rows ``rows``: the bits
     of the whole-field stencils there, every stencil being local."""
     slab, core = _stencil_slab(values, rows)
-    d1, d2 = chart_derivatives(slab, grid)
-    return d1[..., core, :], d2[..., core, :]
+    return chart_derivatives(slab, grid, core)
 
 
 def tangent_defect(f: MatrixField, d1: MatrixField, d2: MatrixField) -> float:
@@ -415,11 +433,14 @@ class JetField:
     ``margin2`` that of the second-order set (the mixed real-axis stencil
     is a composition, hence the doubled margin).  Stored jets
     (`JetField.stored`) hand out views of their rows; the traveling wave
-    forms its rows from closed forms.  A strip reader (`rows`, `map_rows`,
-    `strip`) forms no whole field; a whole-field reader takes ``values``,
-    ``d1`` and ``d2``, formed by ``first(slice(None))`` on the first read
-    and kept, and the whole-field second jets from ``rows(slice(None))``,
-    which forms all three once.
+    and stencil jets (`strip_jets`) form their rows.  A strip reader
+    (`rows`, `map_rows`, `strip`) forms no whole field; a whole-field
+    reader takes ``values``, ``d1`` and ``d2``, formed by
+    ``first(slice(None))`` on the first read and kept, and the whole-field
+    second jets from ``rows(slice(None))``, which forms all three once.
+    ``values_filled`` is read by `map_rows` on paired jets: the positions
+    of the kernel's outputs whose value halves are filled, every one if
+    None (`rows_filled`).
     """
 
     grid: Grid2
@@ -429,6 +450,7 @@ class JetField:
     margin: int = 0
     margin1: int
     margin2: int
+    values_filled: frozenset[int] | None = None
 
     @staticmethod
     def stored(grid: Grid2, values: np.ndarray, d1: np.ndarray, d2: np.ndarray,
@@ -466,7 +488,8 @@ class JetField:
     def map_rows(self, kernel: Callable[[JetRows], Sequence[np.ndarray]]) -> list[np.ndarray]:
         """``kernel`` evaluated on one strip of grid rows at a time, its
         outputs filled into full-size arrays (`rows_filled`)."""
-        return rows_filled(self.grid, lambda rows: kernel(self.rows(rows)))
+        return rows_filled(self.grid, lambda rows: kernel(self.rows(rows)),
+                           values=self.values_filled)
 
     def deformed(self, eps: float, q_jets: "JetField") -> "JetField":
         """The field + eps*q with its jets shifted by eps times the jets of q.
@@ -478,44 +501,52 @@ class JetField:
         jets on the rows asked, from the rows of both.
         """
 
-        def second(rows: slice) -> tuple[np.ndarray, ...]:
-            return tuple(b + eps * d for b, d in zip(self.second(rows), q_jets.second(rows)))
+        def shifted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return a + eps * b
 
-        return self._joined(q_jets, lambda a, b: a + eps * b, second)
+        def second(rows: slice) -> tuple[np.ndarray, ...]:
+            return tuple(map(shifted, self.second(rows), q_jets.second(rows)))
+
+        return JetField.stored(
+            self.grid,
+            *map(shifted, self._whole, q_jets._whole),
+            second,
+            **self._margins_with(q_jets),
+        )
 
     def paired(self, q_jets: "JetField") -> "JetField":
         """This field with the jets of q as the tangent of each jet: every
         value, D_1, D_2 and second jet is a `Dual`, so a kernel of the jets
         evaluates a functional and its derivative along q in one pass.
-        Neither field is copied."""
+        Each strip pairs the rows of both as they are formed, so neither
+        field is copied or formed whole for a strip reader."""
+
+        def first(rows: slice) -> tuple[Dual, ...]:
+            return tuple(map(Dual, self.first(rows), q_jets.first(rows)))
 
         def second(rows: slice) -> tuple[Dual, ...]:
             return tuple(map(Dual, self.second(rows), q_jets.second(rows)))
 
-        return self._joined(q_jets, Dual, second)
+        return JetField(grid=self.grid, n=self.n, first=first, second=second,
+                        **self._margins_with(q_jets))
 
-    def _joined(self, q_jets: "JetField", join: Callable, second: SecondJets) -> "JetField":
-        """The jets ``join(mine, q's)``, each margin the larger of the two."""
-        return JetField.stored(
-            self.grid,
-            join(self.values, q_jets.values),
-            join(self.d1, q_jets.d1),
-            join(self.d2, q_jets.d2),
-            second,
-            margin=max(self.margin, q_jets.margin),
-            margin1=max(self.margin1, q_jets.margin1),
-            margin2=max(self.margin2, q_jets.margin2),
-        )
+    def _margins_with(self, q_jets: "JetField") -> dict[str, int]:
+        """Each margin, the larger of this field's and that of ``q_jets``."""
+        return {name: max(getattr(self, name), getattr(q_jets, name))
+                for name in ("margin", "margin1", "margin2")}
 
 
-def chart_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
-    """(D_1, D_2) of ``values`` on the chart of ``grid`` by 4th-order stencils.
+def chart_derivatives(
+    values: np.ndarray, grid: Grid2, rows: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D_1, D_2) of ``values`` on the chart of ``grid`` by 4th-order
+    stencils, on its rows ``rows``.
 
     The last two axes of ``values`` are grid rows and columns, and may be
     a strip of the grid's rows: the 2 outer rows of the strip come out NaN.
     """
-    dx = diff1(values, grid.h1, axis=-1)
-    dy = diff1(values, grid.h2, axis=-2)
+    dx = diff1(values[..., rows, :], grid.h1, axis=-1)
+    dy = diff1(values, grid.h2, axis=-2)[..., rows, :]
     if grid.chart == CHART_EUCLIDEAN:
         return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
     return dx, dy
@@ -526,21 +557,33 @@ def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int
 
 
 def chart_jets(f: MatrixField) -> JetField:
-    """``f`` with all its derivatives up to second order by 4th-order stencils.
-
-    The first-order pair is computed here.  ``second(rows)`` runs the
-    second-order stencils on the rows asked and the 2 rows on each side
-    that they read, and trims those: every stencil is local, so the rows
-    have the bits of the whole-field set, and no whole set is built.
-    """
+    """``f`` with all its derivatives up to second order by 4th-order
+    stencils, D_1 and D_2 formed here on the whole grid and stored; the
+    second jets are formed on the rows asked, as by `strip_jets`."""
     d1, d2, margin1 = chart_first_derivatives(f)
+    return JetField.stored(f.grid, f.values, d1, d2, strip_jets(f).second, margin=f.margin,
+                           margin1=margin1, margin2=f.margin + 4)
+
+
+def strip_jets(f: MatrixField) -> JetField:
+    """``f`` with all its derivatives up to second order by 4th-order
+    stencils, every order formed on the rows asked.
+
+    ``first(rows)`` and ``second(rows)`` run the stencils on the rows asked
+    and the 2 rows on each side that they read, and trim those: every
+    stencil is local, so the rows have the bits of the whole-field set,
+    and no whole set is built for a strip reader.
+    """
+
+    def first(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (f.strip(rows), *strip_derivatives(f.values, f.grid, rows))
 
     def second(rows: slice) -> tuple[np.ndarray, ...]:
         slab, core = _stencil_slab(f.values, rows)
         return tuple(x[..., core, :] for x in _chart_second_derivatives(slab, f.grid))
 
-    return JetField.stored(f.grid, f.values, d1, d2, second, margin=f.margin, margin1=margin1,
-                           margin2=f.margin + 4)
+    return JetField(grid=f.grid, n=f.n, first=first, second=second, margin=f.margin,
+                    margin1=f.margin + 2, margin2=f.margin + 4)
 
 
 def _chart_second_derivatives(

@@ -10,16 +10,17 @@ algebra-valued variable is theta = i(P - I/N).  Solution generators:
 
 Exact jets travel as a `JetField` of theta (see :mod:`solsurf.fields`).
 `veronese` returns the projector of every rung of the ladder as a bare
-`MatrixField` and theta of the one rung asked for with exact jets, stored;
-`traveling_solution` returns theta of the wave with exact jets, formed
-from the held cos and sin of its phase on the grid rows asked.
+`MatrixField` and theta of the one rung asked for with exact jets: its
+values and first jets stored, its second jets formed from the held frame
+on the grid rows asked; `traveling_solution` returns theta of the wave
+with exact jets, formed from the held cos and sin of its phase on the
+grid rows asked.
 `theta_of` turns a bare projector field into the jets of theta by
 4th-order stencils.  Derivative conventions follow :mod:`solsurf.fields`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -176,7 +177,11 @@ def veronese(n: int, grid: Grid2, k: int = 0) -> tuple[list[MatrixField], JetFie
     Orthogonalizes the holomorphic curve v, v', v'' ... at each point; rung
     m's projector is the outer product of frame vector m with itself.  The
     first and second jets of rung ``k`` come out of hop matrices between
-    consecutive frame vectors, with no grid stencils involved.
+    consecutive frame vectors, with no grid stencils involved.  The values
+    and first jets are stored; the second jets (d11, d12, d22) are formed
+    for each strip of grid rows asked, from the frame and its norms that
+    theta holds, with the bits of the whole-grid set, so no whole second
+    jet is held.
     """
     if grid.chart != CHART_EUCLIDEAN:
         raise ChartMismatch("Veronese fields live on the euclidean-complex chart")
@@ -202,54 +207,54 @@ def veronese(n: int, grid: Grid2, k: int = 0) -> tuple[list[MatrixField], JetFie
     # the zero matrix of the rungs beyond either end, as a view that holds no memory
     zero = np.broadcast_to(np.zeros((1, 1, 1, 1), dtype=complex), (n, n) + xi.shape)
     t = 1.0 + np.abs(xi) ** 2
+    whole = slice(None)
 
-    def outer(a: np.ndarray, b: np.ndarray, wj: np.ndarray) -> np.ndarray:
-        out = a[:, None] * b.conj()[None, :]
-        out /= wj
+    def outer(a: int, b: int, wj: int, rows: slice) -> np.ndarray:
+        # frame vector a times the conjugate of b, over the norm of wj, on the rows
+        out = frame[a][:, None, rows] * frame[b][:, rows].conj()[None, :]
+        out /= w[wj][rows]
         return out
 
-    @functools.cache
-    def proj(m: int) -> np.ndarray:
-        return outer(frame[m], frame[m], w[m]) if 0 <= m < n else zero
+    def proj(m: int, rows: slice) -> np.ndarray:
+        return outer(m, m, m, rows) if 0 <= m < n else zero[..., rows, :]
 
-    def hop(m: int) -> np.ndarray:
+    def hop(m: int, rows: slice) -> np.ndarray:
         # from frame vector m up to m + 1
-        return outer(frame[m + 1], frame[m], w[m]) if 0 <= m < n - 1 else zero
+        return outer(m + 1, m, m, rows) if 0 <= m < n - 1 else zero[..., rows, :]
 
-    def ratio(m: int) -> np.ndarray:
-        return w[m + 1] / w[m] if 0 <= m < n - 1 else np.zeros(xi.shape)
+    def ratio(m: int, rows: slice) -> np.ndarray:
+        return w[m + 1][rows] / w[m][rows] if 0 <= m < n - 1 else np.zeros(t[rows].shape)
 
-    def log_slope(m: int) -> np.ndarray:
-        return (n - 1 - 2 * m) * xi.conj() / t
+    def log_slope(m: int, rows: slice) -> np.ndarray:
+        return (n - 1 - 2 * m) * xi[rows].conj() / t[rows]
 
-    def dhop(m: int) -> np.ndarray:
+    def dhop(m: int, rows: slice) -> np.ndarray:
         # holomorphic derivative of the up-hop matrix
         if m < 0 or m >= n - 1:
-            return zero
-        two_up = outer(frame[m + 2], frame[m], w[m]) if m + 2 < n else zero
-        skip = outer(frame[m + 1], frame[m - 1], w[m - 1]) if m >= 1 else zero
-        return two_up + (log_slope(m + 1) - log_slope(m)) * hop(m) - skip
+            return zero[..., rows, :]
+        two_up = outer(m + 2, m, m, rows) if m + 2 < n else zero[..., rows, :]
+        skip = outer(m + 1, m - 1, m - 1, rows) if m >= 1 else zero[..., rows, :]
+        return two_up + (log_slope(m + 1, rows) - log_slope(m, rows)) * hop(m, rows) - skip
 
-    # theta's jets are those of P_k times i, scaled in place (exactly: i
-    # swaps and negates the parts); they are formed before the rungs that
-    # they do not read, so their temporaries are freed by then
-    d1 = hop(k) - hop(k - 1)
-    d11 = dhop(k) - dhop(k - 1)
-    d12 = ratio(k) * (proj(k + 1) - proj(k)) - ratio(k - 1) * (proj(k) - proj(k - 1))
-    d2, d22 = dagger(d1), dagger(d11)
-    second = (d11, d12, d22)
-    for x in (d1, d2, *second):
+    def second(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # theta's second jets on the rows, from the frame: those of P_k times
+        # i, scaled in place (exactly: i swaps and negates the parts)
+        d11 = dhop(k, rows) - dhop(k - 1, rows)
+        pk = proj(k, rows)
+        d12 = ratio(k, rows) * (proj(k + 1, rows) - pk) - ratio(k - 1, rows) * (
+            pk - proj(k - 1, rows))
+        jets = (d11, d12, dagger(d11))
+        for x in jets:
+            x *= 1j
+        return jets
+
+    d1 = hop(k, whole) - hop(k - 1, whole)
+    d2 = dagger(d1)
+    for x in (d1, d2):
         x *= 1j
-    theta = JetField.stored(
-        grid,
-        1j * (proj(k) - identity(n) / n),
-        d1,
-        d2,
-        lambda rows: tuple(x[..., rows, :] for x in second),
-        margin1=0,
-        margin2=0,
-    )
-    rungs = [MatrixField(grid, proj(m)) for m in range(n)]
+    rungs = [MatrixField(grid, proj(m, whole)) for m in range(n)]
+    theta = JetField.stored(grid, 1j * (rungs[k].values - identity(n) / n), d1, d2, second,
+                            margin1=0, margin2=0)
     return rungs, theta
 
 

@@ -174,7 +174,11 @@ def _lowered_value(
 ) -> tuple[np.ndarray, np.ndarray]:
     """L(P) = D2P P D1P / tr(...) and the mask of nodes where the
     denominator vanished (NaN there)."""
-    num = mm(mm(d2p, p), d1p)
+    # each jet is dropped once read, so jets formed for this call alone go
+    num = mm(d2p, p)
+    del d2p, p
+    num = mm(num, d1p)
+    del d1p
     deninv, bad = _guarded_reciprocal(trace(num))
     return num * deninv, bad
 

@@ -10,11 +10,17 @@ the tangent through every product, commutator, trace, reciprocal and
 exponential; its tangent is pr w_Q G.  No stencil runs on a pair.
 
 One prolongation feeds many functionals: `frechet_apply` takes a
-sequence of them and computes the jets of Q once.  A caller asks once
+sequence of them, and each runs once on the pair.  A caller asks once
 per (jets, Q) for all it reads: pr w u for the symmetry criterion, pr w
 Phi for explicit integration, both for the linear-problem criterion
 (`immersion.psi_residual` at Psi = pr w Phi, A = pr w u), and pr w G
-beside pr w (D_alpha G) for the commutation checks.  A functional
+beside pr w (D_alpha G) for the commutation checks.  The prolongation
+holds only what its caller reads: it fills the tangent half of each
+output, and the value half, G itself, only where the caller asks for it
+(a caller that reads Phi or the connection pair takes them from here, so
+each is built once); Q's first and second jets are
+formed by stencils for each strip of grid rows (`fields.strip_jets`),
+and theta's are paired with them strip by strip.  A functional
 maps jets to a tuple of matrix fields, so each jet set is one
 functional, whose prolongation the surfaces' stencil residual checks,
 `fields.tangent_defect(*prw)`: `theta_functional` (theta, D_1 theta,
@@ -31,8 +37,8 @@ The connection, its jets and the lowering functionals evaluate
 their pointwise kernels one strip of grid rows at a time
 (`JetField.map_rows`), with scalar factors applied in place so a strip
 rounds as the whole field does (see :mod:`solsurf.fields`); a strip's
-second jets of Q are formed for its rows, so a functional that reads
-only theta, D_1 theta and D_2 theta runs no second-order stencil.
+second jets are formed for its rows, so a functional that reads only
+theta, D_1 theta and D_2 theta runs no second-order stencil.
 
 `central_difference` takes
 
@@ -47,8 +53,8 @@ and the spectral coefficient a(lam) of :mod:`solsurf.immersion`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -61,11 +67,11 @@ from .fields import (
     JetRows,
     MatrixField,
     StripSource,
-    chart_jets,
     interior_max,
     row_strips,
     same_grid,
     strip_derivatives,
+    strip_jets,
 )
 from .matlie import commutator, fro
 from .sigma import TravelingWave, check_lambda, commutator_pair_rows, u_coefficients, u_pair
@@ -186,18 +192,45 @@ def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
 
 
 def frechet_apply(
-    gs: Sequence[Functional], j: JetField, q: MatrixField
-) -> tuple[tuple[MatrixField, ...], ...]:
+    gs: Sequence[Functional],
+    j: JetField,
+    q: MatrixField,
+    values: Collection[tuple[int, int]] = (),
+) -> tuple[tuple, ...]:
     """Directional derivatives along ``q`` at ``j`` of every functional in ``gs``.
 
     Returns one tuple per functional, one field per component: the
     tangent of the functional evaluated once on ``j`` paired with the
-    jets of ``q``, which are computed once.  Each component keeps the
-    margin of its evaluation: the larger of the margins of the jets of
-    theta and of Q that it reads.
+    jets of ``q``, which are formed for each strip of grid rows.  Each
+    component keeps the margin of its evaluation: the larger of the
+    margins of the jets of theta and of Q that it reads.
+
+    ``values`` holds the (functional, component) positions, indices into
+    ``gs`` and into the functional's tuple, whose value halves the caller
+    reads: each of those components comes back as the pair (value,
+    tangent), the value being the field, of the type, that the functional
+    builds on ``j`` alone, with the margin of that evaluation.  Only these
+    value halves are filled; a component is the output of its position in
+    the functional's `JetField.map_rows`, or a view of the jets.
     """
-    jt = j.paired(chart_jets(q))
-    return tuple(tuple(MatrixField(f.grid, f.values.tangent, f.margin) for f in g(jt)) for g in gs)
+    jt = j.paired(strip_jets(q))
+    # Q's margins grow by 2 per jet order, so each order's paired margin
+    # names the order, and a component's margin that of theta it reads
+    plain = dict(zip((jt.margin, jt.margin1, jt.margin2), (j.margin, j.margin1, j.margin2)))
+    out = []
+    for i, g in enumerate(gs):
+        kept = frozenset(c for gi, c in values if gi == i)
+        fields = g(replace(jt, values_filled=kept))
+        out.append(tuple(
+            (replace(f, values=f.values.value, margin=plain[f.margin]), _tangent(f))
+            if c in kept else _tangent(f)
+            for c, f in enumerate(fields)
+        ))
+    return tuple(out)
+
+
+def _tangent(f: MatrixField) -> MatrixField:
+    return MatrixField(f.grid, f.values.tangent, f.margin)
 
 
 def central_difference(

@@ -54,6 +54,7 @@ from .fields import (
     chart_jets,
     interior,
     interior_max,
+    row_strips,
     tangent_defect,
 )
 from .immersion import (
@@ -78,6 +79,7 @@ from .sigma import (
 from .spectral import (
     WaveField,
     euclidean_wave,
+    lowered_rung_with_jets,
     lsp_residual,
     phi_traveling,
 )
@@ -268,12 +270,9 @@ class Fixtures:
         its prolonged connection and the path defect of its line integral.
         """
         spec, j = EUCLID_SPEC, veronese(2, self.euclid_grid())[1]
-        gs = (*_commutation_functionals(LAM_EUCLID), wave_functional(_euclid_builder(0)))
-        prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, j, conformal_characteristic(spec, j))
-        a, b = prw_u[0], prw_u[3]
-        out: dict[str, object] = {"commutation": _commutation_defects(prw_theta, prw_u)}
-        del prw_theta, prw_u
-        w, u = euclidean_wave(j, 0, LAM_EUCLID), u_pair(j, LAM_EUCLID)
+        out: dict[str, object] = {}
+        out["commutation"], (w, prw_phi), u, (a, b) = _standard_prolongation(
+            j, conformal_characteristic(spec, j), _euclid_builder(0), LAM_EUCLID)
         out["lsp-symmetry"] = _field_max(*psi_residual(prw_phi, w, *u, a, b))
         da, db, closed, calf = pulled_back(w, (a, b, conformal_integrand(spec, *u)), (prw_phi,))
         raw, out["path-defect"] = integrate_surface(da, db)
@@ -298,12 +297,16 @@ class Fixtures:
     def rung_defects(self, n: int, k: int) -> dict[str, object]:
         """prop7 and prop8 on rung (n, k) under f = xi^2, from one
         prolongation along its Q: prop8's defects and, above level 0, pr w
-        of the lowered rung against f D1 + g D2 of it, whose D1 and D2 the
-        step-order probe reuses on rung (2, 1).
+        of the lowered rung against f D1 + g D2 of it.  That defect is
+        reduced strip by strip, with D1 and D2 lowered for each strip, but
+        on rung (2, 1), whose step-order probe reuses them whole.
 
         Rung (2, 0) is the standard pair, whose fixture holds its defects;
         another rung's jets and fields are built here, and each is dropped
-        after its last reader.
+        after its last reader.  Phi is built again after the prolongation,
+        not taken as its value half: held beside the prolongation of the
+        level-two wave on CP^2, it would raise the whole run's heap peak,
+        which sits there.
         """
         if (n, k) == (2, 0):
             prolonged = self.euclid_defects()
@@ -315,12 +318,15 @@ class Fixtures:
         spec = EUCLID_SPEC
         (prw_phi,), (a, b), *lowered = frechet_apply(gs, j, conformal_characteristic(spec, j))
         out: dict[str, object] = {}
-        if lowered:
+        if (n, k) == (2, 1):
+            # the step probe reuses the whole D1 and D2 of the lowered rung
             dl = lowering_jets_functional(j)[1:]
-            out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], dl)
-            if (n, k) == (2, 1):
-                out["step-order"] = _step_defects(j, dl)
-            del lowered, dl
+            out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], j, dl)
+            out["step-order"] = _step_defects(j, dl)
+            del dl
+        elif lowered:
+            out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], j)
+        del lowered
         w = euclidean_wave(j, k, LAM_EUCLID)
         del j
         da, db, calf = pulled_back(w, (a, b), (prw_phi,))
@@ -344,15 +350,9 @@ class Fixtures:
         """
         spec = MINK_SPEC_QUADRATIC
         tw, jt = traveling_solution(KAPPA, OMEGA, self.mink_grid())
-        w = phi_traveling(tw, jt, LAM_MINK)
-        gs = (*_commutation_functionals(LAM_MINK), wave_functional(_mink_builder(tw)))
-        prw_theta, prw_u, (prw_phi,) = frechet_apply(gs, jt, conformal_characteristic(spec, jt))
-        a, b = prw_u[0], prw_u[3]
-        # the jet sets go before the residual is formed: this fixture's
-        # heap peaks in the prolongation
-        out: dict[str, object] = {"commutation": _commutation_defects(prw_theta, prw_u)}
-        del prw_theta, prw_u
-        u = u_pair(jt, LAM_MINK)
+        out: dict[str, object] = {}
+        out["commutation"], (w, prw_phi), u, (a, b) = _standard_prolongation(
+            jt, conformal_characteristic(spec, jt), _mink_builder(tw), LAM_MINK)
         r1 = psi_residual(prw_phi, w, *u, a, b)[0]
         k = MatrixField(tw.grid, commutator(jt.d1, jt.values), jt.margin1)
         da, db, ktilde, calf = pulled_back(w, (a, b, k), (prw_phi,))
@@ -404,14 +404,21 @@ def _commutation_functionals(lam: complex) -> tuple:
     return theta_functional, u_jets_functional(lam)
 
 
-def _commutation_defects(prw_theta, prw_u) -> dict[str, float]:
-    """The appendix's defects of theta, u1 and u2 from the prolongations
-    of `_commutation_functionals`."""
-    return {
+def _standard_prolongation(j: JetField, q: MatrixField, builder, lam: complex) -> tuple:
+    """The one prolongation of a standard solution along ``q``, which also
+    gives the solution's Phi and connection pair as value halves: the
+    appendix's commutation defects of theta, u1 and u2, (Phi, pr w Phi),
+    (u1, u2) and the tangent pair (pr w u1, pr w u2).  The jet sets are
+    dropped on return."""
+    gs = (*_commutation_functionals(lam), wave_functional(builder))
+    prw_theta, prw_u, (phi,) = frechet_apply(gs, j, q, values=((1, 0), (1, 3), (2, 0)))
+    (u1, a), (u2, b) = prw_u[0], prw_u[3]
+    commutation = {
         "theta": tangent_defect(*prw_theta),
-        "u1": tangent_defect(*prw_u[:3]),
-        "u2": tangent_defect(*prw_u[3:]),
+        "u1": tangent_defect(a, *prw_u[1:3]),
+        "u2": tangent_defect(b, *prw_u[4:]),
     }
+    return commutation, phi, (u1, u2), (a, b)
 
 
 def _field_max(*rs: MatrixField) -> float:
@@ -527,13 +534,24 @@ def _quadratic_difference_variation(fx: Fixtures) -> float:
 
 
 def _lowering_defect(
-    spec: ConformalSpec, prw: MatrixField, dl: tuple[MatrixField, MatrixField]
+    spec: ConformalSpec, prw: MatrixField, j: JetField,
+    dl: tuple[MatrixField, MatrixField] | None = None,
 ) -> float:
-    """pr w of the lowered rung, ``prw``, against f D1 + g D2 of it, given
-    (D1, D2) as ``dl``."""
-    dl1, dl2 = dl
-    ref = spec.along(prw.grid, dl1.values, dl2.values)
-    return interior_max(fro(prw.values - ref), max(prw.margin, dl1.margin))
+    """pr w of the lowered rung of ``j``, ``prw``, against f D1 + g D2 of
+    it, one strip of grid rows at a time: D1 and D2 are read from ``dl``
+    when given, or else lowered from the strip's jets (the prolongation
+    that formed ``prw`` has raised if the lowering vanished everywhere)."""
+    grid = prw.grid
+    f, g = spec.f(grid), spec.g(grid)
+    res = np.empty((grid.n2, grid.n1))
+    for rows in row_strips(grid.n2):
+        if dl is None:
+            dl1, dl2 = lowered_rung_with_jets(j.rows(rows))[1:3]
+        else:
+            dl1, dl2 = (d.strip(rows) for d in dl)
+        # `ConformalSpec.along` on the strip
+        res[rows] = fro(prw.strip(rows) - (f[rows] * dl1 + g[rows] * dl2))
+    return interior_max(res, max(prw.margin, j.margin2))
 
 
 # Convergence orders of the central difference probe, on the lowering
@@ -548,7 +566,7 @@ def _step_defects(j: JetField, dl: tuple[MatrixField, MatrixField]) -> list[floa
     out = []
     for eps in (0.04, 0.02, 0.01):
         ((prw,),) = central_difference((lowering_functional,), j, q_jets, eps)
-        out.append(_lowering_defect(trans, prw, dl))
+        out.append(_lowering_defect(trans, prw, j, dl))
     return out
 
 

@@ -13,6 +13,10 @@ cross-check the two:
   surfaces and tangents with known values;
 * the symmetry criterion in one call, prolonging the connection itself
   (`verify` reads it from a prolonged pair that other checks share);
+* the prolongation on theta paired with the jets of Q held whole, both
+  halves of every output filled, against `frechet_apply`, which forms
+  Q's jets per strip and fills the value halves asked for alone (bit for
+  bit);
 * the central difference of many functionals from two shared
   deformations, each functional evaluated on both, against the forward
   tangents of `frechet_apply` (to O(eps^2)), and against
@@ -77,6 +81,7 @@ from solsurf.fields import (
     rows_filled,
 )
 from solsurf.matlie import (
+    Dual,
     commutator,
     constant,
     dagger,
@@ -240,6 +245,22 @@ def central_pair(
         )
         for p, g in zip(plus, gs)
     )
+
+
+def prolonged_whole(gs, j: JetField, q: MatrixField) -> tuple[tuple[tuple, ...], ...]:
+    """Each g of ``gs`` evaluated on ``j`` paired with the jets of ``q``
+    held whole (`chart_jets`), every value and tangent half filled: one
+    (value, tangent, margin) per component, the margin the paired one."""
+    qj = chart_jets(q)
+    jt = JetField.stored(
+        j.grid,
+        *(Dual(a, b) for a, b in zip((j.values, j.d1, j.d2), (qj.values, qj.d1, qj.d2))),
+        lambda rows: tuple(map(Dual, j.second(rows), qj.second(rows))),
+        margin=max(j.margin, qj.margin),
+        margin1=max(j.margin1, qj.margin1),
+        margin2=max(j.margin2, qj.margin2),
+    )
+    return tuple(tuple((f.values.value, f.values.tangent, f.margin) for f in g(jt)) for g in gs)
 
 
 # --- whole-grid immersion reductions ---------------------------------------------------

@@ -31,13 +31,14 @@ its old allowance, with its old and new value and allowance.
 
 `heap_peak` measures the heap peaks that tier-1 bounds, each in units of
 the fields its test names.  ``heap-peaks.json`` in ``tests/reference``
-holds the peak of each command of those configs, in complex 2x2 fields
-at 101^2 (`FIELD` bytes); a fresh peak passes up to ``(1 + HEAP_SLACK)``
-times its entry.  The entries are the largest of repeated in-process
-readings, and ``HEAP_SLACK`` covers their spread (about 2 %: the
-Euclidean ``solve`` reads 13.31 fields as the first command of its
-process, 13.04-13.05 after any other) while one more field still fails
-every entry.  A change that lowers a peak lowers its entry; one that
+holds the peak of each command of those configs, and of the whole
+``verify --suite all`` run (``verify/all``, `verify_peak`), in complex
+2x2 fields at 101^2 (`FIELD` bytes); a fresh peak passes up to
+``(1 + HEAP_SLACK)`` times its entry.  The entries are the largest of
+repeated in-process readings, and ``HEAP_SLACK`` covers their spread
+(about 2 %: the Euclidean ``solve`` reads 12.19 fields as the first
+command of its process, 11.93 after any other) while one more field
+still fails every entry.  A change that lowers a peak lowers its entry; one that
 raises it states why.
 """
 
@@ -95,6 +96,18 @@ def run_readme_configs(out: str, peaks: dict[str, float] | None = None) -> dict[
             assert codes == [0], f"{command} {name} exited {codes}"
             paths[f"{name}/{report}"] = os.path.join(dest, report)
     return paths
+
+
+def verify_peak(out: str) -> float:
+    """``verify --suite all`` into ``out`` under tracemalloc: the heap peak
+    of the whole run in fields, which ``heap-peaks.json`` pins as
+    ``verify/all``; the run must exit 0."""
+    from solsurf.cli import main
+
+    codes = []
+    peak = heap_peak(lambda: codes.append(main(["verify", "--suite", "all", "--out", out])))
+    assert codes == [0], f"verify exited {codes}"
+    return peak / FIELD
 
 
 def heap_table() -> dict[str, float]:

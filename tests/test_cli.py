@@ -567,13 +567,12 @@ def _counted_u_pair(monkeypatch, name: str = "u_pair") -> list:
 
 
 def test_verify_builds_each_connection_pair_once(monkeypatch):
-    # the closed forms read the pair that their solution's fixture builds:
-    # `u_pair` runs once on the standard Euclidean jets (the closed
-    # prolongation of the connection reads the u jets instead) and once on
-    # the traveling jets; each prolongation that reads the pair runs it
-    # once more, on the jets paired with those of its Q.  Only the two
-    # order probes deform: three steps and three grids, one central pair
-    # each.  Every fixture is built once
+    # the closed forms read the pair that their solution's fixture builds
+    # once, as the value halves of the u jets in its one prolongation, so
+    # `u_pair` runs on neither standard solution's jets; each prolongation
+    # that reads the pair alone runs it once, on the jets paired with those
+    # of its Q.  Only the two order probes deform: three steps and three
+    # grids, one central pair each.  Every fixture is built once
     from solsurf import verify
     from solsurf.fields import JetField
 
@@ -622,7 +621,7 @@ def test_verify_builds_each_connection_pair_once(monkeypatch):
     assert len(keys) == len(set(keys)) == fx.built == 15
     assert list(standard) == ["euclid_defects", "traveling_defects"]
     on = [sum(ref() is j for ref in pairs) for j in standard.values()]
-    assert (on, len(pairs)) == ([1, 1], 11)
+    assert (on, len(pairs)) == ([0, 0], 9)
     # each deformation is built inside the probe call before it, two per call
     assert len(probes) == 6 and deformations == [n for n in range(1, 7) for _ in (0, 1)]
 
@@ -777,35 +776,36 @@ def test_cli_solve_accepts_the_keys_it_does_not_read(tmp_path, capsys, change, n
     assert capsys.readouterr().err.startswith(f"configuration error: {named}")
 
 
-def test_rung_prolongation_heap_peak_stays_within_19_fields():
-    # prop7's lowered rung on CP^2 sets the heap peak of verify, 16.52
-    # fields: the prolongation pairs theta with the jets of Q and copies
-    # neither, the functionals run one strip of grid rows at a time, and
-    # Q's second jets are formed per strip
+def test_rung_prolongation_heap_peak_stays_within_13_fields():
+    # prop7's lowered rung on CP^2, 12.29 fields: the prolongation fills
+    # the tangent halves alone and forms Q's jets per strip, the Veronese
+    # jets form their second order per strip from the frame, and the
+    # lowered-rung defect is reduced strip by strip; the peak sits in the
+    # level-two wave on the paired jets
     from solsurf import verify
 
     fx = verify.Fixtures()
-    assert heap_peak(lambda: fx.rung_defects(3, 2)) <= 19 * (9 * 101**2 * 16)
+    assert heap_peak(lambda: fx.rung_defects(3, 2)) <= 13 * (9 * 101**2 * 16)
 
 
-def test_euclidean_prolongation_heap_peak_stays_within_30_fields():
-    # the standard pair's fixture, with the rung it builds, peaks at 27.33
-    # fields in its one prolongation, as the u jets' six pairs of value
-    # and tangent are filled; every later reader runs below that
+def test_euclidean_prolongation_heap_peak_stays_within_24_fields():
+    # the standard pair's fixture peaks at 23.08 fields in its one
+    # prolongation, as the u jets' six tangents and the value halves of u1
+    # and u2, which the fixture reads beside Phi's, are filled
     from solsurf import verify
 
     fx = verify.Fixtures()
-    assert heap_peak(fx.euclid_defects) <= 30 * (4 * 101**2 * 16)
+    assert heap_peak(fx.euclid_defects) <= 24 * (4 * 101**2 * 16)
 
 
-def test_minkowski_prolongation_heap_peak_stays_within_28_fields():
-    # the traveling wave's fixture peaks at 26.06 fields with the wave it
-    # builds: the commutation defects are reduced and the jet sets dropped
-    # before the linear-problem residual is formed
+def test_minkowski_prolongation_heap_peak_stays_within_26_fields():
+    # the traveling wave's fixture peaks at 24.93 fields in its one
+    # prolongation, as the u jets are filled with the whole first jets of
+    # theta and Q held; Phi and the connection pair are its value halves
     from solsurf import verify
 
     fx = verify.Fixtures()
-    assert heap_peak(fx.traveling_defects) <= 28 * (4 * 101**2 * 16)
+    assert heap_peak(fx.traveling_defects) <= 26 * (4 * 101**2 * 16)
 
 
 README_EUCLID = {
@@ -992,13 +992,13 @@ def test_cli_immerse_report_that_overflows_exits_2_quietly(tmp_path, capsys, bas
 
 
 def test_cli_immerse_builds_the_jets_of_q_once(tmp_path, monkeypatch):
-    # with only a symmetry, the tangents and pr w Phi come from one
-    # prolongation along Q
+    # with only a symmetry, the tangents, Phi and pr w Phi come from one
+    # prolongation along Q, whose jets are formed strip by strip
     from solsurf import symmetry
 
     calls = []
-    chart_jets = symmetry.chart_jets
-    monkeypatch.setattr(symmetry, "chart_jets", lambda f: calls.append(f) or chart_jets(f))
+    strip_jets = symmetry.strip_jets
+    monkeypatch.setattr(symmetry, "strip_jets", lambda f: calls.append(f) or strip_jets(f))
     out = str(tmp_path / "out")
     assert main(["immerse", "--config", write_cfg(tmp_path, README_EUCLID), "--out", out]) == 0
     assert len(calls) == 1

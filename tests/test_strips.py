@@ -477,7 +477,6 @@ def test_level_two_wave_heap_peak_stays_within_5_fields():
     # the terms of one strip are formed and summed before the next strip's,
     # so the heap holds the output and one strip's temporaries
     j = _euclid_jets(101, False)
-    j.second(slice(None))  # the exact second jets, formed on first read
     assert heap_peak(lambda: euclidean_wave(j, 2, LAM_E)) <= 5 * FIELD_3X3
 
 
@@ -485,5 +484,4 @@ def test_level_two_wave_dlambda_heap_peak_stays_within_5_fields():
     # Phi and d(Phi)/d(lambda) come from one strip pass: the heap holds the
     # two outputs and one strip's temporaries, never P or a whole rung
     j = _euclid_jets(101, False)
-    j.second(slice(None))  # the exact second jets, formed on first read
     assert heap_peak(lambda: euclidean_wave_dlambda(j, 2, LAM_E)) <= 5 * FIELD_3X3

@@ -3,7 +3,14 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import central_pair, commutation_defect_whole, el_symmetry_defect, polyval_number
+from oracles import (
+    central_pair,
+    commutation_defect_whole,
+    el_symmetry_defect,
+    polyval_number,
+    prolonged_whole,
+)
+from pinned import heap_peak
 from solsurf.errors import ChartMismatch
 from solsurf.fields import (
     CHART_EUCLIDEAN,
@@ -19,7 +26,7 @@ from solsurf.fields import (
 )
 from solsurf.immersion import psi_residual
 from solsurf.matlie import commutator, dagger, fro, trace
-from solsurf.sigma import traveling_solution, u_pair, veronese
+from solsurf.sigma import theta_of, traveling_solution, u_pair, veronese
 from solsurf.spectral import euclidean_wave, phi_traveling
 from solsurf.symmetry import (
     ConformalSpec,
@@ -346,6 +353,82 @@ def test_jet_sets_prolong_their_values_as_the_value_functionals_do(case):
         assert np.array_equal(a.values, b.values, equal_nan=True) and a.margin == b.margin
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """The bits of every finite node, and the same non-finite nodes: on
+    stencil jets the untrusted nodes hold NaN whose sign follows the
+    operand order of each stencil temporary."""
+    finite = np.isfinite(b)
+    return np.array_equal(np.isfinite(a), finite) and a[finite].tobytes() == b[finite].tobytes()
+
+
+def _value_case(case: str) -> tuple:
+    """(jets, Q, functional, the components whose values are asked, their
+    plain builder) of a value half that a caller reads: Phi on both charts
+    and on rung (3, 2) at level 2, and the connection pair of the value
+    functional and of the u jets; the stencil cases take theta's jets by
+    stencils, whose margins grow with the jet order, so that a value's
+    margin (theta's) differs from its tangent's (Q's)."""
+    pair = lambda j: u_pair(j, LAM_E)  # noqa: E731
+    if case == "phi-traveling":
+        q = conformal_characteristic(ConformalSpec.minkowski((0.0, 0.0, 1.0), (0.0,)), JET_M)
+        build = lambda jd: phi_traveling(WAVE_M, jd, LAM_M)  # noqa: E731
+        return JET_M, q, wave_functional(build), (0,), lambda j: (build(j),)
+    j = {
+        "phi-euclid": lambda: jets(0),
+        "phi-rung-3-2": lambda: veronese(3, GRID, 2)[1],
+        "phi-stencil": lambda: theta_of(veronese(2, GRID)[0][1]),
+        "u-pair": lambda: jets(1),
+        "u-jets": lambda: jets(1),
+        "u-stencil": lambda: theta_of(veronese(2, GRID)[0][1]),
+    }[case]()
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    if case.startswith("phi"):
+        k = {"phi-euclid": 0, "phi-rung-3-2": 2, "phi-stencil": 1}[case]
+        build = lambda jd: euclidean_wave(jd, k, LAM_E)  # noqa: E731
+        return j, q, wave_functional(build), (0,), lambda j: (build(j),)
+    if case == "u-jets":
+        return j, q, u_jets_functional(LAM_E), (0, 3), pair
+    return j, q, u_functional(LAM_E), (0, 1), pair
+
+
+VALUE_CASES = ["phi-euclid", "phi-rung-3-2", "phi-stencil", "phi-traveling", "u-pair", "u-jets",
+               "u-stencil"]
+
+
+@pytest.mark.parametrize("case", VALUE_CASES)
+def test_value_halves_asked_for_are_the_plain_builders_bit_for_bit(case):
+    # a value half that the caller asks for is the field, of the type, with
+    # the margin and the bits, that the builder makes on theta's jets alone;
+    # every tangent keeps the bits and margin of the route that pairs theta
+    # with Q's whole jets and fills both halves of every output
+    j, q, g, asked, plain = _value_case(case)
+    (both,) = frechet_apply([g], j, q, values=[(0, c) for c in asked])
+    (tangents,) = frechet_apply([g], j, q)
+    (whole,) = prolonged_whole([g], j, q)
+    assert len(both) == len(tangents) == len(whole)
+    for c, (alone, (_, tangent, margin)) in enumerate(zip(tangents, whole)):
+        paired = both[c][1] if c in asked else both[c]
+        for got in (alone, paired):
+            assert _same_bits(got.values, tangent) and got.margin == margin
+    for c, want in zip(asked, plain(j), strict=True):
+        value = both[c][0]
+        assert type(value) is type(want) and value.margin == want.margin
+        assert getattr(value, "lam", None) == getattr(want, "lam", None)
+        assert value.values.tobytes() == want.values.tobytes()
+        assert _same_bits(value.values, whole[c][0])
+    if case.endswith("stencil"):
+        assert both[asked[0]][0].margin < both[asked[0]][1].margin
+
+
+def test_tangent_only_prolongation_holds_no_value_half():
+    # the connection pair's prolongation fills its two tangents alone: the
+    # heap peaks at 4.23 fields, with the strip temporaries and Q's jets of
+    # one strip, and at 6.23 when both value halves are asked for
+    j = jets(0)
+    q = conformal_characteristic(ConformalSpec.euclidean((0.0, 0.0, 1.0)), j)
+    assert heap_peak(lambda: frechet_apply((u_functional(LAM_E),), j, q)) <= 5 * (4 * 101**2 * 16)
+
+
 def test_central_difference_rejects_a_non_positive_step():
     # the step belongs to the probe; the prolongation takes none
     import inspect
@@ -355,7 +438,7 @@ def test_central_difference_rejects_a_non_positive_step():
     for eps_base in (0.0, -1e-5):
         with pytest.raises(ValueError, match="eps_base"):
             _probe([theta_functional], j, q, eps_base)
-    assert list(inspect.signature(frechet_apply).parameters) == ["gs", "j", "q"]
+    assert list(inspect.signature(frechet_apply).parameters) == ["gs", "j", "q", "values"]
 
 
 @pytest.mark.parametrize(
@@ -432,6 +515,19 @@ def test_every_functional_costs_one_tangent_evaluation(monkeypatch, name):
     (out,) = frechet_apply([_counted(evaluations, 0, CASES[name])], j, q)
     assert (evaluations, steps) == ([1], [])
     assert all(type(f.values) is np.ndarray for f in out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_tangent_keeps_the_bits_of_the_whole_pairing(name):
+    # Q's jets formed per strip, and value halves left unfilled, give every
+    # tangent the bits and margin of theta paired with Q's whole jets
+    j = jets(1)
+    q = conformal_characteristic(ConformalSpec.euclidean((0.3, 0.0, 1.0)), j)
+    (whole,) = prolonged_whole([CASES[name]], j, q)
+    (got,) = frechet_apply([CASES[name]], j, q)
+    assert len(got) == len(whole)
+    for f, (_, tangent, margin) in zip(got, whole):
+        assert _same_bits(f.values, tangent) and f.margin == margin
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
