@@ -50,8 +50,8 @@ _TOP_KEYS = {
 MAX_N = 8
 
 # Largest grid, as nodes x n^2 (1024^2 nodes at n = 2).  At 401^2 a run
-# peaks near 250 bytes per unit in `solve` and 310 in `immerse` (README), so
-# a grid at the bound needs about 1.3 GB.
+# peaks near 200 bytes per unit in `solve` and 260 in `immerse` (README), so
+# a grid at the bound needs about 1.1 GB.
 MAX_GRID_LOAD = 2**22
 
 # Largest part of the spectral parameter: the wave-function coefficients

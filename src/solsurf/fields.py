@@ -4,8 +4,11 @@ A field stores its values on the full grid together with a ``margin``: the
 number of boundary layers whose values are not trusted (stencils that do
 not fit are never evaluated one-sidedly; those nodes hold NaN).  Every
 derivative widens the margin, every residual is reduced over the interior
-that its margin defines.  `tangent_defect` checks every D_alpha X = Y_alpha
-by strips: a surface against its tangents, pr w G against pr w D_alpha G.
+that its margin defines.  Every stencil runs on the grid rows asked
+(`strip_derivatives`, `strip_jets`) and the 2 on each side that it reads,
+so a strip has the bits of the whole field.  `tangent_defect` checks
+every D_alpha X = Y_alpha by strips: a surface against its tangents, pr w
+G against pr w D_alpha G.
 
 A field together with its chart derivatives is a `JetField`: it forms
 its values, D_1 and D_2 (``first(rows)``) and its three second
@@ -13,11 +16,10 @@ derivatives (``second(rows)``) on the grid rows asked, each order with
 its own margin.  theta of the active Veronese rung or of the traveling
 wave and a symmetry characteristic Q are `JetField`s, and so is theta
 paired with the jets of Q (`JetField.paired`), whose jets are
-`matlie.Dual`s; `chart_jets` makes one from any field by stencils, its
-first jets stored, and `strip_jets` one whose every order is formed by
-stencils on the rows asked.  Stored jets hand out views of their rows,
-and the traveling wave forms its rows from closed forms, so a strip
-reader never holds its whole jets.
+`matlie.Dual`s; `strip_jets` makes one from any field, every order
+formed by stencils on the rows asked.  Stored jets hand out views of
+their rows, and the traveling wave forms its rows from closed forms, so
+a strip reader never holds its whole jets.
 
 Pointwise kernels of the jets (the connection, the lowering operator,
 the wave functions) run one strip of ``STRIP_ROWS`` grid rows at a time:
@@ -72,7 +74,6 @@ __all__ = [
     "MatrixField",
     "STRIP_ROWS",
     "StripSource",
-    "chart_derivatives",
     "cumulative_line_integral",
     "diff1",
     "diff2",
@@ -317,10 +318,17 @@ def _stencil_slab(values: np.ndarray, rows: slice) -> tuple[np.ndarray, slice]:
 def strip_derivatives(
     values: np.ndarray, grid: Grid2, rows: slice
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(D_1, D_2) of the field ``values`` on the grid rows ``rows``: the bits
-    of the whole-field stencils there, every stencil being local."""
+    """(D_1, D_2) of the field ``values`` on the chart of ``grid`` by
+    4th-order stencils, on its grid rows ``rows`` (``slice(None)``: every
+    row).  The stencils run on those rows and the 2 rows on each side that
+    they read: every stencil being local, the rows have the bits of the
+    whole field, whose 2 outer layers come out NaN."""
     slab, core = _stencil_slab(values, rows)
-    return chart_derivatives(slab, grid, core)
+    dx = diff1(slab[..., core, :], grid.h1, axis=-1)
+    dy = diff1(slab, grid.h2, axis=-2)[..., core, :]
+    if grid.chart == CHART_EUCLIDEAN:
+        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+    return dx, dy
 
 
 def tangent_defect(f: MatrixField, d1: MatrixField, d2: MatrixField) -> float:
@@ -536,35 +544,6 @@ class JetField:
                 for name in ("margin", "margin1", "margin2")}
 
 
-def chart_derivatives(
-    values: np.ndarray, grid: Grid2, rows: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """(D_1, D_2) of ``values`` on the chart of ``grid`` by 4th-order
-    stencils, on its rows ``rows``.
-
-    The last two axes of ``values`` are grid rows and columns, and may be
-    a strip of the grid's rows: the 2 outer rows of the strip come out NaN.
-    """
-    dx = diff1(values[..., rows, :], grid.h1, axis=-1)
-    dy = diff1(values, grid.h2, axis=-2)[..., rows, :]
-    if grid.chart == CHART_EUCLIDEAN:
-        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-    return dx, dy
-
-
-def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int]:
-    return (*chart_derivatives(f.values, f.grid), f.margin + 2)
-
-
-def chart_jets(f: MatrixField) -> JetField:
-    """``f`` with all its derivatives up to second order by 4th-order
-    stencils, D_1 and D_2 formed here on the whole grid and stored; the
-    second jets are formed on the rows asked, as by `strip_jets`."""
-    d1, d2, margin1 = chart_first_derivatives(f)
-    return JetField.stored(f.grid, f.values, d1, d2, strip_jets(f).second, margin=f.margin,
-                           margin1=margin1, margin2=f.margin + 4)
-
-
 def strip_jets(f: MatrixField) -> JetField:
     """``f`` with all its derivatives up to second order by 4th-order
     stencils, every order formed on the rows asked.
@@ -580,27 +559,21 @@ def strip_jets(f: MatrixField) -> JetField:
 
     def second(rows: slice) -> tuple[np.ndarray, ...]:
         slab, core = _stencil_slab(f.values, rows)
-        return tuple(x[..., core, :] for x in _chart_second_derivatives(slab, f.grid))
+        g = f.grid
+        dxx = diff2(slab, g.h1, axis=-1)
+        dyy = diff2(slab, g.h2, axis=-2)
+        # the x-derivative is recomputed rather than kept from the first-order
+        # pass, so no stencil temporary outlives the call that made it
+        dxy = diff1(diff1(slab, g.h1, axis=-1), g.h2, axis=-2)
+        if g.chart == CHART_EUCLIDEAN:
+            jets = (0.25 * (dxx - dyy - 2j * dxy), 0.25 * (dxx + dyy),
+                    0.25 * (dxx - dyy + 2j * dxy))
+        else:
+            jets = (dxx, dxy, dyy)
+        return tuple(x[..., core, :] for x in jets)
 
     return JetField(grid=f.grid, n=f.n, first=first, second=second, margin=f.margin,
                     margin1=f.margin + 2, margin2=f.margin + 4)
-
-
-def _chart_second_derivatives(
-    values: np.ndarray, g: Grid2
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dxx = diff2(values, g.h1, axis=-1)
-    dyy = diff2(values, g.h2, axis=-2)
-    # the x-derivative is recomputed rather than kept from the first-order
-    # pass, so no stencil temporary outlives the call that made it
-    dxy = diff1(diff1(values, g.h1, axis=-1), g.h2, axis=-2)
-    if g.chart == CHART_EUCLIDEAN:
-        return (
-            0.25 * (dxx - dyy - 2j * dxy),
-            0.25 * (dxx + dyy),
-            0.25 * (dxx - dyy + 2j * dxy),
-        )
-    return dxx, dxy, dyy
 
 
 # --- cumulative line integration -------------------------------------------

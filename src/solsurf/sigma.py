@@ -16,7 +16,9 @@ on the grid rows asked; `traveling_solution` returns theta of the wave
 with exact jets, formed from the held cos and sin of its phase on the
 grid rows asked.
 `theta_of` turns a bare projector field into the jets of theta by
-4th-order stencils.  Derivative conventions follow :mod:`solsurf.fields`.
+4th-order stencils, each order formed on the grid rows asked, like
+every stencil of the package.  Derivative conventions follow
+:mod:`solsurf.fields`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .fields import (
     JetRows,
     MatrixField,
     StripSource,
-    chart_jets,
+    strip_jets,
 )
 from .matlie import commutator, dagger, fro, identity, mm
 
@@ -74,9 +76,10 @@ def projector(j: JetField | JetRows) -> np.ndarray:
 
 def theta_of(p: MatrixField) -> JetField:
     """Jets of the algebra-valued variable theta = i(P - I/N) of the
-    projector field ``p``, by 4th-order stencils of its values."""
+    projector field ``p``, by 4th-order stencils of its values formed on
+    the grid rows asked (`fields.strip_jets`)."""
     theta = 1j * (p.values - identity(p.n) / p.n)
-    return chart_jets(MatrixField(p.grid, theta, p.margin))
+    return strip_jets(MatrixField(p.grid, theta, p.margin))
 
 
 # --- model operators and residuals -------------------------------------------

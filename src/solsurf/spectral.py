@@ -49,11 +49,11 @@ from .fields import (
     JetRows,
     MatrixField,
     StripSource,
-    chart_first_derivatives,
     interior,
     interior_max,
     row_strips,
     same_grid,
+    strip_derivatives,
 )
 from .matlie import (Dual, NonFiniteMatrix, commutator, dagger, det, expm, fro, identity, inv,
                      mm, primal, trace)
@@ -350,8 +350,8 @@ def lsp_residual(
     """The linear-problem residuals D_alpha(Phi) - u^alpha Phi of the field
     ``w``, with stencil derivatives of Phi; both carry the same margin."""
     grid = same_grid(w, u1, u2)
-    d1phi, d2phi, dmargin = chart_first_derivatives(w)
-    margin = max(dmargin, u1.margin, u2.margin)
+    d1phi, d2phi = strip_derivatives(w.values, grid, slice(None))
+    margin = max(w.margin + 2, u1.margin, u2.margin)
     d1phi -= mm(u1.values, w.values)
     d2phi -= mm(u2.values, w.values)
     return MatrixField(grid, d1phi, margin), MatrixField(grid, d2phi, margin)

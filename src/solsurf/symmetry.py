@@ -1,12 +1,14 @@
 """Generalized symmetries in evolutionary form, realized numerically.
 
 A symmetry characteristic is a matrix field Q built from the jets of a
-solution.  Its prolongation pr w_Q is one derivation acting on every
-functional G of the solution: the Frechet derivative G'(theta)[Q], linear
-in the jets of Q.  `frechet_apply` evaluates it exactly, in one pass, in
-forward mode: theta is paired with the jets of Q (`JetField.paired`), each
-jet a `matlie.Dual`, and each functional runs once on the pair, carrying
-the tangent through every product, commutator, trace, reciprocal and
+solution, strip by strip (`conformal_characteristic`: f D_1 theta + g
+D_2 theta from the first jets of each strip).  Its prolongation pr w_Q
+is one derivation acting on every functional G of the solution: the
+Frechet derivative G'(theta)[Q], linear in the jets of Q.
+`frechet_apply` evaluates it exactly, in one pass, in forward mode:
+theta is paired with the jets of Q (`JetField.paired`), each jet a
+`matlie.Dual`, and each functional runs once on the pair, carrying the
+tangent through every product, commutator, trace, reciprocal and
 exponential; its tangent is pr w_Q G.  No stencil runs on a pair.
 
 One prolongation feeds many functionals: `frechet_apply` takes a
@@ -18,9 +20,9 @@ beside pr w (D_alpha G) for the commutation checks.  The prolongation
 holds only what its caller reads: it fills the tangent half of each
 output, and the value half, G itself, only where the caller asks for it
 (a caller that reads Phi or the connection pair takes them from here, so
-each is built once); Q's first and second jets are
-formed by stencils for each strip of grid rows (`fields.strip_jets`),
-and theta's are paired with them strip by strip.  A functional
+each is built once); Q's first and second jets are formed by stencils
+for each strip of grid rows (`fields.strip_jets`, the one stencil
+route), and theta's are paired with them strip by strip.  A functional
 maps jets to a tuple of matrix fields, so each jet set is one
 functional, whose prolongation the surfaces' stencil residual checks,
 `fields.tangent_defect(*prw)`: `theta_functional` (theta, D_1 theta,
@@ -69,6 +71,7 @@ from .fields import (
     StripSource,
     interior_max,
     row_strips,
+    rows_filled,
     same_grid,
     strip_derivatives,
     strip_jets,
@@ -173,19 +176,21 @@ class ConformalSpec:
     def g2(self, grid: Grid2) -> np.ndarray:
         return polyval(_polyder(self.g_coeffs), grid.coord2())
 
-    def along(self, grid: Grid2, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """f(x1) X1 + g(x2) X2: a pair of matrix fields combined along the
-        symmetry's vector field."""
-        return self.f(grid) * x1 + self.g(grid) * x2
-
 
 def conformal_characteristic(spec: ConformalSpec, j: JetField) -> MatrixField:
-    """Q = f(x1) theta_1 + g(x2) theta_2."""
+    """Q = f(x1) theta_1 + g(x2) theta_2, formed one strip of grid rows at
+    a time from the first jets of the rows (`fields.rows_filled`)."""
     if spec.chart != j.grid.chart:
         raise ChartMismatch(
             f"conformal data is for {spec.chart}, jet field lives on {j.grid.chart}"
         )
-    return MatrixField(j.grid, spec.along(j.grid, j.d1, j.d2), j.margin1)
+    f, g = spec.f(j.grid), spec.g(j.grid)
+
+    def strip(rows: slice) -> tuple[np.ndarray]:
+        _, d1, d2 = j.first(rows)
+        return (f[rows] * d1 + g[rows] * d2,)
+
+    return MatrixField(j.grid, rows_filled(j.grid, strip)[0], j.margin1)
 
 
 # --- prolongation -----------------------------------------------------------------

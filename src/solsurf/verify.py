@@ -38,7 +38,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,11 +50,11 @@ from .fields import (
     Grid2,
     JetField,
     MatrixField,
-    chart_first_derivatives,
-    chart_jets,
     interior,
     interior_max,
     row_strips,
+    strip_derivatives,
+    strip_jets,
     tangent_defect,
 )
 from .immersion import (
@@ -285,8 +285,10 @@ class Fixtures:
         del closed
         out["compatibility"] = compatibility_defect(a, b, *u)
         out["prolonged-connection"] = _prolonged_connection_defect(j, a, b)
-        out["zero-curvature"] = _zero_curvature(*u)
-        out["naive-pair"] = _naive_pair_defect(*u)
+        # D2 u1 - D1 u2 + [u1, u2], and the naive pair A = u1, B = 0
+        zero = MatrixField(j.grid, np.broadcast_to(0j, u[0].values.shape), u[0].margin)
+        out["zero-curvature"] = compatibility_defect(*u, u[0], zero)
+        out["naive-pair"] = compatibility_defect(u[0], zero, *u)
         q = MatrixField(j.grid, j.values.copy(), j.margin)
         ((a, b),) = frechet_apply((u_functional(LAM_EUCLID),), j, q)
         out["theta-el-symmetry"] = compatibility_defect(a, b, *u)
@@ -321,11 +323,15 @@ class Fixtures:
         if (n, k) == (2, 1):
             # the step probe reuses the whole D1 and D2 of the lowered rung
             dl = lowering_jets_functional(j)[1:]
-            out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], j, dl)
+            out["lowered-rung"] = _conformal_defect(spec, lowered[0][0], _strips(dl), j.margin2)
             out["step-order"] = _step_defects(j, dl)
             del dl
         elif lowered:
-            out["lowered-rung"] = _lowering_defect(spec, lowered[0][0], j)
+            # the prolongation that formed pr w L has raised if the lowering
+            # vanished everywhere
+            out["lowered-rung"] = _conformal_defect(
+                spec, lowered[0][0], lambda rows: lowered_rung_with_jets(j.rows(rows))[1:3],
+                j.margin2)
         del lowered
         w = euclidean_wave(j, k, LAM_EUCLID)
         del j
@@ -357,10 +363,11 @@ class Fixtures:
         k = MatrixField(tw.grid, commutator(jt.d1, jt.values), jt.margin1)
         da, db, ktilde, calf = pulled_back(w, (a, b, k), (prw_phi,))
         del a, b, k, prw_phi
-        d1phi, _, dm = chart_first_derivatives(w)
+        d1phi = strip_derivatives(w.values, tw.grid, slice(None))[0]
         pred = (-(spec.f11(tw.grid)) * tw.chi(LAM_MINK) * (1 + LAM_MINK)) * d1phi
         out["lsp"] = _field_max(r1)
-        out["curvature-defect-form"] = interior_max(fro(r1.values - pred), max(r1.margin, dm))
+        out["curvature-defect-form"] = interior_max(fro(r1.values - pred),
+                                                    max(r1.margin, w.margin + 2))
         out["explicit-tangents"] = tangent_defect(calf, da, db)
         del r1, d1phi, pred, da, db
         out["prolonged-surface-closed-form"] = _prolonged_surface_closed_form(tw, calf, ktilde)
@@ -383,11 +390,8 @@ def _prop8_defects(
     f D1 Phi + g D2 Phi, and the tangents of its pull-back ``calf`` =
     Phi^-1 pr w Phi against the surface tangents (da, db) of the prolonged
     connection."""
-    d1phi, d2phi, dm = chart_first_derivatives(w)
-    ref = EUCLID_SPEC.along(w.grid, d1phi, d2phi)
-    del d1phi, d2phi
-    conformal = interior_max(fro(prw_phi.values - ref), max(prw_phi.margin, dm))
-    del ref
+    conformal = _conformal_defect(
+        EUCLID_SPEC, prw_phi, lambda rows: strip_derivatives(w.values, w.grid, rows), w.margin + 2)
     return {"conformal-wave": conformal, "explicit-integration": tangent_defect(calf, da, db)}
 
 
@@ -433,18 +437,6 @@ def _det_variation(w: WaveField) -> float:
 
 
 # --- the defects of the standard solutions' fields -----------------------------
-
-
-def _zero_curvature(u1: MatrixField, u2: MatrixField) -> float:
-    d1u2 = chart_first_derivatives(u2)
-    d2u1 = chart_first_derivatives(u1)
-    res = d2u1[1] - d1u2[0] + commutator(u1.values, u2.values)
-    return interior_max(fro(res), max(d2u1[2], d1u2[2]))
-
-
-def _naive_pair_defect(u1: MatrixField, u2: MatrixField) -> float:
-    zero = MatrixField(u1.grid, np.zeros_like(u1.values), u1.margin)
-    return compatibility_defect(u1, zero, u1, u2)
 
 
 def _prolonged_connection_defect(j: JetField, a: MatrixField, b: MatrixField) -> float:
@@ -533,25 +525,25 @@ def _quadratic_difference_variation(fx: Fixtures) -> float:
     return constant_difference_check(*closed)[1]
 
 
-def _lowering_defect(
-    spec: ConformalSpec, prw: MatrixField, j: JetField,
-    dl: tuple[MatrixField, MatrixField] | None = None,
+def _conformal_defect(
+    spec: ConformalSpec, prw: MatrixField,
+    derivatives: Callable[[slice], Sequence[np.ndarray]], margin: int,
 ) -> float:
-    """pr w of the lowered rung of ``j``, ``prw``, against f D1 + g D2 of
-    it, one strip of grid rows at a time: D1 and D2 are read from ``dl``
-    when given, or else lowered from the strip's jets (the prolongation
-    that formed ``prw`` has raised if the lowering vanished everywhere)."""
+    """Interior max of || pr w X - (f D1 X + g D2 X) ||, pr w X being
+    ``prw``, one strip of grid rows at a time: ``derivatives(rows)`` gives
+    (D1 X, D2 X) on the strip, trusted inside ``margin``."""
     grid = prw.grid
     f, g = spec.f(grid), spec.g(grid)
     res = np.empty((grid.n2, grid.n1))
     for rows in row_strips(grid.n2):
-        if dl is None:
-            dl1, dl2 = lowered_rung_with_jets(j.rows(rows))[1:3]
-        else:
-            dl1, dl2 = (d.strip(rows) for d in dl)
-        # `ConformalSpec.along` on the strip
-        res[rows] = fro(prw.strip(rows) - (f[rows] * dl1 + g[rows] * dl2))
-    return interior_max(res, max(prw.margin, j.margin2))
+        d1, d2 = derivatives(rows)
+        res[rows] = fro(prw.strip(rows) - (f[rows] * d1 + g[rows] * d2))
+    return interior_max(res, max(prw.margin, margin))
+
+
+def _strips(fields: Sequence[MatrixField]) -> Callable[[slice], list[np.ndarray]]:
+    """The strips of the grid rows asked of each of ``fields``."""
+    return lambda rows: [f.strip(rows) for f in fields]
 
 
 # Convergence orders of the central difference probe, on the lowering
@@ -562,11 +554,11 @@ def _step_defects(j: JetField, dl: tuple[MatrixField, MatrixField]) -> list[floa
     """Lowering defects under a translation at steps 0.04, 0.02 and 0.01,
     given (D1, D2) of the lowered rung; the jets of Q serve all three."""
     trans = ConformalSpec.euclidean((1.0,))
-    q_jets = chart_jets(conformal_characteristic(trans, j))
+    q_jets = strip_jets(conformal_characteristic(trans, j))
     out = []
     for eps in (0.04, 0.02, 0.01):
         ((prw,),) = central_difference((lowering_functional,), j, q_jets, eps)
-        out.append(_lowering_defect(trans, prw, j, dl))
+        out.append(_conformal_defect(trans, prw, _strips(dl), j.margin2))
     return out
 
 
@@ -579,7 +571,7 @@ def _grid_order(fx: Fixtures) -> float:
     ds = []
     for h in (0.012, 0.006, 0.003):
         jh = veronese(2, fx.euclid_grid(h), 1)[1]
-        qh = chart_jets(conformal_characteristic(EUCLID_SPEC, jh))
+        qh = strip_jets(conformal_characteristic(EUCLID_SPEC, jh))
         (prw,) = central_difference((lowering_jets_functional,), jh, qh, 1e-3)
         ds.append(tangent_defect(*prw))
     return float(min(np.log2(ds[i] / ds[i + 1]) for i in range(2)))

@@ -28,6 +28,11 @@ cross-check the two:
   grid at once with the whole inverse of Phi, against the row strips that
   :mod:`solsurf.immersion`, :mod:`solsurf.symmetry`,
   :mod:`solsurf.spectral` and :mod:`solsurf.fields` reduce;
+* the first and second jets of a field by 4th-order stencils on the whole
+  grid at once (`chart_jets`, `chart_first_derivatives`), against the
+  strips of `solsurf.fields.strip_jets` and
+  `solsurf.fields.strip_derivatives`, the package's one stencil route
+  (bit for bit);
 * the appendix's commutation check by whole-field stencils, against the
   strip-wise `solsurf.fields.tangent_defect` that `verify` reads it with;
 * a polynomial in a number summed by Python's own complex arithmetic,
@@ -73,9 +78,9 @@ from solsurf.fields import (
     JetField,
     MatrixField,
     StripSource,
-    chart_first_derivatives,
-    chart_jets,
     cumulative_line_integral,
+    diff1,
+    diff2,
     interior,
     interior_max,
     rows_filled,
@@ -110,6 +115,42 @@ TOL_CONTRACT_REL = 1e-10
 
 class ContractedToZero(RuntimeError):
     """Raising/lowering denominator vanished everywhere: the ladder ends here."""
+
+
+# --- whole-field stencils ------------------------------------------------------------
+
+
+def chart_first_derivatives(f: MatrixField) -> tuple[np.ndarray, np.ndarray, int]:
+    """(D_1, D_2) of ``f`` by 4th-order stencils on the whole grid at once,
+    and their margin."""
+    dx = diff1(f.values, f.grid.h1, axis=-1)
+    dy = diff1(f.values, f.grid.h2, axis=-2)
+    if f.grid.chart == CHART_EUCLIDEAN:
+        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy), f.margin + 2
+    return dx, dy, f.margin + 2
+
+
+def chart_second_derivatives(values: np.ndarray, grid: Grid2) -> tuple[np.ndarray, ...]:
+    """(d11, d12, d22) of ``values`` by 4th-order stencils on the whole
+    grid at once."""
+    dx = diff1(values, grid.h1, axis=-1)
+    dxx = diff2(values, grid.h1, axis=-1)
+    dyy = diff2(values, grid.h2, axis=-2)
+    dxy = diff1(dx, grid.h2, axis=-2)
+    if grid.chart == CHART_EUCLIDEAN:
+        return 0.25 * (dxx - dyy - 2j * dxy), 0.25 * (dxx + dyy), 0.25 * (dxx - dyy + 2j * dxy)
+    return dxx, dxy, dyy
+
+
+def chart_jets(f: MatrixField) -> JetField:
+    """``f`` with all its derivatives up to second order by 4th-order
+    stencils on the whole grid, every order formed here and held whole;
+    a strip of rows is a view of each."""
+    d1, d2, margin1 = chart_first_derivatives(f)
+    second = chart_second_derivatives(f.values, f.grid)
+    return JetField.stored(f.grid, f.values, d1, d2,
+                           lambda rows: tuple(x[..., rows, :] for x in second),
+                           margin=f.margin, margin1=margin1, margin2=f.margin + 4)
 
 
 # --- numeric ladder ----------------------------------------------------------------

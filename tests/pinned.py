@@ -34,16 +34,20 @@ the fields its test names.  ``heap-peaks.json`` in ``tests/reference``
 holds the peak of each command of those configs, and of the whole
 ``verify --suite all`` run (``verify/all``, `verify_peak`), in complex
 2x2 fields at 101^2 (`FIELD` bytes); a fresh peak passes up to
-``(1 + HEAP_SLACK)`` times its entry.  The entries are the largest of
-repeated in-process readings, and ``HEAP_SLACK`` covers their spread
-(about 2 %: the Euclidean ``solve`` reads 12.19 fields as the first
-command of its process, 11.93 after any other) while one more field
-still fails every entry.  A change that lowers a peak lowers its entry; one that
-raises it states why.
+``(1 + HEAP_SLACK)`` times its entry.  `command_peak` takes each reading
+after one unmeasured call of the CLI: the first call in a process keeps
+what its lazy imports allocate (importlib, locale through argparse's
+gettext, argparse; about 0.25 fields), so without it a command read more
+as the first of its process than after another.  The entries are the
+largest of repeated in-process readings, and ``HEAP_SLACK`` covers their
+spread while one more field still fails every entry.  A change that
+lowers a peak lowers its entry; one that raises it states why.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -76,11 +80,25 @@ def heap_peak(run: Callable[[], object]) -> int:
         tracemalloc.stop()
 
 
+def command_peak(argv: list[str]) -> tuple[int, float]:
+    """The exit code of ``solsurf.cli.main(argv)`` and the heap peak of that
+    call in fields, read after one unmeasured call of the CLI, so that the
+    reading leaves out what the first call of a process keeps of its lazy
+    imports."""
+    from solsurf.cli import main
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        main(["solve"])  # exits 2, as it names no config
+    codes = []
+    peak = heap_peak(lambda: codes.append(main(argv)))
+    return codes[0], peak / FIELD
+
+
 def run_readme_configs(out: str, peaks: dict[str, float] | None = None) -> dict[str, str]:
     """``solve`` and ``immerse`` of each pinned config into ``out``: the
     path of each report they write, keyed ``<config>/<file>``.  Given
-    ``peaks``, each command runs under tracemalloc, and its heap peak in
-    fields goes into ``peaks`` under ``<config>/<command>``."""
+    ``peaks``, each command's heap peak in fields (`command_peak`) goes
+    into ``peaks`` under ``<config>/<command>``."""
     from solsurf.cli import main
 
     paths = {}
@@ -88,26 +106,23 @@ def run_readme_configs(out: str, peaks: dict[str, float] | None = None) -> dict[
         cfg = os.path.join(REFERENCE, name, "config.json")
         for command, report in README_REPORTS.items():
             dest = os.path.join(out, name, command)
-            argv, codes = [command, "--config", cfg, "--out", dest], []
+            argv = [command, "--config", cfg, "--out", dest]
             if peaks is None:
-                codes.append(main(argv))
+                code = main(argv)
             else:
-                peaks[f"{name}/{command}"] = heap_peak(lambda: codes.append(main(argv))) / FIELD
-            assert codes == [0], f"{command} {name} exited {codes}"
+                code, peaks[f"{name}/{command}"] = command_peak(argv)
+            assert code == 0, f"{command} {name} exited {code}"
             paths[f"{name}/{report}"] = os.path.join(dest, report)
     return paths
 
 
 def verify_peak(out: str) -> float:
-    """``verify --suite all`` into ``out`` under tracemalloc: the heap peak
-    of the whole run in fields, which ``heap-peaks.json`` pins as
-    ``verify/all``; the run must exit 0."""
-    from solsurf.cli import main
-
-    codes = []
-    peak = heap_peak(lambda: codes.append(main(["verify", "--suite", "all", "--out", out])))
-    assert codes == [0], f"verify exited {codes}"
-    return peak / FIELD
+    """The heap peak in fields of ``verify --suite all`` into ``out``
+    (`command_peak`), which ``heap-peaks.json`` pins as ``verify/all``;
+    the run must exit 0."""
+    code, peak = command_peak(["verify", "--suite", "all", "--out", out])
+    assert code == 0, f"verify exited {code}"
+    return peak
 
 
 def heap_table() -> dict[str, float]:

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 import pinned
+from oracles import chart_first_derivatives, chart_jets
 from solsurf.cli import main as cli_main
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
     MatrixField,
-    chart_first_derivatives,
-    chart_jets,
     interior_max,
     tangent_defect,
 )

@@ -15,12 +15,12 @@ from solsurf.fields import (
     Grid2,
     MatrixField,
     StripSource,
-    chart_jets,
     cumulative_line_integral,
     diff1,
     diff2,
     interior_max,
     read_field,
+    strip_jets,
     trim_margin,
     write_field,
     write_field_json,
@@ -77,7 +77,7 @@ def test_chart_jets_euclidean_holomorphic():
     g = Grid2(CHART_EUCLIDEAN, spacing=(0.01, 0.01), dims=(41, 41))
     xi = g.xi()
     f = xi**3 * np.ones((1, 1, 1, 1))
-    jets = chart_jets(MatrixField(g, f.astype(complex), 0))
+    jets = strip_jets(MatrixField(g, f.astype(complex), 0))
     assert interior_max(jets.d2, jets.margin1) < 1e-11
     assert interior_max(jets.d1 - 3 * xi**2, jets.margin1) < 1e-11
     whole = jets.rows(slice(None))

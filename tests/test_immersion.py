@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    chart_first_derivatives,
     compatibility_defect_whole,
     conjugate_whole,
     constant_field,
@@ -268,8 +269,6 @@ def test_gauge_immersion():
         poly = c[0] + c[1] * x + c[2] * y + c[3] * x * y
         s2_vals = s2_vals + poly * constant(basis.elements[..., a])
     s2 = MatrixField(GRID, s2_vals, 0)
-    from solsurf.fields import chart_first_derivatives
-
     d1s, d2s, sm = chart_first_derivatives(s2)
     t1 = MatrixField(GRID, d1s + commutator(s2.values, u1.values), sm)
     t2 = MatrixField(GRID, d2s + commutator(s2.values, u2.values), sm)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import ContractedToZero, build_ladder, lower_projector, raise_projector
+from oracles import (
+    ContractedToZero,
+    build_ladder,
+    chart_first_derivatives,
+    chart_jets,
+    chart_second_derivatives,
+    lower_projector,
+    raise_projector,
+)
 from pinned import heap_peak
 from solsurf.cli import _completeness_residual, _orthogonality_defect
 from solsurf.errors import ChartMismatch, LambdaSingular
@@ -12,6 +20,7 @@ from solsurf.fields import (
     MatrixField,
     interior_max,
     row_strips,
+    strip_jets,
 )
 from solsurf.matlie import commutator, constant, dagger, fro, identity, mm, trace
 from solsurf.sigma import (
@@ -98,8 +107,6 @@ def test_veronese_el_residual(n):
 def test_zero_curvature_tracks_el_residual():
     # the zero-curvature residual of the connection pair is controlled by
     # the equation-of-motion residual, on and off the solution manifold
-    from solsurf.fields import chart_first_derivatives
-
     lam = 0.5
 
     def zc_and_el(j):
@@ -161,8 +168,6 @@ def test_theta_identities():
 
 
 def test_veronese_jets_are_exact_and_theta_of_takes_stencils():
-    from solsurf.fields import chart_jets
-
     rungs, exact = veronese(2, GRID)
     # rung 0 of CP^1 in closed form: P = [[1, xb], [xi, xi xb]] / t with
     # xb = conj(xi) and t = 1 + xi xb, so D1 P = M / t^2 with
@@ -254,8 +259,6 @@ def test_traveling_wave_structure():
     # traveling constraint is exact
     assert interior_max(fro(2.0 * j.d1 - j.d2), j.margin1) < 1e-14
     # differential consequences: D_alpha [theta_beta, theta] = 0
-    from solsurf.fields import chart_first_derivatives
-
     for beta_jet in (j.d1, j.d2):
         cf = MatrixField(GRID_M, commutator(beta_jet, j.values), 0)
         d1c, d2c, m = chart_first_derivatives(cf)
@@ -279,29 +282,9 @@ def test_traveling_requires_minkowski():
         traveling_solution(2.0, 1.0, GRID)
 
 
-def _eager_second_jets(values, grid):
-    # the second-order stencils as chart_jets formed them when it built
-    # every order at once
-    from solsurf.fields import diff1, diff2
-
-    dx = diff1(values, grid.h1, axis=-1)
-    dxx = diff2(values, grid.h1, axis=-1)
-    dyy = diff2(values, grid.h2, axis=-2)
-    dxy = diff1(dx, grid.h2, axis=-2)
-    if grid.chart == CHART_EUCLIDEAN:
-        return (
-            0.25 * (dxx - dyy - 2j * dxy),
-            0.25 * (dxx + dyy),
-            0.25 * (dxx - dyy + 2j * dxy),
-        )
-    return dxx, dxy, dyy
-
-
 @pytest.mark.parametrize("chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI])
 @pytest.mark.parametrize("n", [2, 3])
 def test_second_jets_on_first_read_match_eager_stencils(chart, n):
-    from solsurf.fields import chart_jets
-
     grid = Grid2(chart, (0.1, -0.2), (0.02, 0.03), (23, 19))
     x1, x2 = grid.mesh()
     rng = np.random.default_rng(n)
@@ -312,11 +295,11 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
     j = theta_of(MatrixField(grid, p, 1))
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q = np.cos(x2 - x1) * constant(a - dagger(a))
-    q_jets = chart_jets(MatrixField(grid, q, 1))
+    q_jets = strip_jets(MatrixField(grid, q, 1))
     eps = 1e-3
     jd = j.deformed(eps, q_jets)
-    theta_ref = _eager_second_jets(j.values, grid)
-    q_ref = _eager_second_jets(q, grid)
+    theta_ref = chart_second_derivatives(j.values, grid)
+    q_ref = chart_second_derivatives(q, grid)
     deformed_ref = tuple(t + eps * s for t, s in zip(theta_ref, q_ref))
     for lazy, ref in ((j, theta_ref), (q_jets, q_ref), (jd, deformed_ref)):
         whole = lazy.rows(slice(None))
@@ -330,10 +313,10 @@ def test_second_jets_on_first_read_match_eager_stencils(chart, n):
         exact = {"veronese": veronese(n, grid, n - 1)[1]}
     else:
         exact = {"traveling": traveling_solution(2.0, 1.5, grid)[1]}
-    built = {"chart_jets": q_jets, "theta_of(stencil)": j, "deformed": jd, **exact}
+    built = {"strip_jets": q_jets, "theta_of(stencil)": j, "deformed": jd, **exact}
     first = next(iter(exact.values()))
     m = first.n  # the traveling wave is 2x2
-    built["deformed(exact)"] = first.deformed(-eps, chart_jets(MatrixField(grid, q[:m, :m], 1)))
+    built["deformed(exact)"] = first.deformed(-eps, strip_jets(MatrixField(grid, q[:m, :m], 1)))
     for name, field in built.items():
         whole = field.second(slice(None))
         for rows in row_strips(grid.n2):

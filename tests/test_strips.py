@@ -14,6 +14,7 @@ import pytest
 
 from oracles import (
     assemble_tangents_whole,
+    chart_jets,
     commutation_defect_whole,
     compatibility_defect_whole,
     conjugate_whole,
@@ -45,9 +46,9 @@ from solsurf.fields import (
     JetField,
     MatrixField,
     StripSource,
-    chart_jets,
     interior_max,
     row_strips,
+    strip_jets,
     tangent_defect,
 )
 from solsurf.immersion import (
@@ -427,6 +428,30 @@ def test_traveling_jets_formed_on_rows_match_the_closed_forms(origin, nodes):
         assert _same_bits(got, w)
     nan = np.isnan(want[0]).any(axis=(0, 1))
     assert nan.any() == far and not nan.all()
+
+
+_STRIPS = list(row_strips(101))
+
+
+@pytest.mark.parametrize("chart", [CHART_EUCLIDEAN, CHART_MINKOWSKI])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rows", [_STRIPS[0], _STRIPS[3], _STRIPS[-1], slice(None)],
+                         ids=["first", "interior", "short-last", "whole"])
+def test_strip_jets_match_the_whole_field_stencils(chart, n, rows):
+    # the package's one stencil route forms each order of the jets on the
+    # rows asked, from them and the 2 rows on each side; every stencil is
+    # local, so the rows have the bits of the stencils run on the whole
+    # field at once, at the grid's edges, where they are NaN, and across
+    # numpy's 256 KiB threshold for reusing a temporary, which the whole
+    # 3x3 field crosses and the short last strip does not
+    grid = Grid2(chart, (0.1, -0.2), (0.02, 0.03), (101, 101))
+    x1, x2 = grid.mesh()
+    rng = np.random.default_rng(n)
+    a, b = (constant(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) for _ in range(2))
+    f = MatrixField(grid, np.sin(x1 - 2 * x2) * a + np.exp(x1 * x2) * b, 1)
+    got, want = strip_jets(f).rows(rows), chart_jets(f).rows(rows)
+    for name in ("values", "d1", "d2", "d11", "d12", "d22"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
 
 
 @sizes

@@ -5,6 +5,8 @@ import pytest
 
 from oracles import (
     central_pair,
+    chart_first_derivatives,
+    chart_jets,
     commutation_defect_whole,
     el_symmetry_defect,
     polyval_number,
@@ -18,8 +20,6 @@ from solsurf.fields import (
     Grid2,
     JetField,
     MatrixField,
-    chart_first_derivatives,
-    chart_jets,
     interior_max,
     row_strips,
     tangent_defect,

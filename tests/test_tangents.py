@@ -7,14 +7,12 @@ stencils."""
 import numpy as np
 import pytest
 
-from oracles import central_pair
+from oracles import central_pair, chart_first_derivatives, chart_jets
 from solsurf.fields import (
     CHART_EUCLIDEAN,
     CHART_MINKOWSKI,
     Grid2,
     MatrixField,
-    chart_derivatives,
-    chart_jets,
     interior_max,
 )
 from solsurf.immersion import psi_residual
@@ -263,7 +261,7 @@ def _along_gaps(h: float, a: int) -> list[float]:
     gaps = []
     for value, tangent in ((u1.value, u1.tangent), (u2.value, u2.tangent),
                            (lowered[0], lowered[a])):
-        stencil = chart_derivatives(value, grid)[a - 1]
+        stencil = chart_first_derivatives(MatrixField(grid, value))[a - 1]
         gaps.append(interior_max(fro(tangent - stencil), 2) / interior_max(fro(tangent), 2))
     return gaps
 
